@@ -81,7 +81,7 @@ fn main() {
         "{}",
         row(&[
             "  (shards spawned, both runs)".into(),
-            (result.shards_spawned + repeat.shards_spawned).to_string(),
+            (result.backend.shards_spawned + repeat.backend.shards_spawned).to_string(),
         ])
     );
     println!(
@@ -90,7 +90,7 @@ fn main() {
             "  (shard merge time)".into(),
             format!(
                 "{:.3} ms",
-                (result.shard_merge_ns + repeat.shard_merge_ns) as f64 / 1e6
+                (result.backend.shard_merge_ns + repeat.backend.shard_merge_ns) as f64 / 1e6
             ),
         ])
     );
@@ -98,7 +98,7 @@ fn main() {
         "{}",
         row(&[
             "  (cross-shard regens)".into(),
-            (result.cross_shard_regens + repeat.cross_shard_regens).to_string(),
+            (result.backend.cross_shard_regens + repeat.backend.cross_shard_regens).to_string(),
         ])
     );
     println!(
@@ -124,8 +124,8 @@ fn main() {
             "  (workers spawned / respawned)".into(),
             format!(
                 "{} / {}",
-                result.workers_spawned + repeat.workers_spawned,
-                result.worker_respawns + repeat.worker_respawns
+                result.backend.workers_spawned + repeat.backend.workers_spawned,
+                result.backend.worker_respawns + repeat.backend.worker_respawns
             ),
         ])
     );
@@ -133,7 +133,7 @@ fn main() {
         "{}",
         row(&[
             "  (tasks dispatched to workers)".into(),
-            (result.tasks_dispatched + repeat.tasks_dispatched).to_string(),
+            (result.backend.tasks_dispatched + repeat.backend.tasks_dispatched).to_string(),
         ])
     );
     println!(
@@ -142,8 +142,10 @@ fn main() {
             "  (wire bytes sent / received)".into(),
             format!(
                 "{:.3} / {:.3} MiB",
-                (result.wire_bytes_sent + repeat.wire_bytes_sent) as f64 / (1 << 20) as f64,
-                (result.wire_bytes_received + repeat.wire_bytes_received) as f64 / (1 << 20) as f64
+                (result.backend.wire_bytes_sent + repeat.backend.wire_bytes_sent) as f64
+                    / (1 << 20) as f64,
+                (result.backend.wire_bytes_received + repeat.backend.wire_bytes_received) as f64
+                    / (1 << 20) as f64
             ),
         ])
     );

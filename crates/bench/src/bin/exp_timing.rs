@@ -111,7 +111,7 @@ fn main() {
         row(&[
             "MCDB-R shards spawned".into(),
             "0 unless MCDBR_SHARDS".into(),
-            result.shards_spawned.to_string()
+            result.backend.shards_spawned.to_string()
         ])
     );
     println!(
@@ -119,7 +119,7 @@ fn main() {
         row(&[
             "MCDB-R shard merge time".into(),
             "-".into(),
-            format!("{:.3} ms", result.shard_merge_ns as f64 / 1e6)
+            format!("{:.3} ms", result.backend.shard_merge_ns as f64 / 1e6)
         ])
     );
     println!(
@@ -127,7 +127,7 @@ fn main() {
         row(&[
             "MCDB-R cross-shard regens".into(),
             "0 (join is single-tag)".into(),
-            result.cross_shard_regens.to_string()
+            result.backend.cross_shard_regens.to_string()
         ])
     );
     println!(
@@ -154,7 +154,10 @@ fn main() {
         row(&[
             "MCDB-R workers spawned/respawned".into(),
             "0 unless --backend process".into(),
-            format!("{} / {}", result.workers_spawned, result.worker_respawns)
+            format!(
+                "{} / {}",
+                result.backend.workers_spawned, result.backend.worker_respawns
+            )
         ])
     );
     println!(
@@ -162,7 +165,7 @@ fn main() {
         row(&[
             "MCDB-R tasks dispatched".into(),
             "0 unless --backend process".into(),
-            result.tasks_dispatched.to_string()
+            result.backend.tasks_dispatched.to_string()
         ])
     );
     println!(
@@ -172,8 +175,8 @@ fn main() {
             "-".into(),
             format!(
                 "{:.3} / {:.3} MiB",
-                result.wire_bytes_sent as f64 / (1 << 20) as f64,
-                result.wire_bytes_received as f64 / (1 << 20) as f64
+                result.backend.wire_bytes_sent as f64 / (1 << 20) as f64,
+                result.backend.wire_bytes_received as f64 / (1 << 20) as f64
             )
         ])
     );
@@ -206,7 +209,7 @@ fn main() {
         row(&[
             "naive shards spawned".into(),
             "0 unless MCDBR_SHARDS".into(),
-            engine.shards_spawned().to_string()
+            engine.backend_stats().shards_spawned.to_string()
         ])
     );
     println!(
@@ -214,7 +217,7 @@ fn main() {
         row(&[
             "naive tasks dispatched".into(),
             "0 unless --backend process".into(),
-            engine.tasks_dispatched().to_string()
+            engine.backend_stats().tasks_dispatched.to_string()
         ])
     );
     println!(

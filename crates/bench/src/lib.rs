@@ -1,10 +1,9 @@
-//! Shared harness code for the MCDB-R experiment binaries and benches.
+//! Shared harness code for the MCDB-R experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
 //! experiment (see `DESIGN.md` §3 and `EXPERIMENTS.md`).  The binaries under
-//! `src/bin/` regenerate them; this library holds the pieces they share so
-//! the criterion benches and the experiment binaries measure exactly the same
-//! code paths.
+//! `src/bin/` regenerate them; this library holds the pieces they share.
+//! Timing lives in the standalone `perf_ledger` benchmark, not here.
 
 use std::sync::Arc;
 
@@ -110,8 +109,8 @@ pub fn laptop_tpch() -> TpchWorkload {
     TpchWorkload::generate(TpchConfig::laptop_scale()).expect("workload generation")
 }
 
-/// Generate the tiny test-scale Appendix D workload (used by benches that
-/// only need the code path, not the volume).
+/// Generate the tiny test-scale Appendix D workload (for runs that only
+/// need the code path, not the volume).
 pub fn test_tpch() -> TpchWorkload {
     TpchWorkload::generate(TpchConfig::test_scale()).expect("workload generation")
 }

@@ -43,7 +43,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mcdbr_exec::{AggFunc, BundleValue, ExecBackend, ExecSession, SessionCache, TupleBundle};
+use mcdbr_exec::{
+    AggFunc, BundleValue, ExecBackend, ExecSession, SessionCache, ShardStats, TupleBundle,
+};
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::SeedId;
 use mcdbr_storage::{Catalog, Error, Result, Schema, Value};
@@ -160,58 +162,15 @@ pub struct TailSampleResult {
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
-    /// Shard tasks this run spawned through its execution backend (0 on the
-    /// in-process backend; with a [`mcdbr_exec::ShardedBackend`], counts
-    /// every block materialization's shards — initial block and
-    /// replenishments alike).  Attributed by snapshotting the backend's
-    /// cumulative [`mcdbr_exec::ShardStats`] around the run, so a backend
-    /// shared across *concurrent* runs blurs per-run attribution (see the
-    /// `ShardStats` docs); results themselves are never affected.
-    pub shards_spawned: usize,
-    /// Nanoseconds this run's backend spent merging per-shard partials back
-    /// into canonical order (0 on the in-process backend).
-    pub shard_merge_ns: u64,
-    /// Streams shards regenerated outside their own key ranges (cross-shard
-    /// joins; 0 on the in-process backend) — duplication on top of the
-    /// logical `values_materialized` count.
-    pub cross_shard_regens: usize,
-    /// Worker OS processes this run's backend spawned (multi-process
-    /// backend only: pool fills + crash respawns).
-    pub workers_spawned: usize,
-    /// Shard tasks serialized and dispatched to worker processes this run
-    /// (0 on in-process backends).
-    pub tasks_dispatched: usize,
-    /// Bytes written to worker processes this run (plans, tasks,
-    /// handshakes).
-    pub wire_bytes_sent: u64,
-    /// Bytes read back from worker processes this run (partial bundles,
-    /// stats).
-    pub wire_bytes_received: u64,
-    /// Workers respawned after crashes this run, with their in-flight
-    /// tasks re-dispatched.
-    pub worker_respawns: usize,
-    /// Per-task read deadlines that expired this run, reclassifying a
-    /// silent worker as dead (multi-process backend only).
-    pub deadline_timeouts: usize,
-    /// Task dispatches retried after a crash-class worker failure this
-    /// run (each retry waits out a capped, seeded-jitter backoff).
-    pub task_retries: usize,
-    /// Per-worker circuit breakers tripped open this run; a tripped slot
-    /// degrades to local in-process execution for its cooldown window.
-    pub circuit_trips: usize,
-    /// Page records the pager appended to heap files this run (0 when
-    /// `MCDBR_DATA_DIR` is off; coordinator-process activity only).
-    pub pages_written: u64,
-    /// Page payloads read back from disk through checksummed heap records
-    /// this run — buffer-pool misses served by the disk tier.
-    pub disk_reads: u64,
-    /// Nanoseconds spent in those disk reads.
-    pub disk_read_ns: u64,
-    /// Sealed bytes spilling moved out of memory this run.
-    pub spilled_bytes: u64,
-    /// Worker table-store memory-tier evictions reported by this run's
-    /// dispatched tasks (multi-process backend only).
-    pub store_evictions: u64,
+    /// This run's window of its execution backend's counters — shard tasks
+    /// and merge time, worker-process dispatch and its fault ladder, pager
+    /// disk traffic (all zero where the backend has nothing to report, e.g.
+    /// `shards_spawned` on the in-process backend).  Attributed by
+    /// snapshotting the backend's cumulative [`mcdbr_exec::ShardStats`]
+    /// around the run, so a backend shared across *concurrent* runs blurs
+    /// per-run attribution (see the `ShardStats` docs); results themselves
+    /// are never affected.
+    pub backend: ShardStats,
     /// The staged parameters the run used.
     pub parameters: StagedParameters,
 }
@@ -340,9 +299,18 @@ impl GibbsLooper {
 
         // ===== Bootstrapping steps (Algorithm 3). =====
         for step in 0..m {
+            // NaN has no place in the order the cutoff and the elites are
+            // drawn from (and `total_cmp` would reorder the -0.0 / 0.0 ties
+            // the pinned sample sequences depend on): refuse it by name.
+            if let Some(v) = version_aggregates.iter().position(|a| a.is_nan()) {
+                return Err(Error::InvalidOperation(format!(
+                    "DB version {v} aggregates to NaN in bootstrapping step {step}; tail sampling \
+                     needs totally ordered query results"
+                )));
+            }
             // The (p·|S|)-largest aggregate becomes the cutoff.
             let mut sorted: Vec<f64> = version_aggregates.clone();
-            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            sorted.sort_by(|a, b| b.partial_cmp(a).expect("NaN aggregates rejected above"));
             let elite_count =
                 ((p_step * num_versions as f64).round() as usize).clamp(1, num_versions);
             let cutoff = sorted[elite_count - 1];
@@ -354,7 +322,7 @@ impl GibbsLooper {
             order.sort_by(|&a, &b| {
                 version_aggregates[b]
                     .partial_cmp(&version_aggregates[a])
-                    .unwrap()
+                    .expect("NaN aggregates rejected above")
             });
             let elites: Vec<usize> = order[..elite_count].to_vec();
 
@@ -431,7 +399,6 @@ impl GibbsLooper {
         }
 
         let stream_positions_consumed: u64 = ts_seeds.values().map(|ts| ts.max_used + 1).sum();
-        let backend_stats = self.backend.shard_stats().since(backend_stats_before);
 
         Ok(TailSampleResult {
             quantile_estimate: *cutoffs.last().unwrap_or(&f64::NAN),
@@ -446,22 +413,7 @@ impl GibbsLooper {
             bytes_materialized: session.bytes_materialized(),
             buffer_reuses: session.buffer_reuses(),
             stream_positions_consumed,
-            shards_spawned: backend_stats.shards_spawned,
-            shard_merge_ns: backend_stats.shard_merge_ns,
-            cross_shard_regens: backend_stats.cross_shard_regens,
-            workers_spawned: backend_stats.workers_spawned,
-            tasks_dispatched: backend_stats.tasks_dispatched,
-            wire_bytes_sent: backend_stats.wire_bytes_sent,
-            wire_bytes_received: backend_stats.wire_bytes_received,
-            worker_respawns: backend_stats.worker_respawns,
-            deadline_timeouts: backend_stats.deadline_timeouts,
-            task_retries: backend_stats.task_retries,
-            circuit_trips: backend_stats.circuit_trips,
-            pages_written: backend_stats.pages_written,
-            disk_reads: backend_stats.disk_reads,
-            disk_read_ns: backend_stats.disk_read_ns,
-            spilled_bytes: backend_stats.spilled_bytes,
-            store_evictions: backend_stats.store_evictions,
+            backend: self.backend.shard_stats().since(backend_stats_before),
             parameters: params,
         })
     }
@@ -787,7 +739,7 @@ mod tests {
         // the wire counters carry the evidence instead.
         if mcdbr_dispatch::default_backend().name() == "process" {
             assert!(
-                result.tasks_dispatched >= result.blocks_materialized,
+                result.backend.tasks_dispatched >= result.blocks_materialized,
                 "every block must dispatch at least one task: {result:?}"
             );
         } else {
@@ -853,8 +805,8 @@ mod tests {
             .with_backend(Arc::new(mcdbr_exec::InProcessBackend::new()))
             .run(&catalog)
             .unwrap();
-        assert_eq!(in_process.shards_spawned, 0);
-        assert_eq!(in_process.shard_merge_ns, 0);
+        assert_eq!(in_process.backend.shards_spawned, 0);
+        assert_eq!(in_process.backend.shard_merge_ns, 0);
         assert!(in_process.replenishments > 0, "exercise replenishment too");
         for shards in [1usize, 2, 3, 7] {
             let sharded = GibbsLooper::new(losses_query(), mk())
@@ -866,7 +818,7 @@ mod tests {
             assert_eq!(sharded.replenishments, in_process.replenishments);
             // 3 streams: every block fans out into min(shards, 3) tasks.
             assert_eq!(
-                sharded.shards_spawned,
+                sharded.backend.shards_spawned,
                 sharded.blocks_materialized * shards.min(3)
             );
         }
@@ -886,6 +838,19 @@ mod tests {
         let mut avg_query = losses_query();
         avg_query.aggregate = AggregateSpec::avg(Expr::col("val"), "avgLoss");
         assert!(GibbsLooper::new(avg_query, config).run(&catalog).is_err());
+    }
+
+    #[test]
+    fn nan_aggregates_are_a_typed_error_not_a_panic() {
+        let catalog = catalog(&[3.0, 4.0, 5.0]);
+        let mut query = losses_query();
+        query.aggregate = AggregateSpec::sum(Expr::col("val").mul(Expr::lit(f64::NAN)), "nanLoss");
+        let config = TailSamplingConfig::new(0.1, 4, 40)
+            .with_m(2)
+            .with_block_size(64);
+        let err = GibbsLooper::new(query, config).run(&catalog).unwrap_err();
+        assert!(matches!(err, Error::InvalidOperation(_)), "{err}");
+        assert!(err.to_string().contains("DB version 0"), "{err}");
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! A [`ProcessBackend`] implements the same [`ExecBackend`] seam as the
 //! in-process pool and the sharded backend, with the same bit-identity
 //! contract: for any worker count, a block's merged output equals
-//! in-process execution exactly.  The shard planner is shared with
-//! [`ShardedBackend`] — a block's bundle anchors partition into balanced
+//! in-process execution exactly.  The unit and the merge are shared with
+//! every other backend — a block's bundle anchors partition into balanced
 //! [`mcdbr_prng::StreamKeyRange`]s, one [`mcdbr_exec::ShardTask`] per
-//! worker — and the merge slots partial bundles back into skeleton order,
-//! visiting partials in ascending key-range order.
+//! worker, and [`mcdbr_exec::merge_block`] slots the partial bundles back
+//! into skeleton order; only *where* a task runs (a worker, or this process
+//! when a slot degrades or the plan cannot travel) differs.
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -79,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use mcdbr_exec::aggregate::{AggregateSpec, QueryResultSamples};
 use mcdbr_exec::{
-    plan_shards, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, Expr,
+    merge_block, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, Expr,
     InProcessBackend, PlanNode, PlanSkeleton, ShardStats, ShardTask, ShardedBackend, TupleBundle,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
@@ -902,22 +903,22 @@ impl ExecBackend for ProcessBackend {
             }
         };
 
-        let ranges = plan_shards(skeleton, self.workers);
-        if state.breakers.len() < ranges.len() {
-            state.breakers.resize(ranges.len(), Breaker::default());
+        let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
+        if state.breakers.len() < units.len() {
+            state.breakers.resize(units.len(), Breaker::default());
         }
         // Slots with an open breaker skip dispatch entirely this block:
         // their tasks run locally below, and the breaker's cooldown ticks
         // down toward the half-open probe.
-        let tasks: Vec<Option<Vec<u8>>> = ranges
+        let tasks: Vec<Option<Vec<u8>>> = units
             .iter()
             .enumerate()
-            .map(|(i, &key_range)| {
+            .map(|(i, unit)| {
                 (!state.breakers[i].degrade_this_block()).then(|| {
                     wire::encode_task(&TaskHeader {
                         key,
-                        master_seed: prefix.master_seed(),
-                        key_range,
+                        master_seed: unit.master_seed,
+                        key_range: unit.key_range,
                         base_pos,
                         num_values,
                     })
@@ -930,60 +931,38 @@ impl ExecBackend for ProcessBackend {
             .map_err(mcdbr_storage::Error::from)?;
         drop(state);
 
-        // Merge: identical slotting to ShardedBackend — partials arrive in
-        // ascending key-range order and every bundle lands at its skeleton
-        // index, restoring single-shard output order exactly.  Degraded
-        // slots run their ShardTask locally first: the same self-describing
+        // Degraded slots run their unit locally: the same self-describing
         // task the worker would have run, so the partial is bit-identical
         // and the merge cannot tell the difference.
-        let merge_start = Instant::now();
-        let mut slots: Vec<Option<TupleBundle>> = Vec::with_capacity(skeleton.num_bundles());
-        slots.resize_with(skeleton.num_bundles(), || None);
+        let mut partials = Vec::with_capacity(units.len());
         let mut foreign = 0usize;
         let mut warm = 0usize;
         let mut evicted = 0u64;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (bundles, task_foreign, task_warm) = match outcome {
+        for (unit, outcome) in units.iter().zip(outcomes) {
+            partials.push(match outcome {
                 TaskOutcome::Wire(bundles, stats) => {
                     evicted += stats.store_evictions;
-                    (bundles, stats.foreign_streams, stats.warm_hit)
+                    foreign += stats.foreign_streams;
+                    warm += usize::from(stats.warm_hit);
+                    bundles
                 }
                 TaskOutcome::Degraded => {
-                    let local = ShardTask {
-                        skeleton: Arc::clone(skeleton),
-                        master_seed: prefix.master_seed(),
-                        key_range: ranges[i],
-                        base_pos,
-                        num_values,
-                    }
-                    .run(pool)?;
-                    (local.bundles, local.foreign_streams, false)
+                    let local = unit.run(pool, 1)?;
+                    foreign += local.foreign_streams;
+                    local.bundles
                 }
-            };
-            foreign += task_foreign;
-            warm += usize::from(task_warm);
-            for (idx, bundle) in bundles {
-                if idx >= slots.len() {
-                    return Err(mcdbr_storage::Error::Invalid(format!(
-                        "worker returned bundle index {idx} outside the skeleton ({} bundles)",
-                        slots.len()
-                    )));
-                }
-                slots[idx] = bundle;
-            }
+            });
         }
-        self.merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.cross_shard_regens
             .fetch_add(foreign, Ordering::Relaxed);
         self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
         self.store_evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(BundleSet {
-            schema: skeleton.schema().clone(),
-            bundles: slots.into_iter().flatten().collect(),
-            registry: prefix.registry().clone(),
-            num_reps: num_values,
-        })
+
+        let merge_start = Instant::now();
+        let set = merge_block(prefix, num_values, partials);
+        self.merge_ns
+            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        set
     }
 
     fn aggregate(

@@ -36,7 +36,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mcdbr_exec::{BackendKind, ExecBackend};
+use mcdbr_exec::ExecBackend;
 
 mod backend;
 pub mod wire;
@@ -49,13 +49,13 @@ pub use backend::{default_task_deadline, task_deadline_from_env, ProcessBackend}
 /// [`ProcessBackend`] sized by `MCDBR_WORKERS` (and installs it via
 /// [`mcdbr_exec::install_default_backend`] so bare `ExecSession`s share
 /// it); anything else defers to [`mcdbr_exec::default_backend`]'s
-/// `MCDBR_BACKEND` / `MCDBR_SHARDS` rules.
+/// `MCDBR_SHARDS` rule.
 ///
 /// Engines and loopers call this in their default constructors, which is
 /// what makes `MCDBR_BACKEND=process MCDBR_WORKERS=2 cargo test` run the
 /// whole suite through worker processes.
 pub fn default_backend() -> Arc<dyn ExecBackend> {
-    if mcdbr_exec::default_backend_kind() == Some(BackendKind::Process) {
+    if mcdbr_exec::process_backend_requested() {
         static SHARED: OnceLock<Arc<ProcessBackend>> = OnceLock::new();
         let backend = Arc::clone(SHARED.get_or_init(|| {
             let backend = Arc::new(ProcessBackend::new(mcdbr_exec::default_workers()));
@@ -77,9 +77,9 @@ mod tests {
         // MCDBR_BACKEND=process (the CI matrix) it must be the process
         // backend.  Either way the call is total.
         let backend = default_backend();
-        match mcdbr_exec::default_backend_kind() {
-            Some(BackendKind::Process) => assert_eq!(backend.name(), "process"),
-            _ => assert_ne!(backend.name(), "process"),
-        }
+        assert_eq!(
+            backend.name() == "process",
+            mcdbr_exec::process_backend_requested()
+        );
     }
 }

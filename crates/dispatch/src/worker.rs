@@ -456,7 +456,7 @@ fn serve_task(
         num_values: task.num_values,
     };
     let output = shard
-        .run(pool)
+        .run(pool, 1)
         .map_err(|e| format!("shard task failed: {e}"))?;
     let stats = TaskStats {
         bundles: output.bundles.len(),

@@ -11,6 +11,9 @@
 //! simultaneous queries" — group keys must therefore be deterministic
 //! (constant) attributes.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use mcdbr_storage::{Error, Mask, Result, Schema, SelVec, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
@@ -140,9 +143,10 @@ pub fn evaluate_aggregate(
     evaluate_aggregate_threads(set, agg, group_by, final_predicate, par::default_threads())
 }
 
-/// [`evaluate_aggregate`] with an explicit worker-thread count.  Repetitions
-/// are independent, and bundle order within a repetition is preserved, so
-/// the result is bit-identical for every thread count.
+/// [`evaluate_aggregate`] with an explicit worker-thread count: one
+/// repetition range per thread.  Repetitions are independent, and bundle
+/// order within a repetition is preserved, so the result is bit-identical
+/// for every thread count.
 pub fn evaluate_aggregate_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -150,196 +154,160 @@ pub fn evaluate_aggregate_threads(
     final_predicate: Option<&Expr>,
     threads: usize,
 ) -> Result<QueryResultSamples> {
-    let layout = GroupLayout::discover(set, group_by)?;
-    let per_rep = accumulate_all(set, &layout, agg, final_predicate, threads)?;
-    Ok(layout.finish(per_rep, agg.func, group_by))
+    let (samples, _, _) =
+        aggregate_on_threads(set, agg, group_by, final_predicate, threads, threads)?;
+    Ok(samples)
 }
 
-/// Every repetition's accumulators, fanned out across `threads`.  The
-/// vectorized plan partitions repetitions into balanced contiguous ranges
-/// and sweeps bundles column-at-a-time within each; the scalar fallback
-/// fans out per repetition.  Within a repetition bundles are visited in set
-/// order either way, so floating-point accumulation order (and hence every
-/// bit of the result) is independent of the thread count and of which path
-/// ran.
-fn accumulate_all(
-    set: &BundleSet,
-    layout: &GroupLayout,
-    agg: &AggregateSpec,
-    final_predicate: Option<&Expr>,
-    threads: usize,
-) -> Result<Vec<Vec<Accum>>> {
-    if let Some(plan) = compile_plan(set, layout, agg, final_predicate) {
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut lo = 0usize;
-        for len in mcdbr_prng::balanced_chunks(set.num_reps, threads.max(1)) {
-            ranges.push(lo..lo + len);
-            lo += len;
-        }
-        let chunks: Vec<Vec<Vec<Accum>>> = par::try_par_map_threads(&ranges, threads, |range| {
-            Ok(accumulate_range(&plan, range.start, range.end))
-        })?;
-        return Ok(chunks.into_iter().flatten().collect());
-    }
-    let reps: Vec<usize> = (0..set.num_reps).collect();
-    par::try_par_map_threads(&reps, threads, |&rep| {
-        accumulate_rep(set, layout, agg, final_predicate, rep)
-    })
-}
-
-/// The sharded-partials variant behind
-/// [`crate::shard::ShardedBackend::aggregate`]: repetitions are partitioned
-/// into at most `shards` contiguous ranges, each range becomes one aggregate
-/// partial (computed concurrently, up to `threads` at a time), and partials
-/// merge back in repetition order.
-///
-/// Shards partition **repetitions**, not bundles, because the accumulation
-/// order over bundles *within* a repetition is the floating-point
-/// bit-identity contract: a repetition's fold must happen wholly inside one
-/// shard.  Since every repetition is computed by exactly one partial and
-/// partials concatenate in order, the result is bit-identical to
-/// [`evaluate_aggregate_threads`] for every shard count.
-///
-/// Returns `(samples, partials spawned, merge nanoseconds)` so the backend
-/// can account its sharding activity.
-pub(crate) fn evaluate_aggregate_partials(
+/// [`aggregate_parts`] with the parts run in this process, up to `threads`
+/// at a time — what every backend that aggregates locally calls.
+pub(crate) fn aggregate_on_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
     group_by: &[String],
     final_predicate: Option<&Expr>,
-    shards: usize,
+    parts: usize,
     threads: usize,
 ) -> Result<(QueryResultSamples, usize, u64)> {
+    aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
+        par::try_par_map_threads(&ranges, threads, |range| {
+            job.aggregate_rep_range(set, range.clone())
+        })
+    })
+}
+
+/// The one aggregation driver: split `0..set.num_reps` into at most `parts`
+/// balanced contiguous ranges, let `run` compute one [`AggPartial`] per
+/// range — on scoped threads, on a scheduler, wherever the backend places
+/// work — and merge the partials back in repetition order.
+///
+/// Parts partition **repetitions**, not bundles, because the accumulation
+/// order over bundles *within* a repetition is the floating-point
+/// bit-identity contract: a repetition's fold must happen wholly inside one
+/// part.  The group layout (first-seen bundle order over the **full** set)
+/// and the compiled columnar plan are built once here and shared by every
+/// range through the [`RepRangeJob`], so layout — and with it every group
+/// index — is identical across ranges and the result is bit-identical for
+/// every `parts` and every placement.
+///
+/// Returns `(samples, parts spawned, merge nanoseconds)` so the backend can
+/// account its sharding activity.  Only the partial concatenation counts as
+/// merge overhead; building the result groups is work a single part
+/// performs identically.
+pub fn aggregate_parts<R>(
+    set: &BundleSet,
+    agg: &AggregateSpec,
+    group_by: &[String],
+    final_predicate: Option<&Expr>,
+    parts: usize,
+    run: R,
+) -> Result<(QueryResultSamples, usize, u64)>
+where
+    R: FnOnce(&Arc<RepRangeJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
+{
     let layout = GroupLayout::discover(set, group_by)?;
+    let job = Arc::new(RepRangeJob {
+        plan: compile_plan(set, &layout, agg, final_predicate),
+        layout,
+        agg: agg.clone(),
+        final_predicate: final_predicate.cloned(),
+    });
 
     // Balanced ranges (sizes differ by at most one), sharing the stream-key
-    // partitioner's balancing rule: exactly min(shards, n) partials, so no
+    // partitioner's balancing rule: exactly min(parts, n) of them, so no
     // worker slot idles behind an oversized ceil-division chunk.
-    let n = set.num_reps;
-    let lens = mcdbr_prng::balanced_chunks(n, shards);
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(lens.len());
+    let mut ranges: Vec<Range<usize>> = Vec::new();
     let mut lo = 0usize;
-    for len in lens {
+    for len in mcdbr_prng::balanced_chunks(set.num_reps, parts) {
         ranges.push(lo..lo + len);
         lo += len;
     }
     let spawned = ranges.len();
+    let partials = run(&job, ranges)?;
 
-    let plan = compile_plan(set, &layout, agg, final_predicate);
-    let partials: Vec<Vec<Vec<Accum>>> = par::try_par_map_threads(&ranges, threads, |range| {
-        if let Some(plan) = &plan {
-            return Ok(accumulate_range(plan, range.start, range.end));
-        }
-        range
-            .clone()
-            .map(|rep| accumulate_rep(set, &layout, agg, final_predicate, rep))
-            .collect::<Result<Vec<Vec<Accum>>>>()
-    })?;
-
-    // Only the partial concatenation is merge overhead; building the result
-    // groups (`finish`) is work the unsharded path performs identically, so
-    // timing it here would overstate the cost of sharding.
     let merge_start = std::time::Instant::now();
-    let per_rep: Vec<Vec<Accum>> = partials.into_iter().flatten().collect();
+    let per_rep = merge_rep_partials(set.num_reps, partials)?;
     let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    let samples = layout.finish(per_rep, agg.func, group_by);
-    Ok((samples, spawned, merge_ns))
+    Ok((
+        job.layout.finish(per_rep, agg.func, group_by),
+        spawned,
+        merge_ns,
+    ))
+}
+
+/// What every repetition range of one [`aggregate_parts`] call shares: the
+/// group layout, the compiled plan (when the set vectorizes) and the query
+/// pieces the scalar fallback needs.  Opaque, and `'static`, so a scheduler
+/// can carry it into its own threads.
+pub struct RepRangeJob {
+    layout: GroupLayout,
+    plan: Option<AggPlan>,
+    agg: AggregateSpec,
+    final_predicate: Option<Expr>,
+}
+
+impl RepRangeJob {
+    /// Aggregate the contiguous repetition range `reps` of `set` — the set
+    /// this job was built from — into one [`AggPartial`].  The range is
+    /// clamped to the set's repetition count.
+    pub fn aggregate_rep_range(&self, set: &BundleSet, reps: Range<usize>) -> Result<AggPartial> {
+        let hi = reps.end.min(set.num_reps);
+        let lo = reps.start.min(hi);
+        let accs = match &self.plan {
+            Some(plan) => accumulate_range(plan, lo, hi),
+            None => (lo..hi)
+                .map(|rep| {
+                    accumulate_rep(
+                        set,
+                        &self.layout,
+                        &self.agg,
+                        self.final_predicate.as_ref(),
+                        rep,
+                    )
+                })
+                .collect::<Result<Vec<Vec<Accum>>>>()?,
+        };
+        Ok(AggPartial { lo, accs })
+    }
 }
 
 /// One contiguous repetition range's accumulators, produced by
-/// [`aggregate_rep_range`] and merged by [`merge_rep_partials`] — the unit
-/// an *external* scheduler (e.g. `mcdbr-server`'s fair scheduler, which
-/// interleaves work from concurrent queries) fans aggregation out by.
-/// Opaque: the accumulator layout is this module's private contract.
+/// [`RepRangeJob::aggregate_rep_range`].  Opaque: the accumulator layout is
+/// this module's private contract.
 #[derive(Debug)]
 pub struct AggPartial {
     lo: usize,
     accs: Vec<Vec<Accum>>,
 }
 
-impl AggPartial {
-    /// First repetition of the range this partial covers.
-    pub fn start(&self) -> usize {
-        self.lo
-    }
-
-    /// Number of repetitions this partial covers.
-    pub fn len(&self) -> usize {
-        self.accs.len()
-    }
-
-    /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.accs.is_empty()
-    }
-}
-
-/// Aggregate the contiguous repetition range `lo..hi` of `set` into one
-/// [`AggPartial`].
-///
-/// The group layout is discovered over the **full** set (first-seen bundle
-/// order), never over the range, so layout — and with it every group index
-/// — is identical across ranges: any decomposition of `0..num_reps` into
-/// contiguous ranges, merged back in order by [`merge_rep_partials`], is
-/// bit-identical to [`evaluate_aggregate_threads`].  `hi` is clamped to the
-/// set's repetition count, `lo` to `hi`.
-pub fn aggregate_rep_range(
-    set: &BundleSet,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-    lo: usize,
-    hi: usize,
-) -> Result<AggPartial> {
-    let layout = GroupLayout::discover(set, group_by)?;
-    let hi = hi.min(set.num_reps);
-    let lo = lo.min(hi);
-    let accs = if let Some(plan) = compile_plan(set, &layout, agg, final_predicate) {
-        accumulate_range(&plan, lo, hi)
-    } else {
-        (lo..hi)
-            .map(|rep| accumulate_rep(set, &layout, agg, final_predicate, rep))
-            .collect::<Result<Vec<Vec<Accum>>>>()?
-    };
-    Ok(AggPartial { lo, accs })
-}
-
-/// Merge rep-range partials back into the per-group sample matrix.  The
-/// partials must exactly tile `0..set.num_reps` (any order — they are
-/// sorted by range start here); gaps, overlaps, or missing repetitions are
-/// an error rather than a silently wrong result.
-pub fn merge_rep_partials(
-    set: &BundleSet,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    mut partials: Vec<AggPartial>,
-) -> Result<QueryResultSamples> {
-    let layout = GroupLayout::discover(set, group_by)?;
+/// Concatenate rep-range partials into per-repetition accumulators.  The
+/// partials must exactly tile `0..num_reps` (any order — they are sorted by
+/// range start here); gaps, overlaps, or missing repetitions are an error
+/// rather than a silently wrong result.
+fn merge_rep_partials(num_reps: usize, mut partials: Vec<AggPartial>) -> Result<Vec<Vec<Accum>>> {
     partials.sort_by_key(|p| p.lo);
-    let mut per_rep: Vec<Vec<Accum>> = Vec::with_capacity(set.num_reps);
-    let mut next = 0usize;
+    let mut per_rep: Vec<Vec<Accum>> = Vec::with_capacity(num_reps);
     for partial in partials {
-        if partial.lo != next {
+        if partial.lo != per_rep.len() {
             return Err(Error::Invalid(format!(
-                "aggregate partials do not tile the repetitions: expected start {next}, got {}",
+                "aggregate partials do not tile the repetitions: expected start {}, got {}",
+                per_rep.len(),
                 partial.lo
             )));
         }
-        next += partial.accs.len();
         per_rep.extend(partial.accs);
     }
-    if next != set.num_reps {
+    if per_rep.len() != num_reps {
         return Err(Error::Invalid(format!(
-            "aggregate partials cover {next} of {} repetitions",
-            set.num_reps
+            "aggregate partials cover {} of {num_reps} repetitions",
+            per_rep.len()
         )));
     }
-    Ok(layout.finish(per_rep, agg.func, group_by))
+    Ok(per_rep)
 }
 
 /// The group structure of a bundle set: every distinct key in first-seen
-/// order plus each bundle's group assignment.  Shared by the thread fan-out
-/// and the sharded-partials path so both resolve groups identically.
+/// order plus each bundle's group assignment.
 struct GroupLayout {
     keys: Vec<Vec<Value>>,
     key_of_bundle: Vec<usize>,
@@ -399,18 +367,18 @@ impl GroupLayout {
     }
 
     fn finish(
-        self,
+        &self,
         per_rep: Vec<Vec<Accum>>,
         func: AggFunc,
         group_by: &[String],
     ) -> QueryResultSamples {
         let groups = self
             .keys
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(gidx, key)| {
                 (
-                    key,
+                    key.clone(),
                     per_rep.iter().map(|accs| accs[gidx].finish(func)).collect(),
                 )
             })
@@ -761,41 +729,71 @@ mod tests {
 
     #[test]
     fn sharded_partials_are_bit_identical_for_every_shard_count() {
-        let set = test_set();
+        let mut empty = test_set();
+        empty.num_reps = 0;
+        for b in &mut empty.bundles {
+            if let BundleValue::Random { values, .. } = &mut b.values[1] {
+                *values = crate::bundle::ValueChain::new();
+            }
+        }
         let group = vec!["region".to_string()];
-        for agg in [
-            AggregateSpec::sum(Expr::col("loss"), "s"),
-            AggregateSpec::avg(Expr::col("loss"), "a"),
-            AggregateSpec::min(Expr::col("loss"), "m"),
-        ] {
-            let reference = evaluate_aggregate_threads(&set, &agg, &group, None, 1).unwrap();
-            for shards in [1usize, 2, 3, 7] {
-                let (sharded, spawned, _merge_ns) =
-                    evaluate_aggregate_partials(&set, &agg, &group, None, shards, 2).unwrap();
-                // 3 repetitions: never more partials than repetitions.
-                assert_eq!(spawned, shards.min(3));
-                assert_eq!(reference.group_columns, sharded.group_columns);
-                for ((ka, va), (kb, vb)) in reference.groups.iter().zip(&sharded.groups) {
-                    assert_eq!(ka, kb);
-                    assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
+        let pred = Expr::col("loss").gt_eq(Expr::lit(10.0));
+        let cases: [(&BundleSet, &[String], Option<&Expr>); 3] = [
+            (&test_set(), &group, None),
+            (&test_set(), &[], Some(&pred)),
+            (&empty, &[], None),
+        ];
+        for (set, group_by, final_predicate) in cases {
+            let reps = set.num_reps;
+            for agg in [
+                AggregateSpec::sum(Expr::col("loss"), "s"),
+                AggregateSpec::avg(Expr::col("loss"), "a"),
+                AggregateSpec::min(Expr::col("loss"), "m"),
+            ] {
+                let (reference, one, _) =
+                    aggregate_on_threads(set, &agg, group_by, final_predicate, 1, 1).unwrap();
+                assert_eq!(one, reps.min(1));
+                for parts in [1usize, 2, 3, 7, reps + 5] {
+                    let (split, spawned, _merge_ns) =
+                        aggregate_on_threads(set, &agg, group_by, final_predicate, parts, 2)
+                            .unwrap();
+                    // Never more parts than repetitions.
+                    assert_eq!(spawned, parts.min(reps));
+                    assert_eq!(reference.group_columns, split.group_columns);
+                    assert_eq!(reference.groups.len(), split.groups.len());
+                    for ((ka, va), (kb, vb)) in reference.groups.iter().zip(&split.groups) {
+                        assert_eq!(ka, kb);
+                        assert_eq!(va.len(), reps);
+                        assert_eq!(vb.len(), reps);
+                        assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn sharded_partials_handle_empty_repetitions() {
-        let mut set = test_set();
-        set.num_reps = 0;
-        for b in &mut set.bundles {
-            if let BundleValue::Random { values, .. } = &mut b.values[1] {
-                *values = crate::bundle::ValueChain::new();
-            }
-        }
+    fn partials_that_do_not_tile_the_repetitions_are_rejected() {
+        let set = test_set();
         let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        let (res, spawned, _) = evaluate_aggregate_partials(&set, &agg, &[], None, 4, 2).unwrap();
-        assert_eq!(spawned, 0);
-        assert_eq!(res.single().unwrap(), &[] as &[f64]);
+        // A runner that drops its last range, and one that answers a range
+        // twice: both must surface as typed errors, never wrong samples.
+        let dropped = aggregate_parts(&set, &agg, &[], None, 3, |job, mut ranges| {
+            ranges.pop();
+            ranges
+                .into_iter()
+                .map(|r| job.aggregate_rep_range(&set, r))
+                .collect()
+        });
+        assert!(dropped.unwrap_err().to_string().contains("cover 2 of 3"));
+        let doubled = aggregate_parts(&set, &agg, &[], None, 3, |job, ranges| {
+            ranges
+                .iter()
+                .chain(&ranges[..1])
+                .map(|r| job.aggregate_rep_range(&set, r.clone()))
+                .collect()
+        });
+        assert!(doubled.unwrap_err().to_string().contains("do not tile"));
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Pluggable phase-2 execution backends.
 //!
-//! Phase 1 of a session produces a [`DeterministicPrefix`]; *how* phase 2
-//! turns that prefix into materialized blocks (and how per-repetition
-//! aggregation fans out) is a strategy, not a fixed code path.  The
-//! [`ExecBackend`] trait is that seam:
+//! Phase 1 of a session produces a [`DeterministicPrefix`]; phase 2 turns
+//! it into materialized blocks by running [`crate::shard::ShardTask`] units
+//! and merging them with [`crate::shard::merge_block`], and aggregates by
+//! repetition ranges ([`crate::aggregate::aggregate_parts`]).  A backend
+//! decides only *where* those units run — the [`ExecBackend`] trait is that
+//! seam:
 //!
-//! * [`InProcessBackend`] — the original strategy: fan streams and bundles
-//!   out across worker threads of this process (`crate::par`).
-//! * [`crate::shard::ShardedBackend`] — partition a block's work into
-//!   self-describing [`crate::shard::ShardTask`]s by
-//!   [`mcdbr_prng::StreamKeyRange`] and merge the per-shard partials; the
-//!   stepping stone to multi-process dispatch, since a shard task is fully
-//!   serializable state.
+//! * [`InProcessBackend`] — one all-covering unit, its streams and bundles
+//!   fanned out across worker threads of this process (`crate::par`).
+//! * [`crate::shard::ShardedBackend`] — one unit per
+//!   [`mcdbr_prng::StreamKeyRange`] of the block, run side by side on the
+//!   same threads; the stepping stone to multi-process dispatch, since a
+//!   shard task is fully serializable state.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
 //! identical results** for every backend, shard count, and thread count.
@@ -30,7 +31,8 @@ use crate::aggregate::{self, AggregateSpec, QueryResultSamples};
 use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::pool::BlockBufferPool;
-use crate::session::{self, DeterministicPrefix};
+use crate::session::DeterministicPrefix;
+use crate::shard::{merge_block, ShardTask};
 
 /// Counters a backend exposes about its sharding activity.  The in-process
 /// backend never shards, so its stats stay zero; [`crate::shard::ShardedBackend`]
@@ -49,7 +51,9 @@ use crate::session::{self, DeterministicPrefix};
 pub struct ShardStats {
     /// Shard tasks spawned (block instantiations and aggregate partials).
     pub shards_spawned: usize,
-    /// Nanoseconds spent merging per-shard partials back together.
+    /// Nanoseconds spent merging per-shard partials back together
+    /// ([`merge_block`] for blocks, the partial concatenation for
+    /// aggregates).
     pub shard_merge_ns: u64,
     /// Streams regenerated by a shard *outside* its own key range because a
     /// bundle it owns references them (cross-shard joins) — the duplication
@@ -212,11 +216,22 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     ) -> Result<()> {
         Ok(())
     }
+
+    /// Whether a block on this backend is nothing but [`ShardTask`] units
+    /// run in this process and merged by [`merge_block`].  A scheduler
+    /// wrapped around such a backend (the server's `FairBackend`) may place
+    /// the units itself; for every other backend — units that run elsewhere,
+    /// or anything a custom implementation does per block — it must go
+    /// through [`ExecBackend::instantiate_block`], hence the default.
+    fn units_run_in_process(&self) -> bool {
+        false
+    }
 }
 
-/// The in-process thread-pool backend: streams and bundles fan out across
-/// worker threads via [`crate::par`], exactly as `ExecSession` did before
-/// the backend seam existed.
+/// The in-process thread-pool backend: a block is one all-covering
+/// [`ShardTask`] whose streams and bundles fan out across worker threads via
+/// [`crate::par`] — the one-shard case of
+/// [`crate::shard::ShardedBackend`], minus the shard counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
 
@@ -232,6 +247,10 @@ impl ExecBackend for InProcessBackend {
         "in-process"
     }
 
+    fn units_run_in_process(&self) -> bool {
+        true
+    }
+
     fn instantiate_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -240,7 +259,13 @@ impl ExecBackend for InProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        session::instantiate_cached(prefix, pool, threads, base_pos, num_values)
+        let unit = ShardTask::new(
+            prefix,
+            mcdbr_prng::StreamKeyRange::all(),
+            base_pos,
+            num_values,
+        );
+        merge_block(prefix, num_values, [unit.run(pool, threads)?.bundles])
     }
 
     fn aggregate(
@@ -273,38 +298,19 @@ fn shards_from_env(raw: Option<&str>) -> usize {
     }
 }
 
-/// Which phase-2 strategy `MCDBR_BACKEND` names.  `MCDBR_BACKEND` overrides
-/// the older `MCDBR_SHARDS`-only selection; when it is unset (or holds an
-/// unknown name) the [`default_shards`] rule decides as before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The in-process thread pool ([`InProcessBackend`]).
-    InProcess,
-    /// Shard-partitioned in this process ([`crate::shard::ShardedBackend`]).
-    Sharded,
-    /// Multi-process dispatch over worker binaries (`mcdbr-dispatch`'s
-    /// `ProcessBackend`; selected here, constructed by whoever links that
-    /// crate — see [`install_default_backend`]).
-    Process,
+/// Whether `MCDBR_BACKEND=process` asks for multi-process dispatch (read
+/// once per process).  It is the variable's only value; anything else
+/// leaves the [`default_shards`] rule in charge.  The dispatcher lives a
+/// crate above, so the answer is acted on there — see
+/// [`install_default_backend`].
+pub fn process_backend_requested() -> bool {
+    static REQUESTED: OnceLock<bool> = OnceLock::new();
+    *REQUESTED.get_or_init(|| process_from_env(std::env::var("MCDBR_BACKEND").ok().as_deref()))
 }
 
-/// Parse an `MCDBR_BACKEND` value; `None` means "not specified / unknown",
-/// which falls back to the `MCDBR_SHARDS` rule.
-pub fn backend_kind_from_env(raw: Option<&str>) -> Option<BackendKind> {
-    match raw.map(str::trim) {
-        Some(v) if v.eq_ignore_ascii_case("inprocess") || v.eq_ignore_ascii_case("in-process") => {
-            Some(BackendKind::InProcess)
-        }
-        Some(v) if v.eq_ignore_ascii_case("sharded") => Some(BackendKind::Sharded),
-        Some(v) if v.eq_ignore_ascii_case("process") => Some(BackendKind::Process),
-        _ => None,
-    }
-}
-
-/// The backend kind the environment selects (read once per process).
-pub fn default_backend_kind() -> Option<BackendKind> {
-    static KIND: OnceLock<Option<BackendKind>> = OnceLock::new();
-    *KIND.get_or_init(|| backend_kind_from_env(std::env::var("MCDBR_BACKEND").ok().as_deref()))
+/// The pure resolution rule behind [`process_backend_requested`].
+fn process_from_env(raw: Option<&str>) -> bool {
+    raw.is_some_and(|v| v.trim().eq_ignore_ascii_case("process"))
 }
 
 /// The default worker-process count for `MCDBR_BACKEND=process`:
@@ -344,13 +350,12 @@ pub fn install_default_backend(backend: Arc<dyn ExecBackend>) -> bool {
 }
 
 /// The backend new sessions run on when none is supplied: an installed
-/// override ([`install_default_backend`]) if present, else the environment
-/// rule — `MCDBR_BACKEND` (`inprocess` / `sharded` / `process`) when set,
-/// falling back to a [`crate::shard::ShardedBackend`] when
-/// `MCDBR_SHARDS >= 2` and the in-process pool otherwise.
-/// (`MCDBR_BACKEND=process` resolves here only through the override, since
-/// the dispatcher lives a crate above; engines route their defaults through
-/// `mcdbr_dispatch::default_backend()`, which installs it.)
+/// override ([`install_default_backend`]) if present, else a
+/// [`crate::shard::ShardedBackend`] when `MCDBR_SHARDS >= 2` and the
+/// in-process pool otherwise.  (`MCDBR_BACKEND=process` resolves here only
+/// through the override, since the dispatcher lives a crate above; engines
+/// route their defaults through `mcdbr_dispatch::default_backend()`, which
+/// installs it.)
 ///
 /// The returned `Arc` is one process-shared instance (constructing a
 /// session is then a reference-count bump, not a backend allocation), so
@@ -363,24 +368,9 @@ pub fn default_backend() -> Arc<dyn ExecBackend> {
         return Arc::clone(installed);
     }
     static DEFAULT: OnceLock<Arc<dyn ExecBackend>> = OnceLock::new();
-    Arc::clone(DEFAULT.get_or_init(|| match default_backend_kind() {
-        Some(BackendKind::InProcess) => Arc::new(InProcessBackend::new()),
-        // `MCDBR_SHARDS` names the shard count when set; `MCDBR_WORKERS`
-        // is only a fallback (it sizes the process backend, and the two
-        // selections should agree when a user flips between them without
-        // re-exporting) — never an override of an explicit shard count.
-        Some(BackendKind::Sharded) => {
-            Arc::new(crate::shard::ShardedBackend::new(match default_shards() {
-                n if n >= 2 => n,
-                _ => default_workers().max(2),
-            }))
-        }
-        // Process dispatch not linked/installed: honor MCDBR_SHARDS, else
-        // run in-process.  Deterministic results either way.
-        Some(BackendKind::Process) | None => match default_shards() {
-            n if n >= 2 => Arc::new(crate::shard::ShardedBackend::new(n)),
-            _ => Arc::new(InProcessBackend::new()),
-        },
+    Arc::clone(DEFAULT.get_or_init(|| match default_shards() {
+        n if n >= 2 => Arc::new(crate::shard::ShardedBackend::new(n)),
+        _ => Arc::new(InProcessBackend::new()),
     }))
 }
 
@@ -481,26 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_and_worker_env_rules() {
-        assert_eq!(backend_kind_from_env(None), None);
-        assert_eq!(backend_kind_from_env(Some("")), None);
-        assert_eq!(backend_kind_from_env(Some("threads")), None);
-        assert_eq!(
-            backend_kind_from_env(Some("inprocess")),
-            Some(BackendKind::InProcess)
-        );
-        assert_eq!(
-            backend_kind_from_env(Some("In-Process")),
-            Some(BackendKind::InProcess)
-        );
-        assert_eq!(
-            backend_kind_from_env(Some("sharded")),
-            Some(BackendKind::Sharded)
-        );
-        assert_eq!(
-            backend_kind_from_env(Some(" process ")),
-            Some(BackendKind::Process)
-        );
+    fn backend_and_worker_env_rules() {
+        for off in [None, Some(""), Some("threads"), Some("sharded")] {
+            assert!(!process_from_env(off), "value {off:?}");
+        }
+        assert!(process_from_env(Some("process")));
+        assert!(process_from_env(Some(" Process ")));
         assert_eq!(workers_from_env(None), 2);
         assert_eq!(workers_from_env(Some("0")), 2);
         assert_eq!(workers_from_env(Some("abc")), 2);

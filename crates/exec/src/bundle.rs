@@ -101,15 +101,6 @@ impl ValueChain {
         Self::from_arc(Arc::new(col))
     }
 
-    /// Build a chain from boxed values (the row-path and test boundary).
-    pub fn from_values(values: &[Value]) -> Self {
-        let mut col = Column::default();
-        for v in values {
-            col.push_value(v);
-        }
-        Self::from_column(col)
-    }
-
     /// Build a single-segment `Float64` chain (test/bench convenience).
     pub fn from_f64s(values: impl IntoIterator<Item = f64>) -> Self {
         let mut col = Column::default();

@@ -297,6 +297,13 @@ impl SessionCache {
                         continue;
                     }
                     None => {
+                        // A builder that ran wholly between the miss above
+                        // and this lock has published its entry (entries
+                        // land before the flight is removed): take the hit
+                        // rather than run phase 1 a second time.
+                        if self.lookup(key).is_some() {
+                            continue;
+                        }
                         let flight = Arc::new(Flight::default());
                         flights.insert(key, Arc::clone(&flight));
                         flight

@@ -39,16 +39,16 @@
 //! * [`cache`] — [`cache::SessionCache`]: skeletons keyed by
 //!   `(plan fingerprint, catalog epoch)`, so a repeated query — under *any*
 //!   master seed — skips phase 1 entirely (LRU-bounded).
-//! * [`backend`] — the pluggable phase-2 execution seam:
-//!   [`backend::ExecBackend`] with the in-process thread pool
-//!   ([`backend::InProcessBackend`]) and the shard-partitioned strategy as
-//!   implementations, selected per session (`MCDBR_SHARDS` picks the
-//!   default).
-//! * [`shard`] — [`shard::ShardedBackend`]: a block's work partitioned into
-//!   self-describing [`shard::ShardTask`]s (`skeleton + master seed +
-//!   StreamKey range + block window`), merged back in canonical key order —
-//!   bit-identical to in-process execution for every shard count, and the
-//!   stepping stone to multi-process dispatch.
+//! * [`shard`] — the one phase-2 unit and its merge:
+//!   [`shard::ShardTask::run`] (`skeleton + master seed + StreamKey range +
+//!   block window`) is the only code that generates stream blocks and
+//!   materializes bundles, and [`shard::merge_block`] slots the units'
+//!   partials back into skeleton order — bit-identical for every split of a
+//!   block, which is what makes the task shippable to another process.
+//! * [`backend`] — [`backend::ExecBackend`]: *where* the units run.
+//!   [`backend::InProcessBackend`] runs one all-covering unit on the thread
+//!   pool, [`shard::ShardedBackend`] one unit per key range, selected per
+//!   session (`MCDBR_SHARDS` picks the default).
 //! * [`par`] — the deterministic parallel fan-out used by phase-2
 //!   instantiation and per-repetition aggregation (bit-identical results for
 //!   every thread count).
@@ -78,10 +78,10 @@ pub mod shard;
 pub mod stream_registry;
 
 pub use aggregate::{
-    aggregate_rep_range, merge_rep_partials, AggFunc, AggPartial, AggregateSpec, QueryResultSamples,
+    aggregate_parts, AggFunc, AggPartial, AggregateSpec, QueryResultSamples, RepRangeJob,
 };
 pub use backend::{
-    default_backend, default_backend_kind, default_workers, install_default_backend, BackendKind,
+    default_backend, default_workers, install_default_backend, process_backend_requested,
     ExecBackend, InProcessBackend, ShardStats,
 };
 pub use bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
@@ -92,6 +92,6 @@ pub use expr::{BinaryOp, Expr};
 pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
-pub use session::{instantiate_block_rows, DeterministicPrefix, ExecSession, PlanSkeleton};
-pub use shard::{plan_shards, ShardOutput, ShardTask, ShardedBackend};
+pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
+pub use shard::{merge_block, plan_shards, ShardOutput, ShardTask, ShardedBackend};
 pub use stream_registry::{SkeletonRegistry, StreamRegistry, StreamSource};

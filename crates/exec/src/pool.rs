@@ -1,7 +1,7 @@
 //! Pooled, reusable columnar block buffers for phase-2 materialization.
 //!
 //! Every block materialization needs one [`ColumnBlock`] per active stream.
-//! Allocating those buffers per block would re-pay the row path's
+//! Allocating those buffers per block would re-pay a per-position
 //! allocation bill on every Gibbs replenishment round and every repeated
 //! query; a [`BlockBufferPool`] instead recycles cleared buffers — a warm
 //! pool materializes a block with zero buffer allocation, since

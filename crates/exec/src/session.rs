@@ -65,7 +65,7 @@ use std::sync::Arc;
 use mcdbr_prng::{SeedId, StreamKey};
 use mcdbr_storage::{
     BufferPool, Catalog, ColumnBlock, Error, Mask, PageCacheStats, Pager, PagerStats, Result,
-    Schema, SelVec, Tuple, Value,
+    Schema, SelVec, Value,
 };
 
 use crate::backend::ExecBackend;
@@ -156,9 +156,6 @@ pub struct PlanSkeleton {
     schema: Schema,
     registry: SkeletonRegistry,
     pub(crate) bundles: Vec<SymBundle>,
-    /// Rows produced by each stream's VG function per invocation (probed once
-    /// during the skeleton pass, validated against every materialized block).
-    vg_rows: BTreeMap<StreamKey, usize>,
     /// Streams actually referenced by surviving bundles.  Deterministic
     /// filters (paper §2's `WHERE CID < 10010`) drop bundles during the
     /// skeleton pass; phase 2 never generates values for the dropped streams
@@ -166,11 +163,12 @@ pub struct PlanSkeleton {
     /// filtering) cannot make.
     active_keys: Vec<StreamKey>,
     /// Per-active-key generation recipe — the registry source plus the
-    /// probed per-invocation row count — aligned with `active_keys`.
-    /// Precomputed once here so the per-block generation fan-out indexes a
-    /// slice instead of probing two `BTreeMap`s per stream per block (the
-    /// registry may hold thousands of streams while only a filtered few are
-    /// active).
+    /// per-invocation row count probed once during the skeleton pass and
+    /// validated against every materialized block — aligned with
+    /// `active_keys`.  Precomputed once here so the per-block generation
+    /// fan-out indexes a slice instead of probing two `BTreeMap`s per stream
+    /// per block (the registry may hold thousands of streams while only a
+    /// filtered few are active).
     active_sources: Vec<(StreamSource, Option<usize>)>,
     /// Per-bundle sorted stream keys (first key = the bundle's shard anchor),
     /// computed once here so shard ownership decisions never re-walk the
@@ -778,11 +776,11 @@ impl CellCols {
 
 /// Per-stream shared cell columns for one generated block window.
 ///
-/// A sorted vec rather than a `BTreeMap`: both builders insert keys in
-/// ascending order (the in-process fan-out walks the skeleton's sorted
-/// `active_keys`; shard tasks walk a sorted needed-set), so building is an
-/// append and lookup a cache-friendly binary search over one contiguous
-/// allocation instead of pointer-chasing per-entry tree nodes.
+/// A sorted vec rather than a `BTreeMap`: the shard unit inserts keys in
+/// ascending order (it walks ascending indices into the skeleton's sorted
+/// `active_keys`), so building is an append and lookup a cache-friendly
+/// binary search over one contiguous allocation instead of pointer-chasing
+/// per-entry tree nodes.
 #[derive(Default)]
 pub(crate) struct CellData {
     entries: Vec<(StreamKey, CellCols)>,
@@ -795,19 +793,13 @@ impl CellData {
         }
     }
 
-    /// Insert `key`'s cells.  Ascending-order inserts (the only order the
-    /// engine produces) append; anything else falls back to a sorted insert
-    /// so the invariant holds for arbitrary callers.
-    pub(crate) fn insert(&mut self, key: StreamKey, cells: CellCols) {
-        match self.entries.last() {
-            Some((last, _)) if *last >= key => {
-                match self.entries.binary_search_by_key(&key, |(k, _)| *k) {
-                    Ok(i) => self.entries[i] = (key, cells),
-                    Err(i) => self.entries.insert(i, (key, cells)),
-                }
-            }
-            _ => self.entries.push((key, cells)),
+    /// Append `key`'s cells; keys must arrive in strictly ascending order
+    /// (lookup is a binary search).
+    pub(crate) fn push(&mut self, key: StreamKey, cells: CellCols) {
+        if let Some((last, _)) = self.entries.last() {
+            assert!(*last < key, "cell keys must be pushed in ascending order");
         }
+        self.entries.push((key, cells));
     }
 
     fn get(&self, key: StreamKey) -> Option<&CellCols> {
@@ -818,53 +810,20 @@ impl CellData {
     }
 }
 
-/// Generate one stream's VG outputs for positions `base_pos .. base_pos +
-/// num_values` into a pooled columnar buffer, via the VG function's batched
-/// [`mcdbr_vg::VgFunction::generate_block_into`] path (the default trait
-/// implementation falls back to per-position generation, so third-party VG
-/// functions keep working).  Pure in `(skeleton, master_seed, key, base_pos,
-/// num_values)`, so any split of a block's streams across threads — or
-/// shards — regenerates exactly the same values.
+/// Generate the `idx`-th active stream's VG outputs for positions `base_pos
+/// .. base_pos + num_values` into a pooled columnar buffer, via the VG
+/// function's batched [`mcdbr_vg::VgFunction::generate_block_into`] path
+/// (the default trait implementation falls back to per-position generation,
+/// so third-party VG functions keep working).  Pure in `(skeleton,
+/// master_seed, idx, base_pos, num_values)`, so any split of a block's
+/// streams across threads — or shards — regenerates exactly the same values.
+/// The recipe comes from the skeleton's precomputed `active_sources` slice:
+/// the per-block fan-out must not probe shared maps per stream.
 ///
 /// The VG output-row-count contract is validated **once per block** against
-/// the batched generator's reported shape (the row path checked it per
-/// position): raggedness within the block errors inside
-/// [`ColumnBlock::push_position`] / [`ColumnBlock::validate`], and a uniform
-/// shape that contradicts the skeleton probe errors here.
-pub(crate) fn generate_stream_block(
-    prefix: &DeterministicPrefix,
-    key: StreamKey,
-    base_pos: u64,
-    num_values: usize,
-    pool: &BlockBufferPool,
-) -> Result<ColumnBlock> {
-    let skeleton = prefix.skeleton();
-    // Resolve through the precomputed active-key recipes when the key is
-    // active (a sorted-slice probe); fall back to the registry maps for
-    // keys outside the active set.
-    let (source, expected) = match skeleton.active_keys.binary_search(&key) {
-        Ok(idx) => {
-            let (source, expected) = &skeleton.active_sources[idx];
-            (source, *expected)
-        }
-        Err(_) => (
-            skeleton.registry.source(key)?,
-            skeleton.vg_rows.get(&key).copied(),
-        ),
-    };
-    generate_source_block(
-        source,
-        expected,
-        prefix.seed_of(key),
-        base_pos,
-        num_values,
-        pool,
-    )
-}
-
-/// [`generate_stream_block`] for the `idx`-th active stream, using the
-/// skeleton's precomputed recipe directly — the per-block fan-out path,
-/// which must not probe shared maps per stream.
+/// the batched generator's reported shape: raggedness within the block
+/// errors inside [`ColumnBlock::push_position`] / [`ColumnBlock::validate`],
+/// and a uniform shape that contradicts the skeleton probe errors here.
 pub(crate) fn generate_active_stream_block(
     prefix: &DeterministicPrefix,
     idx: usize,
@@ -873,30 +832,12 @@ pub(crate) fn generate_active_stream_block(
     pool: &BlockBufferPool,
 ) -> Result<ColumnBlock> {
     let skeleton = prefix.skeleton();
-    let key = skeleton.active_keys[idx];
-    let (source, expected) = &skeleton.active_sources[idx];
-    generate_source_block(
-        source,
-        *expected,
-        prefix.seed_of(key),
-        base_pos,
-        num_values,
-        pool,
-    )
-}
-
-fn generate_source_block(
-    source: &crate::stream_registry::StreamSource,
-    expected_rows: Option<usize>,
-    seed: mcdbr_prng::SeedId,
-    base_pos: u64,
-    num_values: usize,
-    pool: &BlockBufferPool,
-) -> Result<ColumnBlock> {
+    let seed = prefix.seed_of(skeleton.active_keys[idx]);
+    let (source, expected_rows) = &skeleton.active_sources[idx];
     let mut block = pool.acquire();
     match fill_stream_block(
         source,
-        expected_rows,
+        *expected_rows,
         seed,
         base_pos,
         num_values,
@@ -912,7 +853,7 @@ fn generate_source_block(
     }
 }
 
-/// The fallible body of [`generate_stream_block`]: batched generation plus
+/// The fallible body of [`generate_active_stream_block`]: batched generation plus
 /// the hoisted once-per-block shape validation.
 fn fill_stream_block(
     source: &crate::stream_registry::StreamSource,
@@ -943,68 +884,6 @@ fn fill_stream_block(
         }
     }
     Ok(())
-}
-
-pub(crate) fn instantiate_cached(
-    prefix: &DeterministicPrefix,
-    pool: &BlockBufferPool,
-    threads: usize,
-    base_pos: u64,
-    num_values: usize,
-) -> Result<BundleSet> {
-    // Generate the block of every stream still referenced by a surviving
-    // bundle (deterministically-filtered streams cost nothing), fanned out
-    // across streams into pooled columnar buffers.  Each `(seed, position)`
-    // value is independent of all others, so the split is bit-deterministic
-    // (see `crate::par`).
-    let skeleton = prefix.skeleton();
-    let keys = &skeleton.active_keys;
-    // Reclaim cell storage freed since the last block (dropped results,
-    // previous replenishment rounds) before adopting this block's cells.
-    pool.sweep_cells();
-    let idxs: Vec<u32> = (0..keys.len() as u32).collect();
-    let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(&idxs, threads, |&idx| {
-        generate_active_stream_block(prefix, idx as usize, base_pos, num_values, pool)
-    });
-    // Copy each generated cell once into shared columns and return the
-    // pooled buffer immediately — on errors too, so partial work is metered
-    // and buffers survive for the next block (replenishment round, repeated
-    // query, or a neighboring shard task).  The first error in input order
-    // wins (the `crate::par` determinism contract).
-    let mut cells = CellData::with_capacity(keys.len());
-    let mut first_err = None;
-    for (&key, result) in keys.iter().zip(generated) {
-        match result {
-            Ok(mut block) => {
-                if first_err.is_none() {
-                    cells.insert(key, CellCols::from_block(&mut block, pool));
-                }
-                pool.release(block);
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-
-    // Replay the symbolic residue of every bundle over the block, fanned out
-    // across bundles.  The bundles share the cell columns by refcount.
-    // Dropping never-present bundles afterwards preserves the relative order
-    // `Executor::execute` produces.
-    let converted: Result<Vec<Option<TupleBundle>>> = match first_err {
-        Some(e) => Err(e),
-        None => par::try_par_map_threads(&skeleton.bundles, threads, |bundle| {
-            materialize_bundle(bundle, prefix, &cells, base_pos, num_values)
-        }),
-    };
-    let bundles: Vec<TupleBundle> = converted?.into_iter().flatten().collect();
-
-    Ok(BundleSet {
-        schema: skeleton.schema.clone(),
-        bundles,
-        registry: prefix.registry.clone(),
-        num_reps: num_values,
-    })
 }
 
 /// Materialize one symbolic bundle for a block; `None` when its presence
@@ -1193,184 +1072,6 @@ fn cells_for(blocks: &CellData, key: StreamKey) -> Result<&CellCols> {
         .ok_or_else(|| Error::Invalid(format!("stream {key} missing from materialized block")))
 }
 
-// ===== The retained row-path reference implementation =====
-//
-// The pre-columnar phase 2, kept verbatim as (a) the referee the
-// determinism suite compares the columnar path against and (b) the baseline
-// the `ablation_columnar` bench quantifies the win over.  Nothing in the
-// engine calls it.
-
-/// Per-stream row-wise VG outputs: `blocks[key][offset]` is the VG output
-/// table at stream position `base_pos + offset` (the retired representation).
-type RowBlockData = BTreeMap<StreamKey, Vec<Vec<Tuple>>>;
-
-fn generate_stream_block_rows(
-    prefix: &DeterministicPrefix,
-    key: StreamKey,
-    base_pos: u64,
-    num_values: usize,
-) -> Result<Vec<Vec<Tuple>>> {
-    let skeleton = prefix.skeleton();
-    let seed = prefix.seed_of(key);
-    let source = skeleton.registry.source(key)?;
-    let expected = skeleton.vg_rows.get(&key).copied();
-    let mut per_pos = Vec::with_capacity(num_values);
-    for i in 0..num_values {
-        let rows = source.generate_at(seed, base_pos + i as u64)?;
-        if let Some(expected) = expected {
-            if rows.len() != expected {
-                return Err(Error::Invalid(format!(
-                    "VG function {} produced {} output rows at stream position {} \
-                     but {} during the skeleton probe; the bundle executor requires \
-                     a seed-independent, fixed row count per parameter row",
-                    source.vg.name(),
-                    rows.len(),
-                    base_pos + i as u64,
-                    expected
-                )));
-            }
-        }
-        per_pos.push(rows);
-    }
-    Ok(per_pos)
-}
-
-/// The pre-columnar block materialization (row-of-boxed-`Value` buffers, no
-/// pooling): bit-identical to [`ExecSession::instantiate_block`] on a
-/// cacheable plan, retained as the determinism referee and the
-/// `ablation_columnar` baseline.
-pub fn instantiate_block_rows(
-    prefix: &DeterministicPrefix,
-    threads: usize,
-    base_pos: u64,
-    num_values: usize,
-) -> Result<BundleSet> {
-    let skeleton = prefix.skeleton();
-    let keys = &skeleton.active_keys;
-    let generated: Vec<Vec<Vec<Tuple>>> = par::try_par_map_threads(keys, threads, |&key| {
-        generate_stream_block_rows(prefix, key, base_pos, num_values)
-    })?;
-    let blocks: RowBlockData = keys.iter().copied().zip(generated).collect();
-
-    let converted: Vec<Option<TupleBundle>> =
-        par::try_par_map_threads(&skeleton.bundles, threads, |bundle| {
-            materialize_bundle_rows(bundle, prefix, &blocks, base_pos, num_values)
-        })?;
-    let bundles: Vec<TupleBundle> = converted.into_iter().flatten().collect();
-
-    Ok(BundleSet {
-        schema: skeleton.schema.clone(),
-        bundles,
-        registry: prefix.registry.clone(),
-        num_reps: num_values,
-    })
-}
-
-fn materialize_bundle_rows(
-    bundle: &SymBundle,
-    prefix: &DeterministicPrefix,
-    blocks: &RowBlockData,
-    base_pos: u64,
-    num_values: usize,
-) -> Result<Option<TupleBundle>> {
-    let mut values = Vec::with_capacity(bundle.values.len());
-    for sym in &bundle.values {
-        values.push(materialize_value_rows(
-            sym, prefix, blocks, base_pos, num_values,
-        )?);
-    }
-    let is_pres = match bundle.preds.as_slice() {
-        [] => None,
-        preds => {
-            let mut mask = Vec::with_capacity(num_values);
-            for offset in 0..num_values {
-                let mut present = true;
-                for pred in preds {
-                    let row = eval_row_rows(&pred.inputs, blocks, offset)?;
-                    if !pred.predicate.eval_bool(&pred.schema, &row)? {
-                        present = false;
-                        break;
-                    }
-                }
-                mask.push(present);
-            }
-            if mask.iter().all(|&p| !p) {
-                return Ok(None);
-            }
-            Some(mask)
-        }
-    };
-    Ok(Some(TupleBundle { values, is_pres }))
-}
-
-fn materialize_value_rows(
-    sym: &SymValue,
-    prefix: &DeterministicPrefix,
-    blocks: &RowBlockData,
-    base_pos: u64,
-    num_values: usize,
-) -> Result<BundleValue> {
-    match sym {
-        SymValue::Const(v) => Ok(BundleValue::Const(v.clone())),
-        SymValue::Stream {
-            key,
-            vg_row,
-            vg_col,
-        } => {
-            let per_pos = row_block_for(blocks, *key)?;
-            let values: Vec<Value> = per_pos
-                .iter()
-                .map(|rows| rows[*vg_row].value(*vg_col).clone())
-                .collect();
-            Ok(BundleValue::Random {
-                seed: prefix.seed_of(*key),
-                vg_row: *vg_row,
-                vg_col: *vg_col,
-                base_pos,
-                values: ValueChain::from_values(&values),
-            })
-        }
-        SymValue::Expr(e) => {
-            let mut computed = Vec::with_capacity(num_values);
-            for offset in 0..num_values {
-                let row = eval_row_rows(&e.inputs, blocks, offset)?;
-                computed.push(e.expr.eval(&e.schema, &row)?);
-            }
-            Ok(BundleValue::Computed(ValueChain::from_values(&computed)))
-        }
-    }
-}
-
-fn eval_sym_rows(sym: &SymValue, blocks: &RowBlockData, offset: usize) -> Result<Value> {
-    match sym {
-        SymValue::Const(v) => Ok(v.clone()),
-        SymValue::Stream {
-            key,
-            vg_row,
-            vg_col,
-        } => Ok(row_block_for(blocks, *key)?[offset][*vg_row]
-            .value(*vg_col)
-            .clone()),
-        SymValue::Expr(e) => {
-            let row = eval_row_rows(&e.inputs, blocks, offset)?;
-            e.expr.eval(&e.schema, &row)
-        }
-    }
-}
-
-fn eval_row_rows(inputs: &[SymValue], blocks: &RowBlockData, offset: usize) -> Result<Vec<Value>> {
-    inputs
-        .iter()
-        .map(|sym| eval_sym_rows(sym, blocks, offset))
-        .collect()
-}
-
-fn row_block_for(blocks: &RowBlockData, key: StreamKey) -> Result<&Vec<Vec<Tuple>>> {
-    blocks
-        .get(&key)
-        .ok_or_else(|| Error::Invalid(format!("stream {key} missing from materialized block")))
-}
-
 // ===== Phase 1: the symbolic (deterministic-skeleton) plan pass =====
 
 pub(crate) enum PrepError {
@@ -1425,7 +1126,6 @@ pub(crate) fn build_skeleton(
         schema,
         registry,
         bundles,
-        vg_rows,
         active_keys,
         active_sources,
         bundle_keys,
@@ -1697,7 +1397,7 @@ fn sym_key(
 mod tests {
     use super::*;
     use crate::plan::scalar_random_table;
-    use mcdbr_storage::{Field, TableBuilder};
+    use mcdbr_storage::{Field, TableBuilder, Tuple};
     use mcdbr_vg::{DiscreteVg, NormalVg};
     use std::sync::Arc;
 

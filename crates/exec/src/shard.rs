@@ -1,10 +1,13 @@
-//! Shard-partitioned phase-2 execution: `PlanSkeleton + seed + StreamKey
-//! range` is a complete description of a slice of a block's work.
+//! The phase-2 unit: `PlanSkeleton + seed + StreamKey range` is a complete
+//! description of a slice of a block's work.
 //!
-//! The in-process fan-out (`crate::par`) scales phase 2 across the threads
-//! of one process; this module makes the *unit of distribution* explicit so
-//! the same work can scale across processes.  A [`ShardTask`] carries
-//! everything a worker needs:
+//! [`ShardTask::run`] is the one body that generates stream blocks and
+//! materializes bundles, and [`merge_block`] the one routine that assembles
+//! a block from unit partials.  Every backend — in-process (one
+//! all-covering unit), [`ShardedBackend`] (N units on the scoped pool), the
+//! server's scheduler, the multi-process dispatcher and its workers — runs
+//! exactly these two and differs only in *where* a unit runs.  A
+//! [`ShardTask`] carries everything a worker needs:
 //!
 //! * a reference to the seed-independent [`PlanSkeleton`] (in-process an
 //!   `Arc`; across processes the skeleton is re-derivable from the plan and
@@ -28,28 +31,25 @@
 //! owning shard regenerates the foreign streams itself, which is
 //! bit-identical by the position-addressable PRNG contract, so duplicated
 //! generation trades a little CPU for zero coordination.  Each shard
-//! returns its bundles tagged with their skeleton index; the merge visits
-//! partials in ascending key-range order (the canonical `StreamKey` order
-//! the planner emitted) and writes each bundle into its skeleton slot, so
-//! the flattened output *is* the skeleton's bundle order — bit-identical to
-//! [`InProcessBackend`](crate::backend::InProcessBackend) for every shard
-//! count.  `tests/session_determinism.rs` proves this for shard counts
-//! {1, 2, 3, 7} × thread counts, across replenishment boundaries, and on
-//! cache hits.
+//! returns its bundles tagged with their skeleton index and
+//! [`merge_block`] writes each bundle into its skeleton slot, so
+//! the flattened output *is* the skeleton's bundle order — bit-identical
+//! for every shard count.  `tests/session_determinism.rs` proves this for
+//! shard counts {1, 2, 3, 7} × thread counts against `Executor::execute`,
+//! across replenishment boundaries, and on cache hits.
 //!
 //! Aggregation shards partition **repetitions**, not bundles: within one
 //! repetition the floating-point accumulation order over bundles is the
 //! bit-identity contract, so the only safe parallel unit is the repetition
-//! itself — exactly the unit the thread fan-out already uses.  Partials
-//! merge in repetition order.
+//! itself — see [`crate::aggregate::aggregate_parts`], the one driver every
+//! backend aggregates through.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mcdbr_prng::{StreamKey, StreamKeyRange};
-use mcdbr_storage::Result;
+use mcdbr_storage::{ColumnBlock, Error, Result};
 
 use crate::aggregate::{self, AggregateSpec, QueryResultSamples};
 use crate::backend::{ExecBackend, ShardStats};
@@ -84,8 +84,8 @@ pub struct ShardTask {
 #[derive(Debug)]
 pub struct ShardOutput {
     /// `(skeleton bundle index, materialized bundle)` pairs — `None` for
-    /// bundles whose presence mask is false everywhere — for the merge to
-    /// slot back into skeleton order.
+    /// bundles whose presence mask is false everywhere — for
+    /// [`merge_block`] to slot back into skeleton order.
     pub bundles: Vec<(usize, Option<TupleBundle>)>,
     /// Streams outside this shard's key range that it regenerated locally
     /// because an owned bundle references them (cross-shard joins).
@@ -93,77 +93,142 @@ pub struct ShardOutput {
 }
 
 impl ShardTask {
-    /// Execute the shard: decide bundle ownership from the skeleton and the
-    /// key range alone, bind a private prefix restricted to the streams the
-    /// owned bundles reference (foreign keys included), generate those
-    /// streams into columnar buffers from `pool`, and materialize the owned
-    /// bundles.  Concurrent shard tasks share the pool safely — each
-    /// acquisition hands out a distinct buffer — so a multi-shard block
-    /// still reuses every buffer on the next block.
-    pub fn run(&self, pool: &BlockBufferPool) -> Result<ShardOutput> {
+    /// The slice `key_range` of one block of `prefix`.
+    pub(crate) fn new(
+        prefix: &DeterministicPrefix,
+        key_range: StreamKeyRange,
+        base_pos: u64,
+        num_values: usize,
+    ) -> ShardTask {
+        ShardTask {
+            skeleton: Arc::clone(prefix.skeleton()),
+            master_seed: prefix.master_seed(),
+            key_range,
+            base_pos,
+            num_values,
+        }
+    }
+
+    /// Split one block of `prefix` into at most `parts` tasks whose key
+    /// ranges jointly cover the key space (see [`plan_shards`]).
+    pub fn plan(
+        prefix: &DeterministicPrefix,
+        parts: usize,
+        base_pos: u64,
+        num_values: usize,
+    ) -> Vec<ShardTask> {
+        plan_shards(prefix.skeleton(), parts)
+            .into_iter()
+            .map(|key_range| ShardTask::new(prefix, key_range, base_pos, num_values))
+            .collect()
+    }
+
+    /// Execute the shard on up to `threads` threads — the only code that
+    /// generates stream blocks and materializes bundles, whichever backend
+    /// placed the task and wherever it runs.  Ownership is decided from the
+    /// skeleton and the key range alone; the owned bundles' streams (foreign
+    /// keys included) are generated into columnar buffers from `pool`,
+    /// fanned out across streams, then the owned bundles are materialized,
+    /// fanned out across bundles.  Each `(seed, position)` value is
+    /// independent of all others, so both splits are bit-deterministic (see
+    /// `crate::par`).  Concurrent shard tasks share the pool safely — each
+    /// acquisition hands out a distinct buffer.
+    pub fn run(&self, pool: &BlockBufferPool, threads: usize) -> Result<ShardOutput> {
         let skeleton = &self.skeleton;
+        let active = skeleton.active_keys();
 
         // Ownership: a bundle belongs to the shard whose range contains its
         // smallest stream key; fully deterministic bundles anchor at MIN.
-        // Per-bundle key sets were computed once during the skeleton pass.
-        let mut owned: Vec<usize> = Vec::new();
-        let mut needed: BTreeSet<StreamKey> = BTreeSet::new();
-        for (idx, keys) in skeleton.bundle_keys.iter().enumerate() {
-            let anchor = keys.first().copied().unwrap_or(StreamKey::MIN);
-            if self.key_range.contains(anchor) {
-                owned.push(idx);
-                needed.extend(keys.iter().copied());
-            }
-        }
+        // `needed` holds ascending indices into the skeleton's sorted
+        // `active_keys` — every key a bundle references is active — so
+        // generation indexes the precomputed recipes and never probes a map
+        // per stream.  The all-covering range (the whole in-process block)
+        // owns everything and skips the per-bundle walk altogether.
+        let (owned, needed, foreign_streams): (Vec<usize>, Vec<usize>, usize) =
+            if self.key_range == StreamKeyRange::all() {
+                (
+                    (0..skeleton.num_bundles()).collect(),
+                    (0..active.len()).collect(),
+                    0,
+                )
+            } else {
+                // Per-bundle key sets were computed once during the skeleton
+                // pass.  Keys outside the range (cross-shard joins) are
+                // regenerated locally: `(seed, pos)` addressing makes the
+                // duplicate bit-identical to the owner shard's copy.
+                let mut owned = Vec::new();
+                let mut is_needed = vec![false; active.len()];
+                for (idx, keys) in skeleton.bundle_keys.iter().enumerate() {
+                    if self
+                        .key_range
+                        .contains(keys.first().copied().unwrap_or(StreamKey::MIN))
+                    {
+                        owned.push(idx);
+                        for key in keys {
+                            let at = active
+                                .binary_search(key)
+                                .expect("bundle keys are a subset of the active keys");
+                            is_needed[at] = true;
+                        }
+                    }
+                }
+                let needed: Vec<usize> = (0..active.len()).filter(|&at| is_needed[at]).collect();
+                let foreign = needed
+                    .iter()
+                    .filter(|&&at| !self.key_range.contains(active[at]))
+                    .count();
+                (owned, needed, foreign)
+            };
 
-        // Generate every stream an owned bundle touches.  Keys outside the
-        // range (cross-shard joins) are regenerated locally: `(seed, pos)`
-        // addressing makes the duplicate bit-identical to the owner shard's
-        // copy.  The shard's own prefix carries no bound registry — seeds
-        // are pure in `(master_seed, key)` and recipes live on the skeleton
-        // — so per-shard binding costs nothing regardless of plan size.
-        let foreign_streams = needed
-            .iter()
-            .filter(|&&key| !self.key_range.contains(key))
-            .count();
+        // The shard's own prefix carries no bound registry — seeds are pure
+        // in `(master_seed, key)` and recipes live on the skeleton — so
+        // binding costs nothing regardless of plan size.
         let prefix = skeleton.bind_for_shard(self.master_seed);
-        // Each generated block's cells are moved into recycled shared
-        // columns and the pooled buffer is released immediately — on every
-        // exit path, so partial work is metered and the buffers stay warm.
-        let mut cells = session::CellData::with_capacity(needed.len());
+        // Reclaim cell storage freed since the last block (dropped results,
+        // previous replenishment rounds) before adopting this block's cells.
         pool.sweep_cells();
-        let mut generation: Result<()> = Ok(());
-        for key in needed {
-            match session::generate_stream_block(&prefix, key, self.base_pos, self.num_values, pool)
-            {
+        let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(&needed, threads, |&at| {
+            session::generate_active_stream_block(&prefix, at, self.base_pos, self.num_values, pool)
+        });
+        // Move each generated block's cells into recycled shared columns and
+        // return the pooled buffer immediately — on errors too, so partial
+        // work is metered and buffers survive for the next block
+        // (replenishment round, repeated query, or a neighboring shard
+        // task).  The first error in input order wins (the `crate::par`
+        // determinism contract).
+        let mut cells = session::CellData::with_capacity(needed.len());
+        let mut first_err = None;
+        for (&at, result) in needed.iter().zip(generated) {
+            match result {
                 Ok(mut block) => {
-                    cells.insert(key, session::CellCols::from_block(&mut block, pool));
+                    if first_err.is_none() {
+                        cells.push(active[at], session::CellCols::from_block(&mut block, pool));
+                    }
                     pool.release(block);
                 }
                 Err(e) => {
-                    generation = Err(e);
-                    break;
+                    first_err.get_or_insert(e);
                 }
             }
         }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
 
-        let bundles: Result<Vec<(usize, Option<TupleBundle>)>> = generation.and_then(|()| {
-            owned
-                .into_iter()
-                .map(|idx| {
-                    let bundle = session::materialize_bundle(
-                        &skeleton.bundles[idx],
-                        &prefix,
-                        &cells,
-                        self.base_pos,
-                        self.num_values,
-                    )?;
-                    Ok((idx, bundle))
-                })
-                .collect()
-        });
+        // Replay the symbolic residue of every owned bundle over the block.
+        // The bundles share the cell columns by refcount.
+        let bundles = par::try_par_map_threads(&owned, threads, |&idx| {
+            let bundle = session::materialize_bundle(
+                &skeleton.bundles[idx],
+                &prefix,
+                &cells,
+                self.base_pos,
+                self.num_values,
+            )?;
+            Ok((idx, bundle))
+        })?;
         Ok(ShardOutput {
-            bundles: bundles?,
+            bundles,
             foreign_streams,
         })
     }
@@ -180,6 +245,40 @@ impl ShardTask {
 /// ranges drawn over the higher tables' keys would own nothing.
 pub fn plan_shards(skeleton: &PlanSkeleton, shards: usize) -> Vec<StreamKeyRange> {
     StreamKeyRange::partition(skeleton.anchor_keys(), shards)
+}
+
+/// Assemble one block from its shards' `(skeleton index, bundle)` partials:
+/// every bundle lands in its skeleton slot — partials may arrive in any
+/// order, so the flattened output *is* the skeleton's bundle order — and
+/// never-present bundles drop out afterwards, which preserves the relative
+/// order `Executor::execute` produces.  An index outside the skeleton is a
+/// corrupt partial (they also arrive off the wire) and errors rather than
+/// panics.
+pub fn merge_block(
+    prefix: &DeterministicPrefix,
+    num_values: usize,
+    partials: impl IntoIterator<Item = Vec<(usize, Option<TupleBundle>)>>,
+) -> Result<BundleSet> {
+    let skeleton = prefix.skeleton();
+    let mut slots: Vec<Option<TupleBundle>> = Vec::with_capacity(skeleton.num_bundles());
+    slots.resize_with(skeleton.num_bundles(), || None);
+    for partial in partials {
+        for (idx, bundle) in partial {
+            if idx >= slots.len() {
+                return Err(Error::Invalid(format!(
+                    "shard partial holds bundle index {idx} outside the skeleton ({} bundles)",
+                    slots.len()
+                )));
+            }
+            slots[idx] = bundle;
+        }
+    }
+    Ok(BundleSet {
+        schema: skeleton.schema().clone(),
+        bundles: slots.into_iter().flatten().collect(),
+        registry: prefix.registry().clone(),
+        num_reps: num_values,
+    })
 }
 
 /// The sharded execution backend: phase 2 as a fan-out of [`ShardTask`]s.
@@ -220,6 +319,10 @@ impl ExecBackend for ShardedBackend {
         "sharded"
     }
 
+    fn units_run_in_process(&self) -> bool {
+        true
+    }
+
     fn instantiate_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -228,46 +331,19 @@ impl ExecBackend for ShardedBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        let skeleton = prefix.skeleton();
-        let tasks: Vec<ShardTask> = plan_shards(skeleton, self.shards)
-            .into_iter()
-            .map(|key_range| ShardTask {
-                skeleton: Arc::clone(skeleton),
-                master_seed: prefix.master_seed(),
-                key_range,
-                base_pos,
-                num_values,
-            })
-            .collect();
+        let tasks = ShardTask::plan(prefix, self.shards, base_pos, num_values);
         self.shards_spawned
             .fetch_add(tasks.len(), Ordering::Relaxed);
-        let partials = par::try_par_map_threads(&tasks, threads, |task| task.run(pool))?;
-
-        // Merge: partials arrive in ascending key-range order; slotting each
-        // bundle at its skeleton index restores the exact output order of
-        // single-shard execution.  Only the slot placement is timed as merge
-        // overhead — the flatten and BundleSet construction (schema/registry
-        // clones) are work the in-process path performs identically.
-        let merge_start = Instant::now();
-        let mut slots: Vec<Option<TupleBundle>> = Vec::with_capacity(skeleton.num_bundles());
-        slots.resize_with(skeleton.num_bundles(), || None);
-        let mut foreign = 0usize;
-        for partial in partials {
-            foreign += partial.foreign_streams;
-            for (idx, bundle) in partial.bundles {
-                slots[idx] = bundle;
-            }
-        }
-        self.shard_merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let partials = par::try_par_map_threads(&tasks, threads, |task| task.run(pool, 1))?;
+        let foreign: usize = partials.iter().map(|p| p.foreign_streams).sum();
         self.cross_shard_regens
             .fetch_add(foreign, Ordering::Relaxed);
-        Ok(BundleSet {
-            schema: skeleton.schema().clone(),
-            bundles: slots.into_iter().flatten().collect(),
-            registry: prefix.registry().clone(),
-            num_reps: num_values,
-        })
+
+        let merge_start = Instant::now();
+        let set = merge_block(prefix, num_values, partials.into_iter().map(|p| p.bundles));
+        self.shard_merge_ns
+            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        set
     }
 
     fn aggregate(
@@ -278,7 +354,7 @@ impl ExecBackend for ShardedBackend {
         final_predicate: Option<&Expr>,
         threads: usize,
     ) -> Result<QueryResultSamples> {
-        let (samples, partials, merge_ns) = aggregate::evaluate_aggregate_partials(
+        let (samples, parts, merge_ns) = aggregate::aggregate_on_threads(
             set,
             agg,
             group_by,
@@ -286,7 +362,7 @@ impl ExecBackend for ShardedBackend {
             self.shards,
             threads,
         )?;
-        self.shards_spawned.fetch_add(partials, Ordering::Relaxed);
+        self.shards_spawned.fetch_add(parts, Ordering::Relaxed);
         self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
         Ok(samples)
     }
@@ -436,7 +512,7 @@ mod tests {
                 base_pos: 0,
                 num_values: 4,
             };
-            let output = task.run(&pool).unwrap();
+            let output = task.run(&pool, 1).unwrap();
             // Single-stream bundles never cross range boundaries.
             assert_eq!(output.foreign_streams, 0);
             for (idx, _) in output.bundles {
@@ -444,6 +520,17 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), skeleton.num_bundles());
+    }
+
+    #[test]
+    fn merge_block_rejects_a_bundle_index_outside_the_skeleton() {
+        let catalog = catalog();
+        let session = ExecSession::prepare(&complex_plan(), &catalog, 11).unwrap();
+        let prefix = session.prefix().unwrap();
+        // One past the last slot — what a corrupt worker partial could hold.
+        let partial = vec![(prefix.num_bundles(), None)];
+        let err = merge_block(prefix, 4, [partial]).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
     }
 
     #[test]
@@ -499,7 +586,7 @@ mod tests {
                 base_pos: 0,
                 num_values: 4,
             }
-            .run(&pool)
+            .run(&pool, 2)
             .unwrap();
             assert_eq!(output.bundles.len(), 4, "ownership must balance 4/4");
         }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mcdbr_exec::{
     par, AggregateSpec, BlockBufferPool, ExecBackend, ExecSession, Expr, PlanNode,
-    QueryResultSamples, SessionCache,
+    QueryResultSamples, SessionCache, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result, Value};
 
@@ -149,50 +149,11 @@ pub struct NaiveTailReport {
     /// session's pool instead of allocating — every batch past calibration
     /// reuses the warm buffers.
     pub buffer_reuses: u64,
-    /// Shard tasks the hunt spawned through the engine's execution backend
-    /// (block materializations and aggregate partials; 0 on the in-process
-    /// backend).
-    pub shards_spawned: usize,
-    /// Nanoseconds the hunt's backend spent merging per-shard partials
-    /// (0 on the in-process backend).
-    pub shard_merge_ns: u64,
-    /// Streams shards regenerated outside their own key ranges during the
-    /// hunt (cross-shard joins; 0 on the in-process backend).
-    pub cross_shard_regens: usize,
-    /// Worker OS processes spawned during the hunt (multi-process backend
-    /// only: pool fills + crash respawns).
-    pub workers_spawned: usize,
-    /// Shard tasks serialized and dispatched to worker processes during
-    /// the hunt (0 on in-process backends).
-    pub tasks_dispatched: usize,
-    /// Bytes written to worker processes during the hunt.
-    pub wire_bytes_sent: u64,
-    /// Bytes read back from worker processes during the hunt.
-    pub wire_bytes_received: u64,
-    /// Workers respawned after a crash during the hunt, with their tasks
-    /// re-dispatched.
-    pub worker_respawns: usize,
-    /// Per-task read deadlines that expired during the hunt, reclassifying
-    /// silent workers as dead (multi-process backend only).
-    pub deadline_timeouts: usize,
-    /// Task dispatches retried after crash-class worker failures during
-    /// the hunt.
-    pub task_retries: usize,
-    /// Per-worker circuit breakers tripped open during the hunt.
-    pub circuit_trips: usize,
-    /// Page records the pager appended to heap files during the hunt (0
-    /// when `MCDBR_DATA_DIR` is off).
-    pub pages_written: u64,
-    /// Page payloads read back from disk during the hunt — buffer-pool
-    /// misses the disk tier served.
-    pub disk_reads: u64,
-    /// Nanoseconds spent in those disk reads.
-    pub disk_read_ns: u64,
-    /// Sealed bytes spilling moved out of memory during the hunt.
-    pub spilled_bytes: u64,
-    /// Worker table-store memory-tier evictions reported by the hunt's
-    /// dispatched tasks (multi-process backend only).
-    pub store_evictions: u64,
+    /// The hunt's window of the engine's execution backend's counters:
+    /// shard tasks and merge time (block materializations and aggregate
+    /// partials), worker-process dispatch and its fault ladder, pager disk
+    /// traffic — all zero where the backend has nothing to report.
+    pub backend: ShardStats,
 }
 
 /// The naive-MCDB engine.
@@ -222,7 +183,7 @@ pub struct McdbEngine {
     /// default backend is one process-shared instance, so engine-level
     /// counters report activity *since adoption* — this engine's own work —
     /// rather than whatever other components already ran through it.
-    backend_baseline: mcdbr_exec::ShardStats,
+    backend_baseline: ShardStats,
     plans_executed: usize,
     blocks_materialized: usize,
     bytes_materialized: u64,
@@ -272,96 +233,13 @@ impl McdbEngine {
         &self.backend
     }
 
-    /// This engine's window of its backend's shard stats: activity since the
+    /// This engine's window of its backend's counters: activity since the
     /// engine adopted the backend, so a process-shared default backend's
     /// earlier work is not misattributed here.  (Concurrent users of a
     /// deliberately shared backend still blur the window; see the
-    /// [`mcdbr_exec::ShardStats`] caveat.)
-    fn backend_window(&self) -> mcdbr_exec::ShardStats {
+    /// [`ShardStats`] caveat.)
+    pub fn backend_stats(&self) -> ShardStats {
         self.backend.shard_stats().since(self.backend_baseline)
-    }
-
-    /// Shard tasks spawned through this engine (0 when the backend never
-    /// shards).
-    pub fn shards_spawned(&self) -> usize {
-        self.backend_window().shards_spawned
-    }
-
-    /// Nanoseconds this engine's backend spent merging per-shard partials
-    /// on the engine's behalf.
-    pub fn shard_merge_ns(&self) -> u64 {
-        self.backend_window().shard_merge_ns
-    }
-
-    /// Streams shards regenerated outside their own key ranges through this
-    /// engine (cross-shard joins; 0 when the backend never shards).
-    pub fn cross_shard_regens(&self) -> usize {
-        self.backend_window().cross_shard_regens
-    }
-
-    /// Worker OS processes this engine's backend spawned on its behalf
-    /// (multi-process backend only).
-    pub fn workers_spawned(&self) -> usize {
-        self.backend_window().workers_spawned
-    }
-
-    /// Shard tasks this engine's backend serialized and dispatched to
-    /// worker processes (0 on in-process backends).
-    pub fn tasks_dispatched(&self) -> usize {
-        self.backend_window().tasks_dispatched
-    }
-
-    /// Wire bytes this engine's backend sent to / received from worker
-    /// processes.
-    pub fn wire_bytes(&self) -> (u64, u64) {
-        let window = self.backend_window();
-        (window.wire_bytes_sent, window.wire_bytes_received)
-    }
-
-    /// Workers respawned (and their tasks re-dispatched) after crashes
-    /// during this engine's runs.
-    pub fn worker_respawns(&self) -> usize {
-        self.backend_window().worker_respawns
-    }
-
-    /// Per-task read deadlines that expired during this engine's runs,
-    /// each reclassifying a silent worker as dead.
-    pub fn deadline_timeouts(&self) -> usize {
-        self.backend_window().deadline_timeouts
-    }
-
-    /// Task dispatches this engine's backend retried after crash-class
-    /// worker failures.
-    pub fn task_retries(&self) -> usize {
-        self.backend_window().task_retries
-    }
-
-    /// Per-worker circuit breakers tripped open during this engine's runs
-    /// (each trip degrades the slot to local execution for a cooldown).
-    pub fn circuit_trips(&self) -> usize {
-        self.backend_window().circuit_trips
-    }
-
-    /// Disk activity during this engine's runs, as
-    /// `(pages_written, disk_reads, disk_read_ns, spilled_bytes)` — all 0
-    /// when `MCDBR_DATA_DIR` is off.  Process-global pager counters
-    /// windowed like every other backend stat, so a disk-mode engine can
-    /// report how much of its working set lived on disk.
-    pub fn disk_stats(&self) -> (u64, u64, u64, u64) {
-        let window = self.backend_window();
-        (
-            window.pages_written,
-            window.disk_reads,
-            window.disk_read_ns,
-            window.spilled_bytes,
-        )
-    }
-
-    /// Worker table-store memory-tier evictions reported by tasks this
-    /// engine dispatched (0 on in-process backends; disk copies survive
-    /// eviction when the workers run with `MCDBR_DATA_DIR`).
-    pub fn store_evictions(&self) -> u64 {
-        self.backend_window().store_evictions
     }
 
     /// Total plan executions performed through this engine.  With the
@@ -499,7 +377,6 @@ impl McdbEngine {
         );
         self.absorb(&session);
         let (quantile_estimate, tail_samples, repetitions) = hunt?;
-        let backend_stats = self.backend.shard_stats().since(backend_stats_before);
         Ok(NaiveTailReport {
             quantile_estimate,
             tail_samples,
@@ -509,22 +386,7 @@ impl McdbEngine {
             skeleton_hit: session.skeleton_hit(),
             bytes_materialized: session.bytes_materialized(),
             buffer_reuses: session.buffer_reuses(),
-            shards_spawned: backend_stats.shards_spawned,
-            shard_merge_ns: backend_stats.shard_merge_ns,
-            cross_shard_regens: backend_stats.cross_shard_regens,
-            workers_spawned: backend_stats.workers_spawned,
-            tasks_dispatched: backend_stats.tasks_dispatched,
-            wire_bytes_sent: backend_stats.wire_bytes_sent,
-            wire_bytes_received: backend_stats.wire_bytes_received,
-            worker_respawns: backend_stats.worker_respawns,
-            deadline_timeouts: backend_stats.deadline_timeouts,
-            task_retries: backend_stats.task_retries,
-            circuit_trips: backend_stats.circuit_trips,
-            pages_written: backend_stats.pages_written,
-            disk_reads: backend_stats.disk_reads,
-            disk_read_ns: backend_stats.disk_read_ns,
-            spilled_bytes: backend_stats.spilled_bytes,
-            store_evictions: backend_stats.store_evictions,
+            backend: self.backend.shard_stats().since(backend_stats_before),
         })
     }
 
@@ -664,7 +526,7 @@ mod tests {
         // worker processes instead, so the coordinator-side pool stays
         // flat and the dispatch counters carry the evidence.
         if engine.backend().name() == "process" {
-            assert!(engine.tasks_dispatched() >= 3);
+            assert!(engine.backend_stats().tasks_dispatched >= 3);
         } else {
             assert!(engine.buffer_reuses() >= 10);
         }
@@ -751,7 +613,7 @@ mod tests {
         let expected = reference
             .run_samples(&losses_query(), &catalog, 64, 5)
             .unwrap();
-        assert_eq!(reference.shards_spawned(), 0);
+        assert_eq!(reference.backend_stats().shards_spawned, 0);
         for shards in [1usize, 2, 3, 7] {
             let mut engine =
                 McdbEngine::new().with_backend(Arc::new(mcdbr_exec::ShardedBackend::new(shards)));
@@ -765,7 +627,10 @@ mod tests {
             }
             // One block over 12 streams plus the aggregate partials over 64
             // repetitions: min(shards, 12) + min(shards, 64) tasks.
-            assert_eq!(engine.shards_spawned(), shards.min(12) + shards.min(64));
+            assert_eq!(
+                engine.backend_stats().shards_spawned,
+                shards.min(12) + shards.min(64)
+            );
         }
 
         // The naive tail hunt reports its own shard window.
@@ -774,13 +639,13 @@ mod tests {
         let report = sharded
             .naive_tail_sample(&losses_query(), &catalog, 0.05, 10, 200, 100, 2_000, 7)
             .unwrap();
-        assert!(report.shards_spawned > 0);
+        assert!(report.backend.shards_spawned > 0);
         let in_process_report = McdbEngine::new()
             .with_backend(Arc::new(mcdbr_exec::InProcessBackend::new()))
             .naive_tail_sample(&losses_query(), &catalog, 0.05, 10, 200, 100, 2_000, 7)
             .unwrap();
-        assert_eq!(in_process_report.shards_spawned, 0);
-        assert_eq!(in_process_report.shard_merge_ns, 0);
+        assert_eq!(in_process_report.backend.shards_spawned, 0);
+        assert_eq!(in_process_report.backend.shard_merge_ns, 0);
         assert_eq!(report.tail_samples, in_process_report.tail_samples);
         assert_eq!(
             report.quantile_estimate,
@@ -820,8 +685,8 @@ mod tests {
         // worker processes, so the coordinator-side pool stays flat and
         // the dispatch counters carry the evidence instead.
         if engine.backend().name() == "process" {
-            assert!(report.tasks_dispatched >= report.blocks_materialized);
-            assert!(report.wire_bytes_received > 0);
+            assert!(report.backend.tasks_dispatched >= report.blocks_materialized);
+            assert!(report.backend.wire_bytes_received > 0);
         } else {
             assert!(report.buffer_reuses >= (10 * (report.blocks_materialized - 1)) as u64);
             assert!(report.bytes_materialized >= (report.repetitions * 10 * 8) as u64);

@@ -3,27 +3,26 @@
 //! [`FairScheduler`] instead of a private thread fan-out.
 //!
 //! The server hands every admitted query its own `FairBackend` wrapping
-//! the server-wide inner backend (in-process, sharded, or process).  Block
-//! instantiation decomposes into [`ShardTask`]s — the same self-describing
-//! unit the sharded backend and the process dispatcher use — and
-//! aggregation into contiguous repetition ranges
-//! ([`mcdbr_exec::aggregate_rep_range`]); both kinds of unit are submitted
-//! under the query's id, so the scheduler's round-robin ring interleaves
-//! *tasks* of concurrent queries rather than running the queries serially.
+//! the server-wide inner backend (in-process, sharded, or process).  It is
+//! one more place to run the same units: block instantiation is
+//! [`ShardTask`]s merged by [`mcdbr_exec::merge_block`], aggregation is the
+//! repetition ranges of [`mcdbr_exec::aggregate_parts`]; both kinds of unit
+//! are submitted under the query's id, so the scheduler's round-robin ring
+//! interleaves *tasks* of concurrent queries rather than running the
+//! queries serially.
 //!
-//! Bit-identity is inherited, not re-argued: shard tasks merge by skeleton
-//! slot exactly like [`mcdbr_exec::ShardedBackend`], and rep-range partials
-//! merge in repetition order with the group layout discovered over the
-//! full set (range-invariant), so results equal a single-threaded run of
-//! the same query bit for bit — the property `tests/server_concurrency.rs`
-//! asserts across all three inner backends.
+//! Bit-identity is inherited, not re-argued: the unit body and both merges
+//! are the ones every backend runs, so results equal a single-threaded run
+//! of the same query bit for bit — the property
+//! `tests/server_concurrency.rs` asserts across all three inner backends.
 //!
-//! The **process** inner backend keeps its own multi-process fan-out: its
-//! block instantiation is one coordinator-side conversation holding the
-//! dispatcher's state lock, so it runs as a *single* scheduler unit (the
-//! blocking wire I/O occupies one pool slot; fairness is at block
-//! granularity).  Aggregation still fans out per rep range, since the
-//! process backend aggregates locally anyway.
+//! An inner backend whose units do not run in this process
+//! ([`ExecBackend::units_run_in_process`] is false — the **process**
+//! dispatcher) keeps its own fan-out: its block instantiation is one
+//! coordinator-side conversation holding the dispatcher's state lock, so it
+//! runs as a *single* scheduler unit (the blocking wire I/O occupies one
+//! pool slot; fairness is at block granularity).  Aggregation still fans
+//! out per rep range, since the process backend aggregates locally anyway.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
@@ -38,9 +37,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mcdbr_exec::{
-    aggregate_rep_range, merge_rep_partials, plan_shards, AggPartial, AggregateSpec,
-    BlockBufferPool, BundleSet, CancelToken, DeterministicPrefix, ExecBackend, Expr, PlanNode,
-    QueryResultSamples, ShardStats, ShardTask, TupleBundle,
+    aggregate_parts, merge_block, AggregateSpec, BlockBufferPool, BundleSet, CancelToken,
+    DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats, ShardTask,
 };
 use mcdbr_storage::{Catalog, Result};
 
@@ -140,17 +138,16 @@ impl ExecBackend for FairBackend {
         num_values: usize,
     ) -> Result<BundleSet> {
         self.cancel.check()?;
-        let skeleton = prefix.skeleton();
 
-        if !matches!(self.inner.name(), "in-process" | "sharded") {
-            // Process (and any custom) inner: one delegating unit.  The
-            // dispatcher's conversation is serialized behind its own state
-            // lock, and the prefix is re-derivable (`bind` is a pure
-            // function of skeleton + seed, and the skeleton Arc — which the
-            // dispatcher keys primed plans by — is shared).
+        if !self.inner.units_run_in_process() {
+            // One delegating unit.  The dispatcher's conversation is
+            // serialized behind its own state lock, and the prefix is
+            // re-derivable (`bind` is a pure function of skeleton + seed,
+            // and the skeleton Arc — which the dispatcher keys primed plans
+            // by — is shared).
             let inner = Arc::clone(&self.inner);
             let pool = Arc::clone(&self.pool);
-            let skeleton = Arc::clone(skeleton);
+            let skeleton = Arc::clone(prefix.skeleton());
             let master_seed = prefix.master_seed();
             self.units.fetch_add(1, Ordering::Relaxed);
             let mut out = self.sched.run_batch(
@@ -164,45 +161,25 @@ impl ExecBackend for FairBackend {
             return out.pop().expect("one unit, one result");
         }
 
-        // In-process / sharded inner: decompose into shard tasks at the
-        // scheduler's pool width and merge by skeleton slot, exactly like
-        // `ShardedBackend::instantiate_block`.
-        let tasks: Vec<ShardTask> = plan_shards(skeleton, self.sched.pool_size())
-            .into_iter()
-            .map(|key_range| ShardTask {
-                skeleton: Arc::clone(skeleton),
-                master_seed: prefix.master_seed(),
-                key_range,
-                base_pos,
-                num_values,
-            })
-            .collect();
-        self.units.fetch_add(tasks.len(), Ordering::Relaxed);
-        let jobs: Vec<_> = tasks
+        // One shard task per scheduler pool thread.
+        let jobs: Vec<_> = ShardTask::plan(prefix, self.sched.pool_size(), base_pos, num_values)
             .into_iter()
             .map(|task| {
                 let pool = Arc::clone(&self.pool);
-                move || task.run(&pool)
+                move || task.run(&pool, 1)
             })
             .collect();
-        let partials = self.sched.run_batch(self.qid, jobs, &self.wait_ns);
+        self.units.fetch_add(jobs.len(), Ordering::Relaxed);
+        let mut partials = Vec::with_capacity(jobs.len());
+        for output in self.sched.run_batch(self.qid, jobs, &self.wait_ns) {
+            partials.push(output?.bundles);
+        }
 
         let merge_start = Instant::now();
-        let mut slots: Vec<Option<TupleBundle>> = Vec::with_capacity(skeleton.num_bundles());
-        slots.resize_with(skeleton.num_bundles(), || None);
-        for partial in partials {
-            for (idx, bundle) in partial?.bundles {
-                slots[idx] = bundle;
-            }
-        }
+        let set = merge_block(prefix, num_values, partials);
         self.merge_ns
             .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(BundleSet {
-            schema: skeleton.schema().clone(),
-            bundles: slots.into_iter().flatten().collect(),
-            registry: prefix.registry().clone(),
-            num_reps: num_values,
-        })
+        set
     }
 
     fn aggregate(
@@ -214,42 +191,34 @@ impl ExecBackend for FairBackend {
         _threads: usize,
     ) -> Result<QueryResultSamples> {
         self.cancel.check()?;
-        // Contiguous, balanced repetition ranges — the only safe parallel
-        // unit (within a repetition the bundle fold order is the
-        // floating-point contract).  The set travels into the units as a
-        // cheap Arc'd clone (bundle chains share `Arc<Column>` segments).
-        let lens = mcdbr_prng::balanced_chunks(set.num_reps, self.sched.pool_size());
-        if lens.len() <= 1 {
-            return self.inner.aggregate(set, agg, group_by, final_predicate, 1);
-        }
-        let owned = Arc::new(set.clone());
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(lens.len());
-        let mut lo = 0usize;
-        for len in lens {
-            ranges.push((lo, lo + len));
-            lo += len;
-        }
-        self.units.fetch_add(ranges.len(), Ordering::Relaxed);
-        let jobs: Vec<_> = ranges
-            .into_iter()
-            .map(|(lo, hi)| {
-                let set = Arc::clone(&owned);
-                let agg = agg.clone();
-                let group_by = group_by.to_vec();
-                let final_predicate = final_predicate.cloned();
-                move || aggregate_rep_range(&set, &agg, &group_by, final_predicate.as_ref(), lo, hi)
-            })
-            .collect();
-        let partials: Result<Vec<AggPartial>> = self
-            .sched
-            .run_batch(self.qid, jobs, &self.wait_ns)
-            .into_iter()
-            .collect();
-
-        let merge_start = Instant::now();
-        let samples = merge_rep_partials(set, agg, group_by, partials?)?;
-        self.merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let parts = self.sched.pool_size();
+        let (samples, _, merge_ns) =
+            aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
+                // A lone range gains nothing from a scheduler hop (or from
+                // the clone below): run it on the calling thread.
+                if ranges.len() <= 1 {
+                    return ranges
+                        .into_iter()
+                        .map(|reps| job.aggregate_rep_range(set, reps))
+                        .collect();
+                }
+                // The set travels into the units as a cheap Arc'd clone
+                // (bundle chains share `Arc<Column>` segments).
+                let owned = Arc::new(set.clone());
+                self.units.fetch_add(ranges.len(), Ordering::Relaxed);
+                let jobs: Vec<_> = ranges
+                    .into_iter()
+                    .map(|reps| {
+                        let (job, set) = (Arc::clone(job), Arc::clone(&owned));
+                        move || job.aggregate_rep_range(&set, reps)
+                    })
+                    .collect();
+                self.sched
+                    .run_batch(self.qid, jobs, &self.wait_ns)
+                    .into_iter()
+                    .collect()
+            })?;
+        self.merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
         Ok(samples)
     }
 

@@ -149,12 +149,12 @@ impl FairScheduler {
             );
         }
         drop(tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             let (idx, out) = rx.recv().expect("scheduler completed every unit");
-            slots[idx] = Some(out);
+            results[idx] = Some(out);
         }
-        slots
+        results
             .into_iter()
             .map(|slot| slot.expect("every index reported"))
             .collect()
