@@ -86,15 +86,26 @@ fn main() {
         "{}",
         row(&[
             "MCDB-R blocks materialized".into(),
-            "2 (1 + replenish)".into(),
+            "1 + one-stream windows".into(),
             result.blocks_materialized.to_string()
         ])
     );
     println!(
         "{}",
         row(&[
+            "MCDB-R values materialized".into(),
+            "<= streams x block + 2 x consumed".into(),
+            format!(
+                "{} ({} consumed)",
+                result.values_materialized, result.stream_positions_consumed
+            )
+        ])
+    );
+    println!(
+        "{}",
+        row(&[
             "MCDB-R replenishments".into(),
-            "1".into(),
+            "one per dry stream, doubling it".into(),
             result.replenishments.to_string()
         ])
     );
@@ -145,7 +156,7 @@ fn main() {
         "{}",
         row(&[
             "MCDB-R buffer reuses".into(),
-            "streams x replenishments".into(),
+            "1 per replenishment".into(),
             result.buffer_reuses.to_string()
         ])
     );

@@ -17,37 +17,43 @@
 //!   queue of Gibbs tuples keyed by their smallest unprocessed TS-seed
 //!   handle; this implementation achieves the same access pattern with an
 //!   in-memory index from seed to the Gibbs tuples that contain it (the
-//!   workloads this reproduction targets fit in memory; the ablation bench
-//!   `ablation_loop_order` quantifies what the ordering buys).
-//! * **Replenishment** (§9): every stream carries only a finite materialized
-//!   block.  When the rejection sampler needs a position beyond the block,
-//!   the looper discards nothing semantically — it asks its
-//!   [`mcdbr_exec::ExecSession`] for the next block of every stream.  The
-//!   session ran the deterministic plan skeleton (scans, joins, constant
-//!   predicates) exactly once at prepare time; a replenishment therefore
-//!   materializes *only* stream values against the cached
-//!   [`mcdbr_exec::DeterministicPrefix`], which is the paper's "the
-//!   `Instantiate` operation never adds stream values to a Gibbs tuple that
-//!   have already been processed; it only adds new or currently assigned
-//!   values" discipline with the deterministic work amortized to once per
-//!   query.  Both counters — plan executions (1) and blocks materialized
-//!   (1 + replenishments) — are reported so the Appendix D experiments show
-//!   the cost structure directly.
+//!   workloads this reproduction targets fit in memory).
+//! * **Replenishment** (§9): every stream carries its own finite
+//!   materialized range (§6).  One full-width block seeds every stream;
+//!   when the rejection sampler needs a position beyond *one* stream's
+//!   range, the looper discards nothing semantically — it asks its
+//!   [`mcdbr_exec::ExecSession`] for a further window of that stream alone
+//!   ([`mcdbr_exec::ExecSession::instantiate_streams`]), as long as the
+//!   stream already is, and appends it to the Gibbs tuples that carry the
+//!   stream.  Streams that never run dry are never extended (the memory
+//!   contract on [`TsSeed`]).  The session ran the deterministic plan
+//!   skeleton (scans, joins, constant predicates) exactly once at prepare
+//!   time; a replenishment therefore materializes *only* stream values
+//!   against the cached [`mcdbr_exec::DeterministicPrefix`], which is the
+//!   paper's "the `Instantiate` operation never adds stream values to a
+//!   Gibbs tuple that have already been processed; it only adds new or
+//!   currently assigned values" discipline with the deterministic work
+//!   amortized to once per query.  The counters — plan executions (1),
+//!   blocks materialized (1 + replenishments, a one-stream window counting
+//!   as one) and values materialized — are reported so the Appendix D
+//!   experiments show the cost structure directly.
 //!
 //! Restrictions (documented, checked, and consistent with the paper):
 //! selection predicates that touch random attributes must be pulled up into
 //! the final predicate (Appendix A, input 3); the aggregate must be SUM or
 //! COUNT (incrementally updatable); grouping is handled by running one
-//! looper per group (Appendix A, footnote 4).
+//! looper per group (Appendix A, footnote 4); the plan must have a cacheable
+//! deterministic prefix, which only `Split` over a random column lacks.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mcdbr_exec::{
     AggFunc, BundleValue, ExecBackend, ExecSession, SessionCache, ShardStats, TupleBundle,
+    ValueChain,
 };
 use mcdbr_mcdb::MonteCarloQuery;
-use mcdbr_prng::SeedId;
+use mcdbr_prng::{SeedId, StreamKey};
 use mcdbr_storage::{Catalog, Error, Result, Schema, Value};
 
 use crate::gibbs::GibbsStats;
@@ -67,8 +73,9 @@ pub struct TailSamplingConfig {
     pub m: Option<usize>,
     /// Gibbs updating steps `k` per perturbation (the paper uses 1).
     pub k: usize,
-    /// Stream values materialized per plan execution (paper §5: the trade-off
-    /// between carrying data through the plan and re-running the plan).
+    /// Stream values materialized per stream by the initial full-width
+    /// block (paper §5: the trade-off between carrying data through the plan
+    /// and re-running the plan); a stream that runs dry doubles from there.
     pub block_size: usize,
     /// Candidate budget per component update before the rejection loop keeps
     /// the previous value.
@@ -138,27 +145,29 @@ pub struct TailSampleResult {
     /// run, or a shared cache warmed by another looper under any master
     /// seed).
     pub plan_executions: usize,
-    /// Number of stream blocks materialized (1 initial + replenishments).
+    /// Number of stream windows materialized: the initial full-width block
+    /// plus one single-stream window per replenishment.
     pub blocks_materialized: usize,
+    /// Stream values materialized (streams × positions, summed over those
+    /// windows) — the volume the run generated and holds; see the memory
+    /// contract on [`TsSeed`].
+    pub values_materialized: u64,
     /// 1 when this run's session came out of the session cache, else 0
-    /// (summable across runs, mirroring the engine-level counters).  For
-    /// cacheable plans a hit means phase 1 was skipped entirely; for
-    /// uncacheable plans (`Split` over a random column) a hit only skips
-    /// re-detection — `plan_executions` still counts one full run per block,
-    /// exactly as the fallback contract demands.
+    /// (summable across runs, mirroring the engine-level counters): phase 1
+    /// was skipped entirely.
     pub skeleton_hits: usize,
     /// 1 when this run's session had to run the deterministic skeleton
-    /// pass (or the uncacheability detection), else 0.
+    /// pass, else 0.
     pub skeleton_misses: usize,
-    /// Number of replenishment blocks triggered by exhausted streams.
+    /// Number of single-stream windows triggered by exhausted streams.
     pub replenishments: usize,
     /// Logical bytes written into pooled columnar block buffers across the
     /// run (initial block + replenishments; includes cross-shard
-    /// regeneration on a sharded backend).
+    /// regeneration of the initial block on a sharded backend).
     pub bytes_materialized: u64,
     /// Columnar buffer acquisitions served by recycling the session's
     /// [`mcdbr_exec::BlockBufferPool`] instead of allocating — every
-    /// replenishment round past the first reuses the warm buffers.
+    /// replenishment reuses a warm buffer.
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
@@ -210,10 +219,10 @@ impl GibbsLooper {
         self
     }
 
-    /// Run every block materialization — the initial block and all §9
-    /// replenishments — on an explicit execution backend.  Results are
-    /// bit-identical for every backend and shard count; only the
-    /// `shards_spawned` / `shard_merge_ns` counters differ.
+    /// Materialize the initial full-width block on an explicit execution
+    /// backend (§9 replenishments are single-stream windows and always run
+    /// inline).  Results are bit-identical for every backend and shard
+    /// count; only the `shards_spawned` / `shard_merge_ns` counters differ.
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = backend;
         self
@@ -257,10 +266,25 @@ impl GibbsLooper {
             .cache
             .session(&self.query.plan, catalog, self.config.master_seed)?
             .with_backend(Arc::clone(&self.backend));
+        // Replenishment addresses one stream of the cached prefix by key; a
+        // plan without a prefix has nothing to address and is refused
+        // before anything is materialized.
+        let Some(prefix) = session.prefix() else {
+            return Err(Error::InvalidOperation(format!(
+                "GibbsLooper needs a plan with a cacheable deterministic prefix: {}",
+                session.fallback_reason().unwrap_or_default()
+            )));
+        };
+        let stream_keys: BTreeMap<SeedId, StreamKey> = prefix
+            .skeleton()
+            .active_keys()
+            .iter()
+            .map(|&key| (key.bind(self.config.master_seed), key))
+            .collect();
         let set = session.instantiate_block(catalog, 0, block)?;
         let schema = set.schema.clone();
         let mut bundles = set.bundles;
-        self.validate_bundles(&schema, &bundles)?;
+        let referenced = self.validate_bundles(&schema, &bundles)?;
 
         if bundles.is_empty() {
             return Err(Error::InvalidOperation(
@@ -285,6 +309,18 @@ impl GibbsLooper {
                 "the query references no random attributes; use the plain MCDB engine instead"
                     .into(),
             ));
+        }
+        // Columns neither the aggregate nor the final predicate reads become
+        // `Null` placeholders (after the seed index above, which keeps their
+        // streams in the sweep): a version row then never clones a constant
+        // join column nor reads a `Computed` chain, which is indexed by
+        // block offset and ends where the initial block does.
+        for bundle in &mut bundles {
+            for (i, value) in bundle.values.iter_mut().enumerate() {
+                if !referenced.contains(&i) {
+                    *value = BundleValue::Const(Value::Null);
+                }
+            }
         }
 
         // ===== Initial per-version aggregates (App. A.1). =====
@@ -345,7 +381,6 @@ impl GibbsLooper {
                     for v in 0..num_versions {
                         let old_contribution =
                             self.contribution(&schema, &bundles, &ts_seeds, &affected, v, None)?;
-                        let mut accepted = false;
                         let mut candidates_tried = 0u64;
                         loop {
                             if candidates_tried >= self.config.max_candidates {
@@ -353,15 +388,15 @@ impl GibbsLooper {
                                 break;
                             }
                             let pos = ts_seeds[&seed].next_unused();
-                            // Replenish when the block is exhausted (§9):
-                            // stream values only, against the cached prefix.
+                            // Replenish when this stream is exhausted (§9):
+                            // its values only, against the cached prefix.
                             if pos >= ts_seeds[&seed].high {
-                                self.replenish(
-                                    catalog,
+                                Self::replenish(
                                     &mut session,
+                                    stream_keys[&seed],
+                                    ts_seeds.get_mut(&seed).expect("seed present"),
                                     &mut bundles,
-                                    &mut ts_seeds,
-                                    block,
+                                    &affected,
                                 )?;
                                 replenishments += 1;
                             }
@@ -381,7 +416,6 @@ impl GibbsLooper {
                                 ts.assign(v, pos);
                                 version_aggregates[v] = new_aggregate;
                                 gibbs.accepted += 1;
-                                accepted = true;
                                 break;
                             } else {
                                 // The candidate is consumed even though it was
@@ -392,7 +426,6 @@ impl GibbsLooper {
                                 gibbs.rejected += 1;
                             }
                         }
-                        let _ = accepted;
                     }
                 }
             }
@@ -407,6 +440,7 @@ impl GibbsLooper {
             gibbs,
             plan_executions: session.plan_executions(),
             blocks_materialized: session.blocks_materialized(),
+            values_materialized: session.values_materialized(),
             skeleton_hits: usize::from(session.skeleton_hit()),
             skeleton_misses: usize::from(!session.skeleton_hit()),
             replenishments,
@@ -421,8 +455,9 @@ impl GibbsLooper {
     /// Reject plans whose bundles lost lineage (Computed columns referenced
     /// by the aggregate/predicate) or pushed random predicates below the
     /// looper (per-repetition isPres has repetition semantics, not
-    /// DB-version semantics).
-    fn validate_bundles(&self, schema: &Schema, bundles: &[TupleBundle]) -> Result<()> {
+    /// DB-version semantics).  Returns the indices of the columns the
+    /// aggregate and the final predicate reference.
+    fn validate_bundles(&self, schema: &Schema, bundles: &[TupleBundle]) -> Result<Vec<usize>> {
         let mut referenced: Vec<&str> = self.query.aggregate.expr.referenced_columns();
         if let Some(pred) = &self.query.final_predicate {
             for c in pred.referenced_columns() {
@@ -453,7 +488,7 @@ impl GibbsLooper {
                 }
             }
         }
-        Ok(())
+        Ok(indices)
     }
 
     /// Materialize the row of `bundle` as seen by DB version `v` into a
@@ -472,7 +507,9 @@ impl GibbsLooper {
         row.clear();
         row.extend(bundle.values.iter().map(|bv| match bv {
             BundleValue::Const(value) => value.clone(),
-            BundleValue::Computed(values) => values.value_at(v),
+            BundleValue::Computed(_) => {
+                unreachable!("referenced Computed columns are rejected, the rest pruned")
+            }
             BundleValue::Random {
                 seed,
                 base_pos,
@@ -529,53 +566,42 @@ impl GibbsLooper {
         self.contribution(schema, bundles, ts_seeds, &all, v, None)
     }
 
-    /// Materialize the next block of every stream (paper §9) against the
-    /// session's cached deterministic prefix, appending the new values to the
-    /// existing Gibbs tuples.  No scan, join, or constant predicate re-runs.
+    /// Extend the one stream that ran dry (paper §9) against the session's
+    /// cached deterministic prefix, appending the new window to every Gibbs
+    /// tuple in `affected` that carries the stream.  The window is as long as
+    /// the stream's materialized range, so the range doubles each time (the
+    /// memory contract on [`TsSeed`]) and a chain stays a few segments long.
+    /// No scan, join, or constant predicate re-runs, and no other stream is
+    /// touched: versions keep their materialized assigned positions.
     fn replenish(
-        &self,
-        catalog: &Catalog,
         session: &mut ExecSession,
+        key: StreamKey,
+        ts: &mut TsSeed,
         bundles: &mut [TupleBundle],
-        ts_seeds: &mut BTreeMap<SeedId, TsSeed>,
-        block: usize,
+        affected: &[usize],
     ) -> Result<()> {
-        // All streams share the same materialized range in this
-        // implementation, so extend from the common high-water mark.
-        let base = ts_seeds.values().next().map(|ts| ts.high).unwrap_or(0);
-        let fresh = session.instantiate_block(catalog, base, block)?;
-        if fresh.bundles.len() != bundles.len() {
-            return Err(Error::InvalidOperation(
-                "replenishment produced a different number of Gibbs tuples; the plan's \
-                 deterministic part must be stable across runs"
-                    .into(),
-            ));
-        }
-        for (existing, new) in bundles.iter_mut().zip(fresh.bundles) {
-            for (ev, nv) in existing.values.iter_mut().zip(new.values) {
-                if let (
-                    BundleValue::Random {
-                        values: evs,
-                        seed: es,
-                        ..
-                    },
-                    BundleValue::Random {
-                        values: nvs,
-                        seed: ns,
-                        ..
-                    },
-                ) = (ev, nv)
+        let window = ts.high - ts.low;
+        let cells = session.instantiate_streams(&[key], ts.high, window as usize)?;
+        for &idx in affected {
+            for value in &mut bundles[idx].values {
+                if let BundleValue::Random {
+                    seed,
+                    vg_row,
+                    vg_col,
+                    values,
+                    ..
+                } = value
                 {
-                    debug_assert_eq!(*es, ns, "stream identity must be stable across runs");
-                    // Appends the fresh block as another shared column
-                    // segment — replenishment never recopies earlier blocks.
-                    evs.append(nvs);
+                    if *seed == ts.seed {
+                        // Another shared column segment — replenishment
+                        // never recopies earlier windows.
+                        let cell = cells[0].cell(*vg_row, *vg_col)?;
+                        values.append(ValueChain::from_arc(Arc::clone(cell)));
+                    }
                 }
             }
         }
-        for ts in ts_seeds.values_mut() {
-            ts.extend_materialized(block as u64);
-        }
+        ts.extend_materialized(window);
         Ok(())
     }
 }
@@ -728,29 +754,29 @@ mod tests {
             result.plan_executions, 1,
             "replenishment must not re-run the plan"
         );
-        // Replenishment rounds recycle the session's pooled columnar
-        // buffers: 3 streams per block, every block past the first reuses
-        // all three.  (A lower bound, not an equality: under a sharded
-        // default backend a shard task that finishes early releases its
-        // buffer in time for a neighbor task of the *same* block to reuse
-        // it, adding intra-block reuses on top.)  Under a multi-process
-        // default backend the buffers live in the *worker* processes, so
-        // the coordinator-side pool counters legitimately stay flat —
-        // the wire counters carry the evidence instead.
-        if mcdbr_dispatch::default_backend().name() == "process" {
-            assert!(
-                result.backend.tasks_dispatched >= result.blocks_materialized,
-                "every block must dispatch at least one task: {result:?}"
-            );
-        } else {
-            assert!(
-                result.buffer_reuses >= (3 * result.replenishments) as u64,
-                "each replenishment must reuse the warm buffers ({} reuses, {} replenishments)",
-                result.buffer_reuses,
-                result.replenishments
-            );
-            assert!(result.bytes_materialized > 0);
+        // Every replenishment is one single-stream window generated inline
+        // through the session's pool, which recycles one warm buffer for it.
+        // Under a multi-process default backend the initial block's buffers
+        // live in the *worker* processes, so the very first window finds the
+        // coordinator-side pool cold and only the block dispatches tasks.
+        let cold_pool = mcdbr_dispatch::default_backend().name() == "process";
+        if cold_pool {
+            assert!(result.backend.tasks_dispatched >= 1, "{result:?}");
         }
+        assert!(
+            result.buffer_reuses + u64::from(cold_pool) >= result.replenishments as u64,
+            "each replenishment must reuse a warm buffer ({} reuses, {} replenishments)",
+            result.buffer_reuses,
+            result.replenishments
+        );
+        assert!(result.bytes_materialized > 0);
+        // The memory contract (see `TsSeed`): 3 streams, a 67-value initial
+        // block (n = 200 / 3 rounds up past the configured 40).
+        let initial = result.parameters.n_per_step.max(40) as u64;
+        assert!(
+            result.values_materialized <= 3 * initial + 2 * result.stream_positions_consumed,
+            "{result:?}"
+        );
         // Larger blocks need fewer block materializations, and still exactly
         // one plan execution.
         let config_big = TailSamplingConfig::new(0.05, 10, 200)
@@ -764,28 +790,80 @@ mod tests {
         assert_eq!(result_big.plan_executions, 1);
     }
 
-    #[test]
-    fn replenishment_matches_a_single_long_run() {
-        // The §9 guarantee, end to end: tail sampling with tiny blocks (many
-        // replenishments) and with one huge block (none) must agree exactly,
-        // because replenishment appends precisely the stream values a longer
-        // initial materialization would have contained.
-        let catalog = catalog(&[3.0, 4.0, 5.0]);
-        let mk = |block| {
-            TailSamplingConfig::new(0.05, 10, 200)
-                .with_m(3)
-                .with_block_size(block)
-                .with_master_seed(11)
+    /// The §9 guarantee, end to end: tail sampling with a tiny initial block
+    /// (many replenishments) and with one huge block (none) must agree
+    /// exactly, because replenishment appends precisely the stream values a
+    /// longer initial materialization would have contained.
+    fn assert_replenishment_is_transparent(
+        query: &MonteCarloQuery,
+        catalog: &Catalog,
+        config: &TailSamplingConfig,
+        (small, big): (usize, usize),
+    ) {
+        let run = |block| {
+            GibbsLooper::new(query.clone(), config.clone().with_block_size(block))
+                .run(catalog)
+                .unwrap()
         };
-        let small = GibbsLooper::new(losses_query(), mk(40))
-            .run(&catalog)
-            .unwrap();
-        let big = GibbsLooper::new(losses_query(), mk(4000))
-            .run(&catalog)
-            .unwrap();
+        let (small, big) = (run(small), run(big));
         assert!(small.replenishments > 0 && big.replenishments == 0);
         assert_eq!(small.tail_samples, big.tail_samples);
         assert_eq!(small.cutoffs, big.cutoffs);
+        assert_eq!(small.gibbs, big.gibbs);
+        assert_eq!(
+            small.stream_positions_consumed,
+            big.stream_positions_consumed
+        );
+    }
+
+    #[test]
+    fn replenishment_matches_a_single_long_run() {
+        let config = TailSamplingConfig::new(0.05, 10, 200)
+            .with_m(3)
+            .with_master_seed(11);
+        let catalog = catalog(&[3.0, 4.0, 5.0]);
+        assert_replenishment_is_transparent(&losses_query(), &catalog, &config, (40, 4000));
+        // Two seeds per bundle: replenishing one must leave its partner's
+        // chain and assignments alone.
+        let (catalog, query) = salary_inversion();
+        let config = TailSamplingConfig::new(0.05, 12, 240)
+            .with_m(2)
+            .with_master_seed(21);
+        assert_replenishment_is_transparent(&query, &catalog, &config, (1, 20_000));
+    }
+
+    #[test]
+    fn unreferenced_computed_columns_are_never_read() {
+        // `scaled` is a Computed chain indexed by block offset, 64 long; the
+        // aggregate only reads `val`.  Version rows used to materialize every
+        // column at the *version* index and ran off the chain once l > 64.
+        let catalog = catalog(&[3.0, 4.0, 5.0]);
+        let mut query = losses_query();
+        query.plan = query.plan.project(vec![
+            ("scaled", Expr::col("val").mul(Expr::lit(2.0))),
+            ("val", Expr::col("val")),
+        ]);
+        let config = TailSamplingConfig::new(0.25, 200, 40)
+            .with_m(2)
+            .with_block_size(64);
+        let result = GibbsLooper::new(query, config).run(&catalog).unwrap();
+        assert_eq!(result.tail_samples.len(), 200);
+    }
+
+    #[test]
+    fn plans_without_a_cacheable_prefix_are_rejected_up_front() {
+        // `Split` over a random column: no prefix, hence no per-stream
+        // replenishment unit.  A typed error naming the reason, raised
+        // before any block is materialized.
+        let catalog = catalog(&[3.0, 4.0]);
+        let mut query = losses_query();
+        query.plan = query.plan.split("val");
+        let config = TailSamplingConfig::new(0.1, 4, 40)
+            .with_m(2)
+            .with_block_size(64);
+        let err = GibbsLooper::new(query, config).run(&catalog).unwrap_err();
+        assert!(matches!(err, Error::InvalidOperation(_)), "{err}");
+        assert!(err.to_string().contains("Split(val)"), "{err}");
     }
 
     #[test]
@@ -816,11 +894,9 @@ mod tests {
             assert_eq!(sharded.tail_samples, in_process.tail_samples);
             assert_eq!(sharded.cutoffs, in_process.cutoffs);
             assert_eq!(sharded.replenishments, in_process.replenishments);
-            // 3 streams: every block fans out into min(shards, 3) tasks.
-            assert_eq!(
-                sharded.backend.shards_spawned,
-                sharded.blocks_materialized * shards.min(3)
-            );
+            // 3 streams: the initial block fans out into min(shards, 3)
+            // tasks; single-stream replenishment windows never fan out.
+            assert_eq!(sharded.backend.shards_spawned, shards.min(3));
         }
     }
 
@@ -941,11 +1017,10 @@ mod tests {
         assert_ne!(a.tail_samples, c.tail_samples);
     }
 
-    #[test]
-    fn multi_table_join_query_with_pulled_up_predicate() {
-        // A small version of the §5 salary-inversion pattern: an uncertain
-        // salary table joined to a deterministic supervision table, with the
-        // sal2 > sal1 predicate pulled up into the looper.
+    /// A small version of the §5 salary-inversion pattern: an uncertain
+    /// salary table joined to a deterministic supervision table, with the
+    /// sal2 > sal1 predicate pulled up into the looper.
+    fn salary_inversion() -> (Catalog, MonteCarloQuery) {
         let mut catalog = Catalog::new();
         let emp_params = TableBuilder::new(StorageSchema::new(vec![
             Field::utf8("eid"),
@@ -990,6 +1065,12 @@ mod tests {
         let aggregate = AggregateSpec::sum(Expr::col("sal_1").sub(Expr::col("sal")), "inversion");
         let query = MonteCarloQuery::new(plan, aggregate)
             .with_final_predicate(Expr::col("sal_1").gt(Expr::col("sal")));
+        (catalog, query)
+    }
+
+    #[test]
+    fn multi_table_join_query_with_pulled_up_predicate() {
+        let (catalog, query) = salary_inversion();
         let config = TailSamplingConfig::new(0.05, 12, 240)
             .with_m(2)
             .with_block_size(300)

@@ -11,8 +11,22 @@
 //! "iteration numbers"): item (5) is the per-version assignment that defines
 //! what the DB versions currently look like, item (4) feeds the rejection
 //! sampler with "the next unassigned random value", and item (3) tells the
-//! looper when it has run out of materialized data and must trigger a
-//! replenishment run (paper §9).
+//! looper when it has run out of materialized data *for this stream* and
+//! must trigger a replenishment run (paper §9).
+//!
+//! **The per-stream memory contract.**  Every stream starts with the same
+//! initial block; from then on item (3) grows only for the stream whose
+//! sampler ran past it, and each time by the stream's own materialized
+//! length (it doubles).  A stream that was extended therefore consumed more
+//! than half of what it holds, so after any run
+//!
+//! ```text
+//! values materialized <= streams x initial block + 2 x stream positions consumed
+//! ```
+//!
+//! however unevenly the streams are consumed, and a Gibbs tuple's value
+//! chain gains one segment per doubling — `1 + log2(held / initial block)`
+//! segments, never one per block of the hungriest stream.
 
 use mcdbr_prng::SeedId;
 
@@ -87,7 +101,8 @@ impl TsSeed {
     }
 
     /// Record that `count` additional stream positions have been materialized
-    /// (the outcome of a replenishment run).
+    /// for this stream (the outcome of a replenishment run; the looper passes
+    /// `high - low`, see the module docs).
     pub fn extend_materialized(&mut self, count: u64) {
         self.high += count;
     }

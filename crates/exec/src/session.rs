@@ -647,16 +647,18 @@ impl ExecSession {
         self.plan_executions
     }
 
-    /// Number of blocks materialized through phase 2.
+    /// Number of windows materialized through phase 2: full-width blocks
+    /// ([`ExecSession::instantiate_block`]) and per-stream windows
+    /// ([`ExecSession::instantiate_streams`]) alike, one each.
     pub fn blocks_materialized(&self) -> usize {
         self.blocks_materialized
     }
 
-    /// Total stream values materialized across all blocks (active streams ×
-    /// block positions) — the *logical* count the plan requires, independent
-    /// of backend.  A sharded backend may regenerate cross-shard streams on
-    /// top of this; that duplication is reported separately as
-    /// [`crate::ShardStats::cross_shard_regens`].
+    /// Total stream values materialized across all windows (streams ×
+    /// positions, summed per window) — the *logical* count the plan
+    /// requires, independent of backend.  A sharded backend may regenerate
+    /// cross-shard streams on top of this; that duplication is reported
+    /// separately as [`crate::ShardStats::cross_shard_regens`].
     pub fn values_materialized(&self) -> u64 {
         self.values_materialized
     }
@@ -705,6 +707,48 @@ impl ExecSession {
             }
         }
     }
+
+    /// Phase 2 for the streams that ran dry (paper §9): materialize
+    /// positions `base_pos .. base_pos + num_values` of the active streams
+    /// `keys` (strictly ascending) only, returning each stream's shared
+    /// cell columns in `keys` order — bit-identical to the same cells of a
+    /// full-width block over the same window, with no bundles rebuilt.  A
+    /// few streams' window is small, pure `(seed, position)` work, so it
+    /// runs inline on the session's pool whatever the backend, as a
+    /// dispatching backend's degraded path regenerates units locally.
+    /// Counts as one block; uncacheable plans have no per-stream unit and
+    /// are refused.
+    pub fn instantiate_streams(
+        &mut self,
+        keys: &[StreamKey],
+        base_pos: u64,
+        num_values: usize,
+    ) -> Result<Vec<CellCols>> {
+        let Mode::Cached(prefix) = &self.mode else {
+            return Err(Error::InvalidOperation(
+                "per-stream instantiation needs a cached deterministic prefix".into(),
+            ));
+        };
+        let active = prefix.skeleton().active_keys();
+        let needed: Vec<usize> = keys
+            .iter()
+            .map(|key| {
+                active.binary_search(key).map_err(|_| {
+                    Error::InvalidOperation(format!("stream {key} is not active in this plan"))
+                })
+            })
+            .collect::<Result<_>>()?;
+        if needed.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(Error::InvalidOperation(
+                "per-stream instantiation takes strictly ascending stream keys".into(),
+            ));
+        }
+        self.blocks_materialized += 1;
+        self.values_materialized += (needed.len() * num_values) as u64;
+        let cells =
+            crate::shard::generate_streams(prefix, &needed, base_pos, num_values, &self.pool, 1)?;
+        Ok(cells.into_cells())
+    }
 }
 
 // ===== Phase 2: block materialization against a cached prefix =====
@@ -719,7 +763,7 @@ impl ExecSession {
 /// `Arc` ([`crate::bundle::ValueChain`] segments), so a join fanning a
 /// stream out to `m` bundles clones `m` refcounts, never `m` value vectors,
 /// and dispatch partial frames encode the column bytes directly.
-pub(crate) struct CellCols {
+pub struct CellCols {
     rows: usize,
     cols: usize,
     cells: Cells,
@@ -755,7 +799,7 @@ impl CellCols {
     }
 
     /// The shared column for VG output cell `(row, col)`.
-    pub(crate) fn cell(&self, row: usize, col: usize) -> Result<&Arc<mcdbr_storage::Column>> {
+    pub fn cell(&self, row: usize, col: usize) -> Result<&Arc<mcdbr_storage::Column>> {
         if row >= self.rows || col >= self.cols {
             return Err(Error::Invalid(format!(
                 "VG output cell ({row}, {col}) outside the {}x{} block shape",
@@ -807,6 +851,10 @@ impl CellData {
             .binary_search_by_key(&key, |(k, _)| *k)
             .ok()
             .map(|i| &self.entries[i].1)
+    }
+
+    fn into_cells(self) -> Vec<CellCols> {
+        self.entries.into_iter().map(|(_, cells)| cells).collect()
     }
 }
 

@@ -187,33 +187,14 @@ impl ShardTask {
         // Reclaim cell storage freed since the last block (dropped results,
         // previous replenishment rounds) before adopting this block's cells.
         pool.sweep_cells();
-        let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(&needed, threads, |&at| {
-            session::generate_active_stream_block(&prefix, at, self.base_pos, self.num_values, pool)
-        });
-        // Move each generated block's cells into recycled shared columns and
-        // return the pooled buffer immediately — on errors too, so partial
-        // work is metered and buffers survive for the next block
-        // (replenishment round, repeated query, or a neighboring shard
-        // task).  The first error in input order wins (the `crate::par`
-        // determinism contract).
-        let mut cells = session::CellData::with_capacity(needed.len());
-        let mut first_err = None;
-        for (&at, result) in needed.iter().zip(generated) {
-            match result {
-                Ok(mut block) => {
-                    if first_err.is_none() {
-                        cells.push(active[at], session::CellCols::from_block(&mut block, pool));
-                    }
-                    pool.release(block);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let cells = generate_streams(
+            &prefix,
+            &needed,
+            self.base_pos,
+            self.num_values,
+            pool,
+            threads,
+        )?;
 
         // Replay the symbolic residue of every owned bundle over the block.
         // The bundles share the cell columns by refcount.
@@ -231,6 +212,51 @@ impl ShardTask {
             bundles,
             foreign_streams,
         })
+    }
+}
+
+/// The stream-generation half of a unit: generate the active streams at the
+/// ascending `active_keys` indices `needed` for the window `base_pos ..
+/// base_pos + num_values` into columnar buffers from `pool`, fanned out
+/// across streams on up to `threads` threads.  [`ShardTask::run`] calls it
+/// for a block's streams and [`crate::ExecSession::instantiate_streams`] for
+/// the one stream a Gibbs run found dry.
+pub(crate) fn generate_streams(
+    prefix: &DeterministicPrefix,
+    needed: &[usize],
+    base_pos: u64,
+    num_values: usize,
+    pool: &BlockBufferPool,
+    threads: usize,
+) -> Result<session::CellData> {
+    let active = prefix.skeleton().active_keys();
+    let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(needed, threads, |&at| {
+        session::generate_active_stream_block(prefix, at, base_pos, num_values, pool)
+    });
+    // Move each generated block's cells into recycled shared columns and
+    // return the pooled buffer immediately — on errors too, so partial
+    // work is metered and buffers survive for the next block
+    // (replenishment window, repeated query, or a neighboring shard
+    // task).  The first error in input order wins (the `crate::par`
+    // determinism contract).
+    let mut cells = session::CellData::with_capacity(needed.len());
+    let mut first_err = None;
+    for (&at, result) in needed.iter().zip(generated) {
+        match result {
+            Ok(mut block) => {
+                if first_err.is_none() {
+                    cells.push(active[at], session::CellCols::from_block(&mut block, pool));
+                }
+                pool.release(block);
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(cells),
     }
 }
 

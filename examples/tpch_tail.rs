@@ -45,7 +45,10 @@ fn main() {
         result.cutoffs.iter().map(|c| c.round()).collect::<Vec<_>>()
     );
     println!(
-        "  plan executions: {} (replenishments: {})",
-        result.plan_executions, result.replenishments
+        "  plan executions: {} (replenishments: {} one-stream windows; {} values materialized, {} consumed)",
+        result.plan_executions,
+        result.replenishments,
+        result.values_materialized,
+        result.stream_positions_consumed
     );
 }

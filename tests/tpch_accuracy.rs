@@ -3,6 +3,7 @@
 //! quantile estimates are unbiased within a few standard errors.
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
+use mcdbr::exec::ExecSession;
 use mcdbr::risk::TailCdfComparison;
 use mcdbr::workloads::{TpchConfig, TpchWorkload};
 
@@ -45,7 +46,7 @@ fn replenishment_happens_and_does_not_change_correctness() {
         .with_m(3)
         .with_block_size(110)
         .with_master_seed(8);
-    let result = GibbsLooper::new(w.total_loss_query(), cfg)
+    let result = GibbsLooper::new(w.total_loss_query(), cfg.clone())
         .run(&w.catalog)
         .unwrap();
     assert!(result.replenishments > 0);
@@ -58,4 +59,54 @@ fn replenishment_happens_and_does_not_change_correctness() {
         .iter()
         .all(|&s| s >= result.quantile_estimate - 1e-9));
     assert!(result.quantile_estimate > w.oracle.mean);
+
+    // Fan-out transparency: every order's stream feeds many lineitem
+    // bundles, and extending one stream at a time must give exactly the run
+    // that one block long enough for every stream gives.
+    let long = GibbsLooper::new(w.total_loss_query(), cfg.with_block_size(20_000))
+        .run(&w.catalog)
+        .unwrap();
+    assert_eq!(long.replenishments, 0);
+    assert_eq!(result.tail_samples, long.tail_samples);
+    assert_eq!(result.cutoffs, long.cutoffs);
+    assert_eq!(result.gibbs, long.gibbs);
+    assert_eq!(
+        result.stream_positions_consumed,
+        long.stream_positions_consumed
+    );
+}
+
+#[test]
+fn one_hungry_stream_does_not_drag_the_others_along() {
+    // The adversarial shape `perf_ledger`'s `tail.join_small` found by
+    // accident: one of the 94 streams consumes 61 705 positions, the median
+    // stream 536.  The per-stream memory contract (`TsSeed` docs) must hold
+    // anyway; full-width replenishment materialized 5 828 000 values here.
+    let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let query = w.total_loss_query();
+    let block = 1000u64;
+    let cfg = TailSamplingConfig::new(0.25f64.powi(5), 100, 300)
+        .with_m(5)
+        .with_block_size(block as usize)
+        .with_master_seed(79);
+    let streams = ExecSession::prepare(&query.plan, &w.catalog, 79)
+        .unwrap()
+        .prefix()
+        .unwrap()
+        .num_active_streams() as u64;
+    let result = GibbsLooper::new(query, cfg).run(&w.catalog).unwrap();
+    assert!(result.stream_positions_consumed > 61_705, "{result:?}");
+    assert_eq!(result.blocks_materialized, 1 + result.replenishments);
+    assert!(
+        result.values_materialized <= streams * block + 2 * result.stream_positions_consumed,
+        "{result:?}"
+    );
+    assert!(result.values_materialized < 300_000, "{result:?}");
+    // Windows double, so a chain of k segments holds block * 2^(k-1)
+    // positions: a ninth segment on any one stream would by itself put
+    // 255 blocks on top of the initial ones.
+    assert!(
+        result.values_materialized - streams * block < 255 * block,
+        "{result:?}"
+    );
 }
