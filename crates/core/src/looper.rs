@@ -15,9 +15,13 @@
 //!   — rather than version-major, "thereby amortizing expensive data scans".
 //!   The paper achieves the seed-major grouping with a disk-based priority
 //!   queue of Gibbs tuples keyed by their smallest unprocessed TS-seed
-//!   handle; this implementation achieves the same access pattern with an
-//!   in-memory index from seed to the Gibbs tuples that contain it (the
-//!   workloads this reproduction targets fit in memory).
+//!   handle; this one keeps TS-seeds, the seed -> Gibbs-tuple index and the
+//!   stream keys in vectors indexed by a dense seed *ordinal* — its rank in
+//!   ascending [`SeedId`] order, the sweep order.  One [`RowProgram`],
+//!   compiled per run from the aggregate and the final predicate, evaluates
+//!   each affected Gibbs tuple straight from its chain; a row it cannot
+//!   decide exactly punts to the scalar evaluator
+//!   ([`TailSampleResult::rows_punted`]), so results are the scalar loop's.
 //! * **Replenishment** (§9): every stream carries its own finite
 //!   materialized range (§6).  One full-width block seeds every stream;
 //!   when the rejection sampler needs a position beyond *one* stream's
@@ -45,16 +49,15 @@
 //! looper per group (Appendix A, footnote 4); the plan must have a cacheable
 //! deterministic prefix, which only `Split` over a random column lacks.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    AggFunc, BundleValue, ExecBackend, ExecSession, SessionCache, ShardStats, TupleBundle,
-    ValueChain,
+    AggFunc, BundleValue, ExecBackend, ExecSession, RowProgram, SessionCache, ShardStats,
+    TupleBundle, ValueChain,
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{Catalog, Error, Result, Schema, Value};
+use mcdbr_storage::{Catalog, Error, Result, Schema};
 
 use crate::gibbs::GibbsStats;
 use crate::params::{optimal_m, staged_parameters_with_m, StagedParameters};
@@ -118,6 +121,24 @@ impl TailSamplingConfig {
         self
     }
 
+    /// Refuse, by field name, what [`TailSamplingConfig::staged`] would
+    /// assert on.
+    fn validate(&self) -> Result<()> {
+        let (p, n) = (self.p, self.total_samples);
+        let bad = if !(p > 0.0 && p < 1.0) {
+            format!("p = {p} must lie in (0, 1)")
+        } else if n == 0 {
+            "total_samples must be at least 1".into()
+        } else if let Some(m) = self.m.filter(|m| !(1..=n).contains(m)) {
+            format!("m = {m} must lie in 1..=total_samples ({n})")
+        } else {
+            return Ok(());
+        };
+        Err(Error::InvalidOperation(format!(
+            "invalid TailSamplingConfig: {bad}"
+        )))
+    }
+
     /// Resolve the staged parameters this configuration implies.
     pub fn staged(&self) -> StagedParameters {
         let m = self
@@ -171,6 +192,11 @@ pub struct TailSampleResult {
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
+    /// Gibbs-tuple evaluations the compiled [`RowProgram`] punted to the
+    /// scalar evaluator (nulls, strings, checked `Int64` arithmetic, zero
+    /// divisors, or [`mcdbr_exec::KernelMode::ForceScalar`]).  0 on the
+    /// Appendix D query: anything else is a lost speed-up.
+    pub rows_punted: u64,
     /// This run's window of its execution backend's counters — shard tasks
     /// and merge time, worker-process dispatch and its fault ladder, pager
     /// disk traffic (all zero where the backend has nothing to report, e.g.
@@ -230,6 +256,16 @@ impl GibbsLooper {
 
     /// Run tail sampling against the catalog.
     pub fn run(&self, catalog: &Catalog) -> Result<TailSampleResult> {
+        self.sample(catalog).map(|(result, ..)| result)
+    }
+
+    /// [`GibbsLooper::run`], also handing back the TS-seeds, Gibbs tuples
+    /// and schema the run ended with.
+    fn sample(
+        &self,
+        catalog: &Catalog,
+    ) -> Result<(TailSampleResult, Seeds, Vec<TupleBundle>, Schema)> {
+        self.config.validate()?;
         if !self.query.group_by.is_empty() {
             return Err(Error::InvalidOperation(
                 "GibbsLooper handles GROUP BY as one looper per group (paper App. A fn. 4); \
@@ -237,15 +273,16 @@ impl GibbsLooper {
                     .into(),
             ));
         }
-        match self.query.aggregate.func {
-            AggFunc::Sum | AggFunc::Count => {}
+        let value = match self.query.aggregate.func {
+            AggFunc::Sum => Some(&self.query.aggregate.expr),
+            AggFunc::Count => None,
             other => {
                 return Err(Error::InvalidOperation(format!(
                     "GibbsLooper requires an incrementally-updatable aggregate (SUM or COUNT), \
                      got {other:?}"
                 )))
             }
-        }
+        };
 
         let params = self.config.staged();
         let n = params.n_per_step;
@@ -275,16 +312,17 @@ impl GibbsLooper {
                 session.fallback_reason().unwrap_or_default()
             )));
         };
-        let stream_keys: BTreeMap<SeedId, StreamKey> = prefix
+        let mut keys: Vec<(SeedId, StreamKey)> = prefix
             .skeleton()
             .active_keys()
             .iter()
             .map(|&key| (key.bind(self.config.master_seed), key))
             .collect();
+        keys.sort_unstable_by_key(|&(seed, _)| seed);
         let set = session.instantiate_block(catalog, 0, block)?;
-        let schema = set.schema.clone();
         let mut bundles = set.bundles;
-        let referenced = self.validate_bundles(&schema, &bundles)?;
+        let program = RowProgram::compile(&set.schema, value, self.query.final_predicate.as_ref());
+        self.validate_bundles(&set.schema, &bundles, program.slots())?;
 
         if bundles.is_empty() {
             return Err(Error::InvalidOperation(
@@ -292,41 +330,13 @@ impl GibbsLooper {
                     .into(),
             ));
         }
-
-        // ===== TS-seed table and the seed -> Gibbs-tuple index (§6, §7). =====
-        let mut ts_seeds: BTreeMap<SeedId, TsSeed> = BTreeMap::new();
-        let mut seed_to_bundles: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
-        for (idx, bundle) in bundles.iter().enumerate() {
-            for seed in bundle.seeds() {
-                ts_seeds
-                    .entry(seed)
-                    .or_insert_with(|| TsSeed::new(seed, n, block as u64));
-                seed_to_bundles.entry(seed).or_default().push(idx);
-            }
-        }
-        if ts_seeds.is_empty() {
-            return Err(Error::InvalidOperation(
-                "the query references no random attributes; use the plain MCDB engine instead"
-                    .into(),
-            ));
-        }
-        // Columns neither the aggregate nor the final predicate reads become
-        // `Null` placeholders (after the seed index above, which keeps their
-        // streams in the sweep): a version row then never clones a constant
-        // join column nor reads a `Computed` chain, which is indexed by
-        // block offset and ends where the initial block does.
-        for bundle in &mut bundles {
-            for (i, value) in bundle.values.iter_mut().enumerate() {
-                if !referenced.contains(&i) {
-                    *value = BundleValue::Const(Value::Null);
-                }
-            }
-        }
+        let mut seeds = Seeds::new(&bundles, program.slots(), &keys, n, block as u64)?;
 
         // ===== Initial per-version aggregates (App. A.1). =====
         let mut num_versions = n;
+        let all: Vec<usize> = (0..bundles.len()).collect();
         let mut version_aggregates: Vec<f64> = (0..num_versions)
-            .map(|v| self.full_aggregate(&schema, &bundles, &ts_seeds, v))
+            .map(|v| seeds.contribution(&program, &bundles, &all, v, None))
             .collect::<Result<_>>()?;
 
         let mut cutoffs = Vec::with_capacity(m);
@@ -366,7 +376,7 @@ impl GibbsLooper {
             // columns (App. A.2 / Fig. 4(b)).
             let next_size = if step + 1 == m { l } else { n };
             let sources: Vec<usize> = (0..next_size).map(|i| elites[i % elites.len()]).collect();
-            for ts in ts_seeds.values_mut() {
+            for ts in &mut seeds.ts {
                 ts.reassign_from(&sources);
             }
             version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
@@ -374,66 +384,61 @@ impl GibbsLooper {
 
             // Gibbs perturbation, seed-major (§7), k sweeps (k = 1 suffices).
             for _ in 0..self.config.k {
-                let seeds: Vec<SeedId> = ts_seeds.keys().copied().collect();
-                for seed in seeds {
-                    let affected = seed_to_bundles.get(&seed).cloned().unwrap_or_default();
-                    #[allow(clippy::needless_range_loop)]
-                    for v in 0..num_versions {
+                for ord in 0..seeds.ts.len() {
+                    let affected = &seeds.affected[ord];
+                    for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
+                        // Passing the assigned position as the candidate
+                        // spares each tuple a TS-seed lookup.
+                        let assigned = Some((ord, seeds.ts[ord].assignment[v]));
                         let old_contribution =
-                            self.contribution(&schema, &bundles, &ts_seeds, &affected, v, None)?;
+                            seeds.contribution(&program, &bundles, affected, v, assigned)?;
                         let mut candidates_tried = 0u64;
                         loop {
                             if candidates_tried >= self.config.max_candidates {
                                 gibbs.exhausted += 1;
                                 break;
                             }
-                            let pos = ts_seeds[&seed].next_unused();
+                            let pos = seeds.ts[ord].next_unused();
                             // Replenish when this stream is exhausted (§9):
                             // its values only, against the cached prefix.
-                            if pos >= ts_seeds[&seed].high {
+                            if pos >= seeds.ts[ord].high {
                                 Self::replenish(
                                     &mut session,
-                                    stream_keys[&seed],
-                                    ts_seeds.get_mut(&seed).expect("seed present"),
+                                    seeds.keys[ord],
+                                    &mut seeds.ts[ord],
                                     &mut bundles,
-                                    &affected,
+                                    affected,
                                 )?;
                                 replenishments += 1;
                             }
-                            let new_contribution = self.contribution(
-                                &schema,
+                            let new_contribution = seeds.contribution(
+                                &program,
                                 &bundles,
-                                &ts_seeds,
-                                &affected,
+                                affected,
                                 v,
-                                Some((seed, pos)),
+                                Some((ord, pos)),
                             )?;
-                            let new_aggregate =
-                                version_aggregates[v] - old_contribution + new_contribution;
+                            let new_aggregate = *aggregate - old_contribution + new_contribution;
                             candidates_tried += 1;
+                            let ts = &mut seeds.ts[ord];
                             if new_aggregate >= cutoff {
-                                let ts = ts_seeds.get_mut(&seed).expect("seed present");
                                 ts.assign(v, pos);
-                                version_aggregates[v] = new_aggregate;
+                                *aggregate = new_aggregate;
                                 gibbs.accepted += 1;
                                 break;
-                            } else {
-                                // The candidate is consumed even though it was
-                                // rejected (Fig. 3: the rejected 3.24 / 3.68
-                                // are never revisited).
-                                let ts = ts_seeds.get_mut(&seed).expect("seed present");
-                                ts.max_used = ts.max_used.max(pos);
-                                gibbs.rejected += 1;
                             }
+                            // The candidate is consumed even though it was
+                            // rejected (Fig. 3: the rejected 3.24 / 3.68 are
+                            // never revisited).
+                            ts.max_used = ts.max_used.max(pos);
+                            gibbs.rejected += 1;
                         }
                     }
                 }
             }
         }
 
-        let stream_positions_consumed: u64 = ts_seeds.values().map(|ts| ts.max_used + 1).sum();
-
-        Ok(TailSampleResult {
+        let result = TailSampleResult {
             quantile_estimate: *cutoffs.last().unwrap_or(&f64::NAN),
             tail_samples: version_aggregates,
             cutoffs,
@@ -446,30 +451,24 @@ impl GibbsLooper {
             replenishments,
             bytes_materialized: session.bytes_materialized(),
             buffer_reuses: session.buffer_reuses(),
-            stream_positions_consumed,
+            stream_positions_consumed: seeds.ts.iter().map(|ts| ts.max_used + 1).sum(),
+            rows_punted: program.punted(),
             backend: self.backend.shard_stats().since(backend_stats_before),
             parameters: params,
-        })
+        };
+        Ok((result, seeds, bundles, set.schema))
     }
 
-    /// Reject plans whose bundles lost lineage (Computed columns referenced
-    /// by the aggregate/predicate) or pushed random predicates below the
-    /// looper (per-repetition isPres has repetition semantics, not
-    /// DB-version semantics).  Returns the indices of the columns the
-    /// aggregate and the final predicate reference.
-    fn validate_bundles(&self, schema: &Schema, bundles: &[TupleBundle]) -> Result<Vec<usize>> {
-        let mut referenced: Vec<&str> = self.query.aggregate.expr.referenced_columns();
-        if let Some(pred) = &self.query.final_predicate {
-            for c in pred.referenced_columns() {
-                if !referenced.contains(&c) {
-                    referenced.push(c);
-                }
-            }
-        }
-        let indices: Vec<usize> = referenced
-            .iter()
-            .map(|c| schema.index_of(c))
-            .collect::<Result<_>>()?;
+    /// Reject plans whose bundles lost lineage (Computed columns the
+    /// program reads) or pushed random predicates below the looper
+    /// (per-repetition isPres has repetition semantics, not DB-version
+    /// semantics).
+    fn validate_bundles(
+        &self,
+        schema: &Schema,
+        bundles: &[TupleBundle],
+        slots: &[usize],
+    ) -> Result<()> {
         for bundle in bundles {
             if bundle.is_pres.is_some() {
                 return Err(Error::InvalidOperation(
@@ -478,7 +477,7 @@ impl GibbsLooper {
                         .into(),
                 ));
             }
-            for &i in &indices {
+            for &i in slots {
                 if matches!(bundle.values[i], BundleValue::Computed(_)) {
                     return Err(Error::InvalidOperation(format!(
                         "column {} lost its stream lineage (it was computed by a projection); \
@@ -488,82 +487,7 @@ impl GibbsLooper {
                 }
             }
         }
-        Ok(indices)
-    }
-
-    /// Materialize the row of `bundle` as seen by DB version `v` into a
-    /// reusable scratch buffer, optionally overriding one seed's assignment
-    /// with a candidate position.  The Gibbs inner loop calls this once per
-    /// `(bundle, version, candidate)` — a per-call heap allocation here is
-    /// the hottest allocation in the whole looper, so the buffer is owned by
-    /// the caller and recycled across bundles.
-    fn version_row_into(
-        bundle: &TupleBundle,
-        ts_seeds: &BTreeMap<SeedId, TsSeed>,
-        v: usize,
-        override_pos: Option<(SeedId, u64)>,
-        row: &mut Vec<Value>,
-    ) {
-        row.clear();
-        row.extend(bundle.values.iter().map(|bv| match bv {
-            BundleValue::Const(value) => value.clone(),
-            BundleValue::Computed(_) => {
-                unreachable!("referenced Computed columns are rejected, the rest pruned")
-            }
-            BundleValue::Random {
-                seed,
-                base_pos,
-                values,
-                ..
-            } => {
-                let assigned = match override_pos {
-                    Some((s, pos)) if s == *seed => pos,
-                    _ => ts_seeds[seed].assigned(v),
-                };
-                values.value_at((assigned - base_pos) as usize)
-            }
-        }));
-    }
-
-    /// The contribution of the given bundles to DB version `v`'s aggregate.
-    fn contribution(
-        &self,
-        schema: &Schema,
-        bundles: &[TupleBundle],
-        ts_seeds: &BTreeMap<SeedId, TsSeed>,
-        indices: &[usize],
-        v: usize,
-        override_pos: Option<(SeedId, u64)>,
-    ) -> Result<f64> {
-        let mut total = 0.0;
-        let mut row: Vec<Value> = Vec::with_capacity(schema.len());
-        for &idx in indices {
-            Self::version_row_into(&bundles[idx], ts_seeds, v, override_pos, &mut row);
-            if let Some(pred) = &self.query.final_predicate {
-                if !pred.eval_bool(schema, &row)? {
-                    continue;
-                }
-            }
-            total += match self.query.aggregate.func {
-                AggFunc::Sum => self.query.aggregate.expr.eval_f64(schema, &row)?,
-                AggFunc::Count => 1.0,
-                _ => unreachable!("validated in run()"),
-            };
-        }
-        Ok(total)
-    }
-
-    /// The full aggregate of DB version `v` (used only for initialization;
-    /// perturbation uses incremental deltas).
-    fn full_aggregate(
-        &self,
-        schema: &Schema,
-        bundles: &[TupleBundle],
-        ts_seeds: &BTreeMap<SeedId, TsSeed>,
-        v: usize,
-    ) -> Result<f64> {
-        let all: Vec<usize> = (0..bundles.len()).collect();
-        self.contribution(schema, bundles, ts_seeds, &all, v, None)
+        Ok(())
     }
 
     /// Extend the one stream that ran dry (paper §9) against the session's
@@ -606,14 +530,113 @@ impl GibbsLooper {
     }
 }
 
+/// The looper's TS-seed state, indexed by seed *ordinal*: a seed's rank in
+/// ascending [`SeedId`] order, which is the seed-major sweep order (§7).
+struct Seeds {
+    /// The TS-seed of each ordinal (§6).
+    ts: Vec<TsSeed>,
+    /// The stream key each ordinal's replenishment windows address.
+    keys: Vec<StreamKey>,
+    /// The Gibbs tuples carrying each ordinal's stream, in bundle order.
+    affected: Vec<Vec<usize>>,
+    /// `ords[b * slots + s]`: the ordinal behind Gibbs tuple `b`'s input to
+    /// program slot `s` (unused where that input is a constant).
+    ords: Vec<usize>,
+}
+
+impl Seeds {
+    /// Index every seed the Gibbs tuples carry — read by the program or
+    /// not, so each is swept — with `versions` identity-mapped DB versions
+    /// over `materialized` values (App. A.1); `keys` is sorted by seed.
+    fn new(
+        bundles: &[TupleBundle],
+        slots: &[usize],
+        keys: &[(SeedId, StreamKey)],
+        versions: usize,
+        materialized: u64,
+    ) -> Result<Self> {
+        let mut seeds: Vec<SeedId> = bundles.iter().flat_map(TupleBundle::seeds).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        if seeds.is_empty() {
+            return Err(Error::InvalidOperation(
+                "the query references no random attributes; use the plain MCDB engine instead"
+                    .into(),
+            ));
+        }
+        let ord = |seed: SeedId| seeds.binary_search(&seed).expect("collected above");
+        let mut affected = vec![Vec::new(); seeds.len()];
+        for (idx, bundle) in bundles.iter().enumerate() {
+            for seed in bundle.seeds() {
+                affected[ord(seed)].push(idx);
+            }
+        }
+        let ords = bundles
+            .iter()
+            .flat_map(|b| {
+                slots
+                    .iter()
+                    .map(move |&c| b.values[c].seed().map_or(usize::MAX, ord))
+            })
+            .collect();
+        let key = |seed| {
+            let at = keys.binary_search_by_key(seed, |&(s, _)| s);
+            keys[at.expect("the skeleton's active keys cover every bundle stream")].1
+        };
+        Ok(Seeds {
+            ts: seeds
+                .iter()
+                .map(|&s| TsSeed::new(s, versions, materialized))
+                .collect(),
+            keys: seeds.iter().map(key).collect(),
+            affected,
+            ords,
+        })
+    }
+
+    /// The contribution of the Gibbs tuples in `affected` to DB version
+    /// `v`'s aggregate, with ordinal `cand.0` at candidate position `cand.1`
+    /// if given: one program run per tuple, summed from `0.0` in `affected`
+    /// order.
+    fn contribution(
+        &self,
+        program: &RowProgram,
+        bundles: &[TupleBundle],
+        affected: &[usize],
+        v: usize,
+        cand: Option<(usize, u64)>,
+    ) -> Result<f64> {
+        let width = program.slots().len();
+        let mut total = 0.0;
+        for &b in affected {
+            let ords = &self.ords[b * width..(b + 1) * width];
+            let input = |slot: usize| match &bundles[b].values[program.slots()[slot]] {
+                value @ BundleValue::Random { base_pos, .. } => {
+                    let pos = match cand {
+                        Some((ord, pos)) if ord == ords[slot] => pos,
+                        _ => self.ts[ords[slot]].assignment[v],
+                    };
+                    (value, (pos - base_pos) as usize)
+                }
+                constant => (constant, 0),
+            };
+            if let Some(x) = program.eval(input)? {
+                total += x;
+            }
+        }
+        Ok(total)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{AggregateSpec, Expr, PlanNode};
-    use mcdbr_storage::{Field, Schema as StorageSchema, TableBuilder};
+    use mcdbr_exec::{set_kernel_mode, AggregateSpec, Expr, KernelMode, PlanNode};
+    use mcdbr_storage::{Field, Schema as StorageSchema, TableBuilder, Value};
     use mcdbr_vg::math::std_normal_quantile;
     use mcdbr_vg::NormalVg;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     /// A catalog with `r` customers whose losses are Normal(mean_i, 1).
@@ -1081,5 +1104,388 @@ mod tests {
         assert!(result.tail_samples.iter().all(|&x| x >= -1e-9));
         // The tail of this distribution is clearly positive.
         assert!(result.quantile_estimate > 0.0);
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors_before_any_session() {
+        let catalog = catalog(&[3.0, 4.0]);
+        for (config, field) in [
+            (TailSamplingConfig::new(0.1, 4, 3).with_m(5), "m = 5"),
+            (TailSamplingConfig::new(0.1, 4, 3).with_m(0), "m = 0"),
+            (TailSamplingConfig::new(1.5, 4, 40), "p = 1.5"),
+            (TailSamplingConfig::new(0.1, 4, 0), "total_samples"),
+        ] {
+            let cache = Arc::new(SessionCache::new());
+            let err = GibbsLooper::new(losses_query(), config)
+                .with_cache(Arc::clone(&cache))
+                .run(&catalog)
+                .unwrap_err();
+            assert!(matches!(err, Error::InvalidOperation(_)), "{err}");
+            assert!(err.to_string().contains(field), "{err}");
+            assert!(cache.is_empty(), "no session may exist: {err}");
+        }
+    }
+
+    /// Tests that flip the process-wide kernel mode hold this lock.
+    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Every tail sample of a compiled run equals its version's aggregate
+    /// recomputed from scratch — by the scalar referee — over the TS-seed
+    /// assignments the run ended with.
+    fn run_and_recompute(looper: &GibbsLooper, catalog: &Catalog) -> TailSampleResult {
+        let (result, seeds, mut bundles, schema) = looper.sample(catalog).unwrap();
+        let ts: BTreeMap<SeedId, TsSeed> = seeds.ts.into_iter().map(|t| (t.seed, t)).collect();
+        referee::prune(&looper.query, &schema, &mut bundles);
+        for (v, &x) in result.tail_samples.iter().enumerate() {
+            let full = referee::full_aggregate(&looper.query, &schema, &bundles, &ts, v).unwrap();
+            assert!(
+                (full - x).abs() <= 1e-9 * x.abs().max(1.0),
+                "version {v}: incremental {x}, from scratch {full}"
+            );
+        }
+        result
+    }
+
+    /// The compiled loop equals the referee bit for bit, under both kernel
+    /// modes (the caller holds [`MODE_LOCK`]); returns the referee's run.
+    fn assert_compiled_matches_referee(
+        looper: &GibbsLooper,
+        catalog: &Catalog,
+    ) -> TailSampleResult {
+        let want = referee::run(looper, catalog).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
+            set_kernel_mode(mode);
+            let got = run_and_recompute(looper, catalog);
+            set_kernel_mode(KernelMode::Auto);
+            let ctx = format!("{mode:?} {:?}", looper.config);
+            assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples), "{ctx}");
+            assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs), "{ctx}");
+            assert_eq!(got.gibbs, want.gibbs, "{ctx}");
+            assert_eq!(got.replenishments, want.replenishments, "{ctx}");
+            let consumed = (got.stream_positions_consumed, got.values_materialized);
+            assert_eq!(
+                consumed,
+                (want.stream_positions_consumed, want.values_materialized),
+                "{ctx}"
+            );
+            // Every shape here compiles; forcing the scalar path punts all.
+            assert_eq!(got.rows_punted == 0, mode == KernelMode::Auto, "{ctx}");
+        }
+        want
+    }
+
+    #[test]
+    fn compiled_loop_equals_the_scalar_referee_over_the_seed_space() {
+        let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let losses = catalog(&[3.0, 4.0, 5.0]);
+        let big = Expr::col("val").gt(Expr::lit(3.5));
+        let mut count = losses_query().with_final_predicate(big.clone());
+        count.aggregate = AggregateSpec::count("n");
+        let mut doubled = losses_query();
+        doubled.aggregate = AggregateSpec::sum(Expr::col("val").mul(Expr::lit(2i64)), "x2");
+        let (salaries, inversion) = salary_inversion();
+        let (positions, portfolio) = portfolio();
+        let shapes = [
+            (&losses, losses_query()),
+            (&losses, losses_query().with_final_predicate(big)),
+            (&losses, count),
+            (&salaries, inversion),
+            (&positions, portfolio),
+            (&losses, doubled),
+        ];
+        for (catalog, query) in &shapes {
+            let mut replenished = [0, 0];
+            for master in 0..16 {
+                for (i, block) in [1, 20_000].into_iter().enumerate() {
+                    let config = TailSamplingConfig::new(0.1, 8, 60)
+                        .with_m(2)
+                        .with_block_size(block)
+                        .with_master_seed(master);
+                    let looper = GibbsLooper::new(query.clone(), config);
+                    replenished[i] +=
+                        assert_compiled_matches_referee(&looper, catalog).replenishments;
+                }
+            }
+            // The tiny block replenishes, the huge one never does.
+            assert!(replenished[0] > 0 && replenished[1] == 0, "{replenished:?}");
+        }
+    }
+
+    #[test]
+    fn compiled_loop_equals_the_scalar_referee_on_the_tpch_join() {
+        let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let w = mcdbr_workloads::TpchWorkload::generate(mcdbr_workloads::TpchConfig::test_scale())
+            .unwrap();
+        for master in [77, 79] {
+            let config = TailSamplingConfig::new(0.25f64.powi(5), 100, 300)
+                .with_m(5)
+                .with_master_seed(master);
+            let looper = GibbsLooper::new(w.total_loss_query(), config);
+            assert_compiled_matches_referee(&looper, &w.catalog);
+        }
+    }
+
+    /// `SUM(qty * (s0 - value))` in the style of the portfolio workload: an
+    /// `Int64` constant times a float constant minus a random price.
+    fn portfolio() -> (Catalog, MonteCarloQuery) {
+        let mut b = TableBuilder::new(StorageSchema::new(vec![
+            Field::int64("aid"),
+            Field::float64("s0"),
+            Field::int64("qty"),
+        ]));
+        for (aid, s0, qty) in [(0, 10.0, 3), (1, 20.0, -2), (2, 15.0, 5)] {
+            b = b.row([Value::Int64(aid), Value::Float64(s0), Value::Int64(qty)]);
+        }
+        let mut catalog = Catalog::new();
+        catalog.register("positions", b.build().unwrap()).unwrap();
+        let plan = PlanNode::random_table(scalar_random_table(
+            "future",
+            "positions",
+            Arc::new(NormalVg),
+            vec![Expr::col("s0"), Expr::lit(2.0)],
+            &["aid", "s0", "qty"],
+            "value",
+            20,
+        ));
+        let loss = Expr::col("qty").mul(Expr::col("s0").sub(Expr::col("value")));
+        let query = MonteCarloQuery::new(plan, AggregateSpec::sum(loss, "totalLoss"));
+        (catalog, query)
+    }
+
+    /// The scalar loop the compiled one replaced, kept as its referee: TS-seeds
+    /// in a `BTreeMap` swept in key order, every affected Gibbs tuple boxed into
+    /// a `Vec<Value>` version row and read by the `Expr` interpreter.
+    mod referee {
+        use std::collections::BTreeMap;
+
+        use super::super::*;
+        use mcdbr_storage::Value;
+
+        /// A full tail-sampling run the way the looper ran it before its rows
+        /// were compiled (valid queries only: the checks live in `run`).
+        pub(super) fn run(looper: &GibbsLooper, catalog: &Catalog) -> Result<TailSampleResult> {
+            let (query, config) = (&looper.query, &looper.config);
+            let params = config.staged();
+            let (n, m, p_step, l) = (params.n_per_step, params.m, params.p_per_step, config.l);
+            let block = config.block_size.max(n);
+            let mut session = looper
+                .cache
+                .session(&query.plan, catalog, config.master_seed)?
+                .with_backend(Arc::clone(&looper.backend));
+            let stream_keys: BTreeMap<SeedId, StreamKey> = session
+                .prefix()
+                .expect("cacheable plan")
+                .skeleton()
+                .active_keys()
+                .iter()
+                .map(|&key| (key.bind(config.master_seed), key))
+                .collect();
+            let set = session.instantiate_block(catalog, 0, block)?;
+            let schema = set.schema.clone();
+            let mut bundles = set.bundles;
+
+            let mut ts_seeds: BTreeMap<SeedId, TsSeed> = BTreeMap::new();
+            let mut seed_to_bundles: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
+            for (idx, bundle) in bundles.iter().enumerate() {
+                for seed in bundle.seeds() {
+                    ts_seeds
+                        .entry(seed)
+                        .or_insert_with(|| TsSeed::new(seed, n, block as u64));
+                    seed_to_bundles.entry(seed).or_default().push(idx);
+                }
+            }
+            prune(query, &schema, &mut bundles);
+
+            let mut num_versions = n;
+            let mut version_aggregates: Vec<f64> = (0..num_versions)
+                .map(|v| full_aggregate(query, &schema, &bundles, &ts_seeds, v))
+                .collect::<Result<_>>()?;
+            let mut cutoffs = Vec::with_capacity(m);
+            let mut gibbs = GibbsStats::default();
+            let mut replenishments = 0usize;
+            for step in 0..m {
+                if version_aggregates.iter().any(|a| a.is_nan()) {
+                    return Err(Error::InvalidOperation("NaN aggregate".into()));
+                }
+                let mut sorted: Vec<f64> = version_aggregates.clone();
+                sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+                let elite_count =
+                    ((p_step * num_versions as f64).round() as usize).clamp(1, num_versions);
+                let cutoff = sorted[elite_count - 1];
+                cutoffs.push(cutoff);
+                let mut order: Vec<usize> = (0..num_versions).collect();
+                order.sort_by(|&a, &b| {
+                    version_aggregates[b]
+                        .partial_cmp(&version_aggregates[a])
+                        .unwrap()
+                });
+                let elites: Vec<usize> = order[..elite_count].to_vec();
+                let next_size = if step + 1 == m { l } else { n };
+                let sources: Vec<usize> =
+                    (0..next_size).map(|i| elites[i % elites.len()]).collect();
+                for ts in ts_seeds.values_mut() {
+                    ts.reassign_from(&sources);
+                }
+                version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
+                num_versions = next_size;
+
+                for _ in 0..config.k {
+                    let seeds: Vec<SeedId> = ts_seeds.keys().copied().collect();
+                    for seed in seeds {
+                        let affected = seed_to_bundles.get(&seed).cloned().unwrap_or_default();
+                        #[allow(clippy::needless_range_loop)]
+                        for v in 0..num_versions {
+                            let old = contribution(
+                                query, &schema, &bundles, &ts_seeds, &affected, v, None,
+                            )?;
+                            let mut candidates_tried = 0u64;
+                            loop {
+                                if candidates_tried >= config.max_candidates {
+                                    gibbs.exhausted += 1;
+                                    break;
+                                }
+                                let pos = ts_seeds[&seed].next_unused();
+                                if pos >= ts_seeds[&seed].high {
+                                    GibbsLooper::replenish(
+                                        &mut session,
+                                        stream_keys[&seed],
+                                        ts_seeds.get_mut(&seed).expect("seed present"),
+                                        &mut bundles,
+                                        &affected,
+                                    )?;
+                                    replenishments += 1;
+                                }
+                                let new = contribution(
+                                    query,
+                                    &schema,
+                                    &bundles,
+                                    &ts_seeds,
+                                    &affected,
+                                    v,
+                                    Some((seed, pos)),
+                                )?;
+                                let new_aggregate = version_aggregates[v] - old + new;
+                                candidates_tried += 1;
+                                let ts = ts_seeds.get_mut(&seed).expect("seed present");
+                                if new_aggregate >= cutoff {
+                                    ts.assign(v, pos);
+                                    version_aggregates[v] = new_aggregate;
+                                    gibbs.accepted += 1;
+                                    break;
+                                }
+                                ts.max_used = ts.max_used.max(pos);
+                                gibbs.rejected += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(TailSampleResult {
+                quantile_estimate: *cutoffs.last().unwrap_or(&f64::NAN),
+                tail_samples: version_aggregates,
+                cutoffs,
+                gibbs,
+                plan_executions: session.plan_executions(),
+                blocks_materialized: session.blocks_materialized(),
+                values_materialized: session.values_materialized(),
+                skeleton_hits: usize::from(session.skeleton_hit()),
+                skeleton_misses: usize::from(!session.skeleton_hit()),
+                replenishments,
+                bytes_materialized: session.bytes_materialized(),
+                buffer_reuses: session.buffer_reuses(),
+                stream_positions_consumed: ts_seeds.values().map(|ts| ts.max_used + 1).sum(),
+                rows_punted: 0,
+                backend: ShardStats::default(),
+                parameters: params,
+            })
+        }
+
+        /// Columns neither the aggregate nor the final predicate reads become
+        /// `Null` placeholders, so a version row never reads a `Computed` chain.
+        pub(super) fn prune(query: &MonteCarloQuery, schema: &Schema, bundles: &mut [TupleBundle]) {
+            let mut referenced = query.aggregate.expr.referenced_columns();
+            if let Some(pred) = &query.final_predicate {
+                referenced.extend(pred.referenced_columns());
+            }
+            let referenced: Vec<usize> = referenced
+                .iter()
+                .map(|c| schema.index_of(c).unwrap())
+                .collect();
+            for bundle in bundles {
+                for (i, value) in bundle.values.iter_mut().enumerate() {
+                    if !referenced.contains(&i) {
+                        *value = BundleValue::Const(Value::Null);
+                    }
+                }
+            }
+        }
+
+        /// The row of `bundle` as DB version `v` sees it, optionally with one
+        /// seed at a candidate position.
+        fn version_row_into(
+            bundle: &TupleBundle,
+            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            v: usize,
+            override_pos: Option<(SeedId, u64)>,
+            row: &mut Vec<Value>,
+        ) {
+            row.clear();
+            row.extend(bundle.values.iter().map(|bv| match bv {
+                BundleValue::Const(value) => value.clone(),
+                BundleValue::Computed(_) => unreachable!("pruned"),
+                BundleValue::Random {
+                    seed,
+                    base_pos,
+                    values,
+                    ..
+                } => {
+                    let assigned = match override_pos {
+                        Some((s, pos)) if s == *seed => pos,
+                        _ => ts_seeds[seed].assigned(v),
+                    };
+                    values.value_at((assigned - base_pos) as usize)
+                }
+            }));
+        }
+
+        fn contribution(
+            query: &MonteCarloQuery,
+            schema: &Schema,
+            bundles: &[TupleBundle],
+            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            indices: &[usize],
+            v: usize,
+            override_pos: Option<(SeedId, u64)>,
+        ) -> Result<f64> {
+            let mut total = 0.0;
+            let mut row: Vec<Value> = Vec::with_capacity(schema.len());
+            for &idx in indices {
+                version_row_into(&bundles[idx], ts_seeds, v, override_pos, &mut row);
+                if let Some(pred) = &query.final_predicate {
+                    if !pred.eval_bool(schema, &row)? {
+                        continue;
+                    }
+                }
+                total += match query.aggregate.func {
+                    AggFunc::Sum => query.aggregate.expr.eval_f64(schema, &row)?,
+                    AggFunc::Count => 1.0,
+                    _ => unreachable!("SUM or COUNT"),
+                };
+            }
+            Ok(total)
+        }
+
+        /// DB version `v`'s aggregate from scratch.
+        pub(super) fn full_aggregate(
+            query: &MonteCarloQuery,
+            schema: &Schema,
+            bundles: &[TupleBundle],
+            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            v: usize,
+        ) -> Result<f64> {
+            let all: Vec<usize> = (0..bundles.len()).collect();
+            contribution(query, schema, bundles, ts_seeds, &all, v, None)
+        }
     }
 }

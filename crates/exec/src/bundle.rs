@@ -161,6 +161,21 @@ impl ValueChain {
         );
     }
 
+    /// The `f64` at `idx` where [`ValueChain::value_at`] boxes a `Float64`,
+    /// else `None`; searched newest segment first, where Gibbs reads land.
+    #[inline]
+    pub fn f64_at(&self, idx: usize) -> Option<f64> {
+        let mut start = self.len;
+        for seg in self.segments().iter().rev() {
+            start -= seg.len();
+            if let Some(off) = idx.checked_sub(start) {
+                let null = seg.nulls().get(off);
+                return seg.f64_raw().filter(|_| !null)?.get(off).copied();
+            }
+        }
+        None
+    }
+
     /// Append `other`'s segments (replenishment: later stream positions).
     /// A single-segment chain is promoted to the vector representation here;
     /// everywhere else stays allocation-free.

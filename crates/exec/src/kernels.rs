@@ -1,10 +1,11 @@
-//! Vectorized (column-at-a-time) expression kernels for phase 2.
+//! Compiled expression kernels: column-at-a-time for phase 2, row-at-a-time
+//! for the Gibbs looper.
 //!
 //! The scalar evaluator in [`crate::expr`] is the semantic referee: it
 //! defines NaN/null conventions, error cases, and `Int64` overflow checking.
 //! This module compiles the *error-free subset* of those semantics into
-//! branchless column kernels — packed-bitmap predicate masks and `f64`
-//! value lanes — and **refuses** (returns `None`) whenever the scalar path
+//! three forms — packed-bitmap predicate masks, `f64` value lanes, and
+//! [`RowProgram`]s — and **refuses** (returns `None`) whenever the scalar path
 //! could error or take a type-dependent branch the kernels do not model.
 //! A `None` simply routes the caller to the retained scalar loop, so the
 //! vectorized path is bit-identical to the scalar path wherever it engages:
@@ -21,15 +22,24 @@
 //!   integer path), nullable lanes (scalar errors on `Null` arithmetic),
 //!   and zero divisors (scalar errors) all decline.
 //!
-//! The global [`KernelMode`] lets tests and benches force the scalar path;
-//! both modes produce identical bundles, so flipping it mid-flight only
-//! affects speed, never results.
+//! A [`RowProgram`] compiles a predicate and an aggregand into flat,
+//! eagerly evaluated programs over `f64` slots, one row at a time.  Its
+//! refusal is the **punt rule**: a declined subexpression compiles to an
+//! instruction that punts, as does, at run time, a null, an input not of
+//! its field's type, or a zero divisor (even one a short-circuit would skip);
+//! a punted row is re-evaluated by [`Expr::eval`], value or error.
+//!
+//! The global [`KernelMode`] lets tests and benches force the scalar path
+//! (every `RowProgram` row punts); both modes produce identical bundles,
+//! so flipping it mid-flight only affects speed, never results.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use mcdbr_storage::selvec::{cmp_const_f64, cmp_f64_const, cmp_f64_f64};
-use mcdbr_storage::{CmpOp, Column, DataType, Mask, Schema, Value};
+use mcdbr_storage::{CmpOp, Column, DataType, Mask, Result, Schema, Value};
 
+use crate::bundle::BundleValue;
 use crate::expr::{BinaryOp, Expr};
 
 /// Whether phase 2 may use the vectorized kernels or must take the scalar
@@ -208,6 +218,196 @@ fn mask_to_bool_column(mask: Mask, n: usize) -> Option<Column> {
         col.push_bool(mask.get(i));
     }
     Some(col)
+}
+
+/// A row-program instruction; operands index earlier instructions.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Slot `.0`; a null, or a value not of type `.1`, punts.
+    Load(usize, DataType),
+    Const(f64),
+    /// Arithmetic (a zero divisor punts), a comparison, `AND` or `OR`.
+    Bin(BinaryOp, usize, usize),
+    Not(usize),
+    /// Reject the row unless `.0` holds true.
+    Filter(usize),
+    /// The subexpression leaves the compiled subset.
+    Punt,
+}
+
+/// Longest row program (longer ones punt).
+const MAX_OPS: usize = 16;
+
+/// A final predicate and an aggregand compiled into one row program over
+/// schema slots: the Gibbs looper's per-bundle evaluator (module docs).
+#[derive(Debug)]
+pub struct RowProgram {
+    schema: Schema,
+    predicate: Option<Expr>,
+    value: Option<Expr>,
+    slots: Vec<usize>,
+    /// The predicate's code and a `Filter`, then the aggregand's.
+    code: Vec<Op>,
+    punted: Cell<u64>,
+}
+
+impl RowProgram {
+    /// Compile against `schema`; a `None` aggregand makes an accepted row
+    /// count `1.0`.  Under [`KernelMode::ForceScalar`] every row punts.
+    pub fn compile(schema: &Schema, value: Option<&Expr>, predicate: Option<&Expr>) -> Self {
+        let mut slots: Vec<usize> = (predicate.into_iter().chain(value))
+            .flat_map(Expr::referenced_columns)
+            .filter_map(|col| schema.index_of(col).ok())
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        // A declined expression ends in a `Punt`; ops it left before that
+        // are pure and at most punt earlier.
+        let mut code = Vec::new();
+        if let Some(p) = predicate {
+            let filter = match emit(p, schema, &slots, &mut code) {
+                Some((r, DataType::Bool)) => Op::Filter(r),
+                _ => Op::Punt,
+            };
+            code.push(filter);
+        }
+        match value {
+            Some(v) if emit(v, schema, &slots, &mut code).is_some() => {}
+            Some(_) => code.push(Op::Punt),
+            None => code.push(Op::Const(1.0)),
+        }
+        if !vectorized_enabled() || code.len() > MAX_OPS {
+            code = vec![Op::Punt];
+        }
+        RowProgram {
+            schema: schema.clone(),
+            predicate: predicate.cloned(),
+            value: value.cloned(),
+            slots,
+            code,
+            punted: Cell::new(0),
+        }
+    }
+
+    /// The schema column behind each slot: `input(slot)` in [`Self::eval`]
+    /// is the row's attribute there and its offset into a random one's chain.
+    pub fn slots(&self) -> &[usize] {
+        &self.slots
+    }
+
+    /// One row's aggregand, `None` if the predicate rejects it.
+    #[inline]
+    pub fn eval<'a>(
+        &self,
+        input: impl Fn(usize) -> (&'a BundleValue, usize),
+    ) -> Result<Option<f64>> {
+        run(&self.code, &input).map_or_else(|| self.punt(&input), Ok)
+    }
+
+    /// Rows punted so far.
+    pub fn punted(&self) -> u64 {
+        self.punted.get()
+    }
+
+    /// [`Expr::eval`] over a row holding the slots' values.
+    #[cold]
+    #[inline(never)]
+    fn punt<'a>(&self, input: &dyn Fn(usize) -> (&'a BundleValue, usize)) -> Result<Option<f64>> {
+        self.punted.set(self.punted.get() + 1);
+        let mut row = vec![Value::Null; self.schema.len()];
+        for (slot, &col) in self.slots.iter().enumerate() {
+            let (value, off) = input(slot);
+            row[col] = value.value_at(off);
+        }
+        if let Some(p) = &self.predicate {
+            if !p.eval_bool(&self.schema, &row)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match &self.value {
+            Some(v) => v.eval_f64(&self.schema, &row)?,
+            None => 1.0,
+        }))
+    }
+}
+
+/// Append `e`'s code: its result's index and the type `Expr::eval` boxes, or
+/// `None` for `Utf8`/`NULL`, an error on every row, or checked `Int64` math.
+fn emit(e: &Expr, schema: &Schema, cols: &[usize], ops: &mut Vec<Op>) -> Option<(usize, DataType)> {
+    use DataType::{Bool, Float64, Int64};
+    let (op, ty) = match e {
+        Expr::Literal(v) => (Op::Const(v.as_f64().ok()?), v.data_type()),
+        Expr::Column(name) => {
+            let col = schema.index_of(name).ok()?;
+            let ty = schema.field(col).data_type;
+            if !matches!(ty, Float64 | Int64 | Bool) {
+                return None;
+            }
+            (Op::Load(cols.iter().position(|&c| c == col)?, ty), ty)
+        }
+        Expr::Not(inner) => match emit(inner, schema, cols, ops)? {
+            (a, Bool) => (Op::Not(a), Bool),
+            _ => return None,
+        },
+        Expr::Binary { op, lhs, rhs } => {
+            let (a, l) = emit(lhs, schema, cols, ops)?;
+            let (b, r) = emit(rhs, schema, cols, ops)?;
+            let ty = match op {
+                BinaryOp::And | BinaryOp::Or if (l, r) != (Bool, Bool) => return None,
+                // Division always yields Float64; the rest check i64 overflow.
+                BinaryOp::Div => Float64,
+                _ if op.is_arithmetic() && (l, r) == (Int64, Int64) => return None,
+                _ if op.is_arithmetic() => Float64,
+                _ => Bool,
+            };
+            (Op::Bin(*op, a, b), ty)
+        }
+    };
+    ops.push(op);
+    Some((ops.len() - 1, ty))
+}
+
+/// Run `code` on one row: `None` is a punt, `Some(None)` a rejected row.
+#[inline(always)]
+fn run<'a>(code: &[Op], input: &impl Fn(usize) -> (&'a BundleValue, usize)) -> Option<Option<f64>> {
+    #[inline(always)]
+    fn load((value, off): (&BundleValue, usize), ty: DataType) -> Option<f64> {
+        if let (BundleValue::Random { values, .. }, DataType::Float64) = (value, ty) {
+            return values.f64_at(off);
+        }
+        let v = value.value_at(off);
+        v.as_f64().ok().filter(|_| v.data_type() == ty)
+    }
+    // `SUM(col)`: nothing to set up.
+    if let [Op::Load(slot, ty)] = *code {
+        return load(input(slot), ty).map(Some);
+    }
+    let flag = |b: bool| if b { 1.0 } else { 0.0 };
+    let mut regs = [0.0f64; MAX_OPS];
+    for (i, &op) in code.iter().enumerate() {
+        regs[i] = match op {
+            Op::Load(slot, ty) => load(input(slot), ty)?,
+            Op::Const(x) => x,
+            Op::Not(a) => flag(regs[a] == 0.0),
+            Op::Filter(a) if regs[a] == 0.0 => return Some(None),
+            Op::Filter(_) => 1.0,
+            Op::Punt => return None,
+            Op::Bin(op, a, b) => {
+                let (a, b) = (regs[a], regs[b]);
+                match op {
+                    BinaryOp::Add => a + b,
+                    BinaryOp::Sub => a - b,
+                    BinaryOp::Mul => a * b,
+                    BinaryOp::Div if b == 0.0 => return None,
+                    BinaryOp::Div => a / b,
+                    BinaryOp::And => flag(a != 0.0 && b != 0.0),
+                    BinaryOp::Or => flag(a != 0.0 || b != 0.0),
+                    cmp => flag(cmp.cmp_op().is_some_and(|c| c.lane(a, b))),
+                }
+            }
+        };
+    }
+    Some(Some(regs[code.len() - 1]))
 }
 
 impl BinaryOp {
@@ -479,6 +679,7 @@ fn eval_bool(expr: &Expr, schema: &Schema, lanes: &[Lane<'_>], n: usize) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundle::ValueChain;
     use mcdbr_storage::Field;
 
     /// The kernel mode is process-global; tests that read or flip it take
@@ -589,5 +790,147 @@ mod tests {
         assert!(predicate_mask(&expr, &s, &lanes, 2).is_none());
         set_kernel_mode(KernelMode::Auto);
         assert!(predicate_mask(&expr, &s, &lanes, 2).is_some());
+    }
+
+    #[test]
+    fn row_programs_return_the_scalar_evaluators_value_or_error() {
+        let _guard = MODE_LOCK.lock().unwrap();
+        let schema = Schema::new(vec![
+            Field::float64("a"),
+            Field::float64("b"),
+            Field::int64("k"),
+            Field::utf8("s"),
+            Field::float64("n"),
+        ]);
+        // Specials, a null, then seeded values in [-4, 4).
+        let mut col = f64_col(&[
+            1.0,
+            -2.5,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        col.push_null();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..6 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            col.push_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0);
+        }
+        let positions = col.len();
+        let random = BundleValue::Random {
+            seed: 1,
+            vg_row: 0,
+            vg_col: 0,
+            base_pos: 0,
+            values: ValueChain::from_column(col),
+        };
+        let (a, b, k) = (Expr::col("a"), Expr::col("b"), Expr::col("k"));
+        let lit = |x: f64| Expr::lit(x);
+        // (predicate, aggregand, every row must punt)
+        let cases: Vec<(Option<Expr>, Option<Expr>, bool)> = vec![
+            (None, None, false),
+            (None, Some(a.clone()), false),
+            (None, Some(a.clone().add(b.clone())), false),
+            (None, Some(a.clone().div(b.clone())), false),
+            (None, Some(a.clone().mul(Expr::lit(2i64))), false),
+            (None, Some(b.clone().div(k.clone())), false),
+            (None, Some(Expr::lit(3i64).div(k.clone())), false),
+            (None, Some(a.clone().lt(b.clone())), false),
+            (
+                Some(a.clone().gt(b.clone())),
+                Some(a.clone().sub(b.clone())),
+                false,
+            ),
+            (
+                Some(a.clone().lt_eq(b.clone()).not()),
+                Some(k.clone().mul(b.clone())),
+                false,
+            ),
+            (
+                Some(a.clone().eq(b.clone()).or(a.clone().not_eq(b.clone()))),
+                None,
+                false,
+            ),
+            (Some(k.clone().gt_eq(a.clone())), None, false),
+            // Zero divisors (b, then a, is ±0.0 on some rows) only on the side
+            // the scalar evaluator never reaches on them.
+            (
+                Some(Expr::lit(false).and(a.clone().div(b.clone()).gt(lit(1.0)))),
+                Some(a.clone()),
+                false,
+            ),
+            (
+                Some(
+                    a.clone()
+                        .eq(a.clone())
+                        .or(b.clone().div(a.clone()).gt(lit(1.0))),
+                ),
+                Some(b.clone()),
+                false,
+            ),
+            // Checked Int64 arithmetic, strings and NULL leave the subset.
+            (None, Some(k.clone().add(Expr::lit(1i64))), true),
+            (
+                Some(Expr::col("s").eq(Expr::lit("x"))),
+                Some(a.clone()),
+                true,
+            ),
+            (None, Some(Expr::col("n").add(a.clone())), true),
+            (Some(a.clone()), Some(b.clone()), true),
+            (None, Some(Expr::col("missing")), true),
+        ];
+        let consts = [Value::Int64(3), Value::Int64(0)].map(BundleValue::Const);
+        let (s, n) = (Value::str("x"), Value::Null);
+        let (s, n) = (BundleValue::Const(s), BundleValue::Const(n));
+        for (pred, value, must_punt) in &cases {
+            let mut runs = Vec::new();
+            for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
+                set_kernel_mode(mode);
+                let program = RowProgram::compile(&schema, value.as_ref(), pred.as_ref());
+                set_kernel_mode(KernelMode::Auto);
+                let mut rows = 0;
+                for kv in &consts {
+                    for i in 0..positions {
+                        for j in 0..positions {
+                            let cols = [(&random, i), (&random, j), (kv, 0), (&s, 0), (&n, 0)];
+                            let got = program.eval(|slot| cols[program.slots()[slot]]);
+                            let row: Vec<Value> =
+                                cols.iter().map(|(v, at)| v.value_at(*at)).collect();
+                            let want = (|| {
+                                if let Some(p) = pred {
+                                    if !p.eval_bool(&schema, &row)? {
+                                        return Ok(None);
+                                    }
+                                }
+                                value
+                                    .as_ref()
+                                    .map_or(Ok(1.0), |v| v.eval_f64(&schema, &row))
+                                    .map(Some)
+                            })();
+                            let same = match (&got, &want) {
+                                (Ok(x), Ok(y)) => x.map(f64::to_bits) == y.map(f64::to_bits),
+                                (x, y) => x == y,
+                            };
+                            assert!(same, "{mode:?} {pred:?} {value:?} row ({i}, {j}, {kv:?}): {got:?} vs {want:?}");
+                            rows += 1;
+                        }
+                    }
+                }
+                runs.push((program.punted(), rows));
+            }
+            let [(auto, rows), (scalar, _)] = runs[..] else {
+                unreachable!()
+            };
+            assert_eq!(scalar, rows, "ForceScalar punts every row");
+            assert_eq!(
+                auto == rows,
+                *must_punt,
+                "{pred:?} {value:?}: {auto} of {rows} punted"
+            );
+        }
     }
 }

@@ -89,7 +89,7 @@ pub use cache::SessionCache;
 pub use cancel::CancelToken;
 pub use executor::{ExecOptions, Executor};
 pub use expr::{BinaryOp, Expr};
-pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
+pub use kernels::{kernel_mode, set_kernel_mode, KernelMode, RowProgram};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};

@@ -51,4 +51,8 @@ fn main() {
         result.values_materialized,
         result.stream_positions_consumed
     );
+    println!(
+        "  rows punted to the scalar evaluator: {}",
+        result.rows_punted
+    );
 }

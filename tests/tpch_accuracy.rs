@@ -3,7 +3,7 @@
 //! quantile estimates are unbiased within a few standard errors.
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
-use mcdbr::exec::ExecSession;
+use mcdbr::exec::{set_kernel_mode, ExecSession, KernelMode};
 use mcdbr::risk::TailCdfComparison;
 use mcdbr::workloads::{TpchConfig, TpchWorkload};
 
@@ -109,4 +109,39 @@ fn one_hungry_stream_does_not_drag_the_others_along() {
         result.values_materialized - streams * block < 255 * block,
         "{result:?}"
     );
+}
+
+#[test]
+fn compiled_gibbs_kernel_equals_the_scalar_evaluator_and_never_punts() {
+    // The looper's compiled row program against `KernelMode::ForceScalar`,
+    // under which every Gibbs-tuple evaluation punts to `Expr::eval`:
+    // bit-identical at both master seeds, and on the Appendix D query no
+    // row punts, so a silent fallback cannot hide a lost speed-up.  (The
+    // looper's unit tests hold the same join against the scalar loop the
+    // compiled one replaced.)
+    let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for master in [77, 79] {
+        let cfg = TailSamplingConfig::new(0.25f64.powi(5), 100, 300)
+            .with_m(5)
+            .with_master_seed(master);
+        let run = |mode| {
+            set_kernel_mode(mode);
+            let result = GibbsLooper::new(w.total_loss_query(), cfg.clone()).run(&w.catalog);
+            set_kernel_mode(KernelMode::Auto);
+            result.unwrap()
+        };
+        let (compiled, scalar) = (run(KernelMode::Auto), run(KernelMode::ForceScalar));
+        assert_eq!(compiled.rows_punted, 0, "seed {master}");
+        assert!(scalar.rows_punted > 0, "seed {master}");
+        assert_eq!(bits(&compiled.tail_samples), bits(&scalar.tail_samples));
+        assert_eq!(bits(&compiled.cutoffs), bits(&scalar.cutoffs));
+        assert_eq!(compiled.gibbs, scalar.gibbs);
+        assert_eq!(compiled.replenishments, scalar.replenishments);
+        assert_eq!(
+            compiled.stream_positions_consumed,
+            scalar.stream_positions_consumed
+        );
+        assert_eq!(compiled.values_materialized, scalar.values_materialized);
+    }
 }
