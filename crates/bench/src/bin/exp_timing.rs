@@ -16,8 +16,7 @@ use mcdbr_workloads::{TpchConfig, TpchWorkload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The flag replaced the old env-only backend selection; the scale is
-    // the first argument the flag did not consume.
+    // The scale is the first argument `--backend` did not consume.
     let (backend_label, backend, rest) = backend_from_args(&args);
     let scale = rest.first().cloned().unwrap_or_else(|| "test".into());
     let (config, budget) = match scale.as_str() {
@@ -129,7 +128,7 @@ fn main() {
         "{}",
         row(&[
             "MCDB-R shards spawned".into(),
-            "0 unless MCDBR_SHARDS".into(),
+            "0 unless --backend sharded".into(),
             result.backend.shards_spawned.to_string()
         ])
     );
@@ -227,7 +226,7 @@ fn main() {
         "{}",
         row(&[
             "naive shards spawned".into(),
-            "0 unless MCDBR_SHARDS".into(),
+            "0 unless --backend sharded".into(),
             engine.backend_stats().shards_spawned.to_string()
         ])
     );

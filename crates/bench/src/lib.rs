@@ -44,61 +44,37 @@ pub fn run_tail_sampling_on(
 }
 
 /// Resolve the experiment binaries' `--backend {inprocess,sharded,process}`
-/// flag (either `--backend name` or `--backend=name`) into a concrete
-/// execution backend, replacing the old env-only selection.  Without the
-/// flag, the environment default applies (`MCDBR_BACKEND` /
-/// `MCDBR_SHARDS`, resolved through the dispatch crate so `process`
-/// works).  `sharded` sizes by `MCDBR_SHARDS` (else `MCDBR_WORKERS`, else
-/// 2); `process` sizes by `MCDBR_WORKERS`.
+/// flag (either `--backend name` or `--backend=name`) through
+/// [`mcdbr_dispatch::backend_named`], sharded and process backends
+/// `par::default_threads().max(2)` wide.  Without the flag the run is
+/// in-process.
 ///
 /// Returns `(label, backend, rest)` where `rest` holds the arguments the
 /// flag did not consume (positional arguments like `exp_timing`'s scale),
-/// so every experiment binary shares one parser; an unknown name exits
-/// with usage help.
+/// so every experiment binary shares one parser; an unknown or missing
+/// name exits 2 with usage help.
 #[allow(clippy::type_complexity)]
 pub fn backend_from_args(args: &[String]) -> (String, Arc<dyn ExecBackend>, Vec<String>) {
-    let mut choice: Option<String> = None;
+    let mut choice = "inprocess".to_string();
     let mut rest = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--backend" {
-            choice = iter.next().cloned();
+            choice = iter.next().cloned().unwrap_or_default();
         } else if let Some(name) = arg.strip_prefix("--backend=") {
-            choice = Some(name.to_string());
+            choice = name.to_string();
         } else {
             rest.push(arg.clone());
         }
     }
-    let (label, backend): (String, Arc<dyn ExecBackend>) = match choice.as_deref() {
-        None => {
-            let backend = mcdbr_dispatch::default_backend();
-            (format!("{} (env default)", backend.name()), backend)
-        }
-        Some("inprocess") | Some("in-process") => (
-            "in-process".into(),
-            Arc::new(mcdbr_exec::InProcessBackend::new()),
-        ),
-        Some("sharded") => {
-            let shards = match mcdbr_exec::backend::default_shards() {
-                n if n >= 2 => n,
-                _ => mcdbr_exec::default_workers().max(2),
-            };
-            (
-                format!("sharded ({shards} shards)"),
-                Arc::new(mcdbr_exec::ShardedBackend::new(shards)),
-            )
-        }
-        Some("process") => {
-            let workers = mcdbr_exec::default_workers();
-            (
-                format!("process ({workers} workers)"),
-                Arc::new(mcdbr_dispatch::ProcessBackend::new(workers)),
-            )
-        }
-        Some(other) => {
-            eprintln!("unknown --backend {other}; expected one of inprocess, sharded, process");
-            std::process::exit(2);
-        }
+    let width = mcdbr_exec::par::default_threads().max(2);
+    let backend = mcdbr_dispatch::backend_named(&choice, width).unwrap_or_else(|err| {
+        eprintln!("--backend: {err}\nusage: [--backend inprocess|sharded|process]");
+        std::process::exit(2);
+    });
+    let label = match backend.name() {
+        "in-process" => "in-process".to_string(),
+        name => format!("{name} ({width} wide)"),
     };
     (label, backend, rest)
 }

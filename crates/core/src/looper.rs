@@ -52,8 +52,8 @@
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    AggFunc, BundleValue, ExecBackend, ExecSession, RowProgram, SessionCache, ShardStats,
-    TupleBundle, ValueChain,
+    AggFunc, BundleValue, ExecBackend, ExecSession, InProcessBackend, RowProgram, SessionCache,
+    ShardStats, TupleBundle, ValueChain,
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
@@ -223,17 +223,14 @@ impl GibbsLooper {
     /// Create a looper for an (ungrouped) Monte Carlo aggregation query,
     /// with a private [`SessionCache`] (repeated [`GibbsLooper::run`] calls
     /// still share skeletons; use [`GibbsLooper::with_cache`] to share
-    /// across loopers) and the default execution backend (in-process unless
-    /// `MCDBR_SHARDS` selects sharded execution).
+    /// across loopers), running on the in-process backend
+    /// ([`GibbsLooper::with_backend`] picks another).
     pub fn new(query: MonteCarloQuery, config: TailSamplingConfig) -> Self {
         GibbsLooper {
             query,
             config,
             cache: Arc::new(SessionCache::new()),
-            // Routed through the dispatch crate so `MCDBR_BACKEND=process`
-            // resolves to a multi-process backend; any other environment
-            // defers to exec's own rules.
-            backend: mcdbr_dispatch::default_backend(),
+            backend: Arc::new(InProcessBackend::new()),
         }
     }
 
@@ -779,15 +776,8 @@ mod tests {
         );
         // Every replenishment is one single-stream window generated inline
         // through the session's pool, which recycles one warm buffer for it.
-        // Under a multi-process default backend the initial block's buffers
-        // live in the *worker* processes, so the very first window finds the
-        // coordinator-side pool cold and only the block dispatches tasks.
-        let cold_pool = mcdbr_dispatch::default_backend().name() == "process";
-        if cold_pool {
-            assert!(result.backend.tasks_dispatched >= 1, "{result:?}");
-        }
         assert!(
-            result.buffer_reuses + u64::from(cold_pool) >= result.replenishments as u64,
+            result.buffer_reuses >= result.replenishments as u64,
             "each replenishment must reuse a warm buffer ({} reuses, {} replenishments)",
             result.buffer_reuses,
             result.replenishments
@@ -903,7 +893,6 @@ mod tests {
                 .with_master_seed(11)
         };
         let in_process = GibbsLooper::new(losses_query(), mk())
-            .with_backend(Arc::new(mcdbr_exec::InProcessBackend::new()))
             .run(&catalog)
             .unwrap();
         assert_eq!(in_process.backend.shards_spawned, 0);

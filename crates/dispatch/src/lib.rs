@@ -26,17 +26,16 @@
 //!   Chaos runs inject deterministic faults via `MCDBR_FAULTS`
 //!   (`mcdbr_faults`).
 //!
-//! Selection is environment-driven end to end: `MCDBR_BACKEND=process`
-//! (with `MCDBR_WORKERS=N`) makes [`default_backend`] hand every engine,
-//! looper, and session a process-shared [`ProcessBackend`] — the function
-//! also installs it as `mcdbr-exec`'s process-wide default, so sessions
-//! constructed directly through `ExecSession::prepare` pick it up too.
+//! [`backend_named`] is the one name-to-backend selector the binaries share
+//! (`exp_*` and `mcdbr-server` take `--backend NAME`); library callers pass a
+//! backend to `with_backend` and otherwise run in-process.
 
 #![warn(missing_docs)]
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mcdbr_exec::ExecBackend;
+use mcdbr_exec::{ExecBackend, InProcessBackend, ShardedBackend};
+use mcdbr_storage::{Error, Result};
 
 mod backend;
 pub mod wire;
@@ -44,27 +43,18 @@ pub mod worker;
 
 pub use backend::{default_task_deadline, task_deadline_from_env, ProcessBackend};
 
-/// The environment-selected default backend, with multi-process dispatch
-/// resolved: `MCDBR_BACKEND=process` returns one process-shared
-/// [`ProcessBackend`] sized by `MCDBR_WORKERS` (and installs it via
-/// [`mcdbr_exec::install_default_backend`] so bare `ExecSession`s share
-/// it); anything else defers to [`mcdbr_exec::default_backend`]'s
-/// `MCDBR_SHARDS` rule.
-///
-/// Engines and loopers call this in their default constructors, which is
-/// what makes `MCDBR_BACKEND=process MCDBR_WORKERS=2 cargo test` run the
-/// whole suite through worker processes.
-pub fn default_backend() -> Arc<dyn ExecBackend> {
-    if mcdbr_exec::process_backend_requested() {
-        static SHARED: OnceLock<Arc<ProcessBackend>> = OnceLock::new();
-        let backend = Arc::clone(SHARED.get_or_init(|| {
-            let backend = Arc::new(ProcessBackend::new(mcdbr_exec::default_workers()));
-            let _ = mcdbr_exec::install_default_backend(backend.clone());
-            backend
-        }));
-        return backend;
+/// The backend a `--backend NAME` flag names: `inprocess` (or
+/// `in-process`), `sharded` with `width` shards, or `process` with `width`
+/// worker processes.  Any other name is an [`Error::Invalid`].
+pub fn backend_named(name: &str, width: usize) -> Result<Arc<dyn ExecBackend>> {
+    match name {
+        "inprocess" | "in-process" => Ok(Arc::new(InProcessBackend::new())),
+        "sharded" => Ok(Arc::new(ShardedBackend::new(width))),
+        "process" => Ok(Arc::new(ProcessBackend::new(width))),
+        other => Err(Error::Invalid(format!(
+            "unknown backend `{other}`; expected one of inprocess, sharded, process"
+        ))),
     }
-    mcdbr_exec::default_backend()
 }
 
 #[cfg(test)]
@@ -72,14 +62,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_backend_resolves_without_env() {
-        // Under a plain environment this defers to exec's default; under
-        // MCDBR_BACKEND=process (the CI matrix) it must be the process
-        // backend.  Either way the call is total.
-        let backend = default_backend();
-        assert_eq!(
-            backend.name() == "process",
-            mcdbr_exec::process_backend_requested()
-        );
+    fn backend_names_resolve_and_unknown_names_are_errors() {
+        for (name, expected) in [
+            ("inprocess", "in-process"),
+            ("in-process", "in-process"),
+            ("sharded", "sharded"),
+            ("process", "process"),
+        ] {
+            assert_eq!(backend_named(name, 2).unwrap().name(), expected);
+        }
+        for bad in ["", "shard", "threads"] {
+            assert!(backend_named(bad, 2).is_err(), "`{bad}` must be rejected");
+        }
     }
 }

@@ -19,11 +19,9 @@
 //! The position-addressable PRNG streams make this cheap to honor — the
 //! value of stream `s` at position `i` never depends on who generates it.
 //!
-//! The default backend ([`default_backend`]) is the in-process pool unless
-//! the `MCDBR_SHARDS` environment variable asks for `>= 2` shards, which is
-//! how the CI matrix runs the whole test suite through the sharded path.
-
-use std::sync::{Arc, OnceLock};
+//! Sessions, engines and loopers run on [`InProcessBackend`] unless the
+//! caller passes another one to their `with_backend`; nothing in the
+//! environment changes that choice.
 
 use mcdbr_storage::Result;
 
@@ -280,120 +278,9 @@ impl ExecBackend for InProcessBackend {
     }
 }
 
-/// The default shard count: `MCDBR_SHARDS` if set and `>= 2`, else 1 (no
-/// sharding).  Read and parsed once per process, like
-/// [`crate::par::default_threads`].
-pub fn default_shards() -> usize {
-    static DEFAULT_SHARDS: OnceLock<usize> = OnceLock::new();
-    *DEFAULT_SHARDS.get_or_init(|| shards_from_env(std::env::var("MCDBR_SHARDS").ok().as_deref()))
-}
-
-/// The pure resolution rule behind [`default_shards`]: an integer `>= 2`
-/// selects sharded execution; anything else — unset, unparsable, zero, or
-/// one — means "don't shard".
-fn shards_from_env(raw: Option<&str>) -> usize {
-    match raw.and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 2 => n,
-        _ => 1,
-    }
-}
-
-/// Whether `MCDBR_BACKEND=process` asks for multi-process dispatch (read
-/// once per process).  It is the variable's only value; anything else
-/// leaves the [`default_shards`] rule in charge.  The dispatcher lives a
-/// crate above, so the answer is acted on there — see
-/// [`install_default_backend`].
-pub fn process_backend_requested() -> bool {
-    static REQUESTED: OnceLock<bool> = OnceLock::new();
-    *REQUESTED.get_or_init(|| process_from_env(std::env::var("MCDBR_BACKEND").ok().as_deref()))
-}
-
-/// The pure resolution rule behind [`process_backend_requested`].
-fn process_from_env(raw: Option<&str>) -> bool {
-    raw.is_some_and(|v| v.trim().eq_ignore_ascii_case("process"))
-}
-
-/// The default worker-process count for `MCDBR_BACKEND=process`:
-/// `MCDBR_WORKERS` if set and `>= 1`, else 2.  Read once per process.
-pub fn default_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| workers_from_env(std::env::var("MCDBR_WORKERS").ok().as_deref()))
-}
-
-/// The pure resolution rule behind [`default_workers`].
-fn workers_from_env(raw: Option<&str>) -> usize {
-    match raw.and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => 2,
-    }
-}
-
-/// A process-wide default-backend override, installable exactly once.
-///
-/// `mcdbr-exec` cannot construct a multi-process backend itself (the
-/// dispatcher lives in `mcdbr-dispatch`, which depends on this crate), so
-/// when `MCDBR_BACKEND=process` asks for one, the dispatch crate installs
-/// its backend here and every later [`default_backend`] call hands it out.
-/// Sessions constructed *before* the installation — possible only in
-/// binaries that never touch the dispatch crate — fall back to the
-/// `MCDBR_SHARDS` rule; results are bit-identical either way, only the
-/// execution strategy differs.
-static DEFAULT_OVERRIDE: OnceLock<Arc<dyn ExecBackend>> = OnceLock::new();
-
-/// Install `backend` as the process-wide default (first caller wins;
-/// returns whether this call installed it).  Intended for
-/// `mcdbr-dispatch`'s env-driven setup, but available to embedders that
-/// want a custom default strategy without threading `with_backend`
-/// everywhere.
-pub fn install_default_backend(backend: Arc<dyn ExecBackend>) -> bool {
-    DEFAULT_OVERRIDE.set(backend).is_ok()
-}
-
-/// The backend new sessions run on when none is supplied: an installed
-/// override ([`install_default_backend`]) if present, else a
-/// [`crate::shard::ShardedBackend`] when `MCDBR_SHARDS >= 2` and the
-/// in-process pool otherwise.  (`MCDBR_BACKEND=process` resolves here only
-/// through the override, since the dispatcher lives a crate above; engines
-/// route their defaults through `mcdbr_dispatch::default_backend()`, which
-/// installs it.)
-///
-/// The returned `Arc` is one process-shared instance (constructing a
-/// session is then a reference-count bump, not a backend allocation), so
-/// its counters accumulate across every default-backend user; per-run
-/// windows taken with [`ShardStats::since`] stay correct for sequential
-/// runs.  Construct a private backend and pass it via `with_backend` when
-/// isolated counters matter (see the [`ShardStats`] concurrency caveat).
-pub fn default_backend() -> Arc<dyn ExecBackend> {
-    if let Some(installed) = DEFAULT_OVERRIDE.get() {
-        return Arc::clone(installed);
-    }
-    static DEFAULT: OnceLock<Arc<dyn ExecBackend>> = OnceLock::new();
-    Arc::clone(DEFAULT.get_or_init(|| match default_shards() {
-        n if n >= 2 => Arc::new(crate::shard::ShardedBackend::new(n)),
-        _ => Arc::new(InProcessBackend::new()),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn invalid_shard_overrides_mean_no_sharding() {
-        for off in [
-            None,
-            Some("abc"),
-            Some("0"),
-            Some("1"),
-            Some("-4"),
-            Some(""),
-        ] {
-            assert_eq!(shards_from_env(off), 1, "value {off:?}");
-        }
-        assert_eq!(shards_from_env(Some("2")), 2);
-        assert_eq!(shards_from_env(Some("16")), 16);
-        assert!(default_shards() >= 1);
-    }
 
     #[test]
     fn shard_stats_windows_subtract() {
@@ -468,20 +355,5 @@ mod tests {
         assert_eq!(stats.store_evictions, 0);
         assert_eq!(stats.since(stats), ShardStats::default());
         assert_eq!(InProcessBackend::new().name(), "in-process");
-    }
-
-    #[test]
-    fn backend_and_worker_env_rules() {
-        for off in [None, Some(""), Some("threads"), Some("sharded")] {
-            assert!(!process_from_env(off), "value {off:?}");
-        }
-        assert!(process_from_env(Some("process")));
-        assert!(process_from_env(Some(" Process ")));
-        assert_eq!(workers_from_env(None), 2);
-        assert_eq!(workers_from_env(Some("0")), 2);
-        assert_eq!(workers_from_env(Some("abc")), 2);
-        assert_eq!(workers_from_env(Some("1")), 1);
-        assert_eq!(workers_from_env(Some("6")), 6);
-        assert!(default_workers() >= 1);
     }
 }

@@ -47,8 +47,8 @@
 //!   block, which is what makes the task shippable to another process.
 //! * [`backend`] — [`backend::ExecBackend`]: *where* the units run.
 //!   [`backend::InProcessBackend`] runs one all-covering unit on the thread
-//!   pool, [`shard::ShardedBackend`] one unit per key range, selected per
-//!   session (`MCDBR_SHARDS` picks the default).
+//!   pool (the default), [`shard::ShardedBackend`] one unit per key range,
+//!   selected per session with `with_backend`.
 //! * [`par`] — the deterministic parallel fan-out used by phase-2
 //!   instantiation and per-repetition aggregation (bit-identical results for
 //!   every thread count).
@@ -80,10 +80,7 @@ pub mod stream_registry;
 pub use aggregate::{
     aggregate_parts, AggFunc, AggPartial, AggregateSpec, QueryResultSamples, RepRangeJob,
 };
-pub use backend::{
-    default_backend, default_workers, install_default_backend, process_backend_requested,
-    ExecBackend, InProcessBackend, ShardStats,
-};
+pub use backend::{ExecBackend, InProcessBackend, ShardStats};
 pub use bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 pub use cache::SessionCache;
 pub use cancel::CancelToken;

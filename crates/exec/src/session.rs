@@ -68,7 +68,7 @@ use mcdbr_storage::{
     Schema, SelVec, Value,
 };
 
-use crate::backend::ExecBackend;
+use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 use crate::executor::{join_key, ExecOptions, Executor, JoinKey};
 use crate::expr::Expr;
@@ -460,7 +460,7 @@ impl ExecSession {
             plan: plan.clone(),
             master_seed,
             threads: par::default_threads(),
-            backend: crate::backend::default_backend(),
+            backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
             page_baseline: BufferPool::global().stats(),
@@ -488,7 +488,7 @@ impl ExecSession {
             plan: plan.clone(),
             master_seed,
             threads: par::default_threads(),
-            backend: crate::backend::default_backend(),
+            backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
             page_baseline: BufferPool::global().stats(),
@@ -515,9 +515,8 @@ impl ExecSession {
     }
 
     /// Run phase 2 on an explicit [`ExecBackend`] (defaults to
-    /// [`crate::backend::default_backend`]: the in-process thread pool, or a
-    /// [`crate::shard::ShardedBackend`] when `MCDBR_SHARDS` asks for one).
-    /// Results are bit-identical for every backend and shard count.
+    /// [`InProcessBackend`], the in-process thread pool).  Results are
+    /// bit-identical for every backend and shard count.
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = backend;
         self
@@ -1757,16 +1756,15 @@ mod tests {
 
     #[test]
     fn sessions_recycle_pooled_buffers_across_blocks() {
-        // Pinned to the in-process backend: it holds all of a block's
-        // buffers live until the bundles are materialized, so the reuse
-        // counts are exact (a sharded backend adds timing-dependent
+        // The default backend is the in-process one: it holds all of a
+        // block's buffers live until the bundles are materialized, so the
+        // reuse counts are exact (a sharded backend adds timing-dependent
         // intra-block reuses; covered by the looper/engine lower bounds).
-        let in_process = || Arc::new(crate::backend::InProcessBackend::new());
         let catalog = catalog();
         let mut session = ExecSession::prepare(&losses_plan(), &catalog, 7)
             .unwrap()
-            .with_threads(2)
-            .with_backend(in_process());
+            .with_threads(2);
+        assert_eq!(session.backend().name(), "in-process");
         let _ = session.instantiate_block(&catalog, 0, 16).unwrap();
         assert_eq!(session.buffer_reuses(), 0, "cold pool allocates");
         let bytes_one = session.bytes_materialized();
@@ -1779,12 +1777,10 @@ mod tests {
         let pool = Arc::new(crate::pool::BlockBufferPool::new());
         let mut a = ExecSession::prepare(&losses_plan(), &catalog, 7)
             .unwrap()
-            .with_backend(in_process())
             .with_pool(Arc::clone(&pool));
         let _ = a.instantiate_block(&catalog, 0, 8).unwrap();
         let mut b = ExecSession::prepare(&losses_plan(), &catalog, 8)
             .unwrap()
-            .with_backend(in_process())
             .with_pool(Arc::clone(&pool));
         let _ = b.instantiate_block(&catalog, 0, 8).unwrap();
         assert_eq!(pool.buffer_reuses(), 3);

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    par, AggregateSpec, BlockBufferPool, ExecBackend, ExecSession, Expr, PlanNode,
-    QueryResultSamples, SessionCache, ShardStats,
+    par, AggregateSpec, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend,
+    PlanNode, QueryResultSamples, SessionCache, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result, Value};
 
@@ -179,10 +179,11 @@ pub struct McdbEngine {
     /// (sessions report windowed counters, so per-query attribution stays
     /// correct).
     pool: Arc<BlockBufferPool>,
-    /// The backend's cumulative stats when this engine adopted it.  The
-    /// default backend is one process-shared instance, so engine-level
-    /// counters report activity *since adoption* — this engine's own work —
-    /// rather than whatever other components already ran through it.
+    /// The backend's cumulative stats when this engine adopted it.  A
+    /// backend passed to `with_backend` may already have run other work, and
+    /// the pager counters in every snapshot are process-global, so
+    /// engine-level counters report activity *since adoption* — this
+    /// engine's own work.
     backend_baseline: ShardStats,
     plans_executed: usize,
     blocks_materialized: usize,
@@ -192,10 +193,7 @@ pub struct McdbEngine {
 
 impl Default for McdbEngine {
     fn default() -> Self {
-        // Routed through the dispatch crate so `MCDBR_BACKEND=process`
-        // resolves to a multi-process backend (exec alone cannot construct
-        // one); any other environment defers to exec's own rules.
-        let backend = mcdbr_dispatch::default_backend();
+        let backend: Arc<dyn ExecBackend> = Arc::new(InProcessBackend::new());
         let backend_baseline = backend.shard_stats();
         McdbEngine {
             cache: SessionCache::new(),
@@ -211,9 +209,8 @@ impl Default for McdbEngine {
 }
 
 impl McdbEngine {
-    /// Create a new engine (with an empty session cache and the default
-    /// execution backend: in-process unless `MCDBR_BACKEND` /
-    /// `MCDBR_SHARDS` select sharded or multi-process execution).
+    /// Create a new engine with an empty session cache, running on the
+    /// in-process backend ([`McdbEngine::with_backend`] picks another).
     pub fn new() -> Self {
         McdbEngine::default()
     }
@@ -234,8 +231,8 @@ impl McdbEngine {
     }
 
     /// This engine's window of its backend's counters: activity since the
-    /// engine adopted the backend, so a process-shared default backend's
-    /// earlier work is not misattributed here.  (Concurrent users of a
+    /// engine adopted the backend, so a shared backend's earlier work is not
+    /// misattributed here.  (Concurrent users of a
     /// deliberately shared backend still blur the window; see the
     /// [`ShardStats`] caveat.)
     pub fn backend_stats(&self) -> ShardStats {
@@ -520,16 +517,9 @@ mod tests {
         assert_eq!(engine.skeleton_misses(), 1);
         assert_eq!(engine.skeleton_hits(), 2);
         // The engine-level buffer pool means the second and third queries
-        // recycled the first query's warm buffers (5 streams each; a
-        // sharded default backend can only add intra-block reuses on top).
-        // Under a multi-process default backend the buffers live in the
-        // worker processes instead, so the coordinator-side pool stays
-        // flat and the dispatch counters carry the evidence.
-        if engine.backend().name() == "process" {
-            assert!(engine.backend_stats().tasks_dispatched >= 3);
-        } else {
-            assert!(engine.buffer_reuses() >= 10);
-        }
+        // recycled the first query's warm buffers (5 streams each).
+        assert_eq!(engine.backend().name(), "in-process");
+        assert!(engine.buffer_reuses() >= 10);
     }
 
     #[test]
@@ -608,8 +598,7 @@ mod tests {
     #[test]
     fn sharded_engines_return_bit_identical_samples() {
         let catalog = catalog(12);
-        let mut reference =
-            McdbEngine::new().with_backend(Arc::new(mcdbr_exec::InProcessBackend::new()));
+        let mut reference = McdbEngine::new();
         let expected = reference
             .run_samples(&losses_query(), &catalog, 64, 5)
             .unwrap();
@@ -641,7 +630,6 @@ mod tests {
             .unwrap();
         assert!(report.backend.shards_spawned > 0);
         let in_process_report = McdbEngine::new()
-            .with_backend(Arc::new(mcdbr_exec::InProcessBackend::new()))
             .naive_tail_sample(&losses_query(), &catalog, 0.05, 10, 200, 100, 2_000, 7)
             .unwrap();
         assert_eq!(in_process_report.backend.shards_spawned, 0);
@@ -678,19 +666,9 @@ mod tests {
         assert!(report.blocks_materialized > 1);
         assert_eq!(report.plan_executions, 1);
         // Every batch past calibration recycles the session's columnar
-        // buffers: 10 streams per block, reused per extra block (a lower
-        // bound — a sharded default backend adds intra-block reuses when an
-        // early-finishing shard task's buffer serves a neighbor task).
-        // Under a multi-process default backend the buffers live in the
-        // worker processes, so the coordinator-side pool stays flat and
-        // the dispatch counters carry the evidence instead.
-        if engine.backend().name() == "process" {
-            assert!(report.backend.tasks_dispatched >= report.blocks_materialized);
-            assert!(report.backend.wire_bytes_received > 0);
-        } else {
-            assert!(report.buffer_reuses >= (10 * (report.blocks_materialized - 1)) as u64);
-            assert!(report.bytes_materialized >= (report.repetitions * 10 * 8) as u64);
-        }
+        // buffers: 10 streams per block, reused per extra block.
+        assert!(report.buffer_reuses >= (10 * (report.blocks_materialized - 1)) as u64);
+        assert!(report.bytes_materialized >= (report.repetitions * 10 * 8) as u64);
         assert_eq!(engine.bytes_materialized(), report.bytes_materialized);
         assert_eq!(engine.buffer_reuses(), report.buffer_reuses);
         // Every reported tail sample really lies beyond the estimated quantile.

@@ -3,12 +3,11 @@
 //!
 //! ```text
 //! mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N]
-//!              [--port-file PATH]
+//!              [--port-file PATH] [--backend inprocess|sharded|process]
 //! ```
 //!
-//! The execution backend is environment-selected exactly like the rest of
-//! the repo: `MCDBR_BACKEND={inprocess,sharded,process}` (with
-//! `MCDBR_SHARDS` / `MCDBR_WORKERS`).  `--addr 127.0.0.1:0` binds an
+//! `--backend` picks the execution backend (default `inprocess`); a sharded
+//! or process backend is `--workers` wide.  `--addr 127.0.0.1:0` binds an
 //! ephemeral port; `--port-file` writes the bound `host:port` so scripts
 //! (CI, loadgen) can find it.  The process exits after a client sends the
 //! `Shutdown` frame and every in-flight query has drained.
@@ -21,7 +20,7 @@ use mcdbr_server::service::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N] \
-         [--port-file PATH]"
+         [--port-file PATH] [--backend inprocess|sharded|process]"
     );
     std::process::exit(2);
 }
@@ -29,6 +28,7 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut config = ServerConfig::default();
     let mut port_file: Option<String> = None;
+    let mut backend_name = "inprocess".to_string();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,6 +40,7 @@ fn main() -> ExitCode {
                 config.max_inflight = parse_count(&value("--max-inflight"), "--max-inflight")
             }
             "--port-file" => port_file = Some(value("--port-file")),
+            "--backend" => backend_name = value("--backend"),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("mcdbr-server: unknown argument `{other}`");
@@ -48,6 +49,13 @@ fn main() -> ExitCode {
         }
     }
 
+    let backend = match mcdbr_dispatch::backend_named(&backend_name, config.workers) {
+        Ok(backend) => backend,
+        Err(err) => {
+            eprintln!("mcdbr-server: --backend: {err}");
+            usage();
+        }
+    };
     let catalog = match demo::demo_catalog() {
         Ok(catalog) => catalog,
         Err(err) => {
@@ -55,7 +63,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let backend = mcdbr_dispatch::default_backend();
     eprintln!(
         "mcdbr-server: demo catalog ready ({} customers), backend `{}`, {} scheduler workers, \
          {} in-flight slots",

@@ -17,7 +17,7 @@
 //! * [`backend`] — [`FairBackend`]: the per-query [`mcdbr_exec::ExecBackend`]
 //!   adapter that decomposes a query into shard-task and rep-range units
 //!   on that scheduler; composes with every inner backend
-//!   (`MCDBR_BACKEND={inprocess,sharded,process}`) bit-identically.
+//!   (`mcdbr-server --backend {inprocess,sharded,process}`) bit-identically.
 //! * [`client`] — [`ServerClient`]: the blocking client the loadgen
 //!   binary, benches, and test suites speak.
 //! * [`load`] — [`load::run_load`]: N concurrent connections measuring

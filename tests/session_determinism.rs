@@ -8,6 +8,7 @@
 //! GibbsLooper and the MCDB engine replace per-block plan re-execution with
 //! cached-prefix block materialization without changing a single result.
 
+use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, evaluate_aggregate_threads};
 use mcdbr::exec::{
@@ -511,6 +512,52 @@ fn process_backend_engine_runs_match_in_process_engines() {
     assert!(stats.tasks_dispatched > 0);
     assert!(stats.workers_spawned >= 1);
     assert!(stats.wire_bytes_sent > 0 && stats.wire_bytes_received > 0);
+
+    // And through the Gibbs looper on every backend: the losses query with
+    // blocks small enough to force replenishment, and the test-scale TPC-H
+    // join under the Appendix D configuration.
+    let tpch = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let join = tpch.total_loss_query();
+    let losses_config = TailSamplingConfig::new(0.05, 10, 200)
+        .with_m(3)
+        .with_block_size(40)
+        .with_master_seed(11);
+    let appendix_d = TailSamplingConfig::new(0.25f64.powi(5), 100, 300)
+        .with_m(5)
+        .with_block_size(1000)
+        .with_master_seed(77);
+    for (query, catalog, config) in [
+        (&q, &catalog, losses_config),
+        (&join, &tpch.catalog, appendix_d),
+    ] {
+        let run = |backend: Arc<dyn ExecBackend>| {
+            GibbsLooper::new(query.clone(), config.clone())
+                .with_backend(backend)
+                .run(catalog)
+                .unwrap()
+        };
+        let want = run(Arc::new(InProcessBackend::new()));
+        assert!(want.replenishments > 0, "{want:?}");
+        for backend in [
+            Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
+            Arc::new(ProcessBackend::new(2)),
+        ] {
+            let name = backend.name();
+            let got = run(backend);
+            assert_eq!(got.tail_samples, want.tail_samples, "{name}");
+            assert_eq!(got.cutoffs, want.cutoffs, "{name}");
+            assert_eq!(got.gibbs, want.gibbs, "{name}");
+            assert_eq!(got.replenishments, want.replenishments, "{name}");
+            assert_eq!(
+                got.stream_positions_consumed, want.stream_positions_consumed,
+                "{name}"
+            );
+            assert_eq!(got.values_materialized, want.values_materialized, "{name}");
+            if name == "process" {
+                assert!(got.backend.tasks_dispatched >= 1, "{got:?}");
+            }
+        }
+    }
 }
 
 #[test]
