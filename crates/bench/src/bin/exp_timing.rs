@@ -48,9 +48,8 @@ fn main() {
     let per_rep = start.elapsed().as_secs_f64() / calib_reps as f64;
     let naive_plan_execs = engine.plans_executed();
     let naive_blocks = engine.blocks_materialized();
-    // Repetitions needed to see l tail samples at probability p, plus the
-    // calibration needed to locate the quantile in the first place.
-    let reps_needed = l / p + 1.0 / (p * 0.01f64.powi(2)) * 0.0; // dominant term: l / p
+    // Repetitions needed to see l tail samples at probability p.
+    let reps_needed = l / p;
     let naive_secs = per_rep * reps_needed;
 
     println!(

@@ -19,9 +19,15 @@
 //!   stream keys in vectors indexed by a dense seed *ordinal* — its rank in
 //!   ascending [`SeedId`] order, the sweep order.  One [`RowProgram`],
 //!   compiled per run from the aggregate and the final predicate, evaluates
-//!   each affected Gibbs tuple straight from its chain; a row it cannot
+//!   the affected Gibbs tuples straight from their chains; a row it cannot
 //!   decide exactly punts to the scalar evaluator
 //!   ([`TailSampleResult::rows_punted`]), so results are the scalar loop's.
+//!   A join fans one stream out to many tuples (Appendix D: each order's
+//!   loss to its `g_i` lineitems), so each seed's tuples are grouped once
+//!   into *runs* of consecutive tuples whose program inputs are identical —
+//!   same stream cell, bitwise-equal constants — and the program runs once
+//!   per run, its value added once per tuple in tuple order, which keeps
+//!   every sum bit-identical to the per-tuple loop.
 //! * **Replenishment** (§9): every stream carries its own finite
 //!   materialized range (§6).  One full-width block seeds every stream;
 //!   when the rejection sampler needs a position beyond *one* stream's
@@ -57,7 +63,7 @@ use mcdbr_exec::{
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{Catalog, Error, Result, Schema};
+use mcdbr_storage::{Catalog, Error, Result, Schema, Value};
 
 use crate::gibbs::GibbsStats;
 use crate::params::{optimal_m, staged_parameters_with_m, StagedParameters};
@@ -192,10 +198,11 @@ pub struct TailSampleResult {
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
-    /// Gibbs-tuple evaluations the compiled [`RowProgram`] punted to the
-    /// scalar evaluator (nulls, strings, checked `Int64` arithmetic, zero
-    /// divisors, or [`mcdbr_exec::KernelMode::ForceScalar`]).  0 on the
-    /// Appendix D query: anything else is a lost speed-up.
+    /// Program evaluations the compiled [`RowProgram`] punted to the scalar
+    /// evaluator (nulls, strings, checked `Int64` arithmetic, zero divisors,
+    /// or [`mcdbr_exec::KernelMode::ForceScalar`]) — one per run of Gibbs
+    /// tuples with identical inputs, not one per tuple (module docs).  0 on
+    /// the Appendix D query: anything else is a lost speed-up.
     pub rows_punted: u64,
     /// This run's window of its execution backend's counters — shard tasks
     /// and merge time, worker-process dispatch and its fault ladder, pager
@@ -331,7 +338,7 @@ impl GibbsLooper {
 
         // ===== Initial per-version aggregates (App. A.1). =====
         let mut num_versions = n;
-        let all: Vec<usize> = (0..bundles.len()).collect();
+        let all = runs(&bundles, program.slots(), 0..bundles.len());
         let mut version_aggregates: Vec<f64> = (0..num_versions)
             .map(|v| seeds.contribution(&program, &bundles, &all, v, None))
             .collect::<Result<_>>()?;
@@ -382,13 +389,13 @@ impl GibbsLooper {
             // Gibbs perturbation, seed-major (§7), k sweeps (k = 1 suffices).
             for _ in 0..self.config.k {
                 for ord in 0..seeds.ts.len() {
-                    let affected = &seeds.affected[ord];
+                    let (affected, runs) = (&seeds.affected[ord], &seeds.runs[ord]);
                     for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
                         // Passing the assigned position as the candidate
                         // spares each tuple a TS-seed lookup.
                         let assigned = Some((ord, seeds.ts[ord].assignment[v]));
                         let old_contribution =
-                            seeds.contribution(&program, &bundles, affected, v, assigned)?;
+                            seeds.contribution(&program, &bundles, runs, v, assigned)?;
                         let mut candidates_tried = 0u64;
                         loop {
                             if candidates_tried >= self.config.max_candidates {
@@ -411,7 +418,7 @@ impl GibbsLooper {
                             let new_contribution = seeds.contribution(
                                 &program,
                                 &bundles,
-                                affected,
+                                runs,
                                 v,
                                 Some((ord, pos)),
                             )?;
@@ -527,6 +534,48 @@ impl GibbsLooper {
     }
 }
 
+/// A run of Gibbs tuples with identical program inputs: its first tuple and
+/// its length.
+type Run = (usize, usize);
+
+/// `indices` as maximal runs of consecutive Gibbs tuples whose inputs to
+/// every program slot are identical: the same stream cell (seed, VG row and
+/// column, chain base) or bitwise-equal constants.
+fn runs(
+    bundles: &[TupleBundle],
+    slots: &[usize],
+    indices: impl IntoIterator<Item = usize>,
+) -> Vec<Run> {
+    let cell = |value: &BundleValue| match *value {
+        BundleValue::Random {
+            seed,
+            vg_row,
+            vg_col,
+            base_pos,
+            ..
+        } => Some((seed, vg_row, vg_col, base_pos)),
+        _ => None,
+    };
+    let same = |a: &TupleBundle, b: &TupleBundle| {
+        slots.iter().all(|&c| match (&a.values[c], &b.values[c]) {
+            // Bits, not `==`: `0.0 == -0.0` and `NaN != NaN`.
+            (BundleValue::Const(Value::Float64(x)), BundleValue::Const(Value::Float64(y))) => {
+                x.to_bits() == y.to_bits()
+            }
+            (BundleValue::Const(x), BundleValue::Const(y)) => x == y,
+            (x, y) => cell(x).is_some() && cell(x) == cell(y),
+        })
+    };
+    let mut runs: Vec<Run> = Vec::new();
+    for b in indices {
+        match runs.last_mut() {
+            Some((first, len)) if same(&bundles[*first], &bundles[b]) => *len += 1,
+            _ => runs.push((b, 1)),
+        }
+    }
+    runs
+}
+
 /// The looper's TS-seed state, indexed by seed *ordinal*: a seed's rank in
 /// ascending [`SeedId`] order, which is the seed-major sweep order (§7).
 struct Seeds {
@@ -536,6 +585,9 @@ struct Seeds {
     keys: Vec<StreamKey>,
     /// The Gibbs tuples carrying each ordinal's stream, in bundle order.
     affected: Vec<Vec<usize>>,
+    /// Each ordinal's `affected` tuples as [`runs`], which replenishment
+    /// leaves intact (it only lengthens chains).
+    runs: Vec<Vec<Run>>,
     /// `ords[b * slots + s]`: the ordinal behind Gibbs tuple `b`'s input to
     /// program slot `s` (unused where that input is a constant).
     ords: Vec<usize>,
@@ -586,26 +638,30 @@ impl Seeds {
                 .map(|&s| TsSeed::new(s, versions, materialized))
                 .collect(),
             keys: seeds.iter().map(key).collect(),
+            runs: affected
+                .iter()
+                .map(|a| runs(bundles, slots, a.iter().copied()))
+                .collect(),
             affected,
             ords,
         })
     }
 
-    /// The contribution of the Gibbs tuples in `affected` to DB version
-    /// `v`'s aggregate, with ordinal `cand.0` at candidate position `cand.1`
-    /// if given: one program run per tuple, summed from `0.0` in `affected`
-    /// order.
+    /// The contribution of the Gibbs tuples in `runs` to DB version `v`'s
+    /// aggregate, with ordinal `cand.0` at candidate position `cand.1` if
+    /// given: one program run per run, its value added once per tuple from
+    /// `0.0` in tuple order — the per-tuple sum, bit for bit.
     fn contribution(
         &self,
         program: &RowProgram,
         bundles: &[TupleBundle],
-        affected: &[usize],
+        runs: &[Run],
         v: usize,
         cand: Option<(usize, u64)>,
     ) -> Result<f64> {
         let width = program.slots().len();
         let mut total = 0.0;
-        for &b in affected {
+        for &(b, len) in runs {
             let ords = &self.ords[b * width..(b + 1) * width];
             let input = |slot: usize| match &bundles[b].values[program.slots()[slot]] {
                 value @ BundleValue::Random { base_pos, .. } => {
@@ -618,7 +674,9 @@ impl Seeds {
                 constant => (constant, 0),
             };
             if let Some(x) = program.eval(input)? {
-                total += x;
+                for _ in 0..len {
+                    total += x;
+                }
             }
         }
         Ok(total)
@@ -1175,6 +1233,7 @@ mod tests {
         doubled.aggregate = AggregateSpec::sum(Expr::col("val").mul(Expr::lit(2i64)), "x2");
         let (salaries, inversion) = salary_inversion();
         let (positions, portfolio) = portfolio();
+        let (items, weighted) = weighted_fanout();
         let shapes = [
             (&losses, losses_query()),
             (&losses, losses_query().with_final_predicate(big)),
@@ -1182,6 +1241,7 @@ mod tests {
             (&salaries, inversion),
             (&positions, portfolio),
             (&losses, doubled),
+            (&items, weighted),
         ];
         for (catalog, query) in &shapes {
             let mut replenished = [0, 0];
@@ -1212,6 +1272,75 @@ mod tests {
                 .with_master_seed(master);
             let looper = GibbsLooper::new(w.total_loss_query(), config);
             assert_compiled_matches_referee(&looper, &w.catalog);
+        }
+    }
+
+    /// `SUM(val * w)` over a fan-out join: each loss stream feeds several
+    /// tuples whose weights repeat, consecutively (one run) and not (two).
+    fn weighted_fanout() -> (Catalog, MonteCarloQuery) {
+        let mut catalog = catalog(&[3.0, 4.0, 5.0]);
+        let mut b = TableBuilder::new(StorageSchema::new(vec![
+            Field::int64("icid"),
+            Field::float64("w"),
+        ]));
+        for (cid, w) in [
+            (0, 1.0),
+            (1, 0.5),
+            (0, 1.0),
+            (2, -1.0),
+            (0, 2.0),
+            (1, 3.0),
+            (0, 1.0),
+            (2, -1.0),
+            (1, 0.5),
+        ] {
+            b = b.row([Value::Int64(cid), Value::Float64(w)]);
+        }
+        catalog.register("items", b.build().unwrap()).unwrap();
+        let mut query = losses_query();
+        query.plan = query
+            .plan
+            .join(PlanNode::scan("items"), vec![("cid", "icid")]);
+        query.aggregate = AggregateSpec::sum(Expr::col("val").mul(Expr::col("w")), "weighted");
+        (catalog, query)
+    }
+
+    #[test]
+    fn runs_never_merge_tuples_whose_inputs_differ() {
+        // Every tuple reads the same stream cell in slot 0 and the value
+        // under test in slot 1; column 2 is not read, so it differing (a
+        // lineitem key, say) never splits a run.
+        let random = |vg_col| BundleValue::Random {
+            seed: 7,
+            vg_row: 0,
+            vg_col,
+            base_pos: 0,
+            values: ValueChain::from_f64s([1.0]),
+        };
+        let int = |x: i64| BundleValue::Const(Value::Int64(x));
+        let float = |x: f64| BundleValue::Const(Value::Float64(x));
+        let nan = |payload| float(f64::from_bits(f64::NAN.to_bits() | payload));
+        let lens = |inputs: &[&BundleValue]| {
+            let bundles: Vec<TupleBundle> = (inputs.iter().enumerate())
+                .map(|(i, &x)| TupleBundle {
+                    values: vec![random(0), x.clone(), int(i as i64)],
+                    is_pres: None,
+                })
+                .collect();
+            let runs = runs(&bundles, &[0, 1], 0..bundles.len());
+            runs.iter().map(|&(_, len)| len).collect::<Vec<_>>()
+        };
+        for (what, a, b) in [
+            ("Float64 constants", float(1.0), float(2.0)),
+            ("signed zeros", float(0.0), float(-0.0)),
+            ("NaN payloads", nan(1), nan(2)),
+            ("Int64 constants", int(1), int(2)),
+            ("VG columns", random(1), random(2)),
+        ] {
+            assert_eq!(lens(&[&a, &b]), [1, 1], "{what}");
+            assert_eq!(lens(&[&a, &b, &a]), [1, 1, 1], "{what}: A, B, A");
+            // Identical inputs — the same bits, NaN included — do merge.
+            assert_eq!(lens(&[&a, &a, &b, &b, &b]), [2, 3], "{what}");
         }
     }
 
