@@ -260,7 +260,7 @@ fn main() {
         "{}",
         row(&[
             "naive repetitions needed".into(),
-            "~3.4e6 (l/p)".into(),
+            "102 400 (l/p = 100/0.25^5)".into(),
             format!("{reps_needed:.3e}")
         ])
     );

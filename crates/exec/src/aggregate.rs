@@ -14,7 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use mcdbr_storage::{Error, Mask, Result, Schema, SelVec, Value};
+use mcdbr_storage::{Column, Error, Mask, Result, Schema, SelVec, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
 use crate::expr::Expr;
@@ -226,13 +226,13 @@ where
     let partials = run(&job, ranges)?;
 
     let merge_start = std::time::Instant::now();
-    let per_rep = merge_rep_partials(set.num_reps, partials)?;
+    let lanes = merge_rep_partials(set.num_reps, job.layout.keys.len(), partials)?;
     let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    Ok((
-        job.layout.finish(per_rep, agg.func, group_by),
-        spawned,
-        merge_ns,
-    ))
+    let samples = QueryResultSamples {
+        group_columns: group_by.to_vec(),
+        groups: job.layout.keys.iter().cloned().zip(lanes).collect(),
+    };
+    Ok((samples, spawned, merge_ns))
 }
 
 /// What every repetition range of one [`aggregate_parts`] call shares: the
@@ -253,57 +253,75 @@ impl RepRangeJob {
     pub fn aggregate_rep_range(&self, set: &BundleSet, reps: Range<usize>) -> Result<AggPartial> {
         let hi = reps.end.min(set.num_reps);
         let lo = reps.start.min(hi);
-        let accs = match &self.plan {
-            Some(plan) => accumulate_range(plan, lo, hi),
-            None => (lo..hi)
-                .map(|rep| {
-                    accumulate_rep(
+        let len = hi - lo;
+        let vals = match &self.plan {
+            Some(plan) => accumulate_range(plan, self.agg.func, lo, hi),
+            None => {
+                let mut vals = vec![0.0; self.layout.keys.len() * len];
+                for rep in lo..hi {
+                    let accs = accumulate_rep(
                         set,
                         &self.layout,
                         &self.agg,
                         self.final_predicate.as_ref(),
                         rep,
-                    )
-                })
-                .collect::<Result<Vec<Vec<Accum>>>>()?,
+                    )?;
+                    for (g, acc) in accs.into_iter().enumerate() {
+                        vals[g * len + rep - lo] = acc.finish(self.agg.func);
+                    }
+                }
+                vals
+            }
         };
-        Ok(AggPartial { lo, accs })
+        Ok(AggPartial { lo, len, vals })
     }
 }
 
-/// One contiguous repetition range's accumulators, produced by
-/// [`RepRangeJob::aggregate_rep_range`].  Opaque: the accumulator layout is
+/// One contiguous repetition range's finished aggregates, produced by
+/// [`RepRangeJob::aggregate_rep_range`]: group `g`'s values for repetitions
+/// `lo..lo + len` are `vals[g * len..(g + 1) * len]`.  Opaque: the layout is
 /// this module's private contract.
 #[derive(Debug)]
 pub struct AggPartial {
     lo: usize,
-    accs: Vec<Vec<Accum>>,
+    len: usize,
+    vals: Vec<f64>,
 }
 
-/// Concatenate rep-range partials into per-repetition accumulators.  The
-/// partials must exactly tile `0..num_reps` (any order — they are sorted by
-/// range start here); gaps, overlaps, or missing repetitions are an error
-/// rather than a silently wrong result.
-fn merge_rep_partials(num_reps: usize, mut partials: Vec<AggPartial>) -> Result<Vec<Vec<Accum>>> {
+/// Concatenate rep-range partials into one lane of `num_reps` values per
+/// group.  The partials must exactly tile `0..num_reps` (any order — they
+/// are sorted by range start here); gaps, overlaps, or missing repetitions
+/// are an error rather than a silently wrong result.
+fn merge_rep_partials(
+    num_reps: usize,
+    num_groups: usize,
+    mut partials: Vec<AggPartial>,
+) -> Result<Vec<Vec<f64>>> {
     partials.sort_by_key(|p| p.lo);
-    let mut per_rep: Vec<Vec<Accum>> = Vec::with_capacity(num_reps);
-    for partial in partials {
-        if partial.lo != per_rep.len() {
+    let mut covered = 0;
+    for partial in &partials {
+        if partial.lo != covered {
             return Err(Error::Invalid(format!(
-                "aggregate partials do not tile the repetitions: expected start {}, got {}",
-                per_rep.len(),
+                "aggregate partials do not tile the repetitions: expected start {covered}, got {}",
                 partial.lo
             )));
         }
-        per_rep.extend(partial.accs);
+        covered += partial.len;
     }
-    if per_rep.len() != num_reps {
+    if covered != num_reps {
         return Err(Error::Invalid(format!(
-            "aggregate partials cover {} of {num_reps} repetitions",
-            per_rep.len()
+            "aggregate partials cover {covered} of {num_reps} repetitions"
         )));
     }
-    Ok(per_rep)
+    Ok((0..num_groups)
+        .map(|g| {
+            partials
+                .iter()
+                .flat_map(|p| &p.vals[g * p.len..(g + 1) * p.len])
+                .copied()
+                .collect()
+        })
+        .collect())
 }
 
 /// The group structure of a bundle set: every distinct key in first-seen
@@ -365,34 +383,13 @@ impl GroupLayout {
             key_of_bundle,
         })
     }
-
-    fn finish(
-        &self,
-        per_rep: Vec<Vec<Accum>>,
-        func: AggFunc,
-        group_by: &[String],
-    ) -> QueryResultSamples {
-        let groups = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(gidx, key)| {
-                (
-                    key.clone(),
-                    per_rep.iter().map(|accs| accs[gidx].finish(func)).collect(),
-                )
-            })
-            .collect();
-        QueryResultSamples {
-            group_columns: group_by.to_vec(),
-            groups,
-        }
-    }
 }
 
 /// A pre-compiled columnar aggregation plan: per bundle, the aggregand
-/// evaluated across every repetition plus the selection vector of
-/// contributing repetitions (presence ∧ final predicate).  Compilation
+/// across every repetition plus, only when some repetition is excluded, the
+/// selection vector of contributing repetitions (presence ∧ final
+/// predicate).  A bare column aggregand over a `Float64` segment shares that
+/// segment and is read in place, so the plan copies no values.  Compilation
 /// declines — whole-set scalar fallback — whenever any bundle leaves the
 /// vectorized subset (multi-segment chain, non-compilable expression,
 /// [`kernels::KernelMode::ForceScalar`]), so the plan is bit-identical to
@@ -404,8 +401,19 @@ struct AggPlan {
 
 struct PlanBundle {
     gidx: usize,
-    vals: NumVals,
-    sel: SelVec,
+    vals: PlanVals,
+    /// The contributing repetitions; `None` when every one contributes.
+    sel: Option<SelVec>,
+}
+
+/// A bundle's aggregand across the repetitions.
+enum PlanVals {
+    /// One value broadcast to every repetition.
+    Const(f64),
+    /// The chain's single null-free `Float64` segment, read in place.
+    Shared(Arc<Column>),
+    /// Values computed from the bundle's attributes.
+    Owned(Vec<f64>),
 }
 
 fn compile_plan(
@@ -419,13 +427,18 @@ fn compile_plan(
     }
     let schema = &set.schema;
     let n = set.num_reps;
+    let shared_col = match &agg.expr {
+        Expr::Column(name) => schema.index_of(name).ok(),
+        _ => None,
+    };
     let mut bundles = Vec::with_capacity(set.bundles.len());
+    let mut lanes: Vec<Lane<'_>> = Vec::new();
     for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
         // Every attribute must be a broadcast constant or expose a single
         // contiguous column segment of exactly `n` repetitions to become an
         // expression lane (replenished chains are longer and multi-segment;
         // the scalar loop handles those).
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(bundle.values.len());
+        lanes.clear();
         for v in &bundle.values {
             lanes.push(match v {
                 BundleValue::Const(c) => Lane::Const(c),
@@ -438,29 +451,36 @@ fn compile_plan(
                 }
             });
         }
-        let vals = kernels::numeric_values(&agg.expr, schema, &lanes, n)?;
-        let mut keep = match &bundle.is_pres {
-            None => Mask::ones(n),
-            Some(flags) => {
-                // Out-of-range repetitions count as absent, matching
-                // `TupleBundle::is_present`.
-                let mut m = Mask::zeros(n);
-                for (i, &f) in flags.iter().take(n).enumerate() {
-                    if f {
-                        m.set(i, true);
-                    }
-                }
-                m
-            }
+        let shared = shared_col
+            .and_then(|i| bundle.values[i].chain()?.as_single())
+            .filter(|seg| seg.f64_slice().is_some());
+        let vals = match shared {
+            Some(seg) => PlanVals::Shared(Arc::clone(seg)),
+            None => match kernels::numeric_values(&agg.expr, schema, &lanes, n)? {
+                NumVals::Const(c) => PlanVals::Const(c),
+                NumVals::Col(v) => PlanVals::Owned(v),
+            },
         };
+        // Out-of-range repetitions count as absent, matching
+        // `TupleBundle::is_present`.
+        let mut keep = bundle.is_pres.as_ref().map(|flags| {
+            let mut m = Mask::zeros(n);
+            for (i, &f) in flags.iter().take(n).enumerate() {
+                m.set(i, f);
+            }
+            m
+        });
         if let Some(pred) = final_predicate {
             let pm = kernels::predicate_mask(pred, schema, &lanes, n)?;
-            keep.and_assign(&pm);
+            match &mut keep {
+                Some(k) => k.and_assign(&pm),
+                None => keep = Some(pm),
+            }
         }
         bundles.push(PlanBundle {
             gidx,
             vals,
-            sel: SelVec::from_mask(&keep),
+            sel: keep.filter(|k| !k.all()).map(|k| SelVec::from_mask(&k)),
         });
     }
     Some(AggPlan {
@@ -469,30 +489,96 @@ fn compile_plan(
     })
 }
 
-/// Accumulate the contiguous repetition range `lo..hi` column-at-a-time:
-/// bundles in the outer loop (set order), each bundle's selection vector
-/// sliced to the range in the inner loop.  Per `(repetition, group)`
-/// accumulator the `add` calls arrive in exactly the scalar path's bundle
-/// order over exactly the same `f64`s, so the result is bit-identical to
-/// [`accumulate_rep`] over the same range.
-fn accumulate_range(plan: &AggPlan, lo: usize, hi: usize) -> Vec<Vec<Accum>> {
-    let mut accs = vec![vec![Accum::default(); plan.num_groups]; hi - lo];
+/// Accumulate the contiguous repetition range `lo..hi` column-at-a-time
+/// into flat, group-major lanes — bundles in the outer loop (set order),
+/// the range (or the bundle's selection vector sliced to it) in the inner
+/// loop — and finish them.  Per `(repetition, group)` the lanes receive
+/// exactly the scalar path's `f64`s in its bundle order and fold them as
+/// [`Accum::add`] does, so the result is bit-identical to [`accumulate_rep`]
+/// over the same range.
+fn accumulate_range(plan: &AggPlan, func: AggFunc, lo: usize, hi: usize) -> Vec<f64> {
+    let len = hi - lo;
+    let mut lanes = Lanes {
+        func,
+        count: vec![0; plan.num_groups * len],
+        acc: vec![0.0; plan.num_groups * len],
+    };
     for b in &plan.bundles {
-        let reps = b.sel.slice_in_range(lo, hi);
-        match &b.vals {
-            NumVals::Const(c) => {
-                for &rep in reps {
-                    accs[rep as usize - lo][b.gidx].add(*c);
+        let base = b.gidx * len;
+        let vals = b.vals.slice();
+        let c = match b.vals {
+            PlanVals::Const(c) => c,
+            _ => 0.0,
+        };
+        let at = |rep: usize| vals.map_or(c, |v| v[rep]);
+        match (&b.sel, func, vals) {
+            // A sum needs no count, and over a dense range vectorizes.
+            (None, AggFunc::Sum, Some(v)) => {
+                for (a, &x) in lanes.acc[base..base + len].iter_mut().zip(&v[lo..hi]) {
+                    *a += x;
                 }
             }
-            NumVals::Col(v) => {
-                for &rep in reps {
-                    accs[rep as usize - lo][b.gidx].add(v[rep as usize]);
+            (None, ..) => (lo..hi).for_each(|rep| lanes.add(base + rep - lo, at(rep))),
+            (Some(sel), ..) => {
+                for &rep in sel.slice_in_range(lo, hi) {
+                    lanes.add(base + rep as usize - lo, at(rep as usize));
                 }
             }
         }
     }
-    accs
+    lanes.finish()
+}
+
+impl PlanVals {
+    /// The per-repetition values; `None` for a constant.
+    fn slice(&self) -> Option<&[f64]> {
+        match self {
+            PlanVals::Const(_) => None,
+            PlanVals::Shared(col) => Some(col.f64_slice().expect("compiled as Float64, null-free")),
+            PlanVals::Owned(v) => Some(v),
+        }
+    }
+}
+
+/// One repetition range's accumulators as flat, group-major lanes: the
+/// `(repetition, group)` accumulator of [`accumulate_rep`] is lane
+/// `group * len + (repetition - lo)`, split into a count and one `f64` that
+/// folds the sum, minimum or maximum.
+struct Lanes {
+    func: AggFunc,
+    count: Vec<u64>,
+    acc: Vec<f64>,
+}
+
+impl Lanes {
+    /// [`Accum::add`] on lane `i`.
+    fn add(&mut self, i: usize, x: f64) {
+        let acc = &mut self.acc[i];
+        *acc = match self.func {
+            AggFunc::Min if self.count[i] > 0 => acc.min(x),
+            AggFunc::Max if self.count[i] > 0 => acc.max(x),
+            AggFunc::Min | AggFunc::Max => x,
+            _ => *acc + x,
+        };
+        self.count[i] += 1;
+    }
+
+    /// [`Accum::finish`] on every lane.
+    fn finish(self) -> Vec<f64> {
+        self.count
+            .iter()
+            .zip(&self.acc)
+            .map(|(&count, &a)| {
+                let acc = Accum {
+                    count,
+                    sum: a,
+                    min: a,
+                    max: a,
+                };
+                acc.finish(self.func)
+            })
+            .collect()
+    }
 }
 
 /// Accumulate one repetition's aggregates over every group, visiting bundles
@@ -602,7 +688,7 @@ mod tests {
     use super::*;
     use crate::bundle::{BundleValue, TupleBundle};
     use crate::stream_registry::StreamRegistry;
-    use mcdbr_storage::{Field, Schema};
+    use mcdbr_storage::Field;
 
     /// Build a small bundle set by hand: three "customers" with known
     /// per-repetition losses and a deterministic region.
@@ -818,5 +904,156 @@ mod tests {
         let res =
             evaluate_aggregate(&set, &AggregateSpec::sum(Expr::col("x"), "s"), &[], None).unwrap();
         assert_eq!(res.single().unwrap(), &[0.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// Nine bundles over `(region, x: Float64, k: Int64)` with seeded values;
+    /// `x` mixes in ±0.0, NaN and ±inf.  With `presence`, two of every three
+    /// bundles drop seeded repetitions, and every other one of those has a
+    /// presence vector one repetition short (out of range counts as absent).
+    fn seeded_set(reps: usize, presence: bool) -> BundleSet {
+        let schema = Schema::new(vec![
+            Field::utf8("region"),
+            Field::float64("x"),
+            Field::int64("k"),
+        ]);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let bundles = (0..9usize)
+            .map(|b| {
+                let x: Vec<f64> = (0..reps)
+                    .map(|_| match next() {
+                        r if r % 13 == 0 => specials[(r >> 8) as usize % specials.len()],
+                        r => (r >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0,
+                    })
+                    .collect();
+                let mut k = Column::default();
+                for _ in 0..reps {
+                    k.push_i64((next() % 7) as i64 - 3);
+                }
+                let is_pres = (presence && b % 3 != 0)
+                    .then(|| (0..reps - b % 2).map(|_| next() % 4 != 0).collect());
+                TupleBundle {
+                    values: vec![
+                        BundleValue::Const(Value::str(["EU", "US", "APAC"][b % 3])),
+                        BundleValue::Random {
+                            seed: b as u64,
+                            vg_row: 0,
+                            vg_col: 0,
+                            base_pos: 0,
+                            values: crate::bundle::ValueChain::from_f64s(x),
+                        },
+                        BundleValue::Computed(crate::bundle::ValueChain::from_column(k)),
+                    ],
+                    is_pres,
+                }
+            })
+            .collect();
+        BundleSet {
+            schema,
+            bundles,
+            registry: StreamRegistry::new(),
+            num_reps: reps,
+        }
+    }
+
+    /// Aggregate `set` in `parts` repetition ranges, asserting every value
+    /// of every partial bit-equal to the scalar referee's; returns how many
+    /// values it compared.
+    fn compare_with_referee(
+        set: &BundleSet,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+        parts: usize,
+    ) -> usize {
+        let case = format!("{agg:?} by {group_by:?} where {final_predicate:?}, {parts} parts");
+        let mut compared = 0;
+        aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
+            assert!(job.plan.is_some(), "{case}: plan declined");
+            let partials: Vec<AggPartial> = ranges
+                .into_iter()
+                .map(|range| job.aggregate_rep_range(set, range))
+                .collect::<Result<_>>()?;
+            for p in &partials {
+                for rep in p.lo..p.lo + p.len {
+                    let referee = accumulate_rep(set, &job.layout, agg, final_predicate, rep)?;
+                    for (g, acc) in referee.iter().enumerate() {
+                        let got = p.vals[g * p.len + rep - p.lo];
+                        let want = acc.finish(agg.func);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{case}: rep {rep} group {g}");
+                        compared += 1;
+                    }
+                }
+            }
+            Ok(partials)
+        })
+        .unwrap();
+        compared
+    }
+
+    #[test]
+    fn streaming_plan_is_bit_identical_to_the_scalar_referee() {
+        let _guard = kernels::MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let reps = 70;
+        let (x, k) = (Expr::col("x"), Expr::col("k"));
+        let aggregands = [
+            x.clone(),
+            k.clone(),
+            x.clone().lt(k.clone()),
+            x.clone().mul(Expr::lit(2.0)).add(k.clone()),
+            Expr::lit(1.5),
+        ];
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        let pred = x.clone().gt(Expr::lit(-1.0));
+        let region = ["region".to_string()];
+        let mut compared = 0;
+        for presence in [false, true] {
+            let set = seeded_set(reps, presence);
+            for (expr, func) in aggregands.iter().flat_map(|e| funcs.map(|f| (e, f))) {
+                let agg = AggregateSpec {
+                    func,
+                    expr: expr.clone(),
+                    alias: "a".into(),
+                };
+                for group_by in [&[][..], &region[..]] {
+                    for final_predicate in [None, Some(&pred)] {
+                        for parts in [1, 2, 3, 7, reps + 5] {
+                            compared +=
+                                compare_with_referee(&set, &agg, group_by, final_predicate, parts);
+                        }
+                    }
+                }
+            }
+        }
+        // 2 presences × 5 aggregands × 5 functions × 2 predicates × 5 part
+        // counts × 70 repetitions × (1 + 3) groups.
+        assert_eq!(compared, 2 * 5 * 5 * 2 * 5 * reps * 4);
+    }
+
+    #[test]
+    fn dense_sum_reads_the_shared_segment_without_a_selection_vector() {
+        let _guard = kernels::MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let set = seeded_set(70, false);
+        let agg = AggregateSpec::sum(Expr::col("x"), "s");
+        let layout = GroupLayout::discover(&set, &[]).unwrap();
+        let plan = compile_plan(&set, &layout, &agg, None).expect("vectorizes");
+        assert_eq!(plan.bundles.len(), set.bundles.len());
+        for (b, bundle) in plan.bundles.iter().zip(&set.bundles) {
+            let seg = bundle.values[1].chain().unwrap().as_single().unwrap();
+            assert!(matches!(&b.vals, PlanVals::Shared(col) if Arc::ptr_eq(col, seg)));
+            assert!(b.sel.is_none());
+        }
     }
 }

@@ -75,6 +75,11 @@ pub(crate) fn vectorized_enabled() -> bool {
     kernel_mode() == KernelMode::Auto
 }
 
+/// The kernel mode is process-global; tests that read or flip it take this
+/// lock so the parallel test runner cannot interleave them.
+#[cfg(test)]
+pub(crate) static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One input lane of an expression: a per-row column or a broadcast
 /// constant, positionally matching the expression's schema.
 #[derive(Clone, Copy)]
@@ -681,10 +686,6 @@ mod tests {
     use super::*;
     use crate::bundle::ValueChain;
     use mcdbr_storage::Field;
-
-    /// The kernel mode is process-global; tests that read or flip it take
-    /// this lock so the parallel test runner cannot interleave them.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn schema(names: &[&str]) -> Schema {
         Schema::new(

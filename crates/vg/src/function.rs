@@ -512,114 +512,6 @@ impl VgFunction for DiscreteVg {
     }
 }
 
-/// A `Normal` sampler variant using the batched Box–Muller transform instead
-/// of the inverse CDF.
-///
-/// Box–Muller maps *two* uniforms to one normal deviate with `ln`/`sqrt`/
-/// `cos` — much cheaper than the default sampler's Acklam quantile plus
-/// Halley refinement (two `erf` evaluations per value) — but the
-/// uniform-to-value mapping necessarily differs from the inverse CDF, so
-/// this is a distinct VG *configuration* with its own [`VgFunction::
-/// cache_token`]: plans choose it explicitly, and streams generated by one
-/// sampler are never served from a cache keyed by the other.  Within the
-/// variant the batched path is bit-identical to its scalar path, which is
-/// the contract the determinism suite enforces for every VG.
-///
-/// Parameters: `[mean, variance]`, exactly as [`NormalVg`].
-#[derive(Debug, Clone, Default)]
-pub struct BoxMullerNormalVg;
-
-/// The shared Box–Muller transform: both the scalar and batched paths fold
-/// the two uniforms through this one expression, making bit-identity across
-/// paths true by construction.
-#[inline]
-fn box_muller(u1: f64, u2: f64, mean: f64, sd: f64) -> f64 {
-    mean + sd * ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos())
-}
-
-impl BoxMullerNormalVg {
-    fn params(params: &[Value]) -> Result<(f64, f64)> {
-        let mean = param_f64(params, 0, "mean", "NormalBoxMuller")?;
-        let variance = param_f64(params, 1, "variance", "NormalBoxMuller")?;
-        if variance < 0.0 {
-            return Err(Error::Invalid(format!(
-                "NormalBoxMuller: negative variance {variance}"
-            )));
-        }
-        Ok((mean, variance.sqrt()))
-    }
-}
-
-impl VgFunction for BoxMullerNormalVg {
-    fn name(&self) -> &str {
-        "NormalBoxMuller"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn cache_token(&self) -> String {
-        self.name().to_string()
-    }
-
-    fn output_fields(&self) -> Vec<Field> {
-        vec![Field::float64("value")]
-    }
-
-    fn generate(&self, params: &[Value], gen: &mut Pcg64) -> Result<Vec<Tuple>> {
-        let (mean, sd) = Self::params(params)?;
-        // Uniform order is the contract: u1 open (ln(0) guard), then u2.
-        let u1 = gen.next_f64_open();
-        let u2 = gen.next_f64();
-        Ok(vec![Tuple::from_iter_values([box_muller(
-            u1, u2, mean, sd,
-        )])])
-    }
-
-    fn generate_block_into(
-        &self,
-        params: &[Value],
-        seed: SeedId,
-        base_pos: u64,
-        num_values: usize,
-        out: &mut ColumnBlock,
-    ) -> Result<()> {
-        let (mean, sd) = Self::params(params)?;
-        out.reset(1, 1, num_values);
-        let stream = RandomStream::new(seed);
-        let col = out.column_mut(0, 0);
-        // Two passes — uniforms first, transform second — so the transform
-        // loop runs over contiguous slices with no PRNG dependency chain
-        // interleaved.  The second-uniform scratch is thread-local and reused
-        // across blocks: steady-state batched generation allocates nothing.
-        thread_local! {
-            static U2_SCRATCH: std::cell::RefCell<Vec<f64>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        U2_SCRATCH.with(|scratch| {
-            let mut u2 = scratch.borrow_mut();
-            u2.clear();
-            u2.reserve(num_values);
-            // Pass 1: both uniforms per position, in scalar-path order,
-            // each written exactly once (no zero-fill).
-            let slots = col
-                .extend_f64_values((0..num_values).map(|i| {
-                    let mut gen = stream.generator_at(base_pos + i as u64);
-                    let u1 = gen.next_f64_open();
-                    u2.push(gen.next_f64());
-                    u1
-                }))
-                .expect("reset cleared the column, so it retypes to Float64");
-            // Pass 2: the transform over two contiguous slices.
-            for (slot, &u) in slots.iter_mut().zip(u2.iter()) {
-                *slot = box_muller(*slot, u, mean, sd);
-            }
-        });
-        Ok(())
-    }
-}
-
 /// A correlated multivariate-normal VG function with equicorrelation `rho`.
 ///
 /// One invocation produces `dim` rows `(component, value)` — the "table
@@ -1116,38 +1008,6 @@ mod tests {
             &[f(100.0), f(0.05), f(0.2), f(1.0)],
             18,
         );
-        assert_batched_matches_scalar(&BoxMullerNormalVg, &[f(3.0), f(2.0)], 19);
-        assert_batched_matches_scalar(
-            &crate::alias::AliasDiscreteVg::new(vec![
-                Value::Int64(20),
-                Value::Int64(21),
-                Value::Null,
-            ]),
-            &[f(0.4), f(0.4), f(0.2)],
-            20,
-        );
-    }
-
-    /// The opt-in sampler variants are different *configurations*: same
-    /// parameters, same seed, different streams — and different tokens, so
-    /// a plan-keyed cache can never serve one variant's streams for the
-    /// other.
-    #[test]
-    fn sampler_variants_diverge_from_the_default_samplers() {
-        let f = Value::Float64;
-        let params = [f(3.0), f(2.0)];
-        let mut a = ColumnBlock::new();
-        let mut b = ColumnBlock::new();
-        NormalVg
-            .generate_block_into(&params, 9, 0, 64, &mut a)
-            .unwrap();
-        BoxMullerNormalVg
-            .generate_block_into(&params, 9, 0, 64, &mut b)
-            .unwrap();
-        assert_ne!(NormalVg.cache_token(), BoxMullerNormalVg.cache_token());
-        let diverged =
-            (0..64).any(|i| a.value_at(0, 0, i).unwrap() != b.value_at(0, 0, i).unwrap());
-        assert!(diverged, "Box–Muller must not alias the inverse-CDF stream");
     }
 
     /// A third-party-style VG with no batched override: the default

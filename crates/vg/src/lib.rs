@@ -23,14 +23,12 @@
 //!   correlated multivariate normal, and an Euler-discretized geometric
 //!   Brownian motion for financial-asset scenarios (§1).
 
-pub mod alias;
 pub mod dist;
 pub mod function;
 pub mod math;
 
-pub use alias::{AliasDiscreteVg, AliasTable};
 pub use dist::Distribution;
 pub use function::{
-    BayesianDemandVg, BoxMullerNormalVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg,
-    PoissonVg, UniformVg, VgFunction,
+    BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
+    VgFunction,
 };
