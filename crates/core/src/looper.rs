@@ -205,8 +205,8 @@ pub struct TailSampleResult {
     /// the Appendix D query: anything else is a lost speed-up.
     pub rows_punted: u64,
     /// This run's window of its execution backend's counters — shard tasks
-    /// and merge time, worker-process dispatch and its fault ladder, pager
-    /// disk traffic (all zero where the backend has nothing to report, e.g.
+    /// and merge time, worker-process dispatch and its fault ladder (all
+    /// zero where the backend has nothing to report, e.g.
     /// `shards_spawned` on the in-process backend).  Attributed by
     /// snapshotting the backend's cumulative [`mcdbr_exec::ShardStats`]
     /// around the run, so a backend shared across *concurrent* runs blurs

@@ -75,7 +75,7 @@ use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::aggregate::{AggregateSpec, QueryResultSamples};
@@ -227,16 +227,20 @@ enum TaskOutcome {
     Degraded,
 }
 
-/// One dispatchable plan: the skeleton it belongs to (held alive so the
-/// pointer identity used for lookup can never be reused by a different
-/// skeleton), its wire key, the encoded `Plan` frame — `None` when the
+/// One dispatchable plan: a weak handle to the skeleton it belongs to, its
+/// wire key, the encoded `Plan` frame — `None` when the
 /// plan is not wire-serializable and blocks must run locally — and the
 /// encoded `TableData` frame of every table the plan reads, keyed by
 /// content hash.  Table frames are shared (`Arc`) across entries that
 /// reference the same table version, so re-priming after an epoch bump
 /// with unchanged content costs no re-encode.
+///
+/// The handle is weak so that a skeleton dies with the last session that
+/// holds it, not with the entry.  A live `Weak` still keeps the skeleton's
+/// allocation reserved, so the pointer identity used for lookup can never
+/// be reused by a different skeleton while the entry exists.
 struct PlanEntry {
-    skeleton: Arc<PlanSkeleton>,
+    skeleton: Weak<PlanSkeleton>,
     key: PlanKey,
     frame: Option<Arc<Vec<u8>>>,
     tables: Arc<Vec<(u64, Arc<Vec<u8>>)>>,
@@ -268,8 +272,7 @@ pub struct ProcessBackend {
     /// plan has no `worker=K` target.
     faults: Option<Arc<FaultInjector>>,
     /// Extra environment for spawned workers (on top of the inherited
-    /// process environment).  Tests use this to give workers their own
-    /// `MCDBR_DATA_DIR` without mutating the coordinator's environment.
+    /// process environment).
     worker_env: Vec<(String, String)>,
     workers_spawned: AtomicUsize,
     tasks_dispatched: AtomicUsize,
@@ -282,7 +285,6 @@ pub struct ProcessBackend {
     circuit_trips: AtomicUsize,
     merge_ns: AtomicU64,
     cross_shard_regens: AtomicUsize,
-    store_evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for ProcessBackend {
@@ -328,7 +330,6 @@ impl ProcessBackend {
             circuit_trips: AtomicUsize::new(0),
             merge_ns: AtomicU64::new(0),
             cross_shard_regens: AtomicUsize::new(0),
-            store_evictions: AtomicU64::new(0),
         }
     }
 
@@ -352,10 +353,8 @@ impl ProcessBackend {
     }
 
     /// Set an environment variable on every worker this backend spawns
-    /// (workers otherwise inherit the coordinator's environment).  Tests
-    /// hand workers a scratch `MCDBR_DATA_DIR` this way, so the persistent
-    /// table-store tier can be exercised without touching the
-    /// coordinator's own pager mode.
+    /// (workers otherwise inherit the coordinator's environment), without
+    /// touching the coordinator's own environment.
     pub fn with_worker_env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.worker_env.push((key.into(), value.into()));
         self
@@ -819,10 +818,11 @@ impl ExecBackend for ProcessBackend {
         prefix: &DeterministicPrefix,
     ) -> Result<()> {
         let mut state = self.state.lock().expect("dispatch state");
+        let skeleton = Arc::as_ptr(prefix.skeleton());
         if state
             .plans
             .iter()
-            .any(|e| Arc::ptr_eq(&e.skeleton, prefix.skeleton()))
+            .any(|e| Weak::as_ptr(&e.skeleton) == skeleton)
         {
             return Ok(());
         }
@@ -865,7 +865,7 @@ impl ExecBackend for ProcessBackend {
             state.plans.remove(0);
         }
         state.plans.push(PlanEntry {
-            skeleton: Arc::clone(prefix.skeleton()),
+            skeleton: Arc::downgrade(prefix.skeleton()),
             key,
             frame,
             tables: Arc::new(tables),
@@ -881,12 +881,12 @@ impl ExecBackend for ProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        let skeleton = prefix.skeleton();
+        let skeleton = Arc::as_ptr(prefix.skeleton());
         let mut state = self.state.lock().expect("dispatch state");
         let (key, plan_frame, tables) = match state
             .plans
             .iter()
-            .find(|e| Arc::ptr_eq(&e.skeleton, skeleton))
+            .find(|e| Weak::as_ptr(&e.skeleton) == skeleton)
         {
             Some(PlanEntry {
                 frame: Some(frame),
@@ -937,11 +937,9 @@ impl ExecBackend for ProcessBackend {
         let mut partials = Vec::with_capacity(units.len());
         let mut foreign = 0usize;
         let mut warm = 0usize;
-        let mut evicted = 0u64;
         for (unit, outcome) in units.iter().zip(outcomes) {
             partials.push(match outcome {
                 TaskOutcome::Wire(bundles, stats) => {
-                    evicted += stats.store_evictions;
                     foreign += stats.foreign_streams;
                     warm += usize::from(stats.warm_hit);
                     bundles
@@ -956,7 +954,6 @@ impl ExecBackend for ProcessBackend {
         self.cross_shard_regens
             .fetch_add(foreign, Ordering::Relaxed);
         self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
-        self.store_evictions.fetch_add(evicted, Ordering::Relaxed);
 
         let merge_start = Instant::now();
         let set = merge_block(prefix, num_values, partials);
@@ -995,13 +992,7 @@ impl ExecBackend for ProcessBackend {
             deadline_timeouts: self.deadline_timeouts.load(Ordering::Relaxed),
             task_retries: self.task_retries.load(Ordering::Relaxed),
             circuit_trips: self.circuit_trips.load(Ordering::Relaxed),
-            store_evictions: self.store_evictions.load(Ordering::Relaxed),
-            ..ShardStats::default()
         }
-        // The coordinator's own pager counters; workers keep theirs.  The
-        // local agg's snapshot reports the same process-global numbers, so
-        // taking them once here cannot double count.
-        .with_pager()
     }
 }
 
@@ -1247,6 +1238,40 @@ mod tests {
                 "plan eviction is recovered by re-sending, never by respawning: {stats:?}"
             );
         }
+    }
+
+    #[test]
+    fn prepared_plans_do_not_pin_their_skeletons() {
+        // The backend remembers up to MAX_PREPARED_PLANS primed plans, but
+        // a skeleton must die with the last session and cache holding it.
+        let catalog = catalog();
+        let plan = complex_plan();
+        let backend = Arc::new(ProcessBackend::new(1));
+        let cache = SessionCache::new();
+        let mut session = cache
+            .session(&plan, &catalog, 42)
+            .unwrap()
+            .with_backend(backend.clone());
+        let _ = session.instantiate_block(&catalog, 0, 8).unwrap();
+        assert!(backend.shard_stats().tasks_dispatched >= 1);
+        let skeleton = Arc::downgrade(session.prefix().unwrap().skeleton());
+        drop((session, cache));
+        assert!(
+            skeleton.upgrade().is_none(),
+            "the backend's plan list kept a dropped session's skeleton alive"
+        );
+
+        // A fresh skeleton of the same plan is primed anew and still runs
+        // bit-identically.
+        let mut again = ExecSession::prepare(&plan, &catalog, 42)
+            .unwrap()
+            .with_backend(backend.clone());
+        let want = ExecSession::prepare(&plan, &catalog, 42)
+            .unwrap()
+            .with_backend(Arc::new(InProcessBackend::new()))
+            .instantiate_block(&catalog, 8, 8)
+            .unwrap();
+        assert_sets_identical(&want, &again.instantiate_block(&catalog, 8, 8).unwrap());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Task{key, seed, range,  →
 //!      base_pos, n}
 //!                         ←   Bundle{idx, bundle}  × N   (length-prefixed partials)
-//!                         ←   TaskStats{N, foreign, warm, evicted}
+//!                         ←   TaskStats{N, foreign, warm}
 //! Shutdown                →                              (clean exit)
 //! ```
 //!
@@ -79,9 +79,10 @@ pub const WIRE_MAGIC: u32 = 0x5744_434D;
 /// frame change; the handshake rejects peers speaking another version.
 /// Version 2 introduced content-addressed plan shipping: `Plan` frames
 /// carry [`TableRef`]s, tables travel as paged `TableData` frames on
-/// demand, and bundle presence masks are bit-packed.  Version 3 added
-/// [`TaskStats::store_evictions`] to the stats frame.
-pub const WIRE_VERSION: u16 = 3;
+/// demand, and bundle presence masks are bit-packed.  Version 3 added a
+/// worker table-store eviction count to the stats frame; version 4 removed
+/// it again.
+pub const WIRE_VERSION: u16 = 4;
 
 /// Upper bound on a single frame's payload, guarding against a corrupt
 /// length prefix allocating unbounded memory.
@@ -385,10 +386,6 @@ pub struct TaskStats {
     /// Whether the worker's own session cache already held the plan's
     /// skeleton — the warm-worker phase-1 skip.
     pub warm_hit: bool,
-    /// Table-store evictions (memory tier only; disk copies survive) on
-    /// this worker since its previous stats frame — a delta, so the
-    /// coordinator can sum frames without double counting.
-    pub store_evictions: u64,
 }
 
 /// Why a server turned a request away (see [`Frame::ErrorReply`]).
@@ -678,27 +675,6 @@ pub fn encode_table_data(hash: u64, table: &Table) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-/// Encode one table as a standalone blob — the `TableData` table encoding
-/// without the frame tag and hash prefix.  This is the record payload the
-/// worker's persistent store tier writes to `store/<hash>.heap`; the heap
-/// record's checksum then covers exactly these bytes.
-pub fn encode_table_bytes(table: &Table) -> WireResult<Vec<u8>> {
-    let mut out = Vec::new();
-    put_table(&mut out, table)?;
-    Ok(out)
-}
-
-/// Decode a blob produced by [`encode_table_bytes`], rejecting trailing
-/// bytes.  Validation is the same as for a `TableData` frame: every page
-/// encoding and tail column is checked, so a store file whose checksum
-/// passes but whose payload predates a format change fails typed here.
-pub fn decode_table_bytes(bytes: &[u8]) -> WireResult<Table> {
-    let mut d = Dec::new(bytes);
-    let table = get_table(&mut d)?;
-    d.finish("table blob")?;
-    Ok(table)
-}
-
 /// Encode a `Task` frame.
 pub fn encode_task(task: &TaskHeader) -> Vec<u8> {
     let mut out = vec![TAG_TASK];
@@ -779,7 +755,6 @@ pub fn encode_task_stats(stats: TaskStats) -> Vec<u8> {
     out.extend_from_slice(&(stats.bundles as u64).to_le_bytes());
     out.extend_from_slice(&(stats.foreign_streams as u64).to_le_bytes());
     out.push(u8::from(stats.warm_hit));
-    out.extend_from_slice(&stats.store_evictions.to_le_bytes());
     out
 }
 
@@ -1025,7 +1000,6 @@ pub fn decode_frame(payload: &[u8]) -> WireResult<Frame> {
             bundles: d.u64("stats bundle count")? as usize,
             foreign_streams: d.u64("stats foreign streams")? as usize,
             warm_hit: d.u8("stats warm flag")? != 0,
-            store_evictions: d.u64("stats store evictions")?,
         }),
         TAG_ERROR => Frame::Error {
             message: d.str("error message")?,

@@ -53,153 +53,35 @@ struct KnownPlan {
 }
 
 /// How many distinct table versions a worker caches by content hash.
-/// FIFO eviction; an evicted table that a later plan still needs comes
-/// back from the disk tier (if the pager is on) or rides the `NeedTables`
-/// ladder again.
+/// FIFO eviction; an evicted table that a later plan still needs rides
+/// the `NeedTables` ladder again.
 const MAX_STORED_TABLES: usize = 256;
 
-/// The worker's content-addressed table cache: a bounded in-memory tier
-/// (hash → table, FIFO past [`MAX_STORED_TABLES`] entries or past the
-/// `MCDBR_TABLE_STORE_BYTES` byte budget) over an optional persistent disk
-/// tier under the pager's `store/` directory.
-///
-/// The disk tier is write-through: every validated `TableData` frame is
-/// persisted as one checksummed heap record (`store/<hash:016x>.heap`,
-/// temp-file + rename, so a crash mid-write never publishes a torn file)
-/// before it can be evicted, and a miss at `Plan` time re-reads and
-/// re-validates the blob — both its heap-record checksum and the decoded
-/// table's content hash — before vouching for it.  A respawned worker
-/// therefore answers `NeedTables` for a previously shipped table with an
-/// empty list: the store outlives the process.
+/// The worker's content-addressed table cache: hash → table, FIFO past
+/// [`MAX_STORED_TABLES`] entries.
 #[derive(Default)]
 struct TableStore {
-    /// The disk tier's pager — [`mcdbr_storage::Pager::global`] in
-    /// production (present iff `MCDBR_DATA_DIR` is set); tests inject a
-    /// private pager to exercise the tier hermetically.
-    pager: Option<&'static mcdbr_storage::Pager>,
     tables: HashMap<u64, Table>,
     order: std::collections::VecDeque<u64>,
-    /// Resident footprint of the memory tier (sealed page bytes + an open
-    /// tail estimate), maintained alongside `tables`.
-    resident_bytes: u64,
-    /// Byte budget for the memory tier; `u64::MAX` when unset.
-    byte_budget: u64,
-    /// Memory-tier evictions since the worker started (monotone; tasks
-    /// report deltas).
-    evictions: u64,
-    /// How many of `evictions` have already traveled in a stats frame.
-    reported_evictions: u64,
-}
-
-/// The footprint a stored table charges against `MCDBR_TABLE_STORE_BYTES`:
-/// its sealed page payloads (resident or spilled — an evicted table frees
-/// its page `Arc`s either way) plus a flat per-row charge for the open
-/// tail, which ships column-major and has no sealed encoding to measure.
-fn table_footprint(table: &Table) -> u64 {
-    let pages: usize = table.pages().iter().map(|p| p.byte_len()).sum();
-    let tail = table.tail_rows().len() * 64;
-    (pages + tail) as u64
 }
 
 impl TableStore {
-    fn new() -> TableStore {
-        let byte_budget = std::env::var("MCDBR_TABLE_STORE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(u64::MAX);
-        TableStore {
-            pager: mcdbr_storage::Pager::global(),
-            byte_budget,
-            ..TableStore::default()
-        }
-    }
-
-    /// Is `hash` available without another `TableData` frame?  Checks the
-    /// memory tier, then falls back to re-validating the disk tier —
-    /// promoting a good blob into memory, deleting a torn or mismatched
-    /// one.  Only a true miss (no copy anywhere) returns `false`.
-    fn contains(&mut self, hash: u64) -> bool {
-        if self.tables.contains_key(&hash) {
-            return true;
-        }
-        self.promote_from_disk(hash)
-    }
-
     fn get(&self, hash: u64) -> Option<&Table> {
         self.tables.get(&hash)
     }
 
-    /// Try to load `hash` from the persistent tier.  Any failure —
-    /// truncated heap file, checksum mismatch, stale encoding, or a
-    /// decoded table whose recomputed content hash disagrees with its
-    /// file name — deletes the file and reports a miss, so the
-    /// coordinator's `TableData` re-send repairs the store.
-    fn promote_from_disk(&mut self, hash: u64) -> bool {
-        let Some(pager) = self.pager else {
-            return false;
-        };
-        let blob = match pager.load_store_blob(hash) {
-            Ok(Some(blob)) => blob,
-            Ok(None) => return false,
-            Err(_) => {
-                pager.remove_store_blob(hash);
-                return false;
-            }
-        };
-        match wire::decode_table_bytes(&blob) {
-            Ok(table) if table.content_hash() == hash => {
-                self.insert_memory(hash, table);
-                true
-            }
-            _ => {
-                pager.remove_store_blob(hash);
-                false
-            }
-        }
-    }
-
-    /// Accept one validated `TableData` table: write it through to the
-    /// disk tier (best-effort — a full disk degrades to memory-only, the
-    /// pre-pager behavior), then cache it in the memory tier.
+    /// Cache one validated `TableData` table, evicting oldest-first past
+    /// the cap.
     fn insert(&mut self, hash: u64, table: Table) {
-        if let Some(pager) = self.pager {
-            if let Ok(blob) = wire::encode_table_bytes(&table) {
-                let _ = pager.persist_store_blob(hash, &blob);
-            }
-        }
-        self.insert_memory(hash, table);
-    }
-
-    fn insert_memory(&mut self, hash: u64, table: Table) {
-        let footprint = table_footprint(&table);
         if self.tables.insert(hash, table).is_none() {
             self.order.push_back(hash);
-            self.resident_bytes += footprint;
         }
-        // Evict oldest-first past either cap, but never the entry just
-        // inserted — a single table larger than the whole byte budget must
-        // still be usable (the budget bounds the cache, not table size).
-        while self.tables.len() > MAX_STORED_TABLES
-            || (self.resident_bytes > self.byte_budget && self.tables.len() > 1)
-        {
+        while self.tables.len() > MAX_STORED_TABLES {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if let Some(evicted) = self.tables.remove(&oldest) {
-                self.resident_bytes = self
-                    .resident_bytes
-                    .saturating_sub(table_footprint(&evicted));
-                self.evictions += 1;
-            }
+            self.tables.remove(&oldest);
         }
-    }
-
-    /// Evictions not yet reported — the delta each `TaskStats` frame
-    /// carries in [`TaskStats::store_evictions`].
-    fn take_eviction_delta(&mut self) -> u64 {
-        let delta = self.evictions - self.reported_evictions;
-        self.reported_evictions = self.evictions;
-        delta
     }
 }
 
@@ -289,7 +171,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
     output.flush()?;
 
     let mut plans = PlanStore::default();
-    let mut store = TableStore::new();
+    let mut store = TableStore::default();
     let cache = SessionCache::new();
     let pool = BlockBufferPool::new();
 
@@ -300,16 +182,14 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
         };
         match wire::decode_frame(&payload)? {
             Frame::Plan { key, plan, tables } => {
-                // Answer with the content hashes the store lacks — in
-                // memory or (re-validated) on disk; the coordinator ships
-                // exactly those as TableData frames before the first task.
-                // A fully warm store answers with an empty list and no
-                // table bytes flow at all — including on a respawned
-                // worker whose disk tier survived the crash.
+                // Answer with the content hashes the store lacks; the
+                // coordinator ships exactly those as TableData frames
+                // before the first task.  A fully warm store answers with
+                // an empty list and no table bytes flow at all.
                 let missing: Vec<u64> = tables
                     .iter()
                     .map(|r| r.hash)
-                    .filter(|&h| !store.contains(h))
+                    .filter(|&h| store.get(h).is_none())
                     .collect();
                 plans.insert(
                     key,
@@ -338,7 +218,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
                 {
                     std::thread::sleep(d);
                 }
-                let reply = serve_task(&mut plans, &mut store, &cache, &pool, &task);
+                let reply = serve_task(&mut plans, &store, &cache, &pool, &task);
                 // The hung-but-alive failure mode: the task ran, the reply
                 // just never starts.  The coordinator's read deadline is
                 // what turns this into a respawn.
@@ -395,7 +275,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
 #[allow(clippy::type_complexity)]
 fn serve_task(
     plans: &mut PlanStore,
-    store: &mut TableStore,
+    store: &TableStore,
     cache: &SessionCache,
     pool: &BlockBufferPool,
     task: &TaskHeader,
@@ -410,13 +290,11 @@ fn serve_task(
     })?;
     if known.catalog.is_none() {
         // First task for this plan: assemble its catalog from the
-        // content-addressed store (promoting from the disk tier if the
-        // memory tier evicted a ref since the Plan frame).  Table clones
-        // are page-Arc bumps, so the assembled catalog is immune to later
-        // store eviction.
+        // content-addressed store.  Table clones are page-Arc bumps, so the
+        // assembled catalog is immune to later store eviction.
         let mut catalog = Catalog::new();
         for r in &known.table_refs {
-            if !store.contains(r.hash) {
+            let Some(table) = store.get(r.hash) else {
                 return Err(format!(
                     "{} (fingerprint {:#018x}, epoch {}): table {:?} (hash {:#018x}) \
                      is not in the content store; send the Plan frame again",
@@ -426,8 +304,7 @@ fn serve_task(
                     r.name,
                     r.hash
                 ));
-            }
-            let table = store.get(r.hash).expect("contains() promoted the table");
+            };
             catalog
                 .register(r.name.clone(), table.clone())
                 .map_err(|e| format!("rebuilding catalog snapshot: {e}"))?;
@@ -462,7 +339,6 @@ fn serve_task(
         bundles: output.bundles.len(),
         foreign_streams: output.foreign_streams,
         warm_hit,
-        store_evictions: store.take_eviction_delta(),
     };
     Ok((output.bundles, stats))
 }
@@ -622,18 +498,10 @@ mod tests {
         input.push(wire::encode_shutdown());
         let (result, frames) = converse(input);
         result.unwrap();
-        if mcdbr_storage::Pager::global().is_none() {
-            assert!(
-                matches!(&frames[1], Frame::NeedTables { hashes } if hashes.len() == 1),
-                "first plan finds a cold store"
-            );
-        } else {
-            // Under `MCDBR_DATA_DIR` the process-global store may already
-            // hold this table from an earlier test in this binary; the
-            // hermetic disk-tier tests below pin down cold-vs-warm first
-            // contact with a private pager.
-            assert!(matches!(&frames[1], Frame::NeedTables { .. }));
-        }
+        assert!(
+            matches!(&frames[1], Frame::NeedTables { hashes } if hashes.len() == 1),
+            "first plan finds a cold store"
+        );
         assert!(
             matches!(&frames[2], Frame::NeedTables { hashes } if hashes.is_empty()),
             "second plan over the same table must need nothing: {:?}",
@@ -643,103 +511,6 @@ mod tests {
         assert!(frames
             .iter()
             .any(|f| matches!(f, Frame::TaskStats(s) if s.bundles == 2)));
-    }
-
-    fn sized_table(rows: i64, tag: i64) -> Table {
-        let mut b = TableBuilder::new(Schema::new(vec![Field::int64("cid"), Field::float64("m")]));
-        for i in 0..rows {
-            b = b.row([Value::Int64(i * 1000 + tag), Value::Float64(i as f64)]);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn byte_budget_evicts_oldest_first_and_counts_deltas() {
-        let a = sized_table(200, 1);
-        let b = sized_table(200, 2);
-        let c = sized_table(200, 3);
-        let footprint = table_footprint(&a);
-        assert!(footprint > 0);
-        let mut store = TableStore {
-            // Room for two resident tables, not three.
-            byte_budget: footprint * 2,
-            ..TableStore::default()
-        };
-        store.insert(a.content_hash(), a.clone());
-        store.insert(b.content_hash(), b.clone());
-        assert_eq!(store.take_eviction_delta(), 0, "two tables fit");
-        store.insert(c.content_hash(), c.clone());
-        assert_eq!(store.take_eviction_delta(), 1, "third table evicts one");
-        assert_eq!(store.take_eviction_delta(), 0, "deltas reset once taken");
-        assert!(!store.contains(a.content_hash()), "FIFO evicts the oldest");
-        assert!(store.contains(b.content_hash()));
-        assert!(store.contains(c.content_hash()));
-        assert_eq!(store.resident_bytes, footprint * 2);
-        // A single table over the whole budget still caches (evicting the
-        // rest): the budget bounds the cache, not admissible table size.
-        let mut tiny = TableStore {
-            byte_budget: 1,
-            ..TableStore::default()
-        };
-        tiny.insert(a.content_hash(), a.clone());
-        assert!(tiny.contains(a.content_hash()));
-        tiny.insert(b.content_hash(), b.clone());
-        assert!(tiny.contains(b.content_hash()));
-        assert!(!tiny.contains(a.content_hash()));
-        assert_eq!(tiny.take_eviction_delta(), 1);
-    }
-
-    #[test]
-    fn disk_tier_survives_a_fresh_store_and_deletes_corrupt_blobs() {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let root = std::env::temp_dir().join(format!(
-            "mcdbr-worker-store-test-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let pager: &'static mcdbr_storage::Pager =
-            Box::leak(Box::new(mcdbr_storage::Pager::new(&root).unwrap()));
-        let table = sized_table(50, 7);
-        let hash = table.content_hash();
-
-        let mut store = TableStore {
-            pager: Some(pager),
-            ..TableStore::default()
-        };
-        store.insert(hash, table.clone());
-        assert!(pager.store_path(hash).exists(), "insert writes through");
-
-        // A fresh store over the same root — the respawned-worker case —
-        // vouches for the hash without any TableData frame and promotes a
-        // bit-identical copy.
-        let mut respawned = TableStore {
-            pager: Some(pager),
-            ..TableStore::default()
-        };
-        assert!(respawned.contains(hash), "disk tier answers after restart");
-        let promoted = respawned.get(hash).unwrap();
-        assert_eq!(promoted.content_hash(), hash);
-        assert_eq!(
-            promoted.iter().collect::<Vec<_>>(),
-            table.iter().collect::<Vec<_>>()
-        );
-
-        // Truncate the blob mid-record (a torn write): the next fresh
-        // store must detect it by checksum, delete the file, and report a
-        // miss so the coordinator re-ships the table.
-        let path = pager.store_path(hash);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - (full.len() / 3)]).unwrap();
-        let mut torn = TableStore {
-            pager: Some(pager),
-            ..TableStore::default()
-        };
-        assert!(!torn.contains(hash), "torn blob must read as missing");
-        assert!(!path.exists(), "torn blob must be deleted");
-        // Re-inserting repairs the tier.
-        torn.insert(hash, table);
-        assert!(path.exists());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -89,22 +89,6 @@ pub struct ShardStats {
     /// cooldown elapsed — why `tasks_dispatched` can stay flat while results
     /// keep flowing.
     pub circuit_trips: usize,
-    /// Page records appended to heap files by this process's pager (spill
-    /// and store tiers; 0 when `MCDBR_DATA_DIR` is unset).  Pager counters
-    /// are process-global — worker processes keep their own and never
-    /// report them here.
-    pub pages_written: u64,
-    /// Page payloads read back from disk through checksummed heap records.
-    pub disk_reads: u64,
-    /// Wall-clock nanoseconds spent in those disk reads.
-    pub disk_read_ns: u64,
-    /// Sealed bytes moved out of memory by spilling — the working-set
-    /// reduction disk mode buys.
-    pub spilled_bytes: u64,
-    /// Worker table-store memory-tier evictions reported by dispatched
-    /// tasks (each `TaskStats` frame carries a delta; 0 on in-process
-    /// backends).
-    pub store_evictions: u64,
 }
 
 impl ShardStats {
@@ -133,25 +117,7 @@ impl ShardStats {
                 .saturating_sub(earlier.deadline_timeouts),
             task_retries: self.task_retries.saturating_sub(earlier.task_retries),
             circuit_trips: self.circuit_trips.saturating_sub(earlier.circuit_trips),
-            pages_written: self.pages_written.saturating_sub(earlier.pages_written),
-            disk_reads: self.disk_reads.saturating_sub(earlier.disk_reads),
-            disk_read_ns: self.disk_read_ns.saturating_sub(earlier.disk_read_ns),
-            spilled_bytes: self.spilled_bytes.saturating_sub(earlier.spilled_bytes),
-            store_evictions: self.store_evictions.saturating_sub(earlier.store_evictions),
         }
-    }
-
-    /// Fold the process-global pager counters ([`mcdbr_storage::Pager`])
-    /// into this snapshot.  Every backend's `shard_stats` does this, so
-    /// disk activity is visible no matter which strategy ran the query;
-    /// the fields stay zero when `MCDBR_DATA_DIR` is off.
-    pub fn with_pager(mut self) -> ShardStats {
-        let pager = mcdbr_storage::Pager::global_stats();
-        self.pages_written = pager.pages_written;
-        self.disk_reads = pager.disk_reads;
-        self.disk_read_ns = pager.disk_read_ns;
-        self.spilled_bytes = pager.spilled_bytes;
-        self
     }
 }
 
@@ -194,10 +160,9 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         threads: usize,
     ) -> Result<QueryResultSamples>;
 
-    /// Sharding counters (zero for backends that never shard; the pager's
-    /// process-global disk counters ride along for every backend).
+    /// Sharding counters (zero for backends that never shard).
     fn shard_stats(&self) -> ShardStats {
-        ShardStats::default().with_pager()
+        ShardStats::default()
     }
 
     /// Dispatch-priming hook: sessions call this before every cached-prefix
@@ -297,11 +262,6 @@ mod tests {
             deadline_timeouts: 1,
             task_retries: 1,
             circuit_trips: 0,
-            pages_written: 5,
-            disk_reads: 2,
-            disk_read_ns: 300,
-            spilled_bytes: 4096,
-            store_evictions: 1,
         };
         let later = ShardStats {
             shards_spawned: 10,
@@ -316,11 +276,6 @@ mod tests {
             deadline_timeouts: 3,
             task_retries: 4,
             circuit_trips: 1,
-            pages_written: 15,
-            disk_reads: 8,
-            disk_read_ns: 1300,
-            spilled_bytes: 16384,
-            store_evictions: 3,
         };
         assert_eq!(
             later.since(earlier),
@@ -337,23 +292,11 @@ mod tests {
                 deadline_timeouts: 2,
                 task_retries: 3,
                 circuit_trips: 1,
-                pages_written: 10,
-                disk_reads: 6,
-                disk_read_ns: 1000,
-                spilled_bytes: 12288,
-                store_evictions: 2,
             }
         );
         assert_eq!(earlier.since(later), ShardStats::default());
-        // The in-process backend never shards; only the process-global
-        // pager counters (nonzero when the suite runs with MCDBR_DATA_DIR)
-        // may be live in its snapshot.
-        let stats = InProcessBackend::new().shard_stats();
-        assert_eq!(stats.shards_spawned, 0);
-        assert_eq!(stats.tasks_dispatched, 0);
-        assert_eq!(stats.workers_spawned, 0);
-        assert_eq!(stats.store_evictions, 0);
-        assert_eq!(stats.since(stats), ShardStats::default());
+        // The in-process backend never shards.
+        assert_eq!(InProcessBackend::new().shard_stats(), ShardStats::default());
         assert_eq!(InProcessBackend::new().name(), "in-process");
     }
 }

@@ -113,7 +113,8 @@ fn exec_node(
             let t = catalog.get(table)?;
             // Page-at-a-time scan through the shared buffer pool: the
             // iterator pins one decoded frame at a time, so the resident
-            // set stays bounded by MCDBR_PAGE_CACHE even for cold tables.
+            // set stays bounded by the pool's frame budget even for cold
+            // tables.
             let bundles = t
                 .iter()
                 .map(|row| TupleBundle::constant(row.into_values()))

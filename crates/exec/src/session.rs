@@ -63,10 +63,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{
-    BufferPool, Catalog, ColumnBlock, Error, Mask, PageCacheStats, Pager, PagerStats, Result,
-    Schema, SelVec, Value,
-};
+use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, SelVec, Value};
 
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
@@ -370,14 +367,6 @@ pub struct ExecSession {
     /// adopted it, so a shared pool's earlier work is not misattributed to
     /// this session (the `ShardStats::since` windowing pattern).
     pool_baseline: (u64, u64),
-    /// The global page cache's counters when this session was built, so
-    /// `pages_read` / `pool_evictions` report paged-scan activity since
-    /// then (same windowing pattern as `pool_baseline`).
-    page_baseline: PageCacheStats,
-    /// The global pager's disk counters when this session was built, so
-    /// `disk_reads` / `spilled_bytes` report this session's disk traffic
-    /// (zeros when `MCDBR_DATA_DIR` is off).
-    pager_baseline: PagerStats,
     mode: Mode,
     skeleton_hit: bool,
     plan_executions: usize,
@@ -463,8 +452,6 @@ impl ExecSession {
             backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
-            page_baseline: BufferPool::global().stats(),
-            pager_baseline: Pager::global_stats(),
             mode: Mode::Cached(Box::new(prefix)),
             skeleton_hit: cache_hit,
             // The deterministic skeleton ran exactly once — during this
@@ -491,8 +478,6 @@ impl ExecSession {
             backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
-            page_baseline: BufferPool::global().stats(),
-            pager_baseline: Pager::global_stats(),
             mode: Mode::Fallback {
                 executor: Executor::new(),
                 reason,
@@ -562,46 +547,6 @@ impl ExecSession {
         self.pool
             .buffer_reuses()
             .saturating_sub(self.pool_baseline.1)
-    }
-
-    /// Sealed pages decoded from bytes because the global page cache had no
-    /// resident frame for them (misses, i.e. actual decode work) since this
-    /// session was built.  Table scans go page-at-a-time through
-    /// [`BufferPool::global`], so this counts the paged-storage I/O the
-    /// session's phase-2 work caused.  Concurrent sessions sharing the
-    /// process blur each other's windows, like `bytes_materialized`.
-    pub fn pages_read(&self) -> u64 {
-        BufferPool::global()
-            .stats()
-            .since(&self.page_baseline)
-            .pages_read
-    }
-
-    /// Frames the global page cache evicted to stay within its budget
-    /// (`MCDBR_PAGE_CACHE`) since this session was built.  Nonzero
-    /// evictions with correct results is the point of the pool: scans
-    /// stay bit-identical no matter how small the frame budget is.
-    pub fn pool_evictions(&self) -> u64 {
-        BufferPool::global()
-            .stats()
-            .since(&self.page_baseline)
-            .pool_evictions
-    }
-
-    /// Disk reads the pager served since this session was built — page
-    /// cache misses whose sealed bytes had been spilled to a heap file.
-    /// Always 0 when `MCDBR_DATA_DIR` is off; windowed like
-    /// [`ExecSession::pages_read`], with the same shared-process blur.
-    pub fn disk_reads(&self) -> u64 {
-        Pager::global_stats().since(&self.pager_baseline).disk_reads
-    }
-
-    /// Sealed bytes spilling moved out of memory since this session was
-    /// built (0 when `MCDBR_DATA_DIR` is off).
-    pub fn spilled_bytes(&self) -> u64 {
-        Pager::global_stats()
-            .since(&self.pager_baseline)
-            .spilled_bytes
     }
 
     /// Whether the deterministic prefix is cached (`false` means every block

@@ -400,7 +400,6 @@ impl ExecBackend for ShardedBackend {
             cross_shard_regens: self.cross_shard_regens.load(Ordering::Relaxed),
             ..ShardStats::default()
         }
-        .with_pager()
     }
 }
 
@@ -504,9 +503,7 @@ mod tests {
         let backend = ShardedBackend::new(3);
         assert_eq!(backend.shards(), 3);
         assert_eq!(backend.name(), "sharded");
-        // Pager counters are process-global and may be nonzero when the
-        // suite runs under `MCDBR_DATA_DIR`; the backend's own work must
-        // be zero and a self-window is always all-zero.
+        // A fresh backend has done no work, and a self-window is all-zero.
         let fresh = backend.shard_stats();
         assert_eq!(fresh.shards_spawned, 0);
         assert_eq!(fresh.shard_merge_ns, 0);

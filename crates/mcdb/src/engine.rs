@@ -151,8 +151,8 @@ pub struct NaiveTailReport {
     pub buffer_reuses: u64,
     /// The hunt's window of the engine's execution backend's counters:
     /// shard tasks and merge time (block materializations and aggregate
-    /// partials), worker-process dispatch and its fault ladder, pager disk
-    /// traffic — all zero where the backend has nothing to report.
+    /// partials), worker-process dispatch and its fault ladder — all zero
+    /// where the backend has nothing to report.
     pub backend: ShardStats,
 }
 
@@ -180,8 +180,7 @@ pub struct McdbEngine {
     /// correct).
     pool: Arc<BlockBufferPool>,
     /// The backend's cumulative stats when this engine adopted it.  A
-    /// backend passed to `with_backend` may already have run other work, and
-    /// the pager counters in every snapshot are process-global, so
+    /// backend passed to `with_backend` may already have run other work, so
     /// engine-level counters report activity *since adoption* — this
     /// engine's own work.
     backend_baseline: ShardStats,

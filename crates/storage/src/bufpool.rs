@@ -7,11 +7,12 @@
 //! evicted, so the pool may transiently exceed its budget when every frame
 //! is in use (classic STEAL-avoidance: correctness first, budget second).
 //!
-//! One process-wide pool ([`BufferPool::global`], sized by the
-//! `MCDBR_PAGE_CACHE` environment variable in frames) backs all table scans,
-//! so a resident server's sessions share frames exactly as they share the
-//! session cache.  Private pools ([`BufferPool::new`]) exist for tests that
-//! need exact hit/eviction accounting without cross-test interference.
+//! One process-wide pool ([`BufferPool::global`], [`DEFAULT_FRAME_BUDGET`]
+//! frames until a caller changes it with [`BufferPool::set_budget`]) backs
+//! all table scans, so a resident server's sessions share frames exactly as
+//! they share the session cache.  Private pools ([`BufferPool::new`]) exist
+//! for tests that need exact hit/eviction accounting without cross-test
+//! interference.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -21,8 +22,9 @@ use crate::error::Result;
 use crate::page::Page;
 use crate::tuple::Tuple;
 
-/// Default frame budget when `MCDBR_PAGE_CACHE` is unset: generous enough
-/// that the test workloads never evict unless a test forces a tiny budget.
+/// The global pool's frame budget until [`BufferPool::set_budget`] changes
+/// it: generous enough that the test workloads never evict unless a test
+/// forces a tiny budget.
 pub const DEFAULT_FRAME_BUDGET: usize = 1024;
 
 /// A monotonically-consistent snapshot of the pool's counters.
@@ -130,12 +132,11 @@ impl BufferPool {
         }
     }
 
-    /// The process-wide pool every table scan defaults to.  Sized once from
-    /// `MCDBR_PAGE_CACHE` (a frame count; unset or unparsable falls back to
-    /// [`DEFAULT_FRAME_BUDGET`]).
+    /// The process-wide pool every table scan defaults to, holding
+    /// [`DEFAULT_FRAME_BUDGET`] frames until [`BufferPool::set_budget`].
     pub fn global() -> &'static BufferPool {
         static POOL: OnceLock<BufferPool> = OnceLock::new();
-        POOL.get_or_init(|| BufferPool::new(budget_from_env()))
+        POOL.get_or_init(|| BufferPool::new(DEFAULT_FRAME_BUDGET))
     }
 
     /// The current frame budget.
@@ -143,8 +144,8 @@ impl BufferPool {
         self.inner.lock().expect("buffer pool poisoned").budget
     }
 
-    /// Change the frame budget, evicting down if shrinking.  Tests use this
-    /// to force eviction pressure on the global pool without re-execing.
+    /// Change the frame budget, evicting down if shrinking.  The one way
+    /// to size the global pool; tests use it to force eviction pressure.
     pub fn set_budget(&self, budget: usize) {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         inner.budget = budget.max(1);
@@ -230,14 +231,6 @@ impl BufferPool {
     pub fn stats(&self) -> PageCacheStats {
         self.inner.lock().expect("buffer pool poisoned").stats
     }
-}
-
-fn budget_from_env() -> usize {
-    std::env::var("MCDBR_PAGE_CACHE")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_FRAME_BUDGET)
 }
 
 /// A pinned page: dereferences to the decoded rows, unpins on drop.

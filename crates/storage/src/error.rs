@@ -40,13 +40,12 @@ pub enum Error {
     /// the variants above this one *is* a recoverable runtime condition: the
     /// server maps it to a typed `Timeout` reply instead of `Internal`.
     Timeout(String),
-    /// An operating-system I/O failure in the disk pager (open, read,
-    /// write, rename).  Carries the rendered `std::io::Error` so the enum
+    /// An operating-system I/O failure in the pager (create, read,
+    /// write).  Carries the rendered `std::io::Error` so the enum
     /// stays `Clone + Eq`.
     Io(String),
-    /// On-disk page bytes failed validation: a torn write, a truncated
-    /// record, a checksum mismatch, or a bad heap-file header.  Readers
-    /// treat the page (or the whole heap file) as absent and re-fetch.
+    /// Spilled page bytes failed validation on read: a truncated record or
+    /// a checksum mismatch.
     CorruptPage(String),
 }
 

@@ -1,23 +1,19 @@
-//! Durable heap files: checksummed, slot-aligned page records on disk.
+//! Spill files: checksummed, slot-aligned page records on disk.
 //!
-//! A [`HeapFile`] is the persistence unit under the pager: an append-only
-//! file of page records, each independently validated by a FNV-1a checksum
-//! so a torn or truncated write is *detected*, never silently decoded.
-//! Layout (all integers little-endian):
+//! A [`HeapFile`] is where a spilled table's sealed pages wait: an
+//! append-only file of page records that the process which wrote it reads
+//! back and deletes when the last page referencing it drops.  Every record
+//! carries a FNV-1a checksum that [`HeapFile::read_page`] re-validates on
+//! *every* read, so a truncated or bit-flipped record surfaces as a typed
+//! [`Error::CorruptPage`], never as wrong rows.  Layout (all integers
+//! little-endian):
 //!
 //! ```text
-//! offset 0        magic "MCDH" | u16 version | u16 reserved | u64 page_count
+//! offset 0        magic "MCDH" | u16 version | u16 reserved
 //!                 (padded with zeros to SLOT_ALIGN)
 //! slot i          u32 len | u64 fnv1a(payload) | payload bytes
 //!                 (padded with zeros to the next SLOT_ALIGN boundary)
 //! ```
-//!
-//! The header's `page_count` is written *after* a record's bytes land, so a
-//! crash mid-append leaves a file whose committed prefix is still fully
-//! valid — the torn tail sits past the counted slots and is ignored on
-//! reopen.  [`HeapFile::open`] re-validates every counted record (bounds,
-//! length, checksum) before serving any of them; a failure surfaces as a
-//! typed [`Error::CorruptPage`] and the caller treats the file as absent.
 //!
 //! Because page payloads are hashed with the same FNV-1a the [`Page`]
 //! content hash uses, a record's stored checksum *is* the page's content
@@ -26,7 +22,7 @@
 //! [`Page`]: crate::page::Page
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,14 +34,12 @@ use crate::pager::DiskCounters;
 /// The four bytes every heap file leads with.
 pub const HEAP_MAGIC: [u8; 4] = *b"MCDH";
 /// On-disk format version; bumped on any incompatible layout change.
-pub const HEAP_VERSION: u16 = 1;
+pub const HEAP_VERSION: u16 = 2;
 /// Records (and the header) start on this boundary.  4 KiB matches the
 /// common filesystem block size, so a torn sector write damages at most
 /// one record.
 pub const SLOT_ALIGN: u64 = 4096;
 
-/// Bytes of the fixed header fields (magic, version, reserved, page count).
-const HEADER_LEN: usize = 4 + 2 + 2 + 8;
 /// Bytes of a record's prefix (length, checksum).
 const RECORD_PREFIX: usize = 4 + 8;
 
@@ -58,7 +52,7 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// One committed record's location.
+/// One appended record's location.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     offset: u64,
@@ -72,15 +66,14 @@ struct FileState {
     end: u64,
 }
 
-/// An open heap file.  Shared behind an `Arc` by every disk-backed page it
-/// holds; spill files delete themselves when the last reference drops,
-/// store files persist.  All access goes through an internal lock — reads
-/// seek, so they cannot interleave with appends.
+/// An open spill file.  Shared behind an `Arc` by every disk-backed page
+/// it holds and deleted from disk when the last reference drops.  All
+/// access goes through an internal lock — reads seek, so they cannot
+/// interleave with appends.
 pub struct HeapFile {
     path: PathBuf,
     state: Mutex<FileState>,
     counters: Arc<DiskCounters>,
-    delete_on_drop: bool,
 }
 
 impl std::fmt::Debug for HeapFile {
@@ -88,20 +81,14 @@ impl std::fmt::Debug for HeapFile {
         f.debug_struct("HeapFile")
             .field("path", &self.path)
             .field("pages", &self.page_count())
-            .field("ephemeral", &self.delete_on_drop)
             .finish()
     }
 }
 
 impl HeapFile {
     /// Create a fresh heap file at `path` (truncating any previous file),
-    /// writing the empty header.  `ephemeral` files remove themselves from
-    /// disk when dropped — the spill tier's lifetime contract.
-    pub fn create(
-        path: impl Into<PathBuf>,
-        counters: Arc<DiskCounters>,
-        ephemeral: bool,
-    ) -> Result<HeapFile> {
+    /// writing the header.  The file is removed when the `HeapFile` drops.
+    pub fn create(path: impl Into<PathBuf>, counters: Arc<DiskCounters>) -> Result<HeapFile> {
         let path = path.into();
         let mut file = OpenOptions::new()
             .read(true)
@@ -113,7 +100,6 @@ impl HeapFile {
         let mut header = [0u8; SLOT_ALIGN as usize];
         header[..4].copy_from_slice(&HEAP_MAGIC);
         header[4..6].copy_from_slice(&HEAP_VERSION.to_le_bytes());
-        // reserved = 0, page_count = 0.
         file.write_all(&header)
             .map_err(|e| io_err("write heap header", &path, e))?;
         Ok(HeapFile {
@@ -124,94 +110,10 @@ impl HeapFile {
             }),
             path,
             counters,
-            delete_on_drop: ephemeral,
         })
     }
 
-    /// Open an existing heap file, validating the header and *every*
-    /// committed record (bounds, stored length, checksum) before any page
-    /// is served.  A truncated, torn, or bit-flipped file fails here with
-    /// [`Error::CorruptPage`]; callers treat it as absent and re-fetch.
-    pub fn open(path: impl Into<PathBuf>, counters: Arc<DiskCounters>) -> Result<HeapFile> {
-        let path = path.into();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("open heap file", &path, e))?;
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact(&mut header)
-            .map_err(|_| Error::CorruptPage(format!("{}: truncated header", path.display())))?;
-        if header[..4] != HEAP_MAGIC {
-            return Err(Error::CorruptPage(format!(
-                "{}: bad magic {:02x?}",
-                path.display(),
-                &header[..4]
-            )));
-        }
-        let version = u16::from_le_bytes(header[4..6].try_into().expect("2 bytes"));
-        if version != HEAP_VERSION {
-            return Err(Error::CorruptPage(format!(
-                "{}: heap version {version}, this build speaks {HEAP_VERSION}",
-                path.display()
-            )));
-        }
-        let page_count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let file_len = file
-            .metadata()
-            .map_err(|e| io_err("stat heap file", &path, e))?
-            .len();
-        let mut slots = Vec::with_capacity(page_count.min(1 << 20) as usize);
-        let mut offset = SLOT_ALIGN;
-        for i in 0..page_count {
-            let mut prefix = [0u8; RECORD_PREFIX];
-            if offset + RECORD_PREFIX as u64 > file_len {
-                return Err(Error::CorruptPage(format!(
-                    "{}: record {i} starts past end of file",
-                    path.display()
-                )));
-            }
-            file.seek(SeekFrom::Start(offset))
-                .and_then(|_| file.read_exact(&mut prefix))
-                .map_err(|_| {
-                    Error::CorruptPage(format!("{}: truncated record {i} prefix", path.display()))
-                })?;
-            let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
-            let checksum = u64::from_le_bytes(prefix[4..12].try_into().expect("8 bytes"));
-            if offset + (RECORD_PREFIX as u64) + u64::from(len) > file_len {
-                return Err(Error::CorruptPage(format!(
-                    "{}: record {i} payload ({len} bytes) runs past end of file",
-                    path.display()
-                )));
-            }
-            let mut payload = vec![0u8; len as usize];
-            file.read_exact(&mut payload).map_err(|_| {
-                Error::CorruptPage(format!("{}: truncated record {i} payload", path.display()))
-            })?;
-            if fnv1a(FNV_OFFSET, &payload) != checksum {
-                return Err(Error::CorruptPage(format!(
-                    "{}: record {i} checksum mismatch (torn write?)",
-                    path.display()
-                )));
-            }
-            slots.push(Slot { offset, len });
-            offset = align_up(offset + (RECORD_PREFIX as u64) + u64::from(len));
-        }
-        Ok(HeapFile {
-            state: Mutex::new(FileState {
-                file,
-                slots,
-                end: offset,
-            }),
-            path,
-            counters,
-            delete_on_drop: false,
-        })
-    }
-
-    /// Append a page payload, returning its slot index.  The record bytes
-    /// land before the header's page count moves, so a crash between the
-    /// two leaves the committed prefix valid and the torn tail uncounted.
+    /// Append a page payload, returning its slot index.
     pub fn append_page(&self, payload: &[u8]) -> Result<usize> {
         let mut state = self.state.lock().expect("heap file poisoned");
         let offset = state.end;
@@ -230,12 +132,6 @@ impl HeapFile {
         let slot = state.slots.len();
         state.slots.push(Slot { offset, len });
         state.end = align_up(offset + record.len() as u64);
-        let count = state.slots.len() as u64;
-        state
-            .file
-            .seek(SeekFrom::Start(8))
-            .and_then(|_| state.file.write_all(&count.to_le_bytes()))
-            .map_err(|e| io_err("update header of", &self.path, e))?;
         Ok(slot)
     }
 
@@ -256,7 +152,12 @@ impl HeapFile {
             .file
             .seek(SeekFrom::Start(offset))
             .and_then(|_| state.file.read_exact(&mut record))
-            .map_err(|e| io_err("read page from", &self.path, e))?;
+            .map_err(|e| match e.kind() {
+                ErrorKind::UnexpectedEof => {
+                    Error::CorruptPage(format!("{}: slot {slot} truncated", self.path.display()))
+                }
+                _ => io_err("read page from", &self.path, e),
+            })?;
         drop(state);
         let stored = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
         let payload = record.split_off(RECORD_PREFIX);
@@ -271,29 +172,9 @@ impl HeapFile {
         Ok(payload)
     }
 
-    /// Flush file contents to stable storage (`fsync`).  The store tier
-    /// syncs before renaming a table heap into place.
-    pub fn sync(&self) -> Result<()> {
-        let state = self.state.lock().expect("heap file poisoned");
-        state
-            .file
-            .sync_all()
-            .map_err(|e| io_err("sync", &self.path, e))
-    }
-
-    /// Number of committed page records.
+    /// Number of appended page records.
     pub fn page_count(&self) -> usize {
         self.state.lock().expect("heap file poisoned").slots.len()
-    }
-
-    /// The length in bytes of slot `slot`'s payload.
-    pub fn slot_len(&self, slot: usize) -> Option<usize> {
-        self.state
-            .lock()
-            .expect("heap file poisoned")
-            .slots
-            .get(slot)
-            .map(|s| s.len as usize)
     }
 
     /// Where this heap file lives.
@@ -304,16 +185,8 @@ impl HeapFile {
 
 impl Drop for HeapFile {
     fn drop(&mut self) {
-        if self.delete_on_drop {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
-}
-
-/// Convenience for tests and the worker store tier: the self-describing
-/// heap under `dir` for content hash `hash` (`<hash:016x>.heap`).
-pub fn store_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.heap"))
 }
 
 #[cfg(test)]
@@ -337,7 +210,7 @@ mod tests {
     fn append_read_round_trip() {
         let path = temp_path("roundtrip");
         let stats = counters();
-        let heap = HeapFile::create(&path, Arc::clone(&stats), true).unwrap();
+        let heap = HeapFile::create(&path, Arc::clone(&stats)).unwrap();
         let a: Vec<u8> = (0..200u8).collect();
         let b = vec![7u8; SLOT_ALIGN as usize + 100]; // spans multiple slots
         assert_eq!(heap.append_page(&a).unwrap(), 0);
@@ -350,109 +223,48 @@ mod tests {
     }
 
     #[test]
-    fn reopen_revalidates_and_serves() {
-        let path = temp_path("reopen");
-        let payloads: Vec<Vec<u8>> = (0..5).map(|i| vec![i as u8 + 1; 64 * (i + 1)]).collect();
-        {
-            let heap = HeapFile::create(&path, counters(), false).unwrap();
-            for p in &payloads {
-                heap.append_page(p).unwrap();
-            }
-            heap.sync().unwrap();
-        }
-        let heap = HeapFile::open(&path, counters()).unwrap();
-        assert_eq!(heap.page_count(), 5);
-        for (i, p) in payloads.iter().enumerate() {
-            assert_eq!(&heap.read_page(i).unwrap(), p);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn ephemeral_files_vanish_on_drop() {
         let path = temp_path("ephemeral");
         {
-            let heap = HeapFile::create(&path, counters(), true).unwrap();
+            let heap = HeapFile::create(&path, counters()).unwrap();
             heap.append_page(&[1, 2, 3]).unwrap();
             assert!(path.exists());
         }
-        assert!(!path.exists(), "ephemeral heap must delete itself");
+        assert!(!path.exists(), "a heap file must delete itself");
     }
 
+    /// Cut the file under an open heap: the next `read_page` of the cut
+    /// record reports a torn page.
     #[test]
     fn truncation_is_detected_on_open() {
         let path = temp_path("truncate");
-        {
-            let heap = HeapFile::create(&path, counters(), false).unwrap();
-            heap.append_page(&vec![9u8; 500]).unwrap();
-        }
-        let full = std::fs::read(&path).unwrap();
-        // Cut the file mid-payload: open must report a torn page.
-        std::fs::write(&path, &full[..SLOT_ALIGN as usize + 40]).unwrap();
-        match HeapFile::open(&path, counters()) {
-            Err(Error::CorruptPage(msg)) => assert!(msg.contains("end of file"), "{msg}"),
+        let heap = HeapFile::create(&path, counters()).unwrap();
+        heap.append_page(&[9u8; 500]).unwrap();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(SLOT_ALIGN + 40))
+            .unwrap();
+        match heap.read_page(0) {
+            Err(Error::CorruptPage(msg)) => assert!(msg.contains("truncated"), "{msg}"),
             other => panic!("expected CorruptPage, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
+    /// Flip one payload bit under an open heap: `read_page` re-validates
+    /// the checksum on every read and refuses the record.
     #[test]
     fn bit_flips_are_detected_on_open() {
         let path = temp_path("bitflip");
-        {
-            let heap = HeapFile::create(&path, counters(), false).unwrap();
-            heap.append_page(&vec![3u8; 300]).unwrap();
-        }
+        let heap = HeapFile::create(&path, counters()).unwrap();
+        heap.append_page(&[3u8; 300]).unwrap();
+        assert_eq!(heap.read_page(0).unwrap(), vec![3u8; 300]);
         let mut bytes = std::fs::read(&path).unwrap();
-        let flip = SLOT_ALIGN as usize + RECORD_PREFIX + 17; // inside the payload
-        bytes[flip] ^= 0x40;
+        bytes[SLOT_ALIGN as usize + RECORD_PREFIX + 17] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        match HeapFile::open(&path, counters()) {
+        match heap.read_page(0) {
             Err(Error::CorruptPage(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected CorruptPage, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_rejected() {
-        let path = temp_path("magic");
-        {
-            HeapFile::create(&path, counters(), false).unwrap();
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            HeapFile::open(&path, counters()),
-            Err(Error::CorruptPage(_))
-        ));
-        bytes[0] = b'M';
-        bytes[4] = HEAP_VERSION as u8 + 1;
-        std::fs::write(&path, &bytes).unwrap();
-        match HeapFile::open(&path, counters()) {
-            Err(Error::CorruptPage(msg)) => assert!(msg.contains("version"), "{msg}"),
-            other => panic!("expected CorruptPage, got {other:?}"),
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn uncounted_tail_is_ignored() {
-        // A record written but not yet counted (crash between the two
-        // header writes) must not poison reopen.
-        let path = temp_path("tail");
-        {
-            let heap = HeapFile::create(&path, counters(), false).unwrap();
-            heap.append_page(&[1u8; 100]).unwrap();
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Rewind the committed count to 0: the valid record becomes an
-        // uncounted tail.
-        bytes[8..16].copy_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let heap = HeapFile::open(&path, counters()).unwrap();
-        assert_eq!(heap.page_count(), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -16,14 +16,13 @@
 //!   need.
 //! * [`Page`] / [`BufferPool`] — the fixed-budget storage unit and the
 //!   bounded LRU cache of decoded frames that scans pin pages through, so
-//!   the resident working set is capped by `MCDBR_PAGE_CACHE` rather than
-//!   by data size.
-//! * [`HeapFile`] / [`Pager`] — the on-disk tier (`MCDBR_DATA_DIR`):
-//!   sealed pages spill to checksummed, 4 KiB-aligned heap-file slots and
-//!   the pool re-reads (and re-validates) them on miss, so the disk tier
-//!   is as budget-transparent as the pool itself; a persistent
-//!   content-addressed `store/` tier lets dispatch workers survive
-//!   restarts with their table stores warm.
+//!   the resident working set is capped by the pool's frame budget rather
+//!   than by data size.
+//! * [`HeapFile`] / [`Pager`] — explicit spilling: a caller hands a pager
+//!   to [`Table::spill_with`], sealed pages move to checksummed,
+//!   4 KiB-aligned heap-file slots, and the pool re-reads (and
+//!   re-validates) them on every miss, so a spilled table scans exactly
+//!   like its in-memory twin.
 //! * [`Catalog`] — a named collection of tables (parameter tables and
 //!   materialized intermediate results).
 //!

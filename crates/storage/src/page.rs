@@ -111,7 +111,7 @@ pub(crate) fn encode_page_bytes(num_cols: usize, rows: &[Tuple]) -> Vec<u8> {
 /// Where a sealed page's bytes wait between decodes.
 #[derive(Debug, Clone)]
 enum PageBytes {
-    /// Resident: the default, and the only mode without a data dir.
+    /// Resident: the default; only `Table::spill_with` moves bytes to disk.
     Memory(Arc<[u8]>),
     /// Spilled: the bytes live in a checksummed [`HeapFile`] record and
     /// are read back (and re-validated) on demand.  The heap file is kept

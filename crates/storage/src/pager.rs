@@ -1,28 +1,22 @@
-//! The pager: disk-backed mode for sealed pages.
+//! The pager: explicit spilling of sealed pages to disk.
 //!
-//! When `MCDBR_DATA_DIR` names a directory, [`Pager::global`] returns a
-//! process-wide pager rooted there and every page a table seals is
-//! *spilled*: its bytes are appended to a per-table [`HeapFile`] under
-//! `<root>/spill/` and the in-memory [`Page`] keeps only `(file, slot,
+//! A caller that wants a table's sealed bytes out of memory creates a
+//! [`Pager`] over a directory it owns and hands it to
+//! [`Table::spill_with`](crate::table::Table::spill_with).  Each spilled
+//! page's bytes are appended to a per-table [`HeapFile`] under
+//! `<root>/spill/`, and the in-memory [`Page`] keeps only `(file, slot,
 //! len)` plus its content hash.  The buffer pool's decoded frame is then
 //! the only resident copy — evicting it really frees the memory, and a
 //! later pin reads the bytes back through the checksummed heap record.
-//! Without the variable the pager is absent and pages keep their sealed
-//! bytes in memory, exactly as before.
 //!
-//! Spill heaps are ephemeral (deleted when the last page referencing them
-//! drops); the dispatch worker's persistent table store writes *named*
-//! heaps under `<root>/store/` via [`Pager::store_dir`] and survives
-//! process restarts.
-//!
-//! Budget transparency is the invariant that makes all of this safe to
-//! flip on in CI: any combination of `MCDBR_PAGE_CACHE` and
-//! `MCDBR_DATA_DIR` produces bit-identical query results — the pager
-//! changes where bytes wait, never what they decode to.
+//! Spill heaps are deleted when the last page referencing them drops.
+//! Spilling changes where bytes wait, never what they decode to: a
+//! spilled table scans bit-identically to its in-memory twin under any
+//! frame budget.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::heapfile::HeapFile;
@@ -32,7 +26,7 @@ use crate::page::Page;
 /// like every other counter family ([`PagerStats::since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagerStats {
-    /// Page records appended to heap files (spill + store tiers).
+    /// Page records appended to spill heaps.
     pub pages_written: u64,
     /// Page payloads read back from disk.
     pub disk_reads: u64,
@@ -89,8 +83,8 @@ impl DiskCounters {
     }
 }
 
-/// Disk-backed page storage rooted at a data directory.  See the module
-/// docs for the global/spill/store split.
+/// Disk-backed page storage rooted at a caller-owned directory.  See the
+/// module docs.
 pub struct Pager {
     root: PathBuf,
     counters: Arc<DiskCounters>,
@@ -107,49 +101,19 @@ impl std::fmt::Debug for Pager {
 }
 
 impl Pager {
-    /// A pager rooted at `root`, creating `root`, `root/spill`, and
-    /// `root/store` as needed.  Multiple processes may share one root —
-    /// spill file names embed the pid, and store files are content-named.
+    /// A pager rooted at `root`, creating `root` and `root/spill` as
+    /// needed.  Multiple processes may share one root — spill file names
+    /// embed the pid.
     pub fn new(root: impl Into<PathBuf>) -> Result<Pager> {
         let root = root.into();
-        for dir in [root.clone(), root.join("spill"), root.join("store")] {
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| Error::Io(format!("create data dir {}: {e}", dir.display())))?;
-        }
+        let spill = root.join("spill");
+        std::fs::create_dir_all(&spill)
+            .map_err(|e| Error::Io(format!("create data dir {}: {e}", spill.display())))?;
         Ok(Pager {
             root,
             counters: Arc::new(DiskCounters::default()),
             next_spill: AtomicU64::new(0),
         })
-    }
-
-    /// The process-wide pager, present iff `MCDBR_DATA_DIR` names a usable
-    /// directory (consulted once; an unusable directory logs to stderr and
-    /// degrades to in-memory mode rather than failing every seal).
-    pub fn global() -> Option<&'static Pager> {
-        static PAGER: OnceLock<Option<Pager>> = OnceLock::new();
-        PAGER
-            .get_or_init(|| {
-                let dir = std::env::var("MCDBR_DATA_DIR").ok()?;
-                let dir = dir.trim();
-                if dir.is_empty() {
-                    return None;
-                }
-                match Pager::new(dir) {
-                    Ok(pager) => Some(pager),
-                    Err(e) => {
-                        eprintln!("mcdbr: MCDBR_DATA_DIR={dir} unusable ({e}); staying in-memory");
-                        None
-                    }
-                }
-            })
-            .as_ref()
-    }
-
-    /// The global pager's counters, or zeros when disk mode is off — the
-    /// one-liner the exec backends use to fill `ShardStats`.
-    pub fn global_stats() -> PagerStats {
-        Pager::global().map(Pager::stats).unwrap_or_default()
     }
 
     /// Snapshot this pager's counters.
@@ -162,25 +126,18 @@ impl Pager {
         &self.root
     }
 
-    /// Where the persistent (content-named) store tier lives.
-    pub fn store_dir(&self) -> PathBuf {
-        self.root.join("store")
-    }
-
-    /// The counters heap files opened against this pager should share.
-    pub fn counters(&self) -> Arc<DiskCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// A fresh ephemeral spill heap (deleted when the last page drops).
-    /// One per table: pages of a table cluster in one file.
+    /// A fresh spill heap (deleted when the last page drops).  One per
+    /// table: pages of a table cluster in one file.
     pub fn create_spill_heap(&self) -> Result<Arc<HeapFile>> {
         let n = self.next_spill.fetch_add(1, Ordering::Relaxed);
         let path = self
             .root
             .join("spill")
             .join(format!("{}-{n}.heap", std::process::id()));
-        Ok(Arc::new(HeapFile::create(path, self.counters(), true)?))
+        Ok(Arc::new(HeapFile::create(
+            path,
+            Arc::clone(&self.counters),
+        )?))
     }
 
     /// Spill `page` into `heap`: append its bytes, return the disk-backed
@@ -194,61 +151,6 @@ impl Pager {
         let slot = heap.append_page(&bytes)?;
         self.counters.count_write(bytes.len() as u64);
         Ok(page.spilled(Arc::clone(heap), slot, bytes.len()))
-    }
-
-    /// Where the store-tier heap for content hash `hash` lives.
-    pub fn store_path(&self, hash: u64) -> PathBuf {
-        crate::heapfile::store_path(&self.store_dir(), hash)
-    }
-
-    /// Persist one content-addressed blob to the store tier: a single-record
-    /// heap file written to a pid-unique temp name, synced, then renamed
-    /// into place — a crash mid-write leaves only temp litter, never a
-    /// half-visible store file, and the rename is atomic so concurrent
-    /// writers of the same hash race harmlessly (same content, same name).
-    /// A no-op if the blob is already stored.
-    pub fn persist_store_blob(&self, hash: u64, payload: &[u8]) -> Result<()> {
-        let final_path = self.store_path(hash);
-        if final_path.exists() {
-            return Ok(());
-        }
-        let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let heap = HeapFile::create(&tmp_path, self.counters(), false)?;
-            heap.append_page(payload)?;
-            self.counters.count_write(0); // the memory copy stays resident
-            heap.sync()?;
-        }
-        std::fs::rename(&tmp_path, &final_path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp_path);
-            Error::Io(format!("publish store blob {}: {e}", final_path.display()))
-        })
-    }
-
-    /// Load a store-tier blob back, re-validating the record checksum.
-    /// `Ok(None)` means the hash was never stored; `Err(CorruptPage)` means
-    /// the file exists but is torn or corrupt — the caller should
-    /// [`Pager::remove_store_blob`] it and treat the hash as missing.
-    pub fn load_store_blob(&self, hash: u64) -> Result<Option<Vec<u8>>> {
-        let path = self.store_path(hash);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let heap = HeapFile::open(&path, self.counters())?;
-        if heap.page_count() != 1 {
-            return Err(Error::CorruptPage(format!(
-                "{}: store heap holds {} records, expected exactly 1",
-                path.display(),
-                heap.page_count()
-            )));
-        }
-        heap.read_page(0).map(Some)
-    }
-
-    /// Drop a store-tier blob (used after detecting corruption; a missing
-    /// file is fine).
-    pub fn remove_store_blob(&self, hash: u64) {
-        let _ = std::fs::remove_file(self.store_path(hash));
     }
 }
 

@@ -3,11 +3,9 @@
 //! need (filter, project, sort, group).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::bufpool::{BufferPool, PageGuard};
 use crate::error::{Error, Result};
-use crate::heapfile::HeapFile;
 use crate::page::{encode_page_bytes, estimate_row_bytes, fnv1a, Page, FNV_OFFSET, PAGE_BYTES};
 use crate::pager::Pager;
 use crate::schema::Schema;
@@ -35,11 +33,6 @@ pub struct Table {
     tail: Vec<Tuple>,
     tail_bytes: usize,
     page_budget: usize,
-    /// The spill heap this table's sealed pages land in when the global
-    /// pager is active (`MCDBR_DATA_DIR`); created lazily on first seal.
-    /// Pages keep their own `Arc` to the file, so clones and snapshots
-    /// stay readable even after this table drops.
-    heap: Option<Arc<HeapFile>>,
 }
 
 impl PartialEq for Table {
@@ -52,52 +45,22 @@ impl PartialEq for Table {
     }
 }
 
-/// Spill `page` through the global pager when disk mode is on, creating
-/// the table's spill heap in `heap` lazily.  Any disk trouble (full disk,
-/// unwritable dir) degrades to keeping the page in memory — spilling
-/// changes where bytes wait, never whether a seal succeeds.
-fn maybe_spill(page: Page, heap: &mut Option<Arc<HeapFile>>) -> Page {
-    let Some(pager) = Pager::global() else {
-        return page;
-    };
-    if page.is_disk_backed() {
-        return page;
-    }
-    let file = match heap {
-        Some(file) => Arc::clone(file),
-        None => match pager.create_spill_heap() {
-            Ok(file) => {
-                *heap = Some(Arc::clone(&file));
-                file
-            }
-            Err(_) => return page,
-        },
-    };
-    pager.spill_page(&page, &file).unwrap_or(page)
-}
-
-/// Greedily seal `rows` into pages of at most ~`budget` estimated bytes,
-/// spilling each sealed page to `heap` when the global pager is active.
-fn seal_rows(
-    num_cols: usize,
-    rows: &[Tuple],
-    budget: usize,
-    heap: &mut Option<Arc<HeapFile>>,
-) -> Vec<Page> {
+/// Greedily seal `rows` into pages of at most ~`budget` estimated bytes.
+fn seal_rows(num_cols: usize, rows: &[Tuple], budget: usize) -> Vec<Page> {
     let mut pages = Vec::new();
     let mut start = 0;
     let mut bytes = 0usize;
     for (i, row) in rows.iter().enumerate() {
         let cost = estimate_row_bytes(row);
         if i > start && bytes + cost > budget {
-            pages.push(maybe_spill(Page::seal(num_cols, &rows[start..i]), heap));
+            pages.push(Page::seal(num_cols, &rows[start..i]));
             start = i;
             bytes = 0;
         }
         bytes += cost;
     }
     if start < rows.len() {
-        pages.push(maybe_spill(Page::seal(num_cols, &rows[start..]), heap));
+        pages.push(Page::seal(num_cols, &rows[start..]));
     }
     pages
 }
@@ -112,7 +75,6 @@ impl Table {
             tail: Vec::new(),
             tail_bytes: 0,
             page_budget: PAGE_BYTES,
-            heap: None,
         }
     }
 
@@ -136,8 +98,7 @@ impl Table {
             }
         }
         let budget = budget.max(1);
-        let mut heap = None;
-        let pages = seal_rows(schema.len(), &rows, budget, &mut heap);
+        let pages = seal_rows(schema.len(), &rows, budget);
         Ok(Table {
             paged_len: rows.len(),
             schema,
@@ -145,7 +106,6 @@ impl Table {
             tail: Vec::new(),
             tail_bytes: 0,
             page_budget: budget,
-            heap,
         })
     }
 
@@ -170,14 +130,6 @@ impl Table {
                 });
             }
         }
-        // Wire-received pages arrive memory-backed; in disk mode they
-        // spill like locally sealed ones, so a shipped table's resident
-        // bytes are bounded the same way a local table's are.
-        let mut heap = None;
-        let pages = pages
-            .into_iter()
-            .map(|p| maybe_spill(p, &mut heap))
-            .collect::<Vec<_>>();
         Ok(Table {
             paged_len: pages.iter().map(Page::num_rows).sum(),
             tail_bytes: tail.iter().map(estimate_row_bytes).sum(),
@@ -185,7 +137,6 @@ impl Table {
             pages,
             tail,
             page_budget: PAGE_BYTES,
-            heap,
         })
     }
 
@@ -248,8 +199,7 @@ impl Table {
         self.tail_bytes += estimate_row_bytes(&row);
         self.tail.push(row);
         if self.tail_bytes >= self.page_budget {
-            let page = maybe_spill(Page::seal(self.schema.len(), &self.tail), &mut self.heap);
-            self.pages.push(page);
+            self.pages.push(Page::seal(self.schema.len(), &self.tail));
             self.paged_len += self.tail.len();
             self.tail.clear();
             self.tail_bytes = 0;
@@ -258,10 +208,10 @@ impl Table {
     }
 
     /// Spill every memory-backed sealed page through `pager` into a fresh
-    /// heap file, returning how many pages moved.  The env-driven path
-    /// does this automatically at seal time; this explicit form lets
-    /// tests and benches run disk-backed tables against a private pager
-    /// without touching the process environment.
+    /// heap file, returning how many pages moved.  This is the only way a
+    /// page reaches disk: the caller that owns the memory budget decides.
+    /// Pages keep their own `Arc` to the file, so clones and catalog
+    /// snapshots stay readable after this table drops.
     pub fn spill_with(&mut self, pager: &Pager) -> Result<usize> {
         if self.pages.iter().all(Page::is_disk_backed) {
             return Ok(0);
@@ -274,7 +224,6 @@ impl Table {
                 moved += 1;
             }
         }
-        self.heap = Some(heap);
         Ok(moved)
     }
 
@@ -725,23 +674,14 @@ mod tests {
         let schema = Schema::new(vec![Field::int64("a"), Field::float64("b")]);
         let mut t = Table::with_page_budget(schema, wide_rows(100), 64).unwrap();
         let before: Vec<Tuple> = t.iter_with(&BufferPool::new(usize::MAX)).collect();
-        let resident_before = t.resident_sealed_bytes();
-        let moved = t.spill_with(&pager).unwrap();
-        if resident_before > 0 {
-            // Without MCDBR_DATA_DIR the pages started resident and all
-            // moved; under a global pager they were already on disk.
-            assert_eq!(moved, t.pages().len());
-        }
+        assert!(t.resident_sealed_bytes() > 0);
+        assert_eq!(t.spill_with(&pager).unwrap(), t.pages().len());
         assert_eq!(t.resident_sealed_bytes(), 0, "spilled pages hold no bytes");
         assert!(t.pages().iter().all(Page::is_disk_backed));
         assert_eq!(t.spill_with(&pager).unwrap(), 0, "second spill is a no-op");
         let after: Vec<Tuple> = t.iter_with(&BufferPool::new(2)).collect();
         assert_eq!(before, after, "spilling must not change scan results");
-        if moved > 0 {
-            // Pages went through *this* pager (under a global pager they
-            // were already on disk elsewhere, counted there instead).
-            assert!(pager.stats().disk_reads > 0, "tiny pool re-read from disk");
-        }
+        assert!(pager.stats().disk_reads > 0, "tiny pool re-read from disk");
         assert_eq!(t.content_hash(), {
             let fresh = Table::with_page_budget(
                 Schema::new(vec![Field::int64("a"), Field::float64("b")]),

@@ -102,31 +102,18 @@ fn assert_samples_bit_identical(got: &QueryResultSamples, want: &QueryResultSamp
 /// asserting bit-identity against the clean in-process reference, and
 /// return the summed recovery counters for kind-specific audits.
 fn chaos_matrix(label: &'static str, spec: &dyn Fn(u64) -> String) -> mcdbr::exec::ShardStats {
-    chaos_matrix_env(label, spec, &[])
-}
-
-/// Like [`chaos_matrix`], but hands every spawned worker the given
-/// environment — the disk-tier legs point `MCDBR_DATA_DIR` at a scratch
-/// directory so faults land on top of a persistent table store.
-fn chaos_matrix_env(
-    label: &'static str,
-    spec: &dyn Fn(u64) -> String,
-    worker_env: &[(&str, String)],
-) -> mcdbr::exec::ShardStats {
     let _watchdog = Watchdog::arm(label, Duration::from_secs(240));
     let catalog = small_catalog();
     let query = customer_losses_query(Some(7));
     let mut totals = mcdbr::exec::ShardStats::default();
     for seed in SEEDS {
         let plan = spec(seed);
-        let mut backend = ProcessBackend::new(2)
-            .with_fault_spec(&plan)
-            .unwrap_or_else(|e| panic!("bad plan `{plan}`: {e}"))
-            .with_deadline(DEADLINE);
-        for (key, value) in worker_env {
-            backend = backend.with_worker_env(*key, value.clone());
-        }
-        let backend = Arc::new(backend);
+        let backend = Arc::new(
+            ProcessBackend::new(2)
+                .with_fault_spec(&plan)
+                .unwrap_or_else(|e| panic!("bad plan `{plan}`: {e}"))
+                .with_deadline(DEADLINE),
+        );
         let samples = McdbEngine::new()
             .with_backend(backend.clone() as Arc<dyn ExecBackend>)
             .run_samples(&query, &catalog, REPS, seed)
@@ -184,117 +171,6 @@ fn chaos_truncated_frames_recover_bit_identically_on_every_seed() {
         totals.worker_respawns > 0,
         "across 8 seeds at p=0.75, at least one truncation must have crashed a read"
     );
-}
-
-#[test]
-fn chaos_truncated_frames_over_a_disk_tier_recover_bit_identically() {
-    // The same half-frame fault, but now every worker also runs a
-    // disk-backed table store (`MCDBR_DATA_DIR`) under a 2-frame page
-    // cache: crashes interleave with store writes and reads, and recovery
-    // must still be bit-identical.  A worker killed mid-write may leave a
-    // torn `store/*.heap` behind; its respawn detects that by checksum and
-    // treats the blob as absent — the dedicated torn-store test below pins
-    // that path down deterministically.
-    let root = std::env::temp_dir().join(format!("mcdbr-chaos-disk-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let totals = chaos_matrix_env(
-        "partial+disk",
-        &|seed| format!("seed={seed},worker=0,partial=0.75"),
-        &[
-            ("MCDBR_DATA_DIR", root.display().to_string()),
-            ("MCDBR_PAGE_CACHE", "2".to_string()),
-        ],
-    );
-    assert!(
-        totals.worker_respawns > 0,
-        "across 8 seeds at p=0.75, at least one truncation must have crashed a read"
-    );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn chaos_torn_store_blobs_are_detected_deleted_and_repaired_via_need_tables() {
-    // Crash-recovery over the persistent worker table store: a worker that
-    // dies mid-write can leave a half-written `store/*.heap` behind.  A
-    // respawned worker must *detect* the tear by record checksum, delete
-    // the blob, report the hash as missing in `NeedTables` (a true miss),
-    // and serve the re-shipped pages bit-identically — a torn file costs
-    // one re-ship, never an answer.  The tear is manufactured (truncate
-    // every blob into its record header) so the scenario is deterministic
-    // rather than a race against kill timing.
-    let _watchdog = Watchdog::arm("torn-store", Duration::from_secs(240));
-    let catalog = small_catalog();
-    let query = customer_losses_query(Some(7));
-    let seed = 21;
-    let want = reference(&query, &catalog, REPS, seed);
-
-    let root = std::env::temp_dir().join(format!("mcdbr-chaos-torn-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let backend = Arc::new(
-        ProcessBackend::new(2)
-            .with_worker_env("MCDBR_DATA_DIR", root.display().to_string())
-            .with_deadline(DEADLINE),
-    );
-    let mut engine = McdbEngine::new().with_backend(Arc::clone(&backend) as Arc<dyn ExecBackend>);
-
-    // Cold run: plans ship table pages and the workers persist each table
-    // as a store blob.
-    let samples = engine.run_samples(&query, &catalog, REPS, seed).unwrap();
-    assert_samples_bit_identical(&samples, &want, "torn-store cold run");
-
-    let store_dir = root.join("store");
-    let blobs: Vec<std::path::PathBuf> = std::fs::read_dir(&store_dir)
-        .expect("disk-tier workers must create a store directory")
-        .map(|entry| entry.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "heap"))
-        .collect();
-    assert!(!blobs.is_empty(), "cold run persisted no store blobs");
-    let whole: Vec<u64> = blobs
-        .iter()
-        .map(|p| std::fs::metadata(p).unwrap().len())
-        .collect();
-
-    // Tear every blob mid-record-header: the length/checksum prefix can no
-    // longer be read whole, which is exactly what a crash between the
-    // record write and its fsync leaves behind.
-    for path in &blobs {
-        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-        file.set_len(mcdbr::storage::heapfile::SLOT_ALIGN + 6)
-            .unwrap();
-    }
-
-    // Kill the pool so the next run starts from respawned workers whose
-    // only warm state is the (now torn) on-disk store.
-    backend.kill_worker(0);
-    backend.kill_worker(1);
-
-    let before = backend.shard_stats();
-    let samples = engine.run_samples(&query, &catalog, REPS, seed).unwrap();
-    assert_samples_bit_identical(&samples, &want, "torn-store recovery run");
-    let stats = backend.shard_stats().since(before);
-    assert!(
-        stats.worker_respawns >= 2,
-        "killing the pool must surface as respawns: {stats:?}"
-    );
-
-    // The torn blobs were deleted and rewritten whole from the re-shipped
-    // pages: same content, same wire encoding, same byte length as the
-    // cold run's files.
-    for (path, want_len) in blobs.iter().zip(&whole) {
-        let got = std::fs::metadata(path)
-            .unwrap_or_else(|e| panic!("{} not regenerated: {e}", path.display()))
-            .len();
-        assert_eq!(
-            got,
-            *want_len,
-            "{}: repaired blob differs from the original",
-            path.display()
-        );
-    }
-
-    drop(engine);
-    drop(backend);
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -560,46 +560,37 @@ fn process_backend_engine_runs_match_in_process_engines() {
     }
 }
 
-#[test]
-fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backends() {
-    // The paged-storage contract composed with content-addressed shipping:
-    // with the global page cache forced far below the catalog's page count
-    // (every scan misses, decodes, and evicts), all three backends must
-    // still produce bit-identical blocks — cold (the first process-backend
-    // task ships the Plan frame plus every referenced table's pages), warm
-    // (repeat tasks ship only hash headers), and after a forced kill of
-    // every worker (respawned workers are cold again and re-fetch tables
-    // through the NeedTables ladder).
-    use mcdbr::storage::BufferPool;
-    let catalog = customer_losses_catalog(2_000, (1.0, 5.0), 11).unwrap();
-    let plan = customer_losses_query(None)
-        .plan
-        .filter(Expr::col("cid").lt(Expr::lit(120i64)));
-    let seed = 63;
-    let blocks = [(0u64, 16usize), (16, 16), (32, 8)];
-    assert!(
-        catalog.get("means").unwrap().pages().len() > 2,
-        "catalog must span more pages than the forced budget"
-    );
+/// Serialises the tests that shrink the process-wide page cache, so one test
+/// restoring the budget cannot hide another's evictions.
+static GLOBAL_POOL_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    let pool = BufferPool::global();
-    let saved = pool.budget();
-    pool.set_budget(2);
-    let baseline = pool.stats();
-
-    let mut reference = ExecSession::prepare(&plan, &catalog, seed)
-        .unwrap()
-        .with_backend(Arc::new(InProcessBackend::new()));
-    let expected: Vec<_> = blocks
-        .iter()
-        .map(|&(base, n)| reference.instantiate_block(&catalog, base, n).unwrap())
-        .collect();
-
+/// Instantiates `blocks` of `plan` over `catalog` on the in-process, sharded
+/// and process backends and asserts each block bit-identical to `expected`.
+/// The process backend is exercised cold (the first task ships the Plan frame
+/// plus every referenced table's pages), warm (repeat tasks ship only hash
+/// headers), and after a forced kill of every worker (respawned workers are
+/// cold again and re-fetch tables through the NeedTables ladder).
+fn assert_backends_match_across_a_pool_kill(
+    input: &str,
+    plan: &PlanNode,
+    catalog: &Catalog,
+    seed: u64,
+    blocks: &[(u64, usize)],
+    expected: &[mcdbr::exec::BundleSet],
+) {
     let process = Arc::new(ProcessBackend::new(2));
-    let mut sharded_session = ExecSession::prepare(&plan, &catalog, seed)
-        .unwrap()
-        .with_backend(Arc::new(ShardedBackend::new(3)));
-    let mut process_session = ExecSession::prepare(&plan, &catalog, seed)
+    let mut sessions: Vec<ExecSession> = [
+        Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
+        Arc::new(ShardedBackend::new(3)),
+    ]
+    .into_iter()
+    .map(|b| {
+        ExecSession::prepare(plan, catalog, seed)
+            .unwrap()
+            .with_backend(b)
+    })
+    .collect();
+    let mut process_session = ExecSession::prepare(plan, catalog, seed)
         .unwrap()
         .with_backend(process.clone());
 
@@ -613,9 +604,7 @@ fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backend
             process.kill_worker(1);
         }
         let before = process.shard_stats();
-        let got = process_session
-            .instantiate_block(&catalog, base, n)
-            .unwrap();
+        let got = process_session.instantiate_block(catalog, base, n).unwrap();
         let sent = process.shard_stats().since(before).wire_bytes_sent;
         match i {
             0 => cold_sent = sent,
@@ -623,17 +612,17 @@ fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backend
             _ => {}
         }
         assert_bit_identical(&expected[i], &got);
-        assert_bit_identical(
-            &expected[i],
-            &sharded_session
-                .instantiate_block(&catalog, base, n)
-                .unwrap(),
-        );
+        for session in &mut sessions {
+            assert_bit_identical(
+                &expected[i],
+                &session.instantiate_block(catalog, base, n).unwrap(),
+            );
+        }
     }
     assert!(
         warm_sent < cold_sent,
-        "warm dispatch ({warm_sent} bytes) must undercut the cold table \
-         shipment ({cold_sent} bytes)"
+        "{input}: warm dispatch ({warm_sent} bytes) must undercut the cold \
+         table shipment ({cold_sent} bytes)"
     );
     // The content-addressed shipping claim.  Chaos plans (`MCDBR_FAULTS`)
     // legitimately perturb wire-byte counts (dropped frames, respawn-driven
@@ -641,15 +630,50 @@ fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backend
     if mcdbr::faults::env_injector().is_none() {
         assert!(
             cold_sent >= 10 * warm_sent,
-            "repeated-plan dispatch must send >=10x fewer bytes (cold {cold_sent} vs warm \
-             {warm_sent})"
+            "{input}: repeated-plan dispatch must send >=10x fewer bytes (cold \
+             {cold_sent} vs warm {warm_sent})"
         );
     }
     let stats = process.shard_stats();
     assert!(
         stats.worker_respawns >= 2,
-        "killing the pool must surface as respawns: {stats:?}"
+        "{input}: killing the pool must surface as respawns: {stats:?}"
     );
+}
+
+#[test]
+fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backends() {
+    // The paged-storage contract composed with content-addressed shipping:
+    // with the global page cache forced far below the catalog's page count
+    // (every scan misses, decodes, and evicts), all three backends must
+    // still produce bit-identical blocks, cold, warm and after a pool kill.
+    use mcdbr::storage::BufferPool;
+    let catalog = customer_losses_catalog(2_000, (1.0, 5.0), 11).unwrap();
+    let plan = customer_losses_query(Some(120)).plan;
+    let seed = 63;
+    let blocks = [(0u64, 16usize), (16, 16), (32, 8)];
+    assert!(
+        catalog.get("means").unwrap().pages().len() > 2,
+        "catalog must span more pages than the forced budget"
+    );
+
+    let _guard = GLOBAL_POOL_BUDGET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let pool = BufferPool::global();
+    let saved = pool.budget();
+    pool.set_budget(2);
+    let baseline = pool.stats();
+
+    let mut reference = ExecSession::prepare(&plan, &catalog, seed)
+        .unwrap()
+        .with_backend(Arc::new(InProcessBackend::new()));
+    let expected: Vec<_> = blocks
+        .iter()
+        .map(|&(base, n)| reference.instantiate_block(&catalog, base, n).unwrap())
+        .collect();
+    assert_backends_match_across_a_pool_kill("memory", &plan, &catalog, seed, &blocks, &expected);
+
     let delta = pool.stats().since(&baseline);
     assert!(
         delta.pool_evictions > 0,
@@ -661,58 +685,39 @@ fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backend
 #[test]
 fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_backends() {
     // The durable-pages contract end to end: the catalog's sealed pages are
-    // explicitly spilled to heap files (so zero sealed bytes stay resident),
-    // the global page cache is forced to 2 frames (so scans continually
-    // evict and re-read through the checksummed disk records), and all
-    // three backends must still produce blocks bit-identical to the plain
-    // in-memory path.  Worker processes additionally run with their own
-    // `MCDBR_DATA_DIR`, so their hash-keyed table stores persist across a
-    // forced kill: the respawned pool answers the re-sent plan's
-    // `NeedTables` from disk and the repeated dispatch ships headers, not
-    // table pages.
+    // spilled to heap files under a private pager (zero sealed bytes stay
+    // resident, every pool miss is re-read and re-validated from disk), the
+    // global page cache is forced to 2 frames, and all three backends must
+    // produce blocks bit-identical to the plain in-memory path.  Workers keep
+    // their hash-keyed table stores across tasks, so warm dispatch ships
+    // headers, not pages, until the pool is killed.  The engine and the
+    // Gibbs looper over the spilled catalog must equal their in-memory runs.
     use mcdbr::storage::{BufferPool, Pager};
     let catalog_mem = customer_losses_catalog(2_000, (1.0, 5.0), 11).unwrap();
-    let plan = customer_losses_query(None)
-        .plan
-        .filter(Expr::col("cid").lt(Expr::lit(150i64)));
+    let query = customer_losses_query(Some(150));
+    let plan = &query.plan;
     let seed = 77;
     let blocks = [(0u64, 16usize), (16, 16), (32, 8)];
 
-    // A disk-backed twin of the catalog: same rows, same content hashes,
-    // but every sealed page lives in a heap file under a private pager.
+    // The disk-backed twin: same rows, same content hashes, every sealed
+    // page in a heap file.  Scans are a function of the rows alone: every
+    // frame budget, on either input, yields the unbounded in-memory scan
+    // tuple for tuple.
     let spill_root =
         std::env::temp_dir().join(format!("mcdbr-determinism-spill-{}", std::process::id()));
-    let pager: &'static Pager = Box::leak(Box::new(Pager::new(&spill_root).unwrap()));
+    let pager = Pager::new(&spill_root).unwrap();
     let mut catalog_disk = Catalog::new();
     for name in catalog_mem.table_names() {
-        let mut table = catalog_mem.get(name).unwrap().clone();
-        // Under the MCDBR_DATA_DIR CI matrix the global pager already
-        // spilled these pages at seal time and this explicit spill is a
-        // no-op — the scan-from-disk property holds either way.
-        let resident_before = table.resident_sealed_bytes();
-        let moved = table.spill_with(pager).unwrap();
-        if resident_before > 0 {
-            assert!(moved > 0, "{name}: a multi-page table must spill pages");
-        }
-        assert_eq!(
-            table.resident_sealed_bytes(),
-            0,
-            "{name}: spilling must leave no sealed bytes resident"
-        );
-        assert_eq!(
-            table.content_hash(),
-            catalog_mem.get(name).unwrap().content_hash(),
-            "{name}: spilling must not change content identity"
-        );
-        // Scans are a function of the rows alone: every frame budget, on
-        // the memory tier and the disk tier, yields the unbounded in-memory
-        // scan tuple for tuple.
         let resident = catalog_mem.get(name).unwrap();
+        let mut table = resident.clone();
+        assert!(table.spill_with(&pager).unwrap() > 0, "{name}: must spill");
+        assert_eq!(table.resident_sealed_bytes(), 0, "{name}: bytes resident");
+        assert_eq!(table.content_hash(), resident.content_hash(), "{name}");
         let reference: Vec<_> = resident.iter_with(&BufferPool::new(usize::MAX)).collect();
         for budget in [2usize, 8, 64, usize::MAX] {
-            for (tier, t) in [("memory", resident), ("disk", &table)] {
+            for (input, t) in [("memory", resident), ("disk", &table)] {
                 let scanned: Vec<_> = t.iter_with(&BufferPool::new(budget)).collect();
-                assert_eq!(scanned, reference, "{name}: {tier} tier, {budget} frames");
+                assert_eq!(scanned, reference, "{name}: {input}, {budget} frames");
             }
         }
         catalog_disk.register(name, table).unwrap();
@@ -722,90 +727,67 @@ fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_bac
         "catalog must span more pages than the forced budget"
     );
 
+    let _guard = GLOBAL_POOL_BUDGET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let pool = BufferPool::global();
     let saved = pool.budget();
     pool.set_budget(2);
-    let disk_reads_before = pager.stats().disk_reads + Pager::global_stats().disk_reads;
+    let baseline = pool.stats();
+    let disk_reads_before = pager.stats().disk_reads;
 
     // Reference: the fully in-memory catalog on the in-process backend.
-    let mut reference = ExecSession::prepare(&plan, &catalog_mem, seed)
+    let mut reference = ExecSession::prepare(plan, &catalog_mem, seed)
         .unwrap()
         .with_backend(Arc::new(InProcessBackend::new()));
     let expected: Vec<_> = blocks
         .iter()
         .map(|&(base, n)| reference.instantiate_block(&catalog_mem, base, n).unwrap())
         .collect();
+    assert_backends_match_across_a_pool_kill("disk", plan, &catalog_disk, seed, &blocks, &expected);
 
-    // Workers get a scratch data dir of their own: their table stores gain
-    // the persistent disk tier without touching this process's pager mode.
-    let worker_root =
-        std::env::temp_dir().join(format!("mcdbr-determinism-workers-{}", std::process::id()));
-    let process = Arc::new(
-        ProcessBackend::new(2).with_worker_env("MCDBR_DATA_DIR", worker_root.display().to_string()),
-    );
-    let mut inproc_session = ExecSession::prepare(&plan, &catalog_disk, seed)
-        .unwrap()
-        .with_backend(Arc::new(InProcessBackend::new()));
-    let mut sharded_session = ExecSession::prepare(&plan, &catalog_disk, seed)
-        .unwrap()
-        .with_backend(Arc::new(ShardedBackend::new(3)));
-    let mut process_session = ExecSession::prepare(&plan, &catalog_disk, seed)
-        .unwrap()
-        .with_backend(process.clone());
-
-    let mut cold_sent = 0u64;
-    let mut respawn_sent = 0u64;
-    for (i, &(base, n)) in blocks.iter().enumerate() {
-        if i == 2 {
-            // Kill the whole pool.  Respawned workers are cold in memory
-            // but warm on disk: the re-sent plan's NeedTables must come
-            // back empty and no table pages may cross the wire again.
-            process.kill_worker(0);
-            process.kill_worker(1);
-        }
-        let before = process.shard_stats();
-        let got = process_session
-            .instantiate_block(&catalog_disk, base, n)
-            .unwrap();
-        let sent = process.shard_stats().since(before).wire_bytes_sent;
-        match i {
-            0 => cold_sent = sent,
-            2 => respawn_sent = sent,
-            _ => {}
-        }
-        assert_bit_identical(&expected[i], &got);
-        assert_bit_identical(
-            &expected[i],
-            &inproc_session
-                .instantiate_block(&catalog_disk, base, n)
-                .unwrap(),
-        );
-        assert_bit_identical(
-            &expected[i],
-            &sharded_session
-                .instantiate_block(&catalog_disk, base, n)
-                .unwrap(),
-        );
+    // Whole queries over disk-backed pages: the engine's samples and one
+    // Gibbs looper run are bit-identical to the in-memory catalog's.
+    let run_engine = |catalog: &Catalog| {
+        McdbEngine::new()
+            .with_backend(Arc::new(InProcessBackend::new()))
+            .run_samples(&query, catalog, 64, 42)
+            .unwrap()
+    };
+    let (a, b) = (run_engine(&catalog_mem), run_engine(&catalog_disk));
+    assert_eq!(a.group_columns, b.group_columns);
+    assert_eq!(a.groups.len(), b.groups.len());
+    for ((ka, va), (kb, vb)) in a.groups.iter().zip(&b.groups) {
+        assert_eq!(ka, kb);
+        assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
+    let run_looper = |catalog: &Catalog| {
+        let config = TailSamplingConfig::new(0.05, 10, 200)
+            .with_m(3)
+            .with_block_size(40)
+            .with_master_seed(11);
+        GibbsLooper::new(query.clone(), config)
+            .run(catalog)
+            .unwrap()
+    };
+    let (want, got) = (run_looper(&catalog_mem), run_looper(&catalog_disk));
+    assert_eq!(got.tail_samples, want.tail_samples);
+    assert_eq!(got.cutoffs, want.cutoffs);
+    assert_eq!(got.gibbs, want.gibbs);
+    assert_eq!(got.values_materialized, want.values_materialized);
+
+    let delta = pool.stats().since(&baseline);
     assert!(
-        respawn_sent < cold_sent / 4,
-        "a respawned worker pool with a persistent table store must ship \
-         headers, not pages: respawn {respawn_sent} bytes vs cold {cold_sent}"
+        delta.pool_evictions > 0,
+        "a 2-frame budget under a multi-page catalog must evict: {delta:?}"
     );
-    let stats = process.shard_stats();
     assert!(
-        stats.worker_respawns >= 2,
-        "killing the pool must surface as respawns: {stats:?}"
-    );
-    assert!(
-        pager.stats().disk_reads + Pager::global_stats().disk_reads > disk_reads_before,
+        pager.stats().disk_reads > disk_reads_before,
         "a 2-frame budget over disk-backed pages must read from disk"
     );
     pool.set_budget(saved);
-    drop((reference, inproc_session, sharded_session, process_session));
-    drop((catalog_mem, catalog_disk, process));
+    drop((reference, catalog_disk));
     let _ = std::fs::remove_dir_all(&spill_root);
-    let _ = std::fs::remove_dir_all(&worker_root);
 }
 
 #[test]

@@ -441,7 +441,6 @@ fn task_bundle_and_stats_frames_round_trip_identically() {
             bundles: g.usize_in(0, 100),
             foreign_streams: g.usize_in(0, 100),
             warm_hit: g.bool(),
-            store_evictions: g.u64() % 1000,
         };
         match wire::decode_frame(&wire::encode_task_stats(stats)).unwrap() {
             Frame::TaskStats(got) => assert_eq!(got, stats, "case {case}"),
@@ -630,7 +629,6 @@ fn truncated_frames_return_typed_errors() {
                 bundles: 1,
                 foreign_streams: 0,
                 warm_hit: true,
-                store_evictions: 2,
             }),
             wire::encode_error("x"),
             wire::encode_query(&plan, &g.aggregate(), None, &["k".to_string()], 8, 3).unwrap(),
