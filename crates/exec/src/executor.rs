@@ -359,7 +359,7 @@ fn apply_hash_join(
     // Build side: the right input.
     let mut table: HashMap<Vec<JoinKey>, Vec<usize>> = HashMap::with_capacity(right.len());
     for (idx, bundle) in right.iter().enumerate() {
-        let key = bundle_key(bundle, &right_keys, "right")?;
+        let key = bundle_key(bundle, right_schema, &right_keys, "right")?;
         if key.iter().any(|k| matches!(k, JoinKey::Null)) {
             continue; // SQL: NULL keys never join
         }
@@ -368,7 +368,7 @@ fn apply_hash_join(
 
     let mut out = Vec::new();
     for bundle in &left {
-        let key = bundle_key(bundle, &left_keys, "left")?;
+        let key = bundle_key(bundle, left_schema, &left_keys, "left")?;
         if key.iter().any(|k| matches!(k, JoinKey::Null)) {
             continue;
         }
@@ -381,17 +381,28 @@ fn apply_hash_join(
     Ok(out)
 }
 
-fn bundle_key(bundle: &TupleBundle, key_cols: &[usize], side: &str) -> Result<Vec<JoinKey>> {
+fn bundle_key(
+    bundle: &TupleBundle,
+    schema: &Schema,
+    key_cols: &[usize],
+    side: &str,
+) -> Result<Vec<JoinKey>> {
     key_cols
         .iter()
         .map(|&i| match &bundle.values[i] {
             BundleValue::Const(v) => Ok(join_key(v)),
-            _ => Err(Error::InvalidOperation(format!(
-                "{side} join key column {i} is a random attribute; apply Split before joining \
-                 on a random attribute (paper §8)"
-            ))),
+            _ => Err(random_join_key(side, &schema.field(i).name)),
         })
         .collect()
+}
+
+/// The error for a join key that is random in some bundle, naming the key
+/// column; shared with the two-phase session's skeleton pass.
+pub(crate) fn random_join_key(side: &str, column: &str) -> Error {
+    Error::InvalidOperation(format!(
+        "{side} join key column {column} is a random attribute; apply Split before joining \
+         on a random attribute (paper §8)"
+    ))
 }
 
 /// MCDB's Split operation (paper §8): replace a random column by one bundle

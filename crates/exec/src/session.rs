@@ -12,14 +12,14 @@
 //! * **[`PlanSkeleton`]** — the *seed-independent* result of running the
 //!   deterministic skeleton of a plan over a catalog: the output schema, a
 //!   [`SkeletonRegistry`] (every stream keyed by its `(table_tag, row)`
-//!   [`StreamKey`] with its VG function and bound parameter row), and one
-//!   *symbolic bundle* per output tuple.  A symbolic bundle's random
-//!   attributes are lineage-only — `(stream key, vg_row, vg_col)` with no
-//!   materialized values — and its value-dependent residue (predicates over
-//!   random attributes, computed projections) is recorded as small
-//!   expression closures to replay per block.  Nothing in the skeleton
-//!   mentions a concrete PRNG seed, so one skeleton serves every master
-//!   seed; [`crate::SessionCache`] exploits exactly this.
+//!   [`StreamKey`] with its VG function and bound parameter row), and the
+//!   output tuples as one *columnar batch*.  Random attributes are
+//!   lineage-only — `(stream, vg_row, vg_col)` with no materialized values —
+//!   and the value-dependent residue (predicates over random attributes,
+//!   computed projections) is kept as deferred expressions to replay per
+//!   block.  Nothing in the skeleton mentions a concrete PRNG seed, so one
+//!   skeleton serves every master seed; [`crate::SessionCache`] exploits
+//!   exactly this.
 //! * **[`DeterministicPrefix`]** — a skeleton *bound* to one master seed:
 //!   every stream key is mapped to its concrete [`mcdbr_prng::SeedId`] via
 //!   [`mcdbr_prng::seed_for`].  Binding costs one hash mix per stream — no
@@ -51,6 +51,17 @@
 //! random), projections, joins, `Split` over already-deterministic columns —
 //! is prefix-cacheable.
 //!
+//! **Columnar phase 1.** Every operator decides per *column* whether an
+//! attribute is constant, a stream cell or a deferred expression — a scan
+//! or parameter column is constant, a VG output column a stream, a
+//! projection over a random input deferred — and whether a filter is decided
+//! now or deferred to a presence predicate.  So the kind is the same in
+//! every tuple, and the skeleton stores one typed vector per column and each
+//! deferred predicate once, not one object per tuple.  Joins compute
+//! `(left, right)` index pairs from one hash index and gather every column;
+//! deterministic filters gather their survivors; scans borrow rows from the
+//! pinned page.
+//!
 //! **Seed-independence contract.** The skeleton probes each VG function once
 //! (under a fixed probe seed) to learn its output-row count, because that
 //! count shapes the bundle structure.  The executor contract — enforced at
@@ -59,7 +70,6 @@
 //! on the random draw; all built-in VG functions satisfy this, and a
 //! violation surfaces as an explicit error, never as silently wrong data.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mcdbr_prng::{SeedId, StreamKey};
@@ -67,7 +77,7 @@ use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, SelVec, V
 
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
-use crate::executor::{join_key, ExecOptions, Executor, JoinKey};
+use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
 use crate::expr::Expr;
 use crate::kernels::{self, Lane};
 use crate::par;
@@ -80,63 +90,134 @@ use crate::stream_registry::{SkeletonRegistry, StreamRegistry, StreamSource};
 /// kept, and it must be seed-independent — see the module docs).
 const PROBE_MASTER_SEED: u64 = 0;
 
-/// A symbolic attribute value: what the skeleton pass knows about an output
-/// column before any stream values exist.
+/// What the skeleton pass knows about one output column before any stream
+/// values exist, for every tuple of the batch at once.  Every operator
+/// decides const, stream or deferred per *column*, so the kind is uniform
+/// down the column (see the module docs).
 #[derive(Debug, Clone)]
-enum SymValue {
-    /// Deterministic: the same value in every DB instance.
-    Const(Value),
-    /// A random attribute with seed-independent lineage only; phase 2 reads
-    /// the materialized block of the bound stream.
+enum SymColumn {
+    /// Deterministic: the same value in every DB instance, one per tuple.
+    Const(Vec<Value>),
+    /// A random attribute with seed-independent lineage only: tuple `i`
+    /// reads VG output cell `(vg_rows[i], vg_col)` of stream `ids[i]`.
+    /// During the pass an id is the stream's registration index; a finished
+    /// skeleton holds its index into `active_keys` instead, so phase 2 reads
+    /// the materialized cells without a key search.
     Stream {
-        key: StreamKey,
-        vg_row: usize,
+        ids: Vec<u32>,
+        vg_rows: Vec<u32>,
         vg_col: usize,
     },
     /// A projected expression over (possibly random) inputs; phase 2
-    /// evaluates it once per block offset.
+    /// evaluates it per tuple and block offset.
     Expr(Box<SymExpr>),
 }
 
-/// A deferred expression: the operator's input schema, one symbolic value per
-/// input column, and the expression itself.
+/// A deferred expression — a computed projection, or a presence predicate
+/// (a `Filter` over random attributes, paper §5): the operator's input
+/// schema, the columns the expression references (`None` for the rest,
+/// which it never reads and phase 2 passes as `Null`), and the expression.
 #[derive(Debug, Clone)]
 struct SymExpr {
     schema: Schema,
-    inputs: Vec<SymValue>,
+    inputs: Vec<Option<SymColumn>>,
     expr: Expr,
 }
 
-/// A deferred presence predicate (a `Filter` over random attributes,
-/// paper §5): evaluated per block offset into an `isPres` mask.
+/// The deterministic skeleton as one batch of `len` output tuples: a
+/// column per output attribute, plus the deferred presence predicates that
+/// every tuple carries, each stored once.
 #[derive(Debug, Clone)]
-struct SymPred {
-    schema: Schema,
-    inputs: Vec<SymValue>,
-    predicate: Expr,
+struct SymBatch {
+    len: usize,
+    columns: Vec<SymColumn>,
+    preds: Vec<SymExpr>,
 }
 
-/// One output tuple of the deterministic skeleton.
-#[derive(Debug, Clone)]
-pub(crate) struct SymBundle {
-    values: Vec<SymValue>,
-    preds: Vec<SymPred>,
-}
+impl SymColumn {
+    fn is_const(&self) -> bool {
+        matches!(self, SymColumn::Const(_))
+    }
 
-impl SymBundle {
-    fn constant(values: Vec<Value>) -> Self {
-        SymBundle {
-            values: values.into_iter().map(SymValue::Const).collect(),
-            preds: Vec::new(),
+    /// The column restricted to (and reordered by) the tuple indices `idx`.
+    fn gather(&self, idx: &[usize]) -> SymColumn {
+        fn pick<T: Clone>(values: &[T], idx: &[usize]) -> Vec<T> {
+            idx.iter().map(|&i| values[i].clone()).collect()
+        }
+        match self {
+            SymColumn::Const(values) => SymColumn::Const(pick(values, idx)),
+            SymColumn::Stream {
+                ids,
+                vg_rows,
+                vg_col,
+            } => SymColumn::Stream {
+                ids: pick(ids, idx),
+                vg_rows: pick(vg_rows, idx),
+                vg_col: *vg_col,
+            },
+            SymColumn::Expr(e) => SymColumn::Expr(Box::new(e.gather(idx))),
         }
     }
 
-    fn concat(&self, other: &SymBundle) -> SymBundle {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        let mut preds = self.preds.clone();
-        preds.extend(other.preds.iter().cloned());
-        SymBundle { values, preds }
+    /// Every stream-id array in this column, nested expressions included.
+    fn stream_ids<'a>(&'a mut self, out: &mut Vec<&'a mut Vec<u32>>) {
+        match self {
+            SymColumn::Const(_) => {}
+            SymColumn::Stream { ids, .. } => out.push(ids),
+            SymColumn::Expr(e) => e.stream_ids(out),
+        }
+    }
+}
+
+impl SymExpr {
+    fn gather(&self, idx: &[usize]) -> SymExpr {
+        SymExpr {
+            schema: self.schema.clone(),
+            inputs: self
+                .inputs
+                .iter()
+                .map(|input| input.as_ref().map(|col| col.gather(idx)))
+                .collect(),
+            expr: self.expr.clone(),
+        }
+    }
+
+    fn stream_ids<'a>(&'a mut self, out: &mut Vec<&'a mut Vec<u32>>) {
+        for input in self.inputs.iter_mut().flatten() {
+            input.stream_ids(out);
+        }
+    }
+}
+
+impl SymBatch {
+    fn gather(&self, idx: &[usize]) -> SymBatch {
+        SymBatch {
+            len: idx.len(),
+            columns: self.columns.iter().map(|col| col.gather(idx)).collect(),
+            preds: self.preds.iter().map(|pred| pred.gather(idx)).collect(),
+        }
+    }
+
+    /// Defer `expr` over this batch: capture only the columns it references.
+    fn deferred(&self, schema: &Schema, refs: &[usize], expr: &Expr) -> SymExpr {
+        SymExpr {
+            schema: schema.clone(),
+            inputs: (0..self.columns.len())
+                .map(|i| refs.contains(&i).then(|| self.columns[i].clone()))
+                .collect(),
+            expr: expr.clone(),
+        }
+    }
+
+    /// Write tuple `row`'s constant values at `refs` into `out`, the row a
+    /// deterministic predicate or projection sees (the other slots stay
+    /// `Null`; the expression never reads them).
+    fn fill_const_row(&self, refs: &[usize], row: usize, out: &mut [Value]) {
+        for &i in refs {
+            if let SymColumn::Const(values) = &self.columns[i] {
+                out[i] = values[row].clone();
+            }
+        }
     }
 }
 
@@ -152,7 +233,7 @@ impl SymBundle {
 pub struct PlanSkeleton {
     schema: Schema,
     registry: SkeletonRegistry,
-    pub(crate) bundles: Vec<SymBundle>,
+    batch: SymBatch,
     /// Streams actually referenced by surviving bundles.  Deterministic
     /// filters (paper §2's `WHERE CID < 10010`) drop bundles during the
     /// skeleton pass; phase 2 never generates values for the dropped streams
@@ -162,15 +243,15 @@ pub struct PlanSkeleton {
     /// Per-active-key generation recipe — the registry source plus the
     /// per-invocation row count probed once during the skeleton pass and
     /// validated against every materialized block — aligned with
-    /// `active_keys`.  Precomputed once here so the per-block generation
-    /// fan-out indexes a slice instead of probing two `BTreeMap`s per stream
-    /// per block (the registry may hold thousands of streams while only a
-    /// filtered few are active).
-    active_sources: Vec<(StreamSource, Option<usize>)>,
-    /// Per-bundle sorted stream keys (first key = the bundle's shard anchor),
-    /// computed once here so shard ownership decisions never re-walk the
-    /// symbolic bundles per shard per block.
-    pub(crate) bundle_keys: Vec<Vec<StreamKey>>,
+    /// `active_keys`, so the per-block generation fan-out indexes a slice
+    /// instead of probing a map per stream.
+    active_sources: Vec<(StreamSource, usize)>,
+    /// Per-bundle stream sets as indices into `active_keys`, sorted and
+    /// distinct (first = the bundle's shard anchor): bundle `i`'s are
+    /// `bundle_streams[bundle_offsets[i]..bundle_offsets[i + 1]]`.  Computed
+    /// once here, so shard ownership never re-walks the batch per block.
+    bundle_offsets: Vec<u32>,
+    bundle_streams: Vec<u32>,
     /// The distinct bundle anchors, sorted — what the shard planner
     /// partitions.  Partitioning anchors (rather than all active keys)
     /// balances the work shards actually *own*: on a multi-table join every
@@ -191,9 +272,16 @@ impl PlanSkeleton {
         &self.registry
     }
 
-    /// Number of symbolic bundles in the skeleton.
+    /// Number of bundles (output tuples) in the skeleton.
     pub fn num_bundles(&self) -> usize {
-        self.bundles.len()
+        self.batch.len
+    }
+
+    /// The streams bundle `idx` references, as ascending indices into
+    /// [`PlanSkeleton::active_keys`]; the first is the bundle's anchor.
+    pub(crate) fn bundle_streams(&self, idx: usize) -> &[u32] {
+        &self.bundle_streams
+            [self.bundle_offsets[idx] as usize..self.bundle_offsets[idx + 1] as usize]
     }
 
     /// Number of registered random streams.
@@ -285,7 +373,7 @@ impl DeterministicPrefix {
         self.master_seed
     }
 
-    /// Number of symbolic bundles in the skeleton.
+    /// Number of bundles (output tuples) in the skeleton.
     pub fn num_bundles(&self) -> usize {
         self.skeleton.num_bundles()
     }
@@ -305,33 +393,6 @@ impl DeterministicPrefix {
     /// `(master_seed, key)`, so no per-binding map is needed.
     fn seed_of(&self, key: StreamKey) -> SeedId {
         key.bind(self.master_seed)
-    }
-}
-
-/// Collect every stream key reachable from a symbolic bundle: its direct
-/// attributes, plus streams referenced inside deferred expressions and
-/// presence predicates.
-fn collect_keys(bundle: &SymBundle, out: &mut std::collections::BTreeSet<StreamKey>) {
-    fn walk(value: &SymValue, out: &mut std::collections::BTreeSet<StreamKey>) {
-        match value {
-            SymValue::Const(_) => {}
-            SymValue::Stream { key, .. } => {
-                out.insert(*key);
-            }
-            SymValue::Expr(e) => {
-                for input in &e.inputs {
-                    walk(input, out);
-                }
-            }
-        }
-    }
-    for value in &bundle.values {
-        walk(value, out);
-    }
-    for pred in &bundle.preds {
-        for input in &pred.inputs {
-            walk(input, out);
-        }
     }
 }
 
@@ -689,9 +750,7 @@ impl ExecSession {
         }
         self.blocks_materialized += 1;
         self.values_materialized += (needed.len() * num_values) as u64;
-        let cells =
-            crate::shard::generate_streams(prefix, &needed, base_pos, num_values, &self.pool, 1)?;
-        Ok(cells.into_cells())
+        crate::shard::generate_streams(prefix, &needed, base_pos, num_values, &self.pool, 1)
     }
 }
 
@@ -762,43 +821,26 @@ impl CellCols {
     }
 }
 
-/// Per-stream shared cell columns for one generated block window.
-///
-/// A sorted vec rather than a `BTreeMap`: the shard unit inserts keys in
-/// ascending order (it walks ascending indices into the skeleton's sorted
-/// `active_keys`), so building is an append and lookup a cache-friendly
-/// binary search over one contiguous allocation instead of pointer-chasing
-/// per-entry tree nodes.
-#[derive(Default)]
-pub(crate) struct CellData {
-    entries: Vec<(StreamKey, CellCols)>,
-}
+/// Per-stream shared cell columns for one generated block window, indexed
+/// by the stream's position in the skeleton's `active_keys` (a unit that
+/// generates only some streams leaves the others empty).  A bundle's stream
+/// columns hold that index, so phase 2 reads a cell without a key search.
+pub(crate) struct CellData(Vec<Option<CellCols>>);
 
 impl CellData {
-    pub(crate) fn with_capacity(n: usize) -> CellData {
-        CellData {
-            entries: Vec::with_capacity(n),
+    /// Index `cells`, generated for the ascending `active_keys` indices
+    /// `needed`, by active index out of `active` streams.
+    pub(crate) fn scatter(active: usize, needed: &[usize], cells: Vec<CellCols>) -> CellData {
+        let mut slots: Vec<Option<CellCols>> =
+            std::iter::repeat_with(|| None).take(active).collect();
+        for (&at, cells) in needed.iter().zip(cells) {
+            slots[at] = Some(cells);
         }
+        CellData(slots)
     }
 
-    /// Append `key`'s cells; keys must arrive in strictly ascending order
-    /// (lookup is a binary search).
-    pub(crate) fn push(&mut self, key: StreamKey, cells: CellCols) {
-        if let Some((last, _)) = self.entries.last() {
-            assert!(*last < key, "cell keys must be pushed in ascending order");
-        }
-        self.entries.push((key, cells));
-    }
-
-    fn get(&self, key: StreamKey) -> Option<&CellCols> {
-        self.entries
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    fn into_cells(self) -> Vec<CellCols> {
-        self.entries.into_iter().map(|(_, cells)| cells).collect()
+    fn get(&self, at: u32) -> Option<&CellCols> {
+        self.0.get(at as usize)?.as_ref()
     }
 }
 
@@ -848,9 +890,9 @@ pub(crate) fn generate_active_stream_block(
 /// The fallible body of [`generate_active_stream_block`]: batched generation plus
 /// the hoisted once-per-block shape validation.
 fn fill_stream_block(
-    source: &crate::stream_registry::StreamSource,
-    expected_rows: Option<usize>,
-    seed: mcdbr_prng::SeedId,
+    source: &StreamSource,
+    expected_rows: usize,
+    seed: SeedId,
     base_pos: u64,
     num_values: usize,
     block: &mut ColumnBlock,
@@ -859,29 +901,25 @@ fn fill_stream_block(
         .vg
         .generate_block_into(&source.params, seed, base_pos, num_values, block)?;
     block.validate(num_values)?;
-    if num_values > 0 {
-        if let Some(expected) = expected_rows {
-            if block.rows_per_pos() != expected {
-                return Err(Error::Invalid(format!(
-                    "VG function {} produced {} output rows per position in block [{}, {}) \
-                     but {} during the skeleton probe; the bundle executor requires a \
-                     seed-independent, fixed row count per parameter row",
-                    source.vg.name(),
-                    block.rows_per_pos(),
-                    base_pos,
-                    base_pos + num_values as u64,
-                    expected
-                )));
-            }
-        }
+    if num_values > 0 && block.rows_per_pos() != expected_rows {
+        return Err(Error::Invalid(format!(
+            "VG function {} produced {} output rows per position in block [{}, {}) \
+             but {} during the skeleton probe; the bundle executor requires a \
+             seed-independent, fixed row count per parameter row",
+            source.vg.name(),
+            block.rows_per_pos(),
+            base_pos,
+            base_pos + num_values as u64,
+            expected_rows
+        )));
     }
     Ok(())
 }
 
-/// Materialize one symbolic bundle for a block; `None` when its presence
-/// mask is false everywhere (the executor drops such bundles at the filter
-/// that produced them — dropping here, after the fact, yields the same
-/// output sequence).
+/// Materialize tuple `idx` of the skeleton for a block; `None` when its
+/// presence mask is false everywhere (the executor drops such bundles at the
+/// filter that produced them — dropping here, after the fact, yields the
+/// same output sequence).
 ///
 /// Random attributes become refcount clones of the shared cell columns.
 /// Presence predicates run through the vectorized kernels
@@ -892,32 +930,35 @@ fn fill_stream_block(
 /// cross-predicate short-circuit (a row failing an earlier predicate never
 /// evaluates a later one) and makes the fallback selection-driven.
 pub(crate) fn materialize_bundle(
-    bundle: &SymBundle,
     prefix: &DeterministicPrefix,
+    idx: usize,
     blocks: &CellData,
     base_pos: u64,
     num_values: usize,
 ) -> Result<Option<TupleBundle>> {
-    let mut values = Vec::with_capacity(bundle.values.len());
-    for sym in &bundle.values {
+    let batch = &prefix.skeleton.batch;
+    let mut values = Vec::with_capacity(batch.columns.len());
+    for col in &batch.columns {
         values.push(materialize_value(
-            sym, prefix, blocks, base_pos, num_values,
+            col, idx, prefix, blocks, base_pos, num_values,
         )?);
     }
-    let is_pres = match bundle.preds.as_slice() {
+    let is_pres = match batch.preds.as_slice() {
         [] => None,
         preds => {
             let mut present = Mask::ones(num_values);
             let mut row: Vec<Value> = Vec::new();
             for pred in preds {
-                if let Some(mask) = vector_pred_mask(pred, blocks, num_values) {
+                if let Some(mask) = vector_lanes(pred, idx, blocks).and_then(|lanes| {
+                    kernels::predicate_mask(&pred.expr, &pred.schema, &lanes, num_values)
+                }) {
                     present.and_assign(&mask);
                 } else {
                     let sel = SelVec::from_mask(&present);
                     for &off in sel.indices() {
                         let offset = off as usize;
-                        eval_row_into(&pred.inputs, blocks, offset, &mut row)?;
-                        if !pred.predicate.eval_bool(&pred.schema, &row)? {
+                        eval_row_into(&pred.inputs, idx, blocks, offset, &mut row)?;
+                        if !pred.expr.eval_bool(&pred.schema, &row)? {
                             present.set(offset, false);
                         }
                     }
@@ -932,93 +973,77 @@ pub(crate) fn materialize_bundle(
     Ok(Some(TupleBundle { values, is_pres }))
 }
 
-/// Try the vectorized kernel path for one deferred predicate: every input
-/// must be a constant or a direct stream-cell column (deferred
-/// sub-expressions stay on the scalar path), and the predicate itself must
-/// compile (see [`crate::kernels`] for the subset and the bit-identity
-/// argument).
-fn vector_pred_mask(pred: &SymPred, blocks: &CellData, num_values: usize) -> Option<Mask> {
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(pred.inputs.len());
-    for sym in &pred.inputs {
-        match sym {
-            SymValue::Const(v) => lanes.push(Lane::Const(v)),
-            SymValue::Stream {
-                key,
-                vg_row,
-                vg_col,
-            } => {
-                let cell = blocks.get(*key)?.cell(*vg_row, *vg_col).ok()?;
-                lanes.push(Lane::Col(cell));
-            }
-            SymValue::Expr(_) => return None,
-        }
-    }
-    kernels::predicate_mask(&pred.predicate, &pred.schema, &lanes, num_values)
-}
+/// `Null`: what a deferred expression sees in the columns it never reads.
+static NULL: Value = Value::Null;
 
-/// The vectorized path for a deferred projection expression: same lane
-/// construction as [`vector_pred_mask`], compiled to a whole output column.
-fn vector_computed(
-    e: &SymExpr,
-    blocks: &CellData,
-    num_values: usize,
-) -> Option<mcdbr_storage::Column> {
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(e.inputs.len());
-    for sym in &e.inputs {
-        match sym {
-            SymValue::Const(v) => lanes.push(Lane::Const(v)),
-            SymValue::Stream {
-                key,
-                vg_row,
+/// The vectorized kernels' input lanes for tuple `idx` of a deferred
+/// expression: every input must be a constant or a direct stream-cell
+/// column (deferred sub-expressions stay on the scalar path).  Whether the
+/// expression itself compiles is the kernel's call (see [`crate::kernels`]
+/// for the subset and the bit-identity argument).
+fn vector_lanes<'a>(e: &'a SymExpr, idx: usize, blocks: &'a CellData) -> Option<Vec<Lane<'a>>> {
+    e.inputs
+        .iter()
+        .map(|input| match input {
+            None => Some(Lane::Const(&NULL)),
+            Some(SymColumn::Const(values)) => Some(Lane::Const(&values[idx])),
+            Some(SymColumn::Stream {
+                ids,
+                vg_rows,
                 vg_col,
-            } => {
-                let cell = blocks.get(*key)?.cell(*vg_row, *vg_col).ok()?;
-                lanes.push(Lane::Col(cell));
+            }) => {
+                let cell = blocks.get(ids[idx])?.cell(vg_rows[idx] as usize, *vg_col);
+                Some(Lane::Col(cell.ok()?))
             }
-            SymValue::Expr(_) => return None,
-        }
-    }
-    kernels::computed_column(&e.expr, &e.schema, &lanes, num_values)
+            Some(SymColumn::Expr(_)) => None,
+        })
+        .collect()
 }
 
 fn materialize_value(
-    sym: &SymValue,
+    col: &SymColumn,
+    idx: usize,
     prefix: &DeterministicPrefix,
     blocks: &CellData,
     base_pos: u64,
     num_values: usize,
 ) -> Result<BundleValue> {
-    match sym {
-        SymValue::Const(v) => Ok(BundleValue::Const(v.clone())),
-        SymValue::Stream {
-            key,
-            vg_row,
+    match col {
+        SymColumn::Const(values) => Ok(BundleValue::Const(values[idx].clone())),
+        SymColumn::Stream {
+            ids,
+            vg_rows,
             vg_col,
-        } => Ok(BundleValue::Random {
-            seed: prefix.seed_of(*key),
-            vg_row: *vg_row,
-            vg_col: *vg_col,
-            base_pos,
-            // A zero-position block may be legitimately unshaped (the
-            // generic fallback path learns its shape from the first
-            // position); the empty chain is well-formed either way.  The
-            // non-empty case is the columnar payoff: a refcount clone of
-            // the shared cell column, shared across every bundle (and every
-            // join fan-out) reading this cell.
-            values: if num_values == 0 {
-                ValueChain::new()
-            } else {
-                ValueChain::from_arc(Arc::clone(cells_for(blocks, *key)?.cell(*vg_row, *vg_col)?))
-            },
-        }),
-        SymValue::Expr(e) => {
-            if let Some(col) = vector_computed(e, blocks, num_values) {
+        } => {
+            let (at, vg_row) = (ids[idx], vg_rows[idx] as usize);
+            Ok(BundleValue::Random {
+                seed: prefix.seed_of(prefix.skeleton.active_keys[at as usize]),
+                vg_row,
+                vg_col: *vg_col,
+                base_pos,
+                // A zero-position block may be legitimately unshaped (the
+                // generic fallback path learns its shape from the first
+                // position); the empty chain is well-formed either way.  The
+                // non-empty case is the columnar payoff: a refcount clone of
+                // the shared cell column, shared across every bundle (and
+                // every join fan-out) reading this cell.
+                values: if num_values == 0 {
+                    ValueChain::new()
+                } else {
+                    ValueChain::from_arc(Arc::clone(cells_for(blocks, at)?.cell(vg_row, *vg_col)?))
+                },
+            })
+        }
+        SymColumn::Expr(e) => {
+            if let Some(col) = vector_lanes(e, idx, blocks)
+                .and_then(|lanes| kernels::computed_column(&e.expr, &e.schema, &lanes, num_values))
+            {
                 return Ok(BundleValue::Computed(ValueChain::from_column(col)));
             }
             let mut col = mcdbr_storage::Column::default();
             let mut row: Vec<Value> = Vec::new();
             for offset in 0..num_values {
-                eval_row_into(&e.inputs, blocks, offset, &mut row)?;
+                eval_row_into(&e.inputs, idx, blocks, offset, &mut row)?;
                 col.push_value(&e.expr.eval(&e.schema, &row)?);
             }
             Ok(BundleValue::Computed(ValueChain::from_column(col)))
@@ -1026,45 +1051,51 @@ fn materialize_value(
     }
 }
 
-/// Evaluate one symbolic value at a single block offset.
-fn eval_sym(sym: &SymValue, blocks: &CellData, offset: usize) -> Result<Value> {
-    match sym {
-        SymValue::Const(v) => Ok(v.clone()),
-        SymValue::Stream {
-            key,
-            vg_row,
+/// Evaluate tuple `idx` of one symbolic column at a single block offset.
+fn eval_sym(col: &SymColumn, idx: usize, blocks: &CellData, offset: usize) -> Result<Value> {
+    match col {
+        SymColumn::Const(values) => Ok(values[idx].clone()),
+        SymColumn::Stream {
+            ids,
+            vg_rows,
             vg_col,
-        } => cells_for(blocks, *key)?.value_at(*vg_row, *vg_col, offset),
-        SymValue::Expr(e) => {
+        } => cells_for(blocks, ids[idx])?.value_at(vg_rows[idx] as usize, *vg_col, offset),
+        SymColumn::Expr(e) => {
             let mut row = Vec::new();
-            eval_row_into(&e.inputs, blocks, offset, &mut row)?;
+            eval_row_into(&e.inputs, idx, blocks, offset, &mut row)?;
             e.expr.eval(&e.schema, &row)
         }
     }
 }
 
-/// Build the input row at `offset` into a reusable scratch buffer (one
-/// buffer serves every offset of a bundle's residue replay).
+/// Build tuple `idx`'s input row at `offset` into a reusable scratch buffer
+/// (one buffer serves every offset of a bundle's residue replay).
 fn eval_row_into(
-    inputs: &[SymValue],
+    inputs: &[Option<SymColumn>],
+    idx: usize,
     blocks: &CellData,
     offset: usize,
     row: &mut Vec<Value>,
 ) -> Result<()> {
     row.clear();
-    for sym in inputs {
-        row.push(eval_sym(sym, blocks, offset)?);
+    for input in inputs {
+        row.push(match input {
+            None => Value::Null,
+            Some(col) => eval_sym(col, idx, blocks, offset)?,
+        });
     }
     Ok(())
 }
 
-fn cells_for(blocks: &CellData, key: StreamKey) -> Result<&CellCols> {
-    blocks
-        .get(key)
-        .ok_or_else(|| Error::Invalid(format!("stream {key} missing from materialized block")))
+fn cells_for(blocks: &CellData, at: u32) -> Result<&CellCols> {
+    blocks.get(at).ok_or_else(|| {
+        Error::Invalid(format!(
+            "active stream {at} missing from materialized block"
+        ))
+    })
 }
 
-// ===== Phase 1: the symbolic (deterministic-skeleton) plan pass =====
+// ===== Phase 1: the columnar deterministic-skeleton pass =====
 
 pub(crate) enum PrepError {
     /// The plan's bundle structure depends on stream values.
@@ -1088,301 +1119,413 @@ pub(crate) fn build_skeleton(
     plan: &PlanNode,
     catalog: &Catalog,
 ) -> std::result::Result<PlanSkeleton, PrepError> {
-    let mut registry = SkeletonRegistry::new();
-    let mut vg_rows = BTreeMap::new();
-    let (schema, bundles) = exec_sym(plan, catalog, &mut registry, &mut vg_rows)?;
-    let mut active = std::collections::BTreeSet::new();
-    let mut anchors = std::collections::BTreeSet::new();
-    let mut bundle_keys = Vec::with_capacity(bundles.len());
-    for bundle in &bundles {
-        let mut keys = std::collections::BTreeSet::new();
-        collect_keys(bundle, &mut keys);
-        active.extend(keys.iter().copied());
-        if let Some(&anchor) = keys.iter().next() {
-            anchors.insert(anchor);
-        }
-        bundle_keys.push(keys.into_iter().collect::<Vec<_>>());
+    let mut pass = SkeletonPass {
+        catalog,
+        registry: SkeletonRegistry::new(),
+        streams: Vec::new(),
+    };
+    let (schema, mut batch) = pass.exec(plan)?;
+    let len = batch.len;
+
+    // Fold stream ids into indices over the sorted distinct keys the
+    // surviving tuples reference (a self-join registers a key twice).
+    let mut id_arrays = Vec::new();
+    for col in &mut batch.columns {
+        col.stream_ids(&mut id_arrays);
     }
-    let active_keys: Vec<StreamKey> = active.into_iter().collect();
-    let active_sources = active_keys
+    for pred in &mut batch.preds {
+        pred.stream_ids(&mut id_arrays);
+    }
+    let mut referenced = vec![false; pass.streams.len()];
+    for &id in id_arrays.iter().flat_map(|ids| ids.iter()) {
+        referenced[id as usize] = true;
+    }
+    let mut active_keys: Vec<StreamKey> = pass
+        .streams
         .iter()
-        .map(|&key| {
-            let source = registry
-                .source(key)
-                .expect("every bundle key was registered during the skeleton pass")
-                .clone();
-            (source, vg_rows.get(&key).copied())
-        })
+        .zip(&referenced)
+        .filter_map(|((key, ..), &r)| r.then_some(*key))
+        .collect();
+    active_keys.sort_unstable();
+    active_keys.dedup();
+    let mut sources = vec![None; active_keys.len()];
+    let at_of: Vec<u32> = pass
+        .streams
+        .into_iter()
+        .map(
+            |(key, source, rows)| match active_keys.binary_search(&key) {
+                Ok(at) => {
+                    sources[at].get_or_insert((source, rows));
+                    at as u32
+                }
+                Err(_) => u32::MAX,
+            },
+        )
+        .collect();
+    for id in id_arrays.iter_mut().flat_map(|ids| ids.iter_mut()) {
+        *id = at_of[*id as usize];
+    }
+
+    // Per-tuple stream sets, flattened; the first of each is its anchor.
+    let mut bundle_offsets = Vec::with_capacity(len + 1);
+    let mut bundle_streams = Vec::with_capacity(len * id_arrays.len());
+    let mut is_anchor = vec![false; active_keys.len()];
+    let mut scratch = Vec::with_capacity(id_arrays.len());
+    bundle_offsets.push(0u32);
+    for row in 0..len {
+        scratch.clear();
+        scratch.extend(id_arrays.iter().map(|ids| ids[row]));
+        scratch.sort_unstable();
+        scratch.dedup();
+        if let Some(&anchor) = scratch.first() {
+            is_anchor[anchor as usize] = true;
+        }
+        bundle_streams.extend_from_slice(&scratch);
+        bundle_offsets.push(u32::try_from(bundle_streams.len()).expect("under 2^32 stream refs"));
+    }
+    let anchor_keys = active_keys
+        .iter()
+        .zip(is_anchor)
+        .filter_map(|(key, anchor)| anchor.then_some(*key))
         .collect();
     Ok(PlanSkeleton {
         schema,
-        registry,
-        bundles,
+        registry: pass.registry,
+        batch,
         active_keys,
-        active_sources,
-        bundle_keys,
-        anchor_keys: anchors.into_iter().collect(),
+        active_sources: sources.into_iter().flatten().collect(),
+        bundle_offsets,
+        bundle_streams,
+        anchor_keys,
     })
 }
 
-type SymResult = std::result::Result<(Schema, Vec<SymBundle>), PrepError>;
+type SymResult = std::result::Result<(Schema, SymBatch), PrepError>;
 
-/// The symbolic mirror of `executor::exec_node`: identical traversal order,
-/// identical per-bundle decisions, but random attributes stay lineage-only
-/// and streams are identified by seed-independent keys.
-fn exec_sym(
-    plan: &PlanNode,
-    catalog: &Catalog,
-    registry: &mut SkeletonRegistry,
-    vg_rows: &mut BTreeMap<StreamKey, usize>,
-) -> SymResult {
-    match plan {
-        PlanNode::TableScan { table } => {
-            let t = catalog.get(table)?;
-            // Paged scan: rows stream out of the buffer pool one pinned
-            // frame at a time (see `Table::iter`).
-            let bundles = t
-                .iter()
-                .map(|row| SymBundle::constant(row.into_values()))
-                .collect();
-            Ok((t.schema().clone(), bundles))
-        }
-        PlanNode::RandomTable(spec) => {
-            let param_table = catalog.get(&spec.param_table)?;
-            let param_schema = param_table.schema();
-            let out_schema = spec.schema(catalog)?;
+/// The state of one skeleton pass: the seed-independent registry, and every
+/// stream registered so far by id (its key, its recipe and the probed VG
+/// output-row count).
+struct SkeletonPass<'c> {
+    catalog: &'c Catalog,
+    registry: SkeletonRegistry,
+    streams: Vec<(StreamKey, StreamSource, usize)>,
+}
 
-            let mut bundles = Vec::new();
-            for (row_idx, param_row) in param_table.iter().enumerate() {
-                // Seed operator, seed-independently: record this tuple's
-                // stream by its `(table_tag, row)` key; concrete seeds are
-                // derived at binding time.
-                let key = StreamKey::new(spec.table_tag, row_idx as u64);
-                let params: Vec<Value> = spec
-                    .vg_params
+impl SkeletonPass<'_> {
+    /// The columnar mirror of `executor::exec_node`: the same traversal and
+    /// the same per-bundle decisions in the same output order, made once per
+    /// column, with random attributes lineage-only and streams identified by
+    /// seed-independent keys.
+    fn exec(&mut self, plan: &PlanNode) -> SymResult {
+        match plan {
+            PlanNode::TableScan { table } => {
+                let t = self.catalog.get(table)?;
+                let mut columns: Vec<Vec<Value>> = (0..t.schema().len())
+                    .map(|_| Vec::with_capacity(t.len()))
+                    .collect();
+                // Paged scan: rows are borrowed from the buffer pool one
+                // pinned frame at a time (see `Table::try_for_each_row`).
+                t.try_for_each_row(|row| {
+                    for (col, value) in columns.iter_mut().zip(row.values()) {
+                        col.push(value.clone());
+                    }
+                    Ok(())
+                })?;
+                let batch = SymBatch {
+                    len: t.len(),
+                    columns: columns.into_iter().map(SymColumn::Const).collect(),
+                    preds: Vec::new(),
+                };
+                Ok((t.schema().clone(), batch))
+            }
+            PlanNode::RandomTable(spec) => {
+                let catalog = self.catalog;
+                let param_table = catalog.get(&spec.param_table)?;
+                let param_schema = param_table.schema();
+                let out_schema = spec.schema(catalog)?;
+                // Per output column: the parameter column it copies, if any.
+                let sources: Vec<Option<usize>> = spec
+                    .columns
                     .iter()
-                    .map(|e| e.eval(param_schema, param_row.values()))
+                    .map(|col| match col {
+                        OutputColumn::Param { source, .. } => {
+                            param_schema.index_of(source).map(Some)
+                        }
+                        OutputColumn::Vg { .. } => Ok(None),
+                    })
                     .collect::<Result<_>>()?;
-                registry.register(key, spec.vg.clone(), params);
+                let mut columns: Vec<SymColumn> = spec
+                    .columns
+                    .iter()
+                    .map(|col| match col {
+                        OutputColumn::Param { .. } => SymColumn::Const(Vec::new()),
+                        OutputColumn::Vg { vg_col, .. } => SymColumn::Stream {
+                            ids: Vec::new(),
+                            vg_rows: Vec::new(),
+                            vg_col: *vg_col,
+                        },
+                    })
+                    .collect();
+                let mut len = 0;
+                let mut row_idx = 0;
+                param_table.try_for_each_row(|param_row| {
+                    // Seed operator, seed-independently: record this tuple's
+                    // stream by its `(table_tag, row)` key; concrete seeds
+                    // are derived at binding time.
+                    let key = StreamKey::new(spec.table_tag, row_idx);
+                    row_idx += 1;
+                    let params: Vec<Value> = spec
+                        .vg_params
+                        .iter()
+                        .map(|e| e.eval(param_schema, param_row.values()))
+                        .collect::<Result<_>>()?;
+                    self.registry.register(key, spec.vg.clone(), params);
+                    let source = self.registry.source(key)?.clone();
 
-                // Probe one VG invocation to learn the output-row count; the
-                // count is seed-independent by contract (see module docs) and
-                // every materialized block validates against it.  A zero-row
-                // VG output emits no bundles, exactly like the one-shot
-                // executor's `0..vg_rows` loop.
-                let probe = registry
-                    .source(key)?
-                    .generate_at(key.bind(PROBE_MASTER_SEED), 0)?;
-                let num_rows = probe.len();
-                vg_rows.insert(key, num_rows);
-
-                for vg_row in 0..num_rows {
-                    let mut values = Vec::with_capacity(spec.columns.len());
-                    for col in &spec.columns {
-                        match col {
-                            OutputColumn::Param { source, .. } => {
-                                let idx = param_schema.index_of(source)?;
-                                values.push(SymValue::Const(param_row.value(idx).clone()));
-                            }
-                            OutputColumn::Vg { vg_col, .. } => {
-                                values.push(SymValue::Stream {
-                                    key,
-                                    vg_row,
-                                    vg_col: *vg_col,
-                                });
+                    // Probe one VG invocation to learn the output-row count;
+                    // the count is seed-independent by contract (see module
+                    // docs) and every materialized block validates against
+                    // it.  A zero-row VG output emits no bundles, exactly
+                    // like the one-shot executor's `0..vg_rows` loop.
+                    let num_rows = source.generate_at(key.bind(PROBE_MASTER_SEED), 0)?.len();
+                    let id = u32::try_from(self.streams.len()).expect("under 2^32 streams");
+                    self.streams.push((key, source, num_rows));
+                    for vg_row in 0..u32::try_from(num_rows).expect("under 2^32 VG rows") {
+                        for (col, source) in columns.iter_mut().zip(&sources) {
+                            match (col, source) {
+                                (SymColumn::Const(values), Some(at)) => {
+                                    values.push(param_row.value(*at).clone());
+                                }
+                                (SymColumn::Stream { ids, vg_rows, .. }, _) => {
+                                    ids.push(id);
+                                    vg_rows.push(vg_row);
+                                }
+                                _ => unreachable!("random-table columns are params or VG cells"),
                             }
                         }
                     }
-                    bundles.push(SymBundle {
-                        values,
-                        preds: Vec::new(),
-                    });
-                }
+                    len += num_rows;
+                    Ok(())
+                })?;
+                let batch = SymBatch {
+                    len,
+                    columns,
+                    preds: Vec::new(),
+                };
+                Ok((out_schema, batch))
             }
-            Ok((out_schema, bundles))
-        }
-        PlanNode::Filter { input, predicate } => {
-            let (schema, bundles) = exec_sym(input, catalog, registry, vg_rows)?;
-            let referenced = predicate.referenced_columns();
-            let ref_indices: Vec<usize> = referenced
-                .iter()
-                .map(|c| schema.index_of(c))
-                .collect::<Result<_>>()?;
-
-            let mut out = Vec::with_capacity(bundles.len());
-            for mut bundle in bundles {
-                let touches_random = ref_indices
-                    .iter()
-                    .any(|&i| !matches!(bundle.values[i], SymValue::Const(_)));
-                if !touches_random {
-                    // Deterministic for this bundle: decide once, now.
-                    let row = const_row(&bundle.values);
+            PlanNode::Filter { input, predicate } => {
+                let (schema, mut batch) = self.exec(input)?;
+                let refs = column_indices(predicate, &schema)?;
+                if refs.iter().any(|&i| !batch.columns[i].is_const()) {
+                    // Random: every tuple defers it into a per-block presence
+                    // predicate over the columns it references.
+                    let pred = batch.deferred(&schema, &refs, predicate);
+                    batch.preds.push(pred);
+                    return Ok((schema, batch));
+                }
+                // Deterministic: decide once per tuple, now, and keep the
+                // survivors in order.
+                let mut row = vec![Value::Null; schema.len()];
+                let mut keep = Vec::with_capacity(batch.len);
+                for idx in 0..batch.len {
+                    batch.fill_const_row(&refs, idx, &mut row);
                     if predicate.eval_bool(&schema, &row)? {
-                        out.push(bundle);
+                        keep.push(idx);
                     }
-                } else {
-                    // Random: defer into a per-block presence predicate.
-                    // Only referenced columns are captured; the rest become
-                    // `Null` placeholders so phase 2 never evaluates them.
-                    let inputs = pruned_inputs(&bundle.values, &ref_indices);
-                    bundle.preds.push(SymPred {
-                        schema: schema.clone(),
-                        inputs,
-                        predicate: predicate.clone(),
-                    });
-                    out.push(bundle);
                 }
+                let batch = if keep.len() == batch.len {
+                    batch
+                } else {
+                    batch.gather(&keep)
+                };
+                Ok((schema, batch))
             }
-            Ok((schema, out))
-        }
-        PlanNode::Project { input, exprs } => {
-            let (in_schema, bundles) = exec_sym(input, catalog, registry, vg_rows)?;
-            let out_schema = plan.schema(catalog)?;
-            let mut out = Vec::with_capacity(bundles.len());
-            for bundle in bundles {
-                let mut values = Vec::with_capacity(exprs.len());
-                for (_, expr) in exprs {
+            PlanNode::Project { input, exprs } => {
+                let (in_schema, batch) = self.exec(input)?;
+                let out_schema = plan.schema(self.catalog)?;
+                let mut columns = Vec::with_capacity(exprs.len());
+                // Constant expressions (output index, expression), evaluated
+                // tuple by tuple below, and the union of their inputs.
+                let mut consts = Vec::new();
+                let mut const_refs = Vec::new();
+                for (out, (_, expr)) in exprs.iter().enumerate() {
                     if let Expr::Column(name) = expr {
-                        let idx = in_schema.index_of(name)?;
-                        values.push(bundle.values[idx].clone());
+                        columns.push(batch.columns[in_schema.index_of(name)?].clone());
                         continue;
                     }
-                    let referenced = expr.referenced_columns();
-                    let ref_indices: Vec<usize> = referenced
-                        .iter()
-                        .map(|c| in_schema.index_of(c))
-                        .collect::<Result<Vec<_>>>()?;
-                    let all_const = ref_indices
-                        .iter()
-                        .all(|&i| matches!(bundle.values[i], SymValue::Const(_)));
-                    if all_const {
-                        let row = const_row(&bundle.values);
-                        values.push(SymValue::Const(expr.eval(&in_schema, &row)?));
+                    let refs = column_indices(expr, &in_schema)?;
+                    if refs.iter().all(|&i| batch.columns[i].is_const()) {
+                        consts.push((out, expr));
+                        const_refs.extend(refs);
+                        columns.push(SymColumn::Const(Vec::with_capacity(batch.len)));
                     } else {
-                        values.push(SymValue::Expr(Box::new(SymExpr {
-                            schema: in_schema.clone(),
-                            inputs: pruned_inputs(&bundle.values, &ref_indices),
-                            expr: expr.clone(),
-                        })));
+                        let deferred = batch.deferred(&in_schema, &refs, expr);
+                        columns.push(SymColumn::Expr(Box::new(deferred)));
                     }
                 }
-                out.push(SymBundle {
-                    values,
-                    preds: bundle.preds,
-                });
-            }
-            Ok((out_schema, out))
-        }
-        PlanNode::Join {
-            left, right, on, ..
-        } => {
-            let (ls, lb) = exec_sym(left, catalog, registry, vg_rows)?;
-            let (rs, rb) = exec_sym(right, catalog, registry, vg_rows)?;
-            let out_schema = ls.join(&rs);
-            if on.is_empty() {
-                return Err(Error::Invalid("join requires at least one key pair".into()).into());
-            }
-            let left_keys: Vec<usize> = on
-                .iter()
-                .map(|(l, _)| ls.index_of(l))
-                .collect::<Result<_>>()?;
-            let right_keys: Vec<usize> = on
-                .iter()
-                .map(|(_, r)| rs.index_of(r))
-                .collect::<Result<_>>()?;
-
-            // Identical algorithm (and therefore output order) to the
-            // executor's hash join: build on the right, probe in left order,
-            // emit matches in right-insertion order.
-            let mut table: std::collections::HashMap<Vec<JoinKey>, Vec<usize>> =
-                std::collections::HashMap::with_capacity(rb.len());
-            for (idx, bundle) in rb.iter().enumerate() {
-                let key = sym_key(bundle, &right_keys, "right")?;
-                if key.iter().any(|k| matches!(k, JoinKey::Null)) {
-                    continue;
-                }
-                table.entry(key).or_default().push(idx);
-            }
-            let mut out = Vec::new();
-            for bundle in &lb {
-                let key = sym_key(bundle, &left_keys, "left")?;
-                if key.iter().any(|k| matches!(k, JoinKey::Null)) {
-                    continue;
-                }
-                if let Some(matches) = table.get(&key) {
-                    for &ridx in matches {
-                        out.push(bundle.concat(&rb[ridx]));
+                if !consts.is_empty() {
+                    let mut row = vec![Value::Null; in_schema.len()];
+                    for idx in 0..batch.len {
+                        batch.fill_const_row(&const_refs, idx, &mut row);
+                        for &(out, expr) in &consts {
+                            let value = expr.eval(&in_schema, &row)?;
+                            if let SymColumn::Const(values) = &mut columns[out] {
+                                values.push(value);
+                            }
+                        }
                     }
                 }
+                let batch = SymBatch {
+                    len: batch.len,
+                    columns,
+                    preds: batch.preds,
+                };
+                Ok((out_schema, batch))
             }
-            Ok((out_schema, out))
-        }
-        PlanNode::Split { input, column } => {
-            let (schema, bundles) = exec_sym(input, catalog, registry, vg_rows)?;
-            let idx = schema.index_of(column)?;
-            if bundles
-                .iter()
-                .any(|b| !matches!(b.values[idx], SymValue::Const(_)))
-            {
-                // The number of post-Split bundles equals the number of
-                // distinct values in the block — structure depends on values.
-                return Err(PrepError::Uncacheable(format!(
-                    "Split({column}) over a random attribute enumerates block values; \
-                     the plan has no block-invariant deterministic prefix (paper §8)"
-                )));
+            PlanNode::Join {
+                left, right, on, ..
+            } => {
+                let (ls, lb) = self.exec(left)?;
+                let (rs, rb) = self.exec(right)?;
+                let out_schema = ls.join(&rs);
+                if on.is_empty() {
+                    return Err(Error::Invalid("join requires at least one key pair".into()).into());
+                }
+                let left_cols: Vec<usize> = on
+                    .iter()
+                    .map(|(l, _)| ls.index_of(l))
+                    .collect::<Result<_>>()?;
+                let right_cols: Vec<usize> = on
+                    .iter()
+                    .map(|(_, r)| rs.index_of(r))
+                    .collect::<Result<_>>()?;
+                // The executor builds on the right before it probes.
+                let right_keys = join_keys(&rb, &rs, &right_cols, "right")?;
+                let left_keys = join_keys(&lb, &ls, &left_cols, "left")?;
+                let (left_idx, right_idx) = join_pairs(&left_keys, lb.len, &right_keys, rb.len);
+                let (mut out, right) = (lb.gather(&left_idx), rb.gather(&right_idx));
+                out.columns.extend(right.columns);
+                out.preds.extend(right.preds);
+                Ok((out_schema, out))
             }
-            // Split over an already-deterministic column is the executor's
-            // passthrough case.
-            Ok((schema, bundles))
+            PlanNode::Split { input, column } => {
+                let (schema, batch) = self.exec(input)?;
+                let idx = schema.index_of(column)?;
+                if batch.len > 0 && !batch.columns[idx].is_const() {
+                    // The number of post-Split bundles equals the number of
+                    // distinct values in the block — structure depends on
+                    // values.
+                    return Err(PrepError::Uncacheable(format!(
+                        "Split({column}) over a random attribute enumerates block values; \
+                         the plan has no block-invariant deterministic prefix (paper §8)"
+                    )));
+                }
+                // Split over an already-deterministic column is the
+                // executor's passthrough case.
+                Ok((schema, batch))
+            }
         }
     }
 }
 
-/// Capture only the columns a deferred expression references; every other
-/// input becomes a `Null` placeholder that phase 2 clones trivially instead
-/// of re-evaluating (expressions only read their referenced columns).
-fn pruned_inputs(values: &[SymValue], ref_indices: &[usize]) -> Vec<SymValue> {
-    values
+/// The schema positions of the columns `expr` references.
+fn column_indices(expr: &Expr, schema: &Schema) -> Result<Vec<usize>> {
+    expr.referenced_columns()
         .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            if ref_indices.contains(&i) {
-                v.clone()
-            } else {
-                SymValue::Const(Value::Null)
-            }
-        })
+        .map(|c| schema.index_of(c))
         .collect()
 }
 
-/// The row a deterministic predicate/projection sees: constants in place,
-/// `Null` elsewhere (the expression never reads the non-constant columns —
-/// callers have already checked its referenced columns).
-fn const_row(values: &[SymValue]) -> Vec<Value> {
-    values
-        .iter()
-        .map(|v| match v {
-            SymValue::Const(value) => value.clone(),
-            _ => Value::Null,
-        })
-        .collect()
-}
-
-fn sym_key(
-    bundle: &SymBundle,
-    key_cols: &[usize],
+/// One [`JoinKey`] vector per key column of `batch`.  A key column must be
+/// deterministic; like the executor, which checks tuple by tuple, an empty
+/// side never errors.
+fn join_keys(
+    batch: &SymBatch,
+    schema: &Schema,
+    cols: &[usize],
     side: &str,
-) -> std::result::Result<Vec<JoinKey>, PrepError> {
-    key_cols
-        .iter()
-        .map(|&i| match &bundle.values[i] {
-            SymValue::Const(v) => Ok(join_key(v)),
-            _ => Err(PrepError::Fail(Error::InvalidOperation(format!(
-                "{side} join key column {i} is a random attribute; apply Split before joining \
-                 on a random attribute (paper §8)"
-            )))),
+) -> std::result::Result<Vec<Vec<JoinKey>>, PrepError> {
+    cols.iter()
+        .map(|&i| match &batch.columns[i] {
+            SymColumn::Const(values) => Ok(values.iter().map(join_key).collect()),
+            _ if batch.len == 0 => Ok(Vec::new()),
+            _ => Err(random_join_key(side, &schema.field(i).name).into()),
         })
         .collect()
+}
+
+/// The `(left, right)` tuple pairs of an inner equi-join, in the executor's
+/// order: build on the right, probe in left order, emit matches in
+/// right-insertion order, and never join a `Null` key.  One hash per right
+/// tuple, bucketed into a flat index array (right tuples ascending within a
+/// bucket): no per-tuple key `Vec`, no per-key match list.  A probe walks its
+/// bucket and confirms each candidate key by key.
+fn join_pairs(
+    left: &[Vec<JoinKey>],
+    left_len: usize,
+    right: &[Vec<JoinKey>],
+    right_len: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mask = right_len.next_power_of_two() - 1;
+    let right_hashes: Vec<Option<u64>> = (0..right_len).map(|r| key_hash(right, r)).collect();
+    // A counting sort: `starts[b]` ends as bucket `b`'s first slot.
+    let mut starts = vec![0u32; mask + 2];
+    for h in right_hashes.iter().flatten() {
+        starts[*h as usize & mask] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut rows = vec![0u32; starts[mask + 1] as usize];
+    let right_rows = u32::try_from(right_len).expect("a join side under 2^32 tuples");
+    for (r, h) in (0..right_rows).zip(&right_hashes).rev() {
+        if let Some(h) = h {
+            let b = *h as usize & mask;
+            starts[b] -= 1;
+            rows[starts[b] as usize] = r;
+        }
+    }
+    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+    for l in 0..left_len {
+        let Some(h) = key_hash(left, l) else {
+            continue;
+        };
+        let b = h as usize & mask;
+        for &r in &rows[starts[b] as usize..starts[b + 1] as usize] {
+            let r = r as usize;
+            if right_hashes[r] == Some(h) && left.iter().zip(right).all(|(lc, rc)| lc[l] == rc[r]) {
+                left_idx.push(l);
+                right_idx.push(r);
+            }
+        }
+    }
+    (left_idx, right_idx)
+}
+
+/// Tuple `row`'s hash over its key columns, `None` for a `Null` key (SQL:
+/// `NULL` never joins): the `FxHash` multiply-rotate step per column and
+/// the murmur3 finalizer, so the low bits that pick a bucket depend on every
+/// key bit.  Join keys come from the catalog the embedding program built,
+/// never from a client, so SipHash's flooding resistance buys nothing; and
+/// unequal keys may collide — probes confirm every match.
+fn key_hash(keys: &[Vec<JoinKey>], row: usize) -> Option<u64> {
+    let mut h = 0u64;
+    for col in keys {
+        let word = match &col[row] {
+            JoinKey::Null => return None,
+            JoinKey::Int(i) => *i as u64,
+            JoinKey::Bits(bits) => *bits,
+            JoinKey::Bool(b) => u64::from(*b),
+            JoinKey::Str(s) => s
+                .bytes()
+                .fold(0, |w, b| (w ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)),
+        };
+        h = (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    Some(h ^ (h >> 33))
 }
 
 #[cfg(test)]

@@ -152,23 +152,21 @@ impl ShardTask {
                     0,
                 )
             } else {
-                // Per-bundle key sets were computed once during the skeleton
-                // pass.  Keys outside the range (cross-shard joins) are
-                // regenerated locally: `(seed, pos)` addressing makes the
+                // Per-bundle stream sets were computed once during the
+                // skeleton pass.  Keys outside the range (cross-shard joins)
+                // are regenerated locally: `(seed, pos)` addressing makes the
                 // duplicate bit-identical to the owner shard's copy.
                 let mut owned = Vec::new();
                 let mut is_needed = vec![false; active.len()];
-                for (idx, keys) in skeleton.bundle_keys.iter().enumerate() {
-                    if self
-                        .key_range
-                        .contains(keys.first().copied().unwrap_or(StreamKey::MIN))
-                    {
+                for idx in 0..skeleton.num_bundles() {
+                    let streams = skeleton.bundle_streams(idx);
+                    let anchor = streams
+                        .first()
+                        .map_or(StreamKey::MIN, |&at| active[at as usize]);
+                    if self.key_range.contains(anchor) {
                         owned.push(idx);
-                        for key in keys {
-                            let at = active
-                                .binary_search(key)
-                                .expect("bundle keys are a subset of the active keys");
-                            is_needed[at] = true;
+                        for &at in streams {
+                            is_needed[at as usize] = true;
                         }
                     }
                 }
@@ -195,17 +193,13 @@ impl ShardTask {
             pool,
             threads,
         )?;
+        let cells = session::CellData::scatter(skeleton.active_keys().len(), &needed, cells);
 
         // Replay the symbolic residue of every owned bundle over the block.
         // The bundles share the cell columns by refcount.
         let bundles = par::try_par_map_threads(&owned, threads, |&idx| {
-            let bundle = session::materialize_bundle(
-                &skeleton.bundles[idx],
-                &prefix,
-                &cells,
-                self.base_pos,
-                self.num_values,
-            )?;
+            let bundle =
+                session::materialize_bundle(&prefix, idx, &cells, self.base_pos, self.num_values)?;
             Ok((idx, bundle))
         })?;
         Ok(ShardOutput {
@@ -218,7 +212,8 @@ impl ShardTask {
 /// The stream-generation half of a unit: generate the active streams at the
 /// ascending `active_keys` indices `needed` for the window `base_pos ..
 /// base_pos + num_values` into columnar buffers from `pool`, fanned out
-/// across streams on up to `threads` threads.  [`ShardTask::run`] calls it
+/// across streams on up to `threads` threads, returning each stream's cells
+/// in `needed` order.  [`ShardTask::run`] calls it
 /// for a block's streams and [`crate::ExecSession::instantiate_streams`] for
 /// the one stream a Gibbs run found dry.
 pub(crate) fn generate_streams(
@@ -228,8 +223,7 @@ pub(crate) fn generate_streams(
     num_values: usize,
     pool: &BlockBufferPool,
     threads: usize,
-) -> Result<session::CellData> {
-    let active = prefix.skeleton().active_keys();
+) -> Result<Vec<session::CellCols>> {
     let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(needed, threads, |&at| {
         session::generate_active_stream_block(prefix, at, base_pos, num_values, pool)
     });
@@ -239,13 +233,13 @@ pub(crate) fn generate_streams(
     // (replenishment window, repeated query, or a neighboring shard
     // task).  The first error in input order wins (the `crate::par`
     // determinism contract).
-    let mut cells = session::CellData::with_capacity(needed.len());
+    let mut cells = Vec::with_capacity(needed.len());
     let mut first_err = None;
-    for (&at, result) in needed.iter().zip(generated) {
+    for result in generated {
         match result {
             Ok(mut block) => {
                 if first_err.is_none() {
-                    cells.push(active[at], session::CellCols::from_block(&mut block, pool));
+                    cells.push(session::CellCols::from_block(&mut block, pool));
                 }
                 pool.release(block);
             }

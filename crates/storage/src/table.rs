@@ -265,6 +265,21 @@ impl Table {
         }
     }
 
+    /// Visit every row by reference through the process-wide
+    /// [`BufferPool::global`], stopping at the first error.  The same pins
+    /// in the same order as [`Table::iter`], but no row is cloned: the
+    /// visitor borrows each row from the pinned frame.
+    pub fn try_for_each_row(&self, mut visit: impl FnMut(&Tuple) -> Result<()>) -> Result<()> {
+        let pool = BufferPool::global();
+        for page in &self.pages {
+            // Sealed (or wire-validated) pages always decode; see
+            // `Page::decode_rows`.
+            let guard = pool.pin(page).expect("sealed page decodes");
+            guard.rows().iter().try_for_each(&mut visit)?;
+        }
+        self.tail.iter().try_for_each(visit)
+    }
+
     /// Materialize every row.  Helpers that inherently need the full
     /// relation (sort, group) go through this.
     fn collect_rows(&self) -> Vec<Tuple> {
@@ -615,6 +630,31 @@ mod tests {
         assert!(t.pages().len() > 10, "64-byte budget must split 100 rows");
         assert_eq!(t.len(), 100);
         assert_eq!(t.iter().collect::<Vec<_>>(), rows);
+    }
+
+    #[test]
+    fn row_visitor_borrows_the_scan_and_stops_at_the_first_error() {
+        let schema = Schema::new(vec![Field::int64("a"), Field::float64("b")]);
+        let mut t = Table::with_page_budget(schema, wide_rows(40), 64).unwrap();
+        t.push(wide_rows(41).pop().unwrap()).unwrap();
+        assert!(t.pages().len() > 1 && !t.tail_rows().is_empty());
+        let mut visited = Vec::new();
+        t.try_for_each_row(|row| {
+            visited.push(row.clone());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, t.iter().collect::<Vec<_>>());
+        let mut seen = 0;
+        let err = t.try_for_each_row(|_| {
+            seen += 1;
+            if seen == 3 {
+                return Err(Error::Invalid("third row".into()));
+            }
+            Ok(())
+        });
+        assert!(err.is_err());
+        assert_eq!(seen, 3);
     }
 
     #[test]

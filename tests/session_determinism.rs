@@ -791,6 +791,55 @@ fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_bac
 }
 
 #[test]
+fn phase_one_reads_each_spilled_page_exactly_once() {
+    // Phase 1 scans every input table once, whatever the frame budget: the
+    // Appendix D join over a catalog spilled in small pages, under a
+    // 2-frame pool, reads each page from disk exactly once.
+    use mcdbr::storage::{BufferPool, Pager, Table};
+    let workload = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let spill_root =
+        std::env::temp_dir().join(format!("mcdbr-phase-one-pages-{}", std::process::id()));
+    let pager = Pager::new(&spill_root).unwrap();
+    let mut catalog = Catalog::new();
+    let mut pages = 0u64;
+    for name in workload.catalog.table_names() {
+        let table = workload.catalog.get(name).unwrap();
+        let rows = table.iter().collect();
+        let mut paged = Table::with_page_budget(table.schema().clone(), rows, 1024).unwrap();
+        paged.spill_with(&pager).unwrap();
+        assert_eq!(paged.tail_rows().len(), 0, "{name}: every row is paged");
+        pages += paged.pages().len() as u64;
+        catalog.register(name, paged).unwrap();
+    }
+    assert!(
+        pages > 4,
+        "the catalog must span many more pages than frames"
+    );
+
+    let _guard = GLOBAL_POOL_BUDGET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let pool = BufferPool::global();
+    let saved = pool.budget();
+    pool.set_budget(2);
+    let (pool_before, disk_before) = (pool.stats(), pager.stats());
+    let cache = SessionCache::new();
+    let session = cache.session(&workload.total_loss_query().plan, &catalog, 7);
+    let read = pool.stats().since(&pool_before).pages_read;
+    let disk = pager.stats().since(&disk_before).disk_reads;
+    pool.set_budget(saved);
+
+    assert!(session.unwrap().is_cached());
+    // Every disk read of this private pager inserts one of this catalog's
+    // pages into the pool, so `disk` is exactly this session's share of
+    // `pages_read`; the global counter also sees concurrent tests' scans.
+    assert_eq!(disk, pages, "each spilled page is read once");
+    assert!(read >= pages, "pages_read {read} < {pages} pages");
+    drop(catalog);
+    let _ = std::fs::remove_dir_all(&spill_root);
+}
+
+#[test]
 fn parallel_aggregation_is_bit_identical_to_sequential() {
     let (catalog, plan) = complex_case();
     let set = ExecSession::prepare(&plan, &catalog, 13)

@@ -1,0 +1,344 @@
+//! Seeded differential test of the columnar skeleton pass against the
+//! one-shot executor.
+//!
+//! Catalogs are generated from a seed (duplicate and `Null` join keys on
+//! both sides, integral floats, strings, an empty parameter table), and a
+//! fixed list of plan shapes takes its constants from the same seed.  Every
+//! cacheable plan's session blocks must equal `Executor::execute` bundle for
+//! bundle — on the in-process backend, on one and three shards, and on a
+//! skeleton re-bound to a fresh master seed out of a `SessionCache`.
+
+use std::sync::Arc;
+
+use mcdbr::exec::plan::{scalar_random_table, OutputColumn};
+use mcdbr::exec::{
+    BundleSet, BundleValue, ExecBackend, ExecOptions, ExecSession, Executor, Expr,
+    InProcessBackend, PlanNode, RandomTableSpec, SessionCache, ShardedBackend,
+};
+use mcdbr::prng::Pcg64;
+use mcdbr::storage::{Catalog, Field, Schema, TableBuilder, Value};
+use mcdbr::vg::{DiscreteVg, MultiNormalVg, NormalVg};
+
+/// Block windows every session materializes, in order.
+const BLOCKS: [(u64, usize); 2] = [(0, 8), (8, 5)];
+
+fn pick<T: Clone>(rng: &mut Pcg64, options: &[T]) -> T {
+    options[rng.next_below(options.len() as u64) as usize].clone()
+}
+
+/// `orders` (the parameter table), `items` (a scanned table) and `nothing`
+/// (an empty parameter table), with join keys drawn from a small range so
+/// that both sides repeat them, and an occasional `Null` key.
+fn catalog(rng: &mut Pcg64) -> Catalog {
+    let key = |rng: &mut Pcg64| {
+        if rng.next_below(8) == 0 {
+            Value::Null
+        } else {
+            Value::Int64(rng.next_below(5) as i64)
+        }
+    };
+    let tag = |rng: &mut Pcg64| pick(rng, &[Value::str("x"), Value::str("y"), Value::Null]);
+    let param_schema = Schema::new(vec![
+        Field::int64("id"),
+        Field::float64("kf"),
+        Field::utf8("s"),
+        Field::float64("m"),
+        Field::float64("w_lo"),
+    ]);
+    let mut orders = TableBuilder::new(param_schema.clone());
+    for _ in 0..3 + rng.next_below(8) {
+        let id = rng.next_below(5) as f64;
+        // Mostly integral floats (they join Int64 keys), sometimes not.
+        let kf = if rng.next_below(4) == 0 { id + 0.5 } else { id };
+        orders = orders.row([
+            key(rng),
+            Value::Float64(kf),
+            tag(rng),
+            Value::Float64(rng.next_f64() * 4.0 - 2.0),
+            Value::Float64(0.2 + 0.6 * rng.next_f64()),
+        ]);
+    }
+    let mut items = TableBuilder::new(Schema::new(vec![
+        Field::int64("id"),
+        Field::utf8("s"),
+        Field::float64("w"),
+    ]));
+    for _ in 0..4 + rng.next_below(10) {
+        items = items.row([key(rng), tag(rng), Value::Float64(rng.next_f64() * 10.0)]);
+    }
+    let mut catalog = Catalog::new();
+    catalog.register("orders", orders.build().unwrap()).unwrap();
+    catalog.register("items", items.build().unwrap()).unwrap();
+    catalog
+        .register("nothing", TableBuilder::new(param_schema).build().unwrap())
+        .unwrap();
+    catalog
+}
+
+/// `val ~ Normal(m, 1)` per parameter row, keeping `id`, `kf` and `s`.
+fn losses(param_table: &str, tag: u64) -> PlanNode {
+    PlanNode::random_table(scalar_random_table(
+        "losses",
+        param_table,
+        Arc::new(NormalVg),
+        vec![Expr::col("m"), Expr::lit(1.0)],
+        &["id", "kf", "s"],
+        "val",
+        tag,
+    ))
+}
+
+/// Three correlated `(component, value)` rows per order: a multi-row VG.
+fn components() -> PlanNode {
+    PlanNode::random_table(RandomTableSpec {
+        name: "components".into(),
+        param_table: "orders".into(),
+        vg: Arc::new(MultiNormalVg::new(3, 0.5)),
+        vg_params: vec![Expr::col("m"), Expr::lit(1.0)],
+        columns: vec![
+            OutputColumn::Param {
+                source: "id".into(),
+                as_name: "id".into(),
+            },
+            OutputColumn::Vg {
+                vg_col: 0,
+                as_name: "component".into(),
+            },
+            OutputColumn::Vg {
+                vg_col: 1,
+                as_name: "value".into(),
+            },
+        ],
+        table_tag: 3,
+    })
+}
+
+/// A discrete random `age` per order, for `Split` over a random column.
+fn ages() -> PlanNode {
+    PlanNode::random_table(RandomTableSpec {
+        name: "ages".into(),
+        param_table: "orders".into(),
+        vg: Arc::new(DiscreteVg::new(vec![Value::Int64(20), Value::Int64(21)])),
+        vg_params: vec![Expr::col("w_lo"), Expr::lit(1.0).sub(Expr::col("w_lo"))],
+        columns: vec![
+            OutputColumn::Param {
+                source: "id".into(),
+                as_name: "id".into(),
+            },
+            OutputColumn::Vg {
+                vg_col: 0,
+                as_name: "age".into(),
+            },
+        ],
+        table_tag: 4,
+    })
+}
+
+/// The plan shapes, with constants drawn from `rng`, each named and marked
+/// with whether the session must cache its skeleton.
+fn plans(rng: &mut Pcg64) -> Vec<(&'static str, PlanNode, bool)> {
+    let cut = rng.next_below(5) as i64;
+    let level = rng.next_f64() * 2.0 - 1.0;
+    let scale = pick(rng, &[0.5, 2.0, 3.0]);
+    let items = || PlanNode::scan("items");
+    let filtered = losses("orders", 1)
+        .filter(Expr::col("id").lt(Expr::lit(cut)))
+        .join(items(), vec![("id", "id")])
+        .filter(Expr::col("val").gt(Expr::lit(level)));
+    vec![
+        (
+            "multi-key join, duplicates and Null keys on both sides",
+            losses("orders", 1).join(items(), vec![("id", "id"), ("s", "s")]),
+            true,
+        ),
+        (
+            "Int64 join integral Float64",
+            items().join(losses("orders", 1), vec![("id", "kf")]),
+            true,
+        ),
+        (
+            "Float64 join Int64 and Utf8",
+            losses("orders", 2).join(items(), vec![("kf", "id"), ("s", "s")]),
+            true,
+        ),
+        ("deterministic and random filters", filtered.clone(), true),
+        (
+            "projections",
+            filtered.clone().project(vec![
+                ("id", Expr::col("id")),
+                ("twice_w", Expr::col("w").mul(Expr::lit(scale))),
+                ("loss", Expr::col("val").mul(Expr::lit(scale))),
+                ("mixed", Expr::col("val").add(Expr::col("w"))),
+                ("s", Expr::col("s")),
+            ]),
+            true,
+        ),
+        (
+            "a filter over a deferred projection",
+            losses("orders", 1)
+                .project(vec![
+                    ("id", Expr::col("id")),
+                    ("loss", Expr::col("val").mul(Expr::lit(scale))),
+                ])
+                .filter(Expr::col("loss").gt(Expr::lit(level))),
+            true,
+        ),
+        (
+            "Split over a constant column",
+            losses("orders", 1)
+                .split("id")
+                .join(items(), vec![("id", "id")]),
+            true,
+        ),
+        ("Split over a random column", ages().split("age"), false),
+        (
+            "multi-row VG",
+            components()
+                .filter(Expr::col("value").gt(Expr::lit(level)))
+                .join(items(), vec![("id", "id")]),
+            true,
+        ),
+        (
+            "empty parameter table",
+            losses("nothing", 5)
+                .filter(Expr::col("val").gt(Expr::lit(level)))
+                .join(items(), vec![("id", "id")]),
+            true,
+        ),
+        (
+            "self-join of one random table",
+            losses("orders", 1)
+                .join(losses("orders", 1), vec![("id", "id")])
+                .project(vec![
+                    ("id", Expr::col("id")),
+                    ("sum", Expr::col("val").add(Expr::col("val_1"))),
+                    ("val", Expr::col("val")),
+                ]),
+            true,
+        ),
+    ]
+}
+
+fn execute(plan: &PlanNode, catalog: &Catalog, master_seed: u64, block: (u64, usize)) -> BundleSet {
+    Executor::new()
+        .execute(
+            plan,
+            catalog,
+            &ExecOptions {
+                master_seed,
+                num_values: block.1,
+                base_pos: block.0,
+            },
+        )
+        .unwrap()
+}
+
+/// Bundle-for-bundle identity, constants compared by bits.
+fn assert_bit_identical(want: &BundleSet, got: &BundleSet, what: &str) {
+    assert_eq!(want.schema, got.schema, "{what}: schema");
+    assert_eq!(want.num_reps, got.num_reps, "{what}: repetitions");
+    assert_eq!(want.registry.len(), got.registry.len(), "{what}: streams");
+    assert_eq!(
+        want.bundles.len(),
+        got.bundles.len(),
+        "{what}: bundle count"
+    );
+    for (i, (w, g)) in want.bundles.iter().zip(&got.bundles).enumerate() {
+        assert_eq!(w.is_pres, g.is_pres, "{what}: presence of bundle {i}");
+        assert_eq!(
+            w.values.len(),
+            g.values.len(),
+            "{what}: arity of bundle {i}"
+        );
+        for (c, (wv, gv)) in w.values.iter().zip(&g.values).enumerate() {
+            match (wv, gv) {
+                (BundleValue::Const(Value::Float64(a)), BundleValue::Const(Value::Float64(b))) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: bundle {i} column {c}");
+                }
+                _ => assert_eq!(wv, gv, "{what}: bundle {i} column {c}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn skeleton_sessions_equal_the_executor_on_seeded_catalogs_and_plans() {
+    let mut bundles_seen = 0;
+    for seed in 0..6u64 {
+        let mut rng = Pcg64::new(0x5EED_0000 + seed);
+        let catalog = catalog(&mut rng);
+        for (name, plan, cacheable) in plans(&mut rng) {
+            let master = 100 + seed;
+            let what = format!("seed {seed}, {name}");
+            let expected: Vec<BundleSet> = BLOCKS
+                .iter()
+                .map(|&block| execute(&plan, &catalog, master, block))
+                .collect();
+            bundles_seen += expected[0].bundles.len();
+
+            let backends: [Arc<dyn ExecBackend>; 3] = [
+                Arc::new(InProcessBackend::new()),
+                Arc::new(ShardedBackend::new(1)),
+                Arc::new(ShardedBackend::new(3)),
+            ];
+            for backend in backends {
+                let label = format!("{what}, {}", backend.name());
+                let mut session = ExecSession::prepare(&plan, &catalog, master)
+                    .unwrap()
+                    .with_backend(backend);
+                assert_eq!(session.is_cached(), cacheable, "{label}");
+                for (&(base, n), want) in BLOCKS.iter().zip(&expected) {
+                    let got = session.instantiate_block(&catalog, base, n).unwrap();
+                    assert_bit_identical(want, &got, &label);
+                }
+            }
+
+            // A cache hit re-binds the stored skeleton to a new master seed.
+            let cache = SessionCache::new();
+            let _ = cache.session(&plan, &catalog, master).unwrap();
+            let rebound = master + 1_000;
+            let mut session = cache
+                .session(&plan, &catalog, rebound)
+                .unwrap()
+                .with_backend(Arc::new(ShardedBackend::new(3)));
+            assert!(session.skeleton_hit(), "{what}: second lookup must hit");
+            for &block in &BLOCKS {
+                let got = session
+                    .instantiate_block(&catalog, block.0, block.1)
+                    .unwrap();
+                let want = execute(&plan, &catalog, rebound, block);
+                assert_bit_identical(&want, &got, &format!("{what}, cache hit"));
+            }
+        }
+    }
+    assert!(
+        bundles_seen > 100,
+        "the generated plans must produce bundles"
+    );
+}
+
+#[test]
+fn join_key_errors_name_the_random_column_on_both_paths() {
+    let catalog = catalog(&mut Pcg64::new(1));
+    let plans = [
+        (
+            losses("orders", 1).join(PlanNode::scan("items"), vec![("val", "id")]),
+            "left join key column val",
+        ),
+        (
+            PlanNode::scan("items").join(losses("orders", 1), vec![("id", "id"), ("id", "val")]),
+            "right join key column val",
+        ),
+    ];
+    for (plan, name) in plans {
+        let executor = Executor::new()
+            .execute(&plan, &catalog, &ExecOptions::monte_carlo(7, 4))
+            .unwrap_err()
+            .to_string();
+        let session = ExecSession::prepare(&plan, &catalog, 7)
+            .unwrap_err()
+            .to_string();
+        assert!(executor.contains(name), "executor: {executor}");
+        assert_eq!(session, executor, "both paths report the same error");
+    }
+}
