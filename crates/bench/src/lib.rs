@@ -79,12 +79,6 @@ pub fn backend_from_args(args: &[String]) -> (String, Arc<dyn ExecBackend>, Vec<
     (label, backend, rest)
 }
 
-/// Generate the laptop-scale Appendix D workload (structure-preserving
-/// downscale of the paper's 100 000 × 1 000 000 join; see DESIGN.md).
-pub fn laptop_tpch() -> TpchWorkload {
-    TpchWorkload::generate(TpchConfig::laptop_scale()).expect("workload generation")
-}
-
 /// Generate the tiny test-scale Appendix D workload (for runs that only
 /// need the code path, not the volume).
 pub fn test_tpch() -> TpchWorkload {

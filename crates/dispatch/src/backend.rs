@@ -31,9 +31,9 @@
 //!
 //! **Crash handling and deadlines.**  A worker that dies mid-conversation
 //! (EOF, broken pipe, corrupt frame) — or that is *alive but silent* past
-//! the per-task read deadline (`MCDBR_TASK_DEADLINE_MS`, default 30 s; a
-//! dedicated reader thread per worker feeds a channel so reads can time
-//! out) — is reclassified as dead: bounded reap (pipe close, short grace,
+//! the per-task read deadline (30 s unless the caller sets
+//! [`ProcessBackend::with_deadline`]; a dedicated reader thread per worker
+//! feeds a channel so reads can time out) — is reclassified as dead: bounded reap (pipe close, short grace,
 //! SIGKILL escalation), respawn, and re-dispatch of its in-flight task,
 //! with capped exponential backoff + seeded jitter between attempts.
 //! `worker_respawns`, `deadline_timeouts`, and `task_retries` count the
@@ -57,13 +57,15 @@
 //! the block: under faults, results are bit-identical or absent, never
 //! silently wrong.
 //!
-//! **Fault injection.**  Chaos runs configure a seeded
-//! [`mcdbr_faults::FaultPlan`] (the `MCDBR_FAULTS` environment variable,
-//! or [`ProcessBackend::with_fault_spec`]): the coordinator's sends route
-//! through [`wire::write_frame_faulty`] and spawned workers inherit the
-//! plan (a `worker=K` target restricts it to one slot and disables the
-//! coordinator's own send faults) — every failure mode above can be
-//! injected deterministically and replayed from the seed.
+//! **Fault injection.**  Chaos runs arm a seeded
+//! [`mcdbr_faults::FaultPlan`] with [`ProcessBackend::with_fault_spec`] —
+//! the only way to arm one: the coordinator's sends route through
+//! [`wire::write_frame_faulty`] and spawned workers receive the plan in
+//! their environment (a `worker=K` target restricts it to one slot and
+//! disables the coordinator's own send faults) — every failure mode above
+//! can be injected deterministically and replayed from the seed.  Without
+//! a plan, a fault plan in the coordinator's own environment never
+//! reaches its workers.
 //!
 //! Aggregation never crosses the process boundary: shipping a full
 //! `BundleSet` out and partial aggregates back would dwarf the aggregation
@@ -75,7 +77,7 @@ use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::aggregate::{AggregateSpec, QueryResultSamples};
@@ -98,26 +100,8 @@ const BREAKER_THRESHOLD: u32 = 3;
 /// Blocks a tripped breaker degrades locally before the half-open probe.
 const BREAKER_COOLDOWN_BLOCKS: u32 = 4;
 
-/// Fallback task-read deadline when `MCDBR_TASK_DEADLINE_MS` is unset.
+/// Task-read deadline unless the caller sets [`ProcessBackend::with_deadline`].
 const DEFAULT_TASK_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Pure parse of the `MCDBR_TASK_DEADLINE_MS` environment value: a
-/// positive integer millisecond count; anything else falls back to the
-/// 30 s default.
-pub fn task_deadline_from_env(raw: Option<&str>) -> Duration {
-    raw.and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_TASK_DEADLINE)
-}
-
-/// The process-wide default task deadline, memoized on first use.
-pub fn default_task_deadline() -> Duration {
-    static DEADLINE: OnceLock<Duration> = OnceLock::new();
-    *DEADLINE.get_or_init(|| {
-        task_deadline_from_env(std::env::var("MCDBR_TASK_DEADLINE_MS").ok().as_deref())
-    })
-}
 
 /// One live worker process and what it already knows.  Frames from the
 /// worker's stdout are pumped by a dedicated reader thread into `rx`, so
@@ -266,10 +250,10 @@ pub struct ProcessBackend {
     /// Backoff between re-dispatch attempts; `max_attempts` bounds the
     /// retries before a slot's task degrades locally.
     retry: BackoffPolicy,
-    /// The fault plan driving this backend's chaos run, if any (env
-    /// `MCDBR_FAULTS` by default).  Spawned workers receive the plan via
-    /// their environment; the coordinator's own sends inject only when the
-    /// plan has no `worker=K` target.
+    /// The fault plan driving this backend's chaos run, if any (set only by
+    /// [`ProcessBackend::with_fault_spec`]).  Spawned workers receive the
+    /// plan via their environment; the coordinator's own sends inject only
+    /// when the plan has no `worker=K` target.
     faults: Option<Arc<FaultInjector>>,
     /// Extra environment for spawned workers (on top of the inherited
     /// process environment).
@@ -310,14 +294,14 @@ impl ProcessBackend {
                 breakers: vec![Breaker::default(); workers],
             }),
             agg: ShardedBackend::new(workers),
-            task_deadline: default_task_deadline(),
+            task_deadline: DEFAULT_TASK_DEADLINE,
             retry: BackoffPolicy {
                 base_ms: 5,
                 cap_ms: 200,
                 max_attempts: Some(2),
                 ..BackoffPolicy::default()
             },
-            faults: mcdbr_faults::env_injector(),
+            faults: None,
             worker_env: Vec::new(),
             workers_spawned: AtomicUsize::new(0),
             tasks_dispatched: AtomicUsize::new(0),
@@ -338,17 +322,10 @@ impl ProcessBackend {
         self.workers
     }
 
-    /// Override the per-task read deadline (defaults to
-    /// `MCDBR_TASK_DEADLINE_MS`, else 30 s).  Chaos tests shrink this so
-    /// stalled workers reclassify as dead in milliseconds.
+    /// Override the per-task read deadline (30 s by default).  Chaos tests
+    /// shrink this so stalled workers reclassify as dead in milliseconds.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.task_deadline = deadline;
-        self
-    }
-
-    /// Override the re-dispatch retry/backoff policy.
-    pub fn with_retry(mut self, retry: BackoffPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -360,8 +337,7 @@ impl ProcessBackend {
         self
     }
 
-    /// Drive this backend (and its spawned workers) from an explicit fault
-    /// plan instead of the process environment — see
+    /// Drive this backend (and its spawned workers) from a fault plan — see
     /// [`mcdbr_faults::FaultPlan::parse`] for the grammar.  A `worker=K`
     /// target confines injection to that one worker slot.
     pub fn with_fault_spec(mut self, spec: &str) -> Result<Self> {
@@ -437,10 +413,11 @@ impl ProcessBackend {
         for (key, value) in &self.worker_env {
             command.env(key, value);
         }
-        if let Some(inj) = self.faults.as_deref() {
-            if inj.plan().targets_worker(slot_index) {
+        match self.faults.as_deref() {
+            Some(inj) if inj.plan().targets_worker(slot_index) => {
                 command.env(mcdbr_faults::FAULTS_ENV, inj.plan().as_str());
-            } else {
+            }
+            _ => {
                 command.env_remove(mcdbr_faults::FAULTS_ENV);
             }
         }
@@ -1071,19 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn task_deadline_env_rules() {
-        assert_eq!(task_deadline_from_env(None), DEFAULT_TASK_DEADLINE);
-        assert_eq!(task_deadline_from_env(Some("")), DEFAULT_TASK_DEADLINE);
-        assert_eq!(task_deadline_from_env(Some("abc")), DEFAULT_TASK_DEADLINE);
-        assert_eq!(task_deadline_from_env(Some("0")), DEFAULT_TASK_DEADLINE);
-        assert_eq!(
-            task_deadline_from_env(Some(" 250 ")),
-            Duration::from_millis(250)
-        );
-        assert!(default_task_deadline() > Duration::ZERO);
-    }
-
-    #[test]
     fn breaker_trips_after_threshold_cools_down_and_probes() {
         let mut b = Breaker::default();
         assert!(!b.degrade_this_block(), "closed breakers dispatch");
@@ -1150,19 +1114,15 @@ mod tests {
             );
             assert!(stats.workers_spawned >= 1);
             assert!(stats.wire_bytes_sent > 0 && stats.wire_bytes_received > 0);
-            // Exact-zero failure counters and the warm-hit guarantee only
-            // hold on a fault-free wire; a chaos run (MCDBR_FAULTS) may
-            // legitimately respawn workers and lose warm state.
-            if mcdbr_faults::env_injector().is_none() {
-                assert!(stats.workers_spawned <= workers);
-                assert_eq!(stats.worker_respawns, 0);
-                assert_eq!(stats.deadline_timeouts, 0);
-                assert_eq!(stats.circuit_trips, 0);
-                assert!(
-                    stats.worker_warm_hits > 0,
-                    "later blocks must hit the warm-worker phase-1 skip"
-                );
-            }
+            // A fault-free wire: no failure at all, and warm workers.
+            assert!(stats.workers_spawned <= workers);
+            assert_eq!(stats.worker_respawns, 0);
+            assert_eq!(stats.deadline_timeouts, 0);
+            assert_eq!(stats.circuit_trips, 0);
+            assert!(
+                stats.worker_warm_hits > 0,
+                "later blocks must hit the warm-worker phase-1 skip"
+            );
         }
     }
 
@@ -1231,13 +1191,11 @@ mod tests {
             .instantiate_block(&catalog, 4, 8)
             .unwrap();
         assert_sets_identical(&want, &got);
-        if mcdbr_faults::env_injector().is_none() {
-            let stats = backend.shard_stats();
-            assert_eq!(
-                stats.worker_respawns, 0,
-                "plan eviction is recovered by re-sending, never by respawning: {stats:?}"
-            );
-        }
+        let stats = backend.shard_stats();
+        assert_eq!(
+            stats.worker_respawns, 0,
+            "plan eviction is recovered by re-sending, never by respawning: {stats:?}"
+        );
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! pipe.  Protocol failures exit non-zero with the reason on stderr; the
 //! coordinator treats that as a crash and respawns.
 //!
-//! Chaos runs set `MCDBR_FAULTS` (see `mcdbr-faults`) in the worker's
-//! environment — inherited from the coordinator, or set per slot by
-//! `ProcessBackend` — and the worker injects the plan's stall / slow /
-//! drop / partial / delay faults into its own task replies.
+//! A `ProcessBackend` armed with a fault plan
+//! (`ProcessBackend::with_fault_spec`) writes it into `MCDBR_FAULTS` (see
+//! `mcdbr-faults`) in the environment of the workers it targets, and the
+//! worker injects the plan's stall / slow / drop / partial / delay faults
+//! into its own task replies.
 
 fn main() {
     let stdin = std::io::stdin();

@@ -23,8 +23,8 @@
 //!   read deadlines reclassify hung workers as dead, crash-class failures
 //!   ride a bounded respawn + backoff + re-dispatch ladder, and a per-slot
 //!   circuit breaker degrades repeat offenders to the local sharded path.
-//!   Chaos runs inject deterministic faults via `MCDBR_FAULTS`
-//!   (`mcdbr_faults`).
+//!   Chaos runs inject deterministic faults through
+//!   [`ProcessBackend::with_fault_spec`] (`mcdbr_faults`).
 //!
 //! [`backend_named`] is the one name-to-backend selector the binaries share
 //! (`exp_*` and `mcdbr-server` take `--backend NAME`); library callers pass a
@@ -41,7 +41,7 @@ mod backend;
 pub mod wire;
 pub mod worker;
 
-pub use backend::{default_task_deadline, task_deadline_from_env, ProcessBackend};
+pub use backend::ProcessBackend;
 
 /// The backend a `--backend NAME` flag names: `inprocess` (or
 /// `in-process`), `sharded` with `width` shards, or `process` with `width`

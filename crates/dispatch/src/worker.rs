@@ -127,10 +127,10 @@ pub fn run_worker<R: Read, W: Write>(input: &mut R, output: &mut W) -> WireResul
 }
 
 /// [`run_worker`] behind a fault injector (the `mcdbr-worker` binary loads
-/// one from `MCDBR_FAULTS`).  Faults touch only the *task* path — a
-/// slow-worker sleep before serving, a stall before the first reply frame,
-/// and drop/partial/delay on the reply writes — never the handshake or the
-/// `NeedTables` exchange, so spawning a faulty worker stays deterministic
+/// the plan its coordinator wrote into `MCDBR_FAULTS`).  Faults touch only
+/// the *task* path — a slow-worker sleep before serving, a stall before the
+/// first reply frame, and drop/partial/delay on the reply writes — never
+/// the handshake or the `NeedTables` exchange, so spawning a faulty worker stays deterministic
 /// and every injected failure lands where the coordinator's deadline +
 /// respawn ladder can see it.
 pub fn run_worker_with_faults<R: Read, W: Write>(

@@ -13,7 +13,8 @@ use mcdbr_dispatch::wire::{self, Frame};
 #[test]
 fn worker_binary_completes_the_handshake_and_exits_cleanly_on_pipe_close() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mcdbr-worker"))
-        // A chaos run's fault plan is for task replies, not for this test.
+        // The worker reads a fault plan from its environment; this test
+        // wants none.
         .env_remove(mcdbr_faults::FAULTS_ENV)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())

@@ -687,7 +687,6 @@ impl Accum {
 mod tests {
     use super::*;
     use crate::bundle::{BundleValue, TupleBundle};
-    use crate::stream_registry::StreamRegistry;
     use mcdbr_storage::Field;
 
     /// Build a small bundle set by hand: three "customers" with known
@@ -714,7 +713,6 @@ mod tests {
                 mk("EU", 2, vec![10.0, 20.0, 30.0]),
                 mk("US", 3, vec![100.0, 200.0, 300.0]),
             ],
-            registry: StreamRegistry::new(),
             num_reps: 3,
         }
     }
@@ -898,7 +896,6 @@ mod tests {
         let set = BundleSet {
             schema: Schema::new(vec![Field::float64("x")]),
             bundles: vec![],
-            registry: StreamRegistry::new(),
             num_reps: 4,
         };
         let res =
@@ -957,7 +954,6 @@ mod tests {
         BundleSet {
             schema,
             bundles,
-            registry: StreamRegistry::new(),
             num_reps: reps,
         }
     }

@@ -33,8 +33,6 @@ use std::sync::Arc;
 use mcdbr_prng::SeedId;
 use mcdbr_storage::{Column, Schema, Value};
 
-use crate::stream_registry::StreamRegistry;
-
 /// The materialized values of one random or computed attribute: an ordered
 /// chain of shared, immutable column segments.
 ///
@@ -420,8 +418,6 @@ pub struct BundleSet {
     pub schema: Schema,
     /// The bundles.
     pub bundles: Vec<TupleBundle>,
-    /// Registry of every stream referenced by the bundles.
-    pub registry: StreamRegistry,
     /// Number of Monte Carlo repetitions materialized per random attribute
     /// (MCDB mode), or the Gibbs block size (MCDB-R mode).
     pub num_reps: usize,
@@ -544,7 +540,6 @@ mod tests {
                     is_pres: None,
                 },
             ],
-            registry: StreamRegistry::new(),
             num_reps: 1,
         };
         assert_eq!(set.seeds(), vec![2, 5]);

@@ -12,10 +12,10 @@
 //!
 //! A repeated query — same plan shape, same catalog, *any* master seed —
 //! hits the cache and skips the deterministic skeleton pass (scans, joins,
-//! constant predicates, VG probes) entirely; the only per-session work is
-//! one [`mcdbr_prng::seed_for`] derivation per stream.  Mutating the catalog
-//! bumps its epoch to a globally fresh value, so stale entries can never be
-//! served: the contract is *equal key ⇒ identical skeleton*, with
+//! constant predicates, VG probes) entirely; streams derive their
+//! [`mcdbr_prng::seed_for`] seeds where they are generated.  Mutating the
+//! catalog bumps its epoch to a globally fresh value, so stale entries can
+//! never be served: the contract is *equal key ⇒ identical skeleton*, with
 //! invalidation by key change rather than by eviction.
 //!
 //! Uncacheable plans (`Split` over a random column, paper §8) are remembered
@@ -249,9 +249,8 @@ impl SessionCache {
     ///
     /// On a hit — a structurally identical plan was prepared against a
     /// catalog with this epoch before — phase 1 is skipped: the cached
-    /// skeleton is bound to `master_seed` (one seed derivation per stream)
-    /// and the session reports `plan_executions() == 0` /
-    /// `skeleton_hit() == true`.  On a miss the skeleton is built here, the
+    /// skeleton is bound to `master_seed` and the session reports
+    /// `plan_executions() == 0` / `skeleton_hit() == true`.  On a miss the skeleton is built here, the
     /// session reports `plan_executions() == 1`, and the skeleton is stored
     /// for future sessions.
     ///

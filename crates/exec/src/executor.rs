@@ -64,10 +64,12 @@ impl ExecOptions {
 ///
 /// The executor also counts how many times plans have been run through it
 /// (`plans_executed`), which the Appendix D timing / plan-execution
-/// experiments report.
+/// experiments report, and how many distinct streams its last execution
+/// registered (`streams_registered`).
 #[derive(Debug, Default)]
 pub struct Executor {
     plans_executed: usize,
+    streams_registered: usize,
 }
 
 impl Executor {
@@ -82,6 +84,13 @@ impl Executor {
         self.plans_executed
     }
 
+    /// Number of distinct streams the last [`Executor::execute`] registered
+    /// — every random-table row it read, whether or not a later filter
+    /// dropped the tuple (0 before the first execution).
+    pub fn streams_registered(&self) -> usize {
+        self.streams_registered
+    }
+
     /// Execute `plan` against `catalog`, materializing random attributes as
     /// dictated by `opts`.
     pub fn execute(
@@ -93,10 +102,10 @@ impl Executor {
         self.plans_executed += 1;
         let mut registry = StreamRegistry::new();
         let (schema, bundles) = exec_node(plan, catalog, opts, &mut registry)?;
+        self.streams_registered = registry.len();
         Ok(BundleSet {
             schema,
             bundles,
-            registry,
             num_reps: opts.num_values,
         })
     }
@@ -448,6 +457,7 @@ fn apply_split(
 mod tests {
     use super::*;
     use crate::plan::scalar_random_table;
+    use crate::stream_registry::StreamSource;
     use mcdbr_storage::{Field, TableBuilder};
     use mcdbr_vg::{DiscreteVg, NormalVg};
     use std::sync::Arc;
@@ -512,6 +522,7 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert_eq!(set.schema.names(), vec!["cid", "val"]);
         assert_eq!(set.seeds().len(), 3);
+        assert_eq!(exec.streams_registered(), 3);
         for bundle in &set.bundles {
             assert!(bundle.values[0].is_const());
             match &bundle.values[1] {
@@ -524,23 +535,25 @@ mod tests {
                 other => panic!("expected random attribute, got {other:?}"),
             }
         }
-        // The registry can regenerate exactly the materialized values.
-        let b = &set.bundles[0];
-        if let BundleValue::Random {
+        // The bundle's lineage regenerates exactly the materialized values
+        // (customer 1's recipe: Normal(3, 1)).
+        let source = StreamSource {
+            vg: Arc::new(NormalVg),
+            params: vec![Value::Float64(3.0), Value::Float64(1.0)].into(),
+        };
+        let BundleValue::Random {
             seed,
             vg_row,
             vg_col,
             values,
             ..
-        } = &b.values[1]
-        {
-            for (i, v) in values.iter().enumerate() {
-                let regen = set
-                    .registry
-                    .value_at(*seed, i as u64, *vg_row, *vg_col)
-                    .unwrap();
-                assert_eq!(regen, v);
-            }
+        } = &set.bundles[0].values[1]
+        else {
+            panic!("expected random attribute");
+        };
+        for (i, v) in values.iter().enumerate() {
+            let regen = source.value_at(*seed, i as u64, *vg_row, *vg_col).unwrap();
+            assert_eq!(regen, v);
         }
     }
 

@@ -18,10 +18,10 @@
 //!   `Project`, `Join`, `Split`) and the uncertain-table specification that
 //!   mirrors the paper's `CREATE TABLE ... FOR EACH ... WITH ... AS VG(...)`
 //!   statement (§2).
-//! * [`stream_registry`] — the mapping from seed ids to their VG function and
-//!   parameter row, which is what lets any stream position be (re)generated
-//!   on demand — the foundation of both naive-MCDB instantiation and MCDB-R
-//!   replenishment (§9).
+//! * [`stream_registry`] — a stream's VG function and parameter row, which
+//!   is what lets any stream position be (re)generated on demand — the
+//!   foundation of both naive-MCDB instantiation and MCDB-R replenishment
+//!   (§9).
 //! * [`executor`] — executes a plan over a catalog, producing a
 //!   [`bundle::BundleSet`]; instantiation ranges are explicit so the same
 //!   code path serves MCDB (positions `0..n` = the n Monte Carlo repetitions)
@@ -91,4 +91,4 @@ pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
 pub use shard::{merge_block, plan_shards, ShardOutput, ShardTask, ShardedBackend};
-pub use stream_registry::{SkeletonRegistry, StreamRegistry, StreamSource};
+pub use stream_registry::StreamSource;

@@ -12,40 +12,23 @@
 //! iterator would play; the build environment is offline, so the fan-out is
 //! written against `std::thread::scope` instead of adding the dependency.
 //! `par_map_threads` is semantically `items.par_iter().map(f).collect()` with
-//! a fixed chunking policy.  The thread count comes from the `MCDBR_THREADS`
-//! environment variable when set, else from the machine's available
-//! parallelism.
+//! a fixed chunking policy.  The thread count is the caller's (sessions take
+//! it through `ExecSession::with_threads`); [`default_threads`] is the
+//! machine's available parallelism.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// The default worker count: `MCDBR_THREADS` if set and positive, otherwise
-/// the machine's available parallelism, otherwise 1.
-///
-/// The environment variable is read and parsed once per process (sessions
-/// consult this on every construction, and a Gibbs run constructs many); the
-/// memoized value is what every later call returns, so changing
-/// `MCDBR_THREADS` mid-process has no effect.
+/// The default worker count: the machine's available parallelism, or 1
+/// when it is unknown.  Memoized, because sessions consult it on every
+/// construction and a Gibbs run constructs many.
 pub fn default_threads() -> usize {
     static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
-    *DEFAULT_THREADS
-        .get_or_init(|| threads_from_env(std::env::var("MCDBR_THREADS").ok().as_deref()))
-}
-
-/// The pure resolution rule behind [`default_threads`]: a positive integer in
-/// the variable wins; anything else — unset, unparsable, or zero — falls back
-/// to the machine's available parallelism (or 1 when even that is unknown).
-fn threads_from_env(raw: Option<&str>) -> usize {
-    if let Some(v) = raw {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    *DEFAULT_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Map `f` over `items` on up to `threads` worker threads, preserving input
@@ -136,18 +119,5 @@ mod tests {
         assert!(default_threads() >= 1);
         // The OnceLock hands back the same resolution on every call.
         assert_eq!(default_threads(), default_threads());
-    }
-
-    #[test]
-    fn invalid_thread_overrides_fall_back_to_machine_parallelism() {
-        let fallback = threads_from_env(None);
-        assert!(fallback >= 1);
-        // Garbage, zero, negative, and empty values all fall back...
-        for bad in ["abc", "0", "-3", "", "1.5", "  4"] {
-            assert_eq!(threads_from_env(Some(bad)), fallback, "value {bad:?}");
-        }
-        // ...while positive integers win.
-        assert_eq!(threads_from_env(Some("7")), 7);
-        assert_eq!(threads_from_env(Some("1")), 1);
     }
 }

@@ -151,11 +151,6 @@ impl BlockBufferPool {
         }
     }
 
-    /// Recycled cell handles ready for adoption (after the last sweep).
-    pub fn idle_cells(&self) -> usize {
-        self.cells.lock().expect("pool cell lock").free.len()
-    }
-
     /// Total buffer acquisitions.
     pub fn acquires(&self) -> u64 {
         self.acquires.load(Ordering::Relaxed)

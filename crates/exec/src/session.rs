@@ -10,20 +10,21 @@
 //! module closes the gap with a three-layer split:
 //!
 //! * **[`PlanSkeleton`]** — the *seed-independent* result of running the
-//!   deterministic skeleton of a plan over a catalog: the output schema, a
-//!   [`SkeletonRegistry`] (every stream keyed by its `(table_tag, row)`
-//!   [`StreamKey`] with its VG function and bound parameter row), and the
-//!   output tuples as one *columnar batch*.  Random attributes are
-//!   lineage-only — `(stream, vg_row, vg_col)` with no materialized values —
-//!   and the value-dependent residue (predicates over random attributes,
-//!   computed projections) is kept as deferred expressions to replay per
-//!   block.  Nothing in the skeleton mentions a concrete PRNG seed, so one
+//!   deterministic skeleton of a plan over a catalog: the output schema, the
+//!   streams the surviving tuples reference (each keyed by its
+//!   `(table_tag, row)` [`StreamKey`], with its VG function and bound
+//!   parameter row), and the output tuples as one *columnar batch*.
+//!   Random attributes are lineage-only — `(stream, vg_row, vg_col)` with
+//!   no materialized values — and the value-dependent residue (predicates
+//!   over random attributes, computed projections) is kept as deferred
+//!   expressions to replay per block.  Nothing in the skeleton mentions a concrete PRNG seed, so one
 //!   skeleton serves every master seed; [`crate::SessionCache`] exploits
 //!   exactly this.
 //! * **[`DeterministicPrefix`]** — a skeleton *bound* to one master seed:
-//!   every stream key is mapped to its concrete [`mcdbr_prng::SeedId`] via
-//!   [`mcdbr_prng::seed_for`].  Binding costs one hash mix per stream — no
-//!   catalog reads, no VG probes, no plan traversal.
+//!   every stream key maps to its concrete [`mcdbr_prng::SeedId`] via
+//!   [`mcdbr_prng::seed_for`], derived where a stream is generated.
+//!   Binding stores the seed — no catalog reads, no VG probes, no plan
+//!   traversal, nothing per stream.
 //! * **[`ExecSession`]** — the two-phase driver.  **Phase 1**
 //!   ([`ExecSession::prepare`]) builds the skeleton and binds it.  **Phase
 //!   2** ([`ExecSession::instantiate_block`]) materializes the stream
@@ -83,7 +84,7 @@ use crate::kernels::{self, Lane};
 use crate::par;
 use crate::plan::{OutputColumn, PlanNode};
 use crate::pool::BlockBufferPool;
-use crate::stream_registry::{SkeletonRegistry, StreamRegistry, StreamSource};
+use crate::stream_registry::StreamSource;
 
 /// The master seed used only to probe VG output-row counts during skeleton
 /// construction (the probed values are discarded; only the row count is
@@ -226,13 +227,13 @@ impl SymBatch {
 /// never on the master seed or on which stream positions are materialized.
 ///
 /// A skeleton is the unit [`crate::SessionCache`] stores: binding it to a
-/// master seed ([`DeterministicPrefix`]) costs one seed derivation per
-/// stream, so a cache hit skips scans, joins, constant predicates, and VG
-/// probes entirely.
+/// master seed ([`DeterministicPrefix`]) only records the seed, so a cache
+/// hit skips scans, joins, constant predicates, and VG probes entirely.
 #[derive(Debug, Clone)]
 pub struct PlanSkeleton {
     schema: Schema,
-    registry: SkeletonRegistry,
+    /// Distinct streams the pass registered, surviving or not.
+    num_streams: usize,
     batch: SymBatch,
     /// Streams actually referenced by surviving bundles.  Deterministic
     /// filters (paper §2's `WHERE CID < 10010`) drop bundles during the
@@ -240,7 +241,7 @@ pub struct PlanSkeleton {
     /// — a structural saving the one-shot executor (which instantiates before
     /// filtering) cannot make.
     active_keys: Vec<StreamKey>,
-    /// Per-active-key generation recipe — the registry source plus the
+    /// Per-active-key generation recipe — the stream source plus the
     /// per-invocation row count probed once during the skeleton pass and
     /// validated against every materialized block — aligned with
     /// `active_keys`, so the per-block generation fan-out indexes a slice
@@ -266,12 +267,6 @@ impl PlanSkeleton {
         &self.schema
     }
 
-    /// The seed-independent stream registry: every `(table_tag, row)` key
-    /// with its VG function and bound parameter row.
-    pub fn registry(&self) -> &SkeletonRegistry {
-        &self.registry
-    }
-
     /// Number of bundles (output tuples) in the skeleton.
     pub fn num_bundles(&self) -> usize {
         self.batch.len
@@ -284,9 +279,11 @@ impl PlanSkeleton {
             [self.bundle_offsets[idx] as usize..self.bundle_offsets[idx + 1] as usize]
     }
 
-    /// Number of registered random streams.
+    /// Number of random streams the skeleton pass registered: every
+    /// random-table row it read, including those a deterministic filter
+    /// dropped.
     pub fn num_streams(&self) -> usize {
-        self.registry.len()
+        self.num_streams
     }
 
     /// Number of streams referenced by surviving bundles — the streams a
@@ -310,57 +307,32 @@ impl PlanSkeleton {
         &self.anchor_keys
     }
 
-    /// Bind this skeleton to a master seed, deriving every stream's concrete
-    /// [`SeedId`] via [`mcdbr_prng::seed_for`].  This is the whole per-seed
-    /// cost of reusing a skeleton: no catalog reads, no VG probes, no plan
-    /// traversal.
+    /// Bind this skeleton to a master seed.  Every stream's concrete
+    /// [`SeedId`] is a pure function of `(master_seed, key)`
+    /// ([`mcdbr_prng::seed_for`]), so binding stores the seed and nothing
+    /// else: no catalog reads, no VG probes, no plan traversal.
     pub fn bind(self: &Arc<Self>, master_seed: u64) -> DeterministicPrefix {
         DeterministicPrefix {
             skeleton: Arc::clone(self),
             master_seed,
-            registry: self.registry.bind(master_seed),
-        }
-    }
-
-    /// Bind this skeleton for shard-internal use, with an **empty** bound
-    /// registry: the whole shard path derives seeds purely
-    /// (`key.bind(master_seed)`) and reads VG recipes from the skeleton
-    /// registry, so a shard never consults a bound registry — paying
-    /// per-block binding for state nothing reads would be waste.  The
-    /// merged [`BundleSet`]'s registry comes from the session's own fully
-    /// bound prefix; this prefix never escapes the shard.
-    pub(crate) fn bind_for_shard(self: &Arc<Self>, master_seed: u64) -> DeterministicPrefix {
-        DeterministicPrefix {
-            skeleton: Arc::clone(self),
-            master_seed,
-            registry: StreamRegistry::new(),
         }
     }
 }
 
 /// A [`PlanSkeleton`] bound to one master seed: the cached result of phase 1
-/// that phase 2 materializes blocks against.
-///
-/// The prefix holds the concrete seed of every stream (the skeleton's keys
-/// mapped through [`mcdbr_prng::seed_for`]) and the seed-addressed
-/// [`StreamRegistry`] carried by every emitted [`BundleSet`].
+/// that phase 2 materializes blocks against.  Every stream's concrete seed
+/// is derived on use (the skeleton's key mapped through
+/// [`mcdbr_prng::seed_for`]).
 #[derive(Debug, Clone)]
 pub struct DeterministicPrefix {
     skeleton: Arc<PlanSkeleton>,
     master_seed: u64,
-    registry: StreamRegistry,
 }
 
 impl DeterministicPrefix {
     /// The output schema of the plan.
     pub fn schema(&self) -> &Schema {
         self.skeleton.schema()
-    }
-
-    /// The bound stream registry: every concrete seed with its VG function
-    /// and parameters.
-    pub fn registry(&self) -> &StreamRegistry {
-        &self.registry
     }
 
     /// The seed-independent skeleton this prefix binds.
@@ -378,7 +350,7 @@ impl DeterministicPrefix {
         self.skeleton.num_bundles()
     }
 
-    /// Number of registered random streams.
+    /// Number of random streams the skeleton pass registered.
     pub fn num_streams(&self) -> usize {
         self.skeleton.num_streams()
     }
@@ -551,10 +523,10 @@ impl ExecSession {
     }
 
     /// Override the worker-thread count used by phase 2 (defaults to
-    /// `MCDBR_THREADS` / available parallelism).  Results are bit-identical
-    /// for every thread count.  The count applies to whichever
-    /// [`ExecBackend`] the session runs on: workers for the in-process pool,
-    /// concurrent shard slots for a sharded backend.
+    /// [`crate::par::default_threads`], the available parallelism).
+    /// Results are bit-identical for every thread count.  The count applies
+    /// to whichever [`ExecBackend`] the session runs on: workers for the
+    /// in-process pool, concurrent shard slots for a sharded backend.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -696,7 +668,7 @@ impl ExecSession {
                     base_pos,
                 };
                 let set = executor.execute(&self.plan, catalog, &opts)?;
-                self.values_materialized += (set.registry.len() * num_values) as u64;
+                self.values_materialized += (executor.streams_registered() * num_values) as u64;
                 Ok(set)
             }
             Mode::Cached(prefix) => {
@@ -1121,11 +1093,13 @@ pub(crate) fn build_skeleton(
 ) -> std::result::Result<PlanSkeleton, PrepError> {
     let mut pass = SkeletonPass {
         catalog,
-        registry: SkeletonRegistry::new(),
         streams: Vec::new(),
     };
     let (schema, mut batch) = pass.exec(plan)?;
     let len = batch.len;
+    let mut registered: Vec<StreamKey> = pass.streams.iter().map(|(key, ..)| *key).collect();
+    registered.sort_unstable();
+    registered.dedup();
 
     // Fold stream ids into indices over the sorted distinct keys the
     // surviving tuples reference (a self-join registers a key twice).
@@ -1190,7 +1164,7 @@ pub(crate) fn build_skeleton(
         .collect();
     Ok(PlanSkeleton {
         schema,
-        registry: pass.registry,
+        num_streams: registered.len(),
         batch,
         active_keys,
         active_sources: sources.into_iter().flatten().collect(),
@@ -1202,12 +1176,11 @@ pub(crate) fn build_skeleton(
 
 type SymResult = std::result::Result<(Schema, SymBatch), PrepError>;
 
-/// The state of one skeleton pass: the seed-independent registry, and every
-/// stream registered so far by id (its key, its recipe and the probed VG
-/// output-row count).
+/// The state of one skeleton pass: every stream registered so far by id
+/// (its key, its recipe and the probed VG output-row count).  A self-join
+/// registers a key twice, under two ids with one recipe.
 struct SkeletonPass<'c> {
     catalog: &'c Catalog,
-    registry: SkeletonRegistry,
     streams: Vec<(StreamKey, StreamSource, usize)>,
 }
 
@@ -1279,8 +1252,10 @@ impl SkeletonPass<'_> {
                         .iter()
                         .map(|e| e.eval(param_schema, param_row.values()))
                         .collect::<Result<_>>()?;
-                    self.registry.register(key, spec.vg.clone(), params);
-                    let source = self.registry.source(key)?.clone();
+                    let source = StreamSource {
+                        vg: spec.vg.clone(),
+                        params: params.into(),
+                    };
 
                     // Probe one VG invocation to learn the output-row count;
                     // the count is seed-independent by contract (see module
@@ -1724,7 +1699,7 @@ mod tests {
         let plan = losses_plan().filter(Expr::col("cid").lt(Expr::lit(2i64)));
         let mut session = ExecSession::prepare(&plan, &catalog, 7).unwrap();
         let prefix = session.prefix().unwrap();
-        assert_eq!(prefix.num_streams(), 3, "registry keeps every stream");
+        assert_eq!(prefix.num_streams(), 3, "the pass counts every stream");
         assert_eq!(
             prefix.num_active_streams(),
             1,
@@ -1880,7 +1855,8 @@ mod tests {
         let mut session = ExecSession::prepare(&PlanNode::scan("means"), &catalog, 9).unwrap();
         let block = session.instantiate_block(&catalog, 0, 4).unwrap();
         assert_eq!(block.len(), 3);
-        assert!(block.registry.is_empty());
+        assert!(block.seeds().is_empty());
+        assert_eq!(session.prefix().unwrap().num_streams(), 0);
         assert!(block.bundles.iter().all(|b| b.is_fully_const()));
     }
 }

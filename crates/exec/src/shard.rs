@@ -178,10 +178,9 @@ impl ShardTask {
                 (owned, needed, foreign)
             };
 
-        // The shard's own prefix carries no bound registry — seeds are pure
-        // in `(master_seed, key)` and recipes live on the skeleton — so
-        // binding costs nothing regardless of plan size.
-        let prefix = skeleton.bind_for_shard(self.master_seed);
+        // Seeds are pure in `(master_seed, key)` and recipes live on the
+        // skeleton, so binding costs nothing regardless of plan size.
+        let prefix = skeleton.bind(self.master_seed);
         // Reclaim cell storage freed since the last block (dropped results,
         // previous replenishment rounds) before adopting this block's cells.
         pool.sweep_cells();
@@ -296,7 +295,6 @@ pub fn merge_block(
     Ok(BundleSet {
         schema: skeleton.schema().clone(),
         bundles: slots.into_iter().flatten().collect(),
-        registry: prefix.registry().clone(),
         num_reps: num_values,
     })
 }
@@ -618,7 +616,7 @@ mod tests {
         let backend = ShardedBackend::new(4);
         let block = backend.instantiate_block(prefix, &pool, 4, 0, 3).unwrap();
         assert_eq!(block.len(), 4);
-        assert!(block.registry.is_empty());
+        assert!(block.seeds().is_empty());
         assert_eq!(backend.shard_stats().shards_spawned, 1);
     }
 

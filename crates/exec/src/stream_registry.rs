@@ -1,30 +1,33 @@
-//! The stream registry: from seed id to "how to generate this stream".
+//! Stream recipes: from a stream to "how to generate this stream".
 //!
 //! Paper §4.1: every uncertain value (or correlated block of values) in the
 //! database is backed by a stream of random data, identified by the PRNG seed
-//! that produces it.  The registry records, for each seed, the VG function
-//! and the parameter row that turn raw stream positions into data values.
-//! Anything holding a registry can therefore (re)generate the value at *any*
-//! stream position on demand — which is exactly what
+//! that produces it.  A [`StreamSource`] records the VG function and the
+//! parameter row that turn raw stream positions into data values, so anything
+//! holding one can (re)generate the value at *any* stream position on demand
+//! — which is exactly what
 //!
 //! * naive MCDB needs to instantiate repetitions `0..n`,
 //! * the Gibbs rejection sampler needs to "go to the stream whenever it needs
 //!   a loss value" (§4.1), and
 //! * the replenishment pass needs to regenerate already-assigned values and
 //!   extend blocks without re-deriving parameters (§9).
+//!
+//! The plan skeleton keeps one source per stream it registers; the reference
+//! [`crate::Executor`] keeps its own seed-addressed `StreamRegistry`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mcdbr_prng::{RandomStream, SeedId, StreamKey};
+use mcdbr_prng::{RandomStream, SeedId};
 use mcdbr_storage::{Error, Result, Tuple, Value};
 use mcdbr_vg::VgFunction;
 
 /// How to generate one stream: a VG function plus its bound parameter row.
 ///
 /// Both fields are reference-counted so that cloning a source — which
-/// happens once per stream every time a cached skeleton is bound to a new
-/// master seed — shares rather than copies the parameter row.
+/// happens once per stream when a plan skeleton is built — shares rather
+/// than copies the parameter row.
 #[derive(Debug, Clone)]
 pub struct StreamSource {
     /// The VG function invoked at every stream position.
@@ -38,61 +41,6 @@ impl StreamSource {
     pub fn generate_at(&self, seed: SeedId, pos: u64) -> Result<Vec<Tuple>> {
         let mut gen = RandomStream::new(seed).generator_at(pos);
         self.vg.generate(&self.params, &mut gen)
-    }
-}
-
-/// Registry of all streams referenced by a plan execution.
-///
-/// The seed → source map lives behind an `Arc` with copy-on-write mutation:
-/// a registry is built once (executor / skeleton binding, where the `Arc` is
-/// unique so `Arc::make_mut` never copies) and then cloned onto every
-/// [`crate::bundle::BundleSet`] a session emits — for a plan with thousands
-/// of streams, that clone used to allocate a tree node per handful of
-/// entries *per materialized block*; now it is a refcount bump.
-#[derive(Debug, Clone, Default)]
-pub struct StreamRegistry {
-    sources: Arc<BTreeMap<SeedId, StreamSource>>,
-}
-
-impl StreamRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        StreamRegistry::default()
-    }
-
-    /// Register a stream.  Registering the same seed twice is fine as long
-    /// as callers keep seeds unique per uncertain tuple (the executor derives
-    /// them with [`mcdbr_prng::seed_for`], which guarantees that).
-    pub fn register(
-        &mut self,
-        seed: SeedId,
-        vg: Arc<dyn VgFunction>,
-        params: impl Into<Arc<[Value]>>,
-    ) {
-        Arc::make_mut(&mut self.sources).insert(
-            seed,
-            StreamSource {
-                vg,
-                params: params.into(),
-            },
-        );
-    }
-
-    /// Look up a stream source.
-    pub fn source(&self, seed: SeedId) -> Result<&StreamSource> {
-        self.sources
-            .get(&seed)
-            .ok_or_else(|| Error::Invalid(format!("unknown stream seed {seed}")))
-    }
-
-    /// Whether a seed is registered.
-    pub fn contains(&self, seed: SeedId) -> bool {
-        self.sources.contains_key(&seed)
-    }
-
-    /// Generate the full VG output table for `seed` at stream position `pos`.
-    pub fn generate_at(&self, seed: SeedId, pos: u64) -> Result<Vec<Tuple>> {
-        self.source(seed)?.generate_at(seed, pos)
     }
 
     /// Generate the scalar value `(vg_row, vg_col)` of the VG output for
@@ -113,69 +61,32 @@ impl StreamRegistry {
         }
         Ok(row.value(vg_col).clone())
     }
-
-    /// Merge another registry into this one (used when a plan has several
-    /// uncertain tables / Seed operators).
-    pub fn merge(&mut self, other: StreamRegistry) {
-        if self.is_empty() {
-            // Common shape: merging into a fresh registry shares the map.
-            self.sources = other.sources;
-            return;
-        }
-        let theirs = Arc::try_unwrap(other.sources).unwrap_or_else(|arc| (*arc).clone());
-        Arc::make_mut(&mut self.sources).extend(theirs);
-    }
-
-    /// All registered seeds, in increasing order (the order GibbsLooper
-    /// iterates TS-seed handles in; paper §7).
-    pub fn seeds(&self) -> impl Iterator<Item = SeedId> + '_ {
-        self.sources.keys().copied()
-    }
-
-    /// Number of registered streams.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// True if no streams are registered.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
 }
 
-/// The seed-independent counterpart of [`StreamRegistry`]: from stream *key*
-/// (`(table_tag, row)` lineage, [`mcdbr_prng::StreamKey`]) to generation
-/// recipe.
-///
-/// A plan's deterministic skeleton registers streams by key, not by concrete
-/// PRNG seed, because the recipe — VG function plus bound parameter row — is
-/// a function of the plan and the catalog only.  Binding the registry to a
-/// master seed ([`SkeletonRegistry::bind`]) derives every concrete
-/// [`SeedId`] via [`mcdbr_prng::seed_for`] without touching the catalog,
-/// which is what lets one cached skeleton serve sessions for any number of
-/// master seeds.
-#[derive(Debug, Clone, Default)]
-pub struct SkeletonRegistry {
-    sources: BTreeMap<StreamKey, StreamSource>,
+/// The reference executor's registry of every stream one plan execution
+/// referenced, by concrete seed.
+#[derive(Debug, Default)]
+pub(crate) struct StreamRegistry {
+    sources: BTreeMap<SeedId, StreamSource>,
 }
 
-impl SkeletonRegistry {
+impl StreamRegistry {
     /// Create an empty registry.
-    pub fn new() -> Self {
-        SkeletonRegistry::default()
+    pub(crate) fn new() -> Self {
+        StreamRegistry::default()
     }
 
-    /// Register a stream by key.  Registering the same key twice (a plan
-    /// reusing one uncertain table, e.g. a self-join) keeps the latest
-    /// recipe; by construction both registrations carry identical recipes.
-    pub fn register(
+    /// Register a stream.  Registering the same seed twice (a self-join of
+    /// one uncertain table) keeps one entry; the executor derives seeds with
+    /// [`mcdbr_prng::seed_for`], so both registrations carry one recipe.
+    pub(crate) fn register(
         &mut self,
-        key: StreamKey,
+        seed: SeedId,
         vg: Arc<dyn VgFunction>,
         params: impl Into<Arc<[Value]>>,
     ) {
         self.sources.insert(
-            key,
+            seed,
             StreamSource {
                 vg,
                 params: params.into(),
@@ -183,48 +94,16 @@ impl SkeletonRegistry {
         );
     }
 
-    /// Look up a stream's generation recipe.
-    pub fn source(&self, key: StreamKey) -> Result<&StreamSource> {
+    /// Look up a stream source.
+    pub(crate) fn source(&self, seed: SeedId) -> Result<&StreamSource> {
         self.sources
-            .get(&key)
-            .ok_or_else(|| Error::Invalid(format!("unknown stream key {key}")))
-    }
-
-    /// All registered keys, in increasing `(table_tag, row)` order.
-    pub fn keys(&self) -> impl Iterator<Item = StreamKey> + '_ {
-        self.sources.keys().copied()
+            .get(&seed)
+            .ok_or_else(|| Error::Invalid(format!("unknown stream seed {seed}")))
     }
 
     /// Number of registered streams.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sources.len()
-    }
-
-    /// True if no streams are registered.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
-    /// Bind every key to its concrete seed under `master_seed`, producing the
-    /// seed-addressed [`StreamRegistry`] carried by every emitted
-    /// [`crate::bundle::BundleSet`].  (Individual seeds are pure functions of
-    /// `(master_seed, key)` — [`StreamKey::bind`] — so no key → seed map is
-    /// needed.)
-    ///
-    /// This is the whole per-seed cost of re-using a cached plan skeleton: a
-    /// [`mcdbr_prng::seed_for`] mix plus two reference-count bumps per stream
-    /// (sources share their VG and parameter row) — no catalog reads, no VG
-    /// probes, no parameter copies.
-    pub fn bind(&self, master_seed: u64) -> StreamRegistry {
-        let mut registry = StreamRegistry::new();
-        for (key, source) in &self.sources {
-            registry.register(
-                key.bind(master_seed),
-                source.vg.clone(),
-                source.params.clone(),
-            );
-        }
-        registry
     }
 }
 
@@ -241,21 +120,21 @@ mod tests {
     fn register_and_generate() {
         let mut reg = StreamRegistry::new();
         reg.register(7, Arc::new(NormalVg), normal_params(3.0));
-        assert!(reg.contains(7));
-        assert!(!reg.contains(8));
-        assert_eq!(reg.len(), 1);
-        let v = reg.value_at(7, 0, 0, 0).unwrap();
+        reg.register(7, Arc::new(NormalVg), normal_params(3.0));
+        assert_eq!(reg.len(), 1, "a seed registered twice is one stream");
+        let v = reg.source(7).unwrap().value_at(7, 0, 0, 0).unwrap();
         assert!(v.as_f64().unwrap().is_finite());
-        assert!(reg.value_at(8, 0, 0, 0).is_err());
+        assert!(reg.source(8).is_err());
     }
 
     #[test]
     fn generation_is_deterministic_and_position_addressable() {
         let mut reg = StreamRegistry::new();
         reg.register(42, Arc::new(NormalVg), normal_params(5.0));
-        let a = reg.value_at(42, 3, 0, 0).unwrap();
-        let b = reg.value_at(42, 3, 0, 0).unwrap();
-        let c = reg.value_at(42, 4, 0, 0).unwrap();
+        let source = reg.source(42).unwrap();
+        let a = source.value_at(42, 3, 0, 0).unwrap();
+        let b = source.value_at(42, 3, 0, 0).unwrap();
+        let c = source.value_at(42, 4, 0, 0).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -264,62 +143,23 @@ mod tests {
     fn out_of_range_rows_and_cols_error() {
         let mut reg = StreamRegistry::new();
         reg.register(1, Arc::new(NormalVg), normal_params(0.0));
-        assert!(reg.value_at(1, 0, 1, 0).is_err());
-        assert!(reg.value_at(1, 0, 0, 5).is_err());
+        let source = reg.source(1).unwrap();
+        assert!(source.value_at(1, 0, 1, 0).is_err());
+        assert!(source.value_at(1, 0, 0, 5).is_err());
     }
 
     #[test]
     fn multi_row_vg_outputs_are_addressable() {
-        let mut reg = StreamRegistry::new();
-        reg.register(
-            9,
-            Arc::new(MultiNormalVg::new(3, 0.5)),
-            vec![Value::Float64(0.0), Value::Float64(1.0)],
-        );
-        let rows = reg.generate_at(9, 0).unwrap();
+        let source = StreamSource {
+            vg: Arc::new(MultiNormalVg::new(3, 0.5)),
+            params: vec![Value::Float64(0.0), Value::Float64(1.0)].into(),
+        };
+        let rows = source.generate_at(9, 0).unwrap();
         assert_eq!(rows.len(), 3);
         // Row index is in column 0; the value in column 1.
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.value(0).as_i64().unwrap(), i as i64);
-            assert_eq!(reg.value_at(9, 0, i, 1).unwrap(), row.value(1).clone());
+            assert_eq!(source.value_at(9, 0, i, 1).unwrap(), row.value(1).clone());
         }
-    }
-
-    #[test]
-    fn skeleton_registry_binding_matches_seed_derivation() {
-        let mut skel = SkeletonRegistry::new();
-        skel.register(StreamKey::new(1, 0), Arc::new(NormalVg), normal_params(3.0));
-        skel.register(StreamKey::new(1, 1), Arc::new(NormalVg), normal_params(4.0));
-        assert_eq!(skel.len(), 2);
-        assert!(!skel.is_empty());
-        assert!(skel.source(StreamKey::new(2, 0)).is_err());
-
-        let registry = skel.bind(42);
-        assert_eq!(registry.len(), 2);
-        for key in skel.keys() {
-            let seed = key.bind(42);
-            assert!(registry.contains(seed));
-            // The bound registry generates exactly what the recipe says.
-            assert_eq!(
-                registry.generate_at(seed, 7).unwrap(),
-                skel.source(key).unwrap().generate_at(seed, 7).unwrap()
-            );
-        }
-        // A different master gives disjoint seeds for the same keys.
-        let other = skel.bind(43);
-        assert_eq!(other.len(), 2);
-        assert!(skel.keys().all(|k| !registry.contains(k.bind(43))));
-        assert!(skel.keys().all(|k| !other.contains(k.bind(42))));
-    }
-
-    #[test]
-    fn merge_combines_sources() {
-        let mut a = StreamRegistry::new();
-        a.register(1, Arc::new(NormalVg), normal_params(1.0));
-        let mut b = StreamRegistry::new();
-        b.register(2, Arc::new(NormalVg), normal_params(2.0));
-        a.merge(b);
-        assert_eq!(a.seeds().collect::<Vec<_>>(), vec![1, 2]);
-        assert!(!a.is_empty());
     }
 }

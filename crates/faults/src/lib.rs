@@ -7,10 +7,13 @@
 //! — independent of thread interleaving.  The decision for injection point
 //! `p`'s `i`-th visit is a pure function of `(seed, p, i)`.
 //!
-//! A [`FaultPlan`] is parsed from the `MCDBR_FAULTS` environment variable
-//! (see [`FaultPlan::parse`] for the grammar) and evaluated by a
-//! [`FaultInjector`], which the dispatch wire, the worker loop, and the
-//! server connection handler consult at typed [`FaultPoint`]s.  The crate
+//! A [`FaultPlan`] is parsed from its textual form (see [`FaultPlan::parse`]
+//! for the grammar) and evaluated by a [`FaultInjector`], which the
+//! dispatch wire and the worker loop consult at typed [`FaultPoint`]s.
+//! The caller arms a plan (`ProcessBackend::with_fault_spec`); the only
+//! environment read is [`env_injector`], through which a spawned worker
+//! process picks up the plan its coordinator wrote into [`FAULTS_ENV`].
+//! Nothing else in the library reads that variable.  The crate
 //! also hosts [`BackoffPolicy`], the shared capped-exponential +
 //! seeded-jitter retry schedule used by `ProcessBackend` re-sends and
 //! `ServerClient::query_retrying`, so chaos runs *and* their recovery paths
@@ -22,16 +25,17 @@ use std::time::Duration;
 
 use mcdbr_prng::Pcg64;
 
-/// Environment variable holding the fault plan for this process.
+/// Environment variable through which a coordinator hands its fault plan
+/// to the worker processes it spawns.
 pub const FAULTS_ENV: &str = "MCDBR_FAULTS";
 
-/// Typed injection points consulted by the dispatch and server layers.
+/// Typed injection points consulted by the dispatch layer.
 ///
 /// | Point | Sited at | Observable failure |
 /// |-------|----------|--------------------|
 /// | `StallBeforeReply` | worker, before the first frame of a task reply | hung-but-alive worker; coordinator read deadline |
 /// | `PartialWrite` | frame writes on the dispatch wire | truncated/corrupt frame; stream desync |
-/// | `DelayedWrite` | frame writes on the dispatch wire and server replies | slow pipe; latency only |
+/// | `DelayedWrite` | frame writes on the dispatch wire | slow pipe; latency only |
 /// | `DropFrame` | frame writes on the dispatch wire | silent peer; read deadline |
 /// | `SlowWorker` | worker, before serving a task | straggler; latency only |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +72,7 @@ impl FaultPoint {
         }
     }
 
-    /// Key used in the `MCDBR_FAULTS` grammar.
+    /// Key used in the plan grammar.
     pub fn key(self) -> &'static str {
         match self {
             FaultPoint::StallBeforeReply => "stall",
@@ -113,7 +117,7 @@ pub struct FaultSpec {
     pub max_fires: Option<u64>,
 }
 
-/// A parsed `MCDBR_FAULTS` plan: a seed plus per-point specs.
+/// A parsed fault plan: a seed plus per-point specs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; every decision stream is derived from it.
@@ -308,9 +312,9 @@ impl FaultInjector {
     }
 }
 
-/// Pure parse of the `MCDBR_FAULTS` environment value.  Unset, empty, or
-/// malformed values disable injection (a chaos harness should validate its
-/// plan with [`FaultPlan::parse`] up front).
+/// Pure parse of the [`FAULTS_ENV`] value a worker process inherits.
+/// Unset, empty, or malformed values disable injection (a coordinator
+/// validates its plan with [`FaultPlan::parse`] before writing it).
 pub fn plan_from_env(raw: Option<&str>) -> Option<FaultPlan> {
     let raw = raw?.trim();
     if raw.is_empty() {
@@ -319,8 +323,10 @@ pub fn plan_from_env(raw: Option<&str>) -> Option<FaultPlan> {
     FaultPlan::parse(raw).ok().filter(FaultPlan::is_active)
 }
 
-/// The process-wide injector parsed from `MCDBR_FAULTS`, memoized on first
-/// use.  `None` when the variable is unset or names no active fault points.
+/// The worker-process injector parsed from [`FAULTS_ENV`], memoized on
+/// first use.  `None` when the variable is unset or names no active fault
+/// points.  Only worker entry points (`mcdbr-worker`) call this; library
+/// code takes its plan from the caller.
 pub fn env_injector() -> Option<Arc<FaultInjector>> {
     static INJECTOR: OnceLock<Option<Arc<FaultInjector>>> = OnceLock::new();
     INJECTOR

@@ -49,6 +49,4 @@ pub use backend::FairBackend;
 pub use client::{QueryReply, ServerClient};
 pub use load::{run_load, run_load_with, LoadReport};
 pub use sched::FairScheduler;
-pub use service::{
-    default_query_deadline, query_deadline_from_env, Server, ServerConfig, ServerHandle,
-};
+pub use service::{Server, ServerConfig, ServerHandle};

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,6 @@ use mcdbr_dispatch::wire::{self, Frame, ReplyCode, WireError, WireResult};
 use mcdbr_exec::{
     par, BlockBufferPool, CancelToken, ExecBackend, QueryResultSamples, SessionCache, ShardStats,
 };
-use mcdbr_faults::{FaultAction, FaultInjector, FaultPoint};
 use mcdbr_mcdb::{run_query_shared, MonteCarloQuery};
 use mcdbr_storage::{Catalog, Error, Result};
 
@@ -82,27 +81,9 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
             max_inflight: workers * 2,
-            query_deadline: default_query_deadline(),
+            query_deadline: None,
         }
     }
-}
-
-/// Parse a `MCDBR_QUERY_DEADLINE_MS` value: a positive integer millisecond
-/// count arms per-query deadlines; unset, empty, zero, or malformed means
-/// no deadline.
-pub fn query_deadline_from_env(raw: Option<&str>) -> Option<Duration> {
-    raw.and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
-/// The process-wide default per-query deadline, read once from
-/// `MCDBR_QUERY_DEADLINE_MS` (see [`query_deadline_from_env`]).
-pub fn default_query_deadline() -> Option<Duration> {
-    static DEADLINE: OnceLock<Option<Duration>> = OnceLock::new();
-    *DEADLINE.get_or_init(|| {
-        query_deadline_from_env(std::env::var("MCDBR_QUERY_DEADLINE_MS").ok().as_deref())
-    })
 }
 
 /// Everything the accept loop, connection threads, and handle share.
@@ -368,30 +349,10 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
-/// Write one post-handshake reply frame, consulting the chaos plan's
-/// *delay* point only.  A server must never drop or truncate a reply —
-/// clients have no read timeout and a lost frame would hang them, which is
-/// a client bug chaos is not trying to find — so `MCDBR_FAULTS` degrades
-/// the server to a slow pipe, nothing worse.
-fn write_reply(
-    writer: &mut TcpStream,
-    payload: &[u8],
-    faults: Option<&FaultInjector>,
-) -> WireResult<u64> {
-    if let Some(injector) = faults {
-        if let Some(FaultAction::Delay(pause)) = injector.decide(FaultPoint::DelayedWrite) {
-            std::thread::sleep(pause);
-        }
-    }
-    wire::write_frame(writer, payload)
-}
-
 /// Handshake then request loop for one connection.
 fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let faults = mcdbr_faults::env_injector();
-    let faults = faults.as_deref();
 
     // Client speaks Hello first; anything else — bad magic, wrong version,
     // garbage — earns a best-effort Error frame and a close, exactly like
@@ -437,10 +398,9 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
             Err(err) => {
                 // Typed reply, then drop the connection: after a framing
                 // error the stream offset can no longer be trusted.
-                let _ = write_reply(
+                let _ = wire::write_frame(
                     &mut writer,
                     &wire::encode_error_reply(ReplyCode::Invalid, &err.to_string()),
-                    faults,
                 );
                 let _ = writer.flush();
                 return Err(err);
@@ -476,12 +436,11 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                         };
                         match shared.run_query(&query, reps as usize, master_seed) {
                             Ok((samples, stats)) => {
-                                write_reply(
+                                wire::write_frame(
                                     &mut writer,
                                     &wire::encode_query_result(&samples),
-                                    faults,
                                 )?;
-                                write_reply(&mut writer, &wire::encode_query_stats(stats), faults)?;
+                                wire::write_frame(&mut writer, &wire::encode_query_stats(stats))?;
                                 writer.flush()?;
                                 continue;
                             }
@@ -497,14 +456,13 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                         // whether the reply write below succeeds or not.
                     }
                 };
-                write_reply(&mut writer, &reply, faults)?;
+                wire::write_frame(&mut writer, &reply)?;
                 writer.flush()?;
             }
             Frame::StatsRequest => {
-                write_reply(
+                wire::write_frame(
                     &mut writer,
                     &wire::encode_server_stats(shared.server_stats()),
-                    faults,
                 )?;
                 writer.flush()?;
             }
@@ -516,10 +474,9 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                 // Worker-protocol or server→client frames on a request
                 // stream: typed reply, then close.
                 let err = WireError::Corrupt("frame not valid on a client request stream".into());
-                let _ = write_reply(
+                let _ = wire::write_frame(
                     &mut writer,
                     &wire::encode_error_reply(ReplyCode::Invalid, &err.to_string()),
-                    faults,
                 );
                 let _ = writer.flush();
                 return Err(err);
@@ -607,22 +564,5 @@ impl ServerHandle {
         }
         self.shared.sched.shutdown();
         stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn query_deadline_env_rules() {
-        assert_eq!(query_deadline_from_env(None), None);
-        assert_eq!(query_deadline_from_env(Some("")), None);
-        assert_eq!(query_deadline_from_env(Some("0")), None);
-        assert_eq!(query_deadline_from_env(Some("nope")), None);
-        assert_eq!(
-            query_deadline_from_env(Some(" 1500 ")),
-            Some(Duration::from_millis(1500))
-        );
     }
 }

@@ -12,17 +12,20 @@
 //! deadline must come back as a typed `Timeout` reply, not a hang and not
 //! a corrupt result.
 //!
-//! Fault plans target worker slot 0 (`worker=0`), so the coordinator's
-//! send side stays clean and the blast radius is exactly one slot — which
-//! is what makes "always recovers, bit-identically" provable rather than
-//! probabilistic.
+//! The per-kind plans target worker slot 0 (`worker=0`), so the
+//! coordinator's send side stays clean and the blast radius is exactly one
+//! slot — which is what makes "always recovers, bit-identically" provable
+//! rather than probabilistic.  One mixed plan is untargeted: it also drops,
+//! truncates and delays the coordinator's own sends, and runs blocks, the
+//! MCDB engine and the Gibbs looper through the same faulty backend.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
-use mcdbr::exec::{ExecBackend, InProcessBackend, QueryResultSamples};
+use mcdbr::exec::{ExecBackend, ExecSession, InProcessBackend, QueryResultSamples};
 use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::server::client::{QueryReply, ServerClient};
 use mcdbr::server::service::{Server, ServerConfig};
@@ -186,6 +189,84 @@ fn chaos_slow_workers_are_latency_only_on_every_seed() {
     assert_eq!(
         totals.circuit_trips, 0,
         "slow workers must not trip breakers"
+    );
+}
+
+#[test]
+fn mixed_untargeted_plan_leaves_blocks_engines_and_loopers_bit_identical() {
+    // Every fault kind at once, on every worker *and* on the coordinator's
+    // own sends.  One backend serves every seed, so the plan's decision
+    // streams advance across seeds instead of replaying their first
+    // decisions each time.
+    const PLAN: &str = "seed=1933,stall=0.02:5000,drop=0.02,partial=0.02,delay=0.05:2,slow=0.05:2";
+    let _watchdog = Watchdog::arm("mixed", Duration::from_secs(120));
+    let catalog = customer_losses_catalog(12, (1.0, 4.0), 2).unwrap();
+    let query = customer_losses_query(Some(9));
+    let backend = Arc::new(
+        ProcessBackend::new(2)
+            .with_fault_spec(PLAN)
+            .unwrap()
+            .with_deadline(Duration::from_secs(2)),
+    );
+    let in_process = || Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>;
+    for seed in [11u64, 12, 13, 14] {
+        // Consecutive blocks across a replenishment boundary.
+        let mut session = ExecSession::prepare(&query.plan, &catalog, seed)
+            .unwrap()
+            .with_backend(backend.clone());
+        let mut clean = ExecSession::prepare(&query.plan, &catalog, seed)
+            .unwrap()
+            .with_backend(in_process());
+        for (base, n) in [(0u64, 24usize), (24, 24), (48, 24)] {
+            let got = session.instantiate_block(&catalog, base, n).unwrap();
+            let want = clean.instantiate_block(&catalog, base, n).unwrap();
+            assert_eq!(got.schema, want.schema, "seed {seed}, block {base}");
+            assert_eq!(got.bundles, want.bundles, "seed {seed}, block {base}");
+        }
+
+        // The MCDB engine.
+        let samples = McdbEngine::new()
+            .with_backend(backend.clone())
+            .run_samples(&query, &catalog, REPS, seed)
+            .unwrap();
+        assert_samples_bit_identical(
+            &samples,
+            &reference(&query, &catalog, REPS, seed),
+            &format!("mixed engine, seed {seed}"),
+        );
+
+        // The Gibbs looper, with blocks small enough to replenish.
+        let config = TailSamplingConfig::new(0.05, 10, 200)
+            .with_m(3)
+            .with_block_size(40)
+            .with_master_seed(seed);
+        let run = |backend: Arc<dyn ExecBackend>| {
+            GibbsLooper::new(query.clone(), config.clone())
+                .with_backend(backend)
+                .run(&catalog)
+                .unwrap()
+        };
+        let want = run(in_process());
+        let got = run(backend.clone());
+        assert!(want.replenishments > 0, "seed {seed}: {want:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.tail_samples),
+            bits(&want.tail_samples),
+            "seed {seed}"
+        );
+        assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs), "seed {seed}");
+        assert_eq!(got.gibbs, want.gibbs, "seed {seed}");
+        assert_eq!(got.replenishments, want.replenishments, "seed {seed}");
+        assert_eq!(
+            got.values_materialized, want.values_materialized,
+            "seed {seed}"
+        );
+    }
+    let stats = backend.shard_stats();
+    assert!(
+        stats.worker_respawns + stats.deadline_timeouts > 0,
+        "the plan never forced a recovery: {stats:?}"
     );
 }
 

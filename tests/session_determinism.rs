@@ -624,16 +624,12 @@ fn assert_backends_match_across_a_pool_kill(
         "{input}: warm dispatch ({warm_sent} bytes) must undercut the cold \
          table shipment ({cold_sent} bytes)"
     );
-    // The content-addressed shipping claim.  Chaos plans (`MCDBR_FAULTS`)
-    // legitimately perturb wire-byte counts (dropped frames, respawn-driven
-    // plan re-sends), so the ratio is only asserted on clean runs.
-    if mcdbr::faults::env_injector().is_none() {
-        assert!(
-            cold_sent >= 10 * warm_sent,
-            "{input}: repeated-plan dispatch must send >=10x fewer bytes (cold \
-             {cold_sent} vs warm {warm_sent})"
-        );
-    }
+    // The content-addressed shipping claim.
+    assert!(
+        cold_sent >= 10 * warm_sent,
+        "{input}: repeated-plan dispatch must send >=10x fewer bytes (cold \
+         {cold_sent} vs warm {warm_sent})"
+    );
     let stats = process.shard_stats();
     assert!(
         stats.worker_respawns >= 2,

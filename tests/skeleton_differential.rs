@@ -219,8 +219,15 @@ fn plans(rng: &mut Pcg64) -> Vec<(&'static str, PlanNode, bool)> {
     ]
 }
 
-fn execute(plan: &PlanNode, catalog: &Catalog, master_seed: u64, block: (u64, usize)) -> BundleSet {
-    Executor::new()
+/// The executor's block, and how many streams it registered.
+fn execute(
+    plan: &PlanNode,
+    catalog: &Catalog,
+    master_seed: u64,
+    block: (u64, usize),
+) -> (BundleSet, usize) {
+    let mut executor = Executor::new();
+    let set = executor
         .execute(
             plan,
             catalog,
@@ -230,14 +237,14 @@ fn execute(plan: &PlanNode, catalog: &Catalog, master_seed: u64, block: (u64, us
                 base_pos: block.0,
             },
         )
-        .unwrap()
+        .unwrap();
+    (set, executor.streams_registered())
 }
 
 /// Bundle-for-bundle identity, constants compared by bits.
 fn assert_bit_identical(want: &BundleSet, got: &BundleSet, what: &str) {
     assert_eq!(want.schema, got.schema, "{what}: schema");
     assert_eq!(want.num_reps, got.num_reps, "{what}: repetitions");
-    assert_eq!(want.registry.len(), got.registry.len(), "{what}: streams");
     assert_eq!(
         want.bundles.len(),
         got.bundles.len(),
@@ -270,10 +277,11 @@ fn skeleton_sessions_equal_the_executor_on_seeded_catalogs_and_plans() {
         for (name, plan, cacheable) in plans(&mut rng) {
             let master = 100 + seed;
             let what = format!("seed {seed}, {name}");
-            let expected: Vec<BundleSet> = BLOCKS
+            let (expected, streams): (Vec<BundleSet>, Vec<usize>) = BLOCKS
                 .iter()
                 .map(|&block| execute(&plan, &catalog, master, block))
-                .collect();
+                .unzip();
+            let streams = streams[0];
             bundles_seen += expected[0].bundles.len();
 
             let backends: [Arc<dyn ExecBackend>; 3] = [
@@ -287,9 +295,17 @@ fn skeleton_sessions_equal_the_executor_on_seeded_catalogs_and_plans() {
                     .unwrap()
                     .with_backend(backend);
                 assert_eq!(session.is_cached(), cacheable, "{label}");
+                if let Some(prefix) = session.prefix() {
+                    assert_eq!(prefix.num_streams(), streams, "{label}: streams");
+                }
                 for (&(base, n), want) in BLOCKS.iter().zip(&expected) {
                     let got = session.instantiate_block(&catalog, base, n).unwrap();
                     assert_bit_identical(want, &got, &label);
+                }
+                if !cacheable {
+                    // Fallback blocks generate every registered stream.
+                    let values: usize = BLOCKS.iter().map(|&(_, n)| streams * n).sum();
+                    assert_eq!(session.values_materialized(), values as u64, "{label}");
                 }
             }
 
@@ -306,7 +322,7 @@ fn skeleton_sessions_equal_the_executor_on_seeded_catalogs_and_plans() {
                 let got = session
                     .instantiate_block(&catalog, block.0, block.1)
                     .unwrap();
-                let want = execute(&plan, &catalog, rebound, block);
+                let (want, _) = execute(&plan, &catalog, rebound, block);
                 assert_bit_identical(&want, &got, &format!("{what}, cache hit"));
             }
         }
