@@ -38,8 +38,12 @@
 //! arena for strings, packed null bitmaps) — floats travel as raw IEEE
 //! bits, so the decoded bundle is bit-identical to the worker's.
 //!
-//! Decoding is total: truncated or corrupted frames return a typed
-//! [`WireError`], never a panic, and a version or magic mismatch is
+//! Frames follow the one byte format of [`mcdbr_storage::codec`] —
+//! little-endian integers, `u32`-count sequences, `u32`-length UTF-8
+//! strings — and decode through its bounded [`Reader`]: truncated or
+//! corrupted frames return a typed [`WireError`], never a panic, no count
+//! reserves more memory than the remaining bytes can hold, and plans and
+//! expressions nest at most 256 levels.  A version or magic mismatch is
 //! rejected at the handshake before any plan or task bytes flow.
 //!
 //! VG functions serialize by construction-time configuration (the built-in
@@ -65,8 +69,12 @@ use mcdbr_exec::{
     AggFunc, AggregateSpec, BinaryOp, BundleValue, Expr, JoinType, PlanNode, QueryResultSamples,
     TupleBundle, ValueChain,
 };
-use mcdbr_prng::StreamKeyRange;
-use mcdbr_storage::{Column, DataType, Error, Field, Page, Schema, Table, Tuple, Value};
+use mcdbr_prng::{StreamKey, StreamKeyRange};
+use mcdbr_storage::codec::{put_count, put_str};
+use mcdbr_storage::{
+    Column, DataType, DecodeError, DecodeResult, Error, Field, Page, Reader, Schema, Table, Tuple,
+    Value,
+};
 use mcdbr_vg::{
     BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
     VgFunction,
@@ -164,83 +172,15 @@ impl From<WireError> for Error {
 /// Shorthand result alias for wire operations.
 pub type WireResult<T> = std::result::Result<T, WireError>;
 
-// ===== Primitive cursor =====
-
-/// A bounds-checked decode cursor over a frame payload.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> WireResult<&'a [u8]> {
-        let bytes = self
-            .buf
-            .get(self.pos..self.pos.saturating_add(n))
-            .ok_or(WireError::Truncated { what })?;
-        self.pos += n;
-        Ok(bytes)
-    }
-
-    fn u8(&mut self, what: &'static str) -> WireResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &'static str) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &'static str) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &'static str) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn str(&mut self, what: &'static str) -> WireResult<String> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Corrupt(format!("invalid UTF-8 inside {what}")))
-    }
-
-    /// Decode a [`Value`] via the storage codec, translating its error.
-    fn value(&mut self, what: &'static str) -> WireResult<Value> {
-        Value::decode_wire(self.buf, &mut self.pos)
-            .map_err(|e| WireError::Corrupt(format!("{what}: {e}")))
-    }
-
-    /// Decode a value chain via the columnar [`Column`] codec.  The decoded
-    /// column becomes the chain's single shared segment — no re-boxing.
-    fn chain(&mut self, what: &'static str) -> WireResult<ValueChain> {
-        let column = Column::decode_wire(self.buf, &mut self.pos)
-            .map_err(|e| WireError::Corrupt(format!("{what}: {e}")))?;
-        Ok(ValueChain::from_column(column))
-    }
-
-    fn finish(self, what: &'static str) -> WireResult<()> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Corrupt(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { what } => WireError::Truncated { what },
+            DecodeError::Corrupt { what, detail } => {
+                WireError::Corrupt(format!("{what}: {detail}"))
+            }
         }
-        Ok(())
     }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
 }
 
 /// Encode a bundle value chain.  The common single-segment chain writes its
@@ -329,7 +269,7 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<(Vec<u8>, u64)>> {
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(len_buf);
+    let len = Reader::new(&len_buf).u32("frame length")?;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Corrupt(format!(
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
@@ -415,14 +355,14 @@ fn reply_code_to_u8(code: ReplyCode) -> u8 {
     }
 }
 
-fn reply_code_from_u8(raw: u8) -> WireResult<ReplyCode> {
+fn reply_code_from_u8(raw: u8) -> DecodeResult<ReplyCode> {
     Ok(match raw {
         1 => ReplyCode::Busy,
         2 => ReplyCode::ShuttingDown,
         3 => ReplyCode::Invalid,
         4 => ReplyCode::Internal,
         5 => ReplyCode::Timeout,
-        other => return Err(WireError::Corrupt(format!("unknown reply code {other}"))),
+        other => return Err(DecodeError::unknown("reply code", other)),
     })
 }
 
@@ -593,10 +533,7 @@ const TAG_TABLE_DATA: u8 = 15;
 
 /// Encode the handshake frame.
 pub fn encode_hello() -> Vec<u8> {
-    let mut out = vec![TAG_HELLO];
-    out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out
+    encode_hello_with(WIRE_MAGIC, WIRE_VERSION)
 }
 
 /// Encode a handshake frame announcing an arbitrary magic/version (test
@@ -647,7 +584,7 @@ pub fn encode_plan(
     out.extend_from_slice(&key.epoch.to_le_bytes());
     put_plan(&mut out, plan)?;
     let refs = plan_table_refs(plan, catalog)?;
-    out.extend_from_slice(&(refs.len() as u32).to_le_bytes());
+    put_count(&mut out, refs.len());
     for r in &refs {
         put_str(&mut out, &r.name);
         out.extend_from_slice(&r.hash.to_le_bytes());
@@ -658,7 +595,7 @@ pub fn encode_plan(
 /// Encode a `NeedTables` frame: the content hashes a worker lacks.
 pub fn encode_need_tables(hashes: &[u64]) -> Vec<u8> {
     let mut out = vec![TAG_NEED_TABLES];
-    out.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
+    put_count(&mut out, hashes.len());
     for hash in hashes {
         out.extend_from_slice(&hash.to_le_bytes());
     }
@@ -681,7 +618,14 @@ pub fn encode_task(task: &TaskHeader) -> Vec<u8> {
     out.extend_from_slice(&task.key.fingerprint.to_le_bytes());
     out.extend_from_slice(&task.key.epoch.to_le_bytes());
     out.extend_from_slice(&task.master_seed.to_le_bytes());
-    task.key_range.encode_wire(&mut out);
+    put_key(&mut out, task.key_range.start);
+    match task.key_range.end {
+        Some(end) => {
+            out.push(1);
+            put_key(&mut out, end);
+        }
+        None => out.push(0),
+    }
     out.extend_from_slice(&task.base_pos.to_le_bytes());
     out.extend_from_slice(&(task.num_values as u64).to_le_bytes());
     out
@@ -695,7 +639,7 @@ pub fn encode_bundle(idx: usize, bundle: Option<&TupleBundle>) -> Vec<u8> {
         None => out.push(0),
         Some(bundle) => {
             out.push(1);
-            out.extend_from_slice(&(bundle.values.len() as u32).to_le_bytes());
+            put_count(&mut out, bundle.values.len());
             for value in &bundle.values {
                 match value {
                     BundleValue::Const(v) => {
@@ -728,7 +672,7 @@ pub fn encode_bundle(idx: usize, bundle: Option<&TupleBundle>) -> Vec<u8> {
                     // Bit-packed (the NullBitmap word layout): 64 presence
                     // flags per u64 word instead of one byte per value.
                     out.push(1);
-                    out.extend_from_slice(&(mask.len() as u32).to_le_bytes());
+                    put_count(&mut out, mask.len());
                     let mut word = 0u64;
                     for (i, &p) in mask.iter().enumerate() {
                         if p {
@@ -780,18 +724,14 @@ fn agg_func_to_u8(func: AggFunc) -> u8 {
     }
 }
 
-fn agg_func_from_u8(raw: u8) -> WireResult<AggFunc> {
+fn agg_func_from_u8(raw: u8) -> DecodeResult<AggFunc> {
     Ok(match raw {
         1 => AggFunc::Sum,
         2 => AggFunc::Count,
         3 => AggFunc::Avg,
         4 => AggFunc::Min,
         5 => AggFunc::Max,
-        other => {
-            return Err(WireError::Corrupt(format!(
-                "unknown aggregate function {other}"
-            )))
-        }
+        other => return Err(DecodeError::unknown("aggregate function", other)),
     })
 }
 
@@ -818,7 +758,7 @@ pub fn encode_query(
             put_expr(&mut out, expr);
         }
     }
-    out.extend_from_slice(&(group_by.len() as u32).to_le_bytes());
+    put_count(&mut out, group_by.len());
     for column in group_by {
         put_str(&mut out, column);
     }
@@ -831,13 +771,13 @@ pub fn encode_query(
 /// matrix, floats as raw IEEE bits.
 pub fn encode_query_result(samples: &QueryResultSamples) -> Vec<u8> {
     let mut out = vec![TAG_QUERY_RESULT];
-    out.extend_from_slice(&(samples.group_columns.len() as u32).to_le_bytes());
+    put_count(&mut out, samples.group_columns.len());
     for column in &samples.group_columns {
         put_str(&mut out, column);
     }
-    out.extend_from_slice(&(samples.groups.len() as u32).to_le_bytes());
+    put_count(&mut out, samples.groups.len());
     for (key, xs) in &samples.groups {
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        put_count(&mut out, key.len());
         for value in key {
             value.encode_wire(&mut out);
         }
@@ -891,202 +831,158 @@ pub fn encode_server_stats(stats: ServerStats) -> Vec<u8> {
 
 /// Decode one frame payload.
 pub fn decode_frame(payload: &[u8]) -> WireResult<Frame> {
-    let mut d = Dec::new(payload);
-    let tag = d.u8("frame tag")?;
-    let frame = match tag {
+    let mut r = Reader::new(payload);
+    let frame = get_frame(&mut r)?;
+    r.finish("frame")?;
+    Ok(frame)
+}
+
+fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
+    Ok(match r.u8("frame tag")? {
         TAG_HELLO => Frame::Hello {
-            magic: d.u32("hello magic")?,
-            version: d.u16("hello version")?,
+            magic: r.u32("hello magic")?,
+            version: r.u16("hello version")?,
         },
-        TAG_PLAN => {
-            let key = PlanKey {
-                fingerprint: d.u64("plan key")?,
-                epoch: d.u64("plan key")?,
-            };
-            let plan = get_plan(&mut d)?;
-            let num_tables = d.u32("table ref count")? as usize;
-            let mut tables = Vec::with_capacity(num_tables.min(1024));
-            for _ in 0..num_tables {
-                let name = d.str("table ref name")?;
-                let hash = d.u64("table ref hash")?;
-                tables.push(TableRef { name, hash });
-            }
-            Frame::Plan { key, plan, tables }
-        }
+        TAG_PLAN => Frame::Plan {
+            key: get_plan_key(r)?,
+            plan: get_plan(r, 0)?,
+            tables: r.seq("table ref count", 12, |r| {
+                Ok(TableRef {
+                    name: r.string("table ref name")?,
+                    hash: r.u64("table ref hash")?,
+                })
+            })?,
+        },
         TAG_NEED_TABLES => {
-            let count = d.u32("needed table count")? as usize;
-            let mut hashes = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                hashes.push(d.u64("needed table hash")?);
+            let count = r.u32("needed table count")? as usize;
+            Frame::NeedTables {
+                hashes: r.u64s(count, "needed table hashes")?,
             }
-            Frame::NeedTables { hashes }
         }
-        TAG_TABLE_DATA => {
-            let hash = d.u64("table data hash")?;
-            let table = get_table(&mut d)?;
-            Frame::TableData { hash, table }
-        }
-        TAG_TASK => {
-            let key = PlanKey {
-                fingerprint: d.u64("task key")?,
-                epoch: d.u64("task key")?,
-            };
-            let master_seed = d.u64("task master seed")?;
-            let key_range =
-                StreamKeyRange::decode_wire(d.buf, &mut d.pos).ok_or(WireError::Truncated {
-                    what: "task key range",
-                })?;
-            Frame::Task(TaskHeader {
-                key,
-                master_seed,
-                key_range,
-                base_pos: d.u64("task base position")?,
-                num_values: d.u64("task value count")? as usize,
-            })
-        }
-        TAG_BUNDLE => {
-            let idx = d.u64("bundle index")? as usize;
-            let bundle = match d.u8("bundle presence flag")? {
-                0 => None,
-                1 => {
-                    let arity = d.u32("bundle arity")? as usize;
-                    let mut values = Vec::with_capacity(arity.min(4096));
-                    for _ in 0..arity {
-                        values.push(match d.u8("bundle value tag")? {
-                            1 => BundleValue::Const(d.value("bundle constant")?),
-                            2 => BundleValue::Random {
-                                seed: d.u64("random seed")?,
-                                vg_row: d.u32("random vg_row")? as usize,
-                                vg_col: d.u32("random vg_col")? as usize,
-                                base_pos: d.u64("random base_pos")?,
-                                values: d.chain("random values")?,
-                            },
-                            3 => BundleValue::Computed(d.chain("computed values")?),
-                            other => {
-                                return Err(WireError::Corrupt(format!(
-                                    "unknown bundle value tag {other}"
-                                )))
-                            }
-                        });
-                    }
-                    let is_pres = match d.u8("presence flag")? {
-                        0 => None,
-                        1 => {
-                            let len = d.u32("presence length")? as usize;
-                            let words = d.take(len.div_ceil(64) * 8, "presence mask")?;
-                            Some(
-                                (0..len)
-                                    .map(|i| words[i / 64 * 8 + i % 64 / 8] >> (i % 8) & 1 == 1)
-                                    .collect(),
-                            )
-                        }
-                        other => {
-                            return Err(WireError::Corrupt(format!(
-                                "unknown presence flag {other}"
-                            )))
-                        }
-                    };
-                    Some(TupleBundle { values, is_pres })
-                }
-                other => {
-                    return Err(WireError::Corrupt(format!(
-                        "unknown bundle presence flag {other}"
-                    )))
-                }
-            };
-            Frame::Bundle { idx, bundle }
-        }
+        TAG_TABLE_DATA => Frame::TableData {
+            hash: r.u64("table data hash")?,
+            table: get_table(r)?,
+        },
+        TAG_TASK => Frame::Task(TaskHeader {
+            key: get_plan_key(r)?,
+            master_seed: r.u64("task master seed")?,
+            key_range: StreamKeyRange {
+                start: get_key(r)?,
+                end: r.option("key range bound flag", get_key)?,
+            },
+            base_pos: r.u64("task base position")?,
+            num_values: r.u64("task value count")? as usize,
+        }),
+        TAG_BUNDLE => Frame::Bundle {
+            idx: r.u64("bundle index")? as usize,
+            bundle: r.option("bundle presence flag", get_bundle)?,
+        },
         TAG_TASK_STATS => Frame::TaskStats(TaskStats {
-            bundles: d.u64("stats bundle count")? as usize,
-            foreign_streams: d.u64("stats foreign streams")? as usize,
-            warm_hit: d.u8("stats warm flag")? != 0,
+            bundles: r.u64("stats bundle count")? as usize,
+            foreign_streams: r.u64("stats foreign streams")? as usize,
+            warm_hit: r.u8("stats warm flag")? != 0,
         }),
         TAG_ERROR => Frame::Error {
-            message: d.str("error message")?,
+            message: r.string("error message")?,
         },
         TAG_SHUTDOWN => Frame::Shutdown,
-        TAG_QUERY => {
-            let plan = get_plan(&mut d)?;
-            let func = agg_func_from_u8(d.u8("aggregate function")?)?;
-            let expr = get_expr(&mut d)?;
-            let alias = d.str("aggregate alias")?;
-            let final_predicate = match d.u8("final predicate flag")? {
-                0 => None,
-                1 => Some(get_expr(&mut d)?),
-                other => {
-                    return Err(WireError::Corrupt(format!(
-                        "unknown final predicate flag {other}"
-                    )))
-                }
-            };
-            let num_group = d.u32("group-by count")? as usize;
-            let mut group_by = Vec::with_capacity(num_group.min(1024));
-            for _ in 0..num_group {
-                group_by.push(d.str("group-by column")?);
-            }
-            Frame::Query {
-                plan,
-                aggregate: AggregateSpec { func, expr, alias },
-                final_predicate,
-                group_by,
-                reps: d.u64("query repetitions")?,
-                master_seed: d.u64("query master seed")?,
-            }
-        }
-        TAG_QUERY_RESULT => {
-            let num_columns = d.u32("group column count")? as usize;
-            let mut group_columns = Vec::with_capacity(num_columns.min(1024));
-            for _ in 0..num_columns {
-                group_columns.push(d.str("group column")?);
-            }
-            let num_groups = d.u32("group count")? as usize;
-            let mut groups = Vec::with_capacity(num_groups.min(4096));
-            for _ in 0..num_groups {
-                let key_len = d.u32("group key length")? as usize;
-                let mut key = Vec::with_capacity(key_len.min(1024));
-                for _ in 0..key_len {
-                    key.push(d.value("group key value")?);
-                }
-                let num_samples = d.u64("sample count")? as usize;
-                let mut xs = Vec::with_capacity(num_samples.min(1 << 20));
-                for _ in 0..num_samples {
-                    xs.push(d.f64("sample")?);
-                }
-                groups.push((key, xs));
-            }
-            Frame::QueryResult(QueryResultSamples {
-                group_columns,
-                groups,
-            })
-        }
+        TAG_QUERY => Frame::Query {
+            plan: get_plan(r, 0)?,
+            aggregate: AggregateSpec {
+                func: agg_func_from_u8(r.u8("aggregate function")?)?,
+                expr: get_expr(r, 0)?,
+                alias: r.string("aggregate alias")?,
+            },
+            final_predicate: r.option("final predicate flag", |r| get_expr(r, 0))?,
+            group_by: r.seq("group-by count", 4, |r| r.string("group-by column"))?,
+            reps: r.u64("query repetitions")?,
+            master_seed: r.u64("query master seed")?,
+        },
+        TAG_QUERY_RESULT => Frame::QueryResult(QueryResultSamples {
+            group_columns: r.seq("group column count", 4, |r| r.string("group column"))?,
+            groups: r.seq("group count", 12, |r| {
+                let key = r.seq("group key length", 1, Value::decode_wire)?;
+                let num_samples = r.u64("sample count")? as usize;
+                Ok((key, r.f64s(num_samples, "samples")?))
+            })?,
+        }),
         TAG_ERROR_REPLY => Frame::ErrorReply {
-            code: reply_code_from_u8(d.u8("reply code")?)?,
-            message: d.str("reply message")?,
+            code: reply_code_from_u8(r.u8("reply code")?)?,
+            message: r.string("reply message")?,
         },
         TAG_QUERY_STATS => Frame::QueryStats(QueryStats {
-            skeleton_hit: d.u8("stats skeleton flag")? != 0,
-            plan_executions: d.u64("stats plan executions")?,
-            tasks_dispatched: d.u64("stats tasks dispatched")?,
-            shards_spawned: d.u64("stats shards spawned")?,
-            queue_wait_ns: d.u64("stats queue wait")?,
-            exec_ns: d.u64("stats exec time")?,
+            skeleton_hit: r.u8("stats skeleton flag")? != 0,
+            plan_executions: r.u64("stats plan executions")?,
+            tasks_dispatched: r.u64("stats tasks dispatched")?,
+            shards_spawned: r.u64("stats shards spawned")?,
+            queue_wait_ns: r.u64("stats queue wait")?,
+            exec_ns: r.u64("stats exec time")?,
         }),
         TAG_STATS_REQUEST => Frame::StatsRequest,
         TAG_SERVER_STATS => Frame::ServerStats(ServerStats {
-            queries_served: d.u64("server queries served")?,
-            skeleton_hits: d.u64("server skeleton hits")?,
-            skeleton_misses: d.u64("server skeleton misses")?,
-            plan_executions: d.u64("server plan executions")?,
-            tasks_dispatched: d.u64("server tasks dispatched")?,
-            busy_rejections: d.u64("server busy rejections")?,
-            connections: d.u64("server connections")?,
-            inflight: d.u64("server inflight")?,
-            query_timeouts: d.u64("server query timeouts")?,
+            queries_served: r.u64("server queries served")?,
+            skeleton_hits: r.u64("server skeleton hits")?,
+            skeleton_misses: r.u64("server skeleton misses")?,
+            plan_executions: r.u64("server plan executions")?,
+            tasks_dispatched: r.u64("server tasks dispatched")?,
+            busy_rejections: r.u64("server busy rejections")?,
+            connections: r.u64("server connections")?,
+            inflight: r.u64("server inflight")?,
+            query_timeouts: r.u64("server query timeouts")?,
         }),
-        other => return Err(WireError::Corrupt(format!("unknown frame tag {other}"))),
-    };
-    d.finish("frame")?;
-    Ok(frame)
+        other => return Err(DecodeError::unknown("frame tag", other)),
+    })
+}
+
+fn get_plan_key(r: &mut Reader<'_>) -> DecodeResult<PlanKey> {
+    Ok(PlanKey {
+        fingerprint: r.u64("plan key fingerprint")?,
+        epoch: r.u64("plan key epoch")?,
+    })
+}
+
+fn put_key(out: &mut Vec<u8>, key: StreamKey) {
+    out.extend_from_slice(&key.table_tag.to_le_bytes());
+    out.extend_from_slice(&key.row.to_le_bytes());
+}
+
+fn get_key(r: &mut Reader<'_>) -> DecodeResult<StreamKey> {
+    Ok(StreamKey {
+        table_tag: r.u64("stream key table tag")?,
+        row: r.u64("stream key row")?,
+    })
+}
+
+/// Decode a value chain via the columnar [`Column`] codec.  The decoded
+/// column becomes the chain's single shared segment — no re-boxing.
+fn get_chain(r: &mut Reader<'_>) -> DecodeResult<ValueChain> {
+    Column::decode_wire(r).map(ValueChain::from_column)
+}
+
+fn get_bundle(r: &mut Reader<'_>) -> DecodeResult<TupleBundle> {
+    let values = r.seq("bundle arity", 1, |r| {
+        Ok(match r.u8("bundle value tag")? {
+            1 => BundleValue::Const(Value::decode_wire(r)?),
+            2 => BundleValue::Random {
+                seed: r.u64("random seed")?,
+                vg_row: r.u32("random vg_row")? as usize,
+                vg_col: r.u32("random vg_col")? as usize,
+                base_pos: r.u64("random base_pos")?,
+                values: get_chain(r)?,
+            },
+            3 => BundleValue::Computed(get_chain(r)?),
+            other => return Err(DecodeError::unknown("bundle value tag", other)),
+        })
+    })?;
+    // Bit-packed presence: 64 flags per little-endian u64 word.
+    let is_pres = r.option("presence flag", |r| {
+        let len = r.u32("presence length")? as usize;
+        let words = r.take(len.div_ceil(64) * 8, "presence mask")?;
+        Ok((0..len)
+            .map(|i| words[i / 64 * 8 + i % 64 / 8] >> (i % 8) & 1 == 1)
+            .collect())
+    })?;
+    Ok(TupleBundle { values, is_pres })
 }
 
 // ===== Plan / expression / VG codecs =====
@@ -1108,7 +1004,7 @@ fn op_to_u8(op: BinaryOp) -> u8 {
     }
 }
 
-fn op_from_u8(raw: u8) -> WireResult<BinaryOp> {
+fn op_from_u8(raw: u8) -> DecodeResult<BinaryOp> {
     Ok(match raw {
         1 => BinaryOp::Add,
         2 => BinaryOp::Sub,
@@ -1122,7 +1018,7 @@ fn op_from_u8(raw: u8) -> WireResult<BinaryOp> {
         10 => BinaryOp::GtEq,
         11 => BinaryOp::And,
         12 => BinaryOp::Or,
-        other => return Err(WireError::Corrupt(format!("unknown binary op {other}"))),
+        other => return Err(DecodeError::unknown("binary op", other)),
     })
 }
 
@@ -1149,26 +1045,34 @@ fn put_expr(out: &mut Vec<u8>, expr: &Expr) {
     }
 }
 
-fn get_expr(d: &mut Dec<'_>) -> WireResult<Expr> {
-    Ok(match d.u8("expression tag")? {
-        1 => Expr::Column(d.str("column name")?),
-        2 => Expr::Literal(d.value("literal")?),
-        3 => {
-            let op = op_from_u8(d.u8("binary op")?)?;
-            let lhs = get_expr(d)?;
-            let rhs = get_expr(d)?;
-            Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            }
-        }
-        4 => Expr::Not(Box::new(get_expr(d)?)),
-        other => {
-            return Err(WireError::Corrupt(format!(
-                "unknown expression tag {other}"
-            )))
-        }
+/// How deep plans and expressions may nest inside one frame.  Decoding
+/// recurses once per level, so the bound keeps a hostile frame from
+/// choosing the decoder's stack depth.
+const MAX_NESTING: usize = 256;
+
+fn check_nesting(depth: usize) -> DecodeResult<()> {
+    if depth > MAX_NESTING {
+        return Err(DecodeError::corrupt(
+            "plan",
+            format!("nested deeper than {MAX_NESTING} levels"),
+        ));
+    }
+    Ok(())
+}
+
+/// Decode an expression nested `depth` levels inside its frame.
+fn get_expr(r: &mut Reader<'_>, depth: usize) -> DecodeResult<Expr> {
+    check_nesting(depth)?;
+    Ok(match r.u8("expression tag")? {
+        1 => Expr::Column(r.string("column name")?),
+        2 => Expr::Literal(Value::decode_wire(r)?),
+        3 => Expr::Binary {
+            op: op_from_u8(r.u8("binary op")?)?,
+            lhs: Box::new(get_expr(r, depth + 1)?),
+            rhs: Box::new(get_expr(r, depth + 1)?),
+        },
+        4 => Expr::Not(Box::new(get_expr(r, depth + 1)?)),
+        other => return Err(DecodeError::unknown("expression tag", other)),
     })
 }
 
@@ -1187,7 +1091,7 @@ fn put_vg(out: &mut Vec<u8>, vg: &dyn VgFunction) -> WireResult<()> {
         out.push(3);
     } else if let Some(discrete) = any.downcast_ref::<DiscreteVg>() {
         out.push(4);
-        out.extend_from_slice(&(discrete.categories().len() as u32).to_le_bytes());
+        put_count(out, discrete.categories().len());
         for category in discrete.categories() {
             category.encode_wire(out);
         }
@@ -1209,38 +1113,36 @@ fn put_vg(out: &mut Vec<u8>, vg: &dyn VgFunction) -> WireResult<()> {
     Ok(())
 }
 
-fn get_vg(d: &mut Dec<'_>) -> WireResult<Arc<dyn VgFunction>> {
-    Ok(match d.u8("VG tag")? {
+fn get_vg(r: &mut Reader<'_>) -> DecodeResult<Arc<dyn VgFunction>> {
+    Ok(match r.u8("VG tag")? {
         1 => Arc::new(NormalVg),
         2 => Arc::new(UniformVg),
         3 => Arc::new(PoissonVg),
-        4 => {
-            let len = d.u32("Discrete category count")? as usize;
-            let mut categories = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                categories.push(d.value("Discrete category")?);
-            }
-            Arc::new(DiscreteVg::new(categories))
-        }
+        4 => Arc::new(DiscreteVg::new(r.seq(
+            "Discrete category count",
+            1,
+            Value::decode_wire,
+        )?)),
         5 => {
-            let dim = d.u64("MultiNormal dim")? as usize;
-            let rho = d.f64("MultiNormal rho")?;
+            let dim = r.u64("MultiNormal dim")? as usize;
+            let rho = r.f64("MultiNormal rho")?;
             if dim < 1 || !(0.0..=1.0).contains(&rho) {
-                return Err(WireError::Corrupt(format!(
-                    "MultiNormal configuration out of range (dim={dim}, rho={rho})"
-                )));
+                return Err(DecodeError::corrupt(
+                    "MultiNormal configuration",
+                    format!("out of range (dim={dim}, rho={rho})"),
+                ));
             }
             Arc::new(MultiNormalVg::new(dim, rho))
         }
         6 => Arc::new(BayesianDemandVg),
         7 => {
-            let steps = d.u64("GbmTerminal steps")? as usize;
+            let steps = r.u64("GbmTerminal steps")? as usize;
             if steps < 1 {
-                return Err(WireError::Corrupt("GbmTerminal needs >= 1 step".into()));
+                return Err(DecodeError::corrupt("GbmTerminal steps", "needs >= 1 step"));
             }
             Arc::new(GbmTerminalVg::new(steps))
         }
-        other => return Err(WireError::Corrupt(format!("unknown VG tag {other}"))),
+        other => return Err(DecodeError::unknown("VG tag", other)),
     })
 }
 
@@ -1255,11 +1157,11 @@ fn put_plan(out: &mut Vec<u8>, plan: &PlanNode) -> WireResult<()> {
             put_str(out, &spec.name);
             put_str(out, &spec.param_table);
             put_vg(out, spec.vg.as_ref())?;
-            out.extend_from_slice(&(spec.vg_params.len() as u32).to_le_bytes());
+            put_count(out, spec.vg_params.len());
             for expr in &spec.vg_params {
                 put_expr(out, expr);
             }
-            out.extend_from_slice(&(spec.columns.len() as u32).to_le_bytes());
+            put_count(out, spec.columns.len());
             for column in &spec.columns {
                 match column {
                     OutputColumn::Param { source, as_name } => {
@@ -1283,7 +1185,7 @@ fn put_plan(out: &mut Vec<u8>, plan: &PlanNode) -> WireResult<()> {
         }
         PlanNode::Project { input, exprs } => {
             out.push(4);
-            out.extend_from_slice(&(exprs.len() as u32).to_le_bytes());
+            put_count(out, exprs.len());
             for (name, expr) in exprs {
                 put_str(out, name);
                 put_expr(out, expr);
@@ -1300,7 +1202,7 @@ fn put_plan(out: &mut Vec<u8>, plan: &PlanNode) -> WireResult<()> {
             out.push(match join_type {
                 JoinType::Inner => 1,
             });
-            out.extend_from_slice(&(on.len() as u32).to_le_bytes());
+            put_count(out, on.len());
             for (l, r) in on {
                 put_str(out, l);
                 put_str(out, r);
@@ -1317,97 +1219,72 @@ fn put_plan(out: &mut Vec<u8>, plan: &PlanNode) -> WireResult<()> {
     Ok(())
 }
 
-fn get_plan(d: &mut Dec<'_>) -> WireResult<PlanNode> {
-    Ok(match d.u8("plan tag")? {
+/// Decode a plan nested `depth` levels inside its frame.
+fn get_plan(r: &mut Reader<'_>, depth: usize) -> DecodeResult<PlanNode> {
+    check_nesting(depth)?;
+    Ok(match r.u8("plan tag")? {
         1 => PlanNode::TableScan {
-            table: d.str("scan table")?,
+            table: r.string("scan table")?,
         },
-        2 => {
-            let name = d.str("random-table name")?;
-            let param_table = d.str("parameter table")?;
-            let vg = get_vg(d)?;
-            let num_params = d.u32("VG parameter count")? as usize;
-            let mut vg_params = Vec::with_capacity(num_params.min(4096));
-            for _ in 0..num_params {
-                vg_params.push(get_expr(d)?);
-            }
-            let num_columns = d.u32("output column count")? as usize;
-            let mut columns = Vec::with_capacity(num_columns.min(4096));
-            for _ in 0..num_columns {
-                columns.push(match d.u8("output column tag")? {
+        2 => PlanNode::RandomTable(RandomTableSpec {
+            name: r.string("random-table name")?,
+            param_table: r.string("parameter table")?,
+            vg: get_vg(r)?,
+            vg_params: r.seq("VG parameter count", 1, |r| get_expr(r, depth + 1))?,
+            columns: r.seq("output column count", 9, |r| {
+                Ok(match r.u8("output column tag")? {
                     1 => OutputColumn::Param {
-                        source: d.str("param source")?,
-                        as_name: d.str("param alias")?,
+                        source: r.string("param source")?,
+                        as_name: r.string("param alias")?,
                     },
                     2 => OutputColumn::Vg {
-                        vg_col: d.u32("vg column index")? as usize,
-                        as_name: d.str("vg alias")?,
+                        vg_col: r.u32("vg column index")? as usize,
+                        as_name: r.string("vg alias")?,
                     },
-                    other => {
-                        return Err(WireError::Corrupt(format!(
-                            "unknown output column tag {other}"
-                        )))
-                    }
-                });
-            }
-            PlanNode::RandomTable(RandomTableSpec {
-                name,
-                param_table,
-                vg,
-                vg_params,
-                columns,
-                table_tag: d.u64("table tag")?,
-            })
-        }
+                    other => return Err(DecodeError::unknown("output column tag", other)),
+                })
+            })?,
+            table_tag: r.u64("table tag")?,
+        }),
         3 => {
-            let predicate = get_expr(d)?;
-            let input = get_plan(d)?;
+            let predicate = get_expr(r, depth + 1)?;
             PlanNode::Filter {
-                input: Box::new(input),
+                input: Box::new(get_plan(r, depth + 1)?),
                 predicate,
             }
         }
         4 => {
-            let num_exprs = d.u32("projection count")? as usize;
-            let mut exprs = Vec::with_capacity(num_exprs.min(4096));
-            for _ in 0..num_exprs {
-                let name = d.str("projection name")?;
-                exprs.push((name, get_expr(d)?));
-            }
+            let exprs = r.seq("projection count", 6, |r| {
+                Ok((r.string("projection name")?, get_expr(r, depth + 1)?))
+            })?;
             PlanNode::Project {
-                input: Box::new(get_plan(d)?),
+                input: Box::new(get_plan(r, depth + 1)?),
                 exprs,
             }
         }
         5 => {
-            let join_type = match d.u8("join type")? {
+            let join_type = match r.u8("join type")? {
                 1 => JoinType::Inner,
-                other => return Err(WireError::Corrupt(format!("unknown join type {other}"))),
+                other => return Err(DecodeError::unknown("join type", other)),
             };
-            let num_on = d.u32("join key count")? as usize;
-            let mut on = Vec::with_capacity(num_on.min(4096));
-            for _ in 0..num_on {
-                let l = d.str("left join key")?;
-                let r = d.str("right join key")?;
-                on.push((l, r));
-            }
-            let left = get_plan(d)?;
-            let right = get_plan(d)?;
+            let on = r.seq("join key count", 8, |r| {
+                Ok((r.string("left join key")?, r.string("right join key")?))
+            })?;
             PlanNode::Join {
-                left: Box::new(left),
-                right: Box::new(right),
+                left: Box::new(get_plan(r, depth + 1)?),
+                right: Box::new(get_plan(r, depth + 1)?),
                 on,
                 join_type,
             }
         }
         6 => {
-            let column = d.str("split column")?;
+            let column = r.string("split column")?;
             PlanNode::Split {
-                input: Box::new(get_plan(d)?),
+                input: Box::new(get_plan(r, depth + 1)?),
                 column,
             }
         }
-        other => return Err(WireError::Corrupt(format!("unknown plan tag {other}"))),
+        other => return Err(DecodeError::unknown("plan tag", other)),
     })
 }
 
@@ -1441,20 +1318,20 @@ fn dtype_to_u8(dt: DataType) -> u8 {
     }
 }
 
-fn dtype_from_u8(raw: u8) -> WireResult<DataType> {
+fn dtype_from_u8(raw: u8) -> DecodeResult<DataType> {
     Ok(match raw {
         0 => DataType::Null,
         1 => DataType::Int64,
         2 => DataType::Float64,
         3 => DataType::Bool,
         4 => DataType::Utf8,
-        other => return Err(WireError::Corrupt(format!("unknown data type {other}"))),
+        other => return Err(DecodeError::unknown("data type", other)),
     })
 }
 
 fn put_table(out: &mut Vec<u8>, table: &Table) -> WireResult<()> {
     let schema = table.schema();
-    out.extend_from_slice(&(schema.len() as u32).to_le_bytes());
+    put_count(out, schema.len());
     for field in schema.fields() {
         put_str(out, &field.name);
         out.push(dtype_to_u8(field.data_type));
@@ -1464,12 +1341,12 @@ fn put_table(out: &mut Vec<u8>, table: &Table) -> WireResult<()> {
     // match the sender's exactly.  Disk-backed pages load their bytes
     // back through the checksummed heap record, so a torn spill file
     // fails here (typed) rather than shipping garbage.
-    out.extend_from_slice(&(table.pages().len() as u32).to_le_bytes());
+    put_count(out, table.pages().len());
     for page in table.pages() {
         let bytes = page
             .load_bytes()
             .map_err(|e| WireError::Io(std::io::ErrorKind::Other, format!("table page: {e}")))?;
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        put_count(out, bytes.len());
         out.extend_from_slice(&bytes);
     }
     // The open tail travels column-major through the typed Column codec,
@@ -1485,51 +1362,42 @@ fn put_table(out: &mut Vec<u8>, table: &Table) -> WireResult<()> {
     Ok(())
 }
 
-fn get_table(d: &mut Dec<'_>) -> WireResult<Table> {
-    let num_fields = d.u32("field count")? as usize;
-    let mut fields = Vec::with_capacity(num_fields.min(4096));
-    for _ in 0..num_fields {
-        let name = d.str("field name")?;
-        let dt = dtype_from_u8(d.u8("field type")?)?;
-        fields.push(Field::new(name, dt));
-    }
-    let schema = Schema::new(fields);
-    let num_pages = d.u32("page count")? as usize;
-    let mut pages = Vec::with_capacity(num_pages.min(4096));
-    for _ in 0..num_pages {
-        let len = d.u32("page length")? as usize;
-        let bytes = d.take(len, "page bytes")?.to_vec();
+fn get_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
+    let schema = Schema::new(r.seq("field count", 5, |r| {
+        let name = r.string("field name")?;
+        Ok(Field::new(name, dtype_from_u8(r.u8("field type")?)?))
+    })?);
+    let pages = r.seq("page count", 4, |r| {
+        let len = r.u32("page length")? as usize;
         // from_bytes fully validates the page encoding (header, slot
         // directory, every column payload).
-        let page =
-            Page::from_bytes(bytes).map_err(|e| WireError::Corrupt(format!("table page: {e}")))?;
-        pages.push(page);
-    }
-    let num_rows = d.u64("tail row count")? as usize;
+        Page::from_bytes(r.take(len, "page bytes")?.to_vec())
+            .map_err(|e| DecodeError::corrupt("table page", e.to_string()))
+    })?;
+    let num_rows = r.u64("tail row count")? as usize;
     // The row count is untrusted until a column vouches for it (each
     // decoded column is checked against it below).  A field-less table has
     // no columns to vouch, so bound it directly — otherwise a corrupt
     // header could demand billions of empty tuples.
     if schema.is_empty() && num_rows != 0 {
-        return Err(WireError::Corrupt(format!(
-            "table snapshot claims {num_rows} tail rows across zero fields"
-        )));
+        return Err(DecodeError::corrupt(
+            "tail row count",
+            format!("{num_rows} tail rows across zero fields"),
+        ));
     }
-    let mut columns = Vec::with_capacity(schema.len());
-    for _ in 0..schema.len() {
-        let column = Column::decode_wire(d.buf, &mut d.pos)
-            .map_err(|e| WireError::Corrupt(format!("table tail column: {e}")))?;
+    let columns = r.repeat(schema.len(), 9, |r| {
+        let column = Column::decode_wire(r)?;
         if column.len() != num_rows {
-            return Err(WireError::Corrupt(format!(
-                "table tail column holds {} rows, header says {num_rows}",
-                column.len()
-            )));
+            return Err(DecodeError::corrupt(
+                "table tail column",
+                format!("holds {} rows, header says {num_rows}", column.len()),
+            ));
         }
-        columns.push(column);
-    }
+        Ok(column)
+    })?;
     let tail: Vec<Tuple> = (0..num_rows)
         .map(|r| Tuple::new(columns.iter().map(|c| c.value_at(r)).collect()))
         .collect();
     Table::from_parts(schema, pages, tail)
-        .map_err(|e| WireError::Corrupt(format!("table snapshot: {e}")))
+        .map_err(|e| DecodeError::corrupt("table snapshot", e.to_string()))
 }

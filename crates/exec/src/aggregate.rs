@@ -14,7 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use mcdbr_storage::{Column, Error, Mask, Result, Schema, SelVec, Value};
+use mcdbr_storage::{Column, Error, Mask, Result, SelVec, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
 use crate::expr::Expr;
@@ -611,27 +611,6 @@ fn accumulate_rep(
     Ok(accs)
 }
 
-/// Evaluate the aggregate for one repetition over explicit rows — used by the
-/// naive (non-bundled) engine in `mcdbr-mcdb` so that both engines share
-/// exactly the same aggregation semantics.
-pub fn aggregate_rows(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    agg: &AggregateSpec,
-    final_predicate: Option<&Expr>,
-) -> Result<f64> {
-    let mut acc = Accum::default();
-    for row in rows {
-        if let Some(pred) = final_predicate {
-            if !pred.eval_bool(schema, row)? {
-                continue;
-            }
-        }
-        acc.add(agg.expr.eval_f64(schema, row)?);
-    }
-    Ok(acc.finish(agg.func))
-}
-
 /// Streaming accumulator shared by every aggregate function.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accum {
@@ -687,7 +666,7 @@ impl Accum {
 mod tests {
     use super::*;
     use crate::bundle::{BundleValue, TupleBundle};
-    use mcdbr_storage::Field;
+    use mcdbr_storage::{Field, Schema};
 
     /// Build a small bundle set by hand: three "customers" with known
     /// per-repetition losses and a deterministic region.
@@ -878,17 +857,6 @@ mod tests {
                 .collect()
         });
         assert!(doubled.unwrap_err().to_string().contains("do not tile"));
-    }
-
-    #[test]
-    fn aggregate_rows_matches_bundle_path() {
-        let set = test_set();
-        let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        // Repetition 1 materialized as plain rows.
-        let rows: Vec<Vec<Value>> = set.bundles.iter().map(|b| b.row_at(1)).collect();
-        let direct = aggregate_rows(&set.schema, &rows, &agg, None).unwrap();
-        let bundled = evaluate_aggregate(&set, &agg, &[], None).unwrap();
-        assert_eq!(direct, bundled.single().unwrap()[1]);
     }
 
     #[test]

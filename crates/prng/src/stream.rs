@@ -64,26 +64,6 @@ impl StreamKey {
     pub fn bind(&self, master_seed: u64) -> SeedId {
         seed_for(master_seed, self.table_tag, self.row)
     }
-
-    /// Append this key's canonical 16-byte wire encoding (little-endian
-    /// `table_tag` then `row`) to `out` — the codec a multi-process shard
-    /// dispatcher ships key ranges with.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.table_tag.to_le_bytes());
-        out.extend_from_slice(&self.row.to_le_bytes());
-    }
-
-    /// Decode a key from `buf` at `*pos`, advancing `*pos` past the 16
-    /// bytes consumed.  Returns `None` when the buffer is too short (the
-    /// caller turns that into its own typed truncation error).
-    pub fn decode_wire(buf: &[u8], pos: &mut usize) -> Option<StreamKey> {
-        let bytes = buf.get(*pos..*pos + 16)?;
-        *pos += 16;
-        Some(StreamKey {
-            table_tag: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-            row: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        })
-    }
 }
 
 impl std::fmt::Display for StreamKey {
@@ -184,32 +164,6 @@ impl StreamKeyRange {
         }
         ranges.push(StreamKeyRange { start, end: None });
         ranges
-    }
-    /// Append this range's wire encoding to `out`: the start key, then a
-    /// bound flag (`1` = bounded) optionally followed by the end key.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        self.start.encode_wire(out);
-        match self.end {
-            Some(end) => {
-                out.push(1);
-                end.encode_wire(out);
-            }
-            None => out.push(0),
-        }
-    }
-
-    /// Decode a range from `buf` at `*pos`, advancing `*pos`.  Returns
-    /// `None` on truncation or an invalid bound flag.
-    pub fn decode_wire(buf: &[u8], pos: &mut usize) -> Option<StreamKeyRange> {
-        let start = StreamKey::decode_wire(buf, pos)?;
-        let flag = *buf.get(*pos)?;
-        *pos += 1;
-        let end = match flag {
-            0 => None,
-            1 => Some(StreamKey::decode_wire(buf, pos)?),
-            _ => return None,
-        };
-        Some(StreamKeyRange { start, end })
     }
 }
 
@@ -444,45 +398,6 @@ mod tests {
             ranges[0].to_string(),
             "[(table 0, row 0) .. (table 2, row 0))"
         );
-    }
-
-    #[test]
-    fn wire_codecs_round_trip_and_reject_truncation() {
-        let mut buf = Vec::new();
-        let key = StreamKey::new(0xDEAD_BEEF, u64::MAX);
-        key.encode_wire(&mut buf);
-        assert_eq!(buf.len(), 16);
-        let mut pos = 0;
-        assert_eq!(StreamKey::decode_wire(&buf, &mut pos), Some(key));
-        assert_eq!(pos, 16);
-        // Truncated input: None, position untouched past the failure.
-        let mut pos = 0;
-        assert_eq!(StreamKey::decode_wire(&buf[..15], &mut pos), None);
-
-        for range in [
-            StreamKeyRange::all(),
-            StreamKeyRange {
-                start: StreamKey::new(1, 2),
-                end: Some(StreamKey::new(3, 0)),
-            },
-        ] {
-            let mut buf = Vec::new();
-            range.encode_wire(&mut buf);
-            let mut pos = 0;
-            assert_eq!(StreamKeyRange::decode_wire(&buf, &mut pos), Some(range));
-            assert_eq!(pos, buf.len());
-            // Truncation anywhere inside the encoding is rejected.
-            for cut in 0..buf.len() {
-                let mut pos = 0;
-                assert_eq!(StreamKeyRange::decode_wire(&buf[..cut], &mut pos), None);
-            }
-        }
-        // An invalid bound flag is rejected too.
-        let mut buf = Vec::new();
-        StreamKey::MIN.encode_wire(&mut buf);
-        buf.push(7);
-        let mut pos = 0;
-        assert_eq!(StreamKeyRange::decode_wire(&buf, &mut pos), None);
     }
 
     #[test]

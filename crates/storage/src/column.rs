@@ -33,6 +33,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::codec::{put_count, DecodeError, DecodeResult, Reader};
 use crate::error::{Error, Result};
 use crate::selvec::Mask;
 use crate::tuple::Tuple;
@@ -609,8 +610,8 @@ impl Column {
     /// Utf8; tagged values for Mixed) preceded by the packed null-bitmap
     /// words.  Floats travel as raw bits, so the round trip is bit-exact.
     pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len as u32).to_le_bytes());
-        out.extend_from_slice(&(self.nulls.words.len() as u32).to_le_bytes());
+        put_count(out, self.len);
+        put_count(out, self.nulls.words.len());
         for word in &self.nulls.words {
             out.extend_from_slice(&word.to_le_bytes());
         }
@@ -637,11 +638,11 @@ impl Column {
                 for idx in &col.indices {
                     out.extend_from_slice(&idx.to_le_bytes());
                 }
-                out.extend_from_slice(&(col.dict.len() as u32).to_le_bytes());
+                put_count(out, col.dict.len());
                 for offset in &col.offsets {
                     out.extend_from_slice(&offset.to_le_bytes());
                 }
-                out.extend_from_slice(&(col.arena.len() as u32).to_le_bytes());
+                put_count(out, col.arena.len());
                 out.extend_from_slice(&col.arena);
             }
             ColumnData::Mixed(v) => {
@@ -653,101 +654,60 @@ impl Column {
         }
     }
 
-    /// Decode a column from `buf` at `*pos`, advancing `*pos`.  Truncated
-    /// or corrupt input (unknown type tag, out-of-range dictionary data,
-    /// invalid UTF-8) returns a typed [`Error::Invalid`]; a successful
-    /// decode reconstructs every position — and the Utf8 intern dictionary —
-    /// exactly.
-    pub fn decode_wire(buf: &[u8], pos: &mut usize) -> Result<Column> {
-        fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-            let bytes = buf
-                .get(*pos..*pos + n)
-                .ok_or_else(|| Error::Invalid("truncated column encoding".into()))?;
-            *pos += n;
-            Ok(bytes)
-        }
-        fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-            Ok(u32::from_le_bytes(
-                take(buf, pos, 4)?.try_into().expect("4 bytes"),
-            ))
-        }
-        // Length headers are untrusted: pre-allocations are clamped by the
-        // bytes actually remaining, so a corrupt count fails on a bounds
-        // check instead of reserving gigabytes first.
-        let cap = |claimed: usize, elem: usize, pos: usize| {
-            claimed.min(buf.len().saturating_sub(pos) / elem.max(1) + 1)
-        };
-        let len = take_u32(buf, pos)? as usize;
-        let num_words = take_u32(buf, pos)? as usize;
-        let mut words = Vec::with_capacity(cap(num_words, 8, *pos));
-        for _ in 0..num_words {
-            words.push(u64::from_le_bytes(
-                take(buf, pos, 8)?.try_into().expect("8 bytes"),
-            ));
-        }
+    /// Decode one column.  Truncated or corrupt input (unknown type tag,
+    /// out-of-range dictionary data, invalid UTF-8) is a typed
+    /// [`DecodeError`]; a successful decode reconstructs every position —
+    /// and the Utf8 intern dictionary — exactly.  Typed buffers decode in
+    /// one bounds check each.
+    pub fn decode_wire(r: &mut Reader<'_>) -> DecodeResult<Column> {
+        let len = r.u32("column length")? as usize;
+        let num_words = r.u32("null bitmap length")? as usize;
+        let words = r.u64s(num_words, "null bitmap")?;
         let any = words.iter().any(|&w| w != 0);
         let nulls = NullBitmap { words, any };
-        let tag = take(buf, pos, 1)?[0];
-        let data = match tag {
+        let data = match r.u8("column type tag")? {
             0 => {
                 // An Untyped column carries no buffer, so nothing below
                 // vouches for `len`.  Untyped positions only ever come from
                 // pushes of NULL, so a genuine encoding's bitmap words cover
                 // every position — use that to reject a corrupt length.
                 if len > num_words * 64 {
-                    return Err(Error::Invalid(
-                        "corrupt column encoding: untyped length exceeds its null bitmap".into(),
+                    return Err(DecodeError::corrupt(
+                        "untyped column",
+                        "length exceeds its null bitmap",
                     ));
                 }
                 ColumnData::Untyped
             }
-            1 => {
-                let mut v = Vec::with_capacity(cap(len, 8, *pos));
-                for _ in 0..len {
-                    v.push(i64::from_le_bytes(
-                        take(buf, pos, 8)?.try_into().expect("8 bytes"),
-                    ));
-                }
-                ColumnData::Int64(v)
-            }
-            2 => {
-                let mut v = Vec::with_capacity(cap(len, 8, *pos));
-                for _ in 0..len {
-                    v.push(f64::from_bits(u64::from_le_bytes(
-                        take(buf, pos, 8)?.try_into().expect("8 bytes"),
-                    )));
-                }
-                ColumnData::Float64(v)
-            }
-            3 => {
-                let bytes = take(buf, pos, len)?;
-                ColumnData::Bool(bytes.iter().map(|&b| b != 0).collect())
-            }
+            1 => ColumnData::Int64(r.i64s(len, "Int64 column")?),
+            2 => ColumnData::Float64(r.f64s(len, "Float64 column")?),
+            3 => ColumnData::Bool(
+                r.take(len, "Bool column")?
+                    .iter()
+                    .map(|&b| b != 0)
+                    .collect(),
+            ),
             4 => {
-                let mut indices = Vec::with_capacity(cap(len, 4, *pos));
-                for _ in 0..len {
-                    indices.push(take_u32(buf, pos)?);
-                }
-                let dict_len = take_u32(buf, pos)? as usize;
-                let mut offsets = Vec::with_capacity(cap(dict_len + 1, 4, *pos));
-                for _ in 0..dict_len + 1 {
-                    offsets.push(take_u32(buf, pos)?);
-                }
-                let arena_len = take_u32(buf, pos)? as usize;
-                let arena = take(buf, pos, arena_len)?.to_vec();
+                let indices = r.u32s(len, "Utf8 column indices")?;
+                let dict_len = r.u32("Utf8 dictionary length")? as usize;
+                let offsets = r.u32s(dict_len + 1, "Utf8 dictionary offsets")?;
+                let arena_len = r.u32("Utf8 arena length")? as usize;
+                let arena = r.take(arena_len, "Utf8 arena")?.to_vec();
                 // Rebuild the dictionary handles (and the intern lookup)
                 // from the offsets, validating every range on the way.
                 if offsets.first() != Some(&0)
                     || offsets.windows(2).any(|w| w[0] > w[1])
                     || offsets.last().copied().unwrap_or(0) as usize != arena.len()
                 {
-                    return Err(Error::Invalid(
-                        "corrupt Utf8 column encoding: bad dictionary offsets".into(),
+                    return Err(DecodeError::corrupt(
+                        "Utf8 dictionary offsets",
+                        "not an ascending cover of the arena",
                     ));
                 }
                 if indices.iter().any(|&i| i as usize >= dict_len) {
-                    return Err(Error::Invalid(
-                        "corrupt Utf8 column encoding: index outside dictionary".into(),
+                    return Err(DecodeError::corrupt(
+                        "Utf8 column indices",
+                        "index outside the dictionary",
                     ));
                 }
                 // dict_len is trustworthy here: offsets decoded 1-per-entry
@@ -756,9 +716,8 @@ impl Column {
                 let mut lookup = HashMap::with_capacity(dict_len);
                 for i in 0..dict_len {
                     let bytes = &arena[offsets[i] as usize..offsets[i + 1] as usize];
-                    let s = std::str::from_utf8(bytes).map_err(|_| {
-                        Error::Invalid("corrupt Utf8 column encoding: invalid UTF-8".into())
-                    })?;
+                    let s = std::str::from_utf8(bytes)
+                        .map_err(|_| DecodeError::corrupt("Utf8 arena", "invalid UTF-8"))?;
                     let handle: Arc<str> = Arc::from(s);
                     dict.push(Arc::clone(&handle));
                     lookup.insert(handle, i as u32);
@@ -771,34 +730,11 @@ impl Column {
                     lookup,
                 })
             }
-            5 => {
-                let mut v = Vec::with_capacity(cap(len, 1, *pos));
-                for _ in 0..len {
-                    v.push(Value::decode_wire(buf, pos)?);
-                }
-                ColumnData::Mixed(v)
-            }
-            other => {
-                return Err(Error::Invalid(format!(
-                    "unknown column encoding tag {other}"
-                )))
-            }
+            5 => ColumnData::Mixed(r.repeat(len, 1, Value::decode_wire)?),
+            other => return Err(DecodeError::unknown("column type tag", other)),
         };
-        let column = Column { len, data, nulls };
-        let stored = match &column.data {
-            ColumnData::Untyped => column.len,
-            ColumnData::Int64(v) => v.len(),
-            ColumnData::Float64(v) => v.len(),
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Utf8(col) => col.len(),
-            ColumnData::Mixed(v) => v.len(),
-        };
-        if stored != column.len {
-            return Err(Error::Invalid(
-                "corrupt column encoding: buffer length disagrees with header".into(),
-            ));
-        }
-        Ok(column)
+        // Every typed buffer above was read at exactly `len` elements.
+        Ok(Column { len, data, nulls })
     }
 }
 
@@ -989,60 +925,6 @@ impl ColumnBlock {
         for col in &mut self.columns {
             col.clear();
         }
-    }
-
-    /// Append this block's wire encoding to `out`: the shape header
-    /// followed by every cell's [`Column::encode_wire`] (typed buffers,
-    /// dictionary arenas, null bitmaps) in row-major order.  Only the
-    /// shaped `rows × cols` cells travel; surplus cleared pool columns do
-    /// not.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(self.shaped));
-        out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(self.cols as u32).to_le_bytes());
-        for column in &self.columns[..self.rows * self.cols] {
-            column.encode_wire(out);
-        }
-    }
-
-    /// Decode a block from `buf` at `*pos`, advancing `*pos`.  Truncated or
-    /// corrupt input returns a typed [`Error::Invalid`].
-    pub fn decode_wire(buf: &[u8], pos: &mut usize) -> Result<ColumnBlock> {
-        let header = buf
-            .get(*pos..*pos + 9)
-            .ok_or_else(|| Error::Invalid("truncated column-block encoding".into()))?;
-        let shaped = match header[0] {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(Error::Invalid(format!(
-                    "corrupt column-block encoding: shape flag {other}"
-                )))
-            }
-        };
-        let rows = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
-        let cols = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
-        *pos += 9;
-        // Every encoded column costs at least 9 bytes (length, word count,
-        // type tag), so a shape claiming more cells than the remaining
-        // bytes could possibly hold is corrupt — rejected before any
-        // per-cell allocation.
-        let cells = rows
-            .checked_mul(cols)
-            .filter(|&n| n <= buf.len().saturating_sub(*pos) / 9 + 1)
-            .ok_or_else(|| {
-                Error::Invalid("corrupt column-block encoding: shape overflow".into())
-            })?;
-        let mut columns = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            columns.push(Column::decode_wire(buf, pos)?);
-        }
-        Ok(ColumnBlock {
-            rows,
-            cols,
-            shaped,
-            columns,
-        })
     }
 }
 
@@ -1244,24 +1126,21 @@ mod tests {
 
     #[test]
     fn wire_codec_round_trips_every_column_type_bit_exactly() {
-        let mut block = ColumnBlock::new();
-        block.reset(2, 3, 4);
+        let mut columns = vec![Column::default(); 8];
         for pos in 0..4 {
-            block.column_mut(0, 0).push_i64(pos as i64 - 2);
-            block.column_mut(0, 1).push_f64(f64::from_bits(
+            columns[0].push_i64(pos as i64 - 2);
+            columns[1].push_f64(f64::from_bits(
                 0x7ff8_0000_0000_0001u64.wrapping_add(pos as u64), // NaN payloads
             ));
-            block.column_mut(0, 2).push_bool(pos % 2 == 0);
-            block
-                .column_mut(1, 0)
-                .push_str(["ship", "truck", "ship", "air"][pos]);
+            columns[2].push_bool(pos % 2 == 0);
+            columns[3].push_str(["ship", "truck", "ship", "air"][pos]);
             if pos == 1 {
-                block.column_mut(1, 1).push_null();
+                columns[4].push_null();
             } else {
-                block.column_mut(1, 1).push_f64(-0.0);
+                columns[4].push_f64(-0.0);
             }
-            // A heterogeneous (Mixed) cell.
-            block.column_mut(1, 2).push_value(
+            // A heterogeneous (Mixed) column.
+            columns[5].push_value(
                 &[
                     Value::Int64(7),
                     Value::str("x"),
@@ -1269,72 +1148,50 @@ mod tests {
                     Value::Float64(2.5),
                 ][pos],
             );
+            // An all-NULL (Untyped) column; columns[7] stays empty.
+            columns[6].push_null();
         }
-        block.validate(4).unwrap();
 
         let mut buf = Vec::new();
-        block.encode_wire(&mut buf);
-        let mut pos = 0;
-        let decoded = ColumnBlock::decode_wire(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len(), "decode must consume the whole encoding");
-        assert_eq!(
-            (decoded.rows_per_pos(), decoded.cols(), decoded.is_shaped()),
-            (2, 3, true)
-        );
-        decoded.validate(4).unwrap();
-        for r in 0..2 {
-            for c in 0..3 {
-                let a = block.column(r, c);
-                let b = decoded.column(r, c);
-                assert_eq!(a.data_type(), b.data_type(), "cell ({r},{c})");
-                for i in 0..4 {
-                    match (a.value_at(i), b.value_at(i)) {
-                        (Value::Float64(x), Value::Float64(y)) => {
-                            assert_eq!(x.to_bits(), y.to_bits(), "cell ({r},{c}) pos {i}")
-                        }
-                        (x, y) => assert_eq!(x, y, "cell ({r},{c}) pos {i}"),
+        for column in &columns {
+            column.encode_wire(&mut buf);
+        }
+        let mut r = Reader::new(&buf);
+        for (c, a) in columns.iter().enumerate() {
+            let b = Column::decode_wire(&mut r).unwrap();
+            assert_eq!(
+                (a.data_type(), a.len()),
+                (b.data_type(), b.len()),
+                "column {c}"
+            );
+            for i in 0..a.len() {
+                match (a.value_at(i), b.value_at(i)) {
+                    (Value::Float64(x), Value::Float64(y)) => {
+                        assert_eq!(x.to_bits(), y.to_bits(), "column {c} pos {i}")
                     }
+                    (x, y) => assert_eq!(x, y, "column {c} pos {i}"),
                 }
             }
+            // The intern dictionary survives: distinct counts match.
+            if let (ColumnData::Utf8(a), ColumnData::Utf8(b)) = (a.data(), b.data()) {
+                assert_eq!(a.distinct(), b.distinct());
+            }
         }
-        // The intern dictionary survives: distinct counts match.
-        match (block.column(1, 0).data(), decoded.column(1, 0).data()) {
-            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => assert_eq!(a.distinct(), b.distinct()),
-            other => panic!("expected Utf8 cells, got {other:?}"),
-        }
+        r.finish("columns").unwrap();
 
-        // Truncation anywhere is a typed error, never a panic.
+        // Truncation anywhere is a typed error, never a panic; so is a
+        // corrupt type tag.
         for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert!(ColumnBlock::decode_wire(&buf[..cut], &mut pos).is_err());
+            let mut r = Reader::new(&buf[..cut]);
+            let decode_all =
+                (0..columns.len()).try_for_each(|_| Column::decode_wire(&mut r).map(drop));
+            assert!(decode_all.is_err(), "cut {cut}");
         }
-        // Corrupt type tags and shape flags are rejected.
-        let mut corrupt = buf.clone();
-        corrupt[0] = 9;
-        assert!(ColumnBlock::decode_wire(&corrupt, &mut 0).is_err());
-    }
-
-    #[test]
-    fn wire_codec_handles_empty_and_unshaped_blocks() {
-        let empty = ColumnBlock::new();
-        let mut buf = Vec::new();
-        empty.encode_wire(&mut buf);
-        let mut pos = 0;
-        let decoded = ColumnBlock::decode_wire(&buf, &mut pos).unwrap();
-        assert!(!decoded.is_shaped());
-        assert_eq!(decoded.num_positions(), 0);
-
-        // A cleared pool buffer with surplus columns encodes only its shape.
-        let mut pooled = ColumnBlock::new();
-        pooled.reset(2, 2, 4);
-        pooled.clear();
-        pooled.reset(1, 1, 0);
-        pooled.column_mut(0, 0).push_i64(5);
-        let mut buf = Vec::new();
-        pooled.encode_wire(&mut buf);
-        let decoded = ColumnBlock::decode_wire(&buf, &mut 0).unwrap();
-        assert_eq!((decoded.rows_per_pos(), decoded.cols()), (1, 1));
-        assert_eq!(decoded.value_at(0, 0, 0).unwrap(), Value::Int64(5));
+        buf[8] = 9;
+        assert!(matches!(
+            Column::decode_wire(&mut Reader::new(&buf)),
+            Err(DecodeError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! back and deletes when the last page referencing it drops.  Every record
 //! carries a FNV-1a checksum that [`HeapFile::read_page`] re-validates on
 //! *every* read, so a truncated or bit-flipped record surfaces as a typed
-//! [`Error::CorruptPage`], never as wrong rows.  Layout (all integers
-//! little-endian):
+//! [`Error::CorruptPage`], never as wrong rows.  Layout, in the one byte
+//! format of [`crate::codec`] (the record prefix is read through its
+//! [`Reader`], and its length must equal the slot table's):
 //!
 //! ```text
 //! offset 0        magic "MCDH" | u16 version | u16 reserved
@@ -27,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::codec::Reader;
 use crate::error::{Error, Result};
 use crate::page::{fnv1a, FNV_OFFSET};
 use crate::pager::DiskCounters;
@@ -159,13 +161,18 @@ impl HeapFile {
                 _ => io_err("read page from", &self.path, e),
             })?;
         drop(state);
-        let stored = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
+        let corrupt =
+            |what: &str| Error::CorruptPage(format!("{}: slot {slot} {what}", self.path.display()));
+        let mut prefix = Reader::new(&record);
+        let (Ok(stored_len), Ok(checksum)) = (prefix.u32("length"), prefix.u64("checksum")) else {
+            return Err(corrupt("truncated"));
+        };
+        if stored_len != len {
+            return Err(corrupt("length disagrees with the slot table"));
+        }
         let payload = record.split_off(RECORD_PREFIX);
-        if fnv1a(FNV_OFFSET, &payload) != stored {
-            return Err(Error::CorruptPage(format!(
-                "{}: slot {slot} checksum mismatch on read",
-                self.path.display()
-            )));
+        if fnv1a(FNV_OFFSET, &payload) != checksum {
+            return Err(corrupt("checksum mismatch on read"));
         }
         self.counters
             .count_read(started.elapsed().as_nanos() as u64);

@@ -23,6 +23,8 @@
 //!   4 KiB-aligned heap-file slots, and the pool re-reads (and
 //!   re-validates) them on every miss, so a spilled table scans exactly
 //!   like its in-memory twin.
+//! * [`Reader`] — the one bounded decoder every byte from outside the
+//!   process (wire frames, pages, heap records) is read through.
 //! * [`Catalog`] — a named collection of tables (parameter tables and
 //!   materialized intermediate results).
 //!
@@ -34,6 +36,7 @@
 
 pub mod bufpool;
 pub mod catalog;
+pub mod codec;
 pub mod column;
 pub mod error;
 pub mod heapfile;
@@ -47,6 +50,7 @@ pub mod value;
 
 pub use bufpool::{BufferPool, PageCacheStats, PageGuard, DEFAULT_FRAME_BUDGET};
 pub use catalog::Catalog;
+pub use codec::{DecodeError, DecodeResult, Reader};
 pub use column::{Column, ColumnBlock, ColumnData, NullBitmap, Utf8Column};
 pub use error::{Error, Result};
 pub use heapfile::HeapFile;

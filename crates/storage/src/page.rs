@@ -17,7 +17,7 @@
 //!   encode/decode round trips and across processes, the unit the
 //!   content-addressed dispatch protocol sums into per-table hashes.
 //!
-//! Encoded layout (all integers little-endian):
+//! Encoded layout, in the one byte format of [`crate::codec`]:
 //!
 //! ```text
 //! u32 num_cols | u32 num_rows | u32 end_offset[num_cols] | column payloads
@@ -26,11 +26,15 @@
 //! `end_offset[i]` is the byte offset one past column `i`'s payload,
 //! relative to the start of the payload region — a slot directory that lets
 //! a reader validate (or skip to) any column without decoding its
-//! predecessors.
+//! predecessors.  Pages are read through the bounded [`Reader`]; every
+//! column must hold exactly `num_rows` values, and since nothing vouches
+//! for the rows of a page with no columns, [`Page::from_bytes`] refuses
+//! one that claims any.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::codec::{DecodeError, DecodeResult, Reader};
 use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::heapfile::HeapFile;
@@ -162,7 +166,14 @@ impl Page {
     /// once here, so later [`Page::decode_rows`] calls on an adopted page
     /// cannot fail.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Page> {
-        let (num_cols, num_rows) = decode_header(&bytes)?;
+        let (num_cols, num_rows) = read_header(&mut Reader::new(&bytes)).map_err(corrupt_page)?;
+        // Columns vouch for the row count; with none, nothing does, and a
+        // corrupt header could demand billions of empty tuples.
+        if num_cols == 0 && num_rows != 0 {
+            return Err(Error::Invalid(format!(
+                "corrupt page: {num_rows} rows across zero columns"
+            )));
+        }
         let page = Page::adopt(num_cols, num_rows, bytes.into());
         page.decode_rows()?;
         Ok(page)
@@ -255,40 +266,7 @@ impl Page {
     }
 
     fn decode_rows_from(&self, bytes: &[u8]) -> Result<Vec<Tuple>> {
-        let (num_cols, num_rows) = decode_header(bytes)?;
-        if num_cols != self.num_cols || num_rows != self.num_rows {
-            return Err(Error::Invalid(
-                "corrupt page: header disagrees with page metadata".into(),
-            ));
-        }
-        let num_cols = num_cols as usize;
-        let dir_start = 8;
-        let payload_start = dir_start + num_cols * 4;
-        let mut columns = Vec::with_capacity(num_cols);
-        let mut pos = payload_start;
-        for i in 0..num_cols {
-            let column = Column::decode_wire(bytes, &mut pos)?;
-            if column.len() != self.num_rows as usize {
-                return Err(Error::Invalid(
-                    "corrupt page: column length disagrees with header".into(),
-                ));
-            }
-            let end = dir_start + i * 4;
-            let slot = u32::from_le_bytes(
-                bytes[end..end + 4]
-                    .try_into()
-                    .expect("slot directory bounds checked by decode_header"),
-            ) as usize;
-            if pos - payload_start != slot {
-                return Err(Error::Invalid(
-                    "corrupt page: slot directory disagrees with column payload".into(),
-                ));
-            }
-            columns.push(column);
-        }
-        if pos != bytes.len() {
-            return Err(Error::Invalid("corrupt page: trailing bytes".into()));
-        }
+        let columns = decode_columns(bytes, self.num_cols, self.num_rows).map_err(corrupt_page)?;
         let mut rows = Vec::with_capacity(self.num_rows as usize);
         for r in 0..self.num_rows as usize {
             rows.push(Tuple::new(columns.iter().map(|c| c.value_at(r)).collect()));
@@ -297,26 +275,46 @@ impl Page {
     }
 }
 
-/// Parse and bounds-check a page header, returning `(num_cols, num_rows)`.
-fn decode_header(bytes: &[u8]) -> Result<(u32, u32)> {
-    if bytes.len() < 8 {
-        return Err(Error::Invalid("truncated page: missing header".into()));
-    }
-    let num_cols = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    let num_rows = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let dir_end = 8usize
-        .checked_add(
-            (num_cols as usize)
-                .checked_mul(4)
-                .ok_or_else(|| Error::Invalid("corrupt page: column count overflows".into()))?,
-        )
-        .ok_or_else(|| Error::Invalid("corrupt page: column count overflows".into()))?;
-    if bytes.len() < dir_end {
-        return Err(Error::Invalid(
-            "truncated page: slot directory out of bounds".into(),
+fn corrupt_page(e: DecodeError) -> Error {
+    Error::Invalid(format!("corrupt page: {e}"))
+}
+
+/// Read a page header: `(num_cols, num_rows)`.
+fn read_header(r: &mut Reader<'_>) -> DecodeResult<(u32, u32)> {
+    Ok((r.u32("page column count")?, r.u32("page row count")?))
+}
+
+/// Decode a page's columns, checking the header against the expected
+/// shape and every column against its slot-directory entry.
+fn decode_columns(bytes: &[u8], num_cols: u32, num_rows: u32) -> DecodeResult<Vec<Column>> {
+    let mut r = Reader::new(bytes);
+    if read_header(&mut r)? != (num_cols, num_rows) {
+        return Err(DecodeError::corrupt(
+            "page header",
+            "disagrees with page metadata",
         ));
     }
-    Ok((num_cols, num_rows))
+    let ends = r.u32s(num_cols as usize, "page slot directory")?;
+    let payload_start = r.position();
+    let mut columns = Vec::with_capacity(ends.len());
+    for end in ends {
+        let column = Column::decode_wire(&mut r)?;
+        if column.len() != num_rows as usize {
+            return Err(DecodeError::corrupt(
+                "page column",
+                "length disagrees with header",
+            ));
+        }
+        if r.position() - payload_start != end as usize {
+            return Err(DecodeError::corrupt(
+                "page slot directory",
+                "disagrees with column payload",
+            ));
+        }
+        columns.push(column);
+    }
+    r.finish("page")?;
+    Ok(columns)
 }
 
 #[cfg(test)]
@@ -379,6 +377,19 @@ mod tests {
         let mut bytes = sealed.to_vec();
         bytes.truncate(bytes.len() - 3);
         assert!(Page::from_bytes(bytes).is_err());
+    }
+
+    #[test]
+    fn zero_column_headers_cannot_claim_rows() {
+        // Eight bytes claiming 2^26 empty rows: nothing vouches for the
+        // count, so it is refused before a single tuple is built.
+        let mut bytes = 0u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(1u32 << 26).to_le_bytes());
+        assert!(matches!(Page::from_bytes(bytes), Err(Error::Invalid(_))));
+        // The honest zero-column page still round-trips.
+        let empty = Page::seal(0, &[]);
+        let rebuilt = Page::from_bytes(empty.load_bytes().unwrap().to_vec()).unwrap();
+        assert_eq!((rebuilt.num_cols(), rebuilt.num_rows()), (0, 0));
     }
 
     #[test]

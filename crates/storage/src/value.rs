@@ -10,6 +10,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::codec::{put_str, DecodeError, DecodeResult, Reader};
 use crate::error::{Error, Result};
 
 /// The type of a [`Value`] / a column.
@@ -166,45 +167,21 @@ impl Value {
             }
             Value::Utf8(s) => {
                 out.push(4);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                put_str(out, s);
             }
         }
     }
 
-    /// Decode a value from `buf` at `*pos`, advancing `*pos`.  Truncated or
-    /// malformed input (unknown tag, invalid UTF-8) returns a typed
-    /// [`Error::Invalid`].
-    pub fn decode_wire(buf: &[u8], pos: &mut usize) -> Result<Value> {
-        fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-            let bytes = buf
-                .get(*pos..*pos + n)
-                .ok_or_else(|| Error::Invalid("truncated value encoding".into()))?;
-            *pos += n;
-            Ok(bytes)
-        }
-        let tag = take(buf, pos, 1)?[0];
-        Ok(match tag {
+    /// Decode one value.  Truncated or malformed input (unknown tag,
+    /// invalid UTF-8) is a typed [`DecodeError`].
+    pub fn decode_wire(r: &mut Reader<'_>) -> DecodeResult<Value> {
+        Ok(match r.u8("value tag")? {
             0 => Value::Null,
-            1 => Value::Int64(i64::from_le_bytes(
-                take(buf, pos, 8)?.try_into().expect("8 bytes"),
-            )),
-            2 => Value::Float64(f64::from_bits(u64::from_le_bytes(
-                take(buf, pos, 8)?.try_into().expect("8 bytes"),
-            ))),
-            3 => Value::Bool(take(buf, pos, 1)?[0] != 0),
-            4 => {
-                let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4 bytes"));
-                let bytes = take(buf, pos, len as usize)?;
-                Value::Utf8(Arc::from(std::str::from_utf8(bytes).map_err(|_| {
-                    Error::Invalid("value encoding holds invalid UTF-8".into())
-                })?))
-            }
-            other => {
-                return Err(Error::Invalid(format!(
-                    "unknown value encoding tag {other}"
-                )))
-            }
+            1 => Value::Int64(r.u64("Int64 value")? as i64),
+            2 => Value::Float64(r.f64("Float64 value")?),
+            3 => Value::Bool(r.u8("Bool value")? != 0),
+            4 => Value::Utf8(Arc::from(r.str("Utf8 value")?)),
+            other => return Err(DecodeError::unknown("value tag", other)),
         })
     }
 

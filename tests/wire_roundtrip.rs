@@ -3,11 +3,20 @@
 //! come back as typed errors (never panics), and version negotiation
 //! rejects mismatched peers at the handshake.
 //!
+//! One seeded mutation harness ([`mutate`]) drives real frames of every
+//! tag, sealed pages and heap records through bit flips, truncation at
+//! every offset, `u32` prefixes inflated past the input, and splices of
+//! two encodings.  Each case must decode to a typed error or to a value
+//! whose re-encoding decodes to the same value, and no decode may reserve
+//! more memory than its input can justify (a counting allocator checks).
+//!
 //! Like `property_invariants.rs`, the build environment has no registry
 //! access, so instead of `proptest` these use a seeded case generator over
 //! the repository's own [`Pcg64`]: each property runs for pseudorandom
 //! configurations whose case seed is carried in every failure message.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use mcdbr::dispatch::wire::{
@@ -20,13 +29,100 @@ use mcdbr::exec::{
     AggFunc, AggregateSpec, BundleValue, Expr, PlanNode, QueryResultSamples, TupleBundle,
 };
 use mcdbr::prng::{Pcg64, StreamKey, StreamKeyRange};
-use mcdbr::storage::{Catalog, Field, Schema, Table, TableBuilder, Tuple, Value};
+use mcdbr::storage::pager::DiskCounters;
+use mcdbr::storage::{
+    Catalog, Error, Field, HeapFile, Page, Schema, Table, TableBuilder, Tuple, Value,
+};
 use mcdbr::vg::{
     BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
     VgFunction,
 };
 
 const CASES: u64 = 64;
+
+/// Records the largest single allocation each thread makes, so the harness
+/// can check that a decode reserves memory in proportion to its input and
+/// never to a count the input merely claims.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` touches only a const-initialized
+// thread-local `Cell` (no destructor, no allocation) and cannot unwind.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Run `decode` over `input`, failing `ctx` when any single allocation it
+/// makes exceeds what `input.len()` bytes can justify.  The widest
+/// legitimate fan-out is an all-NULL column: 8 bitmap bytes vouch for 64
+/// rows of 24-byte tuples.
+fn bounded<T>(input: &[u8], ctx: &str, decode: impl FnOnce() -> T) -> T {
+    PEAK.with(|p| p.set(0));
+    let out = decode();
+    let peak = PEAK.with(|p| p.get());
+    assert!(
+        peak <= 256 * input.len() + (64 << 10),
+        "{ctx}: a {}-byte input reserved {peak} bytes at once",
+        input.len()
+    );
+    out
+}
+
+/// Feed `visit` every mutation of `bytes`: 32 seeded single-bit flips,
+/// truncation at every offset, every 4-byte window rewritten as a `u32`
+/// claiming one byte more than remains and as `0xFFFF_FFFF`, and five
+/// splices with `other` (four cut points plus plain concatenation).
+fn mutate(bytes: &[u8], other: &[u8], g: &mut Gen, mut visit: impl FnMut(&str, &[u8])) {
+    let mut m = bytes.to_vec();
+    for _ in 0..32 {
+        let (at, bit) = (g.usize_in(0, m.len()), g.usize_in(0, 8));
+        m[at] ^= 1 << bit;
+        visit("bit flip", &m);
+        m[at] ^= 1 << bit;
+    }
+    for cut in 0..bytes.len() {
+        visit("truncation", &bytes[..cut]);
+    }
+    for at in 0..bytes.len().saturating_sub(3) {
+        let remaining = (bytes.len() - at - 4) as u32;
+        for claim in [remaining + 1, u32::MAX] {
+            m[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+            visit("inflated u32 prefix", &m);
+        }
+        m[at..at + 4].copy_from_slice(&bytes[at..at + 4]);
+    }
+    for _ in 0..4 {
+        let (i, j) = (
+            g.usize_in(0, bytes.len() + 1),
+            g.usize_in(0, other.len() + 1),
+        );
+        visit("splice", &[&bytes[..i], &other[j..]].concat());
+    }
+    visit("splice", &[bytes, other].concat());
+}
 
 struct Gen {
     rng: Pcg64,
@@ -599,45 +695,49 @@ fn server_reply_frames_round_trip_identically() {
     ));
 }
 
+/// One real frame of every tag, drawn from `g`.
+fn frames_of_every_tag(g: &mut Gen) -> Vec<Vec<u8>> {
+    let plan = g.plan(2);
+    let catalog = catalog_for(&plan, g);
+    let key = PlanKey {
+        fingerprint: plan.fingerprint(),
+        epoch: catalog.epoch(),
+    };
+    let table = g.table();
+    vec![
+        wire::encode_hello(),
+        wire::encode_plan(key, &plan, &catalog).unwrap(),
+        wire::encode_need_tables(&[g.u64(), g.u64()]),
+        wire::encode_table_data(table.content_hash(), &table).unwrap(),
+        wire::encode_task(&TaskHeader {
+            key,
+            master_seed: g.u64(),
+            key_range: g.key_range(),
+            base_pos: g.u64(),
+            num_values: 7,
+        }),
+        wire::encode_bundle(3, Some(&g.bundle(true))),
+        wire::encode_task_stats(TaskStats {
+            bundles: 1,
+            foreign_streams: 2,
+            warm_hit: true,
+        }),
+        wire::encode_error("worker failed"),
+        wire::encode_shutdown(),
+        wire::encode_query(&plan, &g.aggregate(), Some(&g.expr(2)), &["k".into()], 8, 3).unwrap(),
+        wire::encode_query_result(&g.samples()),
+        wire::encode_error_reply(ReplyCode::Timeout, "too slow"),
+        wire::encode_query_stats(QueryStats::default()),
+        wire::encode_stats_request(),
+        wire::encode_server_stats(ServerStats::default()),
+    ]
+}
+
 #[test]
 fn truncated_frames_return_typed_errors() {
     for case in 0..CASES {
         let mut g = Gen::new(case);
-        let plan = g.plan(2);
-        let catalog = catalog_for(&plan, &mut g);
-        let key = PlanKey {
-            fingerprint: plan.fingerprint(),
-            epoch: catalog.epoch(),
-        };
-        let frames = [
-            wire::encode_hello(),
-            wire::encode_plan(key, &plan, &catalog).unwrap(),
-            wire::encode_task(&TaskHeader {
-                key,
-                master_seed: g.u64(),
-                key_range: g.key_range(),
-                base_pos: 0,
-                num_values: 7,
-            }),
-            wire::encode_bundle(3, Some(&g.bundle(true))),
-            wire::encode_need_tables(&[g.u64(), g.u64()]),
-            {
-                let t = g.table();
-                wire::encode_table_data(t.content_hash(), &t).unwrap()
-            },
-            wire::encode_task_stats(TaskStats {
-                bundles: 1,
-                foreign_streams: 0,
-                warm_hit: true,
-            }),
-            wire::encode_error("x"),
-            wire::encode_query(&plan, &g.aggregate(), None, &["k".to_string()], 8, 3).unwrap(),
-            wire::encode_query_result(&g.samples()),
-            wire::encode_error_reply(wire::ReplyCode::Busy, "b"),
-            wire::encode_query_stats(QueryStats::default()),
-            wire::encode_server_stats(ServerStats::default()),
-        ];
-        for (fi, frame) in frames.iter().enumerate() {
+        for (fi, frame) in frames_of_every_tag(&mut g).iter().enumerate() {
             // Every strict prefix must fail with a typed error, not panic
             // (sample larger frames to keep the suite fast).
             let step = (frame.len() / 64).max(1);
@@ -653,6 +753,85 @@ fn truncated_frames_return_typed_errors() {
     }
 }
 
+/// Re-encode a decoded frame with the public encoders.
+fn reencode(frame: &Frame) -> Vec<u8> {
+    match frame {
+        Frame::Hello { magic, version } => wire::encode_hello_with(*magic, *version),
+        Frame::Plan { .. } => unreachable!("plan frames are checked through a Query frame"),
+        Frame::NeedTables { hashes } => wire::encode_need_tables(hashes),
+        Frame::TableData { hash, table } => wire::encode_table_data(*hash, table).unwrap(),
+        Frame::Task(task) => wire::encode_task(task),
+        Frame::Bundle { idx, bundle } => wire::encode_bundle(*idx, bundle.as_ref()),
+        Frame::TaskStats(stats) => wire::encode_task_stats(*stats),
+        Frame::Error { message } => wire::encode_error(message),
+        Frame::Shutdown => wire::encode_shutdown(),
+        Frame::Query {
+            plan,
+            aggregate,
+            final_predicate,
+            group_by,
+            reps,
+            master_seed,
+        } => wire::encode_query(
+            plan,
+            aggregate,
+            final_predicate.as_ref(),
+            group_by,
+            *reps,
+            *master_seed,
+        )
+        .unwrap(),
+        Frame::QueryResult(samples) => wire::encode_query_result(samples),
+        Frame::ErrorReply { code, message } => wire::encode_error_reply(*code, message),
+        Frame::QueryStats(stats) => wire::encode_query_stats(*stats),
+        Frame::StatsRequest => wire::encode_stats_request(),
+        Frame::ServerStats(stats) => wire::encode_server_stats(*stats),
+    }
+}
+
+/// A frame's value as text.  A table's pages get fresh frame ids on every
+/// decode, so a `TableData` frame is rendered by content instead.
+fn render(frame: &Frame) -> String {
+    match frame {
+        Frame::TableData { hash, table } => format!(
+            "{hash} {:?} {} {:?}",
+            table.schema(),
+            table.content_hash(),
+            table.iter().collect::<Vec<_>>()
+        ),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The harness oracle for one (possibly mutated) frame: a typed error, or
+/// a value whose re-encoding decodes to the same value, bit for bit.
+fn check_frame(bytes: &[u8], ctx: &str) {
+    let frame = match bounded(bytes, ctx, || wire::decode_frame(bytes)) {
+        Err(WireError::Truncated { .. } | WireError::Corrupt(_)) => return,
+        Err(other) => panic!("{ctx}: untyped decode failure {other:?}"),
+        Ok(frame) => frame,
+    };
+    // `encode_plan` reads its table refs from a catalog, so a Plan frame's
+    // plan is checked through a Query frame; the refs are plain names and
+    // hashes.
+    let frame = match frame {
+        Frame::Plan { plan, .. } => Frame::Query {
+            plan,
+            aggregate: AggregateSpec::sum(Expr::col("x"), "s"),
+            final_predicate: None,
+            group_by: Vec::new(),
+            reps: 0,
+            master_seed: 0,
+        },
+        other => other,
+    };
+    let encoded = reencode(&frame);
+    let again = wire::decode_frame(&encoded)
+        .unwrap_or_else(|e| panic!("{ctx}: the re-encoding does not decode: {e}"));
+    assert_eq!(render(&again), render(&frame), "{ctx}: value drifted");
+    assert_eq!(reencode(&again), encoded, "{ctx}: bits drifted");
+}
+
 #[test]
 fn corrupted_frames_never_panic_and_bad_tags_are_typed() {
     assert!(matches!(
@@ -663,31 +842,148 @@ fn corrupted_frames_never_panic_and_bad_tags_are_typed() {
         wire::decode_frame(&[]),
         Err(WireError::Truncated { .. })
     ));
-    for case in 0..CASES {
+    for case in 0..4 {
         let mut g = Gen::new(case);
-        let bundle_frame = wire::encode_bundle(1, Some(&g.bundle(true)));
-        let plan = g.plan(2);
-        let catalog = catalog_for(&plan, &mut g);
-        let plan_frame = wire::encode_plan(
-            PlanKey {
-                fingerprint: 1,
-                epoch: 2,
-            },
-            &plan,
-            &catalog,
-        )
-        .unwrap();
+        let frames = frames_of_every_tag(&mut g);
+        for (fi, frame) in frames.iter().enumerate() {
+            check_frame(frame, &format!("case {case} frame {fi} unmutated"));
+            let other = &frames[(fi + 1) % frames.len()];
+            mutate(frame, other, &mut g, |kind, bytes| {
+                check_frame(bytes, &format!("case {case} frame {fi} {kind}"))
+            });
+        }
+    }
+}
+
+/// The harness oracle for one (possibly mutated) sealed page.
+fn check_page(bytes: &[u8], ctx: &str) {
+    let page = match bounded(bytes, ctx, || Page::from_bytes(bytes.to_vec())) {
+        Err(Error::Invalid(_)) => return,
+        Err(other) => panic!("{ctx}: untyped page failure {other:?}"),
+        Ok(page) => page,
+    };
+    let rows = page.decode_rows().unwrap();
+    let resealed = Page::seal(page.num_cols(), &rows).decode_rows().unwrap();
+    assert_eq!(format!("{resealed:?}"), format!("{rows:?}"), "{ctx}");
+}
+
+#[test]
+fn corrupted_pages_and_heap_records_never_panic() {
+    let mut g = Gen::new(0x9a6e);
+    let mut pages: Vec<Vec<u8>> = vec![Page::seal(0, &[]).load_bytes().unwrap().to_vec()];
+    for _ in 0..3 {
         let table = g.table();
-        let table_frame = wire::encode_table_data(table.content_hash(), &table).unwrap();
-        for frame in [bundle_frame, plan_frame, table_frame] {
-            for _ in 0..32 {
-                let mut corrupt = frame.clone();
-                let at = g.usize_in(0, corrupt.len());
-                corrupt[at] ^= (g.u64() % 255 + 1) as u8;
-                // Must return (Ok or a typed Err), never panic.
-                let _ = wire::decode_frame(&corrupt);
+        pages.extend(
+            table
+                .pages()
+                .iter()
+                .map(|p| p.load_bytes().unwrap().to_vec()),
+        );
+    }
+    for (pi, page) in pages.iter().enumerate() {
+        check_page(page, &format!("page {pi} unmutated"));
+        let other = &pages[(pi + 1) % pages.len()];
+        mutate(page, other, &mut g, |kind, bytes| {
+            check_page(bytes, &format!("page {pi} {kind}"))
+        });
+    }
+
+    // Heap records: mutate the record region of a real two-record spill
+    // file under an open heap; every read is a typed error or the exact
+    // payload that was appended.
+    let path =
+        std::env::temp_dir().join(format!("mcdbr-wire-roundtrip-{}.heap", std::process::id()));
+    let heap = HeapFile::create(&path, Arc::new(DiskCounters::default())).unwrap();
+    let payloads = [&pages[1], &pages[2]];
+    for payload in payloads {
+        heap.append_page(payload).unwrap();
+    }
+    let file = std::fs::read(&path).unwrap();
+    let (header, records) = file.split_at(4096);
+    mutate(records, &[], &mut g, |kind, bytes| {
+        std::fs::write(&path, [header, bytes].concat()).unwrap();
+        for (slot, payload) in payloads.iter().enumerate() {
+            match heap.read_page(slot) {
+                Ok(read) => assert_eq!(&&read, payload, "slot {slot} {kind}"),
+                Err(Error::CorruptPage(_)) => {}
+                Err(other) => panic!("slot {slot} {kind}: untyped failure {other:?}"),
             }
         }
+    });
+}
+
+#[test]
+fn zero_field_table_data_cannot_claim_page_rows() {
+    // A TableData frame whose only page is an 8-byte zero-column header
+    // claiming 2^26 rows: no column vouches for them, so it is refused.
+    let mut frame = vec![15u8];
+    frame.extend_from_slice(&7u64.to_le_bytes());
+    frame.extend_from_slice(&0u32.to_le_bytes()); // fields
+    frame.extend_from_slice(&1u32.to_le_bytes()); // pages
+    frame.extend_from_slice(&8u32.to_le_bytes()); // page length
+    frame.extend_from_slice(&0u32.to_le_bytes()); // page columns
+    frame.extend_from_slice(&(1u32 << 26).to_le_bytes()); // page rows
+    frame.extend_from_slice(&0u64.to_le_bytes()); // tail rows
+    assert!(matches!(
+        wire::decode_frame(&frame),
+        Err(WireError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn deeply_nested_expressions_are_corrupt_not_a_stack_overflow() {
+    // A Query frame scanning `t` and summing `NOT NOT ... x`, `depth`
+    // negations deep.
+    let frame = |depth: usize| {
+        let mut f = vec![8u8, 1, 1, 0, 0, 0, b't', 1];
+        f.extend(vec![4u8; depth]);
+        f.extend([1, 1, 0, 0, 0, b'x']);
+        f.extend([1, 0, 0, 0, b's', 0, 0, 0, 0, 0]);
+        f.extend([8u64.to_le_bytes(), 1u64.to_le_bytes()].concat());
+        f
+    };
+    assert!(matches!(
+        wire::decode_frame(&frame(200)),
+        Ok(Frame::Query { .. })
+    ));
+    assert!(matches!(
+        wire::decode_frame(&frame(1 << 20)),
+        Err(WireError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn task_key_ranges_round_trip_and_bad_bound_flags_are_corrupt() {
+    let task = |key_range| TaskHeader {
+        key: PlanKey {
+            fingerprint: 1,
+            epoch: 2,
+        },
+        master_seed: 3,
+        key_range,
+        base_pos: 4,
+        num_values: 5,
+    };
+    for range in [
+        StreamKeyRange::all(),
+        StreamKeyRange {
+            start: StreamKey::new(0xDEAD_BEEF, u64::MAX),
+            end: Some(StreamKey::new(u64::MAX, 0)),
+        },
+    ] {
+        let payload = wire::encode_task(&task(range));
+        match wire::decode_frame(&payload).unwrap() {
+            Frame::Task(got) => assert_eq!(got.key_range, range),
+            other => panic!("decoded {other:?}"),
+        }
+        // The bound flag follows the 1-byte tag, 24 key/seed bytes and the
+        // 16-byte start key: anything but 0/1 there is corrupt, not short.
+        let mut bad = payload.clone();
+        bad[1 + 24 + 16] = 7;
+        assert!(matches!(
+            wire::decode_frame(&bad),
+            Err(WireError::Corrupt(_))
+        ));
     }
 }
 
