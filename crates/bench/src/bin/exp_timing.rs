@@ -110,14 +110,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "MCDB-R rows punted".into(),
-            "0 (compiled Gibbs kernel)".into(),
-            result.rows_punted.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "MCDB-R skeleton hits/misses".into(),
             "0 / 1 (cold cache)".into(),
             format!("{} / {}", result.skeleton_hits, result.skeleton_misses)

@@ -17,11 +17,10 @@
 //!   queue of Gibbs tuples keyed by their smallest unprocessed TS-seed
 //!   handle; this one keeps TS-seeds, the seed -> Gibbs-tuple index and the
 //!   stream keys in vectors indexed by a dense seed *ordinal* — its rank in
-//!   ascending [`SeedId`] order, the sweep order.  One [`RowProgram`],
-//!   compiled per run from the aggregate and the final predicate, evaluates
-//!   the affected Gibbs tuples straight from their chains; a row it cannot
-//!   decide exactly punts to the scalar evaluator
-//!   ([`TailSampleResult::rows_punted`]), so results are the scalar loop's.
+//!   ascending [`SeedId`] order, the sweep order.  One [`Program`],
+//!   compiled per run from the final predicate and the aggregate, evaluates
+//!   the affected Gibbs tuples straight from their chains, row at a time,
+//!   with `Expr::eval`'s semantics exactly.
 //!   A join fans one stream out to many tuples (Appendix D: each order's
 //!   loss to its `g_i` lineitems), so each seed's tuples are grouped once
 //!   into *runs* of consecutive tuples whose program inputs are identical —
@@ -58,7 +57,7 @@
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    AggFunc, BundleValue, ExecBackend, ExecSession, InProcessBackend, RowProgram, SessionCache,
+    AggFunc, BundleValue, ExecBackend, ExecSession, InProcessBackend, Program, SessionCache,
     ShardStats, TupleBundle, ValueChain,
 };
 use mcdbr_mcdb::MonteCarloQuery;
@@ -198,12 +197,6 @@ pub struct TailSampleResult {
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
-    /// Program evaluations the compiled [`RowProgram`] punted to the scalar
-    /// evaluator (nulls, strings, checked `Int64` arithmetic, zero divisors,
-    /// or [`mcdbr_exec::KernelMode::ForceScalar`]) — one per run of Gibbs
-    /// tuples with identical inputs, not one per tuple (module docs).  0 on
-    /// the Appendix D query: anything else is a lost speed-up.
-    pub rows_punted: u64,
     /// This run's window of its execution backend's counters — shard tasks
     /// and merge time, worker-process dispatch and its fault ladder (all
     /// zero where the backend has nothing to report, e.g.
@@ -325,7 +318,8 @@ impl GibbsLooper {
         keys.sort_unstable_by_key(|&(seed, _)| seed);
         let set = session.instantiate_block(catalog, 0, block)?;
         let mut bundles = set.bundles;
-        let program = RowProgram::compile(&set.schema, value, self.query.final_predicate.as_ref());
+        let predicate = self.query.final_predicate.as_ref();
+        let program = Program::compile(&set.schema, predicate, value);
         self.validate_bundles(&set.schema, &bundles, program.slots())?;
 
         if bundles.is_empty() {
@@ -456,7 +450,6 @@ impl GibbsLooper {
             bytes_materialized: session.bytes_materialized(),
             buffer_reuses: session.buffer_reuses(),
             stream_positions_consumed: seeds.ts.iter().map(|ts| ts.max_used + 1).sum(),
-            rows_punted: program.punted(),
             backend: self.backend.shard_stats().since(backend_stats_before),
             parameters: params,
         };
@@ -653,7 +646,7 @@ impl Seeds {
     /// `0.0` in tuple order — the per-tuple sum, bit for bit.
     fn contribution(
         &self,
-        program: &RowProgram,
+        program: &Program,
         bundles: &[TupleBundle],
         runs: &[Run],
         v: usize,
@@ -664,16 +657,21 @@ impl Seeds {
         for &(b, len) in runs {
             let ords = &self.ords[b * width..(b + 1) * width];
             let input = |slot: usize| match &bundles[b].values[program.slots()[slot]] {
-                value @ BundleValue::Random { base_pos, .. } => {
+                BundleValue::Random {
+                    base_pos, values, ..
+                } => {
                     let pos = match cand {
                         Some((ord, pos)) if ord == ords[slot] => pos,
                         _ => self.ts[ords[slot]].assignment[v],
                     };
-                    (value, (pos - base_pos) as usize)
+                    let off = (pos - base_pos) as usize;
+                    values
+                        .f64_at(off)
+                        .map_or_else(|| values.value_at(off), Value::Float64)
                 }
-                constant => (constant, 0),
+                constant => constant.value_at(0),
             };
-            if let Some(x) = program.eval(input)? {
+            if let Some(x) = program.eval_row_f64(input)? {
                 for _ in 0..len {
                     total += x;
                 }
@@ -687,7 +685,7 @@ impl Seeds {
 mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{set_kernel_mode, AggregateSpec, Expr, KernelMode, PlanNode};
+    use mcdbr_exec::{AggregateSpec, Expr, PlanNode};
     use mcdbr_storage::{Field, Schema as StorageSchema, TableBuilder, Value};
     use mcdbr_vg::math::std_normal_quantile;
     use mcdbr_vg::NormalVg;
@@ -1173,9 +1171,6 @@ mod tests {
         }
     }
 
-    /// Tests that flip the process-wide kernel mode hold this lock.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Every tail sample of a compiled run equals its version's aggregate
     /// recomputed from scratch — by the scalar referee — over the TS-seed
     /// assignments the run ended with.
@@ -1193,38 +1188,31 @@ mod tests {
         result
     }
 
-    /// The compiled loop equals the referee bit for bit, under both kernel
-    /// modes (the caller holds [`MODE_LOCK`]); returns the referee's run.
+    /// The compiled loop equals the referee bit for bit; returns the
+    /// referee's run.
     fn assert_compiled_matches_referee(
         looper: &GibbsLooper,
         catalog: &Catalog,
     ) -> TailSampleResult {
         let want = referee::run(looper, catalog).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
-            set_kernel_mode(mode);
-            let got = run_and_recompute(looper, catalog);
-            set_kernel_mode(KernelMode::Auto);
-            let ctx = format!("{mode:?} {:?}", looper.config);
-            assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples), "{ctx}");
-            assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs), "{ctx}");
-            assert_eq!(got.gibbs, want.gibbs, "{ctx}");
-            assert_eq!(got.replenishments, want.replenishments, "{ctx}");
-            let consumed = (got.stream_positions_consumed, got.values_materialized);
-            assert_eq!(
-                consumed,
-                (want.stream_positions_consumed, want.values_materialized),
-                "{ctx}"
-            );
-            // Every shape here compiles; forcing the scalar path punts all.
-            assert_eq!(got.rows_punted == 0, mode == KernelMode::Auto, "{ctx}");
-        }
+        let got = run_and_recompute(looper, catalog);
+        let ctx = format!("{:?}", looper.config);
+        assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples), "{ctx}");
+        assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs), "{ctx}");
+        assert_eq!(got.gibbs, want.gibbs, "{ctx}");
+        assert_eq!(got.replenishments, want.replenishments, "{ctx}");
+        let consumed = (got.stream_positions_consumed, got.values_materialized);
+        assert_eq!(
+            consumed,
+            (want.stream_positions_consumed, want.values_materialized),
+            "{ctx}"
+        );
         want
     }
 
     #[test]
     fn compiled_loop_equals_the_scalar_referee_over_the_seed_space() {
-        let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let losses = catalog(&[3.0, 4.0, 5.0]);
         let big = Expr::col("val").gt(Expr::lit(3.5));
         let mut count = losses_query().with_final_predicate(big.clone());
@@ -1263,7 +1251,6 @@ mod tests {
 
     #[test]
     fn compiled_loop_equals_the_scalar_referee_on_the_tpch_join() {
-        let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let w = mcdbr_workloads::TpchWorkload::generate(mcdbr_workloads::TpchConfig::test_scale())
             .unwrap();
         for master in [77, 79] {
@@ -1513,7 +1500,6 @@ mod tests {
                 bytes_materialized: session.bytes_materialized(),
                 buffer_reuses: session.buffer_reuses(),
                 stream_positions_consumed: ts_seeds.values().map(|ts| ts.max_used + 1).sum(),
-                rows_punted: 0,
                 backend: ShardStats::default(),
                 parameters: params,
             })

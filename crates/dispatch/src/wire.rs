@@ -275,13 +275,20 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<(Vec<u8>, u64)>> {
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => WireError::Truncated {
-            what: "frame payload",
-        },
-        _ => e.into(),
-    })?;
+    // The buffer grows with the bytes that arrive — by at most what has
+    // arrived, and exactly to the claimed length — so a length prefix
+    // alone reserves nothing.
+    let mut payload = Vec::new();
+    let mut body = r.take(len as u64);
+    while payload.len() < len as usize {
+        let grow = (len as usize - payload.len()).min(payload.len().max(64 << 10));
+        payload.reserve_exact(grow);
+        if body.by_ref().take(grow as u64).read_to_end(&mut payload)? < grow {
+            return Err(WireError::Truncated {
+                what: "frame payload",
+            });
+        }
+    }
     Ok(Some((payload, 4 + len as u64)))
 }
 

@@ -18,8 +18,8 @@ use mcdbr_storage::{Column, Error, Mask, Result, SelVec, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
 use crate::expr::Expr;
-use crate::kernels::{self, Lane, NumVals};
 use crate::par;
+use crate::program::{Lane, Program, Vals};
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,10 +207,9 @@ where
 {
     let layout = GroupLayout::discover(set, group_by)?;
     let job = Arc::new(RepRangeJob {
-        plan: compile_plan(set, &layout, agg, final_predicate),
+        plan: compile_plan(set, &layout, agg, final_predicate)?,
         layout,
-        agg: agg.clone(),
-        final_predicate: final_predicate.cloned(),
+        func: agg.func,
     });
 
     // Balanced ranges (sizes differ by at most one), sharing the stream-key
@@ -236,14 +235,12 @@ where
 }
 
 /// What every repetition range of one [`aggregate_parts`] call shares: the
-/// group layout, the compiled plan (when the set vectorizes) and the query
-/// pieces the scalar fallback needs.  Opaque, and `'static`, so a scheduler
-/// can carry it into its own threads.
+/// group layout, the columnar plan and the aggregate function.  Opaque, and
+/// `'static`, so a scheduler can carry it into its own threads.
 pub struct RepRangeJob {
     layout: GroupLayout,
-    plan: Option<AggPlan>,
-    agg: AggregateSpec,
-    final_predicate: Option<Expr>,
+    plan: AggPlan,
+    func: AggFunc,
 }
 
 impl RepRangeJob {
@@ -253,27 +250,12 @@ impl RepRangeJob {
     pub fn aggregate_rep_range(&self, set: &BundleSet, reps: Range<usize>) -> Result<AggPartial> {
         let hi = reps.end.min(set.num_reps);
         let lo = reps.start.min(hi);
-        let len = hi - lo;
-        let vals = match &self.plan {
-            Some(plan) => accumulate_range(plan, self.agg.func, lo, hi),
-            None => {
-                let mut vals = vec![0.0; self.layout.keys.len() * len];
-                for rep in lo..hi {
-                    let accs = accumulate_rep(
-                        set,
-                        &self.layout,
-                        &self.agg,
-                        self.final_predicate.as_ref(),
-                        rep,
-                    )?;
-                    for (g, acc) in accs.into_iter().enumerate() {
-                        vals[g * len + rep - lo] = acc.finish(self.agg.func);
-                    }
-                }
-                vals
-            }
-        };
-        Ok(AggPartial { lo, len, vals })
+        let vals = accumulate_range(&self.plan, self.func, lo, hi);
+        Ok(AggPartial {
+            lo,
+            len: hi - lo,
+            vals,
+        })
     }
 }
 
@@ -388,12 +370,10 @@ impl GroupLayout {
 /// A pre-compiled columnar aggregation plan: per bundle, the aggregand
 /// across every repetition plus, only when some repetition is excluded, the
 /// selection vector of contributing repetitions (presence ∧ final
-/// predicate).  A bare column aggregand over a `Float64` segment shares that
-/// segment and is read in place, so the plan copies no values.  Compilation
-/// declines — whole-set scalar fallback — whenever any bundle leaves the
-/// vectorized subset (multi-segment chain, non-compilable expression,
-/// [`kernels::KernelMode::ForceScalar`]), so the plan is bit-identical to
-/// the scalar loop wherever it engages.
+/// predicate).  One [`Program`] of the final predicate and the aggregand,
+/// compiled once, evaluates every bundle over its present repetitions.  A
+/// bare column aggregand over a `Float64` segment shares that segment and is
+/// read in place, so the plan copies no values.
 struct AggPlan {
     bundles: Vec<PlanBundle>,
     num_groups: usize,
@@ -421,81 +401,70 @@ fn compile_plan(
     layout: &GroupLayout,
     agg: &AggregateSpec,
     final_predicate: Option<&Expr>,
-) -> Option<AggPlan> {
-    if !kernels::vectorized_enabled() {
-        return None;
-    }
-    let schema = &set.schema;
+) -> Result<AggPlan> {
     let n = set.num_reps;
-    let shared_col = match &agg.expr {
-        Expr::Column(name) => schema.index_of(name).ok(),
-        _ => None,
-    };
+    let program = Program::compile(&set.schema, final_predicate, Some(&agg.expr));
     let mut bundles = Vec::with_capacity(set.bundles.len());
-    let mut lanes: Vec<Lane<'_>> = Vec::new();
     for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
-        // Every attribute must be a broadcast constant or expose a single
-        // contiguous column segment of exactly `n` repetitions to become an
-        // expression lane (replenished chains are longer and multi-segment;
-        // the scalar loop handles those).
-        lanes.clear();
-        for v in &bundle.values {
-            lanes.push(match v {
-                BundleValue::Const(c) => Lane::Const(c),
-                chained => {
-                    let seg = chained.chain()?.as_single()?;
-                    if seg.len() != n {
-                        return None;
-                    }
-                    Lane::Col(seg)
-                }
+        let shared = (program.output_column())
+            .and_then(|col| bundle.values[col].chain()?.as_single())
+            .filter(|seg| seg.len() == n && seg.f64_slice().is_some());
+        if let (Some(seg), None, None) = (shared, final_predicate, &bundle.is_pres) {
+            // `SUM(col)` over a bundle present everywhere: nothing to run.
+            let vals = PlanVals::Shared(Arc::clone(seg));
+            bundles.push(PlanBundle {
+                gidx,
+                vals,
+                sel: None,
             });
+            continue;
         }
-        let shared = shared_col
-            .and_then(|i| bundle.values[i].chain()?.as_single())
-            .filter(|seg| seg.f64_slice().is_some());
-        let vals = match shared {
-            Some(seg) => PlanVals::Shared(Arc::clone(seg)),
-            None => match kernels::numeric_values(&agg.expr, schema, &lanes, n)? {
-                NumVals::Const(c) => PlanVals::Const(c),
-                NumVals::Col(v) => PlanVals::Owned(v),
-            },
+        // Out-of-range repetitions count as absent.
+        let mut sel = Mask::default();
+        sel.fill_with(n, |rep| bundle.is_present(rep));
+        let input = |slot: usize| Ok(lane_of(&bundle.values[program.slots()[slot]], n));
+        let lane = program.eval_block(&mut sel, input)?;
+        let vals = match (shared, lane.f64s(&sel)?) {
+            (Some(seg), _) => PlanVals::Shared(Arc::clone(seg)),
+            (None, Vals::Const(c)) => PlanVals::Const(c),
+            (None, Vals::Rows(v)) => PlanVals::Owned(v.into_owned()),
         };
-        // Out-of-range repetitions count as absent, matching
-        // `TupleBundle::is_present`.
-        let mut keep = bundle.is_pres.as_ref().map(|flags| {
-            let mut m = Mask::zeros(n);
-            for (i, &f) in flags.iter().take(n).enumerate() {
-                m.set(i, f);
-            }
-            m
-        });
-        if let Some(pred) = final_predicate {
-            let pm = kernels::predicate_mask(pred, schema, &lanes, n)?;
-            match &mut keep {
-                Some(k) => k.and_assign(&pm),
-                None => keep = Some(pm),
-            }
-        }
-        bundles.push(PlanBundle {
-            gidx,
-            vals,
-            sel: keep.filter(|k| !k.all()).map(|k| SelVec::from_mask(&k)),
-        });
+        let sel = (!sel.all()).then(|| SelVec::from_mask(&sel));
+        bundles.push(PlanBundle { gidx, vals, sel });
     }
-    Some(AggPlan {
+    Ok(AggPlan {
         bundles,
         num_groups: layout.keys.len(),
     })
+}
+
+/// A bundle attribute's first `n` repetitions as a program input: a
+/// constant, its one segment of exactly `n` values in place, or the chain's
+/// values gathered (`Null` past its end).
+fn lane_of(value: &BundleValue, n: usize) -> Lane<'_> {
+    let Some(chain) = value.chain() else {
+        return Lane::constant(value.value_at(0));
+    };
+    match chain.as_single() {
+        Some(seg) if seg.len() == n => Lane::column(seg),
+        _ => Lane::boxed(
+            (0..n)
+                .map(|rep| match rep < chain.len() {
+                    true => chain.value_at(rep),
+                    false => Value::Null,
+                })
+                .collect(),
+        ),
+    }
 }
 
 /// Accumulate the contiguous repetition range `lo..hi` column-at-a-time
 /// into flat, group-major lanes — bundles in the outer loop (set order),
 /// the range (or the bundle's selection vector sliced to it) in the inner
 /// loop — and finish them.  Per `(repetition, group)` the lanes receive
-/// exactly the scalar path's `f64`s in its bundle order and fold them as
-/// [`Accum::add`] does, so the result is bit-identical to [`accumulate_rep`]
-/// over the same range.
+/// exactly the `f64`s `Expr::eval` gives in set order and fold them as
+/// `Accum::add` does, so the result is bit-identical to the per-repetition
+/// referee the tests keep.
 fn accumulate_range(plan: &AggPlan, func: AggFunc, lo: usize, hi: usize) -> Vec<f64> {
     let len = hi - lo;
     let mut lanes = Lanes {
@@ -541,7 +510,7 @@ impl PlanVals {
 }
 
 /// One repetition range's accumulators as flat, group-major lanes: the
-/// `(repetition, group)` accumulator of [`accumulate_rep`] is lane
+/// `(repetition, group)` accumulator is lane
 /// `group * len + (repetition - lo)`, split into a count and one `f64` that
 /// folds the sum, minimum or maximum.
 struct Lanes {
@@ -581,37 +550,8 @@ impl Lanes {
     }
 }
 
-/// Accumulate one repetition's aggregates over every group, visiting bundles
-/// in set order (the floating-point contract both parallel paths share).
-fn accumulate_rep(
-    set: &BundleSet,
-    layout: &GroupLayout,
-    agg: &AggregateSpec,
-    final_predicate: Option<&Expr>,
-    rep: usize,
-) -> Result<Vec<Accum>> {
-    let schema = &set.schema;
-    let mut accs = vec![Accum::default(); layout.keys.len()];
-    // One scratch row serves every bundle of this repetition: the bundle
-    // columns are read in place and cloned into the buffer (scalar copies /
-    // string refcount bumps), never into a fresh per-bundle Vec.
-    let mut row: Vec<Value> = Vec::with_capacity(schema.len());
-    for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
-        if !bundle.is_present(rep) {
-            continue;
-        }
-        bundle.write_row_into(rep, &mut row);
-        if let Some(pred) = final_predicate {
-            if !pred.eval_bool(schema, &row)? {
-                continue;
-            }
-        }
-        accs[gidx].add(agg.expr.eval_f64(schema, &row)?);
-    }
-    Ok(accs)
-}
-
-/// Streaming accumulator shared by every aggregate function.
+/// One `(repetition, group)` accumulator, finished the same way by every
+/// aggregate function.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accum {
     count: u64,
@@ -621,18 +561,6 @@ struct Accum {
 }
 
 impl Accum {
-    fn add(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
     fn finish(self, func: AggFunc) -> f64 {
         match func {
             AggFunc::Sum => self.sum,
@@ -667,6 +595,46 @@ mod tests {
     use super::*;
     use crate::bundle::{BundleValue, TupleBundle};
     use mcdbr_storage::{Field, Schema};
+
+    /// The referee: one repetition's aggregates over every group, by
+    /// `Expr::eval` on each present bundle's row, in set order.
+    fn accumulate_rep(
+        set: &BundleSet,
+        layout: &GroupLayout,
+        agg: &AggregateSpec,
+        final_predicate: Option<&Expr>,
+        rep: usize,
+    ) -> Result<Vec<Accum>> {
+        let schema = &set.schema;
+        let mut accs = vec![Accum::default(); layout.keys.len()];
+        for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
+            if !bundle.is_present(rep) {
+                continue;
+            }
+            let row = bundle.row_at(rep);
+            if let Some(pred) = final_predicate {
+                if !pred.eval_bool(schema, &row)? {
+                    continue;
+                }
+            }
+            accs[gidx].add(agg.expr.eval_f64(schema, &row)?);
+        }
+        Ok(accs)
+    }
+
+    impl Accum {
+        fn add(&mut self, x: f64) {
+            if self.count == 0 {
+                self.min = x;
+                self.max = x;
+            } else {
+                self.min = self.min.min(x);
+                self.max = self.max.max(x);
+            }
+            self.count += 1;
+            self.sum += x;
+        }
+    }
 
     /// Build a small bundle set by hand: three "customers" with known
     /// per-repetition losses and a deterministic region.
@@ -939,7 +907,6 @@ mod tests {
         let case = format!("{agg:?} by {group_by:?} where {final_predicate:?}, {parts} parts");
         let mut compared = 0;
         aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
-            assert!(job.plan.is_some(), "{case}: plan declined");
             let partials: Vec<AggPartial> = ranges
                 .into_iter()
                 .map(|range| job.aggregate_rep_range(set, range))
@@ -963,7 +930,6 @@ mod tests {
 
     #[test]
     fn streaming_plan_is_bit_identical_to_the_scalar_referee() {
-        let _guard = kernels::MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let reps = 70;
         let (x, k) = (Expr::col("x"), Expr::col("k"));
         let aggregands = [
@@ -1008,11 +974,10 @@ mod tests {
 
     #[test]
     fn dense_sum_reads_the_shared_segment_without_a_selection_vector() {
-        let _guard = kernels::MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let set = seeded_set(70, false);
         let agg = AggregateSpec::sum(Expr::col("x"), "s");
         let layout = GroupLayout::discover(&set, &[]).unwrap();
-        let plan = compile_plan(&set, &layout, &agg, None).expect("vectorizes");
+        let plan = compile_plan(&set, &layout, &agg, None).unwrap();
         assert_eq!(plan.bundles.len(), set.bundles.len());
         for (b, bundle) in plan.bundles.iter().zip(&set.bundles) {
             let seg = bundle.values[1].chain().unwrap().as_single().unwrap();

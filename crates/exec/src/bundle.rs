@@ -124,7 +124,7 @@ impl ValueChain {
     }
 
     /// The sole segment of a single-segment chain (the common,
-    /// never-replenished case every vectorized kernel fast-paths).
+    /// never-replenished case the aggregate reads in place).
     pub fn as_single(&self) -> Option<&Arc<Column>> {
         match self.segments.as_slice() {
             [only] => Some(only),
@@ -133,7 +133,7 @@ impl ValueChain {
     }
 
     /// The contiguous `f64` slice behind a single-segment, `Float64`-typed,
-    /// null-free chain — the typed view the batched kernels consume.
+    /// null-free chain.
     pub fn f64_slice(&self) -> Option<&[f64]> {
         self.as_single().and_then(|col| col.f64_slice())
     }
@@ -297,7 +297,7 @@ impl BundleValue {
     }
 
     /// The value chain behind a random or computed attribute (`None` for
-    /// constants) — the typed-slice entry point for vectorized kernels.
+    /// constants).
     pub fn chain(&self) -> Option<&ValueChain> {
         match self {
             BundleValue::Const(_) => None,
@@ -384,16 +384,6 @@ impl TupleBundle {
     /// presence; callers check [`TupleBundle::is_present`] first).
     pub fn row_at(&self, rep: usize) -> Vec<Value> {
         self.values.iter().map(|v| v.value_at(rep)).collect()
-    }
-
-    /// [`TupleBundle::row_at`] into a caller-owned scratch buffer: the
-    /// per-repetition aggregation loop visits every `(bundle, repetition)`
-    /// pair, and reusing one buffer per repetition removes a heap
-    /// allocation from each visit (the value clones themselves are copies
-    /// for scalars and refcount bumps for strings).
-    pub fn write_row_into(&self, rep: usize, out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(self.values.iter().map(|v| v.value_at(rep)));
     }
 
     /// Concatenate two bundles (used by join operators).  Presence vectors

@@ -193,66 +193,23 @@ impl Expr {
         }
     }
 
-    /// Evaluate against a row of values described by `schema`.
+    /// Evaluate against a row of values described by `schema` — the
+    /// semantic referee of [`crate::program::Program`].
     pub fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Value> {
         match self {
-            Expr::Column(name) => {
-                let idx = schema.index_of(name)?;
-                Ok(row[idx].clone())
-            }
+            Expr::Column(name) => Ok(row[schema.index_of(name)?].clone()),
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Not(inner) => {
-                let v = inner.eval(schema, row)?;
-                Ok(Value::Bool(!v.as_bool()?))
+            Expr::Not(inner) => Ok(Value::Bool(!inner.eval(schema, row)?.as_bool()?)),
+            // Short-circuit the logical operators.
+            Expr::Binary { op, lhs, rhs } if matches!(op, BinaryOp::And | BinaryOp::Or) => {
+                let l = lhs.eval(schema, row)?.as_bool()?;
+                if l == (*op == BinaryOp::Or) {
+                    return Ok(Value::Bool(l));
+                }
+                Ok(Value::Bool(rhs.eval(schema, row)?.as_bool()?))
             }
             Expr::Binary { op, lhs, rhs } => {
-                // Short-circuit the logical operators.
-                match op {
-                    BinaryOp::And => {
-                        if !lhs.eval(schema, row)?.as_bool()? {
-                            return Ok(Value::Bool(false));
-                        }
-                        return Ok(Value::Bool(rhs.eval(schema, row)?.as_bool()?));
-                    }
-                    BinaryOp::Or => {
-                        if lhs.eval(schema, row)?.as_bool()? {
-                            return Ok(Value::Bool(true));
-                        }
-                        return Ok(Value::Bool(rhs.eval(schema, row)?.as_bool()?));
-                    }
-                    _ => {}
-                }
-                let l = lhs.eval(schema, row)?;
-                let r = rhs.eval(schema, row)?;
-                match op {
-                    BinaryOp::Add => l.add(&r),
-                    BinaryOp::Sub => l.sub(&r),
-                    BinaryOp::Mul => l.mul(&r),
-                    BinaryOp::Div => l.div(&r),
-                    BinaryOp::Eq => Ok(Value::Bool(l.sql_eq(&r))),
-                    BinaryOp::NotEq => {
-                        if l.is_null() || r.is_null() {
-                            Ok(Value::Bool(false))
-                        } else {
-                            Ok(Value::Bool(!l.sql_eq(&r)))
-                        }
-                    }
-                    BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq => {
-                        if l.is_null() || r.is_null() {
-                            return Ok(Value::Bool(false));
-                        }
-                        let ord = compare(&l, &r)?;
-                        let res = match op {
-                            BinaryOp::Lt => ord.is_lt(),
-                            BinaryOp::LtEq => ord.is_le(),
-                            BinaryOp::Gt => ord.is_gt(),
-                            BinaryOp::GtEq => ord.is_ge(),
-                            _ => unreachable!(),
-                        };
-                        Ok(Value::Bool(res))
-                    }
-                    BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-                }
+                apply(*op, &lhs.eval(schema, row)?, &rhs.eval(schema, row)?)
             }
         }
     }
@@ -266,6 +223,29 @@ impl Expr {
     pub fn eval_f64(&self, schema: &Schema, row: &[Value]) -> Result<f64> {
         self.eval(schema, row)?.as_f64()
     }
+}
+
+/// `l op r` for every operator but the short-circuiting `AND`/`OR`: the one
+/// definition of the binary operators, which the program applies to boxed
+/// operands too.
+pub(crate) fn apply(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+    let ord = match op {
+        BinaryOp::Add => return l.add(r),
+        BinaryOp::Sub => return l.sub(r),
+        BinaryOp::Mul => return l.mul(r),
+        BinaryOp::Div => return l.div(r),
+        BinaryOp::And | BinaryOp::Or => unreachable!("AND and OR short-circuit"),
+        _ if l.is_null() || r.is_null() => return Ok(Value::Bool(false)),
+        BinaryOp::Eq => return Ok(Value::Bool(l.sql_eq(r))),
+        BinaryOp::NotEq => return Ok(Value::Bool(!l.sql_eq(r))),
+        _ => compare(l, r)?,
+    };
+    Ok(Value::Bool(match op {
+        BinaryOp::Lt => ord.is_lt(),
+        BinaryOp::LtEq => ord.is_le(),
+        BinaryOp::Gt => ord.is_gt(),
+        _ => ord.is_ge(),
+    }))
 }
 
 /// Compare two values for ordering predicates; numbers compare numerically,

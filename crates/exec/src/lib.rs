@@ -11,6 +11,9 @@
 //! This crate provides:
 //!
 //! * [`expr`] — scalar expressions and predicates over named columns.
+//! * [`program`] — [`program::Program`]: an expression compiled once into
+//!   the register program every production caller runs, a row or a block
+//!   at a time.
 //! * [`bundle`] — [`bundle::TupleBundle`] and [`bundle::BundleValue`]: rows
 //!   whose attributes are either constant across repetitions or random with
 //!   full stream lineage, plus per-repetition presence (`isPres`) arrays.
@@ -69,10 +72,10 @@ pub mod cache;
 pub mod cancel;
 pub mod executor;
 pub mod expr;
-pub mod kernels;
 pub mod par;
 pub mod plan;
 pub mod pool;
+pub mod program;
 pub mod session;
 pub mod shard;
 pub mod stream_registry;
@@ -86,9 +89,9 @@ pub use cache::SessionCache;
 pub use cancel::CancelToken;
 pub use executor::{ExecOptions, Executor};
 pub use expr::{BinaryOp, Expr};
-pub use kernels::{kernel_mode, set_kernel_mode, KernelMode, RowProgram};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
+pub use program::Program;
 pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
 pub use shard::{merge_block, plan_shards, ShardOutput, ShardTask, ShardedBackend};
 pub use stream_registry::StreamSource;

@@ -74,16 +74,16 @@
 use std::sync::Arc;
 
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, SelVec, Value};
+use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
 use crate::expr::Expr;
-use crate::kernels::{self, Lane};
 use crate::par;
 use crate::plan::{OutputColumn, PlanNode};
 use crate::pool::BlockBufferPool;
+use crate::program::{Lane, Program};
 use crate::stream_registry::StreamSource;
 
 /// The master seed used only to probe VG output-row counts during skeleton
@@ -115,14 +115,13 @@ enum SymColumn {
 }
 
 /// A deferred expression — a computed projection, or a presence predicate
-/// (a `Filter` over random attributes, paper §5): the operator's input
-/// schema, the columns the expression references (`None` for the rest,
-/// which it never reads and phase 2 passes as `Null`), and the expression.
+/// (a `Filter` over random attributes, paper §5): its program, compiled
+/// against the operator's input schema when the skeleton is built (so a
+/// cache hit reuses it), and the column behind each of the program's slots.
 #[derive(Debug, Clone)]
 struct SymExpr {
-    schema: Schema,
-    inputs: Vec<Option<SymColumn>>,
-    expr: Expr,
+    program: Program,
+    inputs: Vec<SymColumn>,
 }
 
 /// The deterministic skeleton as one batch of `len` output tuples: a
@@ -173,20 +172,39 @@ impl SymColumn {
 impl SymExpr {
     fn gather(&self, idx: &[usize]) -> SymExpr {
         SymExpr {
-            schema: self.schema.clone(),
-            inputs: self
-                .inputs
-                .iter()
-                .map(|input| input.as_ref().map(|col| col.gather(idx)))
-                .collect(),
-            expr: self.expr.clone(),
+            program: self.program.clone(),
+            inputs: self.inputs.iter().map(|col| col.gather(idx)).collect(),
         }
     }
 
     fn stream_ids<'a>(&'a mut self, out: &mut Vec<&'a mut Vec<u32>>) {
-        for input in self.inputs.iter_mut().flatten() {
+        for input in &mut self.inputs {
             input.stream_ids(out);
         }
+    }
+
+    /// Tuple `idx`'s value on the rows of `sel`, a block of `sel.len()`
+    /// offsets, narrowing `sel` to the rows a predicate keeps.  A deferred
+    /// input is evaluated first, on every offset, as the executor computes
+    /// a projection before anything filters it.
+    fn run<'a>(&'a self, idx: usize, blocks: &'a CellData, sel: &mut Mask) -> Result<Lane<'a>> {
+        let n = sel.len();
+        if n == 0 {
+            // A zero-position block may be unshaped; there is nothing to read.
+            return Ok(Lane::boxed(Vec::new()));
+        }
+        self.program
+            .eval_block(sel, |slot| match &self.inputs[slot] {
+                SymColumn::Const(values) => Ok(Lane::constant(values[idx].clone())),
+                SymColumn::Stream {
+                    ids,
+                    vg_rows,
+                    vg_col,
+                } => Ok(Lane::column(
+                    cells_for(blocks, ids[idx])?.cell(vg_rows[idx] as usize, *vg_col)?,
+                )),
+                SymColumn::Expr(e) => e.run(idx, blocks, &mut Mask::ones(n)),
+            })
     }
 }
 
@@ -199,26 +217,22 @@ impl SymBatch {
         }
     }
 
-    /// Defer `expr` over this batch: capture only the columns it references.
-    fn deferred(&self, schema: &Schema, refs: &[usize], expr: &Expr) -> SymExpr {
+    /// Defer `program` over this batch: capture only the columns it reads.
+    fn deferred(&self, program: Program) -> SymExpr {
         SymExpr {
-            schema: schema.clone(),
-            inputs: (0..self.columns.len())
-                .map(|i| refs.contains(&i).then(|| self.columns[i].clone()))
+            inputs: (program.slots().iter())
+                .map(|&i| self.columns[i].clone())
                 .collect(),
-            expr: expr.clone(),
+            program,
         }
     }
 
-    /// Write tuple `row`'s constant values at `refs` into `out`, the row a
-    /// deterministic predicate or projection sees (the other slots stay
-    /// `Null`; the expression never reads them).
-    fn fill_const_row(&self, refs: &[usize], row: usize, out: &mut [Value]) {
-        for &i in refs {
-            if let SymColumn::Const(values) = &self.columns[i] {
-                out[i] = values[row].clone();
-            }
-        }
+    /// `program` on tuple `row`, every column it reads being constant.
+    fn eval_const(&self, program: &Program, row: usize) -> Result<Option<Value>> {
+        program.eval_row(|slot| match &self.columns[program.slots()[slot]] {
+            SymColumn::Const(values) => values[row].clone(),
+            _ => unreachable!("only constant inputs are evaluated in phase 1"),
+        })
     }
 }
 
@@ -786,11 +800,6 @@ impl CellCols {
             Cells::Grid(grid) => Ok(&grid[row * self.cols + col]),
         }
     }
-
-    /// The boxed value at block offset `pos` of cell `(row, col)`.
-    pub(crate) fn value_at(&self, row: usize, col: usize, pos: usize) -> Result<Value> {
-        Ok(self.cell(row, col)?.value_at(pos))
-    }
 }
 
 /// Per-stream shared cell columns for one generated block window, indexed
@@ -894,13 +903,10 @@ fn fill_stream_block(
 /// same output sequence).
 ///
 /// Random attributes become refcount clones of the shared cell columns.
-/// Presence predicates run through the vectorized kernels
-/// ([`crate::kernels::predicate_mask`]) whenever the expression compiles:
-/// one packed mask per predicate, no row materialization.  Predicates
-/// outside the vectorizable subset replay the scalar row loop — but only at
-/// the offsets still present, which both preserves the scalar path's
-/// cross-predicate short-circuit (a row failing an earlier predicate never
-/// evaluates a later one) and makes the fallback selection-driven.
+/// Each presence predicate runs its program once over the block, on the
+/// offsets earlier predicates kept — the executor's cross-predicate
+/// short-circuit (a row failing an earlier predicate never evaluates a
+/// later one) — leaving one mask and no row materialization.
 pub(crate) fn materialize_bundle(
     prefix: &DeterministicPrefix,
     idx: usize,
@@ -919,22 +925,8 @@ pub(crate) fn materialize_bundle(
         [] => None,
         preds => {
             let mut present = Mask::ones(num_values);
-            let mut row: Vec<Value> = Vec::new();
             for pred in preds {
-                if let Some(mask) = vector_lanes(pred, idx, blocks).and_then(|lanes| {
-                    kernels::predicate_mask(&pred.expr, &pred.schema, &lanes, num_values)
-                }) {
-                    present.and_assign(&mask);
-                } else {
-                    let sel = SelVec::from_mask(&present);
-                    for &off in sel.indices() {
-                        let offset = off as usize;
-                        eval_row_into(&pred.inputs, idx, blocks, offset, &mut row)?;
-                        if !pred.expr.eval_bool(&pred.schema, &row)? {
-                            present.set(offset, false);
-                        }
-                    }
-                }
+                pred.run(idx, blocks, &mut present)?;
             }
             if present.none() {
                 return Ok(None);
@@ -943,33 +935,6 @@ pub(crate) fn materialize_bundle(
         }
     };
     Ok(Some(TupleBundle { values, is_pres }))
-}
-
-/// `Null`: what a deferred expression sees in the columns it never reads.
-static NULL: Value = Value::Null;
-
-/// The vectorized kernels' input lanes for tuple `idx` of a deferred
-/// expression: every input must be a constant or a direct stream-cell
-/// column (deferred sub-expressions stay on the scalar path).  Whether the
-/// expression itself compiles is the kernel's call (see [`crate::kernels`]
-/// for the subset and the bit-identity argument).
-fn vector_lanes<'a>(e: &'a SymExpr, idx: usize, blocks: &'a CellData) -> Option<Vec<Lane<'a>>> {
-    e.inputs
-        .iter()
-        .map(|input| match input {
-            None => Some(Lane::Const(&NULL)),
-            Some(SymColumn::Const(values)) => Some(Lane::Const(&values[idx])),
-            Some(SymColumn::Stream {
-                ids,
-                vg_rows,
-                vg_col,
-            }) => {
-                let cell = blocks.get(ids[idx])?.cell(vg_rows[idx] as usize, *vg_col);
-                Some(Lane::Col(cell.ok()?))
-            }
-            Some(SymColumn::Expr(_)) => None,
-        })
-        .collect()
 }
 
 fn materialize_value(
@@ -1007,56 +972,12 @@ fn materialize_value(
             })
         }
         SymColumn::Expr(e) => {
-            if let Some(col) = vector_lanes(e, idx, blocks)
-                .and_then(|lanes| kernels::computed_column(&e.expr, &e.schema, &lanes, num_values))
-            {
-                return Ok(BundleValue::Computed(ValueChain::from_column(col)));
-            }
-            let mut col = mcdbr_storage::Column::default();
-            let mut row: Vec<Value> = Vec::new();
-            for offset in 0..num_values {
-                eval_row_into(&e.inputs, idx, blocks, offset, &mut row)?;
-                col.push_value(&e.expr.eval(&e.schema, &row)?);
-            }
-            Ok(BundleValue::Computed(ValueChain::from_column(col)))
+            let lane = e.run(idx, blocks, &mut Mask::ones(num_values))?;
+            Ok(BundleValue::Computed(ValueChain::from_column(
+                lane.to_column(num_values),
+            )))
         }
     }
-}
-
-/// Evaluate tuple `idx` of one symbolic column at a single block offset.
-fn eval_sym(col: &SymColumn, idx: usize, blocks: &CellData, offset: usize) -> Result<Value> {
-    match col {
-        SymColumn::Const(values) => Ok(values[idx].clone()),
-        SymColumn::Stream {
-            ids,
-            vg_rows,
-            vg_col,
-        } => cells_for(blocks, ids[idx])?.value_at(vg_rows[idx] as usize, *vg_col, offset),
-        SymColumn::Expr(e) => {
-            let mut row = Vec::new();
-            eval_row_into(&e.inputs, idx, blocks, offset, &mut row)?;
-            e.expr.eval(&e.schema, &row)
-        }
-    }
-}
-
-/// Build tuple `idx`'s input row at `offset` into a reusable scratch buffer
-/// (one buffer serves every offset of a bundle's residue replay).
-fn eval_row_into(
-    inputs: &[Option<SymColumn>],
-    idx: usize,
-    blocks: &CellData,
-    offset: usize,
-    row: &mut Vec<Value>,
-) -> Result<()> {
-    row.clear();
-    for input in inputs {
-        row.push(match input {
-            None => Value::Null,
-            Some(col) => eval_sym(col, idx, blocks, offset)?,
-        });
-    }
-    Ok(())
 }
 
 fn cells_for(blocks: &CellData, at: u32) -> Result<&CellCols> {
@@ -1239,6 +1160,9 @@ impl SkeletonPass<'_> {
                         },
                     })
                     .collect();
+                let vg_params: Vec<Program> = (spec.vg_params.iter())
+                    .map(|e| Program::compile(param_schema, None, Some(e)))
+                    .collect();
                 let mut len = 0;
                 let mut row_idx = 0;
                 param_table.try_for_each_row(|param_row| {
@@ -1247,11 +1171,11 @@ impl SkeletonPass<'_> {
                     // are derived at binding time.
                     let key = StreamKey::new(spec.table_tag, row_idx);
                     row_idx += 1;
-                    let params: Vec<Value> = spec
-                        .vg_params
-                        .iter()
-                        .map(|e| e.eval(param_schema, param_row.values()))
-                        .collect::<Result<_>>()?;
+                    let mut params = Vec::with_capacity(vg_params.len());
+                    for p in &vg_params {
+                        let value = p.eval_row(|slot| param_row.value(p.slots()[slot]).clone())?;
+                        params.push(value.expect("a parameter program keeps every row"));
+                    }
                     let source = StreamSource {
                         vg: spec.vg.clone(),
                         params: params.into(),
@@ -1292,20 +1216,19 @@ impl SkeletonPass<'_> {
             PlanNode::Filter { input, predicate } => {
                 let (schema, mut batch) = self.exec(input)?;
                 let refs = column_indices(predicate, &schema)?;
+                let program = Program::compile(&schema, Some(predicate), None);
                 if refs.iter().any(|&i| !batch.columns[i].is_const()) {
                     // Random: every tuple defers it into a per-block presence
                     // predicate over the columns it references.
-                    let pred = batch.deferred(&schema, &refs, predicate);
+                    let pred = batch.deferred(program);
                     batch.preds.push(pred);
                     return Ok((schema, batch));
                 }
                 // Deterministic: decide once per tuple, now, and keep the
                 // survivors in order.
-                let mut row = vec![Value::Null; schema.len()];
                 let mut keep = Vec::with_capacity(batch.len);
                 for idx in 0..batch.len {
-                    batch.fill_const_row(&refs, idx, &mut row);
-                    if predicate.eval_bool(&schema, &row)? {
+                    if batch.eval_const(&program, idx)?.is_some() {
                         keep.push(idx);
                     }
                 }
@@ -1320,34 +1243,29 @@ impl SkeletonPass<'_> {
                 let (in_schema, batch) = self.exec(input)?;
                 let out_schema = plan.schema(self.catalog)?;
                 let mut columns = Vec::with_capacity(exprs.len());
-                // Constant expressions (output index, expression), evaluated
-                // tuple by tuple below, and the union of their inputs.
+                // Constant expressions (output index, program), evaluated
+                // tuple by tuple below.
                 let mut consts = Vec::new();
-                let mut const_refs = Vec::new();
                 for (out, (_, expr)) in exprs.iter().enumerate() {
                     if let Expr::Column(name) = expr {
                         columns.push(batch.columns[in_schema.index_of(name)?].clone());
                         continue;
                     }
                     let refs = column_indices(expr, &in_schema)?;
+                    let program = Program::compile(&in_schema, None, Some(expr));
                     if refs.iter().all(|&i| batch.columns[i].is_const()) {
-                        consts.push((out, expr));
-                        const_refs.extend(refs);
+                        consts.push((out, program));
                         columns.push(SymColumn::Const(Vec::with_capacity(batch.len)));
                     } else {
-                        let deferred = batch.deferred(&in_schema, &refs, expr);
+                        let deferred = batch.deferred(program);
                         columns.push(SymColumn::Expr(Box::new(deferred)));
                     }
                 }
-                if !consts.is_empty() {
-                    let mut row = vec![Value::Null; in_schema.len()];
-                    for idx in 0..batch.len {
-                        batch.fill_const_row(&const_refs, idx, &mut row);
-                        for &(out, expr) in &consts {
-                            let value = expr.eval(&in_schema, &row)?;
-                            if let SymColumn::Const(values) = &mut columns[out] {
-                                values.push(value);
-                            }
+                for idx in 0..batch.len {
+                    for (out, program) in &consts {
+                        let value = batch.eval_const(program, idx)?;
+                        if let SymColumn::Const(values) = &mut columns[*out] {
+                            values.push(value.expect("a projection keeps every row"));
                         }
                     }
                 }

@@ -1,21 +1,19 @@
-//! Selection vectors and branchless predicate kernels over packed bitmasks.
+//! Selection vectors over packed bitmasks.
 //!
-//! Vectorized filters evaluate predicates column-at-a-time into a packed
+//! Columnar filters evaluate predicates column-at-a-time into a packed
 //! [`Mask`] (one bit per position, 64 positions per word) and then compress
 //! the surviving positions into a [`SelVec`] — a sorted list of selected
 //! indices.  Downstream operators iterate the selection vector instead of
 //! materializing a filtered copy of every column, which is the classic
 //! selection-vector design of batch-at-a-time query engines.
 //!
-//! The comparison kernels are *branchless in the lane*: every position is
-//! evaluated with straight-line compare/convert instructions and the result
-//! bit is OR-ed into the current word, so the loops autovectorize and never
-//! depend on the selectivity of the data.  All kernels maintain the trailing
-//! -word invariant documented on [`Mask`]: bits at positions `>= len` in the
-//! last word are zero, so whole-word AND/OR/NOT and popcounts need no edge
-//! handling for lengths that are not a multiple of 64.
+//! Every mask operation maintains the trailing-word invariant documented on
+//! [`Mask`]: bits at positions `>= len` in the last word are zero, so
+//! whole-word AND/OR/NOT and popcounts need no edge handling for lengths
+//! that are not a multiple of 64.
 
-/// Comparison operators shared by the predicate kernels.
+/// The comparison operators, as `f64` lane functions (what the expression
+/// program runs on numeric operands).
 ///
 /// The semantics mirror the scalar expression evaluator exactly, including
 /// its NaN convention: `partial_cmp` returning `None` is treated as
@@ -221,9 +219,7 @@ impl Mask {
     }
 
     /// Overwrite this mask with per-position results of `lane`, branchlessly
-    /// packing 64 lanes per word.  The closure is monomorphized per call
-    /// site, so comparison kernels compile to straight-line compare + shift
-    /// loops.
+    /// packing 64 lanes per word.
     #[inline]
     pub fn fill_with(&mut self, len: usize, mut lane: impl FnMut(usize) -> bool) {
         self.len = len;
@@ -239,26 +235,6 @@ impl Mask {
             *word = acc;
         }
     }
-}
-
-/// `out[i] = op(lhs[i], rhs)` for a column-vs-constant comparison.
-pub fn cmp_f64_const(op: CmpOp, lhs: &[f64], rhs: f64, out: &mut Mask) {
-    out.fill_with(lhs.len(), |i| op.lane(lhs[i], rhs));
-}
-
-/// `out[i] = op(lhs, rhs[i])` for a constant-vs-column comparison.
-pub fn cmp_const_f64(op: CmpOp, lhs: f64, rhs: &[f64], out: &mut Mask) {
-    out.fill_with(rhs.len(), |i| op.lane(lhs, rhs[i]));
-}
-
-/// `out[i] = op(lhs[i], rhs[i])` for a column-vs-column comparison.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn cmp_f64_f64(op: CmpOp, lhs: &[f64], rhs: &[f64], out: &mut Mask) {
-    assert_eq!(lhs.len(), rhs.len(), "comparison kernel length mismatch");
-    out.fill_with(lhs.len(), |i| op.lane(lhs[i], rhs[i]));
 }
 
 /// A selection vector: the sorted indices of the positions that survived a
@@ -376,7 +352,6 @@ mod tests {
     #[test]
     fn cmp_kernels_mirror_scalar_nan_conventions() {
         let vals = [1.0, f64::NAN, -3.5, 0.0, 7.25];
-        let mut m = Mask::default();
         // The scalar engine's reference semantics: `=`/`<>` through IEEE
         // equality (SQL equality), orderings through partial_cmp with
         // None -> Equal.
@@ -399,18 +374,19 @@ mod tests {
             CmpOp::Gt,
             CmpOp::GtEq,
         ] {
-            cmp_f64_const(op, &vals, 0.5, &mut m);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(m.get(i), scalar(op, v, 0.5), "{op:?} lane {i} vs const");
-            }
             let rhs = [0.5, 0.5, f64::NAN, -0.0, 7.25];
-            cmp_f64_f64(op, &vals, &rhs, &mut m);
-            for i in 0..vals.len() {
-                assert_eq!(m.get(i), scalar(op, vals[i], rhs[i]), "{op:?} lane {i}");
-            }
-            cmp_const_f64(op, 0.5, &vals, &mut m);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(m.get(i), scalar(op, 0.5, v), "{op:?} lane {i} const-lhs");
+            for (i, (&v, &r)) in vals.iter().zip(&rhs).enumerate() {
+                assert_eq!(
+                    op.lane(v, 0.5),
+                    scalar(op, v, 0.5),
+                    "{op:?} lane {i} vs const"
+                );
+                assert_eq!(op.lane(v, r), scalar(op, v, r), "{op:?} lane {i}");
+                assert_eq!(
+                    op.lane(0.5, v),
+                    scalar(op, 0.5, v),
+                    "{op:?} lane {i} const-lhs"
+                );
             }
         }
     }

@@ -94,6 +94,7 @@ impl Value {
     /// This is the accessor the aggregation and Gibbs machinery uses for
     /// every numeric attribute: the paper's query results are all numeric
     /// aggregates (SUMs of losses, salary differences, ...).
+    #[inline]
     pub fn as_f64(&self) -> Result<f64> {
         match self {
             Value::Int64(i) => Ok(*i as f64),
@@ -120,6 +121,7 @@ impl Value {
     }
 
     /// Interpret the value as a boolean.  NULL is *not* true.
+    #[inline]
     pub fn as_bool(&self) -> Result<bool> {
         match self {
             Value::Bool(b) => Ok(*b),

@@ -39,11 +39,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Density of the standard normal distribution.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// CDF of a `Normal(mean, sd)` distribution.
 pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
     std_normal_cdf((x - mean) / sd)

@@ -51,8 +51,4 @@ fn main() {
         result.values_materialized,
         result.stream_positions_consumed
     );
-    println!(
-        "  rows punted to the scalar evaluator: {}",
-        result.rows_punted
-    );
 }

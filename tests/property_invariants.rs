@@ -10,8 +10,8 @@
 
 use mcdbr::core::params::{h_c, staged_parameters_with_m};
 use mcdbr::core::{IndependentSumModel, ScalarCloner, TsSeed};
-use mcdbr::exec::kernels::{numeric_values, predicate_mask, Lane, NumVals};
-use mcdbr::exec::Expr;
+use mcdbr::exec::program::Lane;
+use mcdbr::exec::{Expr, Program};
 use mcdbr::mcdb::ResultDistribution;
 use mcdbr::prng::Pcg64;
 use mcdbr::risk::value_at_risk;
@@ -161,7 +161,194 @@ fn ts_seed_bookkeeping() {
     }
 }
 
-// ===== Vectorized kernel properties (the phase-2 columnar path) =====
+// ===== The compiled expression program against `Expr::eval` =====
+
+/// A random value of every type: signed zeros, NaN, infinities, `Int64`s at
+/// both ends of the range, small integers (zero included) and strings.
+fn rand_value(g: &mut Gen) -> Value {
+    match g.u64_in(0, 13) {
+        0 => Value::Null,
+        1 => Value::Bool(g.u64_in(0, 2) == 0),
+        2 => Value::str(["a", "b", ""][g.usize_in(0, 3)]),
+        3 => Value::Int64([i64::MAX, i64::MIN + 1][g.usize_in(0, 2)] - g.u64_in(0, 2) as i64),
+        4..=6 => Value::Int64(g.u64_in(0, 7) as i64 - 3),
+        7 => [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0, 5)].into(),
+        _ => Value::Float64(g.f64_in(-4.0, 4.0)),
+    }
+}
+
+/// One column per lane representation, by name: `Float64`, `Int64`,
+/// `Bool`, `Utf8`, boxed `Mixed`, a broadcast constant, all-null (untyped).
+const LANES: [&str; 7] = ["f", "i", "b", "s", "m", "k", "z"];
+
+/// `n` rows of the column `LANES[c]` names; half the columns hold nulls.
+fn rand_lane_column(g: &mut Gen, c: usize, n: usize) -> Column {
+    let mut col = Column::default();
+    let null_density = g.f64_in(-0.3, 0.3);
+    for _ in 0..n {
+        let v = loop {
+            let v = rand_value(g);
+            let fits = match LANES[c] {
+                "f" => matches!(v, Value::Float64(_)),
+                "i" => matches!(v, Value::Int64(_)),
+                "b" => matches!(v, Value::Bool(_)),
+                "s" => matches!(v, Value::Utf8(_)),
+                "m" => true,
+                _ => v.is_null(),
+            };
+            if fits {
+                break v;
+            }
+        };
+        match g.rng.next_f64() < null_density {
+            true => col.push_null(),
+            false => col.push_value(&v),
+        }
+    }
+    col
+}
+
+/// A random expression of depth at most `depth` over every `BinaryOp`,
+/// `NOT`, literals of every type, the lanes and an unknown column — or, with
+/// `ints`, over `+`, `-` and `*` of the `Int64` lane, the constant and
+/// `Int64` literals only, where checked arithmetic overflows often.
+fn rand_expr(g: &mut Gen, depth: usize, ints: bool) -> Expr {
+    use mcdbr::exec::BinaryOp::*;
+    if ints && (depth == 0 || g.u64_in(0, 3) == 0) {
+        return match g.u64_in(0, 3) {
+            0 => Expr::lit([i64::MAX, i64::MIN, 2][g.usize_in(0, 3)]),
+            1 => Expr::col("k"),
+            _ => Expr::col("i"),
+        };
+    }
+    if ints {
+        let op = [Add, Sub, Mul][g.usize_in(0, 3)];
+        let (lhs, rhs) = (rand_expr(g, depth - 1, ints), rand_expr(g, depth - 1, ints));
+        return Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+    }
+    if depth == 0 || g.u64_in(0, 4) == 0 {
+        return match g.u64_in(0, 40) {
+            0..=11 => Expr::lit(rand_value(g)),
+            12 => Expr::col("missing"),
+            13..=30 => Expr::col(["f", "i", "k"][g.usize_in(0, 3)]),
+            _ => Expr::col(LANES[g.usize_in(0, LANES.len())]),
+        };
+    }
+    if g.u64_in(0, 13) == 0 {
+        return rand_expr(g, depth - 1, ints).not();
+    }
+    let ops = [Add, Sub, Mul, Div, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or];
+    Expr::Binary {
+        op: ops[g.usize_in(0, ops.len())],
+        lhs: Box::new(rand_expr(g, depth - 1, ints)),
+        rhs: Box::new(rand_expr(g, depth - 1, ints)),
+    }
+}
+
+/// Both drivers of `Program` agree with `Expr::eval` — row by row on
+/// random trees over every operator, literal type and lane representation:
+/// the row driver on every row (the same value bits, or both `Err`), the
+/// column driver on a random selection (it errors iff some selected row
+/// does; otherwise the selection it narrows to is exactly the rows the
+/// predicate keeps, each holding the referee's value), and `SelVec` selects
+/// exactly those rows.
+#[test]
+fn program_drivers_match_expr_eval_on_random_trees() {
+    let schema = Schema::new(
+        LANES
+            .iter()
+            .map(|&n| Field::new(n, DataType::Float64))
+            .collect(),
+    );
+    let (mut ok_calls, mut err_calls) = (0, 0);
+    for case in 0..400 {
+        let mut g = Gen::new(0x70726f67 ^ case);
+        let n = g.usize_in(1, 140);
+        let cols: Vec<Column> = (0..LANES.len())
+            .map(|c| rand_lane_column(&mut g, c, n))
+            .collect();
+        let konst = rand_value(&mut g);
+        let lanes: Vec<Lane<'_>> = cols
+            .iter()
+            .zip(LANES)
+            .map(|(col, name)| match name {
+                "k" => Lane::constant(konst.clone()),
+                _ => Lane::column(col),
+            })
+            .collect();
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|i| {
+                (cols.iter().zip(LANES))
+                    .map(|(col, name)| {
+                        if name == "k" {
+                            konst.clone()
+                        } else {
+                            col.value_at(i)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let pred = (g.u64_in(0, 3) == 0).then(|| rand_expr(&mut g, 3, false));
+        let ints = case % 4 == 0;
+        let depth = if ints { g.usize_in(1, 3) } else { 4 };
+        let expr = rand_expr(&mut g, depth, ints);
+        let program = Program::compile(&schema, pred.as_ref(), Some(&expr));
+        let ctx = format!("case {case}: {pred:?} / `{expr}`");
+        let want: Vec<mcdbr::storage::Result<Option<Value>>> = (rows.iter())
+            .map(|row| match &pred {
+                Some(p) if !p.eval_bool(&schema, row)? => Ok(None),
+                _ => expr.eval(&schema, row).map(Some),
+            })
+            .collect();
+        for (i, row) in rows.iter().enumerate() {
+            let got = program.eval_row(|slot| row[program.slots()[slot]].clone());
+            match (&got, &want[i]) {
+                (Ok(Some(x)), Ok(Some(y))) => assert_cells_eq(x, y, &format!("{ctx} row {i}")),
+                (x, y) => assert_eq!(x.is_ok(), y.is_ok(), "{ctx} row {i}: {x:?} vs {y:?}"),
+            }
+        }
+        let density = g.f64_in(0.0, 1.0);
+        let mut sel = Mask::default();
+        sel.fill_with(n, |_| g.rng.next_f64() < density);
+        let selected = sel.clone();
+        let got = program.eval_block(&mut sel, |slot| Ok(lanes[program.slots()[slot]].clone()));
+        let fails = (0..n).any(|i| selected.get(i) && want[i].is_err());
+        let Ok(lane) = got else {
+            assert!(fails, "{ctx}: {got:?} with no selected row failing");
+            err_calls += 1;
+            continue;
+        };
+        assert!(!fails, "{ctx}: a selected row fails, the block did not");
+        ok_calls += 1;
+        let mut kept = Vec::new();
+        for (i, want) in want.iter().enumerate() {
+            if let (Ok(Some(v)), true) = (want, selected.get(i)) {
+                assert_cells_eq(&lane.value_at(i), v, &format!("{ctx} row {i}"));
+                kept.push(i as u32);
+            }
+        }
+        let rows_kept: Vec<u32> = (0..n).filter(|&i| sel.get(i)).map(|i| i as u32).collect();
+        assert_eq!(rows_kept, kept, "{ctx}: the narrowed selection");
+        let sv = SelVec::from_mask(&sel);
+        assert_eq!(sv.indices(), &kept[..], "{ctx}");
+        let (lo, hi) = (g.usize_in(0, n + 1), g.usize_in(0, n + 1));
+        let (lo, hi) = (lo.min(hi), lo.max(hi));
+        let in_range: Vec<u32> = (kept.iter().copied())
+            .filter(|&i| (lo..hi).contains(&(i as usize)))
+            .collect();
+        assert_eq!(sv.slice_in_range(lo, hi), &in_range[..], "{ctx}");
+    }
+    // Both outcomes are common, so neither half of the contract is vacuous.
+    assert!(
+        ok_calls > 100 && err_calls > 40,
+        "{ok_calls} ok, {err_calls} err"
+    );
+}
 
 /// A random numeric column of length `n`: `Float64` or `Int64`, with NaNs
 /// (float only) and SQL NULLs injected at a per-case random density.
@@ -216,13 +403,13 @@ fn rand_pred(g: &mut Gen, names: &[&str], depth: usize) -> Expr {
     }
 }
 
-/// The branchless predicate kernels agree with the scalar `eval_bool` row
-/// loop on every row of randomized schemas — random lengths (crossing the
-/// 64-bit mask-word boundary), null densities, NaNs, and `Int64`/`Float64`
-/// mixes — and `SelVec::from_mask` selects exactly the rows the scalar path
-/// keeps.  Cases where the expression leaves the compiled subset decline to
-/// the scalar loop by construction; the test additionally asserts the
-/// kernels engage on a healthy majority so the subset cannot silently rot.
+/// The column driver's predicate narrowing agrees with the scalar
+/// `eval_bool` row loop on every row of randomized numeric schemas — random
+/// lengths (crossing the 64-bit mask-word boundary), null densities, NaNs,
+/// and `Int64`/`Float64` mixes — and `SelVec::from_mask` selects exactly the
+/// rows the scalar path keeps.  A block errors iff some row's `eval_bool`
+/// does; the test asserts blocks succeed on a healthy majority so the
+/// comparison cannot silently go vacuous.
 #[test]
 fn predicate_kernels_and_selvec_match_scalar_eval_row() {
     let names = ["a", "b", "c"];
@@ -237,21 +424,29 @@ fn predicate_kernels_and_selvec_match_scalar_eval_row() {
         let mut g = Gen::new(0x6b65726e ^ case);
         let n = g.usize_in(1, 300);
         let cols: Vec<Column> = (0..names.len()).map(|_| rand_column(&mut g, n)).collect();
-        let lanes: Vec<Lane<'_>> = cols.iter().map(Lane::Col).collect();
+        let lanes: Vec<Lane<'_>> = cols.iter().map(Lane::column).collect();
         let expr = rand_pred(&mut g, &names, 2);
-        let Some(mask) = predicate_mask(&expr, &schema, &lanes, n) else {
+        let program = Program::compile(&schema, Some(&expr), None);
+        let mut mask = Mask::ones(n);
+        let got = program.eval_block(&mut mask, |slot| Ok(lanes[program.slots()[slot]].clone()));
+        let want: Vec<mcdbr::storage::Result<bool>> = (0..n)
+            .map(|i| {
+                let row: Vec<Value> = cols.iter().map(|c| c.value_at(i)).collect();
+                expr.eval_bool(&schema, &row)
+            })
+            .collect();
+        if let Err(e) = got {
+            assert!(
+                want.iter().any(|w| w.is_err()),
+                "case {case}: `{expr}` block failed ({e:?}) with no row failing"
+            );
             continue;
-        };
+        }
         engaged += 1;
         let mut scalar_rows = Vec::with_capacity(n);
-        for i in 0..n {
-            let row: Vec<Value> = cols.iter().map(|c| c.value_at(i)).collect();
-            let want = expr.eval_bool(&schema, &row).unwrap();
-            assert_eq!(
-                mask.get(i),
-                want,
-                "case {case}: `{expr}` row {i} (row = {row:?})"
-            );
+        for (i, want) in want.into_iter().enumerate() {
+            let want = want.unwrap_or_else(|e| panic!("case {case}: `{expr}` row {i}: {e:?}"));
+            assert_eq!(mask.get(i), want, "case {case}: `{expr}` row {i}");
             if want {
                 scalar_rows.push(i as u32);
             }
@@ -282,13 +477,14 @@ fn predicate_kernels_and_selvec_match_scalar_eval_row() {
     }
     assert!(
         engaged > CASES as u32 / 2,
-        "kernels engaged on only {engaged}/{CASES} cases — compiled subset regressed"
+        "blocks succeeded on only {engaged}/{CASES} cases"
     );
 }
 
-/// The vectorized aggregand lane (`numeric_values`) is bit-identical to the
-/// scalar `eval` + `as_f64` referee on null-free numeric columns, across
-/// random arithmetic expression trees.
+/// The aggregand a program computes — through the column driver's value
+/// lane and through `eval_row_f64` — is bit-identical to the scalar
+/// `eval_f64` referee on null-free numeric columns, across random arithmetic
+/// expression trees.
 #[test]
 fn numeric_value_lanes_match_scalar_eval_bitwise() {
     let names = ["x", "y"];
@@ -298,7 +494,6 @@ fn numeric_value_lanes_match_scalar_eval_bitwise() {
             .map(|&n| Field::new(n, DataType::Float64))
             .collect(),
     );
-    let mut engaged = 0u32;
     for case in 0..CASES {
         let mut g = Gen::new(0x61676772 ^ case);
         let n = g.usize_in(1, 200);
@@ -311,9 +506,8 @@ fn numeric_value_lanes_match_scalar_eval_bitwise() {
                 c
             })
             .collect();
-        let lanes: Vec<Lane<'_>> = cols.iter().map(Lane::Col).collect();
-        // x*k1 + y, x - y*k2, (x + y) * k — random small trees, division
-        // only by nonzero literals (zero divisors decline to scalar).
+        let lanes: Vec<Lane<'_>> = cols.iter().map(Lane::column).collect();
+        // x*k1 + y, x - y*k2, (x + y) * k, x / k + y — random small trees.
         let x = Expr::col("x");
         let y = Expr::col("y");
         let k = Expr::lit(Value::Float64(g.f64_in(0.5, 4.0)));
@@ -323,28 +517,32 @@ fn numeric_value_lanes_match_scalar_eval_bitwise() {
             2 => x.add(y).mul(k),
             _ => x.div(k).add(y),
         };
-        let Some(vals) = numeric_values(&expr, &schema, &lanes, n) else {
-            continue;
-        };
-        engaged += 1;
+        let program = Program::compile(&schema, None, Some(&expr));
+        let mut sel = Mask::ones(n);
+        let vals = program
+            .eval_block(&mut sel, |slot| Ok(lanes[program.slots()[slot]].clone()))
+            .unwrap_or_else(|e| panic!("case {case}: `{expr}`: {e:?}"));
+        assert_eq!(sel.count(), n, "case {case}: no predicate, no row dropped");
         for i in 0..n {
             let row: Vec<Value> = cols.iter().map(|c| c.value_at(i)).collect();
             let want = expr.eval_f64(&schema, &row).unwrap();
-            let got = match &vals {
-                NumVals::Const(c) => *c,
-                NumVals::Col(v) => v[i],
-            };
+            let got = vals.value_at(i).as_f64().unwrap();
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
                 "case {case}: `{expr}` row {i}: {got} != {want}"
             );
+            let by_row = program
+                .eval_row_f64(|slot| row[program.slots()[slot]].clone())
+                .unwrap()
+                .expect("no predicate drops the row");
+            assert_eq!(
+                by_row.to_bits(),
+                want.to_bits(),
+                "case {case}: `{expr}` row {i} (row driver)"
+            );
         }
     }
-    assert!(
-        engaged > CASES as u32 / 2,
-        "numeric lanes engaged on only {engaged}/{CASES} cases"
-    );
 }
 
 /// Packed-mask word operations agree with the naive per-bit reference at

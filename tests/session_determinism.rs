@@ -859,55 +859,69 @@ fn parallel_aggregation_is_bit_identical_to_sequential() {
     assert_eq!(default.groups, seq.groups);
 }
 
+/// `SUM(expr) WHERE pred GROUP BY group` per repetition by `Expr::eval` on
+/// each present bundle's row, groups in first-seen order: the scalar
+/// referee of the aggregate's compiled program.
+fn scalar_grouped_sum(
+    set: &mcdbr::exec::BundleSet,
+    expr: &Expr,
+    group: &str,
+    pred: &Expr,
+) -> Vec<(Value, Vec<f64>)> {
+    let schema = &set.schema;
+    let g = schema.index_of(group).unwrap();
+    let mut groups: Vec<(Value, Vec<f64>)> = Vec::new();
+    for bundle in &set.bundles {
+        let key = bundle.values[g].value_at(0);
+        let at = match groups.iter().position(|(k, _)| k.sql_eq(&key)) {
+            Some(at) => at,
+            None => {
+                groups.push((key, vec![0.0; set.num_reps]));
+                groups.len() - 1
+            }
+        };
+        for rep in (0..set.num_reps).filter(|&rep| bundle.is_present(rep)) {
+            let row = bundle.row_at(rep);
+            if pred.eval_bool(schema, &row).unwrap() {
+                groups[at].1[rep] += expr.eval_f64(schema, &row).unwrap();
+            }
+        }
+    }
+    groups
+}
+
 #[test]
-fn vectorized_kernels_are_bit_identical_to_forced_scalar_across_backends() {
-    // The kernel-mode contract: Auto (vectorized predicate masks, computed
-    // columns, and selection-vector aggregation) and ForceScalar (the
-    // retained scalar row loop) must produce bit-identical bundle sets and
-    // aggregate samples on every backend, across consecutive
-    // replenishment-style blocks.  (The process backend's workers keep
-    // their own process-global mode, so that leg additionally pins the
-    // coordinator's scalar path against worker-side vectorized blocks.)
-    use mcdbr::exec::{set_kernel_mode, KernelMode};
+fn compiled_programs_match_the_scalar_oracle_across_backends() {
+    // Presence predicates and computed projections (one program per block
+    // and bundle) and the aggregate's program over the final predicate, on
+    // every backend, across consecutive replenishment-style blocks: the
+    // blocks equal the executor's, whose every expression is `Expr::eval`,
+    // and the samples equal the scalar per-repetition referee, bit for bit.
     let (catalog, plan) = complex_case();
     let seed = 41;
     let blocks = [(0u64, 24usize), (24, 24), (48, 24), (7000, 9)];
     let agg = mcdbr::exec::AggregateSpec::sum(Expr::col("loss"), "total");
     let group = vec!["region".to_string()];
     let pred = Expr::col("scaled").lt(Expr::lit(9.0));
-
-    let run = |mode: KernelMode| {
-        set_kernel_mode(mode);
-        let mut out = Vec::new();
-        for backend in [
-            Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
-            Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
-            Arc::new(ProcessBackend::new(2)) as Arc<dyn ExecBackend>,
-        ] {
-            let mut session = ExecSession::prepare(&plan, &catalog, seed)
-                .unwrap()
-                .with_threads(2)
-                .with_backend(backend);
-            for &(base, n) in &blocks {
-                let set = session.instantiate_block(&catalog, base, n).unwrap();
-                let samples =
-                    evaluate_aggregate_threads(&set, &agg, &group, Some(&pred), 3).unwrap();
-                out.push((set, samples));
+    for backend in [
+        Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
+        Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
+        Arc::new(ProcessBackend::new(2)) as Arc<dyn ExecBackend>,
+    ] {
+        let mut session = ExecSession::prepare(&plan, &catalog, seed)
+            .unwrap()
+            .with_threads(2)
+            .with_backend(backend);
+        for &(base, n) in &blocks {
+            let set = session.instantiate_block(&catalog, base, n).unwrap();
+            assert_bit_identical(&set, &exec_from_scratch(&plan, &catalog, seed, base, n));
+            let samples = evaluate_aggregate_threads(&set, &agg, &group, Some(&pred), 3).unwrap();
+            let referee = scalar_grouped_sum(&set, &agg.expr, "region", &pred);
+            assert_eq!(samples.groups.len(), referee.len());
+            for ((ka, va), (kb, vb)) in samples.groups.iter().zip(&referee) {
+                assert_eq!(ka, std::slice::from_ref(kb));
+                assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
-        }
-        set_kernel_mode(KernelMode::Auto);
-        out
-    };
-    let auto = run(KernelMode::Auto);
-    let scalar = run(KernelMode::ForceScalar);
-    assert_eq!(auto.len(), scalar.len());
-    for ((sa, ra), (ss, rs)) in auto.iter().zip(&scalar) {
-        assert_bit_identical(sa, ss);
-        assert_eq!(ra.group_columns, rs.group_columns);
-        assert_eq!(ra.groups.len(), rs.groups.len());
-        for ((ka, va), (kb, vb)) in ra.groups.iter().zip(&rs.groups) {
-            assert_eq!(ka, kb);
-            assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 }

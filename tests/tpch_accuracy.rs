@@ -3,7 +3,7 @@
 //! quantile estimates are unbiased within a few standard errors.
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
-use mcdbr::exec::{set_kernel_mode, ExecSession, KernelMode};
+use mcdbr::exec::{AggregateSpec, ExecSession, Expr};
 use mcdbr::risk::TailCdfComparison;
 use mcdbr::workloads::{TpchConfig, TpchWorkload};
 
@@ -112,41 +112,37 @@ fn one_hungry_stream_does_not_drag_the_others_along() {
 }
 
 #[test]
-fn compiled_gibbs_kernel_equals_the_scalar_evaluator_and_never_punts() {
-    // The looper's compiled row program against `KernelMode::ForceScalar`,
-    // under which every program evaluation punts to `Expr::eval`:
-    // bit-identical at both master seeds, and on the Appendix D query no
-    // row punts, so a silent fallback cannot hide a lost speed-up.  (The
-    // looper's unit tests hold the same join against the scalar loop the
-    // compiled one replaced.)
-    //
-    // Under `ForceScalar`, `rows_punted` counts program evaluations, one per
-    // run of lineitems sharing their order's stream: pinned here, and under
-    // an eighth of the one-per-tuple count (5 073 778 / 2 277 809).
+fn single_load_gibbs_path_equals_the_general_register_program() {
+    // `SUM(val)` runs the row driver's one-`Load` path; `SUM(val * 1.0)`
+    // over an always-true predicate on the lineitem key runs the same
+    // samples through the general register program (a filter, an `Int64`
+    // comparison, `f64` arithmetic).  Bit-identical at both master seeds.
+    // (The looper's unit tests hold this join against the `Expr::eval`
+    // referee loop.)
     let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (master, punted, per_tuple) in [(77, 328_526, 5_073_778), (79, 173_165, 2_277_809)] {
+    let mut general = w
+        .total_loss_query()
+        .with_final_predicate(Expr::col("l_orderkey").gt_eq(Expr::lit(0i64)));
+    general.aggregate = AggregateSpec::sum(Expr::col("val").mul(Expr::lit(1.0)), "totalLoss");
+    for master in [77, 79] {
         let cfg = TailSamplingConfig::new(0.25f64.powi(5), 100, 300)
             .with_m(5)
             .with_master_seed(master);
-        let run = |mode| {
-            set_kernel_mode(mode);
-            let result = GibbsLooper::new(w.total_loss_query(), cfg.clone()).run(&w.catalog);
-            set_kernel_mode(KernelMode::Auto);
-            result.unwrap()
-        };
-        let (compiled, scalar) = (run(KernelMode::Auto), run(KernelMode::ForceScalar));
-        assert_eq!(compiled.rows_punted, 0, "seed {master}");
-        assert_eq!(scalar.rows_punted, punted, "seed {master}");
-        assert!(scalar.rows_punted < per_tuple / 8, "seed {master}");
-        assert_eq!(bits(&compiled.tail_samples), bits(&scalar.tail_samples));
-        assert_eq!(bits(&compiled.cutoffs), bits(&scalar.cutoffs));
-        assert_eq!(compiled.gibbs, scalar.gibbs);
-        assert_eq!(compiled.replenishments, scalar.replenishments);
+        let single = GibbsLooper::new(w.total_loss_query(), cfg.clone())
+            .run(&w.catalog)
+            .unwrap();
+        let full = GibbsLooper::new(general.clone(), cfg)
+            .run(&w.catalog)
+            .unwrap();
+        assert_eq!(bits(&single.tail_samples), bits(&full.tail_samples));
+        assert_eq!(bits(&single.cutoffs), bits(&full.cutoffs));
+        assert_eq!(single.gibbs, full.gibbs);
+        assert_eq!(single.replenishments, full.replenishments);
         assert_eq!(
-            compiled.stream_positions_consumed,
-            scalar.stream_positions_consumed
+            single.stream_positions_consumed,
+            full.stream_positions_consumed
         );
-        assert_eq!(compiled.values_materialized, scalar.values_materialized);
+        assert_eq!(single.values_materialized, full.values_materialized);
     }
 }

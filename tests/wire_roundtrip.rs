@@ -753,6 +753,28 @@ fn truncated_frames_return_typed_errors() {
     }
 }
 
+/// A stream that claims the largest legal frame and then ends: the reader
+/// reports a truncated payload without reserving the claimed gigabyte.
+#[test]
+fn a_claimed_frame_length_reserves_nothing_before_the_bytes_arrive() {
+    let mut stream = wire::MAX_FRAME_LEN.to_le_bytes().to_vec();
+    stream.extend_from_slice(b"only a few payload bytes");
+    for input in [&stream[..4], &stream[..]] {
+        let err = bounded(input, "read_frame", || {
+            wire::read_frame(&mut std::io::Cursor::new(input)).unwrap_err()
+        });
+        assert!(
+            matches!(
+                err,
+                WireError::Truncated {
+                    what: "frame payload"
+                }
+            ),
+            "{err:?}"
+        );
+    }
+}
+
 /// Re-encode a decoded frame with the public encoders.
 fn reencode(frame: &Frame) -> Vec<u8> {
     match frame {
