@@ -67,7 +67,7 @@ fn main() {
         "{}",
         row(&[
             "middle-99% width".into(),
-            "~2503".into(),
+            "-".into(),
             format!("{:.3e}", w.oracle.central_interval_width(0.01)),
         ])
     );

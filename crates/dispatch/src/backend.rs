@@ -67,10 +67,18 @@
 //! a plan, a fault plan in the coordinator's own environment never
 //! reaches its workers.
 //!
-//! Aggregation never crosses the process boundary: shipping a full
-//! `BundleSet` out and partial aggregates back would dwarf the aggregation
-//! itself, so per-repetition partials run on the local sharded path
-//! (their counters fold into this backend's [`ShardStats`]).
+//! **Why bundles still travel.**  The in-process backends run a Monte Carlo
+//! query as fused rep-range units ([`mcdbr_exec::SampleJob`]) that never
+//! build a block; this backend keeps [`ExecBackend::sample_block`]'s
+//! default — workers ship their bundles, and the coordinator aggregates the
+//! merged set on the local sharded path (its counters fold into this
+//! backend's [`ShardStats`]).  Shipping `AggPartial`s instead is the
+//! natural remote unit, but it would change the bytes a query reads off the
+//! wire, and the perf ledger's `naive.join_process2` workload replays its
+//! traced operation as `instantiate_block` + `aggregate` and fails a run
+//! whose `wire_bytes_received` differs between its plain and traced
+//! operations.  The remote fused path waits until that replay calls
+//! `sample_block`.
 
 use std::collections::HashSet;
 use std::io::{BufReader, Write};

@@ -1,10 +1,16 @@
-//! Per-repetition aggregation over a [`BundleSet`].
+//! Per-repetition aggregation.
 //!
 //! An MCDB query result is not a single number but one number per generated
-//! DB instance (paper §1).  This module evaluates an aggregation query over a
-//! bundle set once per Monte Carlo repetition, producing the vector of
-//! query-result samples that the `mcdbr-mcdb` result-distribution machinery
-//! (and, at smaller granularity, the Gibbs Looper) consumes.
+//! DB instance (paper §1).  This module evaluates an aggregation query once
+//! per Monte Carlo repetition, producing the vector of query-result samples
+//! that the `mcdbr-mcdb` result-distribution machinery (and, at smaller
+//! granularity, the Gibbs Looper) consumes.
+//!
+//! There is one aggregator: `RangeFold::fold` folds one bundle's
+//! aggregand over one repetition range into group-major lanes.  It runs over
+//! a materialized [`BundleSet`] ([`aggregate_parts`]) and, without one,
+//! inside the fused phase-2 unit ([`crate::shard::sample_parts`]), which
+//! feeds it each bundle's inputs straight from the range's generated cells.
 //!
 //! Grouping follows paper Appendix A footnote 4: "Grouping is handled by, in
 //! effect, treating a GROUP BY query over g groups as g separate,
@@ -14,7 +20,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use mcdbr_storage::{Column, Error, Mask, Result, SelVec, Value};
+use mcdbr_storage::{Error, Mask, Result, Schema, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
 use crate::expr::Expr;
@@ -160,7 +166,7 @@ pub fn evaluate_aggregate_threads(
 }
 
 /// [`aggregate_parts`] with the parts run in this process, up to `threads`
-/// at a time — what every backend that aggregates locally calls.
+/// at a time — what every backend that aggregates a set locally calls.
 pub(crate) fn aggregate_on_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -176,19 +182,20 @@ pub(crate) fn aggregate_on_threads(
     })
 }
 
-/// The one aggregation driver: split `0..set.num_reps` into at most `parts`
-/// balanced contiguous ranges, let `run` compute one [`AggPartial`] per
-/// range — on scoped threads, on a scheduler, wherever the backend places
-/// work — and merge the partials back in repetition order.
+/// The aggregation driver over a materialized set: split `0..set.num_reps`
+/// into at most `parts` balanced contiguous ranges, let `run` compute one
+/// [`AggPartial`] per range — on scoped threads, on a scheduler, wherever
+/// the backend places work — and merge the partials back in repetition
+/// order.  [`crate::shard::sample_parts`] is the same driver over a block
+/// that is never materialized.
 ///
 /// Parts partition **repetitions**, not bundles, because the accumulation
 /// order over bundles *within* a repetition is the floating-point
 /// bit-identity contract: a repetition's fold must happen wholly inside one
-/// part.  The group layout (first-seen bundle order over the **full** set)
-/// and the compiled columnar plan are built once here and shared by every
-/// range through the [`RepRangeJob`], so layout — and with it every group
-/// index — is identical across ranges and the result is bit-identical for
-/// every `parts` and every placement.
+/// part.  The group layout and the compiled program are built once here and
+/// shared by every range through the [`RepRangeJob`], so every group index
+/// is identical across ranges and the result is bit-identical for every
+/// `parts` and every placement.
 ///
 /// Returns `(samples, parts spawned, merge nanoseconds)` so the backend can
 /// account its sharding activity.  Only the partial concatenation counts as
@@ -205,80 +212,222 @@ pub fn aggregate_parts<R>(
 where
     R: FnOnce(&Arc<RepRangeJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
 {
-    let layout = GroupLayout::discover(set, group_by)?;
-    let job = Arc::new(RepRangeJob {
-        plan: compile_plan(set, &layout, agg, final_predicate)?,
-        layout,
-        func: agg.func,
-    });
-
-    // Balanced ranges (sizes differ by at most one), sharing the stream-key
-    // partitioner's balancing rule: exactly min(parts, n) of them, so no
-    // worker slot idles behind an oversized ceil-division chunk.
-    let mut ranges: Vec<Range<usize>> = Vec::new();
-    let mut lo = 0usize;
-    for len in mcdbr_prng::balanced_chunks(set.num_reps, parts) {
-        ranges.push(lo..lo + len);
-        lo += len;
+    let key_idx: Vec<usize> = group_by
+        .iter()
+        .map(|g| set.schema.index_of(g))
+        .collect::<Result<_>>()?;
+    // Group keys must be deterministic.
+    for bundle in &set.bundles {
+        if let Some(&gi) = key_idx.iter().find(|&&gi| !bundle.values[gi].is_const()) {
+            return Err(GroupLayout::random_key_error(&set.schema.field(gi).name));
+        }
     }
+    let key_of = |b: usize| -> Vec<Value> {
+        let values = &set.bundles[b].values;
+        key_idx.iter().map(|&gi| values[gi].value_at(0)).collect()
+    };
+    // A set holds only bundles present somewhere, so every one is known to
+    // be in the result before any range runs.
+    let mut layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), key_of);
+    layout.all_present = true;
+    let job = Arc::new(RepRangeJob::new(&set.schema, layout, agg, final_predicate));
+    let ranges = rep_ranges(set.num_reps, parts);
     let spawned = ranges.len();
     let partials = run(&job, ranges)?;
-
-    let merge_start = std::time::Instant::now();
-    let lanes = merge_rep_partials(set.num_reps, job.layout.keys.len(), partials)?;
-    let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    let samples = QueryResultSamples {
-        group_columns: group_by.to_vec(),
-        groups: job.layout.keys.iter().cloned().zip(lanes).collect(),
-    };
+    let (samples, merge_ns) = job.finish(set.num_reps, group_by, partials, key_of)?;
     Ok((samples, spawned, merge_ns))
 }
 
-/// What every repetition range of one [`aggregate_parts`] call shares: the
-/// group layout, the columnar plan and the aggregate function.  Opaque, and
-/// `'static`, so a scheduler can carry it into its own threads.
+/// `0..n` as exactly `min(parts, n)` balanced contiguous ranges (sizes
+/// differ by at most one, the stream-key partitioner's balancing rule), so
+/// no worker slot idles behind an oversized ceil-division chunk.
+pub(crate) fn rep_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    let mut lo = 0usize;
+    mcdbr_prng::balanced_chunks(n, parts)
+        .into_iter()
+        .map(|len| {
+            lo += len;
+            lo - len..lo
+        })
+        .collect()
+}
+
+/// What every repetition range of one aggregation shares: the group layout,
+/// the program of the final predicate and the aggregand, compiled once, and
+/// the aggregate function.  Opaque, and `'static`, so a scheduler can carry
+/// it into its own threads.
 pub struct RepRangeJob {
     layout: GroupLayout,
-    plan: AggPlan,
+    program: Program,
     func: AggFunc,
 }
 
 impl RepRangeJob {
+    pub(crate) fn new(
+        schema: &Schema,
+        layout: GroupLayout,
+        agg: &AggregateSpec,
+        final_predicate: Option<&Expr>,
+    ) -> RepRangeJob {
+        RepRangeJob {
+            layout,
+            program: Program::compile(schema, final_predicate, Some(&agg.expr)),
+            func: agg.func,
+        }
+    }
+
     /// Aggregate the contiguous repetition range `reps` of `set` — the set
     /// this job was built from — into one [`AggPartial`].  The range is
     /// clamped to the set's repetition count.
     pub fn aggregate_rep_range(&self, set: &BundleSet, reps: Range<usize>) -> Result<AggPartial> {
         let hi = reps.end.min(set.num_reps);
         let lo = reps.start.min(hi);
-        let vals = accumulate_range(&self.plan, self.func, lo, hi);
-        Ok(AggPartial {
+        let slots = self.program.slots();
+        let mut range = self.range(lo, hi);
+        for (b, bundle) in set.bundles.iter().enumerate() {
+            // Out-of-range repetitions count as absent.
+            let mut sel = match bundle.is_pres {
+                None => Mask::ones(hi - lo),
+                Some(_) => {
+                    let mut sel = Mask::default();
+                    sel.fill_with(hi - lo, |r| bundle.is_present(lo + r));
+                    sel
+                }
+            };
+            range.fold(b, &mut sel, |slot| {
+                Ok(lane_of(&bundle.values[slots[slot]], set.num_reps, lo..hi))
+            })?;
+        }
+        Ok(range.finish())
+    }
+
+    /// An empty accumulation of repetitions `lo..hi`.
+    pub(crate) fn range(&self, lo: usize, hi: usize) -> RangeFold<'_> {
+        let len = hi - lo;
+        let groups = self.layout.members.len();
+        RangeFold {
+            job: self,
             lo,
-            len: hi - lo,
-            vals,
-        })
+            first: vec![None; groups],
+            lanes: Lanes {
+                func: self.func,
+                len,
+                count: vec![0; groups * len],
+                acc: vec![0.0; groups * len],
+            },
+        }
+    }
+
+    /// Merge the partials of one call (they must tile `0..num_reps`) into
+    /// its result groups: the groups some bundle is present in, ordered by
+    /// their first present bundle — first-seen order over the bundles a
+    /// materialized block keeps — each keyed by that bundle's `key_of`.
+    /// Returns the samples and the merge nanoseconds.
+    pub(crate) fn finish(
+        &self,
+        num_reps: usize,
+        group_by: &[String],
+        partials: Vec<AggPartial>,
+        key_of: impl Fn(usize) -> Vec<Value>,
+    ) -> Result<(QueryResultSamples, u64)> {
+        let merge_start = std::time::Instant::now();
+        let groups = merge_rep_partials(num_reps, &self.layout, partials)?;
+        let merge_ns = merge_start.elapsed().as_nanos() as u64;
+        let samples = QueryResultSamples {
+            group_columns: group_by.to_vec(),
+            groups: (groups.into_iter())
+                .map(|(first, lane)| (first.map_or_else(Vec::new, &key_of), lane))
+                .collect(),
+        };
+        Ok((samples, merge_ns))
     }
 }
 
-/// One contiguous repetition range's finished aggregates, produced by
-/// [`RepRangeJob::aggregate_rep_range`]: group `g`'s values for repetitions
-/// `lo..lo + len` are `vals[g * len..(g + 1) * len]`.  Opaque: the layout is
-/// this module's private contract.
+/// One repetition range's aggregation in progress: the lanes bundles fold
+/// into, and each group's first present bundle.
+pub(crate) struct RangeFold<'j> {
+    job: &'j RepRangeJob,
+    lo: usize,
+    first: Vec<Option<usize>>,
+    lanes: Lanes,
+}
+
+impl<'j> RangeFold<'j> {
+    /// The schema column behind each of the program's slots: the inputs a
+    /// fold asks for.
+    pub(crate) fn slots(&self) -> &'j [usize] {
+        self.job.program.slots()
+    }
+
+    /// Record that bundle `b` is present in some repetition of the range, so
+    /// the result has its group — an error when groups are keyed by a random
+    /// attribute, as over the materialized block.
+    pub(crate) fn present(&mut self, b: usize) -> Result<()> {
+        if let Some(column) = &self.job.layout.random_key {
+            return Err(GroupLayout::random_key_error(column));
+        }
+        self.first[self.job.layout.group_of[b]].get_or_insert(b);
+        Ok(())
+    }
+
+    /// The one per-bundle step of every aggregation: run the program over
+    /// the range on bundle `b`'s contributing repetitions `sel` (presence;
+    /// the final predicate narrows it), slot `s` reading `input(s)`, and fold
+    /// the aggregand into `b`'s group.  Per `(repetition, group)` the lanes
+    /// receive exactly the `f64`s `Expr::eval` gives, bundle after bundle,
+    /// and fold them as `Accum::add` does, so the result is bit-identical to
+    /// the per-repetition referee the tests keep.  Errors if and only if a
+    /// selected repetition errors.
+    pub(crate) fn fold<'a>(
+        &mut self,
+        b: usize,
+        sel: &mut Mask,
+        input: impl FnMut(usize) -> Result<Lane<'a>>,
+    ) -> Result<()> {
+        if sel.none() {
+            // No selected row can err, and nothing contributes.
+            return Ok(());
+        }
+        let lane = self.job.program.eval_block(sel, input)?;
+        let vals = lane.f64s(sel)?;
+        self.lanes.fold(self.job.layout.group_of[b], &vals, sel);
+        Ok(())
+    }
+
+    /// The finished partial.
+    pub(crate) fn finish(self) -> AggPartial {
+        AggPartial {
+            lo: self.lo,
+            len: self.lanes.len,
+            vals: self.lanes.finish(),
+            first: self.first,
+        }
+    }
+}
+
+/// One contiguous repetition range's finished aggregates: group `g`'s values
+/// for repetitions `lo..lo + len` are `vals[g * len..(g + 1) * len]`, and
+/// `first[g]` is its first bundle present in the range, if one is.  Opaque:
+/// the layout is this module's private contract.
 #[derive(Debug)]
 pub struct AggPartial {
     lo: usize,
     len: usize,
     vals: Vec<f64>,
+    first: Vec<Option<usize>>,
 }
 
 /// Concatenate rep-range partials into one lane of `num_reps` values per
-/// group.  The partials must exactly tile `0..num_reps` (any order — they
+/// result group, each with its first present bundle (`None` for the one
+/// group of an ungrouped query, which is in the result whatever is
+/// present).  The partials must exactly tile `0..num_reps` (any order — they
 /// are sorted by range start here); gaps, overlaps, or missing repetitions
 /// are an error rather than a silently wrong result.
 fn merge_rep_partials(
     num_reps: usize,
-    num_groups: usize,
+    layout: &GroupLayout,
     mut partials: Vec<AggPartial>,
-) -> Result<Vec<Vec<f64>>> {
+) -> Result<Vec<(Option<usize>, Vec<f64>)>> {
     partials.sort_by_key(|p| p.lo);
     let mut covered = 0;
     for partial in &partials {
@@ -295,160 +444,127 @@ fn merge_rep_partials(
             "aggregate partials cover {covered} of {num_reps} repetitions"
         )));
     }
-    Ok((0..num_groups)
-        .map(|g| {
-            partials
-                .iter()
-                .flat_map(|p| &p.vals[g * p.len..(g + 1) * p.len])
-                .copied()
-                .collect()
+    let lane = |g: usize| -> Vec<f64> {
+        (partials.iter())
+            .flat_map(|p| &p.vals[g * p.len..(g + 1) * p.len])
+            .copied()
+            .collect()
+    };
+    if !layout.grouped {
+        return Ok(vec![(None, lane(0))]);
+    }
+    // A group is in the result iff one of its bundles is present somewhere;
+    // groups come in the order of their first present bundle.
+    let mut groups: Vec<(usize, usize)> = (0..layout.members.len())
+        .filter_map(|g| {
+            let known = layout.members[g].filter(|_| layout.all_present);
+            let first = (partials.iter().map(|p| p.first[g]))
+                .chain([known])
+                .flatten()
+                .min()?;
+            Some((first, g))
         })
+        .collect();
+    groups.sort_unstable();
+    Ok(groups
+        .into_iter()
+        .map(|(first, g)| (Some(first), lane(g)))
         .collect())
 }
 
-/// The group structure of a bundle set: every distinct key in first-seen
-/// order plus each bundle's group assignment.
-struct GroupLayout {
-    keys: Vec<Vec<Value>>,
-    key_of_bundle: Vec<usize>,
+/// The candidate groups of a call's bundles: every distinct key over *all*
+/// of them, in first-seen order, and each bundle's group.  Which groups the
+/// result holds — and in which order — depends on which bundles turn out
+/// present; see [`RepRangeJob::finish`].
+pub(crate) struct GroupLayout {
+    /// Whether the query has a `GROUP BY`; without one it has exactly one
+    /// group, with an empty key.
+    grouped: bool,
+    /// Each bundle's group.
+    group_of: Vec<usize>,
+    /// Each group's first bundle.
+    members: Vec<Option<usize>>,
+    /// Whether every bundle is known to be present before any range runs
+    /// (a set's are); otherwise the ranges report which are.
+    all_present: bool,
+    /// The random attribute the groups are keyed by, if they are: an error
+    /// as soon as some bundle is present.
+    random_key: Option<String>,
 }
 
 impl GroupLayout {
-    fn discover(set: &BundleSet, group_by: &[String]) -> Result<GroupLayout> {
-        let schema = &set.schema;
-        let group_idx: Vec<usize> = group_by
-            .iter()
-            .map(|g| schema.index_of(g))
-            .collect::<Result<_>>()?;
-
-        // Group keys must be deterministic.
-        for bundle in &set.bundles {
-            for &gi in &group_idx {
-                if !bundle.values[gi].is_const() {
-                    return Err(Error::InvalidOperation(format!(
-                        "group-by column {} is a random attribute; grouping keys must be \
-                         deterministic (paper App. A, fn. 4)",
-                        schema.field(gi).name
-                    )));
-                }
-            }
-        }
-
-        // Discover groups in first-seen order.
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut key_of_bundle: Vec<usize> = Vec::with_capacity(set.bundles.len());
-        for bundle in &set.bundles {
-            let key: Vec<Value> = group_idx
-                .iter()
-                .map(|&gi| bundle.values[gi].value_at(0).clone())
-                .collect();
-            let pos = keys
-                .iter()
-                .position(|k| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a.sql_eq(b)));
-            let idx = match pos {
-                Some(i) => i,
-                None => {
-                    keys.push(key.clone());
-                    keys.len() - 1
-                }
+    /// Discover the groups of `bundles` bundles, bundle `b` keyed by
+    /// `key_of(b)`.  Keys compare by `Value::sql_eq`, an equivalence on the
+    /// values it does not set apart (NULLs and NaNs equal nothing), so any
+    /// subset of the bundles discovers the same groups in the same relative
+    /// order.
+    pub(crate) fn discover(
+        bundles: usize,
+        grouped: bool,
+        key_of: impl Fn(usize) -> Vec<Value>,
+    ) -> GroupLayout {
+        if !grouped {
+            return GroupLayout {
+                grouped,
+                group_of: vec![0; bundles],
+                members: vec![(bundles > 0).then_some(0)],
+                all_present: false,
+                random_key: None,
             };
-            key_of_bundle.push(idx);
         }
-        if keys.is_empty() {
-            // No bundles at all: an ungrouped query still has one (empty) group.
-            if group_idx.is_empty() {
-                keys.push(Vec::new());
-            }
-        }
-        Ok(GroupLayout {
-            keys,
-            key_of_bundle,
-        })
-    }
-}
-
-/// A pre-compiled columnar aggregation plan: per bundle, the aggregand
-/// across every repetition plus, only when some repetition is excluded, the
-/// selection vector of contributing repetitions (presence ∧ final
-/// predicate).  One [`Program`] of the final predicate and the aggregand,
-/// compiled once, evaluates every bundle over its present repetitions.  A
-/// bare column aggregand over a `Float64` segment shares that segment and is
-/// read in place, so the plan copies no values.
-struct AggPlan {
-    bundles: Vec<PlanBundle>,
-    num_groups: usize,
-}
-
-struct PlanBundle {
-    gidx: usize,
-    vals: PlanVals,
-    /// The contributing repetitions; `None` when every one contributes.
-    sel: Option<SelVec>,
-}
-
-/// A bundle's aggregand across the repetitions.
-enum PlanVals {
-    /// One value broadcast to every repetition.
-    Const(f64),
-    /// The chain's single null-free `Float64` segment, read in place.
-    Shared(Arc<Column>),
-    /// Values computed from the bundle's attributes.
-    Owned(Vec<f64>),
-}
-
-fn compile_plan(
-    set: &BundleSet,
-    layout: &GroupLayout,
-    agg: &AggregateSpec,
-    final_predicate: Option<&Expr>,
-) -> Result<AggPlan> {
-    let n = set.num_reps;
-    let program = Program::compile(&set.schema, final_predicate, Some(&agg.expr));
-    let mut bundles = Vec::with_capacity(set.bundles.len());
-    for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
-        let shared = (program.output_column())
-            .and_then(|col| bundle.values[col].chain()?.as_single())
-            .filter(|seg| seg.len() == n && seg.f64_slice().is_some());
-        if let (Some(seg), None, None) = (shared, final_predicate, &bundle.is_pres) {
-            // `SUM(col)` over a bundle present everywhere: nothing to run.
-            let vals = PlanVals::Shared(Arc::clone(seg));
-            bundles.push(PlanBundle {
-                gidx,
-                vals,
-                sel: None,
+        let mut keys: Vec<Vec<Value>> = Vec::new();
+        let mut members = Vec::new();
+        let mut group_of = Vec::with_capacity(bundles);
+        for b in 0..bundles {
+            let key = key_of(b);
+            let same = |k: &Vec<Value>| k.iter().zip(&key).all(|(a, b)| a.sql_eq(b));
+            let g = keys.iter().position(same).unwrap_or_else(|| {
+                keys.push(key);
+                members.push(Some(b));
+                keys.len() - 1
             });
-            continue;
+            group_of.push(g);
         }
-        // Out-of-range repetitions count as absent.
-        let mut sel = Mask::default();
-        sel.fill_with(n, |rep| bundle.is_present(rep));
-        let input = |slot: usize| Ok(lane_of(&bundle.values[program.slots()[slot]], n));
-        let lane = program.eval_block(&mut sel, input)?;
-        let vals = match (shared, lane.f64s(&sel)?) {
-            (Some(seg), _) => PlanVals::Shared(Arc::clone(seg)),
-            (None, Vals::Const(c)) => PlanVals::Const(c),
-            (None, Vals::Rows(v)) => PlanVals::Owned(v.into_owned()),
-        };
-        let sel = (!sel.all()).then(|| SelVec::from_mask(&sel));
-        bundles.push(PlanBundle { gidx, vals, sel });
+        GroupLayout {
+            grouped,
+            group_of,
+            members,
+            all_present: false,
+            random_key: None,
+        }
     }
-    Ok(AggPlan {
-        bundles,
-        num_groups: layout.keys.len(),
-    })
+
+    /// Groups keyed by the random attribute `column` over `bundles` bundles:
+    /// no key to discover, and an error once a bundle is present.
+    pub(crate) fn random_key(bundles: usize, column: &str) -> GroupLayout {
+        GroupLayout {
+            grouped: true,
+            group_of: vec![0; bundles],
+            members: Vec::new(),
+            all_present: false,
+            random_key: Some(column.to_string()),
+        }
+    }
+
+    fn random_key_error(column: &str) -> Error {
+        Error::InvalidOperation(format!(
+            "group-by column {column} is a random attribute; grouping keys must be \
+             deterministic (paper App. A, fn. 4)"
+        ))
+    }
 }
 
-/// A bundle attribute's first `n` repetitions as a program input: a
+/// A bundle attribute's repetitions `range` of `n` as a program input: a
 /// constant, its one segment of exactly `n` values in place, or the chain's
 /// values gathered (`Null` past its end).
-fn lane_of(value: &BundleValue, n: usize) -> Lane<'_> {
+fn lane_of(value: &BundleValue, n: usize, range: Range<usize>) -> Lane<'_> {
     let Some(chain) = value.chain() else {
         return Lane::constant(value.value_at(0));
     };
     match chain.as_single() {
-        Some(seg) if seg.len() == n => Lane::column(seg),
+        Some(seg) if seg.len() == n => Lane::column_range(seg, range),
         _ => Lane::boxed(
-            (0..n)
+            range
                 .map(|rep| match rep < chain.len() {
                     true => chain.value_at(rep),
                     false => Value::Null,
@@ -458,68 +574,43 @@ fn lane_of(value: &BundleValue, n: usize) -> Lane<'_> {
     }
 }
 
-/// Accumulate the contiguous repetition range `lo..hi` column-at-a-time
-/// into flat, group-major lanes — bundles in the outer loop (set order),
-/// the range (or the bundle's selection vector sliced to it) in the inner
-/// loop — and finish them.  Per `(repetition, group)` the lanes receive
-/// exactly the `f64`s `Expr::eval` gives in set order and fold them as
-/// `Accum::add` does, so the result is bit-identical to the per-repetition
-/// referee the tests keep.
-fn accumulate_range(plan: &AggPlan, func: AggFunc, lo: usize, hi: usize) -> Vec<f64> {
-    let len = hi - lo;
-    let mut lanes = Lanes {
-        func,
-        count: vec![0; plan.num_groups * len],
-        acc: vec![0.0; plan.num_groups * len],
-    };
-    for b in &plan.bundles {
-        let base = b.gidx * len;
-        let vals = b.vals.slice();
-        let c = match b.vals {
-            PlanVals::Const(c) => c,
-            _ => 0.0,
-        };
-        let at = |rep: usize| vals.map_or(c, |v| v[rep]);
-        match (&b.sel, func, vals) {
-            // A sum needs no count, and over a dense range vectorizes.
-            (None, AggFunc::Sum, Some(v)) => {
-                for (a, &x) in lanes.acc[base..base + len].iter_mut().zip(&v[lo..hi]) {
-                    *a += x;
-                }
-            }
-            (None, ..) => (lo..hi).for_each(|rep| lanes.add(base + rep - lo, at(rep))),
-            (Some(sel), ..) => {
-                for &rep in sel.slice_in_range(lo, hi) {
-                    lanes.add(base + rep as usize - lo, at(rep as usize));
-                }
-            }
-        }
-    }
-    lanes.finish()
-}
-
-impl PlanVals {
-    /// The per-repetition values; `None` for a constant.
-    fn slice(&self) -> Option<&[f64]> {
-        match self {
-            PlanVals::Const(_) => None,
-            PlanVals::Shared(col) => Some(col.f64_slice().expect("compiled as Float64, null-free")),
-            PlanVals::Owned(v) => Some(v),
-        }
-    }
-}
-
 /// One repetition range's accumulators as flat, group-major lanes: the
 /// `(repetition, group)` accumulator is lane
 /// `group * len + (repetition - lo)`, split into a count and one `f64` that
 /// folds the sum, minimum or maximum.
 struct Lanes {
     func: AggFunc,
+    len: usize,
     count: Vec<u64>,
     acc: Vec<f64>,
 }
 
 impl Lanes {
+    /// Fold one bundle's aggregand `vals` on the rows of `sel` into group
+    /// `g`: bundles in the outer loop, the range in the inner one.
+    fn fold(&mut self, g: usize, vals: &Vals<'_, f64>, sel: &Mask) {
+        let base = g * self.len;
+        match (vals, sel.all()) {
+            // A sum needs no count, and over a dense range vectorizes.
+            (Vals::Rows(v), true) if self.func == AggFunc::Sum => {
+                for (a, &x) in self.acc[base..base + self.len].iter_mut().zip(v.iter()) {
+                    *a += x;
+                }
+            }
+            (_, true) => (0..self.len).for_each(|i| self.add(base + i, vals.at(i))),
+            (_, false) => {
+                for (w, &word) in sel.words().iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let i = w * 64 + bits.trailing_zeros() as usize;
+                        self.add(base + i, vals.at(i));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    }
+
     /// [`Accum::add`] on lane `i`.
     fn add(&mut self, i: usize, x: f64) {
         let acc = &mut self.acc[i];
@@ -594,7 +685,8 @@ impl Accum {
 mod tests {
     use super::*;
     use crate::bundle::{BundleValue, TupleBundle};
-    use mcdbr_storage::{Field, Schema};
+    use mcdbr_storage::{Column, Field, Schema};
+    use std::borrow::Cow;
 
     /// The referee: one repetition's aggregates over every group, by
     /// `Expr::eval` on each present bundle's row, in set order.
@@ -606,8 +698,8 @@ mod tests {
         rep: usize,
     ) -> Result<Vec<Accum>> {
         let schema = &set.schema;
-        let mut accs = vec![Accum::default(); layout.keys.len()];
-        for (bundle, &gidx) in set.bundles.iter().zip(&layout.key_of_bundle) {
+        let mut accs = vec![Accum::default(); layout.members.len()];
+        for (bundle, &gidx) in set.bundles.iter().zip(&layout.group_of) {
             if !bundle.is_present(rep) {
                 continue;
             }
@@ -975,14 +1067,17 @@ mod tests {
     #[test]
     fn dense_sum_reads_the_shared_segment_without_a_selection_vector() {
         let set = seeded_set(70, false);
-        let agg = AggregateSpec::sum(Expr::col("x"), "s");
-        let layout = GroupLayout::discover(&set, &[]).unwrap();
-        let plan = compile_plan(&set, &layout, &agg, None).unwrap();
-        assert_eq!(plan.bundles.len(), set.bundles.len());
-        for (b, bundle) in plan.bundles.iter().zip(&set.bundles) {
+        for bundle in &set.bundles {
+            // A range of a bare Float64 column is a window of the bundle's
+            // shared segment, read in place, and every repetition is selected.
             let seg = bundle.values[1].chain().unwrap().as_single().unwrap();
-            assert!(matches!(&b.vals, PlanVals::Shared(col) if Arc::ptr_eq(col, seg)));
-            assert!(b.sel.is_none());
+            let lane = lane_of(&bundle.values[1], 70, 10..40);
+            let sel = Mask::ones(30);
+            let in_place = |v: &[f64]| std::ptr::eq(v, &seg.f64_slice().unwrap()[10..40]);
+            assert!(
+                matches!(lane.f64s(&sel).unwrap(), Vals::Rows(Cow::Borrowed(v)) if in_place(v))
+            );
+            assert!(sel.all());
         }
     }
 }

@@ -1,18 +1,26 @@
 //! Pluggable phase-2 execution backends.
 //!
 //! Phase 1 of a session produces a [`DeterministicPrefix`]; phase 2 turns
-//! it into materialized blocks by running [`crate::shard::ShardTask`] units
-//! and merging them with [`crate::shard::merge_block`], and aggregates by
-//! repetition ranges ([`crate::aggregate::aggregate_parts`]).  A backend
-//! decides only *where* those units run — the [`ExecBackend`] trait is that
-//! seam:
+//! it into samples.  A Monte Carlo query takes one call,
+//! [`ExecBackend::sample_block`]: on the in-process backends it runs one
+//! fused unit per repetition range ([`crate::shard::SampleJob`]) that
+//! generates the range's stream values and folds every bundle straight into
+//! the aggregate, so no block is ever materialized.  Callers that need the
+//! bundles themselves (the Gibbs looper, the reference checks) call
+//! [`ExecBackend::instantiate_block`], which runs
+//! [`crate::shard::ShardTask`] units and merges them with
+//! [`crate::shard::merge_block`]; [`ExecBackend::aggregate`] aggregates
+//! such a set by repetition ranges
+//! ([`crate::aggregate::aggregate_parts`]).  A backend decides only *where*
+//! those units run — the [`ExecBackend`] trait is that seam:
 //!
-//! * [`InProcessBackend`] — one all-covering unit, its streams and bundles
-//!   fanned out across worker threads of this process (`crate::par`).
-//! * [`crate::shard::ShardedBackend`] — one unit per
-//!   [`mcdbr_prng::StreamKeyRange`] of the block, run side by side on the
-//!   same threads; the stepping stone to multi-process dispatch, since a
-//!   shard task is fully serializable state.
+//! * [`InProcessBackend`] — one fused unit per thread, or one all-covering
+//!   block unit, its streams and bundles fanned out across worker threads
+//!   of this process (`crate::par`).
+//! * [`crate::shard::ShardedBackend`] — one fused unit per shard, or one
+//!   block unit per [`mcdbr_prng::StreamKeyRange`] of the block, run side by
+//!   side on the same threads; the stepping stone to multi-process
+//!   dispatch, since a shard task is fully serializable state.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
 //! identical results** for every backend, shard count, and thread count.
@@ -30,7 +38,7 @@ use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::pool::BlockBufferPool;
 use crate::session::DeterministicPrefix;
-use crate::shard::{merge_block, ShardTask};
+use crate::shard::{merge_block, sample_on_threads, ShardTask};
 
 /// Counters a backend exposes about its sharding activity.  The in-process
 /// backend never shards, so its stats stay zero; [`crate::shard::ShardedBackend`]
@@ -160,6 +168,30 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         threads: usize,
     ) -> Result<QueryResultSamples>;
 
+    /// Evaluate `agg` once per repetition over stream positions `base_pos ..
+    /// base_pos + num_values` of `prefix`, bit-identical to
+    /// [`ExecBackend::aggregate`] over [`ExecBackend::instantiate_block`]'s
+    /// set, and an error if and only if that pair errs.  The default is that
+    /// pair.  The in-process backends override it with the fused unit
+    /// ([`crate::shard::SampleJob`]): each repetition range generates its
+    /// streams and folds every bundle straight into the aggregate, so no
+    /// [`BundleSet`] is ever built.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_block(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        let set = self.instantiate_block(prefix, pool, threads, base_pos, num_values)?;
+        self.aggregate(&set, agg, group_by, final_predicate, threads)
+    }
+
     /// Sharding counters (zero for backends that never shard).
     fn shard_stats(&self) -> ShardStats {
         ShardStats::default()
@@ -180,12 +212,13 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Whether a block on this backend is nothing but [`ShardTask`] units
-    /// run in this process and merged by [`merge_block`].  A scheduler
-    /// wrapped around such a backend (the server's `FairBackend`) may place
-    /// the units itself; for every other backend — units that run elsewhere,
-    /// or anything a custom implementation does per block — it must go
-    /// through [`ExecBackend::instantiate_block`], hence the default.
+    /// Whether this backend's work is nothing but units run in this process:
+    /// a block is [`ShardTask`] units merged by [`merge_block`], and a
+    /// sampled block the fused units of [`crate::shard::sample_parts`].  A
+    /// scheduler wrapped around such a backend (the server's `FairBackend`)
+    /// may place the units itself; for every other backend — units that run
+    /// elsewhere, or anything a custom implementation does per block — it
+    /// must go through the backend's own calls, hence the default.
     fn units_run_in_process(&self) -> bool {
         false
     }
@@ -240,6 +273,31 @@ impl ExecBackend for InProcessBackend {
         threads: usize,
     ) -> Result<QueryResultSamples> {
         aggregate::evaluate_aggregate_threads(set, agg, group_by, final_predicate, threads)
+    }
+
+    fn sample_block(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        let (samples, _, _) = sample_on_threads(
+            prefix,
+            pool,
+            base_pos,
+            num_values,
+            agg,
+            group_by,
+            final_predicate,
+            threads,
+            threads,
+        )?;
+        Ok(samples)
     }
 }
 

@@ -42,15 +42,18 @@
 //! * [`cache`] — [`cache::SessionCache`]: skeletons keyed by
 //!   `(plan fingerprint, catalog epoch)`, so a repeated query — under *any*
 //!   master seed — skips phase 1 entirely (LRU-bounded).
-//! * [`shard`] — the one phase-2 unit and its merge:
+//! * [`shard`] — the phase-2 units and the block merge:
+//!   [`shard::SampleJob::sample_rep_range`] instantiates and aggregates one
+//!   repetition range of a Monte Carlo query in one pass, folding every
+//!   bundle straight into the aggregate;
 //!   [`shard::ShardTask::run`] (`skeleton + master seed + StreamKey range +
-//!   block window`) is the only code that generates stream blocks and
-//!   materializes bundles, and [`shard::merge_block`] slots the units'
-//!   partials back into skeleton order — bit-identical for every split of a
-//!   block, which is what makes the task shippable to another process.
+//!   block window`) materializes bundles for callers that need them, and
+//!   [`shard::merge_block`] slots its partials back into skeleton order —
+//!   bit-identical for every split of a block, which is what makes the task
+//!   shippable to another process.
 //! * [`backend`] — [`backend::ExecBackend`]: *where* the units run.
-//!   [`backend::InProcessBackend`] runs one all-covering unit on the thread
-//!   pool (the default), [`shard::ShardedBackend`] one unit per key range,
+//!   [`backend::InProcessBackend`] runs them on the thread pool (the
+//!   default), [`shard::ShardedBackend`] one unit per shard,
 //!   selected per session with `with_backend`.
 //! * [`par`] — the deterministic parallel fan-out used by phase-2
 //!   instantiation and per-repetition aggregation (bit-identical results for
@@ -93,5 +96,7 @@ pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
 pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
-pub use shard::{merge_block, plan_shards, ShardOutput, ShardTask, ShardedBackend};
+pub use shard::{
+    merge_block, plan_shards, sample_parts, SampleJob, ShardOutput, ShardTask, ShardedBackend,
+};
 pub use stream_registry::StreamSource;

@@ -33,6 +33,7 @@
 //! that row's own error), and its output is only defined on selected rows.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use mcdbr_storage::{CmpOp, Column, ColumnData, Mask, Result, Schema, Value};
 
@@ -144,11 +145,6 @@ impl Program {
         &self.slots
     }
 
-    /// The schema column the value reads as is (`SUM(col)`), if it is one.
-    pub(crate) fn output_column(&self) -> Option<usize> {
-        self.slots.get(self.out).copied()
-    }
-
     /// Row driver: the value of the row whose slot `s` holds `load(s)`, or
     /// `None` when the predicate drops the row.
     #[inline(always)]
@@ -224,6 +220,10 @@ impl Program {
         sel: &mut Mask,
         mut input: impl FnMut(usize) -> Result<Lane<'a>>,
     ) -> Result<Lane<'a>> {
+        if let [Op::Load(slot)] = self.ops[..] {
+            // `SUM(col)`: the input is the value.
+            return input(slot);
+        }
         let mut regs: Vec<Lane<'a>> = Vec::with_capacity(self.ops.len());
         // The selections `Guard`s narrowed, innermost last.
         let mut outer: Vec<Mask> = Vec::new();
@@ -349,7 +349,8 @@ pub(crate) enum Vals<'a, T: Clone> {
 }
 
 impl<T: Copy> Vals<'_, T> {
-    fn at(&self, i: usize) -> T {
+    /// Row `i`'s value.
+    pub(crate) fn at(&self, i: usize) -> T {
         match self {
             Vals::Const(c) => *c,
             Vals::Rows(v) => v[i],
@@ -409,15 +410,25 @@ impl<'a> Lane<'a> {
 
     /// The rows of `col`; a typed buffer is borrowed, strings are boxed.
     pub fn column(col: &'a Column) -> Self {
+        Lane::column_range(col, 0..col.len())
+    }
+
+    /// The rows `range` of `col`, renumbered from 0; a typed buffer is
+    /// borrowed, strings are boxed.
+    pub(crate) fn column_range(col: &'a Column, range: Range<usize>) -> Self {
         let rows = match col.data() {
             ColumnData::Untyped => Rows::K(Value::Null),
-            ColumnData::Float64(v) => Rows::F(Cow::Borrowed(v)),
-            ColumnData::Int64(v) => Rows::I(Cow::Borrowed(v)),
-            ColumnData::Bool(v) => Rows::B(Cow::Borrowed(v)),
-            ColumnData::Mixed(v) => Rows::V(Cow::Borrowed(v)),
-            ColumnData::Utf8(_) => Rows::V(col.values_out().into()),
+            ColumnData::Float64(v) => Rows::F(Cow::Borrowed(&v[range.clone()])),
+            ColumnData::Int64(v) => Rows::I(Cow::Borrowed(&v[range.clone()])),
+            ColumnData::Bool(v) => Rows::B(Cow::Borrowed(&v[range.clone()])),
+            ColumnData::Mixed(v) => Rows::V(Cow::Borrowed(&v[range.clone()])),
+            ColumnData::Utf8(_) => Rows::V(range.clone().map(|i| col.value_at(i)).collect()),
         };
-        let nulls = col.nulls().any().then(|| col.null_mask());
+        let nulls = col.nulls().any().then(|| {
+            let mut mask = Mask::default();
+            mask.fill_with(range.len(), |i| col.nulls().get(range.start + i));
+            mask
+        });
         Lane { rows, nulls }
     }
 

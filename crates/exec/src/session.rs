@@ -33,7 +33,9 @@
 //!   position-addressable streams of `mcdbr-prng` make any split of the
 //!   work bit-identical), the symbolic residue is evaluated, and a full
 //!   [`BundleSet`] comes back.  No scan, join, or deterministic predicate
-//!   is ever re-evaluated.
+//!   is ever re-evaluated.  A Monte Carlo query skips the set as well:
+//!   [`ExecSession::sample_block`] folds each repetition range's bundles
+//!   straight into the aggregate (`fold_bundles`).
 //!
 //! The output of `instantiate_block(catalog, b, n)` is bit-identical to
 //! `Executor::execute` with `ExecOptions { base_pos: b, num_values: n, .. }`
@@ -76,6 +78,7 @@ use std::sync::Arc;
 use mcdbr_prng::{SeedId, StreamKey};
 use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 
+use crate::aggregate::{self, AggregateSpec, QueryResultSamples, RangeFold};
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
@@ -319,6 +322,26 @@ impl PlanSkeleton {
     /// an even share of bundles.
     pub fn anchor_keys(&self) -> &[StreamKey] {
         &self.anchor_keys
+    }
+
+    /// Each `group_by` column's values by bundle, or the name of the first
+    /// one that is not constant — a random attribute, which cannot key
+    /// groups.
+    pub(crate) fn group_keys(
+        &self,
+        group_by: &[String],
+    ) -> Result<std::result::Result<Vec<&[Value]>, &str>> {
+        let idx: Vec<usize> = group_by
+            .iter()
+            .map(|g| self.schema.index_of(g))
+            .collect::<Result<_>>()?;
+        Ok(idx
+            .into_iter()
+            .map(|gi| match &self.batch.columns[gi] {
+                SymColumn::Const(values) => Ok(values.as_slice()),
+                _ => Err(self.schema.field(gi).name.as_str()),
+            })
+            .collect())
     }
 
     /// Bind this skeleton to a master seed.  Every stream's concrete
@@ -699,6 +722,49 @@ impl ExecSession {
         }
     }
 
+    /// Phase 2 and the aggregate in one call: `agg` grouped by `group_by`
+    /// over positions `base_pos .. base_pos + num_values`, once per
+    /// repetition, bit-identical to [`aggregate::evaluate_aggregate`] over
+    /// [`ExecSession::instantiate_block`]'s set — and an error if and only if
+    /// that errs.  Cacheable plans delegate to the session's backend
+    /// ([`ExecBackend::sample_block`]), which on an in-process placement
+    /// folds every repetition range straight into the aggregate and never
+    /// builds the set; fallback plans materialize it through the inner
+    /// [`Executor`].  Counts as one block, like `instantiate_block`.
+    pub fn sample_block(
+        &mut self,
+        catalog: &Catalog,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        let Mode::Cached(prefix) = &self.mode else {
+            let set = self.instantiate_block(catalog, base_pos, num_values)?;
+            return aggregate::evaluate_aggregate_threads(
+                &set,
+                agg,
+                group_by,
+                final_predicate,
+                self.threads,
+            );
+        };
+        self.blocks_materialized += 1;
+        self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
+        self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
+        self.backend.sample_block(
+            prefix,
+            &self.pool,
+            self.threads,
+            base_pos,
+            num_values,
+            agg,
+            group_by,
+            final_predicate,
+        )
+    }
+
     /// Phase 2 for the streams that ran dry (paper §9): materialize
     /// positions `base_pos .. base_pos + num_values` of the active streams
     /// `keys` (strictly ascending) only, returning each stream's shared
@@ -935,6 +1001,71 @@ pub(crate) fn materialize_bundle(
         }
     };
     Ok(Some(TupleBundle { values, is_pres }))
+}
+
+/// Fold every bundle of the skeleton straight into `range`, over a window
+/// of `num_values` positions whose streams' cells are `blocks` — what
+/// [`materialize_bundle`] and then the aggregate compute, with no bundle
+/// built: the same presence masks, the same program inputs (a stream column
+/// reads its cell in place, a computed one the column
+/// [`materialize_value`] would hold), in skeleton order.  Every column of
+/// every bundle is read or computed as a block materializes it, so the
+/// window errs if and only if its block would.
+pub(crate) fn fold_bundles(
+    prefix: &DeterministicPrefix,
+    blocks: &CellData,
+    num_values: usize,
+    range: &mut RangeFold<'_>,
+) -> Result<()> {
+    let batch = &prefix.skeleton.batch;
+    let slots = range.slots();
+    let mut computed: Vec<Option<mcdbr_storage::Column>> = vec![None; batch.columns.len()];
+    for idx in 0..batch.len {
+        for (col, computed) in batch.columns.iter().zip(&mut computed) {
+            match col {
+                SymColumn::Const(_) => {}
+                SymColumn::Stream { .. } if num_values == 0 => {}
+                SymColumn::Stream {
+                    ids,
+                    vg_rows,
+                    vg_col,
+                } => {
+                    cells_for(blocks, ids[idx])?.cell(vg_rows[idx] as usize, *vg_col)?;
+                }
+                SymColumn::Expr(e) => {
+                    let lane = e.run(idx, blocks, &mut Mask::ones(num_values))?;
+                    *computed = Some(lane.to_column(num_values));
+                }
+            }
+        }
+        let mut present = Mask::ones(num_values);
+        for pred in &batch.preds {
+            pred.run(idx, blocks, &mut present)?;
+        }
+        if !batch.preds.is_empty() && present.none() {
+            // A block drops the bundle (see `materialize_bundle`).
+            continue;
+        }
+        range.present(idx)?;
+        range.fold(idx, &mut present, |slot| {
+            Ok(match &batch.columns[slots[slot]] {
+                SymColumn::Const(values) => Lane::constant(values[idx].clone()),
+                SymColumn::Stream {
+                    ids,
+                    vg_rows,
+                    vg_col,
+                } => {
+                    Lane::column(cells_for(blocks, ids[idx])?.cell(vg_rows[idx] as usize, *vg_col)?)
+                }
+                SymColumn::Expr(_) => Lane::column(
+                    computed[slots[slot]]
+                        .as_ref()
+                        .expect("computed columns are evaluated above"),
+                ),
+            })
+        })?;
+    }
+    Ok(())
 }
 
 fn materialize_value(

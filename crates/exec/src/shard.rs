@@ -1,7 +1,17 @@
-//! The phase-2 unit: `PlanSkeleton + seed + StreamKey range` is a complete
-//! description of a slice of a block's work.
+//! The phase-2 units.
 //!
-//! [`ShardTask::run`] is the one body that generates stream blocks and
+//! A Monte Carlo query runs the **fused unit**,
+//! [`SampleJob::sample_rep_range`]: instantiate and aggregate repetitions
+//! `[a, b)` in one pass, generating every active stream over the range and
+//! folding each bundle, in skeleton order, straight into the aggregate's
+//! lanes.  No bundle, set or merge is built; [`sample_parts`] splits the
+//! repetitions and merges the partials, and every in-process placement —
+//! [`crate::InProcessBackend`], [`ShardedBackend`], the server's
+//! scheduler — runs the same unit.
+//!
+//! Callers that need the bundles themselves run the **block unit**:
+//! `PlanSkeleton + seed + StreamKey range` is a complete description of a
+//! slice of a block's work.  [`ShardTask::run`] is the one body that
 //! materializes bundles, and [`merge_block`] the one routine that assembles
 //! a block from unit partials.  Every backend — in-process (one
 //! all-covering unit), [`ShardedBackend`] (N units on the scoped pool), the
@@ -38,20 +48,24 @@
 //! shard counts {1, 2, 3, 7} × thread counts against `Executor::execute`,
 //! across replenishment boundaries, and on cache hits.
 //!
-//! Aggregation shards partition **repetitions**, not bundles: within one
-//! repetition the floating-point accumulation order over bundles is the
-//! bit-identity contract, so the only safe parallel unit is the repetition
-//! itself — see [`crate::aggregate::aggregate_parts`], the one driver every
-//! backend aggregates through.
+//! Aggregation — fused or over a set — partitions **repetitions**, not
+//! bundles: within one repetition the floating-point accumulation order
+//! over bundles is the bit-identity contract, so the only safe parallel
+//! unit is the repetition itself — see [`sample_parts`] and
+//! [`crate::aggregate::aggregate_parts`], which share the one per-bundle
+//! fold and the one partial merge.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mcdbr_prng::{StreamKey, StreamKeyRange};
-use mcdbr_storage::{ColumnBlock, Error, Result};
+use mcdbr_storage::{ColumnBlock, Error, Result, Value};
 
-use crate::aggregate::{self, AggregateSpec, QueryResultSamples};
+use crate::aggregate::{
+    self, AggPartial, AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob,
+};
 use crate::backend::{ExecBackend, ShardStats};
 use crate::bundle::{BundleSet, TupleBundle};
 use crate::expr::Expr;
@@ -253,6 +267,131 @@ pub(crate) fn generate_streams(
     }
 }
 
+/// The fused phase-2 unit's shared state: instantiate and aggregate a
+/// repetition range of one block in a single pass, folding every bundle
+/// straight into the aggregate ([`SampleJob::sample_rep_range`]).  A block
+/// is never materialized: a range's cells live only while its bundles fold,
+/// and no [`TupleBundle`], [`BundleSet`] or [`merge_block`] exists.
+///
+/// Ranges partition repetitions, as [`crate::aggregate::aggregate_parts`]'
+/// do, so every range generates every active stream over its own window —
+/// `(seed, position)` addressing makes each value the one a full block
+/// would hold.  Built once per call by [`sample_parts`] and `'static`, so a
+/// scheduler can carry it into its own threads.
+pub struct SampleJob {
+    prefix: DeterministicPrefix,
+    base_pos: u64,
+    num_values: usize,
+    job: RepRangeJob,
+}
+
+impl SampleJob {
+    /// The fused unit: generate every active stream's cells for the
+    /// repetitions `reps` of the block (clamped to it) from `pool`, then
+    /// fold every skeleton bundle, in order, into one [`AggPartial`] — the
+    /// partial [`crate::RepRangeJob::aggregate_rep_range`] computes over the
+    /// materialized block, bit for bit.
+    pub fn sample_rep_range(
+        &self,
+        pool: &BlockBufferPool,
+        reps: Range<usize>,
+    ) -> Result<AggPartial> {
+        let hi = reps.end.min(self.num_values);
+        let lo = reps.start.min(hi);
+        let all: Vec<usize> = (0..self.prefix.num_active_streams()).collect();
+        let base_pos = self.base_pos + lo as u64;
+        let cells = generate_streams(&self.prefix, &all, base_pos, hi - lo, pool, 1)?;
+        let cells = session::CellData::scatter(all.len(), &all, cells);
+        let mut range = self.job.range(lo, hi);
+        session::fold_bundles(&self.prefix, &cells, hi - lo, &mut range)?;
+        Ok(range.finish())
+    }
+}
+
+/// The driver of the fused unit, [`crate::aggregate::aggregate_parts`]'
+/// twin over a block that is never materialized: split `0..num_values` into
+/// at most `parts` balanced ranges, let `run` compute one
+/// [`SampleJob::sample_rep_range`] partial per range wherever the backend
+/// places work, and merge them.  The result — groups, their order, every
+/// sample — is bit-identical to aggregating
+/// [`ExecBackend::instantiate_block`]'s set, and the call errs if and only
+/// if that would.  Returns `(samples, parts spawned, merge nanoseconds)`.
+#[allow(clippy::too_many_arguments)]
+pub fn sample_parts<R>(
+    prefix: &DeterministicPrefix,
+    base_pos: u64,
+    num_values: usize,
+    agg: &AggregateSpec,
+    group_by: &[String],
+    final_predicate: Option<&Expr>,
+    parts: usize,
+    run: R,
+) -> Result<(QueryResultSamples, usize, u64)>
+where
+    R: FnOnce(&Arc<SampleJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
+{
+    let skeleton = prefix.skeleton();
+    let keys = skeleton.group_keys(group_by)?;
+    let key_of = |b: usize| -> Vec<Value> {
+        let cols = keys.as_deref().unwrap_or_default();
+        cols.iter().map(|values| values[b].clone()).collect()
+    };
+    let layout = match keys {
+        Ok(_) => GroupLayout::discover(skeleton.num_bundles(), !group_by.is_empty(), key_of),
+        Err(column) => GroupLayout::random_key(skeleton.num_bundles(), column),
+    };
+    let job = Arc::new(SampleJob {
+        prefix: prefix.clone(),
+        base_pos,
+        num_values,
+        job: RepRangeJob::new(skeleton.schema(), layout, agg, final_predicate),
+    });
+    // A zero-position block still decides which bundles — so which groups —
+    // it keeps, and still runs every VG function's parameter checks: one
+    // empty range does both.
+    let ranges = match num_values {
+        0 => std::iter::once(0..0).collect(),
+        n => aggregate::rep_ranges(n, parts),
+    };
+    let spawned = ranges.len();
+    let partials = run(&job, ranges)?;
+    let (samples, merge_ns) = job.job.finish(num_values, group_by, partials, key_of)?;
+    Ok((samples, spawned, merge_ns))
+}
+
+/// [`sample_parts`] with the ranges run in this process, up to `threads` at
+/// a time, on the caller's pool — what the in-process backends call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sample_on_threads(
+    prefix: &DeterministicPrefix,
+    pool: &BlockBufferPool,
+    base_pos: u64,
+    num_values: usize,
+    agg: &AggregateSpec,
+    group_by: &[String],
+    final_predicate: Option<&Expr>,
+    parts: usize,
+    threads: usize,
+) -> Result<(QueryResultSamples, usize, u64)> {
+    let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
+        // Reclaim cell storage freed since the last block, once per call.
+        pool.sweep_cells();
+        par::try_par_map_threads(&ranges, threads, |reps| {
+            job.sample_rep_range(pool, reps.clone())
+        })
+    };
+    sample_parts(
+        prefix,
+        base_pos,
+        num_values,
+        agg,
+        group_by,
+        final_predicate,
+        parts,
+        run,
+    )
+}
+
 /// The shard planner: partition a skeleton's distinct bundle *anchor* keys
 /// into exactly `min(shards, anchors)` contiguous, balanced
 /// [`StreamKeyRange`]s covering the whole key space (a single all-covering
@@ -374,6 +513,33 @@ impl ExecBackend for ShardedBackend {
     ) -> Result<QueryResultSamples> {
         let (samples, parts, merge_ns) = aggregate::aggregate_on_threads(
             set,
+            agg,
+            group_by,
+            final_predicate,
+            self.shards,
+            threads,
+        )?;
+        self.shards_spawned.fetch_add(parts, Ordering::Relaxed);
+        self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
+        Ok(samples)
+    }
+
+    fn sample_block(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        let (samples, parts, merge_ns) = sample_on_threads(
+            prefix,
+            pool,
+            base_pos,
+            num_values,
             agg,
             group_by,
             final_predicate,

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    par, AggregateSpec, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend,
-    PlanNode, QueryResultSamples, SessionCache, ShardStats,
+    AggregateSpec, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode,
+    QueryResultSamples, SessionCache, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result, Value};
 
@@ -56,6 +56,19 @@ impl MonteCarloQuery {
         self.group_by = columns;
         self
     }
+
+    /// This query's samples over positions `base_pos .. base_pos + n` of
+    /// `session`'s plan: one [`ExecSession::sample_block`] call.
+    fn sample(
+        &self,
+        session: &mut ExecSession,
+        catalog: &Catalog,
+        base_pos: u64,
+        n: usize,
+    ) -> Result<QueryResultSamples> {
+        let pred = self.final_predicate.as_ref();
+        session.sample_block(catalog, base_pos, n, &self.aggregate, &self.group_by, pred)
+    }
 }
 
 /// Counters from one [`run_query_shared`] call, for callers (the resident
@@ -86,8 +99,10 @@ pub struct SharedRunStats {
 /// (so buffers recycle across queries regardless of which connection ran
 /// them).  The result is bit-identical to
 /// [`McdbEngine::run_samples`] with the same backend: both bind the same
-/// skeleton, materialize the same block window `0..n`, and aggregate in
-/// the same repetition order.
+/// skeleton and make one [`ExecSession::sample_block`] call over the window
+/// `0..n` — on an in-process placement, fused rep-range units that fold
+/// each bundle straight into the aggregate without materializing the
+/// block.
 pub fn run_query_shared(
     query: &MonteCarloQuery,
     catalog: &Catalog,
@@ -101,14 +116,7 @@ pub fn run_query_shared(
         .session(&query.plan, catalog, master_seed)?
         .with_backend(Arc::clone(backend))
         .with_pool(Arc::clone(pool));
-    let set = session.instantiate_block(catalog, 0, n)?;
-    let samples = backend.aggregate(
-        &set,
-        &query.aggregate,
-        &query.group_by,
-        query.final_predicate.as_ref(),
-        par::default_threads(),
-    )?;
+    let samples = query.sample(&mut session, catalog, 0, n)?;
     Ok((
         samples,
         SharedRunStats {
@@ -163,11 +171,11 @@ pub struct NaiveTailReport {
 /// joins, constant predicates) happens once per *distinct* `(plan, catalog)`
 /// pair, not once per query — a repeated query under a fresh master seed
 /// skips phase 1 entirely and only re-derives stream seeds.  Repetitions are
-/// materialized as blocks of stream positions against the cached prefix.
-/// Block materialization and per-repetition aggregation both run on the
-/// engine's pluggable [`ExecBackend`] ([`McdbEngine::with_backend`]) —
-/// in-process threads by default, shard-partitioned when asked — with
-/// bit-identical results either way.  The engine accumulates all counters
+/// blocks of stream positions against the cached prefix, each sampled by
+/// one [`ExecSession::sample_block`] call on the engine's pluggable
+/// [`ExecBackend`] ([`McdbEngine::with_backend`]) — in-process threads by
+/// default, shard-partitioned when asked — with bit-identical results
+/// either way.  The engine accumulates all counters
 /// across sessions so the experiment binaries can report the cost structure
 /// directly.
 #[derive(Debug)]
@@ -299,15 +307,9 @@ impl McdbEngine {
             .session(&query.plan, catalog, master_seed)?
             .with_backend(Arc::clone(&self.backend))
             .with_pool(Arc::clone(&self.pool));
-        let set = session.instantiate_block(catalog, 0, n)?;
+        let samples = query.sample(&mut session, catalog, 0, n);
         self.absorb(&session);
-        self.backend.aggregate(
-            &set,
-            &query.aggregate,
-            &query.group_by,
-            query.final_predicate.as_ref(),
-            par::default_threads(),
-        )
+        samples
     }
 
     /// Run `query` for `n` repetitions and summarize each group's result
@@ -338,8 +340,10 @@ impl McdbEngine {
     /// the cached prefix, so even the naive strategy pays for scans and joins
     /// only once — the remaining (huge) cost Appendix D charges it is the
     /// `l / p` repetitions it must generate and aggregate.  `max_repetitions`
-    /// bounds the total work so tests and benchmarks terminate; hitting the
-    /// bound is reported, not an error.
+    /// bounds the total work so tests and benchmarks terminate (the last
+    /// batch is clipped to it, so `repetitions` never exceeds it unless the
+    /// calibration block alone does); hitting the bound is reported, not an
+    /// error.
     #[allow(clippy::too_many_arguments)]
     pub fn naive_tail_sample(
         &mut self,
@@ -362,7 +366,6 @@ impl McdbEngine {
         // mid-way: plan work that ran is plan work the engine must report.
         let hunt = Self::tail_hunt(
             &mut session,
-            &self.backend,
             query,
             catalog,
             p,
@@ -391,7 +394,6 @@ impl McdbEngine {
     #[allow(clippy::too_many_arguments)]
     fn tail_hunt(
         session: &mut ExecSession,
-        backend: &Arc<dyn ExecBackend>,
         query: &MonteCarloQuery,
         catalog: &Catalog,
         p: f64,
@@ -401,14 +403,7 @@ impl McdbEngine {
         max_repetitions: usize,
     ) -> Result<(f64, Vec<f64>, usize)> {
         // Step 1: estimate the (1-p)-quantile from a calibration block.
-        let calib_set = session.instantiate_block(catalog, 0, calibration_reps)?;
-        let calib = backend.aggregate(
-            &calib_set,
-            &query.aggregate,
-            &query.group_by,
-            query.final_predicate.as_ref(),
-            par::default_threads(),
-        )?;
+        let calib = query.sample(session, catalog, 0, calibration_reps)?;
         let calib_dist = ResultDistribution::from_samples(calib.single()?);
         let quantile_estimate = calib_dist.quantile(1.0 - p)?;
 
@@ -423,16 +418,11 @@ impl McdbEngine {
         let mut repetitions = calibration_reps;
         let mut next_pos = calibration_reps as u64;
         while tail_samples.len() < l && repetitions < max_repetitions {
-            let set = session.instantiate_block(catalog, next_pos, batch)?;
-            let samples = backend.aggregate(
-                &set,
-                &query.aggregate,
-                &query.group_by,
-                query.final_predicate.as_ref(),
-                par::default_threads(),
-            )?;
-            next_pos += batch as u64;
-            repetitions += batch;
+            // The last batch stops at the cap.
+            let reps = batch.min(max_repetitions - repetitions);
+            let samples = query.sample(session, catalog, next_pos, reps)?;
+            next_pos += reps as u64;
+            repetitions += reps;
             tail_samples.extend(
                 samples
                     .single()?
@@ -613,12 +603,9 @@ mod tests {
                 assert_eq!(ka, kb);
                 assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
-            // One block over 12 streams plus the aggregate partials over 64
-            // repetitions: min(shards, 12) + min(shards, 64) tasks.
-            assert_eq!(
-                engine.backend_stats().shards_spawned,
-                shards.min(12) + shards.min(64)
-            );
+            // One fused unit per repetition range over 64 repetitions:
+            // min(shards, 64) tasks.
+            assert_eq!(engine.backend_stats().shards_spawned, shards.min(64));
         }
 
         // The naive tail hunt reports its own shard window.
@@ -685,7 +672,20 @@ mod tests {
         let report = engine
             .naive_tail_sample(&losses_query(), &catalog, 0.001, 1_000, 200, 100, 600, 9)
             .unwrap();
-        assert!(report.repetitions <= 700);
+        assert_eq!(report.repetitions, 600);
         assert!(report.tail_samples.len() < 1_000);
+    }
+
+    #[test]
+    fn naive_tail_sampling_clips_the_last_batch_to_the_cap() {
+        let catalog = catalog(10);
+        let mut engine = McdbEngine::new();
+        // 200 calibration repetitions and four full batches leave 50 under
+        // the cap: the fifth batch runs 50, not 100.
+        let report = engine
+            .naive_tail_sample(&losses_query(), &catalog, 0.001, 1_000, 200, 100, 650, 9)
+            .unwrap();
+        assert_eq!(report.repetitions, 650);
+        assert_eq!(report.blocks_materialized, 6);
     }
 }

@@ -4,41 +4,46 @@
 //!
 //! The server hands every admitted query its own `FairBackend` wrapping
 //! the server-wide inner backend (in-process, sharded, or process).  It is
-//! one more place to run the same units: block instantiation is
-//! [`ShardTask`]s merged by [`mcdbr_exec::merge_block`], aggregation is the
-//! repetition ranges of [`mcdbr_exec::aggregate_parts`]; both kinds of unit
-//! are submitted under the query's id, so the scheduler's round-robin ring
+//! one more place to run the same units: a query is one
+//! [`mcdbr_exec::SampleJob`] unit per scheduler pool thread, each
+//! instantiating and aggregating one repetition range
+//! ([`mcdbr_exec::sample_parts`]); a bare block is [`ShardTask`]s merged
+//! by [`mcdbr_exec::merge_block`], and the aggregate of a set the
+//! repetition ranges of [`mcdbr_exec::aggregate_parts`].  Every unit is
+//! submitted under the query's id, so the scheduler's round-robin ring
 //! interleaves *tasks* of concurrent queries rather than running the
 //! queries serially.
 //!
-//! Bit-identity is inherited, not re-argued: the unit body and both merges
+//! Bit-identity is inherited, not re-argued: the unit bodies and merges
 //! are the ones every backend runs, so results equal a single-threaded run
 //! of the same query bit for bit — the property
 //! `tests/server_concurrency.rs` asserts across all three inner backends.
 //!
 //! An inner backend whose units do not run in this process
 //! ([`ExecBackend::units_run_in_process`] is false — the **process**
-//! dispatcher) keeps its own fan-out: its block instantiation is one
-//! coordinator-side conversation holding the dispatcher's state lock, so it
-//! runs as a *single* scheduler unit (the blocking wire I/O occupies one
-//! pool slot; fairness is at block granularity).  Aggregation still fans
-//! out per rep range, since the process backend aggregates locally anyway.
+//! dispatcher) keeps its own fan-out and the two-call path: its block
+//! instantiation is one coordinator-side conversation holding the
+//! dispatcher's state lock, so it runs as a *single* scheduler unit (the
+//! blocking wire I/O occupies one pool slot; fairness is at block
+//! granularity).  Aggregation still fans out per rep range, since the
+//! process backend aggregates locally anyway.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
-//! a per-query deadline), checked on entry to block instantiation and
-//! aggregation.  A query that blows its deadline fails with a typed
-//! [`mcdbr_storage::Error::Timeout`] at its next block boundary — already
-//! completed blocks are simply dropped, and no scheduler unit is ever
-//! interrupted mid-flight.
+//! a per-query deadline), checked on entry to every call — a fused query,
+//! or block instantiation and aggregation.  A query that blows its
+//! deadline fails with a typed [`mcdbr_storage::Error::Timeout`] at its
+//! next boundary — already completed work is simply dropped, and no
+//! scheduler unit is ever interrupted mid-flight.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mcdbr_exec::{
-    aggregate_parts, merge_block, AggregateSpec, BlockBufferPool, BundleSet, CancelToken,
-    DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats, ShardTask,
+    aggregate_parts, merge_block, sample_parts, AggregateSpec, BlockBufferPool, BundleSet,
+    CancelToken, DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
+    ShardTask,
 };
 use mcdbr_storage::{Catalog, Result};
 
@@ -51,13 +56,13 @@ pub struct FairBackend {
     pool: Arc<BlockBufferPool>,
     /// The query id the scheduler keys fairness by.
     qid: u64,
-    /// The query's cancellation token, checked cooperatively at every
-    /// block boundary (block instantiation and aggregation entry) — a
-    /// deadlined or cancelled query stops before starting its next block
+    /// The query's cancellation token, checked cooperatively on entry to
+    /// every call (a fused query, block instantiation, aggregation) — a
+    /// deadlined or cancelled query stops before starting its next call
     /// rather than being interrupted mid-unit, so partial work is never
     /// observable and the scheduler pool is never poisoned.
     cancel: CancelToken,
-    /// Shard/rep-range units this query fanned out into.
+    /// Fused, shard and rep-range units this query fanned out into.
     units: AtomicUsize,
     /// Cumulative queue wait across this query's units (shared with the
     /// unit closures).
@@ -218,6 +223,55 @@ impl ExecBackend for FairBackend {
                     .into_iter()
                     .collect()
             })?;
+        self.merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
+        Ok(samples)
+    }
+
+    fn sample_block(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        if !self.inner.units_run_in_process() {
+            // The two calls, each a boundary that checks `cancel`: one
+            // delegating unit for the block, rep ranges for the aggregate.
+            let set = self.instantiate_block(prefix, pool, threads, base_pos, num_values)?;
+            return self.aggregate(&set, agg, group_by, final_predicate, threads);
+        }
+        self.cancel.check()?;
+
+        // One fused unit per scheduler pool thread.
+        let parts = self.sched.pool_size();
+        let (samples, _, merge_ns) = sample_parts(
+            prefix,
+            base_pos,
+            num_values,
+            agg,
+            group_by,
+            final_predicate,
+            parts,
+            |job, ranges| {
+                self.pool.sweep_cells();
+                self.units.fetch_add(ranges.len(), Ordering::Relaxed);
+                let jobs: Vec<_> = ranges
+                    .into_iter()
+                    .map(|reps| {
+                        let (job, pool) = (Arc::clone(job), Arc::clone(&self.pool));
+                        move || job.sample_rep_range(&pool, reps)
+                    })
+                    .collect();
+                self.sched
+                    .run_batch(self.qid, jobs, &self.wait_ns)
+                    .into_iter()
+                    .collect()
+            },
+        )?;
         self.merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
         Ok(samples)
     }

@@ -1,0 +1,256 @@
+//! `sample_block` against the two-call path it replaces.
+//!
+//! `ExecSession::sample_block` instantiates and aggregates a block in one
+//! call; on the in-process and sharded backends each repetition range folds
+//! its bundles straight into the aggregate and no `BundleSet` exists.  This
+//! suite holds it, bit for bit, to `instantiate_block` followed by
+//! `evaluate_aggregate` — groups, their order and keys, every sample — and
+//! requires both sides to fail together.  The shapes are the ones where
+//! fusing could go wrong: presence predicates that drop a bundle in every
+//! repetition, a `GROUP BY` whose first group is never present, a final
+//! predicate, a computed aggregand, every aggregate function, empty
+//! results, a stream fanned out to several bundles by a join, a VG function
+//! with several output rows per position, and the `Split` fallback.
+
+use mcdbr::exec::aggregate::{evaluate_aggregate, AggFunc, AggregateSpec, QueryResultSamples};
+use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
+use mcdbr::exec::{ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode, ShardedBackend};
+use mcdbr::storage::{Catalog, Field, Result, Schema, TableBuilder, Value};
+use mcdbr::vg::{MultiNormalVg, NormalVg};
+use std::sync::Arc;
+
+/// Twelve customers and their line items.  Customer 0 (region `ZZ`, alone)
+/// has a mean loss so low that `val > 0` never holds; customers 1–4 sit
+/// near zero, so the predicate keeps some repetitions only.  Customers join
+/// 0–3 items each (customer 0 one), so most streams fan out to several
+/// bundles.
+fn catalog() -> Catalog {
+    let regions = [
+        "ZZ", "EU", "US", "EU", "APAC", "US", "EU", "US", "APAC", "EU", "US", "EU",
+    ];
+    let mut params = TableBuilder::new(Schema::new(vec![
+        Field::int64("cid"),
+        Field::float64("m"),
+        Field::utf8("region"),
+    ]));
+    for (cid, &region) in regions.iter().enumerate() {
+        let m = match cid {
+            0 => -100.0,
+            1..=4 => 0.25 * cid as f64 - 0.5,
+            _ => 1.0 + cid as f64,
+        };
+        params = params.row([
+            Value::Int64(cid as i64),
+            Value::Float64(m),
+            Value::str(region),
+        ]);
+    }
+    let mut items = TableBuilder::new(Schema::new(vec![Field::int64("icid"), Field::float64("w")]));
+    for cid in 0..12i64 {
+        for k in 0..((cid * 7 + 1) % 4) {
+            items = items.row([Value::Int64(cid), Value::Float64(1.0 + k as f64)]);
+        }
+    }
+    let mut catalog = Catalog::new();
+    catalog.register("params", params.build().unwrap()).unwrap();
+    catalog.register("items", items.build().unwrap()).unwrap();
+    catalog
+}
+
+fn losses() -> PlanNode {
+    PlanNode::random_table(scalar_random_table(
+        "Losses",
+        "params",
+        Arc::new(NormalVg),
+        vec![Expr::col("m"), Expr::lit(1.0)],
+        &["cid", "region"],
+        "val",
+        1,
+    ))
+}
+
+/// Three correlated rows `(component, val)` per customer and position.
+fn multi() -> PlanNode {
+    let keep = |name: &str| OutputColumn::Param {
+        source: name.into(),
+        as_name: name.into(),
+    };
+    PlanNode::random_table(RandomTableSpec {
+        name: "Multi".into(),
+        param_table: "params".into(),
+        vg: Arc::new(MultiNormalVg::new(3, 0.5)),
+        vg_params: vec![Expr::col("m"), Expr::lit(1.0)],
+        columns: vec![
+            keep("cid"),
+            keep("region"),
+            OutputColumn::Vg {
+                vg_col: 0,
+                as_name: "component".into(),
+            },
+            OutputColumn::Vg {
+                vg_col: 1,
+                as_name: "val".into(),
+            },
+        ],
+        table_tag: 2,
+    })
+}
+
+fn plans() -> Vec<(&'static str, PlanNode)> {
+    let positive = || Expr::col("val").gt(Expr::lit(0.0));
+    let joined = || losses().join(PlanNode::scan("items"), vec![("cid", "icid")]);
+    vec![
+        ("join", joined()),
+        ("join, presence", joined().filter(positive())),
+        ("presence", losses().filter(positive())),
+        (
+            "no bundles",
+            joined().filter(Expr::col("cid").gt(Expr::lit(1000i64))),
+        ),
+        (
+            "never present",
+            losses().filter(Expr::col("val").gt(Expr::lit(1e9))),
+        ),
+        ("multi-row VG, presence", multi().filter(positive())),
+        ("split fallback", multi().split("component")),
+    ]
+}
+
+fn queries() -> Vec<(AggregateSpec, Vec<String>, Option<Expr>)> {
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Count,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
+    let aggregands = [Expr::col("val"), Expr::col("val").mul(Expr::lit(1.0))];
+    let mut out = Vec::new();
+    for func in funcs {
+        for expr in &aggregands {
+            for group_by in [vec![], vec!["region".to_string()]] {
+                for pred in [None, Some(Expr::col("val").gt(Expr::lit(1.0)))] {
+                    let agg = AggregateSpec {
+                        func,
+                        expr: expr.clone(),
+                        alias: "a".into(),
+                    };
+                    out.push((agg, group_by.clone(), pred));
+                }
+            }
+        }
+    }
+    // Both sides must fail: a random grouping key, a zero divisor in a
+    // present repetition, a string aggregand.
+    let sum = |e: Expr| AggregateSpec::sum(e, "a");
+    out.push((sum(Expr::col("val")), vec!["val".into()], None));
+    let zero = Expr::col("val").sub(Expr::col("val"));
+    out.push((sum(Expr::col("val").div(zero)), vec![], None));
+    out.push((sum(Expr::col("region")), vec![], None));
+    out
+}
+
+fn backends() -> Vec<(String, Arc<dyn ExecBackend>, usize)> {
+    let mut out: Vec<(String, Arc<dyn ExecBackend>, usize)> = Vec::new();
+    for threads in [1, 2, 3] {
+        out.push((
+            format!("in-process x{threads}"),
+            Arc::new(InProcessBackend::new()),
+            threads,
+        ));
+        for shards in [1, 2, 3, 7] {
+            out.push((
+                format!("{shards} shards x{threads}"),
+                Arc::new(ShardedBackend::new(shards)),
+                threads,
+            ));
+        }
+    }
+    out
+}
+
+fn assert_same(case: &str, got: &Result<QueryResultSamples>, want: &Result<QueryResultSamples>) {
+    let (got, want) = match (got, want) {
+        (Err(_), Err(_)) => return,
+        (Ok(got), Ok(want)) => (got, want),
+        _ => panic!("{case}: one side failed: {got:?} vs {want:?}"),
+    };
+    assert_eq!(got.group_columns, want.group_columns, "{case}");
+    let keys = |s: &QueryResultSamples| s.groups.iter().map(|g| g.0.clone()).collect::<Vec<_>>();
+    assert_eq!(keys(got), keys(want), "{case}: groups differ");
+    for ((key, a), (_, b)) in got.groups.iter().zip(&want.groups) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{case}: group {key:?}");
+    }
+}
+
+#[test]
+fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
+    let catalog = catalog();
+    let queries = queries();
+    let (mut compared, mut failed, mut groups) = (0usize, 0usize, 0usize);
+    for (name, plan) in plans() {
+        for n in [1usize, 7, 250] {
+            let base = 13;
+            let mut reference = ExecSession::prepare(&plan, &catalog, 99).unwrap();
+            let set = reference.instantiate_block(&catalog, base, n).unwrap();
+            let wants: Vec<_> = (queries.iter())
+                .map(|(agg, by, pred)| evaluate_aggregate(&set, agg, by, pred.as_ref()))
+                .collect();
+            for (backend_name, backend, threads) in backends() {
+                let mut session = ExecSession::prepare(&plan, &catalog, 99)
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_backend(backend);
+                for ((agg, by, pred), want) in queries.iter().zip(&wants) {
+                    let case = format!(
+                        "{name}, n = {n}, {backend_name}: {agg:?} by {by:?} where {pred:?}"
+                    );
+                    let got = session.sample_block(&catalog, base, n, agg, by, pred.as_ref());
+                    assert_same(&case, &got, want);
+                    compared += 1;
+                    match want {
+                        Ok(s) => groups += s.groups.len(),
+                        Err(_) => failed += 1,
+                    }
+                }
+                // One block per call, each counting what a block counts.
+                let calls = queries.len() as u64;
+                assert_eq!(session.blocks_materialized() as u64, calls, "{name}");
+                let values = reference.values_materialized() * calls;
+                assert_eq!(session.values_materialized(), values, "{name}");
+            }
+        }
+    }
+    // 7 plans x 3 repetition counts x 43 queries x 15 backends; the error
+    // cases fail on every plan that has a present bundle, and the grouped
+    // ones see every region that has one.
+    assert_eq!(compared, 7 * 3 * 43 * 15);
+    assert!(
+        failed > 0 && failed < compared,
+        "{failed} of {compared} failed"
+    );
+    assert!(groups > compared, "{groups} groups over {compared} cases");
+}
+
+#[test]
+fn the_first_seen_group_is_numbered_only_where_it_is_present() {
+    // `ZZ`'s only customer comes first in every plan and is never present:
+    // the result must not have its group at all, and the others keep the
+    // order of their first present bundle.
+    let catalog = catalog();
+    let plan = losses()
+        .join(PlanNode::scan("items"), vec![("cid", "icid")])
+        .filter(Expr::col("val").gt(Expr::lit(0.0)));
+    let agg = AggregateSpec::sum(Expr::col("val"), "a");
+    let by = ["region".to_string()];
+    let mut session = ExecSession::prepare(&plan, &catalog, 7).unwrap();
+    let got = session
+        .sample_block(&catalog, 0, 64, &agg, &by, None)
+        .unwrap();
+    let keys: Vec<Value> = got.groups.iter().map(|g| g.0[0].clone()).collect();
+    assert!(!keys.contains(&Value::str("ZZ")), "{keys:?}");
+    let set = session.instantiate_block(&catalog, 0, 64).unwrap();
+    let want = evaluate_aggregate(&set, &agg, &by, None);
+    assert_same("first-seen group", &Ok(got), &want);
+}
