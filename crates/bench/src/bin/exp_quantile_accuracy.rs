@@ -75,7 +75,7 @@ fn main() {
         "{}",
         row(&[
             "std err / width".into(),
-            "~10%".into(),
+            "-".into(),
             format!(
                 "{:.1}%",
                 100.0 * std_err / w.oracle.central_interval_width(0.01)

@@ -119,7 +119,7 @@ fn main() {
         "{}",
         row(&[
             "MCDB-R shards spawned".into(),
-            "0 unless --backend sharded".into(),
+            "0 unless --backend process".into(),
             result.backend.shards_spawned.to_string()
         ])
     );
@@ -217,7 +217,7 @@ fn main() {
         "{}",
         row(&[
             "naive shards spawned".into(),
-            "0 unless --backend sharded".into(),
+            "0 unless --backend process".into(),
             engine.backend_stats().shards_spawned.to_string()
         ])
     );

@@ -43,10 +43,10 @@ pub fn run_tail_sampling_on(
         .run(catalog)
 }
 
-/// Resolve the experiment binaries' `--backend {inprocess,sharded,process}`
-/// flag (either `--backend name` or `--backend=name`) through
-/// [`mcdbr_dispatch::backend_named`], sharded and process backends
-/// `par::default_threads().max(2)` wide.  Without the flag the run is
+/// Resolve the experiment binaries' `--backend {inprocess,process}` flag
+/// (either `--backend name` or `--backend=name`) through
+/// [`mcdbr_dispatch::backend_named`], a process backend
+/// `par::default_threads().max(2)` workers wide.  Without the flag the run is
 /// in-process.
 ///
 /// Returns `(label, backend, rest)` where `rest` holds the arguments the
@@ -69,7 +69,7 @@ pub fn backend_from_args(args: &[String]) -> (String, Arc<dyn ExecBackend>, Vec<
     }
     let width = mcdbr_exec::par::default_threads().max(2);
     let backend = mcdbr_dispatch::backend_named(&choice, width).unwrap_or_else(|err| {
-        eprintln!("--backend: {err}\nusage: [--backend inprocess|sharded|process]");
+        eprintln!("--backend: {err}\nusage: [--backend inprocess|process]");
         std::process::exit(2);
     });
     let label = match backend.name() {

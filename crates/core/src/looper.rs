@@ -188,8 +188,7 @@ pub struct TailSampleResult {
     /// Number of single-stream windows triggered by exhausted streams.
     pub replenishments: usize,
     /// Logical bytes written into pooled columnar block buffers across the
-    /// run (initial block + replenishments; includes cross-shard
-    /// regeneration of the initial block on a sharded backend).
+    /// run (initial block + replenishments).
     pub bytes_materialized: u64,
     /// Columnar buffer acquisitions served by recycling the session's
     /// [`mcdbr_exec::BlockBufferPool`] instead of allocating — every
@@ -244,8 +243,8 @@ impl GibbsLooper {
 
     /// Materialize the initial full-width block on an explicit execution
     /// backend (§9 replenishments are single-stream windows and always run
-    /// inline).  Results are bit-identical for every backend and shard
-    /// count; only the `shards_spawned` / `shard_merge_ns` counters differ.
+    /// inline).  Results are bit-identical for every backend; only its
+    /// counters (`backend` on the result) differ.
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = backend;
         self
@@ -933,39 +932,6 @@ mod tests {
         let err = GibbsLooper::new(query, config).run(&catalog).unwrap_err();
         assert!(matches!(err, Error::InvalidOperation(_)), "{err}");
         assert!(err.to_string().contains("Split(val)"), "{err}");
-    }
-
-    #[test]
-    fn sharded_backend_runs_are_bit_identical_and_counted() {
-        // The whole point of the backend seam: a tail-sampling run —
-        // including its replenishments — must not change by a single bit
-        // when its blocks are materialized by shards instead of the
-        // in-process pool, for any shard count.
-        let catalog = catalog(&[3.0, 4.0, 5.0]);
-        let mk = || {
-            TailSamplingConfig::new(0.05, 10, 200)
-                .with_m(3)
-                .with_block_size(40)
-                .with_master_seed(11)
-        };
-        let in_process = GibbsLooper::new(losses_query(), mk())
-            .run(&catalog)
-            .unwrap();
-        assert_eq!(in_process.backend.shards_spawned, 0);
-        assert_eq!(in_process.backend.shard_merge_ns, 0);
-        assert!(in_process.replenishments > 0, "exercise replenishment too");
-        for shards in [1usize, 2, 3, 7] {
-            let sharded = GibbsLooper::new(losses_query(), mk())
-                .with_backend(Arc::new(mcdbr_exec::ShardedBackend::new(shards)))
-                .run(&catalog)
-                .unwrap();
-            assert_eq!(sharded.tail_samples, in_process.tail_samples);
-            assert_eq!(sharded.cutoffs, in_process.cutoffs);
-            assert_eq!(sharded.replenishments, in_process.replenishments);
-            // 3 streams: the initial block fans out into min(shards, 3)
-            // tasks; single-stream replenishment windows never fan out.
-            assert_eq!(sharded.backend.shards_spawned, shards.min(3));
-        }
     }
 
     #[test]

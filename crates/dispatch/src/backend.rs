@@ -2,10 +2,10 @@
 //! persistent `mcdbr-worker` OS processes over the wire protocol.
 //!
 //! A [`ProcessBackend`] implements the same [`ExecBackend`] seam as the
-//! in-process pool and the sharded backend, with the same bit-identity
-//! contract: for any worker count, a block's merged output equals
-//! in-process execution exactly.  The unit and the merge are shared with
-//! every other backend — a block's bundle anchors partition into balanced
+//! in-process pool, with the same bit-identity contract: for any worker
+//! count, a block's merged output equals in-process execution exactly.
+//! The unit and the merge are shared with the in-process backend — a
+//! block's bundle anchors partition into balanced
 //! [`mcdbr_prng::StreamKeyRange`]s, one [`mcdbr_exec::ShardTask`] per
 //! worker, and [`mcdbr_exec::merge_block`] slots the partial bundles back
 //! into skeleton order; only *where* a task runs (a worker, or this process
@@ -42,7 +42,7 @@
 //!
 //! **Circuit breaker.**  Each worker slot carries a breaker: repeated
 //! crash-class failures (3 consecutive) trip it and the slot's tasks
-//! degrade to the local sharded path — the same bit-identical
+//! degrade to running locally — the same bit-identical
 //! [`mcdbr_exec::ShardTask`] the worker would have run — for a cooldown
 //! (4 blocks), then a half-open probe re-dispatches; success closes the
 //! breaker, failure re-trips it.  `circuit_trips` counts trips, and
@@ -67,18 +67,17 @@
 //! a plan, a fault plan in the coordinator's own environment never
 //! reaches its workers.
 //!
-//! **Why bundles still travel.**  The in-process backends run a Monte Carlo
-//! query as fused rep-range units ([`mcdbr_exec::SampleJob`]) that never
-//! build a block; this backend keeps [`ExecBackend::sample_block`]'s
-//! default — workers ship their bundles, and the coordinator aggregates the
-//! merged set on the local sharded path (its counters fold into this
-//! backend's [`ShardStats`]).  Shipping `AggPartial`s instead is the
-//! natural remote unit, but it would change the bytes a query reads off the
-//! wire, and the perf ledger's `naive.join_process2` workload replays its
-//! traced operation as `instantiate_block` + `aggregate` and fails a run
-//! whose `wire_bytes_received` differs between its plain and traced
-//! operations.  The remote fused path waits until that replay calls
-//! `sample_block`.
+//! **Why bundles still travel.**  In process, a Monte Carlo query runs as
+//! fused rep-range units ([`mcdbr_exec::SampleJob`]) that never build a
+//! block; this backend keeps [`ExecBackend::sample_block`]'s default —
+//! workers ship their bundles, and the coordinator aggregates the merged
+//! set with [`ExecBackend::aggregate`]'s default, on its own threads.
+//! Shipping `AggPartial`s instead is the natural remote unit, but it would
+//! change the bytes a query reads off the wire, and the perf ledger's
+//! `naive.join_process2` workload replays its traced operation as
+//! `instantiate_block` + `aggregate` and fails a run whose
+//! `wire_bytes_received` differs between its plain and traced operations.
+//! The remote fused path waits until that replay calls `sample_block`.
 
 use std::collections::HashSet;
 use std::io::{BufReader, Write};
@@ -88,10 +87,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use mcdbr_exec::aggregate::{AggregateSpec, QueryResultSamples};
 use mcdbr_exec::{
-    merge_block, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, Expr,
-    InProcessBackend, PlanNode, PlanSkeleton, ShardStats, ShardTask, ShardedBackend, TupleBundle,
+    merge_block, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, InProcessBackend,
+    PlanNode, PlanSkeleton, ShardStats, ShardTask, TupleBundle,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Result};
@@ -150,7 +148,7 @@ fn reap_worker(mut worker: Worker, grace: Duration) {
 }
 
 /// Per-slot circuit breaker: consecutive crash-class failures trip it open;
-/// open slots degrade their tasks to the local sharded path for a cooldown,
+/// open slots degrade their tasks to running locally for a cooldown,
 /// then a half-open probe decides between closing and re-tripping.
 #[derive(Debug, Default, Clone, Copy)]
 struct Breaker {
@@ -250,8 +248,6 @@ struct State {
 pub struct ProcessBackend {
     workers: usize,
     state: Mutex<State>,
-    /// Local sharded path for aggregation partials (and its counters).
-    agg: ShardedBackend,
     /// Per-task read deadline; a worker silent past it is reclassified as
     /// dead and respawned.
     task_deadline: Duration,
@@ -301,7 +297,6 @@ impl ProcessBackend {
                 plans: Vec::new(),
                 breakers: vec![Breaker::default(); workers],
             }),
-            agg: ShardedBackend::new(workers),
             task_deadline: DEFAULT_TASK_DEADLINE,
             retry: BackoffPolicy {
                 base_ms: 5,
@@ -947,27 +942,13 @@ impl ExecBackend for ProcessBackend {
         set
     }
 
-    fn aggregate(
-        &self,
-        set: &BundleSet,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-        threads: usize,
-    ) -> Result<QueryResultSamples> {
-        // Local sharded partials; see the module docs for why aggregation
-        // never crosses the process boundary.
-        self.agg
-            .aggregate(set, agg, group_by, final_predicate, threads)
-    }
-
     fn shard_stats(&self) -> ShardStats {
-        let agg = self.agg.shard_stats();
         ShardStats {
-            shards_spawned: self.tasks_dispatched.load(Ordering::Relaxed) + agg.shards_spawned,
-            shard_merge_ns: self.merge_ns.load(Ordering::Relaxed) + agg.shard_merge_ns,
-            cross_shard_regens: self.cross_shard_regens.load(Ordering::Relaxed)
-                + agg.cross_shard_regens,
+            // Every unit this backend spawns is a dispatched task, and every
+            // merge it times is a block merge.
+            shards_spawned: self.tasks_dispatched.load(Ordering::Relaxed),
+            shard_merge_ns: self.merge_ns.load(Ordering::Relaxed),
+            cross_shard_regens: self.cross_shard_regens.load(Ordering::Relaxed),
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
             tasks_dispatched: self.tasks_dispatched.load(Ordering::Relaxed),
             wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
@@ -1001,7 +982,7 @@ impl Drop for ProcessBackend {
 mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{ExecSession, SessionCache};
+    use mcdbr_exec::{ExecSession, Expr, SessionCache};
     use mcdbr_storage::{Field, Schema, TableBuilder, Value};
     use mcdbr_vg::NormalVg;
 

@@ -1,10 +1,10 @@
 //! Multi-process shard dispatch for MCDB-R phase-2 execution.
 //!
-//! PR 3 made the unit of distribution explicit — a self-describing
+//! The unit of distribution is a self-describing
 //! `ShardTask {skeleton, master_seed, key_range, base_pos, n}` whose
-//! partials merge bit-identically in canonical `StreamKey` order — but ran
-//! every task inside the coordinator process.  This crate actually ships
-//! the tasks across OS processes:
+//! partials merge bit-identically in canonical `StreamKey` order.  This
+//! crate ships those tasks across OS processes — the third place a phase-2
+//! unit runs, after this process's threads and the server's scheduler:
 //!
 //! * [`wire`] — the versioned, dependency-free binary wire format: the
 //!   handshake/version negotiation, `Plan` frames carrying a serialized
@@ -18,11 +18,11 @@
 //!   binary, generic over its byte streams so tests drive it in-memory.
 //! * [`ProcessBackend`] — an [`mcdbr_exec::ExecBackend`] that spawns and
 //!   pools persistent workers, pipelines one task per worker per block,
-//!   merges the streamed partials bit-identically to the in-process and
-//!   sharded backends, and survives worker failure end to end: per-task
-//!   read deadlines reclassify hung workers as dead, crash-class failures
-//!   ride a bounded respawn + backoff + re-dispatch ladder, and a per-slot
-//!   circuit breaker degrades repeat offenders to the local sharded path.
+//!   merges the streamed partials bit-identically to the in-process
+//!   backend, and survives worker failure end to end: per-task read
+//!   deadlines reclassify hung workers as dead, crash-class failures ride a
+//!   bounded respawn + backoff + re-dispatch ladder, and a per-slot circuit
+//!   breaker degrades repeat offenders to running their unit locally.
 //!   Chaos runs inject deterministic faults through
 //!   [`ProcessBackend::with_fault_spec`] (`mcdbr_faults`).
 //!
@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use mcdbr_exec::{ExecBackend, InProcessBackend, ShardedBackend};
+use mcdbr_exec::{ExecBackend, InProcessBackend};
 use mcdbr_storage::{Error, Result};
 
 mod backend;
@@ -44,15 +44,14 @@ pub mod worker;
 pub use backend::ProcessBackend;
 
 /// The backend a `--backend NAME` flag names: `inprocess` (or
-/// `in-process`), `sharded` with `width` shards, or `process` with `width`
-/// worker processes.  Any other name is an [`Error::Invalid`].
+/// `in-process`), or `process` with `width` worker processes.  Any other
+/// name is an [`Error::Invalid`].
 pub fn backend_named(name: &str, width: usize) -> Result<Arc<dyn ExecBackend>> {
     match name {
         "inprocess" | "in-process" => Ok(Arc::new(InProcessBackend::new())),
-        "sharded" => Ok(Arc::new(ShardedBackend::new(width))),
         "process" => Ok(Arc::new(ProcessBackend::new(width))),
         other => Err(Error::Invalid(format!(
-            "unknown backend `{other}`; expected one of inprocess, sharded, process"
+            "unknown backend `{other}`; expected one of inprocess, process"
         ))),
     }
 }
@@ -66,12 +65,11 @@ mod tests {
         for (name, expected) in [
             ("inprocess", "in-process"),
             ("in-process", "in-process"),
-            ("sharded", "sharded"),
             ("process", "process"),
         ] {
             assert_eq!(backend_named(name, 2).unwrap().name(), expected);
         }
-        for bad in ["", "shard", "threads"] {
+        for bad in ["", "shard", "sharded", "threads"] {
             assert!(backend_named(bad, 2).is_err(), "`{bad}` must be rejected");
         }
     }

@@ -7,10 +7,11 @@
 //! granularity, the Gibbs Looper) consumes.
 //!
 //! There is one aggregator: `RangeFold::fold` folds one bundle's
-//! aggregand over one repetition range into group-major lanes.  It runs over
-//! a materialized [`BundleSet`] ([`aggregate_parts`]) and, without one,
-//! inside the fused phase-2 unit ([`crate::shard::sample_parts`]), which
-//! feeds it each bundle's inputs straight from the range's generated cells.
+//! aggregand over one repetition range into group-major lanes.  It runs
+//! over a materialized [`BundleSet`] ([`evaluate_aggregate_threads`]) and,
+//! without one, inside the fused phase-2 unit
+//! ([`crate::shard::sample_parts`]), which feeds it each bundle's inputs
+//! straight from the range's generated cells.
 //!
 //! Grouping follows paper Appendix A footnote 4: "Grouping is handled by, in
 //! effect, treating a GROUP BY query over g groups as g separate,
@@ -18,7 +19,6 @@
 //! (constant) attributes.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use mcdbr_storage::{Error, Mask, Result, Schema, Value};
 
@@ -152,7 +152,8 @@ pub fn evaluate_aggregate(
 /// [`evaluate_aggregate`] with an explicit worker-thread count: one
 /// repetition range per thread.  Repetitions are independent, and bundle
 /// order within a repetition is preserved, so the result is bit-identical
-/// for every thread count.
+/// for every thread count.  This is the one aggregator of a materialized
+/// set: [`crate::ExecBackend::aggregate`]'s default body.
 pub fn evaluate_aggregate_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -160,13 +161,22 @@ pub fn evaluate_aggregate_threads(
     final_predicate: Option<&Expr>,
     threads: usize,
 ) -> Result<QueryResultSamples> {
-    let (samples, _, _) =
-        aggregate_on_threads(set, agg, group_by, final_predicate, threads, threads)?;
-    Ok(samples)
+    aggregate_on_threads(set, agg, group_by, final_predicate, threads, threads)
 }
 
-/// [`aggregate_parts`] with the parts run in this process, up to `threads`
-/// at a time — what every backend that aggregates a set locally calls.
+/// The aggregation driver over a materialized set: split `0..set.num_reps`
+/// into at most `parts` balanced contiguous ranges, compute one
+/// [`AggPartial`] per range, up to `threads` at a time, and merge the
+/// partials back in repetition order.  [`crate::shard::sample_parts`] is
+/// the same driver over a block that is never materialized.
+///
+/// Parts partition **repetitions**, not bundles, because the accumulation
+/// order over bundles *within* a repetition is the floating-point
+/// bit-identity contract: a repetition's fold must happen wholly inside one
+/// part.  The group layout and the compiled program are built once
+/// ([`set_job`]) and shared by every range, so every group index is
+/// identical across ranges and the result is bit-identical for every
+/// `parts` and `threads`.
 pub(crate) fn aggregate_on_threads(
     set: &BundleSet,
     agg: &AggregateSpec,
@@ -174,44 +184,25 @@ pub(crate) fn aggregate_on_threads(
     final_predicate: Option<&Expr>,
     parts: usize,
     threads: usize,
-) -> Result<(QueryResultSamples, usize, u64)> {
-    aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
-        par::try_par_map_threads(&ranges, threads, |range| {
-            job.aggregate_rep_range(set, range.clone())
-        })
-    })
+) -> Result<QueryResultSamples> {
+    let (job, key_of) = set_job(set, agg, group_by, final_predicate)?;
+    let ranges = rep_ranges(set.num_reps, parts);
+    let partials = par::try_par_map_threads(&ranges, threads, |range| {
+        job.aggregate_rep_range(set, range.clone())
+    })?;
+    let (samples, _merge_ns) = job.finish(set.num_reps, group_by, partials, key_of)?;
+    Ok(samples)
 }
 
-/// The aggregation driver over a materialized set: split `0..set.num_reps`
-/// into at most `parts` balanced contiguous ranges, let `run` compute one
-/// [`AggPartial`] per range — on scoped threads, on a scheduler, wherever
-/// the backend places work — and merge the partials back in repetition
-/// order.  [`crate::shard::sample_parts`] is the same driver over a block
-/// that is never materialized.
-///
-/// Parts partition **repetitions**, not bundles, because the accumulation
-/// order over bundles *within* a repetition is the floating-point
-/// bit-identity contract: a repetition's fold must happen wholly inside one
-/// part.  The group layout and the compiled program are built once here and
-/// shared by every range through the [`RepRangeJob`], so every group index
-/// is identical across ranges and the result is bit-identical for every
-/// `parts` and every placement.
-///
-/// Returns `(samples, parts spawned, merge nanoseconds)` so the backend can
-/// account its sharding activity.  Only the partial concatenation counts as
-/// merge overhead; building the result groups is work a single part
-/// performs identically.
-pub fn aggregate_parts<R>(
-    set: &BundleSet,
+/// The shared state of one aggregation over `set`, and each bundle's group
+/// key: the group layout (keys must be deterministic) and the compiled
+/// program.
+fn set_job<'s>(
+    set: &'s BundleSet,
     agg: &AggregateSpec,
     group_by: &[String],
     final_predicate: Option<&Expr>,
-    parts: usize,
-    run: R,
-) -> Result<(QueryResultSamples, usize, u64)>
-where
-    R: FnOnce(&Arc<RepRangeJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
-{
+) -> Result<(RepRangeJob, impl Fn(usize) -> Vec<Value> + 's)> {
     let key_idx: Vec<usize> = group_by
         .iter()
         .map(|g| set.schema.index_of(g))
@@ -222,20 +213,16 @@ where
             return Err(GroupLayout::random_key_error(&set.schema.field(gi).name));
         }
     }
-    let key_of = |b: usize| -> Vec<Value> {
+    let key_of = move |b: usize| -> Vec<Value> {
         let values = &set.bundles[b].values;
         key_idx.iter().map(|&gi| values[gi].value_at(0)).collect()
     };
     // A set holds only bundles present somewhere, so every one is known to
     // be in the result before any range runs.
-    let mut layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), key_of);
+    let mut layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), &key_of);
     layout.all_present = true;
-    let job = Arc::new(RepRangeJob::new(&set.schema, layout, agg, final_predicate));
-    let ranges = rep_ranges(set.num_reps, parts);
-    let spawned = ranges.len();
-    let partials = run(&job, ranges)?;
-    let (samples, merge_ns) = job.finish(set.num_reps, group_by, partials, key_of)?;
-    Ok((samples, spawned, merge_ns))
+    let job = RepRangeJob::new(&set.schema, layout, agg, final_predicate);
+    Ok((job, key_of))
 }
 
 /// `0..n` as exactly `min(parts, n)` balanced contiguous ranges (sizes
@@ -254,9 +241,8 @@ pub(crate) fn rep_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 
 /// What every repetition range of one aggregation shares: the group layout,
 /// the program of the final predicate and the aggregand, compiled once, and
-/// the aggregate function.  Opaque, and `'static`, so a scheduler can carry
-/// it into its own threads.
-pub struct RepRangeJob {
+/// the aggregate function.
+pub(crate) struct RepRangeJob {
     layout: GroupLayout,
     program: Program,
     func: AggFunc,
@@ -279,7 +265,11 @@ impl RepRangeJob {
     /// Aggregate the contiguous repetition range `reps` of `set` — the set
     /// this job was built from — into one [`AggPartial`].  The range is
     /// clamped to the set's repetition count.
-    pub fn aggregate_rep_range(&self, set: &BundleSet, reps: Range<usize>) -> Result<AggPartial> {
+    pub(crate) fn aggregate_rep_range(
+        &self,
+        set: &BundleSet,
+        reps: Range<usize>,
+    ) -> Result<AggPartial> {
         let hi = reps.end.min(set.num_reps);
         let lo = reps.start.min(hi);
         let slots = self.program.slots();
@@ -873,15 +863,14 @@ mod tests {
                 AggregateSpec::avg(Expr::col("loss"), "a"),
                 AggregateSpec::min(Expr::col("loss"), "m"),
             ] {
-                let (reference, one, _) =
+                let reference =
                     aggregate_on_threads(set, &agg, group_by, final_predicate, 1, 1).unwrap();
-                assert_eq!(one, reps.min(1));
                 for parts in [1usize, 2, 3, 7, reps + 5] {
-                    let (split, spawned, _merge_ns) =
+                    // Never more parts than repetitions.
+                    assert_eq!(rep_ranges(reps, parts).len(), parts.min(reps));
+                    let split =
                         aggregate_on_threads(set, &agg, group_by, final_predicate, parts, 2)
                             .unwrap();
-                    // Never more parts than repetitions.
-                    assert_eq!(spawned, parts.min(reps));
                     assert_eq!(reference.group_columns, split.group_columns);
                     assert_eq!(reference.groups.len(), split.groups.len());
                     for ((ka, va), (kb, vb)) in reference.groups.iter().zip(&split.groups) {
@@ -899,24 +888,25 @@ mod tests {
     fn partials_that_do_not_tile_the_repetitions_are_rejected() {
         let set = test_set();
         let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        // A runner that drops its last range, and one that answers a range
-        // twice: both must surface as typed errors, never wrong samples.
-        let dropped = aggregate_parts(&set, &agg, &[], None, 3, |job, mut ranges| {
-            ranges.pop();
-            ranges
+        // Dropping the last range, and answering a range twice: both must
+        // surface as typed errors, never wrong samples.
+        let merge = |ranges: Vec<Range<usize>>| {
+            let (job, key_of) = set_job(&set, &agg, &[], None).unwrap();
+            let partials = ranges
                 .into_iter()
                 .map(|r| job.aggregate_rep_range(&set, r))
-                .collect()
-        });
+                .collect::<Result<_>>()
+                .unwrap();
+            job.finish(set.num_reps, &[], partials, key_of).map(|_| ())
+        };
+        let mut ranges = rep_ranges(set.num_reps, 3);
+        let dropped = merge(ranges[..2].to_vec());
         assert!(dropped.unwrap_err().to_string().contains("cover 2 of 3"));
-        let doubled = aggregate_parts(&set, &agg, &[], None, 3, |job, ranges| {
-            ranges
-                .iter()
-                .chain(&ranges[..1])
-                .map(|r| job.aggregate_rep_range(&set, r.clone()))
-                .collect()
-        });
-        assert!(doubled.unwrap_err().to_string().contains("do not tile"));
+        ranges.push(ranges[0].clone());
+        assert!(merge(ranges)
+            .unwrap_err()
+            .to_string()
+            .contains("do not tile"));
     }
 
     #[test]
@@ -998,25 +988,19 @@ mod tests {
     ) -> usize {
         let case = format!("{agg:?} by {group_by:?} where {final_predicate:?}, {parts} parts");
         let mut compared = 0;
-        aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
-            let partials: Vec<AggPartial> = ranges
-                .into_iter()
-                .map(|range| job.aggregate_rep_range(set, range))
-                .collect::<Result<_>>()?;
-            for p in &partials {
-                for rep in p.lo..p.lo + p.len {
-                    let referee = accumulate_rep(set, &job.layout, agg, final_predicate, rep)?;
-                    for (g, acc) in referee.iter().enumerate() {
-                        let got = p.vals[g * p.len + rep - p.lo];
-                        let want = acc.finish(agg.func);
-                        assert_eq!(got.to_bits(), want.to_bits(), "{case}: rep {rep} group {g}");
-                        compared += 1;
-                    }
+        let (job, _) = set_job(set, agg, group_by, final_predicate).unwrap();
+        for range in rep_ranges(set.num_reps, parts) {
+            let p = job.aggregate_rep_range(set, range).unwrap();
+            for rep in p.lo..p.lo + p.len {
+                let referee = accumulate_rep(set, &job.layout, agg, final_predicate, rep).unwrap();
+                for (g, acc) in referee.iter().enumerate() {
+                    let got = p.vals[g * p.len + rep - p.lo];
+                    let want = acc.finish(agg.func);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{case}: rep {rep} group {g}");
+                    compared += 1;
                 }
             }
-            Ok(partials)
-        })
-        .unwrap();
+        }
         compared
     }
 

@@ -2,28 +2,30 @@
 //!
 //! Phase 1 of a session produces a [`DeterministicPrefix`]; phase 2 turns
 //! it into samples.  A Monte Carlo query takes one call,
-//! [`ExecBackend::sample_block`]: on the in-process backends it runs one
-//! fused unit per repetition range ([`crate::shard::SampleJob`]) that
-//! generates the range's stream values and folds every bundle straight into
-//! the aggregate, so no block is ever materialized.  Callers that need the
+//! [`ExecBackend::sample_block`]: in process it runs one fused unit per
+//! repetition range ([`crate::shard::SampleJob`]) that generates the
+//! range's stream values and folds every bundle straight into the
+//! aggregate, so no block is ever materialized.  Callers that need the
 //! bundles themselves (the Gibbs looper, the reference checks) call
 //! [`ExecBackend::instantiate_block`], which runs
 //! [`crate::shard::ShardTask`] units and merges them with
 //! [`crate::shard::merge_block`]; [`ExecBackend::aggregate`] aggregates
-//! such a set by repetition ranges
-//! ([`crate::aggregate::aggregate_parts`]).  A backend decides only *where*
-//! those units run — the [`ExecBackend`] trait is that seam:
+//! such a set by repetition ranges on this process's threads
+//! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
+//! the trait's default).  A backend decides only *where* the units run —
+//! the [`ExecBackend`] trait is that seam, and a unit runs in one of three
+//! places:
 //!
-//! * [`InProcessBackend`] — one fused unit per thread, or one all-covering
-//!   block unit, its streams and bundles fanned out across worker threads
-//!   of this process (`crate::par`).
-//! * [`crate::shard::ShardedBackend`] — one fused unit per shard, or one
-//!   block unit per [`mcdbr_prng::StreamKeyRange`] of the block, run side by
-//!   side on the same threads; the stepping stone to multi-process
-//!   dispatch, since a shard task is fully serializable state.
+//! * [`InProcessBackend`] — this process's threads (`crate::par`): one
+//!   fused unit per thread, or one all-covering block unit whose streams
+//!   and bundles fan out across the threads.
+//! * the server's scheduler (`mcdbr_server::FairBackend`), which places the
+//!   same fused units on its shared pool;
+//! * worker processes (`mcdbr_dispatch::ProcessBackend`), one block unit
+//!   per worker.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
-//! identical results** for every backend, shard count, and thread count.
+//! identical results** for every backend, unit count, and thread count.
 //! The position-addressable PRNG streams make this cheap to honor — the
 //! value of stream `s` at position `i` never depends on who generates it.
 //!
@@ -31,19 +33,23 @@
 //! caller passes another one to their `with_backend`; nothing in the
 //! environment changes that choice.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use mcdbr_storage::Result;
 
 use crate::aggregate::{self, AggregateSpec, QueryResultSamples};
 use crate::bundle::BundleSet;
 use crate::expr::Expr;
+use crate::par;
 use crate::pool::BlockBufferPool;
 use crate::session::DeterministicPrefix;
-use crate::shard::{merge_block, sample_on_threads, ShardTask};
+use crate::shard::{merge_block, sample_parts, SampleJob, ShardTask};
 
-/// Counters a backend exposes about its sharding activity.  The in-process
-/// backend never shards, so its stats stay zero; [`crate::shard::ShardedBackend`]
-/// counts every spawned [`crate::shard::ShardTask`] (instantiation and
-/// aggregation alike) and the nanoseconds spent merging partials.
+/// Counters a backend exposes about where its units ran.  The in-process
+/// backend keeps no counters, so its stats stay zero; the multi-process
+/// dispatcher counts its dispatched units, wire traffic and fault ladder,
+/// and the server's scheduler adds the units it placed.
 ///
 /// Counters are cumulative over the backend's lifetime; use
 /// [`ShardStats::since`] to attribute a window of work (engines and loopers
@@ -55,11 +61,14 @@ use crate::shard::{merge_block, sample_on_threads, ShardTask};
 /// when exact per-run counters matter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shard tasks spawned (block instantiations and aggregate partials).
+    /// Units spawned outside the caller's thread fan-out: the multi-process
+    /// dispatcher counts the block units it dispatched to workers (equal to
+    /// `tasks_dispatched`), and the server's scheduler adds every unit it
+    /// placed.
     pub shards_spawned: usize,
-    /// Nanoseconds spent merging per-shard partials back together
-    /// ([`merge_block`] for blocks, the partial concatenation for
-    /// aggregates).
+    /// Nanoseconds spent merging unit partials back together: the
+    /// dispatcher's block merges ([`merge_block`]), and the server's merges
+    /// of the partials of its units.
     pub shard_merge_ns: u64,
     /// Streams regenerated by a shard *outside* its own key range because a
     /// bundle it owns references them (cross-shard joins) — the duplication
@@ -93,7 +102,7 @@ pub struct ShardStats {
     /// preceded by a respawn and a capped, jittered backoff sleep).
     pub task_retries: usize,
     /// Per-worker circuit-breaker trips: a slot failed repeatedly and its
-    /// tasks were degraded to the local sharded path until the breaker's
+    /// tasks ran in this process instead until the breaker's
     /// cooldown elapsed — why `tasks_dispatched` can stay flat while results
     /// keep flowing.
     pub circuit_trips: usize,
@@ -136,7 +145,7 @@ impl ShardStats {
 /// `with_threads` setting); backends are free to interpret it as pool width
 /// or concurrent shard slots, but never in a way that changes results.
 pub trait ExecBackend: std::fmt::Debug + Send + Sync {
-    /// A short human-readable strategy name (`"in-process"`, `"sharded"`).
+    /// A short human-readable strategy name (`"in-process"`, `"process"`).
     fn name(&self) -> &'static str;
 
     /// Materialize stream positions `base_pos .. base_pos + num_values`
@@ -158,7 +167,8 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     ) -> Result<BundleSet>;
 
     /// Evaluate `agg` over `set` once per repetition, bit-identical to
-    /// [`crate::aggregate::evaluate_aggregate`].
+    /// [`crate::aggregate::evaluate_aggregate`].  The default — the one set
+    /// aggregator — runs one repetition range per thread of this process.
     fn aggregate(
         &self,
         set: &BundleSet,
@@ -166,13 +176,15 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         group_by: &[String],
         final_predicate: Option<&Expr>,
         threads: usize,
-    ) -> Result<QueryResultSamples>;
+    ) -> Result<QueryResultSamples> {
+        aggregate::evaluate_aggregate_threads(set, agg, group_by, final_predicate, threads)
+    }
 
     /// Evaluate `agg` once per repetition over stream positions `base_pos ..
     /// base_pos + num_values` of `prefix`, bit-identical to
     /// [`ExecBackend::aggregate`] over [`ExecBackend::instantiate_block`]'s
     /// set, and an error if and only if that pair errs.  The default is that
-    /// pair.  The in-process backends override it with the fused unit
+    /// pair.  The in-process placements override it with the fused unit
     /// ([`crate::shard::SampleJob`]): each repetition range generates its
     /// streams and folds every bundle straight into the aggregate, so no
     /// [`BundleSet`] is ever built.
@@ -192,7 +204,7 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         self.aggregate(&set, agg, group_by, final_predicate, threads)
     }
 
-    /// Sharding counters (zero for backends that never shard).
+    /// Placement counters (zero for backends that keep none).
     fn shard_stats(&self) -> ShardStats {
         ShardStats::default()
     }
@@ -212,11 +224,10 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Whether this backend's work is nothing but units run in this process:
-    /// a block is [`ShardTask`] units merged by [`merge_block`], and a
-    /// sampled block the fused units of [`crate::shard::sample_parts`].  A
-    /// scheduler wrapped around such a backend (the server's `FairBackend`)
-    /// may place the units itself; for every other backend — units that run
+    /// Whether this backend's sampled block is nothing but the fused units
+    /// of [`crate::shard::sample_parts`] run in this process.  A scheduler
+    /// wrapped around such a backend (the server's `FairBackend`) may place
+    /// those units itself; for every other backend — units that run
     /// elsewhere, or anything a custom implementation does per block — it
     /// must go through the backend's own calls, hence the default.
     fn units_run_in_process(&self) -> bool {
@@ -224,10 +235,9 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// The in-process thread-pool backend: a block is one all-covering
-/// [`ShardTask`] whose streams and bundles fan out across worker threads via
-/// [`crate::par`] — the one-shard case of
-/// [`crate::shard::ShardedBackend`], minus the shard counters.
+/// The in-process thread-pool backend: a sampled block is one fused unit
+/// per thread, and a block one all-covering [`ShardTask`] whose streams and
+/// bundles fan out across worker threads via [`crate::par`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
 
@@ -264,17 +274,6 @@ impl ExecBackend for InProcessBackend {
         merge_block(prefix, num_values, [unit.run(pool, threads)?.bundles])
     }
 
-    fn aggregate(
-        &self,
-        set: &BundleSet,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-        threads: usize,
-    ) -> Result<QueryResultSamples> {
-        aggregate::evaluate_aggregate_threads(set, agg, group_by, final_predicate, threads)
-    }
-
     fn sample_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -286,16 +285,22 @@ impl ExecBackend for InProcessBackend {
         group_by: &[String],
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
-        let (samples, _, _) = sample_on_threads(
+        let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
+            // Reclaim cell storage freed since the last block, once per call.
+            pool.sweep_cells();
+            par::try_par_map_threads(&ranges, threads, |reps| {
+                job.sample_rep_range(pool, reps.clone())
+            })
+        };
+        let (samples, _, _) = sample_parts(
             prefix,
-            pool,
             base_pos,
             num_values,
             agg,
             group_by,
             final_predicate,
             threads,
-            threads,
+            run,
         )?;
         Ok(samples)
     }
@@ -353,7 +358,7 @@ mod tests {
             }
         );
         assert_eq!(earlier.since(later), ShardStats::default());
-        // The in-process backend never shards.
+        // The in-process backend keeps no counters.
         assert_eq!(InProcessBackend::new().shard_stats(), ShardStats::default());
         assert_eq!(InProcessBackend::new().name(), "in-process");
     }

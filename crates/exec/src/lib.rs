@@ -52,9 +52,10 @@
 //!   bit-identical for every split of a block, which is what makes the task
 //!   shippable to another process.
 //! * [`backend`] — [`backend::ExecBackend`]: *where* the units run.
-//!   [`backend::InProcessBackend`] runs them on the thread pool (the
-//!   default), [`shard::ShardedBackend`] one unit per shard,
-//!   selected per session with `with_backend`.
+//!   [`backend::InProcessBackend`] runs them on this process's threads
+//!   (the default); the server's scheduler and the multi-process
+//!   dispatcher are the other two placements, selected per session with
+//!   `with_backend`.
 //! * [`par`] — the deterministic parallel fan-out used by phase-2
 //!   instantiation and per-repetition aggregation (bit-identical results for
 //!   every thread count).
@@ -83,9 +84,7 @@ pub mod session;
 pub mod shard;
 pub mod stream_registry;
 
-pub use aggregate::{
-    aggregate_parts, AggFunc, AggPartial, AggregateSpec, QueryResultSamples, RepRangeJob,
-};
+pub use aggregate::{AggFunc, AggPartial, AggregateSpec, QueryResultSamples};
 pub use backend::{ExecBackend, InProcessBackend, ShardStats};
 pub use bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 pub use cache::SessionCache;
@@ -96,7 +95,5 @@ pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
 pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
-pub use shard::{
-    merge_block, plan_shards, sample_parts, SampleJob, ShardOutput, ShardTask, ShardedBackend,
-};
+pub use shard::{merge_block, sample_parts, SampleJob, ShardOutput, ShardTask};
 pub use stream_registry::StreamSource;

@@ -78,7 +78,7 @@ use std::sync::Arc;
 use mcdbr_prng::{SeedId, StreamKey};
 use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 
-use crate::aggregate::{self, AggregateSpec, QueryResultSamples, RangeFold};
+use crate::aggregate::{AggregateSpec, QueryResultSamples, RangeFold};
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
 use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
@@ -317,7 +317,7 @@ impl PlanSkeleton {
     }
 
     /// The distinct bundle anchor keys (each surviving bundle's smallest
-    /// stream key), sorted — the key list a sharded backend's planner
+    /// stream key), sorted — the key list [`crate::ShardTask::plan`]
     /// partitions into [`mcdbr_prng::StreamKeyRange`]s so every range owns
     /// an even share of bundles.
     pub fn anchor_keys(&self) -> &[StreamKey] {
@@ -563,7 +563,7 @@ impl ExecSession {
     /// [`crate::par::default_threads`], the available parallelism).
     /// Results are bit-identical for every thread count.  The count applies
     /// to whichever [`ExecBackend`] the session runs on: workers for the
-    /// in-process pool, concurrent shard slots for a sharded backend.
+    /// in-process pool, the local threads of the other placements.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -601,9 +601,9 @@ impl ExecSession {
 
     /// Logical bytes this session wrote into columnar block buffers (pool
     /// activity since the session adopted it; 0 in fallback mode, which
-    /// never materializes columnar blocks).  Sharded backends release
-    /// per-task buffers through the same pool, so cross-shard regeneration
-    /// is included.
+    /// never materializes columnar blocks).  Units that run in this process
+    /// release their buffers through the same pool, so cross-shard
+    /// regeneration by locally run shard tasks is included.
     pub fn bytes_materialized(&self) -> u64 {
         self.pool
             .bytes_materialized()
@@ -670,8 +670,8 @@ impl ExecSession {
 
     /// Total stream values materialized across all windows (streams ×
     /// positions, summed per window) — the *logical* count the plan
-    /// requires, independent of backend.  A sharded backend may regenerate
-    /// cross-shard streams on top of this; that duplication is reported
+    /// requires, independent of backend.  A block split into shard tasks may
+    /// regenerate cross-shard streams on top of this; that duplication is reported
     /// separately as [`crate::ShardStats::cross_shard_regens`].
     pub fn values_materialized(&self) -> u64 {
         self.values_materialized
@@ -724,13 +724,15 @@ impl ExecSession {
 
     /// Phase 2 and the aggregate in one call: `agg` grouped by `group_by`
     /// over positions `base_pos .. base_pos + num_values`, once per
-    /// repetition, bit-identical to [`aggregate::evaluate_aggregate`] over
+    /// repetition, bit-identical to [`crate::aggregate::evaluate_aggregate`] over
     /// [`ExecSession::instantiate_block`]'s set — and an error if and only if
     /// that errs.  Cacheable plans delegate to the session's backend
     /// ([`ExecBackend::sample_block`]), which on an in-process placement
     /// folds every repetition range straight into the aggregate and never
     /// builds the set; fallback plans materialize it through the inner
-    /// [`Executor`].  Counts as one block, like `instantiate_block`.
+    /// [`Executor`] and aggregate it with the backend's
+    /// [`ExecBackend::aggregate`], so a wrapping backend (the server's) sees
+    /// both kinds of plan.  Counts as one block, like `instantiate_block`.
     pub fn sample_block(
         &mut self,
         catalog: &Catalog,
@@ -742,13 +744,9 @@ impl ExecSession {
     ) -> Result<QueryResultSamples> {
         let Mode::Cached(prefix) = &self.mode else {
             let set = self.instantiate_block(catalog, base_pos, num_values)?;
-            return aggregate::evaluate_aggregate_threads(
-                &set,
-                agg,
-                group_by,
-                final_predicate,
-                self.threads,
-            );
+            return self
+                .backend
+                .aggregate(&set, agg, group_by, final_predicate, self.threads);
         };
         self.blocks_materialized += 1;
         self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
@@ -1870,8 +1868,8 @@ mod tests {
     fn sessions_recycle_pooled_buffers_across_blocks() {
         // The default backend is the in-process one: it holds all of a
         // block's buffers live until the bundles are materialized, so the
-        // reuse counts are exact (a sharded backend adds timing-dependent
-        // intra-block reuses; covered by the looper/engine lower bounds).
+        // reuse counts are exact (a block split into concurrent units adds
+        // timing-dependent intra-block reuses).
         let catalog = catalog();
         let mut session = ExecSession::prepare(&losses_plan(), &catalog, 7)
             .unwrap()

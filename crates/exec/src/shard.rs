@@ -5,19 +5,18 @@
 //! `[a, b)` in one pass, generating every active stream over the range and
 //! folding each bundle, in skeleton order, straight into the aggregate's
 //! lanes.  No bundle, set or merge is built; [`sample_parts`] splits the
-//! repetitions and merges the partials, and every in-process placement —
-//! [`crate::InProcessBackend`], [`ShardedBackend`], the server's
-//! scheduler — runs the same unit.
+//! repetitions and merges the partials, and both in-process placements —
+//! [`crate::InProcessBackend`]'s threads and the server's scheduler — run
+//! the same unit.
 //!
 //! Callers that need the bundles themselves run the **block unit**:
 //! `PlanSkeleton + seed + StreamKey range` is a complete description of a
 //! slice of a block's work.  [`ShardTask::run`] is the one body that
 //! materializes bundles, and [`merge_block`] the one routine that assembles
-//! a block from unit partials.  Every backend — in-process (one
-//! all-covering unit), [`ShardedBackend`] (N units on the scoped pool), the
-//! server's scheduler, the multi-process dispatcher and its workers — runs
-//! exactly these two and differs only in *where* a unit runs.  A
-//! [`ShardTask`] carries everything a worker needs:
+//! a block from unit partials.  Every placement — in-process (one
+//! all-covering unit), the multi-process dispatcher and its workers (one
+//! unit per worker) — runs exactly these two and differs only in *where* a
+//! unit runs.  A [`ShardTask`] carries everything a worker needs:
 //!
 //! * a reference to the seed-independent [`PlanSkeleton`] (in-process an
 //!   `Arc`; across processes the skeleton is re-derivable from the plan and
@@ -31,34 +30,32 @@
 //! * a [`StreamKeyRange`] naming the slice of the key space the shard owns,
 //! * the block window `base_pos .. base_pos + num_values`.
 //!
-//! **The shard contract.** The [planner](plan_shards) partitions the
-//! skeleton's distinct bundle *anchor* keys (each bundle's smallest stream
-//! key) into contiguous ranges that jointly cover the whole key space, so
-//! ownership — not just stream generation — balances across shards.  A
-//! shard owns every bundle whose anchor falls in its range (bundles with no
-//! streams anchor at [`StreamKey::MIN`], i.e. the first shard).  Cross-shard bundles — a join
-//! of streams from two ranges — are handled without communication: the
-//! owning shard regenerates the foreign streams itself, which is
-//! bit-identical by the position-addressable PRNG contract, so duplicated
-//! generation trades a little CPU for zero coordination.  Each shard
-//! returns its bundles tagged with their skeleton index and
-//! [`merge_block`] writes each bundle into its skeleton slot, so
-//! the flattened output *is* the skeleton's bundle order — bit-identical
-//! for every shard count.  `tests/session_determinism.rs` proves this for
-//! shard counts {1, 2, 3, 7} × thread counts against `Executor::execute`,
-//! across replenishment boundaries, and on cache hits.
+//! **The shard contract.** [`ShardTask::plan`] partitions the skeleton's
+//! distinct bundle *anchor* keys (each bundle's smallest stream key) into
+//! contiguous ranges that jointly cover the whole key space, so ownership —
+//! not just stream generation — balances across shards.  A shard owns
+//! every bundle whose anchor falls in its range (bundles with no streams
+//! anchor at [`StreamKey::MIN`], i.e. the first shard).  Cross-shard
+//! bundles — a join of streams from two ranges — are handled without
+//! communication: the owning shard regenerates the foreign streams itself,
+//! which is bit-identical by the position-addressable PRNG contract, so
+//! duplicated generation trades a little CPU for zero coordination.  Each
+//! shard returns its bundles tagged with their skeleton index and
+//! [`merge_block`] writes each bundle into its skeleton slot, so the
+//! flattened output *is* the skeleton's bundle order — bit-identical for
+//! every shard count.  `tests/session_determinism.rs` proves this for shard
+//! counts {1, 2, 3, 7} × thread counts against `Executor::execute`, across
+//! replenishment boundaries, and on cache hits.
 //!
 //! Aggregation — fused or over a set — partitions **repetitions**, not
 //! bundles: within one repetition the floating-point accumulation order
 //! over bundles is the bit-identity contract, so the only safe parallel
 //! unit is the repetition itself — see [`sample_parts`] and
-//! [`crate::aggregate::aggregate_parts`], which share the one per-bundle
-//! fold and the one partial merge.
+//! [`crate::aggregate::evaluate_aggregate_threads`], which share the one
+//! per-bundle fold and the one partial merge.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use mcdbr_prng::{StreamKey, StreamKeyRange};
 use mcdbr_storage::{ColumnBlock, Error, Result, Value};
@@ -66,7 +63,6 @@ use mcdbr_storage::{ColumnBlock, Error, Result, Value};
 use crate::aggregate::{
     self, AggPartial, AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob,
 };
-use crate::backend::{ExecBackend, ShardStats};
 use crate::bundle::{BundleSet, TupleBundle};
 use crate::expr::Expr;
 use crate::par;
@@ -123,15 +119,22 @@ impl ShardTask {
         }
     }
 
-    /// Split one block of `prefix` into at most `parts` tasks whose key
-    /// ranges jointly cover the key space (see [`plan_shards`]).
+    /// Split one block of `prefix` into exactly `min(parts, anchors)` tasks
+    /// (at least one) whose contiguous, balanced key ranges jointly cover
+    /// the key space.
+    ///
+    /// The ranges partition the skeleton's distinct bundle *anchor* keys —
+    /// not all active streams — because anchors decide ownership, so
+    /// partitioning them balances the bundles each task materializes: on a
+    /// multi-table join every bundle anchors at its smallest key, and ranges
+    /// drawn over the higher tables' keys would own nothing.
     pub fn plan(
         prefix: &DeterministicPrefix,
         parts: usize,
         base_pos: u64,
         num_values: usize,
     ) -> Vec<ShardTask> {
-        plan_shards(prefix.skeleton(), parts)
+        StreamKeyRange::partition(prefix.skeleton().anchor_keys(), parts)
             .into_iter()
             .map(|key_range| ShardTask::new(prefix, key_range, base_pos, num_values))
             .collect()
@@ -273,11 +276,12 @@ pub(crate) fn generate_streams(
 /// is never materialized: a range's cells live only while its bundles fold,
 /// and no [`TupleBundle`], [`BundleSet`] or [`merge_block`] exists.
 ///
-/// Ranges partition repetitions, as [`crate::aggregate::aggregate_parts`]'
-/// do, so every range generates every active stream over its own window —
-/// `(seed, position)` addressing makes each value the one a full block
-/// would hold.  Built once per call by [`sample_parts`] and `'static`, so a
-/// scheduler can carry it into its own threads.
+/// Ranges partition repetitions, as a set's aggregation
+/// ([`crate::aggregate::evaluate_aggregate_threads`]) does, so every range
+/// generates every active stream over its own window — `(seed, position)`
+/// addressing makes each value the one a full block would hold.  Built
+/// once per call by [`sample_parts`] and `'static`, so a scheduler can
+/// carry it into its own threads.
 pub struct SampleJob {
     prefix: DeterministicPrefix,
     base_pos: u64,
@@ -289,8 +293,8 @@ impl SampleJob {
     /// The fused unit: generate every active stream's cells for the
     /// repetitions `reps` of the block (clamped to it) from `pool`, then
     /// fold every skeleton bundle, in order, into one [`AggPartial`] — the
-    /// partial [`crate::RepRangeJob::aggregate_rep_range`] computes over the
-    /// materialized block, bit for bit.
+    /// partial a set's aggregation computes over the materialized block,
+    /// bit for bit.
     pub fn sample_rep_range(
         &self,
         pool: &BlockBufferPool,
@@ -308,14 +312,14 @@ impl SampleJob {
     }
 }
 
-/// The driver of the fused unit, [`crate::aggregate::aggregate_parts`]'
-/// twin over a block that is never materialized: split `0..num_values` into
+/// The driver of the fused unit, the set aggregation's twin over a block
+/// that is never materialized: split `0..num_values` into
 /// at most `parts` balanced ranges, let `run` compute one
 /// [`SampleJob::sample_rep_range`] partial per range wherever the backend
 /// places work, and merge them.  The result — groups, their order, every
 /// sample — is bit-identical to aggregating
-/// [`ExecBackend::instantiate_block`]'s set, and the call errs if and only
-/// if that would.  Returns `(samples, parts spawned, merge nanoseconds)`.
+/// [`crate::ExecBackend::instantiate_block`]'s set, and the call errs if
+/// and only if that would.  Returns `(samples, parts spawned, merge nanoseconds)`.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_parts<R>(
     prefix: &DeterministicPrefix,
@@ -359,52 +363,6 @@ where
     Ok((samples, spawned, merge_ns))
 }
 
-/// [`sample_parts`] with the ranges run in this process, up to `threads` at
-/// a time, on the caller's pool — what the in-process backends call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_on_threads(
-    prefix: &DeterministicPrefix,
-    pool: &BlockBufferPool,
-    base_pos: u64,
-    num_values: usize,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-    parts: usize,
-    threads: usize,
-) -> Result<(QueryResultSamples, usize, u64)> {
-    let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
-        // Reclaim cell storage freed since the last block, once per call.
-        pool.sweep_cells();
-        par::try_par_map_threads(&ranges, threads, |reps| {
-            job.sample_rep_range(pool, reps.clone())
-        })
-    };
-    sample_parts(
-        prefix,
-        base_pos,
-        num_values,
-        agg,
-        group_by,
-        final_predicate,
-        parts,
-        run,
-    )
-}
-
-/// The shard planner: partition a skeleton's distinct bundle *anchor* keys
-/// into exactly `min(shards, anchors)` contiguous, balanced
-/// [`StreamKeyRange`]s covering the whole key space (a single all-covering
-/// range for stream-free plans).
-///
-/// Anchors — not all active streams — are what ownership is decided by, so
-/// partitioning them is what balances the bundles each shard materializes:
-/// on a multi-table join every bundle anchors at its smallest key, and
-/// ranges drawn over the higher tables' keys would own nothing.
-pub fn plan_shards(skeleton: &PlanSkeleton, shards: usize) -> Vec<StreamKeyRange> {
-    StreamKeyRange::partition(skeleton.anchor_keys(), shards)
-}
-
 /// Assemble one block from its shards' `(skeleton index, bundle)` partials:
 /// every bundle lands in its skeleton slot — partials may arrive in any
 /// order, so the flattened output *is* the skeleton's bundle order — and
@@ -438,133 +396,10 @@ pub fn merge_block(
     })
 }
 
-/// The sharded execution backend: phase 2 as a fan-out of [`ShardTask`]s.
-///
-/// In this process the tasks run on the same deterministic thread pool the
-/// in-process backend uses (up to `threads` concurrent shard slots); the
-/// point of the exercise is that nothing about a task *requires* that —
-/// see the module docs for the shard contract and the merge-order
-/// guarantee.
-#[derive(Debug)]
-pub struct ShardedBackend {
-    shards: usize,
-    shards_spawned: AtomicUsize,
-    shard_merge_ns: AtomicU64,
-    cross_shard_regens: AtomicUsize,
-}
-
-impl ShardedBackend {
-    /// Create a backend targeting `shards` shards per block (minimum 1;
-    /// blocks with fewer active streams than shards get fewer).
-    pub fn new(shards: usize) -> Self {
-        ShardedBackend {
-            shards: shards.max(1),
-            shards_spawned: AtomicUsize::new(0),
-            shard_merge_ns: AtomicU64::new(0),
-            cross_shard_regens: AtomicUsize::new(0),
-        }
-    }
-
-    /// The target shard count per block.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-impl ExecBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn units_run_in_process(&self) -> bool {
-        true
-    }
-
-    fn instantiate_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-    ) -> Result<BundleSet> {
-        let tasks = ShardTask::plan(prefix, self.shards, base_pos, num_values);
-        self.shards_spawned
-            .fetch_add(tasks.len(), Ordering::Relaxed);
-        let partials = par::try_par_map_threads(&tasks, threads, |task| task.run(pool, 1))?;
-        let foreign: usize = partials.iter().map(|p| p.foreign_streams).sum();
-        self.cross_shard_regens
-            .fetch_add(foreign, Ordering::Relaxed);
-
-        let merge_start = Instant::now();
-        let set = merge_block(prefix, num_values, partials.into_iter().map(|p| p.bundles));
-        self.shard_merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        set
-    }
-
-    fn aggregate(
-        &self,
-        set: &BundleSet,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-        threads: usize,
-    ) -> Result<QueryResultSamples> {
-        let (samples, parts, merge_ns) = aggregate::aggregate_on_threads(
-            set,
-            agg,
-            group_by,
-            final_predicate,
-            self.shards,
-            threads,
-        )?;
-        self.shards_spawned.fetch_add(parts, Ordering::Relaxed);
-        self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
-        Ok(samples)
-    }
-
-    fn sample_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-    ) -> Result<QueryResultSamples> {
-        let (samples, parts, merge_ns) = sample_on_threads(
-            prefix,
-            pool,
-            base_pos,
-            num_values,
-            agg,
-            group_by,
-            final_predicate,
-            self.shards,
-            threads,
-        )?;
-        self.shards_spawned.fetch_add(parts, Ordering::Relaxed);
-        self.shard_merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
-        Ok(samples)
-    }
-
-    fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            shards_spawned: self.shards_spawned.load(Ordering::Relaxed),
-            shard_merge_ns: self.shard_merge_ns.load(Ordering::Relaxed),
-            cross_shard_regens: self.cross_shard_regens.load(Ordering::Relaxed),
-            ..ShardStats::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::InProcessBackend;
+    use crate::backend::{ExecBackend, InProcessBackend};
     use crate::expr::Expr;
     use crate::plan::{scalar_random_table, PlanNode};
     use crate::session::ExecSession;
@@ -621,6 +456,25 @@ mod tests {
         assert_eq!(a.bundles, b.bundles);
     }
 
+    /// One block as `shards` planned units, each run on `threads` threads,
+    /// merged; also the foreign streams the units regenerated.
+    fn sharded_block(
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        shards: usize,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+    ) -> (BundleSet, usize) {
+        let outputs: Vec<ShardOutput> = ShardTask::plan(prefix, shards, base_pos, num_values)
+            .iter()
+            .map(|task| task.run(pool, threads).unwrap())
+            .collect();
+        let foreign = outputs.iter().map(|o| o.foreign_streams).sum();
+        let set = merge_block(prefix, num_values, outputs.into_iter().map(|o| o.bundles));
+        (set.unwrap(), foreign)
+    }
+
     #[test]
     fn sharded_blocks_match_in_process_for_every_shard_count() {
         let pool = BlockBufferPool::new();
@@ -633,18 +487,14 @@ mod tests {
             .unwrap();
         for shards in [1usize, 2, 3, 7, 50] {
             for threads in [1usize, 2, 8] {
-                let backend = ShardedBackend::new(shards);
-                let block = backend
-                    .instantiate_block(prefix, &pool, threads, 0, 64)
-                    .unwrap();
+                let (block, _) = sharded_block(prefix, &pool, shards, threads, 0, 64);
                 assert_sets_identical(&reference, &block);
             }
         }
     }
 
     #[test]
-    fn planner_never_exceeds_bundle_anchors_and_counters_accumulate() {
-        let pool = BlockBufferPool::new();
+    fn planner_never_exceeds_bundle_anchors() {
         let catalog = catalog();
         let plan = complex_plan();
         let session = ExecSession::prepare(&plan, &catalog, 7).unwrap();
@@ -654,25 +504,10 @@ mod tests {
         let anchors = skeleton.anchor_keys().len();
         assert_eq!(anchors, skeleton.num_active_streams());
         assert!(anchors >= 2);
-        assert_eq!(plan_shards(skeleton, 3).len(), 3);
-        assert_eq!(plan_shards(skeleton, 100).len(), anchors);
-        assert_eq!(plan_shards(skeleton, 0).len(), 1);
-
-        let backend = ShardedBackend::new(3);
-        assert_eq!(backend.shards(), 3);
-        assert_eq!(backend.name(), "sharded");
-        // A fresh backend has done no work, and a self-window is all-zero.
-        let fresh = backend.shard_stats();
-        assert_eq!(fresh.shards_spawned, 0);
-        assert_eq!(fresh.shard_merge_ns, 0);
-        assert_eq!(fresh.cross_shard_regens, 0);
-        assert_eq!(fresh.since(fresh), ShardStats::default());
-        let _ = backend.instantiate_block(prefix, &pool, 2, 0, 8).unwrap();
-        let after_one = backend.shard_stats();
-        assert_eq!(after_one.shards_spawned, 3);
-        let _ = backend.instantiate_block(prefix, &pool, 2, 8, 8).unwrap();
-        assert_eq!(backend.shard_stats().shards_spawned, 6);
-        assert_eq!(backend.shard_stats().since(after_one).shards_spawned, 3);
+        let planned = |parts| ShardTask::plan(prefix, parts, 0, 8).len();
+        assert_eq!(planned(3), 3);
+        assert_eq!(planned(100), anchors);
+        assert_eq!(planned(0), 1);
     }
 
     #[test]
@@ -683,13 +518,12 @@ mod tests {
         let session = ExecSession::prepare(&plan, &catalog, 11).unwrap();
         let prefix = session.prefix().unwrap();
         let skeleton = prefix.skeleton();
-        let ranges = plan_shards(skeleton, 3);
         let mut seen = std::collections::BTreeSet::new();
-        for key_range in ranges {
+        for planned in ShardTask::plan(prefix, 3, 0, 4) {
             let task = ShardTask {
                 skeleton: Arc::clone(skeleton),
                 master_seed: 11,
-                key_range,
+                key_range: planned.key_range,
                 base_pos: 0,
                 num_values: 4,
             };
@@ -740,18 +574,15 @@ mod tests {
             .instantiate_block(prefix, &pool, 1, 0, 32)
             .unwrap();
         for shards in [2usize, 3, 7] {
-            let backend = ShardedBackend::new(shards);
-            let block = backend.instantiate_block(prefix, &pool, 2, 0, 32).unwrap();
+            let (block, foreign) = sharded_block(prefix, &pool, shards, 2, 0, 32);
             assert_sets_identical(&reference, &block);
             assert!(
-                backend.shard_stats().cross_shard_regens > 0,
+                foreign > 0,
                 "{shards} shards over a two-table join must cross ranges"
             );
         }
         // One shard owns everything: nothing is foreign.
-        let single = ShardedBackend::new(1);
-        let _ = single.instantiate_block(prefix, &pool, 1, 0, 32).unwrap();
-        assert_eq!(single.shard_stats().cross_shard_regens, 0);
+        assert_eq!(sharded_block(prefix, &pool, 1, 1, 0, 32).1, 0);
 
         // The planner partitions *anchors* (all tag-1 here), so both shards
         // of a 2-way split own bundles — the non-anchor tag-2 keys never
@@ -759,16 +590,8 @@ mod tests {
         let skeleton = prefix.skeleton();
         assert_eq!(skeleton.anchor_keys().len(), 8);
         assert_eq!(skeleton.num_active_streams(), 16);
-        for key_range in plan_shards(skeleton, 2) {
-            let output = ShardTask {
-                skeleton: Arc::clone(skeleton),
-                master_seed: 13,
-                key_range,
-                base_pos: 0,
-                num_values: 4,
-            }
-            .run(&pool, 2)
-            .unwrap();
+        for task in ShardTask::plan(prefix, 2, 0, 4) {
+            let output = task.run(&pool, 2).unwrap();
             assert_eq!(output.bundles.len(), 4, "ownership must balance 4/4");
         }
     }
@@ -779,29 +602,25 @@ mod tests {
         let catalog = catalog();
         let session = ExecSession::prepare(&PlanNode::scan("regions"), &catalog, 1).unwrap();
         let prefix = session.prefix().unwrap();
-        let backend = ShardedBackend::new(4);
-        let block = backend.instantiate_block(prefix, &pool, 4, 0, 3).unwrap();
+        assert_eq!(ShardTask::plan(prefix, 4, 0, 3).len(), 1);
+        let (block, _) = sharded_block(prefix, &pool, 4, 4, 0, 3);
         assert_eq!(block.len(), 4);
         assert!(block.seeds().is_empty());
-        assert_eq!(backend.shard_stats().shards_spawned, 1);
     }
 
     #[test]
     fn sharded_sessions_are_bit_identical_end_to_end() {
+        // A session's blocks, across windows, equal the same windows split
+        // into three units and merged.
         let catalog = catalog();
         let plan = complex_plan();
-        let mut in_process = ExecSession::prepare(&plan, &catalog, 9)
-            .unwrap()
-            .with_backend(Arc::new(InProcessBackend::new()));
-        let mut sharded = ExecSession::prepare(&plan, &catalog, 9)
-            .unwrap()
-            .with_backend(Arc::new(ShardedBackend::new(3)));
-        assert_eq!(sharded.backend().name(), "sharded");
+        let mut session = ExecSession::prepare(&plan, &catalog, 9).unwrap();
+        let pool = BlockBufferPool::new();
         for (base, n) in [(0u64, 16usize), (16, 8), (1000, 4)] {
-            let a = in_process.instantiate_block(&catalog, base, n).unwrap();
-            let b = sharded.instantiate_block(&catalog, base, n).unwrap();
+            let a = session.instantiate_block(&catalog, base, n).unwrap();
+            let prefix = session.prefix().unwrap();
+            let (b, _) = sharded_block(prefix, &pool, 3, 2, base, n);
             assert_sets_identical(&a, &b);
         }
-        assert_eq!(sharded.backend().shard_stats().shards_spawned, 9);
     }
 }

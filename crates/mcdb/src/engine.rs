@@ -150,8 +150,7 @@ pub struct NaiveTailReport {
     /// [`SessionCache`] already held the plan's skeleton.
     pub skeleton_hit: bool,
     /// Logical bytes written into pooled columnar block buffers during the
-    /// hunt (calibration + batches; includes cross-shard regeneration on a
-    /// sharded backend).
+    /// hunt (calibration + batches).
     pub bytes_materialized: u64,
     /// Columnar buffer acquisitions the hunt served by recycling its
     /// session's pool instead of allocating — every batch past calibration
@@ -582,50 +581,6 @@ mod tests {
             "US mean = {}",
             us.1.mean()
         );
-    }
-
-    #[test]
-    fn sharded_engines_return_bit_identical_samples() {
-        let catalog = catalog(12);
-        let mut reference = McdbEngine::new();
-        let expected = reference
-            .run_samples(&losses_query(), &catalog, 64, 5)
-            .unwrap();
-        assert_eq!(reference.backend_stats().shards_spawned, 0);
-        for shards in [1usize, 2, 3, 7] {
-            let mut engine =
-                McdbEngine::new().with_backend(Arc::new(mcdbr_exec::ShardedBackend::new(shards)));
-            let samples = engine
-                .run_samples(&losses_query(), &catalog, 64, 5)
-                .unwrap();
-            assert_eq!(samples.groups.len(), expected.groups.len());
-            for ((ka, va), (kb, vb)) in samples.groups.iter().zip(&expected.groups) {
-                assert_eq!(ka, kb);
-                assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
-            // One fused unit per repetition range over 64 repetitions:
-            // min(shards, 64) tasks.
-            assert_eq!(engine.backend_stats().shards_spawned, shards.min(64));
-        }
-
-        // The naive tail hunt reports its own shard window.
-        let mut sharded =
-            McdbEngine::new().with_backend(Arc::new(mcdbr_exec::ShardedBackend::new(3)));
-        let report = sharded
-            .naive_tail_sample(&losses_query(), &catalog, 0.05, 10, 200, 100, 2_000, 7)
-            .unwrap();
-        assert!(report.backend.shards_spawned > 0);
-        let in_process_report = McdbEngine::new()
-            .naive_tail_sample(&losses_query(), &catalog, 0.05, 10, 200, 100, 2_000, 7)
-            .unwrap();
-        assert_eq!(in_process_report.backend.shards_spawned, 0);
-        assert_eq!(in_process_report.backend.shard_merge_ns, 0);
-        assert_eq!(report.tail_samples, in_process_report.tail_samples);
-        assert_eq!(
-            report.quantile_estimate,
-            in_process_report.quantile_estimate
-        );
-        assert_eq!(report.repetitions, in_process_report.repetitions);
     }
 
     #[test]

@@ -3,30 +3,27 @@
 //! [`FairScheduler`] instead of a private thread fan-out.
 //!
 //! The server hands every admitted query its own `FairBackend` wrapping
-//! the server-wide inner backend (in-process, sharded, or process).  It is
-//! one more place to run the same units: a query is one
-//! [`mcdbr_exec::SampleJob`] unit per scheduler pool thread, each
-//! instantiating and aggregating one repetition range
-//! ([`mcdbr_exec::sample_parts`]); a bare block is [`ShardTask`]s merged
-//! by [`mcdbr_exec::merge_block`], and the aggregate of a set the
-//! repetition ranges of [`mcdbr_exec::aggregate_parts`].  Every unit is
+//! the server-wide inner backend (in-process or process).  It is one of the
+//! three places a unit runs: a query is one [`mcdbr_exec::SampleJob`] unit
+//! per scheduler pool thread, each instantiating and aggregating one
+//! repetition range ([`mcdbr_exec::sample_parts`]).  Every unit is
 //! submitted under the query's id, so the scheduler's round-robin ring
 //! interleaves *tasks* of concurrent queries rather than running the
-//! queries serially.
+//! queries serially.  A bare block, and the aggregate of a set, are one
+//! unit each that delegates to the inner backend.
 //!
 //! Bit-identity is inherited, not re-argued: the unit bodies and merges
 //! are the ones every backend runs, so results equal a single-threaded run
 //! of the same query bit for bit — the property
-//! `tests/server_concurrency.rs` asserts across all three inner backends.
+//! `tests/server_concurrency.rs` asserts across both inner backends.
 //!
 //! An inner backend whose units do not run in this process
 //! ([`ExecBackend::units_run_in_process`] is false — the **process**
-//! dispatcher) keeps its own fan-out and the two-call path: its block
-//! instantiation is one coordinator-side conversation holding the
-//! dispatcher's state lock, so it runs as a *single* scheduler unit (the
-//! blocking wire I/O occupies one pool slot; fairness is at block
-//! granularity).  Aggregation still fans out per rep range, since the
-//! process backend aggregates locally anyway.
+//! dispatcher) keeps the two-call path: its block instantiation is one
+//! coordinator-side conversation holding the dispatcher's state lock, so it
+//! runs as a *single* scheduler unit (the blocking wire I/O occupies one
+//! pool slot; fairness is at block granularity), and so does its
+//! aggregate.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
@@ -38,12 +35,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use mcdbr_exec::{
-    aggregate_parts, merge_block, sample_parts, AggregateSpec, BlockBufferPool, BundleSet,
-    CancelToken, DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
-    ShardTask,
+    sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, DeterministicPrefix,
+    ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result};
 
@@ -62,7 +57,7 @@ pub struct FairBackend {
     /// rather than being interrupted mid-unit, so partial work is never
     /// observable and the scheduler pool is never poisoned.
     cancel: CancelToken,
-    /// Fused, shard and rep-range units this query fanned out into.
+    /// Units this query fanned out into.
     units: AtomicUsize,
     /// Cumulative queue wait across this query's units (shared with the
     /// unit closures).
@@ -114,9 +109,16 @@ impl FairBackend {
         self.wait_ns.load(Ordering::Relaxed)
     }
 
-    /// How many shard-task / rep-range units the query fanned out into.
+    /// How many scheduler units the query fanned out into.
     pub fn units_spawned(&self) -> usize {
         self.units.load(Ordering::Relaxed)
+    }
+
+    /// Run `unit` as one scheduler unit of this query.
+    fn run_unit<T: Send + 'static>(&self, unit: impl FnOnce() -> T + Send + 'static) -> T {
+        self.units.fetch_add(1, Ordering::Relaxed);
+        let mut out = self.sched.run_batch(self.qid, vec![unit], &self.wait_ns);
+        out.pop().expect("one unit, one result")
     }
 }
 
@@ -138,53 +140,22 @@ impl ExecBackend for FairBackend {
         &self,
         prefix: &DeterministicPrefix,
         _pool: &BlockBufferPool,
-        _threads: usize,
+        threads: usize,
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
         self.cancel.check()?;
-
-        if !self.inner.units_run_in_process() {
-            // One delegating unit.  The dispatcher's conversation is
-            // serialized behind its own state lock, and the prefix is
-            // re-derivable (`bind` is a pure function of skeleton + seed,
-            // and the skeleton Arc — which the dispatcher keys primed plans
-            // by — is shared).
-            let inner = Arc::clone(&self.inner);
-            let pool = Arc::clone(&self.pool);
-            let skeleton = Arc::clone(prefix.skeleton());
-            let master_seed = prefix.master_seed();
-            self.units.fetch_add(1, Ordering::Relaxed);
-            let mut out = self.sched.run_batch(
-                self.qid,
-                vec![move || {
-                    let prefix = skeleton.bind(master_seed);
-                    inner.instantiate_block(&prefix, &pool, 1, base_pos, num_values)
-                }],
-                &self.wait_ns,
-            );
-            return out.pop().expect("one unit, one result");
-        }
-
-        // One shard task per scheduler pool thread.
-        let jobs: Vec<_> = ShardTask::plan(prefix, self.sched.pool_size(), base_pos, num_values)
-            .into_iter()
-            .map(|task| {
-                let pool = Arc::clone(&self.pool);
-                move || task.run(&pool, 1)
-            })
-            .collect();
-        self.units.fetch_add(jobs.len(), Ordering::Relaxed);
-        let mut partials = Vec::with_capacity(jobs.len());
-        for output in self.sched.run_batch(self.qid, jobs, &self.wait_ns) {
-            partials.push(output?.bundles);
-        }
-
-        let merge_start = Instant::now();
-        let set = merge_block(prefix, num_values, partials);
-        self.merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        set
+        // The prefix is re-derivable inside the unit (`bind` is a pure
+        // function of skeleton + seed, and the skeleton Arc — which the
+        // process dispatcher keys primed plans by — is shared).
+        let inner = Arc::clone(&self.inner);
+        let pool = Arc::clone(&self.pool);
+        let skeleton = Arc::clone(prefix.skeleton());
+        let master_seed = prefix.master_seed();
+        self.run_unit(move || {
+            let prefix = skeleton.bind(master_seed);
+            inner.instantiate_block(&prefix, &pool, threads, base_pos, num_values)
+        })
     }
 
     fn aggregate(
@@ -193,38 +164,17 @@ impl ExecBackend for FairBackend {
         agg: &AggregateSpec,
         group_by: &[String],
         final_predicate: Option<&Expr>,
-        _threads: usize,
+        threads: usize,
     ) -> Result<QueryResultSamples> {
         self.cancel.check()?;
-        let parts = self.sched.pool_size();
-        let (samples, _, merge_ns) =
-            aggregate_parts(set, agg, group_by, final_predicate, parts, |job, ranges| {
-                // A lone range gains nothing from a scheduler hop (or from
-                // the clone below): run it on the calling thread.
-                if ranges.len() <= 1 {
-                    return ranges
-                        .into_iter()
-                        .map(|reps| job.aggregate_rep_range(set, reps))
-                        .collect();
-                }
-                // The set travels into the units as a cheap Arc'd clone
-                // (bundle chains share `Arc<Column>` segments).
-                let owned = Arc::new(set.clone());
-                self.units.fetch_add(ranges.len(), Ordering::Relaxed);
-                let jobs: Vec<_> = ranges
-                    .into_iter()
-                    .map(|reps| {
-                        let (job, set) = (Arc::clone(job), Arc::clone(&owned));
-                        move || job.aggregate_rep_range(&set, reps)
-                    })
-                    .collect();
-                self.sched
-                    .run_batch(self.qid, jobs, &self.wait_ns)
-                    .into_iter()
-                    .collect()
-            })?;
-        self.merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
-        Ok(samples)
+        // The set travels into the unit as a cheap clone (bundle chains
+        // share `Arc<Column>` segments).
+        let inner = Arc::clone(&self.inner);
+        let (set, agg, group_by) = (set.clone(), agg.clone(), group_by.to_vec());
+        let final_predicate = final_predicate.cloned();
+        self.run_unit(move || {
+            inner.aggregate(&set, &agg, &group_by, final_predicate.as_ref(), threads)
+        })
     }
 
     fn sample_block(
@@ -239,8 +189,8 @@ impl ExecBackend for FairBackend {
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
         if !self.inner.units_run_in_process() {
-            // The two calls, each a boundary that checks `cancel`: one
-            // delegating unit for the block, rep ranges for the aggregate.
+            // The two calls, each a boundary that checks `cancel` and one
+            // delegating unit.
             let set = self.instantiate_block(prefix, pool, threads, base_pos, num_values)?;
             return self.aggregate(&set, agg, group_by, final_predicate, threads);
         }

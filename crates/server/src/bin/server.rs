@@ -3,11 +3,11 @@
 //!
 //! ```text
 //! mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N]
-//!              [--port-file PATH] [--backend inprocess|sharded|process]
+//!              [--port-file PATH] [--backend inprocess|process]
 //! ```
 //!
-//! `--backend` picks the execution backend (default `inprocess`); a sharded
-//! or process backend is `--workers` wide.  `--addr 127.0.0.1:0` binds an
+//! `--backend` picks the execution backend (default `inprocess`); a
+//! process backend is `--workers` wide.  `--addr 127.0.0.1:0` binds an
 //! ephemeral port; `--port-file` writes the bound `host:port` so scripts
 //! (CI, loadgen) can find it.  The process exits after a client sends the
 //! `Shutdown` frame and every in-flight query has drained.
@@ -20,7 +20,7 @@ use mcdbr_server::service::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N] \
-         [--port-file PATH] [--backend inprocess|sharded|process]"
+         [--port-file PATH] [--backend inprocess|process]"
     );
     std::process::exit(2);
 }

@@ -15,9 +15,9 @@
 //!   round-robin ring interleaves work *units* from concurrent queries,
 //!   so one big query cannot starve the rest.
 //! * [`backend`] — [`FairBackend`]: the per-query [`mcdbr_exec::ExecBackend`]
-//!   adapter that decomposes a query into shard-task and rep-range units
-//!   on that scheduler; composes with every inner backend
-//!   (`mcdbr-server --backend {inprocess,sharded,process}`) bit-identically.
+//!   adapter that decomposes a query into fused rep-range units on that
+//!   scheduler; composes with both inner backends
+//!   (`mcdbr-server --backend {inprocess,process}`) bit-identically.
 //! * [`client`] — [`ServerClient`]: the blocking client the loadgen
 //!   binary, benches, and test suites speak.
 //! * [`load`] — [`load::run_load`]: N concurrent connections measuring

@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use mcdbr_exec::{
-    AggregateSpec, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, Expr,
-    InProcessBackend, QueryResultSamples, ShardStats,
+    BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, InProcessBackend, ShardStats,
 };
 use mcdbr_storage::Result;
 
@@ -74,18 +73,6 @@ impl ExecBackend for GateBackend {
         drop(open);
         self.inner
             .instantiate_block(prefix, pool, threads, base_pos, num_values)
-    }
-
-    fn aggregate(
-        &self,
-        set: &BundleSet,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-        threads: usize,
-    ) -> Result<QueryResultSamples> {
-        self.inner
-            .aggregate(set, agg, group_by, final_predicate, threads)
     }
 
     fn shard_stats(&self) -> ShardStats {

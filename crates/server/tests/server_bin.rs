@@ -1,6 +1,7 @@
 //! The `mcdbr-server` binary, driven as a real child process: its answers
 //! are a function of the query, the catalog and the master seed, whatever
-//! `MCDBR_*` variables its environment holds.
+//! `MCDBR_*` variables its environment holds, and an unknown `--backend`
+//! name exits 2.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -77,4 +78,18 @@ fn environment_knobs_change_neither_the_deadline_nor_the_answer() {
     client.shutdown().unwrap();
     let status = server.0.wait().expect("wait for mcdbr-server");
     assert!(status.success(), "mcdbr-server exited with {status}");
+}
+
+#[test]
+fn unknown_backend_names_exit_2() {
+    // `sharded` named a backend in earlier versions; it is unknown now.
+    for name in ["sharded", "threads"] {
+        let status = Command::new(env!("CARGO_BIN_EXE_mcdbr-server"))
+            .args(["--addr", "127.0.0.1:0", "--backend", name])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("run mcdbr-server");
+        assert_eq!(status.code(), Some(2), "--backend {name}");
+    }
 }

@@ -1,11 +1,12 @@
 //! `sample_block` against the two-call path it replaces.
 //!
 //! `ExecSession::sample_block` instantiates and aggregates a block in one
-//! call; on the in-process and sharded backends each repetition range folds
-//! its bundles straight into the aggregate and no `BundleSet` exists.  This
-//! suite holds it, bit for bit, to `instantiate_block` followed by
-//! `evaluate_aggregate` — groups, their order and keys, every sample — and
-//! requires both sides to fail together.  The shapes are the ones where
+//! call; in process each repetition range folds its bundles straight into
+//! the aggregate and no `BundleSet` exists.  This suite holds it, bit for
+//! bit, to `instantiate_block` followed by `evaluate_aggregate` — groups,
+//! their order and keys, every sample — on the in-process backend and for
+//! fused units whose count differs from the thread count
+//! (`sample_parts`), and requires both sides to fail together.  The shapes are the ones where
 //! fusing could go wrong: presence predicates that drop a bundle in every
 //! repetition, a `GROUP BY` whose first group is never present, a final
 //! predicate, a computed aggregand, every aggregate function, empty
@@ -14,7 +15,9 @@
 
 use mcdbr::exec::aggregate::{evaluate_aggregate, AggFunc, AggregateSpec, QueryResultSamples};
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
-use mcdbr::exec::{ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode, ShardedBackend};
+use mcdbr::exec::{
+    par, sample_parts, BlockBufferPool, ExecSession, Expr, InProcessBackend, PlanNode,
+};
 use mcdbr::storage::{Catalog, Field, Result, Schema, TableBuilder, Value};
 use mcdbr::vg::{MultiNormalVg, NormalVg};
 use std::sync::Arc;
@@ -150,25 +153,6 @@ fn queries() -> Vec<(AggregateSpec, Vec<String>, Option<Expr>)> {
     out
 }
 
-fn backends() -> Vec<(String, Arc<dyn ExecBackend>, usize)> {
-    let mut out: Vec<(String, Arc<dyn ExecBackend>, usize)> = Vec::new();
-    for threads in [1, 2, 3] {
-        out.push((
-            format!("in-process x{threads}"),
-            Arc::new(InProcessBackend::new()),
-            threads,
-        ));
-        for shards in [1, 2, 3, 7] {
-            out.push((
-                format!("{shards} shards x{threads}"),
-                Arc::new(ShardedBackend::new(shards)),
-                threads,
-            ));
-        }
-    }
-    out
-}
-
 fn assert_same(case: &str, got: &Result<QueryResultSamples>, want: &Result<QueryResultSamples>) {
     let (got, want) = match (got, want) {
         (Err(_), Err(_)) => return,
@@ -197,15 +181,14 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
             let wants: Vec<_> = (queries.iter())
                 .map(|(agg, by, pred)| evaluate_aggregate(&set, agg, by, pred.as_ref()))
                 .collect();
-            for (backend_name, backend, threads) in backends() {
+            for threads in [1, 2, 3] {
                 let mut session = ExecSession::prepare(&plan, &catalog, 99)
                     .unwrap()
                     .with_threads(threads)
-                    .with_backend(backend);
+                    .with_backend(Arc::new(InProcessBackend::new()));
                 for ((agg, by, pred), want) in queries.iter().zip(&wants) {
-                    let case = format!(
-                        "{name}, n = {n}, {backend_name}: {agg:?} by {by:?} where {pred:?}"
-                    );
+                    let case =
+                        format!("{name}, n = {n}, x{threads}: {agg:?} by {by:?} where {pred:?}");
                     let got = session.sample_block(&catalog, base, n, agg, by, pred.as_ref());
                     assert_same(&case, &got, want);
                     compared += 1;
@@ -219,13 +202,47 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
                 assert_eq!(session.blocks_materialized() as u64, calls, "{name}");
                 let values = reference.values_materialized() * calls;
                 assert_eq!(session.values_materialized(), values, "{name}");
+
+                // The same block as `parts` fused units on `threads` threads.
+                let Some(prefix) = session.prefix() else {
+                    continue;
+                };
+                let pool = BlockBufferPool::new();
+                for parts in [1, 2, 3, 7] {
+                    for ((agg, by, pred), want) in queries.iter().zip(&wants) {
+                        let case = format!(
+                            "{name}, n = {n}, {parts} units x{threads}: {agg:?} by {by:?} where {pred:?}"
+                        );
+                        let got = sample_parts(
+                            prefix,
+                            base,
+                            n,
+                            agg,
+                            by,
+                            pred.as_ref(),
+                            parts,
+                            |job, ranges| {
+                                par::try_par_map_threads(&ranges, threads, |reps| {
+                                    job.sample_rep_range(&pool, reps.clone())
+                                })
+                            },
+                        );
+                        assert_same(&case, &got.map(|(samples, ..)| samples), want);
+                        compared += 1;
+                        match want {
+                            Ok(s) => groups += s.groups.len(),
+                            Err(_) => failed += 1,
+                        }
+                    }
+                }
             }
         }
     }
-    // 7 plans x 3 repetition counts x 43 queries x 15 backends; the error
-    // cases fail on every plan that has a present bundle, and the grouped
-    // ones see every region that has one.
-    assert_eq!(compared, 7 * 3 * 43 * 15);
+    // 7 plans x 3 repetition counts x 43 queries x 3 thread counts, plus
+    // 4 unit counts on the 6 plans with a cached prefix (not the `Split`
+    // fallback); the error cases fail on every plan that has a present
+    // bundle, and the grouped ones see every region that has one.
+    assert_eq!(compared, 7 * 3 * 43 * 3 + 6 * 3 * 43 * 3 * 4);
     assert!(
         failed > 0 && failed < compared,
         "{failed} of {compared} failed"

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mcdbr::dispatch::ProcessBackend;
-use mcdbr::exec::{ExecBackend, InProcessBackend, QueryResultSamples, ShardedBackend};
+use mcdbr::exec::{ExecBackend, InProcessBackend, QueryResultSamples};
 use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::server::client::{QueryReply, ServerClient};
 use mcdbr::server::service::{Server, ServerConfig};
@@ -28,7 +28,6 @@ fn small_catalog() -> Catalog {
 fn backends() -> Vec<(&'static str, Arc<dyn ExecBackend>)> {
     vec![
         ("in-process", Arc::new(InProcessBackend::new())),
-        ("sharded", Arc::new(ShardedBackend::new(3))),
         ("process", Arc::new(ProcessBackend::new(2))),
     ]
 }
@@ -302,7 +301,7 @@ fn shared_counters_stay_exact_under_load() {
     let (clients, per_client, reps) = (5u64, 4u64, 8usize);
     let handle = Server::start(
         catalog.clone(),
-        Arc::new(ShardedBackend::new(2)),
+        Arc::new(InProcessBackend::new()),
         ServerConfig {
             workers: 3,
             max_inflight: 64, // never Busy: keeps queries_served exact

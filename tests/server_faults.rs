@@ -335,3 +335,35 @@ fn shutdown_with_a_query_in_flight_drains_it_not_drops_it() {
     );
     assert_eq!(final_stats.inflight, 0);
 }
+
+#[test]
+fn plans_without_a_cached_prefix_still_observe_the_query_deadline() {
+    // A `Split` over a random column has no cached prefix: its session runs
+    // the executor and aggregates the set itself.  That aggregate must
+    // still go through the server's backend, where the query's deadline is
+    // checked — a zero deadline answers Timeout, as it does for the
+    // cacheable form of the same query.
+    let catalog = customer_losses_catalog(16, (2.0, 6.0), 11).unwrap();
+    let mut query = customer_losses_query(None);
+    query.plan = query.plan.split("val");
+    let handle = Server::start(
+        catalog,
+        Arc::new(InProcessBackend::new()),
+        ServerConfig {
+            workers: 2,
+            query_deadline: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    match client.query(&query, 8, 3).unwrap() {
+        QueryReply::Rejected { code, message } => {
+            assert_eq!(code, wire::ReplyCode::Timeout, "{message}");
+        }
+        QueryReply::Ok { .. } => panic!("a split query ignored its deadline"),
+    }
+    drop(client);
+    let stats = handle.shutdown();
+    assert_eq!(stats.query_timeouts, 1);
+}

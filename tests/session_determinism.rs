@@ -12,8 +12,8 @@ use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, evaluate_aggregate_threads};
 use mcdbr::exec::{
-    BlockBufferPool, BundleValue, ExecBackend, ExecOptions, ExecSession, Executor, Expr,
-    InProcessBackend, PlanNode, SessionCache, ShardedBackend,
+    merge_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecBackend,
+    ExecOptions, ExecSession, Executor, Expr, InProcessBackend, PlanNode, SessionCache, ShardTask,
 };
 use mcdbr::mcdb::McdbEngine;
 use mcdbr::storage::{Catalog, Field, Schema, TableBuilder, Value};
@@ -217,10 +217,36 @@ fn thread_counts_never_change_a_block() {
     }
 }
 
+/// One block of `prefix` as the `shards` units `ShardTask::plan` draws,
+/// each run on `threads` threads and merged by `merge_block` — the block
+/// unit every placement runs; also the foreign streams the units
+/// regenerated.
+fn sharded_block(
+    prefix: &DeterministicPrefix,
+    pool: &BlockBufferPool,
+    shards: usize,
+    threads: usize,
+    base: u64,
+    n: usize,
+) -> (BundleSet, usize) {
+    let tasks = ShardTask::plan(prefix, shards, base, n);
+    assert_eq!(
+        tasks.len(),
+        shards.min(prefix.skeleton().anchor_keys().len()).max(1)
+    );
+    let outputs: Vec<_> = tasks
+        .iter()
+        .map(|t| t.run(pool, threads).unwrap())
+        .collect();
+    let foreign = outputs.iter().map(|o| o.foreign_streams).sum();
+    let block = merge_block(prefix, n, outputs.into_iter().map(|o| o.bundles)).unwrap();
+    (block, foreign)
+}
+
 #[test]
 fn shard_counts_never_change_a_block() {
-    // The sharded-backend contract: for every shard count × thread count,
-    // every block — including consecutive replenishment-style blocks — is
+    // The shard contract: for every shard count × thread count, every
+    // block — including consecutive replenishment-style blocks — is
     // bit-identical to in-process execution and to the one-shot executor.
     let (catalog, plan) = complex_case();
     let seed = 77;
@@ -232,44 +258,40 @@ fn shard_counts_never_change_a_block() {
         .iter()
         .map(|&(base, n)| reference.instantiate_block(&catalog, base, n).unwrap())
         .collect();
+    let prefix = reference.prefix().unwrap();
+    let pool = BlockBufferPool::new();
     for shards in [1usize, 2, 3, 7] {
         for threads in [1usize, 2, 3, 7] {
-            let backend = Arc::new(ShardedBackend::new(shards));
-            let mut session = ExecSession::prepare(&plan, &catalog, seed)
-                .unwrap()
-                .with_threads(threads)
-                .with_backend(backend.clone());
             for (&(base, n), want) in blocks.iter().zip(&expected) {
-                let got = session.instantiate_block(&catalog, base, n).unwrap();
+                let (got, foreign) = sharded_block(prefix, &pool, shards, threads, base, n);
                 assert_bit_identical(want, &got);
                 assert_bit_identical(want, &exec_from_scratch(&plan, &catalog, seed, base, n));
+                // Single-stream bundles never cross a range boundary.
+                assert_eq!(foreign, 0);
             }
-            assert!(backend.shard_stats().shards_spawned > 0);
-            assert_eq!(session.plan_executions(), 1);
         }
     }
+    assert_eq!(reference.plan_executions(), 1);
 }
 
 #[test]
 fn sharded_cache_hits_stay_bit_identical() {
-    // A cache-hit session re-bound to a fresh master seed and run on a
-    // sharded backend must equal an uncached, in-process session at that
-    // seed — the composition of the two tentpole contracts.
+    // A cache-hit session re-bound to a fresh master seed and split into
+    // shard units must equal an uncached, in-process session at that seed
+    // — the composition of the two tentpole contracts.
     let (catalog, plan) = complex_case();
     let cache = SessionCache::new();
+    let pool = BlockBufferPool::new();
     let _ = cache.session(&plan, &catalog, 1).unwrap(); // warm (seed 1)
     for (shards, seed) in [(2usize, 9u64), (3, 0xBEEF), (7, 1)] {
-        let mut hit = cache
-            .session(&plan, &catalog, seed)
-            .unwrap()
-            .with_backend(Arc::new(ShardedBackend::new(shards)));
+        let hit = cache.session(&plan, &catalog, seed).unwrap();
         assert!(hit.skeleton_hit());
         assert_eq!(hit.plan_executions(), 0, "cache hit skips phase 1");
         let mut fresh = ExecSession::prepare(&plan, &catalog, seed)
             .unwrap()
             .with_backend(Arc::new(InProcessBackend::new()));
         for (base, n) in [(0u64, 32usize), (32, 16), (5000, 8)] {
-            let a = hit.instantiate_block(&catalog, base, n).unwrap();
+            let (a, _) = sharded_block(hit.prefix().unwrap(), &pool, shards, 2, base, n);
             let b = fresh.instantiate_block(&catalog, base, n).unwrap();
             assert_bit_identical(&a, &b);
         }
@@ -278,18 +300,20 @@ fn sharded_cache_hits_stay_bit_identical() {
 
 #[test]
 fn sharded_tpch_join_blocks_match_from_scratch() {
-    // The Appendix D join workload through shards: cross-shard bundles (a
-    // deterministic side joined to uncertain streams) regenerate foreign
-    // streams locally and must still merge into the exact executor output.
+    // The Appendix D join workload through shard units: every bundle joins
+    // a deterministic lineitem row to its order's one stream, so ownership
+    // by anchor never needs a foreign stream, and the merge must still be
+    // the exact executor output.
     let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
     let q = w.total_loss_query();
+    let session = ExecSession::prepare(&q.plan, &w.catalog, 99).unwrap();
+    let prefix = session.prefix().unwrap();
+    let pool = BlockBufferPool::new();
     for shards in [2usize, 5] {
-        let mut session = ExecSession::prepare(&q.plan, &w.catalog, 99)
-            .unwrap()
-            .with_backend(Arc::new(ShardedBackend::new(shards)));
         for (base, n) in [(0u64, 20usize), (20, 20)] {
-            let block = session.instantiate_block(&w.catalog, base, n).unwrap();
+            let (block, foreign) = sharded_block(prefix, &pool, shards, 2, base, n);
             assert_bit_identical(&block, &exec_from_scratch(&q.plan, &w.catalog, 99, base, n));
+            assert_eq!(foreign, 0);
         }
     }
 }
@@ -318,9 +342,7 @@ fn columnar_blocks_match_the_row_reference_path_for_every_shard_and_thread_count
             }
             for shards in [1usize, 2, 3, 7] {
                 for threads in [1usize, 2] {
-                    let sharded = ShardedBackend::new(shards)
-                        .instantiate_block(prefix, &pool, threads, base, n)
-                        .unwrap();
+                    let (sharded, _) = sharded_block(prefix, &pool, shards, threads, base, n);
                     assert_bit_identical(&reference, &sharded);
                 }
             }
@@ -336,13 +358,13 @@ fn columnar_blocks_match_the_row_reference_path_for_every_shard_and_thread_count
 fn zero_value_blocks_are_well_formed_on_both_backends() {
     // num_values == 0 must be a first-class input, not incidental behavior:
     // a well-formed, empty-repetition BundleSet on the in-process and
-    // sharded backends alike, agreeing with the one-shot executor.
+    // process backends alike, agreeing with the one-shot executor.
     let losses_catalog = customer_losses_catalog(6, (1.0, 4.0), 3).unwrap();
     let q = customer_losses_query(None);
     let scratch = exec_from_scratch(&q.plan, &losses_catalog, 13, 0, 0);
     for backend in [
         Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
-        Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
+        Arc::new(ProcessBackend::new(2)) as Arc<dyn ExecBackend>,
     ] {
         let mut session = ExecSession::prepare(&q.plan, &losses_catalog, 13)
             .unwrap()
@@ -370,8 +392,7 @@ fn process_backend_blocks_are_bit_identical_for_every_worker_and_thread_count() 
     // The multi-process dispatch contract: for worker counts {1, 2, 3} ×
     // thread counts, every block — consecutive replenishment-style windows
     // included — merged from `mcdbr-worker` OS processes is bit-identical
-    // to the in-process backend, the sharded backend, and the one-shot
-    // executor.
+    // to the in-process backend and the one-shot executor.
     let (catalog, plan) = complex_case();
     let seed = 77;
     let blocks = [(0u64, 24usize), (24, 24), (48, 24), (10_000, 8)];
@@ -389,14 +410,9 @@ fn process_backend_blocks_are_bit_identical_for_every_worker_and_thread_count() 
                 .unwrap()
                 .with_threads(threads)
                 .with_backend(backend.clone());
-            let mut sharded = ExecSession::prepare(&plan, &catalog, seed)
-                .unwrap()
-                .with_threads(threads)
-                .with_backend(Arc::new(ShardedBackend::new(workers)));
             for (&(base, n), want) in blocks.iter().zip(&expected) {
                 let got = session.instantiate_block(&catalog, base, n).unwrap();
                 assert_bit_identical(want, &got);
-                assert_bit_identical(want, &sharded.instantiate_block(&catalog, base, n).unwrap());
                 assert_bit_identical(want, &exec_from_scratch(&plan, &catalog, seed, base, n));
             }
             let stats = backend.shard_stats();
@@ -538,34 +554,49 @@ fn process_backend_engine_runs_match_in_process_engines() {
         };
         let want = run(Arc::new(InProcessBackend::new()));
         assert!(want.replenishments > 0, "{want:?}");
-        for backend in [
-            Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
-            Arc::new(ProcessBackend::new(2)),
-        ] {
-            let name = backend.name();
-            let got = run(backend);
-            assert_eq!(got.tail_samples, want.tail_samples, "{name}");
-            assert_eq!(got.cutoffs, want.cutoffs, "{name}");
-            assert_eq!(got.gibbs, want.gibbs, "{name}");
-            assert_eq!(got.replenishments, want.replenishments, "{name}");
-            assert_eq!(
-                got.stream_positions_consumed, want.stream_positions_consumed,
-                "{name}"
-            );
-            assert_eq!(got.values_materialized, want.values_materialized, "{name}");
-            if name == "process" {
-                assert!(got.backend.tasks_dispatched >= 1, "{got:?}");
-            }
-        }
+        let got = run(Arc::new(ProcessBackend::new(2)));
+        assert_eq!(got.tail_samples, want.tail_samples);
+        assert_eq!(got.cutoffs, want.cutoffs);
+        assert_eq!(got.gibbs, want.gibbs);
+        assert_eq!(got.replenishments, want.replenishments);
+        assert_eq!(
+            got.stream_positions_consumed,
+            want.stream_positions_consumed
+        );
+        assert_eq!(got.values_materialized, want.values_materialized);
+        // The initial block crossed the wire; every unit spawned was a
+        // dispatched task (replenishment windows run inline).
+        assert!(got.backend.tasks_dispatched >= 1, "{got:?}");
+        assert_eq!(got.backend.shards_spawned, got.backend.tasks_dispatched);
+        assert_eq!(want.backend, mcdbr::exec::ShardStats::default());
     }
+
+    // The naive tail hunt reports its own backend window, and its samples
+    // do not depend on where the blocks ran.
+    let hunt = |engine: &mut McdbEngine| {
+        engine
+            .naive_tail_sample(&q, &catalog, 0.05, 10, 200, 100, 2_000, 7)
+            .unwrap()
+    };
+    let local = hunt(&mut inproc_engine);
+    let remote = hunt(&mut process_engine);
+    assert_eq!(local.backend, mcdbr::exec::ShardStats::default());
+    assert!(remote.backend.tasks_dispatched > 0, "{:?}", remote.backend);
+    assert_eq!(
+        remote.backend.shards_spawned,
+        remote.backend.tasks_dispatched
+    );
+    assert_eq!(remote.tail_samples, local.tail_samples);
+    assert_eq!(remote.quantile_estimate, local.quantile_estimate);
+    assert_eq!(remote.repetitions, local.repetitions);
 }
 
 /// Serialises the tests that shrink the process-wide page cache, so one test
 /// restoring the budget cannot hide another's evictions.
 static GLOBAL_POOL_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Instantiates `blocks` of `plan` over `catalog` on the in-process, sharded
-/// and process backends and asserts each block bit-identical to `expected`.
+/// Instantiates `blocks` of `plan` over `catalog` on the in-process and
+/// process backends and asserts each block bit-identical to `expected`.
 /// The process backend is exercised cold (the first task ships the Plan frame
 /// plus every referenced table's pages), warm (repeat tasks ship only hash
 /// headers), and after a forced kill of every worker (respawned workers are
@@ -579,17 +610,9 @@ fn assert_backends_match_across_a_pool_kill(
     expected: &[mcdbr::exec::BundleSet],
 ) {
     let process = Arc::new(ProcessBackend::new(2));
-    let mut sessions: Vec<ExecSession> = [
-        Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
-        Arc::new(ShardedBackend::new(3)),
-    ]
-    .into_iter()
-    .map(|b| {
-        ExecSession::prepare(plan, catalog, seed)
-            .unwrap()
-            .with_backend(b)
-    })
-    .collect();
+    let mut in_process = ExecSession::prepare(plan, catalog, seed)
+        .unwrap()
+        .with_backend(Arc::new(InProcessBackend::new()));
     let mut process_session = ExecSession::prepare(plan, catalog, seed)
         .unwrap()
         .with_backend(process.clone());
@@ -612,12 +635,10 @@ fn assert_backends_match_across_a_pool_kill(
             _ => {}
         }
         assert_bit_identical(&expected[i], &got);
-        for session in &mut sessions {
-            assert_bit_identical(
-                &expected[i],
-                &session.instantiate_block(catalog, base, n).unwrap(),
-            );
-        }
+        assert_bit_identical(
+            &expected[i],
+            &in_process.instantiate_block(catalog, base, n).unwrap(),
+        );
     }
     assert!(
         warm_sent < cold_sent,
@@ -905,7 +926,6 @@ fn compiled_programs_match_the_scalar_oracle_across_backends() {
     let pred = Expr::col("scaled").lt(Expr::lit(9.0));
     for backend in [
         Arc::new(InProcessBackend::new()) as Arc<dyn ExecBackend>,
-        Arc::new(ShardedBackend::new(3)) as Arc<dyn ExecBackend>,
         Arc::new(ProcessBackend::new(2)) as Arc<dyn ExecBackend>,
     ] {
         let mut session = ExecSession::prepare(&plan, &catalog, seed)

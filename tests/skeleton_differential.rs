@@ -5,15 +5,16 @@
 //! both sides, integral floats, strings, an empty parameter table), and a
 //! fixed list of plan shapes takes its constants from the same seed.  Every
 //! cacheable plan's session blocks must equal `Executor::execute` bundle for
-//! bundle — on the in-process backend, on one and three shards, and on a
-//! skeleton re-bound to a fresh master seed out of a `SessionCache`.
+//! bundle — on the in-process backend, split into one and three shard
+//! units, and on a skeleton re-bound to a fresh master seed out of a
+//! `SessionCache`.
 
 use std::sync::Arc;
 
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn};
 use mcdbr::exec::{
-    BundleSet, BundleValue, ExecBackend, ExecOptions, ExecSession, Executor, Expr,
-    InProcessBackend, PlanNode, RandomTableSpec, SessionCache, ShardedBackend,
+    merge_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecOptions,
+    ExecSession, Executor, Expr, PlanNode, RandomTableSpec, SessionCache, ShardTask,
 };
 use mcdbr::prng::Pcg64;
 use mcdbr::storage::{Catalog, Field, Schema, TableBuilder, Value};
@@ -242,6 +243,20 @@ fn execute(
 }
 
 /// Bundle-for-bundle identity, constants compared by bits.
+/// One block of `prefix` as `shards` planned units, merged.
+fn sharded_block(
+    prefix: &DeterministicPrefix,
+    shards: usize,
+    (base, n): (u64, usize),
+) -> BundleSet {
+    let pool = BlockBufferPool::new();
+    let partials = ShardTask::plan(prefix, shards, base, n)
+        .iter()
+        .map(|task| task.run(&pool, 2).unwrap().bundles)
+        .collect::<Vec<_>>();
+    merge_block(prefix, n, partials).unwrap()
+}
+
 fn assert_bit_identical(want: &BundleSet, got: &BundleSet, what: &str) {
     assert_eq!(want.schema, got.schema, "{what}: schema");
     assert_eq!(want.num_reps, got.num_reps, "{what}: repetitions");
@@ -284,45 +299,42 @@ fn skeleton_sessions_equal_the_executor_on_seeded_catalogs_and_plans() {
             let streams = streams[0];
             bundles_seen += expected[0].bundles.len();
 
-            let backends: [Arc<dyn ExecBackend>; 3] = [
-                Arc::new(InProcessBackend::new()),
-                Arc::new(ShardedBackend::new(1)),
-                Arc::new(ShardedBackend::new(3)),
-            ];
-            for backend in backends {
-                let label = format!("{what}, {}", backend.name());
-                let mut session = ExecSession::prepare(&plan, &catalog, master)
-                    .unwrap()
-                    .with_backend(backend);
-                assert_eq!(session.is_cached(), cacheable, "{label}");
-                if let Some(prefix) = session.prefix() {
-                    assert_eq!(prefix.num_streams(), streams, "{label}: streams");
+            let mut session = ExecSession::prepare(&plan, &catalog, master).unwrap();
+            assert_eq!(session.is_cached(), cacheable, "{what}");
+            if let Some(prefix) = session.prefix() {
+                assert_eq!(prefix.num_streams(), streams, "{what}: streams");
+                for shards in [1, 3] {
+                    for (&block, want) in BLOCKS.iter().zip(&expected) {
+                        let got = sharded_block(prefix, shards, block);
+                        assert_bit_identical(want, &got, &format!("{what}, {shards} shards"));
+                    }
                 }
-                for (&(base, n), want) in BLOCKS.iter().zip(&expected) {
-                    let got = session.instantiate_block(&catalog, base, n).unwrap();
-                    assert_bit_identical(want, &got, &label);
-                }
-                if !cacheable {
-                    // Fallback blocks generate every registered stream.
-                    let values: usize = BLOCKS.iter().map(|&(_, n)| streams * n).sum();
-                    assert_eq!(session.values_materialized(), values as u64, "{label}");
-                }
+            }
+            for (&(base, n), want) in BLOCKS.iter().zip(&expected) {
+                let got = session.instantiate_block(&catalog, base, n).unwrap();
+                assert_bit_identical(want, &got, &what);
+            }
+            if !cacheable {
+                // Fallback blocks generate every registered stream.
+                let values: usize = BLOCKS.iter().map(|&(_, n)| streams * n).sum();
+                assert_eq!(session.values_materialized(), values as u64, "{what}");
             }
 
             // A cache hit re-binds the stored skeleton to a new master seed.
             let cache = SessionCache::new();
             let _ = cache.session(&plan, &catalog, master).unwrap();
             let rebound = master + 1_000;
-            let mut session = cache
-                .session(&plan, &catalog, rebound)
-                .unwrap()
-                .with_backend(Arc::new(ShardedBackend::new(3)));
+            let mut session = cache.session(&plan, &catalog, rebound).unwrap();
             assert!(session.skeleton_hit(), "{what}: second lookup must hit");
             for &block in &BLOCKS {
+                let (want, _) = execute(&plan, &catalog, rebound, block);
+                if let Some(prefix) = session.prefix() {
+                    let got = sharded_block(prefix, 3, block);
+                    assert_bit_identical(&want, &got, &format!("{what}, cache hit, 3 shards"));
+                }
                 let got = session
                     .instantiate_block(&catalog, block.0, block.1)
                     .unwrap();
-                let (want, _) = execute(&plan, &catalog, rebound, block);
                 assert_bit_identical(&want, &got, &format!("{what}, cache hit"));
             }
         }
