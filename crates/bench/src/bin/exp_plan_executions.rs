@@ -97,13 +97,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "  (cross-shard regens)".into(),
-            (result.backend.cross_shard_regens + repeat.backend.cross_shard_regens).to_string(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "  (columnar bytes materialized)".into(),
             format!(
                 "{:.3} MiB",

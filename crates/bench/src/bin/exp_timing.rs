@@ -134,14 +134,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "MCDB-R cross-shard regens".into(),
-            "0 (join is single-tag)".into(),
-            result.backend.cross_shard_regens.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "MCDB-R columnar bytes".into(),
             "-".into(),
             format!(

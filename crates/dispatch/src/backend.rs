@@ -3,13 +3,14 @@
 //!
 //! A [`ProcessBackend`] implements the same [`ExecBackend`] seam as the
 //! in-process pool, with the same bit-identity contract: for any worker
-//! count, a block's merged output equals in-process execution exactly.
-//! The unit and the merge are shared with the in-process backend — a
-//! block's bundle anchors partition into balanced
+//! count, a block — or its aggregate — equals in-process execution exactly.
+//! A block's active streams partition into balanced
 //! [`mcdbr_prng::StreamKeyRange`]s, one [`mcdbr_exec::ShardTask`] per
-//! worker, and [`mcdbr_exec::merge_block`] slots the partial bundles back
-//! into skeleton order; only *where* a task runs (a worker, or this process
-//! when a slot degrades or the plan cannot travel) differs.
+//! worker; each worker ships its range's stream cells back, every reply is
+//! checked where it enters ([`check_reply`]; a bad one is crash-class
+//! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
+//! — assembles the block ([`mcdbr_exec::assemble_block`]) or folds the
+//! cells straight into the aggregate ([`mcdbr_exec::fold_block`]).
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -67,17 +68,13 @@
 //! a plan, a fault plan in the coordinator's own environment never
 //! reaches its workers.
 //!
-//! **Why bundles still travel.**  In process, a Monte Carlo query runs as
-//! fused rep-range units ([`mcdbr_exec::SampleJob`]) that never build a
-//! block; this backend keeps [`ExecBackend::sample_block`]'s default —
-//! workers ship their bundles, and the coordinator aggregates the merged
-//! set with [`ExecBackend::aggregate`]'s default, on its own threads.
-//! Shipping `AggPartial`s instead is the natural remote unit, but it would
-//! change the bytes a query reads off the wire, and the perf ledger's
-//! `naive.join_process2` workload replays its traced operation as
-//! `instantiate_block` + `aggregate` and fails a run whose
-//! `wire_bytes_received` differs between its plain and traced operations.
-//! The remote fused path waits until that replay calls `sample_block`.
+//! **Why cells travel, and partials wait.**  A join fans each stream out to
+//! many bundles, and a stream's values are a pure function of `(seed,
+//! position)`: the cells are the least a worker can ship that serves both
+//! calls, with the same tasks and bytes.  `AggPartial`s would serve only
+//! `sample_block`, and the perf ledger's `naive.join_process2` fails a run
+//! whose `wire_bytes_received` differs between its plain operations and its
+//! traced ones, which replay `instantiate_block` + `aggregate`.
 
 use std::collections::HashSet;
 use std::io::{BufReader, Write};
@@ -88,11 +85,12 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::{
-    merge_block, BlockBufferPool, BundleSet, DeterministicPrefix, ExecBackend, InProcessBackend,
-    PlanNode, PlanSkeleton, ShardStats, ShardTask, TupleBundle,
+    assemble_block, fold_block, AggregateSpec, BlockBufferPool, BundleSet, CellCols,
+    DeterministicPrefix, ExecBackend, Expr, InProcessBackend, PlanNode, PlanSkeleton,
+    QueryResultSamples, ShardStats, ShardTask,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
-use mcdbr_storage::{Catalog, Result};
+use mcdbr_storage::{Catalog, Column, DataType, Result};
 
 use crate::wire::{self, Frame, PlanKey, TaskHeader, WireError, WireResult};
 
@@ -210,8 +208,8 @@ impl Breaker {
 
 /// How one slot's task of a block was resolved.
 enum TaskOutcome {
-    /// The worker answered over the wire.
-    Wire(Vec<(usize, Option<TupleBundle>)>, wire::TaskStats),
+    /// The worker answered over the wire with the task's checked cells.
+    Wire(Vec<CellCols>, wire::TaskStats),
     /// The slot degraded (open breaker, or retry budget exhausted): the
     /// caller runs the slot's [`ShardTask`] locally, bit-identically.
     Degraded,
@@ -272,7 +270,6 @@ pub struct ProcessBackend {
     task_retries: AtomicUsize,
     circuit_trips: AtomicUsize,
     merge_ns: AtomicU64,
-    cross_shard_regens: AtomicUsize,
 }
 
 impl std::fmt::Debug for ProcessBackend {
@@ -316,7 +313,6 @@ impl ProcessBackend {
             task_retries: AtomicUsize::new(0),
             circuit_trips: AtomicUsize::new(0),
             merge_ns: AtomicU64::new(0),
-            cross_shard_regens: AtomicUsize::new(0),
         }
     }
 
@@ -572,30 +568,23 @@ impl ProcessBackend {
         Ok(())
     }
 
-    /// Read one task's response: bundle frames up to the terminating stats
-    /// frame.
-    #[allow(clippy::type_complexity)]
+    /// Read one task's response — `Cells` frames up to the terminating
+    /// stats frame — and check it against `unit` ([`check_reply`]).
     fn read_response(
         &self,
         slot: &mut Option<Worker>,
-    ) -> WireResult<(Vec<(usize, Option<TupleBundle>)>, wire::TaskStats)> {
+        unit: &ShardTask,
+    ) -> WireResult<(Vec<CellCols>, wire::TaskStats)> {
         let worker = slot.as_mut().ok_or(WireError::Truncated {
             what: "worker response (no worker)",
         })?;
-        let mut bundles = Vec::new();
+        let mut reply = Vec::new();
         loop {
             let (payload, _) = self.receive(worker)?;
             match wire::decode_frame(&payload)? {
-                Frame::Bundle { idx, bundle } => bundles.push((idx, bundle)),
-                Frame::TaskStats(stats) => {
-                    if stats.bundles != bundles.len() {
-                        return Err(WireError::Corrupt(format!(
-                            "worker announced {} bundles but sent {}",
-                            stats.bundles,
-                            bundles.len()
-                        )));
-                    }
-                    return Ok((bundles, stats));
+                Frame::Cells { idx, cells } => reply.push((idx, cells)),
+                Frame::TaskStats(stats) if stats.cells == reply.len() => {
+                    return Ok((check_reply(unit, reply)?, stats));
                 }
                 Frame::Error { message } => return Err(WireError::Remote(message)),
                 _ => {
@@ -612,13 +601,6 @@ impl ProcessBackend {
     /// worker is healthy and the failure is deterministic).
     fn is_crash(err: &WireError) -> bool {
         !matches!(err, WireError::Remote(_))
-    }
-
-    /// Record a crash-class failure on slot `i`'s breaker, counting trips.
-    fn note_failure(&self, state: &mut State, i: usize) {
-        if state.breakers[i].note_failure() {
-            self.circuit_trips.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Kill and reap every worker with a task in flight this block.
@@ -647,19 +629,30 @@ impl ProcessBackend {
     /// Deterministic task-level errors still fail the block (the caller
     /// tears down all in-flight workers so no stale frame can leak into the
     /// next conversation).
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::too_many_arguments)]
     fn run_tasks(
         &self,
         state: &mut State,
         key: PlanKey,
         plan_frame: &[u8],
         tables: &[(u64, Arc<Vec<u8>>)],
+        units: &[ShardTask],
         tasks: &[Option<Vec<u8>>],
     ) -> WireResult<Vec<TaskOutcome>> {
         let mut outcomes: Vec<Option<TaskOutcome>> = tasks
             .iter()
             .map(|t| t.is_none().then_some(TaskOutcome::Degraded))
             .collect();
+        // A crash-class failure of a re-send is just another failure: the
+        // next attempt runs into the empty or broken slot and the ladder
+        // converges.  Anything else fails the block.
+        let tolerate_crash = |state: &mut State, sent: WireResult<()>| match sent {
+            Err(e) if !Self::is_crash(&e) => {
+                self.teardown(state, tasks.len());
+                Err(e)
+            }
+            _ => Ok(()),
+        };
 
         // Phase A: pipeline every task out to its worker before reading any
         // response, so the workers run concurrently.  (A cold worker's plan
@@ -679,34 +672,18 @@ impl ProcessBackend {
                         return Err(e);
                     }
                     Err(_) => {
-                        self.note_failure(state, i);
-                        if self.retry.exhausted(attempt) {
-                            if let Some(worker) = state.slots[i].take() {
-                                reap_worker(worker, Duration::ZERO);
-                            }
+                        if !self.back_off(state, i, &mut attempt) {
                             outcomes[i] = Some(TaskOutcome::Degraded);
                             break;
                         }
-                        self.task_retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.retry.delay(attempt, i as u64));
-                        attempt += 1;
-                        // A failed respawn is just another crash-class
-                        // failure: the next send attempt runs into the empty
-                        // or broken slot and the ladder converges.
-                        match self.fill_slot(&mut state.slots[i], i, true) {
-                            Ok(()) => {}
-                            Err(e) if Self::is_crash(&e) => {}
-                            Err(e) => {
-                                self.teardown(state, tasks.len());
-                                return Err(e);
-                            }
-                        }
+                        let respawned = self.fill_slot(&mut state.slots[i], i, true);
+                        tolerate_crash(state, respawned)?;
                     }
                 }
             }
         }
 
-        // Phase B: collect partials in task (= ascending key-range) order.
+        // Phase B: collect the replies in task (= ascending key-range) order.
         // A read failure is a crashed *or hung* worker: respawn,
         // re-dispatch that task, and read again — the position-addressable
         // streams make the re-run bit-identical.  A worker that evicted the
@@ -723,10 +700,10 @@ impl ProcessBackend {
             let mut plan_resends = 0u32;
             let outcome = loop {
                 let slot = &mut state.slots[i];
-                match self.read_response(slot) {
-                    Ok((bundles, stats)) => {
+                match self.read_response(slot, &units[i]) {
+                    Ok((cells, stats)) => {
                         state.breakers[i].note_success();
-                        break TaskOutcome::Wire(bundles, stats);
+                        break TaskOutcome::Wire(cells, stats);
                     }
                     Err(WireError::Remote(msg))
                         if msg.starts_with(wire::UNKNOWN_PLAN_MESSAGE_PREFIX)
@@ -736,40 +713,18 @@ impl ProcessBackend {
                         if let Some(worker) = slot.as_mut() {
                             worker.known.remove(&key);
                         }
-                        match self.send_task(slot, i, key, plan_frame, tables, task_frame) {
-                            // Sent (or crashed — the next read attempt sees
-                            // the broken slot and the crash ladder takes
-                            // over).
-                            Ok(()) => {}
-                            Err(e) if Self::is_crash(&e) => {}
-                            Err(e) => {
-                                self.teardown(state, tasks.len());
-                                return Err(e);
-                            }
-                        }
+                        let sent = self.send_task(slot, i, key, plan_frame, tables, task_frame);
+                        tolerate_crash(state, sent)?;
                     }
                     Err(e) if Self::is_crash(&e) => {
-                        self.note_failure(state, i);
-                        if self.retry.exhausted(attempt) {
-                            if let Some(worker) = state.slots[i].take() {
-                                reap_worker(worker, Duration::ZERO);
-                            }
+                        if !self.back_off(state, i, &mut attempt) {
                             break TaskOutcome::Degraded;
                         }
-                        self.task_retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.retry.delay(attempt, i as u64));
-                        attempt += 1;
                         let slot = &mut state.slots[i];
-                        match self.fill_slot(slot, i, true).and_then(|()| {
+                        let sent = self.fill_slot(slot, i, true).and_then(|()| {
                             self.send_task(slot, i, key, plan_frame, tables, task_frame)
-                        }) {
-                            Ok(()) => {}
-                            Err(e) if Self::is_crash(&e) => {}
-                            Err(e) => {
-                                self.teardown(state, tasks.len());
-                                return Err(e);
-                            }
-                        }
+                        });
+                        tolerate_crash(state, sent)?;
                     }
                     Err(e) => {
                         self.teardown(state, tasks.len());
@@ -784,6 +739,148 @@ impl ProcessBackend {
             .map(|o| o.expect("every slot resolved in phase A or B"))
             .collect())
     }
+
+    /// Record a crash-class failure on slot `i`'s breaker, counting trips,
+    /// and, unless its retries are spent, sleep the capped, jittered backoff
+    /// before the next attempt.  A spent slot is reaped and `false` comes
+    /// back: the slot degrades.
+    fn back_off(&self, state: &mut State, i: usize, attempt: &mut u32) -> bool {
+        if state.breakers[i].note_failure() {
+            self.circuit_trips.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.retry.exhausted(*attempt) {
+            if let Some(worker) = state.slots[i].take() {
+                reap_worker(worker, Duration::ZERO);
+            }
+            return false;
+        }
+        self.task_retries.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(self.retry.delay(*attempt, i as u64));
+        *attempt += 1;
+        true
+    }
+
+    /// Every active stream's cells for one block of `prefix`, in
+    /// `active_keys` order, from one [`ShardTask`] per worker slot through
+    /// [`ProcessBackend::run_tasks`]; a degraded slot runs its unit here.
+    /// `None` when the prefix cannot travel (never primed, or not
+    /// wire-serializable): the caller runs the block in process.
+    fn fetch(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        base_pos: u64,
+        num_values: usize,
+    ) -> Result<Option<Vec<CellCols>>> {
+        let skeleton = Arc::as_ptr(prefix.skeleton());
+        let mut state = self.state.lock().expect("dispatch state");
+        let plans = &state.plans;
+        let entry = plans.iter().find(|e| Weak::as_ptr(&e.skeleton) == skeleton);
+        let Some((key, Some(plan_frame), tables)) =
+            entry.map(|e| (e.key, e.frame.clone(), Arc::clone(&e.tables)))
+        else {
+            return Ok(None);
+        };
+
+        let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
+        if state.breakers.len() < units.len() {
+            state.breakers.resize(units.len(), Breaker::default());
+        }
+        // Slots with an open breaker skip dispatch entirely this block:
+        // their units run locally below, and the breaker's cooldown ticks
+        // down toward the half-open probe.
+        let tasks: Vec<Option<Vec<u8>>> = units
+            .iter()
+            .enumerate()
+            .map(|(i, unit)| {
+                (!state.breakers[i].degrade_this_block()).then(|| {
+                    wire::encode_task(&TaskHeader {
+                        key,
+                        master_seed: unit.master_seed,
+                        key_range: unit.key_range,
+                        base_pos,
+                        num_values,
+                    })
+                })
+            })
+            .collect();
+
+        let outcomes = self
+            .run_tasks(&mut state, key, &plan_frame, &tables, &units, &tasks)
+            .map_err(mcdbr_storage::Error::from)?;
+        drop(state);
+
+        // The units tile the active streams in order, so their cells,
+        // concatenated, are the block's; a degraded slot's local run of the
+        // same unit is bit-identical to the worker's.
+        let mut cells = Vec::with_capacity(prefix.num_active_streams());
+        for (unit, outcome) in units.iter().zip(outcomes) {
+            cells.extend(match outcome {
+                TaskOutcome::Wire(got, stats) => {
+                    let warm = usize::from(stats.warm_hit);
+                    self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
+                    got
+                }
+                TaskOutcome::Degraded => unit.run(pool, 1)?.into_iter().map(|(_, c)| c).collect(),
+            });
+        }
+        Ok(Some(cells))
+    }
+
+    /// Run the coordinator's share of a block — assembly or fold — counting
+    /// its time in `shard_merge_ns`.
+    fn timed<T>(&self, work: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = work();
+        self.merge_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+}
+
+/// The entry check on one worker's reply to `unit`: before any cell is
+/// read, the reply must hold exactly the active streams of the unit's key
+/// range ([`ShardTask::streams`]), in strictly ascending index order, each
+/// with the VG output shape the skeleton probed and every column
+/// `unit.num_values` values long and of the VG output's type.  Anything
+/// else is [`WireError::Corrupt`].
+fn check_reply(unit: &ShardTask, reply: Vec<(u64, CellCols)>) -> WireResult<Vec<CellCols>> {
+    let (streams, n) = (unit.streams(), unit.num_values);
+    if reply.len() != streams.len() {
+        let (got, want, range) = (reply.len(), streams.len(), unit.key_range);
+        return Err(WireError::Corrupt(format!(
+            "{got} streams' cells for the {want} of {range}"
+        )));
+    }
+    let mut out = Vec::with_capacity(reply.len());
+    for (at, (idx, cells)) in streams.zip(reply) {
+        let (source, rows) = unit.skeleton.stream_recipe(at);
+        let types: Vec<DataType> = (source.vg.output_fields().iter())
+            .map(|f| f.data_type)
+            .collect();
+        // Untyped (all-null) and mixed columns carry no single type; a
+        // `Discrete` function may produce either.  A zero-position block may
+        // be left unshaped, and its empty columns hold no value of any type.
+        let typed = |(column, &want): (&Arc<Column>, &DataType)| {
+            n == 0 || want == DataType::Null || column.data_type().is_none_or(|t| t == want)
+        };
+        let shaped = cells.shape() == (rows, types.len()) || n == 0 && cells.shape() == (0, 0);
+        let fits = idx == at as u64
+            && shaped
+            && cells.columns().iter().all(|column| column.len() == n)
+            && cells.columns().iter().zip(types.iter().cycle()).all(typed);
+        if !fits {
+            return Err(WireError::Corrupt(format!(
+                "{:?} cells of stream {idx} where stream {at} of key range {} needs \
+                 {rows}x{} columns of {n} {types:?} values",
+                cells.shape(),
+                unit.key_range,
+                types.len()
+            )));
+        }
+        out.push(cells);
+    }
+    Ok(out)
 }
 
 impl ExecBackend for ProcessBackend {
@@ -861,94 +958,45 @@ impl ExecBackend for ProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        let skeleton = Arc::as_ptr(prefix.skeleton());
-        let mut state = self.state.lock().expect("dispatch state");
-        let (key, plan_frame, tables) = match state
-            .plans
-            .iter()
-            .find(|e| Weak::as_ptr(&e.skeleton) == skeleton)
-        {
-            Some(PlanEntry {
-                frame: Some(frame),
-                key,
-                tables,
-                ..
-            }) => (*key, Arc::clone(frame), Arc::clone(tables)),
-            // Unprimed prefix or unserializable plan: run locally,
-            // bit-identically (tasks_dispatched stays flat).
-            _ => {
-                drop(state);
-                return InProcessBackend::new()
-                    .instantiate_block(prefix, pool, threads, base_pos, num_values);
-            }
+        let Some(cells) = self.fetch(prefix, pool, base_pos, num_values)? else {
+            return InProcessBackend::new()
+                .instantiate_block(prefix, pool, threads, base_pos, num_values);
         };
+        self.timed(|| assemble_block(prefix, cells, base_pos, num_values, threads))
+    }
 
-        let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
-        if state.breakers.len() < units.len() {
-            state.breakers.resize(units.len(), Breaker::default());
-        }
-        // Slots with an open breaker skip dispatch entirely this block:
-        // their tasks run locally below, and the breaker's cooldown ticks
-        // down toward the half-open probe.
-        let tasks: Vec<Option<Vec<u8>>> = units
-            .iter()
-            .enumerate()
-            .map(|(i, unit)| {
-                (!state.breakers[i].degrade_this_block()).then(|| {
-                    wire::encode_task(&TaskHeader {
-                        key,
-                        master_seed: unit.master_seed,
-                        key_range: unit.key_range,
-                        base_pos,
-                        num_values,
-                    })
-                })
-            })
-            .collect();
-
-        let outcomes = self
-            .run_tasks(&mut state, key, &plan_frame, &tables, &tasks)
-            .map_err(mcdbr_storage::Error::from)?;
-        drop(state);
-
-        // Degraded slots run their unit locally: the same self-describing
-        // task the worker would have run, so the partial is bit-identical
-        // and the merge cannot tell the difference.
-        let mut partials = Vec::with_capacity(units.len());
-        let mut foreign = 0usize;
-        let mut warm = 0usize;
-        for (unit, outcome) in units.iter().zip(outcomes) {
-            partials.push(match outcome {
-                TaskOutcome::Wire(bundles, stats) => {
-                    foreign += stats.foreign_streams;
-                    warm += usize::from(stats.warm_hit);
-                    bundles
-                }
-                TaskOutcome::Degraded => {
-                    let local = unit.run(pool, 1)?;
-                    foreign += local.foreign_streams;
-                    local.bundles
-                }
-            });
-        }
-        self.cross_shard_regens
-            .fetch_add(foreign, Ordering::Relaxed);
-        self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
-
-        let merge_start = Instant::now();
-        let set = merge_block(prefix, num_values, partials);
-        self.merge_ns
-            .fetch_add(merge_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        set
+    fn sample_block(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+        agg: &AggregateSpec,
+        group_by: &[String],
+        final_predicate: Option<&Expr>,
+    ) -> Result<QueryResultSamples> {
+        let Some(cells) = self.fetch(prefix, pool, base_pos, num_values)? else {
+            return InProcessBackend::new().sample_block(
+                prefix,
+                pool,
+                threads,
+                base_pos,
+                num_values,
+                agg,
+                group_by,
+                final_predicate,
+            );
+        };
+        self.timed(|| fold_block(prefix, cells, num_values, agg, group_by, final_predicate))
     }
 
     fn shard_stats(&self) -> ShardStats {
         ShardStats {
-            // Every unit this backend spawns is a dispatched task, and every
-            // merge it times is a block merge.
+            // Every unit this backend spawns is a dispatched task, and the
+            // time it merges is its assembly or fold of the fetched cells.
             shards_spawned: self.tasks_dispatched.load(Ordering::Relaxed),
             shard_merge_ns: self.merge_ns.load(Ordering::Relaxed),
-            cross_shard_regens: self.cross_shard_regens.load(Ordering::Relaxed),
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
             tasks_dispatched: self.tasks_dispatched.load(Ordering::Relaxed),
             wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
@@ -1061,6 +1109,74 @@ mod tests {
         assert_eq!(b.state, BreakerState::Closed);
         assert_eq!(b.failures, 0);
         assert!(!b.degrade_this_block());
+    }
+
+    /// A decoder's copy of `cells`.
+    fn copy(cells: &CellCols) -> CellCols {
+        let (rows, cols) = cells.shape();
+        let columns = cells.columns().iter().map(|c| Column::clone(c)).collect();
+        CellCols::from_columns(rows, cols, columns).unwrap()
+    }
+
+    #[test]
+    fn replies_that_do_not_match_their_task_are_corrupt() {
+        let catalog = catalog();
+        let session = ExecSession::prepare(&complex_plan(), &catalog, 5).unwrap();
+        let prefix = session.prefix().unwrap();
+        let pool = BlockBufferPool::new();
+        let n = 6;
+        let units = ShardTask::plan(prefix, 2, 0, n);
+        let (unit, other) = (&units[0], &units[1]);
+        let honest = |unit: &ShardTask| -> Vec<(u64, CellCols)> {
+            let cells = unit.run(&pool, 1).unwrap();
+            cells.iter().map(|(at, c)| (*at as u64, copy(c))).collect()
+        };
+        let checked = check_reply(unit, honest(unit)).unwrap();
+        assert_eq!(checked.len(), unit.streams().len());
+        assert!(checked.len() >= 2, "the cases below need two streams");
+
+        let floats = |len: usize| {
+            let mut column = Column::default();
+            (0..len).for_each(|i| column.push_f64(i as f64));
+            column
+        };
+        let one = |column: Column| CellCols::from_columns(1, 1, vec![column]).unwrap();
+        let mut ints = Column::default();
+        (0..n).for_each(|i| ints.push_i64(i as i64));
+        let with_first = |cells: CellCols| {
+            let mut reply = honest(unit);
+            reply[0].1 = cells;
+            reply
+        };
+        let mut cases: Vec<(&str, Vec<(u64, CellCols)>)> = Vec::new();
+        let mut reply = honest(unit);
+        reply.remove(1);
+        cases.push(("a gap", reply));
+        let mut reply = honest(unit);
+        reply.pop();
+        cases.push(("the range's last stream dropped", reply));
+        let mut reply = honest(unit);
+        reply[1].0 = reply[0].0;
+        cases.push(("a duplicate", reply));
+        let mut reply = honest(unit);
+        reply.swap(0, 1);
+        cases.push(("descending indices", reply));
+        let mut reply = honest(unit);
+        let foreign = honest(other).remove(0);
+        *reply.last_mut().unwrap() = foreign;
+        cases.push(("an index outside the range", reply));
+        cases.push(("n - 1 values", with_first(one(floats(n - 1)))));
+        cases.push(("n + 1 values", with_first(one(floats(n + 1)))));
+        let grid = |rows, cols| CellCols::from_columns(rows, cols, vec![floats(n), floats(n)]);
+        cases.push(("two rows", with_first(grid(2, 1).unwrap())));
+        cases.push(("two cols", with_first(grid(1, 2).unwrap())));
+        cases.push(("Int64 values", with_first(one(ints))));
+        for (what, reply) in cases {
+            match check_reply(unit, reply) {
+                Err(WireError::Corrupt(message)) => assert!(!message.is_empty()),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! Multi-process shard dispatch for MCDB-R phase-2 execution.
 //!
 //! The unit of distribution is a self-describing
-//! `ShardTask {skeleton, master_seed, key_range, base_pos, n}` whose
-//! partials merge bit-identically in canonical `StreamKey` order.  This
-//! crate ships those tasks across OS processes — the third place a phase-2
-//! unit runs, after this process's threads and the server's scheduler:
+//! `ShardTask {skeleton, master_seed, key_range, base_pos, n}` that
+//! generates the cells of the streams in its key range.  This crate ships
+//! those tasks across OS processes — the third place a phase-2 unit runs,
+//! after this process's threads and the server's scheduler:
 //!
 //! * [`wire`] — the versioned, dependency-free binary wire format: the
 //!   handshake/version negotiation, `Plan` frames carrying a serialized
 //!   [`mcdbr_exec::PlanNode`] + catalog snapshot (so a cold worker rebuilds
 //!   the seed-independent `PlanSkeleton` itself), ~60-byte `Task` headers
 //!   addressed by `(plan fingerprint, catalog epoch)` (so a warm worker
-//!   skips phase 1 through its own `SessionCache`), and length-prefixed
-//!   columnar partial-result frames (typed vectors, dictionary arenas,
+//!   skips phase 1 through its own `SessionCache`), and one columnar
+//!   `Cells` frame per generated stream (typed vectors, dictionary arenas,
 //!   null bitmaps — floats as raw IEEE bits).
 //! * [`worker`] — the request/response loop behind the `mcdbr-worker`
 //!   binary, generic over its byte streams so tests drive it in-memory.
 //! * [`ProcessBackend`] — an [`mcdbr_exec::ExecBackend`] that spawns and
 //!   pools persistent workers, pipelines one task per worker per block,
-//!   merges the streamed partials bit-identically to the in-process
-//!   backend, and survives worker failure end to end: per-task read
+//!   checks every reply, assembles or folds the cells bit-identically to
+//!   the in-process backend, and survives worker failure: per-task read
 //!   deadlines reclassify hung workers as dead, crash-class failures ride a
 //!   bounded respawn + backoff + re-dispatch ladder, and a per-slot circuit
 //!   breaker degrades repeat offenders to running their unit locally.

@@ -16,8 +16,9 @@
 //! TableData{hash, table}  →                         × M  (one per missing hash)
 //! Task{key, seed, range,  →
 //!      base_pos, n}
-//!                         ←   Bundle{idx, bundle}  × N   (length-prefixed partials)
-//!                         ←   TaskStats{N, foreign, warm}
+//!                         ←   Cells{idx, rows, cols,     × N  (one per active
+//!                                   columns}                  stream in range)
+//!                         ←   TaskStats{N, warm}
 //! Shutdown                →                              (clean exit)
 //! ```
 //!
@@ -32,11 +33,14 @@
 //! epoch)` [`PlanKey`] travels first on every `Task`, so a *warm* worker —
 //! one that already built this plan's skeleton for an earlier task — skips
 //! phase 1 through its own [`mcdbr_exec::SessionCache`] and reports the
-//! hit in [`TaskStats::warm_hit`].  Partial results come back as one
-//! length-prefixed frame per owned bundle, each attribute encoded through
-//! the columnar [`Column`] codec (typed little-endian vectors, dictionary
-//! arena for strings, packed null bitmaps) — floats travel as raw IEEE
-//! bits, so the decoded bundle is bit-identical to the worker's.
+//! hit in [`TaskStats::warm_hit`].  A task's result is one `Cells` frame
+//! per active stream in its key range, ascending: the stream's VG output
+//! cells through the columnar [`Column`] codec (typed little-endian
+//! vectors, dictionary arena for strings, packed null bitmaps; floats as
+//! raw IEEE bits, so bit-identical).  The coordinator holds the skeleton
+//! and rebuilds the bundles from them, so a stream value a join fans out
+//! crosses the wire once.  No peer sends the `Bundle` frame any more; it
+//! stays while the perf ledger's codec probe encodes one.
 //!
 //! Frames follow the one byte format of [`mcdbr_storage::codec`] —
 //! little-endian integers, `u32`-count sequences, `u32`-length UTF-8
@@ -66,8 +70,8 @@ use std::sync::Arc;
 
 use mcdbr_exec::plan::{OutputColumn, RandomTableSpec};
 use mcdbr_exec::{
-    AggFunc, AggregateSpec, BinaryOp, BundleValue, Expr, JoinType, PlanNode, QueryResultSamples,
-    TupleBundle, ValueChain,
+    AggFunc, AggregateSpec, BinaryOp, BundleValue, CellCols, Expr, JoinType, PlanNode,
+    QueryResultSamples, TupleBundle, ValueChain,
 };
 use mcdbr_prng::{StreamKey, StreamKeyRange};
 use mcdbr_storage::codec::{put_count, put_str};
@@ -89,8 +93,9 @@ pub const WIRE_MAGIC: u32 = 0x5744_434D;
 /// carry [`TableRef`]s, tables travel as paged `TableData` frames on
 /// demand, and bundle presence masks are bit-packed.  Version 3 added a
 /// worker table-store eviction count to the stats frame; version 4 removed
-/// it again.
-pub const WIRE_VERSION: u16 = 4;
+/// it again.  Version 5 answers a task with `Cells` frames, one per
+/// generated stream, instead of `Bundle` frames.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Upper bound on a single frame's payload, guarding against a corrupt
 /// length prefix allocating unbounded memory.
@@ -324,12 +329,9 @@ pub struct TaskHeader {
 /// The counter frame terminating a task response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskStats {
-    /// Number of `Bundle` frames that preceded this frame (validated
+    /// Number of `Cells` frames that preceded this frame (validated
     /// against what the coordinator actually received).
-    pub bundles: usize,
-    /// Streams the worker regenerated outside its key range (cross-shard
-    /// joins).
-    pub foreign_streams: usize,
+    pub cells: usize,
     /// Whether the worker's own session cache already held the plan's
     /// skeleton — the warm-worker phase-1 skip.
     pub warm_hit: bool,
@@ -466,9 +468,15 @@ pub enum Frame {
     },
     /// One shard task (coordinator → worker).
     Task(TaskHeader),
-    /// One owned bundle of a task's partial result (worker → coordinator);
-    /// `bundle` is `None` for bundles whose presence mask is false
-    /// everywhere.
+    /// One stream's cells of a task's result (worker → coordinator):
+    /// untrusted until the coordinator checks them against the task.
+    Cells {
+        /// The stream's index into the skeleton's active keys.
+        idx: u64,
+        /// The stream's VG output cells over the task's window.
+        cells: CellCols,
+    },
+    /// One materialized bundle, `None` if never present (no peer sends it).
     Bundle {
         /// The bundle's skeleton slot index.
         idx: usize,
@@ -537,6 +545,7 @@ const TAG_STATS_REQUEST: u8 = 12;
 const TAG_SERVER_STATS: u8 = 13;
 const TAG_NEED_TABLES: u8 = 14;
 const TAG_TABLE_DATA: u8 = 15;
+const TAG_CELLS: u8 = 16;
 
 /// Encode the handshake frame.
 pub fn encode_hello() -> Vec<u8> {
@@ -638,7 +647,21 @@ pub fn encode_task(task: &TaskHeader) -> Vec<u8> {
     out
 }
 
-/// Encode one partial-result `Bundle` frame.
+/// Encode one stream's `Cells` frame: its active index, its VG output
+/// shape, and every cell column.
+pub fn encode_cells(idx: usize, cells: &CellCols) -> Vec<u8> {
+    let (rows, cols) = cells.shape();
+    let mut out = vec![TAG_CELLS];
+    out.extend_from_slice(&(idx as u64).to_le_bytes());
+    out.extend_from_slice(&(rows as u32).to_le_bytes());
+    out.extend_from_slice(&(cols as u32).to_le_bytes());
+    for column in cells.columns() {
+        column.encode_wire(&mut out);
+    }
+    out
+}
+
+/// Encode one `Bundle` frame (no peer sends it; see the module docs).
 pub fn encode_bundle(idx: usize, bundle: Option<&TupleBundle>) -> Vec<u8> {
     let mut out = vec![TAG_BUNDLE];
     out.extend_from_slice(&(idx as u64).to_le_bytes());
@@ -703,8 +726,7 @@ pub fn encode_bundle(idx: usize, bundle: Option<&TupleBundle>) -> Vec<u8> {
 /// Encode the `TaskStats` frame terminating a task response.
 pub fn encode_task_stats(stats: TaskStats) -> Vec<u8> {
     let mut out = vec![TAG_TASK_STATS];
-    out.extend_from_slice(&(stats.bundles as u64).to_le_bytes());
-    out.extend_from_slice(&(stats.foreign_streams as u64).to_le_bytes());
+    out.extend_from_slice(&(stats.cells as u64).to_le_bytes());
     out.push(u8::from(stats.warm_hit));
     out
 }
@@ -884,9 +906,18 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
             idx: r.u64("bundle index")? as usize,
             bundle: r.option("bundle presence flag", get_bundle)?,
         },
+        TAG_CELLS => {
+            let idx = r.u64("cells stream index")?;
+            let (rows, cols) = (r.u32("cells rows")? as usize, r.u32("cells cols")? as usize);
+            // Each column is at least 9 bytes, so a claimed grid larger
+            // than the frame fails on the bytes, not on an allocation.
+            let columns = r.repeat(rows.saturating_mul(cols), 9, Column::decode_wire)?;
+            let cells = CellCols::from_columns(rows, cols, columns)
+                .map_err(|e| DecodeError::corrupt("cells", e.to_string()))?;
+            Frame::Cells { idx, cells }
+        }
         TAG_TASK_STATS => Frame::TaskStats(TaskStats {
-            bundles: r.u64("stats bundle count")? as usize,
-            foreign_streams: r.u64("stats foreign streams")? as usize,
+            cells: r.u64("stats cell count")? as usize,
             warm_hit: r.u8("stats warm flag")? != 0,
         }),
         TAG_ERROR => Frame::Error {

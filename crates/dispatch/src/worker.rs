@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use mcdbr_exec::{BlockBufferPool, PlanNode, SessionCache, ShardTask};
+use mcdbr_exec::{BlockBufferPool, CellCols, PlanNode, SessionCache, ShardTask};
 use mcdbr_storage::{Catalog, Table};
 
 use crate::wire::{
@@ -138,6 +138,9 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
     output: &mut W,
     faults: Option<&mcdbr_faults::FaultInjector>,
 ) -> WireResult<()> {
+    // A task's reply is one frame per stream: gather them into few writes
+    // (stdout is line-buffered).  Every reply ends in a flush.
+    let output = &mut std::io::BufWriter::with_capacity(1 << 16, output);
     // ===== Handshake: the coordinator speaks first; reject anything that
     // is not our magic + version before any plan bytes flow.
     let (payload, _) =
@@ -228,11 +231,11 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
                     std::thread::sleep(d);
                 }
                 match reply {
-                    Ok((bundles, stats)) => {
-                        for (idx, bundle) in &bundles {
+                    Ok((cells, stats)) => {
+                        for (idx, cells) in &cells {
                             wire::write_frame_faulty(
                                 output,
-                                &wire::encode_bundle(*idx, bundle.as_ref()),
+                                &wire::encode_cells(*idx, cells),
                                 faults,
                             )?;
                         }
@@ -248,7 +251,10 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
             Frame::Hello { .. } => {
                 return Err(WireError::Corrupt("unexpected mid-stream Hello".into()))
             }
-            Frame::Bundle { .. } | Frame::TaskStats(_) | Frame::NeedTables { .. } => {
+            Frame::Cells { .. }
+            | Frame::Bundle { .. }
+            | Frame::TaskStats(_)
+            | Frame::NeedTables { .. } => {
                 return Err(WireError::Corrupt(
                     "received a response frame on the request stream".into(),
                 ))
@@ -264,8 +270,10 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
     }
 }
 
-/// Execute one task against the worker's known plans; errors are returned
-/// as strings for the `Error` frame (the loop stays alive).
+/// Execute one task against the worker's known plans — generate the cells
+/// of the active streams in its key range — returning them as `(active
+/// index, cells)` pairs in ascending index order; errors are returned as
+/// strings for the `Error` frame (the loop stays alive).
 ///
 /// A plan whose table refs cannot all resolve against the store (data
 /// evicted, or a `TableData` frame was dropped for a hash mismatch)
@@ -279,7 +287,7 @@ fn serve_task(
     cache: &SessionCache,
     pool: &BlockBufferPool,
     task: &TaskHeader,
-) -> Result<(Vec<(usize, Option<mcdbr_exec::TupleBundle>)>, TaskStats), String> {
+) -> Result<(Vec<(usize, CellCols)>, TaskStats), String> {
     let known = plans.plans.get_mut(&task.key).ok_or_else(|| {
         format!(
             "{} (fingerprint {:#018x}, epoch {}); send a Plan frame first",
@@ -332,15 +340,14 @@ fn serve_task(
         base_pos: task.base_pos,
         num_values: task.num_values,
     };
-    let output = shard
+    let cells = shard
         .run(pool, 1)
         .map_err(|e| format!("shard task failed: {e}"))?;
     let stats = TaskStats {
-        bundles: output.bundles.len(),
-        foreign_streams: output.foreign_streams,
+        cells: cells.len(),
         warm_hit,
     };
-    Ok((output.bundles, stats))
+    Ok((cells, stats))
 }
 
 #[cfg(test)]
@@ -430,7 +437,7 @@ mod tests {
             matches!(&frames[1], Frame::NeedTables { hashes } if hashes.len() == 1),
             "cold worker must request the plan's one table"
         );
-        // Two tasks × (2 bundles + 1 stats frame).
+        // Two tasks × (2 streams' cells + 1 stats frame).
         let stats: Vec<&TaskStats> = frames
             .iter()
             .filter_map(|f| match f {
@@ -439,14 +446,24 @@ mod tests {
             })
             .collect();
         assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].bundles, 2);
+        assert_eq!(stats[0].cells, 2);
         assert!(!stats[0].warm_hit, "first task is cold");
         assert!(stats[1].warm_hit, "second task must hit the worker cache");
-        let bundles = frames
+        let cells: Vec<(u64, &CellCols)> = frames
             .iter()
-            .filter(|f| matches!(f, Frame::Bundle { .. }))
-            .count();
-        assert_eq!(bundles, 4);
+            .filter_map(|f| match f {
+                Frame::Cells { idx, cells } => Some((*idx, cells)),
+                _ => None,
+            })
+            .collect();
+        // Each task answers with its streams in active-index order, each one
+        // scalar cell over the task's eight positions.
+        let idx: Vec<u64> = cells.iter().map(|(idx, _)| *idx).collect();
+        assert_eq!(idx, [0, 1, 0, 1]);
+        assert!(cells
+            .iter()
+            .all(|(_, c)| c.shape() == (1, 1) && c.columns()[0].len() == 8));
+        assert!(!frames.iter().any(|f| matches!(f, Frame::Bundle { .. })));
     }
 
     #[test]
@@ -510,7 +527,7 @@ mod tests {
         assert!(!frames.iter().any(|f| matches!(f, Frame::Error { .. })));
         assert!(frames
             .iter()
-            .any(|f| matches!(f, Frame::TaskStats(s) if s.bundles == 2)));
+            .any(|f| matches!(f, Frame::TaskStats(s) if s.cells == 2)));
     }
 
     #[test]
@@ -545,6 +562,6 @@ mod tests {
         );
         assert!(frames
             .iter()
-            .any(|f| matches!(f, Frame::TaskStats(s) if s.bundles == 2)));
+            .any(|f| matches!(f, Frame::TaskStats(s) if s.cells == 2)));
     }
 }

@@ -7,22 +7,23 @@
 //! range's stream values and folds every bundle straight into the
 //! aggregate, so no block is ever materialized.  Callers that need the
 //! bundles themselves (the Gibbs looper, the reference checks) call
-//! [`ExecBackend::instantiate_block`], which runs
-//! [`crate::shard::ShardTask`] units and merges them with
-//! [`crate::shard::merge_block`]; [`ExecBackend::aggregate`] aggregates
-//! such a set by repetition ranges on this process's threads
+//! [`ExecBackend::instantiate_block`], which generates every active
+//! stream's cells and assembles the block from them
+//! ([`crate::shard::assemble_block`]); [`ExecBackend::aggregate`]
+//! aggregates such a set by repetition ranges on this process's threads
 //! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
 //! the trait's default).  A backend decides only *where* the units run —
 //! the [`ExecBackend`] trait is that seam, and a unit runs in one of three
 //! places:
 //!
 //! * [`InProcessBackend`] — this process's threads (`crate::par`): one
-//!   fused unit per thread, or one all-covering block unit whose streams
-//!   and bundles fan out across the threads.
+//!   fused unit per thread, or a block's streams and then its bundles
+//!   fanned out across the threads.
 //! * the server's scheduler (`mcdbr_server::FairBackend`), which places the
 //!   same fused units on its shared pool;
-//! * worker processes (`mcdbr_dispatch::ProcessBackend`), one block unit
-//!   per worker.
+//! * worker processes (`mcdbr_dispatch::ProcessBackend`), one stream
+//!   generation unit ([`crate::shard::ShardTask`]) per worker, whose cells
+//!   the coordinator assembles or folds.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
 //! identical results** for every backend, unit count, and thread count.
@@ -44,7 +45,7 @@ use crate::expr::Expr;
 use crate::par;
 use crate::pool::BlockBufferPool;
 use crate::session::DeterministicPrefix;
-use crate::shard::{merge_block, sample_parts, SampleJob, ShardTask};
+use crate::shard::{assemble_block, generate_streams, sample_parts, SampleJob};
 
 /// Counters a backend exposes about where its units ran.  The in-process
 /// backend keeps no counters, so its stats stay zero; the multi-process
@@ -62,19 +63,15 @@ use crate::shard::{merge_block, sample_parts, SampleJob, ShardTask};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Units spawned outside the caller's thread fan-out: the multi-process
-    /// dispatcher counts the block units it dispatched to workers (equal to
-    /// `tasks_dispatched`), and the server's scheduler adds every unit it
-    /// placed.
+    /// dispatcher counts the generation units it dispatched to workers
+    /// (equal to `tasks_dispatched`), and the server's scheduler adds every
+    /// unit it placed.
     pub shards_spawned: usize,
-    /// Nanoseconds spent merging unit partials back together: the
-    /// dispatcher's block merges ([`merge_block`]), and the server's merges
-    /// of the partials of its units.
+    /// Nanoseconds the coordinator spent turning unit results into the
+    /// answer: the dispatcher's assembly of a block, or fold of it into an
+    /// aggregate, from the workers' cells, and the server's merges of the
+    /// partials of its units.
     pub shard_merge_ns: u64,
-    /// Streams regenerated by a shard *outside* its own key range because a
-    /// bundle it owns references them (cross-shard joins) — the duplication
-    /// the zero-coordination shard contract trades for independence, on top
-    /// of the logical `values_materialized` count.
-    pub cross_shard_regens: usize,
     /// Worker OS processes spawned by a multi-process backend (initial pool
     /// fills and crash respawns alike; 0 on in-process backends).
     pub workers_spawned: usize,
@@ -114,9 +111,6 @@ impl ShardStats {
         ShardStats {
             shards_spawned: self.shards_spawned.saturating_sub(earlier.shards_spawned),
             shard_merge_ns: self.shard_merge_ns.saturating_sub(earlier.shard_merge_ns),
-            cross_shard_regens: self
-                .cross_shard_regens
-                .saturating_sub(earlier.cross_shard_regens),
             workers_spawned: self.workers_spawned.saturating_sub(earlier.workers_spawned),
             tasks_dispatched: self
                 .tasks_dispatched
@@ -236,8 +230,8 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
 }
 
 /// The in-process thread-pool backend: a sampled block is one fused unit
-/// per thread, and a block one all-covering [`ShardTask`] whose streams and
-/// bundles fan out across worker threads via [`crate::par`].
+/// per thread, and a block every active stream's cells and then every
+/// bundle, each fanned out across worker threads via [`crate::par`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
 
@@ -265,13 +259,11 @@ impl ExecBackend for InProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        let unit = ShardTask::new(
-            prefix,
-            mcdbr_prng::StreamKeyRange::all(),
-            base_pos,
-            num_values,
-        );
-        merge_block(prefix, num_values, [unit.run(pool, threads)?.bundles])
+        let all: Vec<usize> = (0..prefix.num_active_streams()).collect();
+        // Reclaim cell storage freed since the last block, once per call.
+        pool.sweep_cells();
+        let cells = generate_streams(prefix, &all, base_pos, num_values, pool, threads)?;
+        assemble_block(prefix, cells, base_pos, num_values, threads)
     }
 
     fn sample_block(
@@ -315,7 +307,6 @@ mod tests {
         let earlier = ShardStats {
             shards_spawned: 3,
             shard_merge_ns: 100,
-            cross_shard_regens: 2,
             workers_spawned: 1,
             tasks_dispatched: 4,
             wire_bytes_sent: 100,
@@ -329,7 +320,6 @@ mod tests {
         let later = ShardStats {
             shards_spawned: 10,
             shard_merge_ns: 450,
-            cross_shard_regens: 5,
             workers_spawned: 3,
             tasks_dispatched: 9,
             wire_bytes_sent: 1100,
@@ -345,7 +335,6 @@ mod tests {
             ShardStats {
                 shards_spawned: 7,
                 shard_merge_ns: 350,
-                cross_shard_regens: 3,
                 workers_spawned: 2,
                 tasks_dispatched: 5,
                 wire_bytes_sent: 1000,

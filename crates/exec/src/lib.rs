@@ -42,15 +42,16 @@
 //! * [`cache`] — [`cache::SessionCache`]: skeletons keyed by
 //!   `(plan fingerprint, catalog epoch)`, so a repeated query — under *any*
 //!   master seed — skips phase 1 entirely (LRU-bounded).
-//! * [`shard`] — the phase-2 units and the block merge:
+//! * [`shard`] — the phase-2 units and block assembly:
 //!   [`shard::SampleJob::sample_rep_range`] instantiates and aggregates one
 //!   repetition range of a Monte Carlo query in one pass, folding every
 //!   bundle straight into the aggregate;
 //!   [`shard::ShardTask::run`] (`skeleton + master seed + StreamKey range +
-//!   block window`) materializes bundles for callers that need them, and
-//!   [`shard::merge_block`] slots its partials back into skeleton order —
-//!   bit-identical for every split of a block, which is what makes the task
-//!   shippable to another process.
+//!   block window`) generates the cells of the streams in its range — each
+//!   stream in exactly one unit, bit-identical wherever it runs, which is
+//!   what makes the task shippable to another process — and
+//!   [`shard::assemble_block`] / [`shard::fold_block`] turn a block's cells
+//!   into its bundles or straight into an aggregate.
 //! * [`backend`] — [`backend::ExecBackend`]: *where* the units run.
 //!   [`backend::InProcessBackend`] runs them on this process's threads
 //!   (the default); the server's scheduler and the multi-process
@@ -94,6 +95,6 @@ pub use expr::{BinaryOp, Expr};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
-pub use session::{DeterministicPrefix, ExecSession, PlanSkeleton};
-pub use shard::{merge_block, sample_parts, SampleJob, ShardOutput, ShardTask};
+pub use session::{CellCols, DeterministicPrefix, ExecSession, PlanSkeleton};
+pub use shard::{assemble_block, fold_block, sample_parts, SampleJob, ShardTask};
 pub use stream_registry::StreamSource;

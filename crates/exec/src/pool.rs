@@ -164,8 +164,8 @@ impl BlockBufferPool {
 
     /// Logical bytes written into buffers released through this pool — the
     /// columnar analogue of `values_materialized`, measured in memory
-    /// rather than positions.  Shard backends release their per-task
-    /// buffers here too, so cross-shard regeneration is included.
+    /// rather than positions.  Units that run in this process release their
+    /// buffers here too.
     pub fn bytes_materialized(&self) -> u64 {
         self.bytes_materialized.load(Ordering::Relaxed)
     }

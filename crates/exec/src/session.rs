@@ -264,18 +264,6 @@ pub struct PlanSkeleton {
     /// `active_keys`, so the per-block generation fan-out indexes a slice
     /// instead of probing a map per stream.
     active_sources: Vec<(StreamSource, usize)>,
-    /// Per-bundle stream sets as indices into `active_keys`, sorted and
-    /// distinct (first = the bundle's shard anchor): bundle `i`'s are
-    /// `bundle_streams[bundle_offsets[i]..bundle_offsets[i + 1]]`.  Computed
-    /// once here, so shard ownership never re-walks the batch per block.
-    bundle_offsets: Vec<u32>,
-    bundle_streams: Vec<u32>,
-    /// The distinct bundle anchors, sorted — what the shard planner
-    /// partitions.  Partitioning anchors (rather than all active keys)
-    /// balances the work shards actually *own*: on a multi-table join every
-    /// bundle anchors at its smallest key, so ranges drawn over non-anchor
-    /// keys would own nothing.
-    anchor_keys: Vec<StreamKey>,
 }
 
 impl PlanSkeleton {
@@ -287,13 +275,6 @@ impl PlanSkeleton {
     /// Number of bundles (output tuples) in the skeleton.
     pub fn num_bundles(&self) -> usize {
         self.batch.len
-    }
-
-    /// The streams bundle `idx` references, as ascending indices into
-    /// [`PlanSkeleton::active_keys`]; the first is the bundle's anchor.
-    pub(crate) fn bundle_streams(&self, idx: usize) -> &[u32] {
-        &self.bundle_streams
-            [self.bundle_offsets[idx] as usize..self.bundle_offsets[idx + 1] as usize]
     }
 
     /// Number of random streams the skeleton pass registered: every
@@ -316,12 +297,11 @@ impl PlanSkeleton {
         &self.active_keys
     }
 
-    /// The distinct bundle anchor keys (each surviving bundle's smallest
-    /// stream key), sorted — the key list [`crate::ShardTask::plan`]
-    /// partitions into [`mcdbr_prng::StreamKeyRange`]s so every range owns
-    /// an even share of bundles.
-    pub fn anchor_keys(&self) -> &[StreamKey] {
-        &self.anchor_keys
+    /// The `at`-th active stream's source and the VG output rows per
+    /// position the skeleton pass probed (panics past the active streams).
+    pub fn stream_recipe(&self, at: usize) -> (&StreamSource, usize) {
+        let (source, rows) = &self.active_sources[at];
+        (source, *rows)
     }
 
     /// Each `group_by` column's values by bundle, or the name of the first
@@ -602,8 +582,8 @@ impl ExecSession {
     /// Logical bytes this session wrote into columnar block buffers (pool
     /// activity since the session adopted it; 0 in fallback mode, which
     /// never materializes columnar blocks).  Units that run in this process
-    /// release their buffers through the same pool, so cross-shard
-    /// regeneration by locally run shard tasks is included.
+    /// release their buffers through the same pool; cells generated in a
+    /// worker process are not counted here.
     pub fn bytes_materialized(&self) -> u64 {
         self.pool
             .bytes_materialized()
@@ -669,10 +649,9 @@ impl ExecSession {
     }
 
     /// Total stream values materialized across all windows (streams ×
-    /// positions, summed per window) — the *logical* count the plan
-    /// requires, independent of backend.  A block split into shard tasks may
-    /// regenerate cross-shard streams on top of this; that duplication is reported
-    /// separately as [`crate::ShardStats::cross_shard_regens`].
+    /// positions, summed per window) — the count the plan requires, the same
+    /// on every backend: a block split into units generates each stream in
+    /// exactly one of them.
     pub fn values_materialized(&self) -> u64 {
         self.values_materialized
     }
@@ -815,7 +794,8 @@ impl ExecSession {
 /// pool — after which every bundle referencing the cell shares the same
 /// `Arc` ([`crate::bundle::ValueChain`] segments), so a join fanning a
 /// stream out to `m` bundles clones `m` refcounts, never `m` value vectors,
-/// and dispatch partial frames encode the column bytes directly.
+/// and a worker's `Cells` frames encode the column bytes directly.
+#[derive(Debug)]
 pub struct CellCols {
     rows: usize,
     cols: usize,
@@ -825,6 +805,7 @@ pub struct CellCols {
 /// Cell storage: scalar VG functions (one output row, one output column —
 /// the dominant shape) store their single cell inline, skipping the
 /// per-stream grid `Vec` allocation.
+#[derive(Debug)]
 enum Cells {
     Single(Arc<mcdbr_storage::Column>),
     Grid(Vec<Arc<mcdbr_storage::Column>>),
@@ -851,6 +832,40 @@ impl CellCols {
         CellCols { rows, cols, cells }
     }
 
+    /// Cells from `rows × cols` columns in row-major order (a decoded
+    /// `Cells` frame); errs unless there are exactly `rows × cols`.
+    pub fn from_columns(
+        rows: usize,
+        cols: usize,
+        columns: Vec<mcdbr_storage::Column>,
+    ) -> Result<CellCols> {
+        if rows.checked_mul(cols) != Some(columns.len()) {
+            return Err(Error::Invalid(format!(
+                "{} cell columns for a {rows}x{cols} VG output",
+                columns.len()
+            )));
+        }
+        let mut columns: Vec<_> = columns.into_iter().map(Arc::new).collect();
+        let cells = match columns.len() {
+            1 => Cells::Single(columns.pop().expect("one column")),
+            _ => Cells::Grid(columns),
+        };
+        Ok(CellCols { rows, cols, cells })
+    }
+
+    /// VG output `(rows, cols)` per position.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Every cell's column, row-major.
+    pub fn columns(&self) -> &[Arc<mcdbr_storage::Column>] {
+        match &self.cells {
+            Cells::Single(cell) => std::slice::from_ref(cell),
+            Cells::Grid(grid) => grid,
+        }
+    }
+
     /// The shared column for VG output cell `(row, col)`.
     pub fn cell(&self, row: usize, col: usize) -> Result<&Arc<mcdbr_storage::Column>> {
         if row >= self.rows || col >= self.cols {
@@ -866,26 +881,28 @@ impl CellCols {
     }
 }
 
-/// Per-stream shared cell columns for one generated block window, indexed
-/// by the stream's position in the skeleton's `active_keys` (a unit that
-/// generates only some streams leaves the others empty).  A bundle's stream
-/// columns hold that index, so phase 2 reads a cell without a key search.
-pub(crate) struct CellData(Vec<Option<CellCols>>);
+/// Every active stream's shared cell columns for one block window, indexed
+/// by the stream's position in the skeleton's `active_keys`.  A bundle's
+/// stream columns hold that index, so phase 2 reads a cell without a key
+/// search.
+pub(crate) struct CellData(Vec<CellCols>);
 
 impl CellData {
-    /// Index `cells`, generated for the ascending `active_keys` indices
-    /// `needed`, by active index out of `active` streams.
-    pub(crate) fn scatter(active: usize, needed: &[usize], cells: Vec<CellCols>) -> CellData {
-        let mut slots: Vec<Option<CellCols>> =
-            std::iter::repeat_with(|| None).take(active).collect();
-        for (&at, cells) in needed.iter().zip(cells) {
-            slots[at] = Some(cells);
+    /// Adopt `cells`, one per active stream of `prefix` in `active_keys`
+    /// order; errs when the count is off.
+    pub(crate) fn new(prefix: &DeterministicPrefix, cells: Vec<CellCols>) -> Result<CellData> {
+        if cells.len() != prefix.num_active_streams() {
+            return Err(Error::Invalid(format!(
+                "{} streams' cells for a block of {} active streams",
+                cells.len(),
+                prefix.num_active_streams()
+            )));
         }
-        CellData(slots)
+        Ok(CellData(cells))
     }
 
     fn get(&self, at: u32) -> Option<&CellCols> {
-        self.0.get(at as usize)?.as_ref()
+        self.0.get(at as usize)
     }
 }
 
@@ -1146,7 +1163,6 @@ pub(crate) fn build_skeleton(
         streams: Vec::new(),
     };
     let (schema, mut batch) = pass.exec(plan)?;
-    let len = batch.len;
     let mut registered: Vec<StreamKey> = pass.streams.iter().map(|(key, ..)| *key).collect();
     registered.sort_unstable();
     registered.dedup();
@@ -1190,37 +1206,12 @@ pub(crate) fn build_skeleton(
         *id = at_of[*id as usize];
     }
 
-    // Per-tuple stream sets, flattened; the first of each is its anchor.
-    let mut bundle_offsets = Vec::with_capacity(len + 1);
-    let mut bundle_streams = Vec::with_capacity(len * id_arrays.len());
-    let mut is_anchor = vec![false; active_keys.len()];
-    let mut scratch = Vec::with_capacity(id_arrays.len());
-    bundle_offsets.push(0u32);
-    for row in 0..len {
-        scratch.clear();
-        scratch.extend(id_arrays.iter().map(|ids| ids[row]));
-        scratch.sort_unstable();
-        scratch.dedup();
-        if let Some(&anchor) = scratch.first() {
-            is_anchor[anchor as usize] = true;
-        }
-        bundle_streams.extend_from_slice(&scratch);
-        bundle_offsets.push(u32::try_from(bundle_streams.len()).expect("under 2^32 stream refs"));
-    }
-    let anchor_keys = active_keys
-        .iter()
-        .zip(is_anchor)
-        .filter_map(|(key, anchor)| anchor.then_some(*key))
-        .collect();
     Ok(PlanSkeleton {
         schema,
         num_streams: registered.len(),
         batch,
         active_keys,
         active_sources: sources.into_iter().flatten().collect(),
-        bundle_offsets,
-        bundle_streams,
-        anchor_keys,
     })
 }
 

@@ -9,41 +9,24 @@
 //! [`crate::InProcessBackend`]'s threads and the server's scheduler — run
 //! the same unit.
 //!
-//! Callers that need the bundles themselves run the **block unit**:
-//! `PlanSkeleton + seed + StreamKey range` is a complete description of a
-//! slice of a block's work.  [`ShardTask::run`] is the one body that
-//! materializes bundles, and [`merge_block`] the one routine that assembles
-//! a block from unit partials.  Every placement — in-process (one
-//! all-covering unit), the multi-process dispatcher and its workers (one
-//! unit per worker) — runs exactly these two and differs only in *where* a
-//! unit runs.  A [`ShardTask`] carries everything a worker needs:
+//! A block split by **stream keys** runs the **generation unit**:
+//! `PlanSkeleton + seed + StreamKey range + window` fully describes a slice
+//! of a block's stream values, and [`ShardTask::run`] generates exactly the
+//! active streams whose keys lie in its range — each stream in exactly one
+//! unit, bit-identical wherever it runs (`(seed, position)` addressing).  A
+//! [`ShardTask`] is plain data plus the skeleton (an `Arc` in process;
+//! across processes re-derivable from the plan and catalog, or addressed by
+//! its `(plan fingerprint, catalog epoch)` cache key), and binding it to
+//! its master seed costs nothing per stream.
 //!
-//! * a reference to the seed-independent [`PlanSkeleton`] (in-process an
-//!   `Arc`; across processes the skeleton is re-derivable from the plan and
-//!   catalog, or shippable by its `(plan fingerprint, catalog epoch)` cache
-//!   key — every other field is plain data),
-//! * the `master_seed` the shard binds the skeleton to itself (each shard
-//!   runs against **its own** [`DeterministicPrefix`]; stream seeds are
-//!   pure functions of `(master_seed, key)` and VG recipes live on the
-//!   skeleton, so the per-shard binding carries no per-stream state at all
-//!   — no shared mutable state, no per-block binding cost),
-//! * a [`StreamKeyRange`] naming the slice of the key space the shard owns,
-//! * the block window `base_pos .. base_pos + num_values`.
-//!
-//! **The shard contract.** [`ShardTask::plan`] partitions the skeleton's
-//! distinct bundle *anchor* keys (each bundle's smallest stream key) into
-//! contiguous ranges that jointly cover the whole key space, so ownership —
-//! not just stream generation — balances across shards.  A shard owns
-//! every bundle whose anchor falls in its range (bundles with no streams
-//! anchor at [`StreamKey::MIN`], i.e. the first shard).  Cross-shard
-//! bundles — a join of streams from two ranges — are handled without
-//! communication: the owning shard regenerates the foreign streams itself,
-//! which is bit-identical by the position-addressable PRNG contract, so
-//! duplicated generation trades a little CPU for zero coordination.  Each
-//! shard returns its bundles tagged with their skeleton index and
-//! [`merge_block`] writes each bundle into its skeleton slot, so the
-//! flattened output *is* the skeleton's bundle order — bit-identical for
-//! every shard count.  `tests/session_determinism.rs` proves this for shard
+//! Every active stream's cells, in `active_keys` order, are the whole
+//! random part of a block; the skeleton, which every placement holds,
+//! supplies the rest.  [`assemble_block`] turns them into the block's
+//! bundles and [`fold_block`] folds them straight into an aggregate.
+//! [`crate::InProcessBackend`] generates all streams on its threads and
+//! assembles; the multi-process dispatcher runs one unit per worker and
+//! assembles or folds the cells they ship back.
+//! `tests/session_determinism.rs` proves every split bit-identical for unit
 //! counts {1, 2, 3, 7} × thread counts against `Executor::execute`, across
 //! replenishment boundaries, and on cache hits.
 //!
@@ -57,32 +40,33 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use mcdbr_prng::{StreamKey, StreamKeyRange};
-use mcdbr_storage::{ColumnBlock, Error, Result, Value};
+use mcdbr_prng::StreamKeyRange;
+use mcdbr_storage::{ColumnBlock, Result, Value};
 
 use crate::aggregate::{
     self, AggPartial, AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob,
 };
-use crate::bundle::{BundleSet, TupleBundle};
+use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::par;
 use crate::pool::BlockBufferPool;
-use crate::session::{self, DeterministicPrefix, PlanSkeleton};
+use crate::session::{self, CellCols, CellData, DeterministicPrefix, PlanSkeleton};
 
-/// One self-describing slice of a block instantiation: bind `skeleton` to
-/// `master_seed`, own every bundle anchored in `key_range`, materialize the
-/// window `base_pos .. base_pos + num_values`.
+/// One self-describing slice of a block's stream generation: bind
+/// `skeleton` to `master_seed` and generate the window `base_pos ..
+/// base_pos + num_values` of every active stream whose key lies in
+/// `key_range`.
 ///
 /// Everything here is either plain data or re-derivable state (see the
 /// module docs), which is what makes the task the natural unit for
 /// multi-process dispatch.
 #[derive(Debug, Clone)]
 pub struct ShardTask {
-    /// The seed-independent skeleton the shard binds and executes against.
+    /// The seed-independent skeleton the unit binds and generates against.
     pub skeleton: Arc<PlanSkeleton>,
-    /// The master seed; each shard derives its own stream seeds from it.
+    /// The master seed; the unit derives its own stream seeds from it.
     pub master_seed: u64,
-    /// The slice of the stream-key space this shard owns.
+    /// The slice of the stream-key space this unit generates.
     pub key_range: StreamKeyRange,
     /// First stream position of the block window.
     pub base_pos: u64,
@@ -90,148 +74,121 @@ pub struct ShardTask {
     pub num_values: usize,
 }
 
-/// What one shard hands back to the merge.
-#[derive(Debug)]
-pub struct ShardOutput {
-    /// `(skeleton bundle index, materialized bundle)` pairs — `None` for
-    /// bundles whose presence mask is false everywhere — for
-    /// [`merge_block`] to slot back into skeleton order.
-    pub bundles: Vec<(usize, Option<TupleBundle>)>,
-    /// Streams outside this shard's key range that it regenerated locally
-    /// because an owned bundle references them (cross-shard joins).
-    pub foreign_streams: usize,
-}
-
 impl ShardTask {
-    /// The slice `key_range` of one block of `prefix`.
-    pub(crate) fn new(
-        prefix: &DeterministicPrefix,
-        key_range: StreamKeyRange,
-        base_pos: u64,
-        num_values: usize,
-    ) -> ShardTask {
-        ShardTask {
-            skeleton: Arc::clone(prefix.skeleton()),
-            master_seed: prefix.master_seed(),
-            key_range,
-            base_pos,
-            num_values,
-        }
-    }
-
-    /// Split one block of `prefix` into exactly `min(parts, anchors)` tasks
-    /// (at least one) whose contiguous, balanced key ranges jointly cover
-    /// the key space.
-    ///
-    /// The ranges partition the skeleton's distinct bundle *anchor* keys —
-    /// not all active streams — because anchors decide ownership, so
-    /// partitioning them balances the bundles each task materializes: on a
-    /// multi-table join every bundle anchors at its smallest key, and ranges
-    /// drawn over the higher tables' keys would own nothing.
+    /// Split one block of `prefix` into exactly `min(parts, active streams)`
+    /// tasks (at least one) whose contiguous, balanced key ranges jointly
+    /// cover the key space, so each generates an even share of the active
+    /// streams.
     pub fn plan(
         prefix: &DeterministicPrefix,
         parts: usize,
         base_pos: u64,
         num_values: usize,
     ) -> Vec<ShardTask> {
-        StreamKeyRange::partition(prefix.skeleton().anchor_keys(), parts)
+        StreamKeyRange::partition(prefix.skeleton().active_keys(), parts)
             .into_iter()
-            .map(|key_range| ShardTask::new(prefix, key_range, base_pos, num_values))
+            .map(|key_range| ShardTask {
+                skeleton: Arc::clone(prefix.skeleton()),
+                master_seed: prefix.master_seed(),
+                key_range,
+                base_pos,
+                num_values,
+            })
             .collect()
     }
 
-    /// Execute the shard on up to `threads` threads — the only code that
-    /// generates stream blocks and materializes bundles, whichever backend
-    /// placed the task and wherever it runs.  Ownership is decided from the
-    /// skeleton and the key range alone; the owned bundles' streams (foreign
-    /// keys included) are generated into columnar buffers from `pool`,
-    /// fanned out across streams, then the owned bundles are materialized,
-    /// fanned out across bundles.  Each `(seed, position)` value is
-    /// independent of all others, so both splits are bit-deterministic (see
-    /// `crate::par`).  Concurrent shard tasks share the pool safely — each
-    /// acquisition hands out a distinct buffer.
-    pub fn run(&self, pool: &BlockBufferPool, threads: usize) -> Result<ShardOutput> {
-        let skeleton = &self.skeleton;
-        let active = skeleton.active_keys();
+    /// The indices into [`PlanSkeleton::active_keys`] of the streams whose
+    /// keys lie in `key_range` — ascending and contiguous, since the keys
+    /// are sorted.
+    pub fn streams(&self) -> Range<usize> {
+        let active = self.skeleton.active_keys();
+        let lo = active.partition_point(|&key| key < self.key_range.start);
+        lo..lo + active[lo..].partition_point(|&key| self.key_range.contains(key))
+    }
 
-        // Ownership: a bundle belongs to the shard whose range contains its
-        // smallest stream key; fully deterministic bundles anchor at MIN.
-        // `needed` holds ascending indices into the skeleton's sorted
-        // `active_keys` — every key a bundle references is active — so
-        // generation indexes the precomputed recipes and never probes a map
-        // per stream.  The all-covering range (the whole in-process block)
-        // owns everything and skips the per-bundle walk altogether.
-        let (owned, needed, foreign_streams): (Vec<usize>, Vec<usize>, usize) =
-            if self.key_range == StreamKeyRange::all() {
-                (
-                    (0..skeleton.num_bundles()).collect(),
-                    (0..active.len()).collect(),
-                    0,
-                )
-            } else {
-                // Per-bundle stream sets were computed once during the
-                // skeleton pass.  Keys outside the range (cross-shard joins)
-                // are regenerated locally: `(seed, pos)` addressing makes the
-                // duplicate bit-identical to the owner shard's copy.
-                let mut owned = Vec::new();
-                let mut is_needed = vec![false; active.len()];
-                for idx in 0..skeleton.num_bundles() {
-                    let streams = skeleton.bundle_streams(idx);
-                    let anchor = streams
-                        .first()
-                        .map_or(StreamKey::MIN, |&at| active[at as usize]);
-                    if self.key_range.contains(anchor) {
-                        owned.push(idx);
-                        for &at in streams {
-                            is_needed[at as usize] = true;
-                        }
-                    }
-                }
-                let needed: Vec<usize> = (0..active.len()).filter(|&at| is_needed[at]).collect();
-                let foreign = needed
-                    .iter()
-                    .filter(|&&at| !self.key_range.contains(active[at]))
-                    .count();
-                (owned, needed, foreign)
-            };
-
+    /// Generate the unit's streams ([`ShardTask::streams`]) on up to
+    /// `threads` threads (bit-deterministic, see `crate::par`) into buffers
+    /// from `pool`, which concurrent units share safely, returning `(active
+    /// index, cells)` pairs in ascending index order.
+    pub fn run(&self, pool: &BlockBufferPool, threads: usize) -> Result<Vec<(usize, CellCols)>> {
+        let streams: Vec<usize> = self.streams().collect();
         // Seeds are pure in `(master_seed, key)` and recipes live on the
         // skeleton, so binding costs nothing regardless of plan size.
-        let prefix = skeleton.bind(self.master_seed);
+        let prefix = self.skeleton.bind(self.master_seed);
         // Reclaim cell storage freed since the last block (dropped results,
         // previous replenishment rounds) before adopting this block's cells.
         pool.sweep_cells();
-        let cells = generate_streams(
-            &prefix,
-            &needed,
-            self.base_pos,
-            self.num_values,
-            pool,
-            threads,
-        )?;
-        let cells = session::CellData::scatter(skeleton.active_keys().len(), &needed, cells);
-
-        // Replay the symbolic residue of every owned bundle over the block.
-        // The bundles share the cell columns by refcount.
-        let bundles = par::try_par_map_threads(&owned, threads, |&idx| {
-            let bundle =
-                session::materialize_bundle(&prefix, idx, &cells, self.base_pos, self.num_values)?;
-            Ok((idx, bundle))
-        })?;
-        Ok(ShardOutput {
-            bundles,
-            foreign_streams,
-        })
+        let (base_pos, n) = (self.base_pos, self.num_values);
+        let cells = generate_streams(&prefix, &streams, base_pos, n, pool, threads)?;
+        Ok(streams.into_iter().zip(cells).collect())
     }
+}
+
+/// Assemble the block `base_pos .. base_pos + num_values` of `prefix` from
+/// every active stream's cells, in `active_keys` order (a set of the wrong
+/// size errs): every skeleton bundle, materialized on up to `threads`
+/// threads and sharing the cell columns by refcount, in skeleton order
+/// without the never-present ones — the order `Executor::execute` gives.
+pub fn assemble_block(
+    prefix: &DeterministicPrefix,
+    cells: Vec<CellCols>,
+    base_pos: u64,
+    num_values: usize,
+    threads: usize,
+) -> Result<BundleSet> {
+    let cells = CellData::new(prefix, cells)?;
+    let bundles: Vec<usize> = (0..prefix.num_bundles()).collect();
+    let bundles = par::try_par_map_threads(&bundles, threads, |&idx| {
+        session::materialize_bundle(prefix, idx, &cells, base_pos, num_values)
+    })?;
+    Ok(BundleSet {
+        schema: prefix.schema().clone(),
+        bundles: bundles.into_iter().flatten().collect(),
+        num_reps: num_values,
+    })
+}
+
+/// Evaluate `agg` once per repetition over the block [`assemble_block`]
+/// would build from `cells`, bit-identically and erring if and only if
+/// aggregating that set would, but with no bundle built: one
+/// [`sample_parts`] range folds every bundle straight into the aggregate.
+pub fn fold_block(
+    prefix: &DeterministicPrefix,
+    cells: Vec<CellCols>,
+    num_values: usize,
+    agg: &AggregateSpec,
+    group_by: &[String],
+    final_predicate: Option<&Expr>,
+) -> Result<QueryResultSamples> {
+    let cells = CellData::new(prefix, cells)?;
+    // One part: its one range is the whole window the cells hold.
+    let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
+        ranges
+            .into_iter()
+            .map(|reps| job.fold(&cells, reps))
+            .collect()
+    };
+    let (samples, ..) = sample_parts(
+        prefix,
+        0,
+        num_values,
+        agg,
+        group_by,
+        final_predicate,
+        1,
+        run,
+    )?;
+    Ok(samples)
 }
 
 /// The stream-generation half of a unit: generate the active streams at the
 /// ascending `active_keys` indices `needed` for the window `base_pos ..
 /// base_pos + num_values` into columnar buffers from `pool`, fanned out
 /// across streams on up to `threads` threads, returning each stream's cells
-/// in `needed` order.  [`ShardTask::run`] calls it
-/// for a block's streams and [`crate::ExecSession::instantiate_streams`] for
-/// the one stream a Gibbs run found dry.
+/// in `needed` order.  [`ShardTask::run`] calls it for a unit's streams,
+/// [`SampleJob::sample_rep_range`] for a range's, and
+/// [`crate::ExecSession::instantiate_streams`] for the one stream a Gibbs
+/// run found dry.
 pub(crate) fn generate_streams(
     prefix: &DeterministicPrefix,
     needed: &[usize],
@@ -274,7 +231,7 @@ pub(crate) fn generate_streams(
 /// repetition range of one block in a single pass, folding every bundle
 /// straight into the aggregate ([`SampleJob::sample_rep_range`]).  A block
 /// is never materialized: a range's cells live only while its bundles fold,
-/// and no [`TupleBundle`], [`BundleSet`] or [`merge_block`] exists.
+/// and no [`crate::TupleBundle`] or [`BundleSet`] exists.
 ///
 /// Ranges partition repetitions, as a set's aggregation
 /// ([`crate::aggregate::evaluate_aggregate_threads`]) does, so every range
@@ -305,9 +262,14 @@ impl SampleJob {
         let all: Vec<usize> = (0..self.prefix.num_active_streams()).collect();
         let base_pos = self.base_pos + lo as u64;
         let cells = generate_streams(&self.prefix, &all, base_pos, hi - lo, pool, 1)?;
-        let cells = session::CellData::scatter(all.len(), &all, cells);
-        let mut range = self.job.range(lo, hi);
-        session::fold_bundles(&self.prefix, &cells, hi - lo, &mut range)?;
+        self.fold(&CellData::new(&self.prefix, cells)?, lo..hi)
+    }
+
+    /// Fold every skeleton bundle, in order, over `cells` — which hold the
+    /// repetitions `reps` of the block — into one [`AggPartial`].
+    fn fold(&self, cells: &CellData, reps: Range<usize>) -> Result<AggPartial> {
+        let mut range = self.job.range(reps.start, reps.end);
+        session::fold_bundles(&self.prefix, cells, reps.len(), &mut range)?;
         Ok(range.finish())
     }
 }
@@ -363,46 +325,13 @@ where
     Ok((samples, spawned, merge_ns))
 }
 
-/// Assemble one block from its shards' `(skeleton index, bundle)` partials:
-/// every bundle lands in its skeleton slot — partials may arrive in any
-/// order, so the flattened output *is* the skeleton's bundle order — and
-/// never-present bundles drop out afterwards, which preserves the relative
-/// order `Executor::execute` produces.  An index outside the skeleton is a
-/// corrupt partial (they also arrive off the wire) and errors rather than
-/// panics.
-pub fn merge_block(
-    prefix: &DeterministicPrefix,
-    num_values: usize,
-    partials: impl IntoIterator<Item = Vec<(usize, Option<TupleBundle>)>>,
-) -> Result<BundleSet> {
-    let skeleton = prefix.skeleton();
-    let mut slots: Vec<Option<TupleBundle>> = Vec::with_capacity(skeleton.num_bundles());
-    slots.resize_with(skeleton.num_bundles(), || None);
-    for partial in partials {
-        for (idx, bundle) in partial {
-            if idx >= slots.len() {
-                return Err(Error::Invalid(format!(
-                    "shard partial holds bundle index {idx} outside the skeleton ({} bundles)",
-                    slots.len()
-                )));
-            }
-            slots[idx] = bundle;
-        }
-    }
-    Ok(BundleSet {
-        schema: skeleton.schema().clone(),
-        bundles: slots.into_iter().flatten().collect(),
-        num_reps: num_values,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{ExecBackend, InProcessBackend};
-    use crate::expr::Expr;
     use crate::plan::{scalar_random_table, PlanNode};
     use crate::session::ExecSession;
+    use mcdbr_storage::Error;
     use mcdbr_storage::{Catalog, Field, Schema, TableBuilder, Value};
     use mcdbr_vg::NormalVg;
 
@@ -457,7 +386,7 @@ mod tests {
     }
 
     /// One block as `shards` planned units, each run on `threads` threads,
-    /// merged; also the foreign streams the units regenerated.
+    /// their cells concatenated and assembled.
     fn sharded_block(
         prefix: &DeterministicPrefix,
         pool: &BlockBufferPool,
@@ -465,14 +394,13 @@ mod tests {
         threads: usize,
         base_pos: u64,
         num_values: usize,
-    ) -> (BundleSet, usize) {
-        let outputs: Vec<ShardOutput> = ShardTask::plan(prefix, shards, base_pos, num_values)
+    ) -> BundleSet {
+        let cells = ShardTask::plan(prefix, shards, base_pos, num_values)
             .iter()
-            .map(|task| task.run(pool, threads).unwrap())
+            .flat_map(|task| task.run(pool, threads).unwrap())
+            .map(|(_, cells)| cells)
             .collect();
-        let foreign = outputs.iter().map(|o| o.foreign_streams).sum();
-        let set = merge_block(prefix, num_values, outputs.into_iter().map(|o| o.bundles));
-        (set.unwrap(), foreign)
+        assemble_block(prefix, cells, base_pos, num_values, threads).unwrap()
     }
 
     #[test]
@@ -487,26 +415,23 @@ mod tests {
             .unwrap();
         for shards in [1usize, 2, 3, 7, 50] {
             for threads in [1usize, 2, 8] {
-                let (block, _) = sharded_block(prefix, &pool, shards, threads, 0, 64);
+                let block = sharded_block(prefix, &pool, shards, threads, 0, 64);
                 assert_sets_identical(&reference, &block);
             }
         }
     }
 
     #[test]
-    fn planner_never_exceeds_bundle_anchors() {
+    fn planner_never_exceeds_active_streams() {
         let catalog = catalog();
         let plan = complex_plan();
         let session = ExecSession::prepare(&plan, &catalog, 7).unwrap();
         let prefix = session.prefix().unwrap();
-        let skeleton = prefix.skeleton();
-        // Single-stream bundles: every active stream is some bundle's anchor.
-        let anchors = skeleton.anchor_keys().len();
-        assert_eq!(anchors, skeleton.num_active_streams());
-        assert!(anchors >= 2);
+        let active = prefix.num_active_streams();
+        assert!(active >= 2);
         let planned = |parts| ShardTask::plan(prefix, parts, 0, 8).len();
         assert_eq!(planned(3), 3);
-        assert_eq!(planned(100), anchors);
+        assert_eq!(planned(100), active);
         assert_eq!(planned(0), 1);
     }
 
@@ -518,7 +443,7 @@ mod tests {
         let session = ExecSession::prepare(&plan, &catalog, 11).unwrap();
         let prefix = session.prefix().unwrap();
         let skeleton = prefix.skeleton();
-        let mut seen = std::collections::BTreeSet::new();
+        let mut cells = Vec::new();
         for planned in ShardTask::plan(prefix, 3, 0, 4) {
             let task = ShardTask {
                 skeleton: Arc::clone(skeleton),
@@ -527,34 +452,55 @@ mod tests {
                 base_pos: 0,
                 num_values: 4,
             };
+            let streams = task.streams();
             let output = task.run(&pool, 1).unwrap();
-            // Single-stream bundles never cross range boundaries.
-            assert_eq!(output.foreign_streams, 0);
-            for (idx, _) in output.bundles {
-                assert!(seen.insert(idx), "bundle {idx} owned by two shards");
+            // Exactly the streams of the range, ascending, each once.
+            assert!(!streams.is_empty());
+            assert!(output.iter().map(|(at, _)| *at).eq(streams.clone()));
+            for &(at, _) in &output {
+                assert!(task.key_range.contains(skeleton.active_keys()[at]));
             }
+            assert_eq!(streams.start, cells.len(), "ranges tile the streams");
+            cells.extend(output.into_iter().map(|(_, c)| c));
         }
-        assert_eq!(seen.len(), skeleton.num_bundles());
+        assert_eq!(cells.len(), skeleton.num_active_streams());
+        // The tiled cells are the whole block: every bundle assembles.
+        let block = assemble_block(prefix, cells, 0, 4, 1).unwrap();
+        let reference = InProcessBackend::new()
+            .instantiate_block(prefix, &pool, 1, 0, 4)
+            .unwrap();
+        assert_sets_identical(&reference, &block);
     }
 
     #[test]
-    fn merge_block_rejects_a_bundle_index_outside_the_skeleton() {
+    fn assembly_rejects_a_cell_set_of_the_wrong_size() {
+        let pool = BlockBufferPool::new();
         let catalog = catalog();
         let session = ExecSession::prepare(&complex_plan(), &catalog, 11).unwrap();
         let prefix = session.prefix().unwrap();
-        // One past the last slot — what a corrupt worker partial could hold.
-        let partial = vec![(prefix.num_bundles(), None)];
-        let err = merge_block(prefix, 4, [partial]).unwrap_err();
+        let task = &ShardTask::plan(prefix, 2, 0, 4)[0];
+        // Half a block's cells — what a lost unit would leave.
+        let cells: Vec<CellCols> = task
+            .run(&pool, 1)
+            .unwrap()
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect();
+        assert!(cells.len() < prefix.num_active_streams());
+        let err = assemble_block(prefix, cells, 0, 4, 1).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        let agg = AggregateSpec::sum(Expr::col("loss"), "a");
+        let err = fold_block(prefix, Vec::new(), 4, &agg, &[], None).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)), "{err}");
     }
 
     #[test]
-    fn cross_shard_joins_regenerate_foreign_streams_and_stay_identical() {
+    fn two_table_joins_split_across_units_stay_identical() {
         let pool = BlockBufferPool::new();
         // Two uncertain tables (tags 1 and 2) joined on cid: every bundle
-        // references one stream from each table, so any split between the
-        // tables makes every bundle cross-shard — the owning shard must
-        // regenerate the foreign stream locally and still merge exactly.
+        // references one stream from each table, so a split between the
+        // tables puts a bundle's streams in different units — assembly
+        // reads each from its own unit's cells and still matches exactly.
         let catalog = catalog();
         let mk = |tag, name: &str| {
             PlanNode::random_table(scalar_random_table(
@@ -573,26 +519,15 @@ mod tests {
         let reference = InProcessBackend::new()
             .instantiate_block(prefix, &pool, 1, 0, 32)
             .unwrap();
-        for shards in [2usize, 3, 7] {
-            let (block, foreign) = sharded_block(prefix, &pool, shards, 2, 0, 32);
+        for shards in [1usize, 2, 3, 7] {
+            let block = sharded_block(prefix, &pool, shards, 2, 0, 32);
             assert_sets_identical(&reference, &block);
-            assert!(
-                foreign > 0,
-                "{shards} shards over a two-table join must cross ranges"
-            );
         }
-        // One shard owns everything: nothing is foreign.
-        assert_eq!(sharded_block(prefix, &pool, 1, 1, 0, 32).1, 0);
-
-        // The planner partitions *anchors* (all tag-1 here), so both shards
-        // of a 2-way split own bundles — the non-anchor tag-2 keys never
-        // starve a range of work.
-        let skeleton = prefix.skeleton();
-        assert_eq!(skeleton.anchor_keys().len(), 8);
-        assert_eq!(skeleton.num_active_streams(), 16);
+        // The planner partitions all 16 active streams, so a 2-way split
+        // gives each unit one table's 8 streams: nothing is generated twice.
+        assert_eq!(prefix.num_active_streams(), 16);
         for task in ShardTask::plan(prefix, 2, 0, 4) {
-            let output = task.run(&pool, 2).unwrap();
-            assert_eq!(output.bundles.len(), 4, "ownership must balance 4/4");
+            assert_eq!(task.run(&pool, 2).unwrap().len(), 8);
         }
     }
 
@@ -603,7 +538,7 @@ mod tests {
         let session = ExecSession::prepare(&PlanNode::scan("regions"), &catalog, 1).unwrap();
         let prefix = session.prefix().unwrap();
         assert_eq!(ShardTask::plan(prefix, 4, 0, 3).len(), 1);
-        let (block, _) = sharded_block(prefix, &pool, 4, 4, 0, 3);
+        let block = sharded_block(prefix, &pool, 4, 4, 0, 3);
         assert_eq!(block.len(), 4);
         assert!(block.seeds().is_empty());
     }
@@ -611,7 +546,7 @@ mod tests {
     #[test]
     fn sharded_sessions_are_bit_identical_end_to_end() {
         // A session's blocks, across windows, equal the same windows split
-        // into three units and merged.
+        // into three units and assembled.
         let catalog = catalog();
         let plan = complex_plan();
         let mut session = ExecSession::prepare(&plan, &catalog, 9).unwrap();
@@ -619,7 +554,7 @@ mod tests {
         for (base, n) in [(0u64, 16usize), (16, 8), (1000, 4)] {
             let a = session.instantiate_block(&catalog, base, n).unwrap();
             let prefix = session.prefix().unwrap();
-            let (b, _) = sharded_block(prefix, &pool, 3, 2, base, n);
+            let b = sharded_block(prefix, &pool, 3, 2, base, n);
             assert_sets_identical(&a, &b);
         }
     }

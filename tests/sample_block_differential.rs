@@ -4,19 +4,22 @@
 //! call; in process each repetition range folds its bundles straight into
 //! the aggregate and no `BundleSet` exists.  This suite holds it, bit for
 //! bit, to `instantiate_block` followed by `evaluate_aggregate` — groups,
-//! their order and keys, every sample — on the in-process backend and for
-//! fused units whose count differs from the thread count
-//! (`sample_parts`), and requires both sides to fail together.  The shapes are the ones where
+//! their order and keys, every sample — on the in-process backend, for
+//! fused units whose count differs from the thread count (`sample_parts`),
+//! and on two worker processes, whose cells the coordinator either folds
+//! (`sample_block`) or assembles into the set (`instantiate_block`); and it
+//! requires both sides to fail together.  The shapes are the ones where
 //! fusing could go wrong: presence predicates that drop a bundle in every
 //! repetition, a `GROUP BY` whose first group is never present, a final
 //! predicate, a computed aggregand, every aggregate function, empty
 //! results, a stream fanned out to several bundles by a join, a VG function
 //! with several output rows per position, and the `Split` fallback.
 
+use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, AggFunc, AggregateSpec, QueryResultSamples};
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
 use mcdbr::exec::{
-    par, sample_parts, BlockBufferPool, ExecSession, Expr, InProcessBackend, PlanNode,
+    par, sample_parts, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode,
 };
 use mcdbr::storage::{Catalog, Field, Result, Schema, TableBuilder, Value};
 use mcdbr::vg::{MultiNormalVg, NormalVg};
@@ -172,6 +175,7 @@ fn assert_same(case: &str, got: &Result<QueryResultSamples>, want: &Result<Query
 fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
     let catalog = catalog();
     let queries = queries();
+    let process: Arc<dyn ExecBackend> = Arc::new(ProcessBackend::new(2));
     let (mut compared, mut failed, mut groups) = (0usize, 0usize, 0usize);
     for (name, plan) in plans() {
         for n in [1usize, 7, 250] {
@@ -181,6 +185,24 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
             let wants: Vec<_> = (queries.iter())
                 .map(|(agg, by, pred)| evaluate_aggregate(&set, agg, by, pred.as_ref()))
                 .collect();
+            // Two workers: the fold of their cells, and the set assembled
+            // from the same cells, each against the in-process pair.
+            let mut remote = ExecSession::prepare(&plan, &catalog, 99)
+                .unwrap()
+                .with_backend(Arc::clone(&process));
+            let remote_set = remote.instantiate_block(&catalog, base, n).unwrap();
+            for ((agg, by, pred), want) in queries.iter().zip(&wants) {
+                let case = format!("{name}, n = {n}, 2 workers: {agg:?} by {by:?} where {pred:?}");
+                let folded = remote.sample_block(&catalog, base, n, agg, by, pred.as_ref());
+                assert_same(&format!("{case}, fold"), &folded, want);
+                let assembled = evaluate_aggregate(&remote_set, agg, by, pred.as_ref());
+                assert_same(&format!("{case}, assembly"), &assembled, want);
+                compared += 2;
+                match want {
+                    Ok(s) => groups += 2 * s.groups.len(),
+                    Err(_) => failed += 2,
+                }
+            }
             for threads in [1, 2, 3] {
                 let mut session = ExecSession::prepare(&plan, &catalog, 99)
                     .unwrap()
@@ -238,11 +260,18 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
             }
         }
     }
-    // 7 plans x 3 repetition counts x 43 queries x 3 thread counts, plus
-    // 4 unit counts on the 6 plans with a cached prefix (not the `Split`
-    // fallback); the error cases fail on every plan that has a present
-    // bundle, and the grouped ones see every region that has one.
-    assert_eq!(compared, 7 * 3 * 43 * 3 + 6 * 3 * 43 * 3 * 4);
+    // 7 plans x 3 repetition counts x 43 queries x (3 thread counts + the
+    // fold and the assembly on two workers), plus 4 unit counts on the 6
+    // plans with a cached prefix (not the `Split` fallback); the error cases
+    // fail on every plan that has a present bundle, and the grouped ones see
+    // every region that has one.
+    assert_eq!(compared, 7 * 3 * 43 * (3 + 2) + 6 * 3 * 43 * 3 * 4);
+    // The cached plans' blocks crossed the wire, for each set and each
+    // fold: one task per worker, or one in all on the plan with no bundles
+    // (no active stream to split).
+    let stats = process.shard_stats();
+    assert_eq!(stats.tasks_dispatched, (5 * 2 + 1) * 3 * (1 + 43));
+    assert_eq!(stats.worker_respawns, 0);
     assert!(
         failed > 0 && failed < compared,
         "{failed} of {compared} failed"

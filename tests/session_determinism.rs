@@ -12,7 +12,7 @@ use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, evaluate_aggregate_threads};
 use mcdbr::exec::{
-    merge_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecBackend,
+    assemble_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecBackend,
     ExecOptions, ExecSession, Executor, Expr, InProcessBackend, PlanNode, SessionCache, ShardTask,
 };
 use mcdbr::mcdb::McdbEngine;
@@ -218,9 +218,9 @@ fn thread_counts_never_change_a_block() {
 }
 
 /// One block of `prefix` as the `shards` units `ShardTask::plan` draws,
-/// each run on `threads` threads and merged by `merge_block` — the block
-/// unit every placement runs; also the foreign streams the units
-/// regenerated.
+/// each run on `threads` threads, their cells assembled by
+/// `assemble_block` — what the process backend does with its workers'
+/// replies.  Every active stream comes from exactly one unit.
 fn sharded_block(
     prefix: &DeterministicPrefix,
     pool: &BlockBufferPool,
@@ -228,19 +228,19 @@ fn sharded_block(
     threads: usize,
     base: u64,
     n: usize,
-) -> (BundleSet, usize) {
+) -> BundleSet {
     let tasks = ShardTask::plan(prefix, shards, base, n);
-    assert_eq!(
-        tasks.len(),
-        shards.min(prefix.skeleton().anchor_keys().len()).max(1)
-    );
-    let outputs: Vec<_> = tasks
+    assert_eq!(tasks.len(), shards.min(prefix.num_active_streams()).max(1));
+    let cells: Vec<_> = tasks
         .iter()
-        .map(|t| t.run(pool, threads).unwrap())
+        .flat_map(|t| t.run(pool, threads).unwrap())
         .collect();
-    let foreign = outputs.iter().map(|o| o.foreign_streams).sum();
-    let block = merge_block(prefix, n, outputs.into_iter().map(|o| o.bundles)).unwrap();
-    (block, foreign)
+    assert!(cells
+        .iter()
+        .map(|(at, _)| *at)
+        .eq(0..prefix.num_active_streams()));
+    let cells = cells.into_iter().map(|(_, c)| c).collect();
+    assemble_block(prefix, cells, base, n, threads).unwrap()
 }
 
 #[test]
@@ -263,11 +263,9 @@ fn shard_counts_never_change_a_block() {
     for shards in [1usize, 2, 3, 7] {
         for threads in [1usize, 2, 3, 7] {
             for (&(base, n), want) in blocks.iter().zip(&expected) {
-                let (got, foreign) = sharded_block(prefix, &pool, shards, threads, base, n);
+                let got = sharded_block(prefix, &pool, shards, threads, base, n);
                 assert_bit_identical(want, &got);
                 assert_bit_identical(want, &exec_from_scratch(&plan, &catalog, seed, base, n));
-                // Single-stream bundles never cross a range boundary.
-                assert_eq!(foreign, 0);
             }
         }
     }
@@ -291,7 +289,7 @@ fn sharded_cache_hits_stay_bit_identical() {
             .unwrap()
             .with_backend(Arc::new(InProcessBackend::new()));
         for (base, n) in [(0u64, 32usize), (32, 16), (5000, 8)] {
-            let (a, _) = sharded_block(hit.prefix().unwrap(), &pool, shards, 2, base, n);
+            let a = sharded_block(hit.prefix().unwrap(), &pool, shards, 2, base, n);
             let b = fresh.instantiate_block(&catalog, base, n).unwrap();
             assert_bit_identical(&a, &b);
         }
@@ -301,9 +299,9 @@ fn sharded_cache_hits_stay_bit_identical() {
 #[test]
 fn sharded_tpch_join_blocks_match_from_scratch() {
     // The Appendix D join workload through shard units: every bundle joins
-    // a deterministic lineitem row to its order's one stream, so ownership
-    // by anchor never needs a foreign stream, and the merge must still be
-    // the exact executor output.
+    // a deterministic lineitem row to its order's one stream, each unit
+    // generates a range of the order streams, and assembling their cells
+    // must give the exact executor output.
     let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
     let q = w.total_loss_query();
     let session = ExecSession::prepare(&q.plan, &w.catalog, 99).unwrap();
@@ -311,9 +309,8 @@ fn sharded_tpch_join_blocks_match_from_scratch() {
     let pool = BlockBufferPool::new();
     for shards in [2usize, 5] {
         for (base, n) in [(0u64, 20usize), (20, 20)] {
-            let (block, foreign) = sharded_block(prefix, &pool, shards, 2, base, n);
+            let block = sharded_block(prefix, &pool, shards, 2, base, n);
             assert_bit_identical(&block, &exec_from_scratch(&q.plan, &w.catalog, 99, base, n));
-            assert_eq!(foreign, 0);
         }
     }
 }
@@ -321,10 +318,10 @@ fn sharded_tpch_join_blocks_match_from_scratch() {
 #[test]
 fn columnar_blocks_match_the_row_reference_path_for_every_shard_and_thread_count() {
     // The referee is the row-at-a-time `Executor::execute`; the pooled
-    // columnar shard unit — as the one all-covering unit of the in-process
-    // backend and in every sharded configuration — must reproduce its
-    // output bit for bit, on the multi-operator plan and the Appendix D
-    // join workload alike.
+    // columnar generation and assembly — as the in-process backend runs
+    // them and in every sharded configuration — must reproduce its output
+    // bit for bit, on the multi-operator plan and the Appendix D join
+    // workload alike.
     let (catalog, plan) = complex_case();
     let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
     let join = w.total_loss_query();
@@ -342,7 +339,7 @@ fn columnar_blocks_match_the_row_reference_path_for_every_shard_and_thread_count
             }
             for shards in [1usize, 2, 3, 7] {
                 for threads in [1usize, 2] {
-                    let (sharded, _) = sharded_block(prefix, &pool, shards, threads, base, n);
+                    let sharded = sharded_block(prefix, &pool, shards, threads, base, n);
                     assert_bit_identical(&reference, &sharded);
                 }
             }

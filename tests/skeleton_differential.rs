@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn};
 use mcdbr::exec::{
-    merge_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecOptions,
+    assemble_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecOptions,
     ExecSession, Executor, Expr, PlanNode, RandomTableSpec, SessionCache, ShardTask,
 };
 use mcdbr::prng::Pcg64;
@@ -243,18 +243,19 @@ fn execute(
 }
 
 /// Bundle-for-bundle identity, constants compared by bits.
-/// One block of `prefix` as `shards` planned units, merged.
+/// One block of `prefix` as `shards` planned units, assembled.
 fn sharded_block(
     prefix: &DeterministicPrefix,
     shards: usize,
     (base, n): (u64, usize),
 ) -> BundleSet {
     let pool = BlockBufferPool::new();
-    let partials = ShardTask::plan(prefix, shards, base, n)
+    let cells = ShardTask::plan(prefix, shards, base, n)
         .iter()
-        .map(|task| task.run(&pool, 2).unwrap().bundles)
-        .collect::<Vec<_>>();
-    merge_block(prefix, n, partials).unwrap()
+        .flat_map(|task| task.run(&pool, 2).unwrap())
+        .map(|(_, cells)| cells)
+        .collect();
+    assemble_block(prefix, cells, base, n, 2).unwrap()
 }
 
 fn assert_bit_identical(want: &BundleSet, got: &BundleSet, what: &str) {

@@ -26,12 +26,13 @@ use mcdbr::dispatch::wire::{
 use mcdbr::dispatch::worker::run_worker;
 use mcdbr::exec::plan::{OutputColumn, RandomTableSpec};
 use mcdbr::exec::{
-    AggFunc, AggregateSpec, BundleValue, Expr, PlanNode, QueryResultSamples, TupleBundle,
+    AggFunc, AggregateSpec, BundleValue, CellCols, Expr, PlanNode, QueryResultSamples, TupleBundle,
 };
 use mcdbr::prng::{Pcg64, StreamKey, StreamKeyRange};
 use mcdbr::storage::pager::DiskCounters;
 use mcdbr::storage::{
-    Catalog, Error, Field, HeapFile, Page, Schema, Table, TableBuilder, Tuple, Value,
+    Catalog, Column, ColumnBlock, Error, Field, HeapFile, Page, Schema, Table, TableBuilder, Tuple,
+    Value,
 };
 use mcdbr::vg::{
     BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
@@ -534,14 +535,84 @@ fn task_bundle_and_stats_frames_round_trip_identically() {
             other => panic!("case {case}: decoded {other:?}"),
         }
         let stats = TaskStats {
-            bundles: g.usize_in(0, 100),
-            foreign_streams: g.usize_in(0, 100),
+            cells: g.usize_in(0, 100),
             warm_hit: g.bool(),
         };
         match wire::decode_frame(&wire::encode_task_stats(stats)).unwrap() {
             Frame::TaskStats(got) => assert_eq!(got, stats, "case {case}"),
             other => panic!("case {case}: decoded {other:?}"),
         }
+    }
+}
+
+/// One stream's real VG output cells: `vg` over `n` positions.
+fn generated_cells(vg: &dyn VgFunction, params: &[Value], n: usize) -> CellCols {
+    let mut block = ColumnBlock::new();
+    let seed = StreamKey::new(3, 9).bind(77);
+    vg.generate_block_into(params, seed, 0, n, &mut block)
+        .unwrap();
+    let (rows, cols) = (block.rows_per_pos(), block.cols());
+    let columns = (0..rows * cols)
+        .map(|i| block.column(i / cols, i % cols).clone())
+        .collect();
+    CellCols::from_columns(rows, cols, columns).unwrap()
+}
+
+/// One cell's value at `pos`, floats by their bits.
+fn cell_bits(column: &Column, pos: usize) -> String {
+    match column.value_at(pos) {
+        Value::Float64(x) => format!("f{:#x}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+#[test]
+fn cells_frames_round_trip_identically() {
+    // Hand-built floats: a NaN payload, -0.0, infinities and a null.
+    let mut special = Column::default();
+    for v in [
+        Value::Float64(f64::from_bits(0x7ff8_dead_beef_0001)),
+        Value::Float64(-0.0),
+        Value::Float64(f64::INFINITY),
+        Value::Null,
+        Value::Float64(f64::NEG_INFINITY),
+        Value::Float64(1.5),
+    ] {
+        special.push_value(&v);
+    }
+    let special = CellCols::from_columns(1, 1, vec![special]).unwrap();
+    let labels = ["lo", "mid", "hi"].map(Value::str).to_vec();
+    let weights = [1.0, 2.0, 3.0].map(Value::Float64);
+    let discrete = generated_cells(&DiscreteVg::new(labels), &weights, 40);
+    assert_eq!(
+        discrete.columns()[0].data_type(),
+        Some(mcdbr::storage::DataType::Utf8)
+    );
+    let moments = [Value::Float64(1.0), Value::Float64(2.0)];
+    let grid = generated_cells(&MultiNormalVg::new(3, 0.5), &moments, 25);
+    assert_eq!(grid.shape(), (3, 2));
+    for (idx, cells) in [(0usize, special), (17, discrete), (1 << 40, grid)] {
+        let payload = wire::encode_cells(idx, &cells);
+        let Frame::Cells {
+            idx: got_idx,
+            cells: got,
+        } = wire::decode_frame(&payload).unwrap()
+        else {
+            panic!("stream {idx}: not a Cells frame");
+        };
+        assert_eq!(got_idx, idx as u64);
+        assert_eq!(got.shape(), cells.shape());
+        assert_eq!(got.columns().len(), cells.columns().len());
+        for (a, b) in got.columns().iter().zip(cells.columns()) {
+            assert_eq!(a.len(), b.len(), "stream {idx}");
+            assert_eq!(a.data_type(), b.data_type(), "stream {idx}");
+            for pos in 0..a.len() {
+                assert_eq!(a.nulls().get(pos), b.nulls().get(pos), "stream {idx}");
+                assert_eq!(cell_bits(a, pos), cell_bits(b, pos), "stream {idx}");
+            }
+        }
+        // The decoded cells re-encode to the same bytes.
+        assert_eq!(wire::encode_cells(idx, &got), payload, "stream {idx}");
     }
 }
 
@@ -717,9 +788,16 @@ fn frames_of_every_tag(g: &mut Gen) -> Vec<Vec<u8>> {
             num_values: 7,
         }),
         wire::encode_bundle(3, Some(&g.bundle(true))),
+        wire::encode_cells(
+            5,
+            &generated_cells(
+                &MultiNormalVg::new(3, 0.5),
+                &[Value::Float64(1.0), Value::Float64(2.0)],
+                7,
+            ),
+        ),
         wire::encode_task_stats(TaskStats {
-            bundles: 1,
-            foreign_streams: 2,
+            cells: 1,
             warm_hit: true,
         }),
         wire::encode_error("worker failed"),
@@ -784,6 +862,7 @@ fn reencode(frame: &Frame) -> Vec<u8> {
         Frame::TableData { hash, table } => wire::encode_table_data(*hash, table).unwrap(),
         Frame::Task(task) => wire::encode_task(task),
         Frame::Bundle { idx, bundle } => wire::encode_bundle(*idx, bundle.as_ref()),
+        Frame::Cells { idx, cells } => wire::encode_cells(*idx as usize, cells),
         Frame::TaskStats(stats) => wire::encode_task_stats(*stats),
         Frame::Error { message } => wire::encode_error(message),
         Frame::Shutdown => wire::encode_shutdown(),
@@ -812,9 +891,18 @@ fn reencode(frame: &Frame) -> Vec<u8> {
 }
 
 /// A frame's value as text.  A table's pages get fresh frame ids on every
-/// decode, so a `TableData` frame is rendered by content instead.
+/// decode, so a `TableData` frame is rendered by content instead, and a
+/// column's string dictionary is a hash map, so `Cells` frames render their
+/// values.
 fn render(frame: &Frame) -> String {
     match frame {
+        Frame::Cells { idx, cells } => format!(
+            "{idx} {:?} {:?}",
+            cells.shape(),
+            (cells.columns().iter())
+                .map(|c| (0..c.len()).map(|pos| cell_bits(c, pos)).collect())
+                .collect::<Vec<Vec<String>>>()
+        ),
         Frame::TableData { hash, table } => format!(
             "{hash} {:?} {} {:?}",
             table.schema(),
@@ -867,6 +955,8 @@ fn corrupted_frames_never_panic_and_bad_tags_are_typed() {
     for case in 0..4 {
         let mut g = Gen::new(case);
         let frames = frames_of_every_tag(&mut g);
+        let tags: std::collections::BTreeSet<u8> = frames.iter().map(|f| f[0]).collect();
+        assert_eq!(tags, (1..=16).collect(), "one frame of every tag");
         for (fi, frame) in frames.iter().enumerate() {
             check_frame(frame, &format!("case {case} frame {fi} unmutated"));
             let other = &frames[(fi + 1) % frames.len()];
