@@ -19,7 +19,7 @@
 //!   stream keys in vectors indexed by a dense seed *ordinal* — its rank in
 //!   ascending [`SeedId`] order, the sweep order.  One [`Program`],
 //!   compiled per run from the final predicate and the aggregate, evaluates
-//!   the affected Gibbs tuples straight from their chains, row at a time,
+//!   the affected Gibbs tuples straight from their columns, row at a time,
 //!   with `Expr::eval`'s semantics exactly.
 //!   A join fans one stream out to many tuples (Appendix D: each order's
 //!   loss to its `g_i` lineitems), so each seed's tuples are grouped once
@@ -32,10 +32,12 @@
 //!   when the rejection sampler needs a position beyond *one* stream's
 //!   range, the looper discards nothing semantically — it asks its
 //!   [`mcdbr_exec::ExecSession`] for a further window of that stream alone
-//!   ([`mcdbr_exec::ExecSession::instantiate_streams`]), as long as the
-//!   stream already is, and appends it to the Gibbs tuples that carry the
-//!   stream.  Streams that never run dry are never extended (the memory
-//!   contract on [`TsSeed`]).  The session ran the deterministic plan
+//!   ([`mcdbr_exec::ExecSession::instantiate_stream`]), as long as the
+//!   stream already is, and keeps it beside the stream's TS-seed.  The
+//!   Gibbs tuples hold the initial block only and never change after it; a
+//!   read past the block indexes the window that holds the position.
+//!   Streams that never run dry are never extended (the memory contract on
+//!   [`TsSeed`]).  The session ran the deterministic plan
 //!   skeleton (scans, joins, constant predicates) exactly once at prepare
 //!   time; a replenishment therefore materializes *only* stream values
 //!   against the cached [`mcdbr_exec::DeterministicPrefix`], which is the
@@ -57,8 +59,8 @@
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    AggFunc, BundleValue, ExecBackend, ExecSession, InProcessBackend, Program, SessionCache,
-    ShardStats, TupleBundle, ValueChain,
+    AggFunc, BundleValue, CellCols, ExecBackend, ExecSession, InProcessBackend, Program,
+    SessionCache, ShardStats, TupleBundle,
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
@@ -255,12 +257,9 @@ impl GibbsLooper {
         self.sample(catalog).map(|(result, ..)| result)
     }
 
-    /// [`GibbsLooper::run`], also handing back the TS-seeds, Gibbs tuples
-    /// and schema the run ended with.
-    fn sample(
-        &self,
-        catalog: &Catalog,
-    ) -> Result<(TailSampleResult, Seeds, Vec<TupleBundle>, Schema)> {
+    /// [`GibbsLooper::run`], also handing back the TS-seeds and Gibbs
+    /// tuples the run ended with.
+    fn sample(&self, catalog: &Catalog) -> Result<(TailSampleResult, Seeds, Vec<TupleBundle>)> {
         self.config.validate()?;
         if !self.query.group_by.is_empty() {
             return Err(Error::InvalidOperation(
@@ -316,7 +315,7 @@ impl GibbsLooper {
             .collect();
         keys.sort_unstable_by_key(|&(seed, _)| seed);
         let set = session.instantiate_block(catalog, 0, block)?;
-        let mut bundles = set.bundles;
+        let bundles = set.bundles;
         let predicate = self.query.final_predicate.as_ref();
         let program = Program::compile(&set.schema, predicate, value);
         self.validate_bundles(&set.schema, &bundles, program.slots())?;
@@ -382,7 +381,7 @@ impl GibbsLooper {
             // Gibbs perturbation, seed-major (§7), k sweeps (k = 1 suffices).
             for _ in 0..self.config.k {
                 for ord in 0..seeds.ts.len() {
-                    let (affected, runs) = (&seeds.affected[ord], &seeds.runs[ord]);
+                    let runs = &seeds.runs[ord];
                     for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
                         // Passing the assigned position as the candidate
                         // spares each tuple a TS-seed lookup.
@@ -403,8 +402,7 @@ impl GibbsLooper {
                                     &mut session,
                                     seeds.keys[ord],
                                     &mut seeds.ts[ord],
-                                    &mut bundles,
-                                    affected,
+                                    &mut seeds.windows[ord],
                                 )?;
                                 replenishments += 1;
                             }
@@ -452,7 +450,7 @@ impl GibbsLooper {
             backend: self.backend.shard_stats().since(backend_stats_before),
             parameters: params,
         };
-        Ok((result, seeds, bundles, set.schema))
+        Ok((result, seeds, bundles))
     }
 
     /// Reject plans whose bundles lost lineage (Computed columns the
@@ -486,42 +484,21 @@ impl GibbsLooper {
         Ok(())
     }
 
-    /// Extend the one stream that ran dry (paper §9) against the session's
-    /// cached deterministic prefix, appending the new window to every Gibbs
-    /// tuple in `affected` that carries the stream.  The window is as long as
-    /// the stream's materialized range, so the range doubles each time (the
-    /// memory contract on [`TsSeed`]) and a chain stays a few segments long.
-    /// No scan, join, or constant predicate re-runs, and no other stream is
-    /// touched: versions keep their materialized assigned positions.
+    /// Extend the one stream that ran dry (paper §9) by one window against
+    /// the session's cached deterministic prefix, kept in the stream's
+    /// `windows`.  The window is as long as the stream's materialized range,
+    /// so the range doubles each time (the memory contract on [`TsSeed`]).
+    /// No scan, join, or constant predicate re-runs, no other stream is
+    /// touched, and no Gibbs tuple changes: versions keep their materialized
+    /// assigned positions.
     fn replenish(
         session: &mut ExecSession,
         key: StreamKey,
         ts: &mut TsSeed,
-        bundles: &mut [TupleBundle],
-        affected: &[usize],
+        windows: &mut Vec<CellCols>,
     ) -> Result<()> {
-        let window = ts.high - ts.low;
-        let cells = session.instantiate_streams(&[key], ts.high, window as usize)?;
-        for &idx in affected {
-            for value in &mut bundles[idx].values {
-                if let BundleValue::Random {
-                    seed,
-                    vg_row,
-                    vg_col,
-                    values,
-                    ..
-                } = value
-                {
-                    if *seed == ts.seed {
-                        // Another shared column segment — replenishment
-                        // never recopies earlier windows.
-                        let cell = cells[0].cell(*vg_row, *vg_col)?;
-                        values.append(ValueChain::from_arc(Arc::clone(cell)));
-                    }
-                }
-            }
-        }
-        ts.extend_materialized(window);
+        windows.push(session.instantiate_stream(key, ts.high, ts.high as usize)?);
+        ts.extend_materialized(ts.high);
         Ok(())
     }
 }
@@ -575,10 +552,14 @@ struct Seeds {
     ts: Vec<TsSeed>,
     /// The stream key each ordinal's replenishment windows address.
     keys: Vec<StreamKey>,
-    /// The Gibbs tuples carrying each ordinal's stream, in bundle order.
-    affected: Vec<Vec<usize>>,
-    /// Each ordinal's `affected` tuples as [`runs`], which replenishment
-    /// leaves intact (it only lengthens chains).
+    /// Each ordinal's replenishment windows (§9): window `k` holds stream
+    /// positions `[block << k, block << (k + 1))`.
+    windows: Vec<Vec<CellCols>>,
+    /// The initial block's end: positions below it live in the Gibbs
+    /// tuples, whose columns start at position 0.
+    block: u64,
+    /// The Gibbs tuples carrying each ordinal's stream, in bundle order, as
+    /// [`runs`].
     runs: Vec<Vec<Run>>,
     /// `ords[b * slots + s]`: the ordinal behind Gibbs tuple `b`'s input to
     /// program slot `s` (unused where that input is a constant).
@@ -630,11 +611,12 @@ impl Seeds {
                 .map(|&s| TsSeed::new(s, versions, materialized))
                 .collect(),
             keys: seeds.iter().map(key).collect(),
+            windows: seeds.iter().map(|_| Vec::new()).collect(),
+            block: materialized,
             runs: affected
-                .iter()
-                .map(|a| runs(bundles, slots, a.iter().copied()))
+                .into_iter()
+                .map(|a| runs(bundles, slots, a))
                 .collect(),
-            affected,
             ords,
         })
     }
@@ -657,16 +639,26 @@ impl Seeds {
             let ords = &self.ords[b * width..(b + 1) * width];
             let input = |slot: usize| match &bundles[b].values[program.slots()[slot]] {
                 BundleValue::Random {
-                    base_pos, values, ..
+                    vg_row,
+                    vg_col,
+                    values,
+                    ..
                 } => {
+                    let ord = ords[slot];
                     let pos = match cand {
-                        Some((ord, pos)) if ord == ords[slot] => pos,
-                        _ => self.ts[ords[slot]].assignment[v],
+                        Some((o, pos)) if o == ord => pos,
+                        _ => self.ts[ord].assignment[v],
                     };
-                    let off = (pos - base_pos) as usize;
-                    values
-                        .f64_at(off)
-                        .map_or_else(|| values.value_at(off), Value::Float64)
+                    if pos < self.block {
+                        return values.value_at(pos as usize);
+                    }
+                    let k = (pos / self.block).ilog2();
+                    // Each window's VG rows are checked against the
+                    // skeleton probe, as the initial block's were.
+                    let cell = self.windows[ord][k as usize]
+                        .cell(*vg_row, *vg_col)
+                        .expect("a window has the initial block's VG shape");
+                    cell.value_at((pos - (self.block << k)) as usize)
                 }
                 constant => constant.value_at(0),
             };
@@ -898,6 +890,31 @@ mod tests {
             .with_m(2)
             .with_master_seed(21);
         assert_replenishment_is_transparent(&query, &catalog, &config, (1, 20_000));
+    }
+
+    #[test]
+    fn replenishment_never_touches_a_gibbs_tuple() {
+        // Salary inversion reads two streams per tuple; a one-value block
+        // replenishes both many times.  The tuples still hold the initial
+        // block only, and each stream's windows double up to its range.
+        let (catalog, query) = salary_inversion();
+        let config = TailSamplingConfig::new(0.05, 12, 240)
+            .with_m(2)
+            .with_block_size(1)
+            .with_master_seed(21);
+        let (result, seeds, bundles) = GibbsLooper::new(query, config).sample(&catalog).unwrap();
+        assert!(result.replenishments > 0);
+        let block = result.parameters.n_per_step;
+        for value in bundles.iter().flat_map(|b| &b.values) {
+            if let BundleValue::Random { values, .. } = value {
+                assert_eq!(values.len(), block);
+            }
+        }
+        let windows: usize = seeds.windows.iter().map(Vec::len).sum();
+        assert_eq!(windows, result.replenishments);
+        for (ts, windows) in seeds.ts.iter().zip(&seeds.windows) {
+            assert_eq!(ts.high, (block as u64) << windows.len());
+        }
     }
 
     #[test]
@@ -1139,13 +1156,22 @@ mod tests {
 
     /// Every tail sample of a compiled run equals its version's aggregate
     /// recomputed from scratch — by the scalar referee — over the TS-seed
-    /// assignments the run ended with.
+    /// assignments the run ended with.  The referee reads its own
+    /// full-width block, as wide as the run's widest stream: values are pure
+    /// in `(seed, position)`.
     fn run_and_recompute(looper: &GibbsLooper, catalog: &Catalog) -> TailSampleResult {
-        let (result, seeds, mut bundles, schema) = looper.sample(catalog).unwrap();
+        let (result, seeds, ..) = looper.sample(catalog).unwrap();
         let ts: BTreeMap<SeedId, TsSeed> = seeds.ts.into_iter().map(|t| (t.seed, t)).collect();
-        referee::prune(&looper.query, &schema, &mut bundles);
+        let (query, master_seed) = (&looper.query, looper.config.master_seed);
+        let width = ts.values().map(|t| t.high).max().unwrap() as usize;
+        let set = ExecSession::prepare(&query.plan, catalog, master_seed)
+            .and_then(|mut session| session.instantiate_block(catalog, 0, width))
+            .unwrap();
+        let (schema, mut bundles) = (set.schema, set.bundles);
+        let streams = referee::Streams::new(ts, &bundles);
+        referee::prune(query, &schema, &mut bundles);
         for (v, &x) in result.tail_samples.iter().enumerate() {
-            let full = referee::full_aggregate(&looper.query, &schema, &bundles, &ts, v).unwrap();
+            let full = referee::full_aggregate(query, &schema, &bundles, &streams, v).unwrap();
             assert!(
                 (full - x).abs() <= 1e-9 * x.abs().max(1.0),
                 "version {v}: incremental {x}, from scratch {full}"
@@ -1268,7 +1294,7 @@ mod tests {
             vg_row: 0,
             vg_col,
             base_pos: 0,
-            values: ValueChain::from_f64s([1.0]),
+            values: mcdbr_exec::SharedColumn::from_f64s([1.0]),
         };
         let int = |x: i64| BundleValue::Const(Value::Int64(x));
         let float = |x: f64| BundleValue::Const(Value::Float64(x));
@@ -1326,7 +1352,8 @@ mod tests {
 
     /// The scalar loop the compiled one replaced, kept as its referee: TS-seeds
     /// in a `BTreeMap` swept in key order, every affected Gibbs tuple boxed into
-    /// a `Vec<Value>` version row and read by the `Expr` interpreter.
+    /// a `Vec<Value>` version row and read by the `Expr` interpreter, stream
+    /// values read from a [`referee::Streams`] copy of its own.
     mod referee {
         use std::collections::BTreeMap;
 
@@ -1366,11 +1393,12 @@ mod tests {
                     seed_to_bundles.entry(seed).or_default().push(idx);
                 }
             }
+            let mut streams = Streams::new(ts_seeds, &bundles);
             prune(query, &schema, &mut bundles);
 
             let mut num_versions = n;
             let mut version_aggregates: Vec<f64> = (0..num_versions)
-                .map(|v| full_aggregate(query, &schema, &bundles, &ts_seeds, v))
+                .map(|v| full_aggregate(query, &schema, &bundles, &streams, v))
                 .collect::<Result<_>>()?;
             let mut cutoffs = Vec::with_capacity(m);
             let mut gibbs = GibbsStats::default();
@@ -1395,20 +1423,20 @@ mod tests {
                 let next_size = if step + 1 == m { l } else { n };
                 let sources: Vec<usize> =
                     (0..next_size).map(|i| elites[i % elites.len()]).collect();
-                for ts in ts_seeds.values_mut() {
+                for ts in streams.ts.values_mut() {
                     ts.reassign_from(&sources);
                 }
                 version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
                 num_versions = next_size;
 
                 for _ in 0..config.k {
-                    let seeds: Vec<SeedId> = ts_seeds.keys().copied().collect();
+                    let seeds: Vec<SeedId> = streams.ts.keys().copied().collect();
                     for seed in seeds {
                         let affected = seed_to_bundles.get(&seed).cloned().unwrap_or_default();
                         #[allow(clippy::needless_range_loop)]
                         for v in 0..num_versions {
                             let old = contribution(
-                                query, &schema, &bundles, &ts_seeds, &affected, v, None,
+                                query, &schema, &bundles, &streams, &affected, v, None,
                             )?;
                             let mut candidates_tried = 0u64;
                             loop {
@@ -1416,29 +1444,23 @@ mod tests {
                                     gibbs.exhausted += 1;
                                     break;
                                 }
-                                let pos = ts_seeds[&seed].next_unused();
-                                if pos >= ts_seeds[&seed].high {
-                                    GibbsLooper::replenish(
-                                        &mut session,
-                                        stream_keys[&seed],
-                                        ts_seeds.get_mut(&seed).expect("seed present"),
-                                        &mut bundles,
-                                        &affected,
-                                    )?;
+                                let pos = streams.ts[&seed].next_unused();
+                                if pos >= streams.ts[&seed].high {
+                                    streams.replenish(&mut session, stream_keys[&seed], seed)?;
                                     replenishments += 1;
                                 }
                                 let new = contribution(
                                     query,
                                     &schema,
                                     &bundles,
-                                    &ts_seeds,
+                                    &streams,
                                     &affected,
                                     v,
                                     Some((seed, pos)),
                                 )?;
                                 let new_aggregate = version_aggregates[v] - old + new;
                                 candidates_tried += 1;
-                                let ts = ts_seeds.get_mut(&seed).expect("seed present");
+                                let ts = streams.ts.get_mut(&seed).expect("seed present");
                                 if new_aggregate >= cutoff {
                                     ts.assign(v, pos);
                                     version_aggregates[v] = new_aggregate;
@@ -1465,14 +1487,60 @@ mod tests {
                 replenishments,
                 bytes_materialized: session.bytes_materialized(),
                 buffer_reuses: session.buffer_reuses(),
-                stream_positions_consumed: ts_seeds.values().map(|ts| ts.max_used + 1).sum(),
+                stream_positions_consumed: streams.ts.values().map(|ts| ts.max_used + 1).sum(),
                 backend: ShardStats::default(),
                 parameters: params,
             })
         }
 
+        /// The referee's TS-seeds and its own copy of every stream cell's
+        /// values from position 0, keyed by `(seed, VG row, VG column)`.
+        pub(super) struct Streams {
+            pub(super) ts: BTreeMap<SeedId, TsSeed>,
+            values: BTreeMap<(SeedId, usize, usize), Vec<Value>>,
+        }
+
+        impl Streams {
+            /// `ts` over the stream cells of `bundles`, a block from
+            /// position 0.
+            pub(super) fn new(ts: BTreeMap<SeedId, TsSeed>, bundles: &[TupleBundle]) -> Streams {
+                let mut values = BTreeMap::new();
+                for value in bundles.iter().flat_map(|b| &b.values) {
+                    if let BundleValue::Random {
+                        seed,
+                        vg_row,
+                        vg_col,
+                        values: column,
+                        ..
+                    } = value
+                    {
+                        let cell = (*seed, *vg_row, *vg_col);
+                        values.entry(cell).or_insert_with(|| column.values_out());
+                    }
+                }
+                Streams { ts, values }
+            }
+
+            /// Append a window of `seed`'s stream as wide as it already is.
+            fn replenish(
+                &mut self,
+                session: &mut ExecSession,
+                key: StreamKey,
+                seed: SeedId,
+            ) -> Result<()> {
+                let ts = self.ts.get_mut(&seed).expect("seed present");
+                let window = session.instantiate_stream(key, ts.high, ts.high as usize)?;
+                let cells = (seed, 0, 0)..=(seed, usize::MAX, usize::MAX);
+                for (&(_, row, col), values) in self.values.range_mut(cells) {
+                    values.extend(window.cell(row, col)?.values_out());
+                }
+                ts.extend_materialized(ts.high);
+                Ok(())
+            }
+        }
+
         /// Columns neither the aggregate nor the final predicate reads become
-        /// `Null` placeholders, so a version row never reads a `Computed` chain.
+        /// `Null` placeholders, so a version row never reads a `Computed` column.
         pub(super) fn prune(query: &MonteCarloQuery, schema: &Schema, bundles: &mut [TupleBundle]) {
             let mut referenced = query.aggregate.expr.referenced_columns();
             if let Some(pred) = &query.final_predicate {
@@ -1495,7 +1563,7 @@ mod tests {
         /// seed at a candidate position.
         fn version_row_into(
             bundle: &TupleBundle,
-            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            streams: &Streams,
             v: usize,
             override_pos: Option<(SeedId, u64)>,
             row: &mut Vec<Value>,
@@ -1506,15 +1574,15 @@ mod tests {
                 BundleValue::Computed(_) => unreachable!("pruned"),
                 BundleValue::Random {
                     seed,
-                    base_pos,
-                    values,
+                    vg_row,
+                    vg_col,
                     ..
                 } => {
                     let assigned = match override_pos {
                         Some((s, pos)) if s == *seed => pos,
-                        _ => ts_seeds[seed].assigned(v),
+                        _ => streams.ts[seed].assigned(v),
                     };
-                    values.value_at((assigned - base_pos) as usize)
+                    streams.values[&(*seed, *vg_row, *vg_col)][assigned as usize].clone()
                 }
             }));
         }
@@ -1523,7 +1591,7 @@ mod tests {
             query: &MonteCarloQuery,
             schema: &Schema,
             bundles: &[TupleBundle],
-            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            streams: &Streams,
             indices: &[usize],
             v: usize,
             override_pos: Option<(SeedId, u64)>,
@@ -1531,7 +1599,7 @@ mod tests {
             let mut total = 0.0;
             let mut row: Vec<Value> = Vec::with_capacity(schema.len());
             for &idx in indices {
-                version_row_into(&bundles[idx], ts_seeds, v, override_pos, &mut row);
+                version_row_into(&bundles[idx], streams, v, override_pos, &mut row);
                 if let Some(pred) = &query.final_predicate {
                     if !pred.eval_bool(schema, &row)? {
                         continue;
@@ -1551,11 +1619,11 @@ mod tests {
             query: &MonteCarloQuery,
             schema: &Schema,
             bundles: &[TupleBundle],
-            ts_seeds: &BTreeMap<SeedId, TsSeed>,
+            streams: &Streams,
             v: usize,
         ) -> Result<f64> {
             let all: Vec<usize> = (0..bundles.len()).collect();
-            contribution(query, schema, bundles, ts_seeds, &all, v, None)
+            contribution(query, schema, bundles, streams, &all, v, None)
         }
     }
 }

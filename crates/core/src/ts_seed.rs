@@ -24,9 +24,10 @@
 //! values materialized <= streams x initial block + 2 x stream positions consumed
 //! ```
 //!
-//! however unevenly the streams are consumed, and a Gibbs tuple's value
-//! chain gains one segment per doubling — `1 + log2(held / initial block)`
-//! segments, never one per block of the hungriest stream.
+//! however unevenly the streams are consumed.  The Gibbs tuples hold the
+//! initial block; the looper keeps each later window beside the stream's
+//! TS-seed, one per doubling — `log2(held / initial block)` windows, never
+//! one per block of the hungriest stream.
 
 use mcdbr_prng::SeedId;
 
@@ -35,9 +36,8 @@ use mcdbr_prng::SeedId;
 pub struct TsSeed {
     /// (1) + (2): the stream identifier / PRNG seed.
     pub seed: SeedId,
-    /// (3): first materialized stream position (inclusive).
-    pub low: u64,
-    /// (3): one past the last materialized stream position (exclusive).
+    /// (3): one past the last materialized stream position (exclusive);
+    /// the range starts at position 0.
     pub high: u64,
     /// (4): the highest stream position ever handed to the rejection sampler
     /// (or assigned during initialization).
@@ -58,7 +58,6 @@ impl TsSeed {
         );
         TsSeed {
             seed,
-            low: 0,
             high: materialized,
             max_used: num_versions.saturating_sub(1) as u64,
             assignment: (0..num_versions as u64).collect(),
@@ -88,21 +87,9 @@ impl TsSeed {
         self.max_used + 1
     }
 
-    /// Whether position `pos` is materialized in the Gibbs tuples.
-    pub fn is_materialized(&self, pos: u64) -> bool {
-        (self.low..self.high).contains(&pos)
-    }
-
-    /// True when the next candidate position is beyond the materialized
-    /// range, i.e. the Gibbs Looper "has run out of data" for this stream
-    /// and the query plan must be re-run (paper §9).
-    pub fn needs_replenish(&self) -> bool {
-        self.next_unused() >= self.high
-    }
-
     /// Record that `count` additional stream positions have been materialized
     /// for this stream (the outcome of a replenishment run; the looper passes
-    /// `high - low`, see the module docs).
+    /// `high`, see the module docs).
     pub fn extend_materialized(&mut self, count: u64) {
         self.high += count;
     }
@@ -137,10 +124,7 @@ mod tests {
         assert_eq!(ts.max_used, 3);
         assert_eq!(ts.next_unused(), 4);
         assert_eq!(ts.num_versions(), 4);
-        assert!(!ts.needs_replenish());
-        assert!(ts.is_materialized(0));
-        assert!(ts.is_materialized(99));
-        assert!(!ts.is_materialized(100));
+        assert_eq!(ts.high, 100);
     }
 
     #[test]
@@ -170,14 +154,10 @@ mod tests {
     fn replenishment_detection_and_extension() {
         let mut ts = TsSeed::new(9, 2, 5);
         ts.assign(0, 4);
-        assert!(
-            ts.needs_replenish(),
-            "next unused (5) is beyond the materialized range"
-        );
+        // The next unused position (5) is beyond the materialized range.
+        assert_eq!((ts.next_unused(), ts.high), (5, 5));
         ts.extend_materialized(5);
-        assert!(!ts.needs_replenish());
         assert_eq!(ts.high, 10);
-        assert!(ts.is_materialized(9));
     }
 
     #[test]

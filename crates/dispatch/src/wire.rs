@@ -71,7 +71,7 @@ use std::sync::Arc;
 use mcdbr_exec::plan::{OutputColumn, RandomTableSpec};
 use mcdbr_exec::{
     AggFunc, AggregateSpec, BinaryOp, BundleValue, CellCols, Expr, JoinType, PlanNode,
-    QueryResultSamples, TupleBundle, ValueChain,
+    QueryResultSamples, SharedColumn, TupleBundle,
 };
 use mcdbr_prng::{StreamKey, StreamKeyRange};
 use mcdbr_storage::codec::{put_count, put_str};
@@ -186,22 +186,6 @@ impl From<DecodeError> for WireError {
             }
         }
     }
-}
-
-/// Encode a bundle value chain.  The common single-segment chain writes its
-/// column's wire encoding directly — a straight column copy, no per-value
-/// boxing; a replenished multi-segment chain flattens through a temporary
-/// column first (same on-wire format either way).
-fn put_chain(out: &mut Vec<u8>, chain: &ValueChain) {
-    if let [seg] = chain.segments() {
-        seg.encode_wire(out);
-        return;
-    }
-    let mut column = Column::default();
-    for v in chain.iter() {
-        column.push_value(&v);
-    }
-    column.encode_wire(out);
 }
 
 // ===== Frame layer =====
@@ -688,11 +672,11 @@ pub fn encode_bundle(idx: usize, bundle: Option<&TupleBundle>) -> Vec<u8> {
                         out.extend_from_slice(&(*vg_row as u32).to_le_bytes());
                         out.extend_from_slice(&(*vg_col as u32).to_le_bytes());
                         out.extend_from_slice(&base_pos.to_le_bytes());
-                        put_chain(&mut out, values);
+                        values.encode_wire(&mut out);
                     }
                     BundleValue::Computed(values) => {
                         out.push(3);
-                        put_chain(&mut out, values);
+                        values.encode_wire(&mut out);
                     }
                 }
             }
@@ -991,10 +975,10 @@ fn get_key(r: &mut Reader<'_>) -> DecodeResult<StreamKey> {
     })
 }
 
-/// Decode a value chain via the columnar [`Column`] codec.  The decoded
-/// column becomes the chain's single shared segment — no re-boxing.
-fn get_chain(r: &mut Reader<'_>) -> DecodeResult<ValueChain> {
-    Column::decode_wire(r).map(ValueChain::from_column)
+/// Decode a bundle value's column via the columnar [`Column`] codec — no
+/// re-boxing.
+fn get_column(r: &mut Reader<'_>) -> DecodeResult<SharedColumn> {
+    Column::decode_wire(r).map(SharedColumn::from_column)
 }
 
 fn get_bundle(r: &mut Reader<'_>) -> DecodeResult<TupleBundle> {
@@ -1006,9 +990,9 @@ fn get_bundle(r: &mut Reader<'_>) -> DecodeResult<TupleBundle> {
                 vg_row: r.u32("random vg_row")? as usize,
                 vg_col: r.u32("random vg_col")? as usize,
                 base_pos: r.u64("random base_pos")?,
-                values: get_chain(r)?,
+                values: get_column(r)?,
             },
-            3 => BundleValue::Computed(get_chain(r)?),
+            3 => BundleValue::Computed(get_column(r)?),
             other => return Err(DecodeError::unknown("bundle value tag", other)),
         })
     })?;

@@ -285,7 +285,11 @@ impl RepRangeJob {
                 }
             };
             range.fold(b, &mut sel, |slot| {
-                Ok(lane_of(&bundle.values[slots[slot]], set.num_reps, lo..hi))
+                let (value, name) = (
+                    &bundle.values[slots[slot]],
+                    &set.schema.field(slots[slot]).name,
+                );
+                lane_of(value, name, set.num_reps, lo..hi)
             })?;
         }
         Ok(range.finish())
@@ -545,23 +549,24 @@ impl GroupLayout {
 }
 
 /// A bundle attribute's repetitions `range` of `n` as a program input: a
-/// constant, its one segment of exactly `n` values in place, or the chain's
-/// values gathered (`Null` past its end).
-fn lane_of(value: &BundleValue, n: usize, range: Range<usize>) -> Lane<'_> {
-    let Some(chain) = value.chain() else {
-        return Lane::constant(value.value_at(0));
+/// constant, or its column read in place — an error naming the attribute
+/// `name` when the column holds fewer than `n` values.
+fn lane_of<'a>(
+    value: &'a BundleValue,
+    name: &str,
+    n: usize,
+    range: Range<usize>,
+) -> Result<Lane<'a>> {
+    let Some(col) = value.column() else {
+        return Ok(Lane::constant(value.value_at(0)));
     };
-    match chain.as_single() {
-        Some(seg) if seg.len() == n => Lane::column_range(seg, range),
-        _ => Lane::boxed(
-            range
-                .map(|rep| match rep < chain.len() {
-                    true => chain.value_at(rep),
-                    false => Value::Null,
-                })
-                .collect(),
-        ),
+    if col.len() < n {
+        return Err(Error::Invalid(format!(
+            "column {name} holds {} values for {n} repetitions",
+            col.len()
+        )));
     }
+    Ok(Lane::column_range(col, range))
 }
 
 /// One repetition range's accumulators as flat, group-major lanes: the
@@ -730,7 +735,7 @@ mod tests {
                     vg_row: 0,
                     vg_col: 0,
                     base_pos: 0,
-                    values: crate::bundle::ValueChain::from_f64s(vals),
+                    values: crate::bundle::SharedColumn::from_f64s(vals),
                 },
             ],
             is_pres: None,
@@ -828,6 +833,20 @@ mod tests {
     }
 
     #[test]
+    fn random_columns_shorter_than_the_repetitions_are_a_typed_error() {
+        // `BundleSet`'s fields are public: a set can claim more repetitions
+        // than its columns hold.  Every range refuses it by name.
+        let mut set = test_set();
+        set.num_reps = 4;
+        let agg = AggregateSpec::sum(Expr::col("loss"), "s");
+        for threads in [1, 3] {
+            let err = evaluate_aggregate_threads(&set, &agg, &[], None, threads).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("column loss"), "{err}");
+        }
+    }
+
+    #[test]
     fn expression_aggregands() {
         // SUM(2*loss + 1) — exercised because the salary-inversion query
         // aggregates an expression over two attributes.
@@ -846,7 +865,7 @@ mod tests {
         empty.num_reps = 0;
         for b in &mut empty.bundles {
             if let BundleValue::Random { values, .. } = &mut b.values[1] {
-                *values = crate::bundle::ValueChain::new();
+                *values = crate::bundle::SharedColumn::default();
             }
         }
         let group = vec!["region".to_string()];
@@ -961,9 +980,9 @@ mod tests {
                             vg_row: 0,
                             vg_col: 0,
                             base_pos: 0,
-                            values: crate::bundle::ValueChain::from_f64s(x),
+                            values: crate::bundle::SharedColumn::from_f64s(x),
                         },
-                        BundleValue::Computed(crate::bundle::ValueChain::from_column(k)),
+                        BundleValue::Computed(crate::bundle::SharedColumn::from_column(k)),
                     ],
                     is_pres,
                 }
@@ -1054,8 +1073,8 @@ mod tests {
         for bundle in &set.bundles {
             // A range of a bare Float64 column is a window of the bundle's
             // shared segment, read in place, and every repetition is selected.
-            let seg = bundle.values[1].chain().unwrap().as_single().unwrap();
-            let lane = lane_of(&bundle.values[1], 70, 10..40);
+            let seg = bundle.values[1].column().unwrap();
+            let lane = lane_of(&bundle.values[1], "loss", 70, 10..40).unwrap();
             let sel = Mask::ones(30);
             let in_place = |v: &[f64]| std::ptr::eq(v, &seg.f64_slice().unwrap()[10..40]);
             assert!(

@@ -81,7 +81,7 @@ pub struct ShardStats {
     pub tasks_dispatched: usize,
     /// Bytes written to worker processes (frames: handshakes, plans, tasks).
     pub wire_bytes_sent: u64,
-    /// Bytes read back from worker processes (partial bundles, stats,
+    /// Bytes read back from worker processes (stream cells, stats,
     /// errors).
     pub wire_bytes_received: u64,
     /// Workers respawned after a crash or protocol failure, with their

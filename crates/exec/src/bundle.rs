@@ -21,85 +21,45 @@
 //! means "present in every instance".
 //!
 //! Since the end-to-end columnar migration, the materialized values behind
-//! `Random` and `Computed` attributes live in a [`ValueChain`] — shared,
-//! refcounted [`Column`] segments — instead of a boxed `Vec<Value>`.  The
-//! bundle-set boundary is no longer a transpose-and-box: phase 2 hands each
-//! bundle an `Arc` to the very column the VG kernel filled, joins fan the
-//! same `Arc` out to every matching bundle, and the aggregation / looper /
-//! dispatch layers read contiguous typed slices.
+//! `Random` and `Computed` attributes are one [`SharedColumn`] — a shared,
+//! refcounted [`Column`] — instead of a boxed `Vec<Value>`.  The bundle-set
+//! boundary is no longer a transpose-and-box: phase 2 hands each bundle an
+//! `Arc` to the very column the VG kernel filled, joins fan the same `Arc`
+//! out to every matching bundle, and the aggregation / looper / dispatch
+//! layers read contiguous typed slices.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use mcdbr_prng::SeedId;
 use mcdbr_storage::{Column, Schema, Value};
 
-/// The materialized values of one random or computed attribute: an ordered
-/// chain of shared, immutable column segments.
+/// The materialized values of one random or computed attribute: one
+/// shared, immutable column, read through [`Deref`] to [`Column`].
 ///
-/// A freshly instantiated bundle holds exactly one segment — an `Arc` of the
-/// column its VG kernel produced (or its projection computed).  Replenishment
-/// runs [`ValueChain::append`] further segments for later stream positions,
-/// so a Gibbs bundle that has been replenished `r` times holds `r + 1`
-/// segments; reads cross segment boundaries transparently.  Sharing is the
-/// point: a join that fans one stream block out to `m` bundles clones `m`
-/// refcounts, not `m` value vectors.
+/// A bundle holds an `Arc` of the column its VG kernel produced (or its
+/// projection computed).  Sharing is the point: a join that fans one stream
+/// block out to `m` bundles clones `m` refcounts, not `m` value vectors.
 ///
-/// Lifetime rule: segments are immutable from the moment they enter a chain.
-/// Pooled generation buffers are therefore *copied once* into their `Arc`
-/// segment at the bundle-set boundary (one memcpy per cell per block) and
-/// the pooled buffer is released immediately — a chain never points into the
-/// block pool.
+/// Lifetime rule: the column is immutable from the moment it enters a
+/// bundle.  Pooled generation buffers are therefore moved into their `Arc`
+/// at the bundle-set boundary and the pooled buffer is released
+/// immediately — a bundle never points into the block pool.
 #[derive(Debug, Clone, Default)]
-pub struct ValueChain {
-    segments: Segments,
-    len: usize,
-}
+pub struct SharedColumn(Arc<Column>);
 
-/// Segment storage: the overwhelmingly common single-segment chain (a bundle
-/// that has never been replenished) is stored inline, so building one from an
-/// `Arc` is a refcount bump with *zero* heap allocations; only replenishment
-/// promotes a chain to the vector representation.
-#[derive(Debug, Clone)]
-enum Segments {
-    One(Arc<Column>),
-    Many(Vec<Arc<Column>>),
-}
-
-impl Default for Segments {
-    fn default() -> Self {
-        Segments::Many(Vec::new())
-    }
-}
-
-impl Segments {
-    fn as_slice(&self) -> &[Arc<Column>] {
-        match self {
-            Segments::One(col) => std::slice::from_ref(col),
-            Segments::Many(cols) => cols,
-        }
-    }
-}
-
-impl ValueChain {
-    /// An empty chain.
-    pub fn new() -> Self {
-        ValueChain::default()
-    }
-
-    /// A single-segment chain sharing `col` (no heap allocation).
+impl SharedColumn {
+    /// Share `col` (a refcount bump, no heap allocation).
     pub fn from_arc(col: Arc<Column>) -> Self {
-        ValueChain {
-            len: col.len(),
-            segments: Segments::One(col),
-        }
+        SharedColumn(col)
     }
 
-    /// A single-segment chain owning `col`.
+    /// Own `col`.
     pub fn from_column(col: Column) -> Self {
         Self::from_arc(Arc::new(col))
     }
 
-    /// Build a single-segment `Float64` chain (test/bench convenience).
+    /// A `Float64` column of `values` (test/bench convenience).
     pub fn from_f64s(values: impl IntoIterator<Item = f64>) -> Self {
         let mut col = Column::default();
         for v in values {
@@ -107,119 +67,17 @@ impl ValueChain {
         }
         Self::from_column(col)
     }
+}
 
-    /// Total number of materialized positions across all segments.
-    pub fn len(&self) -> usize {
-        self.len
-    }
+impl Deref for SharedColumn {
+    type Target = Column;
 
-    /// True when no positions are materialized.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The column segments, in stream-position order.
-    pub fn segments(&self) -> &[Arc<Column>] {
-        self.segments.as_slice()
-    }
-
-    /// The sole segment of a single-segment chain (the common,
-    /// never-replenished case the aggregate reads in place).
-    pub fn as_single(&self) -> Option<&Arc<Column>> {
-        match self.segments.as_slice() {
-            [only] => Some(only),
-            _ => None,
-        }
-    }
-
-    /// The contiguous `f64` slice behind a single-segment, `Float64`-typed,
-    /// null-free chain.
-    pub fn f64_slice(&self) -> Option<&[f64]> {
-        self.as_single().and_then(|col| col.f64_slice())
-    }
-
-    /// The boxed value at position `idx` (a scalar copy, or a refcount bump
-    /// for strings).  Single-segment chains resolve on the first probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is outside the materialized chain — callers are
-    /// expected to have instantiated enough positions.
-    pub fn value_at(&self, idx: usize) -> Value {
-        let mut off = idx;
-        for seg in self.segments() {
-            if off < seg.len() {
-                return seg.value_at(off);
-            }
-            off -= seg.len();
-        }
-        panic!(
-            "value index {idx} outside the materialized chain of {} positions",
-            self.len
-        );
-    }
-
-    /// The `f64` at `idx` where [`ValueChain::value_at`] boxes a `Float64`,
-    /// else `None`; searched newest segment first, where Gibbs reads land.
-    #[inline]
-    pub fn f64_at(&self, idx: usize) -> Option<f64> {
-        let mut start = self.len;
-        for seg in self.segments().iter().rev() {
-            start -= seg.len();
-            if let Some(off) = idx.checked_sub(start) {
-                let null = seg.nulls().get(off);
-                return seg.f64_raw().filter(|_| !null)?.get(off).copied();
-            }
-        }
-        None
-    }
-
-    /// Append `other`'s segments (replenishment: later stream positions).
-    /// A single-segment chain is promoted to the vector representation here;
-    /// everywhere else stays allocation-free.
-    pub fn append(&mut self, other: ValueChain) {
-        self.len += other.len;
-        let ours = std::mem::take(&mut self.segments);
-        self.segments = match (ours, other.segments) {
-            (Segments::Many(mut a), Segments::One(b)) => {
-                a.push(b);
-                Segments::Many(a)
-            }
-            (Segments::Many(mut a), Segments::Many(b)) => {
-                a.extend(b);
-                Segments::Many(a)
-            }
-            (Segments::One(a), theirs) => {
-                let mut merged = Vec::with_capacity(1 + theirs.as_slice().len());
-                merged.push(a);
-                match theirs {
-                    Segments::One(b) => merged.push(b),
-                    Segments::Many(b) => merged.extend(b),
-                }
-                Segments::Many(merged)
-            }
-        };
-    }
-
-    /// Materialize the whole chain as boxed values (wire flattening and
-    /// test assertions only — the engine reads columns).
-    pub fn to_values(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.len);
-        for seg in self.segments() {
-            out.extend(seg.values_out());
-        }
-        out
-    }
-
-    /// Iterate the chain's values in position order.
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.segments()
-            .iter()
-            .flat_map(|seg| (0..seg.len()).map(move |i| seg.value_at(i)))
+    fn deref(&self) -> &Column {
+        &self.0
     }
 }
 
-impl FromIterator<Value> for ValueChain {
+impl FromIterator<Value> for SharedColumn {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
         let mut col = Column::default();
         for v in iter {
@@ -229,18 +87,13 @@ impl FromIterator<Value> for ValueChain {
     }
 }
 
-/// Value-wise equality (the chain segmentation is an implementation detail:
-/// one chain of two segments equals one chain of one segment holding the
-/// same values).  Single-segment float chains compare slice-at-a-time.
-impl PartialEq for ValueChain {
+/// Value-wise equality; null-free float columns compare slice-at-a-time.
+impl PartialEq for SharedColumn {
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
         if let (Some(a), Some(b)) = (self.f64_slice(), other.f64_slice()) {
             return a == b;
         }
-        self.iter().eq(other.iter())
+        self.len() == other.len() && (0..self.len()).all(|i| self.value_at(i) == other.value_at(i))
     }
 }
 
@@ -257,14 +110,14 @@ pub enum BundleValue {
         vg_row: usize,
         /// Which column of the VG function's output table this attribute reads.
         vg_col: usize,
-        /// Stream position of the chain's first value.
+        /// Stream position of the column's first value.
         base_pos: u64,
-        /// Materialized chain of values for positions
+        /// Materialized values for positions
         /// `base_pos .. base_pos + values.len()`.
-        values: ValueChain,
+        values: SharedColumn,
     },
     /// Per-repetition values without lineage (derived by a projection).
-    Computed(ValueChain),
+    Computed(SharedColumn),
 }
 
 impl BundleValue {
@@ -285,7 +138,7 @@ impl BundleValue {
     /// (equivalently, at block offset `rep` for a Gibbs block), boxed — a
     /// scalar copy or a string refcount bump.
     ///
-    /// Panics if `rep` is outside the materialized chain — callers are
+    /// Panics if `rep` is outside the materialized column — callers are
     /// expected to have instantiated enough positions (the executor always
     /// materializes exactly `num_reps` values in MCDB mode).
     pub fn value_at(&self, rep: usize) -> Value {
@@ -296,9 +149,9 @@ impl BundleValue {
         }
     }
 
-    /// The value chain behind a random or computed attribute (`None` for
+    /// The column behind a random or computed attribute (`None` for
     /// constants).
-    pub fn chain(&self) -> Option<&ValueChain> {
+    pub fn column(&self) -> Option<&SharedColumn> {
         match self {
             BundleValue::Const(_) => None,
             BundleValue::Random { values, .. } => Some(values),
@@ -309,7 +162,7 @@ impl BundleValue {
     /// Number of materialized values (None for constants, which cover any
     /// number of repetitions).
     pub fn materialized_len(&self) -> Option<usize> {
-        self.chain().map(ValueChain::len)
+        self.column().map(|values| values.len())
     }
 }
 
@@ -443,7 +296,7 @@ mod tests {
             vg_row: 0,
             vg_col: 0,
             base_pos: 0,
-            values: ValueChain::from_f64s(values),
+            values: SharedColumn::from_f64s(values),
         }
     }
 

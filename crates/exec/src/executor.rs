@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use mcdbr_prng::seed_for;
 use mcdbr_storage::{Catalog, Column, Error, Result, Schema, Value};
 
-use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
+use crate::bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 use crate::expr::Expr;
 use crate::plan::{OutputColumn, PlanNode, RandomTableSpec};
 use crate::stream_registry::StreamRegistry;
@@ -217,7 +217,7 @@ fn exec_random_table(
                             vg_row,
                             vg_col: *vg_col,
                             base_pos: opts.base_pos,
-                            values: ValueChain::from_column(block),
+                            values: SharedColumn::from_column(block),
                         });
                     }
                 }
@@ -308,7 +308,7 @@ fn apply_project(
                     let row = bundle.row_at(rep);
                     computed.push_value(&expr.eval(schema, &row)?);
                 }
-                values.push(BundleValue::Computed(ValueChain::from_column(computed)));
+                values.push(BundleValue::Computed(SharedColumn::from_column(computed)));
             }
         }
         out.push(TupleBundle {
@@ -551,7 +551,7 @@ mod tests {
         else {
             panic!("expected random attribute");
         };
-        for (i, v) in values.iter().enumerate() {
+        for (i, v) in values.values_out().into_iter().enumerate() {
             let regen = source.value_at(*seed, i as u64, *vg_row, *vg_col).unwrap();
             assert_eq!(regen, v);
         }
@@ -603,7 +603,7 @@ mod tests {
                 }
                 _ => panic!("expected random attributes"),
             };
-            assert_eq!(&long_vals.to_values()[5..10], &block_vals.to_values()[..]);
+            assert_eq!(&long_vals.values_out()[5..10], &block_vals.values_out()[..]);
         }
     }
 

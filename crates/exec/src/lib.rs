@@ -16,7 +16,8 @@
 //!   at a time.
 //! * [`bundle`] — [`bundle::TupleBundle`] and [`bundle::BundleValue`]: rows
 //!   whose attributes are either constant across repetitions or random with
-//!   full stream lineage, plus per-repetition presence (`isPres`) arrays.
+//!   full stream lineage, each random value one [`bundle::SharedColumn`],
+//!   plus per-repetition presence (`isPres`) arrays.
 //! * [`plan`] — logical plan nodes (`TableScan`, `RandomTable`, `Filter`,
 //!   `Project`, `Join`, `Split`) and the uncertain-table specification that
 //!   mirrors the paper's `CREATE TABLE ... FOR EACH ... WITH ... AS VG(...)`
@@ -87,7 +88,7 @@ pub mod stream_registry;
 
 pub use aggregate::{AggFunc, AggPartial, AggregateSpec, QueryResultSamples};
 pub use backend::{ExecBackend, InProcessBackend, ShardStats};
-pub use bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
+pub use bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 pub use cache::SessionCache;
 pub use cancel::CancelToken;
 pub use executor::{ExecOptions, Executor};

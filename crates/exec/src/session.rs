@@ -80,7 +80,7 @@ use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 
 use crate::aggregate::{AggregateSpec, QueryResultSamples, RangeFold};
 use crate::backend::{ExecBackend, InProcessBackend};
-use crate::bundle::{BundleSet, BundleValue, TupleBundle, ValueChain};
+use crate::bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
 use crate::expr::Expr;
 use crate::par;
@@ -643,7 +643,7 @@ impl ExecSession {
 
     /// Number of windows materialized through phase 2: full-width blocks
     /// ([`ExecSession::instantiate_block`]) and per-stream windows
-    /// ([`ExecSession::instantiate_streams`]) alike, one each.
+    /// ([`ExecSession::instantiate_stream`]) alike, one each.
     pub fn blocks_materialized(&self) -> usize {
         self.blocks_materialized
     }
@@ -742,44 +742,34 @@ impl ExecSession {
         )
     }
 
-    /// Phase 2 for the streams that ran dry (paper §9): materialize
-    /// positions `base_pos .. base_pos + num_values` of the active streams
-    /// `keys` (strictly ascending) only, returning each stream's shared
-    /// cell columns in `keys` order — bit-identical to the same cells of a
-    /// full-width block over the same window, with no bundles rebuilt.  A
-    /// few streams' window is small, pure `(seed, position)` work, so it
-    /// runs inline on the session's pool whatever the backend, as a
-    /// dispatching backend's degraded path regenerates units locally.
-    /// Counts as one block; uncacheable plans have no per-stream unit and
-    /// are refused.
-    pub fn instantiate_streams(
+    /// Phase 2 for the stream that ran dry (paper §9): materialize
+    /// positions `base_pos .. base_pos + num_values` of the active stream
+    /// `key` only, returning its shared cell columns — bit-identical to the
+    /// same cells of a full-width block over the same window, with no
+    /// bundles rebuilt.  One stream's window is small, pure `(seed,
+    /// position)` work, so it runs inline on the session's pool whatever
+    /// the backend, as a dispatching backend's degraded path regenerates
+    /// units locally.  Counts as one block; uncacheable plans have no
+    /// per-stream unit and are refused.
+    pub fn instantiate_stream(
         &mut self,
-        keys: &[StreamKey],
+        key: StreamKey,
         base_pos: u64,
         num_values: usize,
-    ) -> Result<Vec<CellCols>> {
+    ) -> Result<CellCols> {
         let Mode::Cached(prefix) = &self.mode else {
             return Err(Error::InvalidOperation(
                 "per-stream instantiation needs a cached deterministic prefix".into(),
             ));
         };
-        let active = prefix.skeleton().active_keys();
-        let needed: Vec<usize> = keys
-            .iter()
-            .map(|key| {
-                active.binary_search(key).map_err(|_| {
-                    Error::InvalidOperation(format!("stream {key} is not active in this plan"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        if needed.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return Err(Error::InvalidOperation(
-                "per-stream instantiation takes strictly ascending stream keys".into(),
-            ));
-        }
+        let at = (prefix.skeleton().active_keys().binary_search(&key)).map_err(|_| {
+            Error::InvalidOperation(format!("stream {key} is not active in this plan"))
+        })?;
         self.blocks_materialized += 1;
-        self.values_materialized += (needed.len() * num_values) as u64;
-        crate::shard::generate_streams(prefix, &needed, base_pos, num_values, &self.pool, 1)
+        self.values_materialized += num_values as u64;
+        let mut cells =
+            crate::shard::generate_streams(prefix, &[at], base_pos, num_values, &self.pool, 1)?;
+        Ok(cells.pop().expect("one stream, one cell set"))
     }
 }
 
@@ -792,7 +782,7 @@ impl ExecSession {
 /// pooled buffer into a recycled `Arc` ([`BlockBufferPool::adopt_cell`] —
 /// a swap, not a copy) and lets the pooled buffer go straight back to the
 /// pool — after which every bundle referencing the cell shares the same
-/// `Arc` ([`crate::bundle::ValueChain`] segments), so a join fanning a
+/// `Arc` ([`crate::bundle::SharedColumn`]), so a join fanning a
 /// stream out to `m` bundles clones `m` refcounts, never `m` value vectors,
 /// and a worker's `Cells` frames encode the column bytes directly.
 #[derive(Debug)]
@@ -1106,20 +1096,22 @@ fn materialize_value(
                 base_pos,
                 // A zero-position block may be legitimately unshaped (the
                 // generic fallback path learns its shape from the first
-                // position); the empty chain is well-formed either way.  The
+                // position); the empty column is well-formed either way.  The
                 // non-empty case is the columnar payoff: a refcount clone of
                 // the shared cell column, shared across every bundle (and
                 // every join fan-out) reading this cell.
                 values: if num_values == 0 {
-                    ValueChain::new()
+                    SharedColumn::default()
                 } else {
-                    ValueChain::from_arc(Arc::clone(cells_for(blocks, at)?.cell(vg_row, *vg_col)?))
+                    SharedColumn::from_arc(Arc::clone(
+                        cells_for(blocks, at)?.cell(vg_row, *vg_col)?,
+                    ))
                 },
             })
         }
         SymColumn::Expr(e) => {
             let lane = e.run(idx, blocks, &mut Mask::ones(num_values))?;
-            Ok(BundleValue::Computed(ValueChain::from_column(
+            Ok(BundleValue::Computed(SharedColumn::from_column(
                 lane.to_column(num_values),
             )))
         }

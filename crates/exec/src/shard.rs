@@ -187,7 +187,7 @@ pub fn fold_block(
 /// across streams on up to `threads` threads, returning each stream's cells
 /// in `needed` order.  [`ShardTask::run`] calls it for a unit's streams,
 /// [`SampleJob::sample_rep_range`] for a range's, and
-/// [`crate::ExecSession::instantiate_streams`] for the one stream a Gibbs
+/// [`crate::ExecSession::instantiate_stream`] for the one stream a Gibbs
 /// run found dry.
 pub(crate) fn generate_streams(
     prefix: &DeterministicPrefix,

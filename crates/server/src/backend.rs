@@ -19,16 +19,18 @@
 //!
 //! An inner backend whose units do not run in this process
 //! ([`ExecBackend::units_run_in_process`] is false — the **process**
-//! dispatcher) keeps the two-call path: its block instantiation is one
-//! coordinator-side conversation holding the dispatcher's state lock, so it
+//! dispatcher) gets each call whole: its block is one coordinator-side
+//! conversation holding the dispatcher's state lock, so a query's block
 //! runs as a *single* scheduler unit (the blocking wire I/O occupies one
-//! pool slot; fairness is at block granularity), and so does its
-//! aggregate.
+//! pool slot; fairness is at block granularity) in which the inner
+//! backend folds its workers' cells straight into the aggregate
+//! ([`ExecBackend::sample_block`]), with no bundle set.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
 //! a per-query deadline), checked on entry to every call — a fused query,
-//! or block instantiation and aggregation.  A query that blows its
+//! or block instantiation and aggregation — and when a process inner
+//! backend's whole-block unit returns.  A query that blows its
 //! deadline fails with a typed [`mcdbr_storage::Error::Timeout`] at its
 //! next boundary — already completed work is simply dropped, and no
 //! scheduler unit is ever interrupted mid-flight.
@@ -120,6 +122,22 @@ impl FairBackend {
         let mut out = self.sched.run_batch(self.qid, vec![unit], &self.wait_ns);
         out.pop().expect("one unit, one result")
     }
+
+    /// Run `call` on the inner backend as one scheduler unit, over the
+    /// server's pool and `prefix` re-derived inside the unit (`bind` is a
+    /// pure function of skeleton + seed, and the skeleton Arc — which the
+    /// process dispatcher keys primed plans by — is shared).
+    fn on_inner<T: Send + 'static>(
+        &self,
+        prefix: &DeterministicPrefix,
+        call: impl FnOnce(&dyn ExecBackend, &DeterministicPrefix, &BlockBufferPool) -> T
+            + Send
+            + 'static,
+    ) -> T {
+        let (inner, pool) = (Arc::clone(&self.inner), Arc::clone(&self.pool));
+        let (skeleton, master_seed) = (Arc::clone(prefix.skeleton()), prefix.master_seed());
+        self.run_unit(move || call(&*inner, &skeleton.bind(master_seed), &pool))
+    }
 }
 
 impl ExecBackend for FairBackend {
@@ -145,16 +163,8 @@ impl ExecBackend for FairBackend {
         num_values: usize,
     ) -> Result<BundleSet> {
         self.cancel.check()?;
-        // The prefix is re-derivable inside the unit (`bind` is a pure
-        // function of skeleton + seed, and the skeleton Arc — which the
-        // process dispatcher keys primed plans by — is shared).
-        let inner = Arc::clone(&self.inner);
-        let pool = Arc::clone(&self.pool);
-        let skeleton = Arc::clone(prefix.skeleton());
-        let master_seed = prefix.master_seed();
-        self.run_unit(move || {
-            let prefix = skeleton.bind(master_seed);
-            inner.instantiate_block(&prefix, &pool, threads, base_pos, num_values)
+        self.on_inner(prefix, move |inner, prefix, pool| {
+            inner.instantiate_block(prefix, pool, threads, base_pos, num_values)
         })
     }
 
@@ -167,8 +177,8 @@ impl ExecBackend for FairBackend {
         threads: usize,
     ) -> Result<QueryResultSamples> {
         self.cancel.check()?;
-        // The set travels into the unit as a cheap clone (bundle chains
-        // share `Arc<Column>` segments).
+        // The set travels into the unit as a cheap clone (bundle values
+        // share their `Arc<Column>`).
         let inner = Arc::clone(&self.inner);
         let (set, agg, group_by) = (set.clone(), agg.clone(), group_by.to_vec());
         let final_predicate = final_predicate.cloned();
@@ -180,7 +190,7 @@ impl ExecBackend for FairBackend {
     fn sample_block(
         &self,
         prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
+        _pool: &BlockBufferPool,
         threads: usize,
         base_pos: u64,
         num_values: usize,
@@ -188,13 +198,20 @@ impl ExecBackend for FairBackend {
         group_by: &[String],
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
-        if !self.inner.units_run_in_process() {
-            // The two calls, each a boundary that checks `cancel` and one
-            // delegating unit.
-            let set = self.instantiate_block(prefix, pool, threads, base_pos, num_values)?;
-            return self.aggregate(&set, agg, group_by, final_predicate, threads);
-        }
         self.cancel.check()?;
+        if !self.inner.units_run_in_process() {
+            let (agg, group_by) = (agg.clone(), group_by.to_vec());
+            let final_predicate = final_predicate.cloned();
+            let samples = self.on_inner(prefix, move |inner, prefix, pool| {
+                let predicate = final_predicate.as_ref();
+                inner.sample_block(
+                    prefix, pool, threads, base_pos, num_values, &agg, &group_by, predicate,
+                )
+            })?;
+            // The block's end is its next boundary.
+            self.cancel.check()?;
+            return Ok(samples);
+        }
 
         // One fused unit per scheduler pool thread.
         let parts = self.sched.pool_size();

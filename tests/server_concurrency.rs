@@ -13,11 +13,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mcdbr::dispatch::ProcessBackend;
-use mcdbr::exec::{ExecBackend, InProcessBackend, QueryResultSamples};
-use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
+use mcdbr::exec::{
+    BlockBufferPool, CancelToken, ExecBackend, InProcessBackend, QueryResultSamples, SessionCache,
+};
+use mcdbr::mcdb::{run_query_shared, McdbEngine, MonteCarloQuery};
 use mcdbr::server::client::{QueryReply, ServerClient};
 use mcdbr::server::service::{Server, ServerConfig};
 use mcdbr::server::testing::GateBackend;
+use mcdbr::server::{FairBackend, FairScheduler};
 use mcdbr::storage::Catalog;
 use mcdbr::workloads::{customer_losses_catalog, customer_losses_query};
 
@@ -123,6 +126,34 @@ fn concurrent_clients_are_bit_identical_to_a_single_threaded_engine_on_every_bac
         assert_eq!(stats.skeleton_hits, 10, "backend {name}");
         assert_eq!(stats.plan_executions, 2, "backend {name}");
     }
+}
+
+#[test]
+fn a_process_inner_backend_runs_each_block_as_one_scheduler_unit() {
+    // The process dispatcher fetches its workers' cells and folds them into
+    // the aggregate in one call, so a query's block is one scheduler unit —
+    // not a bundle set's instantiation plus its aggregation.
+    let catalog = small_catalog();
+    let query = customer_losses_query(Some(8));
+    let sched = FairScheduler::start(3);
+    let (cache, pool) = (SessionCache::new(), Arc::new(BlockBufferPool::new()));
+    for seed in [3u64, 4] {
+        let fair = Arc::new(FairBackend::new(
+            Arc::new(ProcessBackend::new(2)),
+            Arc::clone(&sched),
+            Arc::clone(&pool),
+            seed,
+            CancelToken::unbounded(),
+        ));
+        let backend: Arc<dyn ExecBackend> = Arc::clone(&fair) as Arc<dyn ExecBackend>;
+        let (samples, run) =
+            run_query_shared(&query, &catalog, 24, seed, &cache, &pool, &backend).unwrap();
+        assert_eq!(run.blocks_materialized, 1, "seed {seed}");
+        assert_eq!(fair.units_spawned(), 1, "seed {seed}: one unit per block");
+        let want = reference(&query, &catalog, 24, seed);
+        assert_samples_bit_identical(&samples, &want, &format!("seed {seed}"));
+    }
+    sched.shutdown();
 }
 
 #[test]

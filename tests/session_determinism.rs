@@ -176,7 +176,7 @@ fn blocks_are_identical_across_replenishment_boundaries() {
                     assert_eq!(ss, ls);
                     assert_eq!(*base_pos, step * block as u64);
                     let lo = (step as usize) * block;
-                    assert_eq!(&lvals.to_values()[lo..lo + block], &svals.to_values()[..]);
+                    assert_eq!(&lvals.values_out()[lo..lo + block], &svals.values_out()[..]);
                 }
             }
         }
@@ -962,10 +962,10 @@ fn tpch_join_workload_blocks_match_from_scratch() {
 #[test]
 fn per_stream_windows_equal_the_same_cells_of_a_full_width_block() {
     // The unit demand-driven replenishment stands on: the window `b .. b+n`
-    // of one stream (or a few) is, bit for bit, what a full-width block
-    // `0 .. b+n` holds for that stream at those offsets — for windows that
-    // straddle what used to be block boundaries, whatever thread count built
-    // the reference block, on a plan with a random filter and a computed
+    // of one stream is, bit for bit, what a full-width block `0 .. b+n`
+    // holds for that stream at those offsets — for windows that straddle
+    // what used to be block boundaries, whatever thread count built the
+    // reference block, on a plan with a random filter and a computed
     // projection and on the fan-out join (one stream, many bundles).
     fn bits(v: Value) -> (Option<u64>, Value) {
         match v {
@@ -986,65 +986,58 @@ fn per_stream_windows_equal_the_same_cells_of_a_full_width_block() {
                 .unwrap()
                 .with_threads(threads);
             let keys = session.prefix().unwrap().skeleton().active_keys().to_vec();
-            let (first, last) = (keys[0], *keys.last().unwrap());
             for (base, n) in [(0u64, 24usize), (20, 10), (24, 48), (40, 33)] {
                 let block = session
                     .instantiate_block(catalog, 0, base as usize + n)
                     .unwrap();
-                for picks in [vec![first], vec![last], keys.clone()] {
+                for key in [keys[0], *keys.last().unwrap()] {
                     let (blocks, values) =
                         (session.blocks_materialized(), session.values_materialized());
-                    let windows = session.instantiate_streams(&picks, base, n).unwrap();
-                    assert_eq!(windows.len(), picks.len());
+                    let window = session.instantiate_stream(key, base, n).unwrap();
                     assert_eq!(session.blocks_materialized(), blocks + 1);
-                    assert_eq!(
-                        session.values_materialized(),
-                        values + (picks.len() * n) as u64
-                    );
+                    assert_eq!(session.values_materialized(), values + n as u64);
+                    let stream = key.bind(seed);
                     let mut compared = 0;
-                    for (key, window) in picks.iter().zip(&windows) {
-                        let stream = key.bind(seed);
-                        for value in block.bundles.iter().flat_map(|b| &b.values) {
-                            let BundleValue::Random {
-                                seed: s,
-                                vg_row,
-                                vg_col,
-                                values,
-                                ..
-                            } = value
-                            else {
-                                continue;
-                            };
-                            if *s != stream {
-                                continue;
-                            }
-                            let cell = window.cell(*vg_row, *vg_col).unwrap();
-                            assert_eq!(cell.len(), n);
-                            let cut = values.to_values().split_off(base as usize);
-                            assert!(cell
-                                .values_out()
-                                .into_iter()
-                                .map(bits)
-                                .eq(cut.into_iter().map(bits)));
-                            compared += 1;
+                    for value in block.bundles.iter().flat_map(|b| &b.values) {
+                        let BundleValue::Random {
+                            seed: s,
+                            vg_row,
+                            vg_col,
+                            values,
+                            ..
+                        } = value
+                        else {
+                            continue;
+                        };
+                        if *s != stream {
+                            continue;
                         }
+                        let cell = window.cell(*vg_row, *vg_col).unwrap();
+                        assert_eq!(cell.len(), n);
+                        let cut = values.values_out().split_off(base as usize);
+                        assert!(cell
+                            .values_out()
+                            .into_iter()
+                            .map(bits)
+                            .eq(cut.into_iter().map(bits)));
+                        compared += 1;
                     }
-                    assert!(compared >= picks.len(), "every stream feeds a bundle");
+                    assert!(compared >= 1, "every stream feeds a bundle");
                 }
             }
             assert_eq!(session.plan_executions(), 1);
-            // Misuse is a typed error: keys out of order, a key no surviving
-            // bundle references, a plan with no prefix to address.
-            assert!(refused(session.instantiate_streams(&[last, first], 0, 4)));
+            // Misuse is a typed error: a key no surviving bundle references,
+            // a plan with no prefix to address.
             let unknown = mcdbr::prng::StreamKey::new(u64::MAX, 0);
-            assert!(refused(session.instantiate_streams(&[unknown], 0, 4)));
+            assert!(refused(session.instantiate_stream(unknown, 0, 4)));
         }
     }
     let losses_catalog = customer_losses_catalog(4, (1.0, 5.0), 9).unwrap();
     let split = customer_losses_query(None).plan.split("val");
     let mut fallback = ExecSession::prepare(&split, &losses_catalog, 3).unwrap();
     assert!(!fallback.is_cached());
-    assert!(refused(fallback.instantiate_streams(&[], 0, 4)));
+    let any = mcdbr::prng::StreamKey::new(0, 0);
+    assert!(refused(fallback.instantiate_stream(any, 0, 4)));
     assert_eq!(fallback.blocks_materialized(), 0);
 }
 

@@ -102,8 +102,8 @@ fn one_hungry_stream_does_not_drag_the_others_along() {
         "{result:?}"
     );
     assert!(result.values_materialized < 300_000, "{result:?}");
-    // Windows double, so a chain of k segments holds block * 2^(k-1)
-    // positions: a ninth segment on any one stream would by itself put
+    // Windows double, so a stream with k windows holds block * 2^k
+    // positions: eight windows on any one stream would by themselves put
     // 255 blocks on top of the initial ones.
     assert!(
         result.values_materialized - streams * block < 255 * block,
