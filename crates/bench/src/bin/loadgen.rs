@@ -2,30 +2,26 @@
 //! and print latency percentiles and throughput.
 //!
 //! ```text
-//! loadgen --addr HOST:PORT [--clients N] [--queries N] [--reps N]
-//!         [--retry-base-ms MS] [--retry-attempts N] [--shutdown]
+//! loadgen --addr HOST:PORT [--clients N] [--queries N] [--reps N] [--shutdown]
 //! ```
 //!
 //! Each client runs `--queries` demo queries (the same customer-losses
 //! query `mcdbr-server` serves) with distinct master seeds, so the
 //! workload exercises the shared skeleton cache without repeating
-//! results.  `Busy` rejections are retried under a capped-exponential,
-//! seeded-jitter backoff: `--retry-base-ms` sets the first delay and
-//! `--retry-attempts` bounds the retries (omit it to retry forever).
+//! results.  `Busy` rejections are retried until admitted, under a
+//! capped-exponential, seeded-jitter backoff.
 //! `--shutdown` sends the server a `Shutdown` frame after the run,
 //! draining it — handy for CI smoke scripts.
 
 use std::process::ExitCode;
 
-use mcdbr_faults::BackoffPolicy;
 use mcdbr_server::client::ServerClient;
 use mcdbr_server::demo;
-use mcdbr_server::run_load_with;
+use mcdbr_server::run_load;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen --addr HOST:PORT [--clients N] [--queries N] [--reps N] \
-         [--retry-base-ms MS] [--retry-attempts N] [--shutdown]"
+        "usage: loadgen --addr HOST:PORT [--clients N] [--queries N] [--reps N] [--shutdown]"
     );
     std::process::exit(2);
 }
@@ -35,7 +31,6 @@ fn main() -> ExitCode {
     let mut clients = 4usize;
     let mut queries = 16usize;
     let mut reps = 64usize;
-    let mut retry = BackoffPolicy::default();
     let mut shutdown = false;
 
     let mut args = std::env::args().skip(1);
@@ -46,13 +41,6 @@ fn main() -> ExitCode {
             "--clients" => clients = parse_count(&value("--clients"), "--clients"),
             "--queries" => queries = parse_count(&value("--queries"), "--queries"),
             "--reps" => reps = parse_count(&value("--reps"), "--reps"),
-            "--retry-base-ms" => {
-                retry.base_ms = parse_count(&value("--retry-base-ms"), "--retry-base-ms") as u64;
-            }
-            "--retry-attempts" => {
-                retry.max_attempts =
-                    Some(parse_count(&value("--retry-attempts"), "--retry-attempts") as u32);
-            }
             "--shutdown" => shutdown = true,
             "--help" | "-h" => usage(),
             other => {
@@ -68,7 +56,7 @@ fn main() -> ExitCode {
 
     let query = demo::demo_query();
     eprintln!("loadgen: {clients} clients x {queries} queries x {reps} reps against {addr}");
-    let report = match run_load_with(addr.clone(), &query, clients, queries, reps, retry) {
+    let report = match run_load(addr.clone(), &query, clients, queries, reps) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("loadgen: load run failed: {err}");

@@ -1,7 +1,7 @@
 //! Shared harness code for the MCDB-R experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
-//! experiment (see `DESIGN.md` §3 and `EXPERIMENTS.md`).  The binaries under
+//! experiment (see `DESIGN.md` §3, "Experiment index").  The binaries under
 //! `src/bin/` regenerate them; this library holds the pieces they share.
 //! Timing lives in the standalone `perf_ledger` benchmark, not here.
 

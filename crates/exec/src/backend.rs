@@ -260,8 +260,6 @@ impl ExecBackend for InProcessBackend {
         num_values: usize,
     ) -> Result<BundleSet> {
         let all: Vec<usize> = (0..prefix.num_active_streams()).collect();
-        // Reclaim cell storage freed since the last block, once per call.
-        pool.sweep_cells();
         let cells = generate_streams(prefix, &all, base_pos, num_values, pool, threads)?;
         assemble_block(prefix, cells, base_pos, num_values, threads)
     }
@@ -278,8 +276,6 @@ impl ExecBackend for InProcessBackend {
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
         let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
-            // Reclaim cell storage freed since the last block, once per call.
-            pool.sweep_cells();
             par::try_par_map_threads(&ranges, threads, |reps| {
                 job.sample_rep_range(pool, reps.clone())
             })

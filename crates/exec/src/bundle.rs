@@ -42,9 +42,10 @@ use mcdbr_storage::{Column, Schema, Value};
 /// block out to `m` bundles clones `m` refcounts, not `m` value vectors.
 ///
 /// Lifetime rule: the column is immutable from the moment it enters a
-/// bundle.  Pooled generation buffers are therefore moved into their `Arc`
-/// at the bundle-set boundary and the pooled buffer is released
-/// immediately — a bundle never points into the block pool.
+/// bundle.  Generated cell columns are therefore moved out of the pooled
+/// buffer into their own `Arc` and the buffer is released immediately — a
+/// bundle never points into the block pool, and the pool keeps no handle
+/// on the column, which is freed with its last bundle.
 #[derive(Debug, Clone, Default)]
 pub struct SharedColumn(Arc<Column>);
 

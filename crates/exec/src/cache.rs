@@ -18,9 +18,10 @@
 //! never be served: the contract is *equal key ⇒ identical skeleton*, with
 //! invalidation by key change rather than by eviction.
 //!
-//! Uncacheable plans (`Split` over a random column, paper §8) are remembered
-//! too: a hit skips the detection pass and goes straight to the honest
-//! per-block fallback executor.
+//! Uncacheable plans (`Split` over a random column, paper §8) are never
+//! stored: like a plan error, each session runs detection again, counts as
+//! a miss, and falls back to the honest per-block executor — whose every
+//! block re-runs the whole plan anyway.
 //!
 //! The cache is internally synchronized (`&self` methods, atomic counters),
 //! so one cache can be shared — e.g. behind an [`std::sync::Arc`] — between
@@ -46,16 +47,6 @@ use mcdbr_storage::{Catalog, Result};
 
 use crate::plan::PlanNode;
 use crate::session::{build_skeleton, ExecSession, PlanSkeleton, PrepError};
-
-/// What the cache remembers about one `(plan fingerprint, catalog epoch)`.
-#[derive(Debug, Clone)]
-enum CacheEntry {
-    /// The plan is prefix-cacheable; its seed-independent skeleton.
-    Skeleton(Arc<PlanSkeleton>),
-    /// The plan has no block-invariant deterministic prefix; the recorded
-    /// reason (sessions go straight to fallback mode without re-detection).
-    Uncacheable(String),
-}
 
 /// A cache of [`PlanSkeleton`]s keyed by
 /// `(plan fingerprint, catalog epoch)`.
@@ -172,10 +163,10 @@ struct Entries {
     clock: u64,
 }
 
-/// A cache entry plus the clock tick of its last use.
-#[derive(Debug, Clone)]
+/// A cached skeleton plus the clock tick of its last use.
+#[derive(Debug)]
 struct Stamped {
-    entry: CacheEntry,
+    skeleton: Arc<PlanSkeleton>,
     last_used: u64,
 }
 
@@ -236,13 +227,13 @@ impl SessionCache {
     }
 
     /// Look `key` up, touching its recency stamp on a hit.
-    fn lookup(&self, key: (u64, u64)) -> Option<CacheEntry> {
+    fn lookup(&self, key: (u64, u64)) -> Option<Arc<PlanSkeleton>> {
         let mut entries = self.entries.lock().expect("cache poisoned");
         let stamp = entries.tick();
         let stamped = entries.map.get_mut(&key)?;
         // Touch on hit: the LRU order tracks use, not insertion.
         stamped.last_used = stamp;
-        Some(stamped.entry.clone())
+        Some(Arc::clone(&stamped.skeleton))
     }
 
     /// Hand out an [`ExecSession`] for `(plan, catalog, master_seed)`.
@@ -255,14 +246,14 @@ impl SessionCache {
     /// for future sessions.
     ///
     /// Ordinary plan errors (missing tables, illegal joins) are returned and
-    /// never cached.
+    /// never cached; neither is an uncacheable plan, whose session falls
+    /// back to per-block execution and counts as a miss every time.
     ///
     /// Concurrent misses on the same key coalesce into a **single** build:
     /// one racer runs phase 1, the others block until it lands and then
     /// take the entry as a hit (see the [module docs](self)).  If the build
-    /// fails with a plan error, each waiter retries the build itself —
-    /// deterministic plan errors reproduce, and nothing wrong is ever
-    /// cached.
+    /// stores nothing (a plan error or an uncacheable plan), each waiter
+    /// retries the build itself — both reproduce deterministically.
     pub fn session(
         &self,
         plan: &PlanNode,
@@ -271,16 +262,14 @@ impl SessionCache {
     ) -> Result<ExecSession> {
         let key = (plan.fingerprint(), catalog.epoch());
         loop {
-            if let Some(entry) = self.lookup(key) {
+            if let Some(skeleton) = self.lookup(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(match entry {
-                    CacheEntry::Skeleton(skeleton) => {
-                        ExecSession::from_skeleton(plan, skeleton, master_seed, true)
-                    }
-                    CacheEntry::Uncacheable(reason) => {
-                        ExecSession::fallback(plan, master_seed, reason, true)
-                    }
-                });
+                return Ok(ExecSession::from_skeleton(
+                    plan,
+                    skeleton,
+                    master_seed,
+                    true,
+                ));
             }
 
             // Miss: join this key's in-progress build, or become its builder.
@@ -317,26 +306,23 @@ impl SessionCache {
 
             // Build outside both locks, so a slow phase 1 blocks only the
             // sessions that need this exact skeleton.
-            let (entry, session) = match build_skeleton(plan, catalog) {
-                Ok(skeleton) => {
-                    let skeleton = Arc::new(skeleton);
-                    let session =
-                        ExecSession::from_skeleton(plan, Arc::clone(&skeleton), master_seed, false);
-                    (CacheEntry::Skeleton(skeleton), session)
+            let skeleton = match build_skeleton(plan, catalog) {
+                Ok(skeleton) => Arc::new(skeleton),
+                Err(PrepError::ValueDependent(reason)) => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return Ok(ExecSession::fallback(plan, master_seed, reason));
                 }
-                Err(PrepError::Uncacheable(reason)) => (
-                    CacheEntry::Uncacheable(reason.clone()),
-                    ExecSession::fallback(plan, master_seed, reason, false),
-                ),
                 Err(PrepError::Fail(e)) => return Err(e),
             };
             self.misses.fetch_add(1, Ordering::Relaxed);
+            let session =
+                ExecSession::from_skeleton(plan, Arc::clone(&skeleton), master_seed, false);
             let mut entries = self.entries.lock().expect("cache poisoned");
             let stamp = entries.tick();
             entries.map.insert(
                 key,
                 Stamped {
-                    entry,
+                    skeleton,
                     last_used: stamp,
                 },
             );
@@ -350,8 +336,8 @@ impl SessionCache {
         }
     }
 
-    /// Number of lookups that skipped phase 1 (the skeleton — or the
-    /// uncacheability verdict — was already cached).
+    /// Number of lookups that skipped phase 1 (the skeleton was already
+    /// cached).
     pub fn skeleton_hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
@@ -361,7 +347,7 @@ impl SessionCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of cached `(plan, catalog epoch)` entries.
+    /// Number of cached `(plan, catalog epoch)` skeletons.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("cache poisoned").map.len()
     }
@@ -503,8 +489,9 @@ mod tests {
         assert_eq!(fresh.prefix().unwrap().num_streams(), 1);
     }
 
-    #[test]
-    fn uncacheable_plans_are_remembered() {
+    /// A `Split` over a random column (paper §8): its bundle structure
+    /// depends on stream values, so it has no cacheable skeleton.
+    fn split_plan() -> (PlanNode, Catalog) {
         let mut catalog = Catalog::new();
         let param = TableBuilder::new(Schema::new(vec![
             Field::int64("id"),
@@ -528,16 +515,25 @@ mod tests {
             3,
         ))
         .split("age");
+        (plan, catalog)
+    }
 
+    #[test]
+    fn uncacheable_plans_are_never_stored() {
+        // Like a plan error, an uncacheable plan stores nothing: every
+        // session runs detection again, falls back, and counts as a miss.
+        let (plan, catalog) = split_plan();
         let cache = SessionCache::new();
         let s1 = cache.session(&plan, &catalog, 1).unwrap();
-        assert!(!s1.is_cached());
-        assert!(!s1.skeleton_hit());
         let s2 = cache.session(&plan, &catalog, 2).unwrap();
-        assert!(!s2.is_cached());
-        assert!(s2.skeleton_hit(), "the verdict itself is cached");
-        assert!(s2.fallback_reason().unwrap().contains("Split"));
-        assert_eq!((cache.skeleton_hits(), cache.skeleton_misses()), (1, 1));
+        for s in [&s1, &s2] {
+            assert!(!s.is_cached());
+            assert!(!s.skeleton_hit());
+        }
+        assert!(s1.fallback_reason().unwrap().contains("Split"));
+        assert_eq!(s1.fallback_reason(), s2.fallback_reason());
+        assert_eq!((cache.skeleton_hits(), cache.skeleton_misses()), (0, 2));
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -598,59 +594,6 @@ mod tests {
         assert!(cache.session(&plan_c, &catalog, 4).unwrap().skeleton_hit());
         assert!(cache.session(&plan_b, &catalog, 4).unwrap().skeleton_hit());
         assert!(!cache.session(&plan_a, &catalog, 4).unwrap().skeleton_hit());
-    }
-
-    #[test]
-    fn uncacheable_verdicts_participate_in_lru_order() {
-        // The cached "no deterministic prefix" verdict is an entry like any
-        // other: hits refresh it, and it can evict / be evicted.
-        let mut catalog = Catalog::new();
-        let param = TableBuilder::new(Schema::new(vec![
-            Field::int64("id"),
-            Field::float64("w_a"),
-            Field::float64("w_b"),
-        ]))
-        .row([Value::Int64(1), Value::Float64(0.5), Value::Float64(0.5)])
-        .build()
-        .unwrap();
-        catalog.register("people", param).unwrap();
-        let means = TableBuilder::new(Schema::new(vec![Field::int64("cid"), Field::float64("m")]))
-            .row([Value::Int64(1), Value::Float64(3.0)])
-            .build()
-            .unwrap();
-        catalog.register("means", means).unwrap();
-        let split_plan = PlanNode::random_table(scalar_random_table(
-            "ages",
-            "people",
-            Arc::new(mcdbr_vg::DiscreteVg::new(vec![
-                Value::Int64(20),
-                Value::Int64(21),
-            ])),
-            vec![Expr::col("w_a"), Expr::col("w_b")],
-            &["id"],
-            "age",
-            3,
-        ))
-        .split("age");
-
-        let cache = SessionCache::with_capacity(2);
-        let _ = cache.session(&split_plan, &catalog, 1).unwrap(); // order: S
-        let _ = cache.session(&losses_plan(), &catalog, 1).unwrap(); // order: S L
-                                                                     // Touch the verdict, then overflow: the losses skeleton is evicted.
-        assert!(cache
-            .session(&split_plan, &catalog, 2)
-            .unwrap()
-            .skeleton_hit());
-        let plan_b = losses_plan().filter(Expr::col("cid").lt(Expr::lit(2i64)));
-        let _ = cache.session(&plan_b, &catalog, 1).unwrap(); // evicts L
-        assert!(cache
-            .session(&split_plan, &catalog, 3)
-            .unwrap()
-            .skeleton_hit());
-        assert!(!cache
-            .session(&losses_plan(), &catalog, 3)
-            .unwrap()
-            .skeleton_hit());
     }
 
     #[test]

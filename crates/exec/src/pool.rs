@@ -1,21 +1,21 @@
-//! Pooled, reusable columnar block buffers for phase-2 materialization.
+//! Pooled columnar block buffers for phase-2 materialization.
 //!
-//! Every block materialization needs one [`ColumnBlock`] per active stream.
-//! Allocating those buffers per block would re-pay a per-position
-//! allocation bill on every Gibbs replenishment round and every repeated
-//! query; a [`BlockBufferPool`] instead recycles cleared buffers — a warm
-//! pool materializes a block with zero buffer allocation, since
-//! [`ColumnBlock::clear`] keeps every typed buffer's capacity (and the Utf8
-//! intern dictionary's arena) for the next acquisition.
+//! Every block materialization fills one [`ColumnBlock`] per active stream
+//! and then moves each generated cell column out into its own shared
+//! `Arc<Column>` ([`BlockBufferPool::adopt_cell`]), which the block's
+//! bundles share.  What comes back to the pool is only the block's shell —
+//! its shape and its grid of emptied columns — and the free-list reuses
+//! those shells; a cell's storage is freed to the allocator when its last
+//! bundle drops.
 //!
 //! The pool is shared freely across threads and shard tasks (acquisition is
 //! a mutex pop, release a mutex push), and it doubles as the metering point
-//! for the new end-to-end counters: `bytes_materialized` (logical bytes
-//! written into released buffers) and `buffer_reuses` (acquisitions served
-//! from the pool instead of a fresh allocation).
+//! for two counters: `bytes_materialized` (logical bytes generated into its
+//! buffers) and `buffer_reuses` (acquisitions served from the free-list
+//! instead of a fresh allocation).
 //!
 //! Buffers released into an already-full pool are dropped, so a pool can
-//! never retain more memory than its high-water mark of concurrently live
+//! never retain more shells than its high-water mark of concurrently live
 //! buffers (bounded by [`BlockBufferPool::with_max_pooled`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,24 +31,10 @@ const DEFAULT_MAX_POOLED: usize = 4096;
 #[derive(Debug)]
 pub struct BlockBufferPool {
     buffers: Mutex<Vec<ColumnBlock>>,
-    cells: Mutex<CellPool>,
     max_pooled: usize,
     acquires: AtomicU64,
     reuses: AtomicU64,
     bytes_materialized: AtomicU64,
-}
-
-/// Recycled cell-column storage (see [`BlockBufferPool::adopt_cell`]).
-///
-/// `free` holds uniquely owned Arcs ready for adoption; `pending` holds the
-/// pool's retained handle on every adopted cell whose bundles may still be
-/// alive.  [`BlockBufferPool::sweep_cells`] moves newly unique handles from
-/// `pending` to `free` — called once per materialized block, so the scan is
-/// O(live cells) per block instead of per adoption.
-#[derive(Debug, Default)]
-struct CellPool {
-    free: Vec<Arc<Column>>,
-    pending: Vec<Arc<Column>>,
 }
 
 impl Default for BlockBufferPool {
@@ -67,7 +53,6 @@ impl BlockBufferPool {
     pub fn with_max_pooled(max_pooled: usize) -> Self {
         BlockBufferPool {
             buffers: Mutex::new(Vec::new()),
-            cells: Mutex::new(CellPool::default()),
             max_pooled,
             acquires: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
@@ -101,54 +86,14 @@ impl BlockBufferPool {
     /// Move a freshly generated cell column out of a pooled block into a
     /// shared `Arc<Column>` — without copying the data.
     ///
-    /// The returned `Arc` holds the generated column wholesale (a
-    /// `mem::swap`, so bit-exact); the recycled `Arc`'s previous storage is
-    /// cleared and swapped *into* the block, so its warm capacity rides the
-    /// block back into the pool.  The pool retains one extra handle on every
-    /// adopted cell: once all bundles referencing the cell drop (the next
-    /// block of a tight query loop), the handle is unique again and the next
-    /// adoption reuses its allocation — a warm pool adopts cells with zero
-    /// allocation *and* zero memcpy.  Handles still shared when popped are
-    /// simply dropped (the bundle keeps the data alive; the pool just loses
-    /// that recycle opportunity).
-    ///
-    /// Metering: the generated bytes are accounted here, and the cleared
-    /// column swapped into the block contributes zero at release, so
+    /// The block keeps an empty column in its place, so its bytes are
+    /// accounted here and it contributes zero at release:
     /// `bytes_materialized` counts every generated byte exactly once whether
     /// a cell is adopted or the whole block released directly.
     pub fn adopt_cell(&self, col: &mut Column) -> Arc<Column> {
         self.bytes_materialized
             .fetch_add(col.data_bytes() as u64, Ordering::Relaxed);
-        let mut cells = self.cells.lock().expect("pool cell lock");
-        let mut arc = cells.free.pop().unwrap_or_default();
-        let storage = Arc::get_mut(&mut arc).expect("free-list Arcs are uniquely owned");
-        storage.clear();
-        std::mem::swap(storage, col);
-        if cells.pending.len() < self.max_pooled {
-            cells.pending.push(arc.clone());
-        }
-        arc
-    }
-
-    /// Move every adopted cell whose bundles have dropped back to the free
-    /// list.  Called once at the start of each block materialization — the
-    /// point where the previous block's bundles (in a tight query loop, a
-    /// replenishment round, or a dropped result) have typically died — so
-    /// the refcount scan runs once per block, never per adoption.
-    pub fn sweep_cells(&self) {
-        let mut cells = self.cells.lock().expect("pool cell lock");
-        let CellPool { free, pending } = &mut *cells;
-        let mut i = 0;
-        while i < pending.len() {
-            if Arc::get_mut(&mut pending[i]).is_some() {
-                let arc = pending.swap_remove(i);
-                if free.len() < self.max_pooled {
-                    free.push(arc);
-                }
-            } else {
-                i += 1;
-            }
-        }
+        Arc::new(std::mem::take(col))
     }
 
     /// Total buffer acquisitions.
@@ -162,10 +107,10 @@ impl BlockBufferPool {
         self.reuses.load(Ordering::Relaxed)
     }
 
-    /// Logical bytes written into buffers released through this pool — the
-    /// columnar analogue of `values_materialized`, measured in memory
-    /// rather than positions.  Units that run in this process release their
-    /// buffers here too.
+    /// Logical bytes generated into this pool's buffers, counted when a cell
+    /// is adopted or its block released — the columnar analogue of
+    /// `values_materialized`, measured in memory rather than positions.
+    /// Units that run in this process use this pool too.
     pub fn bytes_materialized(&self) -> u64 {
         self.bytes_materialized.load(Ordering::Relaxed)
     }
@@ -306,6 +251,23 @@ mod tests {
         assert_eq!(pool.acquires(), 16);
         assert_eq!(pool.idle(), 0);
         drop(again);
+    }
+
+    #[test]
+    fn adopted_cells_are_owned_by_their_bundles_alone() {
+        // The pool keeps no handle on an adopted cell: its storage goes back
+        // to the allocator when the last bundle sharing it drops.
+        let pool = BlockBufferPool::new();
+        let mut block = pool.acquire();
+        block.reset(1, 1, 2);
+        block.column_mut(0, 0).push_f64(1.5);
+        block.column_mut(0, 0).push_f64(2.5);
+        let cell = pool.adopt_cell(block.column_mut(0, 0));
+        assert_eq!(Arc::strong_count(&cell), 1);
+        assert_eq!(cell.f64_slice(), Some(&[1.5, 2.5][..]));
+        assert_eq!(block.column(0, 0).len(), 0, "the block keeps an empty cell");
+        pool.release(block);
+        assert_eq!(pool.bytes_materialized(), 16, "adopted bytes count once");
     }
 
     #[test]

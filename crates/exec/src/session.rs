@@ -478,9 +478,7 @@ impl ExecSession {
                 master_seed,
                 false,
             )),
-            Err(PrepError::Uncacheable(reason)) => {
-                Ok(Self::fallback(plan, master_seed, reason, false))
-            }
+            Err(PrepError::ValueDependent(reason)) => Ok(Self::fallback(plan, master_seed, reason)),
             Err(PrepError::Fail(e)) => Err(e),
         }
     }
@@ -512,15 +510,9 @@ impl ExecSession {
         }
     }
 
-    /// Build a fallback session for an uncacheable plan.  `cache_hit`
-    /// records whether the (cached) uncacheability verdict spared this
-    /// session the detection pass.
-    pub(crate) fn fallback(
-        plan: &PlanNode,
-        master_seed: u64,
-        reason: String,
-        cache_hit: bool,
-    ) -> Self {
+    /// Build a fallback session for a plan with no block-invariant
+    /// deterministic prefix (detection ran for this session).
+    pub(crate) fn fallback(plan: &PlanNode, master_seed: u64, reason: String) -> Self {
         ExecSession {
             plan: plan.clone(),
             master_seed,
@@ -532,7 +524,7 @@ impl ExecSession {
                 executor: Executor::new(),
                 reason,
             },
-            skeleton_hit: cache_hit,
+            skeleton_hit: false,
             plan_executions: 0,
             blocks_materialized: 0,
             values_materialized: 0,
@@ -563,8 +555,8 @@ impl ExecSession {
     }
 
     /// Use an explicit [`BlockBufferPool`] for phase-2 columnar buffers —
-    /// engines share one across queries so repeated queries reuse warm
-    /// buffers.  The session's `bytes_materialized` / `buffer_reuses`
+    /// engines share one across queries so repeated queries reuse its
+    /// block shells.  The session's `bytes_materialized` / `buffer_reuses`
     /// counters report activity *since adoption*, so a shared pool's
     /// earlier work is not misattributed (sessions running concurrently on
     /// one pool still blur each other's windows, like [`ShardStats`](crate::ShardStats)).
@@ -590,9 +582,9 @@ impl ExecSession {
             .saturating_sub(self.pool_baseline.0)
     }
 
-    /// Block-buffer acquisitions this session served by recycling a pooled
-    /// buffer rather than allocating — rises with every replenishment round
-    /// or repeated block once the pool is warm.
+    /// Block-buffer acquisitions this session served by reusing a pooled
+    /// block shell rather than allocating one — rises with every
+    /// replenishment round or repeated block once the pool holds shells.
     pub fn buffer_reuses(&self) -> u64 {
         self.pool
             .buffer_reuses()
@@ -779,8 +771,8 @@ impl ExecSession {
 ///
 /// The pooled [`ColumnBlock`] a VG kernel fills is a *reused* buffer; bundle
 /// values must outlive it.  Converting *moves* each cell column out of the
-/// pooled buffer into a recycled `Arc` ([`BlockBufferPool::adopt_cell`] —
-/// a swap, not a copy) and lets the pooled buffer go straight back to the
+/// pooled buffer into its own `Arc` ([`BlockBufferPool::adopt_cell`] — a
+/// move, not a copy) and lets the pooled buffer go straight back to the
 /// pool — after which every bundle referencing the cell shares the same
 /// `Arc` ([`crate::bundle::SharedColumn`]), so a join fanning a
 /// stream out to `m` bundles clones `m` refcounts, never `m` value vectors,
@@ -804,7 +796,7 @@ enum Cells {
 impl CellCols {
     /// Move a generated block's cells out of the pooled buffer (see the
     /// type docs; the caller releases `block` immediately afterwards — its
-    /// cells now hold the recycled Arcs' cleared warm storage).
+    /// cells are now empty).
     pub(crate) fn from_block(block: &mut ColumnBlock, pool: &BlockBufferPool) -> CellCols {
         let rows = block.rows_per_pos();
         let cols = block.cols();
@@ -1130,7 +1122,7 @@ fn cells_for(blocks: &CellData, at: u32) -> Result<&CellCols> {
 
 pub(crate) enum PrepError {
     /// The plan's bundle structure depends on stream values.
-    Uncacheable(String),
+    ValueDependent(String),
     /// An ordinary execution error (missing table/column, illegal join, ...).
     Fail(Error),
 }
@@ -1143,7 +1135,7 @@ impl From<Error> for PrepError {
 
 /// Run the seed-independent deterministic-skeleton pass over `plan`.
 ///
-/// Returns `Err(PrepError::Uncacheable)` for plans whose bundle structure
+/// Returns `Err(PrepError::ValueDependent)` for plans whose bundle structure
 /// depends on stream values (a `Split` over a random column, paper §8) and
 /// `Err(PrepError::Fail)` for ordinary execution errors.
 pub(crate) fn build_skeleton(
@@ -1421,7 +1413,7 @@ impl SkeletonPass<'_> {
                     // The number of post-Split bundles equals the number of
                     // distinct values in the block — structure depends on
                     // values.
-                    return Err(PrepError::Uncacheable(format!(
+                    return Err(PrepError::ValueDependent(format!(
                         "Split({column}) over a random attribute enumerates block values; \
                          the plan has no block-invariant deterministic prefix (paper §8)"
                     )));

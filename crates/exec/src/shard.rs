@@ -115,9 +115,6 @@ impl ShardTask {
         // Seeds are pure in `(master_seed, key)` and recipes live on the
         // skeleton, so binding costs nothing regardless of plan size.
         let prefix = self.skeleton.bind(self.master_seed);
-        // Reclaim cell storage freed since the last block (dropped results,
-        // previous replenishment rounds) before adopting this block's cells.
-        pool.sweep_cells();
         let (base_pos, n) = (self.base_pos, self.num_values);
         let cells = generate_streams(&prefix, &streams, base_pos, n, pool, threads)?;
         Ok(streams.into_iter().zip(cells).collect())
@@ -200,7 +197,7 @@ pub(crate) fn generate_streams(
     let generated: Vec<Result<ColumnBlock>> = par::par_map_threads(needed, threads, |&at| {
         session::generate_active_stream_block(prefix, at, base_pos, num_values, pool)
     });
-    // Move each generated block's cells into recycled shared columns and
+    // Move each generated block's cells into shared columns and
     // return the pooled buffer immediately — on errors too, so partial
     // work is metered and buffers survive for the next block
     // (replenishment window, repeated query, or a neighboring shard

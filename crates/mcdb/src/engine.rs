@@ -96,8 +96,8 @@ pub struct SharedRunStats {
 /// through: every concurrent client session goes through the same
 /// `Arc<SessionCache>` (so one client's phase 1 is every client's cache
 /// hit — single-flight under races) and the same `Arc<BlockBufferPool>`
-/// (so buffers recycle across queries regardless of which connection ran
-/// them).  The result is bit-identical to
+/// (so block shells are reused across queries regardless of which
+/// connection ran them).  The result is bit-identical to
 /// [`McdbEngine::run_samples`] with the same backend: both bind the same
 /// skeleton and make one [`ExecSession::sample_block`] call over the window
 /// `0..n` — on an in-process placement, fused rep-range units that fold
@@ -152,9 +152,9 @@ pub struct NaiveTailReport {
     /// Logical bytes written into pooled columnar block buffers during the
     /// hunt (calibration + batches).
     pub bytes_materialized: u64,
-    /// Columnar buffer acquisitions the hunt served by recycling its
-    /// session's pool instead of allocating — every batch past calibration
-    /// reuses the warm buffers.
+    /// Columnar buffer acquisitions the hunt served by reusing a block shell
+    /// from its session's pool instead of allocating — every batch past
+    /// calibration reuses them.
     pub buffer_reuses: u64,
     /// The hunt's window of the engine's execution backend's counters:
     /// shard tasks and merge time (block materializations and aggregate
@@ -182,7 +182,7 @@ pub struct McdbEngine {
     cache: SessionCache,
     backend: Arc<dyn ExecBackend>,
     /// One buffer pool shared by every session this engine creates, so a
-    /// repeated query reuses the previous query's warm columnar buffers
+    /// repeated query reuses the previous query's block shells
     /// (sessions report windowed counters, so per-query attribution stays
     /// correct).
     pool: Arc<BlockBufferPool>,
@@ -263,8 +263,8 @@ impl McdbEngine {
         self.bytes_materialized
     }
 
-    /// Total columnar buffer acquisitions served by recycling a session
-    /// pool instead of allocating.
+    /// Total columnar buffer acquisitions served by reusing a block shell
+    /// from a session pool instead of allocating.
     pub fn buffer_reuses(&self) -> u64 {
         self.buffer_reuses
     }

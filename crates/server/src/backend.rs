@@ -224,7 +224,6 @@ impl ExecBackend for FairBackend {
             final_predicate,
             parts,
             |job, ranges| {
-                self.pool.sweep_cells();
                 self.units.fetch_add(ranges.len(), Ordering::Relaxed);
                 let jobs: Vec<_> = ranges
                     .into_iter()

@@ -1,5 +1,5 @@
 //! A blocking client for the server protocol — what the loadgen binary,
-//! the benches, and the test suites speak.
+//! the perf_ledger server workloads, and the test suites speak.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -128,41 +128,26 @@ impl ServerClient {
 
     /// Like [`ServerClient::query`], but retry `Busy` rejections until
     /// admitted (reconnecting is not needed — `Busy` leaves the connection
-    /// healthy), waiting out a capped exponential backoff with seeded
-    /// jitter between attempts via [`BackoffPolicy::default`].  Only
-    /// `Busy` is retried: `Timeout`, `ShuttingDown`, and the rest are
-    /// policy decisions the caller owns.
+    /// healthy), waiting out [`BackoffPolicy::default`]'s capped exponential
+    /// backoff between attempts.  Its jitter stream is salted by
+    /// `master_seed`, so concurrent clients retrying the same server
+    /// decorrelate instead of stampeding in lockstep.  Only `Busy` is
+    /// retried: `Timeout`, `ShuttingDown`, and the rest are policy
+    /// decisions the caller owns.
     pub fn query_retrying(
         &mut self,
         query: &MonteCarloQuery,
         reps: usize,
         master_seed: u64,
     ) -> WireResult<QueryReply> {
-        self.query_retrying_with(query, reps, master_seed, &BackoffPolicy::default())
-    }
-
-    /// [`ServerClient::query_retrying`] under an explicit [`BackoffPolicy`]
-    /// — the jitter stream is salted by `master_seed`, so concurrent
-    /// clients retrying the same server decorrelate instead of stampeding
-    /// in lockstep.  A bounded policy whose attempts run out returns the
-    /// last `Busy` rejection for the caller to surface.
-    pub fn query_retrying_with(
-        &mut self,
-        query: &MonteCarloQuery,
-        reps: usize,
-        master_seed: u64,
-        policy: &BackoffPolicy,
-    ) -> WireResult<QueryReply> {
+        let policy = BackoffPolicy::default();
         let mut attempt = 0u32;
         loop {
             match self.query(query, reps, master_seed)? {
-                reply @ QueryReply::Rejected {
+                QueryReply::Rejected {
                     code: ReplyCode::Busy,
                     ..
                 } => {
-                    if policy.exhausted(attempt) {
-                        return Ok(reply);
-                    }
                     std::thread::sleep(policy.delay(attempt, master_seed));
                     attempt += 1;
                 }

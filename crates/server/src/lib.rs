@@ -1,7 +1,7 @@
 //! `mcdbr-server`: the resident, concurrent Monte Carlo query service.
 //!
 //! Everything below PR 6 is a one-shot binary: build an engine, run a
-//! query, exit — the warm [`mcdbr_exec::SessionCache`], the recycled
+//! query, exit — the warm [`mcdbr_exec::SessionCache`], the
 //! [`mcdbr_exec::BlockBufferPool`], and the spawned worker processes all
 //! die with the process.  This crate keeps them **resident** and shares
 //! them across many concurrent clients:
@@ -47,6 +47,6 @@ pub mod testing;
 
 pub use backend::FairBackend;
 pub use client::{QueryReply, ServerClient};
-pub use load::{run_load, run_load_with, LoadReport};
+pub use load::{run_load, LoadReport};
 pub use sched::FairScheduler;
 pub use service::{Server, ServerConfig, ServerHandle};

@@ -1,13 +1,11 @@
 //! The load generator: N concurrent client connections hammering one
 //! server with the demo query, measuring per-query latency percentiles
-//! and aggregate throughput.  Shared by the `loadgen` binary and the
-//! `server` bench (which records the numbers into `BENCH_server.json`).
+//! and aggregate throughput — the engine of the `loadgen` binary.
 
 use std::net::ToSocketAddrs;
 use std::time::Instant;
 
 use mcdbr_dispatch::wire::{WireError, WireResult};
-use mcdbr_faults::BackoffPolicy;
 use mcdbr_mcdb::MonteCarloQuery;
 
 use crate::client::{QueryReply, ServerClient};
@@ -28,7 +26,7 @@ pub struct LoadReport {
     pub skeleton_hits: usize,
     /// Wire bytes written by all clients over the run (length prefixes
     /// included; handshakes too).  Divide by `queries` for the per-query
-    /// average the server bench records.
+    /// average.
     pub wire_bytes_sent: u64,
     /// Wire bytes read by all clients over the run.
     pub wire_bytes_received: u64,
@@ -37,35 +35,15 @@ pub struct LoadReport {
 /// Drive `clients` concurrent connections, each running
 /// `queries_per_client` demo queries of `reps` repetitions (distinct
 /// master seeds per query, so results differ while the plan skeleton is
-/// shared).  Latencies are measured per query, client-side.
+/// shared).  `Busy` replies are retried by
+/// [`ServerClient::query_retrying`].  Latencies are measured per query,
+/// client-side.
 pub fn run_load(
     addr: impl ToSocketAddrs + Clone + Send + 'static,
     query: &MonteCarloQuery,
     clients: usize,
     queries_per_client: usize,
     reps: usize,
-) -> WireResult<LoadReport> {
-    run_load_with(
-        addr,
-        query,
-        clients,
-        queries_per_client,
-        reps,
-        BackoffPolicy::default(),
-    )
-}
-
-/// [`run_load`] under an explicit Busy-retry [`BackoffPolicy`] — what the
-/// `loadgen` binary's `--retry-base-ms` / `--retry-attempts` flags thread
-/// through.  Every client uses the same policy; jitter streams decorrelate
-/// per query through the master-seed salt.
-pub fn run_load_with(
-    addr: impl ToSocketAddrs + Clone + Send + 'static,
-    query: &MonteCarloQuery,
-    clients: usize,
-    queries_per_client: usize,
-    reps: usize,
-    policy: BackoffPolicy,
 ) -> WireResult<LoadReport> {
     let start = Instant::now();
     let handles: Vec<_> = (0..clients)
@@ -79,7 +57,7 @@ pub fn run_load_with(
                 for q in 0..queries_per_client {
                     let seed = (client_idx as u64) << 32 | q as u64;
                     let sent = Instant::now();
-                    match session.query_retrying_with(&query, reps, seed, &policy)? {
+                    match session.query_retrying(&query, reps, seed)? {
                         QueryReply::Ok { stats, .. } => {
                             latencies.push(sent.elapsed().as_secs_f64() * 1e3);
                             if stats.skeleton_hit {

@@ -341,11 +341,17 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
             }));
             conn_shared.conns.lock().expect("conns").remove(&conn_id);
         });
-        shared
-            .conn_threads
-            .lock()
-            .expect("conn threads")
-            .push(handle);
+        // Join the threads of connections that have ended, so a long-lived
+        // server holds one handle per live connection, not per accept.
+        let mut threads = shared.conn_threads.lock().expect("conn threads");
+        let (done, mut live): (Vec<_>, Vec<_>) = std::mem::take(&mut *threads)
+            .into_iter()
+            .partition(|thread| thread.is_finished());
+        for thread in done {
+            let _ = thread.join();
+        }
+        live.push(handle);
+        *threads = live;
     }
 }
 
@@ -564,5 +570,44 @@ impl ServerHandle {
         }
         self.shared.sched.shutdown();
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcdbr_exec::InProcessBackend;
+
+    #[test]
+    fn ended_connections_are_joined_before_the_next_accept() {
+        let handle = Server::start(
+            Catalog::new(),
+            Arc::new(InProcessBackend::new()),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let retained = || handle.shared.conn_threads.lock().unwrap().len();
+        for accepted in 1..=16 {
+            drop(TcpStream::connect(handle.addr()).unwrap());
+            // Wait until the accept loop has taken this connection and its
+            // thread has seen the close.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while handle.shared.connections.load(Ordering::Relaxed) < accepted
+                || !handle.shared.conns.lock().unwrap().is_empty()
+                || !handle
+                    .shared
+                    .conn_threads
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .all(|thread| thread.is_finished())
+            {
+                assert!(Instant::now() < deadline, "connection thread never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(handle.shared.connections.load(Ordering::Relaxed), 16);
+        assert!(retained() <= 2, "{} handles retained", retained());
+        handle.shutdown();
     }
 }

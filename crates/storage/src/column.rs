@@ -493,22 +493,6 @@ impl Column {
         }
     }
 
-    /// The raw `Int64` buffer regardless of nulls (see [`Column::f64_raw`]).
-    pub fn i64_raw(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Int64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The raw `Bool` buffer regardless of nulls (see [`Column::f64_raw`]).
-    pub fn bool_raw(&self) -> Option<&[bool]> {
-        match &self.data {
-            ColumnData::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The packed null mask over this column's positions, with the
     /// trailing-word bits beyond `len` masked off (see
     /// [`NullBitmap::to_mask`]).

@@ -57,7 +57,7 @@ pub use heapfile::HeapFile;
 pub use page::{Page, PAGE_BYTES};
 pub use pager::{DiskCounters, Pager, PagerStats};
 pub use schema::{Field, Schema};
-pub use selvec::{CmpOp, Mask, SelVec};
+pub use selvec::{CmpOp, Mask};
 pub use table::{Table, TableBuilder, TableIter};
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

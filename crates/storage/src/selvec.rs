@@ -1,11 +1,9 @@
-//! Selection vectors over packed bitmasks.
+//! Packed selection bitmasks.
 //!
 //! Columnar filters evaluate predicates column-at-a-time into a packed
-//! [`Mask`] (one bit per position, 64 positions per word) and then compress
-//! the surviving positions into a [`SelVec`] — a sorted list of selected
-//! indices.  Downstream operators iterate the selection vector instead of
-//! materializing a filtered copy of every column, which is the classic
-//! selection-vector design of batch-at-a-time query engines.
+//! [`Mask`] (one bit per position, 64 positions per word) and narrow it in
+//! place; downstream operators read the surviving positions straight off
+//! the mask instead of materializing a filtered copy of every column.
 //!
 //! Every mask operation maintains the trailing-word invariant documented on
 //! [`Mask`]: bits at positions `>= len` in the last word are zero, so
@@ -237,67 +235,6 @@ impl Mask {
     }
 }
 
-/// A selection vector: the sorted indices of the positions that survived a
-/// filter.  Downstream kernels iterate these indices over the *unfiltered*
-/// columns instead of materializing compacted copies.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SelVec {
-    sel: Vec<u32>,
-}
-
-impl SelVec {
-    /// An empty selection vector.
-    pub fn new() -> SelVec {
-        SelVec::default()
-    }
-
-    /// Compress the set bits of `mask` into a selection vector using
-    /// word-at-a-time bit iteration (`trailing_zeros` + clear-lowest-bit),
-    /// which touches only the set bits — O(selected), not O(scanned).
-    pub fn from_mask(mask: &Mask) -> SelVec {
-        let mut sel = Vec::with_capacity(mask.count());
-        for (w, &word) in mask.words().iter().enumerate() {
-            let base = (w * 64) as u32;
-            let mut bits = word;
-            while bits != 0 {
-                sel.push(base + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-        SelVec { sel }
-    }
-
-    /// Number of selected positions.
-    pub fn len(&self) -> usize {
-        self.sel.len()
-    }
-
-    /// True when nothing is selected.
-    pub fn is_empty(&self) -> bool {
-        self.sel.is_empty()
-    }
-
-    /// The selected indices, ascending.
-    pub fn indices(&self) -> &[u32] {
-        &self.sel
-    }
-
-    /// Append an index.  Callers must keep the vector sorted.
-    pub fn push(&mut self, idx: u32) {
-        debug_assert!(self.sel.last().is_none_or(|&last| last < idx));
-        self.sel.push(idx);
-    }
-
-    /// The selected indices restricted to `lo..hi` (by binary search; the
-    /// vector is sorted).  Lets per-thread repetition ranges consume one
-    /// shared selection vector without re-deriving it.
-    pub fn slice_in_range(&self, lo: usize, hi: usize) -> &[u32] {
-        let start = self.sel.partition_point(|&i| (i as usize) < lo);
-        let end = self.sel.partition_point(|&i| (i as usize) < hi);
-        &self.sel[start..end]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,26 +326,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn selvec_compresses_only_set_bits() {
-        let bits: Vec<bool> = (0..200).map(|i| i % 7 == 3).collect();
-        let sel = SelVec::from_mask(&Mask::from_bools(&bits));
-        let expect: Vec<u32> = (0..200u32).filter(|i| i % 7 == 3).collect();
-        assert_eq!(sel.indices(), &expect[..]);
-        assert_eq!(sel.len(), expect.len());
-        assert!(SelVec::from_mask(&Mask::zeros(100)).is_empty());
-    }
-
-    #[test]
-    fn selvec_range_slicing_uses_binary_search() {
-        let bits: Vec<bool> = (0..300).map(|i| i % 2 == 0).collect();
-        let sel = SelVec::from_mask(&Mask::from_bools(&bits));
-        assert_eq!(sel.slice_in_range(0, 300).len(), 150);
-        assert_eq!(sel.slice_in_range(10, 20), &[10, 12, 14, 16, 18]);
-        assert_eq!(sel.slice_in_range(11, 12), &[] as &[u32]);
-        assert_eq!(sel.slice_in_range(299, 300), &[] as &[u32]);
-        assert_eq!(sel.slice_in_range(298, 300), &[298]);
     }
 }

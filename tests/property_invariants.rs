@@ -16,7 +16,7 @@ use mcdbr::mcdb::ResultDistribution;
 use mcdbr::prng::Pcg64;
 use mcdbr::risk::value_at_risk;
 use mcdbr::storage::{
-    BufferPool, Column, DataType, Field, Mask, Page, Schema, SelVec, Table, Tuple, Value,
+    BufferPool, Column, DataType, Field, Mask, Page, Schema, Table, Tuple, Value,
 };
 use mcdbr::vg::Distribution;
 
@@ -254,8 +254,7 @@ fn rand_expr(g: &mut Gen, depth: usize, ints: bool) -> Expr {
 /// the row driver on every row (the same value bits, or both `Err`), the
 /// column driver on a random selection (it errors iff some selected row
 /// does; otherwise the selection it narrows to is exactly the rows the
-/// predicate keeps, each holding the referee's value), and `SelVec` selects
-/// exactly those rows.
+/// predicate keeps, each holding the referee's value).
 #[test]
 fn program_drivers_match_expr_eval_on_random_trees() {
     let schema = Schema::new(
@@ -334,14 +333,6 @@ fn program_drivers_match_expr_eval_on_random_trees() {
         }
         let rows_kept: Vec<u32> = (0..n).filter(|&i| sel.get(i)).map(|i| i as u32).collect();
         assert_eq!(rows_kept, kept, "{ctx}: the narrowed selection");
-        let sv = SelVec::from_mask(&sel);
-        assert_eq!(sv.indices(), &kept[..], "{ctx}");
-        let (lo, hi) = (g.usize_in(0, n + 1), g.usize_in(0, n + 1));
-        let (lo, hi) = (lo.min(hi), lo.max(hi));
-        let in_range: Vec<u32> = (kept.iter().copied())
-            .filter(|&i| (lo..hi).contains(&(i as usize)))
-            .collect();
-        assert_eq!(sv.slice_in_range(lo, hi), &in_range[..], "{ctx}");
     }
     // Both outcomes are common, so neither half of the contract is vacuous.
     assert!(
@@ -406,12 +397,11 @@ fn rand_pred(g: &mut Gen, names: &[&str], depth: usize) -> Expr {
 /// The column driver's predicate narrowing agrees with the scalar
 /// `eval_bool` row loop on every row of randomized numeric schemas — random
 /// lengths (crossing the 64-bit mask-word boundary), null densities, NaNs,
-/// and `Int64`/`Float64` mixes — and `SelVec::from_mask` selects exactly the
-/// rows the scalar path keeps.  A block errors iff some row's `eval_bool`
+/// and `Int64`/`Float64` mixes.  A block errors iff some row's `eval_bool`
 /// does; the test asserts blocks succeed on a healthy majority so the
 /// comparison cannot silently go vacuous.
 #[test]
-fn predicate_kernels_and_selvec_match_scalar_eval_row() {
+fn predicate_kernels_match_scalar_eval_row() {
     let names = ["a", "b", "c"];
     let schema = Schema::new(
         names
@@ -443,37 +433,13 @@ fn predicate_kernels_and_selvec_match_scalar_eval_row() {
             continue;
         }
         engaged += 1;
-        let mut scalar_rows = Vec::with_capacity(n);
+        let mut kept = 0;
         for (i, want) in want.into_iter().enumerate() {
             let want = want.unwrap_or_else(|e| panic!("case {case}: `{expr}` row {i}: {e:?}"));
             assert_eq!(mask.get(i), want, "case {case}: `{expr}` row {i}");
-            if want {
-                scalar_rows.push(i as u32);
-            }
+            kept += usize::from(want);
         }
-        let sel = SelVec::from_mask(&mask);
-        assert_eq!(
-            sel.indices(),
-            &scalar_rows[..],
-            "case {case}: `{expr}` selection vector diverged from the scalar filter"
-        );
-        assert_eq!(sel.len(), mask.count(), "case {case}");
-        // Range views agree with the naive range filter.
-        let (lo, hi) = {
-            let a = g.usize_in(0, n + 1);
-            let b = g.usize_in(0, n + 1);
-            (a.min(b), a.max(b))
-        };
-        let want_range: Vec<u32> = scalar_rows
-            .iter()
-            .copied()
-            .filter(|&i| (i as usize) >= lo && (i as usize) < hi)
-            .collect();
-        assert_eq!(
-            sel.slice_in_range(lo, hi),
-            &want_range[..],
-            "case {case}: slice_in_range({lo}, {hi})"
-        );
+        assert_eq!(mask.count(), kept, "case {case}");
     }
     assert!(
         engaged > CASES as u32 / 2,
@@ -597,10 +563,6 @@ fn mask_ops_match_naive_reference() {
             n - a.count(),
             "case {case}: trailing-word bits leaked into the complement count"
         );
-        // SelVec over the mask selects exactly the set rows, in order.
-        let sel = SelVec::from_mask(&a);
-        let want: Vec<u32> = (0..n as u32).filter(|&i| a_bits[i as usize]).collect();
-        assert_eq!(sel.indices(), &want[..], "case {case}: selvec");
     }
 }
 
