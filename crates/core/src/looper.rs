@@ -19,14 +19,35 @@
 //!   stream keys in vectors indexed by a dense seed *ordinal* — its rank in
 //!   ascending [`SeedId`] order, the sweep order.  One [`Program`],
 //!   compiled per run from the final predicate and the aggregate, evaluates
-//!   the affected Gibbs tuples straight from their columns, row at a time,
-//!   with `Expr::eval`'s semantics exactly.
+//!   the affected Gibbs tuples straight from their columns with
+//!   `Expr::eval`'s semantics exactly.
 //!   A join fans one stream out to many tuples (Appendix D: each order's
 //!   loss to its `g_i` lineitems), so each seed's tuples are grouped once
 //!   into *runs* of consecutive tuples whose program inputs are identical —
 //!   same stream cell, bitwise-equal constants — and the program runs once
 //!   per run, its value added once per tuple in tuple order, which keeps
 //!   every sum bit-identical to the per-tuple loop.
+//! * **A candidate costs a load and a compare** (App. A.2: the looper
+//!   decides "does this candidate keep the version above the cutoff?"
+//!   without re-running the query).  A seed is *separable* when every
+//!   program input of its runs is its own stream or a constant — every
+//!   Appendix D seed is — so its contribution to a version is a function
+//!   `c(pos)` of the one position assigned to it.  For such a seed the
+//!   looper keeps each version's current contribution beside the TS-seed's
+//!   assignment (cloned with it, overwritten by an accepted candidate), and
+//!   evaluates candidates a chunk of consecutive positions at a time with
+//!   the program's column driver, folding each run lane-wise in tuple
+//!   order so every position's sum is the row path's, bit for bit.  The
+//!   sampler then scans the chunk: the old contribution is a load and each
+//!   candidate an add and a compare.  A chunk stops at its stream segment,
+//!   so replenishment happens where it always did; where the column driver
+//!   errs on a chunk, its positions take the row path one at a time, so an
+//!   error is raised only by a position the sampler consumes.  A seed that
+//!   is not separable (a tuple reading two streams, as in salary
+//!   inversion) recomputes both contributions row at a time, since another
+//!   seed's update may have moved them.  The initial per-version
+//!   aggregates (App. A.1) and contributions are lanes over positions
+//!   `0..n`, which the identity mapping assigns.
 //! * **Replenishment** (§9): every stream carries its own finite
 //!   materialized range (§6).  One full-width block seeds every stream;
 //!   when the rejection sampler needs a position beyond *one* stream's
@@ -56,15 +77,17 @@
 //! looper per group (Appendix A, footnote 4); the plan must have a cacheable
 //! deterministic prefix, which only `Split` over a random column lacks.
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use mcdbr_exec::program::Lane;
 use mcdbr_exec::{
     AggFunc, BundleValue, CellCols, ExecBackend, ExecSession, InProcessBackend, Program,
     SessionCache, ShardStats, TupleBundle,
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{Catalog, Error, Result, Schema, Value};
+use mcdbr_storage::{Catalog, Column, Error, Mask, Result, Schema, Value};
 
 use crate::gibbs::GibbsStats;
 use crate::params::{optimal_m, staged_parameters_with_m, StagedParameters};
@@ -328,11 +351,18 @@ impl GibbsLooper {
         }
         let mut seeds = Seeds::new(&bundles, program.slots(), &keys, n, block as u64)?;
 
-        // ===== Initial per-version aggregates (App. A.1). =====
+        // ===== Initial per-version aggregates (App. A.1), and each separable
+        // seed's contribution to them: under the identity mapping version
+        // `v` reads position `v` of every stream, so both are lanes over
+        // positions `0..n`.
         let mut num_versions = n;
         let all = runs(&bundles, program.slots(), 0..bundles.len());
-        let mut version_aggregates: Vec<f64> = (0..num_versions)
-            .map(|v| seeds.contribution(&program, &bundles, &all, v, None))
+        let mut version_aggregates = seeds.initial(&program, &bundles, &all, n)?;
+        seeds.current = (0..seeds.ts.len())
+            .map(|ord| match seeds.separable[ord] {
+                true => seeds.initial(&program, &bundles, &seeds.runs[ord], n),
+                false => Ok(Vec::new()),
+            })
             .collect::<Result<_>>()?;
 
         let mut cutoffs = Vec::with_capacity(m);
@@ -369,11 +399,15 @@ impl GibbsLooper {
             let elites: Vec<usize> = order[..elite_count].to_vec();
 
             // CLONE up to the next stage's size by copying TS-seed assignment
-            // columns (App. A.2 / Fig. 4(b)).
+            // columns (App. A.2 / Fig. 4(b)), and the contributions cached
+            // beside them.
             let next_size = if step + 1 == m { l } else { n };
             let sources: Vec<usize> = (0..next_size).map(|i| elites[i % elites.len()]).collect();
             for ts in &mut seeds.ts {
                 ts.reassign_from(&sources);
+            }
+            for current in seeds.current.iter_mut().filter(|c| !c.is_empty()) {
+                *current = sources.iter().map(|&s| current[s]).collect();
             }
             version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
             num_versions = next_size;
@@ -381,16 +415,30 @@ impl GibbsLooper {
             // Gibbs perturbation, seed-major (§7), k sweeps (k = 1 suffices).
             for _ in 0..self.config.k {
                 for ord in 0..seeds.ts.len() {
-                    let runs = &seeds.runs[ord];
+                    let separable = seeds.separable[ord];
+                    // Candidates an update has taken so far: what sizes a
+                    // separable seed's chunks.
+                    let candidates = gibbs.accepted + gibbs.rejected + 1;
+                    let per_version = candidates as f64 / (gibbs.accepted + 1) as f64;
                     for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
-                        // Passing the assigned position as the candidate
-                        // spares each tuple a TS-seed lookup.
-                        let assigned = Some((ord, seeds.ts[ord].assignment[v]));
-                        let old_contribution =
-                            seeds.contribution(&program, &bundles, runs, v, assigned)?;
+                        let want = ((num_versions - v) as f64 * per_version) as u64;
+                        // A separable seed's contribution is a load; any
+                        // other seed's depends on the other seeds its tuples
+                        // read, which may have moved since (passing the
+                        // assigned position as the candidate spares each
+                        // tuple a TS-seed lookup).
+                        let old_contribution = match separable {
+                            true => seeds.current[ord][v],
+                            false => {
+                                let assigned = Some((ord, seeds.ts[ord].assignment[v]));
+                                let runs = &seeds.runs[ord];
+                                seeds.contribution(&program, &bundles, runs, v, assigned)?
+                            }
+                        };
                         let mut candidates_tried = 0u64;
                         loop {
-                            if candidates_tried >= self.config.max_candidates {
+                            let budget = self.config.max_candidates - candidates_tried;
+                            if budget == 0 {
                                 gibbs.exhausted += 1;
                                 break;
                             }
@@ -406,27 +454,33 @@ impl GibbsLooper {
                                 )?;
                                 replenishments += 1;
                             }
-                            let new_contribution = seeds.contribution(
-                                &program,
-                                &bundles,
-                                runs,
-                                v,
-                                Some((ord, pos)),
-                            )?;
-                            let new_aggregate = *aggregate - old_contribution + new_contribution;
-                            candidates_tried += 1;
+                            // The contributions at `pos` and the positions
+                            // after it, tried in order until one keeps the
+                            // version at or above the cutoff.
+                            let next = seeds.candidates(&program, &bundles, ord, v, pos, want)?;
+                            let next = &next[..next.len().min(budget as usize)];
+                            let hit = next
+                                .iter()
+                                .position(|&c| *aggregate - old_contribution + c >= cutoff)
+                                .map(|i| (i, next[i]));
+                            let tried = hit.map_or(next.len(), |(i, _)| i + 1) as u64;
+                            candidates_tried += tried;
                             let ts = &mut seeds.ts[ord];
-                            if new_aggregate >= cutoff {
-                                ts.assign(v, pos);
-                                *aggregate = new_aggregate;
+                            if let Some((i, new_contribution)) = hit {
+                                ts.assign(v, pos + i as u64);
+                                if separable {
+                                    seeds.current[ord][v] = new_contribution;
+                                }
+                                *aggregate = *aggregate - old_contribution + new_contribution;
                                 gibbs.accepted += 1;
+                                gibbs.rejected += tried - 1;
                                 break;
                             }
-                            // The candidate is consumed even though it was
-                            // rejected (Fig. 3: the rejected 3.24 / 3.68 are
-                            // never revisited).
-                            ts.max_used = ts.max_used.max(pos);
-                            gibbs.rejected += 1;
+                            // The candidates are consumed even though they
+                            // were rejected (Fig. 3: the rejected 3.24 / 3.68
+                            // are never revisited).
+                            ts.max_used = ts.max_used.max(pos + tried - 1);
+                            gibbs.rejected += tried;
                         }
                     }
                 }
@@ -545,6 +599,14 @@ fn runs(
     runs
 }
 
+/// The most stream positions one chunk of a separable seed's candidate
+/// contributions covers.  A chunk is sized to the candidates the seed is
+/// expected to try in the rest of its sweep, plus an eighth (see
+/// [`Seeds::candidates`]), so most seeds compute one chunk a sweep and
+/// leave few of its positions unconsumed; the cap bounds the scratch when
+/// acceptance collapses.
+const MAX_CHUNK: u64 = 4096;
+
 /// The looper's TS-seed state, indexed by seed *ordinal*: a seed's rank in
 /// ascending [`SeedId`] order, which is the seed-major sweep order (§7).
 struct Seeds {
@@ -562,8 +624,43 @@ struct Seeds {
     /// [`runs`].
     runs: Vec<Vec<Run>>,
     /// `ords[b * slots + s]`: the ordinal behind Gibbs tuple `b`'s input to
-    /// program slot `s` (unused where that input is a constant).
+    /// program slot `s` (`usize::MAX` where that input is a constant).
     ords: Vec<usize>,
+    /// Whether each ordinal is *separable*: every program input of its
+    /// runs is its own stream or a constant, so its contribution to a
+    /// version is a function of the position assigned to it alone.
+    separable: Vec<bool>,
+    /// Each separable ordinal's contribution to each version at its
+    /// assigned position (empty for any other ordinal).
+    current: Vec<Vec<f64>>,
+    /// The last chunk of candidate contributions computed, for whichever
+    /// separable ordinal asked last.
+    chunk: Chunk,
+}
+
+/// A separable ordinal's contributions `c(pos)` at stream positions
+/// `start..end`, all in one segment of its stream (the initial block or
+/// one window).
+#[derive(Debug, Default)]
+struct Chunk {
+    ord: usize,
+    start: u64,
+    end: u64,
+    /// `c(start + i)` in `lanes.totals` if `ok`; else the column driver
+    /// erred somewhere in the chunk, whose positions then take the row
+    /// path one at a time.
+    lanes: Lanes,
+    ok: bool,
+    /// The last contribution the row path computed for a candidate.
+    row: f64,
+}
+
+/// The column driver's scratch ([`Seeds::lanes`]): the contributions it
+/// folds, and the selection each run's program narrows.
+#[derive(Debug, Default)]
+struct Lanes {
+    totals: Vec<f64>,
+    sel: Mask,
 }
 
 impl Seeds {
@@ -577,7 +674,10 @@ impl Seeds {
         versions: usize,
         materialized: u64,
     ) -> Result<Self> {
-        let mut seeds: Vec<SeedId> = bundles.iter().flat_map(TupleBundle::seeds).collect();
+        let mut seeds: Vec<SeedId> = bundles
+            .iter()
+            .flat_map(|b| b.values.iter().filter_map(BundleValue::seed))
+            .collect();
         seeds.sort_unstable();
         seeds.dedup();
         if seeds.is_empty() {
@@ -587,13 +687,17 @@ impl Seeds {
             ));
         }
         let ord = |seed: SeedId| seeds.binary_search(&seed).expect("collected above");
-        let mut affected = vec![Vec::new(); seeds.len()];
+        let mut affected: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
         for (idx, bundle) in bundles.iter().enumerate() {
-            for seed in bundle.seeds() {
-                affected[ord(seed)].push(idx);
+            for seed in bundle.values.iter().filter_map(BundleValue::seed) {
+                // A bundle reading one stream twice is one tuple of it.
+                let tuples = &mut affected[ord(seed)];
+                if tuples.last() != Some(&idx) {
+                    tuples.push(idx);
+                }
             }
         }
-        let ords = bundles
+        let ords: Vec<usize> = bundles
             .iter()
             .flat_map(|b| {
                 slots
@@ -605,6 +709,20 @@ impl Seeds {
             let at = keys.binary_search_by_key(seed, |&(s, _)| s);
             keys[at.expect("the skeleton's active keys cover every bundle stream")].1
         };
+        let runs: Vec<Vec<Run>> = affected
+            .into_iter()
+            .map(|a| runs(bundles, slots, a))
+            .collect();
+        let width = slots.len();
+        let separable = (runs.iter().enumerate())
+            .map(|(o, runs)| {
+                let own = |&(b, _): &Run| {
+                    let inputs = &ords[b * width..(b + 1) * width];
+                    inputs.iter().all(|&i| i == o || i == usize::MAX)
+                };
+                runs.iter().all(own)
+            })
+            .collect();
         Ok(Seeds {
             ts: seeds
                 .iter()
@@ -613,18 +731,43 @@ impl Seeds {
             keys: seeds.iter().map(key).collect(),
             windows: seeds.iter().map(|_| Vec::new()).collect(),
             block: materialized,
-            runs: affected
-                .into_iter()
-                .map(|a| runs(bundles, slots, a))
-                .collect(),
+            runs,
             ords,
+            separable,
+            current: Vec::new(),
+            chunk: Chunk::default(),
         })
+    }
+
+    /// The column holding stream position `pos` of the cell whose initial
+    /// block is `values` (ordinal `ord`, VG output `(row, col)`), and the
+    /// position's index in it.
+    fn cell<'a>(
+        &'a self,
+        ord: usize,
+        values: &'a Column,
+        (row, col): (usize, usize),
+        pos: u64,
+    ) -> (&'a Column, usize) {
+        if pos < self.block {
+            return (values, pos as usize);
+        }
+        let k = (pos / self.block).ilog2();
+        // Each window's VG rows are checked against the skeleton probe, as
+        // the initial block's were.
+        let cell = self.windows[ord][k as usize]
+            .cell(row, col)
+            .expect("a window has the initial block's VG shape");
+        (cell, (pos - (self.block << k)) as usize)
     }
 
     /// The contribution of the Gibbs tuples in `runs` to DB version `v`'s
     /// aggregate, with ordinal `cand.0` at candidate position `cand.1` if
     /// given: one program run per run, its value added once per tuple from
-    /// `0.0` in tuple order — the per-tuple sum, bit for bit.
+    /// `0.0` in tuple order — the per-tuple sum, bit for bit.  The row
+    /// path: what a seed that is not separable evaluates for every old and
+    /// candidate contribution, and a separable one only where the column
+    /// driver erred on a chunk ([`Seeds::lanes`]).
     fn contribution(
         &self,
         program: &Program,
@@ -649,16 +792,8 @@ impl Seeds {
                         Some((o, pos)) if o == ord => pos,
                         _ => self.ts[ord].assignment[v],
                     };
-                    if pos < self.block {
-                        return values.value_at(pos as usize);
-                    }
-                    let k = (pos / self.block).ilog2();
-                    // Each window's VG rows are checked against the
-                    // skeleton probe, as the initial block's were.
-                    let cell = self.windows[ord][k as usize]
-                        .cell(*vg_row, *vg_col)
-                        .expect("a window has the initial block's VG shape");
-                    cell.value_at((pos - (self.block << k)) as usize)
+                    let (col, i) = self.cell(ord, values, (*vg_row, *vg_col), pos);
+                    col.value_at(i)
                 }
                 constant => constant.value_at(0),
             };
@@ -670,6 +805,143 @@ impl Seeds {
         }
         Ok(total)
     }
+
+    /// [`Seeds::contribution`] at every stream position of `range` at once,
+    /// every input read at the same position, into `out.totals`: each run's
+    /// program runs once over the range on the column driver, and its value
+    /// is added once per tuple, runs in tuple order, so each position's sum
+    /// is the row path's additions in the row path's order.  Every input
+    /// must hold `range` in one segment (the initial block or one window).
+    /// Errs where the column driver does; which error is the row path's to
+    /// say.
+    fn lanes(
+        &self,
+        program: &Program,
+        bundles: &[TupleBundle],
+        runs: &[Run],
+        range: Range<u64>,
+        out: &mut Lanes,
+    ) -> Result<()> {
+        let n = (range.end - range.start) as usize;
+        let width = program.slots().len();
+        let Lanes { totals, sel } = out;
+        totals.clear();
+        totals.resize(n, 0.0);
+        for &(b, len) in runs {
+            let ords = &self.ords[b * width..(b + 1) * width];
+            sel.fill_with(n, |_| true);
+            let lane = program.eval_block(sel, |slot| {
+                Ok(match &bundles[b].values[program.slots()[slot]] {
+                    BundleValue::Random {
+                        vg_row,
+                        vg_col,
+                        values,
+                        ..
+                    } => {
+                        let cell = (*vg_row, *vg_col);
+                        let (col, i) = self.cell(ords[slot], values, cell, range.start);
+                        Lane::column_range(col, i..i + n)
+                    }
+                    constant => Lane::constant(constant.value_at(0)),
+                })
+            })?;
+            for (i, total) in totals.iter_mut().enumerate() {
+                if sel.get(i) {
+                    let x = match lane.value_at(i) {
+                        Value::Float64(x) => x,
+                        other => other.as_f64()?,
+                    };
+                    for _ in 0..len {
+                        *total += x;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The contribution of the Gibbs tuples in `runs` to each of the first
+    /// `versions` identity-mapped versions (App. A.1: version `v` reads
+    /// position `v` of every stream): [`Seeds::lanes`] over `0..versions`,
+    /// or the row path version by version, raising its error, where the
+    /// column driver errs.
+    fn initial(
+        &self,
+        program: &Program,
+        bundles: &[TupleBundle],
+        runs: &[Run],
+        versions: usize,
+    ) -> Result<Vec<f64>> {
+        let mut out = Lanes::default();
+        match self.lanes(program, bundles, runs, 0..versions as u64, &mut out) {
+            Ok(()) => Ok(out.totals),
+            Err(_) => (0..versions)
+                .map(|v| self.contribution(program, bundles, runs, v, None))
+                .collect(),
+        }
+    }
+
+    /// Ordinal `ord`'s contributions to version `v` at candidate position
+    /// `pos` and, for a separable ordinal, the positions after it that the
+    /// last chunk of [`Seeds::lanes`] holds.  A position outside that chunk
+    /// starts a new one there: about `want` positions (at most
+    /// [`MAX_CHUNK`]), never past the segment holding `pos`, hence never past
+    /// the stream's materialized range, so replenishment stays exactly where
+    /// the rejection sampler asks for it.  Any other ordinal, and a chunk
+    /// the column driver erred on, yields `pos` alone from the row path, so
+    /// only a position the sampler consumes can raise an error, and it
+    /// raises the row path's.
+    fn candidates(
+        &mut self,
+        program: &Program,
+        bundles: &[TupleBundle],
+        ord: usize,
+        v: usize,
+        pos: u64,
+        want: u64,
+    ) -> Result<&[f64]> {
+        if self.separable[ord] {
+            let chunk = &self.chunk;
+            if chunk.ord != ord || !(chunk.start..chunk.end).contains(&pos) {
+                self.fill(program, bundles, ord, pos, want);
+            }
+            if self.chunk.ok {
+                return Ok(&self.chunk.lanes.totals[(pos - self.chunk.start) as usize..]);
+            }
+        }
+        let cand = Some((ord, pos));
+        self.chunk.row = self.contribution(program, bundles, &self.runs[ord], v, cand)?;
+        Ok(std::slice::from_ref(&self.chunk.row))
+    }
+
+    /// Make the chunk separable ordinal `ord`'s from `pos` (see
+    /// [`Seeds::candidates`]).
+    fn fill(
+        &mut self,
+        program: &Program,
+        bundles: &[TupleBundle],
+        ord: usize,
+        pos: u64,
+        want: u64,
+    ) {
+        let segment_end = match pos < self.block {
+            true => self.block,
+            false => self.block << ((pos / self.block).ilog2() + 1),
+        };
+        let len = (want + want / 8 + 8).clamp(16, MAX_CHUNK);
+        // `pos` is below `high`, so its segment ends at or before it.
+        let end = (pos + len).min(segment_end);
+        let mut lanes = std::mem::take(&mut self.chunk.lanes);
+        let ok = (self.lanes(program, bundles, &self.runs[ord], pos..end, &mut lanes)).is_ok();
+        self.chunk = Chunk {
+            ord,
+            start: pos,
+            end,
+            lanes,
+            ok,
+            row: 0.0,
+        };
+    }
 }
 
 #[cfg(test)]
@@ -679,7 +951,7 @@ mod tests {
     use mcdbr_exec::{AggregateSpec, Expr, PlanNode};
     use mcdbr_storage::{Field, Schema as StorageSchema, TableBuilder, Value};
     use mcdbr_vg::math::std_normal_quantile;
-    use mcdbr_vg::NormalVg;
+    use mcdbr_vg::{DiscreteVg, NormalVg};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -1350,6 +1622,192 @@ mod tests {
         (catalog, query)
     }
 
+    /// `SUM(aggregand)` over customers `cid` with mean `m`, each with an
+    /// `Int64` count `k` drawn from 0..=3: 0 with weight `zero`, every other
+    /// count with weight 1.
+    fn counts(means: &[f64], zero: f64, aggregand: Expr) -> (Catalog, MonteCarloQuery) {
+        let plan = PlanNode::random_table(scalar_random_table(
+            "counts",
+            "means",
+            Arc::new(DiscreteVg::new((0..4).map(Value::Int64).collect())),
+            [zero, 1.0, 1.0, 1.0].map(Expr::lit).to_vec(),
+            &["cid", "m"],
+            "k",
+            5,
+        ));
+        let query = MonteCarloQuery::new(plan, AggregateSpec::sum(aggregand, "total"));
+        (catalog(means), query)
+    }
+
+    /// The looper's state after its set-up and before any sweep, under
+    /// `master`, over an initial block of `block` positions.
+    fn set_up(
+        query: &MonteCarloQuery,
+        catalog: &Catalog,
+        master: u64,
+        (block, versions): (usize, usize),
+    ) -> (ExecSession, Program, Vec<TupleBundle>, Seeds) {
+        let mut session = ExecSession::prepare(&query.plan, catalog, master).unwrap();
+        let active = session.prefix().unwrap().skeleton().active_keys();
+        let mut keys: Vec<_> = active.iter().map(|&k| (k.bind(master), k)).collect();
+        keys.sort_unstable_by_key(|&(seed, _)| seed);
+        let set = session.instantiate_block(catalog, 0, block).unwrap();
+        let value = (query.aggregate.func == AggFunc::Sum).then_some(&query.aggregate.expr);
+        let program = Program::compile(&set.schema, query.final_predicate.as_ref(), value);
+        let seeds = Seeds::new(&set.bundles, program.slots(), &keys, versions, block as u64);
+        (session, program, set.bundles, seeds.unwrap())
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The column driver's contributions equal the row path's bit for bit:
+    /// the initial per-version aggregates and per-seed contributions, and
+    /// every separable seed's chunks from every position of its initial
+    /// block and of one window, in chunks of many lengths.
+    #[test]
+    fn chunk_contributions_equal_the_row_path() {
+        let w = mcdbr_workloads::TpchWorkload::generate(mcdbr_workloads::TpchConfig::test_scale())
+            .unwrap();
+        let losses = catalog(&[3.0, 4.0, 5.0]);
+        let filtered = losses_query().with_final_predicate(Expr::col("val").gt(Expr::lit(3.5)));
+        let (items, weighted) = weighted_fanout();
+        let (counts, int64) = counts(&[1.0, 2.0], 0.5, Expr::col("k").mul(Expr::lit(3i64)));
+        let shapes = [
+            (&w.catalog, w.total_loss_query()),
+            (&items, weighted),
+            (&losses, filtered),
+            (&counts, int64),
+        ];
+        for (catalog, query) in &shapes {
+            let (block, versions) = (64, 16);
+            let (mut session, program, bundles, mut seeds) =
+                set_up(query, catalog, 7, (block, versions));
+            let row = |seeds: &Seeds, runs: &[Run], v, cand| {
+                let c = seeds.contribution(&program, &bundles, runs, v, cand);
+                c.unwrap()
+            };
+            let all = runs(&bundles, program.slots(), 0..bundles.len());
+            let want: Vec<f64> = (0..versions).map(|v| row(&seeds, &all, v, None)).collect();
+            let got = seeds.initial(&program, &bundles, &all, versions).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{query:?}");
+            for ord in 0..seeds.ts.len() {
+                assert!(seeds.separable[ord], "{query:?}");
+                let runs = seeds.runs[ord].clone();
+                let want: Vec<f64> = (0..versions).map(|v| row(&seeds, &runs, v, None)).collect();
+                let got = seeds.initial(&program, &bundles, &runs, versions).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{query:?} ordinal {ord}");
+                let ts = &mut seeds.ts[ord];
+                GibbsLooper::replenish(&mut session, seeds.keys[ord], ts, &mut seeds.windows[ord])
+                    .unwrap();
+                let mut pos = 0;
+                while pos < seeds.ts[ord].high {
+                    let want = pos % 97;
+                    let got = (seeds.candidates(&program, &bundles, ord, 0, pos, want))
+                        .unwrap()
+                        .to_vec();
+                    let chunk = &seeds.chunk;
+                    assert!(chunk.ok && chunk.end <= seeds.ts[ord].high, "{query:?}");
+                    let at = |p| row(&seeds, &runs, 0, Some((ord, p)));
+                    let want: Vec<f64> = (pos..chunk.end).map(at).collect();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{query:?} ordinal {ord} from {pos}"
+                    );
+                    pos = chunk.end;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seed_is_separable_when_its_tuples_read_no_other_stream() {
+        let w = mcdbr_workloads::TpchWorkload::generate(mcdbr_workloads::TpchConfig::test_scale())
+            .unwrap();
+        let (.., seeds) = set_up(&w.total_loss_query(), &w.catalog, 7, (8, 4));
+        assert!(!seeds.separable.is_empty() && seeds.separable.iter().all(|&s| s));
+        // Every salary-inversion tuple reads a boss's and a peon's salary.
+        let (catalog, query) = salary_inversion();
+        let (.., seeds) = set_up(&query, &catalog, 7, (8, 4));
+        assert_eq!(seeds.separable, vec![false; 4]);
+    }
+
+    /// `SUM(m / k)` errs where `k = 0`.  A chunk holding such a position
+    /// falls back to the row path one position at a time: each position
+    /// before it yields its contribution, and it yields the row path's
+    /// error.
+    #[test]
+    fn an_erring_chunk_takes_the_row_path_position_by_position() {
+        let (catalog, query) = counts(&[1.0, 2.0, 3.0], 0.2, Expr::col("m").div(Expr::col("k")));
+        let (_, program, bundles, mut seeds) = set_up(&query, &catalog, 7, (256, 4));
+        let mut fell_back = 0;
+        for ord in 0..seeds.ts.len() {
+            let runs = seeds.runs[ord].clone();
+            let row =
+                |seeds: &Seeds, p| seeds.contribution(&program, &bundles, &runs, 0, Some((ord, p)));
+            let Some(q) = (0..256)
+                .find(|&p| row(&seeds, p).is_err())
+                .filter(|&q| q > 0)
+            else {
+                continue;
+            };
+            for p in 0..q {
+                let got = seeds
+                    .candidates(&program, &bundles, ord, 0, p, q + 8)
+                    .unwrap();
+                assert_eq!(bits(got), bits(&[row(&seeds, p).unwrap()]), "position {p}");
+                let chunk = &seeds.chunk;
+                assert!(!chunk.ok && chunk.start == 0 && chunk.end > q);
+            }
+            let err = seeds
+                .candidates(&program, &bundles, ord, 0, q, 1)
+                .unwrap_err();
+            assert_eq!(err, row(&seeds, q).unwrap_err());
+            fell_back += 1;
+        }
+        assert!(fell_back > 0);
+    }
+
+    /// End to end, `SUM(m / k)` over one customer matches the scalar
+    /// referee: the same samples when no consumed position errs — also
+    /// when an erring one lies in a chunk past the last position consumed
+    /// — and the same error when a candidate that errs is consumed.
+    #[test]
+    fn erring_positions_raise_only_when_consumed() {
+        let (catalog, query) = counts(&[2.0], 0.15, Expr::col("m").div(Expr::col("k")));
+        let (mut unconsumed, mut consumed) = (0, 0);
+        for master in 0..64 {
+            // A few positions consumed a step, and chunks of at least 16.
+            let config = TailSamplingConfig::new(0.5, 2, 4)
+                .with_m(2)
+                .with_block_size(1000)
+                .with_master_seed(master);
+            let looper = GibbsLooper::new(query.clone(), config);
+            let want = referee::run(&looper, &catalog);
+            match looper.sample(&catalog) {
+                Ok((got, seeds, _)) => {
+                    let want = want.unwrap();
+                    assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples));
+                    assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs));
+                    assert_eq!(got.gibbs, want.gibbs);
+                    // One seed, so the last chunk is its own.
+                    unconsumed += usize::from(!seeds.chunk.ok);
+                }
+                Err(err) => {
+                    assert_eq!(err, want.unwrap_err(), "master {master}");
+                    // Past the initial aggregates: a consumed candidate.
+                    let n = looper.config.staged().n_per_step;
+                    let (_, program, bundles, seeds) = set_up(&query, &catalog, master, (n, n));
+                    let all = runs(&bundles, program.slots(), 0..bundles.len());
+                    consumed += usize::from(seeds.initial(&program, &bundles, &all, n).is_ok());
+                }
+            }
+        }
+        assert!(unconsumed > 0 && consumed > 0, "{unconsumed} / {consumed}");
+    }
+
     /// The scalar loop the compiled one replaced, kept as its referee: TS-seeds
     /// in a `BTreeMap` swept in key order, every affected Gibbs tuple boxed into
     /// a `Vec<Value>` version row and read by the `Expr` interpreter, stream
@@ -1386,7 +1844,11 @@ mod tests {
             let mut ts_seeds: BTreeMap<SeedId, TsSeed> = BTreeMap::new();
             let mut seed_to_bundles: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
             for (idx, bundle) in bundles.iter().enumerate() {
-                for seed in bundle.seeds() {
+                let mut seeds: Vec<SeedId> =
+                    bundle.values.iter().filter_map(BundleValue::seed).collect();
+                seeds.sort_unstable();
+                seeds.dedup();
+                for seed in seeds {
                     ts_seeds
                         .entry(seed)
                         .or_insert_with(|| TsSeed::new(seed, n, block as u64));

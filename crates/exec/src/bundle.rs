@@ -195,16 +195,6 @@ impl TupleBundle {
         self.values.iter().all(BundleValue::is_const)
     }
 
-    /// The distinct seeds referenced by this bundle's random attributes, in
-    /// increasing order.  The smallest of these is the bundle's initial sort
-    /// key in the GibbsLooper priority queue (paper §7).
-    pub fn seeds(&self) -> Vec<SeedId> {
-        let mut seeds: Vec<SeedId> = self.values.iter().filter_map(BundleValue::seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        seeds
-    }
-
     /// Whether the bundle is present in repetition `rep`.
     pub fn is_present(&self, rep: usize) -> bool {
         match &self.is_pres {
@@ -277,14 +267,6 @@ impl BundleSet {
     pub fn is_empty(&self) -> bool {
         self.bundles.is_empty()
     }
-
-    /// All distinct seeds referenced across bundles, in increasing order.
-    pub fn seeds(&self) -> Vec<SeedId> {
-        let mut seeds: Vec<SeedId> = self.bundles.iter().flat_map(|b| b.seeds()).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        seeds
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +288,7 @@ mod tests {
         let b = TupleBundle::constant(vec![Value::Int64(1), Value::str("Sue")]);
         assert!(b.is_fully_const());
         assert_eq!(b.arity(), 2);
-        assert!(b.seeds().is_empty());
+        assert!(b.values.iter().all(|v| v.seed().is_none()));
         assert!(b.is_present(0) && b.is_present(99));
         assert_eq!(b.row_at(5), vec![Value::Int64(1), Value::str("Sue")]);
     }
@@ -321,25 +303,11 @@ mod tests {
             is_pres: None,
         };
         assert!(!b.is_fully_const());
-        assert_eq!(b.seeds(), vec![17]);
         assert_eq!(b.row_at(1), vec![Value::str("Joe"), Value::Float64(3.26)]);
         assert_eq!(b.values[1].materialized_len(), Some(4));
         assert_eq!(b.values[0].materialized_len(), None);
         assert_eq!(b.values[1].seed(), Some(17));
         assert_eq!(b.values[0].seed(), None);
-    }
-
-    #[test]
-    fn seeds_are_sorted_and_deduped() {
-        let b = TupleBundle {
-            values: vec![
-                random_attr(30, vec![1.0]),
-                random_attr(10, vec![2.0]),
-                random_attr(30, vec![3.0]),
-            ],
-            is_pres: None,
-        };
-        assert_eq!(b.seeds(), vec![10, 30]);
     }
 
     #[test]
@@ -386,7 +354,11 @@ mod tests {
             ],
             num_reps: 1,
         };
-        assert_eq!(set.seeds(), vec![2, 5]);
+        let seeds = set.bundles.iter().flat_map(|b| &b.values);
+        assert_eq!(
+            seeds.filter_map(BundleValue::seed).collect::<Vec<_>>(),
+            [5, 2]
+        );
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
     }

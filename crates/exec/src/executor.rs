@@ -521,7 +521,8 @@ mod tests {
             .unwrap();
         assert_eq!(set.len(), 3);
         assert_eq!(set.schema.names(), vec!["cid", "val"]);
-        assert_eq!(set.seeds().len(), 3);
+        let seeds = set.bundles.iter().filter_map(|b| b.values[1].seed());
+        assert_eq!(seeds.collect::<std::collections::BTreeSet<_>>().len(), 3);
         assert_eq!(exec.streams_registered(), 3);
         for bundle in &set.bundles {
             assert!(bundle.values[0].is_const());

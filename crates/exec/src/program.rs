@@ -415,7 +415,7 @@ impl<'a> Lane<'a> {
 
     /// The rows `range` of `col`, renumbered from 0; a typed buffer is
     /// borrowed, strings are boxed.
-    pub(crate) fn column_range(col: &'a Column, range: Range<usize>) -> Self {
+    pub fn column_range(col: &'a Column, range: Range<usize>) -> Self {
         let rows = match col.data() {
             ColumnData::Untyped => Rows::K(Value::Null),
             ColumnData::Float64(v) => Rows::F(Cow::Borrowed(&v[range.clone()])),

@@ -1877,7 +1877,6 @@ mod tests {
         let mut session = ExecSession::prepare(&PlanNode::scan("means"), &catalog, 9).unwrap();
         let block = session.instantiate_block(&catalog, 0, 4).unwrap();
         assert_eq!(block.len(), 3);
-        assert!(block.seeds().is_empty());
         assert_eq!(session.prefix().unwrap().num_streams(), 0);
         assert!(block.bundles.iter().all(|b| b.is_fully_const()));
     }

@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(ShardTask::plan(prefix, 4, 0, 3).len(), 1);
         let block = sharded_block(prefix, &pool, 4, 4, 0, 3);
         assert_eq!(block.len(), 4);
-        assert!(block.seeds().is_empty());
+        assert!(block.bundles.iter().all(|b| b.is_fully_const()));
     }
 
     #[test]

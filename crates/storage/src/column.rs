@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crate::codec::{put_count, DecodeError, DecodeResult, Reader};
 use crate::error::{Error, Result};
-use crate::selvec::Mask;
+use crate::mask::Mask;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 
@@ -84,7 +84,7 @@ impl NullBitmap {
         if !self.any {
             return Mask::zeros(len);
         }
-        let mut words = vec![0u64; crate::selvec::words_for(len)];
+        let mut words = vec![0u64; crate::mask::words_for(len)];
         for (dst, src) in words.iter_mut().zip(&self.words) {
             *dst = *src;
         }

@@ -40,10 +40,10 @@ pub mod codec;
 pub mod column;
 pub mod error;
 pub mod heapfile;
+pub mod mask;
 pub mod page;
 pub mod pager;
 pub mod schema;
-pub mod selvec;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -54,10 +54,10 @@ pub use codec::{DecodeError, DecodeResult, Reader};
 pub use column::{Column, ColumnBlock, ColumnData, NullBitmap, Utf8Column};
 pub use error::{Error, Result};
 pub use heapfile::HeapFile;
+pub use mask::{CmpOp, Mask};
 pub use page::{Page, PAGE_BYTES};
 pub use pager::{DiskCounters, Pager, PagerStats};
 pub use schema::{Field, Schema};
-pub use selvec::{CmpOp, Mask};
 pub use table::{Table, TableBuilder, TableIter};
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

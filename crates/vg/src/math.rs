@@ -102,7 +102,13 @@ pub fn std_normal_quantile(p: f64) -> f64 {
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     };
 
-    // One Halley refinement step.
+    // One Halley refinement step.  It makes the quantile *less* accurate:
+    // against `statistics.NormalDist().inv_cdf` (Python), Acklam's
+    // approximation above is within 3.9e-9, but the step corrects it
+    // through `std_normal_cdf`, whose `erf` is good to only 1.2e-7, and its
+    // maximum error is 1.04e-7.  It stays because removing it would change
+    // every Normal variate; ROADMAP's Normal-sampler item replaces both at
+    // once.
     let e = std_normal_cdf(x) - p;
     let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
     x - u / (1.0 + x * u / 2.0)
