@@ -16,16 +16,16 @@
 //!   Gibbs updates.  This is the reference implementation that the
 //!   database-level Gibbs Looper is validated against.
 //! * [`ts_seed`] — TS-seeds (paper §6): the PRNG seed plus the bookkeeping
-//!   that maps each DB version to its currently assigned stream position,
-//!   tracks the materialized range, and records the highest position ever
-//!   used by the rejection sampler.
+//!   that maps each DB version to its currently assigned stream position
+//!   and records the highest position ever used by the rejection sampler.
 //! * [`looper`] — the `GibbsLooper` operator (paper §7 and Appendix A): runs
 //!   an aggregation-query plan once over Gibbs tuples, then performs the
 //!   bootstrapped purge/clone/perturb iterations seed-major (amortizing data
 //!   access exactly as the paper's disk-based priority queue does), pulling
-//!   up multi-stream selection predicates, re-running the plan when a stream
-//!   block is exhausted (§9), and finally emitting `l` samples from the tail
-//!   together with the extreme-quantile estimate.
+//!   up multi-stream selection predicates, drawing one stream's values by
+//!   position past the initial block instead of re-running the plan (§9),
+//!   and finally emitting `l` samples from the tail together with the
+//!   extreme-quantile estimate.
 
 #![warn(missing_docs)]
 

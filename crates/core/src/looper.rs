@@ -39,36 +39,31 @@
 //!   the program's column driver, folding each run lane-wise in tuple
 //!   order so every position's sum is the row path's, bit for bit.  The
 //!   sampler then scans the chunk: the old contribution is a load and each
-//!   candidate an add and a compare.  A chunk stops at its stream segment,
-//!   so replenishment happens where it always did; where the column driver
-//!   errs on a chunk, its positions take the row path one at a time, so an
-//!   error is raised only by a position the sampler consumes.  A seed that
-//!   is not separable (a tuple reading two streams, as in salary
-//!   inversion) recomputes both contributions row at a time, since another
-//!   seed's update may have moved them.  The initial per-version
-//!   aggregates (App. A.1) and contributions are lanes over positions
-//!   `0..n`, which the identity mapping assigns.
-//! * **Replenishment** (§9): every stream carries its own finite
-//!   materialized range (§6).  One full-width block seeds every stream;
-//!   when the rejection sampler needs a position beyond *one* stream's
-//!   range, the looper discards nothing semantically — it asks its
-//!   [`mcdbr_exec::ExecSession`] for a further window of that stream alone
-//!   ([`mcdbr_exec::ExecSession::instantiate_stream`]), as long as the
-//!   stream already is, and keeps it beside the stream's TS-seed.  The
-//!   Gibbs tuples hold the initial block only and never change after it; a
-//!   read past the block indexes the window that holds the position.
-//!   Streams that never run dry are never extended (the memory contract on
-//!   [`TsSeed`]).  The session ran the deterministic plan
-//!   skeleton (scans, joins, constant predicates) exactly once at prepare
-//!   time; a replenishment therefore materializes *only* stream values
-//!   against the cached [`mcdbr_exec::DeterministicPrefix`], which is the
-//!   paper's "the `Instantiate` operation never adds stream values to a
-//!   Gibbs tuple that have already been processed; it only adds new or
-//!   currently assigned values" discipline with the deterministic work
-//!   amortized to once per query.  The counters — plan executions (1),
-//!   blocks materialized (1 + replenishments, a one-stream window counting
-//!   as one) and values materialized — are reported so the Appendix D
-//!   experiments show the cost structure directly.
+//!   candidate an add and a compare.  A chunk below the initial block stops
+//!   at the block's end; where the column driver errs on a chunk, its
+//!   positions take the row path one at a time, so an error is raised only
+//!   by a position the sampler consumes.  A seed that is not separable (a
+//!   tuple reading two streams, as in salary inversion) recomputes both
+//!   contributions row at a time, since another seed's update may have
+//!   moved them.  The initial per-version aggregates (App. A.1) and
+//!   contributions are lanes over positions `0..n`, which the identity
+//!   mapping assigns.
+//! * **Streams past the initial block** (§6, §9).  One full-width block
+//!   seeds every stream; the Gibbs tuples hold it and never change after
+//!   it.  A stream value is a pure function of `(seed, position)`, so past
+//!   the block the looper keeps no materialized range: a chunk starting
+//!   there draws its stream's positions `[pos, end)` once, when the sweep
+//!   reaches them ([`mcdbr_exec::ExecSession::instantiate_stream`]: no scan,
+//!   join or constant predicate re-runs), and the next chunk drops it.  A
+//!   version reads again only its assigned position: a separable seed keeps
+//!   its contribution there, any other the values its runs read there (§6
+//!   item (5)), taken from the chunk when a candidate is accepted.  This
+//!   leaves the paper's §9 replenishment *mechanism*, which stores values
+//!   because MCDB must re-run the query to regenerate them, and keeps its
+//!   output: samples, cutoffs and positions consumed are those of one block
+//!   wide enough for every stream.  Plan executions (1), blocks
+//!   materialized (1 + the draws past the block, `replenishments`) and
+//!   values materialized are reported to show the cost structure.
 //!
 //! Restrictions (documented, checked, and consistent with the paper):
 //! selection predicates that touch random attributes must be pulled up into
@@ -108,7 +103,7 @@ pub struct TailSamplingConfig {
     pub k: usize,
     /// Stream values materialized per stream by the initial full-width
     /// block (paper §5: the trade-off between carrying data through the plan
-    /// and re-running the plan); a stream that runs dry doubles from there.
+    /// and re-running the plan); past it a stream is drawn a chunk at a time.
     pub block_size: usize,
     /// Candidate budget per component update before the rejection loop keeps
     /// the previous value.
@@ -190,18 +185,19 @@ pub struct TailSampleResult {
     /// Gibbs acceptance statistics across the whole run.
     pub gibbs: GibbsStats,
     /// Number of times deterministic plan work ran.  With a cacheable plan
-    /// this is at most 1 — the skeleton pass — no matter how many
-    /// replenishments follow, and exactly 0 when the looper's
+    /// this is at most 1 — the skeleton pass — no matter how many chunks
+    /// are drawn past the initial block, and exactly 0 when the looper's
     /// [`SessionCache`] already held the plan's skeleton (e.g. a repeated
     /// run, or a shared cache warmed by another looper under any master
     /// seed).
     pub plan_executions: usize,
-    /// Number of stream windows materialized: the initial full-width block
-    /// plus one single-stream window per replenishment.
+    /// Number of blocks materialized: the initial full-width block plus one
+    /// single-stream chunk per draw past it (`1 + replenishments`).
     pub blocks_materialized: usize,
     /// Stream values materialized (streams × positions, summed over those
-    /// windows) — the volume the run generated and holds; see the memory
-    /// contract on [`TsSeed`].
+    /// blocks) — the volume the run generated.  Of these it holds the
+    /// initial block and the last chunk, and for each seed that is not
+    /// separable the values each version reads past the block.
     pub values_materialized: u64,
     /// 1 when this run's session came out of the session cache, else 0
     /// (summable across runs, mirroring the engine-level counters): phase 1
@@ -210,14 +206,15 @@ pub struct TailSampleResult {
     /// 1 when this run's session had to run the deterministic skeleton
     /// pass, else 0.
     pub skeleton_misses: usize,
-    /// Number of single-stream windows triggered by exhausted streams.
+    /// Number of single-stream chunks drawn past the initial block (the
+    /// work the paper's §9 replenishment runs did).
     pub replenishments: usize,
     /// Logical bytes written into pooled columnar block buffers across the
-    /// run (initial block + replenishments).
+    /// run (initial block + chunks past it).
     pub bytes_materialized: u64,
     /// Columnar buffer acquisitions served by recycling the session's
-    /// [`mcdbr_exec::BlockBufferPool`] instead of allocating — every
-    /// replenishment reuses a warm buffer.
+    /// [`mcdbr_exec::BlockBufferPool`] instead of allocating — every chunk
+    /// past the initial block reuses a warm buffer.
     pub buffer_reuses: u64,
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
@@ -267,8 +264,8 @@ impl GibbsLooper {
     }
 
     /// Materialize the initial full-width block on an explicit execution
-    /// backend (§9 replenishments are single-stream windows and always run
-    /// inline).  Results are bit-identical for every backend; only its
+    /// backend (the single-stream chunks drawn past it always run inline).
+    /// Results are bit-identical for every backend; only its
     /// counters (`backend` on the result) differ.
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = backend;
@@ -314,16 +311,16 @@ impl GibbsLooper {
         // — the plan-keyed session cache skips it entirely when a previous
         // run already built this plan's skeleton, under any master seed —
         // then materialize the initial stream block against the bound
-        // prefix.  Replenishments reuse the same session and never re-run
-        // scans, joins, or constant predicates.
+        // prefix.  Chunks past the block reuse the same session and never
+        // re-run scans, joins, or constant predicates.
         let backend_stats_before = self.backend.shard_stats();
         let mut session = self
             .cache
             .session(&self.query.plan, catalog, self.config.master_seed)?
             .with_backend(Arc::clone(&self.backend));
-        // Replenishment addresses one stream of the cached prefix by key; a
-        // plan without a prefix has nothing to address and is refused
-        // before anything is materialized.
+        // A chunk past the block addresses one stream of the cached prefix
+        // by key; a plan without a prefix has nothing to address and is
+        // refused before anything is materialized.
         let Some(prefix) = session.prefix() else {
             return Err(Error::InvalidOperation(format!(
                 "GibbsLooper needs a plan with a cacheable deterministic prefix: {}",
@@ -349,7 +346,7 @@ impl GibbsLooper {
                     .into(),
             ));
         }
-        let mut seeds = Seeds::new(&bundles, program.slots(), &keys, n, block as u64)?;
+        let mut seeds = Seeds::new(session, &bundles, program.slots(), &keys, n, block as u64)?;
 
         // ===== Initial per-version aggregates (App. A.1), and each separable
         // seed's contribution to them: under the identity mapping version
@@ -367,7 +364,6 @@ impl GibbsLooper {
 
         let mut cutoffs = Vec::with_capacity(m);
         let mut gibbs = GibbsStats::default();
-        let mut replenishments = 0usize;
 
         // ===== Bootstrapping steps (Algorithm 3). =====
         for step in 0..m {
@@ -399,16 +395,10 @@ impl GibbsLooper {
             let elites: Vec<usize> = order[..elite_count].to_vec();
 
             // CLONE up to the next stage's size by copying TS-seed assignment
-            // columns (App. A.2 / Fig. 4(b)), and the contributions cached
-            // beside them.
+            // columns (App. A.2 / Fig. 4(b)), and what is kept beside them.
             let next_size = if step + 1 == m { l } else { n };
             let sources: Vec<usize> = (0..next_size).map(|i| elites[i % elites.len()]).collect();
-            for ts in &mut seeds.ts {
-                ts.reassign_from(&sources);
-            }
-            for current in seeds.current.iter_mut().filter(|c| !c.is_empty()) {
-                *current = sources.iter().map(|&s| current[s]).collect();
-            }
+            seeds.reassign_from(&sources);
             version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
             num_versions = next_size;
 
@@ -424,15 +414,11 @@ impl GibbsLooper {
                         let want = ((num_versions - v) as f64 * per_version) as u64;
                         // A separable seed's contribution is a load; any
                         // other seed's depends on the other seeds its tuples
-                        // read, which may have moved since (passing the
-                        // assigned position as the candidate spares each
-                        // tuple a TS-seed lookup).
+                        // read, which may have moved since.
                         let old_contribution = match separable {
                             true => seeds.current[ord][v],
                             false => {
-                                let assigned = Some((ord, seeds.ts[ord].assignment[v]));
-                                let runs = &seeds.runs[ord];
-                                seeds.contribution(&program, &bundles, runs, v, assigned)?
+                                seeds.contribution(&program, &bundles, &seeds.runs[ord], v, None)?
                             }
                         };
                         let mut candidates_tried = 0u64;
@@ -443,21 +429,10 @@ impl GibbsLooper {
                                 break;
                             }
                             let pos = seeds.ts[ord].next_unused();
-                            // Replenish when this stream is exhausted (§9):
-                            // its values only, against the cached prefix.
-                            if pos >= seeds.ts[ord].high {
-                                Self::replenish(
-                                    &mut session,
-                                    seeds.keys[ord],
-                                    &mut seeds.ts[ord],
-                                    &mut seeds.windows[ord],
-                                )?;
-                                replenishments += 1;
-                            }
                             // The contributions at `pos` and the positions
                             // after it, tried in order until one keeps the
                             // version at or above the cutoff.
-                            let next = seeds.candidates(&program, &bundles, ord, v, pos, want)?;
+                            let next = seeds.candidates(&program, &bundles, (ord, v), pos, want)?;
                             let next = &next[..next.len().min(budget as usize)];
                             let hit = next
                                 .iter()
@@ -465,9 +440,8 @@ impl GibbsLooper {
                                 .map(|i| (i, next[i]));
                             let tried = hit.map_or(next.len(), |(i, _)| i + 1) as u64;
                             candidates_tried += tried;
-                            let ts = &mut seeds.ts[ord];
                             if let Some((i, new_contribution)) = hit {
-                                ts.assign(v, pos + i as u64);
+                                seeds.assign(ord, v, pos + i as u64);
                                 if separable {
                                     seeds.current[ord][v] = new_contribution;
                                 }
@@ -479,6 +453,7 @@ impl GibbsLooper {
                             // The candidates are consumed even though they
                             // were rejected (Fig. 3: the rejected 3.24 / 3.68
                             // are never revisited).
+                            let ts = &mut seeds.ts[ord];
                             ts.max_used = ts.max_used.max(pos + tried - 1);
                             gibbs.rejected += tried;
                         }
@@ -487,6 +462,7 @@ impl GibbsLooper {
             }
         }
 
+        let session = &seeds.session;
         let result = TailSampleResult {
             quantile_estimate: *cutoffs.last().unwrap_or(&f64::NAN),
             tail_samples: version_aggregates,
@@ -497,7 +473,7 @@ impl GibbsLooper {
             values_materialized: session.values_materialized(),
             skeleton_hits: usize::from(session.skeleton_hit()),
             skeleton_misses: usize::from(!session.skeleton_hit()),
-            replenishments,
+            replenishments: seeds.draws,
             bytes_materialized: session.bytes_materialized(),
             buffer_reuses: session.buffer_reuses(),
             stream_positions_consumed: seeds.ts.iter().map(|ts| ts.max_used + 1).sum(),
@@ -535,24 +511,6 @@ impl GibbsLooper {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Extend the one stream that ran dry (paper §9) by one window against
-    /// the session's cached deterministic prefix, kept in the stream's
-    /// `windows`.  The window is as long as the stream's materialized range,
-    /// so the range doubles each time (the memory contract on [`TsSeed`]).
-    /// No scan, join, or constant predicate re-runs, no other stream is
-    /// touched, and no Gibbs tuple changes: versions keep their materialized
-    /// assigned positions.
-    fn replenish(
-        session: &mut ExecSession,
-        key: StreamKey,
-        ts: &mut TsSeed,
-        windows: &mut Vec<CellCols>,
-    ) -> Result<()> {
-        windows.push(session.instantiate_stream(key, ts.high, ts.high as usize)?);
-        ts.extend_materialized(ts.high);
         Ok(())
     }
 }
@@ -599,12 +557,11 @@ fn runs(
     runs
 }
 
-/// The most stream positions one chunk of a separable seed's candidate
-/// contributions covers.  A chunk is sized to the candidates the seed is
-/// expected to try in the rest of its sweep, plus an eighth (see
-/// [`Seeds::candidates`]), so most seeds compute one chunk a sweep and
-/// leave few of its positions unconsumed; the cap bounds the scratch when
-/// acceptance collapses.
+/// The most stream positions one chunk covers.  A chunk is sized to the
+/// candidates the seed is expected to try in the rest of its sweep, plus an
+/// eighth (see [`Seeds::candidates`]), so most seeds compute one chunk a
+/// sweep and leave few of its positions unconsumed; the cap bounds the
+/// scratch, and a draw past the initial block, when acceptance collapses.
 const MAX_CHUNK: u64 = 4096;
 
 /// The looper's TS-seed state, indexed by seed *ordinal*: a seed's rank in
@@ -612,13 +569,13 @@ const MAX_CHUNK: u64 = 4096;
 struct Seeds {
     /// The TS-seed of each ordinal (§6).
     ts: Vec<TsSeed>,
-    /// The stream key each ordinal's replenishment windows address.
+    /// The run's session, which draws the chunks past the initial block,
+    /// and the stream key each ordinal's chunks address.
+    session: ExecSession,
     keys: Vec<StreamKey>,
-    /// Each ordinal's replenishment windows (§9): window `k` holds stream
-    /// positions `[block << k, block << (k + 1))`.
-    windows: Vec<Vec<CellCols>>,
     /// The initial block's end: positions below it live in the Gibbs
-    /// tuples, whose columns start at position 0.
+    /// tuples, whose columns start at position 0; a position at or past it
+    /// is read from the chunk that draws it.
     block: u64,
     /// The Gibbs tuples carrying each ordinal's stream, in bundle order, as
     /// [`runs`].
@@ -633,22 +590,39 @@ struct Seeds {
     /// Each separable ordinal's contribution to each version at its
     /// assigned position (empty for any other ordinal).
     current: Vec<Vec<f64>>,
-    /// The last chunk of candidate contributions computed, for whichever
-    /// separable ordinal asked last.
+    /// Each other ordinal's values at each version's assigned position
+    /// (empty for a separable ordinal).
+    kept: Vec<Kept>,
+    /// The last chunk drawn or evaluated, for whichever ordinal asked last.
     chunk: Chunk,
+    /// Chunks drawn past the initial block.
+    draws: usize,
 }
 
-/// A separable ordinal's contributions `c(pos)` at stream positions
-/// `start..end`, all in one segment of its stream (the initial block or
-/// one window).
+/// The stream values a version reads at its assigned position (§6 item
+/// (5)): `values[v * cells.len() + c]` is VG output cell `cells[c]` at
+/// version `v`'s position, where that lies past the initial block (below
+/// it, the Gibbs tuples hold the value).
+#[derive(Debug, Default)]
+struct Kept {
+    /// The `(VG row, VG column)` cells the program reads, ascending.
+    cells: Vec<(usize, usize)>,
+    values: Vec<Value>,
+}
+
+/// An ordinal's stream positions `start..end`, either all below the initial
+/// block or all at or past it.
 #[derive(Debug, Default)]
 struct Chunk {
     ord: usize,
     start: u64,
     end: u64,
-    /// `c(start + i)` in `lanes.totals` if `ok`; else the column driver
-    /// erred somewhere in the chunk, whose positions then take the row
-    /// path one at a time.
+    /// The stream's cells at `start..end` when the chunk lies past the
+    /// initial block.
+    cells: Option<CellCols>,
+    /// A separable ordinal's contributions: `c(start + i)` in
+    /// `lanes.totals` if `ok`; else the column driver erred somewhere in
+    /// the chunk, whose positions then take the row path one at a time.
     lanes: Lanes,
     ok: bool,
     /// The last contribution the row path computed for a candidate.
@@ -666,13 +640,15 @@ struct Lanes {
 impl Seeds {
     /// Index every seed the Gibbs tuples carry — read by the program or
     /// not, so each is swept — with `versions` identity-mapped DB versions
-    /// over `materialized` values (App. A.1); `keys` is sorted by seed.
+    /// (App. A.1) over an initial block of `block` positions; `keys` is
+    /// sorted by seed.
     fn new(
+        session: ExecSession,
         bundles: &[TupleBundle],
         slots: &[usize],
         keys: &[(SeedId, StreamKey)],
         versions: usize,
-        materialized: u64,
+        block: u64,
     ) -> Result<Self> {
         let mut seeds: Vec<SeedId> = bundles
             .iter()
@@ -714,7 +690,7 @@ impl Seeds {
             .map(|a| runs(bundles, slots, a))
             .collect();
         let width = slots.len();
-        let separable = (runs.iter().enumerate())
+        let separable: Vec<bool> = (runs.iter().enumerate())
             .map(|(o, runs)| {
                 let own = |&(b, _): &Run| {
                     let inputs = &ords[b * width..(b + 1) * width];
@@ -723,28 +699,47 @@ impl Seeds {
                 runs.iter().all(own)
             })
             .collect();
+        // A tuple reading a stream repeats the inputs of one of its runs, so
+        // those name every cell the program reads of a kept stream.
+        let kept = (0..seeds.len())
+            .map(|o| {
+                let mut cells = Vec::new();
+                for &(b, _) in runs[o].iter().filter(|_| !separable[o]) {
+                    for (s, &c) in slots.iter().enumerate() {
+                        if let (true, BundleValue::Random { vg_row, vg_col, .. }) =
+                            (ords[b * width + s] == o, &bundles[b].values[c])
+                        {
+                            cells.push((*vg_row, *vg_col));
+                        }
+                    }
+                }
+                cells.sort_unstable();
+                cells.dedup();
+                let values = vec![Value::Null; versions * cells.len()];
+                Kept { cells, values }
+            })
+            .collect();
         Ok(Seeds {
-            ts: seeds
-                .iter()
-                .map(|&s| TsSeed::new(s, versions, materialized))
-                .collect(),
+            ts: seeds.iter().map(|&s| TsSeed::new(s, versions)).collect(),
+            session,
             keys: seeds.iter().map(key).collect(),
-            windows: seeds.iter().map(|_| Vec::new()).collect(),
-            block: materialized,
+            block,
             runs,
             ords,
             separable,
             current: Vec::new(),
+            kept,
             chunk: Chunk::default(),
+            draws: 0,
         })
     }
 
-    /// The column holding stream position `pos` of the cell whose initial
-    /// block is `values` (ordinal `ord`, VG output `(row, col)`), and the
-    /// position's index in it.
+    /// The column holding stream position `pos` of VG output cell `(row,
+    /// col)`, whose initial block is `values`, and the position's index in
+    /// it: the Gibbs tuple's below the initial block, else the current
+    /// chunk's, which must hold `pos`.
     fn cell<'a>(
         &'a self,
-        ord: usize,
         values: &'a Column,
         (row, col): (usize, usize),
         pos: u64,
@@ -752,13 +747,10 @@ impl Seeds {
         if pos < self.block {
             return (values, pos as usize);
         }
-        let k = (pos / self.block).ilog2();
-        // Each window's VG rows are checked against the skeleton probe, as
-        // the initial block's were.
-        let cell = self.windows[ord][k as usize]
-            .cell(row, col)
-            .expect("a window has the initial block's VG shape");
-        (cell, (pos - (self.block << k)) as usize)
+        let chunk = &self.chunk;
+        let cells = chunk.cells.as_ref().expect("a chunk holds its positions");
+        let cell = cells.cell(row, col).expect("a chunk has the block's shape");
+        (cell, (pos - chunk.start) as usize)
     }
 
     /// The contribution of the Gibbs tuples in `runs` to DB version `v`'s
@@ -767,7 +759,8 @@ impl Seeds {
     /// `0.0` in tuple order — the per-tuple sum, bit for bit.  The row
     /// path: what a seed that is not separable evaluates for every old and
     /// candidate contribution, and a separable one only where the column
-    /// driver erred on a chunk ([`Seeds::lanes`]).
+    /// driver erred on a chunk ([`Seeds::lanes`]).  Every other input is
+    /// read at its assigned position.
     fn contribution(
         &self,
         program: &Program,
@@ -787,13 +780,21 @@ impl Seeds {
                     values,
                     ..
                 } => {
-                    let ord = ords[slot];
-                    let pos = match cand {
-                        Some((o, pos)) if o == ord => pos,
-                        _ => self.ts[ord].assignment[v],
-                    };
-                    let (col, i) = self.cell(ord, values, (*vg_row, *vg_col), pos);
-                    col.value_at(i)
+                    let (ord, cell) = (ords[slot], (*vg_row, *vg_col));
+                    match cand {
+                        Some((o, pos)) if o == ord => {
+                            let (col, i) = self.cell(values, cell, pos);
+                            col.value_at(i)
+                        }
+                        _ => match self.ts[ord].assignment[v] {
+                            pos if pos < self.block => values.value_at(pos as usize),
+                            _ => {
+                                let kept = &self.kept[ord];
+                                let c = kept.cells.binary_search(&cell).expect("a kept cell");
+                                kept.values[v * kept.cells.len() + c].clone()
+                            }
+                        },
+                    }
                 }
                 constant => constant.value_at(0),
             };
@@ -811,9 +812,9 @@ impl Seeds {
     /// program runs once over the range on the column driver, and its value
     /// is added once per tuple, runs in tuple order, so each position's sum
     /// is the row path's additions in the row path's order.  Every input
-    /// must hold `range` in one segment (the initial block or one window).
-    /// Errs where the column driver does; which error is the row path's to
-    /// say.
+    /// must hold `range` in one place (the initial block or the current
+    /// chunk).  Errs where the column driver does; which error is the row
+    /// path's to say.
     fn lanes(
         &self,
         program: &Program,
@@ -823,12 +824,10 @@ impl Seeds {
         out: &mut Lanes,
     ) -> Result<()> {
         let n = (range.end - range.start) as usize;
-        let width = program.slots().len();
         let Lanes { totals, sel } = out;
         totals.clear();
         totals.resize(n, 0.0);
         for &(b, len) in runs {
-            let ords = &self.ords[b * width..(b + 1) * width];
             sel.fill_with(n, |_| true);
             let lane = program.eval_block(sel, |slot| {
                 Ok(match &bundles[b].values[program.slots()[slot]] {
@@ -838,8 +837,7 @@ impl Seeds {
                         values,
                         ..
                     } => {
-                        let cell = (*vg_row, *vg_col);
-                        let (col, i) = self.cell(ords[slot], values, cell, range.start);
+                        let (col, i) = self.cell(values, (*vg_row, *vg_col), range.start);
                         Lane::column_range(col, i..i + n)
                     }
                     constant => Lane::constant(constant.value_at(0)),
@@ -883,39 +881,35 @@ impl Seeds {
 
     /// Ordinal `ord`'s contributions to version `v` at candidate position
     /// `pos` and, for a separable ordinal, the positions after it that the
-    /// last chunk of [`Seeds::lanes`] holds.  A position outside that chunk
-    /// starts a new one there: about `want` positions (at most
-    /// [`MAX_CHUNK`]), never past the segment holding `pos`, hence never past
-    /// the stream's materialized range, so replenishment stays exactly where
-    /// the rejection sampler asks for it.  Any other ordinal, and a chunk
-    /// the column driver erred on, yields `pos` alone from the row path, so
-    /// only a position the sampler consumes can raise an error, and it
-    /// raises the row path's.
+    /// current chunk holds; a separable ordinal, or any past the initial
+    /// block, starts a new chunk at a position it does not hold.  Any other
+    /// ordinal, and a chunk the column driver erred on, yields `pos` alone
+    /// from the row path, so only a consumed position raises its error.
     fn candidates(
         &mut self,
         program: &Program,
         bundles: &[TupleBundle],
-        ord: usize,
-        v: usize,
+        (ord, v): (usize, usize),
         pos: u64,
         want: u64,
     ) -> Result<&[f64]> {
-        if self.separable[ord] {
-            let chunk = &self.chunk;
-            if chunk.ord != ord || !(chunk.start..chunk.end).contains(&pos) {
-                self.fill(program, bundles, ord, pos, want);
-            }
-            if self.chunk.ok {
-                return Ok(&self.chunk.lanes.totals[(pos - self.chunk.start) as usize..]);
-            }
+        let (chunk, separable) = (&self.chunk, self.separable[ord]);
+        let held = chunk.ord == ord && (chunk.start..chunk.end).contains(&pos);
+        if !held && (separable || pos >= self.block) {
+            self.fill(program, bundles, ord, pos, want)?;
+        }
+        if separable && self.chunk.ok {
+            return Ok(&self.chunk.lanes.totals[(pos - self.chunk.start) as usize..]);
         }
         let cand = Some((ord, pos));
         self.chunk.row = self.contribution(program, bundles, &self.runs[ord], v, cand)?;
         Ok(std::slice::from_ref(&self.chunk.row))
     }
 
-    /// Make the chunk separable ordinal `ord`'s from `pos` (see
-    /// [`Seeds::candidates`]).
+    /// Make the chunk ordinal `ord`'s from `pos`: about `want` positions (16
+    /// to [`MAX_CHUNK`]), stopping at the initial block's end if `pos` lies
+    /// below it, else drawn from the stream once, here.  A separable
+    /// ordinal's contributions are evaluated over it at once.
     fn fill(
         &mut self,
         program: &Program,
@@ -923,24 +917,66 @@ impl Seeds {
         ord: usize,
         pos: u64,
         want: u64,
-    ) {
-        let segment_end = match pos < self.block {
-            true => self.block,
-            false => self.block << ((pos / self.block).ilog2() + 1),
-        };
+    ) -> Result<()> {
         let len = (want + want / 8 + 8).clamp(16, MAX_CHUNK);
-        // `pos` is below `high`, so its segment ends at or before it.
-        let end = (pos + len).min(segment_end);
+        let (end, cells) = match pos < self.block {
+            true => ((pos + len).min(self.block), None),
+            false => {
+                self.draws += 1;
+                let cells = self
+                    .session
+                    .instantiate_stream(self.keys[ord], pos, len as usize)?;
+                (pos + len, Some(cells))
+            }
+        };
         let mut lanes = std::mem::take(&mut self.chunk.lanes);
-        let ok = (self.lanes(program, bundles, &self.runs[ord], pos..end, &mut lanes)).is_ok();
         self.chunk = Chunk {
             ord,
             start: pos,
             end,
-            lanes,
-            ok,
-            row: 0.0,
+            cells,
+            ..Chunk::default()
         };
+        if self.separable[ord] {
+            let ok = self.lanes(program, bundles, &self.runs[ord], pos..end, &mut lanes);
+            self.chunk.ok = ok.is_ok();
+        }
+        self.chunk.lanes = lanes;
+        Ok(())
+    }
+
+    /// Assign position `pos` to ordinal `ord`'s version `v`; past the
+    /// initial block, keep the values the program reads there, from the
+    /// current chunk, which holds `pos`.
+    fn assign(&mut self, ord: usize, v: usize, pos: u64) {
+        self.ts[ord].assign(v, pos);
+        let Kept { cells, values } = &mut self.kept[ord];
+        if pos < self.block || cells.is_empty() {
+            return;
+        }
+        let chunk = &self.chunk;
+        let cols = chunk.cells.as_ref().expect("a chunk holds its positions");
+        for (c, &(row, col)) in cells.iter().enumerate() {
+            let cell = cols.cell(row, col).expect("a chunk has the block's shape");
+            values[v * cells.len() + c] = cell.value_at((pos - chunk.start) as usize);
+        }
+    }
+
+    /// Clone versions: new version `v` takes old version `sources[v]`'s
+    /// assignment and what is kept beside it.
+    fn reassign_from(&mut self, sources: &[usize]) {
+        for ts in &mut self.ts {
+            ts.reassign_from(sources);
+        }
+        for current in self.current.iter_mut().filter(|c| !c.is_empty()) {
+            *current = sources.iter().map(|&s| current[s]).collect();
+        }
+        for Kept { cells, values } in self.kept.iter_mut().filter(|k| !k.cells.is_empty()) {
+            let w = cells.len();
+            *values = (sources.iter())
+                .flat_map(|&s| values[s * w..(s + 1) * w].iter().cloned())
+                .collect();
+        }
     }
 }
 
@@ -1073,10 +1109,10 @@ mod tests {
     #[test]
     fn small_blocks_force_replenishment_runs() {
         let catalog = catalog(&[3.0, 4.0, 5.0]);
-        // A tiny block relative to the sampling effort guarantees streams run
-        // dry and replenishment blocks are materialized (§9) — but the
-        // deterministic plan work still happens exactly once, at session
-        // prepare time.
+        // A tiny block relative to the sampling effort guarantees the sweep
+        // runs past it and draws chunks of single streams (the work of §9's
+        // replenishment runs) — but the deterministic plan work still
+        // happens exactly once, at session prepare time.
         let config = TailSamplingConfig::new(0.05, 10, 200)
             .with_m(3)
             .with_block_size(40)
@@ -1093,8 +1129,8 @@ mod tests {
             result.plan_executions, 1,
             "replenishment must not re-run the plan"
         );
-        // Every replenishment is one single-stream window generated inline
-        // through the session's pool, which recycles one warm buffer for it.
+        // Every draw is one single-stream chunk generated inline through the
+        // session's pool, which recycles one warm buffer for it.
         assert!(
             result.buffer_reuses >= result.replenishments as u64,
             "each replenishment must reuse a warm buffer ({} reuses, {} replenishments)",
@@ -1102,11 +1138,12 @@ mod tests {
             result.replenishments
         );
         assert!(result.bytes_materialized > 0);
-        // The memory contract (see `TsSeed`): 3 streams, a 67-value initial
-        // block (n = 200 / 3 rounds up past the configured 40).
+        // 3 streams' initial block of 67 values (n = 200 / 3 rounds up past
+        // the configured 40), then at most one chunk per draw.
         let initial = result.parameters.n_per_step.max(40) as u64;
+        let drawn = result.values_materialized - 3 * initial;
         assert!(
-            result.values_materialized <= 3 * initial + 2 * result.stream_positions_consumed,
+            drawn <= result.replenishments as u64 * MAX_CHUNK,
             "{result:?}"
         );
         // Larger blocks need fewer block materializations, and still exactly
@@ -1123,9 +1160,9 @@ mod tests {
     }
 
     /// The §9 guarantee, end to end: tail sampling with a tiny initial block
-    /// (many replenishments) and with one huge block (none) must agree
-    /// exactly, because replenishment appends precisely the stream values a
-    /// longer initial materialization would have contained.
+    /// (many chunks drawn past it) and with one huge block (none) must agree
+    /// exactly, because a chunk draws precisely the stream values a longer
+    /// initial materialization would have contained.
     fn assert_replenishment_is_transparent(
         query: &MonteCarloQuery,
         catalog: &Catalog,
@@ -1155,8 +1192,8 @@ mod tests {
             .with_master_seed(11);
         let catalog = catalog(&[3.0, 4.0, 5.0]);
         assert_replenishment_is_transparent(&losses_query(), &catalog, &config, (40, 4000));
-        // Two seeds per bundle: replenishing one must leave its partner's
-        // chain and assignments alone.
+        // Two seeds per bundle: drawing one must leave its partner's values
+        // and assignments alone.
         let (catalog, query) = salary_inversion();
         let config = TailSamplingConfig::new(0.05, 12, 240)
             .with_m(2)
@@ -1167,26 +1204,44 @@ mod tests {
     #[test]
     fn replenishment_never_touches_a_gibbs_tuple() {
         // Salary inversion reads two streams per tuple; a one-value block
-        // replenishes both many times.  The tuples still hold the initial
-        // block only, and each stream's windows double up to its range.
+        // sends both far past it.  What the looper holds at the end is the
+        // initial block in the tuples, one chunk of at most `MAX_CHUNK`
+        // positions of one stream, and for each seed (none is separable)
+        // the values each version reads at its assigned position, which are
+        // the stream's values there.
         let (catalog, query) = salary_inversion();
         let config = TailSamplingConfig::new(0.05, 12, 240)
             .with_m(2)
             .with_block_size(1)
             .with_master_seed(21);
-        let (result, seeds, bundles) = GibbsLooper::new(query, config).sample(&catalog).unwrap();
-        assert!(result.replenishments > 0);
+        let looper = GibbsLooper::new(query, config);
+        let (result, mut seeds, bundles) = looper.sample(&catalog).unwrap();
+        assert!(result.replenishments > 0 && seeds.draws == result.replenishments);
         let block = result.parameters.n_per_step;
         for value in bundles.iter().flat_map(|b| &b.values) {
             if let BundleValue::Random { values, .. } = value {
                 assert_eq!(values.len(), block);
             }
         }
-        let windows: usize = seeds.windows.iter().map(Vec::len).sum();
-        assert_eq!(windows, result.replenishments);
-        for (ts, windows) in seeds.ts.iter().zip(&seeds.windows) {
-            assert_eq!(ts.high, (block as u64) << windows.len());
+        let chunk = &seeds.chunk;
+        let len = (chunk.end - chunk.start) as usize;
+        assert!(chunk.start >= block as u64 && len as u64 <= MAX_CHUNK);
+        let cells = chunk.cells.as_ref().unwrap();
+        assert!(cells.columns().iter().all(|c| c.len() == len));
+        let mut past = 0;
+        for (ord, kept) in seeds.kept.iter().enumerate() {
+            assert_eq!(kept.cells, [(0, 0)]);
+            assert_eq!(kept.values.len(), result.tail_samples.len());
+            for (v, &pos) in seeds.ts[ord].assignment.iter().enumerate() {
+                if pos >= block as u64 {
+                    let drawn = seeds.session.instantiate_stream(seeds.keys[ord], pos, 1);
+                    let drawn = drawn.unwrap();
+                    assert_eq!(kept.values[v], drawn.cell(0, 0).unwrap().value_at(0));
+                    past += 1;
+                }
+            }
         }
+        assert!(past > 0);
     }
 
     #[test]
@@ -1210,7 +1265,7 @@ mod tests {
     #[test]
     fn plans_without_a_cacheable_prefix_are_rejected_up_front() {
         // `Split` over a random column: no prefix, hence no per-stream
-        // replenishment unit.  A typed error naming the reason, raised
+        // unit to draw past the block.  A typed error naming the reason, raised
         // before any block is materialized.
         let catalog = catalog(&[3.0, 4.0]);
         let mut query = losses_query();
@@ -1426,53 +1481,37 @@ mod tests {
         }
     }
 
-    /// Every tail sample of a compiled run equals its version's aggregate
-    /// recomputed from scratch — by the scalar referee — over the TS-seed
-    /// assignments the run ended with.  The referee reads its own
-    /// full-width block, as wide as the run's widest stream: values are pure
-    /// in `(seed, position)`.
-    fn run_and_recompute(looper: &GibbsLooper, catalog: &Catalog) -> TailSampleResult {
-        let (result, seeds, ..) = looper.sample(catalog).unwrap();
+    /// The compiled loop equals the referee bit for bit, and every tail
+    /// sample equals its version's aggregate recomputed from scratch — by
+    /// the referee — over the TS-seed assignments the run ended with.  The
+    /// referee reads one full-width block, as wide as the run's widest
+    /// stream: values are pure in `(seed, position)`.  Returns the compiled
+    /// run.
+    fn assert_compiled_matches_referee(
+        looper: &GibbsLooper,
+        catalog: &Catalog,
+    ) -> TailSampleResult {
+        let (got, seeds, ..) = looper.sample(catalog).unwrap();
         let ts: BTreeMap<SeedId, TsSeed> = seeds.ts.into_iter().map(|t| (t.seed, t)).collect();
-        let (query, master_seed) = (&looper.query, looper.config.master_seed);
-        let width = ts.values().map(|t| t.high).max().unwrap() as usize;
-        let set = ExecSession::prepare(&query.plan, catalog, master_seed)
-            .and_then(|mut session| session.instantiate_block(catalog, 0, width))
-            .unwrap();
-        let (schema, mut bundles) = (set.schema, set.bundles);
-        let streams = referee::Streams::new(ts, &bundles);
-        referee::prune(query, &schema, &mut bundles);
-        for (v, &x) in result.tail_samples.iter().enumerate() {
-            let full = referee::full_aggregate(query, &schema, &bundles, &streams, v).unwrap();
+        let width = ts.values().map(|t| t.max_used + 1).max().unwrap() as usize;
+        let block = referee::Block::new(looper, catalog, width).unwrap();
+        for (v, &x) in got.tail_samples.iter().enumerate() {
+            let full = block.contribution(&looper.query, &ts, None, v, None);
+            let full = full.unwrap();
             assert!(
                 (full - x).abs() <= 1e-9 * x.abs().max(1.0),
                 "version {v}: incremental {x}, from scratch {full}"
             );
         }
-        result
-    }
-
-    /// The compiled loop equals the referee bit for bit; returns the
-    /// referee's run.
-    fn assert_compiled_matches_referee(
-        looper: &GibbsLooper,
-        catalog: &Catalog,
-    ) -> TailSampleResult {
-        let want = referee::run(looper, catalog).unwrap();
+        let want = referee::run(looper, &block).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let got = run_and_recompute(looper, catalog);
         let ctx = format!("{:?}", looper.config);
         assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples), "{ctx}");
         assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs), "{ctx}");
         assert_eq!(got.gibbs, want.gibbs, "{ctx}");
-        assert_eq!(got.replenishments, want.replenishments, "{ctx}");
-        let consumed = (got.stream_positions_consumed, got.values_materialized);
-        assert_eq!(
-            consumed,
-            (want.stream_positions_consumed, want.values_materialized),
-            "{ctx}"
-        );
-        want
+        let consumed = got.stream_positions_consumed;
+        assert_eq!(consumed, want.stream_positions_consumed, "{ctx}");
+        got
     }
 
     #[test]
@@ -1508,7 +1547,7 @@ mod tests {
                         assert_compiled_matches_referee(&looper, catalog).replenishments;
                 }
             }
-            // The tiny block replenishes, the huge one never does.
+            // The tiny block draws past itself, the huge one never does.
             assert!(replenished[0] > 0 && replenished[1] == 0, "{replenished:?}");
         }
     }
@@ -1646,7 +1685,7 @@ mod tests {
         catalog: &Catalog,
         master: u64,
         (block, versions): (usize, usize),
-    ) -> (ExecSession, Program, Vec<TupleBundle>, Seeds) {
+    ) -> (Program, Vec<TupleBundle>, Seeds) {
         let mut session = ExecSession::prepare(&query.plan, catalog, master).unwrap();
         let active = session.prefix().unwrap().skeleton().active_keys();
         let mut keys: Vec<_> = active.iter().map(|&k| (k.bind(master), k)).collect();
@@ -1654,8 +1693,15 @@ mod tests {
         let set = session.instantiate_block(catalog, 0, block).unwrap();
         let value = (query.aggregate.func == AggFunc::Sum).then_some(&query.aggregate.expr);
         let program = Program::compile(&set.schema, query.final_predicate.as_ref(), value);
-        let seeds = Seeds::new(&set.bundles, program.slots(), &keys, versions, block as u64);
-        (session, program, set.bundles, seeds.unwrap())
+        let seeds = Seeds::new(
+            session,
+            &set.bundles,
+            program.slots(),
+            &keys,
+            versions,
+            block as u64,
+        );
+        (program, set.bundles, seeds.unwrap())
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1665,7 +1711,7 @@ mod tests {
     /// The column driver's contributions equal the row path's bit for bit:
     /// the initial per-version aggregates and per-seed contributions, and
     /// every separable seed's chunks from every position of its initial
-    /// block and of one window, in chunks of many lengths.
+    /// block and of as many positions past it, in chunks of many lengths.
     #[test]
     fn chunk_contributions_equal_the_row_path() {
         let w = mcdbr_workloads::TpchWorkload::generate(mcdbr_workloads::TpchConfig::test_scale())
@@ -1682,8 +1728,7 @@ mod tests {
         ];
         for (catalog, query) in &shapes {
             let (block, versions) = (64, 16);
-            let (mut session, program, bundles, mut seeds) =
-                set_up(query, catalog, 7, (block, versions));
+            let (program, bundles, mut seeds) = set_up(query, catalog, 7, (block, versions));
             let row = |seeds: &Seeds, runs: &[Run], v, cand| {
                 let c = seeds.contribution(&program, &bundles, runs, v, cand);
                 c.unwrap()
@@ -1698,17 +1743,15 @@ mod tests {
                 let want: Vec<f64> = (0..versions).map(|v| row(&seeds, &runs, v, None)).collect();
                 let got = seeds.initial(&program, &bundles, &runs, versions).unwrap();
                 assert_eq!(bits(&got), bits(&want), "{query:?} ordinal {ord}");
-                let ts = &mut seeds.ts[ord];
-                GibbsLooper::replenish(&mut session, seeds.keys[ord], ts, &mut seeds.windows[ord])
-                    .unwrap();
                 let mut pos = 0;
-                while pos < seeds.ts[ord].high {
+                while pos < 2 * block as u64 {
                     let want = pos % 97;
-                    let got = (seeds.candidates(&program, &bundles, ord, 0, pos, want))
+                    let got = (seeds.candidates(&program, &bundles, (ord, 0), pos, want))
                         .unwrap()
                         .to_vec();
                     let chunk = &seeds.chunk;
-                    assert!(chunk.ok && chunk.end <= seeds.ts[ord].high, "{query:?}");
+                    let one_side = chunk.start >= block as u64 || chunk.end <= block as u64;
+                    assert!(chunk.ok && one_side, "{query:?}");
                     let at = |p| row(&seeds, &runs, 0, Some((ord, p)));
                     let want: Vec<f64> = (pos..chunk.end).map(at).collect();
                     assert_eq!(
@@ -1741,7 +1784,7 @@ mod tests {
     #[test]
     fn an_erring_chunk_takes_the_row_path_position_by_position() {
         let (catalog, query) = counts(&[1.0, 2.0, 3.0], 0.2, Expr::col("m").div(Expr::col("k")));
-        let (_, program, bundles, mut seeds) = set_up(&query, &catalog, 7, (256, 4));
+        let (program, bundles, mut seeds) = set_up(&query, &catalog, 7, (256, 4));
         let mut fell_back = 0;
         for ord in 0..seeds.ts.len() {
             let runs = seeds.runs[ord].clone();
@@ -1755,14 +1798,14 @@ mod tests {
             };
             for p in 0..q {
                 let got = seeds
-                    .candidates(&program, &bundles, ord, 0, p, q + 8)
+                    .candidates(&program, &bundles, (ord, 0), p, q + 8)
                     .unwrap();
                 assert_eq!(bits(got), bits(&[row(&seeds, p).unwrap()]), "position {p}");
                 let chunk = &seeds.chunk;
                 assert!(!chunk.ok && chunk.start == 0 && chunk.end > q);
             }
             let err = seeds
-                .candidates(&program, &bundles, ord, 0, q, 1)
+                .candidates(&program, &bundles, (ord, 0), q, 1)
                 .unwrap_err();
             assert_eq!(err, row(&seeds, q).unwrap_err());
             fell_back += 1;
@@ -1785,7 +1828,8 @@ mod tests {
                 .with_block_size(1000)
                 .with_master_seed(master);
             let looper = GibbsLooper::new(query.clone(), config);
-            let want = referee::run(&looper, &catalog);
+            let block = referee::Block::new(&looper, &catalog, 1000).unwrap();
+            let want = referee::run(&looper, &block);
             match looper.sample(&catalog) {
                 Ok((got, seeds, _)) => {
                     let want = want.unwrap();
@@ -1799,7 +1843,7 @@ mod tests {
                     assert_eq!(err, want.unwrap_err(), "master {master}");
                     // Past the initial aggregates: a consumed candidate.
                     let n = looper.config.staged().n_per_step;
-                    let (_, program, bundles, seeds) = set_up(&query, &catalog, master, (n, n));
+                    let (program, bundles, seeds) = set_up(&query, &catalog, master, (n, n));
                     let all = runs(&bundles, program.slots(), 0..bundles.len());
                     consumed += usize::from(seeds.initial(&program, &bundles, &all, n).is_ok());
                 }
@@ -1811,60 +1855,177 @@ mod tests {
     /// The scalar loop the compiled one replaced, kept as its referee: TS-seeds
     /// in a `BTreeMap` swept in key order, every affected Gibbs tuple boxed into
     /// a `Vec<Value>` version row and read by the `Expr` interpreter, stream
-    /// values read from a [`referee::Streams`] copy of its own.
+    /// values read by position from one full-width [`referee::Block`].
     mod referee {
         use std::collections::BTreeMap;
 
         use super::super::*;
+        use mcdbr_exec::SharedColumn;
         use mcdbr_storage::Value;
 
+        /// What a run yields that the compiled loop must match.
+        #[derive(Debug)]
+        pub(super) struct Outcome {
+            pub(super) tail_samples: Vec<f64>,
+            pub(super) cutoffs: Vec<f64>,
+            pub(super) gibbs: GibbsStats,
+            pub(super) stream_positions_consumed: u64,
+        }
+
+        /// One block of the looper's plan, `width` positions from 0: its
+        /// Gibbs tuples, the tuples carrying each seed, and every stream
+        /// cell's values keyed by `(seed, VG row, VG column)`.  Columns
+        /// neither the aggregate nor the final predicate reads become `Null`
+        /// placeholders, so a version row never reads a `Computed` column.
+        pub(super) struct Block {
+            schema: Schema,
+            bundles: Vec<TupleBundle>,
+            tuples: BTreeMap<SeedId, Vec<usize>>,
+            values: BTreeMap<(SeedId, usize, usize), SharedColumn>,
+        }
+
+        impl Block {
+            pub(super) fn new(
+                looper: &GibbsLooper,
+                catalog: &Catalog,
+                width: usize,
+            ) -> Result<Block> {
+                let (plan, master_seed) = (&looper.query.plan, looper.config.master_seed);
+                let set = ExecSession::prepare(plan, catalog, master_seed)?
+                    .instantiate_block(catalog, 0, width)?;
+                let mut tuples: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
+                let mut values = BTreeMap::new();
+                for (idx, bundle) in set.bundles.iter().enumerate() {
+                    let mut seeds: Vec<SeedId> =
+                        bundle.values.iter().filter_map(BundleValue::seed).collect();
+                    seeds.sort_unstable();
+                    seeds.dedup();
+                    for seed in seeds {
+                        tuples.entry(seed).or_default().push(idx);
+                    }
+                    for value in &bundle.values {
+                        if let BundleValue::Random {
+                            seed,
+                            vg_row,
+                            vg_col,
+                            values: column,
+                            ..
+                        } = value
+                        {
+                            let cell = (*seed, *vg_row, *vg_col);
+                            values.entry(cell).or_insert_with(|| column.clone());
+                        }
+                    }
+                }
+                let query = &looper.query;
+                let mut referenced = query.aggregate.expr.referenced_columns();
+                if let Some(pred) = &query.final_predicate {
+                    referenced.extend(pred.referenced_columns());
+                }
+                let referenced: Vec<usize> = (referenced.iter())
+                    .map(|c| set.schema.index_of(c).unwrap())
+                    .collect();
+                let mut bundles = set.bundles;
+                for bundle in &mut bundles {
+                    for (i, value) in bundle.values.iter_mut().enumerate() {
+                        if !referenced.contains(&i) {
+                            *value = BundleValue::Const(Value::Null);
+                        }
+                    }
+                }
+                Ok(Block {
+                    schema: set.schema,
+                    bundles,
+                    tuples,
+                    values,
+                })
+            }
+
+            /// The row of Gibbs tuple `b` as DB version `v` sees it under
+            /// `ts`, optionally with one seed at a candidate position.
+            fn version_row_into(
+                &self,
+                ts: &BTreeMap<SeedId, TsSeed>,
+                b: usize,
+                v: usize,
+                override_pos: Option<(SeedId, u64)>,
+                row: &mut Vec<Value>,
+            ) {
+                row.clear();
+                row.extend(self.bundles[b].values.iter().map(|bv| match bv {
+                    BundleValue::Const(value) => value.clone(),
+                    BundleValue::Computed(_) => unreachable!("pruned"),
+                    BundleValue::Random {
+                        seed,
+                        vg_row,
+                        vg_col,
+                        ..
+                    } => {
+                        let pos = match override_pos {
+                            Some((s, pos)) if s == *seed => pos,
+                            _ => ts[seed].assigned(v),
+                        };
+                        let values = &self.values[&(*seed, *vg_row, *vg_col)];
+                        assert!(pos < values.len() as u64, "past the referee's block");
+                        values.value_at(pos as usize)
+                    }
+                }));
+            }
+
+            /// The contribution of `seed`'s tuples (every tuple if `None`)
+            /// to DB version `v`'s aggregate under `ts`.
+            pub(super) fn contribution(
+                &self,
+                query: &MonteCarloQuery,
+                ts: &BTreeMap<SeedId, TsSeed>,
+                seed: Option<SeedId>,
+                v: usize,
+                override_pos: Option<(SeedId, u64)>,
+            ) -> Result<f64> {
+                let all: Vec<usize>;
+                let tuples = match seed {
+                    Some(seed) => &self.tuples[&seed],
+                    None => {
+                        all = (0..self.bundles.len()).collect();
+                        &all
+                    }
+                };
+                let schema = &self.schema;
+                let mut total = 0.0;
+                let mut row: Vec<Value> = Vec::with_capacity(schema.len());
+                for &b in tuples {
+                    self.version_row_into(ts, b, v, override_pos, &mut row);
+                    if let Some(pred) = &query.final_predicate {
+                        if !pred.eval_bool(schema, &row)? {
+                            continue;
+                        }
+                    }
+                    total += match query.aggregate.func {
+                        AggFunc::Sum => query.aggregate.expr.eval_f64(schema, &row)?,
+                        AggFunc::Count => 1.0,
+                        _ => unreachable!("SUM or COUNT"),
+                    };
+                }
+                Ok(total)
+            }
+        }
+
         /// A full tail-sampling run the way the looper ran it before its rows
-        /// were compiled (valid queries only: the checks live in `run`).
-        pub(super) fn run(looper: &GibbsLooper, catalog: &Catalog) -> Result<TailSampleResult> {
+        /// were compiled (valid queries only: the checks live in `run`),
+        /// reading every stream position from `block`.
+        pub(super) fn run(looper: &GibbsLooper, block: &Block) -> Result<Outcome> {
             let (query, config) = (&looper.query, &looper.config);
             let params = config.staged();
             let (n, m, p_step, l) = (params.n_per_step, params.m, params.p_per_step, config.l);
-            let block = config.block_size.max(n);
-            let mut session = looper
-                .cache
-                .session(&query.plan, catalog, config.master_seed)?
-                .with_backend(Arc::clone(&looper.backend));
-            let stream_keys: BTreeMap<SeedId, StreamKey> = session
-                .prefix()
-                .expect("cacheable plan")
-                .skeleton()
-                .active_keys()
-                .iter()
-                .map(|&key| (key.bind(config.master_seed), key))
+            let mut ts: BTreeMap<SeedId, TsSeed> = (block.tuples.keys())
+                .map(|&seed| (seed, TsSeed::new(seed, n)))
                 .collect();
-            let set = session.instantiate_block(catalog, 0, block)?;
-            let schema = set.schema.clone();
-            let mut bundles = set.bundles;
-
-            let mut ts_seeds: BTreeMap<SeedId, TsSeed> = BTreeMap::new();
-            let mut seed_to_bundles: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
-            for (idx, bundle) in bundles.iter().enumerate() {
-                let mut seeds: Vec<SeedId> =
-                    bundle.values.iter().filter_map(BundleValue::seed).collect();
-                seeds.sort_unstable();
-                seeds.dedup();
-                for seed in seeds {
-                    ts_seeds
-                        .entry(seed)
-                        .or_insert_with(|| TsSeed::new(seed, n, block as u64));
-                    seed_to_bundles.entry(seed).or_default().push(idx);
-                }
-            }
-            let mut streams = Streams::new(ts_seeds, &bundles);
-            prune(query, &schema, &mut bundles);
-
             let mut num_versions = n;
             let mut version_aggregates: Vec<f64> = (0..num_versions)
-                .map(|v| full_aggregate(query, &schema, &bundles, &streams, v))
+                .map(|v| block.contribution(query, &ts, None, v, None))
                 .collect::<Result<_>>()?;
             let mut cutoffs = Vec::with_capacity(m);
             let mut gibbs = GibbsStats::default();
-            let mut replenishments = 0usize;
             for step in 0..m {
                 if version_aggregates.iter().any(|a| a.is_nan()) {
                     return Err(Error::InvalidOperation("NaN aggregate".into()));
@@ -1885,44 +2046,30 @@ mod tests {
                 let next_size = if step + 1 == m { l } else { n };
                 let sources: Vec<usize> =
                     (0..next_size).map(|i| elites[i % elites.len()]).collect();
-                for ts in streams.ts.values_mut() {
+                for ts in ts.values_mut() {
                     ts.reassign_from(&sources);
                 }
                 version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
                 num_versions = next_size;
 
                 for _ in 0..config.k {
-                    let seeds: Vec<SeedId> = streams.ts.keys().copied().collect();
+                    let seeds: Vec<SeedId> = ts.keys().copied().collect();
                     for seed in seeds {
-                        let affected = seed_to_bundles.get(&seed).cloned().unwrap_or_default();
                         #[allow(clippy::needless_range_loop)]
                         for v in 0..num_versions {
-                            let old = contribution(
-                                query, &schema, &bundles, &streams, &affected, v, None,
-                            )?;
+                            let old = block.contribution(query, &ts, Some(seed), v, None)?;
                             let mut candidates_tried = 0u64;
                             loop {
                                 if candidates_tried >= config.max_candidates {
                                     gibbs.exhausted += 1;
                                     break;
                                 }
-                                let pos = streams.ts[&seed].next_unused();
-                                if pos >= streams.ts[&seed].high {
-                                    streams.replenish(&mut session, stream_keys[&seed], seed)?;
-                                    replenishments += 1;
-                                }
-                                let new = contribution(
-                                    query,
-                                    &schema,
-                                    &bundles,
-                                    &streams,
-                                    &affected,
-                                    v,
-                                    Some((seed, pos)),
-                                )?;
+                                let pos = ts[&seed].next_unused();
+                                let cand = Some((seed, pos));
+                                let new = block.contribution(query, &ts, Some(seed), v, cand)?;
                                 let new_aggregate = version_aggregates[v] - old + new;
                                 candidates_tried += 1;
-                                let ts = streams.ts.get_mut(&seed).expect("seed present");
+                                let ts = ts.get_mut(&seed).expect("seed present");
                                 if new_aggregate >= cutoff {
                                     ts.assign(v, pos);
                                     version_aggregates[v] = new_aggregate;
@@ -1936,156 +2083,12 @@ mod tests {
                     }
                 }
             }
-            Ok(TailSampleResult {
-                quantile_estimate: *cutoffs.last().unwrap_or(&f64::NAN),
+            Ok(Outcome {
                 tail_samples: version_aggregates,
                 cutoffs,
                 gibbs,
-                plan_executions: session.plan_executions(),
-                blocks_materialized: session.blocks_materialized(),
-                values_materialized: session.values_materialized(),
-                skeleton_hits: usize::from(session.skeleton_hit()),
-                skeleton_misses: usize::from(!session.skeleton_hit()),
-                replenishments,
-                bytes_materialized: session.bytes_materialized(),
-                buffer_reuses: session.buffer_reuses(),
-                stream_positions_consumed: streams.ts.values().map(|ts| ts.max_used + 1).sum(),
-                backend: ShardStats::default(),
-                parameters: params,
+                stream_positions_consumed: ts.values().map(|ts| ts.max_used + 1).sum(),
             })
-        }
-
-        /// The referee's TS-seeds and its own copy of every stream cell's
-        /// values from position 0, keyed by `(seed, VG row, VG column)`.
-        pub(super) struct Streams {
-            pub(super) ts: BTreeMap<SeedId, TsSeed>,
-            values: BTreeMap<(SeedId, usize, usize), Vec<Value>>,
-        }
-
-        impl Streams {
-            /// `ts` over the stream cells of `bundles`, a block from
-            /// position 0.
-            pub(super) fn new(ts: BTreeMap<SeedId, TsSeed>, bundles: &[TupleBundle]) -> Streams {
-                let mut values = BTreeMap::new();
-                for value in bundles.iter().flat_map(|b| &b.values) {
-                    if let BundleValue::Random {
-                        seed,
-                        vg_row,
-                        vg_col,
-                        values: column,
-                        ..
-                    } = value
-                    {
-                        let cell = (*seed, *vg_row, *vg_col);
-                        values.entry(cell).or_insert_with(|| column.values_out());
-                    }
-                }
-                Streams { ts, values }
-            }
-
-            /// Append a window of `seed`'s stream as wide as it already is.
-            fn replenish(
-                &mut self,
-                session: &mut ExecSession,
-                key: StreamKey,
-                seed: SeedId,
-            ) -> Result<()> {
-                let ts = self.ts.get_mut(&seed).expect("seed present");
-                let window = session.instantiate_stream(key, ts.high, ts.high as usize)?;
-                let cells = (seed, 0, 0)..=(seed, usize::MAX, usize::MAX);
-                for (&(_, row, col), values) in self.values.range_mut(cells) {
-                    values.extend(window.cell(row, col)?.values_out());
-                }
-                ts.extend_materialized(ts.high);
-                Ok(())
-            }
-        }
-
-        /// Columns neither the aggregate nor the final predicate reads become
-        /// `Null` placeholders, so a version row never reads a `Computed` column.
-        pub(super) fn prune(query: &MonteCarloQuery, schema: &Schema, bundles: &mut [TupleBundle]) {
-            let mut referenced = query.aggregate.expr.referenced_columns();
-            if let Some(pred) = &query.final_predicate {
-                referenced.extend(pred.referenced_columns());
-            }
-            let referenced: Vec<usize> = referenced
-                .iter()
-                .map(|c| schema.index_of(c).unwrap())
-                .collect();
-            for bundle in bundles {
-                for (i, value) in bundle.values.iter_mut().enumerate() {
-                    if !referenced.contains(&i) {
-                        *value = BundleValue::Const(Value::Null);
-                    }
-                }
-            }
-        }
-
-        /// The row of `bundle` as DB version `v` sees it, optionally with one
-        /// seed at a candidate position.
-        fn version_row_into(
-            bundle: &TupleBundle,
-            streams: &Streams,
-            v: usize,
-            override_pos: Option<(SeedId, u64)>,
-            row: &mut Vec<Value>,
-        ) {
-            row.clear();
-            row.extend(bundle.values.iter().map(|bv| match bv {
-                BundleValue::Const(value) => value.clone(),
-                BundleValue::Computed(_) => unreachable!("pruned"),
-                BundleValue::Random {
-                    seed,
-                    vg_row,
-                    vg_col,
-                    ..
-                } => {
-                    let assigned = match override_pos {
-                        Some((s, pos)) if s == *seed => pos,
-                        _ => streams.ts[seed].assigned(v),
-                    };
-                    streams.values[&(*seed, *vg_row, *vg_col)][assigned as usize].clone()
-                }
-            }));
-        }
-
-        fn contribution(
-            query: &MonteCarloQuery,
-            schema: &Schema,
-            bundles: &[TupleBundle],
-            streams: &Streams,
-            indices: &[usize],
-            v: usize,
-            override_pos: Option<(SeedId, u64)>,
-        ) -> Result<f64> {
-            let mut total = 0.0;
-            let mut row: Vec<Value> = Vec::with_capacity(schema.len());
-            for &idx in indices {
-                version_row_into(&bundles[idx], streams, v, override_pos, &mut row);
-                if let Some(pred) = &query.final_predicate {
-                    if !pred.eval_bool(schema, &row)? {
-                        continue;
-                    }
-                }
-                total += match query.aggregate.func {
-                    AggFunc::Sum => query.aggregate.expr.eval_f64(schema, &row)?,
-                    AggFunc::Count => 1.0,
-                    _ => unreachable!("SUM or COUNT"),
-                };
-            }
-            Ok(total)
-        }
-
-        /// DB version `v`'s aggregate from scratch.
-        pub(super) fn full_aggregate(
-            query: &MonteCarloQuery,
-            schema: &Schema,
-            bundles: &[TupleBundle],
-            streams: &Streams,
-            v: usize,
-        ) -> Result<f64> {
-            let all: Vec<usize> = (0..bundles.len()).collect();
-            contribution(query, schema, bundles, streams, &all, v, None)
         }
     }
 }

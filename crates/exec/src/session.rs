@@ -734,15 +734,16 @@ impl ExecSession {
         )
     }
 
-    /// Phase 2 for the stream that ran dry (paper §9): materialize
-    /// positions `base_pos .. base_pos + num_values` of the active stream
-    /// `key` only, returning its shared cell columns — bit-identical to the
-    /// same cells of a full-width block over the same window, with no
-    /// bundles rebuilt.  One stream's window is small, pure `(seed,
-    /// position)` work, so it runs inline on the session's pool whatever
-    /// the backend, as a dispatching backend's degraded path regenerates
-    /// units locally.  Counts as one block; uncacheable plans have no
-    /// per-stream unit and are refused.
+    /// Phase 2 for one stream: materialize positions
+    /// `base_pos .. base_pos + num_values` of the active stream `key` only,
+    /// returning its shared cell columns — bit-identical to the same cells
+    /// of a full-width block over the same window, with no bundles rebuilt.
+    /// The Gibbs looper draws each chunk of a stream past its initial block
+    /// this way.  One stream's window is small, pure `(seed, position)`
+    /// work, so it runs inline on the session's pool whatever the backend,
+    /// as a dispatching backend's degraded path regenerates units locally.
+    /// Counts as one block; uncacheable plans have no per-stream unit and
+    /// are refused.
     pub fn instantiate_stream(
         &mut self,
         key: StreamKey,

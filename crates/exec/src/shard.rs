@@ -184,8 +184,8 @@ pub fn fold_block(
 /// across streams on up to `threads` threads, returning each stream's cells
 /// in `needed` order.  [`ShardTask::run`] calls it for a unit's streams,
 /// [`SampleJob::sample_rep_range`] for a range's, and
-/// [`crate::ExecSession::instantiate_stream`] for the one stream a Gibbs
-/// run found dry.
+/// [`crate::ExecSession::instantiate_stream`] for the one stream whose
+/// chunk past the initial block a Gibbs run draws.
 pub(crate) fn generate_streams(
     prefix: &DeterministicPrefix,
     needed: &[usize],
@@ -199,9 +199,8 @@ pub(crate) fn generate_streams(
     });
     // Move each generated block's cells into shared columns and
     // return the pooled buffer immediately — on errors too, so partial
-    // work is metered and buffers survive for the next block
-    // (replenishment window, repeated query, or a neighboring shard
-    // task).  The first error in input order wins (the `crate::par`
+    // work is metered and buffers survive for the next block (a Gibbs
+    // run's next chunk, a repeated query, or a neighboring shard task).  The first error in input order wins (the `crate::par`
     // determinism contract).
     let mut cells = Vec::with_capacity(needed.len());
     let mut first_err = None;

@@ -45,7 +45,7 @@ fn main() {
         result.cutoffs.iter().map(|c| c.round()).collect::<Vec<_>>()
     );
     println!(
-        "  plan executions: {} (replenishments: {} one-stream windows; {} values materialized, {} consumed)",
+        "  plan executions: {} ({} one-stream chunks drawn past the initial block; {} values materialized, {} consumed)",
         result.plan_executions,
         result.replenishments,
         result.values_materialized,

@@ -141,7 +141,7 @@ fn ts_seed_bookkeeping() {
     for case in 0..CASES {
         let mut g = Gen::new(case);
         let num_versions = g.usize_in(1, 16);
-        let mut ts = TsSeed::new(7, num_versions, 1_000);
+        let mut ts = TsSeed::new(7, num_versions);
         let num_ops = g.usize_in(0, 50);
         for _ in 0..num_ops {
             let v = g.usize_in(0, 16) % num_versions;
@@ -151,12 +151,11 @@ fn ts_seed_bookkeeping() {
             assert_eq!(ts.assigned(v), pos, "case {case}: assignment lost");
         }
         let src = 0;
-        for dst in 0..num_versions {
-            ts.clone_version(dst, src);
-        }
+        let want = ts.assigned(src);
+        ts.reassign_from(&vec![src; num_versions]);
         assert!(
-            (0..num_versions).all(|v| ts.assigned(v) == ts.assigned(src)),
-            "case {case}: clone_version did not copy the column"
+            (0..num_versions).all(|v| ts.assigned(v) == want),
+            "case {case}: reassign_from did not copy the column"
         );
     }
 }
