@@ -127,7 +127,7 @@ fn main() {
         "{}",
         row(&[
             "MCDB-R shard merge time".into(),
-            "-".into(),
+            "0: the looper assembles no block".into(),
             format!("{:.3} ms", result.backend.shard_merge_ns as f64 / 1e6)
         ])
     );

@@ -48,9 +48,16 @@
 //!   moved them.  The initial per-version aggregates (App. A.1) and
 //!   contributions are lanes over positions `0..n`, which the identity
 //!   mapping assigns.
-//! * **Streams past the initial block** (§6, §9).  One full-width block
-//!   seeds every stream; the Gibbs tuples hold it and never change after
-//!   it.  A stream value is a pure function of `(seed, position)`, so past
+//! * **Gibbs tuples are lineage** (App. A.2).  A Gibbs tuple's share of a
+//!   DB version is which stream cell or constant feeds each program slot;
+//!   the looper reads that in place from the plan skeleton
+//!   ([`mcdbr_exec::PlanSkeleton::lineage`]) and never builds a tuple
+//!   bundle.  One full-width draw of every active stream's cells over
+//!   positions `0..block` ([`mcdbr_exec::ExecSession::instantiate_cells`],
+//!   on the looper's backend) seeds the run; each TS-seed keeps its
+//!   stream's cells, and they never change after it.
+//! * **Streams past the initial block** (§6, §9).  A stream value is a pure
+//!   function of `(seed, position)`, so past
 //!   the block the looper keeps no materialized range: a chunk starting
 //!   there draws its stream's positions `[pos, end)` once, when the sweep
 //!   reaches them ([`mcdbr_exec::ExecSession::instantiate_stream`]: no scan,
@@ -77,12 +84,12 @@ use std::sync::Arc;
 
 use mcdbr_exec::program::Lane;
 use mcdbr_exec::{
-    AggFunc, BundleValue, CellCols, ExecBackend, ExecSession, InProcessBackend, Program,
-    SessionCache, ShardStats, TupleBundle,
+    AggFunc, CellCols, ExecBackend, ExecSession, InProcessBackend, Lineage, PlanSkeleton, Program,
+    SessionCache, ShardStats,
 };
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_prng::{SeedId, StreamKey};
-use mcdbr_storage::{Catalog, Column, Error, Mask, Result, Schema, Value};
+use mcdbr_storage::{Catalog, Column, Error, Mask, Result, Value};
 
 use crate::gibbs::GibbsStats;
 use crate::params::{optimal_m, staged_parameters_with_m, StagedParameters};
@@ -191,13 +198,15 @@ pub struct TailSampleResult {
     /// run, or a shared cache warmed by another looper under any master
     /// seed).
     pub plan_executions: usize,
-    /// Number of blocks materialized: the initial full-width block plus one
-    /// single-stream chunk per draw past it (`1 + replenishments`).
+    /// Number of blocks materialized: the initial draw of every active
+    /// stream's cells plus one single-stream chunk per draw past it
+    /// (`1 + replenishments`).
     pub blocks_materialized: usize,
     /// Stream values materialized (streams × positions, summed over those
     /// blocks) — the volume the run generated.  Of these it holds the
-    /// initial block and the last chunk, and for each seed that is not
-    /// separable the values each version reads past the block.
+    /// initial cells of every stream a Gibbs tuple carries and the last
+    /// chunk, and for each seed that is not separable the values each
+    /// version reads past the block.
     pub values_materialized: u64,
     /// 1 when this run's session came out of the session cache, else 0
     /// (summable across runs, mirroring the engine-level counters): phase 1
@@ -219,9 +228,11 @@ pub struct TailSampleResult {
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
     /// This run's window of its execution backend's counters — shard tasks
-    /// and merge time, worker-process dispatch and its fault ladder (all
-    /// zero where the backend has nothing to report, e.g.
-    /// `shards_spawned` on the in-process backend).  Attributed by
+    /// and worker-process dispatch and its fault ladder for the initial
+    /// cells (all zero where the backend has nothing to report, e.g.
+    /// `shards_spawned` on the in-process backend).  The looper assembles
+    /// no block, so `shard_merge_ns` stays 0 on the process backend; the
+    /// chunks past the block run inline and count nothing.  Attributed by
     /// snapshotting the backend's cumulative [`mcdbr_exec::ShardStats`]
     /// around the run, so a backend shared across *concurrent* runs blurs
     /// per-run attribution (see the `ShardStats` docs); results themselves
@@ -263,10 +274,11 @@ impl GibbsLooper {
         self
     }
 
-    /// Materialize the initial full-width block on an explicit execution
-    /// backend (the single-stream chunks drawn past it always run inline).
-    /// Results are bit-identical for every backend; only its
-    /// counters (`backend` on the result) differ.
+    /// Draw the initial cells of every active stream on an explicit
+    /// execution backend ([`ExecBackend::instantiate_cells`]; the
+    /// single-stream chunks drawn past them always run inline).  Results
+    /// are bit-identical for every backend; only its counters (`backend` on
+    /// the result) differ.
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = backend;
         self
@@ -277,9 +289,9 @@ impl GibbsLooper {
         self.sample(catalog).map(|(result, ..)| result)
     }
 
-    /// [`GibbsLooper::run`], also handing back the TS-seeds and Gibbs
-    /// tuples the run ended with.
-    fn sample(&self, catalog: &Catalog) -> Result<(TailSampleResult, Seeds, Vec<TupleBundle>)> {
+    /// [`GibbsLooper::run`], also handing back the TS-seeds the run ended
+    /// with.
+    fn sample(&self, catalog: &Catalog) -> Result<(TailSampleResult, Seeds)> {
         self.config.validate()?;
         if !self.query.group_by.is_empty() {
             return Err(Error::InvalidOperation(
@@ -310,9 +322,9 @@ impl GibbsLooper {
         // ===== Run the deterministic plan skeleton at most once (paper §5)
         // — the plan-keyed session cache skips it entirely when a previous
         // run already built this plan's skeleton, under any master seed —
-        // then materialize the initial stream block against the bound
-        // prefix.  Chunks past the block reuse the same session and never
-        // re-run scans, joins, or constant predicates.
+        // then draw every stream's initial cells against the bound prefix.
+        // Chunks past the block reuse the same session and never re-run
+        // scans, joins, or constant predicates.
         let backend_stats_before = self.backend.shard_stats();
         let mut session = self
             .cache
@@ -327,37 +339,34 @@ impl GibbsLooper {
                 session.fallback_reason().unwrap_or_default()
             )));
         };
-        let mut keys: Vec<(SeedId, StreamKey)> = prefix
-            .skeleton()
-            .active_keys()
-            .iter()
-            .map(|&key| (key.bind(self.config.master_seed), key))
-            .collect();
-        keys.sort_unstable_by_key(|&(seed, _)| seed);
-        let set = session.instantiate_block(catalog, 0, block)?;
-        let bundles = set.bundles;
+        let skeleton = Arc::clone(prefix.skeleton());
         let predicate = self.query.final_predicate.as_ref();
-        let program = Program::compile(&set.schema, predicate, value);
-        self.validate_bundles(&set.schema, &bundles, program.slots())?;
-
-        if bundles.is_empty() {
+        let program = Program::compile(skeleton.schema(), predicate, value);
+        validate_skeleton(&skeleton, program.slots())?;
+        let tuples = skeleton.num_bundles();
+        if tuples == 0 {
             return Err(Error::InvalidOperation(
                 "the query plan produced no tuples; the query-result distribution is degenerate"
                     .into(),
             ));
         }
-        let mut seeds = Seeds::new(session, &bundles, program.slots(), &keys, n, block as u64)?;
+        let cells = session.instantiate_cells(catalog, 0, block)?;
+        let mut seeds = Seeds::new(session, skeleton, cells, program.slots(), n, block as u64)?;
 
         // ===== Initial per-version aggregates (App. A.1), and each separable
         // seed's contribution to them: under the identity mapping version
         // `v` reads position `v` of every stream, so both are lanes over
         // positions `0..n`.
         let mut num_versions = n;
-        let all = runs(&bundles, program.slots(), 0..bundles.len());
-        let mut version_aggregates = seeds.initial(&program, &bundles, &all, n)?;
+        let all = runs(
+            |b, c| seeds.skeleton.lineage(b, c),
+            program.slots(),
+            0..tuples,
+        );
+        let mut version_aggregates = seeds.initial(&program, &all, n)?;
         seeds.current = (0..seeds.ts.len())
             .map(|ord| match seeds.separable[ord] {
-                true => seeds.initial(&program, &bundles, &seeds.runs[ord], n),
+                true => seeds.initial(&program, &seeds.runs[ord], n),
                 false => Ok(Vec::new()),
             })
             .collect::<Result<_>>()?;
@@ -417,9 +426,7 @@ impl GibbsLooper {
                         // read, which may have moved since.
                         let old_contribution = match separable {
                             true => seeds.current[ord][v],
-                            false => {
-                                seeds.contribution(&program, &bundles, &seeds.runs[ord], v, None)?
-                            }
+                            false => seeds.contribution(&program, &seeds.runs[ord], v, None)?,
                         };
                         let mut candidates_tried = 0u64;
                         loop {
@@ -432,7 +439,7 @@ impl GibbsLooper {
                             // The contributions at `pos` and the positions
                             // after it, tried in order until one keeps the
                             // version at or above the cutoff.
-                            let next = seeds.candidates(&program, &bundles, (ord, v), pos, want)?;
+                            let next = seeds.candidates(&program, (ord, v), pos, want)?;
                             let next = &next[..next.len().min(budget as usize)];
                             let hit = next
                                 .iter()
@@ -480,38 +487,31 @@ impl GibbsLooper {
             backend: self.backend.shard_stats().since(backend_stats_before),
             parameters: params,
         };
-        Ok((result, seeds, bundles))
+        Ok((result, seeds))
     }
+}
 
-    /// Reject plans whose bundles lost lineage (Computed columns the
-    /// program reads) or pushed random predicates below the looper
-    /// (per-repetition isPres has repetition semantics, not DB-version
-    /// semantics).
-    fn validate_bundles(
-        &self,
-        schema: &Schema,
-        bundles: &[TupleBundle],
-        slots: &[usize],
-    ) -> Result<()> {
-        for bundle in bundles {
-            if bundle.is_pres.is_some() {
-                return Err(Error::InvalidOperation(
-                    "plans feeding GibbsLooper must not filter on random attributes below the \
-                     looper; pull such predicates into the final predicate (paper App. A, input 3)"
-                        .into(),
-                ));
-            }
-            for &i in slots {
-                if matches!(bundle.values[i], BundleValue::Computed(_)) {
-                    return Err(Error::InvalidOperation(format!(
-                        "column {} lost its stream lineage (it was computed by a projection); \
-                         keep arithmetic over random attributes inside the aggregate expression",
-                        schema.field(i).name
-                    )));
-                }
-            }
-        }
-        Ok(())
+/// Reject plans whose Gibbs tuples lost lineage (a computed column the
+/// program reads) or pushed random predicates below the looper
+/// (per-repetition isPres has repetition semantics, not DB-version
+/// semantics).
+fn validate_skeleton(skeleton: &PlanSkeleton, slots: &[usize]) -> Result<()> {
+    if skeleton.defers_presence() {
+        return Err(Error::InvalidOperation(
+            "plans feeding GibbsLooper must not filter on random attributes below the \
+             looper; pull such predicates into the final predicate (paper App. A, input 3)"
+                .into(),
+        ));
+    }
+    let computed =
+        |i: usize| (0..skeleton.num_bundles()).any(|b| skeleton.lineage(b, i) == Lineage::Computed);
+    match slots.iter().find(|&&i| computed(i)) {
+        Some(&i) => Err(Error::InvalidOperation(format!(
+            "column {} lost its stream lineage (it was computed by a projection); \
+             keep arithmetic over random attributes inside the aggregate expression",
+            skeleton.schema().field(i).name
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -520,37 +520,27 @@ impl GibbsLooper {
 type Run = (usize, usize);
 
 /// `indices` as maximal runs of consecutive Gibbs tuples whose inputs to
-/// every program slot are identical: the same stream cell (seed, VG row and
-/// column, chain base) or bitwise-equal constants.
-fn runs(
-    bundles: &[TupleBundle],
+/// every program slot are identical: the same stream cell or
+/// bitwise-equal constants.  `input(b, c)` is tuple `b`'s column `c`.
+fn runs<'a>(
+    input: impl Fn(usize, usize) -> Lineage<'a>,
     slots: &[usize],
     indices: impl IntoIterator<Item = usize>,
 ) -> Vec<Run> {
-    let cell = |value: &BundleValue| match *value {
-        BundleValue::Random {
-            seed,
-            vg_row,
-            vg_col,
-            base_pos,
-            ..
-        } => Some((seed, vg_row, vg_col, base_pos)),
-        _ => None,
-    };
-    let same = |a: &TupleBundle, b: &TupleBundle| {
-        slots.iter().all(|&c| match (&a.values[c], &b.values[c]) {
+    let same = |a: usize, b: usize| {
+        slots.iter().all(|&c| match (input(a, c), input(b, c)) {
             // Bits, not `==`: `0.0 == -0.0` and `NaN != NaN`.
-            (BundleValue::Const(Value::Float64(x)), BundleValue::Const(Value::Float64(y))) => {
+            (Lineage::Const(Value::Float64(x)), Lineage::Const(Value::Float64(y))) => {
                 x.to_bits() == y.to_bits()
             }
-            (BundleValue::Const(x), BundleValue::Const(y)) => x == y,
-            (x, y) => cell(x).is_some() && cell(x) == cell(y),
+            (x @ (Lineage::Const(_) | Lineage::Stream { .. }), y) => x == y,
+            (Lineage::Computed, _) => false,
         })
     };
     let mut runs: Vec<Run> = Vec::new();
     for b in indices {
         match runs.last_mut() {
-            Some((first, len)) if same(&bundles[*first], &bundles[b]) => *len += 1,
+            Some((first, len)) if same(*first, b) => *len += 1,
             _ => runs.push((b, 1)),
         }
     }
@@ -573,12 +563,16 @@ struct Seeds {
     /// and the stream key each ordinal's chunks address.
     session: ExecSession,
     keys: Vec<StreamKey>,
-    /// The initial block's end: positions below it live in the Gibbs
-    /// tuples, whose columns start at position 0; a position at or past it
-    /// is read from the chunk that draws it.
+    /// The plan skeleton: each Gibbs tuple's lineage, read in place.
+    skeleton: Arc<PlanSkeleton>,
+    /// Each ordinal's cells over the initial block, positions `0..block`.
+    initial: Vec<CellCols>,
+    /// The initial block's end: a position below it is read from the
+    /// ordinal's initial cells; one at or past it from the chunk that draws
+    /// it.
     block: u64,
-    /// The Gibbs tuples carrying each ordinal's stream, in bundle order, as
-    /// [`runs`].
+    /// The Gibbs tuples carrying each ordinal's stream, in skeleton order,
+    /// as [`runs`].
     runs: Vec<Vec<Run>>,
     /// `ords[b * slots + s]`: the ordinal behind Gibbs tuple `b`'s input to
     /// program slot `s` (`usize::MAX` where that input is a constant).
@@ -602,7 +596,7 @@ struct Seeds {
 /// The stream values a version reads at its assigned position (§6 item
 /// (5)): `values[v * cells.len() + c]` is VG output cell `cells[c]` at
 /// version `v`'s position, where that lies past the initial block (below
-/// it, the Gibbs tuples hold the value).
+/// it, the ordinal's initial cells hold the value).
 #[derive(Debug, Default)]
 struct Kept {
     /// The `(VG row, VG column)` cells the program reads, ascending.
@@ -638,56 +632,77 @@ struct Lanes {
 }
 
 impl Seeds {
-    /// Index every seed the Gibbs tuples carry — read by the program or
-    /// not, so each is swept — with `versions` identity-mapped DB versions
-    /// (App. A.1) over an initial block of `block` positions; `keys` is
-    /// sorted by seed.
+    /// Index every seed the Gibbs tuples' columns carry — read by the
+    /// program or not, so each is swept — with `versions` identity-mapped
+    /// DB versions (App. A.1) over the initial block `cells`: every active
+    /// stream's cells for positions `0..block`, in `active_keys` order.
+    /// The cells of a stream no tuple column carries are dropped.
     fn new(
         session: ExecSession,
-        bundles: &[TupleBundle],
+        skeleton: Arc<PlanSkeleton>,
+        cells: Vec<CellCols>,
         slots: &[usize],
-        keys: &[(SeedId, StreamKey)],
         versions: usize,
         block: u64,
     ) -> Result<Self> {
-        let mut seeds: Vec<SeedId> = bundles
-            .iter()
-            .flat_map(|b| b.values.iter().filter_map(BundleValue::seed))
+        let active = skeleton.active_keys();
+        if cells.len() != active.len() {
+            return Err(Error::Invalid(format!(
+                "{} streams' cells for {} active streams",
+                cells.len(),
+                active.len()
+            )));
+        }
+        let (tuples, width) = (skeleton.num_bundles(), skeleton.schema().len());
+        let stream = |b: usize, c: usize| match skeleton.lineage(b, c) {
+            Lineage::Stream { at, vg_row, vg_col } => Some((at, (vg_row, vg_col))),
+            _ => None,
+        };
+        // The tuples whose columns carry each active stream.
+        let mut carriers: Vec<Vec<usize>> = vec![Vec::new(); active.len()];
+        for b in 0..tuples {
+            for (at, _) in (0..width).filter_map(|c| stream(b, c)) {
+                // A tuple reading one stream twice is one tuple of it.
+                if carriers[at].last() != Some(&b) {
+                    carriers[at].push(b);
+                }
+            }
+        }
+        let master = session.master_seed();
+        let mut seeds: Vec<(SeedId, usize)> = (0..active.len())
+            .filter(|&at| !carriers[at].is_empty())
+            .map(|at| (active[at].bind(master), at))
             .collect();
         seeds.sort_unstable();
-        seeds.dedup();
         if seeds.is_empty() {
             return Err(Error::InvalidOperation(
                 "the query references no random attributes; use the plain MCDB engine instead"
                     .into(),
             ));
         }
-        let ord = |seed: SeedId| seeds.binary_search(&seed).expect("collected above");
-        let mut affected: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
-        for (idx, bundle) in bundles.iter().enumerate() {
-            for seed in bundle.values.iter().filter_map(BundleValue::seed) {
-                // A bundle reading one stream twice is one tuple of it.
-                let tuples = &mut affected[ord(seed)];
-                if tuples.last() != Some(&idx) {
-                    tuples.push(idx);
-                }
+        let mut ord_of = vec![usize::MAX; active.len()];
+        for (ord, &(_, at)) in seeds.iter().enumerate() {
+            ord_of[at] = ord;
+        }
+        let mut cells: Vec<Option<CellCols>> = cells.into_iter().map(Some).collect();
+        let initial: Vec<CellCols> = (seeds.iter())
+            .map(|&(_, at)| cells[at].take().expect("one ordinal per stream"))
+            .collect();
+        let mut ords = Vec::with_capacity(tuples * slots.len());
+        for b in 0..tuples {
+            for &c in slots {
+                ords.push(match stream(b, c) {
+                    Some((at, (row, col))) => {
+                        // Every cell the program reads must be in the block.
+                        initial[ord_of[at]].cell(row, col)?;
+                        ord_of[at]
+                    }
+                    None => usize::MAX,
+                });
             }
         }
-        let ords: Vec<usize> = bundles
-            .iter()
-            .flat_map(|b| {
-                slots
-                    .iter()
-                    .map(move |&c| b.values[c].seed().map_or(usize::MAX, ord))
-            })
-            .collect();
-        let key = |seed| {
-            let at = keys.binary_search_by_key(seed, |&(s, _)| s);
-            keys[at.expect("the skeleton's active keys cover every bundle stream")].1
-        };
-        let runs: Vec<Vec<Run>> = affected
-            .into_iter()
-            .map(|a| runs(bundles, slots, a))
+        let runs: Vec<Vec<Run>> = (seeds.iter())
+            .map(|&(_, at)| runs(|b, c| skeleton.lineage(b, c), slots, carriers[at].drain(..)))
             .collect();
         let width = slots.len();
         let separable: Vec<bool> = (runs.iter().enumerate())
@@ -706,10 +721,8 @@ impl Seeds {
                 let mut cells = Vec::new();
                 for &(b, _) in runs[o].iter().filter(|_| !separable[o]) {
                     for (s, &c) in slots.iter().enumerate() {
-                        if let (true, BundleValue::Random { vg_row, vg_col, .. }) =
-                            (ords[b * width + s] == o, &bundles[b].values[c])
-                        {
-                            cells.push((*vg_row, *vg_col));
+                        if let (true, Some((_, cell))) = (ords[b * width + s] == o, stream(b, c)) {
+                            cells.push(cell);
                         }
                     }
                 }
@@ -720,9 +733,14 @@ impl Seeds {
             })
             .collect();
         Ok(Seeds {
-            ts: seeds.iter().map(|&s| TsSeed::new(s, versions)).collect(),
+            ts: seeds
+                .iter()
+                .map(|&(s, _)| TsSeed::new(s, versions))
+                .collect(),
             session,
-            keys: seeds.iter().map(key).collect(),
+            keys: seeds.iter().map(|&(_, at)| active[at]).collect(),
+            initial,
+            skeleton,
             block,
             runs,
             ords,
@@ -734,23 +752,23 @@ impl Seeds {
         })
     }
 
-    /// The column holding stream position `pos` of VG output cell `(row,
-    /// col)`, whose initial block is `values`, and the position's index in
-    /// it: the Gibbs tuple's below the initial block, else the current
+    /// The column holding stream position `pos` of ordinal `ord`'s VG
+    /// output cell `(row, col)`, and the position's index in it: the
+    /// ordinal's initial cells below the initial block, else the current
     /// chunk's, which must hold `pos`.
-    fn cell<'a>(
-        &'a self,
-        values: &'a Column,
-        (row, col): (usize, usize),
-        pos: u64,
-    ) -> (&'a Column, usize) {
-        if pos < self.block {
-            return (values, pos as usize);
-        }
-        let chunk = &self.chunk;
-        let cells = chunk.cells.as_ref().expect("a chunk holds its positions");
-        let cell = cells.cell(row, col).expect("a chunk has the block's shape");
-        (cell, (pos - chunk.start) as usize)
+    fn cell(&self, ord: usize, (row, col): (usize, usize), pos: u64) -> (&Column, usize) {
+        let (cells, start) = match pos < self.block {
+            true => (&self.initial[ord], 0),
+            false => {
+                let chunk = &self.chunk;
+                let cells = chunk.cells.as_ref().expect("a chunk holds its positions");
+                (cells, chunk.start)
+            }
+        };
+        let cell = cells
+            .cell(row, col)
+            .expect("a block has the skeleton's shape");
+        (cell, (pos - start) as usize)
     }
 
     /// The contribution of the Gibbs tuples in `runs` to DB version `v`'s
@@ -764,7 +782,6 @@ impl Seeds {
     fn contribution(
         &self,
         program: &Program,
-        bundles: &[TupleBundle],
         runs: &[Run],
         v: usize,
         cand: Option<(usize, u64)>,
@@ -773,30 +790,25 @@ impl Seeds {
         let mut total = 0.0;
         for &(b, len) in runs {
             let ords = &self.ords[b * width..(b + 1) * width];
-            let input = |slot: usize| match &bundles[b].values[program.slots()[slot]] {
-                BundleValue::Random {
-                    vg_row,
-                    vg_col,
-                    values,
-                    ..
-                } => {
-                    let (ord, cell) = (ords[slot], (*vg_row, *vg_col));
-                    match cand {
-                        Some((o, pos)) if o == ord => {
-                            let (col, i) = self.cell(values, cell, pos);
-                            col.value_at(i)
-                        }
+            let input = |slot: usize| match self.skeleton.lineage(b, program.slots()[slot]) {
+                Lineage::Stream { vg_row, vg_col, .. } => {
+                    let (ord, cell) = (ords[slot], (vg_row, vg_col));
+                    let pos = match cand {
+                        Some((o, pos)) if o == ord => pos,
                         _ => match self.ts[ord].assignment[v] {
-                            pos if pos < self.block => values.value_at(pos as usize),
+                            pos if pos < self.block => pos,
                             _ => {
                                 let kept = &self.kept[ord];
                                 let c = kept.cells.binary_search(&cell).expect("a kept cell");
-                                kept.values[v * kept.cells.len() + c].clone()
+                                return kept.values[v * kept.cells.len() + c].clone();
                             }
                         },
-                    }
+                    };
+                    let (col, i) = self.cell(ord, cell, pos);
+                    col.value_at(i)
                 }
-                constant => constant.value_at(0),
+                Lineage::Const(value) => value.clone(),
+                Lineage::Computed => unreachable!("computed program inputs are refused"),
             };
             if let Some(x) = program.eval_row_f64(input)? {
                 for _ in 0..len {
@@ -818,29 +830,26 @@ impl Seeds {
     fn lanes(
         &self,
         program: &Program,
-        bundles: &[TupleBundle],
         runs: &[Run],
         range: Range<u64>,
         out: &mut Lanes,
     ) -> Result<()> {
         let n = (range.end - range.start) as usize;
+        let width = program.slots().len();
         let Lanes { totals, sel } = out;
         totals.clear();
         totals.resize(n, 0.0);
         for &(b, len) in runs {
             sel.fill_with(n, |_| true);
+            let ords = &self.ords[b * width..(b + 1) * width];
             let lane = program.eval_block(sel, |slot| {
-                Ok(match &bundles[b].values[program.slots()[slot]] {
-                    BundleValue::Random {
-                        vg_row,
-                        vg_col,
-                        values,
-                        ..
-                    } => {
-                        let (col, i) = self.cell(values, (*vg_row, *vg_col), range.start);
+                Ok(match self.skeleton.lineage(b, program.slots()[slot]) {
+                    Lineage::Stream { vg_row, vg_col, .. } => {
+                        let (col, i) = self.cell(ords[slot], (vg_row, vg_col), range.start);
                         Lane::column_range(col, i..i + n)
                     }
-                    constant => Lane::constant(constant.value_at(0)),
+                    Lineage::Const(value) => Lane::constant(value.clone()),
+                    Lineage::Computed => unreachable!("computed program inputs are refused"),
                 })
             })?;
             for (i, total) in totals.iter_mut().enumerate() {
@@ -863,18 +872,12 @@ impl Seeds {
     /// position `v` of every stream): [`Seeds::lanes`] over `0..versions`,
     /// or the row path version by version, raising its error, where the
     /// column driver errs.
-    fn initial(
-        &self,
-        program: &Program,
-        bundles: &[TupleBundle],
-        runs: &[Run],
-        versions: usize,
-    ) -> Result<Vec<f64>> {
+    fn initial(&self, program: &Program, runs: &[Run], versions: usize) -> Result<Vec<f64>> {
         let mut out = Lanes::default();
-        match self.lanes(program, bundles, runs, 0..versions as u64, &mut out) {
+        match self.lanes(program, runs, 0..versions as u64, &mut out) {
             Ok(()) => Ok(out.totals),
             Err(_) => (0..versions)
-                .map(|v| self.contribution(program, bundles, runs, v, None))
+                .map(|v| self.contribution(program, runs, v, None))
                 .collect(),
         }
     }
@@ -888,7 +891,6 @@ impl Seeds {
     fn candidates(
         &mut self,
         program: &Program,
-        bundles: &[TupleBundle],
         (ord, v): (usize, usize),
         pos: u64,
         want: u64,
@@ -896,13 +898,13 @@ impl Seeds {
         let (chunk, separable) = (&self.chunk, self.separable[ord]);
         let held = chunk.ord == ord && (chunk.start..chunk.end).contains(&pos);
         if !held && (separable || pos >= self.block) {
-            self.fill(program, bundles, ord, pos, want)?;
+            self.fill(program, ord, pos, want)?;
         }
         if separable && self.chunk.ok {
             return Ok(&self.chunk.lanes.totals[(pos - self.chunk.start) as usize..]);
         }
         let cand = Some((ord, pos));
-        self.chunk.row = self.contribution(program, bundles, &self.runs[ord], v, cand)?;
+        self.chunk.row = self.contribution(program, &self.runs[ord], v, cand)?;
         Ok(std::slice::from_ref(&self.chunk.row))
     }
 
@@ -910,14 +912,7 @@ impl Seeds {
     /// to [`MAX_CHUNK`]), stopping at the initial block's end if `pos` lies
     /// below it, else drawn from the stream once, here.  A separable
     /// ordinal's contributions are evaluated over it at once.
-    fn fill(
-        &mut self,
-        program: &Program,
-        bundles: &[TupleBundle],
-        ord: usize,
-        pos: u64,
-        want: u64,
-    ) -> Result<()> {
+    fn fill(&mut self, program: &Program, ord: usize, pos: u64, want: u64) -> Result<()> {
         let len = (want + want / 8 + 8).clamp(16, MAX_CHUNK);
         let (end, cells) = match pos < self.block {
             true => ((pos + len).min(self.block), None),
@@ -938,7 +933,7 @@ impl Seeds {
             ..Chunk::default()
         };
         if self.separable[ord] {
-            let ok = self.lanes(program, bundles, &self.runs[ord], pos..end, &mut lanes);
+            let ok = self.lanes(program, &self.runs[ord], pos..end, &mut lanes);
             self.chunk.ok = ok.is_ok();
         }
         self.chunk.lanes = lanes;
@@ -1204,8 +1199,8 @@ mod tests {
     #[test]
     fn replenishment_never_touches_a_gibbs_tuple() {
         // Salary inversion reads two streams per tuple; a one-value block
-        // sends both far past it.  What the looper holds at the end is the
-        // initial block in the tuples, one chunk of at most `MAX_CHUNK`
+        // sends both far past it.  What the looper holds at the end is each
+        // stream's initial cells, one chunk of at most `MAX_CHUNK`
         // positions of one stream, and for each seed (none is separable)
         // the values each version reads at its assigned position, which are
         // the stream's values there.
@@ -1215,13 +1210,12 @@ mod tests {
             .with_block_size(1)
             .with_master_seed(21);
         let looper = GibbsLooper::new(query, config);
-        let (result, mut seeds, bundles) = looper.sample(&catalog).unwrap();
+        let (result, mut seeds) = looper.sample(&catalog).unwrap();
         assert!(result.replenishments > 0 && seeds.draws == result.replenishments);
         let block = result.parameters.n_per_step;
-        for value in bundles.iter().flat_map(|b| &b.values) {
-            if let BundleValue::Random { values, .. } = value {
-                assert_eq!(values.len(), block);
-            }
+        assert_eq!(seeds.initial.len(), seeds.ts.len());
+        for cells in &seeds.initial {
+            assert!(cells.columns().iter().all(|c| c.len() == block));
         }
         let chunk = &seeds.chunk;
         let len = (chunk.end - chunk.start) as usize;
@@ -1484,16 +1478,16 @@ mod tests {
     /// The compiled loop equals the referee bit for bit, and every tail
     /// sample equals its version's aggregate recomputed from scratch — by
     /// the referee — over the TS-seed assignments the run ended with.  The
-    /// referee reads one full-width block, as wide as the run's widest
-    /// stream: values are pure in `(seed, position)`.  Returns the compiled
+    /// referee reads each stream up to the last position the run consumed
+    /// of it: values are pure in `(seed, position)`.  Returns the compiled
     /// run.
     fn assert_compiled_matches_referee(
         looper: &GibbsLooper,
         catalog: &Catalog,
     ) -> TailSampleResult {
-        let (got, seeds, ..) = looper.sample(catalog).unwrap();
+        let (got, seeds) = looper.sample(catalog).unwrap();
         let ts: BTreeMap<SeedId, TsSeed> = seeds.ts.into_iter().map(|t| (t.seed, t)).collect();
-        let width = ts.values().map(|t| t.max_used + 1).max().unwrap() as usize;
+        let width = |seed| ts[&seed].max_used as usize + 1;
         let block = referee::Block::new(looper, catalog, width).unwrap();
         for (v, &x) in got.tail_samples.iter().enumerate() {
             let full = block.contribution(&looper.query, &ts, None, v, None);
@@ -1600,37 +1594,42 @@ mod tests {
         // Every tuple reads the same stream cell in slot 0 and the value
         // under test in slot 1; column 2 is not read, so it differing (a
         // lineitem key, say) never splits a run.
-        let random = |vg_col| BundleValue::Random {
-            seed: 7,
+        let random = |vg_col| Lineage::Stream {
+            at: 0,
             vg_row: 0,
             vg_col,
-            base_pos: 0,
-            values: mcdbr_exec::SharedColumn::from_f64s([1.0]),
         };
-        let int = |x: i64| BundleValue::Const(Value::Int64(x));
-        let float = |x: f64| BundleValue::Const(Value::Float64(x));
-        let nan = |payload| float(f64::from_bits(f64::NAN.to_bits() | payload));
-        let lens = |inputs: &[&BundleValue]| {
-            let bundles: Vec<TupleBundle> = (inputs.iter().enumerate())
-                .map(|(i, &x)| TupleBundle {
-                    values: vec![random(0), x.clone(), int(i as i64)],
-                    is_pres: None,
-                })
-                .collect();
-            let runs = runs(&bundles, &[0, 1], 0..bundles.len());
+        let (one, two) = (Value::Int64(1), Value::Int64(2));
+        let floats = [1.0, 2.0, 0.0, -0.0].map(Value::Float64);
+        let nan = |payload| Value::Float64(f64::from_bits(f64::NAN.to_bits() | payload));
+        let nans = [nan(1), nan(2)];
+        let keys: Vec<Value> = (0..5).map(Value::Int64).collect();
+        let lens = |inputs: &[Lineage]| {
+            let tuple = |b: usize, c: usize| match c {
+                0 => random(0),
+                1 => inputs[b],
+                _ => Lineage::Const(&keys[b]),
+            };
+            let runs = runs(tuple, &[0, 1], 0..inputs.len());
             runs.iter().map(|&(_, len)| len).collect::<Vec<_>>()
         };
+        let int = Lineage::Const;
+        let float = |i: usize| Lineage::Const(&floats[i]);
         for (what, a, b) in [
-            ("Float64 constants", float(1.0), float(2.0)),
-            ("signed zeros", float(0.0), float(-0.0)),
-            ("NaN payloads", nan(1), nan(2)),
-            ("Int64 constants", int(1), int(2)),
+            ("Float64 constants", float(0), float(1)),
+            ("signed zeros", float(2), float(3)),
+            (
+                "NaN payloads",
+                Lineage::Const(&nans[0]),
+                Lineage::Const(&nans[1]),
+            ),
+            ("Int64 constants", int(&one), int(&two)),
             ("VG columns", random(1), random(2)),
         ] {
-            assert_eq!(lens(&[&a, &b]), [1, 1], "{what}");
-            assert_eq!(lens(&[&a, &b, &a]), [1, 1, 1], "{what}: A, B, A");
+            assert_eq!(lens(&[a, b]), [1, 1], "{what}");
+            assert_eq!(lens(&[a, b, a]), [1, 1, 1], "{what}: A, B, A");
             // Identical inputs — the same bits, NaN included — do merge.
-            assert_eq!(lens(&[&a, &a, &b, &b, &b]), [2, 3], "{what}");
+            assert_eq!(lens(&[a, a, b, b, b]), [2, 3], "{what}");
         }
     }
 
@@ -1685,23 +1684,28 @@ mod tests {
         catalog: &Catalog,
         master: u64,
         (block, versions): (usize, usize),
-    ) -> (Program, Vec<TupleBundle>, Seeds) {
+    ) -> (Program, Seeds) {
         let mut session = ExecSession::prepare(&query.plan, catalog, master).unwrap();
-        let active = session.prefix().unwrap().skeleton().active_keys();
-        let mut keys: Vec<_> = active.iter().map(|&k| (k.bind(master), k)).collect();
-        keys.sort_unstable_by_key(|&(seed, _)| seed);
-        let set = session.instantiate_block(catalog, 0, block).unwrap();
+        let skeleton = Arc::clone(session.prefix().unwrap().skeleton());
+        let cells = session.instantiate_cells(catalog, 0, block).unwrap();
         let value = (query.aggregate.func == AggFunc::Sum).then_some(&query.aggregate.expr);
-        let program = Program::compile(&set.schema, query.final_predicate.as_ref(), value);
+        let program = Program::compile(skeleton.schema(), query.final_predicate.as_ref(), value);
         let seeds = Seeds::new(
             session,
-            &set.bundles,
+            skeleton,
+            cells,
             program.slots(),
-            &keys,
             versions,
             block as u64,
         );
-        (program, set.bundles, seeds.unwrap())
+        (program, seeds.unwrap())
+    }
+
+    /// Every Gibbs tuple of `seeds`' skeleton as [`runs`].
+    fn all_runs(seeds: &Seeds, program: &Program) -> Vec<Run> {
+        let skeleton = &seeds.skeleton;
+        let tuples = 0..skeleton.num_bundles();
+        runs(|b, c| skeleton.lineage(b, c), program.slots(), tuples)
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1728,25 +1732,24 @@ mod tests {
         ];
         for (catalog, query) in &shapes {
             let (block, versions) = (64, 16);
-            let (program, bundles, mut seeds) = set_up(query, catalog, 7, (block, versions));
+            let (program, mut seeds) = set_up(query, catalog, 7, (block, versions));
             let row = |seeds: &Seeds, runs: &[Run], v, cand| {
-                let c = seeds.contribution(&program, &bundles, runs, v, cand);
-                c.unwrap()
+                seeds.contribution(&program, runs, v, cand).unwrap()
             };
-            let all = runs(&bundles, program.slots(), 0..bundles.len());
+            let all = all_runs(&seeds, &program);
             let want: Vec<f64> = (0..versions).map(|v| row(&seeds, &all, v, None)).collect();
-            let got = seeds.initial(&program, &bundles, &all, versions).unwrap();
+            let got = seeds.initial(&program, &all, versions).unwrap();
             assert_eq!(bits(&got), bits(&want), "{query:?}");
             for ord in 0..seeds.ts.len() {
                 assert!(seeds.separable[ord], "{query:?}");
                 let runs = seeds.runs[ord].clone();
                 let want: Vec<f64> = (0..versions).map(|v| row(&seeds, &runs, v, None)).collect();
-                let got = seeds.initial(&program, &bundles, &runs, versions).unwrap();
+                let got = seeds.initial(&program, &runs, versions).unwrap();
                 assert_eq!(bits(&got), bits(&want), "{query:?} ordinal {ord}");
                 let mut pos = 0;
                 while pos < 2 * block as u64 {
                     let want = pos % 97;
-                    let got = (seeds.candidates(&program, &bundles, (ord, 0), pos, want))
+                    let got = (seeds.candidates(&program, (ord, 0), pos, want))
                         .unwrap()
                         .to_vec();
                     let chunk = &seeds.chunk;
@@ -1784,12 +1787,11 @@ mod tests {
     #[test]
     fn an_erring_chunk_takes_the_row_path_position_by_position() {
         let (catalog, query) = counts(&[1.0, 2.0, 3.0], 0.2, Expr::col("m").div(Expr::col("k")));
-        let (program, bundles, mut seeds) = set_up(&query, &catalog, 7, (256, 4));
+        let (program, mut seeds) = set_up(&query, &catalog, 7, (256, 4));
         let mut fell_back = 0;
         for ord in 0..seeds.ts.len() {
             let runs = seeds.runs[ord].clone();
-            let row =
-                |seeds: &Seeds, p| seeds.contribution(&program, &bundles, &runs, 0, Some((ord, p)));
+            let row = |seeds: &Seeds, p| seeds.contribution(&program, &runs, 0, Some((ord, p)));
             let Some(q) = (0..256)
                 .find(|&p| row(&seeds, p).is_err())
                 .filter(|&q| q > 0)
@@ -1797,16 +1799,12 @@ mod tests {
                 continue;
             };
             for p in 0..q {
-                let got = seeds
-                    .candidates(&program, &bundles, (ord, 0), p, q + 8)
-                    .unwrap();
+                let got = seeds.candidates(&program, (ord, 0), p, q + 8).unwrap();
                 assert_eq!(bits(got), bits(&[row(&seeds, p).unwrap()]), "position {p}");
                 let chunk = &seeds.chunk;
                 assert!(!chunk.ok && chunk.start == 0 && chunk.end > q);
             }
-            let err = seeds
-                .candidates(&program, &bundles, (ord, 0), q, 1)
-                .unwrap_err();
+            let err = seeds.candidates(&program, (ord, 0), q, 1).unwrap_err();
             assert_eq!(err, row(&seeds, q).unwrap_err());
             fell_back += 1;
         }
@@ -1828,10 +1826,10 @@ mod tests {
                 .with_block_size(1000)
                 .with_master_seed(master);
             let looper = GibbsLooper::new(query.clone(), config);
-            let block = referee::Block::new(&looper, &catalog, 1000).unwrap();
+            let block = referee::Block::new(&looper, &catalog, |_| 1000).unwrap();
             let want = referee::run(&looper, &block);
             match looper.sample(&catalog) {
-                Ok((got, seeds, _)) => {
+                Ok((got, seeds)) => {
                     let want = want.unwrap();
                     assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples));
                     assert_eq!(bits(&got.cutoffs), bits(&want.cutoffs));
@@ -1843,9 +1841,9 @@ mod tests {
                     assert_eq!(err, want.unwrap_err(), "master {master}");
                     // Past the initial aggregates: a consumed candidate.
                     let n = looper.config.staged().n_per_step;
-                    let (program, bundles, seeds) = set_up(&query, &catalog, master, (n, n));
-                    let all = runs(&bundles, program.slots(), 0..bundles.len());
-                    consumed += usize::from(seeds.initial(&program, &bundles, &all, n).is_ok());
+                    let (program, seeds) = set_up(&query, &catalog, master, (n, n));
+                    let all = all_runs(&seeds, &program);
+                    consumed += usize::from(seeds.initial(&program, &all, n).is_ok());
                 }
             }
         }
@@ -1853,15 +1851,16 @@ mod tests {
     }
 
     /// The scalar loop the compiled one replaced, kept as its referee: TS-seeds
-    /// in a `BTreeMap` swept in key order, every affected Gibbs tuple boxed into
-    /// a `Vec<Value>` version row and read by the `Expr` interpreter, stream
-    /// values read by position from one full-width [`referee::Block`].
+    /// in a `BTreeMap` swept in key order, every affected Gibbs tuple — a
+    /// tuple bundle — boxed into a `Vec<Value>` version row and read by the
+    /// `Expr` interpreter, stream values read by position from each
+    /// stream's own draw in [`referee::Block`].
     mod referee {
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
 
         use super::super::*;
-        use mcdbr_exec::SharedColumn;
-        use mcdbr_storage::Value;
+        use mcdbr_exec::{BundleValue, TupleBundle};
+        use mcdbr_storage::{Schema, Value};
 
         /// What a run yields that the compiled loop must match.
         #[derive(Debug)]
@@ -1872,29 +1871,38 @@ mod tests {
             pub(super) stream_positions_consumed: u64,
         }
 
-        /// One block of the looper's plan, `width` positions from 0: its
-        /// Gibbs tuples, the tuples carrying each seed, and every stream
-        /// cell's values keyed by `(seed, VG row, VG column)`.  Columns
-        /// neither the aggregate nor the final predicate reads become `Null`
-        /// placeholders, so a version row never reads a `Computed` column.
+        /// The looper's plan as tuple bundles, each stream drawn from
+        /// position 0 to its own `width(seed)`: its Gibbs tuples, the tuples
+        /// carrying each seed, and every stream cell's values keyed by
+        /// `(seed, VG row, VG column)`.  Columns neither the aggregate nor
+        /// the final predicate reads become `Null` placeholders, so a
+        /// version row never reads a `Computed` column.
         pub(super) struct Block {
             schema: Schema,
             bundles: Vec<TupleBundle>,
             tuples: BTreeMap<SeedId, Vec<usize>>,
-            values: BTreeMap<(SeedId, usize, usize), SharedColumn>,
+            values: BTreeMap<(SeedId, usize, usize), Arc<Column>>,
         }
 
         impl Block {
             pub(super) fn new(
                 looper: &GibbsLooper,
                 catalog: &Catalog,
-                width: usize,
+                width: impl Fn(SeedId) -> usize,
             ) -> Result<Block> {
                 let (plan, master_seed) = (&looper.query.plan, looper.config.master_seed);
-                let set = ExecSession::prepare(plan, catalog, master_seed)?
-                    .instantiate_block(catalog, 0, width)?;
+                let mut session = ExecSession::prepare(plan, catalog, master_seed)?;
+                // The structure from a one-position block; the values from
+                // one draw of each stream, as wide as that stream needs.
+                let set = session.instantiate_block(catalog, 0, 1)?;
+                let keys: BTreeMap<SeedId, StreamKey> = (session.prefix().unwrap())
+                    .skeleton()
+                    .active_keys()
+                    .iter()
+                    .map(|&key| (key.bind(master_seed), key))
+                    .collect();
                 let mut tuples: BTreeMap<SeedId, Vec<usize>> = BTreeMap::new();
-                let mut values = BTreeMap::new();
+                let mut cells = BTreeSet::new();
                 for (idx, bundle) in set.bundles.iter().enumerate() {
                     let mut seeds: Vec<SeedId> =
                         bundle.values.iter().filter_map(BundleValue::seed).collect();
@@ -1908,14 +1916,22 @@ mod tests {
                             seed,
                             vg_row,
                             vg_col,
-                            values: column,
                             ..
-                        } = value
+                        } = *value
                         {
-                            let cell = (*seed, *vg_row, *vg_col);
-                            values.entry(cell).or_insert_with(|| column.clone());
+                            cells.insert((seed, vg_row, vg_col));
                         }
                     }
+                }
+                let mut drawn = BTreeMap::new();
+                for &seed in tuples.keys() {
+                    let cells = session.instantiate_stream(keys[&seed], 0, width(seed))?;
+                    drawn.insert(seed, cells);
+                }
+                let mut values = BTreeMap::new();
+                for (seed, vg_row, vg_col) in cells {
+                    let column = drawn[&seed].cell(vg_row, vg_col)?;
+                    values.insert((seed, vg_row, vg_col), Arc::clone(column));
                 }
                 let query = &looper.query;
                 let mut referenced = query.aggregate.expr.referenced_columns();

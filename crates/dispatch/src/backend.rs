@@ -9,8 +9,10 @@
 //! worker; each worker ships its range's stream cells back, every reply is
 //! checked where it enters ([`check_reply`]; a bad one is crash-class
 //! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
-//! — assembles the block ([`mcdbr_exec::assemble_block`]) or folds the
-//! cells straight into the aggregate ([`mcdbr_exec::fold_block`]).
+//! — assembles the block ([`mcdbr_exec::assemble_block`]), folds the
+//! cells straight into the aggregate ([`mcdbr_exec::fold_block`]), or hands
+//! them back whole ([`ExecBackend::instantiate_cells`], the Gibbs looper's
+//! initial block).
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -51,7 +53,7 @@
 //!
 //! **Graceful degradation.**  Plans that cannot travel — a third-party VG
 //! function outside the built-in set, or a prefix the backend was never
-//! primed for (direct `instantiate_block` calls without a session) —
+//! primed for (direct backend calls without a session) —
 //! execute locally through the in-process path, bit-identically;
 //! `tasks_dispatched` stays flat so the fallback is observable.  A task
 //! that exhausts its retry budget degrades the same way instead of failing
@@ -950,6 +952,21 @@ impl ExecBackend for ProcessBackend {
         Ok(())
     }
 
+    fn instantiate_cells(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+    ) -> Result<Vec<CellCols>> {
+        match self.fetch(prefix, pool, base_pos, num_values)? {
+            Some(cells) => Ok(cells),
+            None => InProcessBackend::new()
+                .instantiate_cells(prefix, pool, threads, base_pos, num_values),
+        }
+    }
+
     fn instantiate_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -958,10 +975,7 @@ impl ExecBackend for ProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
-        let Some(cells) = self.fetch(prefix, pool, base_pos, num_values)? else {
-            return InProcessBackend::new()
-                .instantiate_block(prefix, pool, threads, base_pos, num_values);
-        };
+        let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
         self.timed(|| assemble_block(prefix, cells, base_pos, num_values, threads))
     }
 

@@ -5,20 +5,22 @@
 //! [`ExecBackend::sample_block`]: in process it runs one fused unit per
 //! repetition range ([`crate::shard::SampleJob`]) that generates the
 //! range's stream values and folds every bundle straight into the
-//! aggregate, so no block is ever materialized.  Callers that need the
-//! bundles themselves (the Gibbs looper, the reference checks) call
-//! [`ExecBackend::instantiate_block`], which generates every active
-//! stream's cells and assembles the block from them
-//! ([`crate::shard::assemble_block`]); [`ExecBackend::aggregate`]
-//! aggregates such a set by repetition ranges on this process's threads
+//! aggregate, so no block is ever materialized.  The Gibbs looper calls
+//! [`ExecBackend::instantiate_cells`], which generates every active
+//! stream's cells and nothing else: it reads each tuple's lineage from the
+//! skeleton itself.  Callers that need the bundles (the reference checks,
+//! the traced replay) call [`ExecBackend::instantiate_block`], which
+//! assembles the block from those cells ([`crate::shard::assemble_block`])
+//! in one place; [`ExecBackend::aggregate`] aggregates such a set by
+//! repetition ranges on this process's threads
 //! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
 //! the trait's default).  A backend decides only *where* the units run —
 //! the [`ExecBackend`] trait is that seam, and a unit runs in one of three
 //! places:
 //!
 //! * [`InProcessBackend`] — this process's threads (`crate::par`): one
-//!   fused unit per thread, or a block's streams and then its bundles
-//!   fanned out across the threads.
+//!   fused unit per thread, or a block's streams fanned out across the
+//!   threads (the trait's defaults).
 //! * the server's scheduler (`mcdbr_server::FairBackend`), which places the
 //!   same fused units on its shared pool;
 //! * worker processes (`mcdbr_dispatch::ProcessBackend`), one stream
@@ -44,7 +46,7 @@ use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::par;
 use crate::pool::BlockBufferPool;
-use crate::session::DeterministicPrefix;
+use crate::session::{CellCols, DeterministicPrefix};
 use crate::shard::{assemble_block, generate_streams, sample_parts, SampleJob};
 
 /// Counters a backend exposes about where its units ran.  The in-process
@@ -132,8 +134,13 @@ impl ShardStats {
     }
 }
 
-/// A phase-2 execution strategy: materialize blocks against a bound prefix
-/// and evaluate per-repetition aggregates over a bundle set.
+/// A phase-2 execution strategy: generate a block's stream cells against a
+/// bound prefix, and evaluate per-repetition aggregates.
+///
+/// A backend that generates a block's streams elsewhere overrides the
+/// provided [`ExecBackend::instantiate_cells`]; the provided
+/// [`ExecBackend::instantiate_block`] assembles the bundles from them, and
+/// is overridden only to do more around that (the dispatcher times it).
 ///
 /// `threads` is the caller's worker budget (sessions pass their
 /// `with_threads` setting); backends are free to interpret it as pool width
@@ -142,15 +149,31 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// A short human-readable strategy name (`"in-process"`, `"process"`).
     fn name(&self) -> &'static str;
 
-    /// Materialize stream positions `base_pos .. base_pos + num_values`
-    /// against `prefix`, bit-identical to
-    /// [`crate::Executor::execute`] at the same options.
+    /// Every active stream's cells for positions `base_pos .. base_pos +
+    /// num_values` of `prefix`, in `active_keys` order, bit-identical
+    /// wherever they are generated.  The default generates them on this
+    /// process's threads ([`crate::shard::ShardTask`]'s unit body).
     ///
     /// `pool` supplies the reusable columnar block buffers (the caller's —
-    /// usually a session's — [`BlockBufferPool`]); backends acquire one
-    /// buffer per generated stream and release it once the block's bundles
-    /// own their values, so repeated blocks reuse buffers instead of
-    /// reallocating.
+    /// usually a session's — [`BlockBufferPool`]); a stream generated here
+    /// acquires one buffer and releases it once its cells are moved out, so
+    /// repeated blocks reuse buffers instead of reallocating.
+    fn instantiate_cells(
+        &self,
+        prefix: &DeterministicPrefix,
+        pool: &BlockBufferPool,
+        threads: usize,
+        base_pos: u64,
+        num_values: usize,
+    ) -> Result<Vec<CellCols>> {
+        let all: Vec<usize> = (0..prefix.num_active_streams()).collect();
+        generate_streams(prefix, &all, base_pos, num_values, pool, threads)
+    }
+
+    /// Materialize stream positions `base_pos .. base_pos + num_values`
+    /// against `prefix`, bit-identical to [`crate::Executor::execute`] at
+    /// the same options: [`crate::shard::assemble_block`] over
+    /// [`ExecBackend::instantiate_cells`].
     fn instantiate_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -158,7 +181,10 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         threads: usize,
         base_pos: u64,
         num_values: usize,
-    ) -> Result<BundleSet>;
+    ) -> Result<BundleSet> {
+        let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
+        assemble_block(prefix, cells, base_pos, num_values, threads)
+    }
 
     /// Evaluate `agg` over `set` once per repetition, bit-identical to
     /// [`crate::aggregate::evaluate_aggregate`].  The default — the one set
@@ -230,8 +256,8 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
 }
 
 /// The in-process thread-pool backend: a sampled block is one fused unit
-/// per thread, and a block every active stream's cells and then every
-/// bundle, each fanned out across worker threads via [`crate::par`].
+/// per thread, and a block's cells (the trait's default) every active
+/// stream fanned out across worker threads via [`crate::par`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
 
@@ -249,19 +275,6 @@ impl ExecBackend for InProcessBackend {
 
     fn units_run_in_process(&self) -> bool {
         true
-    }
-
-    fn instantiate_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-    ) -> Result<BundleSet> {
-        let all: Vec<usize> = (0..prefix.num_active_streams()).collect();
-        let cells = generate_streams(prefix, &all, base_pos, num_values, pool, threads)?;
-        assemble_block(prefix, cells, base_pos, num_values, threads)
     }
 
     fn sample_block(

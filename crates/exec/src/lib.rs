@@ -96,6 +96,6 @@ pub use expr::{BinaryOp, Expr};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
-pub use session::{CellCols, DeterministicPrefix, ExecSession, PlanSkeleton};
+pub use session::{CellCols, DeterministicPrefix, ExecSession, Lineage, PlanSkeleton};
 pub use shard::{assemble_block, fold_block, sample_parts, SampleJob, ShardTask};
 pub use stream_registry::StreamSource;

@@ -304,6 +304,32 @@ impl PlanSkeleton {
         (source, *rows)
     }
 
+    /// What tuple `idx`'s column `col` is, read in place: a constant, a
+    /// stream cell, or a computed column (panics past either) — the lineage
+    /// a Gibbs tuple carries (App. A.2).
+    pub fn lineage(&self, idx: usize, col: usize) -> Lineage<'_> {
+        match &self.batch.columns[col] {
+            SymColumn::Const(values) => Lineage::Const(&values[idx]),
+            SymColumn::Stream {
+                ids,
+                vg_rows,
+                vg_col,
+            } => Lineage::Stream {
+                at: ids[idx] as usize,
+                vg_row: vg_rows[idx] as usize,
+                vg_col: *vg_col,
+            },
+            SymColumn::Expr(_) => Lineage::Computed,
+        }
+    }
+
+    /// Whether the skeleton defers presence predicates (a `Filter` over
+    /// random attributes): every bundle of a block then carries its
+    /// per-position presence, and a bundle present nowhere is dropped.
+    pub fn defers_presence(&self) -> bool {
+        !self.batch.preds.is_empty()
+    }
+
     /// Each `group_by` column's values by bundle, or the name of the first
     /// one that is not constant — a random attribute, which cannot key
     /// groups.
@@ -334,6 +360,25 @@ impl PlanSkeleton {
             master_seed,
         }
     }
+}
+
+/// One column of one skeleton tuple ([`PlanSkeleton::lineage`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Lineage<'a> {
+    /// The same value in every DB instance.
+    Const(&'a Value),
+    /// VG output cell `(vg_row, vg_col)` of the `at`-th active stream
+    /// ([`PlanSkeleton::active_keys`]).
+    Stream {
+        /// The stream's index into the skeleton's active keys.
+        at: usize,
+        /// The VG output row the tuple reads.
+        vg_row: usize,
+        /// The VG output column the tuple reads.
+        vg_col: usize,
+    },
+    /// A projection over random inputs, computed per block: no lineage.
+    Computed,
 }
 
 /// A [`PlanSkeleton`] bound to one master seed: the cached result of phase 1
@@ -634,7 +679,8 @@ impl ExecSession {
     }
 
     /// Number of windows materialized through phase 2: full-width blocks
-    /// ([`ExecSession::instantiate_block`]) and per-stream windows
+    /// ([`ExecSession::instantiate_block`], [`ExecSession::instantiate_cells`])
+    /// and per-stream windows
     /// ([`ExecSession::instantiate_stream`]) alike, one each.
     pub fn blocks_materialized(&self) -> usize {
         self.blocks_materialized
@@ -691,6 +737,30 @@ impl ExecSession {
                 )
             }
         }
+    }
+
+    /// Phase 2 without the bundles: every active stream's cells for
+    /// positions `base_pos .. base_pos + num_values`, in `active_keys`
+    /// order, on the session's backend ([`ExecBackend::instantiate_cells`]).
+    /// The Gibbs looper's initial block.  Counts as one block, like
+    /// `instantiate_block`; uncacheable plans have no skeleton and are
+    /// refused.
+    pub fn instantiate_cells(
+        &mut self,
+        catalog: &Catalog,
+        base_pos: u64,
+        num_values: usize,
+    ) -> Result<Vec<CellCols>> {
+        let Mode::Cached(prefix) = &self.mode else {
+            return Err(Error::InvalidOperation(
+                "cell instantiation needs a cached deterministic prefix".into(),
+            ));
+        };
+        self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
+        self.blocks_materialized += 1;
+        self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
+        self.backend
+            .instantiate_cells(prefix, &self.pool, self.threads, base_pos, num_values)
     }
 
     /// Phase 2 and the aggregate in one call: `agg` grouped by `group_by`

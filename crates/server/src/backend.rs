@@ -9,8 +9,10 @@
 //! repetition range ([`mcdbr_exec::sample_parts`]).  Every unit is
 //! submitted under the query's id, so the scheduler's round-robin ring
 //! interleaves *tasks* of concurrent queries rather than running the
-//! queries serially.  A bare block, and the aggregate of a set, are one
-//! unit each that delegates to the inner backend.
+//! queries serially.  A block's stream cells, and the aggregate of a set,
+//! are one unit each that delegates to the inner backend; a block's
+//! bundles are assembled from those cells on the caller's thread (the
+//! trait's provided `instantiate_block`).
 //!
 //! Bit-identity is inherited, not re-argued: the unit bodies and merges
 //! are the ones every backend runs, so results equal a single-threaded run
@@ -39,8 +41,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, DeterministicPrefix,
-    ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
+    sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols,
+    DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result};
 
@@ -78,7 +80,7 @@ impl std::fmt::Debug for FairBackend {
 
 impl FairBackend {
     /// Wrap `inner` for one query.  `pool` must be the same pool the
-    /// session passes to [`ExecBackend::instantiate_block`] — the server
+    /// session passes to [`ExecBackend::instantiate_cells`] — the server
     /// wires one pool everywhere, and scheduler units (being `'static`)
     /// capture this `Arc` rather than the borrowed parameter.
     ///
@@ -154,17 +156,17 @@ impl ExecBackend for FairBackend {
         self.inner.prepare_dispatch(plan, catalog, prefix)
     }
 
-    fn instantiate_block(
+    fn instantiate_cells(
         &self,
         prefix: &DeterministicPrefix,
         _pool: &BlockBufferPool,
         threads: usize,
         base_pos: u64,
         num_values: usize,
-    ) -> Result<BundleSet> {
+    ) -> Result<Vec<CellCols>> {
         self.cancel.check()?;
         self.on_inner(prefix, move |inner, prefix, pool| {
-            inner.instantiate_block(prefix, pool, threads, base_pos, num_values)
+            inner.instantiate_cells(prefix, pool, threads, base_pos, num_values)
         })
     }
 

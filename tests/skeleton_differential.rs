@@ -7,18 +7,24 @@
 //! cacheable plan's session blocks must equal `Executor::execute` bundle for
 //! bundle — on the in-process backend, split into one and three shard
 //! units, and on a skeleton re-bound to a fresh master seed out of a
-//! `SessionCache`.
+//! `SessionCache`.  The skeleton's read-only view of each tuple
+//! (`PlanSkeleton::lineage`, what the Gibbs looper reads instead of
+//! bundles) must name what the block's bundles hold.
 
 use std::sync::Arc;
 
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn};
 use mcdbr::exec::{
     assemble_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecOptions,
-    ExecSession, Executor, Expr, PlanNode, RandomTableSpec, SessionCache, ShardTask,
+    ExecSession, Executor, Expr, Lineage, PlanNode, RandomTableSpec, SessionCache, ShardTask,
+    TupleBundle,
 };
 use mcdbr::prng::Pcg64;
 use mcdbr::storage::{Catalog, Field, Schema, TableBuilder, Value};
 use mcdbr::vg::{DiscreteVg, MultiNormalVg, NormalVg};
+use mcdbr::workloads::{
+    salary_inversion_catalog, salary_inversion_query, TpchConfig, TpchWorkload,
+};
 
 /// Block windows every session materializes, in order.
 const BLOCKS: [(u64, usize); 2] = [(0, 8), (8, 5)];
@@ -374,5 +380,123 @@ fn join_key_errors_name_the_random_column_on_both_paths() {
             .to_string();
         assert!(executor.contains(name), "executor: {executor}");
         assert_eq!(session, executor, "both paths report the same error");
+    }
+}
+
+/// Whether the skeleton's view of tuple `idx` names what `bundle` holds in
+/// every column: the same constant bits, the same stream cell (seed, VG
+/// row and column), a computed column where the bundle computed one.
+fn view_names(prefix: &DeterministicPrefix, idx: usize, bundle: &TupleBundle) -> bool {
+    let skeleton = prefix.skeleton();
+    let seed_of = |at: usize| skeleton.active_keys()[at].bind(prefix.master_seed());
+    (bundle.values.iter().enumerate()).all(|(c, value)| match (skeleton.lineage(idx, c), value) {
+        (Lineage::Const(Value::Float64(a)), BundleValue::Const(Value::Float64(b))) => {
+            a.to_bits() == b.to_bits()
+        }
+        (Lineage::Const(a), BundleValue::Const(b)) => a == b,
+        (
+            Lineage::Stream { at, vg_row, vg_col },
+            &BundleValue::Random {
+                seed,
+                vg_row: row,
+                vg_col: col,
+                ..
+            },
+        ) => (seed_of(at), vg_row, vg_col) == (seed, row, col),
+        (Lineage::Computed, BundleValue::Computed(_)) => true,
+        _ => false,
+    })
+}
+
+#[test]
+fn the_skeleton_view_names_what_every_bundle_holds() {
+    let tpch = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
+    let salaries = salary_inversion_catalog(12, 3).unwrap();
+    let seeded = catalog(&mut Pcg64::new(1));
+    // The looper tests' weighted fan-out: one loss stream per customer,
+    // joined to the weighted items that repeat its key.
+    let mut means = TableBuilder::new(Schema::new(vec![Field::int64("cid"), Field::float64("m")]));
+    for (cid, m) in [(0, 3.0), (1, 4.0), (2, 5.0)] {
+        means = means.row([Value::Int64(cid), Value::Float64(m)]);
+    }
+    let mut items = TableBuilder::new(Schema::new(vec![Field::int64("icid"), Field::float64("w")]));
+    for (cid, w) in [(0, 1.0), (1, 0.5), (0, 1.0), (2, -1.0), (0, 2.0), (1, -0.0)] {
+        items = items.row([Value::Int64(cid), Value::Float64(w)]);
+    }
+    let mut weighted = Catalog::new();
+    weighted.register("means", means.build().unwrap()).unwrap();
+    weighted.register("items", items.build().unwrap()).unwrap();
+    let losses = PlanNode::random_table(scalar_random_table(
+        "Losses",
+        "means",
+        Arc::new(NormalVg),
+        vec![Expr::col("m"), Expr::lit(1.0)],
+        &["cid"],
+        "val",
+        1,
+    ));
+    let cases = [
+        ("TPC-H join", &tpch.catalog, tpch.total_loss_query().plan),
+        (
+            "salary inversion",
+            &salaries,
+            salary_inversion_query(100.0, 40.0, 4.0).plan,
+        ),
+        (
+            "weighted fan-out",
+            &weighted,
+            losses
+                .clone()
+                .join(PlanNode::scan("items"), vec![("cid", "icid")]),
+        ),
+        (
+            "projected computed column",
+            &weighted,
+            losses.clone().project(vec![
+                ("scaled", Expr::col("val").mul(Expr::lit(2.0))),
+                ("val", Expr::col("val")),
+            ]),
+        ),
+        (
+            "multi-row VG",
+            &seeded,
+            components().join(PlanNode::scan("items"), vec![("id", "id")]),
+        ),
+        (
+            "filter on a random column",
+            &weighted,
+            losses.filter(Expr::col("val").gt(Expr::lit(4.0))),
+        ),
+    ];
+    for (what, catalog, plan) in cases {
+        let master = 77;
+        let mut session = ExecSession::prepare(&plan, catalog, master).unwrap();
+        let set = session.instantiate_block(catalog, 0, 8).unwrap();
+        let prefix = session.prefix().unwrap();
+        let skeleton = prefix.skeleton();
+        assert!(!set.bundles.is_empty(), "{what}");
+        for bundle in &set.bundles {
+            assert_eq!(
+                skeleton.defers_presence(),
+                bundle.is_pres.is_some(),
+                "{what}"
+            );
+        }
+        if !skeleton.defers_presence() {
+            // Without presence predicates a block keeps every tuple, in
+            // skeleton order.
+            assert_eq!(set.bundles.len(), skeleton.num_bundles(), "{what}");
+            for (idx, bundle) in set.bundles.iter().enumerate() {
+                assert!(view_names(prefix, idx, bundle), "{what}: tuple {idx}");
+            }
+            continue;
+        }
+        // A block drops the tuples present nowhere: its bundles are the
+        // rest, in skeleton order.
+        let mut tuples = 0..skeleton.num_bundles();
+        for (i, bundle) in set.bundles.iter().enumerate() {
+            let named = tuples.any(|idx| view_names(prefix, idx, bundle));
+            assert!(named, "{what}: bundle {i} named by no tuple in order");
+        }
     }
 }
