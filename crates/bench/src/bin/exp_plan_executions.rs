@@ -88,16 +88,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "  (shard merge time; 0: the looper assembles no block)".into(),
-            format!(
-                "{:.3} ms",
-                (result.backend.shard_merge_ns + repeat.backend.shard_merge_ns) as f64 / 1e6
-            ),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "  (columnar bytes materialized)".into(),
             format!(
                 "{:.3} MiB",

@@ -126,14 +126,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "MCDB-R shard merge time".into(),
-            "0: the looper assembles no block".into(),
-            format!("{:.3} ms", result.backend.shard_merge_ns as f64 / 1e6)
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "MCDB-R columnar bytes".into(),
             "-".into(),
             format!(

@@ -503,8 +503,9 @@ fn validate_skeleton(skeleton: &PlanSkeleton, slots: &[usize]) -> Result<()> {
                 .into(),
         ));
     }
+    // A computed column is computed for every tuple, so its first names it.
     let computed =
-        |i: usize| (0..skeleton.num_bundles()).any(|b| skeleton.lineage(b, i) == Lineage::Computed);
+        |i: usize| skeleton.num_bundles() > 0 && skeleton.lineage(0, i) == Lineage::Computed;
     match slots.iter().find(|&&i| computed(i)) {
         Some(&i) => Err(Error::InvalidOperation(format!(
             "column {} lost its stream lineage (it was computed by a projection); \
@@ -978,11 +979,11 @@ impl Seeds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{AggregateSpec, Expr, PlanNode};
+    use mcdbr_exec::plan::{scalar_random_table, OutputColumn};
+    use mcdbr_exec::{AggregateSpec, Expr, PlanNode, RandomTableSpec};
     use mcdbr_storage::{Field, Schema as StorageSchema, TableBuilder, Value};
     use mcdbr_vg::math::std_normal_quantile;
-    use mcdbr_vg::{DiscreteVg, NormalVg};
+    use mcdbr_vg::{DiscreteVg, MultiNormalVg, NormalVg};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -1236,6 +1237,46 @@ mod tests {
             }
         }
         assert!(past > 0);
+    }
+
+    #[test]
+    fn the_looper_holds_each_carried_streams_whole_initial_grid() {
+        // A 3-row `(component, value)` VG whose plan keeps only `value`:
+        // the initial draw generates 3 × 2 cells per stream, and the looper
+        // keeps all six of each carried stream, the three `component` cells
+        // no tuple names included — what the draw generated, no more, and
+        // never above the draw's own peak.  The program reads `value` only.
+        let catalog = catalog(&[3.0, 4.0]);
+        let plan = PlanNode::random_table(RandomTableSpec {
+            name: "Components".into(),
+            param_table: "means".into(),
+            vg: Arc::new(MultiNormalVg::new(3, 0.5)),
+            vg_params: vec![Expr::col("m"), Expr::lit(1.0)],
+            columns: vec![
+                OutputColumn::Param {
+                    source: "cid".into(),
+                    as_name: "cid".into(),
+                },
+                OutputColumn::Vg {
+                    vg_col: 1,
+                    as_name: "value".into(),
+                },
+            ],
+            table_tag: 1,
+        });
+        let query = MonteCarloQuery::new(plan, AggregateSpec::sum(Expr::col("value"), "total"));
+        let config = TailSamplingConfig::new(0.25, 8, 40)
+            .with_m(2)
+            .with_block_size(64)
+            .with_master_seed(5);
+        let (result, seeds) = GibbsLooper::new(query, config).sample(&catalog).unwrap();
+        assert_eq!(result.tail_samples.len(), 8);
+        assert_eq!(seeds.initial.len(), 2);
+        for cells in &seeds.initial {
+            assert_eq!(cells.shape(), (3, 2));
+            assert!(cells.columns().iter().all(|c| c.len() == 64));
+        }
+        assert!(seeds.separable.iter().all(|&s| s));
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! worker; each worker ships its range's stream cells back, every reply is
 //! checked where it enters ([`check_reply`]; a bad one is crash-class
 //! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
-//! — assembles the block ([`mcdbr_exec::assemble_block`]), folds the
-//! cells straight into the aggregate ([`mcdbr_exec::fold_block`]), or hands
-//! them back whole ([`ExecBackend::instantiate_cells`], the Gibbs looper's
-//! initial block).
+//! — folds the cells straight into the aggregate
+//! ([`mcdbr_exec::fold_block`]) or hands them back whole
+//! ([`ExecBackend::instantiate_cells`]: the Gibbs looper's initial cells,
+//! and the trait's provided `instantiate_block` assembles its block from
+//! them).
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -87,9 +88,8 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::{
-    assemble_block, fold_block, AggregateSpec, BlockBufferPool, BundleSet, CellCols,
-    DeterministicPrefix, ExecBackend, Expr, InProcessBackend, PlanNode, PlanSkeleton,
-    QueryResultSamples, ShardStats, ShardTask,
+    fold_block, AggregateSpec, BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, Expr,
+    InProcessBackend, PlanNode, PlanSkeleton, QueryResultSamples, ShardStats, ShardTask,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Column, DataType, Result};
@@ -828,16 +828,6 @@ impl ProcessBackend {
         }
         Ok(Some(cells))
     }
-
-    /// Run the coordinator's share of a block — assembly or fold — counting
-    /// its time in `shard_merge_ns`.
-    fn timed<T>(&self, work: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = work();
-        self.merge_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out
-    }
 }
 
 /// The entry check on one worker's reply to `unit`: before any cell is
@@ -967,18 +957,6 @@ impl ExecBackend for ProcessBackend {
         }
     }
 
-    fn instantiate_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-    ) -> Result<BundleSet> {
-        let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
-        self.timed(|| assemble_block(prefix, cells, base_pos, num_values, threads))
-    }
-
     fn sample_block(
         &self,
         prefix: &DeterministicPrefix,
@@ -1002,13 +980,17 @@ impl ExecBackend for ProcessBackend {
                 final_predicate,
             );
         };
-        self.timed(|| fold_block(prefix, cells, num_values, agg, group_by, final_predicate))
+        let start = Instant::now();
+        let samples = fold_block(prefix, cells, num_values, agg, group_by, final_predicate);
+        self.merge_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        samples
     }
 
     fn shard_stats(&self) -> ShardStats {
         ShardStats {
             // Every unit this backend spawns is a dispatched task, and the
-            // time it merges is its assembly or fold of the fetched cells.
+            // time it merges is its fold of the fetched cells.
             shards_spawned: self.tasks_dispatched.load(Ordering::Relaxed),
             shard_merge_ns: self.merge_ns.load(Ordering::Relaxed),
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
@@ -1044,7 +1026,7 @@ impl Drop for ProcessBackend {
 mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{ExecSession, Expr, SessionCache};
+    use mcdbr_exec::{BundleSet, ExecSession, Expr, SessionCache};
     use mcdbr_storage::{Field, Schema, TableBuilder, Value};
     use mcdbr_vg::NormalVg;
 

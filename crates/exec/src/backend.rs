@@ -70,9 +70,8 @@ pub struct ShardStats {
     /// unit it placed.
     pub shards_spawned: usize,
     /// Nanoseconds the coordinator spent turning unit results into the
-    /// answer: the dispatcher's assembly of a block, or fold of it into an
-    /// aggregate, from the workers' cells, and the server's merges of the
-    /// partials of its units.
+    /// answer: the dispatcher's fold of the workers' cells into an
+    /// aggregate, and the server's merges of the partials of its units.
     pub shard_merge_ns: u64,
     /// Worker OS processes spawned by a multi-process backend (initial pool
     /// fills and crash respawns alike; 0 on in-process backends).
@@ -139,8 +138,11 @@ impl ShardStats {
 ///
 /// A backend that generates a block's streams elsewhere overrides the
 /// provided [`ExecBackend::instantiate_cells`]; the provided
-/// [`ExecBackend::instantiate_block`] assembles the bundles from them, and
-/// is overridden only to do more around that (the dispatcher times it).
+/// [`ExecBackend::instantiate_block`] assembles the bundles from them.  A
+/// wrapper that forwards to an inner backend must override
+/// `instantiate_cells` too: the provided one always generates in this
+/// process, so forwarding only `instantiate_block` would run the Gibbs
+/// looper's initial draw here, unseen by the wrapper and its inner backend.
 ///
 /// `threads` is the caller's worker budget (sessions pass their
 /// `with_threads` setting); backends are free to interpret it as pool width

@@ -712,31 +712,26 @@ impl ExecSession {
         base_pos: u64,
         num_values: usize,
     ) -> Result<BundleSet> {
+        let Mode::Fallback { executor, .. } = &mut self.mode else {
+            let prefix = self.cached_block(catalog, num_values)?;
+            return self.backend.instantiate_block(
+                &prefix,
+                &self.pool,
+                self.threads,
+                base_pos,
+                num_values,
+            );
+        };
         self.blocks_materialized += 1;
-        match &mut self.mode {
-            Mode::Fallback { executor, .. } => {
-                self.plan_executions += 1;
-                let opts = ExecOptions {
-                    master_seed: self.master_seed,
-                    num_values,
-                    base_pos,
-                };
-                let set = executor.execute(&self.plan, catalog, &opts)?;
-                self.values_materialized += (executor.streams_registered() * num_values) as u64;
-                Ok(set)
-            }
-            Mode::Cached(prefix) => {
-                self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
-                self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
-                self.backend.instantiate_block(
-                    prefix,
-                    &self.pool,
-                    self.threads,
-                    base_pos,
-                    num_values,
-                )
-            }
-        }
+        self.plan_executions += 1;
+        let opts = ExecOptions {
+            master_seed: self.master_seed,
+            num_values,
+            base_pos,
+        };
+        let set = executor.execute(&self.plan, catalog, &opts)?;
+        self.values_materialized += (executor.streams_registered() * num_values) as u64;
+        Ok(set)
     }
 
     /// Phase 2 without the bundles: every active stream's cells for
@@ -751,16 +746,9 @@ impl ExecSession {
         base_pos: u64,
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
-        let Mode::Cached(prefix) = &self.mode else {
-            return Err(Error::InvalidOperation(
-                "cell instantiation needs a cached deterministic prefix".into(),
-            ));
-        };
-        self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
-        self.blocks_materialized += 1;
-        self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
+        let prefix = self.cached_block(catalog, num_values)?;
         self.backend
-            .instantiate_cells(prefix, &self.pool, self.threads, base_pos, num_values)
+            .instantiate_cells(&prefix, &self.pool, self.threads, base_pos, num_values)
     }
 
     /// Phase 2 and the aggregate in one call: `agg` grouped by `group_by`
@@ -783,17 +771,15 @@ impl ExecSession {
         group_by: &[String],
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
-        let Mode::Cached(prefix) = &self.mode else {
+        if let Mode::Fallback { .. } = self.mode {
             let set = self.instantiate_block(catalog, base_pos, num_values)?;
             return self
                 .backend
                 .aggregate(&set, agg, group_by, final_predicate, self.threads);
-        };
-        self.blocks_materialized += 1;
-        self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
-        self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
+        }
+        let prefix = self.cached_block(catalog, num_values)?;
         self.backend.sample_block(
-            prefix,
+            &prefix,
             &self.pool,
             self.threads,
             base_pos,
@@ -802,6 +788,26 @@ impl ExecSession {
             group_by,
             final_predicate,
         )
+    }
+
+    /// The cached prefix for one phase-2 block of `num_values` positions,
+    /// counted (one block, `active streams × num_values` values) and primed
+    /// for dispatch ([`ExecBackend::prepare_dispatch`]); a fallback plan has
+    /// none and is refused.
+    fn cached_block(
+        &mut self,
+        catalog: &Catalog,
+        num_values: usize,
+    ) -> Result<DeterministicPrefix> {
+        let Mode::Cached(prefix) = &self.mode else {
+            return Err(Error::InvalidOperation(
+                "cell instantiation needs a cached deterministic prefix".into(),
+            ));
+        };
+        self.blocks_materialized += 1;
+        self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
+        self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
+        Ok(DeterministicPrefix::clone(prefix))
     }
 
     /// Phase 2 for one stream: materialize positions
