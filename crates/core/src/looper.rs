@@ -106,29 +106,27 @@ pub struct TailSamplingConfig {
     pub total_samples: usize,
     /// Number of bootstrapping steps `m`; `None` uses the Appendix C optimum.
     pub m: Option<usize>,
-    /// Gibbs updating steps `k` per perturbation (the paper uses 1).
-    pub k: usize,
     /// Stream values materialized per stream by the initial full-width
     /// block (paper §5: the trade-off between carrying data through the plan
     /// and re-running the plan); past it a stream is drawn a chunk at a time.
     pub block_size: usize,
     /// Candidate budget per component update before the rejection loop keeps
-    /// the previous value.
+    /// the previous value (at least 1).
     pub max_candidates: u64,
     /// Master seed for reproducibility.
     pub master_seed: u64,
 }
 
 impl TailSamplingConfig {
-    /// A configuration with the paper's defaults (`k = 1`, 1000-value blocks)
-    /// for the given tail probability, sample count, and budget.
+    /// A configuration with the paper's defaults (1000-value blocks) for the
+    /// given tail probability, sample count, and budget.  Every
+    /// perturbation is one Gibbs updating step (the paper's `k = 1`).
     pub fn new(p: f64, l: usize, total_samples: usize) -> Self {
         TailSamplingConfig {
             p,
             l,
             total_samples,
             m: None,
-            k: 1,
             block_size: 1000,
             max_candidates: 100_000,
             master_seed: 0x4D43_4442, // ASCII "MCDB"
@@ -154,7 +152,7 @@ impl TailSamplingConfig {
     }
 
     /// Refuse, by field name, what [`TailSamplingConfig::staged`] would
-    /// assert on.
+    /// assert on, and a run that could try no candidate.
     fn validate(&self) -> Result<()> {
         let (p, n) = (self.p, self.total_samples);
         let bad = if !(p > 0.0 && p < 1.0) {
@@ -163,6 +161,8 @@ impl TailSamplingConfig {
             "total_samples must be at least 1".into()
         } else if let Some(m) = self.m.filter(|m| !(1..=n).contains(m)) {
             format!("m = {m} must lie in 1..=total_samples ({n})")
+        } else if self.max_candidates == 0 {
+            "max_candidates must be at least 1".into()
         } else {
             return Ok(());
         };
@@ -230,9 +230,8 @@ pub struct TailSampleResult {
     /// This run's window of its execution backend's counters — shard tasks
     /// and worker-process dispatch and its fault ladder for the initial
     /// cells (all zero where the backend has nothing to report, e.g.
-    /// `shards_spawned` on the in-process backend).  The looper assembles
-    /// no block, so `shard_merge_ns` stays 0 on the process backend; the
-    /// chunks past the block run inline and count nothing.  Attributed by
+    /// `shards_spawned` on the in-process backend); the chunks past the
+    /// block run inline and count nothing.  Attributed by
     /// snapshotting the backend's cumulative [`mcdbr_exec::ShardStats`]
     /// around the run, so a backend shared across *concurrent* runs blurs
     /// per-run attribution (see the `ShardStats` docs); results themselves
@@ -411,59 +410,57 @@ impl GibbsLooper {
             version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
             num_versions = next_size;
 
-            // Gibbs perturbation, seed-major (§7), k sweeps (k = 1 suffices).
-            for _ in 0..self.config.k {
-                for ord in 0..seeds.ts.len() {
-                    let separable = seeds.separable[ord];
-                    // Candidates an update has taken so far: what sizes a
-                    // separable seed's chunks.
-                    let candidates = gibbs.accepted + gibbs.rejected + 1;
-                    let per_version = candidates as f64 / (gibbs.accepted + 1) as f64;
-                    for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
-                        let want = ((num_versions - v) as f64 * per_version) as u64;
-                        // A separable seed's contribution is a load; any
-                        // other seed's depends on the other seeds its tuples
-                        // read, which may have moved since.
-                        let old_contribution = match separable {
-                            true => seeds.current[ord][v],
-                            false => seeds.contribution(&program, &seeds.runs[ord], v, None)?,
-                        };
-                        let mut candidates_tried = 0u64;
-                        loop {
-                            let budget = self.config.max_candidates - candidates_tried;
-                            if budget == 0 {
-                                gibbs.exhausted += 1;
-                                break;
-                            }
-                            let pos = seeds.ts[ord].next_unused();
-                            // The contributions at `pos` and the positions
-                            // after it, tried in order until one keeps the
-                            // version at or above the cutoff.
-                            let next = seeds.candidates(&program, (ord, v), pos, want)?;
-                            let next = &next[..next.len().min(budget as usize)];
-                            let hit = next
-                                .iter()
-                                .position(|&c| *aggregate - old_contribution + c >= cutoff)
-                                .map(|i| (i, next[i]));
-                            let tried = hit.map_or(next.len(), |(i, _)| i + 1) as u64;
-                            candidates_tried += tried;
-                            if let Some((i, new_contribution)) = hit {
-                                seeds.assign(ord, v, pos + i as u64);
-                                if separable {
-                                    seeds.current[ord][v] = new_contribution;
-                                }
-                                *aggregate = *aggregate - old_contribution + new_contribution;
-                                gibbs.accepted += 1;
-                                gibbs.rejected += tried - 1;
-                                break;
-                            }
-                            // The candidates are consumed even though they
-                            // were rejected (Fig. 3: the rejected 3.24 / 3.68
-                            // are never revisited).
-                            let ts = &mut seeds.ts[ord];
-                            ts.max_used = ts.max_used.max(pos + tried - 1);
-                            gibbs.rejected += tried;
+            // Gibbs perturbation, seed-major (§7): one sweep (the paper's k = 1).
+            for ord in 0..seeds.ts.len() {
+                let separable = seeds.separable[ord];
+                // Candidates an update has taken so far: what sizes a
+                // separable seed's chunks.
+                let candidates = gibbs.accepted + gibbs.rejected + 1;
+                let per_version = candidates as f64 / (gibbs.accepted + 1) as f64;
+                for (v, aggregate) in version_aggregates.iter_mut().enumerate() {
+                    let want = ((num_versions - v) as f64 * per_version) as u64;
+                    // A separable seed's contribution is a load; any
+                    // other seed's depends on the other seeds its tuples
+                    // read, which may have moved since.
+                    let old_contribution = match separable {
+                        true => seeds.current[ord][v],
+                        false => seeds.contribution(&program, &seeds.runs[ord], v, None)?,
+                    };
+                    let mut candidates_tried = 0u64;
+                    loop {
+                        let budget = self.config.max_candidates - candidates_tried;
+                        if budget == 0 {
+                            gibbs.exhausted += 1;
+                            break;
                         }
+                        let pos = seeds.ts[ord].next_unused();
+                        // The contributions at `pos` and the positions
+                        // after it, tried in order until one keeps the
+                        // version at or above the cutoff.
+                        let next = seeds.candidates(&program, (ord, v), pos, want)?;
+                        let next = &next[..next.len().min(budget as usize)];
+                        let hit = next
+                            .iter()
+                            .position(|&c| *aggregate - old_contribution + c >= cutoff)
+                            .map(|i| (i, next[i]));
+                        let tried = hit.map_or(next.len(), |(i, _)| i + 1) as u64;
+                        candidates_tried += tried;
+                        if let Some((i, new_contribution)) = hit {
+                            seeds.assign(ord, v, pos + i as u64);
+                            if separable {
+                                seeds.current[ord][v] = new_contribution;
+                            }
+                            *aggregate = *aggregate - old_contribution + new_contribution;
+                            gibbs.accepted += 1;
+                            gibbs.rejected += tried - 1;
+                            break;
+                        }
+                        // The candidates are consumed even though they
+                        // were rejected (Fig. 3: the rejected 3.24 / 3.68
+                        // are never revisited).
+                        let ts = &mut seeds.ts[ord];
+                        ts.max_used = ts.max_used.max(pos + tried - 1);
+                        gibbs.rejected += tried;
                     }
                 }
             }
@@ -1504,6 +1501,13 @@ mod tests {
             (TailSamplingConfig::new(0.1, 4, 3).with_m(0), "m = 0"),
             (TailSamplingConfig::new(1.5, 4, 40), "p = 1.5"),
             (TailSamplingConfig::new(0.1, 4, 0), "total_samples"),
+            (
+                TailSamplingConfig {
+                    max_candidates: 0,
+                    ..TailSamplingConfig::new(0.1, 4, 40)
+                },
+                "max_candidates",
+            ),
         ] {
             let cache = Arc::new(SessionCache::new());
             let err = GibbsLooper::new(losses_query(), config)
@@ -2109,33 +2113,31 @@ mod tests {
                 version_aggregates = sources.iter().map(|&s| version_aggregates[s]).collect();
                 num_versions = next_size;
 
-                for _ in 0..config.k {
-                    let seeds: Vec<SeedId> = ts.keys().copied().collect();
-                    for seed in seeds {
-                        #[allow(clippy::needless_range_loop)]
-                        for v in 0..num_versions {
-                            let old = block.contribution(query, &ts, Some(seed), v, None)?;
-                            let mut candidates_tried = 0u64;
-                            loop {
-                                if candidates_tried >= config.max_candidates {
-                                    gibbs.exhausted += 1;
-                                    break;
-                                }
-                                let pos = ts[&seed].next_unused();
-                                let cand = Some((seed, pos));
-                                let new = block.contribution(query, &ts, Some(seed), v, cand)?;
-                                let new_aggregate = version_aggregates[v] - old + new;
-                                candidates_tried += 1;
-                                let ts = ts.get_mut(&seed).expect("seed present");
-                                if new_aggregate >= cutoff {
-                                    ts.assign(v, pos);
-                                    version_aggregates[v] = new_aggregate;
-                                    gibbs.accepted += 1;
-                                    break;
-                                }
-                                ts.max_used = ts.max_used.max(pos);
-                                gibbs.rejected += 1;
+                let seeds: Vec<SeedId> = ts.keys().copied().collect();
+                for seed in seeds {
+                    #[allow(clippy::needless_range_loop)]
+                    for v in 0..num_versions {
+                        let old = block.contribution(query, &ts, Some(seed), v, None)?;
+                        let mut candidates_tried = 0u64;
+                        loop {
+                            if candidates_tried >= config.max_candidates {
+                                gibbs.exhausted += 1;
+                                break;
                             }
+                            let pos = ts[&seed].next_unused();
+                            let cand = Some((seed, pos));
+                            let new = block.contribution(query, &ts, Some(seed), v, cand)?;
+                            let new_aggregate = version_aggregates[v] - old + new;
+                            candidates_tried += 1;
+                            let ts = ts.get_mut(&seed).expect("seed present");
+                            if new_aggregate >= cutoff {
+                                ts.assign(v, pos);
+                                version_aggregates[v] = new_aggregate;
+                                gibbs.accepted += 1;
+                                break;
+                            }
+                            ts.max_used = ts.max_used.max(pos);
+                            gibbs.rejected += 1;
                         }
                     }
                 }

@@ -9,11 +9,10 @@
 //! worker; each worker ships its range's stream cells back, every reply is
 //! checked where it enters ([`check_reply`]; a bad one is crash-class
 //! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
-//! — folds the cells straight into the aggregate
-//! ([`mcdbr_exec::fold_block`]) or hands them back whole
-//! ([`ExecBackend::instantiate_cells`]: the Gibbs looper's initial cells,
-//! and the trait's provided `instantiate_block` assembles its block from
-//! them).
+//! — hands them back whole ([`ExecBackend::instantiate_cells`], its one
+//! override): the trait's provided `sample_block` folds them straight into
+//! the aggregate, its `instantiate_block` assembles a block from them, and
+//! the Gibbs looper reads them as they are.
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -44,21 +43,17 @@
 //! events.  Task-level errors the worker *reports* (an `Error` frame) are
 //! not crashes and propagate to the caller without a respawn.
 //!
-//! **Circuit breaker.**  Each worker slot carries a breaker: repeated
-//! crash-class failures (3 consecutive) trip it and the slot's tasks
-//! degrade to running locally — the same bit-identical
-//! [`mcdbr_exec::ShardTask`] the worker would have run — for a cooldown
-//! (4 blocks), then a half-open probe re-dispatches; success closes the
-//! breaker, failure re-trips it.  `circuit_trips` counts trips, and
-//! `tasks_dispatched` staying flat shows the degraded blocks.
-//!
-//! **Graceful degradation.**  Plans that cannot travel — a third-party VG
-//! function outside the built-in set, or a prefix the backend was never
-//! primed for (direct backend calls without a session) —
-//! execute locally through the in-process path, bit-identically;
-//! `tasks_dispatched` stays flat so the fallback is observable.  A task
-//! that exhausts its retry budget degrades the same way instead of failing
-//! the block: under faults, results are bit-identical or absent, never
+//! **One local path.**  A unit that does not go over the wire runs here —
+//! the same bit-identical [`mcdbr_exec::ShardTask`] the worker would have
+//! run — and `tasks_dispatched` stays flat so the fallback is observable.
+//! That covers a prefix that cannot travel (a third-party VG function
+//! outside the built-in set, or a prefix the backend was never primed for:
+//! direct backend calls without a session), which sends nothing and ticks
+//! no breaker; a slot whose circuit breaker is open (3 consecutive
+//! crash-class failures trip it for a cooldown of 4 blocks, then a
+//! half-open probe re-dispatches; success closes it, failure re-trips it,
+//! and `circuit_trips` counts trips); and a task that exhausts its retry
+//! budget.  Under faults, results are bit-identical or absent, never
 //! silently wrong.
 //!
 //! **Fault injection.**  Chaos runs arm a seeded
@@ -88,8 +83,8 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::{
-    fold_block, AggregateSpec, BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, Expr,
-    InProcessBackend, PlanNode, PlanSkeleton, QueryResultSamples, ShardStats, ShardTask,
+    BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, PlanNode, PlanSkeleton,
+    ShardStats, ShardTask,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Column, DataType, Result};
@@ -212,8 +207,8 @@ impl Breaker {
 enum TaskOutcome {
     /// The worker answered over the wire with the task's checked cells.
     Wire(Vec<CellCols>, wire::TaskStats),
-    /// The slot degraded (open breaker, or retry budget exhausted): the
-    /// caller runs the slot's [`ShardTask`] locally, bit-identically.
+    /// The unit runs here, bit-identically: its prefix cannot travel, its
+    /// slot's breaker is open, or its retry budget is spent.
     Degraded,
 }
 
@@ -271,7 +266,6 @@ pub struct ProcessBackend {
     deadline_timeouts: AtomicUsize,
     task_retries: AtomicUsize,
     circuit_trips: AtomicUsize,
-    merge_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for ProcessBackend {
@@ -314,7 +308,6 @@ impl ProcessBackend {
             deadline_timeouts: AtomicUsize::new(0),
             task_retries: AtomicUsize::new(0),
             circuit_trips: AtomicUsize::new(0),
-            merge_ns: AtomicU64::new(0),
         }
     }
 
@@ -761,73 +754,6 @@ impl ProcessBackend {
         *attempt += 1;
         true
     }
-
-    /// Every active stream's cells for one block of `prefix`, in
-    /// `active_keys` order, from one [`ShardTask`] per worker slot through
-    /// [`ProcessBackend::run_tasks`]; a degraded slot runs its unit here.
-    /// `None` when the prefix cannot travel (never primed, or not
-    /// wire-serializable): the caller runs the block in process.
-    fn fetch(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        base_pos: u64,
-        num_values: usize,
-    ) -> Result<Option<Vec<CellCols>>> {
-        let skeleton = Arc::as_ptr(prefix.skeleton());
-        let mut state = self.state.lock().expect("dispatch state");
-        let plans = &state.plans;
-        let entry = plans.iter().find(|e| Weak::as_ptr(&e.skeleton) == skeleton);
-        let Some((key, Some(plan_frame), tables)) =
-            entry.map(|e| (e.key, e.frame.clone(), Arc::clone(&e.tables)))
-        else {
-            return Ok(None);
-        };
-
-        let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
-        if state.breakers.len() < units.len() {
-            state.breakers.resize(units.len(), Breaker::default());
-        }
-        // Slots with an open breaker skip dispatch entirely this block:
-        // their units run locally below, and the breaker's cooldown ticks
-        // down toward the half-open probe.
-        let tasks: Vec<Option<Vec<u8>>> = units
-            .iter()
-            .enumerate()
-            .map(|(i, unit)| {
-                (!state.breakers[i].degrade_this_block()).then(|| {
-                    wire::encode_task(&TaskHeader {
-                        key,
-                        master_seed: unit.master_seed,
-                        key_range: unit.key_range,
-                        base_pos,
-                        num_values,
-                    })
-                })
-            })
-            .collect();
-
-        let outcomes = self
-            .run_tasks(&mut state, key, &plan_frame, &tables, &units, &tasks)
-            .map_err(mcdbr_storage::Error::from)?;
-        drop(state);
-
-        // The units tile the active streams in order, so their cells,
-        // concatenated, are the block's; a degraded slot's local run of the
-        // same unit is bit-identical to the worker's.
-        let mut cells = Vec::with_capacity(prefix.num_active_streams());
-        for (unit, outcome) in units.iter().zip(outcomes) {
-            cells.extend(match outcome {
-                TaskOutcome::Wire(got, stats) => {
-                    let warm = usize::from(stats.warm_hit);
-                    self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
-                    got
-                }
-                TaskOutcome::Degraded => unit.run(pool, 1)?.into_iter().map(|(_, c)| c).collect(),
-            });
-        }
-        Ok(Some(cells))
-    }
 }
 
 /// The entry check on one worker's reply to `unit`: before any cell is
@@ -942,6 +868,11 @@ impl ExecBackend for ProcessBackend {
         Ok(())
     }
 
+    /// Every active stream's cells for one block of `prefix`, in
+    /// `active_keys` order, from one [`ShardTask`] per worker slot through
+    /// the dispatch conversation.  A prefix without a dispatchable plan
+    /// frame (never primed, or not wire-serializable) sends nothing and
+    /// ticks no breaker; it and every other degraded unit run here.
     fn instantiate_cells(
         &self,
         prefix: &DeterministicPrefix,
@@ -950,49 +881,64 @@ impl ExecBackend for ProcessBackend {
         base_pos: u64,
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
-        match self.fetch(prefix, pool, base_pos, num_values)? {
-            Some(cells) => Ok(cells),
-            None => InProcessBackend::new()
-                .instantiate_cells(prefix, pool, threads, base_pos, num_values),
-        }
-    }
-
-    fn sample_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-    ) -> Result<QueryResultSamples> {
-        let Some(cells) = self.fetch(prefix, pool, base_pos, num_values)? else {
-            return InProcessBackend::new().sample_block(
-                prefix,
-                pool,
-                threads,
-                base_pos,
-                num_values,
-                agg,
-                group_by,
-                final_predicate,
-            );
+        let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
+        let skeleton = Arc::as_ptr(prefix.skeleton());
+        let mut state = self.state.lock().expect("dispatch state");
+        let plans = &state.plans;
+        let entry = plans.iter().find(|e| Weak::as_ptr(&e.skeleton) == skeleton);
+        let outcomes = match entry.map(|e| (e.key, e.frame.clone(), Arc::clone(&e.tables))) {
+            Some((key, Some(plan_frame), tables)) => {
+                if state.breakers.len() < units.len() {
+                    state.breakers.resize(units.len(), Breaker::default());
+                }
+                // Slots with an open breaker skip dispatch entirely this
+                // block, and the cooldown ticks down toward the half-open
+                // probe.
+                let tasks: Vec<Option<Vec<u8>>> = units
+                    .iter()
+                    .enumerate()
+                    .map(|(i, unit)| {
+                        (!state.breakers[i].degrade_this_block()).then(|| {
+                            wire::encode_task(&TaskHeader {
+                                key,
+                                master_seed: unit.master_seed,
+                                key_range: unit.key_range,
+                                base_pos,
+                                num_values,
+                            })
+                        })
+                    })
+                    .collect();
+                self.run_tasks(&mut state, key, &plan_frame, &tables, &units, &tasks)
+                    .map_err(mcdbr_storage::Error::from)?
+            }
+            _ => units.iter().map(|_| TaskOutcome::Degraded).collect(),
         };
-        let start = Instant::now();
-        let samples = fold_block(prefix, cells, num_values, agg, group_by, final_predicate);
-        self.merge_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        samples
+        drop(state);
+
+        // The units tile the active streams in order, so their cells,
+        // concatenated, are the block's; a local run of a unit is
+        // bit-identical to the worker's.
+        let mut cells = Vec::with_capacity(prefix.num_active_streams());
+        for (unit, outcome) in units.iter().zip(outcomes) {
+            cells.extend(match outcome {
+                TaskOutcome::Wire(got, stats) => {
+                    let warm = usize::from(stats.warm_hit);
+                    self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
+                    got
+                }
+                TaskOutcome::Degraded => (unit.run(pool, threads)?.into_iter())
+                    .map(|(_, c)| c)
+                    .collect(),
+            });
+        }
+        Ok(cells)
     }
 
     fn shard_stats(&self) -> ShardStats {
         ShardStats {
-            // Every unit this backend spawns is a dispatched task, and the
-            // time it merges is its fold of the fetched cells.
+            // Every unit this backend spawns is a dispatched task.
             shards_spawned: self.tasks_dispatched.load(Ordering::Relaxed),
-            shard_merge_ns: self.merge_ns.load(Ordering::Relaxed),
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
             tasks_dispatched: self.tasks_dispatched.load(Ordering::Relaxed),
             wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
@@ -1026,7 +972,10 @@ impl Drop for ProcessBackend {
 mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
-    use mcdbr_exec::{BundleSet, ExecSession, Expr, SessionCache};
+    use mcdbr_exec::{
+        AggregateSpec, BundleSet, ExecSession, Expr, InProcessBackend, QueryResultSamples,
+        SessionCache,
+    };
     use mcdbr_storage::{Field, Schema, TableBuilder, Value};
     use mcdbr_vg::NormalVg;
 
@@ -1078,6 +1027,13 @@ mod tests {
         assert_eq!(a.schema, b.schema);
         assert_eq!(a.num_reps, b.num_reps);
         assert_eq!(a.bundles, b.bundles);
+    }
+
+    /// Every group key and the bits of every sample.
+    fn sample_bits(s: &QueryResultSamples) -> Vec<(String, Vec<u64>)> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let groups = s.groups.iter();
+        groups.map(|(k, v)| (format!("{k:?}"), bits(v))).collect()
     }
 
     #[test]
@@ -1341,12 +1297,19 @@ mod tests {
         let pool = BlockBufferPool::new();
         let session = ExecSession::prepare(&plan, &catalog, 3).unwrap();
         let prefix = session.prefix().unwrap();
-        // Direct backend call without prepare_dispatch: local, identical.
+        // Direct backend calls without prepare_dispatch: local, identical.
         let direct = backend.instantiate_block(prefix, &pool, 2, 0, 16).unwrap();
         let reference = InProcessBackend::new()
             .instantiate_block(prefix, &pool, 1, 0, 16)
             .unwrap();
         assert_sets_identical(&reference, &direct);
+        let agg = AggregateSpec::sum(Expr::col("loss"), "total");
+        let by = ["region".to_string()];
+        let sampled = |b: &dyn ExecBackend| {
+            let got = b.sample_block(prefix, &pool, 2, 3, 16, &agg, &by, None);
+            sample_bits(&got.unwrap())
+        };
+        assert_eq!(sampled(&backend), sampled(&InProcessBackend::new()));
         assert_eq!(backend.shard_stats().tasks_dispatched, 0);
 
         // A third-party VG function is not wire-serializable: prime +
@@ -1394,6 +1357,12 @@ mod tests {
         let a = session.instantiate_block(&catalog, 0, 12).unwrap();
         let b = reference.instantiate_block(&catalog, 0, 12).unwrap();
         assert_sets_identical(&b, &a);
+        let agg = AggregateSpec::sum(Expr::col("val"), "total");
+        let a = session
+            .sample_block(&catalog, 12, 12, &agg, &[], None)
+            .unwrap();
+        let b = reference.sample_block(&catalog, 12, 12, &agg, &[], None);
+        assert_eq!(sample_bits(&a), sample_bits(&b.unwrap()));
         assert_eq!(session.backend().shard_stats().tasks_dispatched, 0);
     }
 }

@@ -190,8 +190,7 @@ pub(crate) fn aggregate_on_threads(
     let partials = par::try_par_map_threads(&ranges, threads, |range| {
         job.aggregate_rep_range(set, range.clone())
     })?;
-    let (samples, _merge_ns) = job.finish(set.num_reps, group_by, partials, key_of)?;
-    Ok(samples)
+    job.finish(set.num_reps, group_by, partials, key_of)
 }
 
 /// The shared state of one aggregation over `set`, and each bundle's group
@@ -316,24 +315,20 @@ impl RepRangeJob {
     /// its result groups: the groups some bundle is present in, ordered by
     /// their first present bundle — first-seen order over the bundles a
     /// materialized block keeps — each keyed by that bundle's `key_of`.
-    /// Returns the samples and the merge nanoseconds.
     pub(crate) fn finish(
         &self,
         num_reps: usize,
         group_by: &[String],
         partials: Vec<AggPartial>,
         key_of: impl Fn(usize) -> Vec<Value>,
-    ) -> Result<(QueryResultSamples, u64)> {
-        let merge_start = std::time::Instant::now();
+    ) -> Result<QueryResultSamples> {
         let groups = merge_rep_partials(num_reps, &self.layout, partials)?;
-        let merge_ns = merge_start.elapsed().as_nanos() as u64;
-        let samples = QueryResultSamples {
+        Ok(QueryResultSamples {
             group_columns: group_by.to_vec(),
             groups: (groups.into_iter())
                 .map(|(first, lane)| (first.map_or_else(Vec::new, &key_of), lane))
                 .collect(),
-        };
-        Ok((samples, merge_ns))
+        })
     }
 }
 

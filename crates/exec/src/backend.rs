@@ -1,18 +1,19 @@
 //! Pluggable phase-2 execution backends.
 //!
 //! Phase 1 of a session produces a [`DeterministicPrefix`]; phase 2 turns
-//! it into samples.  A Monte Carlo query takes one call,
-//! [`ExecBackend::sample_block`]: in process it runs one fused unit per
-//! repetition range ([`crate::shard::SampleJob`]) that generates the
-//! range's stream values and folds every bundle straight into the
-//! aggregate, so no block is ever materialized.  The Gibbs looper calls
-//! [`ExecBackend::instantiate_cells`], which generates every active
-//! stream's cells and nothing else: it reads each tuple's lineage from the
-//! skeleton itself.  Callers that need the bundles (the reference checks,
-//! the traced replay) call [`ExecBackend::instantiate_block`], which
-//! assembles the block from those cells ([`crate::shard::assemble_block`])
-//! in one place; [`ExecBackend::aggregate`] aggregates such a set by
-//! repetition ranges on this process's threads
+//! it into samples.  A placement supplies every active stream's cells
+//! ([`ExecBackend::instantiate_cells`]); the skeleton, which every
+//! placement holds, supplies the rest.  A Monte Carlo query takes one
+//! call, [`ExecBackend::sample_block`], which folds those cells straight
+//! into the aggregate ([`crate::shard::fold_block`]) — or, in process,
+//! runs one fused unit per repetition range ([`crate::shard::SampleJob`])
+//! that generates and folds in one pass; no block is materialized either
+//! way.  The Gibbs looper reads the cells itself.  Callers that need the
+//! bundles (the reference checks, the traced replay) call
+//! [`ExecBackend::instantiate_block`], which assembles the block from the
+//! cells ([`crate::shard::assemble_block`]) in one place;
+//! [`ExecBackend::aggregate`] aggregates such a set by repetition ranges
+//! on this process's threads
 //! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
 //! the trait's default).  A backend decides only *where* the units run —
 //! the [`ExecBackend`] trait is that seam, and a unit runs in one of three
@@ -25,7 +26,7 @@
 //!   same fused units on its shared pool;
 //! * worker processes (`mcdbr_dispatch::ProcessBackend`), one stream
 //!   generation unit ([`crate::shard::ShardTask`]) per worker, whose cells
-//!   the coordinator assembles or folds.
+//!   the trait's provided bodies fold or assemble on the coordinator.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
 //! identical results** for every backend, unit count, and thread count.
@@ -47,7 +48,7 @@ use crate::expr::Expr;
 use crate::par;
 use crate::pool::BlockBufferPool;
 use crate::session::{CellCols, DeterministicPrefix};
-use crate::shard::{assemble_block, generate_streams, sample_parts, SampleJob};
+use crate::shard::{assemble_block, fold_block, generate_streams, sample_parts, SampleJob};
 
 /// Counters a backend exposes about where its units ran.  The in-process
 /// backend keeps no counters, so its stats stay zero; the multi-process
@@ -69,10 +70,6 @@ pub struct ShardStats {
     /// (equal to `tasks_dispatched`), and the server's scheduler adds every
     /// unit it placed.
     pub shards_spawned: usize,
-    /// Nanoseconds the coordinator spent turning unit results into the
-    /// answer: the dispatcher's fold of the workers' cells into an
-    /// aggregate, and the server's merges of the partials of its units.
-    pub shard_merge_ns: u64,
     /// Worker OS processes spawned by a multi-process backend (initial pool
     /// fills and crash respawns alike; 0 on in-process backends).
     pub workers_spawned: usize,
@@ -111,7 +108,6 @@ impl ShardStats {
     pub fn since(&self, earlier: ShardStats) -> ShardStats {
         ShardStats {
             shards_spawned: self.shards_spawned.saturating_sub(earlier.shards_spawned),
-            shard_merge_ns: self.shard_merge_ns.saturating_sub(earlier.shard_merge_ns),
             workers_spawned: self.workers_spawned.saturating_sub(earlier.workers_spawned),
             tasks_dispatched: self
                 .tasks_dispatched
@@ -136,13 +132,13 @@ impl ShardStats {
 /// A phase-2 execution strategy: generate a block's stream cells against a
 /// bound prefix, and evaluate per-repetition aggregates.
 ///
-/// A backend that generates a block's streams elsewhere overrides the
-/// provided [`ExecBackend::instantiate_cells`]; the provided
-/// [`ExecBackend::instantiate_block`] assembles the bundles from them.  A
-/// wrapper that forwards to an inner backend must override
-/// `instantiate_cells` too: the provided one always generates in this
-/// process, so forwarding only `instantiate_block` would run the Gibbs
-/// looper's initial draw here, unseen by the wrapper and its inner backend.
+/// A backend overrides [`ExecBackend::instantiate_cells`] to place
+/// generation; the provided [`ExecBackend::sample_block`] folds those cells
+/// and the provided [`ExecBackend::instantiate_block`] assembles the bundles
+/// from them, so the Gibbs looper's draw, a block and a sampled block all
+/// reach the override.  A backend overrides `sample_block` only to run the
+/// fused unit ([`crate::shard::SampleJob`]) instead, as the in-process
+/// placements do.
 ///
 /// `threads` is the caller's worker budget (sessions pass their
 /// `with_threads` setting); backends are free to interpret it as pool width
@@ -205,11 +201,12 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// Evaluate `agg` once per repetition over stream positions `base_pos ..
     /// base_pos + num_values` of `prefix`, bit-identical to
     /// [`ExecBackend::aggregate`] over [`ExecBackend::instantiate_block`]'s
-    /// set, and an error if and only if that pair errs.  The default is that
-    /// pair.  The in-process placements override it with the fused unit
+    /// set, and an error if and only if that pair errs.  The default folds
+    /// [`ExecBackend::instantiate_cells`] straight into the aggregate
+    /// ([`fold_block`]), building no [`BundleSet`].  The in-process
+    /// placements override it with the fused unit
     /// ([`crate::shard::SampleJob`]): each repetition range generates its
-    /// streams and folds every bundle straight into the aggregate, so no
-    /// [`BundleSet`] is ever built.
+    /// streams and folds them in the same pass.
     #[allow(clippy::too_many_arguments)]
     fn sample_block(
         &self,
@@ -222,8 +219,8 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         group_by: &[String],
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
-        let set = self.instantiate_block(prefix, pool, threads, base_pos, num_values)?;
-        self.aggregate(&set, agg, group_by, final_predicate, threads)
+        let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
+        fold_block(prefix, cells, num_values, agg, group_by, final_predicate)
     }
 
     /// Placement counters (zero for backends that keep none).
@@ -295,7 +292,7 @@ impl ExecBackend for InProcessBackend {
                 job.sample_rep_range(pool, reps.clone())
             })
         };
-        let (samples, _, _) = sample_parts(
+        sample_parts(
             prefix,
             base_pos,
             num_values,
@@ -304,8 +301,7 @@ impl ExecBackend for InProcessBackend {
             final_predicate,
             threads,
             run,
-        )?;
-        Ok(samples)
+        )
     }
 }
 
@@ -317,7 +313,6 @@ mod tests {
     fn shard_stats_windows_subtract() {
         let earlier = ShardStats {
             shards_spawned: 3,
-            shard_merge_ns: 100,
             workers_spawned: 1,
             tasks_dispatched: 4,
             wire_bytes_sent: 100,
@@ -330,7 +325,6 @@ mod tests {
         };
         let later = ShardStats {
             shards_spawned: 10,
-            shard_merge_ns: 450,
             workers_spawned: 3,
             tasks_dispatched: 9,
             wire_bytes_sent: 1100,
@@ -345,7 +339,6 @@ mod tests {
             later.since(earlier),
             ShardStats {
                 shards_spawned: 7,
-                shard_merge_ns: 350,
                 workers_spawned: 2,
                 tasks_dispatched: 5,
                 wire_bytes_sent: 1000,

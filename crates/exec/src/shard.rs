@@ -22,10 +22,9 @@
 //! Every active stream's cells, in `active_keys` order, are the whole
 //! random part of a block; the skeleton, which every placement holds,
 //! supplies the rest.  [`assemble_block`] turns them into the block's
-//! bundles and [`fold_block`] folds them straight into an aggregate.
-//! [`crate::InProcessBackend`] generates all streams on its threads and
-//! assembles; the multi-process dispatcher runs one unit per worker and
-//! assembles or folds the cells they ship back.
+//! bundles and [`fold_block`] folds them straight into an aggregate —
+//! the trait's provided `instantiate_block` and `sample_block`, whoever
+//! generated the cells (this process's threads, or one unit per worker).
 //! `tests/session_determinism.rs` proves every split bit-identical for unit
 //! counts {1, 2, 3, 7} × thread counts against `Executor::execute`, across
 //! replenishment boundaries, and on cache hits.
@@ -165,7 +164,7 @@ pub fn fold_block(
             .map(|reps| job.fold(&cells, reps))
             .collect()
     };
-    let (samples, ..) = sample_parts(
+    sample_parts(
         prefix,
         0,
         num_values,
@@ -174,8 +173,7 @@ pub fn fold_block(
         final_predicate,
         1,
         run,
-    )?;
-    Ok(samples)
+    )
 }
 
 /// The stream-generation half of a unit: generate the active streams at the
@@ -277,7 +275,7 @@ impl SampleJob {
 /// places work, and merge them.  The result — groups, their order, every
 /// sample — is bit-identical to aggregating
 /// [`crate::ExecBackend::instantiate_block`]'s set, and the call errs if
-/// and only if that would.  Returns `(samples, parts spawned, merge nanoseconds)`.
+/// and only if that would.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_parts<R>(
     prefix: &DeterministicPrefix,
@@ -288,7 +286,7 @@ pub fn sample_parts<R>(
     final_predicate: Option<&Expr>,
     parts: usize,
     run: R,
-) -> Result<(QueryResultSamples, usize, u64)>
+) -> Result<QueryResultSamples>
 where
     R: FnOnce(&Arc<SampleJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
 {
@@ -315,10 +313,8 @@ where
         0 => std::iter::once(0..0).collect(),
         n => aggregate::rep_ranges(n, parts),
     };
-    let spawned = ranges.len();
     let partials = run(&job, ranges)?;
-    let (samples, merge_ns) = job.job.finish(num_values, group_by, partials, key_of)?;
-    Ok((samples, spawned, merge_ns))
+    job.job.finish(num_values, group_by, partials, key_of)
 }
 
 #[cfg(test)]

@@ -157,8 +157,7 @@ pub struct NaiveTailReport {
     /// calibration reuses them.
     pub buffer_reuses: u64,
     /// The hunt's window of the engine's execution backend's counters:
-    /// shard tasks and merge time (block materializations and aggregate
-    /// partials), worker-process dispatch and its fault ladder — all zero
+    /// shard tasks, worker-process dispatch and its fault ladder — all zero
     /// where the backend has nothing to report.
     pub backend: ShardStats,
 }

@@ -21,18 +21,18 @@
 //!
 //! An inner backend whose units do not run in this process
 //! ([`ExecBackend::units_run_in_process`] is false — the **process**
-//! dispatcher) gets each call whole: its block is one coordinator-side
+//! dispatcher) places generation itself: its block is one coordinator-side
 //! conversation holding the dispatcher's state lock, so a query's block
 //! runs as a *single* scheduler unit (the blocking wire I/O occupies one
-//! pool slot; fairness is at block granularity) in which the inner
-//! backend folds its workers' cells straight into the aggregate
-//! ([`ExecBackend::sample_block`]), with no bundle set.
+//! pool slot; fairness is at block granularity) that fetches the inner
+//! backend's cells, which the caller's thread then folds straight into the
+//! aggregate ([`mcdbr_exec::fold_block`]), with no bundle set.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
 //! a per-query deadline), checked on entry to every call — a fused query,
-//! or block instantiation and aggregation — and when a process inner
-//! backend's whole-block unit returns.  A query that blows its
+//! or block instantiation and aggregation — and when a block's cells
+//! unit returns.  A query that blows its
 //! deadline fails with a typed [`mcdbr_storage::Error::Timeout`] at its
 //! next boundary — already completed work is simply dropped, and no
 //! scheduler unit is ever interrupted mid-flight.
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols,
+    fold_block, sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols,
     DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
 };
 use mcdbr_storage::{Catalog, Result};
@@ -66,7 +66,6 @@ pub struct FairBackend {
     /// Cumulative queue wait across this query's units (shared with the
     /// unit closures).
     wait_ns: Arc<AtomicU64>,
-    merge_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for FairBackend {
@@ -102,7 +101,6 @@ impl FairBackend {
             cancel,
             units: AtomicUsize::new(0),
             wait_ns: Arc::new(AtomicU64::new(0)),
-            merge_ns: AtomicU64::new(0),
         }
     }
 
@@ -192,7 +190,7 @@ impl ExecBackend for FairBackend {
     fn sample_block(
         &self,
         prefix: &DeterministicPrefix,
-        _pool: &BlockBufferPool,
+        pool: &BlockBufferPool,
         threads: usize,
         base_pos: u64,
         num_values: usize,
@@ -200,24 +198,17 @@ impl ExecBackend for FairBackend {
         group_by: &[String],
         final_predicate: Option<&Expr>,
     ) -> Result<QueryResultSamples> {
-        self.cancel.check()?;
         if !self.inner.units_run_in_process() {
-            let (agg, group_by) = (agg.clone(), group_by.to_vec());
-            let final_predicate = final_predicate.cloned();
-            let samples = self.on_inner(prefix, move |inner, prefix, pool| {
-                let predicate = final_predicate.as_ref();
-                inner.sample_block(
-                    prefix, pool, threads, base_pos, num_values, &agg, &group_by, predicate,
-                )
-            })?;
-            // The block's end is its next boundary.
+            let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
+            // The cells unit's end is the block's next boundary.
             self.cancel.check()?;
-            return Ok(samples);
+            return fold_block(prefix, cells, num_values, agg, group_by, final_predicate);
         }
 
         // One fused unit per scheduler pool thread.
+        self.cancel.check()?;
         let parts = self.sched.pool_size();
-        let (samples, _, merge_ns) = sample_parts(
+        sample_parts(
             prefix,
             base_pos,
             num_values,
@@ -239,15 +230,12 @@ impl ExecBackend for FairBackend {
                     .into_iter()
                     .collect()
             },
-        )?;
-        self.merge_ns.fetch_add(merge_ns, Ordering::Relaxed);
-        Ok(samples)
+        )
     }
 
     fn shard_stats(&self) -> ShardStats {
         let mut stats = self.inner.shard_stats();
         stats.shards_spawned += self.units.load(Ordering::Relaxed);
-        stats.shard_merge_ns += self.merge_ns.load(Ordering::Relaxed);
         stats
     }
 }

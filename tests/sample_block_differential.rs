@@ -249,7 +249,7 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
                                 })
                             },
                         );
-                        assert_same(&case, &got.map(|(samples, ..)| samples), want);
+                        assert_same(&case, &got, want);
                         compared += 1;
                         match want {
                             Ok(s) => groups += s.groups.len(),

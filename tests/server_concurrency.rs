@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
+use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::{
     BlockBufferPool, CancelToken, ExecBackend, InProcessBackend, QueryResultSamples, SessionCache,
@@ -154,6 +155,34 @@ fn a_process_inner_backend_runs_each_block_as_one_scheduler_unit() {
         assert_samples_bit_identical(&samples, &want, &format!("seed {seed}"));
     }
     sched.shutdown();
+}
+
+#[test]
+fn every_phase_two_call_reaches_an_open_gate() {
+    // `GateBackend` gates cell generation, which the Gibbs looper's draw
+    // and the provided `sample_block` both go through.
+    let catalog = small_catalog();
+    let query = customer_losses_query(None);
+    let gate = Arc::new(GateBackend::new());
+    gate.open();
+    let config = TailSamplingConfig::new(0.1, 4, 40).with_block_size(50);
+    let tail = |backend: Arc<dyn ExecBackend>| {
+        let looper = GibbsLooper::new(query.clone(), config.clone()).with_backend(backend);
+        looper.run(&catalog).unwrap()
+    };
+    let (got, want) = (tail(gate.clone()), tail(Arc::new(InProcessBackend::new())));
+    assert!(gate.entered() >= 1, "the looper's draw passes the gate");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.tail_samples), bits(&want.tail_samples));
+
+    let entered = gate.entered();
+    let samples = McdbEngine::new()
+        .with_backend(gate.clone())
+        .run_samples(&query, &catalog, 24, 5)
+        .unwrap();
+    assert_eq!(gate.entered(), entered + 1, "one sampled block, one pass");
+    let want = reference(&query, &catalog, 24, 5);
+    assert_samples_bit_identical(&samples, &want, "gated engine");
 }
 
 #[test]
