@@ -10,9 +10,9 @@
 //! checked where it enters ([`check_reply`]; a bad one is crash-class
 //! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
 //! — hands them back whole ([`ExecBackend::instantiate_cells`], its one
-//! override): the trait's provided `sample_block` folds them straight into
-//! the aggregate, its `instantiate_block` assembles a block from them, and
-//! the Gibbs looper reads them as they are.
+//! override): `ExecSession::sample_block` folds them straight into the
+//! aggregate, the trait's provided `instantiate_block` assembles a block
+//! from them, and the Gibbs looper reads them as they are.
 //!
 //! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
 //! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
@@ -70,7 +70,7 @@
 //! many bundles, and a stream's values are a pure function of `(seed,
 //! position)`: the cells are the least a worker can ship that serves both
 //! calls, with the same tasks and bytes.  `AggPartial`s would serve only
-//! `sample_block`, and the perf ledger's `naive.join_process2` fails a run
+//! a sampled block, and the perf ledger's `naive.join_process2` fails a run
 //! whose `wire_bytes_received` differs between its plain operations and its
 //! traced ones, which replay `instantiate_block` + `aggregate`.
 
@@ -973,8 +973,8 @@ mod tests {
     use super::*;
     use mcdbr_exec::plan::scalar_random_table;
     use mcdbr_exec::{
-        AggregateSpec, BundleSet, ExecSession, Expr, InProcessBackend, QueryResultSamples,
-        SessionCache,
+        fold_block, AggregateSpec, BundleSet, ExecSession, Expr, InProcessBackend,
+        QueryResultSamples, SessionCache,
     };
     use mcdbr_storage::{Field, Schema, TableBuilder, Value};
     use mcdbr_vg::NormalVg;
@@ -1306,8 +1306,8 @@ mod tests {
         let agg = AggregateSpec::sum(Expr::col("loss"), "total");
         let by = ["region".to_string()];
         let sampled = |b: &dyn ExecBackend| {
-            let got = b.sample_block(prefix, &pool, 2, 3, 16, &agg, &by, None);
-            sample_bits(&got.unwrap())
+            let cells = b.instantiate_cells(prefix, &pool, 2, 3, 16).unwrap();
+            sample_bits(&fold_block(prefix, cells, 16, &agg, &by, None).unwrap())
         };
         assert_eq!(sampled(&backend), sampled(&InProcessBackend::new()));
         assert_eq!(backend.shard_stats().tasks_dispatched, 0);

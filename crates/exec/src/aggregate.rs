@@ -9,9 +9,8 @@
 //! There is one aggregator: `RangeFold::fold` folds one bundle's
 //! aggregand over one repetition range into group-major lanes.  It runs
 //! over a materialized [`BundleSet`] ([`evaluate_aggregate_threads`]) and,
-//! without one, inside the fused phase-2 unit
-//! ([`crate::shard::sample_parts`]), which feeds it each bundle's inputs
-//! straight from the range's generated cells.
+//! without one, in [`crate::shard::fold_block`], which feeds it each
+//! bundle's inputs straight from a block's generated cells in one range.
 //!
 //! Grouping follows paper Appendix A footnote 4: "Grouping is handled by, in
 //! effect, treating a GROUP BY query over g groups as g separate,
@@ -167,8 +166,8 @@ pub fn evaluate_aggregate_threads(
 /// The aggregation driver over a materialized set: split `0..set.num_reps`
 /// into at most `parts` balanced contiguous ranges, compute one
 /// [`AggPartial`] per range, up to `threads` at a time, and merge the
-/// partials back in repetition order.  [`crate::shard::sample_parts`] is
-/// the same driver over a block that is never materialized.
+/// partials back in repetition order.  [`crate::shard::fold_block`] is
+/// its one-range twin over a block that is never materialized.
 ///
 /// Parts partition **repetitions**, not bundles, because the accumulation
 /// order over bundles *within* a repetition is the floating-point
@@ -399,7 +398,7 @@ impl<'j> RangeFold<'j> {
 /// `first[g]` is its first bundle present in the range, if one is.  Opaque:
 /// the layout is this module's private contract.
 #[derive(Debug)]
-pub struct AggPartial {
+pub(crate) struct AggPartial {
     lo: usize,
     len: usize,
     vals: Vec<f64>,

@@ -1,32 +1,29 @@
 //! Pluggable phase-2 execution backends.
 //!
 //! Phase 1 of a session produces a [`DeterministicPrefix`]; phase 2 turns
-//! it into samples.  A placement supplies every active stream's cells
-//! ([`ExecBackend::instantiate_cells`]); the skeleton, which every
-//! placement holds, supplies the rest.  A Monte Carlo query takes one
-//! call, [`ExecBackend::sample_block`], which folds those cells straight
-//! into the aggregate ([`crate::shard::fold_block`]) — or, in process,
-//! runs one fused unit per repetition range ([`crate::shard::SampleJob`])
-//! that generates and folds in one pass; no block is materialized either
-//! way.  The Gibbs looper reads the cells itself.  Callers that need the
-//! bundles (the reference checks, the traced replay) call
+//! it into samples.  A placement only generates: it supplies every active
+//! stream's cells ([`ExecBackend::instantiate_cells`]), and the skeleton,
+//! which every placement holds, supplies the rest.  A Monte Carlo query
+//! folds those cells once, on the calling thread, straight into the
+//! aggregate ([`crate::shard::fold_block`], called by
+//! [`crate::ExecSession::sample_block`]), so no block is materialized.  The
+//! Gibbs looper reads the cells itself.  Callers that need the bundles (the
+//! reference checks, the traced replay) call
 //! [`ExecBackend::instantiate_block`], which assembles the block from the
 //! cells ([`crate::shard::assemble_block`]) in one place;
 //! [`ExecBackend::aggregate`] aggregates such a set by repetition ranges
 //! on this process's threads
 //! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
-//! the trait's default).  A backend decides only *where* the units run —
-//! the [`ExecBackend`] trait is that seam, and a unit runs in one of three
-//! places:
+//! the trait's default).  A backend decides only *where* the generation
+//! units ([`crate::shard::ShardTask`]) run — the [`ExecBackend`] trait is
+//! that seam, and a unit runs in one of three places:
 //!
-//! * [`InProcessBackend`] — this process's threads (`crate::par`): one
-//!   fused unit per thread, or a block's streams fanned out across the
-//!   threads (the trait's defaults).
+//! * [`InProcessBackend`] — this process's threads (`crate::par`): a
+//!   block's streams fanned out across the threads (the trait's default).
 //! * the server's scheduler (`mcdbr_server::FairBackend`), which places the
-//!   same fused units on its shared pool;
-//! * worker processes (`mcdbr_dispatch::ProcessBackend`), one stream
-//!   generation unit ([`crate::shard::ShardTask`]) per worker, whose cells
-//!   the trait's provided bodies fold or assemble on the coordinator.
+//!   same units on its shared pool;
+//! * worker processes (`mcdbr_dispatch::ProcessBackend`), one unit per
+//!   worker, whose cells come back over the wire.
 //!
 //! Every backend is bound by the same contract as the thread fan-out: **bit
 //! identical results** for every backend, unit count, and thread count.
@@ -37,18 +34,14 @@
 //! caller passes another one to their `with_backend`; nothing in the
 //! environment changes that choice.
 
-use std::ops::Range;
-use std::sync::Arc;
-
 use mcdbr_storage::Result;
 
 use crate::aggregate::{self, AggregateSpec, QueryResultSamples};
 use crate::bundle::BundleSet;
 use crate::expr::Expr;
-use crate::par;
 use crate::pool::BlockBufferPool;
 use crate::session::{CellCols, DeterministicPrefix};
-use crate::shard::{assemble_block, fold_block, generate_streams, sample_parts, SampleJob};
+use crate::shard::{assemble_block, generate_streams};
 
 /// Counters a backend exposes about where its units ran.  The in-process
 /// backend keeps no counters, so its stats stay zero; the multi-process
@@ -130,15 +123,13 @@ impl ShardStats {
 }
 
 /// A phase-2 execution strategy: generate a block's stream cells against a
-/// bound prefix, and evaluate per-repetition aggregates.
+/// bound prefix, and evaluate per-repetition aggregates over a set.
 ///
 /// A backend overrides [`ExecBackend::instantiate_cells`] to place
-/// generation; the provided [`ExecBackend::sample_block`] folds those cells
-/// and the provided [`ExecBackend::instantiate_block`] assembles the bundles
-/// from them, so the Gibbs looper's draw, a block and a sampled block all
-/// reach the override.  A backend overrides `sample_block` only to run the
-/// fused unit ([`crate::shard::SampleJob`]) instead, as the in-process
-/// placements do.
+/// generation; the provided [`ExecBackend::instantiate_block`] assembles
+/// the bundles from those cells and [`crate::ExecSession::sample_block`]
+/// folds them, so the Gibbs looper's draw, a block and a sampled block all
+/// reach the override.
 ///
 /// `threads` is the caller's worker budget (sessions pass their
 /// `with_threads` setting); backends are free to interpret it as pool width
@@ -198,31 +189,6 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         aggregate::evaluate_aggregate_threads(set, agg, group_by, final_predicate, threads)
     }
 
-    /// Evaluate `agg` once per repetition over stream positions `base_pos ..
-    /// base_pos + num_values` of `prefix`, bit-identical to
-    /// [`ExecBackend::aggregate`] over [`ExecBackend::instantiate_block`]'s
-    /// set, and an error if and only if that pair errs.  The default folds
-    /// [`ExecBackend::instantiate_cells`] straight into the aggregate
-    /// ([`fold_block`]), building no [`BundleSet`].  The in-process
-    /// placements override it with the fused unit
-    /// ([`crate::shard::SampleJob`]): each repetition range generates its
-    /// streams and folds them in the same pass.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-    ) -> Result<QueryResultSamples> {
-        let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
-        fold_block(prefix, cells, num_values, agg, group_by, final_predicate)
-    }
-
     /// Placement counters (zero for backends that keep none).
     fn shard_stats(&self) -> ShardStats {
         ShardStats::default()
@@ -243,20 +209,21 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Whether this backend's sampled block is nothing but the fused units
-    /// of [`crate::shard::sample_parts`] run in this process.  A scheduler
-    /// wrapped around such a backend (the server's `FairBackend`) may place
-    /// those units itself; for every other backend — units that run
-    /// elsewhere, or anything a custom implementation does per block — it
-    /// must go through the backend's own calls, hence the default.
+    /// Whether this backend's [`ExecBackend::instantiate_cells`] is the
+    /// trait's local generation, so a scheduler wrapped around it (the
+    /// server's `FairBackend`) may place the block as
+    /// [`crate::shard::ShardTask`] units itself.  For every other backend —
+    /// units that run elsewhere, or anything a custom implementation does
+    /// per block — it must go through the backend's own calls, hence the
+    /// default.
     fn units_run_in_process(&self) -> bool {
         false
     }
 }
 
-/// The in-process thread-pool backend: a sampled block is one fused unit
-/// per thread, and a block's cells (the trait's default) every active
-/// stream fanned out across worker threads via [`crate::par`].
+/// The in-process thread-pool backend: a block's cells (the trait's
+/// default) are every active stream fanned out across worker threads via
+/// [`crate::par`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessBackend;
 
@@ -274,34 +241,6 @@ impl ExecBackend for InProcessBackend {
 
     fn units_run_in_process(&self) -> bool {
         true
-    }
-
-    fn sample_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-    ) -> Result<QueryResultSamples> {
-        let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
-            par::try_par_map_threads(&ranges, threads, |reps| {
-                job.sample_rep_range(pool, reps.clone())
-            })
-        };
-        sample_parts(
-            prefix,
-            base_pos,
-            num_values,
-            agg,
-            group_by,
-            final_predicate,
-            threads,
-            run,
-        )
     }
 }
 

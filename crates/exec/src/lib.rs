@@ -44,9 +44,6 @@
 //!   `(plan fingerprint, catalog epoch)`, so a repeated query — under *any*
 //!   master seed — skips phase 1 entirely (LRU-bounded).
 //! * [`shard`] — the phase-2 units and block assembly:
-//!   [`shard::SampleJob::sample_rep_range`] instantiates and aggregates one
-//!   repetition range of a Monte Carlo query in one pass, folding every
-//!   bundle straight into the aggregate;
 //!   [`shard::ShardTask::run`] (`skeleton + master seed + StreamKey range +
 //!   block window`) generates the cells of the streams in its range — each
 //!   stream in exactly one unit, bit-identical wherever it runs, which is
@@ -86,7 +83,7 @@ pub mod session;
 pub mod shard;
 pub mod stream_registry;
 
-pub use aggregate::{AggFunc, AggPartial, AggregateSpec, QueryResultSamples};
+pub use aggregate::{AggFunc, AggregateSpec, QueryResultSamples};
 pub use backend::{ExecBackend, InProcessBackend, ShardStats};
 pub use bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 pub use cache::SessionCache;
@@ -97,5 +94,5 @@ pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
 pub use session::{CellCols, DeterministicPrefix, ExecSession, Lineage, PlanSkeleton};
-pub use shard::{assemble_block, fold_block, sample_parts, SampleJob, ShardTask};
+pub use shard::{assemble_block, fold_block, ShardTask};
 pub use stream_registry::StreamSource;

@@ -34,8 +34,9 @@
 //!   work bit-identical), the symbolic residue is evaluated, and a full
 //!   [`BundleSet`] comes back.  No scan, join, or deterministic predicate
 //!   is ever re-evaluated.  A Monte Carlo query skips the set as well:
-//!   [`ExecSession::sample_block`] folds each repetition range's bundles
-//!   straight into the aggregate (`fold_bundles`).
+//!   [`ExecSession::sample_block`] generates the block's cells on the
+//!   backend and folds every bundle once straight into the aggregate
+//!   (`fold_bundles`, through [`crate::shard::fold_block`]).
 //!
 //! The output of `instantiate_block(catalog, b, n)` is bit-identical to
 //! `Executor::execute` with `ExecOptions { base_pos: b, num_values: n, .. }`
@@ -87,6 +88,7 @@ use crate::par;
 use crate::plan::{OutputColumn, PlanNode};
 use crate::pool::BlockBufferPool;
 use crate::program::{Lane, Program};
+use crate::shard::fold_block;
 use crate::stream_registry::StreamSource;
 
 /// The master seed used only to probe VG output-row counts during skeleton
@@ -755,10 +757,10 @@ impl ExecSession {
     /// over positions `base_pos .. base_pos + num_values`, once per
     /// repetition, bit-identical to [`crate::aggregate::evaluate_aggregate`] over
     /// [`ExecSession::instantiate_block`]'s set — and an error if and only if
-    /// that errs.  Cacheable plans delegate to the session's backend
-    /// ([`ExecBackend::sample_block`]), which on an in-process placement
-    /// folds every repetition range straight into the aggregate and never
-    /// builds the set; fallback plans materialize it through the inner
+    /// that errs.  Cacheable plans take the block's cells from the session's
+    /// backend ([`ExecBackend::instantiate_cells`]) and fold them once, on
+    /// this thread, straight into the aggregate ([`fold_block`]), never
+    /// building the set; fallback plans materialize it through the inner
     /// [`Executor`] and aggregate it with the backend's
     /// [`ExecBackend::aggregate`], so a wrapping backend (the server's) sees
     /// both kinds of plan.  Counts as one block, like `instantiate_block`.
@@ -778,16 +780,14 @@ impl ExecSession {
                 .aggregate(&set, agg, group_by, final_predicate, self.threads);
         }
         let prefix = self.cached_block(catalog, num_values)?;
-        self.backend.sample_block(
+        let cells = self.backend.instantiate_cells(
             &prefix,
             &self.pool,
             self.threads,
             base_pos,
             num_values,
-            agg,
-            group_by,
-            final_predicate,
-        )
+        )?;
+        fold_block(&prefix, cells, num_values, agg, group_by, final_predicate)
     }
 
     /// The cached prefix for one phase-2 block of `num_values` positions,

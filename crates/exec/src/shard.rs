@@ -1,15 +1,6 @@
 //! The phase-2 units.
 //!
-//! A Monte Carlo query runs the **fused unit**,
-//! [`SampleJob::sample_rep_range`]: instantiate and aggregate repetitions
-//! `[a, b)` in one pass, generating every active stream over the range and
-//! folding each bundle, in skeleton order, straight into the aggregate's
-//! lanes.  No bundle, set or merge is built; [`sample_parts`] splits the
-//! repetitions and merges the partials, and both in-process placements —
-//! [`crate::InProcessBackend`]'s threads and the server's scheduler — run
-//! the same unit.
-//!
-//! A block split by **stream keys** runs the **generation unit**:
+//! A block is split by **stream keys** into **generation units**:
 //! `PlanSkeleton + seed + StreamKey range + window` fully describes a slice
 //! of a block's stream values, and [`ShardTask::run`] generates exactly the
 //! active streams whose keys lie in its range — each stream in exactly one
@@ -17,24 +8,27 @@
 //! [`ShardTask`] is plain data plus the skeleton (an `Arc` in process;
 //! across processes re-derivable from the plan and catalog, or addressed by
 //! its `(plan fingerprint, catalog epoch)` cache key), and binding it to
-//! its master seed costs nothing per stream.
+//! its master seed costs nothing per stream.  Every placement — this
+//! process's threads, the server's scheduler, one unit per worker process —
+//! only generates.
 //!
 //! Every active stream's cells, in `active_keys` order, are the whole
 //! random part of a block; the skeleton, which every placement holds,
 //! supplies the rest.  [`assemble_block`] turns them into the block's
-//! bundles and [`fold_block`] folds them straight into an aggregate —
-//! the trait's provided `instantiate_block` and `sample_block`, whoever
-//! generated the cells (this process's threads, or one unit per worker).
+//! bundles (the trait's provided `instantiate_block`) and [`fold_block`]
+//! folds them once, on the calling thread, straight into an aggregate
+//! (`ExecSession::sample_block`), whoever generated the cells.
 //! `tests/session_determinism.rs` proves every split bit-identical for unit
 //! counts {1, 2, 3, 7} × thread counts against `Executor::execute`, across
 //! replenishment boundaries, and on cache hits.
 //!
-//! Aggregation — fused or over a set — partitions **repetitions**, not
-//! bundles: within one repetition the floating-point accumulation order
-//! over bundles is the bit-identity contract, so the only safe parallel
-//! unit is the repetition itself — see [`sample_parts`] and
-//! [`crate::aggregate::evaluate_aggregate_threads`], which share the one
-//! per-bundle fold and the one partial merge.
+//! Aggregation partitions **repetitions**, not bundles: within one
+//! repetition the floating-point accumulation order over bundles is the
+//! bit-identity contract.  [`fold_block`] folds the whole window as one
+//! repetition range; a set's aggregation
+//! ([`crate::aggregate::evaluate_aggregate_threads`]) splits it into one
+//! range per thread.  Both share the one per-bundle fold and the one
+//! partial merge.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -42,9 +36,7 @@ use std::sync::Arc;
 use mcdbr_prng::StreamKeyRange;
 use mcdbr_storage::{ColumnBlock, Result, Value};
 
-use crate::aggregate::{
-    self, AggPartial, AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob,
-};
+use crate::aggregate::{AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob};
 use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::par;
@@ -146,8 +138,9 @@ pub fn assemble_block(
 
 /// Evaluate `agg` once per repetition over the block [`assemble_block`]
 /// would build from `cells`, bit-identically and erring if and only if
-/// aggregating that set would, but with no bundle built: one
-/// [`sample_parts`] range folds every bundle straight into the aggregate.
+/// aggregating that set would, but with no bundle built: one pass folds
+/// every bundle, in skeleton order, straight into the aggregate's lanes.
+/// This is the one fold of a sampled block, whoever generated the cells.
 pub fn fold_block(
     prefix: &DeterministicPrefix,
     cells: Vec<CellCols>,
@@ -157,23 +150,22 @@ pub fn fold_block(
     final_predicate: Option<&Expr>,
 ) -> Result<QueryResultSamples> {
     let cells = CellData::new(prefix, cells)?;
-    // One part: its one range is the whole window the cells hold.
-    let run = |job: &Arc<SampleJob>, ranges: Vec<Range<usize>>| {
-        ranges
-            .into_iter()
-            .map(|reps| job.fold(&cells, reps))
-            .collect()
+    let skeleton = prefix.skeleton();
+    let keys = skeleton.group_keys(group_by)?;
+    let key_of = |b: usize| -> Vec<Value> {
+        let cols = keys.as_deref().unwrap_or_default();
+        cols.iter().map(|values| values[b].clone()).collect()
     };
-    sample_parts(
-        prefix,
-        0,
-        num_values,
-        agg,
-        group_by,
-        final_predicate,
-        1,
-        run,
-    )
+    let layout = match keys {
+        Ok(_) => GroupLayout::discover(skeleton.num_bundles(), !group_by.is_empty(), key_of),
+        Err(column) => GroupLayout::random_key(skeleton.num_bundles(), column),
+    };
+    let job = RepRangeJob::new(skeleton.schema(), layout, agg, final_predicate);
+    // One range over the whole window.  A zero-position block still decides
+    // which bundles — so which groups — it keeps: the empty range does that.
+    let mut range = job.range(0, num_values);
+    session::fold_bundles(prefix, &cells, num_values, &mut range)?;
+    job.finish(num_values, group_by, vec![range.finish()], key_of)
 }
 
 /// The stream-generation half of a unit: generate the active streams at the
@@ -181,8 +173,8 @@ pub fn fold_block(
 /// base_pos + num_values` into columnar buffers from `pool`, fanned out
 /// across streams on up to `threads` threads, returning each stream's cells
 /// in `needed` order.  [`ShardTask::run`] calls it for a unit's streams,
-/// [`SampleJob::sample_rep_range`] for a range's, and
-/// [`crate::ExecSession::instantiate_stream`] for the one stream whose
+/// [`crate::ExecBackend::instantiate_cells`]'s default for every stream,
+/// and [`crate::ExecSession::instantiate_stream`] for the one stream whose
 /// chunk past the initial block a Gibbs run draws.
 pub(crate) fn generate_streams(
     prefix: &DeterministicPrefix,
@@ -219,102 +211,6 @@ pub(crate) fn generate_streams(
         Some(e) => Err(e),
         None => Ok(cells),
     }
-}
-
-/// The fused phase-2 unit's shared state: instantiate and aggregate a
-/// repetition range of one block in a single pass, folding every bundle
-/// straight into the aggregate ([`SampleJob::sample_rep_range`]).  A block
-/// is never materialized: a range's cells live only while its bundles fold,
-/// and no [`crate::TupleBundle`] or [`BundleSet`] exists.
-///
-/// Ranges partition repetitions, as a set's aggregation
-/// ([`crate::aggregate::evaluate_aggregate_threads`]) does, so every range
-/// generates every active stream over its own window — `(seed, position)`
-/// addressing makes each value the one a full block would hold.  Built
-/// once per call by [`sample_parts`] and `'static`, so a scheduler can
-/// carry it into its own threads.
-pub struct SampleJob {
-    prefix: DeterministicPrefix,
-    base_pos: u64,
-    num_values: usize,
-    job: RepRangeJob,
-}
-
-impl SampleJob {
-    /// The fused unit: generate every active stream's cells for the
-    /// repetitions `reps` of the block (clamped to it) from `pool`, then
-    /// fold every skeleton bundle, in order, into one [`AggPartial`] — the
-    /// partial a set's aggregation computes over the materialized block,
-    /// bit for bit.
-    pub fn sample_rep_range(
-        &self,
-        pool: &BlockBufferPool,
-        reps: Range<usize>,
-    ) -> Result<AggPartial> {
-        let hi = reps.end.min(self.num_values);
-        let lo = reps.start.min(hi);
-        let all: Vec<usize> = (0..self.prefix.num_active_streams()).collect();
-        let base_pos = self.base_pos + lo as u64;
-        let cells = generate_streams(&self.prefix, &all, base_pos, hi - lo, pool, 1)?;
-        self.fold(&CellData::new(&self.prefix, cells)?, lo..hi)
-    }
-
-    /// Fold every skeleton bundle, in order, over `cells` — which hold the
-    /// repetitions `reps` of the block — into one [`AggPartial`].
-    fn fold(&self, cells: &CellData, reps: Range<usize>) -> Result<AggPartial> {
-        let mut range = self.job.range(reps.start, reps.end);
-        session::fold_bundles(&self.prefix, cells, reps.len(), &mut range)?;
-        Ok(range.finish())
-    }
-}
-
-/// The driver of the fused unit, the set aggregation's twin over a block
-/// that is never materialized: split `0..num_values` into
-/// at most `parts` balanced ranges, let `run` compute one
-/// [`SampleJob::sample_rep_range`] partial per range wherever the backend
-/// places work, and merge them.  The result — groups, their order, every
-/// sample — is bit-identical to aggregating
-/// [`crate::ExecBackend::instantiate_block`]'s set, and the call errs if
-/// and only if that would.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_parts<R>(
-    prefix: &DeterministicPrefix,
-    base_pos: u64,
-    num_values: usize,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-    parts: usize,
-    run: R,
-) -> Result<QueryResultSamples>
-where
-    R: FnOnce(&Arc<SampleJob>, Vec<Range<usize>>) -> Result<Vec<AggPartial>>,
-{
-    let skeleton = prefix.skeleton();
-    let keys = skeleton.group_keys(group_by)?;
-    let key_of = |b: usize| -> Vec<Value> {
-        let cols = keys.as_deref().unwrap_or_default();
-        cols.iter().map(|values| values[b].clone()).collect()
-    };
-    let layout = match keys {
-        Ok(_) => GroupLayout::discover(skeleton.num_bundles(), !group_by.is_empty(), key_of),
-        Err(column) => GroupLayout::random_key(skeleton.num_bundles(), column),
-    };
-    let job = Arc::new(SampleJob {
-        prefix: prefix.clone(),
-        base_pos,
-        num_values,
-        job: RepRangeJob::new(skeleton.schema(), layout, agg, final_predicate),
-    });
-    // A zero-position block still decides which bundles — so which groups —
-    // it keeps, and still runs every VG function's parameter checks: one
-    // empty range does both.
-    let ranges = match num_values {
-        0 => std::iter::once(0..0).collect(),
-        n => aggregate::rep_ranges(n, parts),
-    };
-    let partials = run(&job, ranges)?;
-    job.job.finish(num_values, group_by, partials, key_of)
 }
 
 #[cfg(test)]

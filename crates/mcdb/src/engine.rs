@@ -100,9 +100,8 @@ pub struct SharedRunStats {
 /// connection ran them).  The result is bit-identical to
 /// [`McdbEngine::run_samples`] with the same backend: both bind the same
 /// skeleton and make one [`ExecSession::sample_block`] call over the window
-/// `0..n` — on an in-process placement, fused rep-range units that fold
-/// each bundle straight into the aggregate without materializing the
-/// block.
+/// `0..n` — the backend generates the block's cells, which are folded
+/// once straight into the aggregate without materializing the block.
 pub fn run_query_shared(
     query: &MonteCarloQuery,
     catalog: &Catalog,

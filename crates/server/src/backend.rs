@@ -4,15 +4,16 @@
 //!
 //! The server hands every admitted query its own `FairBackend` wrapping
 //! the server-wide inner backend (in-process or process).  It is one of the
-//! three places a unit runs: a query is one [`mcdbr_exec::SampleJob`] unit
-//! per scheduler pool thread, each instantiating and aggregating one
-//! repetition range ([`mcdbr_exec::sample_parts`]).  Every unit is
-//! submitted under the query's id, so the scheduler's round-robin ring
-//! interleaves *tasks* of concurrent queries rather than running the
-//! queries serially.  A block's stream cells, and the aggregate of a set,
-//! are one unit each that delegates to the inner backend; a block's
-//! bundles are assembled from those cells on the caller's thread (the
-//! trait's provided `instantiate_block`).
+//! three places a unit runs, and like every placement it only generates:
+//! an in-process block's cells are one generation unit
+//! ([`mcdbr_exec::ShardTask`]) per scheduler pool thread, each run on one
+//! thread, and the caller's thread folds them once straight into the
+//! aggregate (`ExecSession::sample_block`, through
+//! [`mcdbr_exec::fold_block`]) or assembles them into a block (the trait's
+//! provided `instantiate_block`).  Every unit is submitted under the
+//! query's id, so the scheduler's round-robin ring interleaves *tasks* of
+//! concurrent queries rather than running the queries serially.  The
+//! aggregate of a set is one unit that delegates to the inner backend.
 //!
 //! Bit-identity is inherited, not re-argued: the unit bodies and merges
 //! are the ones every backend runs, so results equal a single-threaded run
@@ -25,24 +26,23 @@
 //! conversation holding the dispatcher's state lock, so a query's block
 //! runs as a *single* scheduler unit (the blocking wire I/O occupies one
 //! pool slot; fairness is at block granularity) that fetches the inner
-//! backend's cells, which the caller's thread then folds straight into the
-//! aggregate ([`mcdbr_exec::fold_block`]), with no bundle set.
+//! backend's cells.
 //!
 //! **Cancellation** is cooperative: every query carries a
 //! [`mcdbr_exec::CancelToken`] (deadline-armed when the server config sets
-//! a per-query deadline), checked on entry to every call — a fused query,
-//! or block instantiation and aggregation — and when a block's cells
-//! unit returns.  A query that blows its
-//! deadline fails with a typed [`mcdbr_storage::Error::Timeout`] at its
-//! next boundary — already completed work is simply dropped, and no
-//! scheduler unit is ever interrupted mid-flight.
+//! a per-query deadline), checked on entry to every call — block
+//! generation and aggregation — and when a block's cells come back.  A
+//! query that blows its deadline fails with a typed
+//! [`mcdbr_storage::Error::Timeout`] at its next boundary — already
+//! completed work is simply dropped, and no scheduler unit is ever
+//! interrupted mid-flight.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mcdbr_exec::{
-    fold_block, sample_parts, AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols,
-    DeterministicPrefix, ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats,
+    AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols, DeterministicPrefix,
+    ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats, ShardTask,
 };
 use mcdbr_storage::{Catalog, Result};
 
@@ -56,7 +56,7 @@ pub struct FairBackend {
     /// The query id the scheduler keys fairness by.
     qid: u64,
     /// The query's cancellation token, checked cooperatively on entry to
-    /// every call (a fused query, block instantiation, aggregation) — a
+    /// every call (block generation, aggregation) — a
     /// deadlined or cancelled query stops before starting its next call
     /// rather than being interrupted mid-unit, so partial work is never
     /// observable and the scheduler pool is never poisoned.
@@ -163,9 +163,33 @@ impl ExecBackend for FairBackend {
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
         self.cancel.check()?;
-        self.on_inner(prefix, move |inner, prefix, pool| {
-            inner.instantiate_cells(prefix, pool, threads, base_pos, num_values)
-        })
+        let cells = if self.inner.units_run_in_process() {
+            // One generation unit per scheduler pool thread, each on one
+            // thread, so the block stays inside the bounded pool.
+            let tasks = ShardTask::plan(prefix, self.sched.pool_size(), base_pos, num_values);
+            self.units.fetch_add(tasks.len(), Ordering::Relaxed);
+            let jobs: Vec<_> = tasks
+                .into_iter()
+                .map(|task| {
+                    let pool = Arc::clone(&self.pool);
+                    move || task.run(&pool, 1)
+                })
+                .collect();
+            let outputs = self.sched.run_batch(self.qid, jobs, &self.wait_ns);
+            let outputs = outputs.into_iter().collect::<Result<Vec<_>>>()?;
+            outputs
+                .into_iter()
+                .flatten()
+                .map(|(_, cells)| cells)
+                .collect()
+        } else {
+            self.on_inner(prefix, move |inner, prefix, pool| {
+                inner.instantiate_cells(prefix, pool, threads, base_pos, num_values)
+            })?
+        };
+        // The cells' return is the block's next boundary.
+        self.cancel.check()?;
+        Ok(cells)
     }
 
     fn aggregate(
@@ -185,52 +209,6 @@ impl ExecBackend for FairBackend {
         self.run_unit(move || {
             inner.aggregate(&set, &agg, &group_by, final_predicate.as_ref(), threads)
         })
-    }
-
-    fn sample_block(
-        &self,
-        prefix: &DeterministicPrefix,
-        pool: &BlockBufferPool,
-        threads: usize,
-        base_pos: u64,
-        num_values: usize,
-        agg: &AggregateSpec,
-        group_by: &[String],
-        final_predicate: Option<&Expr>,
-    ) -> Result<QueryResultSamples> {
-        if !self.inner.units_run_in_process() {
-            let cells = self.instantiate_cells(prefix, pool, threads, base_pos, num_values)?;
-            // The cells unit's end is the block's next boundary.
-            self.cancel.check()?;
-            return fold_block(prefix, cells, num_values, agg, group_by, final_predicate);
-        }
-
-        // One fused unit per scheduler pool thread.
-        self.cancel.check()?;
-        let parts = self.sched.pool_size();
-        sample_parts(
-            prefix,
-            base_pos,
-            num_values,
-            agg,
-            group_by,
-            final_predicate,
-            parts,
-            |job, ranges| {
-                self.units.fetch_add(ranges.len(), Ordering::Relaxed);
-                let jobs: Vec<_> = ranges
-                    .into_iter()
-                    .map(|reps| {
-                        let (job, pool) = (Arc::clone(job), Arc::clone(&self.pool));
-                        move || job.sample_rep_range(&pool, reps)
-                    })
-                    .collect();
-                self.sched
-                    .run_batch(self.qid, jobs, &self.wait_ns)
-                    .into_iter()
-                    .collect()
-            },
-        )
     }
 
     fn shard_stats(&self) -> ShardStats {

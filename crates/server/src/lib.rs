@@ -15,7 +15,7 @@
 //!   round-robin ring interleaves work *units* from concurrent queries,
 //!   so one big query cannot starve the rest.
 //! * [`backend`] — [`FairBackend`]: the per-query [`mcdbr_exec::ExecBackend`]
-//!   adapter that decomposes a query into fused rep-range units on that
+//!   adapter that places a query's cell-generation units on that
 //!   scheduler; composes with both inner backends
 //!   (`mcdbr-server --backend {inprocess,process}`) bit-identically.
 //! * [`client`] — [`ServerClient`]: the blocking client the loadgen

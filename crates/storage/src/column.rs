@@ -483,16 +483,6 @@ impl Column {
         }
     }
 
-    /// The raw `Float64` buffer regardless of nulls — null positions hold
-    /// the `0.0` placeholder slot.  Kernel callers must consult
-    /// [`Column::null_mask`] before trusting those lanes.
-    pub fn f64_raw(&self) -> Option<&[f64]> {
-        match &self.data {
-            ColumnData::Float64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The packed null mask over this column's positions, with the
     /// trailing-word bits beyond `len` masked off (see
     /// [`NullBitmap::to_mask`]).

@@ -11,9 +11,8 @@
 //! * [`Field`] / [`Schema`] — named, typed columns.
 //! * [`Tuple`] — a row of values.
 //! * [`Table`] — a paged relation: a schema plus sealed heap [`Page`]s and
-//!   an open row tail, with the small amount of relational algebra (filter,
-//!   project, sort, group) that the deterministic parts of an MCDB-R plan
-//!   need.
+//!   an open row tail, scanned row by row; the relational work is the
+//!   plans' (`PlanNode` in `mcdbr-exec`).
 //! * [`Page`] / [`BufferPool`] — the fixed-budget storage unit and the
 //!   bounded LRU cache of decoded frames that scans pin pages through, so
 //!   the resident working set is capped by the pool's frame budget rather

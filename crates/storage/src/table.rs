@@ -1,8 +1,6 @@
 //! Paged relations: a schema plus sealed heap pages and an open row tail,
-//! with the relational helpers the deterministic parts of an MCDB-R plan
-//! need (filter, project, sort, group).
-
-use std::collections::BTreeMap;
+//! scanned page-at-a-time through a buffer pool.  Plans (`PlanNode` in
+//! `mcdbr-exec`) do the relational work over these scans.
 
 use crate::bufpool::{BufferPool, PageGuard};
 use crate::error::{Error, Result};
@@ -280,12 +278,6 @@ impl Table {
         self.tail.iter().try_for_each(visit)
     }
 
-    /// Materialize every row.  Helpers that inherently need the full
-    /// relation (sort, group) go through this.
-    fn collect_rows(&self) -> Vec<Tuple> {
-        self.iter().collect()
-    }
-
     /// The column at `name` as a vector of values.
     pub fn column(&self, name: &str) -> Result<Vec<Value>> {
         let idx = self.schema.index_of(name)?;
@@ -296,81 +288,6 @@ impl Table {
     pub fn column_f64(&self, name: &str) -> Result<Vec<f64>> {
         let idx = self.schema.index_of(name)?;
         self.iter().map(|r| r.value(idx).as_f64()).collect()
-    }
-
-    /// Keep only the rows for which `pred` returns true.
-    pub fn filter(&self, pred: impl Fn(&Tuple) -> bool) -> Table {
-        let rows: Vec<Tuple> = self.iter().filter(|r| pred(r)).collect();
-        Table::with_page_budget(self.schema.clone(), rows, self.page_budget)
-            .expect("filtered rows keep their arity")
-    }
-
-    /// Project onto the named columns.
-    pub fn project(&self, names: &[&str]) -> Result<Table> {
-        let indices: Vec<usize> = names
-            .iter()
-            .map(|n| self.schema.index_of(n))
-            .collect::<Result<_>>()?;
-        let schema = self.schema.project(names)?;
-        let rows = self.iter().map(|r| r.project(&indices)).collect();
-        Table::with_page_budget(schema, rows, self.page_budget)
-    }
-
-    /// Sort rows by the named column, ascending, using the total value order.
-    pub fn sort_by_column(&self, name: &str) -> Result<Table> {
-        let idx = self.schema.index_of(name)?;
-        let mut rows = self.collect_rows();
-        rows.sort_by(|a, b| a.value(idx).cmp_total(b.value(idx)));
-        Table::with_page_budget(self.schema.clone(), rows, self.page_budget)
-    }
-
-    /// Group rows by the named key column, returning `(key, rows)` pairs in
-    /// key order.  Keys are compared with the total value order.
-    pub fn group_by(&self, key: &str) -> Result<Vec<(Value, Vec<Tuple>)>> {
-        let idx = self.schema.index_of(key)?;
-        let mut groups: BTreeMap<OrdValue, Vec<Tuple>> = BTreeMap::new();
-        for row in self.iter() {
-            groups
-                .entry(OrdValue(row.value(idx).clone()))
-                .or_default()
-                .push(row);
-        }
-        Ok(groups.into_iter().map(|(k, v)| (k.0, v)).collect())
-    }
-
-    /// Sum of a numeric column.
-    pub fn sum(&self, name: &str) -> Result<f64> {
-        Ok(self.column_f64(name)?.iter().sum())
-    }
-
-    /// Minimum of a numeric column.  Errors on an empty table.
-    pub fn min(&self, name: &str) -> Result<f64> {
-        let col = self.column_f64(name)?;
-        col.into_iter()
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            })
-            .ok_or_else(|| Error::InvalidOperation(format!("MIN over empty column {name}")))
-    }
-
-    /// Maximum of a numeric column.  Errors on an empty table.
-    pub fn max(&self, name: &str) -> Result<f64> {
-        let col = self.column_f64(name)?;
-        col.into_iter()
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.max(v)))
-            })
-            .ok_or_else(|| Error::InvalidOperation(format!("MAX over empty column {name}")))
-    }
-
-    /// Average of a numeric column.  Errors on an empty table.
-    pub fn avg(&self, name: &str) -> Result<f64> {
-        if self.is_empty() {
-            return Err(Error::InvalidOperation(format!(
-                "AVG over empty column {name}"
-            )));
-        }
-        Ok(self.sum(name)? / self.len() as f64)
     }
 }
 
@@ -449,24 +366,6 @@ impl std::fmt::Debug for TableIter<'_> {
             .field("row_idx", &self.row_idx)
             .field("tail_idx", &self.tail_idx)
             .finish()
-    }
-}
-
-/// Wrapper giving [`Value`] the `Ord` needed for BTreeMap keys.
-#[derive(Debug, Clone, PartialEq)]
-struct OrdValue(Value);
-
-impl Eq for OrdValue {}
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp_total(&other.0)
     }
 }
 
@@ -560,58 +459,6 @@ mod tests {
         assert_eq!(t.column_f64("m").unwrap(), vec![3.0, 4.0, 5.0]);
         assert_eq!(t.column("cid").unwrap().len(), 3);
         assert!(t.column("nope").is_err());
-    }
-
-    #[test]
-    fn filter_and_project() {
-        let t = means_table();
-        let schema = t.schema().clone();
-        let filtered = t.filter(|row| row.get(&schema, "m").unwrap().as_f64().unwrap() > 3.5);
-        assert_eq!(filtered.len(), 2);
-        let projected = filtered.project(&["m"]).unwrap();
-        assert_eq!(projected.schema().names(), vec!["m"]);
-        assert_eq!(projected.column_f64("m").unwrap(), vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn aggregates() {
-        let t = means_table();
-        assert_eq!(t.sum("m").unwrap(), 12.0);
-        assert_eq!(t.min("m").unwrap(), 3.0);
-        assert_eq!(t.max("m").unwrap(), 5.0);
-        assert_eq!(t.avg("m").unwrap(), 4.0);
-        let empty = Table::empty(Schema::new(vec![Field::float64("x")]));
-        assert!(empty.min("x").is_err());
-        assert!(empty.avg("x").is_err());
-        assert_eq!(empty.sum("x").unwrap(), 0.0);
-    }
-
-    #[test]
-    fn sorting() {
-        let t = TableBuilder::new(Schema::new(vec![Field::float64("v")]))
-            .row([Value::Float64(5.0)])
-            .row([Value::Float64(1.0)])
-            .row([Value::Float64(3.0)])
-            .build()
-            .unwrap();
-        let sorted = t.sort_by_column("v").unwrap();
-        assert_eq!(sorted.column_f64("v").unwrap(), vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn group_by_key_order() {
-        let t = TableBuilder::new(Schema::new(vec![Field::utf8("grp"), Field::int64("v")]))
-            .row([Value::str("b"), Value::Int64(1)])
-            .row([Value::str("a"), Value::Int64(2)])
-            .row([Value::str("b"), Value::Int64(3)])
-            .build()
-            .unwrap();
-        let groups = t.group_by("grp").unwrap();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, Value::str("a"));
-        assert_eq!(groups[0].1.len(), 1);
-        assert_eq!(groups[1].0, Value::str("b"));
-        assert_eq!(groups[1].1.len(), 2);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! `sample_block` against the two-call path it replaces.
 //!
 //! `ExecSession::sample_block` instantiates and aggregates a block in one
-//! call; in process each repetition range folds its bundles straight into
-//! the aggregate and no `BundleSet` exists.  This suite holds it, bit for
-//! bit, to `instantiate_block` followed by `evaluate_aggregate` — groups,
-//! their order and keys, every sample — on the in-process backend, for
-//! fused units whose count differs from the thread count (`sample_parts`),
-//! and on two worker processes, whose cells the coordinator either folds
-//! (`sample_block`) or assembles into the set (`instantiate_block`); and it
-//! requires both sides to fail together.  The shapes are the ones where
+//! call: the backend generates the block's cells and the session folds
+//! every bundle once straight into the aggregate, so no `BundleSet` exists.
+//! This suite holds it, bit for bit, to `instantiate_block` followed by
+//! `evaluate_aggregate` — groups, their order and keys, every sample — on
+//! the in-process backend at several thread counts, and on two worker
+//! processes, whose cells the coordinator either folds (`sample_block`) or
+//! assembles into the set (`instantiate_block`); and it requires both sides
+//! to fail together.  The shapes are the ones where
 //! fusing could go wrong: presence predicates that drop a bundle in every
 //! repetition, a `GROUP BY` whose first group is never present, a final
 //! predicate, a computed aggregand, every aggregate function, empty
@@ -18,9 +18,7 @@
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, AggFunc, AggregateSpec, QueryResultSamples};
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
-use mcdbr::exec::{
-    par, sample_parts, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode,
-};
+use mcdbr::exec::{ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode};
 use mcdbr::storage::{Catalog, Field, Result, Schema, TableBuilder, Value};
 use mcdbr::vg::{MultiNormalVg, NormalVg};
 use std::sync::Arc;
@@ -224,48 +222,14 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
                 assert_eq!(session.blocks_materialized() as u64, calls, "{name}");
                 let values = reference.values_materialized() * calls;
                 assert_eq!(session.values_materialized(), values, "{name}");
-
-                // The same block as `parts` fused units on `threads` threads.
-                let Some(prefix) = session.prefix() else {
-                    continue;
-                };
-                let pool = BlockBufferPool::new();
-                for parts in [1, 2, 3, 7] {
-                    for ((agg, by, pred), want) in queries.iter().zip(&wants) {
-                        let case = format!(
-                            "{name}, n = {n}, {parts} units x{threads}: {agg:?} by {by:?} where {pred:?}"
-                        );
-                        let got = sample_parts(
-                            prefix,
-                            base,
-                            n,
-                            agg,
-                            by,
-                            pred.as_ref(),
-                            parts,
-                            |job, ranges| {
-                                par::try_par_map_threads(&ranges, threads, |reps| {
-                                    job.sample_rep_range(&pool, reps.clone())
-                                })
-                            },
-                        );
-                        assert_same(&case, &got, want);
-                        compared += 1;
-                        match want {
-                            Ok(s) => groups += s.groups.len(),
-                            Err(_) => failed += 1,
-                        }
-                    }
-                }
             }
         }
     }
     // 7 plans x 3 repetition counts x 43 queries x (3 thread counts + the
-    // fold and the assembly on two workers), plus 4 unit counts on the 6
-    // plans with a cached prefix (not the `Split` fallback); the error cases
-    // fail on every plan that has a present bundle, and the grouped ones see
-    // every region that has one.
-    assert_eq!(compared, 7 * 3 * 43 * (3 + 2) + 6 * 3 * 43 * 3 * 4);
+    // fold and the assembly on two workers); the error cases fail on every
+    // plan that has a present bundle, and the grouped ones see every region
+    // that has one.
+    assert_eq!(compared, 7 * 3 * 43 * (3 + 2));
     // The cached plans' blocks crossed the wire, for each set and each
     // fold: one task per worker, or one in all on the plan with no bundles
     // (no active stream to split).

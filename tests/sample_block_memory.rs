@@ -1,8 +1,8 @@
-//! Memory regression guard for the fused phase-2 unit.
+//! Memory regression guard for a sampled block.
 //!
-//! A naive Monte Carlo query (`McdbEngine::run_samples`) instantiates and
-//! aggregates its repetitions in one pass: each repetition range folds its
-//! bundles straight into the aggregate, so no `BundleSet` is ever built.
+//! A naive Monte Carlo query (`McdbEngine::run_samples`) generates its
+//! block's stream cells and folds every bundle once straight into the
+//! aggregate (`fold_block`), so no `BundleSet` is ever built.
 //! This binary holds one test only, so the counting global allocator below
 //! sees that test's allocations and nothing else: the query's peak of live
 //! bytes must stay below the live bytes of the very set the two-call path
@@ -50,9 +50,9 @@ fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, isize) {
 #[test]
 fn a_naive_query_peaks_below_the_bundle_set_it_never_builds() {
     // Appendix D's join at test scale, with 80 line items per order: 100
-    // order streams fanned out to 8 000 bundles, 250 repetitions.  Each
-    // repetition range costs a few bytes per stream on top of its cells, so
-    // the margin holds for any thread count below ~100.
+    // order streams fanned out to 8 000 bundles, 250 repetitions.  The query
+    // holds the block's cells and one fold's lanes, a small share of the
+    // set, at any thread count.
     let config = TpchConfig {
         num_lineitems: 8_000,
         ..TpchConfig::test_scale()

@@ -13,9 +13,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
-use mcdbr::dispatch::ProcessBackend;
+use mcdbr::dispatch::{wire, ProcessBackend};
 use mcdbr::exec::{
-    BlockBufferPool, CancelToken, ExecBackend, InProcessBackend, QueryResultSamples, SessionCache,
+    BlockBufferPool, CancelToken, CellCols, ExecBackend, InProcessBackend, QueryResultSamples,
+    SessionCache,
 };
 use mcdbr::mcdb::{run_query_shared, McdbEngine, MonteCarloQuery};
 use mcdbr::server::client::{QueryReply, ServerClient};
@@ -158,9 +159,65 @@ fn a_process_inner_backend_runs_each_block_as_one_scheduler_unit() {
 }
 
 #[test]
+fn an_in_process_inner_backend_splits_each_block_across_the_scheduler() {
+    // Behind the scheduler, an in-process block's cells are one generation
+    // unit per pool thread (at most one per active stream), each run on one
+    // thread; the caller folds them once.  The cells, and the samples folded
+    // from them, equal a plain in-process run bit for bit.
+    let catalog = small_catalog();
+    let query = customer_losses_query(Some(8));
+    let (cache, pool) = (SessionCache::new(), Arc::new(BlockBufferPool::new()));
+    let session = cache.session(&query.plan, &catalog, 5).unwrap();
+    let prefix = session.prefix().unwrap();
+    let active = prefix.num_active_streams();
+    assert!(active > 3, "{active} streams");
+    let bytes = |cells: &[CellCols]| -> Vec<Vec<u8>> {
+        (cells.iter().enumerate())
+            .map(|(idx, c)| wire::encode_cells(idx, c))
+            .collect()
+    };
+    let plain = InProcessBackend::new();
+    let want_cells = bytes(&plain.instantiate_cells(prefix, &pool, 1, 3, 24).unwrap());
+    let want = reference(&query, &catalog, 24, 5);
+    for workers in [1usize, 2, 3] {
+        let sched = FairScheduler::start(workers);
+        let fair = |qid| {
+            Arc::new(FairBackend::new(
+                Arc::new(InProcessBackend::new()),
+                Arc::clone(&sched),
+                Arc::clone(&pool),
+                qid,
+                CancelToken::unbounded(),
+            ))
+        };
+        let direct = fair(1);
+        let cells = direct.instantiate_cells(prefix, &pool, 4, 3, 24).unwrap();
+        assert_eq!(
+            direct.units_spawned(),
+            workers.min(active),
+            "{workers} workers"
+        );
+        assert_eq!(bytes(&cells), want_cells, "{workers} workers: cells");
+
+        let shared = fair(2);
+        let backend: Arc<dyn ExecBackend> = Arc::clone(&shared) as Arc<dyn ExecBackend>;
+        let (samples, run) =
+            run_query_shared(&query, &catalog, 24, 5, &cache, &pool, &backend).unwrap();
+        assert_eq!(run.blocks_materialized, 1, "{workers} workers");
+        assert_eq!(
+            shared.units_spawned(),
+            workers.min(active),
+            "{workers} workers"
+        );
+        assert_samples_bit_identical(&samples, &want, &format!("{workers} workers"));
+        sched.shutdown();
+    }
+}
+
+#[test]
 fn every_phase_two_call_reaches_an_open_gate() {
     // `GateBackend` gates cell generation, which the Gibbs looper's draw
-    // and the provided `sample_block` both go through.
+    // and a session's sampled block both go through.
     let catalog = small_catalog();
     let query = customer_losses_query(None);
     let gate = Arc::new(GateBackend::new());
