@@ -16,25 +16,19 @@ use mcdbr_exec::SessionCache;
 use mcdbr_workloads::{TpchConfig, TpchWorkload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (backend_label, backend, _rest) = mcdbr_bench::backend_from_args(&args);
     let w = TpchWorkload::generate(TpchConfig::test_scale()).expect("workload");
     let cfg = TailSamplingConfig::new(0.01, 50, 400)
         .with_m(3)
         .with_block_size(600)
         .with_master_seed(13);
     let cache = Arc::new(SessionCache::new());
-    let looper = GibbsLooper::new(w.total_loss_query(), cfg.clone())
-        .with_cache(Arc::clone(&cache))
-        .with_backend(Arc::clone(&backend));
+    let looper = GibbsLooper::new(w.total_loss_query(), cfg.clone()).with_cache(Arc::clone(&cache));
     let result = looper.run(&w.catalog).expect("tail run");
 
     // A repeated run under a fresh master seed: the plan-keyed session cache
-    // hands back the deterministic skeleton, so phase 1 never re-runs — and
-    // on a process backend the workers' own caches stay warm too.
+    // hands back the deterministic skeleton, so phase 1 never re-runs.
     let repeat = GibbsLooper::new(w.total_loss_query(), cfg.with_master_seed(14))
         .with_cache(Arc::clone(&cache))
-        .with_backend(Arc::clone(&backend))
         .run(&w.catalog)
         .expect("repeat tail run");
 
@@ -46,8 +40,8 @@ fn main() {
     let naive_plan_runs = n_versions * n_seeds * iterations * candidates_per_update;
 
     println!(
-        "E8: query-plan executions (measured instance: {} seeds, n = {}, m = {}, backend = {})",
-        n_seeds, n_versions, iterations, backend_label
+        "E8: query-plan executions (measured instance: {} seeds, n = {}, m = {})",
+        n_seeds, n_versions, iterations
     );
     println!("{}", row(&["strategy".into(), "plan executions".into()]));
     println!(
@@ -81,13 +75,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "  (shards spawned, both runs)".into(),
-            (result.backend.shards_spawned + repeat.backend.shards_spawned).to_string(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "  (columnar bytes materialized)".into(),
             format!(
                 "{:.3} MiB",
@@ -100,37 +87,6 @@ fn main() {
         row(&[
             "  (pooled buffer reuses)".into(),
             (result.buffer_reuses + repeat.buffer_reuses).to_string(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "  (workers spawned / respawned)".into(),
-            format!(
-                "{} / {}",
-                result.backend.workers_spawned + repeat.backend.workers_spawned,
-                result.backend.worker_respawns + repeat.backend.worker_respawns
-            ),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "  (tasks dispatched to workers)".into(),
-            (result.backend.tasks_dispatched + repeat.backend.tasks_dispatched).to_string(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "  (wire bytes sent / received)".into(),
-            format!(
-                "{:.3} / {:.3} MiB",
-                (result.backend.wire_bytes_sent + repeat.backend.wire_bytes_sent) as f64
-                    / (1 << 20) as f64,
-                (result.backend.wire_bytes_received + repeat.backend.wire_bytes_received) as f64
-                    / (1 << 20) as f64
-            ),
         ])
     );
     println!(

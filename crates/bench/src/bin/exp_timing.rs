@@ -7,18 +7,14 @@
 //! The paper reports ~11 minutes vs ~18 hours at full scale; the shape to
 //! reproduce is the orders-of-magnitude ratio.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use mcdbr_bench::{appendix_d_config, backend_from_args, row, run_tail_sampling_on};
+use mcdbr_bench::{appendix_d_config, row, run_tail_sampling};
 use mcdbr_mcdb::McdbEngine;
 use mcdbr_workloads::{TpchConfig, TpchWorkload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The scale is the first argument `--backend` did not consume.
-    let (backend_label, backend, rest) = backend_from_args(&args);
-    let scale = rest.first().cloned().unwrap_or_else(|| "test".into());
+    let scale = std::env::args().nth(1).unwrap_or_else(|| "test".into());
     let (config, budget) = match scale.as_str() {
         "paper" => (TpchConfig::paper_scale(), 500),
         "laptop" => (TpchConfig::laptop_scale(), 500),
@@ -31,15 +27,11 @@ fn main() {
     // MCDB-R tail sampling.
     let start = Instant::now();
     let cfg = appendix_d_config(budget, 77);
-    let result = run_tail_sampling_on(&w.total_loss_query(), &w.catalog, cfg, Arc::clone(&backend))
-        .expect("tail run");
+    let result = run_tail_sampling(&w.total_loss_query(), &w.catalog, cfg).expect("tail run");
     let mcdbr_secs = start.elapsed().as_secs_f64();
 
-    // Naive MCDB: measure the per-repetition cost with a modest batch.  The
-    // engine's shard counters are windowed from its own construction, so the
-    // looper's shards (same backend instance) don't leak into the naive
-    // rows.
-    let mut engine = McdbEngine::new().with_backend(Arc::clone(&backend));
+    // Naive MCDB: measure the per-repetition cost with a modest batch.
+    let mut engine = McdbEngine::new();
     let calib_reps = 200;
     let start = Instant::now();
     engine
@@ -53,8 +45,8 @@ fn main() {
     let naive_secs = per_rep * reps_needed;
 
     println!(
-        "E3: MCDB-R vs naive MCDB ({} orders, {} lineitems, p = {p:.6}, l = 100, backend = {})",
-        w.config.num_orders, w.config.num_lineitems, backend_label
+        "E3: MCDB-R vs naive MCDB ({} orders, {} lineitems, p = {p:.6}, l = 100)",
+        w.config.num_orders, w.config.num_lineitems
     );
     println!(
         "{}",
@@ -118,14 +110,6 @@ fn main() {
     println!(
         "{}",
         row(&[
-            "MCDB-R shards spawned".into(),
-            "0 unless --backend process".into(),
-            result.backend.shards_spawned.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
             "MCDB-R columnar bytes".into(),
             "-".into(),
             format!(
@@ -140,37 +124,6 @@ fn main() {
             "MCDB-R buffer reuses".into(),
             "1 per chunk past the block".into(),
             result.buffer_reuses.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "MCDB-R workers spawned/respawned".into(),
-            "0 unless --backend process".into(),
-            format!(
-                "{} / {}",
-                result.backend.workers_spawned, result.backend.worker_respawns
-            )
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "MCDB-R tasks dispatched".into(),
-            "0 unless --backend process".into(),
-            result.backend.tasks_dispatched.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "MCDB-R wire sent/received".into(),
-            "-".into(),
-            format!(
-                "{:.3} / {:.3} MiB",
-                result.backend.wire_bytes_sent as f64 / (1 << 20) as f64,
-                result.backend.wire_bytes_received as f64 / (1 << 20) as f64
-            )
         ])
     );
     println!(
@@ -195,22 +148,6 @@ fn main() {
             "naive blocks materialized".into(),
             "1".into(),
             naive_blocks.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "naive shards spawned".into(),
-            "0 unless --backend process".into(),
-            engine.backend_stats().shards_spawned.to_string()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "naive tasks dispatched".into(),
-            "0 unless --backend process".into(),
-            engine.backend_stats().tasks_dispatched.to_string()
         ])
     );
     println!(

@@ -5,10 +5,7 @@
 //! `src/bin/` regenerate them; this library holds the pieces they share.
 //! Timing lives in the standalone `perf_ledger` benchmark, not here.
 
-use std::sync::Arc;
-
 use mcdbr_core::{GibbsLooper, TailSampleResult, TailSamplingConfig};
-use mcdbr_exec::ExecBackend;
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_storage::{Catalog, Result};
 use mcdbr_workloads::{TpchConfig, TpchWorkload};
@@ -29,54 +26,6 @@ pub fn run_tail_sampling(
     config: TailSamplingConfig,
 ) -> Result<TailSampleResult> {
     GibbsLooper::new(query.clone(), config).run(catalog)
-}
-
-/// Run one MCDB-R tail-sampling pass on an explicit execution backend.
-pub fn run_tail_sampling_on(
-    query: &MonteCarloQuery,
-    catalog: &Catalog,
-    config: TailSamplingConfig,
-    backend: Arc<dyn ExecBackend>,
-) -> Result<TailSampleResult> {
-    GibbsLooper::new(query.clone(), config)
-        .with_backend(backend)
-        .run(catalog)
-}
-
-/// Resolve the experiment binaries' `--backend {inprocess,process}` flag
-/// (either `--backend name` or `--backend=name`) through
-/// [`mcdbr_dispatch::backend_named`], a process backend
-/// `par::default_threads().max(2)` workers wide.  Without the flag the run is
-/// in-process.
-///
-/// Returns `(label, backend, rest)` where `rest` holds the arguments the
-/// flag did not consume (positional arguments like `exp_timing`'s scale),
-/// so every experiment binary shares one parser; an unknown or missing
-/// name exits 2 with usage help.
-#[allow(clippy::type_complexity)]
-pub fn backend_from_args(args: &[String]) -> (String, Arc<dyn ExecBackend>, Vec<String>) {
-    let mut choice = "inprocess".to_string();
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--backend" {
-            choice = iter.next().cloned().unwrap_or_default();
-        } else if let Some(name) = arg.strip_prefix("--backend=") {
-            choice = name.to_string();
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    let width = mcdbr_exec::par::default_threads().max(2);
-    let backend = mcdbr_dispatch::backend_named(&choice, width).unwrap_or_else(|err| {
-        eprintln!("--backend: {err}\nusage: [--backend inprocess|process]");
-        std::process::exit(2);
-    });
-    let label = match backend.name() {
-        "in-process" => "in-process".to_string(),
-        name => format!("{name} ({width} wide)"),
-    };
-    (label, backend, rest)
 }
 
 /// Generate the tiny test-scale Appendix D workload (for runs that only

@@ -14,23 +14,20 @@
 //! aggregate, the trait's provided `instantiate_block` assembles a block
 //! from them, and the Gibbs looper reads them as they are.
 //!
-//! **Cold vs warm workers.**  The dispatcher learns each prefix's plan and
-//! catalog through [`ExecBackend::prepare_dispatch`] (sessions call it
-//! before every cached block) and encodes the `Plan` frame — table refs
-//! only, see below — plus one `TableData` frame per referenced table, once;
-//! a worker receives the plan only before its first task for that plan
-//! key.  After that, tasks travel as a ~60-byte header and the worker's
-//! own `SessionCache` skips phase 1 (`worker_warm_hits` counts those
-//! skips).
+//! **One plan identity.**  Every prepared plan is keyed by its
+//! [`PlanKey`] `(plan fingerprint, catalog epoch)` — the key
+//! `SessionCache` stores skeletons under, and which every skeleton records.
+//! [`ExecBackend::prepare_dispatch`] (sessions call it before every cached
+//! block) encodes a key's `Plan` frame once: the plan together with every
+//! table it reads, pages verbatim.  A block dispatches under its
+//! skeleton's key; a key with no entry (never primed, or a session whose
+//! catalog is not its skeleton's) runs locally.
 //!
-//! **Content-addressed shipping.**  A cold plan send is a round trip: the
-//! `Plan` frame carries each table's content hash, the worker answers
-//! `NeedTables` with the hashes its store lacks, and only those travel as
-//! paged `TableData` frames.  Repeated plans — and *new* plans over tables
-//! a worker already holds (epoch bumps with unchanged content, shared
-//! parameter tables) — exchange headers only, collapsing the
-//! workers × tables shipping cost to one transfer per distinct table
-//! version per worker.
+//! **Cold vs warm workers.**  A worker receives a key's `Plan` frame once,
+//! right before its first task for that key, and answers nothing to it.
+//! After that, tasks travel as a ~60-byte header and the worker's own
+//! `SessionCache` skips phase 1 (`worker_warm_hits` counts those skips).
+//! A new catalog epoch is a new key, so its plan and tables ship again.
 //!
 //! **Crash handling and deadlines.**  A worker that dies mid-conversation
 //! (EOF, broken pipe, corrupt frame) — or that is *alive but silent* past
@@ -69,30 +66,31 @@
 //! **Why cells travel, and partials wait.**  A join fans each stream out to
 //! many bundles, and a stream's values are a pure function of `(seed,
 //! position)`: the cells are the least a worker can ship that serves both
-//! calls, with the same tasks and bytes.  `AggPartial`s would serve only
-//! a sampled block, and the perf ledger's `naive.join_process2` fails a run
-//! whose `wire_bytes_received` differs between its plain operations and its
-//! traced ones, which replay `instantiate_block` + `aggregate`.
+//! `sample_block` and `instantiate_block`, with the same tasks and bytes.
+//! `AggPartial`s would serve only a sampled block, and the perf ledger's
+//! `naive.join_process2` fails a run whose `wire_bytes_received` differs
+//! between its plain operations and its traced ones, which replay
+//! `instantiate_block` + `aggregate`.
 
 use std::collections::HashSet;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mcdbr_exec::{
-    BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, PlanNode, PlanSkeleton,
-    ShardStats, ShardTask,
+    BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, PlanKey, PlanNode, ShardStats,
+    ShardTask,
 };
 use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Column, DataType, Result};
 
-use crate::wire::{self, Frame, PlanKey, TaskHeader, WireError, WireResult};
+use crate::wire::{self, Frame, TaskHeader, WireError, WireResult};
 
-/// How many distinct prepared plans the dispatcher keeps encoded (oldest
-/// evicted beyond this; re-priming re-encodes).
+/// How many plan keys the dispatcher keeps encoded (oldest evicted beyond
+/// this; re-priming re-encodes).
 const MAX_PREPARED_PLANS: usize = 64;
 
 /// Consecutive crash-class failures that trip a slot's circuit breaker.
@@ -212,23 +210,12 @@ enum TaskOutcome {
     Degraded,
 }
 
-/// One dispatchable plan: a weak handle to the skeleton it belongs to, its
-/// wire key, the encoded `Plan` frame — `None` when the
-/// plan is not wire-serializable and blocks must run locally — and the
-/// encoded `TableData` frame of every table the plan reads, keyed by
-/// content hash.  Table frames are shared (`Arc`) across entries that
-/// reference the same table version, so re-priming after an epoch bump
-/// with unchanged content costs no re-encode.
-///
-/// The handle is weak so that a skeleton dies with the last session that
-/// holds it, not with the entry.  A live `Weak` still keeps the skeleton's
-/// allocation reserved, so the pointer identity used for lookup can never
-/// be reused by a different skeleton while the entry exists.
+/// One prepared plan version: its key and its encoded `Plan` frame (plan
+/// and tables) — `None` when the plan is not wire-serializable and its
+/// blocks run locally.
 struct PlanEntry {
-    skeleton: Weak<PlanSkeleton>,
     key: PlanKey,
     frame: Option<Arc<Vec<u8>>>,
-    tables: Arc<Vec<(u64, Arc<Vec<u8>>)>>,
 }
 
 #[derive(Default)]
@@ -514,48 +501,23 @@ impl ProcessBackend {
     }
 
     /// Send (plan-if-needed +) task to the worker in `slot`, spawning it
-    /// first when empty.  A cold plan send runs the content-addressed
-    /// fetch exchange inline: ship the `Plan` frame (refs only), read the
-    /// worker's `NeedTables` reply, and stream exactly the missing tables
-    /// as `TableData` frames before the task.
+    /// first when empty.  A worker cold for `key` gets the `Plan` frame
+    /// right before the task, with no reply to wait for.
     fn send_task(
         &self,
         slot: &mut Option<Worker>,
         index: usize,
-        entry_key: PlanKey,
+        key: PlanKey,
         plan_frame: &[u8],
-        tables: &[(u64, Arc<Vec<u8>>)],
         task_frame: &[u8],
     ) -> WireResult<()> {
         if slot.is_none() {
             self.fill_slot(slot, index, false)?;
         }
         let worker = slot.as_mut().expect("slot just filled");
-        if !worker.known.contains(&entry_key) {
+        if !worker.known.contains(&key) {
             self.send(worker, plan_frame)?;
-            worker.stdin.flush()?;
-            let (payload, _) = self.receive(worker)?;
-            match wire::decode_frame(&payload)? {
-                Frame::NeedTables { hashes } => {
-                    for hash in hashes {
-                        let (_, table_frame) =
-                            tables.iter().find(|(h, _)| *h == hash).ok_or_else(|| {
-                                WireError::Corrupt(format!(
-                                    "worker requested table hash {hash:#018x} the plan never \
-                                     referenced"
-                                ))
-                            })?;
-                        self.send(worker, table_frame)?;
-                    }
-                }
-                Frame::Error { message } => return Err(WireError::Remote(message)),
-                _ => {
-                    return Err(WireError::Corrupt(
-                        "expected NeedTables in reply to Plan".into(),
-                    ))
-                }
-            }
-            worker.known.insert(entry_key);
+            worker.known.insert(key);
         }
         self.send(worker, task_frame)?;
         worker.stdin.flush()?;
@@ -624,13 +586,11 @@ impl ProcessBackend {
     /// Deterministic task-level errors still fail the block (the caller
     /// tears down all in-flight workers so no stale frame can leak into the
     /// next conversation).
-    #[allow(clippy::too_many_arguments)]
     fn run_tasks(
         &self,
         state: &mut State,
         key: PlanKey,
         plan_frame: &[u8],
-        tables: &[(u64, Arc<Vec<u8>>)],
         units: &[ShardTask],
         tasks: &[Option<Vec<u8>>],
     ) -> WireResult<Vec<TaskOutcome>> {
@@ -650,9 +610,7 @@ impl ProcessBackend {
         };
 
         // Phase A: pipeline every task out to its worker before reading any
-        // response, so the workers run concurrently.  (A cold worker's plan
-        // exchange blocks on its NeedTables reply, but only before its
-        // first task for the key.)
+        // response, so the workers run concurrently.
         for (i, task_frame) in tasks.iter().enumerate() {
             let Some(task_frame) = task_frame else {
                 continue;
@@ -660,7 +618,7 @@ impl ProcessBackend {
             let mut attempt = 0u32;
             loop {
                 let slot = &mut state.slots[i];
-                match self.send_task(slot, i, key, plan_frame, tables, task_frame) {
+                match self.send_task(slot, i, key, plan_frame, task_frame) {
                     Ok(()) => break,
                     Err(e) if !Self::is_crash(&e) => {
                         self.teardown(state, tasks.len());
@@ -708,7 +666,7 @@ impl ProcessBackend {
                         if let Some(worker) = slot.as_mut() {
                             worker.known.remove(&key);
                         }
-                        let sent = self.send_task(slot, i, key, plan_frame, tables, task_frame);
+                        let sent = self.send_task(slot, i, key, plan_frame, task_frame);
                         tolerate_crash(state, sent)?;
                     }
                     Err(e) if Self::is_crash(&e) => {
@@ -716,9 +674,9 @@ impl ProcessBackend {
                             break TaskOutcome::Degraded;
                         }
                         let slot = &mut state.slots[i];
-                        let sent = self.fill_slot(slot, i, true).and_then(|()| {
-                            self.send_task(slot, i, key, plan_frame, tables, task_frame)
-                        });
+                        let sent = self
+                            .fill_slot(slot, i, true)
+                            .and_then(|()| self.send_task(slot, i, key, plan_frame, task_frame));
                         tolerate_crash(state, sent)?;
                     }
                     Err(e) => {
@@ -810,21 +768,13 @@ impl ExecBackend for ProcessBackend {
         &self,
         plan: &PlanNode,
         catalog: &Catalog,
-        prefix: &DeterministicPrefix,
+        _prefix: &DeterministicPrefix,
     ) -> Result<()> {
+        let key = PlanKey::new(plan, catalog);
         let mut state = self.state.lock().expect("dispatch state");
-        let skeleton = Arc::as_ptr(prefix.skeleton());
-        if state
-            .plans
-            .iter()
-            .any(|e| Weak::as_ptr(&e.skeleton) == skeleton)
-        {
+        if state.plans.iter().any(|e| e.key == key) {
             return Ok(());
         }
-        let key = PlanKey {
-            fingerprint: plan.fingerprint(),
-            epoch: catalog.epoch(),
-        };
         let frame = match wire::encode_plan(key, plan, catalog) {
             Ok(bytes) => Some(Arc::new(bytes)),
             // Not expressible on the wire (third-party VG): remember the
@@ -832,47 +782,19 @@ impl ExecBackend for ProcessBackend {
             Err(WireError::Unserializable(_)) => None,
             Err(e) => return Err(e.into()),
         };
-        let tables = if frame.is_some() {
-            let mut tables = Vec::new();
-            for r in wire::plan_table_refs(plan, catalog).map_err(mcdbr_storage::Error::from)? {
-                // A table version already encoded for another prepared plan
-                // (same content hash) is shared, not re-encoded.
-                let table_frame = state
-                    .plans
-                    .iter()
-                    .flat_map(|e| e.tables.iter())
-                    .find(|(h, _)| *h == r.hash)
-                    .map(|(_, f)| Arc::clone(f))
-                    .map(Ok::<_, mcdbr_storage::Error>)
-                    .unwrap_or_else(|| {
-                        Ok(Arc::new(
-                            wire::encode_table_data(r.hash, catalog.get(&r.name)?)
-                                .map_err(mcdbr_storage::Error::from)?,
-                        ))
-                    })?;
-                tables.push((r.hash, table_frame));
-            }
-            tables
-        } else {
-            Vec::new()
-        };
         if state.plans.len() >= MAX_PREPARED_PLANS {
             state.plans.remove(0);
         }
-        state.plans.push(PlanEntry {
-            skeleton: Arc::downgrade(prefix.skeleton()),
-            key,
-            frame,
-            tables: Arc::new(tables),
-        });
+        state.plans.push(PlanEntry { key, frame });
         Ok(())
     }
 
     /// Every active stream's cells for one block of `prefix`, in
     /// `active_keys` order, from one [`ShardTask`] per worker slot through
-    /// the dispatch conversation.  A prefix without a dispatchable plan
-    /// frame (never primed, or not wire-serializable) sends nothing and
-    /// ticks no breaker; it and every other degraded unit run here.
+    /// the dispatch conversation.  A prefix whose skeleton's key has no
+    /// dispatchable plan frame (never primed, primed with another catalog,
+    /// or not wire-serializable) sends nothing and ticks no breaker; it and
+    /// every other degraded unit run here.
     fn instantiate_cells(
         &self,
         prefix: &DeterministicPrefix,
@@ -882,12 +804,11 @@ impl ExecBackend for ProcessBackend {
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
         let units = ShardTask::plan(prefix, self.workers, base_pos, num_values);
-        let skeleton = Arc::as_ptr(prefix.skeleton());
+        let key = prefix.skeleton().key();
         let mut state = self.state.lock().expect("dispatch state");
-        let plans = &state.plans;
-        let entry = plans.iter().find(|e| Weak::as_ptr(&e.skeleton) == skeleton);
-        let outcomes = match entry.map(|e| (e.key, e.frame.clone(), Arc::clone(&e.tables))) {
-            Some((key, Some(plan_frame), tables)) => {
+        let entry = state.plans.iter().find(|e| e.key == key);
+        let outcomes = match entry.and_then(|e| e.frame.clone()) {
+            Some(plan_frame) => {
                 if state.breakers.len() < units.len() {
                     state.breakers.resize(units.len(), Breaker::default());
                 }
@@ -909,10 +830,10 @@ impl ExecBackend for ProcessBackend {
                         })
                     })
                     .collect();
-                self.run_tasks(&mut state, key, &plan_frame, &tables, &units, &tasks)
+                self.run_tasks(&mut state, key, &plan_frame, &units, &tasks)
                     .map_err(mcdbr_storage::Error::from)?
             }
-            _ => units.iter().map(|_| TaskOutcome::Degraded).collect(),
+            None => units.iter().map(|_| TaskOutcome::Degraded).collect(),
         };
         drop(state);
 
@@ -1276,8 +1197,8 @@ mod tests {
             "the backend's plan list kept a dropped session's skeleton alive"
         );
 
-        // A fresh skeleton of the same plan is primed anew and still runs
-        // bit-identically.
+        // A fresh skeleton of the same plan version dispatches under the
+        // same key and still runs bit-identically.
         let mut again = ExecSession::prepare(&plan, &catalog, 42)
             .unwrap()
             .with_backend(backend.clone());
@@ -1287,6 +1208,66 @@ mod tests {
             .instantiate_block(&catalog, 8, 8)
             .unwrap();
         assert_sets_identical(&want, &again.instantiate_block(&catalog, 8, 8).unwrap());
+    }
+
+    #[test]
+    fn a_plan_version_ships_once_per_worker_and_a_catalog_change_ships_again() {
+        let mut catalog = catalog();
+        let plan = complex_plan();
+        let backend = Arc::new(ProcessBackend::new(2));
+        let (seed, n) = (9, 16);
+        // One block of a fresh skeleton (a new cache each time), checked
+        // bit for bit against in-process execution on the same catalog:
+        // the bytes it sent beyond its two Task frames.
+        let block = |catalog: &Catalog| -> u64 {
+            let before = backend.shard_stats();
+            let cache = SessionCache::new();
+            let session = cache.session(&plan, catalog, seed).unwrap();
+            let mut session = session.with_backend(backend.clone());
+            let got = session.instantiate_block(catalog, 0, n).unwrap();
+            let mut reference = ExecSession::prepare(&plan, catalog, seed).unwrap();
+            assert_sets_identical(&reference.instantiate_block(catalog, 0, n).unwrap(), &got);
+            let prefix = session.prefix().unwrap();
+            let units = ShardTask::plan(prefix, 2, 0, n);
+            let tasks = units.iter().map(|unit| {
+                let header = TaskHeader {
+                    key: prefix.skeleton().key(),
+                    master_seed: seed,
+                    key_range: unit.key_range,
+                    base_pos: 0,
+                    num_values: n,
+                };
+                4 + wire::encode_task(&header).len() as u64
+            });
+            let stats = backend.shard_stats().since(before);
+            assert_eq!(stats.tasks_dispatched, 2);
+            stats.wire_bytes_sent - tasks.sum::<u64>()
+        };
+        // Both workers' Hello and Plan frames, the plan carrying its tables.
+        let cold = |catalog: &Catalog, hello: bool| {
+            let plan_frame = wire::encode_plan(PlanKey::new(&plan, catalog), &plan, catalog);
+            let hello = if hello {
+                4 + wire::encode_hello().len()
+            } else {
+                0
+            };
+            2 * (hello + 4 + plan_frame.unwrap().len()) as u64
+        };
+
+        assert_eq!(block(&catalog), cold(&catalog, true), "a cold block");
+        assert_eq!(block(&catalog), 0, "the same plan version ships once");
+        // New values in a table the plan reads: a new epoch, a new plan
+        // version, shipped to both (warm) workers again.
+        let mut means =
+            TableBuilder::new(Schema::new(vec![Field::int64("cid"), Field::float64("m")]));
+        for i in 0..8i64 {
+            means = means.row([Value::Int64(i), Value::Float64(10.0 - i as f64)]);
+        }
+        catalog.register_or_replace("means", means.build().unwrap());
+        assert_eq!(block(&catalog), cold(&catalog, false), "a catalog change");
+        assert_eq!(block(&catalog), 0, "the new version ships once");
+        let stats = backend.shard_stats();
+        assert_eq!((stats.workers_spawned, stats.worker_respawns), (2, 0));
     }
 
     #[test]
@@ -1311,6 +1292,18 @@ mod tests {
         };
         assert_eq!(sampled(&backend), sampled(&InProcessBackend::new()));
         assert_eq!(backend.shard_stats().tasks_dispatched, 0);
+
+        // A session handed a catalog that is not its skeleton's (a new
+        // epoch) primes another key: its skeleton's key has no entry, so
+        // its blocks run here, as its skeleton says.
+        let mut moved = catalog.clone();
+        moved.register_or_replace("regions", catalog.get("regions").unwrap().clone());
+        let mut session = ExecSession::prepare(&plan, &catalog, 3)
+            .unwrap()
+            .with_backend(Arc::new(ProcessBackend::new(2)));
+        let got = session.instantiate_block(&moved, 0, 16).unwrap();
+        assert_sets_identical(&reference, &got);
+        assert_eq!(session.backend().shard_stats().tasks_dispatched, 0);
 
         // A third-party VG function is not wire-serializable: prime +
         // instantiate still works, locally.

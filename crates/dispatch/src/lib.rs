@@ -26,51 +26,13 @@
 //!   Chaos runs inject deterministic faults through
 //!   [`ProcessBackend::with_fault_spec`] (`mcdbr_faults`).
 //!
-//! [`backend_named`] is the one name-to-backend selector the binaries share
-//! (`exp_*` and `mcdbr-server` take `--backend NAME`); library callers pass a
-//! backend to `with_backend` and otherwise run in-process.
+//! Library callers pass a [`ProcessBackend`] to `with_backend`; no binary
+//! selects one, and everything else runs in-process.
 
 #![warn(missing_docs)]
-
-use std::sync::Arc;
-
-use mcdbr_exec::{ExecBackend, InProcessBackend};
-use mcdbr_storage::{Error, Result};
 
 mod backend;
 pub mod wire;
 pub mod worker;
 
 pub use backend::ProcessBackend;
-
-/// The backend a `--backend NAME` flag names: `inprocess` (or
-/// `in-process`), or `process` with `width` worker processes.  Any other
-/// name is an [`Error::Invalid`].
-pub fn backend_named(name: &str, width: usize) -> Result<Arc<dyn ExecBackend>> {
-    match name {
-        "inprocess" | "in-process" => Ok(Arc::new(InProcessBackend::new())),
-        "process" => Ok(Arc::new(ProcessBackend::new(width))),
-        other => Err(Error::Invalid(format!(
-            "unknown backend `{other}`; expected one of inprocess, process"
-        ))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_names_resolve_and_unknown_names_are_errors() {
-        for (name, expected) in [
-            ("inprocess", "in-process"),
-            ("in-process", "in-process"),
-            ("process", "process"),
-        ] {
-            assert_eq!(backend_named(name, 2).unwrap().name(), expected);
-        }
-        for bad in ["", "shard", "sharded", "threads"] {
-            assert!(backend_named(bad, 2).is_err(), "`{bad}` must be rejected");
-        }
-    }
-}

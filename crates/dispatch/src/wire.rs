@@ -11,9 +11,8 @@
 //! ───────────────────         ────────────────────
 //! Hello{magic, version}   →
 //!                         ←   Hello{magic, version}      (version negotiation)
-//! Plan{key, plan, refs}   →                              (cold worker only)
-//!                         ←   NeedTables{hashes}         (possibly empty)
-//! TableData{hash, table}  →                         × M  (one per missing hash)
+//! Plan{key, plan, tables} →                              (cold worker only;
+//!                                                         no reply)
 //! Task{key, seed, range,  →
 //!      base_pos, n}
 //!                         ←   Cells{idx, rows, cols,     × N  (one per active
@@ -22,14 +21,11 @@
 //! Shutdown                →                              (clean exit)
 //! ```
 //!
-//! Plan shipping is **content-addressed**: a `Plan` frame carries the
-//! serialized [`PlanNode`] plus one [`TableRef`] — name and content hash —
-//! per table the plan reads, never the rows themselves.  The worker
-//! answers with the hashes absent from its hash-keyed table store, and
-//! only those travel as `TableData` frames (sealed page bytes verbatim, so
-//! the hash recomputes identically on arrival).  A warm worker that
-//! already holds every table answers with an empty `NeedTables` and the
-//! whole exchange is a few dozen bytes.  The `(plan fingerprint, catalog
+//! A `Plan` frame carries the [`PlanKey`], the serialized [`PlanNode`] and,
+//! by name, every table the plan reads (sealed page bytes verbatim, fully
+//! validated on arrival; the open tail column-major).  A worker receives
+//! it once per key, before its first task for that key, and answers
+//! nothing.  The `(plan fingerprint, catalog
 //! epoch)` [`PlanKey`] travels first on every `Task`, so a *warm* worker —
 //! one that already built this plan's skeleton for an earlier task — skips
 //! phase 1 through its own [`mcdbr_exec::SessionCache`] and reports the
@@ -89,13 +85,13 @@ pub const WIRE_MAGIC: u32 = 0x5744_434D;
 
 /// The protocol version this build speaks.  Bumped on any incompatible
 /// frame change; the handshake rejects peers speaking another version.
-/// Version 2 introduced content-addressed plan shipping: `Plan` frames
-/// carry [`TableRef`]s, tables travel as paged `TableData` frames on
-/// demand, and bundle presence masks are bit-packed.  Version 3 added a
-/// worker table-store eviction count to the stats frame; version 4 removed
-/// it again.  Version 5 answers a task with `Cells` frames, one per
-/// generated stream, instead of `Bundle` frames.
-pub const WIRE_VERSION: u16 = 5;
+/// Version 2 fetched a plan's tables on demand by content hash and
+/// bit-packed bundle presence masks.  Version 3 added a worker table-store
+/// eviction count to the stats frame; version 4 removed it again.
+/// Version 5 answers a task with `Cells` frames, one per generated stream,
+/// instead of `Bundle` frames.  Version 6 ships every table a plan reads
+/// inside its `Plan` frame, which has no reply.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Upper bound on a single frame's payload, guarding against a corrupt
 /// length prefix allocating unbounded memory.
@@ -281,18 +277,10 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<(Vec<u8>, u64)>> {
     Ok(Some((payload, 4 + len as u64)))
 }
 
-/// The `(plan fingerprint, catalog epoch)` cache key a task is addressed
-/// by — the same key the coordinator's `SessionCache` uses, sent first so
-/// warm workers can skip phase 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// [`PlanNode::fingerprint`] of the plan.
-    pub fingerprint: u64,
-    /// [`mcdbr_storage::Catalog::epoch`] of the coordinator's catalog at
-    /// snapshot time.  Opaque to the worker (its rebuilt catalog mints its
-    /// own local epoch); the pair only has to *identify* the snapshot.
-    pub epoch: u64,
-}
+/// The `(plan fingerprint, catalog epoch)` key a `Plan` frame and its
+/// tasks are addressed by — the same key the coordinator's `SessionCache`
+/// uses, sent first so warm workers can skip phase 1.
+pub use mcdbr_exec::PlanKey;
 
 /// The header of one dispatched shard task: everything a worker that
 /// already knows the plan needs to execute its slice of a block.
@@ -402,18 +390,6 @@ pub struct ServerStats {
     pub query_timeouts: u64,
 }
 
-/// One table a plan reads, addressed by content rather than copied: the
-/// catalog name the plan references it by, and the table's
-/// [`Table::content_hash`].  Workers resolve refs against their hash-keyed
-/// store and request only what they lack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableRef {
-    /// The catalog name the plan resolves.
-    pub name: String,
-    /// The table's content hash (see [`Table::content_hash`]).
-    pub hash: u64,
-}
-
 /// A decoded protocol frame.
 #[derive(Debug)]
 pub enum Frame {
@@ -424,31 +400,15 @@ pub enum Frame {
         /// The sender's [`WIRE_VERSION`].
         version: u16,
     },
-    /// A plan keyed for later tasks (coordinator → worker, once per cold
-    /// worker per plan).  Tables travel by reference — name + content hash
-    /// — and the worker answers with [`Frame::NeedTables`].
+    /// A plan keyed for later tasks, with every table it reads
+    /// (coordinator → worker, once per cold worker per key; no reply).
     Plan {
         /// The key later `Task` frames will reference.
         key: PlanKey,
         /// The serialized plan, rebuilt by the worker.
         plan: PlanNode,
-        /// The tables the plan reads, by name and content hash.
-        tables: Vec<TableRef>,
-    },
-    /// The worker's answer to a `Plan` frame: the content hashes it does
-    /// not hold (worker → coordinator; empty when fully warm).
-    NeedTables {
-        /// Missing table content hashes, in the `Plan` frame's ref order.
-        hashes: Vec<u64>,
-    },
-    /// One table's pages, shipped on demand after a `NeedTables` reply
-    /// (coordinator → worker).  Page bytes travel verbatim, so the hash
-    /// recomputes identically on the receiving side.
-    TableData {
-        /// The table's content hash — the worker's store key.
-        hash: u64,
-        /// The reassembled table.
-        table: Table,
+        /// The tables the plan reads, by catalog name, in name order.
+        tables: Vec<(String, Table)>,
     },
     /// One shard task (coordinator → worker).
     Task(TaskHeader),
@@ -527,8 +487,6 @@ const TAG_ERROR_REPLY: u8 = 10;
 const TAG_QUERY_STATS: u8 = 11;
 const TAG_STATS_REQUEST: u8 = 12;
 const TAG_SERVER_STATS: u8 = 13;
-const TAG_NEED_TABLES: u8 = 14;
-const TAG_TABLE_DATA: u8 = 15;
 const TAG_CELLS: u8 = 16;
 
 /// Encode the handshake frame.
@@ -545,35 +503,12 @@ pub fn encode_hello_with(magic: u32, version: u16) -> Vec<u8> {
     out
 }
 
-/// The [`TableRef`]s of every table `plan` reads from `catalog`, in
-/// deterministic (name) order.  Fails with [`WireError::Corrupt`] when the
-/// plan references a table the catalog does not hold.
-pub fn plan_table_refs(
-    plan: &PlanNode,
-    catalog: &mcdbr_storage::Catalog,
-) -> WireResult<Vec<TableRef>> {
-    let mut names = std::collections::BTreeSet::new();
-    collect_tables(plan, &mut names);
-    names
-        .into_iter()
-        .map(|name| {
-            let table = catalog
-                .get(&name)
-                .map_err(|e| WireError::Corrupt(format!("catalog snapshot: {e}")))?;
-            Ok(TableRef {
-                hash: table.content_hash(),
-                name,
-            })
-        })
-        .collect()
-}
-
-/// Encode a `Plan` frame: the key, the serialized plan, and one
-/// [`TableRef`] per table the plan reads from `catalog` — hashes only,
-/// never rows.  Fails with [`WireError::Unserializable`] when the plan
-/// uses a VG function outside the built-in set, and with
-/// [`WireError::Corrupt`] when the plan references a table the catalog
-/// does not hold.
+/// Encode a `Plan` frame: the key, the serialized plan, and every table
+/// the plan reads from `catalog`, by name in name order (sealed pages
+/// verbatim).  Fails with [`WireError::Unserializable`] when the plan uses
+/// a VG function outside the built-in set, with [`WireError::Corrupt`]
+/// when the plan references a table the catalog does not hold, and with
+/// [`WireError::Io`] when a disk-backed page's bytes cannot be read back.
 pub fn encode_plan(
     key: PlanKey,
     plan: &PlanNode,
@@ -583,32 +518,16 @@ pub fn encode_plan(
     out.extend_from_slice(&key.fingerprint.to_le_bytes());
     out.extend_from_slice(&key.epoch.to_le_bytes());
     put_plan(&mut out, plan)?;
-    let refs = plan_table_refs(plan, catalog)?;
-    put_count(&mut out, refs.len());
-    for r in &refs {
-        put_str(&mut out, &r.name);
-        out.extend_from_slice(&r.hash.to_le_bytes());
+    let mut names = std::collections::BTreeSet::new();
+    collect_tables(plan, &mut names);
+    put_count(&mut out, names.len());
+    for name in &names {
+        let table = catalog
+            .get(name)
+            .map_err(|e| WireError::Corrupt(format!("catalog snapshot: {e}")))?;
+        put_str(&mut out, name);
+        put_table(&mut out, table)?;
     }
-    Ok(out)
-}
-
-/// Encode a `NeedTables` frame: the content hashes a worker lacks.
-pub fn encode_need_tables(hashes: &[u64]) -> Vec<u8> {
-    let mut out = vec![TAG_NEED_TABLES];
-    put_count(&mut out, hashes.len());
-    for hash in hashes {
-        out.extend_from_slice(&hash.to_le_bytes());
-    }
-    out
-}
-
-/// Encode a `TableData` frame: one table's sealed pages (bytes verbatim)
-/// plus its open tail, keyed by content hash.  Fails with
-/// [`WireError::Io`] when a disk-backed page's bytes cannot be read back.
-pub fn encode_table_data(hash: u64, table: &Table) -> WireResult<Vec<u8>> {
-    let mut out = vec![TAG_TABLE_DATA];
-    out.extend_from_slice(&hash.to_le_bytes());
-    put_table(&mut out, table)?;
     Ok(out)
 }
 
@@ -859,22 +778,10 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
         TAG_PLAN => Frame::Plan {
             key: get_plan_key(r)?,
             plan: get_plan(r, 0)?,
-            tables: r.seq("table ref count", 12, |r| {
-                Ok(TableRef {
-                    name: r.string("table ref name")?,
-                    hash: r.u64("table ref hash")?,
-                })
+            // A table is at least its name, field, page and tail counts.
+            tables: r.seq("table count", 20, |r| {
+                Ok((r.string("table name")?, get_table(r)?))
             })?,
-        },
-        TAG_NEED_TABLES => {
-            let count = r.u32("needed table count")? as usize;
-            Frame::NeedTables {
-                hashes: r.u64s(count, "needed table hashes")?,
-            }
-        }
-        TAG_TABLE_DATA => Frame::TableData {
-            hash: r.u64("table data hash")?,
-            table: get_table(r)?,
         },
         TAG_TASK => Frame::Task(TaskHeader {
             key: get_plan_key(r)?,
@@ -1311,7 +1218,7 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> DecodeResult<PlanNode> {
 }
 
 /// The table names a plan reads (scans + VG parameter tables) — the
-/// catalog snapshot a worker needs.
+/// catalog snapshot a `Plan` frame carries.
 fn collect_tables(plan: &PlanNode, out: &mut std::collections::BTreeSet<String>) {
     match plan {
         PlanNode::TableScan { table } => {
@@ -1358,11 +1265,10 @@ fn put_table(out: &mut Vec<u8>, table: &Table) -> WireResult<()> {
         put_str(out, &field.name);
         out.push(dtype_to_u8(field.data_type));
     }
-    // Sealed pages ship verbatim — no re-encode, and the receiving side's
-    // recomputed page hashes (and therefore the table's content hash)
-    // match the sender's exactly.  Disk-backed pages load their bytes
-    // back through the checksummed heap record, so a torn spill file
-    // fails here (typed) rather than shipping garbage.
+    // Sealed pages ship verbatim — no re-encode, so the receiving side
+    // holds the sender's page layout byte for byte.  Disk-backed pages
+    // load their bytes back through the checksummed heap record, so a torn
+    // spill file fails here (typed) rather than shipping garbage.
     put_count(out, table.pages().len());
     for page in table.pages() {
         let bytes = page

@@ -3,17 +3,11 @@
 //! in-memory pipes in tests).
 //!
 //! A worker is deliberately *stateful but rebuildable*: it remembers every
-//! `Plan` frame it has been sent — the rebuilt [`PlanNode`] plus the
-//! [`wire::TableRef`]s naming its tables — keyed by the coordinator's
-//! [`PlanKey`], and runs every `Task` through its own [`SessionCache`].
-//! Table *data* lives separately in a hash-keyed `TableStore`: a `Plan`
-//! frame is answered with a `NeedTables` frame listing the content hashes
-//! the store lacks, the coordinator ships exactly those as `TableData`
-//! frames, and the plan's local [`Catalog`] is assembled lazily at its
-//! first task.  A repeated plan over tables the worker already holds
-//! exchanges only headers — content-addressing collapses the
-//! workers × tables shipping cost to one transfer per distinct table
-//! version.
+//! `Plan` frame it has been sent — the rebuilt [`PlanNode`] plus a local
+//! [`Catalog`] assembled from the tables the frame carries — keyed by the
+//! coordinator's [`PlanKey`], and runs every `Task` through its own
+//! [`SessionCache`].  A `Plan` frame gets no reply; a catalog that fails to
+//! assemble is reported on the plan's first task.
 //!
 //! The first task for a plan pays the deterministic skeleton pass (the
 //! *cold* path); every later task for the same key hits the cache, skips
@@ -22,67 +16,31 @@
 //! respawned worker simply starts cold again; the coordinator re-sends the
 //! plan.
 //!
-//! Task-level failures (unknown key, missing table data, execution errors)
-//! come back as `Error` frames and leave the loop alive; protocol-level
-//! failures (handshake mismatch, corrupt frames) terminate the worker,
-//! which the coordinator treats like a crash: respawn and re-dispatch.
+//! Task-level failures (unknown key, a catalog that did not assemble,
+//! execution errors) come back as `Error` frames and leave the loop alive;
+//! protocol-level failures (handshake mismatch, corrupt frames) terminate
+//! the worker, which the coordinator treats like a crash: respawn and
+//! re-dispatch.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
 use mcdbr_exec::{BlockBufferPool, CellCols, PlanNode, SessionCache, ShardTask};
-use mcdbr_storage::{Catalog, Table};
+use mcdbr_storage::Catalog;
 
 use crate::wire::{
-    self, Frame, PlanKey, TableRef, TaskHeader, TaskStats, WireError, WireResult, WIRE_MAGIC,
-    WIRE_VERSION,
+    self, Frame, PlanKey, TaskHeader, TaskStats, WireError, WireResult, WIRE_MAGIC, WIRE_VERSION,
 };
 
-/// One plan the worker knows how to execute: the rebuilt plan tree, the
-/// content refs of the tables it reads, and — once the first task arrives
-/// and the refs resolve against the [`TableStore`] — the assembled local
-/// catalog.  The catalog is built once per plan, so its (worker-local)
-/// epoch is stable and the worker's session cache can key on it; the
-/// catalog's table clones are page-`Arc` bumps, so a later store eviction
-/// cannot invalidate an assembled plan.
+/// One plan the worker knows how to execute: the rebuilt plan tree and
+/// the local catalog assembled from its `Plan` frame's tables (or why it
+/// did not assemble).  The catalog is built once per frame, so its
+/// (worker-local) epoch is stable and the worker's session cache can key
+/// on it.
 struct KnownPlan {
     plan: PlanNode,
-    table_refs: Vec<TableRef>,
-    catalog: Option<Catalog>,
-}
-
-/// How many distinct table versions a worker caches by content hash.
-/// FIFO eviction; an evicted table that a later plan still needs rides
-/// the `NeedTables` ladder again.
-const MAX_STORED_TABLES: usize = 256;
-
-/// The worker's content-addressed table cache: hash → table, FIFO past
-/// [`MAX_STORED_TABLES`] entries.
-#[derive(Default)]
-struct TableStore {
-    tables: HashMap<u64, Table>,
-    order: std::collections::VecDeque<u64>,
-}
-
-impl TableStore {
-    fn get(&self, hash: u64) -> Option<&Table> {
-        self.tables.get(&hash)
-    }
-
-    /// Cache one validated `TableData` table, evicting oldest-first past
-    /// the cap.
-    fn insert(&mut self, hash: u64, table: Table) {
-        if self.tables.insert(hash, table).is_none() {
-            self.order.push_back(hash);
-        }
-        while self.tables.len() > MAX_STORED_TABLES {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.tables.remove(&oldest);
-        }
-    }
+    catalog: Result<Catalog, String>,
 }
 
 /// How many plans (and their catalog snapshots) a worker retains.  The
@@ -93,9 +51,9 @@ impl TableStore {
 const MAX_KNOWN_PLANS: usize = 64;
 
 /// The worker's bounded plan store: FIFO eviction past
-/// [`MAX_KNOWN_PLANS`].  Catalog assembly failures surface at *task* time
-/// (tasks expect a response; a `Plan` frame's only response is its
-/// `NeedTables` reply).
+/// [`MAX_KNOWN_PLANS`], each plan holding its own tables.  Catalog
+/// assembly failures surface at *task* time (tasks expect a response; a
+/// `Plan` frame has none).
 #[derive(Default)]
 struct PlanStore {
     plans: HashMap<PlanKey, KnownPlan>,
@@ -130,7 +88,7 @@ pub fn run_worker<R: Read, W: Write>(input: &mut R, output: &mut W) -> WireResul
 /// the plan its coordinator wrote into `MCDBR_FAULTS`).  Faults touch only
 /// the *task* path — a slow-worker sleep before serving, a stall before the
 /// first reply frame, and drop/partial/delay on the reply writes — never
-/// the handshake or the `NeedTables` exchange, so spawning a faulty worker stays deterministic
+/// the handshake, so spawning a faulty worker stays deterministic
 /// and every injected failure lands where the coordinator's deadline +
 /// respawn ladder can see it.
 pub fn run_worker_with_faults<R: Read, W: Write>(
@@ -174,7 +132,6 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
     output.flush()?;
 
     let mut plans = PlanStore::default();
-    let mut store = TableStore::default();
     let cache = SessionCache::new();
     let pool = BlockBufferPool::new();
 
@@ -185,35 +142,14 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
         };
         match wire::decode_frame(&payload)? {
             Frame::Plan { key, plan, tables } => {
-                // Answer with the content hashes the store lacks; the
-                // coordinator ships exactly those as TableData frames
-                // before the first task.  A fully warm store answers with
-                // an empty list and no table bytes flow at all.
-                let missing: Vec<u64> = tables
-                    .iter()
-                    .map(|r| r.hash)
-                    .filter(|&h| store.get(h).is_none())
-                    .collect();
-                plans.insert(
-                    key,
-                    KnownPlan {
-                        plan,
-                        table_refs: tables,
-                        catalog: None,
-                    },
-                );
-                wire::write_frame(output, &wire::encode_need_tables(&missing))?;
-                output.flush()?;
-            }
-            Frame::TableData { hash, table } => {
-                // No response frame.  The claimed hash is untrusted:
-                // recompute it from the decoded table (page bytes traveled
-                // verbatim, so an honest sender always matches) and drop
-                // silently on mismatch — the task that needed the table
-                // reports it missing and the re-send ladder recovers.
-                if table.content_hash() == hash {
-                    store.insert(hash, table);
-                }
+                // No response frame: the plan's first task reports a
+                // catalog that does not assemble.
+                let mut catalog = Catalog::new();
+                let catalog = (tables.into_iter())
+                    .try_for_each(|(name, table)| catalog.register(name, table))
+                    .map(|()| catalog)
+                    .map_err(|e| format!("rebuilding catalog snapshot: {e}"));
+                plans.insert(key, KnownPlan { plan, catalog });
             }
             Frame::Task(task) => {
                 if let Some(mcdbr_faults::FaultAction::Slow(d)) =
@@ -221,7 +157,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
                 {
                     std::thread::sleep(d);
                 }
-                let reply = serve_task(&mut plans, &store, &cache, &pool, &task);
+                let reply = serve_task(&plans, &cache, &pool, &task);
                 // The hung-but-alive failure mode: the task ran, the reply
                 // just never starts.  The coordinator's read deadline is
                 // what turns this into a respawn.
@@ -251,10 +187,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
             Frame::Hello { .. } => {
                 return Err(WireError::Corrupt("unexpected mid-stream Hello".into()))
             }
-            Frame::Cells { .. }
-            | Frame::Bundle { .. }
-            | Frame::TaskStats(_)
-            | Frame::NeedTables { .. } => {
+            Frame::Cells { .. } | Frame::Bundle { .. } | Frame::TaskStats(_) => {
                 return Err(WireError::Corrupt(
                     "received a response frame on the request stream".into(),
                 ))
@@ -274,21 +207,14 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
 /// of the active streams in its key range — returning them as `(active
 /// index, cells)` pairs in ascending index order; errors are returned as
 /// strings for the `Error` frame (the loop stays alive).
-///
-/// A plan whose table refs cannot all resolve against the store (data
-/// evicted, or a `TableData` frame was dropped for a hash mismatch)
-/// reports the [`wire::UNKNOWN_PLAN_MESSAGE_PREFIX`] error: the
-/// coordinator re-sends the plan, the `NeedTables` ladder re-ships the
-/// missing tables, and the task retries — bounded memory, no lost work.
 #[allow(clippy::type_complexity)]
 fn serve_task(
-    plans: &mut PlanStore,
-    store: &TableStore,
+    plans: &PlanStore,
     cache: &SessionCache,
     pool: &BlockBufferPool,
     task: &TaskHeader,
 ) -> Result<(Vec<(usize, CellCols)>, TaskStats), String> {
-    let known = plans.plans.get_mut(&task.key).ok_or_else(|| {
+    let known = plans.plans.get(&task.key).ok_or_else(|| {
         format!(
             "{} (fingerprint {:#018x}, epoch {}); send a Plan frame first",
             wire::UNKNOWN_PLAN_MESSAGE_PREFIX,
@@ -296,30 +222,7 @@ fn serve_task(
             task.key.epoch
         )
     })?;
-    if known.catalog.is_none() {
-        // First task for this plan: assemble its catalog from the
-        // content-addressed store.  Table clones are page-Arc bumps, so the
-        // assembled catalog is immune to later store eviction.
-        let mut catalog = Catalog::new();
-        for r in &known.table_refs {
-            let Some(table) = store.get(r.hash) else {
-                return Err(format!(
-                    "{} (fingerprint {:#018x}, epoch {}): table {:?} (hash {:#018x}) \
-                     is not in the content store; send the Plan frame again",
-                    wire::UNKNOWN_PLAN_MESSAGE_PREFIX,
-                    task.key.fingerprint,
-                    task.key.epoch,
-                    r.name,
-                    r.hash
-                ));
-            };
-            catalog
-                .register(r.name.clone(), table.clone())
-                .map_err(|e| format!("rebuilding catalog snapshot: {e}"))?;
-        }
-        known.catalog = Some(catalog);
-    }
-    let catalog = known.catalog.as_ref().expect("assembled above");
+    let catalog = known.catalog.as_ref().map_err(Clone::clone)?;
     // The worker's own plan-keyed session cache: the first task for a key
     // builds the skeleton (cold), every later one skips phase 1 (warm).
     let session = cache
@@ -381,17 +284,6 @@ mod tests {
         ))
     }
 
-    /// The cold-path plan exchange as the coordinator scripts it: the Plan
-    /// frame followed by every table's TableData frame (a cold worker
-    /// needs them all; extras for already-held hashes are harmless).
-    fn plan_frames(key: PlanKey, plan: &PlanNode, catalog: &Catalog) -> Vec<Vec<u8>> {
-        let mut frames = vec![wire::encode_plan(key, plan, catalog).unwrap()];
-        for r in wire::plan_table_refs(plan, catalog).unwrap() {
-            frames.push(wire::encode_table_data(r.hash, catalog.get(&r.name).unwrap()).unwrap());
-        }
-        frames
-    }
-
     /// Drive a full conversation against `run_worker` over in-memory pipes
     /// and return the response frames.
     fn converse(request_frames: Vec<Vec<u8>>) -> (WireResult<()>, Vec<Frame>) {
@@ -427,15 +319,27 @@ mod tests {
                 num_values: 8,
             })
         };
-        let mut input = vec![wire::encode_hello()];
-        input.extend(plan_frames(key, &plan, &catalog));
-        input.extend([task(0), task(8), wire::encode_shutdown()]);
+        // The cold worker's Plan frame carries the plan's one table.
+        let plan_frame = wire::encode_plan(key, &plan, &catalog).unwrap();
+        let Frame::Plan { tables, .. } = wire::decode_frame(&plan_frame).unwrap() else {
+            panic!("encode_plan must encode a Plan frame");
+        };
+        assert_eq!(tables.len(), 1);
+        assert_eq!(&tables[0].1, catalog.get("means").unwrap());
+        let input = vec![
+            wire::encode_hello(),
+            plan_frame,
+            task(0),
+            task(8),
+            wire::encode_shutdown(),
+        ];
         let (result, frames) = converse(input);
         result.unwrap();
         assert!(matches!(frames[0], Frame::Hello { .. }));
         assert!(
-            matches!(&frames[1], Frame::NeedTables { hashes } if hashes.len() == 1),
-            "cold worker must request the plan's one table"
+            matches!(&frames[1], Frame::Cells { idx: 0, .. }),
+            "nothing answers a Plan frame: the first task's cells come next, got {:?}",
+            frames[1]
         );
         // Two tasks × (2 streams' cells + 1 stats frame).
         let stats: Vec<&TaskStats> = frames
@@ -488,49 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_table_store_answers_empty_need_tables_for_a_second_plan() {
-        // Two distinct plans over the same catalog table: after the first
-        // cold exchange fills the hash-keyed store, the second Plan frame
-        // must come back with an *empty* NeedTables — no table bytes cross
-        // the wire again — and its task must still run off the stored copy.
-        let catalog = catalog();
-        let plan_a = plan();
-        let plan_b = plan().filter(Expr::col("val").gt(Expr::lit(0.0)));
-        assert_ne!(plan_a.fingerprint(), plan_b.fingerprint());
-        let key = |p: &PlanNode| PlanKey {
-            fingerprint: p.fingerprint(),
-            epoch: catalog.epoch(),
-        };
-        let mut input = vec![wire::encode_hello()];
-        input.extend(plan_frames(key(&plan_a), &plan_a, &catalog));
-        // The second plan ships bare: no TableData frames follow.
-        input.push(wire::encode_plan(key(&plan_b), &plan_b, &catalog).unwrap());
-        input.push(wire::encode_task(&TaskHeader {
-            key: key(&plan_b),
-            master_seed: 42,
-            key_range: mcdbr_prng::StreamKeyRange::all(),
-            base_pos: 0,
-            num_values: 8,
-        }));
-        input.push(wire::encode_shutdown());
-        let (result, frames) = converse(input);
-        result.unwrap();
-        assert!(
-            matches!(&frames[1], Frame::NeedTables { hashes } if hashes.len() == 1),
-            "first plan finds a cold store"
-        );
-        assert!(
-            matches!(&frames[2], Frame::NeedTables { hashes } if hashes.is_empty()),
-            "second plan over the same table must need nothing: {:?}",
-            frames[2]
-        );
-        assert!(!frames.iter().any(|f| matches!(f, Frame::Error { .. })));
-        assert!(frames
-            .iter()
-            .any(|f| matches!(f, Frame::TaskStats(s) if s.cells == 2)));
-    }
-
-    #[test]
     fn unknown_task_keys_answer_with_an_error_frame_and_keep_serving() {
         let catalog = catalog();
         let plan = plan();
@@ -551,9 +412,12 @@ mod tests {
                 num_values: 4,
             })
         };
-        let mut input = vec![wire::encode_hello(), mk_task(bogus)];
-        input.extend(plan_frames(key, &plan, &catalog));
-        input.push(mk_task(key));
+        let input = vec![
+            wire::encode_hello(),
+            mk_task(bogus),
+            wire::encode_plan(key, &plan, &catalog).unwrap(),
+            mk_task(key),
+        ];
         let (result, frames) = converse(input);
         // EOF after the last task is a clean exit.
         result.unwrap();

@@ -195,10 +195,11 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// Dispatch-priming hook: sessions call this before every cached-prefix
-    /// block so a multi-process backend can learn (once) which plan and
-    /// catalog a prefix's skeleton was built from — the wire protocol ships
-    /// the plan + a catalog snapshot to cold workers, and neither is
-    /// recoverable from the prefix alone.  In-process backends keep the
+    /// block so a multi-process backend can learn (once per
+    /// [`crate::PlanKey`]) the plan and catalog behind a prefix's skeleton
+    /// — the wire protocol ships both to cold workers, and the prefix holds
+    /// only the key its skeleton was built under
+    /// ([`crate::PlanSkeleton::key`]).  In-process backends keep the
     /// default no-op.
     fn prepare_dispatch(
         &self,

@@ -48,8 +48,31 @@ use mcdbr_storage::{Catalog, Result};
 use crate::plan::PlanNode;
 use crate::session::{build_skeleton, ExecSession, PlanSkeleton, PrepError};
 
-/// A cache of [`PlanSkeleton`]s keyed by
-/// `(plan fingerprint, catalog epoch)`.
+/// The identity of one plan version: `(plan fingerprint, catalog epoch)`.
+/// Equal keys name identical skeletons, so [`SessionCache`] stores
+/// skeletons under it, every [`PlanSkeleton`] records the key it was built
+/// under, and a dispatching backend ships and looks up plans by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanKey {
+    /// [`PlanNode::fingerprint`] of the plan.
+    pub fingerprint: u64,
+    /// [`Catalog::epoch`] of the catalog the plan reads.  Only the pair has
+    /// to identify the snapshot: a worker's rebuilt catalog mints its own
+    /// local epoch.
+    pub epoch: u64,
+}
+
+impl PlanKey {
+    /// The key of `plan` over `catalog`.
+    pub fn new(plan: &PlanNode, catalog: &Catalog) -> Self {
+        PlanKey {
+            fingerprint: plan.fingerprint(),
+            epoch: catalog.epoch(),
+        }
+    }
+}
+
+/// A cache of [`PlanSkeleton`]s keyed by [`PlanKey`].
 ///
 /// See the [module docs](self) for the key/invalidation contract.
 ///
@@ -105,7 +128,7 @@ pub struct SessionCache {
     entries: Mutex<Entries>,
     /// In-progress skeleton builds, keyed like `entries` — the single-flight
     /// table.  Held only around map operations, never across a build.
-    flights: Mutex<HashMap<(u64, u64), Arc<Flight>>>,
+    flights: Mutex<HashMap<PlanKey, Arc<Flight>>>,
     capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -137,7 +160,7 @@ impl Flight {
 /// that went away.
 struct FlightGuard<'a> {
     cache: &'a SessionCache,
-    key: (u64, u64),
+    key: PlanKey,
     flight: Arc<Flight>,
 }
 
@@ -159,7 +182,7 @@ impl Drop for FlightGuard<'_> {
 /// insert exceeds capacity — scans for the minimum stamp.
 #[derive(Debug, Default)]
 struct Entries {
-    map: HashMap<(u64, u64), Stamped>,
+    map: HashMap<PlanKey, Stamped>,
     clock: u64,
 }
 
@@ -227,7 +250,7 @@ impl SessionCache {
     }
 
     /// Look `key` up, touching its recency stamp on a hit.
-    fn lookup(&self, key: (u64, u64)) -> Option<Arc<PlanSkeleton>> {
+    fn lookup(&self, key: PlanKey) -> Option<Arc<PlanSkeleton>> {
         let mut entries = self.entries.lock().expect("cache poisoned");
         let stamp = entries.tick();
         let stamped = entries.map.get_mut(&key)?;
@@ -260,7 +283,7 @@ impl SessionCache {
         catalog: &Catalog,
         master_seed: u64,
     ) -> Result<ExecSession> {
-        let key = (plan.fingerprint(), catalog.epoch());
+        let key = PlanKey::new(plan, catalog);
         loop {
             if let Some(skeleton) = self.lookup(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -306,7 +329,7 @@ impl SessionCache {
 
             // Build outside both locks, so a slow phase 1 blocks only the
             // sessions that need this exact skeleton.
-            let skeleton = match build_skeleton(plan, catalog) {
+            let skeleton = match build_skeleton(plan, catalog, key) {
                 Ok(skeleton) => Arc::new(skeleton),
                 Err(PrepError::ValueDependent(reason)) => {
                     self.misses.fetch_add(1, Ordering::Relaxed);

@@ -41,8 +41,9 @@
 //!   values per block.  This is how replenishment (paper §9) avoids re-paying
 //!   for scans and joins, and the seam the engines build on.
 //! * [`cache`] — [`cache::SessionCache`]: skeletons keyed by
-//!   `(plan fingerprint, catalog epoch)`, so a repeated query — under *any*
-//!   master seed — skips phase 1 entirely (LRU-bounded).
+//!   [`cache::PlanKey`] `(plan fingerprint, catalog epoch)`, so a repeated
+//!   query — under *any* master seed — skips phase 1 entirely
+//!   (LRU-bounded).
 //! * [`shard`] — the phase-2 units and block assembly:
 //!   [`shard::ShardTask::run`] (`skeleton + master seed + StreamKey range +
 //!   block window`) generates the cells of the streams in its range — each
@@ -86,7 +87,7 @@ pub mod stream_registry;
 pub use aggregate::{AggFunc, AggregateSpec, QueryResultSamples};
 pub use backend::{ExecBackend, InProcessBackend, ShardStats};
 pub use bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
-pub use cache::SessionCache;
+pub use cache::{PlanKey, SessionCache};
 pub use cancel::CancelToken;
 pub use executor::{ExecOptions, Executor};
 pub use expr::{BinaryOp, Expr};

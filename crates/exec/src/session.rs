@@ -82,6 +82,7 @@ use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 use crate::aggregate::{AggregateSpec, QueryResultSamples, RangeFold};
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
+use crate::cache::PlanKey;
 use crate::executor::{join_key, random_join_key, ExecOptions, Executor, JoinKey};
 use crate::expr::Expr;
 use crate::par;
@@ -266,9 +267,17 @@ pub struct PlanSkeleton {
     /// `active_keys`, so the per-block generation fan-out indexes a slice
     /// instead of probing a map per stream.
     active_sources: Vec<(StreamSource, usize)>,
+    /// The plan version this skeleton was built for.
+    key: PlanKey,
 }
 
 impl PlanSkeleton {
+    /// The `(plan fingerprint, catalog epoch)` key this skeleton was built
+    /// under.
+    pub fn key(&self) -> PlanKey {
+        self.key
+    }
+
     /// The output schema of the plan.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -518,7 +527,7 @@ impl ExecSession {
     /// # }
     /// ```
     pub fn prepare(plan: &PlanNode, catalog: &Catalog, master_seed: u64) -> Result<Self> {
-        match build_skeleton(plan, catalog) {
+        match build_skeleton(plan, catalog, PlanKey::new(plan, catalog)) {
             Ok(skeleton) => Ok(Self::from_skeleton(
                 plan,
                 Arc::new(skeleton),
@@ -1210,7 +1219,8 @@ impl From<Error> for PrepError {
     }
 }
 
-/// Run the seed-independent deterministic-skeleton pass over `plan`.
+/// Run the seed-independent deterministic-skeleton pass over `plan`, the
+/// plan version `key` names.
 ///
 /// Returns `Err(PrepError::ValueDependent)` for plans whose bundle structure
 /// depends on stream values (a `Split` over a random column, paper §8) and
@@ -1218,6 +1228,7 @@ impl From<Error> for PrepError {
 pub(crate) fn build_skeleton(
     plan: &PlanNode,
     catalog: &Catalog,
+    key: PlanKey,
 ) -> std::result::Result<PlanSkeleton, PrepError> {
     let mut pass = SkeletonPass {
         catalog,
@@ -1273,6 +1284,7 @@ pub(crate) fn build_skeleton(
         batch,
         active_keys,
         active_sources: sources.into_iter().flatten().collect(),
+        key,
     })
 }
 
@@ -1713,7 +1725,8 @@ mod tests {
         let plan = losses_plan()
             .filter(Expr::col("cid").lt(Expr::lit(3i64)))
             .filter(Expr::col("val").gt(Expr::lit(3.5)));
-        let skeleton = Arc::new(build_skeleton(&plan, &catalog).unwrap_or_else(|_| panic!()));
+        let key = PlanKey::new(&plan, &catalog);
+        let skeleton = Arc::new(build_skeleton(&plan, &catalog, key).unwrap_or_else(|_| panic!()));
         for seed in [7u64, 11, 42, 0xDEAD_BEEF] {
             let mut rebound = ExecSession::from_skeleton(&plan, Arc::clone(&skeleton), seed, true);
             assert!(rebound.skeleton_hit());

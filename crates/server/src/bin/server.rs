@@ -3,24 +3,26 @@
 //!
 //! ```text
 //! mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N]
-//!              [--port-file PATH] [--backend inprocess|process]
+//!              [--port-file PATH]
 //! ```
 //!
-//! `--backend` picks the execution backend (default `inprocess`); a
-//! process backend is `--workers` wide.  `--addr 127.0.0.1:0` binds an
+//! Queries run in process on `--workers` scheduler threads.
+//! `--addr 127.0.0.1:0` binds an
 //! ephemeral port; `--port-file` writes the bound `host:port` so scripts
 //! (CI, loadgen) can find it.  The process exits after a client sends the
 //! `Shutdown` frame and every in-flight query has drained.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use mcdbr_exec::InProcessBackend;
 use mcdbr_server::demo;
 use mcdbr_server::service::{Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: mcdbr-server [--addr HOST:PORT] [--workers N] [--max-inflight N] \
-         [--port-file PATH] [--backend inprocess|process]"
+         [--port-file PATH]"
     );
     std::process::exit(2);
 }
@@ -28,7 +30,6 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut config = ServerConfig::default();
     let mut port_file: Option<String> = None;
-    let mut backend_name = "inprocess".to_string();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,7 +41,6 @@ fn main() -> ExitCode {
                 config.max_inflight = parse_count(&value("--max-inflight"), "--max-inflight")
             }
             "--port-file" => port_file = Some(value("--port-file")),
-            "--backend" => backend_name = value("--backend"),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("mcdbr-server: unknown argument `{other}`");
@@ -49,13 +49,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let backend = match mcdbr_dispatch::backend_named(&backend_name, config.workers) {
-        Ok(backend) => backend,
-        Err(err) => {
-            eprintln!("mcdbr-server: --backend: {err}");
-            usage();
-        }
-    };
     let catalog = match demo::demo_catalog() {
         Ok(catalog) => catalog,
         Err(err) => {
@@ -64,15 +57,14 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "mcdbr-server: demo catalog ready ({} customers), backend `{}`, {} scheduler workers, \
+        "mcdbr-server: demo catalog ready ({} customers), {} scheduler workers, \
          {} in-flight slots",
         demo::DEMO_CUSTOMERS,
-        backend.name(),
         config.workers,
         config.max_inflight
     );
 
-    let handle = match Server::start(catalog, backend, config) {
+    let handle = match Server::start(catalog, Arc::new(InProcessBackend::new()), config) {
         Ok(handle) => handle,
         Err(err) => {
             eprintln!("mcdbr-server: failed to start: {err}");
@@ -93,12 +85,11 @@ fn main() -> ExitCode {
     let stats = handle.shutdown();
     eprintln!(
         "mcdbr-server: drained; served {} queries over {} connections \
-         ({} skeleton hits, {} plan executions, {} tasks dispatched, {} busy rejections)",
+         ({} skeleton hits, {} plan executions, {} busy rejections)",
         stats.queries_served,
         stats.connections,
         stats.skeleton_hits,
         stats.plan_executions,
-        stats.tasks_dispatched,
         stats.busy_rejections
     );
     ExitCode::SUCCESS

@@ -16,8 +16,9 @@
 //!   so one big query cannot starve the rest.
 //! * [`backend`] — [`FairBackend`]: the per-query [`mcdbr_exec::ExecBackend`]
 //!   adapter that places a query's cell-generation units on that
-//!   scheduler; composes with both inner backends
-//!   (`mcdbr-server --backend {inprocess,process}`) bit-identically.
+//!   scheduler; composes bit-identically with the inner backend
+//!   [`Server::start`] is given (`mcdbr-server` passes the in-process one;
+//!   the tests also run it over `ProcessBackend`).
 //! * [`client`] — [`ServerClient`]: the blocking client the loadgen
 //!   binary, benches, and test suites speak.
 //! * [`load`] — [`load::run_load`]: N concurrent connections measuring

@@ -1,7 +1,7 @@
 //! The `mcdbr-server` binary, driven as a real child process: its answers
 //! are a function of the query, the catalog and the master seed, whatever
-//! `MCDBR_*` variables its environment holds, and an unknown `--backend`
-//! name exits 2.
+//! `MCDBR_*` variables its environment holds, and no argument selects a
+//! backend.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -82,8 +82,9 @@ fn environment_knobs_change_neither_the_deadline_nor_the_answer() {
 
 #[test]
 fn unknown_backend_names_exit_2() {
-    // `sharded` named a backend in earlier versions; it is unknown now.
-    for name in ["sharded", "threads"] {
+    // `--backend` selected a backend in earlier versions; the server runs
+    // in process and the flag is an unknown argument, whatever it names.
+    for name in ["inprocess", "process"] {
         let status = Command::new(env!("CARGO_BIN_EXE_mcdbr-server"))
             .args(["--addr", "127.0.0.1:0", "--backend", name])
             .stdout(Stdio::null())

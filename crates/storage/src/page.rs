@@ -14,8 +14,8 @@
 //! * a process-unique `page_id` (allocation order) — the buffer-pool frame
 //!   key, never serialized;
 //! * a FNV-1a `content_hash` over the encoded bytes — stable across
-//!   encode/decode round trips and across processes, the unit the
-//!   content-addressed dispatch protocol sums into per-table hashes.
+//!   encode/decode round trips and across processes; `Page: PartialEq`
+//!   compares it, and a disk page's reads re-check it.
 //!
 //! Encoded layout, in the one byte format of [`crate::codec`]:
 //!
@@ -235,7 +235,7 @@ impl Page {
         }
     }
 
-    /// The encoded bytes, as shipped verbatim by `TableData` frames.  A
+    /// The encoded bytes, as shipped verbatim inside `Plan` frames.  A
     /// memory page hands out its resident `Arc`; a disk page reads its
     /// heap record back (counting a disk read) and re-validates both the
     /// record checksum and this page's content hash, so a torn or stale

@@ -112,16 +112,6 @@ impl Schema {
         Schema { fields }
     }
 
-    /// Project onto the named columns (in the given order).
-    pub fn project(&self, names: &[&str]) -> Result<Schema> {
-        let mut fields = Vec::with_capacity(names.len());
-        for name in names {
-            let idx = self.index_of(name)?;
-            fields.push(self.fields[idx].clone());
-        }
-        Ok(Schema { fields })
-    }
-
     /// Concatenate two schemas (for joins).  Columns of `other` whose names
     /// clash with columns already present get a `_1` (or `_2`, ...) suffix.
     pub fn join(&self, other: &Schema) -> Schema {
@@ -180,14 +170,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert!(Schema::empty().is_empty());
-    }
-
-    #[test]
-    fn projection_reorders() {
-        let s = losses_schema();
-        let p = s.project(&["val", "cid"]).unwrap();
-        assert_eq!(p.names(), vec!["val", "cid"]);
-        assert!(s.project(&["nope"]).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::bufpool::{BufferPool, PageGuard};
 use crate::error::{Error, Result};
-use crate::page::{encode_page_bytes, estimate_row_bytes, fnv1a, Page, FNV_OFFSET, PAGE_BYTES};
+use crate::page::{estimate_row_bytes, Page, PAGE_BYTES};
 use crate::pager::Pager;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -161,27 +161,6 @@ impl Table {
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// FNV-1a hash identifying this table's content *as laid out*: schema,
-    /// sealed page hashes in order, then the tail's page encoding.  Two
-    /// tables holding equal rows in different page layouts hash differently
-    /// — the hash names a physical table version for content-addressed
-    /// shipping (the receiver rebuilds from the same page bytes, so hashes
-    /// always agree across the wire), not a logical relation.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for field in self.schema.fields() {
-            h = fnv1a(h, field.name.as_bytes());
-            h = fnv1a(h, format!("{:?}", field.data_type).as_bytes());
-        }
-        for page in &self.pages {
-            h = fnv1a(h, &page.content_hash().to_le_bytes());
-        }
-        if !self.tail.is_empty() {
-            h = fnv1a(h, &encode_page_bytes(self.schema.len(), &self.tail));
-        }
-        h
     }
 
     /// Append a row after checking its arity.  The row lands in the open
@@ -523,13 +502,6 @@ mod tests {
         let fine = Table::with_page_budget(schema.clone(), wide_rows(40), 32).unwrap();
         assert_ne!(coarse.pages().len(), fine.pages().len());
         assert_eq!(coarse, fine, "equality is logical, not physical");
-        assert_ne!(
-            coarse.content_hash(),
-            fine.content_hash(),
-            "content hash names the physical layout"
-        );
-        let same = Table::new(schema, wide_rows(40)).unwrap();
-        assert_eq!(coarse.content_hash(), same.content_hash());
     }
 
     #[test]
@@ -551,7 +523,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, t);
-        assert_eq!(rebuilt.content_hash(), t.content_hash());
+        assert_eq!(rebuilt.pages(), t.pages(), "the page bytes are kept");
     }
 
     #[test]
@@ -569,15 +541,13 @@ mod tests {
         let after: Vec<Tuple> = t.iter_with(&BufferPool::new(2)).collect();
         assert_eq!(before, after, "spilling must not change scan results");
         assert!(pager.stats().disk_reads > 0, "tiny pool re-read from disk");
-        assert_eq!(t.content_hash(), {
-            let fresh = Table::with_page_budget(
-                Schema::new(vec![Field::int64("a"), Field::float64("b")]),
-                wide_rows(100),
-                64,
-            )
-            .unwrap();
-            fresh.content_hash()
-        });
+        let schema = Schema::new(vec![Field::int64("a"), Field::float64("b")]);
+        let fresh = Table::with_page_budget(schema, wide_rows(100), 64).unwrap();
+        assert_eq!(
+            t.pages(),
+            fresh.pages(),
+            "spilling keeps every page's bytes"
+        );
         drop(t);
         std::fs::remove_dir_all(&root).unwrap();
     }

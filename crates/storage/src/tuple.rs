@@ -1,6 +1,5 @@
 //! Tuples: rows of [`Value`]s.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::Result;
@@ -79,27 +78,9 @@ impl Tuple {
         Tuple { values }
     }
 
-    /// Project onto the given column indices, in order.
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
-        }
-    }
-
     /// Consume the tuple and return its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values
-    }
-
-    /// Lexicographic total ordering on the values (using [`Value::cmp_total`]).
-    pub fn cmp_total(&self, other: &Tuple) -> Ordering {
-        for (a, b) in self.values.iter().zip(other.values.iter()) {
-            match a.cmp_total(b) {
-                Ordering::Equal => continue,
-                non_eq => return non_eq,
-            }
-        }
-        self.values.len().cmp(&other.values.len())
     }
 }
 
@@ -157,25 +138,13 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_project() {
+    fn concat_appends_values() {
         let a = Tuple::from_iter_values([1i64, 2i64]);
         let b = Tuple::from_iter_values(["x", "y"]);
         let joined = a.concat(&b);
         assert_eq!(joined.arity(), 4);
-        let projected = joined.project(&[3, 0]);
-        assert_eq!(projected.values(), &[Value::str("y"), Value::Int64(1)]);
-    }
-
-    #[test]
-    fn lexicographic_ordering() {
-        let a = Tuple::from_iter_values([1i64, 5i64]);
-        let b = Tuple::from_iter_values([1i64, 7i64]);
-        let c = Tuple::from_iter_values([1i64]);
-        assert_eq!(a.cmp_total(&b), Ordering::Less);
-        assert_eq!(b.cmp_total(&a), Ordering::Greater);
-        assert_eq!(a.cmp_total(&a.clone()), Ordering::Equal);
-        // shorter prefix sorts first
-        assert_eq!(c.cmp_total(&a), Ordering::Less);
+        let want = [1i64.into(), 2i64.into(), Value::str("x"), Value::str("y")];
+        assert_eq!(joined.values(), &want);
     }
 
     #[test]

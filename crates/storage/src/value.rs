@@ -6,7 +6,6 @@
 //! [`Value`]s.  The type set is intentionally small — it covers everything
 //! the paper's example queries (§2, §5, Appendix D) need.
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,10 +42,8 @@ impl fmt::Display for DataType {
 
 /// A single cell value.
 ///
-/// `Value` implements a *total* ordering (`cmp_total`) so tuples can be
-/// sorted and inserted into ordered containers: NULL sorts first, then
-/// booleans, then numbers (integers and floats compare numerically against
-/// each other), then strings.  NaN floats sort after all other numbers.
+/// Equality (`PartialEq`) is structural: `Int64(3)` differs from
+/// `Float64(3.0)` and a NaN equals nothing; [`Value::sql_eq`] is SQL's.
 ///
 /// Strings are reference-counted (`Arc<str>`): values flow through the
 /// engine by clone — per-repetition row materialization, bundle
@@ -187,31 +184,6 @@ impl Value {
         })
     }
 
-    /// Total ordering over values, suitable for sorting heterogeneous columns.
-    ///
-    /// NULL < Bool < numeric < Utf8; numerics compare by value with NaN last.
-    pub fn cmp_total(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int64(_) | Float64(_) => 2,
-                Utf8(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int64(a), Int64(b)) => a.cmp(b),
-            (Utf8(a), Utf8(b)) => a.cmp(b),
-            (Int64(a), Float64(b)) => total_f64_cmp(*a as f64, *b),
-            (Float64(a), Int64(b)) => total_f64_cmp(*a, *b as f64),
-            (Float64(a), Float64(b)) => total_f64_cmp(*a, *b),
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
-    }
-
     /// SQL equality: NULL is not equal to anything (including NULL); integers
     /// and floats compare numerically.
     pub fn sql_eq(&self, other: &Value) -> bool {
@@ -258,22 +230,6 @@ impl Value {
                 expected: "numeric".into(),
                 found: other.data_type().to_string(),
             }),
-        }
-    }
-}
-
-/// Total ordering on f64 with NaN greater than everything.
-fn total_f64_cmp(a: f64, b: f64) -> Ordering {
-    match a.partial_cmp(&b) {
-        Some(o) => o,
-        None => {
-            if a.is_nan() && b.is_nan() {
-                Ordering::Equal
-            } else if a.is_nan() {
-                Ordering::Greater
-            } else {
-                Ordering::Less
-            }
         }
     }
 }
@@ -398,40 +354,6 @@ mod tests {
         );
         assert_eq!(Value::Float64(2.5).neg().unwrap(), Value::Float64(-2.5));
         assert_eq!(Value::Int64(3).neg().unwrap(), Value::Int64(-3));
-    }
-
-    #[test]
-    fn total_ordering_ranks_types() {
-        let mut vals = [
-            Value::str("abc"),
-            Value::Float64(1.5),
-            Value::Null,
-            Value::Bool(true),
-            Value::Int64(-2),
-        ];
-        vals.sort_by(|a, b| a.cmp_total(b));
-        assert_eq!(vals[0], Value::Null);
-        assert_eq!(vals[1], Value::Bool(true));
-        assert_eq!(vals[2], Value::Int64(-2));
-        assert_eq!(vals[3], Value::Float64(1.5));
-        assert_eq!(vals[4], Value::str("abc"));
-    }
-
-    #[test]
-    fn mixed_numeric_ordering() {
-        assert_eq!(
-            Value::Int64(2).cmp_total(&Value::Float64(2.5)),
-            Ordering::Less
-        );
-        assert_eq!(
-            Value::Float64(3.0).cmp_total(&Value::Int64(3)),
-            Ordering::Equal
-        );
-        // NaN sorts after ordinary numbers
-        assert_eq!(
-            Value::Float64(f64::NAN).cmp_total(&Value::Float64(1e300)),
-            Ordering::Greater
-        );
     }
 
     #[test]

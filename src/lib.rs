@@ -14,7 +14,7 @@
 //! | [`vg`] | VG (variable-generation) functions: Normal, Gamma, Poisson, ... |
 //! | [`faults`] | deterministic fault injection (seeded plans armed by `ProcessBackend::with_fault_spec`) and seeded retry backoff |
 //! | [`exec`] | tuple-bundle query plans and operators (Seed, Instantiate, Split, joins, aggregation) |
-//! | [`dispatch`] | multi-process shard dispatch: wire protocol, `mcdbr-worker` binary, `ProcessBackend` |
+//! | [`dispatch`] | multi-process shard dispatch: wire protocol, `mcdbr-worker` binary, `ProcessBackend` (a plan and its tables ship once per worker per `(plan fingerprint, catalog epoch)`) |
 //! | [`mcdb`] | the MCDB baseline: naive Monte Carlo over bundles + result-distribution statistics |
 //! | [`core`] | the MCDB-R contribution: Gibbs sampler, Gibbs cloner, TS-seeds, GibbsLooper, parameter selection |
 //! | [`risk`] | risk measures: VaR, expected shortfall, empirical/analytic CDFs, frequency tables |

@@ -595,9 +595,9 @@ static GLOBAL_POOL_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// Instantiates `blocks` of `plan` over `catalog` on the in-process and
 /// process backends and asserts each block bit-identical to `expected`.
 /// The process backend is exercised cold (the first task ships the Plan frame
-/// plus every referenced table's pages), warm (repeat tasks ship only hash
+/// with every referenced table's pages), warm (repeat tasks ship only task
 /// headers), and after a forced kill of every worker (respawned workers are
-/// cold again and re-fetch tables through the NeedTables ladder).
+/// cold again and receive the Plan frame again).
 fn assert_backends_match_across_a_pool_kill(
     input: &str,
     plan: &PlanNode,
@@ -618,8 +618,8 @@ fn assert_backends_match_across_a_pool_kill(
     let mut warm_sent = 0u64;
     for (i, &(base, n)) in blocks.iter().enumerate() {
         if i == 2 {
-            // Kill the whole pool: the respawned workers lost their
-            // hash-keyed table stores and must re-fetch everything.
+            // Kill the whole pool: the respawned workers lost their plans
+            // and tables and are sent everything again.
             process.kill_worker(0);
             process.kill_worker(1);
         }
@@ -642,7 +642,7 @@ fn assert_backends_match_across_a_pool_kill(
         "{input}: warm dispatch ({warm_sent} bytes) must undercut the cold \
          table shipment ({cold_sent} bytes)"
     );
-    // The content-addressed shipping claim.
+    // A plan version ships once per worker.
     assert!(
         cold_sent >= 10 * warm_sent,
         "{input}: repeated-plan dispatch must send >=10x fewer bytes (cold \
@@ -657,7 +657,7 @@ fn assert_backends_match_across_a_pool_kill(
 
 #[test]
 fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backends() {
-    // The paged-storage contract composed with content-addressed shipping:
+    // The paged-storage contract composed with plan shipping:
     // with the global page cache forced far below the catalog's page count
     // (every scan misses, decodes, and evicts), all three backends must
     // still produce bit-identical blocks, cold, warm and after a pool kill.
@@ -703,7 +703,7 @@ fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_bac
     // resident, every pool miss is re-read and re-validated from disk), the
     // global page cache is forced to 2 frames, and all three backends must
     // produce blocks bit-identical to the plain in-memory path.  Workers keep
-    // their hash-keyed table stores across tasks, so warm dispatch ships
+    // each plan with its tables across tasks, so warm dispatch ships
     // headers, not pages, until the pool is killed.  The engine and the
     // Gibbs looper over the spilled catalog must equal their in-memory runs.
     use mcdbr::storage::{BufferPool, Pager};
@@ -713,7 +713,7 @@ fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_bac
     let seed = 77;
     let blocks = [(0u64, 16usize), (16, 16), (32, 8)];
 
-    // The disk-backed twin: same rows, same content hashes, every sealed
+    // The disk-backed twin: same rows, same page bytes, every sealed
     // page in a heap file.  Scans are a function of the rows alone: every
     // frame budget, on either input, yields the unbounded in-memory scan
     // tuple for tuple.
@@ -726,7 +726,7 @@ fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_bac
         let mut table = resident.clone();
         assert!(table.spill_with(&pager).unwrap() > 0, "{name}: must spill");
         assert_eq!(table.resident_sealed_bytes(), 0, "{name}: bytes resident");
-        assert_eq!(table.content_hash(), resident.content_hash(), "{name}");
+        assert_eq!(table.pages(), resident.pages(), "{name}");
         let reference: Vec<_> = resident.iter_with(&BufferPool::new(usize::MAX)).collect();
         for budget in [2usize, 8, 64, usize::MAX] {
             for (input, t) in [("memory", resident), ("disk", &table)] {

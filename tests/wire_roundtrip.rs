@@ -347,138 +347,102 @@ impl Gen {
     }
 }
 
-/// Register every table a plan references so `encode_plan` can snapshot it.
+/// Register every table a plan may reference so `encode_plan` can snapshot
+/// it: `t0` in its open tail only, `t1` and `t2` across many tiny pages.
 fn catalog_for(_plan: &PlanNode, g: &mut Gen) -> Catalog {
     let mut catalog = Catalog::new();
     for i in 0..3 {
-        catalog.register(format!("t{i}"), g.table()).unwrap();
+        let table = g.table();
+        let table = match i {
+            0 => table,
+            _ => {
+                Table::with_page_budget(table.schema().clone(), table.iter().collect(), 32).unwrap()
+            }
+        };
+        catalog.register(format!("t{i}"), table).unwrap();
     }
     catalog
 }
 
+/// A catalog holding exactly `tables`.
+fn catalog_of(tables: &[(String, Table)]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (name, table) in tables {
+        catalog.register(name.clone(), table.clone()).unwrap();
+    }
+    catalog
+}
+
+/// Whether two tables hold the same layout and the same bits: schema, every
+/// sealed page's bytes, and every row value (floats by their bits, so NaN
+/// payloads count).
+fn same_table(a: &Table, b: &Table) -> bool {
+    let bytes = |t: &Table| -> Vec<Vec<u8>> {
+        (t.pages().iter())
+            .map(|p| p.load_bytes().unwrap().to_vec())
+            .collect()
+    };
+    let bits = |t: &Table| -> Vec<Vec<String>> {
+        t.iter()
+            .map(|row| {
+                (row.values().iter())
+                    .map(|v| match v {
+                        Value::Float64(x) => format!("f{:x}", x.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    a.schema() == b.schema() && bytes(a) == bytes(b) && bits(a) == bits(b)
+}
+
 #[test]
 fn plan_frames_round_trip_identically() {
+    let mut multi_page = 0;
     for case in 0..CASES {
         let mut g = Gen::new(case);
         let depth = g.usize_in(1, 4);
         let plan = g.plan(depth);
         let catalog = catalog_for(&plan, &mut g);
-        let key = PlanKey {
-            fingerprint: plan.fingerprint(),
-            epoch: catalog.epoch(),
-        };
+        let key = PlanKey::new(&plan, &catalog);
         let payload = wire::encode_plan(key, &plan, &catalog).unwrap();
-        match wire::decode_frame(&payload).unwrap() {
-            Frame::Plan {
-                key: got_key,
-                plan: got_plan,
-                tables,
-            } => {
-                assert_eq!(got_key, key, "case {case}");
-                // PlanNode carries trait objects, so equality is asserted
-                // through the structural fingerprint (every
-                // execution-relevant field) plus the rendered tree (names).
-                assert_eq!(
-                    got_plan.fingerprint(),
-                    plan.fingerprint(),
-                    "case {case}: fingerprint drifted across the wire"
-                );
-                assert_eq!(got_plan.to_string(), plan.to_string(), "case {case}");
-                // Table references carry the content hash of each catalog
-                // table — the frame ships hashes, never row data.
-                let expected = wire::plan_table_refs(&plan, &catalog).unwrap();
-                assert_eq!(tables, expected, "case {case}: table refs drifted");
-                for r in &tables {
-                    let original = catalog.get(&r.name).unwrap();
-                    assert_eq!(r.hash, original.content_hash(), "case {case} {}", r.name);
-                }
-            }
-            other => panic!("case {case}: decoded {other:?}"),
-        }
-        // Re-encoding the decoded plan is byte-identical: the strongest
-        // identity check, NaN payloads and all. encode_plan reads the epoch
-        // from the key and the hashes from the (unchanged) catalog.
-        let Frame::Plan { key, plan, .. } = wire::decode_frame(&payload).unwrap() else {
-            unreachable!()
-        };
-        let re = wire::encode_plan(key, &plan, &catalog).unwrap();
-        assert_eq!(re, payload, "case {case}: re-encode differs");
-    }
-}
-
-#[test]
-fn need_tables_and_table_data_frames_round_trip_identically() {
-    for case in 0..CASES {
-        let mut g = Gen::new(case.wrapping_add(0x7ab1e));
-
-        // NeedTables: an arbitrary (possibly empty) hash list.
-        let hashes: Vec<u64> = (0..g.usize_in(0, 6)).map(|_| g.u64()).collect();
-        let payload = wire::encode_need_tables(&hashes);
-        match wire::decode_frame(&payload).unwrap() {
-            Frame::NeedTables { hashes: got } => assert_eq!(got, hashes, "case {case}"),
-            other => panic!("case {case}: decoded {other:?}"),
-        }
-
-        // TableData: the paged table codec must carry rows value-exactly
-        // (floats bit-exactly) and reproduce the same content hash on the
-        // receiving side — that identity is what lets the worker verify the
-        // payload against the hash the coordinator advertised.
-        let table = g.table();
-        let hash = table.content_hash();
-        let payload = wire::encode_table_data(hash, &table).unwrap();
-        let Frame::TableData {
-            hash: got_hash,
-            table: got,
+        let Frame::Plan {
+            key: got_key,
+            plan: got_plan,
+            tables,
         } = wire::decode_frame(&payload).unwrap()
         else {
             panic!("case {case}: wrong frame shape");
         };
-        assert_eq!(got_hash, hash, "case {case}");
-        assert_eq!(got.schema(), table.schema(), "case {case}");
-        assert_eq!(got.len(), table.len(), "case {case}");
-        for (a, b) in got.iter().zip(table.iter()) {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                match (x, y) {
-                    (Value::Float64(x), Value::Float64(y)) => {
-                        assert_eq!(x.to_bits(), y.to_bits(), "case {case}")
-                    }
-                    _ => assert_eq!(x, y, "case {case}"),
-                }
-            }
+        assert_eq!(got_key, key, "case {case}");
+        // PlanNode carries trait objects, so equality is asserted through
+        // the structural fingerprint (every execution-relevant field) plus
+        // the rendered tree (names).
+        assert_eq!(
+            got_plan.fingerprint(),
+            plan.fingerprint(),
+            "case {case}: fingerprint drifted across the wire"
+        );
+        assert_eq!(got_plan.to_string(), plan.to_string(), "case {case}");
+        // The frame carries the tables the plan reads, by name in name
+        // order, each with its pages' bytes verbatim and its rows
+        // value-exact.
+        assert!(!tables.is_empty(), "case {case}: every plan reads a table");
+        assert!(tables.windows(2).all(|w| w[0].0 < w[1].0), "case {case}");
+        for (name, table) in &tables {
+            let original = catalog.get(name).unwrap();
+            assert!(same_table(table, original), "case {case}: {name} drifted");
+            multi_page += usize::from(table.pages().len() > 1);
         }
-        assert_eq!(
-            got.content_hash(),
-            hash,
-            "case {case}: content hash not reproducible after decode"
-        );
-        // Byte-identical re-encode: pages ship verbatim, so the round trip
-        // preserves the physical layout, not just the logical rows.
-        assert_eq!(
-            wire::encode_table_data(got_hash, &got).unwrap(),
-            payload,
-            "case {case}: re-encode differs"
-        );
-
-        // A multi-page table (tiny page budget) exercises the page-count >
-        // 1 path of the codec.
-        let rows: Vec<Tuple> = got.iter().collect();
-        let paged = Table::with_page_budget(got.schema().clone(), rows, 32).unwrap();
-        let hash = paged.content_hash();
-        let payload = wire::encode_table_data(hash, &paged).unwrap();
-        let Frame::TableData { table: got, .. } = wire::decode_frame(&payload).unwrap() else {
-            panic!("case {case}: wrong frame shape");
-        };
-        // Rows may contain NaN payloads, so bit-identity is asserted via
-        // the reproduced content hash and a byte-identical re-encode
-        // rather than logical PartialEq (NaN != NaN).
-        assert_eq!(got.pages().len(), paged.pages().len(), "case {case}");
-        assert_eq!(got.content_hash(), hash, "case {case}");
-        assert_eq!(
-            wire::encode_table_data(hash, &got).unwrap(),
-            payload,
-            "case {case}: multi-page re-encode differs"
-        );
+        // Re-encoding the decoded plan from a catalog of exactly the
+        // decoded tables is byte-identical: the strongest identity check,
+        // NaN payloads and all, and proof the frame held no table more or
+        // less than the plan reads.
+        let re = wire::encode_plan(got_key, &got_plan, &catalog_of(&tables)).unwrap();
+        assert_eq!(re, payload, "case {case}: re-encode differs");
     }
+    assert!(multi_page > 0, "no case shipped a table of several pages");
 }
 
 #[test]
@@ -770,16 +734,10 @@ fn server_reply_frames_round_trip_identically() {
 fn frames_of_every_tag(g: &mut Gen) -> Vec<Vec<u8>> {
     let plan = g.plan(2);
     let catalog = catalog_for(&plan, g);
-    let key = PlanKey {
-        fingerprint: plan.fingerprint(),
-        epoch: catalog.epoch(),
-    };
-    let table = g.table();
+    let key = PlanKey::new(&plan, &catalog);
     vec![
         wire::encode_hello(),
         wire::encode_plan(key, &plan, &catalog).unwrap(),
-        wire::encode_need_tables(&[g.u64(), g.u64()]),
-        wire::encode_table_data(table.content_hash(), &table).unwrap(),
         wire::encode_task(&TaskHeader {
             key,
             master_seed: g.u64(),
@@ -857,9 +815,9 @@ fn a_claimed_frame_length_reserves_nothing_before_the_bytes_arrive() {
 fn reencode(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Hello { magic, version } => wire::encode_hello_with(*magic, *version),
-        Frame::Plan { .. } => unreachable!("plan frames are checked through a Query frame"),
-        Frame::NeedTables { hashes } => wire::encode_need_tables(hashes),
-        Frame::TableData { hash, table } => wire::encode_table_data(*hash, table).unwrap(),
+        Frame::Plan { key, plan, tables } => {
+            wire::encode_plan(*key, plan, &catalog_of(tables)).unwrap()
+        }
         Frame::Task(task) => wire::encode_task(task),
         Frame::Bundle { idx, bundle } => wire::encode_bundle(*idx, bundle.as_ref()),
         Frame::Cells { idx, cells } => wire::encode_cells(*idx as usize, cells),
@@ -891,9 +849,9 @@ fn reencode(frame: &Frame) -> Vec<u8> {
 }
 
 /// A frame's value as text.  A table's pages get fresh frame ids on every
-/// decode, so a `TableData` frame is rendered by content instead, and a
-/// column's string dictionary is a hash map, so `Cells` frames render their
-/// values.
+/// decode, so a `Plan` frame's tables are rendered by content instead, and
+/// a column's string dictionary is a hash map, so `Cells` frames render
+/// their values.
 fn render(frame: &Frame) -> String {
     match frame {
         Frame::Cells { idx, cells } => format!(
@@ -903,11 +861,11 @@ fn render(frame: &Frame) -> String {
                 .map(|c| (0..c.len()).map(|pos| cell_bits(c, pos)).collect())
                 .collect::<Vec<Vec<String>>>()
         ),
-        Frame::TableData { hash, table } => format!(
-            "{hash} {:?} {} {:?}",
-            table.schema(),
-            table.content_hash(),
-            table.iter().collect::<Vec<_>>()
+        Frame::Plan { key, plan, tables } => format!(
+            "{key:?} {plan:?} {:?}",
+            (tables.iter())
+                .map(|(name, t)| (name, t.schema(), t.iter().collect::<Vec<_>>()))
+                .collect::<Vec<_>>()
         ),
         other => format!("{other:?}"),
     }
@@ -921,25 +879,36 @@ fn check_frame(bytes: &[u8], ctx: &str) {
         Err(other) => panic!("{ctx}: untyped decode failure {other:?}"),
         Ok(frame) => frame,
     };
-    // `encode_plan` reads its table refs from a catalog, so a Plan frame's
-    // plan is checked through a Query frame; the refs are plain names and
-    // hashes.
-    let frame = match frame {
-        Frame::Plan { plan, .. } => Frame::Query {
-            plan,
-            aggregate: AggregateSpec::sum(Expr::col("x"), "s"),
-            final_predicate: None,
-            group_by: Vec::new(),
-            reps: 0,
-            master_seed: 0,
-        },
-        other => other,
+    // `encode_plan` takes the tables its plan reads from a catalog, and a
+    // mutated Plan frame may carry others, so it is checked in parts: its
+    // plan through a Query frame, each table through a Plan frame that
+    // scans only it.
+    let parts = match frame {
+        Frame::Plan { key, plan, tables } => {
+            let query = Frame::Query {
+                plan,
+                aggregate: AggregateSpec::sum(Expr::col("x"), "s"),
+                final_predicate: None,
+                group_by: Vec::new(),
+                reps: 0,
+                master_seed: 0,
+            };
+            let scans = tables.into_iter().map(|(name, table)| Frame::Plan {
+                key,
+                plan: PlanNode::scan(name.clone()),
+                tables: vec![(name, table)],
+            });
+            std::iter::once(query).chain(scans).collect()
+        }
+        other => vec![other],
     };
-    let encoded = reencode(&frame);
-    let again = wire::decode_frame(&encoded)
-        .unwrap_or_else(|e| panic!("{ctx}: the re-encoding does not decode: {e}"));
-    assert_eq!(render(&again), render(&frame), "{ctx}: value drifted");
-    assert_eq!(reencode(&again), encoded, "{ctx}: bits drifted");
+    for frame in parts {
+        let encoded = reencode(&frame);
+        let again = wire::decode_frame(&encoded)
+            .unwrap_or_else(|e| panic!("{ctx}: the re-encoding does not decode: {e}"));
+        assert_eq!(render(&again), render(&frame), "{ctx}: value drifted");
+        assert_eq!(reencode(&again), encoded, "{ctx}: bits drifted");
+    }
 }
 
 #[test]
@@ -952,11 +921,19 @@ fn corrupted_frames_never_panic_and_bad_tags_are_typed() {
         wire::decode_frame(&[]),
         Err(WireError::Truncated { .. })
     ));
+    // Tags 14 and 15 named frames of earlier versions; they are unknown now.
+    for tag in [14u8, 15] {
+        assert!(matches!(
+            wire::decode_frame(&[tag, 0, 0, 0, 0]),
+            Err(WireError::Corrupt(_))
+        ));
+    }
     for case in 0..4 {
         let mut g = Gen::new(case);
         let frames = frames_of_every_tag(&mut g);
         let tags: std::collections::BTreeSet<u8> = frames.iter().map(|f| f[0]).collect();
-        assert_eq!(tags, (1..=16).collect(), "one frame of every tag");
+        let every: std::collections::BTreeSet<u8> = (1..=13).chain([16]).collect();
+        assert_eq!(tags, every, "one frame of every tag");
         for (fi, frame) in frames.iter().enumerate() {
             check_frame(frame, &format!("case {case} frame {fi} unmutated"));
             let other = &frames[(fi + 1) % frames.len()];
@@ -1026,19 +1003,34 @@ fn corrupted_pages_and_heap_records_never_panic() {
 
 #[test]
 fn zero_field_table_data_cannot_claim_page_rows() {
-    // A TableData frame whose only page is an 8-byte zero-column header
-    // claiming 2^26 rows: no column vouches for them, so it is refused.
-    let mut frame = vec![15u8];
-    frame.extend_from_slice(&7u64.to_le_bytes());
-    frame.extend_from_slice(&0u32.to_le_bytes()); // fields
-    frame.extend_from_slice(&1u32.to_le_bytes()); // pages
-    frame.extend_from_slice(&8u32.to_le_bytes()); // page length
-    frame.extend_from_slice(&0u32.to_le_bytes()); // page columns
-    frame.extend_from_slice(&(1u32 << 26).to_le_bytes()); // page rows
-    frame.extend_from_slice(&0u64.to_le_bytes()); // tail rows
+    // A Plan frame carrying a table whose only page is an 8-byte
+    // zero-column header claiming 2^26 rows: no column vouches for them,
+    // so it is refused.  The same frame claiming no rows decodes.
+    let frame = |page_rows: u32| {
+        let mut frame = vec![2u8];
+        frame.extend_from_slice(&7u64.to_le_bytes()); // key fingerprint
+        frame.extend_from_slice(&0u64.to_le_bytes()); // key epoch
+        frame.push(1); // plan: a scan
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(b'z'); // of table `z`
+        frame.extend_from_slice(&1u32.to_le_bytes()); // tables
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(b'z'); // table name
+        frame.extend_from_slice(&0u32.to_le_bytes()); // fields
+        frame.extend_from_slice(&1u32.to_le_bytes()); // pages
+        frame.extend_from_slice(&8u32.to_le_bytes()); // page length
+        frame.extend_from_slice(&0u32.to_le_bytes()); // page columns
+        frame.extend_from_slice(&page_rows.to_le_bytes()); // page rows
+        frame.extend_from_slice(&0u64.to_le_bytes()); // tail rows
+        frame
+    };
     assert!(matches!(
-        wire::decode_frame(&frame),
+        wire::decode_frame(&frame(1 << 26)),
         Err(WireError::Corrupt(_))
+    ));
+    assert!(matches!(
+        wire::decode_frame(&frame(0)),
+        Ok(Frame::Plan { tables, .. }) if tables.len() == 1
     ));
 }
 
