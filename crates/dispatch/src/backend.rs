@@ -67,7 +67,8 @@
 //! many bundles, and a stream's values are a pure function of `(seed,
 //! position)`: the cells are the least a worker can ship that serves both
 //! `sample_block` and `instantiate_block`, with the same tasks and bytes.
-//! `AggPartial`s would serve only a sampled block, and the perf ledger's
+//! Partial aggregates would serve only a sampled block (every aggregate
+//! is one fold on the coordinator's calling thread), and the perf ledger's
 //! `naive.join_process2` fails a run whose `wire_bytes_received` differs
 //! between its plain operations and its traced ones, which replay
 //! `instantiate_block` + `aggregate`.

@@ -377,8 +377,13 @@ pub struct ServerStats {
     pub skeleton_misses: u64,
     /// Full plan executions across all sessions.
     pub plan_executions: u64,
-    /// Tasks shipped to worker processes across all queries.
-    pub tasks_dispatched: u64,
+    /// Units the queries fanned out into, across all queries: the
+    /// scheduler's units plus the inner backend's own (a process inner's
+    /// dispatched tasks) — the sum of the replies'
+    /// [`QueryStats::shards_spawned`] when no two queries overlap on a
+    /// process inner, whose counters each overlapping query's window also
+    /// sees.
+    pub shards_spawned: u64,
     /// Queries turned away with [`ReplyCode::Busy`].
     pub busy_rejections: u64,
     /// Connections accepted since startup.
@@ -753,7 +758,7 @@ pub fn encode_server_stats(stats: ServerStats) -> Vec<u8> {
     out.extend_from_slice(&stats.skeleton_hits.to_le_bytes());
     out.extend_from_slice(&stats.skeleton_misses.to_le_bytes());
     out.extend_from_slice(&stats.plan_executions.to_le_bytes());
-    out.extend_from_slice(&stats.tasks_dispatched.to_le_bytes());
+    out.extend_from_slice(&stats.shards_spawned.to_le_bytes());
     out.extend_from_slice(&stats.busy_rejections.to_le_bytes());
     out.extend_from_slice(&stats.connections.to_le_bytes());
     out.extend_from_slice(&stats.inflight.to_le_bytes());
@@ -853,7 +858,7 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
             skeleton_hits: r.u64("server skeleton hits")?,
             skeleton_misses: r.u64("server skeleton misses")?,
             plan_executions: r.u64("server plan executions")?,
-            tasks_dispatched: r.u64("server tasks dispatched")?,
+            shards_spawned: r.u64("server shards spawned")?,
             busy_rejections: r.u64("server busy rejections")?,
             connections: r.u64("server connections")?,
             inflight: r.u64("server inflight")?,

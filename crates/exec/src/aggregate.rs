@@ -6,24 +6,26 @@
 //! that the `mcdbr-mcdb` result-distribution machinery (and, at smaller
 //! granularity, the Gibbs Looper) consumes.
 //!
-//! There is one aggregator: `RangeFold::fold` folds one bundle's
-//! aggregand over one repetition range into group-major lanes.  It runs
-//! over a materialized [`BundleSet`] ([`evaluate_aggregate_threads`]) and,
-//! without one, in [`crate::shard::fold_block`], which feeds it each
-//! bundle's inputs straight from a block's generated cells in one range.
+//! There is one aggregator, and it folds every bundle once, on the calling
+//! thread: `Aggregation::fold` folds one bundle's aggregand over all of a
+//! window's repetitions into group-major lanes.  [`evaluate_aggregate`]
+//! walks a materialized [`BundleSet`] with it, and
+//! [`crate::shard::fold_block`] feeds it each bundle's inputs straight from
+//! a block's generated cells; both finish alike (`Aggregation::finish`:
+//! groups in the order of their first present bundle).  Repetitions are
+//! never split into ranges: within one repetition the floating-point
+//! accumulation order over bundles is the bit-identity contract, and one
+//! pass keeps it with no partial to merge.
 //!
 //! Grouping follows paper Appendix A footnote 4: "Grouping is handled by, in
 //! effect, treating a GROUP BY query over g groups as g separate,
 //! simultaneous queries" — group keys must therefore be deterministic
 //! (constant) attributes.
 
-use std::ops::Range;
-
 use mcdbr_storage::{Error, Mask, Result, Schema, Value};
 
 use crate::bundle::{BundleSet, BundleValue};
 use crate::expr::Expr;
-use crate::par;
 use crate::program::{Lane, Program, Vals};
 
 /// Aggregate functions supported by the engine.
@@ -139,68 +141,18 @@ impl QueryResultSamples {
 /// predicate that MCDB-R pulls up into the GibbsLooper (paper Appendix A,
 /// input 3), and lets the naive-MCDB baseline execute exactly the same query
 /// specification.
+///
+/// One pass on the calling thread: every bundle, in set order, folds over
+/// all `0..num_reps` repetitions (`Aggregation::fold`, the step
+/// [`crate::shard::fold_block`] runs over a block's cells).  A set keeps
+/// only bundles present somewhere, so every group its keys name is in the
+/// result, in first-seen order.
 pub fn evaluate_aggregate(
     set: &BundleSet,
     agg: &AggregateSpec,
     group_by: &[String],
     final_predicate: Option<&Expr>,
 ) -> Result<QueryResultSamples> {
-    evaluate_aggregate_threads(set, agg, group_by, final_predicate, par::default_threads())
-}
-
-/// [`evaluate_aggregate`] with an explicit worker-thread count: one
-/// repetition range per thread.  Repetitions are independent, and bundle
-/// order within a repetition is preserved, so the result is bit-identical
-/// for every thread count.  This is the one aggregator of a materialized
-/// set: [`crate::ExecBackend::aggregate`]'s default body.
-pub fn evaluate_aggregate_threads(
-    set: &BundleSet,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-    threads: usize,
-) -> Result<QueryResultSamples> {
-    aggregate_on_threads(set, agg, group_by, final_predicate, threads, threads)
-}
-
-/// The aggregation driver over a materialized set: split `0..set.num_reps`
-/// into at most `parts` balanced contiguous ranges, compute one
-/// [`AggPartial`] per range, up to `threads` at a time, and merge the
-/// partials back in repetition order.  [`crate::shard::fold_block`] is
-/// its one-range twin over a block that is never materialized.
-///
-/// Parts partition **repetitions**, not bundles, because the accumulation
-/// order over bundles *within* a repetition is the floating-point
-/// bit-identity contract: a repetition's fold must happen wholly inside one
-/// part.  The group layout and the compiled program are built once
-/// ([`set_job`]) and shared by every range, so every group index is
-/// identical across ranges and the result is bit-identical for every
-/// `parts` and `threads`.
-pub(crate) fn aggregate_on_threads(
-    set: &BundleSet,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-    parts: usize,
-    threads: usize,
-) -> Result<QueryResultSamples> {
-    let (job, key_of) = set_job(set, agg, group_by, final_predicate)?;
-    let ranges = rep_ranges(set.num_reps, parts);
-    let partials = par::try_par_map_threads(&ranges, threads, |range| {
-        job.aggregate_rep_range(set, range.clone())
-    })?;
-    job.finish(set.num_reps, group_by, partials, key_of)
-}
-
-/// The shared state of one aggregation over `set`, and each bundle's group
-/// key: the group layout (keys must be deterministic) and the compiled
-/// program.
-fn set_job<'s>(
-    set: &'s BundleSet,
-    agg: &AggregateSpec,
-    group_by: &[String],
-    final_predicate: Option<&Expr>,
-) -> Result<(RepRangeJob, impl Fn(usize) -> Vec<Value> + 's)> {
     let key_idx: Vec<usize> = group_by
         .iter()
         .map(|g| set.schema.index_of(g))
@@ -211,270 +163,142 @@ fn set_job<'s>(
             return Err(GroupLayout::random_key_error(&set.schema.field(gi).name));
         }
     }
-    let key_of = move |b: usize| -> Vec<Value> {
+    let key_of = |b: usize| -> Vec<Value> {
         let values = &set.bundles[b].values;
         key_idx.iter().map(|&gi| values[gi].value_at(0)).collect()
     };
-    // A set holds only bundles present somewhere, so every one is known to
-    // be in the result before any range runs.
-    let mut layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), &key_of);
-    layout.all_present = true;
-    let job = RepRangeJob::new(&set.schema, layout, agg, final_predicate);
-    Ok((job, key_of))
+    let layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), key_of);
+    let n = set.num_reps;
+    let mut aggregation = Aggregation::new(&set.schema, layout, agg, final_predicate, n);
+    for (b, bundle) in set.bundles.iter().enumerate() {
+        aggregation.present(b)?;
+        // Repetitions past a presence vector's end count as absent.
+        let mut sel = match bundle.is_pres {
+            None => Mask::ones(n),
+            Some(_) => {
+                let mut sel = Mask::default();
+                sel.fill_with(n, |r| bundle.is_present(r));
+                sel
+            }
+        };
+        aggregation.fold(b, &mut sel, |column| {
+            lane_of(&bundle.values[column], &set.schema.field(column).name, n)
+        })?;
+    }
+    Ok(aggregation.finish(group_by, key_of))
 }
 
-/// `0..n` as exactly `min(parts, n)` balanced contiguous ranges (sizes
-/// differ by at most one, the stream-key partitioner's balancing rule), so
-/// no worker slot idles behind an oversized ceil-division chunk.
-pub(crate) fn rep_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let mut lo = 0usize;
-    mcdbr_prng::balanced_chunks(n, parts)
-        .into_iter()
-        .map(|len| {
-            lo += len;
-            lo - len..lo
-        })
-        .collect()
-}
-
-/// What every repetition range of one aggregation shares: the group layout,
-/// the program of the final predicate and the aggregand, compiled once, and
-/// the aggregate function.
-pub(crate) struct RepRangeJob {
+/// One aggregation in progress over every repetition of a window: the
+/// group layout, the program of the final predicate and the aggregand
+/// (compiled once), the lanes bundles fold into, and each group's first
+/// present bundle.
+pub(crate) struct Aggregation {
     layout: GroupLayout,
     program: Program,
-    func: AggFunc,
+    first: Vec<Option<usize>>,
+    lanes: Lanes,
 }
 
-impl RepRangeJob {
+impl Aggregation {
+    /// An empty aggregation of `reps` repetitions.
     pub(crate) fn new(
         schema: &Schema,
         layout: GroupLayout,
         agg: &AggregateSpec,
         final_predicate: Option<&Expr>,
-    ) -> RepRangeJob {
-        RepRangeJob {
-            layout,
+        reps: usize,
+    ) -> Aggregation {
+        let lanes = layout.groups * reps;
+        Aggregation {
             program: Program::compile(schema, final_predicate, Some(&agg.expr)),
-            func: agg.func,
-        }
-    }
-
-    /// Aggregate the contiguous repetition range `reps` of `set` — the set
-    /// this job was built from — into one [`AggPartial`].  The range is
-    /// clamped to the set's repetition count.
-    pub(crate) fn aggregate_rep_range(
-        &self,
-        set: &BundleSet,
-        reps: Range<usize>,
-    ) -> Result<AggPartial> {
-        let hi = reps.end.min(set.num_reps);
-        let lo = reps.start.min(hi);
-        let slots = self.program.slots();
-        let mut range = self.range(lo, hi);
-        for (b, bundle) in set.bundles.iter().enumerate() {
-            // Out-of-range repetitions count as absent.
-            let mut sel = match bundle.is_pres {
-                None => Mask::ones(hi - lo),
-                Some(_) => {
-                    let mut sel = Mask::default();
-                    sel.fill_with(hi - lo, |r| bundle.is_present(lo + r));
-                    sel
-                }
-            };
-            range.fold(b, &mut sel, |slot| {
-                let (value, name) = (
-                    &bundle.values[slots[slot]],
-                    &set.schema.field(slots[slot]).name,
-                );
-                lane_of(value, name, set.num_reps, lo..hi)
-            })?;
-        }
-        Ok(range.finish())
-    }
-
-    /// An empty accumulation of repetitions `lo..hi`.
-    pub(crate) fn range(&self, lo: usize, hi: usize) -> RangeFold<'_> {
-        let len = hi - lo;
-        let groups = self.layout.members.len();
-        RangeFold {
-            job: self,
-            lo,
-            first: vec![None; groups],
+            first: vec![None; layout.groups],
             lanes: Lanes {
-                func: self.func,
-                len,
-                count: vec![0; groups * len],
-                acc: vec![0.0; groups * len],
+                func: agg.func,
+                len: reps,
+                count: vec![0; lanes],
+                acc: vec![0.0; lanes],
             },
+            layout,
         }
     }
 
-    /// Merge the partials of one call (they must tile `0..num_reps`) into
-    /// its result groups: the groups some bundle is present in, ordered by
-    /// their first present bundle — first-seen order over the bundles a
-    /// materialized block keeps — each keyed by that bundle's `key_of`.
-    pub(crate) fn finish(
-        &self,
-        num_reps: usize,
-        group_by: &[String],
-        partials: Vec<AggPartial>,
-        key_of: impl Fn(usize) -> Vec<Value>,
-    ) -> Result<QueryResultSamples> {
-        let groups = merge_rep_partials(num_reps, &self.layout, partials)?;
-        Ok(QueryResultSamples {
-            group_columns: group_by.to_vec(),
-            groups: (groups.into_iter())
-                .map(|(first, lane)| (first.map_or_else(Vec::new, &key_of), lane))
-                .collect(),
-        })
-    }
-}
-
-/// One repetition range's aggregation in progress: the lanes bundles fold
-/// into, and each group's first present bundle.
-pub(crate) struct RangeFold<'j> {
-    job: &'j RepRangeJob,
-    lo: usize,
-    first: Vec<Option<usize>>,
-    lanes: Lanes,
-}
-
-impl<'j> RangeFold<'j> {
-    /// The schema column behind each of the program's slots: the inputs a
-    /// fold asks for.
-    pub(crate) fn slots(&self) -> &'j [usize] {
-        self.job.program.slots()
-    }
-
-    /// Record that bundle `b` is present in some repetition of the range, so
-    /// the result has its group — an error when groups are keyed by a random
+    /// Record that bundle `b` is present in some repetition, so the result
+    /// has its group — an error when groups are keyed by a random
     /// attribute, as over the materialized block.
     pub(crate) fn present(&mut self, b: usize) -> Result<()> {
-        if let Some(column) = &self.job.layout.random_key {
+        if let Some(column) = &self.layout.random_key {
             return Err(GroupLayout::random_key_error(column));
         }
-        self.first[self.job.layout.group_of[b]].get_or_insert(b);
+        self.first[self.layout.group_of[b]].get_or_insert(b);
         Ok(())
     }
 
-    /// The one per-bundle step of every aggregation: run the program over
-    /// the range on bundle `b`'s contributing repetitions `sel` (presence;
-    /// the final predicate narrows it), slot `s` reading `input(s)`, and fold
-    /// the aggregand into `b`'s group.  Per `(repetition, group)` the lanes
-    /// receive exactly the `f64`s `Expr::eval` gives, bundle after bundle,
-    /// and fold them as `Accum::add` does, so the result is bit-identical to
-    /// the per-repetition referee the tests keep.  Errors if and only if a
-    /// selected repetition errors.
+    /// The one per-bundle step of every aggregation: run the program on
+    /// bundle `b`'s contributing repetitions `sel` (presence; the final
+    /// predicate narrows it), reading schema column `c` as `input(c)`, and
+    /// fold the aggregand into `b`'s group.  Per `(repetition, group)` the
+    /// lanes receive exactly the `f64`s `Expr::eval` gives, bundle after
+    /// bundle, and fold them as `Accum::add` does, so the result is
+    /// bit-identical to the per-repetition referee the tests keep.  Errors
+    /// if and only if a selected repetition errors.
     pub(crate) fn fold<'a>(
         &mut self,
         b: usize,
         sel: &mut Mask,
-        input: impl FnMut(usize) -> Result<Lane<'a>>,
+        mut input: impl FnMut(usize) -> Result<Lane<'a>>,
     ) -> Result<()> {
         if sel.none() {
             // No selected row can err, and nothing contributes.
             return Ok(());
         }
-        let lane = self.job.program.eval_block(sel, input)?;
+        let slots = self.program.slots();
+        let lane = self.program.eval_block(sel, |slot| input(slots[slot]))?;
         let vals = lane.f64s(sel)?;
-        self.lanes.fold(self.job.layout.group_of[b], &vals, sel);
+        self.lanes.fold(self.layout.group_of[b], &vals, sel);
         Ok(())
     }
 
-    /// The finished partial.
-    pub(crate) fn finish(self) -> AggPartial {
-        AggPartial {
-            lo: self.lo,
-            len: self.lanes.len,
-            vals: self.lanes.finish(),
-            first: self.first,
+    /// The result: the one group of an ungrouped query, whatever is
+    /// present, or else the groups some bundle is present in, ordered by
+    /// their first present bundle and keyed by its `key_of`.
+    pub(crate) fn finish(
+        self,
+        group_by: &[String],
+        key_of: impl Fn(usize) -> Vec<Value>,
+    ) -> QueryResultSamples {
+        let len = self.lanes.len;
+        let vals = self.lanes.finish();
+        let lane = |g: usize| vals[g * len..(g + 1) * len].to_vec();
+        let groups = if self.layout.grouped {
+            let mut firsts: Vec<(usize, usize)> = (self.first.iter().enumerate())
+                .filter_map(|(g, first)| Some(((*first)?, g)))
+                .collect();
+            firsts.sort_unstable();
+            (firsts.into_iter())
+                .map(|(b, g)| (key_of(b), lane(g)))
+                .collect()
+        } else {
+            vec![(Vec::new(), lane(0))]
+        };
+        QueryResultSamples {
+            group_columns: group_by.to_vec(),
+            groups,
         }
     }
-}
-
-/// One contiguous repetition range's finished aggregates: group `g`'s values
-/// for repetitions `lo..lo + len` are `vals[g * len..(g + 1) * len]`, and
-/// `first[g]` is its first bundle present in the range, if one is.  Opaque:
-/// the layout is this module's private contract.
-#[derive(Debug)]
-pub(crate) struct AggPartial {
-    lo: usize,
-    len: usize,
-    vals: Vec<f64>,
-    first: Vec<Option<usize>>,
-}
-
-/// Concatenate rep-range partials into one lane of `num_reps` values per
-/// result group, each with its first present bundle (`None` for the one
-/// group of an ungrouped query, which is in the result whatever is
-/// present).  The partials must exactly tile `0..num_reps` (any order — they
-/// are sorted by range start here); gaps, overlaps, or missing repetitions
-/// are an error rather than a silently wrong result.
-fn merge_rep_partials(
-    num_reps: usize,
-    layout: &GroupLayout,
-    mut partials: Vec<AggPartial>,
-) -> Result<Vec<(Option<usize>, Vec<f64>)>> {
-    partials.sort_by_key(|p| p.lo);
-    let mut covered = 0;
-    for partial in &partials {
-        if partial.lo != covered {
-            return Err(Error::Invalid(format!(
-                "aggregate partials do not tile the repetitions: expected start {covered}, got {}",
-                partial.lo
-            )));
-        }
-        covered += partial.len;
-    }
-    if covered != num_reps {
-        return Err(Error::Invalid(format!(
-            "aggregate partials cover {covered} of {num_reps} repetitions"
-        )));
-    }
-    let lane = |g: usize| -> Vec<f64> {
-        (partials.iter())
-            .flat_map(|p| &p.vals[g * p.len..(g + 1) * p.len])
-            .copied()
-            .collect()
-    };
-    if !layout.grouped {
-        return Ok(vec![(None, lane(0))]);
-    }
-    // A group is in the result iff one of its bundles is present somewhere;
-    // groups come in the order of their first present bundle.
-    let mut groups: Vec<(usize, usize)> = (0..layout.members.len())
-        .filter_map(|g| {
-            let known = layout.members[g].filter(|_| layout.all_present);
-            let first = (partials.iter().map(|p| p.first[g]))
-                .chain([known])
-                .flatten()
-                .min()?;
-            Some((first, g))
-        })
-        .collect();
-    groups.sort_unstable();
-    Ok(groups
-        .into_iter()
-        .map(|(first, g)| (Some(first), lane(g)))
-        .collect())
 }
 
 /// The candidate groups of a call's bundles: every distinct key over *all*
 /// of them, in first-seen order, and each bundle's group.  Which groups the
 /// result holds — and in which order — depends on which bundles turn out
-/// present; see [`RepRangeJob::finish`].
+/// present; see `Aggregation::finish`.
 pub(crate) struct GroupLayout {
     /// Whether the query has a `GROUP BY`; without one it has exactly one
     /// group, with an empty key.
     grouped: bool,
     /// Each bundle's group.
     group_of: Vec<usize>,
-    /// Each group's first bundle.
-    members: Vec<Option<usize>>,
-    /// Whether every bundle is known to be present before any range runs
-    /// (a set's are); otherwise the ranges report which are.
-    all_present: bool,
+    /// How many groups there are.
+    groups: usize,
     /// The random attribute the groups are keyed by, if they are: an error
     /// as soon as some bundle is present.
     random_key: Option<String>,
@@ -495,20 +319,17 @@ impl GroupLayout {
             return GroupLayout {
                 grouped,
                 group_of: vec![0; bundles],
-                members: vec![(bundles > 0).then_some(0)],
-                all_present: false,
+                groups: 1,
                 random_key: None,
             };
         }
         let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut members = Vec::new();
         let mut group_of = Vec::with_capacity(bundles);
         for b in 0..bundles {
             let key = key_of(b);
             let same = |k: &Vec<Value>| k.iter().zip(&key).all(|(a, b)| a.sql_eq(b));
             let g = keys.iter().position(same).unwrap_or_else(|| {
                 keys.push(key);
-                members.push(Some(b));
                 keys.len() - 1
             });
             group_of.push(g);
@@ -516,8 +337,7 @@ impl GroupLayout {
         GroupLayout {
             grouped,
             group_of,
-            members,
-            all_present: false,
+            groups: keys.len(),
             random_key: None,
         }
     }
@@ -528,8 +348,7 @@ impl GroupLayout {
         GroupLayout {
             grouped: true,
             group_of: vec![0; bundles],
-            members: Vec::new(),
-            all_present: false,
+            groups: 0,
             random_key: Some(column.to_string()),
         }
     }
@@ -542,15 +361,10 @@ impl GroupLayout {
     }
 }
 
-/// A bundle attribute's repetitions `range` of `n` as a program input: a
+/// A bundle attribute's first `n` repetitions as a program input: a
 /// constant, or its column read in place — an error naming the attribute
 /// `name` when the column holds fewer than `n` values.
-fn lane_of<'a>(
-    value: &'a BundleValue,
-    name: &str,
-    n: usize,
-    range: Range<usize>,
-) -> Result<Lane<'a>> {
+fn lane_of<'a>(value: &'a BundleValue, name: &str, n: usize) -> Result<Lane<'a>> {
     let Some(col) = value.column() else {
         return Ok(Lane::constant(value.value_at(0)));
     };
@@ -560,13 +374,12 @@ fn lane_of<'a>(
             col.len()
         )));
     }
-    Ok(Lane::column_range(col, range))
+    Ok(Lane::column_range(col, 0..n))
 }
 
-/// One repetition range's accumulators as flat, group-major lanes: the
-/// `(repetition, group)` accumulator is lane
-/// `group * len + (repetition - lo)`, split into a count and one `f64` that
-/// folds the sum, minimum or maximum.
+/// The accumulators as flat, group-major lanes: the `(repetition, group)`
+/// accumulator is lane `group * len + repetition`, split into a count and
+/// one `f64` that folds the sum, minimum or maximum.
 struct Lanes {
     func: AggFunc,
     len: usize,
@@ -576,7 +389,7 @@ struct Lanes {
 
 impl Lanes {
     /// Fold one bundle's aggregand `vals` on the rows of `sel` into group
-    /// `g`: bundles in the outer loop, the range in the inner one.
+    /// `g`: bundles in the outer loop, the repetitions in the inner one.
     fn fold(&mut self, g: usize, vals: &Vals<'_, f64>, sel: &Mask) {
         let base = g * self.len;
         match (vals, sel.all()) {
@@ -687,7 +500,7 @@ mod tests {
         rep: usize,
     ) -> Result<Vec<Accum>> {
         let schema = &set.schema;
-        let mut accs = vec![Accum::default(); layout.members.len()];
+        let mut accs = vec![Accum::default(); layout.groups];
         for (bundle, &gidx) in set.bundles.iter().zip(&layout.group_of) {
             if !bundle.is_present(rep) {
                 continue;
@@ -816,6 +629,34 @@ mod tests {
         assert!(avg.single().unwrap()[0].is_nan());
         let count = evaluate_aggregate(&set, &AggregateSpec::count("n"), &[], None).unwrap();
         assert_eq!(count.single().unwrap()[0], 0.0);
+
+        // Bundles over zero repetitions: every group is present, each with
+        // an empty lane, grouped or not and under a final predicate.
+        let mut none = test_set();
+        none.num_reps = 0;
+        for b in &mut none.bundles {
+            if let BundleValue::Random { values, .. } = &mut b.values[1] {
+                *values = crate::bundle::SharedColumn::default();
+            }
+        }
+        let pred = Expr::col("loss").gt_eq(Expr::lit(10.0));
+        let region = ["region".to_string()];
+        let (eu, us) = (vec![Value::str("EU")], vec![Value::str("US")]);
+        for (group_by, final_predicate, keys) in [
+            (&region[..], None, vec![eu, us]),
+            (&[][..], Some(&pred), vec![vec![]]),
+        ] {
+            for agg in [
+                AggregateSpec::sum(Expr::col("loss"), "s"),
+                AggregateSpec::avg(Expr::col("loss"), "a"),
+                AggregateSpec::min(Expr::col("loss"), "m"),
+            ] {
+                let res = evaluate_aggregate(&none, &agg, group_by, final_predicate).unwrap();
+                let got: Vec<_> = res.groups.iter().map(|(k, _)| k.clone()).collect();
+                assert_eq!(got, keys, "{agg:?}");
+                assert!(res.groups.iter().all(|(_, lane)| lane.is_empty()));
+            }
+        }
     }
 
     #[test]
@@ -829,15 +670,13 @@ mod tests {
     #[test]
     fn random_columns_shorter_than_the_repetitions_are_a_typed_error() {
         // `BundleSet`'s fields are public: a set can claim more repetitions
-        // than its columns hold.  Every range refuses it by name.
+        // than its columns hold.  The fold refuses it by name.
         let mut set = test_set();
         set.num_reps = 4;
         let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        for threads in [1, 3] {
-            let err = evaluate_aggregate_threads(&set, &agg, &[], None, threads).unwrap_err();
-            assert!(matches!(err, Error::Invalid(_)), "{err}");
-            assert!(err.to_string().contains("column loss"), "{err}");
-        }
+        let err = evaluate_aggregate(&set, &agg, &[], None).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("column loss"), "{err}");
     }
 
     #[test]
@@ -851,75 +690,6 @@ mod tests {
         );
         let res = evaluate_aggregate(&set, &agg, &[], None).unwrap();
         assert_eq!(res.single().unwrap(), &[225.0, 447.0, 669.0]);
-    }
-
-    #[test]
-    fn sharded_partials_are_bit_identical_for_every_shard_count() {
-        let mut empty = test_set();
-        empty.num_reps = 0;
-        for b in &mut empty.bundles {
-            if let BundleValue::Random { values, .. } = &mut b.values[1] {
-                *values = crate::bundle::SharedColumn::default();
-            }
-        }
-        let group = vec!["region".to_string()];
-        let pred = Expr::col("loss").gt_eq(Expr::lit(10.0));
-        let cases: [(&BundleSet, &[String], Option<&Expr>); 3] = [
-            (&test_set(), &group, None),
-            (&test_set(), &[], Some(&pred)),
-            (&empty, &[], None),
-        ];
-        for (set, group_by, final_predicate) in cases {
-            let reps = set.num_reps;
-            for agg in [
-                AggregateSpec::sum(Expr::col("loss"), "s"),
-                AggregateSpec::avg(Expr::col("loss"), "a"),
-                AggregateSpec::min(Expr::col("loss"), "m"),
-            ] {
-                let reference =
-                    aggregate_on_threads(set, &agg, group_by, final_predicate, 1, 1).unwrap();
-                for parts in [1usize, 2, 3, 7, reps + 5] {
-                    // Never more parts than repetitions.
-                    assert_eq!(rep_ranges(reps, parts).len(), parts.min(reps));
-                    let split =
-                        aggregate_on_threads(set, &agg, group_by, final_predicate, parts, 2)
-                            .unwrap();
-                    assert_eq!(reference.group_columns, split.group_columns);
-                    assert_eq!(reference.groups.len(), split.groups.len());
-                    for ((ka, va), (kb, vb)) in reference.groups.iter().zip(&split.groups) {
-                        assert_eq!(ka, kb);
-                        assert_eq!(va.len(), reps);
-                        assert_eq!(vb.len(), reps);
-                        assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partials_that_do_not_tile_the_repetitions_are_rejected() {
-        let set = test_set();
-        let agg = AggregateSpec::sum(Expr::col("loss"), "s");
-        // Dropping the last range, and answering a range twice: both must
-        // surface as typed errors, never wrong samples.
-        let merge = |ranges: Vec<Range<usize>>| {
-            let (job, key_of) = set_job(&set, &agg, &[], None).unwrap();
-            let partials = ranges
-                .into_iter()
-                .map(|r| job.aggregate_rep_range(&set, r))
-                .collect::<Result<_>>()
-                .unwrap();
-            job.finish(set.num_reps, &[], partials, key_of).map(|_| ())
-        };
-        let mut ranges = rep_ranges(set.num_reps, 3);
-        let dropped = merge(ranges[..2].to_vec());
-        assert!(dropped.unwrap_err().to_string().contains("cover 2 of 3"));
-        ranges.push(ranges[0].clone());
-        assert!(merge(ranges)
-            .unwrap_err()
-            .to_string()
-            .contains("do not tile"));
     }
 
     #[test]
@@ -989,29 +759,39 @@ mod tests {
         }
     }
 
-    /// Aggregate `set` in `parts` repetition ranges, asserting every value
-    /// of every partial bit-equal to the scalar referee's; returns how many
-    /// values it compared.
+    /// Aggregate `set`, asserting every `(repetition, group)` value
+    /// bit-equal to the scalar referee's; returns how many values it
+    /// compared.
     fn compare_with_referee(
         set: &BundleSet,
         agg: &AggregateSpec,
         group_by: &[String],
         final_predicate: Option<&Expr>,
-        parts: usize,
     ) -> usize {
-        let case = format!("{agg:?} by {group_by:?} where {final_predicate:?}, {parts} parts");
+        let case = format!("{agg:?} by {group_by:?} where {final_predicate:?}");
+        let res = evaluate_aggregate(set, agg, group_by, final_predicate).unwrap();
+        let key_idx: Vec<usize> = (group_by.iter())
+            .map(|g| set.schema.index_of(g).unwrap())
+            .collect();
+        let key_of = |b: usize| -> Vec<Value> {
+            let values = &set.bundles[b].values;
+            key_idx.iter().map(|&gi| values[gi].value_at(0)).collect()
+        };
+        let layout = GroupLayout::discover(set.bundles.len(), !group_by.is_empty(), key_of);
+        // Every bundle of a set is present somewhere: every group, in
+        // first-seen order.
+        assert_eq!(res.groups.len(), layout.groups, "{case}");
         let mut compared = 0;
-        let (job, _) = set_job(set, agg, group_by, final_predicate).unwrap();
-        for range in rep_ranges(set.num_reps, parts) {
-            let p = job.aggregate_rep_range(set, range).unwrap();
-            for rep in p.lo..p.lo + p.len {
-                let referee = accumulate_rep(set, &job.layout, agg, final_predicate, rep).unwrap();
-                for (g, acc) in referee.iter().enumerate() {
-                    let got = p.vals[g * p.len + rep - p.lo];
-                    let want = acc.finish(agg.func);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{case}: rep {rep} group {g}");
-                    compared += 1;
-                }
+        for rep in 0..set.num_reps {
+            let referee = accumulate_rep(set, &layout, agg, final_predicate, rep).unwrap();
+            for (g, (acc, (_, lane))) in referee.iter().zip(&res.groups).enumerate() {
+                let want = acc.finish(agg.func);
+                assert_eq!(
+                    lane[rep].to_bits(),
+                    want.to_bits(),
+                    "{case}: rep {rep} group {g}"
+                );
+                compared += 1;
             }
         }
         compared
@@ -1048,29 +828,26 @@ mod tests {
                 };
                 for group_by in [&[][..], &region[..]] {
                     for final_predicate in [None, Some(&pred)] {
-                        for parts in [1, 2, 3, 7, reps + 5] {
-                            compared +=
-                                compare_with_referee(&set, &agg, group_by, final_predicate, parts);
-                        }
+                        compared += compare_with_referee(&set, &agg, group_by, final_predicate);
                     }
                 }
             }
         }
-        // 2 presences × 5 aggregands × 5 functions × 2 predicates × 5 part
-        // counts × 70 repetitions × (1 + 3) groups.
-        assert_eq!(compared, 2 * 5 * 5 * 2 * 5 * reps * 4);
+        // 2 presences × 5 aggregands × 5 functions × 2 predicates × 70
+        // repetitions × (1 + 3) groups.
+        assert_eq!(compared, 2 * 5 * 5 * 2 * reps * 4);
     }
 
     #[test]
     fn dense_sum_reads_the_shared_segment_without_a_selection_vector() {
         let set = seeded_set(70, false);
         for bundle in &set.bundles {
-            // A range of a bare Float64 column is a window of the bundle's
-            // shared segment, read in place, and every repetition is selected.
+            // A bare Float64 column is the bundle's shared segment, read in
+            // place, and every repetition is selected.
             let seg = bundle.values[1].column().unwrap();
-            let lane = lane_of(&bundle.values[1], "loss", 70, 10..40).unwrap();
-            let sel = Mask::ones(30);
-            let in_place = |v: &[f64]| std::ptr::eq(v, &seg.f64_slice().unwrap()[10..40]);
+            let lane = lane_of(&bundle.values[1], "loss", 70).unwrap();
+            let sel = Mask::ones(70);
+            let in_place = |v: &[f64]| std::ptr::eq(v, &seg.f64_slice().unwrap()[..70]);
             assert!(
                 matches!(lane.f64s(&sel).unwrap(), Vals::Rows(Cow::Borrowed(v)) if in_place(v))
             );

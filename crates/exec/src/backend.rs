@@ -11,10 +11,9 @@
 //! reference checks, the traced replay) call
 //! [`ExecBackend::instantiate_block`], which assembles the block from the
 //! cells ([`crate::shard::assemble_block`]) in one place;
-//! [`ExecBackend::aggregate`] aggregates such a set by repetition ranges
-//! on this process's threads
-//! ([`aggregate::evaluate_aggregate_threads`], the one set aggregator and
-//! the trait's default).  A backend decides only *where* the generation
+//! [`ExecBackend::aggregate`] folds such a set once, on the calling thread
+//! ([`aggregate::evaluate_aggregate`], the trait's default), as a sampled
+//! block is folded.  A backend decides only *where* the generation
 //! units ([`crate::shard::ShardTask`]) run — the [`ExecBackend`] trait is
 //! that seam, and a unit runs in one of three places:
 //!
@@ -131,9 +130,10 @@ impl ShardStats {
 /// folds them, so the Gibbs looper's draw, a block and a sampled block all
 /// reach the override.
 ///
-/// `threads` is the caller's worker budget (sessions pass their
-/// `with_threads` setting); backends are free to interpret it as pool width
-/// or concurrent shard slots, but never in a way that changes results.
+/// `threads` is the caller's generation width (sessions pass
+/// [`crate::par::default_threads`]); backends are free to interpret it as
+/// pool width or concurrent shard slots, but never in a way that changes
+/// results.  No aggregate splits by it: every fold runs on one thread.
 pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// A short human-readable strategy name (`"in-process"`, `"process"`).
     fn name(&self) -> &'static str;
@@ -176,17 +176,17 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// Evaluate `agg` over `set` once per repetition, bit-identical to
-    /// [`crate::aggregate::evaluate_aggregate`].  The default — the one set
-    /// aggregator — runs one repetition range per thread of this process.
+    /// [`crate::aggregate::evaluate_aggregate`] — which the default calls,
+    /// on the calling thread; `threads` is not read.
     fn aggregate(
         &self,
         set: &BundleSet,
         agg: &AggregateSpec,
         group_by: &[String],
         final_predicate: Option<&Expr>,
-        threads: usize,
+        _threads: usize,
     ) -> Result<QueryResultSamples> {
-        aggregate::evaluate_aggregate_threads(set, agg, group_by, final_predicate, threads)
+        aggregate::evaluate_aggregate(set, agg, group_by, final_predicate)
     }
 
     /// Placement counters (zero for backends that keep none).

@@ -56,9 +56,9 @@
 //!   (the default); the server's scheduler and the multi-process
 //!   dispatcher are the other two placements, selected per session with
 //!   `with_backend`.
-//! * [`par`] — the deterministic parallel fan-out used by phase-2
-//!   instantiation and per-repetition aggregation (bit-identical results for
-//!   every thread count).
+//! * [`par`] — the deterministic parallel fan-out of phase-2 stream
+//!   generation and block assembly (bit-identical results for every thread
+//!   count); every aggregate folds on the calling thread.
 //! * [`pool`] — [`pool::BlockBufferPool`]: reusable columnar
 //!   [`mcdbr_storage::ColumnBlock`] buffers for phase 2.  Streams are
 //!   materialized by the batched `VgFunction::generate_block_into` path

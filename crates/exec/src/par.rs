@@ -1,4 +1,4 @@
-//! Deterministic parallel fan-out for block instantiation and aggregation.
+//! Deterministic parallel fan-out for block instantiation.
 //!
 //! The parallelism contract everywhere in this crate is *bit-identical
 //! results regardless of thread count*: every parallel call maps independent
@@ -12,9 +12,11 @@
 //! iterator would play; the build environment is offline, so the fan-out is
 //! written against `std::thread::scope` instead of adding the dependency.
 //! `par_map_threads` is semantically `items.par_iter().map(f).collect()` with
-//! a fixed chunking policy.  The thread count is the caller's (sessions take
-//! it through `ExecSession::with_threads`); [`default_threads`] is the
-//! machine's available parallelism.
+//! a fixed chunking policy.  The width is the caller's: sessions pass
+//! [`default_threads`], the machine's available parallelism, to their
+//! backend, and tests pass explicit widths to the backend and `shard`
+//! calls.  Only generation and block assembly fan out; every aggregate
+//! folds on the calling thread.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

@@ -79,7 +79,7 @@ use std::sync::Arc;
 use mcdbr_prng::{SeedId, StreamKey};
 use mcdbr_storage::{Catalog, ColumnBlock, Error, Mask, Result, Schema, Value};
 
-use crate::aggregate::{AggregateSpec, QueryResultSamples, RangeFold};
+use crate::aggregate::{AggregateSpec, Aggregation, QueryResultSamples};
 use crate::backend::{ExecBackend, InProcessBackend};
 use crate::bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 use crate::cache::PlanKey;
@@ -466,7 +466,6 @@ enum Mode {
 pub struct ExecSession {
     plan: PlanNode,
     master_seed: u64,
-    threads: usize,
     backend: Arc<dyn ExecBackend>,
     pool: Arc<BlockBufferPool>,
     /// The pool's `(bytes_materialized, buffer_reuses)` when this session
@@ -552,7 +551,6 @@ impl ExecSession {
         ExecSession {
             plan: plan.clone(),
             master_seed,
-            threads: par::default_threads(),
             backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
@@ -572,7 +570,6 @@ impl ExecSession {
         ExecSession {
             plan: plan.clone(),
             master_seed,
-            threads: par::default_threads(),
             backend: Arc::new(InProcessBackend::new()),
             pool: Arc::new(BlockBufferPool::new()),
             pool_baseline: (0, 0),
@@ -585,16 +582,6 @@ impl ExecSession {
             blocks_materialized: 0,
             values_materialized: 0,
         }
-    }
-
-    /// Override the worker-thread count used by phase 2 (defaults to
-    /// [`crate::par::default_threads`], the available parallelism).
-    /// Results are bit-identical for every thread count.  The count applies
-    /// to whichever [`ExecBackend`] the session runs on: workers for the
-    /// in-process pool, the local threads of the other placements.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Run phase 2 on an explicit [`ExecBackend`] (defaults to
@@ -728,7 +715,7 @@ impl ExecSession {
             return self.backend.instantiate_block(
                 &prefix,
                 &self.pool,
-                self.threads,
+                par::default_threads(),
                 base_pos,
                 num_values,
             );
@@ -758,8 +745,13 @@ impl ExecSession {
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
         let prefix = self.cached_block(catalog, num_values)?;
-        self.backend
-            .instantiate_cells(&prefix, &self.pool, self.threads, base_pos, num_values)
+        self.backend.instantiate_cells(
+            &prefix,
+            &self.pool,
+            par::default_threads(),
+            base_pos,
+            num_values,
+        )
     }
 
     /// Phase 2 and the aggregate in one call: `agg` grouped by `group_by`
@@ -784,15 +776,19 @@ impl ExecSession {
     ) -> Result<QueryResultSamples> {
         if let Mode::Fallback { .. } = self.mode {
             let set = self.instantiate_block(catalog, base_pos, num_values)?;
-            return self
-                .backend
-                .aggregate(&set, agg, group_by, final_predicate, self.threads);
+            return self.backend.aggregate(
+                &set,
+                agg,
+                group_by,
+                final_predicate,
+                par::default_threads(),
+            );
         }
         let prefix = self.cached_block(catalog, num_values)?;
         let cells = self.backend.instantiate_cells(
             &prefix,
             &self.pool,
-            self.threads,
+            par::default_threads(),
             base_pos,
             num_values,
         )?;
@@ -1086,9 +1082,9 @@ pub(crate) fn materialize_bundle(
     Ok(Some(TupleBundle { values, is_pres }))
 }
 
-/// Fold every bundle of the skeleton straight into `range`, over a window
-/// of `num_values` positions whose streams' cells are `blocks` — what
-/// [`materialize_bundle`] and then the aggregate compute, with no bundle
+/// Fold every bundle of the skeleton straight into `aggregation`, over a
+/// window of `num_values` positions whose streams' cells are `blocks` —
+/// what [`materialize_bundle`] and then the aggregate compute, with no bundle
 /// built: the same presence masks, the same program inputs (a stream column
 /// reads its cell in place, a computed one the column
 /// [`materialize_value`] would hold), in skeleton order.  Every column of
@@ -1098,10 +1094,9 @@ pub(crate) fn fold_bundles(
     prefix: &DeterministicPrefix,
     blocks: &CellData,
     num_values: usize,
-    range: &mut RangeFold<'_>,
+    aggregation: &mut Aggregation,
 ) -> Result<()> {
     let batch = &prefix.skeleton.batch;
-    let slots = range.slots();
     let mut computed: Vec<Option<mcdbr_storage::Column>> = vec![None; batch.columns.len()];
     for idx in 0..batch.len {
         for (col, computed) in batch.columns.iter().zip(&mut computed) {
@@ -1129,9 +1124,9 @@ pub(crate) fn fold_bundles(
             // A block drops the bundle (see `materialize_bundle`).
             continue;
         }
-        range.present(idx)?;
-        range.fold(idx, &mut present, |slot| {
-            Ok(match &batch.columns[slots[slot]] {
+        aggregation.present(idx)?;
+        aggregation.fold(idx, &mut present, |column| {
+            Ok(match &batch.columns[column] {
                 SymColumn::Const(values) => Lane::constant(values[idx].clone()),
                 SymColumn::Stream {
                     ids,
@@ -1141,7 +1136,7 @@ pub(crate) fn fold_bundles(
                     Lane::column(cells_for(blocks, ids[idx])?.cell(vg_rows[idx] as usize, *vg_col)?)
                 }
                 SymColumn::Expr(_) => Lane::column(
-                    computed[slots[slot]]
+                    computed[column]
                         .as_ref()
                         .expect("computed columns are evaluated above"),
                 ),
@@ -1746,15 +1741,14 @@ mod tests {
     fn thread_counts_do_not_change_results() {
         let catalog = catalog();
         let plan = losses_plan().filter(Expr::col("val").gt(Expr::lit(4.0)));
-        let mut seq = ExecSession::prepare(&plan, &catalog, 3)
-            .unwrap()
-            .with_threads(1);
-        let mut par = ExecSession::prepare(&plan, &catalog, 3)
-            .unwrap()
-            .with_threads(8);
-        let a = seq.instantiate_block(&catalog, 0, 64).unwrap();
-        let b = par.instantiate_block(&catalog, 0, 64).unwrap();
-        assert_sets_identical(&a, &b);
+        let mut session = ExecSession::prepare(&plan, &catalog, 3).unwrap();
+        let reference = session.instantiate_block(&catalog, 0, 64).unwrap();
+        let (backend, pool) = (InProcessBackend::new(), BlockBufferPool::new());
+        for threads in [1, 8] {
+            let prefix = session.prefix().unwrap();
+            let block = backend.instantiate_block(prefix, &pool, threads, 0, 64);
+            assert_sets_identical(&block.unwrap(), &reference);
+        }
     }
 
     #[test]
@@ -1936,9 +1930,7 @@ mod tests {
         // reuse counts are exact (a block split into concurrent units adds
         // timing-dependent intra-block reuses).
         let catalog = catalog();
-        let mut session = ExecSession::prepare(&losses_plan(), &catalog, 7)
-            .unwrap()
-            .with_threads(2);
+        let mut session = ExecSession::prepare(&losses_plan(), &catalog, 7).unwrap();
         assert_eq!(session.backend().name(), "in-process");
         let _ = session.instantiate_block(&catalog, 0, 16).unwrap();
         assert_eq!(session.buffer_reuses(), 0, "cold pool allocates");

@@ -22,13 +22,12 @@
 //! counts {1, 2, 3, 7} × thread counts against `Executor::execute`, across
 //! replenishment boundaries, and on cache hits.
 //!
-//! Aggregation partitions **repetitions**, not bundles: within one
+//! Aggregation splits neither repetitions nor bundles: within one
 //! repetition the floating-point accumulation order over bundles is the
-//! bit-identity contract.  [`fold_block`] folds the whole window as one
-//! repetition range; a set's aggregation
-//! ([`crate::aggregate::evaluate_aggregate_threads`]) splits it into one
-//! range per thread.  Both share the one per-bundle fold and the one
-//! partial merge.
+//! bit-identity contract, so [`fold_block`] folds every bundle once over
+//! the whole window on the calling thread, as
+//! [`crate::aggregate::evaluate_aggregate`] does over a materialized set.
+//! The width a placement is given only fans out generation.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ use std::sync::Arc;
 use mcdbr_prng::StreamKeyRange;
 use mcdbr_storage::{ColumnBlock, Result, Value};
 
-use crate::aggregate::{AggregateSpec, GroupLayout, QueryResultSamples, RepRangeJob};
+use crate::aggregate::{AggregateSpec, Aggregation, GroupLayout, QueryResultSamples};
 use crate::bundle::BundleSet;
 use crate::expr::Expr;
 use crate::par;
@@ -160,12 +159,12 @@ pub fn fold_block(
         Ok(_) => GroupLayout::discover(skeleton.num_bundles(), !group_by.is_empty(), key_of),
         Err(column) => GroupLayout::random_key(skeleton.num_bundles(), column),
     };
-    let job = RepRangeJob::new(skeleton.schema(), layout, agg, final_predicate);
-    // One range over the whole window.  A zero-position block still decides
-    // which bundles — so which groups — it keeps: the empty range does that.
-    let mut range = job.range(0, num_values);
-    session::fold_bundles(prefix, &cells, num_values, &mut range)?;
-    job.finish(num_values, group_by, vec![range.finish()], key_of)
+    // A zero-position block still decides which bundles — so which groups —
+    // it keeps: the fold over the empty window does that.
+    let mut aggregation =
+        Aggregation::new(skeleton.schema(), layout, agg, final_predicate, num_values);
+    session::fold_bundles(prefix, &cells, num_values, &mut aggregation)?;
+    Ok(aggregation.finish(group_by, key_of))
 }
 
 /// The stream-generation half of a unit: generate the active streams at the

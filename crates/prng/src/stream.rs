@@ -73,10 +73,9 @@ impl std::fmt::Display for StreamKey {
 }
 
 /// Split `n` items into `min(parts, n)` contiguous chunk lengths differing
-/// by at most one (earlier chunks take the extra) — the one balancing rule
-/// every shard partitioner shares, whether the items are stream keys
-/// ([`StreamKeyRange::partition`]) or aggregate repetition ranges.  Returns
-/// an empty vector when `n == 0`.
+/// by at most one (earlier chunks take the extra) — the balancing rule of
+/// the stream-key partitioner ([`StreamKeyRange::partition`]).  Returns an
+/// empty vector when `n == 0`.
 pub fn balanced_chunks(n: usize, parts: usize) -> Vec<usize> {
     if n == 0 {
         return Vec::new();

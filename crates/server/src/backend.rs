@@ -13,9 +13,10 @@
 //! provided `instantiate_block`).  Every unit is submitted under the
 //! query's id, so the scheduler's round-robin ring interleaves *tasks* of
 //! concurrent queries rather than running the queries serially.  The
-//! aggregate of a set is one unit that delegates to the inner backend.
+//! aggregate of a set (a fallback plan's) is one unit that delegates to
+//! the inner backend and folds the set on the one pool thread it holds.
 //!
-//! Bit-identity is inherited, not re-argued: the unit bodies and merges
+//! Bit-identity is inherited, not re-argued: the unit bodies and folds
 //! are the ones every backend runs, so results equal a single-threaded run
 //! of the same query bit for bit — the property
 //! `tests/server_concurrency.rs` asserts across both inner backends.

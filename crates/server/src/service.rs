@@ -28,8 +28,9 @@
 //!   work, no unbounded queue build-up).  Draining servers reply
 //!   `ShuttingDown`.
 //! * **Fairness**: each admitted query runs through a per-query
-//!   [`FairBackend`] that decomposes its work into
-//!   shard-task / rep-range units on the shared [`FairScheduler`]; the
+//!   [`FairBackend`] that places its work as units on the shared
+//!   [`FairScheduler`] — a block's generation units, or one unit that
+//!   aggregates a fallback plan's set on its one pool thread; the
 //!   scheduler round-robins across queries, so a big query cannot starve
 //!   a small one.
 //! * **Drain**: `Shutdown` (frame or [`ServerHandle::shutdown`]) stops
@@ -104,9 +105,10 @@ struct Shared {
     next_qid: AtomicU64,
     queries_served: AtomicU64,
     plan_executions: AtomicU64,
-    /// Scheduler units (shard tasks + rep ranges) dispatched across all
-    /// queries; the process inner's wire tasks are reported on top.
-    tasks_dispatched: AtomicU64,
+    /// Scheduler units spawned across all queries (each query's
+    /// [`FairBackend::units_spawned`]); the inner backend's own units are
+    /// reported on top.
+    shards_spawned: AtomicU64,
     busy_rejections: AtomicU64,
     /// Admitted queries cancelled at a block boundary for blowing the
     /// per-query deadline (each is answered with a typed `Timeout` reply).
@@ -196,8 +198,8 @@ impl Shared {
             skeleton_hits: self.cache.skeleton_hits() as u64,
             skeleton_misses: self.cache.skeleton_misses() as u64,
             plan_executions: self.plan_executions.load(Ordering::Relaxed),
-            tasks_dispatched: self.tasks_dispatched.load(Ordering::Relaxed)
-                + window.tasks_dispatched as u64,
+            shards_spawned: self.shards_spawned.load(Ordering::Relaxed)
+                + window.shards_spawned as u64,
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
             inflight: self.gate.lock().expect("gate").inflight as u64,
@@ -249,7 +251,7 @@ impl Shared {
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         self.plan_executions
             .fetch_add(run.plan_executions as u64, Ordering::Relaxed);
-        self.tasks_dispatched
+        self.shards_spawned
             .fetch_add(fair.units_spawned() as u64, Ordering::Relaxed);
         Ok((
             samples,
@@ -297,7 +299,7 @@ impl Server {
             next_qid: AtomicU64::new(1),
             queries_served: AtomicU64::new(0),
             plan_executions: AtomicU64::new(0),
-            tasks_dispatched: AtomicU64::new(0),
+            shards_spawned: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             query_timeouts: AtomicU64::new(0),
             connections: AtomicU64::new(0),

@@ -5,7 +5,8 @@
 //! every bundle once straight into the aggregate, so no `BundleSet` exists.
 //! This suite holds it, bit for bit, to `instantiate_block` followed by
 //! `evaluate_aggregate` — groups, their order and keys, every sample — on
-//! the in-process backend at several thread counts, and on two worker
+//! the in-process backend (its cells at several thread counts folded by
+//! `fold_block`), and on two worker
 //! processes, whose cells the coordinator either folds (`sample_block`) or
 //! assembles into the set (`instantiate_block`); and it requires both sides
 //! to fail together.  The shapes are the ones where
@@ -18,7 +19,9 @@
 use mcdbr::dispatch::ProcessBackend;
 use mcdbr::exec::aggregate::{evaluate_aggregate, AggFunc, AggregateSpec, QueryResultSamples};
 use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
-use mcdbr::exec::{ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode};
+use mcdbr::exec::{
+    fold_block, BlockBufferPool, ExecBackend, ExecSession, Expr, InProcessBackend, PlanNode,
+};
 use mcdbr::storage::{Catalog, Field, Result, Schema, TableBuilder, Value};
 use mcdbr::vg::{MultiNormalVg, NormalVg};
 use std::sync::Arc;
@@ -201,15 +204,40 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
                     Err(_) => failed += 2,
                 }
             }
+            let mut session = ExecSession::prepare(&plan, &catalog, 99)
+                .unwrap()
+                .with_backend(Arc::new(InProcessBackend::new()));
+            for ((agg, by, pred), want) in queries.iter().zip(&wants) {
+                let case = format!("{name}, n = {n}: {agg:?} by {by:?} where {pred:?}");
+                let got = session.sample_block(&catalog, base, n, agg, by, pred.as_ref());
+                assert_same(&case, &got, want);
+                compared += 1;
+                match want {
+                    Ok(s) => groups += s.groups.len(),
+                    Err(_) => failed += 1,
+                }
+            }
+            // One block per call, each counting what a block counts.
+            let calls = queries.len() as u64;
+            assert_eq!(session.blocks_materialized() as u64, calls, "{name}");
+            let values = reference.values_materialized() * calls;
+            assert_eq!(session.values_materialized(), values, "{name}");
+            // The session's path at explicit widths: the backend's cells
+            // folded once, or a fallback plan's set aggregated by the
+            // backend.
+            let (local, pool) = (InProcessBackend::new(), BlockBufferPool::new());
             for threads in [1, 2, 3] {
-                let mut session = ExecSession::prepare(&plan, &catalog, 99)
-                    .unwrap()
-                    .with_threads(threads)
-                    .with_backend(Arc::new(InProcessBackend::new()));
                 for ((agg, by, pred), want) in queries.iter().zip(&wants) {
                     let case =
                         format!("{name}, n = {n}, x{threads}: {agg:?} by {by:?} where {pred:?}");
-                    let got = session.sample_block(&catalog, base, n, agg, by, pred.as_ref());
+                    let got = match session.prefix() {
+                        Some(prefix) => (local.instantiate_cells(prefix, &pool, threads, base, n))
+                            .and_then(|cells| fold_block(prefix, cells, n, agg, by, pred.as_ref())),
+                        None => {
+                            let set = session.instantiate_block(&catalog, base, n).unwrap();
+                            local.aggregate(&set, agg, by, pred.as_ref(), threads)
+                        }
+                    };
                     assert_same(&case, &got, want);
                     compared += 1;
                     match want {
@@ -217,19 +245,14 @@ fn sample_block_is_bit_identical_to_instantiate_then_aggregate() {
                         Err(_) => failed += 1,
                     }
                 }
-                // One block per call, each counting what a block counts.
-                let calls = queries.len() as u64;
-                assert_eq!(session.blocks_materialized() as u64, calls, "{name}");
-                let values = reference.values_materialized() * calls;
-                assert_eq!(session.values_materialized(), values, "{name}");
             }
         }
     }
-    // 7 plans x 3 repetition counts x 43 queries x (3 thread counts + the
-    // fold and the assembly on two workers); the error cases fail on every
-    // plan that has a present bundle, and the grouped ones see every region
-    // that has one.
-    assert_eq!(compared, 7 * 3 * 43 * (3 + 2));
+    // 7 plans x 3 repetition counts x 43 queries x (the session + 3 thread
+    // counts + the fold and the assembly on two workers); the error cases
+    // fail on every plan that has a present bundle, and the grouped ones see
+    // every region that has one.
+    assert_eq!(compared, 7 * 3 * 43 * (1 + 3 + 2));
     // The cached plans' blocks crossed the wire, for each set and each
     // fold: one task per worker, or one in all on the plan with no bundles
     // (no active stream to split).

@@ -432,20 +432,23 @@ fn shared_counters_stay_exact_under_load() {
             let query = query.clone();
             std::thread::spawn(move || {
                 let mut client = ServerClient::connect(addr).unwrap();
+                let mut shards = 0;
                 for q in 0..per_client {
                     match client.query(&query, reps, c * 10 + q).unwrap() {
-                        QueryReply::Ok { .. } => {}
+                        QueryReply::Ok { stats, .. } => {
+                            assert_eq!(stats.tasks_dispatched, 0, "no worker process");
+                            shards += stats.shards_spawned;
+                        }
                         QueryReply::Rejected { code, message } => {
                             panic!("rejected under cap: {code:?} {message}")
                         }
                     }
                 }
+                shards
             })
         })
         .collect();
-    for thread in threads {
-        thread.join().unwrap();
-    }
+    let shards: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
 
     let total = clients * per_client;
     assert_eq!(handle.cache().skeleton_misses() as u64, 1);
@@ -461,8 +464,9 @@ fn shared_counters_stay_exact_under_load() {
     assert_eq!(stats.plan_executions, 1);
     assert_eq!(stats.inflight, 0);
     assert_eq!(stats.connections, clients, "one connection per client");
-    assert!(
-        stats.tasks_dispatched >= total,
-        "every query dispatched work"
+    assert!(shards >= total, "every query spawned units");
+    assert_eq!(
+        stats.shards_spawned, shards,
+        "the server's units are the sum of the queries'"
     );
 }

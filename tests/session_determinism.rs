@@ -4,13 +4,15 @@
 //! produce a `BundleSet` *bit-identical* to a from-scratch
 //! `Executor::execute` at the same `(master_seed, base_pos, num_values)` —
 //! for simple and multi-operator plans, across replenishment boundaries, and
-//! for every worker-thread count.  This is the property that lets the
-//! GibbsLooper and the MCDB engine replace per-block plan re-execution with
-//! cached-prefix block materialization without changing a single result.
+//! for every worker-thread count (passed to the backend and `shard` calls
+//! that take a width; a session always runs at the machine's default).
+//! This is the property that lets the GibbsLooper and the MCDB engine
+//! replace per-block plan re-execution with cached-prefix block
+//! materialization without changing a single result.
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::ProcessBackend;
-use mcdbr::exec::aggregate::{evaluate_aggregate, evaluate_aggregate_threads};
+use mcdbr::exec::aggregate::evaluate_aggregate;
 use mcdbr::exec::{
     assemble_block, BlockBufferPool, BundleSet, BundleValue, DeterministicPrefix, ExecBackend,
     ExecOptions, ExecSession, Executor, Expr, InProcessBackend, PlanNode, SessionCache, ShardTask,
@@ -199,20 +201,31 @@ fn blocks_are_identical_across_replenishment_boundaries() {
     }
 }
 
+/// Block `base .. base + n` of `session`'s prefix from its backend at
+/// width `threads`, primed for dispatch as a session primes it.
+fn block_at_width(
+    session: &ExecSession,
+    plan: &PlanNode,
+    catalog: &Catalog,
+    threads: usize,
+    base: u64,
+    n: usize,
+) -> BundleSet {
+    let (prefix, backend) = (session.prefix().unwrap(), session.backend());
+    backend.prepare_dispatch(plan, catalog, prefix).unwrap();
+    let pool = BlockBufferPool::new();
+    backend
+        .instantiate_block(prefix, &pool, threads, base, n)
+        .unwrap()
+}
+
 #[test]
 fn thread_counts_never_change_a_block() {
     let (catalog, plan) = complex_case();
-    let reference = ExecSession::prepare(&plan, &catalog, 31)
-        .unwrap()
-        .with_threads(1)
-        .instantiate_block(&catalog, 0, 128)
-        .unwrap();
-    for threads in [2, 3, 4, 16] {
-        let parallel = ExecSession::prepare(&plan, &catalog, 31)
-            .unwrap()
-            .with_threads(threads)
-            .instantiate_block(&catalog, 0, 128)
-            .unwrap();
+    let mut session = ExecSession::prepare(&plan, &catalog, 31).unwrap();
+    let reference = session.instantiate_block(&catalog, 0, 128).unwrap();
+    for threads in [1, 2, 3, 4, 16] {
+        let parallel = block_at_width(&session, &plan, &catalog, threads, 0, 128);
         assert_bit_identical(&reference, &parallel);
     }
 }
@@ -403,12 +416,11 @@ fn process_backend_blocks_are_bit_identical_for_every_worker_and_thread_count() 
     for workers in [1usize, 2, 3] {
         for threads in [1usize, 2, 7] {
             let backend = Arc::new(ProcessBackend::new(workers));
-            let mut session = ExecSession::prepare(&plan, &catalog, seed)
+            let session = ExecSession::prepare(&plan, &catalog, seed)
                 .unwrap()
-                .with_threads(threads)
                 .with_backend(backend.clone());
             for (&(base, n), want) in blocks.iter().zip(&expected) {
-                let got = session.instantiate_block(&catalog, base, n).unwrap();
+                let got = block_at_width(&session, &plan, &catalog, threads, base, n);
                 assert_bit_identical(want, &got);
                 assert_bit_identical(want, &exec_from_scratch(&plan, &catalog, seed, base, n));
             }
@@ -656,11 +668,12 @@ fn assert_backends_match_across_a_pool_kill(
 }
 
 #[test]
-fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backends() {
+fn tiny_page_cache_blocks_match_on_both_backends_across_a_pool_kill() {
     // The paged-storage contract composed with plan shipping:
     // with the global page cache forced far below the catalog's page count
-    // (every scan misses, decodes, and evicts), all three backends must
-    // still produce bit-identical blocks, cold, warm and after a pool kill.
+    // (every scan misses, decodes, and evicts), the in-process and process
+    // backends must still produce bit-identical blocks, cold, warm and
+    // after a pool kill.
     use mcdbr::storage::BufferPool;
     let catalog = customer_losses_catalog(2_000, (1.0, 5.0), 11).unwrap();
     let plan = customer_losses_query(Some(120)).plan;
@@ -697,15 +710,16 @@ fn tiny_page_cache_and_content_addressed_fetch_stay_bit_identical_across_backend
 }
 
 #[test]
-fn disk_backed_tables_and_persistent_worker_stores_stay_bit_identical_across_backends() {
+fn spilled_catalogs_equal_memory_on_both_backends_engine_and_looper() {
     // The durable-pages contract end to end: the catalog's sealed pages are
     // spilled to heap files under a private pager (zero sealed bytes stay
     // resident, every pool miss is re-read and re-validated from disk), the
-    // global page cache is forced to 2 frames, and all three backends must
-    // produce blocks bit-identical to the plain in-memory path.  Workers keep
-    // each plan with its tables across tasks, so warm dispatch ships
-    // headers, not pages, until the pool is killed.  The engine and the
-    // Gibbs looper over the spilled catalog must equal their in-memory runs.
+    // global page cache is forced to 2 frames, and the in-process and
+    // process backends must produce blocks bit-identical to the plain
+    // in-memory path.  Workers keep each plan with its tables across tasks,
+    // so warm dispatch ships headers, not pages, until the pool is killed.
+    // The engine and the Gibbs looper over the spilled catalog must equal
+    // their in-memory runs.
     use mcdbr::storage::{BufferPool, Pager};
     let catalog_mem = customer_losses_catalog(2_000, (1.0, 5.0), 11).unwrap();
     let query = customer_losses_query(Some(150));
@@ -853,30 +867,6 @@ fn phase_one_reads_each_spilled_page_exactly_once() {
     let _ = std::fs::remove_dir_all(&spill_root);
 }
 
-#[test]
-fn parallel_aggregation_is_bit_identical_to_sequential() {
-    let (catalog, plan) = complex_case();
-    let set = ExecSession::prepare(&plan, &catalog, 13)
-        .unwrap()
-        .instantiate_block(&catalog, 0, 256)
-        .unwrap();
-    let agg = mcdbr::exec::AggregateSpec::sum(Expr::col("loss"), "total");
-    let group = vec!["region".to_string()];
-    let seq = evaluate_aggregate_threads(&set, &agg, &group, None, 1).unwrap();
-    for threads in [2, 5, 32] {
-        let par = evaluate_aggregate_threads(&set, &agg, &group, None, threads).unwrap();
-        assert_eq!(seq.group_columns, par.group_columns);
-        assert_eq!(seq.groups.len(), par.groups.len());
-        for ((ka, va), (kb, vb)) in seq.groups.iter().zip(&par.groups) {
-            assert_eq!(ka, kb);
-            assert!(va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-    }
-    // And the convenience wrapper (default threads) agrees too.
-    let default = evaluate_aggregate(&set, &agg, &group, None).unwrap();
-    assert_eq!(default.groups, seq.groups);
-}
-
 /// `SUM(expr) WHERE pred GROUP BY group` per repetition by `Expr::eval` on
 /// each present bundle's row, groups in first-seen order: the scalar
 /// referee of the aggregate's compiled program.
@@ -927,12 +917,11 @@ fn compiled_programs_match_the_scalar_oracle_across_backends() {
     ] {
         let mut session = ExecSession::prepare(&plan, &catalog, seed)
             .unwrap()
-            .with_threads(2)
             .with_backend(backend);
         for &(base, n) in &blocks {
             let set = session.instantiate_block(&catalog, base, n).unwrap();
             assert_bit_identical(&set, &exec_from_scratch(&plan, &catalog, seed, base, n));
-            let samples = evaluate_aggregate_threads(&set, &agg, &group, Some(&pred), 3).unwrap();
+            let samples = evaluate_aggregate(&set, &agg, &group, Some(&pred)).unwrap();
             let referee = scalar_grouped_sum(&set, &agg.expr, "region", &pred);
             assert_eq!(samples.groups.len(), referee.len());
             for ((ka, va), (kb, vb)) in samples.groups.iter().zip(&referee) {
@@ -982,14 +971,10 @@ fn per_stream_windows_equal_the_same_cells_of_a_full_width_block() {
     for (plan, catalog) in [(&complex, &complex_catalog), (&join, &w.catalog)] {
         for threads in [1usize, 2, 8] {
             let seed = 5;
-            let mut session = ExecSession::prepare(plan, catalog, seed)
-                .unwrap()
-                .with_threads(threads);
+            let mut session = ExecSession::prepare(plan, catalog, seed).unwrap();
             let keys = session.prefix().unwrap().skeleton().active_keys().to_vec();
             for (base, n) in [(0u64, 24usize), (20, 10), (24, 48), (40, 33)] {
-                let block = session
-                    .instantiate_block(catalog, 0, base as usize + n)
-                    .unwrap();
+                let block = block_at_width(&session, plan, catalog, threads, 0, base as usize + n);
                 for key in [keys[0], *keys.last().unwrap()] {
                     let (blocks, values) =
                         (session.blocks_materialized(), session.values_materialized());
@@ -1077,18 +1062,13 @@ fn cache_hits_are_thread_count_independent() {
     let reference = cache
         .session(&plan, &catalog, 31)
         .unwrap()
-        .with_threads(1)
         .instantiate_block(&catalog, 0, 128)
         .unwrap();
-    for threads in [2, 4, 16] {
+    for threads in [1, 4, 16] {
         // Every one of these is a cache hit materialized under a different
         // worker count.
-        let block = cache
-            .session(&plan, &catalog, 31)
-            .unwrap()
-            .with_threads(threads)
-            .instantiate_block(&catalog, 0, 128)
-            .unwrap();
+        let session = cache.session(&plan, &catalog, 31).unwrap();
+        let block = block_at_width(&session, &plan, &catalog, threads, 0, 128);
         assert_bit_identical(&reference, &block);
     }
     assert_eq!(cache.skeleton_hits(), 3);

@@ -713,7 +713,7 @@ fn server_reply_frames_round_trip_identically() {
             skeleton_hits: g.u64(),
             skeleton_misses: g.u64(),
             plan_executions: g.u64(),
-            tasks_dispatched: g.u64(),
+            shards_spawned: g.u64(),
             busy_rejections: g.u64(),
             connections: g.u64(),
             inflight: g.u64(),
