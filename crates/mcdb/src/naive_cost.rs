@@ -18,7 +18,7 @@
 //! *standard error* on the tail probability induced by the quantile estimate,
 //! which is what recovers the "ten million" figure.
 
-use mcdbr_vg::math::{std_normal_cdf, std_normal_quantile};
+use mcdbr_vg::math::{erfc, std_normal_quantile};
 
 /// Closed-form repetition counts for naive Monte Carlo tail exploration.
 #[derive(Debug, Clone, Copy)]
@@ -41,9 +41,11 @@ impl NaiveCostModel {
         NaiveCostModel::new(10.0e6, 1.0e6)
     }
 
-    /// Upper-tail probability `P(X >= threshold)`.
+    /// Upper-tail probability `P(X >= threshold)`, as `erfc(z/√2) / 2`:
+    /// `1 − Φ(z)` would cancel to zero from `z ≈ 8.3` on.
     pub fn tail_probability(&self, threshold: f64) -> f64 {
-        1.0 - std_normal_cdf((threshold - self.mean) / self.sd)
+        let z = (threshold - self.mean) / self.sd;
+        0.5 * erfc(z / std::f64::consts::SQRT_2)
     }
 
     /// Expected number of repetitions before one sample lands at or above
@@ -117,6 +119,21 @@ mod tests {
         let m = NaiveCostModel::new(0.0, 1.0);
         assert!(m.tail_probability(1.0) > m.tail_probability(2.0));
         assert!(m.expected_reps_per_tail_hit(2.0) > m.expected_reps_per_tail_hit(1.0));
+    }
+
+    #[test]
+    fn far_tail_probability_does_not_cancel() {
+        // `0.5 * math.erfc(z / math.sqrt(2))` in Python.
+        let m = NaiveCostModel::new(0.0, 1.0);
+        for (z, want) in [
+            (6.0, 9.865876450377012e-10),
+            (8.0, 6.220960574271819e-16),
+            (9.0, 1.1285884059538422e-19),
+        ] {
+            let got = m.tail_probability(z);
+            assert!((got - want).abs() <= 1e-15 * want, "P(Z >= {z}) = {got:e}");
+            assert!(m.expected_reps_per_tail_hit(z).is_finite());
+        }
     }
 
     #[test]

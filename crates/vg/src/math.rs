@@ -1,40 +1,147 @@
 //! Special functions needed by the samplers and the analytic oracles.
 //!
-//! Everything here is implemented from scratch using standard, well-tested
-//! numerical recipes (Abramowitz & Stegun, Numerical Recipes, Acklam's normal
-//! quantile) so the repository has no external numerics dependency and so
-//! the MCDB-R analytic validation (paper Appendix D, Fig. 5) controls its own
-//! precision.
+//! Everything here is implemented from scratch from published algorithms, so
+//! the repository has no external numerics dependency and the MCDB-R analytic
+//! validation (paper Appendix D, Fig. 5) controls its own precision:
+//!
+//! * [`std_normal_quantile`] is Wichura's AS241 (PPND16), good to full double
+//!   precision; it is the transform behind every Normal variate.
+//! * [`erf`] and [`erfc`] are Cody's rational Chebyshev approximations
+//!   (SPECFUN `CALERF`), good to a few ulp, so `Φ(Φ⁻¹(p))` round-trips and
+//!   the oracles agree with the sampler to ~1e-16.
+//! * [`ln_gamma`] (Lanczos) and [`regularized_gamma_p`] (Numerical Recipes)
+//!   serve the Gamma / Inverse-Gamma oracles.
+//!
+//! `crates/vg/tests/normal_reference.rs` checks the first two against
+//! tables computed by Python's `statistics.NormalDist().inv_cdf` and
+//! `math.erfc`.
 
-// Tabulated coefficients (Lanczos, Acklam) are kept at published precision.
+// Tabulated coefficients (Wichura, Cody, Lanczos) are kept at published
+// precision.
 #![allow(clippy::excessive_precision)]
-/// The error function `erf(x)`, accurate to roughly 1.2e-7 (A&S 7.1.26-style
-/// rational approximation with an exponential correction, as popularized in
-/// Numerical Recipes).
+
+/// Evaluates the polynomial with coefficients `c` (highest degree first) at
+/// `x` by Horner's rule.
+#[inline(always)]
+fn poly<const N: usize>(x: f64, c: &[f64; N]) -> f64 {
+    let mut acc = c[0];
+    for &k in &c[1..] {
+        acc = acc * x + k;
+    }
+    acc
+}
+
+/// `|x|` up to which [`erf`] is one rational in `x²`; past it, [`erfc`] is
+/// computed directly.
+const ERF_SPLIT: f64 = 0.46875;
+
+/// `|x|` from which `erfc(x)` underflows to zero.
+const ERFC_UNDERFLOW: f64 = 26.543;
+
+/// `1 / √π`.
+const FRAC_1_SQRT_PI: f64 = 0.56418958354775628695;
+
+/// The error function `erf(x)` (Cody 1969): within 2.3e-16 absolute of
+/// Python's `math.erf` over 20 000 points in [−6, 6].
 pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * x);
-    // Numerical Recipes erfc approximation.
-    let tau = t
-        * (-x * x - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    sign * (1.0 - tau)
+    // erf(x) = x · A(x²) / B(x²) on |x| <= 0.46875.
+    const A: [f64; 5] = [
+        1.85777706184603153e-1,
+        3.16112374387056560e00,
+        1.13864154151050156e02,
+        3.77485237685302021e02,
+        3.20937758913846947e03,
+    ];
+    const B: [f64; 5] = [
+        1.0,
+        2.36012909523441209e01,
+        2.44024637934444173e02,
+        1.28261652607737228e03,
+        2.84423683343917062e03,
+    ];
+    if x.abs() <= ERF_SPLIT {
+        let x2 = x * x;
+        x * poly(x2, &A) / poly(x2, &B)
+    } else {
+        ((0.5 - erfc(x.abs())) + 0.5).copysign(x)
+    }
 }
 
-/// Complementary error function.
+/// The complementary error function `erfc(x) = 1 − erf(x)`, computed
+/// without cancellation (Cody 1969): within 7 ulp relative of Python's
+/// `math.erfc` (0.8 on average) over 100 000 points in [0.4, 26.5], deep
+/// tail included (`erfc(26) ≈ 5.7e-296`); zero from `x ≈ 26.54` on.
 pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
+    // erfc(y) = exp(-y²) · C(y) / D(y) on 0.46875 < y <= 4.
+    const C: [f64; 9] = [
+        2.15311535474403846e-8,
+        5.64188496988670089e-1,
+        8.88314979438837594e00,
+        6.61191906371416295e01,
+        2.98635138197400131e02,
+        8.81952221241769090e02,
+        1.71204761263407058e03,
+        2.05107837782607147e03,
+        1.23033935479799725e03,
+    ];
+    const D: [f64; 9] = [
+        1.0,
+        1.57449261107098347e01,
+        1.17693950891312499e02,
+        5.37181101862009858e02,
+        1.62138957456669019e03,
+        3.29079923573345963e03,
+        4.36261909014324716e03,
+        3.43936767414372164e03,
+        1.23033935480374942e03,
+    ];
+    // erfc(y) = exp(-y²) / y · (1/√π − z · P(z) / Q(z)), z = 1/y², on y > 4.
+    const P: [f64; 6] = [
+        1.63153871373020978e-2,
+        3.05326634961232344e-1,
+        3.60344899949804439e-1,
+        1.25781726111229246e-1,
+        1.60837851487422766e-2,
+        6.58749161529837803e-4,
+    ];
+    const Q: [f64; 6] = [
+        1.0,
+        2.56852019228982242e00,
+        1.87295284992346725e00,
+        5.27905102951428412e-1,
+        6.05183413124413191e-2,
+        2.33520497626869185e-3,
+    ];
+    let y = x.abs();
+    if y <= ERF_SPLIT {
+        return 1.0 - erf(x);
+    }
+    let upper = if y <= 4.0 {
+        poly(y, &C) / poly(y, &D) * exp_neg_square(y)
+    } else if y >= ERFC_UNDERFLOW {
+        0.0
+    } else {
+        let z = 1.0 / (y * y);
+        (FRAC_1_SQRT_PI - z * poly(z, &P) / poly(z, &Q)) / y * exp_neg_square(y)
+    };
+    if x < 0.0 {
+        2.0 - upper
+    } else {
+        upper
+    }
 }
 
-/// CDF of the standard normal distribution.
+/// `exp(-y²)` without the error of rounding `y²`: `y` is split at a
+/// multiple of 1/16, whose square is exact (Cody).
+fn exp_neg_square(y: f64) -> f64 {
+    let head = (y * 16.0).trunc() / 16.0;
+    let tail = (y - head) * (y + head);
+    (-head * head).exp() * (-tail).exp()
+}
+
+/// CDF of the standard normal distribution, `Φ(x) = erfc(−x/√2) / 2`:
+/// within a few ulp relative in the body and the upper tail, and within
+/// ~`x²` ulp relative in the lower tail (the rounding of `x/√2`).
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
@@ -46,8 +153,14 @@ pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
 
 /// Quantile (inverse CDF) of the standard normal distribution.
 ///
-/// Acklam's algorithm: relative error below 1.15e-9 over the full open unit
-/// interval, refined here with one Halley step to near machine precision.
+/// Wichura's AS241 (PPND16, *Appl. Statist.* 37, 1988), evaluated term for
+/// term as Python's `statistics.NormalDist().inv_cdf` does (bit-equal to it
+/// on 28 000 random `p` down to 1e-300): relative error about 1e-16 over
+/// the whole open unit interval, `Φ⁻¹(0.5) = 0` and
+/// `Φ⁻¹(1 − p) = −Φ⁻¹(p)` whenever `1 − p` is exact.  For `|p − ½| <= 0.425`
+/// (85 % of uniform draws) it is one rational in `(p − ½)²`, with no `exp`
+/// or `log`; in the tails it is a rational in `√(−ln min(p, 1 − p))`.
+///
 /// This is the workhorse of the `Normal` VG function — every normal variate
 /// in the system is `mean + sd * std_normal_quantile(u)` for a stream uniform
 /// `u`, which makes values monotone in `u` and therefore easy to reason about
@@ -55,63 +168,88 @@ pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
 pub fn std_normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1), got {p}");
 
-    // Coefficients for Acklam's rational approximations.
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
+    // |q| <= 0.425: q · A(r) / B(r), r = 0.425² − q².
+    const A: [f64; 8] = [
+        2.5090809287301226727e+3,
+        3.3430575583588128105e+4,
+        6.7265770927008700853e+4,
+        4.5921953931549871457e+4,
+        1.3731693765509461125e+4,
+        1.9715909503065514427e+3,
+        1.3314166789178437745e+2,
+        3.3871328727963666080e+0,
     ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
+    const B: [f64; 8] = [
+        5.2264952788528545610e+3,
+        2.8729085735721942674e+4,
+        3.9307895800092710610e+4,
+        2.1213794301586595867e+4,
+        5.3941960214247511077e+3,
+        6.8718700749205790830e+2,
+        4.2313330701600911252e+1,
+        1.0,
     ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
+    // r = √(−ln min(p, 1 − p)) <= 5: C(r − 1.6) / D(r − 1.6).
+    const C: [f64; 8] = [
+        7.74545014278341407640e-4,
+        2.27238449892691845833e-2,
+        2.41780725177450611770e-1,
+        1.27045825245236838258e+0,
+        3.64784832476320460504e+0,
+        5.76949722146069140550e+0,
+        4.63033784615654529590e+0,
+        1.42343711074968357734e+0,
     ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
+    const D: [f64; 8] = [
+        1.05075007164441684324e-9,
+        5.47593808499534494600e-4,
+        1.51986665636164571966e-2,
+        1.48103976427480074590e-1,
+        6.89767334985100004550e-1,
+        1.67638483018380384940e+0,
+        2.05319162663775882187e+0,
+        1.0,
     ];
-    const P_LOW: f64 = 0.02425;
+    // r > 5: E(r − 5) / F(r − 5).
+    const E: [f64; 8] = [
+        2.01033439929228813265e-7,
+        2.71155556874348757815e-5,
+        1.24266094738807843860e-3,
+        2.65321895265761230930e-2,
+        2.96560571828504891230e-1,
+        1.78482653991729133580e+0,
+        5.46378491116411436990e+0,
+        6.65790464350110377720e+0,
+    ];
+    const F: [f64; 8] = [
+        2.04426310338993978564e-15,
+        1.42151175831644588870e-7,
+        1.84631831751005468180e-5,
+        7.86869131145613259100e-4,
+        1.48753612908506148525e-2,
+        1.36929880922735805310e-1,
+        5.99832206555887937690e-1,
+        1.0,
+    ];
 
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+    let q = p - 0.5;
+    if q.abs() <= 0.425 {
+        let r = 0.180625 - q * q;
+        return poly(r, &A) * q / poly(r, &B);
+    }
+    let r = (-(if q <= 0.0 { p } else { 1.0 - p }).ln()).sqrt();
+    let x = if r <= 5.0 {
+        let r = r - 1.6;
+        poly(r, &C) / poly(r, &D)
     } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+        let r = r - 5.0;
+        poly(r, &E) / poly(r, &F)
     };
-
-    // One Halley refinement step.  It makes the quantile *less* accurate:
-    // against `statistics.NormalDist().inv_cdf` (Python), Acklam's
-    // approximation above is within 3.9e-9, but the step corrects it
-    // through `std_normal_cdf`, whose `erf` is good to only 1.2e-7, and its
-    // maximum error is 1.04e-7.  It stays because removing it would change
-    // every Normal variate; ROADMAP's Normal-sampler item replaces both at
-    // once.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
+    if q < 0.0 {
+        -x
+    } else {
+        x
+    }
 }
 
 /// Quantile of a `Normal(mean, sd)` distribution.
