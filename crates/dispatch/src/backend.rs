@@ -1358,5 +1358,14 @@ mod tests {
         let b = reference.sample_block(&catalog, 12, 12, &agg, &[], None);
         assert_eq!(sample_bits(&a), sample_bits(&b.unwrap()));
         assert_eq!(session.backend().shard_stats().tasks_dispatched, 0);
+        // Its token names no built-in, so neither frame can carry it.
+        assert!(matches!(
+            wire::encode_query(&local_plan, &agg, None, &[], 12, 5),
+            Err(WireError::Unserializable(_))
+        ));
+        assert!(matches!(
+            wire::encode_plan(PlanKey::new(&local_plan, &catalog), &local_plan, &catalog),
+            Err(WireError::Unserializable(_))
+        ));
     }
 }

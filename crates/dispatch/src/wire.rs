@@ -21,12 +21,12 @@
 //! Shutdown                →                              (clean exit)
 //! ```
 //!
-//! A `Plan` frame carries the [`PlanKey`], the serialized [`PlanNode`] and,
-//! by name, every table the plan reads (sealed page bytes verbatim, fully
-//! validated on arrival; the open tail column-major).  A worker receives
-//! it once per key, before its first task for that key, and answers
-//! nothing.  The `(plan fingerprint, catalog
-//! epoch)` [`PlanKey`] travels first on every `Task`, so a *warm* worker —
+//! A `Plan` frame carries the [`PlanKey`], the plan's
+//! [`PlanNode::encode_wire`] bytes and, by name, every table the plan
+//! reads (sealed page bytes verbatim, fully validated on arrival; the open
+//! tail column-major).  A worker receives it once per key, before its
+//! first task for that key, and answers nothing.  The `(plan fingerprint,
+//! catalog epoch)` [`PlanKey`] travels first on every `Task`, so a *warm* worker —
 //! one that already built this plan's skeleton for an earlier task — skips
 //! phase 1 through its own [`mcdbr_exec::SessionCache`] and reports the
 //! hit in [`TaskStats::warm_hit`].  A task's result is one `Cells` frame
@@ -46,11 +46,18 @@
 //! expressions nest at most 256 levels.  A version or magic mismatch is
 //! rejected at the handshake before any plan or task bytes flow.
 //!
-//! VG functions serialize by construction-time configuration (the built-in
-//! set is enumerable via [`mcdbr_vg::VgFunction::as_any`]); a plan using a
-//! third-party VG function is not wire-serializable — [`encode_plan`]
-//! reports [`WireError::Unserializable`] and the dispatcher executes such
-//! plans locally instead.
+//! This module holds frames only.  A plan and its expressions travel in
+//! the one encoding `mcdbr_exec` defines next to [`PlanNode`]
+//! ([`PlanNode::encode_wire`] / [`PlanNode::decode_wire`]), the bytes
+//! [`PlanNode::fingerprint`] hashes, so the fingerprint in a [`PlanKey`] is
+//! FNV-1a of the plan bytes in the same `Plan` frame.  A VG function travels
+//! as its [`mcdbr_vg::VgFunction::cache_token`] and is rebuilt by
+//! [`mcdbr_vg::from_token`], which knows the seven built-ins: a plan using
+//! a third-party VG function is not wire-serializable — [`encode_plan`] and
+//! [`encode_query`] report [`WireError::Unserializable`] and the dispatcher
+//! executes such plans locally instead — and an unknown token, or a
+//! built-in configuration past [`mcdbr_vg::MAX_TOKEN_SIZE`], decodes as
+//! [`WireError::Corrupt`].
 //!
 //! The same frame discipline carries the **client ↔ server** conversation
 //! of `mcdbr-server` over TCP (tags 8–13).  A client speaks `Hello` first
@@ -62,22 +69,16 @@
 //! server's own catalog.
 
 use std::io::{Read, Write};
-use std::sync::Arc;
 
-use mcdbr_exec::plan::{OutputColumn, RandomTableSpec};
 use mcdbr_exec::{
-    AggFunc, AggregateSpec, BinaryOp, BundleValue, CellCols, Expr, JoinType, PlanNode,
-    QueryResultSamples, SharedColumn, TupleBundle,
+    AggFunc, AggregateSpec, BundleValue, CellCols, Expr, PlanNode, QueryResultSamples,
+    SharedColumn, TupleBundle,
 };
 use mcdbr_prng::{StreamKey, StreamKeyRange};
 use mcdbr_storage::codec::{put_count, put_str};
 use mcdbr_storage::{
     Column, DataType, DecodeError, DecodeResult, Error, Field, Page, Reader, Schema, Table, Tuple,
     Value,
-};
-use mcdbr_vg::{
-    BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
-    VgFunction,
 };
 
 /// The protocol magic (`"MCDW"` little-endian) every handshake leads with.
@@ -90,8 +91,10 @@ pub const WIRE_MAGIC: u32 = 0x5744_434D;
 /// eviction count to the stats frame; version 4 removed it again.
 /// Version 5 answers a task with `Cells` frames, one per generated stream,
 /// instead of `Bundle` frames.  Version 6 ships every table a plan reads
-/// inside its `Plan` frame, which has no reply.
-pub const WIRE_VERSION: u16 = 6;
+/// inside its `Plan` frame, which has no reply.  Version 7 ships a VG
+/// function as its cache token and drops the always-zero task count from
+/// `QueryStats`.
+pub const WIRE_VERSION: u16 = 7;
 
 /// Upper bound on a single frame's payload, guarding against a corrupt
 /// length prefix allocating unbounded memory.
@@ -355,8 +358,6 @@ pub struct QueryStats {
     pub skeleton_hit: bool,
     /// Full plan executions this query cost the server (0 on a cache hit).
     pub plan_executions: u64,
-    /// Tasks shipped to worker processes for this query (process backend).
-    pub tasks_dispatched: u64,
     /// Shard/scheduler units this query fanned out into.
     pub shards_spawned: u64,
     /// Total time this query's scheduler units waited in queue.
@@ -686,13 +687,13 @@ pub fn encode_query(
     let mut out = vec![TAG_QUERY];
     put_plan(&mut out, plan)?;
     out.push(agg_func_to_u8(aggregate.func));
-    put_expr(&mut out, &aggregate.expr);
+    aggregate.expr.encode_wire(&mut out);
     put_str(&mut out, &aggregate.alias);
     match final_predicate {
         None => out.push(0),
         Some(expr) => {
             out.push(1);
-            put_expr(&mut out, expr);
+            expr.encode_wire(&mut out);
         }
     }
     put_count(&mut out, group_by.len());
@@ -739,7 +740,6 @@ pub fn encode_query_stats(stats: QueryStats) -> Vec<u8> {
     let mut out = vec![TAG_QUERY_STATS];
     out.push(u8::from(stats.skeleton_hit));
     out.extend_from_slice(&stats.plan_executions.to_le_bytes());
-    out.extend_from_slice(&stats.tasks_dispatched.to_le_bytes());
     out.extend_from_slice(&stats.shards_spawned.to_le_bytes());
     out.extend_from_slice(&stats.queue_wait_ns.to_le_bytes());
     out.extend_from_slice(&stats.exec_ns.to_le_bytes());
@@ -782,7 +782,7 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
         },
         TAG_PLAN => Frame::Plan {
             key: get_plan_key(r)?,
-            plan: get_plan(r, 0)?,
+            plan: PlanNode::decode_wire(r)?,
             // A table is at least its name, field, page and tail counts.
             tables: r.seq("table count", 20, |r| {
                 Ok((r.string("table name")?, get_table(r)?))
@@ -821,13 +821,13 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
         },
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_QUERY => Frame::Query {
-            plan: get_plan(r, 0)?,
+            plan: PlanNode::decode_wire(r)?,
             aggregate: AggregateSpec {
                 func: agg_func_from_u8(r.u8("aggregate function")?)?,
-                expr: get_expr(r, 0)?,
+                expr: Expr::decode_wire(r)?,
                 alias: r.string("aggregate alias")?,
             },
-            final_predicate: r.option("final predicate flag", |r| get_expr(r, 0))?,
+            final_predicate: r.option("final predicate flag", Expr::decode_wire)?,
             group_by: r.seq("group-by count", 4, |r| r.string("group-by column"))?,
             reps: r.u64("query repetitions")?,
             master_seed: r.u64("query master seed")?,
@@ -847,7 +847,6 @@ fn get_frame(r: &mut Reader<'_>) -> DecodeResult<Frame> {
         TAG_QUERY_STATS => Frame::QueryStats(QueryStats {
             skeleton_hit: r.u8("stats skeleton flag")? != 0,
             plan_executions: r.u64("stats plan executions")?,
-            tasks_dispatched: r.u64("stats tasks dispatched")?,
             shards_spawned: r.u64("stats shards spawned")?,
             queue_wait_ns: r.u64("stats queue wait")?,
             exec_ns: r.u64("stats exec time")?,
@@ -919,307 +918,17 @@ fn get_bundle(r: &mut Reader<'_>) -> DecodeResult<TupleBundle> {
     Ok(TupleBundle { values, is_pres })
 }
 
-// ===== Plan / expression / VG codecs =====
-
-fn op_to_u8(op: BinaryOp) -> u8 {
-    match op {
-        BinaryOp::Add => 1,
-        BinaryOp::Sub => 2,
-        BinaryOp::Mul => 3,
-        BinaryOp::Div => 4,
-        BinaryOp::Eq => 5,
-        BinaryOp::NotEq => 6,
-        BinaryOp::Lt => 7,
-        BinaryOp::LtEq => 8,
-        BinaryOp::Gt => 9,
-        BinaryOp::GtEq => 10,
-        BinaryOp::And => 11,
-        BinaryOp::Or => 12,
-    }
-}
-
-fn op_from_u8(raw: u8) -> DecodeResult<BinaryOp> {
-    Ok(match raw {
-        1 => BinaryOp::Add,
-        2 => BinaryOp::Sub,
-        3 => BinaryOp::Mul,
-        4 => BinaryOp::Div,
-        5 => BinaryOp::Eq,
-        6 => BinaryOp::NotEq,
-        7 => BinaryOp::Lt,
-        8 => BinaryOp::LtEq,
-        9 => BinaryOp::Gt,
-        10 => BinaryOp::GtEq,
-        11 => BinaryOp::And,
-        12 => BinaryOp::Or,
-        other => return Err(DecodeError::unknown("binary op", other)),
-    })
-}
-
-fn put_expr(out: &mut Vec<u8>, expr: &Expr) {
-    match expr {
-        Expr::Column(name) => {
-            out.push(1);
-            put_str(out, name);
-        }
-        Expr::Literal(v) => {
-            out.push(2);
-            v.encode_wire(out);
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            out.push(3);
-            out.push(op_to_u8(*op));
-            put_expr(out, lhs);
-            put_expr(out, rhs);
-        }
-        Expr::Not(inner) => {
-            out.push(4);
-            put_expr(out, inner);
-        }
-    }
-}
-
-/// How deep plans and expressions may nest inside one frame.  Decoding
-/// recurses once per level, so the bound keeps a hostile frame from
-/// choosing the decoder's stack depth.
-const MAX_NESTING: usize = 256;
-
-fn check_nesting(depth: usize) -> DecodeResult<()> {
-    if depth > MAX_NESTING {
-        return Err(DecodeError::corrupt(
-            "plan",
-            format!("nested deeper than {MAX_NESTING} levels"),
-        ));
-    }
-    Ok(())
-}
-
-/// Decode an expression nested `depth` levels inside its frame.
-fn get_expr(r: &mut Reader<'_>, depth: usize) -> DecodeResult<Expr> {
-    check_nesting(depth)?;
-    Ok(match r.u8("expression tag")? {
-        1 => Expr::Column(r.string("column name")?),
-        2 => Expr::Literal(Value::decode_wire(r)?),
-        3 => Expr::Binary {
-            op: op_from_u8(r.u8("binary op")?)?,
-            lhs: Box::new(get_expr(r, depth + 1)?),
-            rhs: Box::new(get_expr(r, depth + 1)?),
-        },
-        4 => Expr::Not(Box::new(get_expr(r, depth + 1)?)),
-        other => return Err(DecodeError::unknown("expression tag", other)),
-    })
-}
-
-/// Serialize a VG function by its construction-time configuration.  Only
-/// the built-in set is enumerable; anything else is
-/// [`WireError::Unserializable`].
-fn put_vg(out: &mut Vec<u8>, vg: &dyn VgFunction) -> WireResult<()> {
-    let any = vg
-        .as_any()
-        .ok_or_else(|| WireError::Unserializable(format!("VG function {}", vg.name())))?;
-    if any.downcast_ref::<NormalVg>().is_some() {
-        out.push(1);
-    } else if any.downcast_ref::<UniformVg>().is_some() {
-        out.push(2);
-    } else if any.downcast_ref::<PoissonVg>().is_some() {
-        out.push(3);
-    } else if let Some(discrete) = any.downcast_ref::<DiscreteVg>() {
-        out.push(4);
-        put_count(out, discrete.categories().len());
-        for category in discrete.categories() {
-            category.encode_wire(out);
-        }
-    } else if let Some(multi) = any.downcast_ref::<MultiNormalVg>() {
-        out.push(5);
-        out.extend_from_slice(&(multi.dim() as u64).to_le_bytes());
-        out.extend_from_slice(&multi.rho().to_bits().to_le_bytes());
-    } else if any.downcast_ref::<BayesianDemandVg>().is_some() {
-        out.push(6);
-    } else if let Some(gbm) = any.downcast_ref::<GbmTerminalVg>() {
-        out.push(7);
-        out.extend_from_slice(&(gbm.steps() as u64).to_le_bytes());
-    } else {
-        return Err(WireError::Unserializable(format!(
-            "VG function {}",
-            vg.name()
-        )));
-    }
-    Ok(())
-}
-
-fn get_vg(r: &mut Reader<'_>) -> DecodeResult<Arc<dyn VgFunction>> {
-    Ok(match r.u8("VG tag")? {
-        1 => Arc::new(NormalVg),
-        2 => Arc::new(UniformVg),
-        3 => Arc::new(PoissonVg),
-        4 => Arc::new(DiscreteVg::new(r.seq(
-            "Discrete category count",
-            1,
-            Value::decode_wire,
-        )?)),
-        5 => {
-            let dim = r.u64("MultiNormal dim")? as usize;
-            let rho = r.f64("MultiNormal rho")?;
-            if dim < 1 || !(0.0..=1.0).contains(&rho) {
-                return Err(DecodeError::corrupt(
-                    "MultiNormal configuration",
-                    format!("out of range (dim={dim}, rho={rho})"),
-                ));
-            }
-            Arc::new(MultiNormalVg::new(dim, rho))
-        }
-        6 => Arc::new(BayesianDemandVg),
-        7 => {
-            let steps = r.u64("GbmTerminal steps")? as usize;
-            if steps < 1 {
-                return Err(DecodeError::corrupt("GbmTerminal steps", "needs >= 1 step"));
-            }
-            Arc::new(GbmTerminalVg::new(steps))
-        }
-        other => return Err(DecodeError::unknown("VG tag", other)),
-    })
-}
-
+/// Append `plan`'s bytes ([`PlanNode::encode_wire`]), refusing a plan
+/// whose VG function no peer can rebuild from its token
+/// ([`mcdbr_vg::from_token`]).
 fn put_plan(out: &mut Vec<u8>, plan: &PlanNode) -> WireResult<()> {
-    match plan {
-        PlanNode::TableScan { table } => {
-            out.push(1);
-            put_str(out, table);
-        }
-        PlanNode::RandomTable(spec) => {
-            out.push(2);
-            put_str(out, &spec.name);
-            put_str(out, &spec.param_table);
-            put_vg(out, spec.vg.as_ref())?;
-            put_count(out, spec.vg_params.len());
-            for expr in &spec.vg_params {
-                put_expr(out, expr);
-            }
-            put_count(out, spec.columns.len());
-            for column in &spec.columns {
-                match column {
-                    OutputColumn::Param { source, as_name } => {
-                        out.push(1);
-                        put_str(out, source);
-                        put_str(out, as_name);
-                    }
-                    OutputColumn::Vg { vg_col, as_name } => {
-                        out.push(2);
-                        out.extend_from_slice(&(*vg_col as u32).to_le_bytes());
-                        put_str(out, as_name);
-                    }
-                }
-            }
-            out.extend_from_slice(&spec.table_tag.to_le_bytes());
-        }
-        PlanNode::Filter { input, predicate } => {
-            out.push(3);
-            put_expr(out, predicate);
-            put_plan(out, input)?;
-        }
-        PlanNode::Project { input, exprs } => {
-            out.push(4);
-            put_count(out, exprs.len());
-            for (name, expr) in exprs {
-                put_str(out, name);
-                put_expr(out, expr);
-            }
-            put_plan(out, input)?;
-        }
-        PlanNode::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => {
-            out.push(5);
-            out.push(match join_type {
-                JoinType::Inner => 1,
-            });
-            put_count(out, on.len());
-            for (l, r) in on {
-                put_str(out, l);
-                put_str(out, r);
-            }
-            put_plan(out, left)?;
-            put_plan(out, right)?;
-        }
-        PlanNode::Split { input, column } => {
-            out.push(6);
-            put_str(out, column);
-            put_plan(out, input)?;
-        }
+    for spec in plan.random_tables() {
+        mcdbr_vg::from_token(&spec.vg.cache_token()).map_err(|e| {
+            WireError::Unserializable(format!("VG function {}: {e}", spec.vg.name()))
+        })?;
     }
+    plan.encode_wire(out);
     Ok(())
-}
-
-/// Decode a plan nested `depth` levels inside its frame.
-fn get_plan(r: &mut Reader<'_>, depth: usize) -> DecodeResult<PlanNode> {
-    check_nesting(depth)?;
-    Ok(match r.u8("plan tag")? {
-        1 => PlanNode::TableScan {
-            table: r.string("scan table")?,
-        },
-        2 => PlanNode::RandomTable(RandomTableSpec {
-            name: r.string("random-table name")?,
-            param_table: r.string("parameter table")?,
-            vg: get_vg(r)?,
-            vg_params: r.seq("VG parameter count", 1, |r| get_expr(r, depth + 1))?,
-            columns: r.seq("output column count", 9, |r| {
-                Ok(match r.u8("output column tag")? {
-                    1 => OutputColumn::Param {
-                        source: r.string("param source")?,
-                        as_name: r.string("param alias")?,
-                    },
-                    2 => OutputColumn::Vg {
-                        vg_col: r.u32("vg column index")? as usize,
-                        as_name: r.string("vg alias")?,
-                    },
-                    other => return Err(DecodeError::unknown("output column tag", other)),
-                })
-            })?,
-            table_tag: r.u64("table tag")?,
-        }),
-        3 => {
-            let predicate = get_expr(r, depth + 1)?;
-            PlanNode::Filter {
-                input: Box::new(get_plan(r, depth + 1)?),
-                predicate,
-            }
-        }
-        4 => {
-            let exprs = r.seq("projection count", 6, |r| {
-                Ok((r.string("projection name")?, get_expr(r, depth + 1)?))
-            })?;
-            PlanNode::Project {
-                input: Box::new(get_plan(r, depth + 1)?),
-                exprs,
-            }
-        }
-        5 => {
-            let join_type = match r.u8("join type")? {
-                1 => JoinType::Inner,
-                other => return Err(DecodeError::unknown("join type", other)),
-            };
-            let on = r.seq("join key count", 8, |r| {
-                Ok((r.string("left join key")?, r.string("right join key")?))
-            })?;
-            PlanNode::Join {
-                left: Box::new(get_plan(r, depth + 1)?),
-                right: Box::new(get_plan(r, depth + 1)?),
-                on,
-                join_type,
-            }
-        }
-        6 => {
-            let column = r.string("split column")?;
-            PlanNode::Split {
-                input: Box::new(get_plan(r, depth + 1)?),
-                column,
-            }
-        }
-        other => return Err(DecodeError::unknown("plan tag", other)),
-    })
 }
 
 /// The table names a plan reads (scans + VG parameter tables) — the

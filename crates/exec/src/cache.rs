@@ -7,7 +7,8 @@
 //! seeds are derived at binding time).  [`SessionCache`] exploits this by
 //! storing skeletons under a key of
 //!
-//! * the plan's structural fingerprint ([`PlanNode::fingerprint`]), and
+//! * the plan's fingerprint ([`PlanNode::fingerprint`], a hash of the
+//!   bytes the plan ships as), and
 //! * the catalog's content epoch ([`mcdbr_storage::Catalog::epoch`]).
 //!
 //! A repeated query — same plan shape, same catalog, *any* master seed —
@@ -51,10 +52,12 @@ use crate::session::{build_skeleton, ExecSession, PlanSkeleton, PrepError};
 /// The identity of one plan version: `(plan fingerprint, catalog epoch)`.
 /// Equal keys name identical skeletons, so [`SessionCache`] stores
 /// skeletons under it, every [`PlanSkeleton`] records the key it was built
-/// under, and a dispatching backend ships and looks up plans by it.
+/// under, and a dispatching backend ships and looks up plans by it.  The
+/// fingerprint hashes the plan's [`PlanNode::encode_wire`] bytes, so a
+/// peer that rebuilds the plan from a frame recomputes the sender's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// [`PlanNode::fingerprint`] of the plan.
+    /// [`PlanNode::fingerprint`] of the plan: FNV-1a of its wire bytes.
     pub fingerprint: u64,
     /// [`Catalog::epoch`] of the catalog the plan reads.  Only the pair has
     /// to identify the snapshot: a worker's rebuilt catalog mints its own

@@ -12,10 +12,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mcdbr_storage::{Catalog, DataType, Field, Result, Schema};
+use mcdbr_storage::codec::{put_count, put_str};
+use mcdbr_storage::{
+    fnv1a, Catalog, DataType, DecodeError, DecodeResult, Field, Reader, Result, Schema, Value,
+    FNV_OFFSET,
+};
 use mcdbr_vg::VgFunction;
 
-use crate::expr::Expr;
+use crate::expr::{BinaryOp, Expr};
 
 /// How an output column of an uncertain table is produced.
 #[derive(Debug, Clone)]
@@ -223,25 +227,24 @@ impl PlanNode {
         }
     }
 
-    /// A stable structural fingerprint of this plan, used (together with the
-    /// catalog epoch) as the key of [`crate::SessionCache`].
+    /// A stable fingerprint of this plan, used (together with the catalog
+    /// epoch) as the key of [`crate::SessionCache`]: FNV-1a over exactly the
+    /// bytes [`PlanNode::encode_wire`] ships the plan as.
     ///
-    /// Two plans share a fingerprint exactly when they are structurally
-    /// identical in every execution-relevant way: operator tree shape, table
-    /// names, predicates and projections (including literal *types*, since
-    /// `1i64` and `1.0f64` arithmetic differ), join keys, and — for uncertain
-    /// tables — the parameter table, the VG function's
-    /// [`mcdbr_vg::VgFunction::cache_token`], the VG parameter expressions,
-    /// the output-column layout, and the `table_tag` mixed into seed
-    /// derivation.  The diagnostic `RandomTableSpec::name` is deliberately
-    /// excluded: it never affects execution.
-    ///
-    /// The hash is FNV-1a over a tagged pre-order serialization, so it is
-    /// stable across processes and runs (unlike `std`'s `DefaultHasher`).
+    /// So two plans share a fingerprint exactly when they ship as the same
+    /// bytes — operator tree shape, table names, predicates and projections
+    /// (including literal *types*, since `1i64` and `1.0f64` arithmetic
+    /// differ), join keys, and for uncertain tables the name, the parameter
+    /// table, the VG function's [`mcdbr_vg::VgFunction::cache_token`], the
+    /// VG parameter expressions, the output-column layout and the
+    /// `table_tag` mixed into seed derivation — and a worker or server that
+    /// rebuilds a plan from its bytes files it under the sender's key.  The
+    /// hash is stable across processes and runs (unlike `std`'s
+    /// `DefaultHasher`).
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.plan(self);
-        fp.finish()
+        let mut bytes = Vec::new();
+        self.encode_wire(&mut bytes);
+        fnv1a(FNV_OFFSET, &bytes)
     }
 
     /// All uncertain-table specifications reachable from this plan, in
@@ -263,156 +266,6 @@ impl PlanNode {
             PlanNode::Join { left, right, .. } => {
                 left.collect_random_tables(out);
                 right.collect_random_tables(out);
-            }
-        }
-    }
-}
-
-/// FNV-1a accumulator behind [`PlanNode::fingerprint`]: everything is fed as
-/// `(tag, payload)` pairs with length-prefixed strings, so distinct
-/// structures cannot collide by concatenation.
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn tag(&mut self, t: u8) {
-        self.bytes(&[t]);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn value(&mut self, v: &mcdbr_storage::Value) {
-        use mcdbr_storage::Value;
-        match v {
-            Value::Null => self.tag(0),
-            Value::Int64(i) => {
-                self.tag(1);
-                self.u64(*i as u64);
-            }
-            Value::Float64(x) => {
-                self.tag(2);
-                self.u64(x.to_bits());
-            }
-            Value::Bool(b) => {
-                self.tag(3);
-                self.bytes(&[u8::from(*b)]);
-            }
-            Value::Utf8(s) => {
-                self.tag(4);
-                self.str(s);
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Column(name) => {
-                self.tag(1);
-                self.str(name);
-            }
-            Expr::Literal(v) => {
-                self.tag(2);
-                self.value(v);
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                self.tag(3);
-                self.tag(*op as u8);
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Not(inner) => {
-                self.tag(4);
-                self.expr(inner);
-            }
-        }
-    }
-
-    fn plan(&mut self, node: &PlanNode) {
-        match node {
-            PlanNode::TableScan { table } => {
-                self.tag(1);
-                self.str(table);
-            }
-            PlanNode::RandomTable(spec) => {
-                self.tag(2);
-                self.str(&spec.param_table);
-                self.str(&spec.vg.cache_token());
-                self.u64(spec.table_tag);
-                self.u64(spec.vg_params.len() as u64);
-                for e in &spec.vg_params {
-                    self.expr(e);
-                }
-                self.u64(spec.columns.len() as u64);
-                for col in &spec.columns {
-                    match col {
-                        OutputColumn::Param { source, as_name } => {
-                            self.tag(1);
-                            self.str(source);
-                            self.str(as_name);
-                        }
-                        OutputColumn::Vg { vg_col, as_name } => {
-                            self.tag(2);
-                            self.u64(*vg_col as u64);
-                            self.str(as_name);
-                        }
-                    }
-                }
-            }
-            PlanNode::Filter { input, predicate } => {
-                self.tag(3);
-                self.expr(predicate);
-                self.plan(input);
-            }
-            PlanNode::Project { input, exprs } => {
-                self.tag(4);
-                self.u64(exprs.len() as u64);
-                for (name, e) in exprs {
-                    self.str(name);
-                    self.expr(e);
-                }
-                self.plan(input);
-            }
-            PlanNode::Join {
-                left,
-                right,
-                on,
-                join_type,
-            } => {
-                self.tag(5);
-                self.tag(*join_type as u8);
-                self.u64(on.len() as u64);
-                for (l, r) in on {
-                    self.str(l);
-                    self.str(r);
-                }
-                self.plan(left);
-                self.plan(right);
-            }
-            PlanNode::Split { input, column } => {
-                self.tag(6);
-                self.str(column);
-                self.plan(input);
             }
         }
     }
@@ -485,6 +338,253 @@ impl fmt::Display for PlanNode {
         }
         indent(f, self, 0)
     }
+}
+
+// ===== The plan and expression codec =====
+//
+// One tagged pre-order encoding in the byte format of
+// `mcdbr_storage::codec`: what a `Plan` or `Query` frame carries and what
+// `PlanNode::fingerprint` hashes.  A VG function travels as its cache
+// token and decodes through `mcdbr_vg::from_token`, so only the built-ins
+// rebuild; the encoder writes any token, and a sender that must be
+// understood checks the tokens first.
+
+/// The binary operators in wire order: operator `i` is byte `i + 1`,
+/// which is also its declaration order in [`BinaryOp`].
+const BINARY_OPS: [BinaryOp; 12] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::Eq,
+    BinaryOp::NotEq,
+    BinaryOp::Lt,
+    BinaryOp::LtEq,
+    BinaryOp::Gt,
+    BinaryOp::GtEq,
+    BinaryOp::And,
+    BinaryOp::Or,
+];
+
+/// How deep plans and expressions may nest inside one encoding.  Decoding
+/// recurses once per level, so the bound keeps hostile bytes from choosing
+/// the decoder's stack depth.
+const MAX_NESTING: usize = 256;
+
+fn check_nesting(depth: usize) -> DecodeResult<()> {
+    if depth > MAX_NESTING {
+        return Err(DecodeError::corrupt(
+            "plan",
+            format!("nested deeper than {MAX_NESTING} levels"),
+        ));
+    }
+    Ok(())
+}
+
+impl Expr {
+    /// Append this expression's bytes (see [`PlanNode::encode_wire`]).
+    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+        match self {
+            Expr::Column(name) => {
+                out.push(1);
+                put_str(out, name);
+            }
+            Expr::Literal(v) => {
+                out.push(2);
+                v.encode_wire(out);
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                out.push(3);
+                out.push(*op as u8 + 1);
+                lhs.encode_wire(out);
+                rhs.encode_wire(out);
+            }
+            Expr::Not(inner) => {
+                out.push(4);
+                inner.encode_wire(out);
+            }
+        }
+    }
+
+    /// Decode one expression written by [`Expr::encode_wire`]: a typed
+    /// error on truncated, corrupt or over-nested bytes, never a panic.
+    pub fn decode_wire(r: &mut Reader<'_>) -> DecodeResult<Expr> {
+        get_expr(r, 0)
+    }
+}
+
+/// Decode an expression nested `depth` levels inside its encoding.
+fn get_expr(r: &mut Reader<'_>, depth: usize) -> DecodeResult<Expr> {
+    check_nesting(depth)?;
+    Ok(match r.u8("expression tag")? {
+        1 => Expr::Column(r.string("column name")?),
+        2 => Expr::Literal(Value::decode_wire(r)?),
+        3 => {
+            let raw = r.u8("binary op")?;
+            let op = (BINARY_OPS.get(usize::from(raw).wrapping_sub(1)).copied())
+                .ok_or_else(|| DecodeError::unknown("binary op", raw))?;
+            Expr::Binary {
+                op,
+                lhs: Box::new(get_expr(r, depth + 1)?),
+                rhs: Box::new(get_expr(r, depth + 1)?),
+            }
+        }
+        4 => Expr::Not(Box::new(get_expr(r, depth + 1)?)),
+        other => return Err(DecodeError::unknown("expression tag", other)),
+    })
+}
+
+impl PlanNode {
+    /// Append this plan's bytes: one tag per node in pre-order, strings
+    /// and counts length-prefixed, each VG function as its
+    /// [`mcdbr_vg::VgFunction::cache_token`].  The encoding is the plan's
+    /// identity ([`PlanNode::fingerprint`] hashes it) and what a `Plan` or
+    /// `Query` frame ships.
+    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+        match self {
+            PlanNode::TableScan { table } => {
+                out.push(1);
+                put_str(out, table);
+            }
+            PlanNode::RandomTable(spec) => {
+                out.push(2);
+                put_str(out, &spec.name);
+                put_str(out, &spec.param_table);
+                put_str(out, &spec.vg.cache_token());
+                put_count(out, spec.vg_params.len());
+                for expr in &spec.vg_params {
+                    expr.encode_wire(out);
+                }
+                put_count(out, spec.columns.len());
+                for column in &spec.columns {
+                    match column {
+                        OutputColumn::Param { source, as_name } => {
+                            out.push(1);
+                            put_str(out, source);
+                            put_str(out, as_name);
+                        }
+                        OutputColumn::Vg { vg_col, as_name } => {
+                            out.push(2);
+                            out.extend_from_slice(&(*vg_col as u32).to_le_bytes());
+                            put_str(out, as_name);
+                        }
+                    }
+                }
+                out.extend_from_slice(&spec.table_tag.to_le_bytes());
+            }
+            PlanNode::Filter { input, predicate } => {
+                out.push(3);
+                predicate.encode_wire(out);
+                input.encode_wire(out);
+            }
+            PlanNode::Project { input, exprs } => {
+                out.push(4);
+                put_count(out, exprs.len());
+                for (name, expr) in exprs {
+                    put_str(out, name);
+                    expr.encode_wire(out);
+                }
+                input.encode_wire(out);
+            }
+            PlanNode::Join {
+                left,
+                right,
+                on,
+                join_type: JoinType::Inner,
+            } => {
+                out.extend_from_slice(&[5, 1]);
+                put_count(out, on.len());
+                for (l, r) in on {
+                    put_str(out, l);
+                    put_str(out, r);
+                }
+                left.encode_wire(out);
+                right.encode_wire(out);
+            }
+            PlanNode::Split { input, column } => {
+                out.push(6);
+                put_str(out, column);
+                input.encode_wire(out);
+            }
+        }
+    }
+
+    /// Decode one plan written by [`PlanNode::encode_wire`]: a typed error
+    /// on truncated, corrupt or over-nested bytes and on a VG token
+    /// [`mcdbr_vg::from_token`] refuses, never a panic.
+    pub fn decode_wire(r: &mut Reader<'_>) -> DecodeResult<PlanNode> {
+        get_plan(r, 0)
+    }
+}
+
+/// Decode a plan nested `depth` levels inside its encoding.
+fn get_plan(r: &mut Reader<'_>, depth: usize) -> DecodeResult<PlanNode> {
+    check_nesting(depth)?;
+    Ok(match r.u8("plan tag")? {
+        1 => PlanNode::TableScan {
+            table: r.string("scan table")?,
+        },
+        2 => PlanNode::RandomTable(RandomTableSpec {
+            name: r.string("random-table name")?,
+            param_table: r.string("parameter table")?,
+            vg: mcdbr_vg::from_token(r.str("VG token")?)
+                .map_err(|e| DecodeError::corrupt("VG token", e.to_string()))?,
+            vg_params: r.seq("VG parameter count", 1, |r| get_expr(r, depth + 1))?,
+            columns: r.seq("output column count", 9, |r| {
+                Ok(match r.u8("output column tag")? {
+                    1 => OutputColumn::Param {
+                        source: r.string("param source")?,
+                        as_name: r.string("param alias")?,
+                    },
+                    2 => OutputColumn::Vg {
+                        vg_col: r.u32("vg column index")? as usize,
+                        as_name: r.string("vg alias")?,
+                    },
+                    other => return Err(DecodeError::unknown("output column tag", other)),
+                })
+            })?,
+            table_tag: r.u64("table tag")?,
+        }),
+        3 => {
+            let predicate = get_expr(r, depth + 1)?;
+            PlanNode::Filter {
+                input: Box::new(get_plan(r, depth + 1)?),
+                predicate,
+            }
+        }
+        4 => {
+            let exprs = r.seq("projection count", 6, |r| {
+                Ok((r.string("projection name")?, get_expr(r, depth + 1)?))
+            })?;
+            PlanNode::Project {
+                input: Box::new(get_plan(r, depth + 1)?),
+                exprs,
+            }
+        }
+        5 => {
+            let join_type = match r.u8("join type")? {
+                1 => JoinType::Inner,
+                other => return Err(DecodeError::unknown("join type", other)),
+            };
+            let on = r.seq("join key count", 8, |r| {
+                Ok((r.string("left join key")?, r.string("right join key")?))
+            })?;
+            PlanNode::Join {
+                left: Box::new(get_plan(r, depth + 1)?),
+                right: Box::new(get_plan(r, depth + 1)?),
+                on,
+                join_type,
+            }
+        }
+        6 => {
+            let column = r.string("split column")?;
+            PlanNode::Split {
+                input: Box::new(get_plan(r, depth + 1)?),
+                column,
+            }
+        }
+        other => return Err(DecodeError::unknown("plan tag", other)),
+    })
 }
 
 /// Convenience constructor for the common "scalar uncertain attribute"
@@ -659,10 +759,11 @@ mod tests {
             PlanNode::random_table(multi2).fingerprint()
         );
 
-        // The diagnostic table name is execution-irrelevant and excluded.
+        // The diagnostic table name ships with the plan, so it is in the
+        // key too: a rename costs a cache miss, never a wrong hit.
         let mut renamed = losses_spec();
         renamed.name = "Gains".into();
-        assert_eq!(
+        assert_ne!(
             PlanNode::random_table(losses_spec()).fingerprint(),
             PlanNode::random_table(renamed).fingerprint()
         );
@@ -675,6 +776,24 @@ mod tests {
             PlanNode::scan("means").split("cid").fingerprint(),
             PlanNode::scan("means").split("m").fingerprint()
         );
+    }
+
+    #[test]
+    fn every_binary_op_round_trips_in_wire_order() {
+        for (i, &op) in BINARY_OPS.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is out of declaration order");
+            let expr = Expr::Binary {
+                op,
+                lhs: Box::new(Expr::col("a")),
+                rhs: Box::new(Expr::lit(1i64)),
+            };
+            let mut bytes = Vec::new();
+            expr.encode_wire(&mut bytes);
+            assert_eq!(bytes[1], i as u8 + 1);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(Expr::decode_wire(&mut r).unwrap(), expr);
+            r.finish("expression").unwrap();
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! * **Admission**: at most `max_inflight` queries execute at once; the
 //!   `max_inflight + 1`-th gets a typed `Busy` reply immediately (bounded
 //!   work, no unbounded queue build-up).  Draining servers reply
-//!   `ShuttingDown`.
+//!   `ShuttingDown`, and a query asking for more than [`MAX_QUERY_REPS`]
+//!   repetitions is answered `Invalid` before it is admitted.
 //! * **Fairness**: each admitted query runs through a per-query
 //!   [`FairBackend`] that places its work as units on the shared
 //!   [`FairScheduler`] — a block's generation units, or one unit that
@@ -57,6 +58,13 @@ use mcdbr_storage::{Catalog, Error, Result};
 
 use crate::backend::FairBackend;
 use crate::sched::FairScheduler;
+
+/// The most Monte Carlo repetitions one `Query` may ask for; a larger
+/// count is answered [`ReplyCode::Invalid`] before admission.  Phase 2
+/// reserves that many values per stream at once, so the client's count
+/// would otherwise choose the server's allocation.  The repository's
+/// largest server query runs 2 000.
+pub const MAX_QUERY_REPS: u64 = 1 << 20;
 
 /// Server tuning knobs; `Default` is sized to the machine.
 #[derive(Debug, Clone)]
@@ -258,7 +266,6 @@ impl Shared {
             wire::QueryStats {
                 skeleton_hit: run.skeleton_hit,
                 plan_executions: run.plan_executions as u64,
-                tasks_dispatched: window.tasks_dispatched as u64,
                 shards_spawned: window.shards_spawned as u64,
                 queue_wait_ns: fair.queue_wait_ns(),
                 exec_ns,
@@ -415,6 +422,19 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
             }
         };
         match frame {
+            // Phase 2 reserves `reps` values per stream up front, so an
+            // oversized count is refused before it can take a slot; the
+            // frame itself was well formed, so the connection stays open.
+            Frame::Query { reps, .. } if reps > MAX_QUERY_REPS => {
+                wire::write_frame(
+                    &mut writer,
+                    &wire::encode_error_reply(
+                        ReplyCode::Invalid,
+                        &format!("{reps} repetitions exceed the cap of {MAX_QUERY_REPS}"),
+                    ),
+                )?;
+                writer.flush()?;
+            }
             Frame::Query {
                 plan,
                 aggregate,

@@ -54,7 +54,7 @@ pub use column::{Column, ColumnBlock, ColumnData, NullBitmap, Utf8Column};
 pub use error::{Error, Result};
 pub use heapfile::HeapFile;
 pub use mask::{CmpOp, Mask};
-pub use page::{Page, PAGE_BYTES};
+pub use page::{fnv1a, Page, FNV_OFFSET, PAGE_BYTES};
 pub use pager::{DiskCounters, Pager, PagerStats};
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder, TableIter};

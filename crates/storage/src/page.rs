@@ -49,13 +49,14 @@ use crate::value::Value;
 /// default frame budget while still amortizing per-page overhead.
 pub const PAGE_BYTES: usize = 8 * 1024;
 
-/// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the starting `hash` of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold `bytes` into a running FNV-1a 64-bit hash.
-pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into a running FNV-1a 64-bit hash — the one hash behind
+/// page and heap-record checksums and plan fingerprints.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
         h ^= u64::from(b);

@@ -15,6 +15,7 @@
 //! perturbation (paper §4.2, §6).
 
 use std::fmt;
+use std::sync::Arc;
 
 use mcdbr_prng::{Pcg64, RandomStream, SeedId};
 use mcdbr_storage::{ColumnBlock, Error, Field, Result, Tuple, Value};
@@ -41,6 +42,12 @@ pub trait VgFunction: fmt::Debug + Send + Sync {
     /// session caches and silently serve each other's cached skeletons.
     /// The method is deliberately required (no default) so the compiler
     /// forces every implementation to make this decision explicitly.
+    ///
+    /// The token is also the VG function's wire identity: a plan ships its
+    /// VG functions as their tokens, and [`from_token`] rebuilds the seven
+    /// built-ins from theirs.  The built-in tokens are therefore reserved —
+    /// a third-party implementation must not return one — and a plan
+    /// whose token is not a built-in's runs locally only.
     fn cache_token(&self) -> String;
 
     /// The schema of the (small) table one invocation produces.
@@ -53,15 +60,6 @@ pub trait VgFunction: fmt::Debug + Send + Sync {
     /// `gen` is the deterministic sub-generator for the current stream
     /// position.
     fn generate(&self, params: &[Value], gen: &mut Pcg64) -> Result<Vec<Tuple>>;
-
-    /// Downcasting hook for wire serialization: the built-in VG functions
-    /// return `Some(self)` so a process dispatcher can recognize them and
-    /// ship their construction-time configuration to worker processes.
-    /// Third-party VG functions may keep the default `None` — plans using
-    /// them simply aren't wire-serializable and execute locally.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 
     /// Batched generation: materialize stream positions `base_pos ..
     /// base_pos + num_values` directly into a columnar block.
@@ -176,10 +174,6 @@ impl VgFunction for NormalVg {
         "Normal"
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn cache_token(&self) -> String {
         self.name().to_string()
     }
@@ -243,10 +237,6 @@ impl VgFunction for UniformVg {
         "Uniform"
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn cache_token(&self) -> String {
         self.name().to_string()
     }
@@ -296,10 +286,6 @@ pub struct PoissonVg;
 impl VgFunction for PoissonVg {
     fn name(&self) -> &str {
         "Poisson"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn cache_token(&self) -> String {
@@ -352,12 +338,6 @@ impl DiscreteVg {
     /// Create a discrete VG function over the given category values.
     pub fn new(categories: Vec<Value>) -> Self {
         DiscreteVg { categories }
-    }
-
-    /// The category values, in construction order (wire serialization ships
-    /// these to worker processes).
-    pub fn categories(&self) -> &[Value] {
-        &self.categories
     }
 
     /// Parse and validate the per-call weights (one per category).
@@ -442,13 +422,88 @@ pub(crate) fn categories_token(prefix: &str, categories: &[Value]) -> String {
     token
 }
 
+/// The largest `MultiNormal` dimension and `GbmTerminal` step count
+/// [`from_token`] accepts.  Both set the work and memory of every stream
+/// position, and a token arrives from a socket, so an unbounded one could
+/// make the first generated position exhaust memory or run for hours.
+pub const MAX_TOKEN_SIZE: usize = 4096;
+
+/// Rebuild a built-in VG function from its [`VgFunction::cache_token`].
+///
+/// Only the canonical spelling of a built-in token decodes — the rebuilt
+/// function's own token equals `token` — so a plan rebuilt from its bytes
+/// encodes to the same bytes.  Anything else (a third-party token, a
+/// configuration the constructor would reject, a dimension or step count
+/// above [`MAX_TOKEN_SIZE`]) is an [`Error::Invalid`].
+pub fn from_token(token: &str) -> Result<Arc<dyn VgFunction>> {
+    let bad = || Error::Invalid(format!("no built-in VG function has token {token:?}"));
+    let size = |digits: &str| match digits.parse::<usize>() {
+        Ok(n) if (1..=MAX_TOKEN_SIZE).contains(&n) => Ok(n),
+        _ => Err(bad()),
+    };
+    let vg: Arc<dyn VgFunction> = match token {
+        "Normal" => Arc::new(NormalVg),
+        "Uniform" => Arc::new(UniformVg),
+        "Poisson" => Arc::new(PoissonVg),
+        "BayesianDemand" => Arc::new(BayesianDemandVg),
+        _ => {
+            if let Some(list) = token.strip_prefix("Discrete") {
+                Arc::new(DiscreteVg::new(parse_categories(list).ok_or_else(bad)?))
+            } else if let Some(args) = inside(token, "MultiNormal[dim=") {
+                let (dim, rho) = args.split_once(",rho=").ok_or_else(bad)?;
+                let rho = rho.parse::<f64>().map_err(|_| bad())?;
+                if !(0.0..=1.0).contains(&rho) {
+                    return Err(bad());
+                }
+                Arc::new(MultiNormalVg::new(size(dim)?, rho))
+            } else if let Some(steps) = inside(token, "GbmTerminal[steps=") {
+                Arc::new(GbmTerminalVg::new(size(steps)?))
+            } else {
+                return Err(bad());
+            }
+        }
+    };
+    if vg.cache_token() != token {
+        return Err(bad());
+    }
+    Ok(vg)
+}
+
+/// The text between `prefix` and a closing `]` that ends `token`.
+fn inside<'a>(token: &'a str, prefix: &str) -> Option<&'a str> {
+    token.strip_prefix(prefix)?.strip_suffix(']')
+}
+
+/// The inverse of [`categories_token`] after its prefix.
+fn parse_categories(mut list: &str) -> Option<Vec<Value>> {
+    let mut categories = Vec::new();
+    while let Some(rest) = list.strip_prefix('|') {
+        let mut chars = rest.chars();
+        let (tag, rest) = (chars.next()?, chars.as_str());
+        if tag == 's' {
+            let (len, rest) = rest.split_once(':')?;
+            let len = len.parse::<usize>().ok()?;
+            categories.push(Value::str(rest.get(..len)?));
+            list = &rest[len..];
+            continue;
+        }
+        let end = rest.find('|').unwrap_or(rest.len());
+        let text = &rest[..end];
+        categories.push(match tag {
+            'n' if text.is_empty() => Value::Null,
+            'i' => Value::Int64(text.parse().ok()?),
+            'f' => Value::Float64(f64::from_bits(u64::from_str_radix(text, 16).ok()?)),
+            'b' => Value::Bool(text.parse::<u8>().ok()? == 1),
+            _ => return None,
+        });
+        list = &rest[end..];
+    }
+    list.is_empty().then_some(categories)
+}
+
 impl VgFunction for DiscreteVg {
     fn name(&self) -> &str {
         "Discrete"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn cache_token(&self) -> String {
@@ -531,25 +586,11 @@ impl MultiNormalVg {
         assert!((0.0..=1.0).contains(&rho), "rho must be in [0,1]");
         MultiNormalVg { dim, rho }
     }
-
-    /// The output dimension fixed at construction.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The equicorrelation coefficient fixed at construction.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
 }
 
 impl VgFunction for MultiNormalVg {
     fn name(&self) -> &str {
         "MultiNormal"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn cache_token(&self) -> String {
@@ -634,10 +675,6 @@ impl VgFunction for BayesianDemandVg {
         "BayesianDemand"
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn cache_token(&self) -> String {
         self.name().to_string()
     }
@@ -712,11 +749,6 @@ impl GbmTerminalVg {
         assert!(steps >= 1, "need at least one Euler step");
         GbmTerminalVg { steps }
     }
-
-    /// The Euler step count fixed at construction.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
 }
 
 impl Default for GbmTerminalVg {
@@ -728,10 +760,6 @@ impl Default for GbmTerminalVg {
 impl VgFunction for GbmTerminalVg {
     fn name(&self) -> &str {
         "GbmTerminal"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn cache_token(&self) -> String {
@@ -981,33 +1009,132 @@ mod tests {
         assert_eq!(rows_per_pos, Some(block.rows_per_pos()));
     }
 
+    /// One configuration of every built-in VG, with parameters it accepts.
+    fn builtins() -> Vec<(Box<dyn VgFunction>, Vec<Value>)> {
+        let f = Value::Float64;
+        vec![
+            (Box::new(NormalVg), vec![f(3.0), f(2.0)]),
+            (Box::new(UniformVg), vec![f(-1.0), f(4.0)]),
+            (Box::new(PoissonVg), vec![f(6.5)]),
+            (
+                Box::new(DiscreteVg::new(vec![
+                    Value::str("ship"),
+                    Value::str("truck|air:"),
+                    Value::str("航空"),
+                ])),
+                vec![f(0.5), f(0.3), f(0.2)],
+            ),
+            (
+                Box::new(DiscreteVg::new(vec![
+                    Value::Int64(-20),
+                    Value::Bool(true),
+                    Value::Null,
+                    f(-0.0),
+                ])),
+                vec![f(0.4), f(0.3), f(0.2), f(0.1)],
+            ),
+            (Box::new(DiscreteVg::new(vec![])), vec![]),
+            (Box::new(MultiNormalVg::new(3, 0.6)), vec![f(1.0), f(2.0)]),
+            (
+                Box::new(MultiNormalVg::new(1, 1e-300)),
+                vec![f(1.0), f(2.0)],
+            ),
+            (
+                Box::new(BayesianDemandVg),
+                vec![f(4.0), f(2.5), f(1.5), f(0.1)],
+            ),
+            (
+                Box::new(GbmTerminalVg::new(16)),
+                vec![f(100.0), f(0.05), f(0.2), f(1.0)],
+            ),
+            (
+                Box::new(GbmTerminalVg::new(MAX_TOKEN_SIZE)),
+                vec![f(100.0), f(0.05), f(0.2), f(1.0)],
+            ),
+        ]
+    }
+
     #[test]
     fn batched_generation_is_bit_identical_for_every_builtin_vg() {
-        let f = Value::Float64;
-        assert_batched_matches_scalar(&NormalVg, &[f(3.0), f(2.0)], 11);
-        assert_batched_matches_scalar(&UniformVg, &[f(-1.0), f(4.0)], 12);
-        assert_batched_matches_scalar(&PoissonVg, &[f(6.5)], 13);
-        assert_batched_matches_scalar(
-            &DiscreteVg::new(vec![
-                Value::str("ship"),
-                Value::str("truck"),
-                Value::str("air"),
-            ]),
-            &[f(0.5), f(0.3), f(0.2)],
-            14,
-        );
-        assert_batched_matches_scalar(
-            &DiscreteVg::new(vec![Value::Int64(20), Value::Int64(21), Value::Null]),
-            &[f(0.4), f(0.4), f(0.2)],
-            15,
-        );
-        assert_batched_matches_scalar(&MultiNormalVg::new(3, 0.6), &[f(1.0), f(2.0)], 16);
-        assert_batched_matches_scalar(&BayesianDemandVg, &[f(4.0), f(2.5), f(1.5), f(0.1)], 17);
-        assert_batched_matches_scalar(
-            &GbmTerminalVg::new(16),
-            &[f(100.0), f(0.05), f(0.2), f(1.0)],
-            18,
-        );
+        for (seed, (vg, params)) in builtins().iter().enumerate() {
+            if !params.is_empty() {
+                assert_batched_matches_scalar(vg.as_ref(), params, 11 + seed as u64);
+            }
+        }
+    }
+
+    /// Every cell of a block as bytes, floats as raw bits.
+    fn block_bytes(vg: &dyn VgFunction, params: &[Value]) -> Vec<u8> {
+        let mut block = ColumnBlock::new();
+        vg.generate_block_into(params, 23, 7, 16, &mut block)
+            .unwrap();
+        let mut bytes = Vec::new();
+        for r in 0..block.rows_per_pos() {
+            for c in 0..block.cols() {
+                block.column(r, c).encode_wire(&mut bytes);
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn every_builtin_configuration_round_trips_through_its_token() {
+        for (vg, params) in builtins() {
+            let token = vg.cache_token();
+            let rebuilt = from_token(&token).unwrap_or_else(|e| panic!("{token}: {e}"));
+            assert_eq!(rebuilt.cache_token(), token);
+            assert_eq!(rebuilt.name(), vg.name());
+            if !params.is_empty() {
+                assert_eq!(
+                    block_bytes(rebuilt.as_ref(), &params),
+                    block_bytes(vg.as_ref(), &params),
+                    "{token}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tokens_no_builtin_would_rebuild_are_errors() {
+        let hostile = [
+            // A dimension or step count that would exhaust memory or time
+            // at the first generated position.
+            format!("MultiNormal[dim={},rho=0.5]", 1u64 << 40),
+            format!("GbmTerminal[steps={}]", 1u64 << 62),
+            format!("MultiNormal[dim={},rho=0.5]", MAX_TOKEN_SIZE + 1),
+            format!("GbmTerminal[steps={}]", MAX_TOKEN_SIZE + 1),
+            // What a constructor would assert on.
+            "MultiNormal[dim=0,rho=0.5]".into(),
+            "MultiNormal[dim=2,rho=1.5]".into(),
+            "MultiNormal[dim=2,rho=NaN]".into(),
+            "GbmTerminal[steps=0]".into(),
+            // Unknown and third-party tokens.
+            "".into(),
+            "FallbackOnly".into(),
+            "normal".into(),
+            // Spellings the built-ins never produce.
+            "MultiNormal[dim=03,rho=0.5]".into(),
+            "MultiNormal[dim=3,rho=0.50]".into(),
+            "GbmTerminal[steps=+16]".into(),
+            "Normal ".into(),
+            "Discrete|i01".into(),
+            "Discrete|b2".into(),
+            "Discrete|f3FF0000000000000".into(),
+            // Malformed category lists.
+            "Discrete|".into(),
+            "Discrete|x1".into(),
+            "Discrete|n1".into(),
+            "Discrete|s9:ab".into(),
+            "Discrete|s1:航".into(),
+            "Discrete|航".into(),
+            "Discrete|i".into(),
+        ];
+        for token in hostile {
+            assert!(
+                matches!(from_token(&token), Err(Error::Invalid(_))),
+                "{token:?} decoded"
+            );
+        }
     }
 
     /// A third-party-style VG with no batched override: the default

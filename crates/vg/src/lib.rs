@@ -21,7 +21,9 @@
 //!   the paper uses or motivates: `Normal` (§2), the inverse-gamma
 //!   hyper-prior generator of Appendix D, a Bayesian demand model, a
 //!   correlated multivariate normal, and an Euler-discretized geometric
-//!   Brownian motion for financial-asset scenarios (§1).
+//!   Brownian motion for financial-asset scenarios (§1).  A VG function's
+//!   [`VgFunction::cache_token`] is its identity in plan keys and on the
+//!   wire; [`from_token`] rebuilds a built-in from it.
 
 pub mod dist;
 pub mod function;
@@ -29,6 +31,6 @@ pub mod math;
 
 pub use dist::Distribution;
 pub use function::{
-    BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
-    VgFunction,
+    from_token, BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg,
+    UniformVg, VgFunction, MAX_TOKEN_SIZE,
 };

@@ -435,10 +435,7 @@ fn shared_counters_stay_exact_under_load() {
                 let mut shards = 0;
                 for q in 0..per_client {
                     match client.query(&query, reps, c * 10 + q).unwrap() {
-                        QueryReply::Ok { stats, .. } => {
-                            assert_eq!(stats.tasks_dispatched, 0, "no worker process");
-                            shards += stats.shards_spawned;
-                        }
+                        QueryReply::Ok { stats, .. } => shards += stats.shards_spawned,
                         QueryReply::Rejected { code, message } => {
                             panic!("rejected under cap: {code:?} {message}")
                         }

@@ -14,12 +14,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcdbr::dispatch::wire::{self, Frame, WIRE_MAGIC, WIRE_VERSION};
+use mcdbr::dispatch::wire::{self, Frame, ReplyCode, WIRE_MAGIC, WIRE_VERSION};
 use mcdbr::exec::InProcessBackend;
 use mcdbr::mcdb::McdbEngine;
 use mcdbr::prng::Pcg64;
 use mcdbr::server::client::{QueryReply, ServerClient};
-use mcdbr::server::service::{Server, ServerConfig, ServerHandle};
+use mcdbr::server::service::{Server, ServerConfig, ServerHandle, MAX_QUERY_REPS};
 use mcdbr::workloads::{customer_losses_catalog, customer_losses_query};
 
 const CASES: u64 = 48;
@@ -213,6 +213,33 @@ fn oversized_length_prefixes_are_rejected_without_allocation() {
         assert!(bytes.len() < 1 << 20, "unbounded reply to bogus length");
     }
     assert_server_still_healthy(&handle, 4);
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_repetition_counts_are_invalid_before_admission() {
+    let handle = start_server();
+    let query = customer_losses_query(None);
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    // One past the cap first, which a server without it would simply run;
+    // 2^40 would make it reserve 8 TiB for the first block.
+    for reps in [MAX_QUERY_REPS + 1, 1 << 40] {
+        match client.query(&query, reps as usize, 1).unwrap() {
+            QueryReply::Rejected { code, message } => {
+                assert_eq!(code, ReplyCode::Invalid, "{message}");
+                assert!(message.contains("repetitions"), "{message}");
+            }
+            QueryReply::Ok { .. } => panic!("{reps} repetitions were admitted"),
+        }
+    }
+    // The connection stays usable, and nothing was admitted.
+    assert!(matches!(
+        client.query(&query, 8, 6).unwrap(),
+        QueryReply::Ok { .. }
+    ));
+    let stats = handle.stats();
+    assert_eq!((stats.queries_served, stats.inflight), (1, 0));
+    assert_server_still_healthy(&handle, 6);
     handle.shutdown();
 }
 

@@ -24,15 +24,15 @@ use mcdbr::dispatch::wire::{
     WIRE_MAGIC, WIRE_VERSION,
 };
 use mcdbr::dispatch::worker::run_worker;
-use mcdbr::exec::plan::{OutputColumn, RandomTableSpec};
+use mcdbr::exec::plan::{scalar_random_table, OutputColumn, RandomTableSpec};
 use mcdbr::exec::{
     AggFunc, AggregateSpec, BundleValue, CellCols, Expr, PlanNode, QueryResultSamples, TupleBundle,
 };
 use mcdbr::prng::{Pcg64, StreamKey, StreamKeyRange};
 use mcdbr::storage::pager::DiskCounters;
 use mcdbr::storage::{
-    Catalog, Column, ColumnBlock, Error, Field, HeapFile, Page, Schema, Table, TableBuilder, Tuple,
-    Value,
+    fnv1a, Catalog, Column, ColumnBlock, Error, Field, HeapFile, Page, Reader, Schema, Table,
+    TableBuilder, Tuple, Value, FNV_OFFSET,
 };
 use mcdbr::vg::{
     BayesianDemandVg, DiscreteVg, GbmTerminalVg, MultiNormalVg, NormalVg, PoissonVg, UniformVg,
@@ -397,6 +397,14 @@ fn same_table(a: &Table, b: &Table) -> bool {
     a.schema() == b.schema() && bytes(a) == bytes(b) && bits(a) == bits(b)
 }
 
+/// FNV-1a of the plan bytes that start at `at` in `frame`, exactly as far
+/// as the plan decoder reads.
+fn hash_of_plan_bytes(frame: &[u8], at: usize) -> u64 {
+    let mut r = Reader::new(&frame[at..]);
+    PlanNode::decode_wire(&mut r).unwrap();
+    fnv1a(FNV_OFFSET, &frame[at..at + r.position()])
+}
+
 #[test]
 fn plan_frames_round_trip_identically() {
     let mut multi_page = 0;
@@ -416,6 +424,10 @@ fn plan_frames_round_trip_identically() {
             panic!("case {case}: wrong frame shape");
         };
         assert_eq!(got_key, key, "case {case}");
+        // The key's fingerprint is the hash of the plan bytes in the same
+        // frame (tag, then the 16-byte key, then the plan).
+        assert_eq!(hash_of_plan_bytes(&payload, 17), plan.fingerprint());
+        assert_eq!(got_key.fingerprint, plan.fingerprint(), "case {case}");
         // PlanNode carries trait objects, so equality is asserted through
         // the structural fingerprint (every execution-relevant field) plus
         // the rendered tree (names).
@@ -629,6 +641,7 @@ fn query_frames_round_trip_identically() {
         else {
             panic!("case {case}: wrong frame shape");
         };
+        assert_eq!(hash_of_plan_bytes(&payload, 1), plan.fingerprint());
         assert_eq!(got_plan.fingerprint(), plan.fingerprint(), "case {case}");
         assert_eq!(got_plan.to_string(), plan.to_string(), "case {case}");
         assert_eq!(got_agg.func, aggregate.func, "case {case}");
@@ -699,7 +712,6 @@ fn server_reply_frames_round_trip_identically() {
         let stats = QueryStats {
             skeleton_hit: g.bool(),
             plan_executions: g.u64(),
-            tasks_dispatched: g.u64(),
             shards_spawned: g.u64(),
             queue_wait_ns: g.u64(),
             exec_ns: g.u64(),
@@ -1054,6 +1066,51 @@ fn deeply_nested_expressions_are_corrupt_not_a_stack_overflow() {
         wire::decode_frame(&frame(1 << 20)),
         Err(WireError::Corrupt(_))
     ));
+}
+
+/// A `Query` frame and a `Plan` frame around `plan`'s bytes, written past
+/// the encoders' token check.
+fn frames_around(plan: &PlanNode) -> [Vec<u8>; 2] {
+    let mut bytes = Vec::new();
+    plan.encode_wire(&mut bytes);
+    // Tag 8, the plan, SUM(x) AS s with no predicate or groups, 8 reps,
+    // master seed 1.
+    let query = [
+        &[8u8][..],
+        &bytes,
+        &[1, 1, 1, 0, 0, 0, b'x', 1, 0, 0, 0, b's', 0, 0, 0, 0, 0],
+        &8u64.to_le_bytes(),
+        &1u64.to_le_bytes(),
+    ]
+    .concat();
+    // Tag 2, a 16-byte key, the plan, no tables.
+    let plan_frame = [&[2u8][..], &[0; 16], &bytes, &[0; 4]].concat();
+    [query, plan_frame]
+}
+
+#[test]
+fn hostile_vg_configurations_are_corrupt_frames_and_never_encode() {
+    let sized = |vg: Arc<dyn VgFunction>| {
+        PlanNode::random_table(scalar_random_table("U", "t", vg, vec![], &[], "v", 1))
+    };
+    // The frames decode when the configuration is one the repo uses...
+    for frame in frames_around(&sized(Arc::new(MultiNormalVg::new(4, 0.5)))) {
+        wire::decode_frame(&frame).unwrap();
+    }
+    // ...and not when it asks every stream position for 2^40 normals
+    // (an abort on allocation) or 2^62 Euler steps (hours of phase 1).
+    for plan in [
+        sized(Arc::new(MultiNormalVg::new(1 << 40, 0.5))),
+        sized(Arc::new(GbmTerminalVg::new(1 << 62))),
+    ] {
+        for frame in frames_around(&plan) {
+            let err = wire::decode_frame(&frame).unwrap_err();
+            assert!(matches!(err, WireError::Corrupt(_)), "{err:?}");
+        }
+        let agg = AggregateSpec::sum(Expr::col("v"), "s");
+        let err = wire::encode_query(&plan, &agg, None, &[], 8, 1).unwrap_err();
+        assert!(matches!(err, WireError::Unserializable(_)), "{err:?}");
+    }
 }
 
 #[test]
