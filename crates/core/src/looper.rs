@@ -228,7 +228,7 @@ pub struct TailSampleResult {
     /// Total stream positions consumed across all TS-seeds.
     pub stream_positions_consumed: u64,
     /// This run's window of its execution backend's counters — shard tasks
-    /// and worker-process dispatch and its fault ladder for the initial
+    /// and worker-process dispatch and its failures for the initial
     /// cells (all zero where the backend has nothing to report, e.g.
     /// `shards_spawned` on the in-process backend); the chunks past the
     /// block run inline and count nothing.  Attributed by

@@ -7,12 +7,12 @@
 //! A block's active streams partition into balanced
 //! [`mcdbr_prng::StreamKeyRange`]s, one [`mcdbr_exec::ShardTask`] per
 //! worker; each worker ships its range's stream cells back, every reply is
-//! checked where it enters ([`check_reply`]; a bad one is crash-class
-//! [`WireError::Corrupt`]), and the coordinator — which holds the skeleton
-//! — hands them back whole ([`ExecBackend::instantiate_cells`], its one
-//! override): `ExecSession::sample_block` folds them straight into the
-//! aggregate, the trait's provided `instantiate_block` assembles a block
-//! from them, and the Gibbs looper reads them as they are.
+//! checked where it enters ([`check_reply`]), and the coordinator — which
+//! holds the skeleton — hands them back whole
+//! ([`ExecBackend::instantiate_cells`], its one override):
+//! `ExecSession::sample_block` folds them straight into the aggregate, the
+//! trait's provided `instantiate_block` assembles a block from them, and
+//! the Gibbs looper reads them as they are.
 //!
 //! **One plan identity.**  Every prepared plan is keyed by its
 //! [`PlanKey`] `(plan fingerprint, catalog epoch)` — the key
@@ -29,39 +29,38 @@
 //! `SessionCache` skips phase 1 (`worker_warm_hits` counts those skips).
 //! A new catalog epoch is a new key, so its plan and tables ship again.
 //!
-//! **Crash handling and deadlines.**  A worker that dies mid-conversation
-//! (EOF, broken pipe, corrupt frame) — or that is *alive but silent* past
-//! the per-task read deadline (30 s unless the caller sets
-//! [`ProcessBackend::with_deadline`]; a dedicated reader thread per worker
-//! feeds a channel so reads can time out) — is reclassified as dead: bounded reap (pipe close, short grace,
-//! SIGKILL escalation), respawn, and re-dispatch of its in-flight task,
-//! with capped exponential backoff + seeded jitter between attempts.
-//! `worker_respawns`, `deadline_timeouts`, and `task_retries` count the
-//! events.  Task-level errors the worker *reports* (an `Error` frame) are
-//! not crashes and propagate to the caller without a respawn.
+//! **One failure rule.**  A dispatched unit either comes back as a checked
+//! reply, or it runs here.  Any failure of its worker — a send error, EOF,
+//! a corrupt or mismatched reply, the read deadline, or an `Error` frame
+//! the worker reports (an unknown plan key included) — reaps that worker
+//! (pipe close, then SIGKILL) and replaces it at once with a cold one, and
+//! the unit's [`mcdbr_exec::ShardTask`] runs in this process after the
+//! state lock drops.  Every stream value is a pure function of `(seed,
+//! position)`, so the local run gives the bits the worker would have sent,
+//! and an error it raises is the block's error, the one in-process
+//! execution raises.  A reply must be complete within the task read
+//! deadline (30 s unless the caller sets [`ProcessBackend::with_deadline`];
+//! a reader thread per worker feeds a channel so reads can time out).
+//! Every slot's reply is read to its end or its worker is reaped, so no
+//! stale frame outlives a block, and a fault costs at most one task
+//! deadline per slot per block.  `deadline_timeouts`, `worker_respawns`
+//! and `task_retries` (units re-run here) count the events.
 //!
-//! **One local path.**  A unit that does not go over the wire runs here —
-//! the same bit-identical [`mcdbr_exec::ShardTask`] the worker would have
-//! run — and `tasks_dispatched` stays flat so the fallback is observable.
-//! That covers a prefix that cannot travel (a third-party VG function
-//! outside the built-in set, or a prefix the backend was never primed for:
-//! direct backend calls without a session), which sends nothing and ticks
-//! no breaker; a slot whose circuit breaker is open (3 consecutive
-//! crash-class failures trip it for a cooldown of 4 blocks, then a
-//! half-open probe re-dispatches; success closes it, failure re-trips it,
-//! and `circuit_trips` counts trips); and a task that exhausts its retry
-//! budget.  Under faults, results are bit-identical or absent, never
-//! silently wrong.
+//! **One local path.**  A unit that does not go over the wire runs here the
+//! same way, with `tasks_dispatched` flat so the fallback is observable:
+//! a prefix that cannot travel (a third-party VG function outside the
+//! built-in set, or a prefix the backend was never primed for: direct
+//! backend calls without a session) sends nothing and moves no counter.
 //!
 //! **Fault injection.**  Chaos runs arm a seeded
 //! [`mcdbr_faults::FaultPlan`] with [`ProcessBackend::with_fault_spec`] —
 //! the only way to arm one: the coordinator's sends route through
 //! [`wire::write_frame_faulty`] and spawned workers receive the plan in
 //! their environment (a `worker=K` target restricts it to one slot and
-//! disables the coordinator's own send faults) — every failure mode above
-//! can be injected deterministically and replayed from the seed.  Without
-//! a plan, a fault plan in the coordinator's own environment never
-//! reaches its workers.
+//! disables the coordinator's own send faults) — every failure above can
+//! be injected deterministically and replayed from the seed.  Without a
+//! plan, a fault plan in the coordinator's own environment never reaches
+//! its workers.
 //!
 //! **Why cells travel, and partials wait.**  A join fans each stream out to
 //! many bundles, and a stream's values are a pure function of `(seed,
@@ -85,7 +84,7 @@ use mcdbr_exec::{
     BlockBufferPool, CellCols, DeterministicPrefix, ExecBackend, PlanKey, PlanNode, ShardStats,
     ShardTask,
 };
-use mcdbr_faults::{BackoffPolicy, FaultInjector, FaultPlan};
+use mcdbr_faults::{FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Column, DataType, Result};
 
 use crate::wire::{self, Frame, TaskHeader, WireError, WireResult};
@@ -93,12 +92,6 @@ use crate::wire::{self, Frame, TaskHeader, WireError, WireResult};
 /// How many plan keys the dispatcher keeps encoded (oldest evicted beyond
 /// this; re-priming re-encodes).
 const MAX_PREPARED_PLANS: usize = 64;
-
-/// Consecutive crash-class failures that trip a slot's circuit breaker.
-const BREAKER_THRESHOLD: u32 = 3;
-
-/// Blocks a tripped breaker degrades locally before the half-open probe.
-const BREAKER_COOLDOWN_BLOCKS: u32 = 4;
 
 /// Task-read deadline unless the caller sets [`ProcessBackend::with_deadline`].
 const DEFAULT_TASK_DEADLINE: Duration = Duration::from_secs(30);
@@ -119,9 +112,9 @@ struct Worker {
 
 /// Reap a worker with a bounded wait: close its stdin (a well-behaved
 /// worker exits on pipe EOF), poll for exit up to `grace`, then escalate to
-/// SIGKILL so a child that ignores the pipe close can never wedge a respawn
-/// or teardown.  Joins the reader thread (the dead child's pipe EOF has
-/// already unblocked it).
+/// SIGKILL so a child that ignores the pipe close can never wedge a
+/// replacement or teardown.  Joins the reader thread (the dead child's
+/// pipe EOF has already unblocked it).
 fn reap_worker(mut worker: Worker, grace: Duration) {
     drop(worker.stdin);
     let deadline = Instant::now() + grace;
@@ -141,76 +134,6 @@ fn reap_worker(mut worker: Worker, grace: Duration) {
     }
 }
 
-/// Per-slot circuit breaker: consecutive crash-class failures trip it open;
-/// open slots degrade their tasks to running locally for a cooldown,
-/// then a half-open probe decides between closing and re-tripping.
-#[derive(Debug, Default, Clone, Copy)]
-struct Breaker {
-    failures: u32,
-    state: BreakerState,
-}
-
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    #[default]
-    Closed,
-    Open {
-        cooldown: u32,
-    },
-    HalfOpen,
-}
-
-impl Breaker {
-    /// Should this block's task for the slot degrade locally?  Consumes one
-    /// cooldown unit per block while open; the block after the cooldown runs
-    /// as the half-open probe.
-    fn degrade_this_block(&mut self) -> bool {
-        match &mut self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => false,
-            BreakerState::Open { cooldown } => {
-                if *cooldown == 0 {
-                    self.state = BreakerState::HalfOpen;
-                    false
-                } else {
-                    *cooldown -= 1;
-                    true
-                }
-            }
-        }
-    }
-
-    /// Record a crash-class failure; returns true when this one tripped the
-    /// breaker (closed past the threshold, or a failed half-open probe).
-    fn note_failure(&mut self) -> bool {
-        self.failures += 1;
-        let trip = match self.state {
-            BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.failures >= BREAKER_THRESHOLD,
-            BreakerState::Open { .. } => false,
-        };
-        if trip {
-            self.state = BreakerState::Open {
-                cooldown: BREAKER_COOLDOWN_BLOCKS,
-            };
-        }
-        trip
-    }
-
-    fn note_success(&mut self) {
-        self.failures = 0;
-        self.state = BreakerState::Closed;
-    }
-}
-
-/// How one slot's task of a block was resolved.
-enum TaskOutcome {
-    /// The worker answered over the wire with the task's checked cells.
-    Wire(Vec<CellCols>, wire::TaskStats),
-    /// The unit runs here, bit-identically: its prefix cannot travel, its
-    /// slot's breaker is open, or its retry budget is spent.
-    Degraded,
-}
-
 /// One prepared plan version: its key and its encoded `Plan` frame (plan
 /// and tables) — `None` when the plan is not wire-serializable and its
 /// blocks run locally.
@@ -223,7 +146,6 @@ struct PlanEntry {
 struct State {
     slots: Vec<Option<Worker>>,
     plans: Vec<PlanEntry>,
-    breakers: Vec<Breaker>,
 }
 
 /// The multi-process [`ExecBackend`]: see the module docs for the
@@ -231,12 +153,9 @@ struct State {
 pub struct ProcessBackend {
     workers: usize,
     state: Mutex<State>,
-    /// Per-task read deadline; a worker silent past it is reclassified as
-    /// dead and respawned.
+    /// How long a task's reply may take; a worker whose reply is not
+    /// complete by then is replaced and its unit runs here.
     task_deadline: Duration,
-    /// Backoff between re-dispatch attempts; `max_attempts` bounds the
-    /// retries before a slot's task degrades locally.
-    retry: BackoffPolicy,
     /// The fault plan driving this backend's chaos run, if any (set only by
     /// [`ProcessBackend::with_fault_spec`]).  Spawned workers receive the
     /// plan via their environment; the coordinator's own sends inject only
@@ -253,7 +172,6 @@ pub struct ProcessBackend {
     worker_warm_hits: AtomicUsize,
     deadline_timeouts: AtomicUsize,
     task_retries: AtomicUsize,
-    circuit_trips: AtomicUsize,
 }
 
 impl std::fmt::Debug for ProcessBackend {
@@ -276,15 +194,8 @@ impl ProcessBackend {
             state: Mutex::new(State {
                 slots: (0..workers).map(|_| None).collect(),
                 plans: Vec::new(),
-                breakers: vec![Breaker::default(); workers],
             }),
             task_deadline: DEFAULT_TASK_DEADLINE,
-            retry: BackoffPolicy {
-                base_ms: 5,
-                cap_ms: 200,
-                max_attempts: Some(2),
-                ..BackoffPolicy::default()
-            },
             faults: None,
             worker_env: Vec::new(),
             workers_spawned: AtomicUsize::new(0),
@@ -295,7 +206,6 @@ impl ProcessBackend {
             worker_warm_hits: AtomicUsize::new(0),
             deadline_timeouts: AtomicUsize::new(0),
             task_retries: AtomicUsize::new(0),
-            circuit_trips: AtomicUsize::new(0),
         }
     }
 
@@ -304,8 +214,8 @@ impl ProcessBackend {
         self.workers
     }
 
-    /// Override the per-task read deadline (30 s by default).  Chaos tests
-    /// shrink this so stalled workers reclassify as dead in milliseconds.
+    /// Override the task read deadline (30 s by default).  Chaos tests
+    /// shrink this so a stalled worker is replaced in a second.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.task_deadline = deadline;
         self
@@ -337,10 +247,10 @@ impl ProcessBackend {
     }
 
     /// Kill worker `index`'s OS process (if one is live), leaving the dead
-    /// handle in place so the *next* dispatch runs into the broken pipe and
-    /// exercises the respawn + re-dispatch path.  A fault-injection hook
-    /// for tests and operational drills; counted in `worker_respawns` when
-    /// the respawn happens, not here.
+    /// handle in place so the *next* dispatch to it fails and takes the
+    /// failure rule.  A fault-injection hook for tests and operational
+    /// drills; counted in `worker_respawns` when the replacement happens,
+    /// not here.
     pub fn kill_worker(&self, index: usize) {
         let mut state = self.state.lock().expect("dispatch state");
         if let Some(worker) = state.slots.get_mut(index).and_then(Option::as_mut) {
@@ -383,9 +293,9 @@ impl ProcessBackend {
         }
     }
 
-    /// Spawn the worker process for `slot` and run the handshake.  The slot
-    /// index decides whether a `worker=K`-targeted fault plan reaches this
-    /// worker's environment.
+    /// Spawn the worker process for `slot` and run the handshake; a worker
+    /// that fails it is reaped.  The slot index decides whether a
+    /// `worker=K`-targeted fault plan reaches this worker's environment.
     fn spawn_worker(&self, slot_index: usize) -> WireResult<Worker> {
         let mut command = Command::new(Self::worker_binary()?);
         command
@@ -433,23 +343,35 @@ impl ProcessBackend {
             known: HashSet::new(),
         };
         self.workers_spawned.fetch_add(1, Ordering::Relaxed);
-        self.send(&mut worker, &wire::encode_hello())?;
+        match self.handshake(&mut worker) {
+            Ok(()) => Ok(worker),
+            Err(e) => {
+                reap_worker(worker, Duration::ZERO);
+                Err(e)
+            }
+        }
+    }
+
+    /// Send `Hello` and check the worker's answer: our magic and version.
+    fn handshake(&self, worker: &mut Worker) -> WireResult<()> {
+        self.send(worker, &wire::encode_hello())?;
         worker.stdin.flush()?;
-        let (payload, _) = self.receive(&mut worker)?;
+        let (payload, _) = self.receive(worker, Instant::now() + self.task_deadline)?;
         match wire::decode_frame(&payload)? {
             Frame::Hello { magic, version } if magic == wire::WIRE_MAGIC => {
-                if version != wire::WIRE_VERSION {
-                    return Err(WireError::VersionMismatch {
+                if version == wire::WIRE_VERSION {
+                    Ok(())
+                } else {
+                    Err(WireError::VersionMismatch {
                         ours: wire::WIRE_VERSION,
                         theirs: version,
-                    });
+                    })
                 }
             }
-            Frame::Hello { magic, .. } => return Err(WireError::BadMagic(magic)),
-            Frame::Error { message } => return Err(WireError::Remote(message)),
-            _ => return Err(WireError::Corrupt("expected Hello from worker".into())),
+            Frame::Hello { magic, .. } => Err(WireError::BadMagic(magic)),
+            Frame::Error { message } => Err(WireError::Remote(message)),
+            _ => Err(WireError::Corrupt("expected Hello from worker".into())),
         }
-        Ok(worker)
     }
 
     fn send(&self, worker: &mut Worker, payload: &[u8]) -> WireResult<()> {
@@ -458,13 +380,11 @@ impl ProcessBackend {
         Ok(())
     }
 
-    /// Read the worker's next frame, bounded by the per-task deadline.  A
-    /// worker that stays silent past the deadline is *reclassified as dead*:
-    /// the timeout comes back as a crash-class I/O error, so the caller's
-    /// respawn + re-dispatch ladder handles hung and crashed workers
-    /// identically.
-    fn receive(&self, worker: &mut Worker) -> WireResult<(Vec<u8>, u64)> {
-        match worker.rx.recv_timeout(self.task_deadline) {
+    /// Read the worker's next frame, waiting no later than `deadline`.  A
+    /// worker still silent then is counted in `deadline_timeouts` and the
+    /// read fails like any other.
+    fn receive(&self, worker: &mut Worker, deadline: Instant) -> WireResult<(Vec<u8>, u64)> {
+        match (worker.rx).recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(Ok((payload, n))) => {
                 self.wire_bytes_received.fetch_add(n, Ordering::Relaxed);
                 Ok((payload, n))
@@ -478,7 +398,7 @@ impl ProcessBackend {
                 Err(WireError::Io(
                     std::io::ErrorKind::TimedOut,
                     format!(
-                        "worker silent past the {:?} task deadline; reclassifying as dead",
+                        "worker silent past the {:?} task deadline",
                         self.task_deadline
                     ),
                 ))
@@ -486,63 +406,54 @@ impl ProcessBackend {
         }
     }
 
-    /// Replace (or fill) worker slot `index` with a fresh process.
-    /// `respawn` marks crash replacements for the counter; the old process,
-    /// if any, gets an immediate bounded reap (it is already broken — no
-    /// grace).
-    fn fill_slot(&self, slot: &mut Option<Worker>, index: usize, respawn: bool) -> WireResult<()> {
-        if respawn {
-            if let Some(old) = slot.take() {
-                reap_worker(old, Duration::ZERO);
-            }
-            self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(self.spawn_worker(index)?);
-        Ok(())
-    }
-
-    /// Send (plan-if-needed +) task to the worker in `slot`, spawning it
-    /// first when empty.  A worker cold for `key` gets the `Plan` frame
-    /// right before the task, with no reply to wait for.
+    /// Send `unit`'s task to the worker in `slot`, spawning it first when
+    /// empty.  A worker cold for `key` gets the `Plan` frame right before
+    /// the task, with no reply to wait for.
     fn send_task(
         &self,
         slot: &mut Option<Worker>,
         index: usize,
         key: PlanKey,
         plan_frame: &[u8],
-        task_frame: &[u8],
+        unit: &ShardTask,
     ) -> WireResult<()> {
         if slot.is_none() {
-            self.fill_slot(slot, index, false)?;
+            *slot = Some(self.spawn_worker(index)?);
         }
         let worker = slot.as_mut().expect("slot just filled");
         if !worker.known.contains(&key) {
             self.send(worker, plan_frame)?;
             worker.known.insert(key);
         }
-        self.send(worker, task_frame)?;
+        let task = wire::encode_task(&TaskHeader {
+            key,
+            master_seed: unit.master_seed,
+            key_range: unit.key_range,
+            base_pos: unit.base_pos,
+            num_values: unit.num_values,
+        });
+        self.send(worker, &task)?;
         worker.stdin.flush()?;
         self.tasks_dispatched.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Read one task's response — `Cells` frames up to the terminating
-    /// stats frame — and check it against `unit` ([`check_reply`]).
-    fn read_response(
-        &self,
-        slot: &mut Option<Worker>,
-        unit: &ShardTask,
-    ) -> WireResult<(Vec<CellCols>, wire::TaskStats)> {
-        let worker = slot.as_mut().ok_or(WireError::Truncated {
-            what: "worker response (no worker)",
-        })?;
+    /// Read one task's reply to its end — `Cells` frames up to the
+    /// terminating stats frame, all within the task deadline — and check it
+    /// against `unit` ([`check_reply`]).  An `Error` frame fails the read.
+    fn read_reply(&self, slot: &mut Option<Worker>, unit: &ShardTask) -> WireResult<Vec<CellCols>> {
+        let worker = slot.as_mut().expect("a sent task's worker");
+        let deadline = Instant::now() + self.task_deadline;
         let mut reply = Vec::new();
         loop {
-            let (payload, _) = self.receive(worker)?;
+            let (payload, _) = self.receive(worker, deadline)?;
             match wire::decode_frame(&payload)? {
                 Frame::Cells { idx, cells } => reply.push((idx, cells)),
                 Frame::TaskStats(stats) if stats.cells == reply.len() => {
-                    return Ok((check_reply(unit, reply)?, stats));
+                    let cells = check_reply(unit, reply)?;
+                    let warm = usize::from(stats.warm_hit);
+                    self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
+                    return Ok(cells);
                 }
                 Frame::Error { message } => return Err(WireError::Remote(message)),
                 _ => {
@@ -554,164 +465,53 @@ impl ProcessBackend {
         }
     }
 
-    /// Whether a wire failure warrants a respawn + re-dispatch (crashes and
-    /// protocol breakdowns do; a task-level `Error` frame does not — the
-    /// worker is healthy and the failure is deterministic).
-    fn is_crash(err: &WireError) -> bool {
-        !matches!(err, WireError::Remote(_))
-    }
-
-    /// Kill and reap every worker with a task in flight this block.
-    /// Aborting mid-conversation (a task-level Error frame, ...) can leave
-    /// *other* workers' completed responses queued in their pipes; a later
-    /// block would read those stale frames as its own partials.  Dropping
-    /// the in-flight workers (they respawn cold on the next dispatch) makes
-    /// that impossible.
-    fn teardown(&self, state: &mut State, in_flight: usize) {
-        for slot in state.slots[..in_flight].iter_mut() {
-            if let Some(worker) = slot.take() {
-                reap_worker(worker, Duration::ZERO);
+    /// The failure rule, applied to one step of slot `index`'s
+    /// conversation: a failed step reaps the slot's worker and replaces it
+    /// at once with a cold one (a replacement that fails to spawn leaves
+    /// the slot empty for the next block to fill), and its unit, which the
+    /// caller then runs here, is counted in `task_retries`.
+    fn checked<T>(
+        &self,
+        slot: &mut Option<Worker>,
+        index: usize,
+        step: WireResult<T>,
+    ) -> Option<T> {
+        if step.is_err() {
+            self.task_retries.fetch_add(1, Ordering::Relaxed);
+            if let Some(old) = slot.take() {
+                reap_worker(old, Duration::ZERO);
+                self.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                *slot = self.spawn_worker(index).ok();
             }
         }
+        step.ok()
     }
 
-    /// The fallible dispatch conversation for one block: pipeline every
-    /// task to its worker (phase A), then collect responses in task order
-    /// (phase B).  `tasks[i] == None` marks a slot whose breaker is open —
-    /// nothing is dispatched for it and its outcome is `Degraded` up front.
-    ///
-    /// Each phase runs a bounded retry ladder per slot: a crash-class
-    /// failure (EOF, corrupt frame, read deadline) respawns the worker and
-    /// re-dispatches after a capped, jittered backoff; a slot that exhausts
-    /// its retries degrades to `Degraded` instead of failing the block.
-    /// Deterministic task-level errors still fail the block (the caller
-    /// tears down all in-flight workers so no stale frame can leak into the
-    /// next conversation).
-    fn run_tasks(
+    /// One block's conversation: every unit's task goes out to its slot's
+    /// worker before any reply is read, so the workers run concurrently;
+    /// then each reply is read in unit (= ascending key-range) order.  A
+    /// unit comes back `None` when its worker failed ([`Self::checked`]).
+    fn converse(
         &self,
         state: &mut State,
         key: PlanKey,
         plan_frame: &[u8],
         units: &[ShardTask],
-        tasks: &[Option<Vec<u8>>],
-    ) -> WireResult<Vec<TaskOutcome>> {
-        let mut outcomes: Vec<Option<TaskOutcome>> = tasks
-            .iter()
-            .map(|t| t.is_none().then_some(TaskOutcome::Degraded))
+    ) -> Vec<Option<Vec<CellCols>>> {
+        let sent: Vec<bool> = (units.iter().enumerate())
+            .map(|(i, unit)| {
+                let slot = &mut state.slots[i];
+                let sent = self.send_task(slot, i, key, plan_frame, unit);
+                self.checked(slot, i, sent).is_some()
+            })
             .collect();
-        // A crash-class failure of a re-send is just another failure: the
-        // next attempt runs into the empty or broken slot and the ladder
-        // converges.  Anything else fails the block.
-        let tolerate_crash = |state: &mut State, sent: WireResult<()>| match sent {
-            Err(e) if !Self::is_crash(&e) => {
-                self.teardown(state, tasks.len());
-                Err(e)
-            }
-            _ => Ok(()),
-        };
-
-        // Phase A: pipeline every task out to its worker before reading any
-        // response, so the workers run concurrently.
-        for (i, task_frame) in tasks.iter().enumerate() {
-            let Some(task_frame) = task_frame else {
-                continue;
-            };
-            let mut attempt = 0u32;
-            loop {
+        (units.iter().zip(sent).enumerate())
+            .map(|(i, (unit, sent))| {
                 let slot = &mut state.slots[i];
-                match self.send_task(slot, i, key, plan_frame, task_frame) {
-                    Ok(()) => break,
-                    Err(e) if !Self::is_crash(&e) => {
-                        self.teardown(state, tasks.len());
-                        return Err(e);
-                    }
-                    Err(_) => {
-                        if !self.back_off(state, i, &mut attempt) {
-                            outcomes[i] = Some(TaskOutcome::Degraded);
-                            break;
-                        }
-                        let respawned = self.fill_slot(&mut state.slots[i], i, true);
-                        tolerate_crash(state, respawned)?;
-                    }
-                }
-            }
-        }
-
-        // Phase B: collect the replies in task (= ascending key-range) order.
-        // A read failure is a crashed *or hung* worker: respawn,
-        // re-dispatch that task, and read again — the position-addressable
-        // streams make the re-run bit-identical.  A worker that evicted the
-        // plan from its bounded memory answers with the unknown-plan error:
-        // it is healthy, so just re-send the plan and the task.
-        for (i, task_frame) in tasks.iter().enumerate() {
-            let Some(task_frame) = task_frame else {
-                continue;
-            };
-            if outcomes[i].is_some() {
-                continue; // degraded in phase A; nothing in flight
-            }
-            let mut attempt = 0u32;
-            let mut plan_resends = 0u32;
-            let outcome = loop {
-                let slot = &mut state.slots[i];
-                match self.read_response(slot, &units[i]) {
-                    Ok((cells, stats)) => {
-                        state.breakers[i].note_success();
-                        break TaskOutcome::Wire(cells, stats);
-                    }
-                    Err(WireError::Remote(msg))
-                        if msg.starts_with(wire::UNKNOWN_PLAN_MESSAGE_PREFIX)
-                            && plan_resends < 2 =>
-                    {
-                        plan_resends += 1;
-                        if let Some(worker) = slot.as_mut() {
-                            worker.known.remove(&key);
-                        }
-                        let sent = self.send_task(slot, i, key, plan_frame, task_frame);
-                        tolerate_crash(state, sent)?;
-                    }
-                    Err(e) if Self::is_crash(&e) => {
-                        if !self.back_off(state, i, &mut attempt) {
-                            break TaskOutcome::Degraded;
-                        }
-                        let slot = &mut state.slots[i];
-                        let sent = self
-                            .fill_slot(slot, i, true)
-                            .and_then(|()| self.send_task(slot, i, key, plan_frame, task_frame));
-                        tolerate_crash(state, sent)?;
-                    }
-                    Err(e) => {
-                        self.teardown(state, tasks.len());
-                        return Err(e);
-                    }
-                }
-            };
-            outcomes[i] = Some(outcome);
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every slot resolved in phase A or B"))
-            .collect())
-    }
-
-    /// Record a crash-class failure on slot `i`'s breaker, counting trips,
-    /// and, unless its retries are spent, sleep the capped, jittered backoff
-    /// before the next attempt.  A spent slot is reaped and `false` comes
-    /// back: the slot degrades.
-    fn back_off(&self, state: &mut State, i: usize, attempt: &mut u32) -> bool {
-        if state.breakers[i].note_failure() {
-            self.circuit_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.retry.exhausted(*attempt) {
-            if let Some(worker) = state.slots[i].take() {
-                reap_worker(worker, Duration::ZERO);
-            }
-            return false;
-        }
-        self.task_retries.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.retry.delay(*attempt, i as u64));
-        *attempt += 1;
-        true
+                let reply = sent.then(|| self.read_reply(slot, unit))?;
+                self.checked(slot, i, reply)
+            })
+            .collect()
     }
 }
 
@@ -794,8 +594,8 @@ impl ExecBackend for ProcessBackend {
     /// `active_keys` order, from one [`ShardTask`] per worker slot through
     /// the dispatch conversation.  A prefix whose skeleton's key has no
     /// dispatchable plan frame (never primed, primed with another catalog,
-    /// or not wire-serializable) sends nothing and ticks no breaker; it and
-    /// every other degraded unit run here.
+    /// or not wire-serializable) sends nothing; it and every unit whose
+    /// worker failed run here.
     fn instantiate_cells(
         &self,
         prefix: &DeterministicPrefix,
@@ -808,33 +608,9 @@ impl ExecBackend for ProcessBackend {
         let key = prefix.skeleton().key();
         let mut state = self.state.lock().expect("dispatch state");
         let entry = state.plans.iter().find(|e| e.key == key);
-        let outcomes = match entry.and_then(|e| e.frame.clone()) {
-            Some(plan_frame) => {
-                if state.breakers.len() < units.len() {
-                    state.breakers.resize(units.len(), Breaker::default());
-                }
-                // Slots with an open breaker skip dispatch entirely this
-                // block, and the cooldown ticks down toward the half-open
-                // probe.
-                let tasks: Vec<Option<Vec<u8>>> = units
-                    .iter()
-                    .enumerate()
-                    .map(|(i, unit)| {
-                        (!state.breakers[i].degrade_this_block()).then(|| {
-                            wire::encode_task(&TaskHeader {
-                                key,
-                                master_seed: unit.master_seed,
-                                key_range: unit.key_range,
-                                base_pos,
-                                num_values,
-                            })
-                        })
-                    })
-                    .collect();
-                self.run_tasks(&mut state, key, &plan_frame, &units, &tasks)
-                    .map_err(mcdbr_storage::Error::from)?
-            }
-            None => units.iter().map(|_| TaskOutcome::Degraded).collect(),
+        let replies = match entry.and_then(|e| e.frame.clone()) {
+            Some(plan_frame) => self.converse(&mut state, key, &plan_frame, &units),
+            None => units.iter().map(|_| None).collect(),
         };
         drop(state);
 
@@ -842,17 +618,11 @@ impl ExecBackend for ProcessBackend {
         // concatenated, are the block's; a local run of a unit is
         // bit-identical to the worker's.
         let mut cells = Vec::with_capacity(prefix.num_active_streams());
-        for (unit, outcome) in units.iter().zip(outcomes) {
-            cells.extend(match outcome {
-                TaskOutcome::Wire(got, stats) => {
-                    let warm = usize::from(stats.warm_hit);
-                    self.worker_warm_hits.fetch_add(warm, Ordering::Relaxed);
-                    got
-                }
-                TaskOutcome::Degraded => (unit.run(pool, threads)?.into_iter())
-                    .map(|(_, c)| c)
-                    .collect(),
-            });
+        for (unit, reply) in units.iter().zip(replies) {
+            match reply {
+                Some(got) => cells.extend(got),
+                None => cells.extend(unit.run(pool, threads)?.into_iter().map(|(_, c)| c)),
+            }
         }
         Ok(cells)
     }
@@ -869,7 +639,6 @@ impl ExecBackend for ProcessBackend {
             worker_warm_hits: self.worker_warm_hits.load(Ordering::Relaxed),
             deadline_timeouts: self.deadline_timeouts.load(Ordering::Relaxed),
             task_retries: self.task_retries.load(Ordering::Relaxed),
-            circuit_trips: self.circuit_trips.load(Ordering::Relaxed),
         }
     }
 }
@@ -956,33 +725,6 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         let groups = s.groups.iter();
         groups.map(|(k, v)| (format!("{k:?}"), bits(v))).collect()
-    }
-
-    #[test]
-    fn breaker_trips_after_threshold_cools_down_and_probes() {
-        let mut b = Breaker::default();
-        assert!(!b.degrade_this_block(), "closed breakers dispatch");
-        assert!(!b.note_failure());
-        assert!(!b.note_failure());
-        assert!(b.note_failure(), "third consecutive failure trips");
-        // Open: degrade for the cooldown's worth of blocks.
-        for _ in 0..BREAKER_COOLDOWN_BLOCKS {
-            assert!(b.degrade_this_block());
-        }
-        // Cooldown spent: the next block is the half-open probe.
-        assert!(!b.degrade_this_block());
-        assert_eq!(b.state, BreakerState::HalfOpen);
-        // A failed probe re-trips immediately...
-        assert!(b.note_failure());
-        for _ in 0..BREAKER_COOLDOWN_BLOCKS {
-            assert!(b.degrade_this_block());
-        }
-        assert!(!b.degrade_this_block());
-        // ...and a successful one closes and resets the failure count.
-        b.note_success();
-        assert_eq!(b.state, BreakerState::Closed);
-        assert_eq!(b.failures, 0);
-        assert!(!b.degrade_this_block());
     }
 
     /// A decoder's copy of `cells`.
@@ -1097,7 +839,7 @@ mod tests {
             assert!(stats.workers_spawned <= workers);
             assert_eq!(stats.worker_respawns, 0);
             assert_eq!(stats.deadline_timeouts, 0);
-            assert_eq!(stats.circuit_trips, 0);
+            assert_eq!(stats.task_retries, 0);
             assert!(
                 stats.worker_warm_hits > 0,
                 "later blocks must hit the warm-worker phase-1 skip"
@@ -1122,9 +864,9 @@ mod tests {
             &first,
         );
 
-        // Kill both workers: the next block hits broken pipes, respawns,
-        // re-sends the plan (respawned workers are cold), re-dispatches, and
-        // still merges bit-identically.
+        // Kill both workers: each unit of the next block hits its worker's
+        // broken pipe (or EOF), the worker is replaced by a cold one, and
+        // the unit runs here, bit-identically.
         backend.kill_worker(0);
         backend.kill_worker(1);
         let second = session.instantiate_block(&catalog, 16, 16).unwrap();
@@ -1133,10 +875,20 @@ mod tests {
             &second,
         );
         let stats = backend.shard_stats();
-        assert!(
-            stats.worker_respawns >= 1,
-            "killed workers must be respawned, got {stats:?}"
+        assert_eq!(
+            (stats.worker_respawns, stats.task_retries),
+            (2, 2),
+            "one replacement and one local run per killed worker: {stats:?}"
         );
+        // The replacements are warm for nothing yet: the next block ships
+        // them the plan and comes back over the wire.
+        let third = session.instantiate_block(&catalog, 32, 16).unwrap();
+        assert_sets_identical(
+            &reference.instantiate_block(&catalog, 32, 16).unwrap(),
+            &third,
+        );
+        let after = backend.shard_stats().since(stats);
+        assert_eq!((after.tasks_dispatched, after.task_retries), (2, 0));
     }
 
     #[test]
@@ -1144,9 +896,10 @@ mod tests {
         // Workers bound their plan memory (MAX_KNOWN_PLANS); cycling more
         // distinct plans than that through one worker evicts the first one
         // from the *worker* while the coordinator still believes the worker
-        // knows it.  The worker answers with the unknown-plan error, the
-        // coordinator re-sends the plan + task, and the block comes back
-        // bit-identical — without a respawn (the worker is healthy).
+        // knows it.  The worker answers with an unknown-plan `Error` frame,
+        // which takes the failure rule: the worker is replaced by a cold
+        // one, the unit runs here, and the block comes back bit-identical.
+        // The replacement gets the plan with its next task.
         let catalog = catalog();
         let backend = Arc::new(ProcessBackend::new(1));
         let plan_i = |i: i64| {
@@ -1163,17 +916,115 @@ mod tests {
                 .with_backend(backend.clone());
             let _ = session.instantiate_block(&catalog, 0, 2).unwrap();
         }
-        let got = first.instantiate_block(&catalog, 4, 8).unwrap();
-        let want = ExecSession::prepare(&plan_i(0), &catalog, 5)
-            .unwrap()
-            .with_backend(Arc::new(InProcessBackend::new()))
-            .instantiate_block(&catalog, 4, 8)
-            .unwrap();
-        assert_sets_identical(&want, &got);
+        let want = |base, n| {
+            ExecSession::prepare(&plan_i(0), &catalog, 5)
+                .unwrap()
+                .with_backend(Arc::new(InProcessBackend::new()))
+                .instantiate_block(&catalog, base, n)
+                .unwrap()
+        };
+        let before = backend.shard_stats();
+        assert_sets_identical(
+            &want(4, 8),
+            &first.instantiate_block(&catalog, 4, 8).unwrap(),
+        );
+        let stats = backend.shard_stats().since(before);
+        assert_eq!(
+            (
+                stats.worker_respawns,
+                stats.task_retries,
+                stats.deadline_timeouts
+            ),
+            (1, 1, 0),
+            "a lost plan costs one replacement and one local run: {stats:?}"
+        );
+        let before = backend.shard_stats();
+        assert_sets_identical(
+            &want(12, 8),
+            &first.instantiate_block(&catalog, 12, 8).unwrap(),
+        );
+        let stats = backend.shard_stats().since(before);
+        assert_eq!(
+            (
+                stats.tasks_dispatched,
+                stats.task_retries,
+                stats.worker_respawns
+            ),
+            (1, 0, 0),
+            "the replacement serves the next block: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_unit_that_errs_fails_its_block_with_the_in_process_error() {
+        // `MultiNormal`, except that its skeleton probe ignores the sign of
+        // `sd`.  It answers with the built-in's token, so its plan ships and
+        // each worker rebuilds the real `MultiNormal`, whose own phase 1
+        // refuses `sd = -1`: every worker answers its task with an `Error`
+        // frame.  Each unit then runs here, where the block kernel — the
+        // built-in's — raises the error in-process execution raises.
+        #[derive(Debug)]
+        struct LenientProbe(mcdbr_vg::MultiNormalVg);
+        impl mcdbr_vg::VgFunction for LenientProbe {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn cache_token(&self) -> String {
+                self.0.cache_token()
+            }
+            fn output_fields(&self) -> Vec<Field> {
+                self.0.output_fields()
+            }
+            fn generate(
+                &self,
+                params: &[Value],
+                gen: &mut mcdbr_prng::Pcg64,
+            ) -> mcdbr_storage::Result<Vec<mcdbr_storage::Tuple>> {
+                let sd = params[1].as_f64()?.abs();
+                self.0
+                    .generate(&[params[0].clone(), Value::Float64(sd)], gen)
+            }
+            fn generate_block_into(
+                &self,
+                params: &[Value],
+                seed: mcdbr_prng::SeedId,
+                base_pos: u64,
+                num_values: usize,
+                out: &mut mcdbr_storage::ColumnBlock,
+            ) -> mcdbr_storage::Result<()> {
+                (self.0).generate_block_into(params, seed, base_pos, num_values, out)
+            }
+        }
+        let catalog = catalog();
+        let plan = PlanNode::random_table(scalar_random_table(
+            "Correlated",
+            "means",
+            Arc::new(LenientProbe(mcdbr_vg::MultiNormalVg::new(2, 0.5))),
+            vec![Expr::col("m"), Expr::lit(-1.0)],
+            &["cid"],
+            "component",
+            4,
+        ));
+        let block = |backend: Arc<dyn ExecBackend>| {
+            let session = ExecSession::prepare(&plan, &catalog, 8).unwrap();
+            let err = session
+                .with_backend(backend)
+                .instantiate_block(&catalog, 0, 6);
+            err.unwrap_err().to_string()
+        };
+        let want = block(Arc::new(InProcessBackend::new()));
+        assert!(want.contains("MultiNormal: negative sd -1"), "{want}");
+        let backend = Arc::new(ProcessBackend::new(2));
+        assert_eq!(block(backend.clone()), want);
         let stats = backend.shard_stats();
         assert_eq!(
-            stats.worker_respawns, 0,
-            "plan eviction is recovered by re-sending, never by respawning: {stats:?}"
+            (
+                stats.tasks_dispatched,
+                stats.task_retries,
+                stats.worker_respawns
+            ),
+            (2, 2, 2),
+            "both units went out, failed there and ran here: {stats:?}"
         );
     }
 

@@ -5,7 +5,7 @@
 //! `Plan` / `Task` frames in, columnar partial-result frames out — and
 //! exits cleanly on a `Shutdown` frame or when the coordinator closes the
 //! pipe.  Protocol failures exit non-zero with the reason on stderr; the
-//! coordinator treats that as a crash and respawns.
+//! coordinator replaces the worker and runs its task itself.
 //!
 //! A `ProcessBackend` armed with a fault plan
 //! (`ProcessBackend::with_fault_spec`) writes it into `MCDBR_FAULTS` (see

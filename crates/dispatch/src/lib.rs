@@ -19,11 +19,10 @@
 //! * [`ProcessBackend`] — an [`mcdbr_exec::ExecBackend`] that spawns and
 //!   pools persistent workers, pipelines one task per worker per block,
 //!   checks every reply, assembles or folds the cells bit-identically to
-//!   the in-process backend, and survives worker failure: per-task read
-//!   deadlines reclassify hung workers as dead, crash-class failures ride a
-//!   bounded respawn + backoff + re-dispatch ladder, and a per-slot circuit
-//!   breaker degrades repeat offenders to running their unit locally.
-//!   Chaos runs inject deterministic faults through
+//!   the in-process backend, and survives worker failure by one rule: a
+//!   unit whose worker fails (a send error, EOF, a bad reply, the task read
+//!   deadline, or a reported error) runs here, and the worker is replaced
+//!   at once by a cold one.  Chaos runs inject deterministic faults through
 //!   [`ProcessBackend::with_fault_spec`] (`mcdbr_faults`).
 //!
 //! Library callers pass a [`ProcessBackend`] to `with_backend`; no binary

@@ -93,18 +93,13 @@ pub const WIRE_MAGIC: u32 = 0x5744_434D;
 /// instead of `Bundle` frames.  Version 6 ships every table a plan reads
 /// inside its `Plan` frame, which has no reply.  Version 7 ships a VG
 /// function as its cache token and drops the always-zero task count from
-/// `QueryStats`.
-pub const WIRE_VERSION: u16 = 7;
+/// `QueryStats`.  Version 8 writes a random table's VG column index as a
+/// `u64`, so no two indices share an encoding.
+pub const WIRE_VERSION: u16 = 8;
 
 /// Upper bound on a single frame's payload, guarding against a corrupt
 /// length prefix allocating unbounded memory.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
-
-/// The prefix of the `Error`-frame message a worker answers a task with
-/// when it does not (or no longer) holds the task's plan.  Part of the
-/// protocol: the coordinator recognizes it as "healthy worker, re-send
-/// the plan" — not a crash, not a fatal task error.
-pub const UNKNOWN_PLAN_MESSAGE_PREFIX: &str = "unknown plan key";
 
 /// Typed wire-protocol failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,8 +204,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<u64> {
 /// Dropped and truncated frames still report success with the nominal byte
 /// count: a fault is invisible to the writer, exactly like a buffered OS
 /// write that will never reach a dead peer.  Recovery is the *reader's* job
-/// (deadline → respawn ladder), which is the failure mode chaos runs are
-/// exercising.
+/// (its deadline, then the dispatcher's failure rule), which is the failure
+/// mode chaos runs are exercising.
 pub fn write_frame_faulty(
     w: &mut impl Write,
     payload: &[u8],
@@ -319,7 +314,10 @@ pub enum ReplyCode {
     Busy,
     /// The server is draining for shutdown and admits no new queries.
     ShuttingDown,
-    /// The request was malformed or used a frame the server does not accept.
+    /// The request was malformed, used a frame the server does not accept,
+    /// or asked for work the engine refuses as invalid
+    /// (`mcdbr_storage::Error::Invalid`, e.g. a block over the server's
+    /// cell budget).
     Invalid,
     /// The query was admitted but failed during execution.
     Internal,

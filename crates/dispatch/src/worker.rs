@@ -13,14 +13,14 @@
 //! *cold* path); every later task for the same key hits the cache, skips
 //! phase 1 entirely, and reports `warm_hit = true` in its [`TaskStats`]
 //! frame — the same plan-keyed reuse the coordinator enjoys in-process.  A
-//! respawned worker simply starts cold again; the coordinator re-sends the
-//! plan.
+//! replacement worker simply starts cold; the coordinator sends it the
+//! plan with its next task.
 //!
 //! Task-level failures (unknown key, a catalog that did not assemble,
 //! execution errors) come back as `Error` frames and leave the loop alive;
 //! protocol-level failures (handshake mismatch, corrupt frames) terminate
-//! the worker, which the coordinator treats like a crash: respawn and
-//! re-dispatch.
+//! the worker.  The coordinator treats both alike: it replaces the worker
+//! and runs the task itself.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -45,9 +45,9 @@ struct KnownPlan {
 
 /// How many plans (and their catalog snapshots) a worker retains.  The
 /// coordinator caps its prepared-plan list the same way; a worker asked
-/// about an evicted key answers with the
-/// [`wire::UNKNOWN_PLAN_MESSAGE_PREFIX`] error and the coordinator simply
-/// re-sends the plan — bounded memory on both sides, no lost work.
+/// about an evicted key answers with an "unknown plan key" error, and the
+/// coordinator replaces it and runs the task itself — bounded memory on
+/// both sides, no lost work.
 const MAX_KNOWN_PLANS: usize = 64;
 
 /// The worker's bounded plan store: FIFO eviction past
@@ -89,8 +89,8 @@ pub fn run_worker<R: Read, W: Write>(input: &mut R, output: &mut W) -> WireResul
 /// the *task* path — a slow-worker sleep before serving, a stall before the
 /// first reply frame, and drop/partial/delay on the reply writes — never
 /// the handshake, so spawning a faulty worker stays deterministic
-/// and every injected failure lands where the coordinator's deadline +
-/// respawn ladder can see it.
+/// and every injected failure lands where the coordinator's deadline and
+/// failure rule can see it.
 pub fn run_worker_with_faults<R: Read, W: Write>(
     input: &mut R,
     output: &mut W,
@@ -160,7 +160,7 @@ pub fn run_worker_with_faults<R: Read, W: Write>(
                 let reply = serve_task(&plans, &cache, &pool, &task);
                 // The hung-but-alive failure mode: the task ran, the reply
                 // just never starts.  The coordinator's read deadline is
-                // what turns this into a respawn.
+                // what replaces the worker.
                 if let Some(mcdbr_faults::FaultAction::Stall(d)) =
                     faults.and_then(|inj| inj.decide(mcdbr_faults::FaultPoint::StallBeforeReply))
                 {
@@ -216,10 +216,8 @@ fn serve_task(
 ) -> Result<(Vec<(usize, CellCols)>, TaskStats), String> {
     let known = plans.plans.get(&task.key).ok_or_else(|| {
         format!(
-            "{} (fingerprint {:#018x}, epoch {}); send a Plan frame first",
-            wire::UNKNOWN_PLAN_MESSAGE_PREFIX,
-            task.key.fingerprint,
-            task.key.epoch
+            "unknown plan key (fingerprint {:#018x}, epoch {}); send a Plan frame first",
+            task.key.fingerprint, task.key.epoch
         )
     })?;
     let catalog = known.catalog.as_ref().map_err(Clone::clone)?;

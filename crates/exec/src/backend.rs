@@ -44,7 +44,7 @@ use crate::shard::{assemble_block, generate_streams};
 
 /// Counters a backend exposes about where its units ran.  The in-process
 /// backend keeps no counters, so its stats stay zero; the multi-process
-/// dispatcher counts its dispatched units, wire traffic and fault ladder,
+/// dispatcher counts its dispatched units, wire traffic and failures,
 /// and the server's scheduler adds the units it placed.
 ///
 /// Counters are cumulative over the backend's lifetime; use
@@ -74,25 +74,21 @@ pub struct ShardStats {
     /// Bytes read back from worker processes (stream cells, stats,
     /// errors).
     pub wire_bytes_received: u64,
-    /// Workers respawned after a crash or protocol failure, with their
-    /// in-flight task re-dispatched.
+    /// Workers reaped after a failure and replaced at once by a cold one
+    /// (the dispatcher's one failure rule).
     pub worker_respawns: usize,
     /// Dispatched tasks a *warm* worker served from its own session cache —
     /// the worker skipped phase 1 because it had already built the plan's
     /// skeleton for an earlier task.
     pub worker_warm_hits: usize,
-    /// Worker reads that hit the per-task deadline: the worker was alive but
-    /// silent (hung, stalled, or its reply was lost) and got reclassified as
-    /// dead so the respawn + re-dispatch ladder could run.
+    /// Task replies not complete within the task read deadline: the worker
+    /// was alive but silent (hung, stalled, or its reply was lost), so the
+    /// failure rule replaced it.
     pub deadline_timeouts: usize,
-    /// Task sends/reads retried after a crash-class failure (each retry is
-    /// preceded by a respawn and a capped, jittered backoff sleep).
+    /// Dispatched units re-run in this process because their worker failed:
+    /// a send error, EOF, a corrupt or mismatched reply, the read deadline,
+    /// or an `Error` frame the worker reported.
     pub task_retries: usize,
-    /// Per-worker circuit-breaker trips: a slot failed repeatedly and its
-    /// tasks ran in this process instead until the breaker's
-    /// cooldown elapsed — why `tasks_dispatched` can stay flat while results
-    /// keep flowing.
-    pub circuit_trips: usize,
 }
 
 impl ShardStats {
@@ -116,7 +112,6 @@ impl ShardStats {
                 .deadline_timeouts
                 .saturating_sub(earlier.deadline_timeouts),
             task_retries: self.task_retries.saturating_sub(earlier.task_retries),
-            circuit_trips: self.circuit_trips.saturating_sub(earlier.circuit_trips),
         }
     }
 }
@@ -261,7 +256,6 @@ mod tests {
             worker_warm_hits: 1,
             deadline_timeouts: 1,
             task_retries: 1,
-            circuit_trips: 0,
         };
         let later = ShardStats {
             shards_spawned: 10,
@@ -273,7 +267,6 @@ mod tests {
             worker_warm_hits: 6,
             deadline_timeouts: 3,
             task_retries: 4,
-            circuit_trips: 1,
         };
         assert_eq!(
             later.since(earlier),
@@ -287,7 +280,6 @@ mod tests {
                 worker_warm_hits: 5,
                 deadline_timeouts: 2,
                 task_retries: 3,
-                circuit_trips: 1,
             }
         );
         assert_eq!(earlier.since(later), ShardStats::default());

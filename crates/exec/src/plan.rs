@@ -465,7 +465,7 @@ impl PlanNode {
                         }
                         OutputColumn::Vg { vg_col, as_name } => {
                             out.push(2);
-                            out.extend_from_slice(&(*vg_col as u32).to_le_bytes());
+                            out.extend_from_slice(&(*vg_col as u64).to_le_bytes());
                             put_str(out, as_name);
                         }
                     }
@@ -537,7 +537,9 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> DecodeResult<PlanNode> {
                         as_name: r.string("param alias")?,
                     },
                     2 => OutputColumn::Vg {
-                        vg_col: r.u32("vg column index")? as usize,
+                        vg_col: usize::try_from(r.u64("vg column index")?).map_err(|_| {
+                            DecodeError::corrupt("vg column index", "past this platform's usize")
+                        })?,
                         as_name: r.string("vg alias")?,
                     },
                     other => return Err(DecodeError::unknown("output column tag", other)),
@@ -776,6 +778,31 @@ mod tests {
             PlanNode::scan("means").split("cid").fingerprint(),
             PlanNode::scan("means").split("m").fingerprint()
         );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn vg_column_indices_2_pow_32_apart_fingerprint_apart() {
+        let with_vg_col = |vg_col: usize| {
+            let mut spec = losses_spec();
+            spec.columns.push(OutputColumn::Vg {
+                vg_col,
+                as_name: "far".into(),
+            });
+            PlanNode::random_table(spec)
+        };
+        let far = with_vg_col(1 << 32);
+        assert_ne!(with_vg_col(0).fingerprint(), far.fingerprint());
+        let mut bytes = Vec::new();
+        far.encode_wire(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let PlanNode::RandomTable(spec) = PlanNode::decode_wire(&mut r).unwrap() else {
+            panic!("a random table decodes as one");
+        };
+        assert!(matches!(
+            spec.columns.last(),
+            Some(OutputColumn::Vg { vg_col, .. }) if *vg_col == 1 << 32
+        ));
     }
 
     #[test]

@@ -822,7 +822,7 @@ impl ExecSession {
     /// The Gibbs looper draws each chunk of a stream past its initial block
     /// this way.  One stream's window is small, pure `(seed, position)`
     /// work, so it runs inline on the session's pool whatever the backend,
-    /// as a dispatching backend's degraded path regenerates units locally.
+    /// as a dispatching backend regenerates a failed worker's unit locally.
     /// Counts as one block; uncacheable plans have no per-stream unit and
     /// are refused.
     pub fn instantiate_stream(

@@ -13,11 +13,7 @@
 //! The caller arms a plan (`ProcessBackend::with_fault_spec`); the only
 //! environment read is [`env_injector`], through which a spawned worker
 //! process picks up the plan its coordinator wrote into [`FAULTS_ENV`].
-//! Nothing else in the library reads that variable.  The crate
-//! also hosts [`BackoffPolicy`], the shared capped-exponential +
-//! seeded-jitter retry schedule used by `ProcessBackend` re-sends and
-//! `ServerClient::query_retrying`, so chaos runs *and* their recovery paths
-//! replay from the same seeds.
+//! Nothing else in the library reads that variable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -337,52 +333,6 @@ pub fn env_injector() -> Option<Arc<FaultInjector>> {
         .clone()
 }
 
-/// Capped exponential backoff with seeded full jitter.
-///
-/// Attempt `n` sleeps a uniform draw from `[0, min(cap, base << n)]`; the
-/// draw comes from `Pcg64::with_stream(seed ^ salt, n)` so retry schedules
-/// replay deterministically alongside fault plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Backoff for attempt 0, in milliseconds.
-    pub base_ms: u64,
-    /// Upper bound on any single backoff, in milliseconds.
-    pub cap_ms: u64,
-    /// Give up after this many retries (`None` = retry forever).
-    pub max_attempts: Option<u32>,
-    /// Jitter seed.
-    pub seed: u64,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base_ms: 2,
-            cap_ms: 200,
-            max_attempts: None,
-            seed: 0x6d63_6462, // "mcdb"
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The jittered sleep before retry `attempt` (0-based).  `salt`
-    /// decorrelates concurrent retry loops sharing one policy.
-    pub fn delay(&self, attempt: u32, salt: u64) -> Duration {
-        let exp = self
-            .base_ms
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cap_ms);
-        let jitter = Pcg64::with_stream(self.seed ^ salt, u64::from(attempt)).next_f64();
-        Duration::from_micros((exp as f64 * 1000.0 * jitter) as u64)
-    }
-
-    /// True once `attempt` retries have already been spent.
-    pub fn exhausted(&self, attempt: u32) -> bool {
-        self.max_attempts.is_some_and(|cap| attempt >= cap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,38 +463,5 @@ mod tests {
             Some(FaultAction::Truncate)
         );
         assert_eq!(inj.decide(FaultPoint::DropFrame), Some(FaultAction::Drop));
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential_with_deterministic_jitter() {
-        let policy = BackoffPolicy {
-            base_ms: 4,
-            cap_ms: 32,
-            max_attempts: Some(3),
-            seed: 99,
-        };
-        for attempt in 0..8 {
-            let bound = 4u64.saturating_mul(1 << attempt).min(32);
-            let d = policy.delay(attempt, 0);
-            assert!(
-                d <= Duration::from_millis(bound),
-                "attempt {attempt}: {d:?} > {bound}ms"
-            );
-            assert_eq!(d, policy.delay(attempt, 0), "jitter must be deterministic");
-        }
-        assert_ne!(policy.delay(2, 0), policy.delay(2, 1), "salts decorrelate");
-        assert!(!policy.exhausted(2));
-        assert!(policy.exhausted(3));
-        assert!(
-            BackoffPolicy::default().max_attempts.is_none(),
-            "default policy retries until the caller stops"
-        );
-    }
-
-    #[test]
-    fn huge_attempt_counts_do_not_overflow() {
-        let policy = BackoffPolicy::default();
-        let d = policy.delay(u32::MAX, 42);
-        assert!(d <= Duration::from_millis(policy.cap_ms));
     }
 }

@@ -156,7 +156,7 @@ pub struct NaiveTailReport {
     /// calibration reuses them.
     pub buffer_reuses: u64,
     /// The hunt's window of the engine's execution backend's counters:
-    /// shard tasks, worker-process dispatch and its fault ladder — all zero
+    /// shard tasks, worker-process dispatch and its failures — all zero
     /// where the backend has nothing to report.
     pub backend: ShardStats,
 }

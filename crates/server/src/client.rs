@@ -3,11 +3,12 @@
 
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use mcdbr_dispatch::wire::{self, Frame, ReplyCode, WireError, WireResult};
 use mcdbr_exec::QueryResultSamples;
-use mcdbr_faults::BackoffPolicy;
 use mcdbr_mcdb::MonteCarloQuery;
+use mcdbr_prng::Pcg64;
 
 /// One server response to a query.
 #[derive(Debug)]
@@ -128,19 +129,18 @@ impl ServerClient {
 
     /// Like [`ServerClient::query`], but retry `Busy` rejections until
     /// admitted (reconnecting is not needed — `Busy` leaves the connection
-    /// healthy), waiting out [`BackoffPolicy::default`]'s capped exponential
-    /// backoff between attempts.  Its jitter stream is salted by
-    /// `master_seed`, so concurrent clients retrying the same server
-    /// decorrelate instead of stampeding in lockstep.  Only `Busy` is
-    /// retried: `Timeout`, `ShuttingDown`, and the rest are policy
-    /// decisions the caller owns.
+    /// healthy), waiting out a capped exponential backoff between attempts
+    /// (2 ms doubling to a 200 ms cap, each wait a seeded uniform draw
+    /// below it).  Its jitter stream is salted by `master_seed`, so
+    /// concurrent clients retrying the same server decorrelate instead of
+    /// stampeding in lockstep.  Only `Busy` is retried: `Timeout`,
+    /// `ShuttingDown`, and the rest are policy decisions the caller owns.
     pub fn query_retrying(
         &mut self,
         query: &MonteCarloQuery,
         reps: usize,
         master_seed: u64,
     ) -> WireResult<QueryReply> {
-        let policy = BackoffPolicy::default();
         let mut attempt = 0u32;
         loop {
             match self.query(query, reps, master_seed)? {
@@ -148,7 +148,7 @@ impl ServerClient {
                     code: ReplyCode::Busy,
                     ..
                 } => {
-                    std::thread::sleep(policy.delay(attempt, master_seed));
+                    std::thread::sleep(busy_backoff(attempt, master_seed));
                     attempt += 1;
                 }
                 reply => return Ok(reply),
@@ -174,4 +174,15 @@ impl ServerClient {
         self.writer.flush()?;
         Ok(())
     }
+}
+
+/// The sleep before `Busy` retry `attempt` (0-based): a uniform draw from
+/// `[0, min(200 ms, 2 ms << attempt)]`, taken from
+/// `Pcg64::with_stream(JITTER_SEED ^ salt, attempt)` so a retry schedule
+/// replays from its seed.
+pub(crate) fn busy_backoff(attempt: u32, salt: u64) -> Duration {
+    const JITTER_SEED: u64 = 0x6d63_6462; // "mcdb"
+    let cap_ms = 2u64.saturating_mul(1 << attempt.min(20)).min(200);
+    let jitter = Pcg64::with_stream(JITTER_SEED ^ salt, u64::from(attempt)).next_f64();
+    Duration::from_micros((cap_ms as f64 * 1000.0 * jitter) as u64)
 }

@@ -51,3 +51,30 @@ pub use client::{QueryReply, ServerClient};
 pub use load::{run_load, LoadReport};
 pub use sched::FairScheduler;
 pub use service::{Server, ServerConfig, ServerHandle};
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use crate::client::busy_backoff;
+
+    #[test]
+    fn backoff_is_capped_exponential_with_deterministic_jitter() {
+        for attempt in 0..12 {
+            let bound = 2u64.saturating_mul(1 << attempt).min(200);
+            let d = busy_backoff(attempt, 7);
+            assert!(
+                d <= Duration::from_millis(bound),
+                "attempt {attempt}: {d:?} > {bound}ms"
+            );
+            assert_eq!(d, busy_backoff(attempt, 7), "jitter must be deterministic");
+        }
+        assert_ne!(busy_backoff(2, 0), busy_backoff(2, 1), "salts decorrelate");
+    }
+
+    #[test]
+    fn huge_attempt_counts_do_not_overflow() {
+        let d = busy_backoff(u32::MAX, 42);
+        assert!(d <= Duration::from_millis(200));
+    }
+}

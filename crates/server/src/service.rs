@@ -27,7 +27,10 @@
 //!   `max_inflight + 1`-th gets a typed `Busy` reply immediately (bounded
 //!   work, no unbounded queue build-up).  Draining servers reply
 //!   `ShuttingDown`, and a query asking for more than [`MAX_QUERY_REPS`]
-//!   repetitions is answered `Invalid` before it is admitted.
+//!   repetitions is answered `Invalid` before it is admitted.  An admitted
+//!   query whose block would pass
+//!   [`MAX_BLOCK_CELLS`](crate::backend::MAX_BLOCK_CELLS) is answered
+//!   `Invalid` before any of its cells is allocated.
 //! * **Fairness**: each admitted query runs through a per-query
 //!   [`FairBackend`] that places its work as units on the shared
 //!   [`FairScheduler`] — a block's generation units, or one unit that
@@ -474,9 +477,15 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) -> WireResult<()> {
                             }
                             // A deadlined query earns the typed Timeout
                             // code — retryable policy lives client-side —
-                            // while everything else stays Internal.
+                            // and a query the engine refuses as invalid (a
+                            // block over the cell budget, a VG parameter
+                            // out of range) the Invalid code; everything
+                            // else stays Internal.
                             Err(e @ Error::Timeout(_)) => {
                                 wire::encode_error_reply(ReplyCode::Timeout, &e.to_string())
+                            }
+                            Err(e @ Error::Invalid(_)) => {
+                                wire::encode_error_reply(ReplyCode::Invalid, &e.to_string())
                             }
                             Err(e) => wire::encode_error_reply(ReplyCode::Internal, &e.to_string()),
                         }

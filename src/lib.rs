@@ -12,7 +12,7 @@
 //! | [`storage`] | values, schemas, tuples, tables, catalog |
 //! | [`prng`] | deterministic position-addressable random streams |
 //! | [`vg`] | VG (variable-generation) functions: Normal, Gamma, Poisson, ... |
-//! | [`faults`] | deterministic fault injection (seeded plans armed by `ProcessBackend::with_fault_spec`) and seeded retry backoff |
+//! | [`faults`] | deterministic fault injection (seeded plans armed by `ProcessBackend::with_fault_spec`) |
 //! | [`exec`] | tuple-bundle query plans and operators (Seed, Instantiate, Split, joins, aggregation) |
 //! | [`dispatch`] | multi-process shard dispatch: wire protocol, `mcdbr-worker` binary, `ProcessBackend` (a plan and its tables ship once per worker per `(plan fingerprint, catalog epoch)`) |
 //! | [`mcdb`] | the MCDB baseline: naive Monte Carlo over bundles + result-distribution statistics |

@@ -150,9 +150,9 @@ fn killed_client_mid_query_has_its_slot_reclaimed() {
 #[test]
 fn killed_workers_under_server_routed_queries_recover_bit_identically() {
     // The dispatch crate's crash-recovery contract, driven through the
-    // server path: kill both worker OS processes between server-routed
-    // queries; the next query's tasks hit broken pipes, respawn workers,
-    // re-send the plan, re-dispatch — and the samples stay bit-identical.
+    // server path: kill worker OS processes between server-routed
+    // queries; the next query's tasks hit broken pipes, their units run
+    // here, the workers are replaced — and the samples stay bit-identical.
     let catalog = small_catalog();
     let query = customer_losses_query(Some(7));
     let backend = Arc::new(ProcessBackend::new(2));
@@ -195,21 +195,15 @@ fn killed_workers_under_server_routed_queries_recover_bit_identically() {
 fn fault_plan_stalled_worker_under_server_routed_queries_audits_exactly() {
     // Deterministic fault plan instead of kill_worker: worker slot 0
     // perma-stalls every task reply (`stall=1:30000`) while the read
-    // deadline is short.  With the retry policy's 2-attempt bound the
-    // ladder for the faulted block is fully determined, so the recovery
-    // counters can be audited *exactly*, not `>=`:
-    //
-    //   attempt 0: deadline timeout -> retry (respawn #1)
-    //   attempt 1: deadline timeout -> retry (respawn #2)
-    //   attempt 2: deadline timeout -> 3rd consecutive failure trips the
-    //              breaker, retries exhausted -> slot degrades locally
-    //
-    // = 3 deadline_timeouts, 2 task_retries, 2 worker_respawns,
-    //   1 circuit_trip.  Queries 2 and 3 fall inside the breaker's
-    //   cooldown: their slot-0 tasks degrade up front and no counter
-    //   moves.  Every query must still be bit-identical to the in-process
-    //   reference — degradation re-runs the same ShardTask on the same
-    //   position-addressable streams.
+    // deadline is short.  Under the dispatcher's one failure rule each
+    // query's block is fully determined, so the counters can be audited
+    // *exactly*, not `>=`: slot 0's reply misses the deadline (one
+    // deadline_timeout), its worker is replaced at once by a cold one (one
+    // worker_respawn, whose replacement inherits the plan and stalls the
+    // next query the same way), and its unit runs here (one task_retry).
+    // Three queries = 3 / 3 / 3.  Every query must still be bit-identical
+    // to the in-process reference — the local run re-derives the same
+    // position-addressable streams.
     let catalog = small_catalog();
     let query = customer_losses_query(Some(7));
     let backend = Arc::new(
@@ -241,26 +235,22 @@ fn fault_plan_stalled_worker_under_server_routed_queries_audits_exactly() {
     let stats = backend.shard_stats();
     assert_eq!(
         stats.deadline_timeouts, 3,
-        "one timeout per ladder attempt on the faulted block: {stats:?}"
+        "one timeout per stalled query: {stats:?}"
     );
     assert_eq!(
-        stats.task_retries, 2,
-        "the 2-attempt retry bound is exact: {stats:?}"
+        stats.task_retries, 3,
+        "one unit re-run here per stalled query: {stats:?}"
     );
     assert_eq!(
-        stats.worker_respawns, 2,
-        "one respawn per retry (the final give-up reaps without respawning): {stats:?}"
-    );
-    assert_eq!(
-        stats.circuit_trips, 1,
-        "the third consecutive failure trips the slot's breaker once: {stats:?}"
+        stats.worker_respawns, 3,
+        "one replacement per stalled query: {stats:?}"
     );
 
     let server_stats = handle.shutdown();
     assert_eq!(server_stats.queries_served, 3);
     assert_eq!(
         server_stats.query_timeouts, 0,
-        "degradation is not a timeout"
+        "a unit run here is not a timeout"
     );
     assert_eq!(server_stats.inflight, 0);
 }

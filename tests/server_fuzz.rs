@@ -15,11 +15,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcdbr::dispatch::wire::{self, Frame, ReplyCode, WIRE_MAGIC, WIRE_VERSION};
-use mcdbr::exec::InProcessBackend;
-use mcdbr::mcdb::McdbEngine;
+use mcdbr::exec::plan::OutputColumn;
+use mcdbr::exec::{AggregateSpec, Expr, InProcessBackend, PlanNode, RandomTableSpec};
+use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::prng::Pcg64;
+use mcdbr::server::backend::MAX_BLOCK_CELLS;
 use mcdbr::server::client::{QueryReply, ServerClient};
 use mcdbr::server::service::{Server, ServerConfig, ServerHandle, MAX_QUERY_REPS};
+use mcdbr::vg::MultiNormalVg;
 use mcdbr::workloads::{customer_losses_catalog, customer_losses_query};
 
 const CASES: u64 = 48;
@@ -240,6 +243,56 @@ fn oversized_repetition_counts_are_invalid_before_admission() {
     let stats = handle.stats();
     assert_eq!((stats.queries_served, stats.inflight), (1, 0));
     assert_server_still_healthy(&handle, 6);
+    handle.shutdown();
+}
+
+#[test]
+fn blocks_over_the_cell_budget_are_invalid_before_any_cell_is_allocated() {
+    // The widest `MultiNormal` a plan may carry: 4 096 rows of 2 fields a
+    // position, for each of the catalog's 8 customers.
+    let plan = PlanNode::random_table(RandomTableSpec {
+        name: "Correlated".into(),
+        param_table: "means".into(),
+        vg: Arc::new(MultiNormalVg::new(4_096, 0.5)),
+        vg_params: vec![Expr::col("m"), Expr::lit(1.0)],
+        columns: vec![OutputColumn::Vg {
+            vg_col: 1,
+            as_name: "val".into(),
+        }],
+        table_tag: 3,
+    });
+    let query = MonteCarloQuery::new(plan, AggregateSpec::sum(Expr::col("val"), "total"));
+    let cells_per_position = 8 * 4_096 * 2;
+    let handle = start_server();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    // 2^36 cells at the repetition cap (512 GiB): without the budget the
+    // first block's allocation aborts the server.
+    for reps in [
+        MAX_QUERY_REPS as usize,
+        1 + (MAX_BLOCK_CELLS / cells_per_position) as usize,
+    ] {
+        match client.query(&query, reps, 1).unwrap() {
+            QueryReply::Rejected { code, message } => {
+                assert_eq!(code, ReplyCode::Invalid, "{message}");
+                assert!(message.contains("budget"), "{message}");
+            }
+            QueryReply::Ok { .. } => panic!("a block of {reps} repetitions was served"),
+        }
+    }
+    // The same query at a few repetitions fits, and the connection is
+    // still usable.
+    let QueryReply::Ok { samples, .. } = client.query(&query, 4, 2).unwrap() else {
+        panic!("a block inside the budget was refused");
+    };
+    let catalog = customer_losses_catalog(8, (2.0, 5.0), 11).unwrap();
+    let want = McdbEngine::new()
+        .run_samples(&query, &catalog, 4, 2)
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&samples.groups[0].1), bits(&want.groups[0].1));
+    let stats = handle.stats();
+    assert_eq!((stats.queries_served, stats.inflight), (1, 0));
+    assert_server_still_healthy(&handle, 7);
     handle.shutdown();
 }
 

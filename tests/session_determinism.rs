@@ -478,9 +478,9 @@ fn process_backend_cache_hits_skip_phase_one_on_both_sides_of_the_wire() {
 
 #[test]
 fn process_backend_survives_forced_worker_kills_with_re_dispatch() {
-    // Crash-recovery contract: killing worker processes between (and
-    // during) blocks forces the broken-pipe path — respawn, re-send the
-    // plan to the now-cold worker, re-dispatch the in-flight task — and
+    // Crash-recovery contract: killing worker processes between blocks
+    // forces the broken-pipe path — the unit runs here, the worker is
+    // replaced by a cold one that gets the plan with its next task — and
     // the merged output stays bit-identical throughout.
     let (catalog, plan) = complex_case();
     let seed = 31;
@@ -511,7 +511,7 @@ fn process_backend_survives_forced_worker_kills_with_re_dispatch() {
     let stats = backend.shard_stats();
     assert!(
         stats.worker_respawns >= 3,
-        "every kill must surface as a respawn + re-dispatch: {stats:?}"
+        "every kill must surface as a replacement: {stats:?}"
     );
     assert_eq!(session.plan_executions(), 1);
 }
