@@ -8,7 +8,6 @@
 use mcdbr_core::{GibbsLooper, TailSampleResult, TailSamplingConfig};
 use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_storage::{Catalog, Result};
-use mcdbr_workloads::{TpchConfig, TpchWorkload};
 
 /// The Appendix D looper parameterization (`m = 5`, `p^{1/m} = 0.25`,
 /// `l = 100`) for a given budget `N` and master seed.
@@ -28,12 +27,6 @@ pub fn run_tail_sampling(
     GibbsLooper::new(query.clone(), config).run(catalog)
 }
 
-/// Generate the tiny test-scale Appendix D workload (for runs that only
-/// need the code path, not the volume).
-pub fn test_tpch() -> TpchWorkload {
-    TpchWorkload::generate(TpchConfig::test_scale()).expect("workload generation")
-}
-
 /// Format a table row of `columns` with a fixed width, for the experiment
 /// binaries' stdout reports.
 pub fn row(columns: &[String]) -> String {
@@ -47,6 +40,7 @@ pub fn row(columns: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcdbr_workloads::{TpchConfig, TpchWorkload};
 
     #[test]
     fn appendix_d_config_matches_the_paper() {
@@ -59,7 +53,7 @@ mod tests {
 
     #[test]
     fn tail_sampling_runs_on_the_test_workload() {
-        let w = test_tpch();
+        let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
         let config = TailSamplingConfig::new(0.05, 10, 100)
             .with_m(2)
             .with_block_size(200)

@@ -88,17 +88,6 @@ impl IndependentSumModel {
         x.iter().sum()
     }
 
-    /// Mean of `Q(X)` (when every component mean exists).
-    pub fn q_mean(&self) -> Option<f64> {
-        self.components.iter().map(|d| d.mean()).sum()
-    }
-
-    /// Variance of `Q(X)` (when every component variance exists); valid
-    /// because the components are independent.
-    pub fn q_variance(&self) -> Option<f64> {
-        self.components.iter().map(|d| d.variance()).sum()
-    }
-
     /// One invocation of GENCOND (Algorithm 2): sample component `i`'s
     /// conditional distribution given the rest of `x` and the constraint
     /// `Q ≥ cutoff`, by rejection from the marginal.
@@ -179,8 +168,6 @@ mod tests {
             Distribution::Normal { mean: 5.0, sd: 1.0 },
         ]);
         assert_eq!(m.dim(), 3);
-        assert_eq!(m.q_mean(), Some(12.0));
-        assert_eq!(m.q_variance(), Some(3.0));
         assert_eq!(m.q(&[1.0, 2.0, 3.0]), 6.0);
     }
 

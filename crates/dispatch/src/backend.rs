@@ -72,7 +72,7 @@
 //! between its plain operations and its traced ones, which replay
 //! `instantiate_block` + `aggregate`.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -88,6 +88,7 @@ use mcdbr_faults::{FaultInjector, FaultPlan};
 use mcdbr_storage::{Catalog, Column, DataType, Result};
 
 use crate::wire::{self, Frame, TaskHeader, WireError, WireResult};
+use crate::worker::MAX_KNOWN_PLANS;
 
 /// How many plan keys the dispatcher keeps encoded (oldest evicted beyond
 /// this; re-priming re-encodes).
@@ -106,8 +107,10 @@ struct Worker {
     stdin: ChildStdin,
     rx: mpsc::Receiver<WireResult<(Vec<u8>, u64)>>,
     reader: Option<std::thread::JoinHandle<()>>,
-    /// Plan keys this worker has received `Plan` frames for.
-    known: HashSet<PlanKey>,
+    /// The plan keys this worker holds: the last [`MAX_KNOWN_PLANS`] it
+    /// was sent `Plan` frames for, oldest first — the order its store
+    /// evicts in, so an evicted key counts as cold and is sent again.
+    known: VecDeque<PlanKey>,
 }
 
 /// Reap a worker with a bounded wait: close its stdin (a well-behaved
@@ -340,7 +343,7 @@ impl ProcessBackend {
             stdin,
             rx,
             reader: Some(reader),
-            known: HashSet::new(),
+            known: VecDeque::new(),
         };
         self.workers_spawned.fetch_add(1, Ordering::Relaxed);
         match self.handshake(&mut worker) {
@@ -423,7 +426,10 @@ impl ProcessBackend {
         let worker = slot.as_mut().expect("slot just filled");
         if !worker.known.contains(&key) {
             self.send(worker, plan_frame)?;
-            worker.known.insert(key);
+            worker.known.push_back(key);
+            if worker.known.len() > MAX_KNOWN_PLANS {
+                worker.known.pop_front();
+            }
         }
         let task = wire::encode_task(&TaskHeader {
             key,
@@ -895,11 +901,10 @@ mod tests {
     fn evicted_worker_plans_are_resent_transparently() {
         // Workers bound their plan memory (MAX_KNOWN_PLANS); cycling more
         // distinct plans than that through one worker evicts the first one
-        // from the *worker* while the coordinator still believes the worker
-        // knows it.  The worker answers with an unknown-plan `Error` frame,
-        // which takes the failure rule: the worker is replaced by a cold
-        // one, the unit runs here, and the block comes back bit-identical.
-        // The replacement gets the plan with its next task.
+        // from the worker's store, and from the coordinator's record of it
+        // in the same order.  So plan 0 is sent again with its next task:
+        // no failure, no replacement, and the block comes back
+        // bit-identical from the worker.
         let catalog = catalog();
         let backend = Arc::new(ProcessBackend::new(1));
         let plan_i = |i: i64| {
@@ -935,9 +940,10 @@ mod tests {
                 stats.task_retries,
                 stats.deadline_timeouts
             ),
-            (1, 1, 0),
-            "a lost plan costs one replacement and one local run: {stats:?}"
+            (0, 0, 0),
+            "an evicted plan is sent again, not lost: {stats:?}"
         );
+        assert_eq!(stats.tasks_dispatched, 1, "{stats:?}");
         let before = backend.shard_stats();
         assert_sets_identical(
             &want(12, 8),
@@ -951,7 +957,7 @@ mod tests {
                 stats.worker_respawns
             ),
             (1, 0, 0),
-            "the replacement serves the next block: {stats:?}"
+            "the worker keeps serving the plan: {stats:?}"
         );
     }
 

@@ -44,11 +44,11 @@ struct KnownPlan {
 }
 
 /// How many plans (and their catalog snapshots) a worker retains.  The
-/// coordinator caps its prepared-plan list the same way; a worker asked
-/// about an evicted key answers with an "unknown plan key" error, and the
-/// coordinator replaces it and runs the task itself — bounded memory on
-/// both sides, no lost work.
-const MAX_KNOWN_PLANS: usize = 64;
+/// coordinator keeps the same FIFO record of what each worker was sent, so
+/// it re-sends an evicted plan before the task that needs it; a worker
+/// asked about a key it does not hold answers with an "unknown plan key"
+/// error, and the coordinator replaces it and runs the task itself.
+pub(crate) const MAX_KNOWN_PLANS: usize = 64;
 
 /// The worker's bounded plan store: FIFO eviction past
 /// [`MAX_KNOWN_PLANS`], each plan holding its own tables.  Catalog

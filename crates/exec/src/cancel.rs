@@ -61,12 +61,6 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// True once cancelled or past the deadline.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
-            || self.inner.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
     /// Boundary check: `Err(Error::Timeout)` once cancelled or expired.
     pub fn check(&self) -> Result<()> {
         if self.inner.cancelled.load(Ordering::Relaxed) {
@@ -88,7 +82,6 @@ mod tests {
     #[test]
     fn unbounded_token_never_expires() {
         let t = CancelToken::unbounded();
-        assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
     }
 
@@ -97,7 +90,6 @@ mod tests {
         let t = CancelToken::unbounded();
         let clone = t.clone();
         clone.cancel();
-        assert!(t.is_cancelled());
         assert!(matches!(t.check(), Err(Error::Timeout(_))));
     }
 
@@ -105,7 +97,6 @@ mod tests {
     fn deadline_expiry_is_a_typed_timeout() {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(1));
-        assert!(t.is_cancelled());
         let err = t.check().unwrap_err();
         assert!(matches!(err, Error::Timeout(_)), "got {err:?}");
         assert!(err.to_string().starts_with("deadline exceeded:"));
@@ -114,7 +105,6 @@ mod tests {
     #[test]
     fn future_deadline_passes_checks() {
         let t = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
     }
 }

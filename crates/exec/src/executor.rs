@@ -16,6 +16,7 @@
 //! adds new or currently assigned values", paper §9).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mcdbr_prng::seed_for;
 use mcdbr_storage::{Catalog, Column, Error, Result, Schema, Value};
@@ -23,6 +24,7 @@ use mcdbr_storage::{Catalog, Column, Error, Result, Schema, Value};
 use crate::bundle::{BundleSet, BundleValue, SharedColumn, TupleBundle};
 use crate::expr::Expr;
 use crate::plan::{OutputColumn, PlanNode, RandomTableSpec};
+use crate::session::check_block_cells;
 use crate::stream_registry::StreamRegistry;
 
 /// Options controlling a plan execution.
@@ -46,16 +48,6 @@ impl ExecOptions {
             master_seed,
             num_values: n,
             base_pos: 0,
-        }
-    }
-
-    /// Options for an MCDB-R (Gibbs) run materializing a block of
-    /// `block_size` values per stream starting at `base_pos`.
-    pub fn gibbs_block(master_seed: u64, block_size: usize, base_pos: u64) -> Self {
-        ExecOptions {
-            master_seed,
-            num_values: block_size,
-            base_pos,
         }
     }
 }
@@ -170,6 +162,7 @@ fn exec_random_table(
     let param_table = catalog.get(&spec.param_table)?;
     let param_schema = param_table.schema();
     let out_schema = spec.schema(catalog)?;
+    let vg_fields = spec.vg.output_fields().len();
 
     let mut bundles = Vec::new();
     for (row_idx, param_row) in param_table.iter().enumerate() {
@@ -184,11 +177,17 @@ fn exec_random_table(
 
         // Instantiate operator: materialize the block of stream values.
         // One VG invocation per position; all output rows/columns of that
-        // invocation share the position.
-        let source = registry.source(seed)?;
-        let mut per_pos_rows = Vec::with_capacity(opts.num_values);
+        // invocation share the position.  The first position's row count
+        // sizes the block, which must fit the budget before the rest is made.
+        let source = registry.source(seed)?.clone();
+        let mut per_pos_rows = Vec::new();
         for i in 0..opts.num_values {
-            per_pos_rows.push(source.generate_at(seed, opts.base_pos + i as u64)?);
+            let rows = source.generate_at(seed, opts.base_pos + i as u64)?;
+            if i == 0 {
+                registry.reserve_cells(rows.len() * vg_fields, opts.num_values)?;
+                per_pos_rows.reserve_exact(opts.num_values);
+            }
+            per_pos_rows.push(rows);
         }
         let vg_rows = per_pos_rows.first().map(|r| r.len()).unwrap_or(1);
         if per_pos_rows.iter().any(|r| r.len() != vg_rows) {
@@ -417,6 +416,10 @@ pub(crate) fn random_join_key(side: &str, column: &str) -> Error {
 /// MCDB's Split operation (paper §8): replace a random column by one bundle
 /// per distinct value, with presence restricted to the repetitions in which
 /// the stream took that value.
+///
+/// Every variant carries a presence flag per repetition, so the variants of
+/// all bundles count toward [`crate::MAX_BLOCK_CELLS`] as they are found,
+/// before any is built.
 fn apply_split(
     schema: &Schema,
     bundles: Vec<TupleBundle>,
@@ -424,24 +427,44 @@ fn apply_split(
     num_reps: usize,
 ) -> Result<Vec<TupleBundle>> {
     let idx = schema.index_of(column)?;
-    let mut out = Vec::new();
-    for bundle in bundles {
+    // Per bundle with a random `column`: its distinct values in
+    // first-appearance order, and the one each repetition took (`None` for a
+    // value equal to nothing, such as NULL or NaN, which is present in no
+    // variant).
+    let mut variants = 0u64;
+    let mut enumerated = Vec::with_capacity(bundles.len());
+    for bundle in &bundles {
         if bundle.values[idx].is_const() {
-            out.push(bundle);
+            enumerated.push(None);
             continue;
         }
-        // Enumerate distinct values in first-appearance order.
+        let mut first_seen = HashMap::new();
         let mut distinct: Vec<Value> = Vec::new();
+        let mut taken = Vec::with_capacity(num_reps);
         for rep in 0..num_reps {
-            let v = bundle.values[idx].value_at(rep).clone();
-            if !distinct.iter().any(|d| d.sql_eq(&v)) {
+            let v = bundle.values[idx].value_at(rep);
+            let Some(class) = sql_eq_class(&v) else {
+                taken.push(None);
+                continue;
+            };
+            let k = *first_seen.entry(class).or_insert(distinct.len());
+            if k == distinct.len() {
+                variants += 1;
+                check_block_cells(variants, num_reps)?;
                 distinct.push(v);
             }
+            taken.push(Some(k));
         }
-        for v in distinct {
-            let mask: Vec<bool> = (0..num_reps)
-                .map(|rep| bundle.values[idx].value_at(rep).sql_eq(&v))
-                .collect();
+        enumerated.push(Some((distinct, taken)));
+    }
+    let mut out = Vec::new();
+    for (bundle, enumerated) in bundles.into_iter().zip(enumerated) {
+        let Some((distinct, taken)) = enumerated else {
+            out.push(bundle);
+            continue;
+        };
+        for (k, v) in distinct.into_iter().enumerate() {
+            let mask: Vec<bool> = taken.iter().map(|&t| t == Some(k)).collect();
             let mut split = bundle.clone();
             split.values[idx] = BundleValue::Const(v);
             split.restrict_presence(&mask);
@@ -451,6 +474,27 @@ fn apply_split(
         }
     }
     Ok(out)
+}
+
+/// The class of values [`Value::sql_eq`] holds equal to `v`: numbers
+/// (booleans included) by their `f64`, with −0 as +0, and strings by their
+/// text; `None` for a value equal to nothing (NULL, NaN).
+#[derive(PartialEq, Eq, Hash)]
+enum SqlEqClass {
+    Number(u64),
+    Text(Arc<str>),
+}
+
+fn sql_eq_class(v: &Value) -> Option<SqlEqClass> {
+    match v {
+        Value::Null => None,
+        Value::Utf8(s) => Some(SqlEqClass::Text(Arc::clone(s))),
+        number => {
+            let x = number.as_f64().ok()?;
+            let x = if x == 0.0 { 0.0 } else { x };
+            (!x.is_nan()).then_some(SqlEqClass::Number(x.to_bits()))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -586,9 +630,11 @@ mod tests {
         let long = exec
             .execute(&losses_plan(), &catalog, &ExecOptions::monte_carlo(7, 10))
             .unwrap();
-        let block = exec
-            .execute(&losses_plan(), &catalog, &ExecOptions::gibbs_block(7, 5, 5))
-            .unwrap();
+        let replenish = ExecOptions {
+            base_pos: 5,
+            ..ExecOptions::monte_carlo(7, 5)
+        };
+        let block = exec.execute(&losses_plan(), &catalog, &replenish).unwrap();
         for (lb, bb) in long.bundles.iter().zip(block.bundles.iter()) {
             let (long_vals, block_vals) = match (&lb.values[1], &bb.values[1]) {
                 (
@@ -758,6 +804,34 @@ mod tests {
         }
         // Split columns are now constants, so joining on them is legal.
         assert!(set.bundles.iter().all(|b| b.values[1].is_const()));
+    }
+
+    #[test]
+    fn split_classes_are_the_classes_sql_eq_holds_equal() {
+        let values = [
+            Value::Null,
+            Value::Float64(f64::NAN),
+            Value::Float64(0.0),
+            Value::Float64(-0.0),
+            Value::Int64(0),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int64(1),
+            Value::Float64(1.5),
+            Value::Int64(1 << 53),
+            Value::Int64((1 << 53) + 1),
+            Value::Float64(f64::INFINITY),
+            Value::str("1"),
+            Value::str("a"),
+            Value::str("a"),
+        ];
+        for a in &values {
+            for b in &values {
+                let class = sql_eq_class(a);
+                let same = class.is_some() && class == sql_eq_class(b);
+                assert_eq!(same, a.sql_eq(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,8 @@ pub use expr::{BinaryOp, Expr};
 pub use plan::{JoinType, PlanNode, RandomTableSpec};
 pub use pool::BlockBufferPool;
 pub use program::Program;
-pub use session::{CellCols, DeterministicPrefix, ExecSession, Lineage, PlanSkeleton};
+pub use session::{
+    CellCols, DeterministicPrefix, ExecSession, Lineage, PlanSkeleton, MAX_BLOCK_CELLS,
+};
 pub use shard::{assemble_block, fold_block, ShardTask};
 pub use stream_registry::StreamSource;

@@ -97,6 +97,27 @@ use crate::stream_registry::StreamSource;
 /// kept, and it must be seed-independent — see the module docs).
 const PROBE_MASTER_SEED: u64 = 0;
 
+/// The most cells one phase-2 block may hold (2 GiB of 8-byte values): the
+/// §2 losses over the demo catalog's 250 streams fit 2^20 repetitions, and
+/// one stream of a dimension-4 096 `MultiNormal` (8 192 cells a position)
+/// fits 32 768.  A cell is one VG output value at one position; a `Split`
+/// over a random attribute counts one per variant and repetition.
+pub const MAX_BLOCK_CELLS: u64 = 1 << 28;
+
+/// Refuse a block of `positions` positions with `per_position` cells at
+/// each once it would hold more than [`MAX_BLOCK_CELLS`] cells — checked
+/// before the cells are made, so the refusal allocates nothing.
+pub(crate) fn check_block_cells(per_position: u64, positions: usize) -> Result<()> {
+    let cells = per_position.saturating_mul(positions as u64);
+    if cells > MAX_BLOCK_CELLS {
+        return Err(Error::Invalid(format!(
+            "a block of {per_position} × {positions} = {cells} cells is past the \
+             budget of {MAX_BLOCK_CELLS}"
+        )));
+    }
+    Ok(())
+}
+
 /// What the skeleton pass knows about one output column before any stream
 /// values exist, for every tuple of the batch at once.  Every operator
 /// decides const, stream or deferred per *column*, so the kind is uniform
@@ -267,6 +288,9 @@ pub struct PlanSkeleton {
     /// `active_keys`, so the per-block generation fan-out indexes a slice
     /// instead of probing a map per stream.
     active_sources: Vec<(StreamSource, usize)>,
+    /// Cells one position of a block holds: Σ over `active_sources` of VG
+    /// output rows × VG output fields.
+    cells_per_position: u64,
     /// The plan version this skeleton was built for.
     key: PlanKey,
 }
@@ -798,7 +822,7 @@ impl ExecSession {
     /// The cached prefix for one phase-2 block of `num_values` positions,
     /// counted (one block, `active streams × num_values` values) and primed
     /// for dispatch ([`ExecBackend::prepare_dispatch`]); a fallback plan has
-    /// none and is refused.
+    /// none and is refused, and so is a block past [`MAX_BLOCK_CELLS`].
     fn cached_block(
         &mut self,
         catalog: &Catalog,
@@ -809,6 +833,7 @@ impl ExecSession {
                 "cell instantiation needs a cached deterministic prefix".into(),
             ));
         };
+        check_block_cells(prefix.skeleton().cells_per_position, num_values)?;
         self.blocks_materialized += 1;
         self.values_materialized += (prefix.num_active_streams() * num_values) as u64;
         self.backend.prepare_dispatch(&self.plan, catalog, prefix)?;
@@ -1273,12 +1298,17 @@ pub(crate) fn build_skeleton(
         *id = at_of[*id as usize];
     }
 
+    let active_sources: Vec<(StreamSource, usize)> = sources.into_iter().flatten().collect();
+    let cells_per_position = (active_sources.iter())
+        .map(|(source, rows)| (rows * source.vg.output_fields().len()) as u64)
+        .sum();
     Ok(PlanSkeleton {
         schema,
         num_streams: registered.len(),
         batch,
         active_keys,
-        active_sources: sources.into_iter().flatten().collect(),
+        active_sources,
+        cells_per_position,
         key,
     })
 }

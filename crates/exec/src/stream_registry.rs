@@ -23,6 +23,8 @@ use mcdbr_prng::{RandomStream, SeedId};
 use mcdbr_storage::{Error, Result, Tuple, Value};
 use mcdbr_vg::VgFunction;
 
+use crate::session::check_block_cells;
+
 /// How to generate one stream: a VG function plus its bound parameter row.
 ///
 /// Both fields are reference-counted so that cloning a source — which
@@ -64,10 +66,12 @@ impl StreamSource {
 }
 
 /// The reference executor's registry of every stream one plan execution
-/// referenced, by concrete seed.
+/// referenced, by concrete seed, and of the cells a position of its block
+/// holds.
 #[derive(Debug, Default)]
 pub(crate) struct StreamRegistry {
     sources: BTreeMap<SeedId, StreamSource>,
+    cells_per_position: u64,
 }
 
 impl StreamRegistry {
@@ -99,6 +103,13 @@ impl StreamRegistry {
         self.sources
             .get(&seed)
             .ok_or_else(|| Error::Invalid(format!("unknown stream seed {seed}")))
+    }
+
+    /// Count `cells` more cells a position toward the execution's block
+    /// of `positions` positions, refusing it past [`crate::MAX_BLOCK_CELLS`].
+    pub(crate) fn reserve_cells(&mut self, cells: usize, positions: usize) -> Result<()> {
+        self.cells_per_position = self.cells_per_position.saturating_add(cells as u64);
+        check_block_cells(self.cells_per_position, positions)
     }
 
     /// Number of registered streams.
@@ -158,7 +169,7 @@ mod tests {
         assert_eq!(rows.len(), 3);
         // Row index is in column 0; the value in column 1.
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.value(0).as_i64().unwrap(), i as i64);
+            assert_eq!(row.value(0), &Value::Int64(i as i64));
             assert_eq!(source.value_at(9, 0, i, 1).unwrap(), row.value(1).clone());
         }
     }

@@ -71,63 +71,6 @@ impl MonteCarloQuery {
     }
 }
 
-/// Counters from one [`run_query_shared`] call, for callers (the resident
-/// server) that account per-query rather than per-engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SharedRunStats {
-    /// Whether phase 1 was skipped via the shared cache.
-    pub skeleton_hit: bool,
-    /// Full plan executions this run cost (0 on a cache hit).
-    pub plan_executions: usize,
-    /// Blocks materialized by this run.
-    pub blocks_materialized: usize,
-    /// Bytes of stream values this run materialized.
-    pub bytes_materialized: u64,
-    /// Pooled buffers this run reused instead of allocating.
-    pub buffer_reuses: u64,
-}
-
-/// Run `query` for `n` repetitions against **shared** infrastructure — a
-/// cache, buffer pool, and backend owned by a long-lived service rather
-/// than a per-run engine — returning the raw samples plus this run's
-/// counters.
-///
-/// This is the query entry point `mcdbr-server` serves connections
-/// through: every concurrent client session goes through the same
-/// `Arc<SessionCache>` (so one client's phase 1 is every client's cache
-/// hit — single-flight under races) and the same `Arc<BlockBufferPool>`
-/// (so block shells are reused across queries regardless of which
-/// connection ran them).  The result is bit-identical to
-/// [`McdbEngine::run_samples`] with the same backend: both bind the same
-/// skeleton and make one [`ExecSession::sample_block`] call over the window
-/// `0..n` — the backend generates the block's cells, which are folded
-/// once straight into the aggregate without materializing the block.
-pub fn run_query_shared(
-    query: &MonteCarloQuery,
-    catalog: &Catalog,
-    n: usize,
-    master_seed: u64,
-    cache: &SessionCache,
-    pool: &Arc<BlockBufferPool>,
-    backend: &Arc<dyn ExecBackend>,
-) -> Result<(QueryResultSamples, SharedRunStats)> {
-    let mut session = cache
-        .session(&query.plan, catalog, master_seed)?
-        .with_backend(Arc::clone(backend))
-        .with_pool(Arc::clone(pool));
-    let samples = query.sample(&mut session, catalog, 0, n)?;
-    Ok((
-        samples,
-        SharedRunStats {
-            skeleton_hit: session.skeleton_hit(),
-            plan_executions: session.plan_executions(),
-            blocks_materialized: session.blocks_materialized(),
-            bytes_materialized: session.bytes_materialized(),
-            buffer_reuses: session.buffer_reuses(),
-        },
-    ))
-}
-
 /// Report from a naive tail-sampling run (the MCDB baseline for the
 /// Appendix D comparison).
 #[derive(Debug, Clone)]

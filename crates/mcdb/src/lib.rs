@@ -32,6 +32,6 @@ pub mod engine;
 pub mod naive_cost;
 pub mod result;
 
-pub use engine::{run_query_shared, McdbEngine, MonteCarloQuery, NaiveTailReport, SharedRunStats};
+pub use engine::{McdbEngine, MonteCarloQuery, NaiveTailReport};
 pub use naive_cost::NaiveCostModel;
 pub use result::ResultDistribution;

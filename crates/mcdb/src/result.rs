@@ -126,30 +126,6 @@ impl ResultDistribution {
         Ok((mean - half, mean + half))
     }
 
-    /// Distribution-free confidence interval for the `q`-quantile based on
-    /// order statistics (binomial / normal-approximation bracketing), as in
-    /// the standard quantile-estimation techniques the paper cites (ref.
-    /// \[19\], Sec. 2.6).  Returns `(lo, hi)` sample values.
-    pub fn quantile_confidence_interval(&self, q: f64, confidence: f64) -> Result<(f64, f64)> {
-        let n = self.sorted.len();
-        if n < 2 {
-            return Err(Error::InvalidOperation(
-                "need at least two samples for a quantile interval".into(),
-            ));
-        }
-        if !(0.0..1.0).contains(&q) || !(0.0..1.0).contains(&confidence) {
-            return Err(Error::InvalidOperation(
-                "q and confidence must lie in (0,1)".into(),
-            ));
-        }
-        let z = mcdbr_vg::math::std_normal_quantile(0.5 + confidence / 2.0);
-        let nf = n as f64;
-        let half = z * (nf * q * (1.0 - q)).sqrt();
-        let lo_rank = ((nf * q - half).floor().max(1.0)) as usize;
-        let hi_rank = ((nf * q + half).ceil().min(nf)) as usize;
-        Ok((self.sorted[lo_rank - 1], self.sorted[hi_rank - 1]))
-    }
-
     /// Empirical CDF evaluated at `x`: fraction of samples `<= x`.
     pub fn cdf(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -189,13 +165,6 @@ impl ResultDistribution {
             }
         }
         out.into_iter().map(|(v, c)| (v, c as f64 / n)).collect()
-    }
-
-    /// Expected shortfall given the samples already lie in the tail: the
-    /// sample mean (paper §2 computes it as `SUM(totalLoss * FRAC)` over the
-    /// frequency table, which is the same number).
-    pub fn expected_shortfall_of_tail(&self) -> f64 {
-        self.mean()
     }
 }
 
@@ -273,23 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_confidence_interval_brackets_estimate() {
-        let mut gen = mcdbr_prng::Pcg64::new(6);
-        let d = mcdbr_vg::Distribution::Normal { mean: 0.0, sd: 1.0 };
-        let samples: Vec<f64> = (0..20_000).map(|_| d.sample(&mut gen)).collect();
-        let rd = dist(&samples);
-        let q = rd.quantile(0.99).unwrap();
-        let (lo, hi) = rd.quantile_confidence_interval(0.99, 0.95).unwrap();
-        assert!(lo <= q && q <= hi);
-        // The true 0.99 quantile of N(0,1) is about 2.326; the bracket should
-        // cover it at this sample size.
-        assert!(lo < 2.326 && 2.326 < hi, "bracket ({lo}, {hi})");
-        assert!(dist(&[1.0])
-            .quantile_confidence_interval(0.5, 0.95)
-            .is_err());
-    }
-
-    #[test]
     fn conditioning_matches_domain_clause() {
         // §2: DOMAIN totalLoss >= QUANTILE(0.99) — conditioning keeps the top 1%.
         let samples: Vec<f64> = (0..1000).map(|i| i as f64).collect();
@@ -302,7 +254,7 @@ mod tests {
         // eleven samples (989..=999) lie in the conditioned domain.
         assert_eq!(tail.len(), 11);
         // Expected shortfall of the tail = mean of retained samples.
-        assert_eq!(tail.expected_shortfall_of_tail(), tail.mean());
+        assert_eq!(tail.mean(), 994.0);
     }
 
     #[test]

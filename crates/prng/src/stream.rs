@@ -229,14 +229,6 @@ impl RandomStream {
     pub fn uniform_at(&self, pos: u64) -> f64 {
         self.generator_at(pos).next_f64_open()
     }
-
-    /// Materialize the uniforms for positions `lo..hi` (used when an
-    /// Instantiate operator attaches a block of stream values to a Gibbs
-    /// tuple; paper §5: "The number of stream elements to instantiate in a
-    /// Gibbs tuple is chosen to trade off...").
-    pub fn uniform_block(&self, lo: u64, hi: u64) -> Vec<f64> {
-        (lo..hi).map(|p| self.uniform_at(p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -276,16 +268,6 @@ mod tests {
         let a = RandomStream::new(10).uniform_at(0);
         let b = RandomStream::new(11).uniform_at(0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn block_matches_pointwise() {
-        let s = RandomStream::new(123);
-        let block = s.uniform_block(10, 20);
-        assert_eq!(block.len(), 10);
-        for (i, v) in block.iter().enumerate() {
-            assert_eq!(*v, s.uniform_at(10 + i as u64));
-        }
     }
 
     #[test]

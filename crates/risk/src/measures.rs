@@ -4,7 +4,8 @@ use mcdbr_storage::{Error, Result};
 
 /// Value at risk: the `(1-p)`-quantile of the loss samples (the probabilistic
 /// worst-case scenario of paper §1).  Uses the same ceil-rank order-statistic
-/// convention as the rest of the system.
+/// convention as the rest of the system.  NaN samples are rejected, as by
+/// [`EmpiricalCdf::new`].
 pub fn value_at_risk(samples: &[f64], p: f64) -> Result<f64> {
     if samples.is_empty() {
         return Err(Error::InvalidOperation("VaR of an empty sample set".into()));
@@ -14,8 +15,7 @@ pub fn value_at_risk(samples: &[f64], p: f64) -> Result<f64> {
             "tail probability {p} outside (0,1)"
         )));
     }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let sorted = EmpiricalCdf::new(samples)?.sorted;
     let n = sorted.len();
     let rank = (((1.0 - p) * n as f64).ceil() as usize).clamp(1, n);
     Ok(sorted[rank - 1])
@@ -147,6 +147,12 @@ mod tests {
         assert!(value_at_risk(&[], 0.1).is_err());
         assert!(value_at_risk(&samples, 0.0).is_err());
         assert!(value_at_risk(&samples, 1.0).is_err());
+    }
+
+    #[test]
+    fn var_of_a_nan_sample_is_a_typed_error() {
+        let err = value_at_risk(&[1.0, f64::NAN, 2.0], 0.5).unwrap_err();
+        assert!(matches!(err, Error::InvalidOperation(_)), "{err}");
     }
 
     #[test]

@@ -37,13 +37,6 @@
 //! [`mcdbr_storage::Error::Timeout`] at its next boundary — already
 //! completed work is simply dropped, and no scheduler unit is ever
 //! interrupted mid-flight.
-//!
-//! **One block budget.**  A block holds Σ over its active streams of (VG
-//! output rows × VG output fields) × positions cells, and the server's two
-//! caps — [`crate::service::MAX_QUERY_REPS`] positions and `mcdbr_vg`'s VG sizes —
-//! multiply.  A block past [`MAX_BLOCK_CELLS`] fails with
-//! [`mcdbr_storage::Error::Invalid`] before any cell is allocated, which
-//! the connection answers with a typed `Invalid` reply.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,35 +45,9 @@ use mcdbr_exec::{
     AggregateSpec, BlockBufferPool, BundleSet, CancelToken, CellCols, DeterministicPrefix,
     ExecBackend, Expr, PlanNode, QueryResultSamples, ShardStats, ShardTask,
 };
-use mcdbr_storage::{Catalog, Error, Result};
+use mcdbr_storage::{Catalog, Result};
 
 use crate::sched::FairScheduler;
-
-/// The most cells one block may hold (2 GiB of 8-byte values): the §2
-/// losses over the demo catalog's 250 streams fit 2^20 repetitions, and
-/// one stream of a dimension-4 096 `MultiNormal` (8 192 cells a position)
-/// fits 32 768.
-pub const MAX_BLOCK_CELLS: u64 = 1 << 28;
-
-/// Refuse a block of `num_values` positions of `prefix` that would hold
-/// more than [`MAX_BLOCK_CELLS`] cells.
-fn check_block_budget(prefix: &DeterministicPrefix, num_values: usize) -> Result<()> {
-    let skeleton = prefix.skeleton();
-    let per_position: u64 = (0..skeleton.num_active_streams())
-        .map(|at| {
-            let (source, rows) = skeleton.stream_recipe(at);
-            (rows * source.vg.output_fields().len()) as u64
-        })
-        .sum();
-    let cells = per_position.saturating_mul(num_values as u64);
-    if cells > MAX_BLOCK_CELLS {
-        return Err(Error::Invalid(format!(
-            "a block of {num_values} positions would hold {cells} cells \
-             ({per_position} per position), past the budget of {MAX_BLOCK_CELLS}"
-        )));
-    }
-    Ok(())
-}
 
 /// A per-query scheduler-routed backend.  See the [module docs](self).
 pub struct FairBackend {
@@ -197,7 +164,6 @@ impl ExecBackend for FairBackend {
         num_values: usize,
     ) -> Result<Vec<CellCols>> {
         self.cancel.check()?;
-        check_block_budget(prefix, num_values)?;
         let cells = if self.inner.units_run_in_process() {
             // One generation unit per scheduler pool thread, each on one
             // thread, so the block stays inside the bounded pool.

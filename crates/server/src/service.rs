@@ -28,9 +28,9 @@
 //!   work, no unbounded queue build-up).  Draining servers reply
 //!   `ShuttingDown`, and a query asking for more than [`MAX_QUERY_REPS`]
 //!   repetitions is answered `Invalid` before it is admitted.  An admitted
-//!   query whose block would pass
-//!   [`MAX_BLOCK_CELLS`](crate::backend::MAX_BLOCK_CELLS) is answered
-//!   `Invalid` before any of its cells is allocated.
+//!   query whose block would pass [`mcdbr_exec::MAX_BLOCK_CELLS`] — a
+//!   `Split` plan's variants included — is answered `Invalid` before its
+//!   cells are allocated.
 //! * **Fairness**: each admitted query runs through a per-query
 //!   [`FairBackend`] that places its work as units on the shared
 //!   [`FairScheduler`] — a block's generation units, or one unit that
@@ -56,7 +56,7 @@ use mcdbr_dispatch::wire::{self, Frame, ReplyCode, WireError, WireResult};
 use mcdbr_exec::{
     par, BlockBufferPool, CancelToken, ExecBackend, QueryResultSamples, SessionCache, ShardStats,
 };
-use mcdbr_mcdb::{run_query_shared, MonteCarloQuery};
+use mcdbr_mcdb::MonteCarloQuery;
 use mcdbr_storage::{Catalog, Error, Result};
 
 use crate::backend::FairBackend;
@@ -240,15 +240,26 @@ impl Shared {
         let as_backend: Arc<dyn ExecBackend> = Arc::clone(&fair) as Arc<dyn ExecBackend>;
         let baseline = as_backend.shard_stats();
         let exec_start = Instant::now();
-        let (samples, run) = match run_query_shared(
-            query,
-            &self.catalog,
-            reps,
-            master_seed,
-            &self.cache,
-            &self.pool,
-            &as_backend,
-        ) {
+        // Every connection shares one cache (one client's phase 1 is every
+        // client's hit) and one pool of block shells.
+        let sampled = self
+            .cache
+            .session(&query.plan, &self.catalog, master_seed)
+            .and_then(|session| {
+                let mut session = session
+                    .with_backend(Arc::clone(&as_backend))
+                    .with_pool(Arc::clone(&self.pool));
+                let samples = session.sample_block(
+                    &self.catalog,
+                    0,
+                    reps,
+                    &query.aggregate,
+                    &query.group_by,
+                    query.final_predicate.as_ref(),
+                )?;
+                Ok((samples, session))
+            });
+        let (samples, session) = match sampled {
             Ok(out) => out,
             Err(e) => {
                 if matches!(e, Error::Timeout(_)) {
@@ -259,16 +270,17 @@ impl Shared {
         };
         let exec_ns = exec_start.elapsed().as_nanos() as u64;
         let window = as_backend.shard_stats().since(baseline);
+        let plan_executions = session.plan_executions() as u64;
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         self.plan_executions
-            .fetch_add(run.plan_executions as u64, Ordering::Relaxed);
+            .fetch_add(plan_executions, Ordering::Relaxed);
         self.shards_spawned
             .fetch_add(fair.units_spawned() as u64, Ordering::Relaxed);
         Ok((
             samples,
             wire::QueryStats {
-                skeleton_hit: run.skeleton_hit,
-                plan_executions: run.plan_executions as u64,
+                skeleton_hit: session.skeleton_hit(),
+                plan_executions,
                 shards_spawned: window.shards_spawned as u64,
                 queue_wait_ns: fair.queue_wait_ns(),
                 exec_ns,

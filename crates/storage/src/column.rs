@@ -35,7 +35,6 @@ use std::sync::Arc;
 
 use crate::codec::{put_count, DecodeError, DecodeResult, Reader};
 use crate::error::{Error, Result};
-use crate::mask::Mask;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 
@@ -68,27 +67,6 @@ impl NullBitmap {
     /// Whether any position is null.
     pub fn any(&self) -> bool {
         self.any
-    }
-
-    /// The bitmap over `len` positions as a packed [`Mask`] suitable for the
-    /// branchless predicate kernels.
-    ///
-    /// The sparse representation stores nothing past the last word ever
-    /// touched by [`NullBitmap::set`], so the mask zero-pads missing words;
-    /// and because `set` never learned the column's logical length, any bits
-    /// at positions `>= len` (possible when a pooled buffer shrinks between
-    /// uses) are masked off the trailing word.  Without that trailing-word
-    /// masking, whole-word kernel combinators would read garbage lanes for
-    /// block lengths that are not a multiple of 64.
-    pub fn to_mask(&self, len: usize) -> Mask {
-        if !self.any {
-            return Mask::zeros(len);
-        }
-        let mut words = vec![0u64; crate::mask::words_for(len)];
-        for (dst, src) in words.iter_mut().zip(&self.words) {
-            *dst = *src;
-        }
-        Mask::from_words(words, len)
     }
 
     fn clear(&mut self) {
@@ -171,14 +149,6 @@ impl Utf8Column {
     /// Number of distinct interned strings.
     pub fn distinct(&self) -> usize {
         self.dict.len()
-    }
-
-    /// The string at position `row`, read from the byte arena.
-    pub fn str_at(&self, row: usize) -> &str {
-        let id = self.indices[row] as usize;
-        let bytes = &self.arena[self.offsets[id] as usize..self.offsets[id + 1] as usize];
-        // The arena only ever receives `&str` bytes.
-        std::str::from_utf8(bytes).expect("arena holds interned UTF-8")
     }
 
     /// The shared handle for the string at position `row`.
@@ -473,21 +443,6 @@ impl Column {
             ColumnData::Float64(v) if !self.nulls.any() => Some(v),
             _ => None,
         }
-    }
-
-    /// The raw `i64` slice, when the column is typed `Int64` and null-free.
-    pub fn i64_slice(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Int64(v) if !self.nulls.any() => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The packed null mask over this column's positions, with the
-    /// trailing-word bits beyond `len` masked off (see
-    /// [`NullBitmap::to_mask`]).
-    pub fn null_mask(&self) -> Mask {
-        self.nulls.to_mask(self.len)
     }
 
     /// Append `n` `Float64` positions initialized to `0.0` and return the
@@ -938,9 +893,9 @@ mod tests {
             ColumnData::Utf8(u) => {
                 assert_eq!(u.distinct(), 3, "equal strings share one arena entry");
                 assert_eq!(u.len(), 5);
-                assert_eq!(u.str_at(0), "ship");
-                assert_eq!(u.str_at(2), "ship");
-                assert_eq!(u.str_at(3), "air");
+                assert_eq!(&**u.handle_at(0), "ship");
+                assert_eq!(&**u.handle_at(2), "ship");
+                assert_eq!(&**u.handle_at(3), "air");
                 // Boundary clones are refcount bumps on the same handle.
                 assert!(Arc::ptr_eq(u.handle_at(0), u.handle_at(2)));
             }
@@ -965,8 +920,11 @@ mod tests {
             col.values_out(),
             vec![Value::Null, Value::Int64(7), Value::Null]
         );
+        let mut floats = Column::default();
+        floats.push_f64(1.0);
+        floats.push_null();
         assert!(
-            col.i64_slice().is_none(),
+            floats.f64_slice().is_none(),
             "nullable columns have no raw slice"
         );
 
@@ -1192,55 +1150,6 @@ mod tests {
 #[cfg(test)]
 mod null_mask_tests {
     use super::*;
-
-    /// Satellite check: the sparse bitmap's packed view must be exact for
-    /// block lengths that are not a multiple of 64.
-    #[test]
-    fn null_mask_handles_non_multiple_of_64_lengths() {
-        let mut col = Column::default();
-        for i in 0..70 {
-            if i % 7 == 0 {
-                col.push_null();
-            } else {
-                col.push_f64(i as f64);
-            }
-        }
-        let mask = col.null_mask();
-        assert_eq!(mask.len(), 70);
-        for i in 0..70 {
-            assert_eq!(mask.get(i), i % 7 == 0, "lane {i}");
-        }
-        assert_eq!(mask.count(), 10);
-    }
-
-    #[test]
-    fn null_mask_zero_pads_words_the_sparse_bitmap_never_allocated() {
-        // Nulls only in the first 64 positions: the bitmap stores one word,
-        // but a 130-position mask needs three.
-        let mut bm = NullBitmap::default();
-        bm.set(3);
-        let mask = bm.to_mask(130);
-        assert_eq!(mask.words().len(), 3);
-        assert!(mask.get(3));
-        assert_eq!(mask.count(), 1);
-        assert!((0..130).filter(|&i| mask.get(i)).eq(std::iter::once(3)));
-    }
-
-    #[test]
-    fn null_mask_drops_stray_bits_beyond_the_logical_length() {
-        // A bitmap that once covered 100 positions, reused for a 65-position
-        // view: bits at 65..100 must not leak into the trailing word.
-        let mut bm = NullBitmap::default();
-        bm.set(64);
-        bm.set(70);
-        bm.set(99);
-        let mask = bm.to_mask(65);
-        assert_eq!(mask.len(), 65);
-        assert_eq!(mask.count(), 1, "only position 64 is inside the view");
-        assert!(mask.get(64));
-        let empty = bm.to_mask(64);
-        assert_eq!(empty.count(), 0, "single-word view holds no set bits");
-    }
 
     #[test]
     fn extend_f64_zeroed_appends_writable_slots() {

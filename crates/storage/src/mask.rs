@@ -89,19 +89,6 @@ impl Mask {
         m
     }
 
-    /// Build from pre-packed words covering `len` positions, masking any
-    /// stray bits in the trailing word so the invariant holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly [`words_for`]`(len)` long.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Mask {
-        assert_eq!(words.len(), words_for(len), "word count mismatch");
-        let mut m = Mask { len, words };
-        m.mask_tail();
-        m
-    }
-
     /// Build from a boolean slice.
     pub fn from_bools(bits: &[bool]) -> Mask {
         let mut m = Mask::zeros(bits.len());

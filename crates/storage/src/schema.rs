@@ -105,13 +105,6 @@ impl Schema {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
 
-    /// Append a field, returning a new schema.
-    pub fn with_field(&self, field: Field) -> Schema {
-        let mut fields = self.fields.clone();
-        fields.push(field);
-        Schema { fields }
-    }
-
     /// Concatenate two schemas (for joins).  Columns of `other` whose names
     /// clash with columns already present get a `_1` (or `_2`, ...) suffix.
     pub fn join(&self, other: &Schema) -> Schema {
@@ -183,14 +176,6 @@ mod tests {
             triple.names(),
             vec!["sal", "eid", "sal_1", "eid_1", "sal_2", "eid_2"]
         );
-    }
-
-    #[test]
-    fn with_field_appends() {
-        let s = losses_schema().with_field(Field::boolean("isPres"));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.field(2).name, "isPres");
-        assert_eq!(s.field(2).data_type, DataType::Bool);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Tuple {
         &self.values[idx]
     }
 
-    /// Mutable access to the value at position `idx`.
-    pub fn value_mut(&mut self, idx: usize) -> &mut Value {
-        &mut self.values[idx]
-    }
-
     /// Replace the value at position `idx`.
     pub fn set(&mut self, idx: usize, value: Value) {
         self.values[idx] = value;
@@ -129,7 +124,7 @@ mod tests {
     fn mutation() {
         let mut t = Tuple::from_iter_values([1i64, 2i64]);
         t.set(0, Value::Int64(5));
-        *t.value_mut(1) = Value::Int64(7);
+        t.set(1, Value::Int64(7));
         t.push(Value::Int64(9));
         assert_eq!(
             t.values(),

@@ -104,19 +104,6 @@ impl Value {
         }
     }
 
-    /// Interpret the value as an `i64`.  Floats are truncated toward zero.
-    pub fn as_i64(&self) -> Result<i64> {
-        match self {
-            Value::Int64(i) => Ok(*i),
-            Value::Float64(f) => Ok(*f as i64),
-            Value::Bool(b) => Ok(*b as i64),
-            other => Err(Error::TypeMismatch {
-                expected: "integer".into(),
-                found: other.data_type().to_string(),
-            }),
-        }
-    }
-
     /// Interpret the value as a boolean.  NULL is *not* true.
     #[inline]
     pub fn as_bool(&self) -> Result<bool> {
@@ -220,18 +207,6 @@ impl Value {
         }
         Ok(Value::Float64(self.as_f64()? / b))
     }
-
-    /// Numeric negation.
-    pub fn neg(&self) -> Result<Value> {
-        match self {
-            Value::Int64(i) => Ok(Value::Int64(-i)),
-            Value::Float64(f) => Ok(Value::Float64(-f)),
-            other => Err(Error::TypeMismatch {
-                expected: "numeric".into(),
-                found: other.data_type().to_string(),
-            }),
-        }
-    }
 }
 
 fn numeric_binop(
@@ -326,7 +301,6 @@ mod tests {
     #[test]
     fn numeric_coercions() {
         assert_eq!(Value::Int64(7).as_f64().unwrap(), 7.0);
-        assert_eq!(Value::Float64(2.5).as_i64().unwrap(), 2);
         assert_eq!(Value::Bool(true).as_f64().unwrap(), 1.0);
         assert!(Value::str("x").as_f64().is_err());
     }
@@ -352,8 +326,6 @@ mod tests {
             Value::Int64(10).sub(&Value::Int64(4)).unwrap(),
             Value::Int64(6)
         );
-        assert_eq!(Value::Float64(2.5).neg().unwrap(), Value::Float64(-2.5));
-        assert_eq!(Value::Int64(3).neg().unwrap(), Value::Int64(-3));
     }
 
     #[test]

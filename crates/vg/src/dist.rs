@@ -140,16 +140,6 @@ impl Distribution {
             Distribution::Poisson { .. } | Distribution::Bernoulli { .. } => None,
         }
     }
-
-    /// Whether this distribution is heavy-tailed (subexponential) in the
-    /// sense of paper Appendix B — the regime where the Gibbs rejection
-    /// sampler is expected to behave badly.
-    pub fn is_heavy_tailed(&self) -> bool {
-        matches!(
-            self,
-            Distribution::Lognormal { .. } | Distribution::Pareto { .. }
-        )
-    }
 }
 
 /// Marsaglia–Tsang squeeze method for Gamma(shape, 1).
@@ -338,10 +328,6 @@ mod tests {
             scale: 1.0,
             shape: 2.5,
         };
-        assert!(ln.is_heavy_tailed());
-        assert!(pa.is_heavy_tailed());
-        assert!(!Distribution::Normal { mean: 0.0, sd: 1.0 }.is_heavy_tailed());
-
         let (mean, _) = sample_stats(&ln, 200_000, 8);
         assert!(
             (mean - (0.5f64).exp()).abs() < 0.05,

@@ -207,11 +207,6 @@ impl TpchWorkload {
         );
         MonteCarloQuery::new(plan, AggregateSpec::sum(Expr::col("val"), "totalLoss"))
     }
-
-    /// Total number of joining lineitem rows (sanity: equals `num_lineitems`).
-    pub fn total_fanout(&self) -> u64 {
-        self.fanouts.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +219,7 @@ mod tests {
         let w = TpchWorkload::generate(TpchConfig::test_scale()).unwrap();
         assert_eq!(w.catalog.get("orders").unwrap().len(), 100);
         assert_eq!(w.catalog.get("lineitem").unwrap().len(), 800);
-        assert_eq!(w.total_fanout(), 800);
+        assert_eq!(w.fanouts.iter().sum::<u64>(), 800);
         assert_eq!(w.fanouts.len(), 100);
     }
 

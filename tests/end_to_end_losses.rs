@@ -3,11 +3,43 @@
 //! the two agree with each other and with the analytic answer.
 
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
-use mcdbr::mcdb::McdbEngine;
+use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::query::parse_risk_query;
 use mcdbr::risk::TailSummary;
+use mcdbr::server::demo::{demo_catalog, demo_query};
+use mcdbr::storage::Error;
 use mcdbr::vg::math::std_normal_quantile;
 use mcdbr::workloads::{customer_losses_catalog, customer_losses_query};
+
+#[test]
+fn a_split_over_a_random_attribute_fits_the_block_budget_or_is_refused() {
+    // `Split(val)` over the demo query's 250 Normal streams makes one variant
+    // per bundle and repetition, each with a presence flag per repetition:
+    // 250 × reps² cells, past the budget at 2 048 repetitions.
+    let catalog = demo_catalog().unwrap();
+    let query = demo_query();
+    let split = MonteCarloQuery {
+        plan: query.plan.clone().split("val"),
+        ..query.clone()
+    };
+    let err = McdbEngine::new()
+        .run_samples(&split, &catalog, 2_048, 9)
+        .unwrap_err();
+    assert!(matches!(err, Error::Invalid(_)), "{err}");
+    assert!(err.to_string().contains("budget"), "{err}");
+    // Inside the budget each repetition keeps one variant of every bundle,
+    // in bundle order, so the sum is the unsplit query's, bit for bit.
+    let bits = |q: &MonteCarloQuery| -> Vec<u64> {
+        let samples = McdbEngine::new().run_samples(q, &catalog, 512, 9).unwrap();
+        samples
+            .single()
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(&split), bits(&query));
+}
 
 #[test]
 fn section2_query_from_text_to_tail_samples() {

@@ -15,10 +15,10 @@ use std::sync::{Arc, Barrier};
 use mcdbr::core::{GibbsLooper, TailSamplingConfig};
 use mcdbr::dispatch::{wire, ProcessBackend};
 use mcdbr::exec::{
-    BlockBufferPool, CancelToken, CellCols, ExecBackend, InProcessBackend, QueryResultSamples,
-    SessionCache,
+    BlockBufferPool, CancelToken, CellCols, ExecBackend, ExecSession, InProcessBackend,
+    QueryResultSamples, SessionCache,
 };
-use mcdbr::mcdb::{run_query_shared, McdbEngine, MonteCarloQuery};
+use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::server::client::{QueryReply, ServerClient};
 use mcdbr::server::service::{Server, ServerConfig};
 use mcdbr::server::testing::GateBackend;
@@ -48,6 +48,30 @@ fn reference(
         .with_backend(Arc::new(InProcessBackend::new()))
         .run_samples(query, catalog, reps, seed)
         .unwrap()
+}
+
+/// One query through shared infrastructure, as the server runs it: a
+/// session from the shared cache over `backend` and the shared pool, and
+/// one sampled block over repetitions `0..reps`.
+fn run_shared(
+    query: &MonteCarloQuery,
+    catalog: &Catalog,
+    reps: usize,
+    seed: u64,
+    cache: &SessionCache,
+    pool: &Arc<BlockBufferPool>,
+    backend: Arc<dyn ExecBackend>,
+) -> (QueryResultSamples, ExecSession) {
+    let mut session = cache
+        .session(&query.plan, catalog, seed)
+        .unwrap()
+        .with_backend(backend)
+        .with_pool(Arc::clone(pool));
+    let pred = query.final_predicate.as_ref();
+    let samples = session
+        .sample_block(catalog, 0, reps, &query.aggregate, &query.group_by, pred)
+        .unwrap();
+    (samples, session)
 }
 
 fn assert_samples_bit_identical(got: &QueryResultSamples, want: &QueryResultSamples, ctx: &str) {
@@ -147,10 +171,9 @@ fn a_process_inner_backend_runs_each_block_as_one_scheduler_unit() {
             seed,
             CancelToken::unbounded(),
         ));
-        let backend: Arc<dyn ExecBackend> = Arc::clone(&fair) as Arc<dyn ExecBackend>;
-        let (samples, run) =
-            run_query_shared(&query, &catalog, 24, seed, &cache, &pool, &backend).unwrap();
-        assert_eq!(run.blocks_materialized, 1, "seed {seed}");
+        let (samples, session) =
+            run_shared(&query, &catalog, 24, seed, &cache, &pool, fair.clone());
+        assert_eq!(session.blocks_materialized(), 1, "seed {seed}");
         assert_eq!(fair.units_spawned(), 1, "seed {seed}: one unit per block");
         let want = reference(&query, &catalog, 24, seed);
         assert_samples_bit_identical(&samples, &want, &format!("seed {seed}"));
@@ -200,10 +223,8 @@ fn an_in_process_inner_backend_splits_each_block_across_the_scheduler() {
         assert_eq!(bytes(&cells), want_cells, "{workers} workers: cells");
 
         let shared = fair(2);
-        let backend: Arc<dyn ExecBackend> = Arc::clone(&shared) as Arc<dyn ExecBackend>;
-        let (samples, run) =
-            run_query_shared(&query, &catalog, 24, 5, &cache, &pool, &backend).unwrap();
-        assert_eq!(run.blocks_materialized, 1, "{workers} workers");
+        let (samples, session) = run_shared(&query, &catalog, 24, 5, &cache, &pool, shared.clone());
+        assert_eq!(session.blocks_materialized(), 1, "{workers} workers");
         assert_eq!(
             shared.units_spawned(),
             workers.min(active),

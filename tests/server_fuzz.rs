@@ -16,11 +16,13 @@ use std::time::Duration;
 
 use mcdbr::dispatch::wire::{self, Frame, ReplyCode, WIRE_MAGIC, WIRE_VERSION};
 use mcdbr::exec::plan::OutputColumn;
-use mcdbr::exec::{AggregateSpec, Expr, InProcessBackend, PlanNode, RandomTableSpec};
+use mcdbr::exec::{
+    AggregateSpec, Expr, InProcessBackend, PlanNode, RandomTableSpec, MAX_BLOCK_CELLS,
+};
 use mcdbr::mcdb::{McdbEngine, MonteCarloQuery};
 use mcdbr::prng::Pcg64;
-use mcdbr::server::backend::MAX_BLOCK_CELLS;
 use mcdbr::server::client::{QueryReply, ServerClient};
+use mcdbr::server::demo::{demo_catalog, demo_query};
 use mcdbr::server::service::{Server, ServerConfig, ServerHandle, MAX_QUERY_REPS};
 use mcdbr::vg::MultiNormalVg;
 use mcdbr::workloads::{customer_losses_catalog, customer_losses_query};
@@ -246,11 +248,10 @@ fn oversized_repetition_counts_are_invalid_before_admission() {
     handle.shutdown();
 }
 
-#[test]
-fn blocks_over_the_cell_budget_are_invalid_before_any_cell_is_allocated() {
-    // The widest `MultiNormal` a plan may carry: 4 096 rows of 2 fields a
-    // position, for each of the catalog's 8 customers.
-    let plan = PlanNode::random_table(RandomTableSpec {
+/// The widest `MultiNormal` a plan may carry: 4 096 rows of 2 fields a
+/// position, one stream per customer.
+fn widest_multinormal() -> PlanNode {
+    PlanNode::random_table(RandomTableSpec {
         name: "Correlated".into(),
         param_table: "means".into(),
         vg: Arc::new(MultiNormalVg::new(4_096, 0.5)),
@@ -260,8 +261,16 @@ fn blocks_over_the_cell_budget_are_invalid_before_any_cell_is_allocated() {
             as_name: "val".into(),
         }],
         table_tag: 3,
-    });
-    let query = MonteCarloQuery::new(plan, AggregateSpec::sum(Expr::col("val"), "total"));
+    })
+}
+
+#[test]
+fn blocks_over_the_cell_budget_are_invalid_before_any_cell_is_allocated() {
+    // 4 096 × 2 cells a position for each of the catalog's 8 customers.
+    let query = MonteCarloQuery::new(
+        widest_multinormal(),
+        AggregateSpec::sum(Expr::col("val"), "total"),
+    );
     let cells_per_position = 8 * 4_096 * 2;
     let handle = start_server();
     let mut client = ServerClient::connect(handle.addr()).unwrap();
@@ -293,6 +302,52 @@ fn blocks_over_the_cell_budget_are_invalid_before_any_cell_is_allocated() {
     let stats = handle.stats();
     assert_eq!((stats.queries_served, stats.inflight), (1, 0));
     assert_server_still_healthy(&handle, 7);
+    handle.shutdown();
+}
+
+#[test]
+fn split_plans_over_the_cell_budget_are_invalid_and_the_connection_still_serves() {
+    // A `Split` over a random attribute runs the whole plan per block,
+    // outside the cached path: the budget holds there too.
+    let catalog = demo_catalog().unwrap();
+    let handle = Server::start(
+        catalog.clone(),
+        Arc::new(InProcessBackend::new()),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    let split = |plan: PlanNode| {
+        MonteCarloQuery::new(
+            plan.split("val"),
+            AggregateSpec::sum(Expr::col("val"), "total"),
+        )
+    };
+    // 2^33 VG cells at the repetition cap, refused before the first stream
+    // is generated past its first position; and the demo query's 250
+    // Normal streams, one variant per bundle and repetition (2^32 presence
+    // flags), refused as its variants are enumerated.
+    for (query, reps) in [
+        (split(widest_multinormal()), MAX_QUERY_REPS as usize),
+        (split(demo_query().plan), 4_096),
+    ] {
+        match client.query(&query, reps, 1).unwrap() {
+            QueryReply::Rejected { code, message } => {
+                assert_eq!(code, ReplyCode::Invalid, "{message}");
+                assert!(message.contains("budget"), "{message}");
+            }
+            QueryReply::Ok { .. } => panic!("a split of {reps} repetitions was served"),
+        }
+    }
+    let query = demo_query();
+    let QueryReply::Ok { samples, .. } = client.query(&query, 64, 3).unwrap() else {
+        panic!("the demo query was refused after the split refusals");
+    };
+    let want = McdbEngine::new()
+        .run_samples(&query, &catalog, 64, 3)
+        .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&samples.groups[0].1), bits(&want.groups[0].1));
     handle.shutdown();
 }
 
